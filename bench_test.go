@@ -12,6 +12,7 @@ package repro
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -332,6 +333,28 @@ func BenchmarkTable10_SSE_DaCe(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = (sse.DaCe{}).Compute(in)
+	}
+}
+
+// BenchmarkSSETile measures one full-grid sse.DaCe tile on the device shape
+// of the iv_sse_bound workload (36 atoms, 2 orbitals, 3 kz × 32 E × 4 ω)
+// and on its 12-atom cut. The worker count is pinned so allocs/op is
+// comparable across hosts: scratch is per worker, so the CI guard requires
+// the two sizes to report the same allocs/op (give or take a stray runtime
+// allocation).
+func BenchmarkSSETile(b *testing.B) {
+	defer sse.SetWorkers(sse.SetWorkers(2))
+	for _, na := range []int{12, 36} {
+		b.Run(fmt.Sprintf("na=%d", na), func(b *testing.B) {
+			b.ReportAllocs()
+			p := device.TestParams(na, 6, 2)
+			p.NE, p.Nomega = 32, 4
+			in := sse.RandomInput(device.MustBuild(p), 1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = (sse.DaCe{}).Compute(in)
+			}
+		})
 	}
 }
 

@@ -240,3 +240,36 @@ func SBSMMFixedB(c, a []complex128, b []complex128, n, count int) {
 		mulAddSmall(c[t*stride:(t+1)*stride], a[t*stride:(t+1)*stride], b, n)
 	}
 }
+
+// SBSMMFixedA computes C[t] = A·B[t] for t in [0, count) where A is a
+// single fixed n×n left operand and B[t] starts bStride elements after
+// B[t−1]. This is the SSE stage-❶ shape: one ∇H coupling block multiplies
+// the G≷ blocks of one atom along the energy axis, which the
+// [kz, E, atom] tensor layout spaces Na·n² apart. C is dense (stride n²)
+// and overwritten. Every element accumulates its n products in ascending
+// order from +0, the rounding sequence of linalg.GEMM(1, A, B[t], 0, C[t])
+// for finite A: GEMM's 1·A differs from A only in the signs of zeros, which
+// a sum that starts at +0 cannot observe. Sequential; callers parallelize
+// at the atom level.
+func SBSMMFixedA(c, a, b []complex128, n, count, bStride int) {
+	stride := n * n
+	if len(a) != stride || len(c) != stride*count || (count > 0 && len(b) < (count-1)*bStride+stride) {
+		panic("batch: SBSMMFixedA buffer length mismatch")
+	}
+	for t := 0; t < count; t++ {
+		bt := b[t*bStride : t*bStride+stride : t*bStride+stride]
+		ct := c[t*stride : (t+1)*stride : (t+1)*stride]
+		for i := 0; i < n; i++ {
+			crow := ct[i*n : (i+1)*n : (i+1)*n]
+			for j := range crow {
+				crow[j] = 0
+			}
+			for p, av := range a[i*n : (i+1)*n] {
+				brow := bt[p*n : (p+1)*n : (p+1)*n]
+				for j, bv := range brow {
+					crow[j] += av * bv
+				}
+			}
+		}
+	}
+}

@@ -292,3 +292,61 @@ func TestSBSMMFixedBValidation(t *testing.T) {
 	}()
 	SBSMMFixedB(make([]complex128, 4), make([]complex128, 4), make([]complex128, 1), 2, 1)
 }
+
+// TestSBSMMFixedAMatchesGEMMBitwise pins the stage-❶ batch kernel against
+// the call it replaced, linalg.GEMM(1, A, B[t], 0, C[t]) on every block,
+// bit for bit: block sizes on both sides of GEMM's packed-kernel threshold
+// (n = 8), strides from dense to the tensor's Na·n², stale values in C,
+// and zeros of both signs in A and B (GEMM multiplies A by alpha = 1, which
+// can only flip the sign of a zero).
+func TestSBSMMFixedAMatchesGEMMBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	negZero := math.Copysign(0, -1)
+	sprinkle := func(v []complex128) {
+		for i := range v {
+			switch rng.Intn(8) {
+			case 0:
+				v[i] = complex(0, imag(v[i]))
+			case 1:
+				v[i] = complex(real(v[i]), negZero)
+			case 2:
+				v[i] = complex(negZero, 0)
+			}
+		}
+	}
+	for _, n := range []int{1, 2, 3, 4, 7, 8, 9, 12} {
+		for _, count := range []int{0, 1, 5} {
+			for _, stride := range []int{n * n, n*n + 3, 6 * n * n} {
+				a := randomBatch(rng, n, 1, 1)
+				b := randomBatch(rng, n, 1, 1)[:0]
+				for len(b) < count*stride+n*n {
+					b = append(b, complex(rng.NormFloat64(), rng.NormFloat64()))
+				}
+				sprinkle(a)
+				sprinkle(b)
+				got := randomBatch(rng, n, count, 1) // stale contents must be overwritten
+				SBSMMFixedA(got, a, b, n, count, stride)
+				for tt := 0; tt < count; tt++ {
+					want := linalg.New(n, n)
+					linalg.GEMM(1, linalg.FromSlice(n, n, a), linalg.NoTrans,
+						linalg.FromSlice(n, n, b[tt*stride:tt*stride+n*n]), linalg.NoTrans, 0, want)
+					for e, w := range want.Data {
+						g := got[tt*n*n+e]
+						if math.Float64bits(real(g)) != math.Float64bits(real(w)) || math.Float64bits(imag(g)) != math.Float64bits(imag(w)) {
+							t.Fatalf("n=%d count=%d stride=%d block %d elem %d: %v, GEMM gives %v", n, count, stride, tt, e, g, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestSBSMMFixedAValidation(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on a B too short for the last strided block")
+		}
+	}()
+	SBSMMFixedA(make([]complex128, 8), make([]complex128, 4), make([]complex128, 9), 2, 2, 6)
+}

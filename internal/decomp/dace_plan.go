@@ -280,6 +280,12 @@ func (pl *DaCePlan) UnpackD(recv [][]complex128) {
 func (pl *DaCePlan) ComputeTile() {
 	elo, ehi := pl.l.EnergyRange(pl.myTe)
 	atoms := pl.l.OwnedAtoms(pl.myTa)
+	if elo == ehi {
+		// More energy tiles than energies: this rank owns none. The kernel
+		// takes no empty energy range (0, 0 is its spelling of "all"), so
+		// the empty tile is the one over no atoms.
+		atoms, elo, ehi = atoms[:0], 0, 0
+	}
 	if pl.prec != Mixed {
 		pl.out = (sse.DaCe{Atoms: atoms, ELo: elo, EHi: ehi}).Compute(pl.in)
 		return

@@ -79,3 +79,32 @@ func vecScale(dst []complex128, s complex128) {
 	}
 	vecScaleGo(dst, s)
 }
+
+//go:noescape
+func vecAddMulAVX2(dst, src *complex128, n int, s complex128)
+
+// vecAddMul computes dst[j] += s*src[j] with scalar-identical rounding.
+func vecAddMul(dst, src []complex128, s complex128) {
+	n := len(dst)
+	if haveAVX2 && n >= 2 {
+		even := n &^ 1
+		vecAddMulAVX2(&dst[0], &src[0], even, s)
+		if even < n {
+			dst[even] += s * src[even]
+		}
+		return
+	}
+	vecAddMulGo(dst, src, s)
+}
+
+//go:noescape
+func sumMul3x4AVX2(acc, x0, x1, x2, y *complex128, k, n int)
+
+// sumMul3x4 runs SumMul3x4's shape-checked body.
+func sumMul3x4(acc *[12]complex128, x0, x1, x2, y []complex128, k, n int) {
+	if haveAVX2 && k > 0 && n > 0 {
+		sumMul3x4AVX2(&acc[0], &x0[0], &x1[0], &x2[0], &y[0], k, n)
+		return
+	}
+	sumMul3x4Go(acc, x0, x1, x2, y, k, n)
+}

@@ -15,3 +15,11 @@ func vecSubMul(dst, src []complex128, l complex128) { vecSubMulGo(dst, src, l) }
 
 // vecScale computes dst[j] *= s.
 func vecScale(dst []complex128, s complex128) { vecScaleGo(dst, s) }
+
+// vecAddMul computes dst[j] += s*src[j].
+func vecAddMul(dst, src []complex128, s complex128) { vecAddMulGo(dst, src, s) }
+
+// sumMul3x4 runs SumMul3x4's shape-checked body.
+func sumMul3x4(acc *[12]complex128, x0, x1, x2, y []complex128, k, n int) {
+	sumMul3x4Go(acc, x0, x1, x2, y, k, n)
+}

@@ -39,8 +39,8 @@ type Calibration struct {
 	BCColdNs, BCWarmNs, ElNs float64
 	// Same three numbers for a phonon point.
 	PhBCColdNs, PhBCWarmNs, PhNs float64
-	// TileNs is one full-grid SSE tile application on one rank; a
-	// candidate with P ranks owns ~1/P of the pair blocks.
+	// TileNs is one full-grid SSE tile application on one rank; Predict
+	// scales it by the share of the grid a candidate's tile covers.
 	TileNs float64
 	// MiscNs is the per-iteration residual graph work on one rank —
 	// accumulation, collision partials, mixing — everything that is

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/decomp"
 	"repro/internal/device"
 	"repro/internal/dist"
 	"repro/internal/linalg"
@@ -101,7 +102,7 @@ func Predict(p device.Params, ranks int, cal Calibration, c Candidate) float64 {
 	elNs := cal.BCWarmNs + cal.ElNs
 	phNs := cal.PhBCWarmNs + cal.PhNs
 	exchNs := model.DaCeCommVolume(p, 1, ranks) / float64(ranks) * cal.CopyNsPerByte
-	tileNs := cal.TileNs / float64(ranks)
+	tileNs := cal.TileNs * tileShare(p, 1, ranks)
 
 	switch c.Schedule {
 	case dist.SchedulePhases:
@@ -128,6 +129,22 @@ func Predict(p device.Params, ranks int, cal Calibration, c Candidate) float64 {
 		return sdfg.Simulate(g, c.Workers) / float64(d)
 	}
 	return 0
+}
+
+// tileShare is the fraction of a full-grid SSE tile that the slowest rank
+// of a ta×te split executes. A tile computes its transients on its halo
+// window — its NE/TE owned energies plus Nω on either side, clipped to the
+// grid — for its 1/Ta of the atoms, so the cost follows the window the
+// exchange ships (DaCeLayout.EnergyHalo), not 1/ranks.
+func tileShare(p device.Params, ta, te int) float64 {
+	// Grid geometry only; the atom-set helpers need NewDaCeLayout's device.
+	l := decomp.DaCeLayout{Ta: ta, TE: te, Na: p.Na, NE: p.NE, Nomega: p.Nomega}
+	widest := 0
+	for t := 0; t < te; t++ {
+		lo, hi := l.EnergyHalo(t)
+		widest = max(widest, hi-lo)
+	}
+	return float64(widest) / float64(p.NE) / float64(ta)
 }
 
 // addIteration appends one iteration's model nodes to g and returns the

@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -185,6 +187,31 @@ func (r *Registry) Put(rec Record) error {
 	}
 	r.recs[rec.ID] = &rec
 	return r.write(&rec)
+}
+
+// Delete removes a record that never became a run — an admission the
+// queue shed after its queued record was written — from the index and the
+// data dir. Unknown ids are a no-op.
+func (r *Registry) Delete(id string) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.recs[id]; !ok {
+		return nil
+	}
+	delete(r.recs, id)
+	for i, o := range r.order {
+		if o == id {
+			r.order = append(r.order[:i], r.order[i+1:]...)
+			break
+		}
+	}
+	if r.dir == "" {
+		return nil
+	}
+	if err := os.Remove(filepath.Join(r.dir, id+".json")); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("server: registry delete %s: %w", id, err)
+	}
+	return nil
 }
 
 // write persists one record (atomically: temp file + rename). Callers

@@ -311,27 +311,35 @@ func (s *Server) submit(tenant string, priority int, rc qt.RunConfig, studyID st
 	}
 	j.ctx, j.cancel = context.WithCancel(s.ctx)
 
-	s.mu.Lock()
-	s.jobs[j.id] = j
-	s.mu.Unlock()
-	if err := s.q.Push(j); err != nil {
-		s.removeJob(j.id)
-		j.cancel()
-		s.met.shed.With(tenant).Inc()
-		s.log.Warn("shed", "tenant", tenant, "err", err)
-		return Record{}, nil, err
-	}
-	s.met.cacheMisses.Inc()
-	s.met.queueDepth.With(tenant).Add(1)
-	s.log.Info("admitted", "run", j.id, "tenant", tenant, "priority", priority)
+	// The queued record and the depth gauge must exist before the job is
+	// visible to the slot workers: an idle worker pops it at once, and
+	// execute drops a job it finds no record for.
 	rec := Record{
 		ID: j.id, Tenant: tenant, Priority: priority,
 		Key: key, WarmKey: warmKey, Config: resolved,
 		Status: StatusQueued, Submitted: now, Study: studyID,
 	}
 	if err := s.reg.Put(rec); err != nil {
+		j.cancel()
 		return Record{}, nil, err
 	}
+	s.mu.Lock()
+	s.jobs[j.id] = j
+	s.mu.Unlock()
+	s.met.queueDepth.With(tenant).Add(1)
+	if err := s.q.Push(j); err != nil {
+		s.met.queueDepth.With(tenant).Add(-1)
+		s.removeJob(j.id)
+		j.cancel()
+		if derr := s.reg.Delete(j.id); derr != nil {
+			s.log.Warn("shed record not removed", "run", j.id, "err", derr)
+		}
+		s.met.shed.With(tenant).Inc()
+		s.log.Warn("shed", "tenant", tenant, "err", err)
+		return Record{}, nil, err
+	}
+	s.met.cacheMisses.Inc()
+	s.log.Info("admitted", "run", j.id, "tenant", tenant, "priority", priority)
 	return rec, j, nil
 }
 
@@ -468,12 +476,14 @@ func (s *Server) execute(j *job) {
 		rec.Status = StatusFailed
 		rec.Error = err.Error()
 	}
-	s.reg.Put(rec)
+	// The trace goes first: a client that sees the final status may ask
+	// for the artifact at once.
 	if res != nil && res.Spans != nil {
 		if err := s.reg.PutTrace(j.id, res.Spans); err != nil {
 			s.log.Warn("trace store failed", "run", j.id, "err", err)
 		}
 	}
+	s.reg.Put(rec)
 	s.met.observeRun(j.tenant, rec.Status, wall.Seconds(), res)
 	s.log.Info("finished", "run", j.id, "tenant", j.tenant,
 		"status", string(rec.Status), "converged", rec.Converged,

@@ -42,6 +42,8 @@ func (m Mixed) Name() string {
 
 // Compute implements Kernel.
 func (m Mixed) Compute(in *Input) *Output {
+	restr := (DaCe{Atoms: m.Atoms, ELo: m.ELo, EHi: m.EHi}).mustRestrict(in)
+
 	// Per-tensor normalization factors from input magnitudes.
 	sG, sD, sH := 1.0, 1.0, 1.0
 	if m.Normalize {
@@ -77,18 +79,11 @@ func (m Mixed) Compute(in *Input) *Output {
 
 	q := &quantizer{
 		gradH: func(a, b, i int) *linalg.Matrix { return qGrad[pd{a, b, i}] },
-		gBlock: func(lesser bool, ik, ie, a int) []complex128 {
-			if lesser {
-				return qIn.GL.Block(ik, ie, a)
-			}
-			return qIn.GG.Block(ik, ie, a)
-		},
-		weights: func(wl, wg *[9]complex128) {}, // D̃ built from quantized D already
 		// Σ carries ∇H·G·∇H·D̃ → sH²·sG·sD; Π carries ∇H·G·∇H·G → sH²·sG².
 		denormSigma: complex(1/(sH*sH*sG*sD), 0),
 		denormPi:    complex(1/(sH*sH*sG*sG), 0),
 	}
-	out := daceCompute(qIn, q, (DaCe{Atoms: m.Atoms, ELo: m.ELo, EHi: m.EHi}).restrict(qIn))
+	out := daceCompute(qIn, q, restr)
 	// Halve the byte estimate for the quantized inputs (fp16 vs fp64),
 	// reflecting the reduced memory traffic of SSE-16 in Fig. 10.
 	out.Stats.BytesMoved -= (in.GL.Bytes() + in.GG.Bytes() + in.DL.Bytes() + in.DG.Bytes()) * 3 / 4

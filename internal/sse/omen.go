@@ -39,7 +39,7 @@ func (o OMEN) Compute(in *Input) *Output {
 	prefP := prefPi(p)
 	var matmuls, scalarOps atomic.Int64
 
-	parallelAtoms(p.Na, func(a int) {
+	perAtom := func(a int) {
 		var wl, wg [9]complex128
 		gmix := linalg.New(norb, norb)
 		tmp := linalg.New(norb, norb)
@@ -153,7 +153,8 @@ func (o OMEN) Compute(in *Input) *Output {
 		}
 		matmuls.Add(localMuls)
 		scalarOps.Add(localScalar)
-	})
+	}
+	parallelAtoms(p.Na, func() func(int) { return perAtom })
 
 	n3 := int64(norb) * int64(norb) * int64(norb)
 	out.Stats = Stats{

@@ -131,12 +131,18 @@ func dTilde(dl, dg *tensor.Phonon, iq, iw, a, b, slotAB, slotBA int, wl, wg *[9]
 	}
 }
 
-// parallelAtoms fans the per-atom work function out over a worker pool.
+// parallelAtoms fans per-atom work out over a worker pool. Each worker
+// calls newWorker once and feeds the atoms it claims to the function it
+// gets back, so scratch allocated in newWorker is per worker, not per atom.
 // All kernels write only atom-a-owned tensor regions from worker a, so no
 // locking is needed — the associative accumulation the SDFG map exploits.
-func parallelAtoms(na int, work func(a int)) {
-	workers := parallelWorkers
-	if workers <= 1 || na < 2 {
+func parallelAtoms(na int, newWorker func() func(a int)) {
+	if na == 0 {
+		return
+	}
+	workers := min(parallelWorkers, na)
+	if workers <= 1 {
+		work := newWorker()
 		for a := 0; a < na; a++ {
 			work(a)
 		}
@@ -152,6 +158,7 @@ func parallelAtoms(na int, work func(a int)) {
 			// don't fan out on top of the atom-level parallelism.
 			release := linalg.ReserveWorker()
 			defer release()
+			work := newWorker()
 			for {
 				a := int(atomic.AddInt64(&next, 1))
 				if a >= na {
