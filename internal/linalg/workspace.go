@@ -122,6 +122,12 @@ func MulInto(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
+// MulInto is linalg.MulInto on this workspace's packing panels.
+func (ws *Workspace) MulInto(dst, a, b *Matrix) *Matrix {
+	ws.GEMM(1, a, NoTrans, b, NoTrans, 0, dst)
+	return dst
+}
+
 // Mul3Into stores a·b·c into dst using pooled scratch for the
 // intermediate product. The association is chosen with the same cost
 // comparison as Mul3, so the fp64 result is bit-identical to
@@ -131,13 +137,13 @@ func (ws *Workspace) Mul3Into(dst, a, b, c *Matrix) *Matrix {
 	right := int64(b.Rows)*int64(b.Cols)*int64(c.Cols) + int64(a.Rows)*int64(a.Cols)*int64(c.Cols)
 	if left <= right {
 		t := ws.Get(a.Rows, b.Cols)
-		MulInto(t, a, b)
-		MulInto(dst, t, c)
+		ws.MulInto(t, a, b)
+		ws.MulInto(dst, t, c)
 		ws.Put(t)
 	} else {
 		t := ws.Get(b.Rows, c.Cols)
-		MulInto(t, b, c)
-		MulInto(dst, a, t)
+		ws.MulInto(t, b, c)
+		ws.MulInto(dst, a, t)
 		ws.Put(t)
 	}
 	return dst

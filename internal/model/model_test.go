@@ -37,6 +37,24 @@ func TestTable3MatchesPaper(t *testing.T) {
 	}
 }
 
+func TestRGFFlopsMatchesPaperFormula(t *testing.T) {
+	// Table 11 derives from this formula: a literal evaluation of
+	// 8·(26·bnum − 25)·bs³ per (kz, E) point on the Large structure,
+	// whose 3,072-wide blocks take no measured-ratio discount.
+	p := device.Large(7)
+	bs := 10240.0 * 12 / 40
+	want := 8 * (26*40 - 25) * bs * bs * bs * 7 * 1220
+	if got := RGFFlops(p); got != want {
+		t.Fatalf("RGFFlops = %g, want %g", got, want)
+	}
+	// More blocks at fixed Na·Norb lowers the cost.
+	finer := p
+	finer.Bnum = 80
+	if RGFFlops(finer) > RGFFlops(p) {
+		t.Fatal("doubling bnum should reduce RGF flops")
+	}
+}
+
 func TestTable4MatchesPaper(t *testing.T) {
 	// Published Table 4 (TiB): OMEN and DaCe volumes, weak scaling.
 	wantOMEN := map[int]float64{3: 32.11, 5: 89.18, 7: 174.80, 9: 288.95, 11: 431.65}

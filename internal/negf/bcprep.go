@@ -20,14 +20,15 @@ func (s *PointSolver) PrepareElectronBC(h *blocktri.Matrix, ik, ie int) error {
 	p := s.Dev.P
 	z := complex(p.Energy(ie), p.Eta)
 	nb := p.Bnum
-	bs := p.ElBlockSize()
+	sc := s.getScratch()
+	defer s.putScratch(sc)
 	if _, err := s.BC.Get(0, ik, ie, func() (*bc.Result, error) {
-		return bc.SurfaceGF(edgeBlock(h.Diag[0], z, bs), negated(h.Lower[0], bs), 0, 0)
+		return sc.leadBC(h.Diag[0], h.Lower[0], z)
 	}); err != nil {
 		return fmt.Errorf("left boundary: %w", err)
 	}
 	if _, err := s.BC.Get(1, ik, ie, func() (*bc.Result, error) {
-		return bc.SurfaceGF(edgeBlock(h.Diag[nb-1], z, bs), negated(h.Upper[nb-2], bs), 0, 0)
+		return sc.leadBC(h.Diag[nb-1], h.Upper[nb-2], z)
 	}); err != nil {
 		return fmt.Errorf("right boundary: %w", err)
 	}
@@ -42,33 +43,34 @@ func (s *PointSolver) PreparePhononBC(phi *blocktri.Matrix, iq, m int) error {
 	z := complex(p.Omega(m), p.Eta)
 	z2 := z * z
 	nb := p.Bnum
-	bs := p.PhBlockSize()
+	sc := s.getScratch()
+	defer s.putScratch(sc)
 	if _, err := s.BC.Get(2, iq, m, func() (*bc.Result, error) {
-		return bc.SurfaceGF(edgeBlock(phi.Diag[0], z2, bs), negated(phi.Lower[0], bs), 0, 0)
+		return sc.leadBC(phi.Diag[0], phi.Lower[0], z2)
 	}); err != nil {
 		return fmt.Errorf("left phonon boundary: %w", err)
 	}
 	if _, err := s.BC.Get(3, iq, m, func() (*bc.Result, error) {
-		return bc.SurfaceGF(edgeBlock(phi.Diag[nb-1], z2, bs), negated(phi.Upper[nb-2], bs), 0, 0)
+		return sc.leadBC(phi.Diag[nb-1], phi.Upper[nb-2], z2)
 	}); err != nil {
 		return fmt.Errorf("right phonon boundary: %w", err)
 	}
 	return nil
 }
 
-// edgeBlock assembles z·I − B, the contact onsite block of the A matrix
-// before any self-energy enters — the same expression the point solves
-// build in place.
-func edgeBlock(b *linalg.Matrix, z complex128, bs int) *linalg.Matrix {
-	d := linalg.Scale(linalg.New(bs, bs), -1, b)
-	for r := 0; r < bs; r++ {
-		d.Set(r, r, d.At(r, r)+z)
+// leadBC decimates the lead whose onsite block is z·I − onsite and whose
+// coupling is −coupling — the contact blocks of the A matrix before any
+// self-energy enters, the same expressions the point solves build in
+// place — with every temporary on the scratch workspace.
+func (sc *solveScratch) leadBC(onsite, coupling *linalg.Matrix, z complex128) (*bc.Result, error) {
+	n := onsite.Rows
+	d00 := linalg.Scale(sc.ws.Get(n, n), -1, onsite)
+	for r := 0; r < n; r++ {
+		d00.Set(r, r, d00.At(r, r)+z)
 	}
-	return d
-}
-
-// negated returns −B, the contact coupling block as the A assembly
-// produces it.
-func negated(b *linalg.Matrix, bs int) *linalg.Matrix {
-	return linalg.Scale(linalg.New(bs, bs), -1, b)
+	tau := linalg.Scale(sc.ws.Get(n, n), -1, coupling)
+	res, err := bc.SurfaceGFInto(sc.ws, d00, tau, 0, 0)
+	sc.ws.Put(d00)
+	sc.ws.Put(tau)
+	return res, err
 }

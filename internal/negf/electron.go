@@ -29,12 +29,6 @@ type ElectronPointResult struct {
 // point in parallel and fills the G≷ tensors.
 func (s *Solver) electronPhase() error {
 	p := s.Dev.P
-	// H(kz) is E-independent: assemble once per momentum point.
-	hams := make([]*blocktri.Matrix, p.Nkz)
-	for ik := 0; ik < p.Nkz; ik++ {
-		hams[ik] = s.Dev.Hamiltonian(ik)
-	}
-
 	npts := p.Nkz * p.NE
 	results := make([]*ElectronPointResult, npts)
 	spectral := make([]float64, p.NE)
@@ -46,7 +40,7 @@ func (s *Solver) electronPhase() error {
 			return
 		}
 		ik, ie := idx/p.NE, idx%p.NE
-		res, err := s.SolveElectronPoint(hams[ik], ik, ie)
+		res, err := s.SolveElectronPoint(s.hams[ik], ik, ie)
 		if err != nil {
 			firstErr.CompareAndSwap(nil, fmt.Errorf("point (kz=%d, E=%d): %w", ik, ie, err))
 			return
@@ -112,17 +106,17 @@ func (s *PointSolver) SolveElectronPoint(h *blocktri.Matrix, ik, ie int) (*Elect
 	}
 
 	// Open boundaries: semi-infinite periodic extensions of the edge slabs.
+	// A cold decimation borrows the worker's workspace, idle until
+	// solveRGF resets it.
 	tBC := s.Trace.Begin()
 	left, err := s.BC.Get(0, ik, ie, func() (*bc.Result, error) {
-		d00 := a.Diag[0].Clone()
-		return bc.SurfaceGF(d00, a.Lower[0], 0, 0)
+		return bc.SurfaceGFInto(sc.ws, a.Diag[0], a.Lower[0], 0, 0)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("left boundary: %w", err)
 	}
 	right, err := s.BC.Get(1, ik, ie, func() (*bc.Result, error) {
-		d00 := a.Diag[nb-1].Clone()
-		return bc.SurfaceGF(d00, a.Upper[nb-2], 0, 0)
+		return bc.SurfaceGFInto(sc.ws, a.Diag[nb-1], a.Upper[nb-2], 0, 0)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("right boundary: %w", err)

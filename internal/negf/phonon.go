@@ -23,11 +23,6 @@ type PhononPointResult struct {
 // and fills the D≷ tensors, the phonon DOS, and the heat observables.
 func (s *Solver) phononPhase() error {
 	p := s.Dev.P
-	dyns := make([]*blocktri.Matrix, p.Nqz())
-	for iq := 0; iq < p.Nqz(); iq++ {
-		dyns[iq] = s.Dev.Dynamical(iq)
-	}
-
 	npts := p.Nqz() * p.Nomega
 	results := make([]*PhononPointResult, npts)
 	omegaOf := make([]int, npts)
@@ -38,7 +33,7 @@ func (s *Solver) phononPhase() error {
 			return
 		}
 		iq, m := idx/p.Nomega, idx%p.Nomega+1
-		res, err := s.SolvePhononPoint(dyns[iq], iq, m)
+		res, err := s.SolvePhononPoint(s.dyns[iq], iq, m)
 		if err != nil {
 			firstErr.CompareAndSwap(nil, fmt.Errorf("point (qz=%d, ω=%d): %w", iq, m, err))
 			return
@@ -117,13 +112,13 @@ func (s *PointSolver) SolvePhononPoint(phi *blocktri.Matrix, iq, m int) (*Phonon
 	// cached across iterations, §7.1.2).
 	tBC := s.Trace.Begin()
 	left, err := s.BC.Get(2, iq, m, func() (*bc.Result, error) {
-		return bc.SurfaceGF(a.Diag[0].Clone(), a.Lower[0], 0, 0)
+		return bc.SurfaceGFInto(sc.ws, a.Diag[0], a.Lower[0], 0, 0)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("left phonon boundary: %w", err)
 	}
 	right, err := s.BC.Get(3, iq, m, func() (*bc.Result, error) {
-		return bc.SurfaceGF(a.Diag[nb-1].Clone(), a.Upper[nb-2], 0, 0)
+		return bc.SurfaceGFInto(sc.ws, a.Diag[nb-1], a.Upper[nb-2], 0, 0)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("right phonon boundary: %w", err)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/bc"
+	"repro/internal/blocktri"
 	"repro/internal/device"
 	"repro/internal/obs"
 	"repro/internal/sse"
@@ -64,6 +65,10 @@ type Solver struct {
 	*PointSolver
 	Opts Options
 
+	// hams[ik] = H(kz) and dyns[iq] = Φ(qz) depend on neither energy nor
+	// the self-consistent state: assembled once, shared by every GF phase.
+	hams, dyns []*blocktri.Matrix
+
 	// Per-atom phonon spectral weight A_a(ω) = −2·Im tr Dᴿ_aa, averaged
 	// over qz, used by the temperature extraction.
 	phDOS [][]float64
@@ -105,6 +110,15 @@ func New(dev *device.Device, opts Options) *Solver {
 		Opts:        opts,
 	}
 	s.PointSolver.Trace = opts.Tracer
+	p := dev.P
+	s.hams = make([]*blocktri.Matrix, p.Nkz)
+	for ik := range s.hams {
+		s.hams[ik] = dev.Hamiltonian(ik)
+	}
+	s.dyns = make([]*blocktri.Matrix, p.Nqz())
+	for iq := range s.dyns {
+		s.dyns[iq] = dev.Dynamical(iq)
+	}
 	return s
 }
 

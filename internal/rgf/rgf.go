@@ -68,6 +68,10 @@ type Solution struct {
 	// Diagonal blocks, one per slab.
 	GR, GL, GG []*linalg.Matrix
 	// First off-diagonal blocks: XUpper[i] = X_{i,i+1}, XLower[i] = X_{i+1,i}.
+	// GRLower comes out of the recursion; G≷Lower is set to −(G≷Upper)ᴴ,
+	// which equals G≷_{i+1,i} only for anti-Hermitian Σ≷ — an assumption
+	// on the input, checked against the dense oracle only for such input.
+	// Every other block is exact for general Σ≷.
 	GRUpper, GRLower []*linalg.Matrix
 	GLUpper, GLLower []*linalg.Matrix
 	GGUpper, GGLower []*linalg.Matrix
@@ -85,13 +89,12 @@ type Solution struct {
 // spCoupling caches the sparse forms of one interface's coupling blocks
 // for the duration of a solve: CSR of A_{i,i+1} (up) and A_{i+1,i} (lo)
 // for sparse·dense products, CSC of both for dense·sparse, and CSC of
-// their conjugate transposes (index structure shared with the CSRs).
+// upᴴ (index structure shared with csrUp).
 type spCoupling struct {
 	use          bool
 	csrUp, csrLo sparse.CSR
 	cscUp, cscLo sparse.CSC
 	cscUpH       sparse.CSC // CSC of upᴴ
-	cscLoH       sparse.CSC // CSC of loᴴ
 }
 
 // prepSparse re-extracts the coupling blocks of qualifying interfaces
@@ -133,7 +136,6 @@ func (s *Solution) prepSparse(p *Problem) {
 		sp.csrUp.ToCSCInto(&sp.cscUp, s.spNext)
 		sp.csrLo.ToCSCInto(&sp.cscLo, s.spNext)
 		sp.csrUp.ConjTransCSCInto(&sp.cscUpH)
-		sp.csrLo.ConjTransCSCInto(&sp.cscLoH)
 	}
 }
 
@@ -255,11 +257,11 @@ func SolveInto(p *Problem, ws *linalg.Workspace, sol *Solution) (*Solution, erro
 				linalg.Add(sG, sG, prod)
 			} else {
 				upH := linalg.HInto(ws.Get(m, n), up)
-				linalg.MulInto(t, up, gL[i+1])
-				linalg.MulInto(prod, t, upH)
+				ws.MulInto(t, up, gL[i+1])
+				ws.MulInto(prod, t, upH)
 				linalg.Add(sL, sL, prod)
-				linalg.MulInto(t, up, gG[i+1])
-				linalg.MulInto(prod, t, upH)
+				ws.MulInto(t, up, gG[i+1])
+				ws.MulInto(prod, t, upH)
 				linalg.Add(sG, sG, prod)
 				ws.Put(upH)
 			}
@@ -269,143 +271,81 @@ func SolveInto(p *Problem, ws *linalg.Workspace, sol *Solution) (*Solution, erro
 		// g≷ = gR·σ≷·gA, associated (gR·σ≷)·gA.
 		t := ws.Get(n, n)
 		gL[i] = ws.Get(n, n)
-		linalg.MulInto(t, gR[i], sL)
-		linalg.MulInto(gL[i], t, gA)
+		ws.MulInto(t, gR[i], sL)
+		ws.MulInto(gL[i], t, gA)
 		gG[i] = ws.Get(n, n)
-		linalg.MulInto(t, gR[i], sG)
-		linalg.MulInto(gG[i], t, gA)
+		ws.MulInto(t, gR[i], sG)
+		ws.MulInto(gG[i], t, gA)
 		ws.Put(t)
 		ws.Put(sL)
 		ws.Put(sG)
 		ws.Put(gA)
 	}
 
+	// Forward pass: accumulate the left-connected full G blocks. Each
+	// interface runs 15 n³ products around two shared operands,
+	// X = gR_{i+1}·A_{i+1,i} and U = GR_ii·A_{i,i+1} — the only two that
+	// touch a coupling block, hence the only two routed sparse:
+	//
+	//	GR_{i,i+1}   = −U·gR_{i+1}
+	//	GR_{i+1,i+1} = gR_{i+1} − X·GR_{i,i+1}
+	//	GR_{i+1,i}   = −X·GR_ii
+	//	G≷_{i,i+1}   = −U·g≷_{i+1} − G≷_ii·Xᴴ
+	//	G≷_{i+1,i+1} = g≷_{i+1} − X·G≷_{i,i+1} + (g≷_{i+1}·Uᴴ)·Xᴴ
+	//
+	// with Xᴴ = A_{i+1,i}ᴴ·gA_{i+1} and Uᴴ = A_{i,i+1}ᴴ·GA_ii. Every line
+	// is exact for general Σ≷; only G≷_{i+1,i} = −(G≷_{i,i+1})ᴴ assumes
+	// anti-Hermitian injections. Signs and sums ride the GEMM's alpha and
+	// beta, and ᴴ operands are consumed by its packing, so the step
+	// materializes three temporaries (X, U, g≷·Uᴴ) and writes everything
+	// else straight into the Solution blocks.
 	s := sol
-	// Forward pass: accumulate the left-connected full G blocks.
 	s.GR[0] = gR[0]
 	s.GL[0] = gL[0]
 	s.GG[0] = gG[0]
+	const nt, ct = linalg.NoTrans, linalg.ConjTrans
 	for i := 0; i+1 < nb; i++ {
 		n, m := a.Sizes[i], a.Sizes[i+1]
-		up, lo := a.Upper[i], a.Lower[i]
-		gRn, gLn, gGn := gR[i+1], gL[i+1], gG[i+1]
-		GRi, GLi, GGi := s.GR[i], s.GL[i], s.GG[i]
-		sp := s.spAt(i)
-		gAn := linalg.HInto(ws.Get(m, m), gRn)
-		GAi := linalg.HInto(ws.Get(n, n), GRi)
-		loH := linalg.HInto(ws.Get(n, m), lo)
-		upH := linalg.HInto(ws.Get(m, n), up)
+		gRn, GRi := gR[i+1], s.GR[i]
 
-		// Products the recursion uses repeatedly; the allocating path
-		// recomputed them identically, so sharing changes no bits.
-		gRnLo := ws.Get(m, n) // gR_{i+1}·A_{i+1,i}
-		if sp != nil {
-			sparse.GEMMIInto(gRnLo, gRn, &sp.cscLo)
+		x := ws.Get(m, n)
+		u := ws.Get(n, m)
+		if sp := s.spAt(i); sp != nil {
+			sparse.GEMMIInto(x, gRn, &sp.cscLo)
+			sparse.GEMMIInto(u, GRi, &sp.cscUp)
 		} else {
-			linalg.MulInto(gRnLo, gRn, lo)
-		}
-		u1 := linalg.MulInto(ws.Get(m, n), gRnLo, GRi) // (gR·A_lo)·GR_ii
-		// A_loᴴ·gA = (gR·A_lo)ᴴ: conj distributes exactly over IEEE
-		// products and sums and complex multiply is bitwise commutative,
-		// so reusing gRnLo here is bit-identical to the eliminated
-		// loH·gAn GEMM (one fewer n³ product per block pair).
-		loHgAn := linalg.HInto(ws.Get(n, m), gRnLo)
-		GRiUp := ws.Get(n, m) // GR_ii·A_{i,i+1}
-		if sp != nil {
-			sparse.GEMMIInto(GRiUp, GRi, &sp.cscUp)
-		} else {
-			linalg.MulInto(GRiUp, GRi, up)
+			ws.MulInto(x, gRn, a.Lower[i])
+			ws.MulInto(u, GRi, a.Upper[i])
 		}
 
-		// Retarded off-diagonals and diagonal update.
-		s.GRLower[i] = linalg.Scale(ws.Get(m, n), -1, u1)
 		s.GRUpper[i] = ws.Get(n, m)
-		linalg.MulInto(s.GRUpper[i], GRiUp, gRn)
-		linalg.Scale(s.GRUpper[i], -1, s.GRUpper[i])
-		// GR_{i+1,i+1} = gR + gR·A_{i+1,i}·GR_ii·A_{i,i+1}·gR.
-		upgRn := ws.Get(n, m)
-		if sp != nil {
-			sparse.CSRMMInto(upgRn, &sp.csrUp, gRn)
-		} else {
-			linalg.MulInto(upgRn, up, gRn)
-		}
-		corr := linalg.MulInto(ws.Get(m, m), u1, upgRn)
+		ws.GEMM(-1, u, nt, gRn, nt, 0, s.GRUpper[i])
 		s.GR[i+1] = ws.Get(m, m)
-		linalg.Add(s.GR[i+1], gRn, corr)
-		ws.Put(upgRn)
-		ws.Put(corr)
+		s.GR[i+1].CopyFrom(gRn)
+		ws.GEMM(-1, x, nt, s.GRUpper[i], nt, 1, s.GR[i+1])
+		s.GRLower[i] = ws.Get(m, n)
+		ws.GEMM(-1, x, nt, GRi, nt, 0, s.GRLower[i])
 
-		// Lesser/greater off-diagonals:
-		// G≷_{i,i+1} = −GR_ii·A_{i,i+1}·g≷_{i+1} − G≷_ii·A_{i+1,i}ᴴ·gA_{i+1}
-		// G≷_{i+1,i} = −(G≷_{i,i+1})ᴴ (anti-Hermiticity of G≷).
-		offDiag := func(dst, gn, Gi *linalg.Matrix) {
-			t1 := linalg.MulInto(ws.Get(n, m), GRiUp, gn)
-			tA := ws.Get(n, m)
-			if sp != nil {
-				sparse.GEMMIInto(tA, Gi, &sp.cscLoH)
-			} else {
-				linalg.MulInto(tA, Gi, loH)
-			}
-			t2 := linalg.MulInto(ws.Get(n, m), tA, gAn)
-			linalg.Add(dst, t1, t2)
-			linalg.Scale(dst, -1, dst)
-			ws.Put(t1)
-			ws.Put(tA)
-			ws.Put(t2)
+		z := ws.Get(m, n)
+		lesserGreater := func(gn, Gi *linalg.Matrix) (upper, lower, diag *linalg.Matrix) {
+			upper = ws.Get(n, m)
+			ws.GEMM(-1, u, nt, gn, nt, 0, upper)
+			ws.GEMM(-1, Gi, nt, x, ct, 1, upper)
+			lower = linalg.HInto(ws.Get(m, n), upper)
+			linalg.Scale(lower, -1, lower)
+			diag = ws.Get(m, m)
+			diag.CopyFrom(gn)
+			ws.GEMM(-1, x, nt, upper, nt, 1, diag)
+			ws.GEMM(1, gn, nt, u, ct, 0, z)
+			ws.GEMM(1, z, nt, x, ct, 1, diag)
+			return upper, lower, diag
 		}
-		s.GLUpper[i] = ws.Get(n, m)
-		offDiag(s.GLUpper[i], gLn, GLi)
-		s.GGUpper[i] = ws.Get(n, m)
-		offDiag(s.GGUpper[i], gGn, GGi)
-		s.GLLower[i] = linalg.HInto(ws.Get(m, n), s.GLUpper[i])
-		linalg.Scale(s.GLLower[i], -1, s.GLLower[i])
-		s.GGLower[i] = linalg.HInto(ws.Get(m, n), s.GGUpper[i])
-		linalg.Scale(s.GGLower[i], -1, s.GGLower[i])
+		s.GLUpper[i], s.GLLower[i], s.GL[i+1] = lesserGreater(gL[i+1], s.GL[i])
+		s.GGUpper[i], s.GGLower[i], s.GG[i+1] = lesserGreater(gG[i+1], s.GG[i])
 
-		// Diagonal lesser/greater update:
-		// G≷_{i+1,i+1} = g≷ + gR·A_lo·G≷_ii·A_loᴴ·gA
-		//              + gR·A_lo·GR_ii·A_up·g≷ + g≷·A_upᴴ·GA_ii·A_loᴴ·gA.
-		diag := func(dst, gn, Gi *linalg.Matrix) {
-			dst.CopyFrom(gn)
-			tb := linalg.MulInto(ws.Get(m, n), gRnLo, Gi)
-			t := linalg.MulInto(ws.Get(m, m), tb, loHgAn)
-			linalg.AXPY(dst, 1, t)
-			tup := ws.Get(n, m)
-			if sp != nil {
-				sparse.CSRMMInto(tup, &sp.csrUp, gn)
-			} else {
-				linalg.MulInto(tup, up, gn)
-			}
-			linalg.MulInto(t, u1, tup)
-			linalg.AXPY(dst, 1, t)
-			tc := ws.Get(m, n)
-			if sp != nil {
-				sparse.GEMMIInto(tc, gn, &sp.cscUpH)
-			} else {
-				linalg.MulInto(tc, gn, upH)
-			}
-			td := linalg.MulInto(ws.Get(m, n), tc, GAi)
-			linalg.MulInto(t, td, loHgAn)
-			linalg.AXPY(dst, 1, t)
-			ws.Put(tb)
-			ws.Put(t)
-			ws.Put(tup)
-			ws.Put(tc)
-			ws.Put(td)
-		}
-		s.GL[i+1] = ws.Get(m, m)
-		diag(s.GL[i+1], gLn, GLi)
-		s.GG[i+1] = ws.Get(m, m)
-		diag(s.GG[i+1], gGn, GGi)
-
-		ws.Put(gAn)
-		ws.Put(GAi)
-		ws.Put(loH)
-		ws.Put(upH)
-		ws.Put(gRnLo)
-		ws.Put(u1)
-		ws.Put(loHgAn)
-		ws.Put(GRiUp)
+		ws.Put(x)
+		ws.Put(u)
+		ws.Put(z)
 	}
 	return s, nil
 }
@@ -442,12 +382,4 @@ func place(dst, blk *linalg.Matrix, off int) {
 	for i := 0; i < blk.Rows; i++ {
 		copy(dst.Data[(off+i)*dst.Cols+off:(off+i)*dst.Cols+off+blk.Cols], blk.Row(i))
 	}
-}
-
-// FlopEstimate returns the paper's RGF flop model for one (kz, E) point:
-// 8·(26·bnum − 25)·(Na·Norb/bnum)³ real flops dominate; the sparse-operation
-// remainder is bounded by the same cubic term (§6.1.1).
-func FlopEstimate(na, norb, bnum int) float64 {
-	bs := float64(na) * float64(norb) / float64(bnum)
-	return 8 * (26*float64(bnum) - 25) * bs * bs * bs
 }

@@ -271,20 +271,6 @@ func TestSingleBlockReducesToDirectInverse(t *testing.T) {
 	}
 }
 
-func TestFlopEstimateMatchesPaperFormula(t *testing.T) {
-	// Table 3 derives from this formula; check a literal evaluation.
-	got := FlopEstimate(4864, 12, 152)
-	bs := 4864.0 * 12 / 152 // 384
-	want := 8 * (26*152 - 25) * bs * bs * bs
-	if got != want {
-		t.Fatalf("FlopEstimate = %g, want %g", got, want)
-	}
-	// Sanity: more blocks with fixed Na·Norb lowers the cost.
-	if FlopEstimate(4864, 12, 304) > FlopEstimate(4864, 12, 152) {
-		t.Fatal("doubling bnum should reduce RGF flops")
-	}
-}
-
 // BenchmarkRGFSolve measures the production hot path: the workspace-pooled
 // SolveInto on a warm per-worker workspace, the way negf.PointSolver and
 // the dist rank workers call it. allocs/op ≈ 0 is the tentpole invariant
