@@ -31,7 +31,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/negf"
 	"repro/internal/obs"
-	"repro/internal/sse"
 )
 
 // Precision selects the numeric and wire format of the SSE phase; see
@@ -60,7 +59,10 @@ const (
 // P ∈ {1, 2, 4, 8} on both schedules.
 const MixedCurrentTol = 1e-2
 
-// Schedule selects how each self-consistent iteration executes.
+// Schedule selects how each self-consistent iteration executes. There
+// are two engines: the bulk-synchronous reference loop (SchedulePhases)
+// and the window task graph, of which ScheduleOverlap and
+// SchedulePipeline are two spellings.
 type Schedule int
 
 const (
@@ -68,19 +70,19 @@ const (
 	// failure-agreement barrier, the blocking SSE exchange, and the
 	// observable reduction run strictly one after another.
 	SchedulePhases Schedule = iota
-	// ScheduleOverlap runs the iteration as a dataflow graph on a
-	// work-stealing pool (internal/sdfg): per-point BC and RGF solves,
-	// collision partials, the four SSE exchanges as nonblocking
-	// collectives posted as soon as this rank's own points finish, the
-	// tile kernel, and the observable reduction — the paper's data-centric
-	// execution model, numerically identical to SchedulePhases.
+	// ScheduleOverlap is the window task graph at depth 1: every
+	// iteration is a dataflow graph on a work-stealing pool
+	// (internal/sdfg) — per-point BC and RGF solves, collision partials,
+	// the four SSE exchanges as nonblocking collectives posted as soon as
+	// this rank's own points finish, the tile kernel, per-point mixing and
+	// the observable reduction — the paper's data-centric execution model,
+	// numerically identical to SchedulePhases.
 	ScheduleOverlap
-	// SchedulePipeline extends the task graph across a window of
+	// SchedulePipeline spans the same task graph across a window of
 	// PipelineDepth self-consistent iterations: iteration n+1's boundary
 	// solves and point solves are enqueued as soon as the mixed Σ≷/Π≷ of
-	// iteration n is available for their points, the convergence
-	// IAllreduce rides along per iteration, and a conv fence node per
-	// iteration discards speculated work when convergence (or a
+	// iteration n is available for their points, and a conv fence node per
+	// iteration discards speculated work when convergence (or a failure or
 	// cancellation riding the reduction) lands. The arithmetic per
 	// iteration is identical to the other schedules, so the recorded
 	// currents still match SchedulePhases bitwise — only the iteration
@@ -117,8 +119,8 @@ type Options struct {
 	MaxIter int
 	// Tol is the relative change of the contact current at convergence.
 	Tol float64
-	// Schedule selects bulk-synchronous phases (default) or the
-	// overlapped task-graph execution.
+	// Schedule selects bulk-synchronous phases (default) or the window
+	// task graph (ScheduleOverlap, SchedulePipeline).
 	Schedule Schedule
 	// Workers is the per-rank worker-pool size of ScheduleOverlap and
 	// SchedulePipeline (default 2: one worker can block in a collective
@@ -126,9 +128,9 @@ type Options struct {
 	Workers int
 	// PipelineDepth is the iteration-window size of SchedulePipeline:
 	// how many self-consistent iterations one task graph spans before the
-	// ranks drain and the next window is built (default 2). Depth 1
-	// degenerates to a fenced overlap schedule. Setting it under any
-	// other schedule is a configuration error.
+	// ranks drain and the next window is built (default 2). Depth 1 is
+	// exactly ScheduleOverlap. Setting it under any other schedule is a
+	// configuration error.
 	PipelineDepth int
 	// Precision selects fp64 (default) or the mixed binary16 SSE path:
 	// quantized tile kernel plus half-width wire payloads on all four
@@ -137,17 +139,25 @@ type Options struct {
 	// ErrorProbe (PrecisionMixed only) additionally runs the fp64 tile
 	// kernel each iteration and reduces the worst rank's normwise Σ≷/Π≷
 	// deviation into IterStats.SigmaErr — per-iteration quantization
-	// telemetry at the cost of doubling the tile compute.
+	// telemetry at the cost of doubling the tile compute. On the task
+	// graph it requires window depth 1 (ScheduleOverlap, or
+	// SchedulePipeline with PipelineDepth 1): the probe is a blocking
+	// max-reduction inside every iteration, which in a deeper window would
+	// reinstate the cross-iteration barrier the window exists to remove.
 	ErrorProbe bool
 	// Progress, when non-nil, is invoked on rank 0 after every
 	// self-consistent iteration with that iteration's stats — the
 	// cancel/telemetry hook the qt facade threads a context and its
 	// streaming through. A non-nil return requests cancellation: a rank
-	// cannot abandon the collectives unilaterally, so the request is
-	// agreed by all ranks at the start of the next iteration (one scalar
-	// Allreduce, paid only when the hook is installed and accounted in
-	// IterStats.ReduceBytes) and Run returns the hook's error alongside
-	// the partial result. Both schedules honour it.
+	// cannot abandon the collectives unilaterally, so all ranks agree on
+	// the request before anyone stops, and Run returns the hook's error
+	// alongside the partial result, its trace truncated at the iteration
+	// the hook saw. SchedulePhases agrees at the start of the next
+	// iteration (one scalar Allreduce, paid only when the hook is
+	// installed and accounted in IterStats.ReduceBytes). The task graph
+	// folds the request into the next iteration's observable reduction
+	// instead — no extra collective, at the price of computing and
+	// discarding that one speculative iteration.
 	Progress func(IterStats) error
 	// Tracer, when non-nil, records per-phase spans for every rank —
 	// per-point BC/RGF solves (with the rank and a per-worker track),
@@ -221,12 +231,8 @@ func (o Options) normalize() (Options, error) {
 		if o.PipelineDepth < 1 {
 			return o, fmt.Errorf("dist: pipeline depth must be >= 1, got %d", o.PipelineDepth)
 		}
-		if o.ErrorProbe {
-			// The probe is a blocking max-reduction inside every
-			// iteration: a worker parks in it until all ranks reach the
-			// same iteration, which reinstates exactly the cross-iteration
-			// barrier the pipeline exists to remove.
-			return o, fmt.Errorf("dist: ErrorProbe is incompatible with SchedulePipeline: its blocking max-reduction would serialize the iteration window")
+		if o.ErrorProbe && o.PipelineDepth != 1 {
+			return o, fmt.Errorf("dist: ErrorProbe requires window depth 1, got %d: its blocking max-reduction would serialize the iteration window", o.PipelineDepth)
 		}
 	default:
 		return o, fmt.Errorf("dist: unknown schedule %d", o.Schedule)
@@ -237,39 +243,9 @@ func (o Options) normalize() (Options, error) {
 	return o, nil
 }
 
-// IterStats captures one distributed self-consistent iteration: the
-// globally reduced convergence data plus the measured communication of
-// each phase.
-type IterStats struct {
-	Iter         int
-	Current      float64 // left-contact electron current (a.u.), global
-	RelChange    float64
-	ElEnergyLoss float64   // R_e: electron energy lost to the lattice
-	PhEnergyGain float64   // R_ph: energy absorbed by the phonon bath
-	SSE          sse.Stats // tile kernel counters summed over ranks
-	// SSEBytes is the traffic of the four Alltoallv exchanges this
-	// iteration (the encoded wire volume under PrecisionMixed);
-	// ReduceBytes is the observable/convergence Allreduce.
-	SSEBytes    int64
-	ReduceBytes int64
-	// SigmaErr is the worst rank's normwise relative Σ≷/Π≷ deviation of
-	// the mixed tile kernel against the fp64 kernel on identical inputs
-	// this iteration — nonzero only with Options.ErrorProbe.
-	SigmaErr float64
-	// FallbackBlocks counts the exchange segments the mixed-precision
-	// wire encoder shipped as verbatim fp64 passthrough this iteration,
-	// summed over ranks — always 0 under PrecisionFP64.
-	FallbackBlocks int64
-	// WallNs is rank 0's measured wall time of this iteration — the
-	// per-iteration makespan the overlap benchmark compares across
-	// schedules.
-	WallNs int64
-	// ComputeNs and CommNs split rank 0's summed task durations by node
-	// kind under ScheduleOverlap (zero under SchedulePhases) — the
-	// measured compute/communication split cmd/distsim feeds into the
-	// internal/stream overlap prediction.
-	ComputeNs, CommNs int64
-}
+// IterStats is the per-iteration telemetry row every loop of the repo
+// shares; see negf.IterStats.
+type IterStats = negf.IterStats
 
 // RankLoad reports one rank's share of the work — the load-balance view
 // of the block distribution, gathered with Allgather.
@@ -287,7 +263,7 @@ type Result struct {
 	// field matches the sequential solver up to reduction ordering.
 	Obs negf.Observables
 	// IterTrace records per-iteration convergence data, identical in
-	// Current/RelChange to the sequential solver's trace within 1e-12.
+	// Current/Residual to the sequential solver's trace within 1e-12.
 	IterTrace []IterStats
 	Converged bool
 	// Comm is the world's total communication counters for the whole run.
@@ -302,7 +278,8 @@ type Result struct {
 
 // Run executes the distributed self-consistent loop on a fresh P-rank
 // world. Non-convergence is reported via negf.ErrNotConverged alongside
-// the (valid, unconverged) result, mirroring the sequential solver.
+// the (valid, unconverged) result, mirroring the sequential solver; a
+// non-finite global current is negf.ErrNonFinite with no result.
 func Run(dev *device.Device, opts Options) (*Result, error) {
 	opts, err := opts.normalize()
 	if err != nil {
@@ -313,9 +290,9 @@ func Run(dev *device.Device, opts Options) (*Result, error) {
 	if err := w.Run(func(c *comm.Comm) error {
 		switch opts.Schedule {
 		case ScheduleOverlap:
-			return runRankOverlap(c, dev, opts, res)
+			return runRankWindow(c, dev, opts, 1, res)
 		case SchedulePipeline:
-			return runRankPipeline(c, dev, opts, res)
+			return runRankWindow(c, dev, opts, opts.PipelineDepth, res)
 		}
 		return runRank(c, dev, opts, res)
 	}); err != nil {

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/model"
@@ -135,19 +136,25 @@ func TestMixedHalvesMeasuredVolume(t *testing.T) {
 }
 
 // TestMixedErrorProbe: with the probe on, every iteration reports a
-// small nonzero Σ deviation, bounded well under the current tolerance.
-// The overlapped schedule additionally runs with a single-worker pool:
-// the probe's blocking max-reduction must stay deadlock-free when the
-// rank's only worker can block in it (the probe node depends on both
-// Σ/Π posts, like the exchange waits).
+// small nonzero Σ deviation, bounded well under the current tolerance —
+// the same one under every schedule that can run it, bit for bit the
+// values ScheduleOverlap reported at commit 1f4b91f, before the probe
+// became a node of the window graph. The task graph additionally runs
+// with a single-worker pool: the probe's blocking max-reduction must stay
+// deadlock-free when the rank's only worker can block in it (the probe
+// node depends on both Σ/Π posts, like the exchange waits). A window
+// deeper than 1 cannot host the probe and is rejected.
 func TestMixedErrorProbe(t *testing.T) {
+	recorded := []uint64{0x3f4449098578ea10, 0x3f3e61a63c4a347e}
 	for _, tc := range []struct {
-		sched   Schedule
-		workers int
+		sched          Schedule
+		workers, depth int
 	}{
-		{SchedulePhases, 0},
-		{ScheduleOverlap, 2},
-		{ScheduleOverlap, 1},
+		{SchedulePhases, 0, 0},
+		{ScheduleOverlap, 2, 0},
+		{ScheduleOverlap, 1, 0},
+		{SchedulePipeline, 2, 1},
+		{SchedulePipeline, 1, 1},
 	} {
 		dev := testDevice(t)
 		opts := DefaultOptions(2)
@@ -155,18 +162,34 @@ func TestMixedErrorProbe(t *testing.T) {
 		opts.Tol = 1e-300
 		opts.Schedule = tc.sched
 		opts.Workers = tc.workers
+		opts.PipelineDepth = tc.depth
 		opts.Precision = PrecisionMixed
 		opts.ErrorProbe = true
 		res, err := Run(dev, opts)
 		if err != nil && !errors.Is(err, negf.ErrNotConverged) {
 			t.Fatal(err)
 		}
+		if len(res.IterTrace) != len(recorded) {
+			t.Fatalf("%v workers=%d: %d iterations, want %d", tc.sched, tc.workers, len(res.IterTrace), len(recorded))
+		}
 		for i, it := range res.IterTrace {
 			if it.SigmaErr <= 0 || it.SigmaErr > 0.05 {
 				t.Errorf("%v workers=%d iter %d: SigmaErr %g outside (0, 0.05]",
 					tc.sched, tc.workers, i, it.SigmaErr)
 			}
+			if got := math.Float64bits(it.SigmaErr); got != recorded[i] {
+				t.Errorf("%v workers=%d iter %d: SigmaErr %#x, recorded %#x",
+					tc.sched, tc.workers, i, got, recorded[i])
+			}
 		}
+	}
+	deep := DefaultOptions(2)
+	deep.Schedule = SchedulePipeline
+	deep.PipelineDepth = 2
+	deep.Precision = PrecisionMixed
+	deep.ErrorProbe = true
+	if _, err := Run(testDevice(t), deep); err == nil {
+		t.Error("ErrorProbe in a depth-2 window must be rejected")
 	}
 	dev := testDevice(t)
 

@@ -8,18 +8,19 @@ import (
 	"repro/internal/negf"
 )
 
-// The overlap benchmark pair: the same imbalanced workload (point counts
+// The schedule benchmarks: the same imbalanced workload (point counts
 // not divisible by the world size, so ranks finish their GF shards at
-// different times) through both schedules. Compare with
+// different times) through the bulk-synchronous loop and the window task
+// graph at depths 1 (ScheduleOverlap), 2 and 3. Compare with
 //
 //	go test ./internal/dist -bench 'Schedule' -benchtime 3x
 //
-// The overlapped schedule's makespan must come in below the phase-barrier
-// one: the fast ranks' exchange posts and collision partials hide behind
-// the slow ranks' remaining solves instead of idling at the barrier, and
-// the worker pool exploits the per-rank point parallelism the graph
-// exposes. cmd/distsim -mode overlap prints the same comparison next to
-// the internal/stream prediction.
+// On a host with idle cores the task graph's makespan comes in below the
+// phase-barrier one: the fast ranks' exchange posts and collision
+// partials hide behind the slow ranks' remaining solves instead of idling
+// at the barrier, and the worker pool exploits the per-rank point
+// parallelism the graph exposes. cmd/distsim -mode overlap prints the
+// same comparison next to the internal/stream prediction.
 func benchDevice(b *testing.B) *device.Device {
 	b.Helper()
 	p := device.TestParams(12, 3, 2)
@@ -56,16 +57,16 @@ func benchSchedule(b *testing.B, sched Schedule, workers, depth int) {
 	}
 }
 
-func BenchmarkSchedulePhases(b *testing.B)    { benchSchedule(b, SchedulePhases, 0, 0) }
-func BenchmarkScheduleOverlap1W(b *testing.B) { benchSchedule(b, ScheduleOverlap, 1, 0) }
-func BenchmarkScheduleOverlap2W(b *testing.B) { benchSchedule(b, ScheduleOverlap, 2, 0) }
-func BenchmarkScheduleOverlap4W(b *testing.B) { benchSchedule(b, ScheduleOverlap, 4, 0) }
+func BenchmarkSchedulePhases(b *testing.B) { benchSchedule(b, SchedulePhases, 0, 0) }
 
-// The pipelined variants remove the iteration barrier on top of the
-// overlap graph: the next iteration's BC solves and electron points
-// start as soon as their mixed Σ is in, so the cross-iteration bubble
-// closes. Depth 2 is the default window; deeper windows only pay off
-// when convergence is far away.
-func BenchmarkSchedulePipeline2W(b *testing.B)   { benchSchedule(b, SchedulePipeline, 2, 2) }
-func BenchmarkSchedulePipeline4W(b *testing.B)   { benchSchedule(b, SchedulePipeline, 4, 2) }
-func BenchmarkSchedulePipeline4WD3(b *testing.B) { benchSchedule(b, SchedulePipeline, 4, 3) }
+// Window depth 1 vs 2 at equal pool size: depth 1 drains the graph at
+// every iteration; depth 2 lets the next iteration's BC solves and
+// electron points start as soon as their mixed Σ is in, closing the
+// cross-iteration bubble. Deeper windows only pay off when convergence is
+// far away.
+func BenchmarkScheduleWindowD1W1(b *testing.B) { benchSchedule(b, ScheduleOverlap, 1, 0) }
+func BenchmarkScheduleWindowD1W2(b *testing.B) { benchSchedule(b, ScheduleOverlap, 2, 0) }
+func BenchmarkScheduleWindowD2W2(b *testing.B) { benchSchedule(b, SchedulePipeline, 2, 2) }
+func BenchmarkScheduleWindowD1W4(b *testing.B) { benchSchedule(b, ScheduleOverlap, 4, 0) }
+func BenchmarkScheduleWindowD2W4(b *testing.B) { benchSchedule(b, SchedulePipeline, 4, 2) }
+func BenchmarkScheduleWindowD3W4(b *testing.B) { benchSchedule(b, SchedulePipeline, 4, 3) }

@@ -133,7 +133,8 @@ func TestOverlapAtomTiling(t *testing.T) {
 
 // TestOverlapCommAccounting cross-checks the pack-time byte counting of
 // the overlapped schedule against the comm layer's own counters, with no
-// barriers involved.
+// barriers involved — and with a Progress hook installed, which must cost
+// no collective of its own: cancellation rides the observable reduction.
 func TestOverlapCommAccounting(t *testing.T) {
 	const iters = 2
 	dev := testDevice(t)
@@ -141,6 +142,7 @@ func TestOverlapCommAccounting(t *testing.T) {
 	opts.Schedule = ScheduleOverlap
 	opts.MaxIter = iters
 	opts.Tol = 1e-300
+	opts.Progress = func(IterStats) error { return nil }
 	res, err := Run(dev, opts)
 	if !errors.Is(err, negf.ErrNotConverged) {
 		t.Fatal(err)
@@ -208,6 +210,51 @@ func TestOverlapRankErrorAgreement(t *testing.T) {
 			}
 		case <-time.After(60 * time.Second):
 			t.Fatalf("workers=%d: overlapped run deadlocked on a rank error", workers)
+		}
+	}
+}
+
+// TestOverlapStopRequest is TestPipelineStopRequest's contract at window
+// depth 1: a Progress hook error on rank 0 rides the next iteration's
+// reduction, all ranks discard that one speculative iteration, and Run
+// returns the hook's error with the trace truncated at the iteration the
+// hook saw — without deadlock even when each rank has a single worker.
+func TestOverlapStopRequest(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		dev := testDevice(t)
+		stop := errors.New("enough")
+		opts := DefaultOptions(4)
+		opts.Schedule = ScheduleOverlap
+		opts.Workers = workers
+		opts.MaxIter = 8
+		opts.Tol = 1e-300
+		opts.Progress = func(st IterStats) error {
+			if st.Iter >= 1 {
+				return stop
+			}
+			return nil
+		}
+		done := make(chan struct{})
+		var res *Result
+		var err error
+		go func() {
+			res, err = Run(dev, opts)
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("workers=%d: stop request deadlocked", workers)
+		}
+		if !errors.Is(err, stop) {
+			t.Fatalf("workers=%d: expected the hook error, got %v", workers, err)
+		}
+		if len(res.IterTrace) != 2 {
+			t.Errorf("workers=%d: trace has %d rows, want 2 (stop after iteration 1)", workers, len(res.IterTrace))
+		}
+		// Iterations 0 and 1 plus the discarded speculative one.
+		if got := res.Comm.Collectives["Allreduce"]; got != 3 {
+			t.Errorf("workers=%d: %d Allreduces, want 3", workers, got)
 		}
 	}
 }

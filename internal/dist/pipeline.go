@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -13,7 +14,6 @@ import (
 	"repro/internal/negf"
 	"repro/internal/obs"
 	"repro/internal/sdfg"
-	"repro/internal/tensor"
 )
 
 // stopRideFlag is the cancellation contribution rank 0 adds to the
@@ -28,7 +28,7 @@ const stopRideFlag = 0.5
 // one rank's solve failure (failure outranks a stop request).
 func flagFailure(f float64) bool { return f >= 1 }
 
-// pipeRun is one rank's control state across the whole pipelined run:
+// pipeRun is one rank's control state across the whole task-graph run:
 // the speculation fence plus the convergence bookkeeping every rank
 // tracks symmetrically. All plain fields are written only by conv nodes
 // (which form a dependency chain) or between window drains, so the
@@ -47,7 +47,7 @@ type pipeRun struct {
 	halt      bool // set with stopAt: no further window is built
 	converged bool
 	failed    bool
-	err       error // this rank's own solve failure, if any
+	err       error // this rank's own solve failure or the shared non-finite verdict, if any
 
 	stopErr  error // rank 0: pending Progress cancellation
 	wantStop bool  // rank 0: ride the stop request on the next reduction
@@ -58,7 +58,46 @@ type pipeRun struct {
 	decided  time.Duration // window-relative instant the halt decision landed
 }
 
-// windowIter is the per-iteration slice of a window's state: the shared
+// fence moves the speculation fence to iteration at and stops the run
+// after the current window drains.
+func (pr *pipeRun) fence(at int, now time.Duration) {
+	pr.stopAt.Store(int64(at))
+	pr.halt = true
+	pr.decided = now
+}
+
+// iterRun is the mutable state one iteration of the graph threads
+// through its nodes. Fields are written by exactly one node each (or
+// guarded by mu), and the executor's scheduling lock orders every write
+// before the nodes that consume it.
+type iterRun struct {
+	mu  sync.Mutex
+	err error // first failed point solve of this rank
+
+	part *partialObs
+	plan *decomp.DaCePlan
+
+	reqG, reqD, reqSig, reqPi *comm.MatRequest
+	reqObs                    *comm.VecRequest
+	global                    *partialObs
+	qerr                      float64 // globally reduced probe deviation
+}
+
+func (st *iterRun) fail(err error) {
+	st.mu.Lock()
+	if st.err == nil {
+		st.err = err
+	}
+	st.mu.Unlock()
+}
+
+func (st *iterRun) failed() bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.err != nil
+}
+
+// windowIter is the per-iteration slice of a window's state: the
 // iterRun node state plus private result slots and the measured
 // compute/communication split the conv node folds into IterStats.
 type windowIter struct {
@@ -69,20 +108,28 @@ type windowIter struct {
 	compNs, commNs atomic.Int64
 }
 
-// runRankPipeline is one rank's life under SchedulePipeline: the task
-// graph spans a window of PipelineDepth iterations, so iteration n+1's
-// boundary and point solves start as soon as iteration n's mixed Σ≷/Π≷
-// is available for their points — the cross-iteration form of the §7.1.3
-// overlap. Convergence and cancellation agreement ride the per-iteration
+// runRankWindow is one rank's life on the task graph — ScheduleOverlap at
+// depth 1, SchedulePipeline at PipelineDepth. The graph spans a window of
+// depth iterations, so iteration n+1's boundary and point solves start as
+// soon as iteration n's mixed Σ≷/Π≷ is available for their points — the
+// cross-iteration form of the §7.1.3 overlap; at depth 1 the window drain
+// is the iteration barrier and only the within-iteration overlap remains.
+// Failure, convergence and cancellation agreement ride the per-iteration
 // observable IAllreduce (no dedicated barrier or agreement collective),
-// and the per-iteration conv fence discards speculated work when either
-// lands. Per-iteration arithmetic is untouched, so the recorded currents
-// match SchedulePhases bitwise.
-func runRankPipeline(c *comm.Comm, dev *device.Device, opts Options, res *Result) error {
+// and the per-iteration conv fence discards speculated work when any of
+// them lands. Per-iteration arithmetic (accumulation order, mixing,
+// reduction association) is that of SchedulePhases, so the recorded
+// currents match it bitwise.
+func runRankWindow(c *comm.Comm, dev *device.Device, opts Options, depth int, res *Result) error {
 	rs := newRankState(c, dev, opts)
 	r := c.Rank()
 	ex := sdfg.NewExecutor(opts.Workers)
 
+	// Mirror executor task spans into the run trace: each worker gets its
+	// own 100+ track, and the node label picks the category the phase view
+	// groups by. traceBase rebases the executor's per-Run clock onto the
+	// shared tracer's; it is written between graph runs and read only by
+	// worker goroutines Run spawns afterwards, so the accesses are ordered.
 	trc := opts.Tracer
 	var traceBase int64
 	if trc != nil {
@@ -103,11 +150,11 @@ func runRankPipeline(c *comm.Comm, dev *device.Device, opts Options, res *Result
 		}
 	}
 
-	pr := &pipeRun{prev: math.NaN()}
+	pr := &pipeRun{}
 	pr.stopAt.Store(math.MaxInt64)
 
 	for base := 0; base < opts.MaxIter && !pr.halt; {
-		w := opts.PipelineDepth
+		w := depth
 		if rem := opts.MaxIter - base; w > rem {
 			w = rem
 		}
@@ -125,7 +172,7 @@ func runRankPipeline(c *comm.Comm, dev *device.Device, opts Options, res *Result
 		}
 		g := rs.buildWindowGraph(opts, pr, win, base, winStart, res)
 		if _, err := ex.Run(g); err != nil {
-			return fmt.Errorf("dist: pipeline window at iteration %d: %w", base, err)
+			return fmt.Errorf("dist: window at iteration %d: %w", base, err)
 		}
 		drain := time.Since(winStart)
 		trc.End(r, 0, "iter", "window", base, -1, tWin)
@@ -163,8 +210,11 @@ func runRankPipeline(c *comm.Comm, dev *device.Device, opts Options, res *Result
 }
 
 // buildWindowGraph lays out a window of w consecutive self-consistent
-// iterations as one dataflow graph. Each iteration replicates the
-// overlapped schedule's node structure with three changes:
+// iterations as one dataflow graph — the only task-graph builder of the
+// package. Node kinds follow §4's SDFG: per-point boundary solves and RGF
+// solves, collision partials, the four SSE tile exchanges, the tile
+// kernel, mixing, and the observable reduction. Three things carry the
+// window:
 //
 //   - mixing is split into per-point nodes, so iteration k+1's solve of a
 //     point depends only on the mixed Σ (or Π) of that same point — the
@@ -176,6 +226,14 @@ func runRankPipeline(c *comm.Comm, dev *device.Device, opts Options, res *Result
 //   - a conv node per iteration consumes the ride-along reduction,
 //     records IterStats, runs the Progress hook on rank 0 and moves the
 //     speculation fence on convergence, failure, or a stop request.
+//
+// Collective discipline: a failing node records its error and the graph
+// still drains, so every rank posts every collective of an iteration it
+// entered — failure is agreed in the reduction, never by abandoning a
+// peer. The wait nodes of each exchange stage additionally depend on both
+// of the stage's posts: a wait may only block a worker once this rank has
+// posted everything its peers need to reach the same stage, which makes
+// the schedule deadlock-free for any pool size, including Workers=1.
 //
 // Decisions derive only from globally reduced values (the current and
 // the control word), so every rank moves the fence identically with no
@@ -200,34 +258,46 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*windowIt
 		st.part = newPartialObs(p)
 		st.plan = decomp.NewDaCePlan(r, rs.tiles, rs.src, rs.atomSets, rs.in).
 			WithPrecision(opts.Precision)
+		if opts.ErrorProbe {
+			st.plan.WithErrorProbe()
+		}
 
 		skip := func() bool { return pr.stopAt.Load() <= int64(a) }
 		// add wraps every node with the per-iteration compute/comm timers
 		// the conv node folds into IterStats — conv depends (transitively)
 		// on every node of its iteration, so the counters are complete
-		// when it reads them.
-		add := func(spec sdfg.Spec, deps ...sdfg.NodeID) sdfg.NodeID {
-			inner := spec.Run
-			isComm := spec.Kind == sdfg.Comm
-			spec.Run = func() error {
-				t0 := time.Now()
-				err := inner()
-				d := time.Since(t0).Nanoseconds()
-				if isComm {
-					wi.commNs.Add(d)
-				} else {
-					wi.compNs.Add(d)
-				}
-				return err
+		// when it reads them. No node returns an error: a failure is
+		// recorded and agreed in the reduction.
+		add := func(label string, kind sdfg.Kind, body func(), deps ...sdfg.NodeID) sdfg.NodeID {
+			ns := &wi.compNs
+			if kind == sdfg.Comm {
+				ns = &wi.commNs
 			}
-			return g.Add(spec, deps...)
+			return g.Add(sdfg.Spec{Label: label, Kind: kind, Run: func() error {
+				t0 := time.Now()
+				body()
+				ns.Add(time.Since(t0).Nanoseconds())
+				return nil
+			}}, deps...)
+		}
+		// node adds a task that is a no-op once the fence has moved to or
+		// before this iteration — everything but the waits (which follow
+		// their post) and the conv fence itself.
+		node := func(label string, kind sdfg.Kind, body func(), deps ...sdfg.NodeID) sdfg.NodeID {
+			return add(label, kind, func() {
+				if !skip() {
+					body()
+				}
+			}, deps...)
 		}
 
-		// ── GF solves. A point's BC chain serializes on the previous
-		// iteration's BC node for the same point: the boundary depends
-		// only on (momentum, energy) — the iteration-lag bc.Cache
-		// tolerates trivially — so every iteration past the first is a
-		// guaranteed cache hit instead of a duplicated decimation.
+		// ── GF solves, skipped once a point of this rank's shard has
+		// failed (the iteration is discarded at its conv). A point's BC
+		// chain serializes on the previous iteration's BC node for the same
+		// point: the boundary depends only on (momentum, energy) — the
+		// iteration-lag bc.Cache tolerates trivially — so every iteration
+		// past the first is a guaranteed cache hit instead of a duplicated
+		// decimation.
 		elDone := make([]sdfg.NodeID, len(rs.pairs))
 		bcEl := make([]sdfg.NodeID, len(rs.pairs))
 		for i, pair := range rs.pairs {
@@ -238,37 +308,29 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*windowIt
 				if k > 0 {
 					bdeps = append(bdeps, prevBCEl[i])
 				}
-				bcEl[i] = add(sdfg.Spec{
-					Label: fmt.Sprintf("bc/el/%d,%d", ik, ie), Phase: 3 * k,
-					Run: func() error {
-						if skip() || st.failed() {
-							return nil
-						}
-						if err := rs.ps.PrepareElectronBC(rs.hams[ik], ik, ie); err != nil {
-							st.fail(fmt.Errorf("point (kz=%d, E=%d): %w", ik, ie, err))
-						}
-						return nil
-					},
+				bcEl[i] = node(fmt.Sprintf("bc/el/%d,%d", ik, ie), sdfg.Compute, func() {
+					if st.failed() {
+						return
+					}
+					if err := rs.ps.PrepareElectronBC(rs.hams[ik], ik, ie); err != nil {
+						st.fail(fmt.Errorf("point (kz=%d, E=%d): %w", ik, ie, err))
+					}
 				}, bdeps...)
 				deps = append(deps, bcEl[i])
 			}
 			if k > 0 {
 				deps = append(deps, prevMixSig[i])
 			}
-			elDone[i] = add(sdfg.Spec{
-				Label: fmt.Sprintf("rgf/el/%d,%d", ik, ie), Phase: 3 * k,
-				Run: func() error {
-					if skip() || st.failed() {
-						return nil
-					}
-					pt, err := rs.ps.SolveElectronPoint(rs.hams[ik], ik, ie)
-					if err != nil {
-						st.fail(fmt.Errorf("point (kz=%d, E=%d): %w", ik, ie, err))
-						return nil
-					}
-					wi.elRes[i] = pt
-					return nil
-				},
+			elDone[i] = node(fmt.Sprintf("rgf/el/%d,%d", ik, ie), sdfg.Compute, func() {
+				if st.failed() {
+					return
+				}
+				pt, err := rs.ps.SolveElectronPoint(rs.hams[ik], ik, ie)
+				if err != nil {
+					st.fail(fmt.Errorf("point (kz=%d, E=%d): %w", ik, ie, err))
+					return
+				}
+				wi.elRes[i] = pt
 			}, deps...)
 		}
 		phDone := make([]sdfg.NodeID, len(rs.points))
@@ -281,51 +343,44 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*windowIt
 				if k > 0 {
 					bdeps = append(bdeps, prevBCPh[j])
 				}
-				bcPh[j] = add(sdfg.Spec{
-					Label: fmt.Sprintf("bc/ph/%d,%d", iq, m), Phase: 3 * k,
-					Run: func() error {
-						if skip() || st.failed() {
-							return nil
-						}
-						if err := rs.ps.PreparePhononBC(rs.dyns[iq], iq, m); err != nil {
-							st.fail(fmt.Errorf("point (qz=%d, ω=%d): %w", iq, m, err))
-						}
-						return nil
-					},
+				bcPh[j] = node(fmt.Sprintf("bc/ph/%d,%d", iq, m), sdfg.Compute, func() {
+					if st.failed() {
+						return
+					}
+					if err := rs.ps.PreparePhononBC(rs.dyns[iq], iq, m); err != nil {
+						st.fail(fmt.Errorf("point (qz=%d, ω=%d): %w", iq, m, err))
+					}
 				}, bdeps...)
 				deps = append(deps, bcPh[j])
 			}
 			if k > 0 {
 				deps = append(deps, prevMixPi[j])
 			}
-			phDone[j] = add(sdfg.Spec{
-				Label: fmt.Sprintf("rgf/ph/%d,%d", iq, m), Phase: 3 * k,
-				Run: func() error {
-					if skip() || st.failed() {
-						return nil
-					}
-					pt, err := rs.ps.SolvePhononPoint(rs.dyns[iq], iq, m)
-					if err != nil {
-						st.fail(fmt.Errorf("point (qz=%d, ω=%d): %w", iq, m, err))
-						return nil
-					}
-					wi.phRes[j] = pt
-					return nil
-				},
+			phDone[j] = node(fmt.Sprintf("rgf/ph/%d,%d", iq, m), sdfg.Compute, func() {
+				if st.failed() {
+					return
+				}
+				pt, err := rs.ps.SolvePhononPoint(rs.dyns[iq], iq, m)
+				if err != nil {
+					st.fail(fmt.Errorf("point (qz=%d, ω=%d): %w", iq, m, err))
+					return
+				}
+				wi.phRes[j] = pt
 			}, deps...)
 		}
 
-		elAccum := add(sdfg.Spec{
-			Label: "accum/el", Phase: 3 * k,
-			Run: func() error {
-				if skip() || st.failed() {
-					return nil
-				}
-				for i, pair := range rs.pairs {
-					st.part.addElectron(p, pair[1], wi.elRes[i])
-				}
-				return nil
-			},
+		// Deterministic accumulation: the point solves land in slots, and
+		// one node folds them in global point order — the identical
+		// association the sequential reduction uses, independent of
+		// scheduling. After a failure the slots may hold stale results;
+		// the iteration is discarded.
+		elAccum := node("accum/el", sdfg.Compute, func() {
+			if st.failed() {
+				return
+			}
+			for i, pair := range rs.pairs {
+				st.part.addElectron(p, pair[1], wi.elRes[i])
+			}
 		}, elDone...)
 		// accum/ph overwrites the shared dos/occ accumulators the
 		// temperature map is fitted from, so — unlike the pure speculation
@@ -335,49 +390,36 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*windowIt
 		if prevConv >= 0 {
 			phAccumDeps = append(phAccumDeps, prevConv)
 		}
-		phAccum := add(sdfg.Spec{
-			Label: "accum/ph", Phase: 3 * k,
-			Run: func() error {
-				if skip() || st.failed() {
-					return nil
+		phAccum := node("accum/ph", sdfg.Compute, func() {
+			if st.failed() {
+				return
+			}
+			for at := range rs.dos {
+				for m := range rs.dos[at] {
+					rs.dos[at][m], rs.occ[at][m] = 0, 0
 				}
-				for at := range rs.dos {
-					for m := range rs.dos[at] {
-						rs.dos[at][m], rs.occ[at][m] = 0, 0
-					}
-				}
-				for j, point := range rs.points {
-					st.part.addPhonon(p, point[1], wi.phRes[j], rs.dos, rs.occ)
-				}
-				return nil
-			},
+			}
+			for j, point := range rs.points {
+				st.part.addPhonon(p, point[1], wi.phRes[j], rs.dos, rs.occ)
+			}
 		}, phAccumDeps...)
 
-		elLoss := add(sdfg.Spec{
-			Label: "collision/el", Phase: 3 * k,
-			Run: func() error {
-				if skip() {
-					return nil
-				}
-				st.part.elLoss = rs.ps.ElectronCollisionSum(rs.pairs)
-				return nil
-			},
+		// Collision partials: need the fresh G≷/D≷ and the pre-mix Σ≷/Π≷,
+		// so they must precede the mixing nodes — on the graph they overlap
+		// the exchange waits instead of padding the GF phase.
+		elLoss := node("collision/el", sdfg.Compute, func() {
+			st.part.elLoss = rs.ps.ElectronCollisionSum(rs.pairs)
 		}, elDone...)
-		phGain := add(sdfg.Spec{
-			Label: "collision/ph", Phase: 3 * k,
-			Run: func() error {
-				if skip() {
-					return nil
-				}
-				st.part.phGain = rs.ps.PhononCollisionSum(rs.points)
-				return nil
-			},
+		phGain := node("collision/ph", sdfg.Compute, func() {
+			st.part.phGain = rs.ps.PhononCollisionSum(rs.points)
 		}, phDone...)
 
-		// ── SSE exchanges. Posts gate on the previous conv fence: the
-		// skip decision below derives only from reduced data settled at
-		// that fence, so it is identical on every rank — all post or all
-		// skip, and the nonblocking collectives stay matched. Within one
+		// ── SSE exchanges. Posts fire as soon as this rank's own inputs
+		// exist — G≷ can be in flight while phonon points still compute,
+		// the §7.1.3 overlap — and gate on the previous conv fence: the
+		// skip decision derives only from reduced data settled at that
+		// fence, so it is identical on every rank — all post or all skip,
+		// and the nonblocking collectives stay matched. Within one
 		// iteration the decision cannot change (only this iteration's own
 		// conv, which runs after all of these nodes, can move the fence
 		// into it), so a posted request is always waited.
@@ -387,97 +429,46 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*windowIt
 			}
 			return deps
 		}
-		postG := add(sdfg.Spec{
-			Label: "post/G", Kind: sdfg.Comm, Phase: 3*k + 1,
-			Run: func() error {
-				if skip() {
-					return nil
-				}
-				st.reqG = st.plan.PostG(c)
-				return nil
-			},
-		}, commDeps(elDone...)...)
-		postD := add(sdfg.Spec{
-			Label: "post/D", Kind: sdfg.Comm, Phase: 3*k + 1,
-			Run: func() error {
-				if skip() {
-					return nil
-				}
-				st.reqD = st.plan.PostD(c)
-				return nil
-			},
-		}, commDeps(phDone...)...)
-		waitG := add(sdfg.Spec{
-			Label: "wait/G", Kind: sdfg.Comm, Phase: 3*k + 1,
-			Run: func() error {
-				if st.reqG == nil {
-					return nil
-				}
+		postG := node("post/G", sdfg.Comm, func() { st.reqG = st.plan.PostG(c) }, commDeps(elDone...)...)
+		postD := node("post/D", sdfg.Comm, func() { st.reqD = st.plan.PostD(c) }, commDeps(phDone...)...)
+		waitG := add("wait/G", sdfg.Comm, func() {
+			if st.reqG != nil {
 				st.plan.UnpackG(st.reqG.Wait())
-				return nil
-			},
+			}
 		}, postG, postD)
-		waitD := add(sdfg.Spec{
-			Label: "wait/D", Kind: sdfg.Comm, Phase: 3*k + 1,
-			Run: func() error {
-				if st.reqD == nil {
-					return nil
-				}
+		waitD := add("wait/D", sdfg.Comm, func() {
+			if st.reqD != nil {
 				st.plan.UnpackD(st.reqD.Wait())
-				return nil
-			},
+			}
 		}, postD, postG)
-		tile := add(sdfg.Spec{
-			Label: "sse/tile", Phase: 3*k + 1,
-			Run: func() error {
-				if skip() {
-					return nil
-				}
-				st.plan.ComputeTile()
-				st.part.sse = st.plan.Output().Stats
-				return nil
-			},
+		tile := node("sse/tile", sdfg.Compute, func() {
+			st.plan.ComputeTile()
+			st.part.sse = st.plan.Output().Stats
 		}, waitG, waitD)
-		postSig := add(sdfg.Spec{
-			Label: "post/Sigma", Kind: sdfg.Comm, Phase: 3*k + 1,
-			Run: func() error {
-				if skip() {
-					return nil
-				}
-				st.reqSig = st.plan.PostSigma(c)
-				return nil
-			},
-		}, tile)
-		postPi := add(sdfg.Spec{
-			Label: "post/Pi", Kind: sdfg.Comm, Phase: 3*k + 1,
-			Run: func() error {
-				if skip() {
-					return nil
-				}
-				st.reqPi = st.plan.PostPi(c)
-				return nil
-			},
-		}, tile)
-		waitSig := add(sdfg.Spec{
-			Label: "wait/Sigma", Kind: sdfg.Comm, Phase: 3*k + 1,
-			Run: func() error {
-				if st.reqSig == nil {
-					return nil
-				}
+		postSig := node("post/Sigma", sdfg.Comm, func() { st.reqSig = st.plan.PostSigma(c) }, tile)
+		postPi := node("post/Pi", sdfg.Comm, func() { st.reqPi = st.plan.PostPi(c) }, tile)
+		waitSig := add("wait/Sigma", sdfg.Comm, func() {
+			if st.reqSig != nil {
 				st.plan.UnpackSigma(st.reqSig.Wait())
-				return nil
-			},
+			}
 		}, postSig, postPi)
-		waitPi := add(sdfg.Spec{
-			Label: "wait/Pi", Kind: sdfg.Comm, Phase: 3*k + 1,
-			Run: func() error {
-				if st.reqPi == nil {
-					return nil
-				}
+		waitPi := add("wait/Pi", sdfg.Comm, func() {
+			if st.reqPi != nil {
 				st.plan.UnpackPi(st.reqPi.Wait())
-				return nil
-			},
+			}
 		}, postPi, postSig)
+
+		// Precision telemetry: a blocking max-reduction of the probe's tile
+		// deviation, legal only in a one-iteration window (normalize
+		// enforces it). Like the wait nodes, it depends on both Σ/Π posts,
+		// so a worker may only block here once this rank has posted
+		// everything its peers need to reach their own probe.
+		var probe []sdfg.NodeID
+		if opts.ErrorProbe {
+			probe = append(probe, node("probe/qerr", sdfg.Comm, func() {
+				st.qerr = reduceProbe(c, st.plan)
+			}, tile, postSig, postPi))
+		}
 
 		// Per-point mixing: the cross-iteration release points. The next
 		// iteration's solve of point i starts the moment its own Σ plane
@@ -487,66 +478,39 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*windowIt
 		mixSig := make([]sdfg.NodeID, len(rs.pairs))
 		for i, pair := range rs.pairs {
 			ik, ie := pair[0], pair[1]
-			mixSig[i] = add(sdfg.Spec{
-				Label: fmt.Sprintf("mix/Sigma/%d,%d", ik, ie), Phase: 3*k + 1,
-				Run: func() error {
-					if skip() {
-						return nil
-					}
-					out := st.plan.Output()
-					tensor.MixSlice(rs.ps.SigL.Plane(ik, ie), out.SigL.Plane(ik, ie), opts.Mixing)
-					tensor.MixSlice(rs.ps.SigG.Plane(ik, ie), out.SigG.Plane(ik, ie), opts.Mixing)
-					return nil
-				},
+			mixSig[i] = node(fmt.Sprintf("mix/Sigma/%d,%d", ik, ie), sdfg.Compute, func() {
+				rs.mixSigmaAt(st.plan.Output(), ik, ie, opts.Mixing)
 			}, waitSig, elLoss)
 		}
 		mixPi := make([]sdfg.NodeID, len(rs.points))
 		for j, point := range rs.points {
 			iq, m := point[0], point[1]
-			mixPi[j] = add(sdfg.Spec{
-				Label: fmt.Sprintf("mix/Pi/%d,%d", iq, m), Phase: 3*k + 1,
-				Run: func() error {
-					if skip() {
-						return nil
-					}
-					out := st.plan.Output()
-					tensor.MixSlice(rs.ps.PiL.Plane(iq, m-1), out.PiL.Plane(iq, m-1), opts.Mixing)
-					tensor.MixSlice(rs.ps.PiG.Plane(iq, m-1), out.PiG.Plane(iq, m-1), opts.Mixing)
-					return nil
-				},
+			mixPi[j] = node(fmt.Sprintf("mix/Pi/%d,%d", iq, m), sdfg.Compute, func() {
+				rs.mixPiAt(st.plan.Output(), iq, m, opts.Mixing)
 			}, waitPi, phGain)
 		}
 
-		// ── Ride-along reduction: observables plus the control word
-		// (failure count + fractional stop request) in one IAllreduce.
-		obsPost := add(sdfg.Spec{
-			Label: "post/obs", Kind: sdfg.Comm, Phase: 3*k + 2,
-			Run: func() error {
-				if skip() {
-					return nil
-				}
-				if st.failed() {
-					st.part.flag = 1
-				}
-				if r == 0 && pr.wantStop {
-					st.part.flag += stopRideFlag
-				}
-				st.part.sseB = float64(st.plan.OffRankBytes())
-				st.part.redB = reduceShare(c, vecLen(p))
-				st.part.fbk = float64(st.plan.FallbackBlocks())
-				st.reqObs = c.IAllreduce(decomp.SlotObs, st.part.pack())
-				return nil
-			},
+		// ── Ride-along reduction, overlapping the Σ/Π waits: observables
+		// plus the control word (failure count + fractional stop request)
+		// in one IAllreduce. The post depends on the Σ/Π posts only, so the
+		// plan's off-rank byte counter already covers all four exchanges
+		// of this iteration.
+		obsPost := node("post/obs", sdfg.Comm, func() {
+			if st.failed() {
+				st.part.flag = 1
+			}
+			if r == 0 && pr.wantStop {
+				st.part.flag += stopRideFlag
+			}
+			st.part.sseB = float64(st.plan.OffRankBytes())
+			st.part.redB = reduceShare(c, vecLen(p))
+			st.part.fbk = float64(st.plan.FallbackBlocks())
+			st.reqObs = c.IAllreduce(decomp.SlotObs, st.part.pack())
 		}, elAccum, phAccum, elLoss, phGain, tile, postSig, postPi)
-		waitObs := add(sdfg.Spec{
-			Label: "wait/obs", Kind: sdfg.Comm, Phase: 3*k + 2,
-			Run: func() error {
-				if st.reqObs == nil {
-					return nil
-				}
+		waitObs := add("wait/obs", sdfg.Comm, func() {
+			if st.reqObs != nil {
 				st.global = unpackObs(st.reqObs.Wait(), p)
-				return nil
-			},
+			}
 		}, obsPost)
 
 		// ── Conv fence: the correctness gate of the speculation. It runs
@@ -556,62 +520,60 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*windowIt
 		// speculated iterations behind it.
 		convDeps := append([]sdfg.NodeID{waitObs}, mixSig...)
 		convDeps = append(convDeps, mixPi...)
+		convDeps = append(convDeps, probe...)
 		if prevConv >= 0 {
 			convDeps = append(convDeps, prevConv)
 		}
-		conv := add(sdfg.Spec{
-			Label: fmt.Sprintf("conv/%d", a), Phase: 3*k + 2,
-			Run: func() error {
-				if pr.stopAt.Load() <= int64(a) {
-					return nil
+		conv := node(fmt.Sprintf("conv/%d", a), sdfg.Compute, func() {
+			gl := st.global
+			if gl == nil {
+				return
+			}
+			if gl.flag != 0 {
+				pr.fence(a, time.Since(winStart))
+				if flagFailure(gl.flag) {
+					pr.failed = true
+					pr.err = st.err // nil on healthy ranks
 				}
-				gl := st.global
-				if gl == nil {
-					return nil
+				return
+			}
+			cur := gl.currentL
+			rel, converged, err := negf.ConvergenceStep(a, cur, pr.prev, opts.Tol)
+			now := time.Since(winStart)
+			if err != nil {
+				// Decided from the reduced current, so every rank fails
+				// this iteration alike — no collective is abandoned.
+				pr.fence(a, now)
+				pr.failed, pr.err = true, err
+				return
+			}
+			if r == 0 {
+				iterSt := IterStats{
+					Iter: a, Current: cur, Residual: rel,
+					ElEnergyLoss: gl.elLoss, PhEnergyGain: gl.phGain,
+					SSE:      gl.sse,
+					SSEBytes: int64(gl.sseB), ReduceBytes: int64(gl.redB),
+					SigmaErr:       st.qerr,
+					FallbackBlocks: int64(gl.fbk),
+					WallNs:         (now - pr.lastConv).Nanoseconds(),
+					ComputeNs:      wi.compNs.Load(),
+					CommNs:         wi.commNs.Load(),
 				}
-				if gl.flag != 0 {
-					pr.stopAt.Store(int64(a))
-					pr.halt = true
-					pr.decided = time.Since(winStart)
-					if flagFailure(gl.flag) {
-						pr.failed = true
-						pr.err = st.err // nil on healthy ranks
+				res.IterTrace = append(res.IterTrace, iterSt)
+				if opts.Progress != nil && pr.stopErr == nil {
+					if err := opts.Progress(iterSt); err != nil {
+						pr.stopErr = err
+						pr.wantStop = true
 					}
-					return nil
 				}
-				cur := gl.currentL
-				rel := math.Abs(cur-pr.prev) / math.Max(math.Abs(cur), 1e-300)
-				now := time.Since(winStart)
-				if r == 0 {
-					iterSt := IterStats{
-						Iter: a, Current: cur, RelChange: rel,
-						ElEnergyLoss: gl.elLoss, PhEnergyGain: gl.phGain,
-						SSE:      gl.sse,
-						SSEBytes: int64(gl.sseB), ReduceBytes: int64(gl.redB),
-						FallbackBlocks: int64(gl.fbk),
-						WallNs:         (now - pr.lastConv).Nanoseconds(),
-						ComputeNs:      wi.compNs.Load(),
-						CommNs:         wi.commNs.Load(),
-					}
-					res.IterTrace = append(res.IterTrace, iterSt)
-					if opts.Progress != nil && pr.stopErr == nil {
-						if err := opts.Progress(iterSt); err != nil {
-							pr.stopErr = err
-							pr.wantStop = true
-						}
-					}
-				}
-				pr.lastConv = now
-				pr.global = gl
-				pr.prev = cur
-				if a > 0 && rel < opts.Tol {
-					pr.converged = true
-					pr.halt = true
-					pr.decided = now
-					pr.stopAt.Store(int64(a + 1))
-				}
-				return nil
-			},
+			}
+			pr.lastConv = now
+			pr.global = gl
+			pr.prev = cur
+			if converged {
+				pr.converged = true
+				pr.fence(a+1, now)
+			}
 		}, convDeps...)
 
 		prevConv = conv

@@ -51,56 +51,68 @@ func TestPipelineMatchesSequential(t *testing.T) {
 }
 
 // TestPipelineBitwiseMatchesPhases pins the strongest equivalence: the
-// pipelined window executes the identical per-iteration arithmetic in
-// the identical association, so its currents match the bulk-synchronous
-// schedule bitwise, for several window depths (depth 1 is the fenced
-// degenerate case, depth > MaxIter exercises window clamping).
+// window graph executes the identical per-iteration arithmetic in the
+// identical association, so its currents match the bulk-synchronous
+// schedule bitwise — over the whole matrix the two engines are documented
+// for: ScheduleOverlap and SchedulePipeline at depths 1, 2, 3 and 7
+// (depth > MaxIter exercises window clamping), P ∈ {1, 2, 4, 8}, fp64 and
+// mixed precision.
 func TestPipelineBitwiseMatchesPhases(t *testing.T) {
 	const iters = 4
 	dev := testDevice(t)
-	phases := DefaultOptions(4)
-	phases.MaxIter = iters
-	phases.Tol = 1e-300
-	pres, err := Run(dev, phases)
-	if !errors.Is(err, negf.ErrNotConverged) {
-		t.Fatalf("phases: %v", err)
-	}
+	for _, prec := range []Precision{PrecisionFP64, PrecisionMixed} {
+		for _, ranks := range []int{1, 2, 4, 8} {
+			phases := DefaultOptions(ranks)
+			phases.MaxIter = iters
+			phases.Tol = 1e-300
+			phases.Precision = prec
+			pres, err := Run(dev, phases)
+			if !errors.Is(err, negf.ErrNotConverged) {
+				t.Fatalf("precision %d P=%d phases: %v", prec, ranks, err)
+			}
 
-	for _, depth := range []int{1, 2, 3, 7} {
-		pipe := phases
-		pipe.Schedule = SchedulePipeline
-		pipe.PipelineDepth = depth
-		pipe.Workers = 4
-		res, err := Run(dev, pipe)
-		if !errors.Is(err, negf.ErrNotConverged) {
-			t.Fatalf("depth %d: %v", depth, err)
-		}
-		if len(res.IterTrace) != len(pres.IterTrace) {
-			t.Fatalf("depth %d: trace lengths differ: %d vs %d", depth, len(res.IterTrace), len(pres.IterTrace))
-		}
-		for i := range res.IterTrace {
-			o, p := res.IterTrace[i], pres.IterTrace[i]
-			if o.Current != p.Current {
-				t.Errorf("depth %d iter %d: current %.17g vs %.17g", depth, i, o.Current, p.Current)
-			}
-			if o.SSE != p.SSE {
-				t.Errorf("depth %d iter %d: SSE stats differ: %+v vs %+v", depth, i, o.SSE, p.SSE)
-			}
-			if o.SSEBytes != p.SSEBytes {
-				t.Errorf("depth %d iter %d: SSE bytes %d vs %d", depth, i, o.SSEBytes, p.SSEBytes)
-			}
-			// The pipeline runs no cancellation-agreement collective, so
-			// its reduce traffic is the bare observable reduction.
-			if o.ReduceBytes != p.ReduceBytes {
-				t.Errorf("depth %d iter %d: reduce bytes %d vs %d", depth, i, o.ReduceBytes, p.ReduceBytes)
-			}
-		}
-		if res.Obs.CurrentL != pres.Obs.CurrentL {
-			t.Errorf("depth %d: final current %.17g vs %.17g", depth, res.Obs.CurrentL, pres.Obs.CurrentL)
-		}
-		for a := range res.Obs.AtomTemperature {
-			if d := math.Abs(res.Obs.AtomTemperature[a] - pres.Obs.AtomTemperature[a]); d > 1e-9 {
-				t.Errorf("depth %d: temperature[%d] differs by %g K", depth, a, d)
+			for _, depth := range []int{0, 1, 2, 3, 7} { // 0: spelled ScheduleOverlap
+				pipe := phases
+				pipe.Schedule = SchedulePipeline
+				pipe.PipelineDepth = depth
+				if depth == 0 {
+					pipe.Schedule = ScheduleOverlap
+				}
+				pipe.Workers = 4
+				tag := fmt.Sprintf("precision %d P=%d %v depth %d", prec, ranks, pipe.Schedule, depth)
+				res, err := Run(dev, pipe)
+				if !errors.Is(err, negf.ErrNotConverged) {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				if len(res.IterTrace) != len(pres.IterTrace) {
+					t.Fatalf("%s: trace lengths differ: %d vs %d", tag, len(res.IterTrace), len(pres.IterTrace))
+				}
+				for i := range res.IterTrace {
+					o, p := res.IterTrace[i], pres.IterTrace[i]
+					if o.Current != p.Current || o.Residual != p.Residual {
+						t.Errorf("%s iter %d: current %.17g (residual %g) vs %.17g (%g)", tag, i, o.Current, o.Residual, p.Current, p.Residual)
+					}
+					if o.SSE != p.SSE {
+						t.Errorf("%s iter %d: SSE stats differ: %+v vs %+v", tag, i, o.SSE, p.SSE)
+					}
+					if o.SSEBytes != p.SSEBytes {
+						t.Errorf("%s iter %d: SSE bytes %d vs %d", tag, i, o.SSEBytes, p.SSEBytes)
+					}
+					// The task graph runs no cancellation-agreement
+					// collective, so its reduce traffic is the bare
+					// observable reduction.
+					if o.ReduceBytes != p.ReduceBytes {
+						t.Errorf("%s iter %d: reduce bytes %d vs %d", tag, i, o.ReduceBytes, p.ReduceBytes)
+					}
+				}
+				if res.Obs.CurrentL != pres.Obs.CurrentL {
+					t.Errorf("%s: final current %.17g vs %.17g", tag, res.Obs.CurrentL, pres.Obs.CurrentL)
+				}
+				for a := range res.Obs.AtomTemperature {
+					if d := math.Abs(res.Obs.AtomTemperature[a] - pres.Obs.AtomTemperature[a]); d > 1e-9 {
+						t.Errorf("%s: temperature[%d] differs by %g K", tag, a, d)
+					}
+				}
 			}
 		}
 	}
@@ -191,8 +203,8 @@ func TestPipelineCommAccounting(t *testing.T) {
 	opts.PipelineDepth = 2
 	opts.MaxIter = iters
 	opts.Tol = 1e-300
-	// A Progress hook on the other schedules costs an agreement
-	// Allreduce per iteration; the pipeline folds cancellation into the
+	// A Progress hook on the bulk-synchronous schedule costs an agreement
+	// Allreduce per iteration; the task graph folds cancellation into the
 	// observable reduction, so the counts below must not change.
 	opts.Progress = func(IterStats) error { return nil }
 	res, err := Run(dev, opts)
@@ -326,7 +338,7 @@ func TestPipelineMixedPrecision(t *testing.T) {
 
 // TestPipelineOptionValidation covers the pipeline-specific normalize
 // paths: the depth default, depth misuse under other schedules, and the
-// error-probe rejection.
+// error probe's depth-1 rule.
 func TestPipelineOptionValidation(t *testing.T) {
 	o, err := (Options{Ranks: 2, Schedule: SchedulePipeline}).normalize()
 	if err != nil {
@@ -346,7 +358,11 @@ func TestPipelineOptionValidation(t *testing.T) {
 	}
 	if _, err := (Options{Ranks: 2, Schedule: SchedulePipeline,
 		Precision: PrecisionMixed, ErrorProbe: true}).normalize(); err == nil {
-		t.Error("ErrorProbe under SchedulePipeline must be rejected")
+		t.Error("ErrorProbe under SchedulePipeline at the default depth must be rejected")
+	}
+	if _, err := (Options{Ranks: 2, Schedule: SchedulePipeline, PipelineDepth: 1,
+		Precision: PrecisionMixed, ErrorProbe: true}).normalize(); err != nil {
+		t.Errorf("ErrorProbe in a depth-1 window must be accepted: %v", err)
 	}
 	// FP64 silently clears the probe (as on the other schedules), so the
 	// combination is not an error there.

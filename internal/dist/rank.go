@@ -15,7 +15,7 @@ import (
 )
 
 // rankState is one rank's persistent shard state across the whole
-// self-consistent loop, shared by both schedules.
+// self-consistent loop, shared by both engines.
 type rankState struct {
 	c        *comm.Comm
 	dev      *device.Device
@@ -74,21 +74,18 @@ func newRankState(c *comm.Comm, dev *device.Device, opts Options) *rankState {
 	return rs
 }
 
-// mix blends the freshly exchanged Σ≷/Π≷ planes of the owned points into
-// the solver state — tensor.MixSlice is the same blend the sequential
-// solver applies tensor-wide.
-func (rs *rankState) mixSigma(out *sse.Output, mixing float64) {
-	for _, pr := range rs.pairs {
-		tensor.MixSlice(rs.ps.SigL.Plane(pr[0], pr[1]), out.SigL.Plane(pr[0], pr[1]), mixing)
-		tensor.MixSlice(rs.ps.SigG.Plane(pr[0], pr[1]), out.SigG.Plane(pr[0], pr[1]), mixing)
-	}
+// mixSigmaAt and mixPiAt blend the freshly exchanged Σ≷ (Π≷) plane of one
+// owned point into the solver state — tensor.MixSlice is the same blend
+// the sequential solver applies tensor-wide. The bulk-synchronous loop
+// sweeps them over the shard; the task graph runs one node per point.
+func (rs *rankState) mixSigmaAt(out *sse.Output, ik, ie int, mixing float64) {
+	tensor.MixSlice(rs.ps.SigL.Plane(ik, ie), out.SigL.Plane(ik, ie), mixing)
+	tensor.MixSlice(rs.ps.SigG.Plane(ik, ie), out.SigG.Plane(ik, ie), mixing)
 }
 
-func (rs *rankState) mixPi(out *sse.Output, mixing float64) {
-	for _, pt := range rs.points {
-		tensor.MixSlice(rs.ps.PiL.Plane(pt[0], pt[1]-1), out.PiL.Plane(pt[0], pt[1]-1), mixing)
-		tensor.MixSlice(rs.ps.PiG.Plane(pt[0], pt[1]-1), out.PiG.Plane(pt[0], pt[1]-1), mixing)
-	}
+func (rs *rankState) mixPiAt(out *sse.Output, iq, m int, mixing float64) {
+	tensor.MixSlice(rs.ps.PiL.Plane(iq, m-1), out.PiL.Plane(iq, m-1), mixing)
+	tensor.MixSlice(rs.ps.PiG.Plane(iq, m-1), out.PiG.Plane(iq, m-1), mixing)
 }
 
 // epilogue reduces the spectral weight/occupation for the temperature map
@@ -144,7 +141,7 @@ func runRank(c *comm.Comm, dev *device.Device, opts Options, res *Result) error 
 	trc := opts.Tracer
 	var global *partialObs
 	var stopErr error
-	prev := math.NaN()
+	var prev float64
 	converged := false
 	for it := 0; it < opts.MaxIter; it++ {
 		if opts.Progress != nil && agreeStop(c, stopErr) {
@@ -172,8 +169,8 @@ func runRank(c *comm.Comm, dev *device.Device, opts Options, res *Result) error 
 		// ── SSE phase: four Alltoallv exchanges + local tile kernel, then
 		// linear mixing of the owned Σ≷/Π≷ planes. The plan counts this
 		// rank's off-rank traffic at pack time — the same barrier-free
-		// accounting the overlapped schedule uses, so the two schedules'
-		// iteration timings stay comparable.
+		// accounting the task graph uses, so the schedules' iteration
+		// timings stay comparable.
 		pl := decomp.NewDaCePlan(c.Rank(), rs.tiles, rs.src, rs.atomSets, rs.in).
 			WithPrecision(opts.Precision)
 		if opts.ErrorProbe {
@@ -192,8 +189,12 @@ func runRank(c *comm.Comm, dev *device.Device, opts Options, res *Result) error 
 		trc.End(r, 0, "exchange", "exchange/SigmaPi", it, -1, tEx)
 		out := pl.Output()
 		part.sse = out.Stats
-		rs.mixSigma(out, opts.Mixing)
-		rs.mixPi(out, opts.Mixing)
+		for _, pr := range rs.pairs {
+			rs.mixSigmaAt(out, pr[0], pr[1], opts.Mixing)
+		}
+		for _, pt := range rs.points {
+			rs.mixPiAt(out, pt[0], pt[1], opts.Mixing)
+		}
 		part.sseB = float64(pl.OffRankBytes())
 		part.redB = reduceShare(c, vecLen(dev.P)) + agreeShare(c, opts)
 		part.fbk = float64(pl.FallbackBlocks())
@@ -212,10 +213,14 @@ func runRank(c *comm.Comm, dev *device.Device, opts Options, res *Result) error 
 		trc.End(r, 0, "iter", "iter", it, -1, tIter)
 
 		cur := global.currentL
-		rel := math.Abs(cur-prev) / math.Max(math.Abs(cur), 1e-300)
+		rel, conv, err := negf.ConvergenceStep(it, cur, prev, opts.Tol)
+		if err != nil {
+			// Decided from the reduced current: every rank leaves here.
+			return fmt.Errorf("dist: %w", err)
+		}
 		if r == 0 {
 			st := IterStats{
-				Iter: it, Current: cur, RelChange: rel,
+				Iter: it, Current: cur, Residual: rel,
 				ElEnergyLoss: global.elLoss, PhEnergyGain: global.phGain,
 				SSE:      global.sse,
 				SSEBytes: int64(global.sseB), ReduceBytes: int64(global.redB),
@@ -228,7 +233,7 @@ func runRank(c *comm.Comm, dev *device.Device, opts Options, res *Result) error 
 				stopErr = opts.Progress(st)
 			}
 		}
-		if it > 0 && rel < opts.Tol {
+		if conv {
 			converged = true
 			break
 		}
@@ -265,6 +270,20 @@ func agreeShare(c *comm.Comm, opts Options) float64 {
 		return 0
 	}
 	return reduceShare(c, 1)
+}
+
+// reduceShare is the off-rank traffic this rank contributes to one
+// Allreduce of n complex values: non-root ranks send their contribution
+// to rank 0, rank 0 broadcasts the sum to everyone else. Summed over
+// ranks this equals what the comm layer measures.
+func reduceShare(c *comm.Comm, n int) float64 {
+	if c.Size() == 1 {
+		return 0
+	}
+	if c.Rank() == 0 {
+		return float64((c.Size() - 1) * n * 16)
+	}
+	return float64(n * 16)
 }
 
 // reduceProbe turns per-rank tile probe numbers into the global relative

@@ -80,18 +80,76 @@ type Solver struct {
 	IterTrace []IterStats
 }
 
-// IterStats captures one self-consistent iteration.
+// IterStats is the one per-iteration telemetry row of the repo: every
+// self-consistent loop (the sequential Solver.Run and both distributed
+// engines) fills it, dist and qt re-export it under their own names, and
+// the report encoders, the SSE "iter" frames and the qtd registry key on
+// its JSON form. Fields a loop does not measure stay zero: a sequential
+// run moves no bytes, and ComputeNs/CommNs split only on the task graph.
 type IterStats struct {
-	Iter         int
-	Current      float64 // left-contact electron current (a.u.)
-	RelChange    float64
-	SSEStats     sse.Stats
-	ElEnergyLoss float64 // R_e: electron energy lost to the lattice
-	PhEnergyGain float64 // R_ph: energy absorbed by the phonon bath
-	// WallNs is the measured wall time of this iteration (GF + SSE),
-	// the sequential counterpart of the distributed per-iteration
-	// makespan.
-	WallNs int64
+	Iter    int     `json:"iter"`
+	Current float64 `json:"current"` // left-contact electron current (a.u.), global
+	// Residual is the relative change of Current against the previous
+	// iteration — 0 on iteration 0, where there is nothing to compare.
+	Residual float64 `json:"residual"`
+
+	ElEnergyLoss float64 `json:"el_energy_loss"` // R_e: electron energy lost to the lattice
+	PhEnergyGain float64 `json:"ph_energy_gain"` // R_ph: energy absorbed by the phonon bath
+
+	SSE sse.Stats `json:"sse"` // tile/kernel arithmetic counters, summed over ranks
+
+	// SSEBytes is the traffic of the four Alltoallv exchanges (the encoded
+	// wire volume under mixed precision); ReduceBytes is the
+	// observable/convergence Allreduce plus, under the bulk-synchronous
+	// schedule with a Progress hook, its cancellation agreement.
+	SSEBytes    int64 `json:"sse_bytes"`
+	ReduceBytes int64 `json:"reduce_bytes"`
+	// SigmaErr is the worst rank's normwise relative Σ≷/Π≷ deviation of
+	// the mixed tile kernel against the fp64 kernel on identical inputs —
+	// nonzero only with the error probe on.
+	SigmaErr float64 `json:"sigma_err"`
+	// FallbackBlocks counts the exchange segments the mixed-precision wire
+	// encoder shipped as verbatim fp64, summed over ranks (0 under fp64
+	// and for sequential runs, and omitted from JSON then).
+	FallbackBlocks int64 `json:"fallback_blocks,omitempty"`
+
+	// WallNs is the measured wall time of the iteration (rank 0 when
+	// distributed); ComputeNs and CommNs are rank 0's summed task
+	// durations by node kind under the task-graph schedules.
+	WallNs    int64 `json:"wall_ns"`
+	ComputeNs int64 `json:"compute_ns"`
+	CommNs    int64 `json:"comm_ns"`
+
+	// Plan announces the resolved execution plan (qt's
+	// Simulation.PlanString) on the first streamed row of a distributed
+	// run; the loops leave it empty.
+	Plan string `json:"plan,omitempty"`
+}
+
+// ErrNonFinite reports that the globally reduced contact current of
+// iteration Iter came out NaN or ±Inf: the self-consistent state is
+// poisoned and no later iteration can recover it.
+type ErrNonFinite struct{ Iter int }
+
+func (e ErrNonFinite) Error() string {
+	return fmt.Sprintf("negf: non-finite contact current at iteration %d", e.Iter)
+}
+
+// ConvergenceStep is the convergence decision every self-consistent loop
+// shares: the relative change of the contact current against the previous
+// iteration, and whether it is under tol. Iteration 0 has nothing to
+// compare (prev is ignored): residual 0, not converged. A non-finite
+// current is ErrNonFinite on any iteration. Distributed callers pass the
+// already-reduced current, so every rank takes the same branch.
+func ConvergenceStep(it int, cur, prev, tol float64) (residual float64, converged bool, err error) {
+	if math.IsNaN(cur) || math.IsInf(cur, 0) {
+		return 0, false, ErrNonFinite{Iter: it}
+	}
+	if it == 0 {
+		return 0, false, nil
+	}
+	residual = math.Abs(cur-prev) / math.Max(math.Abs(cur), 1e-300)
+	return residual, residual < tol, nil
 }
 
 // New allocates a solver for dev.
@@ -126,9 +184,10 @@ func New(dev *device.Device, opts Options) *Solver {
 var ErrNotConverged = errors.New("negf: self-consistent loop did not converge")
 
 // Run executes the self-consistent GF↔SSE loop. It returns the final
-// observables; ErrNotConverged still leaves valid (unconverged) results.
+// observables; ErrNotConverged still leaves valid (unconverged) results,
+// ErrNonFinite (a NaN/Inf contact current) does not.
 func (s *Solver) Run() (*Observables, error) {
-	prev := math.NaN()
+	var prev float64
 	tr := s.Opts.Tracer
 	for it := 0; it < s.Opts.MaxIter; it++ {
 		iterStart := time.Now()
@@ -144,9 +203,12 @@ func (s *Solver) Run() (*Observables, error) {
 		tr.End(s.TraceRank, 0, "iter", "iter", it, -1, tIter)
 
 		cur := s.Obs.CurrentL
-		rel := math.Abs(cur-prev) / math.Max(math.Abs(cur), 1e-300)
+		rel, converged, err := ConvergenceStep(it, cur, prev, s.Opts.Tol)
+		if err != nil {
+			return nil, err
+		}
 		st := IterStats{
-			Iter: it, Current: cur, RelChange: rel, SSEStats: stats,
+			Iter: it, Current: cur, Residual: rel, SSE: stats,
 			ElEnergyLoss: s.Obs.ElectronEnergyLoss, PhEnergyGain: s.Obs.PhononEnergyGain,
 			WallNs: time.Since(iterStart).Nanoseconds(),
 		}
@@ -156,7 +218,7 @@ func (s *Solver) Run() (*Observables, error) {
 				return &s.Obs, fmt.Errorf("negf: stopped after iteration %d: %w", it, err)
 			}
 		}
-		if it > 0 && rel < s.Opts.Tol {
+		if converged {
 			return &s.Obs, nil
 		}
 		prev = cur

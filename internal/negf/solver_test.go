@@ -93,8 +93,8 @@ func TestSelfConsistentLoopConverges(t *testing.T) {
 		t.Fatal("expected at least two iterations")
 	}
 	last := s.IterTrace[len(s.IterTrace)-1]
-	if last.RelChange > s.Opts.Tol {
-		t.Fatalf("final relative change %g above tolerance", last.RelChange)
+	if last.Residual > s.Opts.Tol {
+		t.Fatalf("final relative change %g above tolerance", last.Residual)
 	}
 	if obs.CurrentL <= 0 {
 		t.Fatal("converged current should remain positive")
@@ -249,8 +249,8 @@ func TestIterTraceMonotoneConvergence(t *testing.T) {
 	}
 	// Relative change should shrink substantially from the first measured
 	// iteration to the last (geometric with linear mixing).
-	first := s.IterTrace[1].RelChange
-	last := s.IterTrace[len(s.IterTrace)-1].RelChange
+	first := s.IterTrace[1].Residual
+	last := s.IterTrace[len(s.IterTrace)-1].Residual
 	if last > first {
 		t.Fatalf("convergence trace not decreasing: first %g, last %g", first, last)
 	}
@@ -356,4 +356,40 @@ func TestAndersonAccelerationConverges(t *testing.T) {
 		t.Fatalf("Anderson (%d iters) should not be slower than linear mixing (%d)", nAnd, nLin)
 	}
 	t.Logf("iterations: linear %d, Anderson %d", nLin, nAnd)
+}
+
+// TestConvergenceStep pins the decision every self-consistent loop
+// shares: iteration 0 reports residual 0 and never converges, later
+// iterations compare against prev, and a non-finite current is the typed
+// error on any iteration — never a residual.
+func TestConvergenceStep(t *testing.T) {
+	for _, c := range []struct {
+		it        int
+		cur, prev float64
+		tol       float64
+		res       float64
+		conv      bool
+	}{
+		{0, 2, math.NaN(), 1, 0, false}, // prev is ignored on iteration 0
+		{0, 2, 2, 1, 0, false},          // and iteration 0 never converges
+		{1, 2, 1, 1e-5, 0.5, false},
+		{3, 2, 2, 1e-5, 0, true},
+		{2, -4, -3, 0.5, 0.25, true},
+		{1, 0, 0, 1e-5, 0, true}, // the 1e-300 floor keeps 0/0 out
+	} {
+		res, conv, err := ConvergenceStep(c.it, c.cur, c.prev, c.tol)
+		if err != nil || res != c.res || conv != c.conv {
+			t.Errorf("ConvergenceStep(%d, %g, %g, %g) = (%g, %v, %v), want (%g, %v, nil)",
+				c.it, c.cur, c.prev, c.tol, res, conv, err, c.res, c.conv)
+		}
+	}
+	for _, cur := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, it := range []int{0, 4} {
+			res, conv, err := ConvergenceStep(it, cur, 1, 1e-5)
+			var nf ErrNonFinite
+			if !errors.As(err, &nf) || nf.Iter != it || res != 0 || conv {
+				t.Errorf("ConvergenceStep(%d, %g) = (%g, %v, %v), want ErrNonFinite{%d}", it, cur, res, conv, err, it)
+			}
+		}
+	}
 }

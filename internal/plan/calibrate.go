@@ -1,16 +1,17 @@
 // Package plan is the execution-plan autotuner: it calibrates the
-// repo's virtual-time cost models (internal/sdfg.Simulate and
-// internal/stream.Makespan — the models validated against the paper's
-// Table 6 shape) from a short probe run on the actual device, scores
-// every candidate plan (schedule × worker pool × pipeline depth ×
-// GEMM cache blocking) in virtual time, and returns the argmin. The
-// qt facade surfaces it as WithAutoPlan; the resolved plan is recorded
-// in the run's content-addressed configuration.
+// repo's virtual-time cost model (internal/sdfg.Simulate — the model
+// validated against the paper's Table 6 shape through internal/stream)
+// from a short probe run on the actual device, scores every candidate
+// plan (schedule × worker pool × window depth × GEMM cache blocking) in
+// virtual time, and returns the argmin. The qt facade surfaces it as
+// WithAutoPlan; the resolved plan is recorded in the run's
+// content-addressed configuration.
 //
 // Calibration contract: the probe runs two self-consistent iterations
-// of the overlapped distributed schedule on a single rank with tracing
-// enabled. The first iteration observes cold boundary-condition
-// decimations, the second observes cache hits; per-point costs keep the
+// of the overlapped schedule (the depth-1 task graph) on a single rank
+// with tracing enabled. The first iteration observes cold
+// boundary-condition decimations, the second observes cache hits;
+// per-point costs keep the
 // minimum observed occurrence (noise-robust: contention only inflates a
 // span) while the per-iteration aggregates (tile, residual, reduce) are
 // averaged across both iterations — so the calibration describes the

@@ -11,7 +11,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/negf"
 	"repro/internal/sdfg"
-	"repro/internal/stream"
 )
 
 // Candidate is one point of the plan search space.
@@ -47,7 +46,7 @@ func (p Plan) String() string {
 type Options struct {
 	Ranks     int                 // world size the plan is for (required)
 	Workers   []int               // worker pool sizes (default 1, 2, 4)
-	Depths    []int               // pipeline depths (default 2, 3)
+	Depths    []int               // window depths; 1 is the overlap schedule (default 1, 2, 3)
 	Blockings []linalg.BlockSizes // GEMM blockings (default: compiled-in ± one step)
 }
 
@@ -59,7 +58,7 @@ func (o Options) normalize() (Options, error) {
 		o.Workers = []int{1, 2, 4}
 	}
 	if len(o.Depths) == 0 {
-		o.Depths = []int{2, 3}
+		o.Depths = []int{1, 2, 3}
 	}
 	if len(o.Blockings) == 0 {
 		d := linalg.DefaultBlocking()
@@ -73,18 +72,21 @@ func (o Options) normalize() (Options, error) {
 }
 
 // Candidates enumerates the schedule search space: the serial phases
-// baseline, the overlapped schedule per worker count, and the pipelined
-// schedule per worker count × window depth. Blocking is orthogonal (it
-// never changes results or the graph shape) and is chosen separately by
+// baseline, then the window task graph per depth × worker count. Depth 1
+// is spelled ScheduleOverlap — the name plans, reports and -schedule
+// flags already use for it. Shallower windows come first, so a tie
+// resolves to the simpler schedule. Blocking is orthogonal (it never
+// changes results or the graph shape) and is chosen separately by
 // measurement.
 func Candidates(o Options) []Candidate {
 	cands := []Candidate{{Schedule: dist.SchedulePhases, Workers: 1}}
-	for _, w := range o.Workers {
-		cands = append(cands, Candidate{Schedule: dist.ScheduleOverlap, Workers: w})
-	}
-	for _, w := range o.Workers {
-		for _, d := range o.Depths {
-			cands = append(cands, Candidate{Schedule: dist.SchedulePipeline, Workers: w, PipelineDepth: d})
+	for _, d := range o.Depths {
+		for _, w := range o.Workers {
+			c := Candidate{Schedule: dist.ScheduleOverlap, Workers: w}
+			if d != 1 {
+				c = Candidate{Schedule: dist.SchedulePipeline, Workers: w, PipelineDepth: d}
+			}
+			cands = append(cands, c)
 		}
 	}
 	return cands
@@ -92,10 +94,11 @@ func Candidates(o Options) []Candidate {
 
 // Predict scores one candidate: the modeled steady-state makespan of one
 // self-consistent iteration on the most-loaded rank, in nanoseconds of
-// virtual time. Phases is scored with stream.Makespan (its execution
-// really is a FIFO of phase-sized operations over a compute and a copy
-// engine); the graph schedules are scored with sdfg.Simulate on a model
-// of the per-rank task graph dist actually builds.
+// virtual time. One rank's phases iteration is a strict FIFO — the GF
+// phase computes, the exchange copies, the tile computes, the reduction
+// copies — so its makespan is the plain sum; the window task graph is
+// scored with sdfg.Simulate on a model of the per-rank graph dist
+// actually builds, at depth 1 for ScheduleOverlap.
 func Predict(p device.Params, ranks int, cal Calibration, c Candidate) float64 {
 	nEl := ceilDiv(len(negf.AllPairs(p)), ranks)
 	nPh := ceilDiv(len(negf.AllPhononPoints(p)), ranks)
@@ -104,31 +107,19 @@ func Predict(p device.Params, ranks int, cal Calibration, c Candidate) float64 {
 	exchNs := model.DaCeCommVolume(p, 1, ranks) / float64(ranks) * cal.CopyNsPerByte
 	tileNs := cal.TileNs * tileShare(p, 1, ranks)
 
-	switch c.Schedule {
-	case dist.SchedulePhases:
-		// One rank's iteration is a strict FIFO: the GF phase computes,
-		// the exchange copies, the tile computes, the reduction copies.
-		return stream.Makespan([]stream.Task{
-			{Compute: float64(nEl)*elNs + float64(nPh)*phNs, CopyOut: exchNs},
-			{Compute: tileNs + cal.MiscNs, CopyOut: cal.ReduceNs},
-		}, 1)
-	case dist.ScheduleOverlap:
-		g := &sdfg.Graph{}
-		addIteration(g, nil, nEl, nPh, elNs, phNs, exchNs, tileNs, cal)
-		return sdfg.Simulate(g, c.Workers)
-	case dist.SchedulePipeline:
-		d := c.PipelineDepth
-		if d < 1 {
-			d = 1
-		}
-		g := &sdfg.Graph{}
-		var release []sdfg.NodeID
-		for k := 0; k < d; k++ {
-			release = addIteration(g, release, nEl, nPh, elNs, phNs, exchNs, tileNs, cal)
-		}
-		return sdfg.Simulate(g, c.Workers) / float64(d)
+	if c.Schedule == dist.SchedulePhases {
+		return (float64(nEl)*elNs + float64(nPh)*phNs) + exchNs + (tileNs + cal.MiscNs) + cal.ReduceNs
 	}
-	return 0
+	d := 1
+	if c.Schedule == dist.SchedulePipeline && c.PipelineDepth > 1 {
+		d = c.PipelineDepth
+	}
+	g := sdfg.New()
+	var release []sdfg.NodeID
+	for k := 0; k < d; k++ {
+		release = addIteration(g, release, nEl, nPh, elNs, phNs, exchNs, tileNs, cal)
+	}
+	return sdfg.Simulate(g, c.Workers) / float64(d)
 }
 
 // tileShare is the fraction of a full-grid SSE tile that the slowest rank
@@ -170,7 +161,7 @@ func addIteration(g *sdfg.Graph, after []sdfg.NodeID, nEl, nPh int, elNs, phNs, 
 // Choose calibrates, scores every candidate, measures the GEMM blocking
 // candidates, and returns the argmin plan. Ties (within 1%) resolve
 // toward the earlier — simpler — candidate, so phases beats overlap
-// beats pipeline when the model sees no benefit.
+// beats a deeper window when the model sees no benefit.
 func Choose(dev *device.Device, o Options) (Plan, error) {
 	o, err := o.normalize()
 	if err != nil {

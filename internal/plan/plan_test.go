@@ -64,6 +64,29 @@ func TestPredictOrdering(t *testing.T) {
 	if o1 < overlap {
 		t.Errorf("1 worker %.0f predicted faster than 4 workers %.0f", o1, overlap)
 	}
+	// The scores themselves, bit for bit as recorded at commit 1f4b91f —
+	// when phases was scored by stream.Makespan and overlap had a branch
+	// of its own.
+	for _, c := range []struct {
+		cand Candidate
+		bits uint64
+	}{
+		{Candidate{Schedule: dist.SchedulePhases, Workers: 1}, 0x40a2f7851eb851ec},
+		{Candidate{Schedule: dist.ScheduleOverlap, Workers: 1}, 0x40a2f7851eb851ec},
+		{Candidate{Schedule: dist.ScheduleOverlap, Workers: 2}, 0x409cdf0a3d70a3d7},
+		{Candidate{Schedule: dist.ScheduleOverlap, Workers: 4}, 0x4098570a3d70a3d7},
+		{Candidate{Schedule: dist.SchedulePipeline, Workers: 1, PipelineDepth: 2}, 0x409faf0a3d70a3d8},
+		{Candidate{Schedule: dist.SchedulePipeline, Workers: 1, PipelineDepth: 3}, 0x409d99b4e81b4e83},
+		{Candidate{Schedule: dist.SchedulePipeline, Workers: 2, PipelineDepth: 2}, 0x4098070a3d70a3d7},
+		{Candidate{Schedule: dist.SchedulePipeline, Workers: 2, PipelineDepth: 3}, 0x409669b4e81b4e83},
+		{Candidate{Schedule: dist.SchedulePipeline, Workers: 4, PipelineDepth: 2}, 0x4095c30a3d70a3d7},
+		{Candidate{Schedule: dist.SchedulePipeline, Workers: 4, PipelineDepth: 3}, 0x4094e70a3d70a3d7},
+		{Candidate{Schedule: dist.SchedulePipeline, Workers: 4, PipelineDepth: 1}, 0x4098570a3d70a3d7},
+	} {
+		if got := math.Float64bits(Predict(p, 4, cal, c.cand)); got != c.bits {
+			t.Errorf("Predict(%+v) = %#x, recorded %#x", c.cand, got, c.bits)
+		}
+	}
 }
 
 func TestCandidates(t *testing.T) {
@@ -72,12 +95,21 @@ func TestCandidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	cands := Candidates(o)
-	// phases + 3 worker counts for overlap + 3×2 for pipeline.
-	if len(cands) != 1+3+6 {
+	// phases + 3 depths × 3 worker counts; depth 1 is named overlap.
+	if len(cands) != 1+3*3 {
 		t.Fatalf("got %d candidates: %+v", len(cands), cands)
 	}
 	if cands[0].Schedule != dist.SchedulePhases {
 		t.Errorf("first candidate should be the phases baseline, got %+v", cands[0])
+	}
+	for i, c := range cands[1:] {
+		want := Candidate{Schedule: dist.ScheduleOverlap, Workers: c.Workers}
+		if i >= 3 {
+			want = Candidate{Schedule: dist.SchedulePipeline, Workers: c.Workers, PipelineDepth: 2 + (i-3)/3}
+		}
+		if c != want {
+			t.Errorf("candidate %d = %+v, want %+v", i+1, c, want)
+		}
 	}
 	if _, err := (Options{}).normalize(); err == nil {
 		t.Error("Ranks 0 must be rejected")
@@ -142,7 +174,7 @@ func TestCalibrate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cal.ElNs <= 0 || cal.PhNs <= 0 || cal.TileNs <= 0 || cal.ReduceNs <= 0 {
+	if cal.ElNs <= 0 || cal.PhNs <= 0 || cal.TileNs <= 0 || cal.MiscNs <= 0 || cal.ReduceNs <= 0 {
 		t.Fatalf("incomplete calibration: %+v", cal)
 	}
 	if cal.BCColdNs < cal.BCWarmNs {

@@ -85,8 +85,8 @@ func WithSchedule(s Schedule) Option {
 
 // WithPipelineDepth sets the iteration-window size of the Pipeline
 // schedule: how many self-consistent iterations the task graph spans at
-// once (the dist default is 2 when unset). Depth 1 degenerates to a
-// fenced overlap schedule. Requires WithSchedule(Pipeline).
+// once (the dist default is 2 when unset). Depth 1 is exactly the Overlap
+// schedule. Requires WithSchedule(Pipeline).
 func WithPipelineDepth(d int) Option {
 	return func(c *config) error {
 		if d < 1 {
@@ -106,7 +106,7 @@ func WithPipelineDepth(d int) Option {
 // was solved with instead of re-probing. Requires WithRanks; conflicts
 // with explicitly setting any knob the planner owns (WithSchedule,
 // WithWorkers, WithPipelineDepth) and with WithErrorProbe (the probe
-// cannot ride a pipelined window, which the planner may select).
+// cannot ride a window deeper than 1, which the planner may select).
 func WithAutoPlan() Option {
 	return func(c *config) error {
 		c.autoPlan = true
@@ -249,8 +249,8 @@ func WithTiles(ta, te int) Option {
 	}
 }
 
-// WithWorkers sets the per-rank worker pool of the Overlap schedule.
-// Requires WithRanks.
+// WithWorkers sets the per-rank worker pool of the task-graph schedules
+// (Overlap, Pipeline). Requires WithRanks.
 func WithWorkers(n int) Option {
 	return func(c *config) error {
 		if n < 1 {
@@ -262,7 +262,9 @@ func WithWorkers(n int) Option {
 }
 
 // WithErrorProbe enables the per-iteration fp64-reference quantization
-// probe (IterStats.SigmaErr). Requires WithRanks and WithPrecision(Mixed).
+// probe (IterStats.SigmaErr). Requires WithRanks and WithPrecision(Mixed);
+// on the task graph it runs at window depth 1 only — WithSchedule(Overlap),
+// or WithSchedule(Pipeline) with WithPipelineDepth(1).
 func WithErrorProbe() Option {
 	return func(c *config) error {
 		c.errorProbe = true
@@ -346,12 +348,12 @@ func (c *config) validate() error {
 		if c.pipelineDepth != 0 && c.schedule != Pipeline {
 			return fmt.Errorf("WithPipelineDepth requires WithSchedule(Pipeline)")
 		}
-		if c.schedule == Pipeline && c.errorProbe {
-			return fmt.Errorf("WithErrorProbe conflicts with WithSchedule(Pipeline): the probe's blocking max-reduction would serialize the iteration window")
+		if c.schedule == Pipeline && c.errorProbe && c.pipelineDepth != 1 {
+			return fmt.Errorf("WithErrorProbe requires WithPipelineDepth(1) under WithSchedule(Pipeline): the probe's blocking max-reduction would serialize a deeper iteration window")
 		}
 		if c.autoPlan {
 			if c.errorProbe {
-				return fmt.Errorf("WithErrorProbe conflicts with WithAutoPlan: the planner may select the pipelined schedule, which cannot run the probe")
+				return fmt.Errorf("WithErrorProbe conflicts with WithAutoPlan: the planner may select a window deeper than 1, which cannot run the probe")
 			}
 			if !c.planResolved && (c.schedule != Phases || c.workers != 0 || c.pipelineDepth != 0) {
 				return fmt.Errorf("WithAutoPlan owns the schedule, worker and pipeline-depth knobs: drop WithSchedule/WithWorkers/WithPipelineDepth")
@@ -368,7 +370,7 @@ func (c *config) validate() error {
 }
 
 // distOptions assembles the dist.Options of this configuration.
-func (c *config) distOptions(progress func(dist.IterStats) error) dist.Options {
+func (c *config) distOptions(progress func(IterStats) error) dist.Options {
 	o := dist.DefaultOptions(c.ranks)
 	o.Ta, o.TE = c.ta, c.te
 	if o.Ta == 0 && o.TE == 0 {

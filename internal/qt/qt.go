@@ -174,7 +174,8 @@ const (
 	// observable reduction strictly one after another.
 	Phases Schedule = iota
 	// Overlap runs each iteration as a dataflow graph on a work-stealing
-	// pool with nonblocking exchanges (§7.1.3).
+	// pool with nonblocking exchanges (§7.1.3) — the Pipeline graph at
+	// window depth 1.
 	Overlap
 	// Pipeline extends the Overlap graph across a window of
 	// self-consistent iterations: the next iteration's boundary solves

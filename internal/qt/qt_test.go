@@ -74,6 +74,9 @@ func TestOptionValidation(t *testing.T) {
 		{"depth under overlap", Spec{}, []Option{WithRanks(2), WithSchedule(Overlap), WithPipelineDepth(2)}, "WithSchedule(Pipeline)"},
 		{"pipeline probe fp64", Spec{}, []Option{WithRanks(2), WithSchedule(Pipeline), WithErrorProbe()}, "WithErrorProbe"},
 		{"pipeline probe mixed", Spec{}, []Option{WithRanks(2), WithSchedule(Pipeline), WithPrecision(Mixed), WithErrorProbe()}, "WithErrorProbe"},
+		{"pipeline depth-2 probe", Spec{}, []Option{WithRanks(2), WithSchedule(Pipeline), WithPipelineDepth(2), WithPrecision(Mixed), WithErrorProbe()}, "WithPipelineDepth(1)"},
+		{"pipeline depth-1 probe ok", Spec{}, []Option{WithRanks(2), WithSchedule(Pipeline), WithPipelineDepth(1), WithPrecision(Mixed), WithErrorProbe()}, ""},
+		{"overlap probe ok", Spec{}, []Option{WithRanks(2), WithSchedule(Overlap), WithPrecision(Mixed), WithErrorProbe()}, ""},
 		{"pipeline mixed ok", Spec{}, []Option{WithRanks(2), WithSchedule(Pipeline), WithPrecision(Mixed)}, ""},
 		{"autoplan needs ranks", Spec{}, []Option{WithAutoPlan()}, "WithRanks"},
 		{"autoplan owns schedule", Spec{}, []Option{WithRanks(2), WithAutoPlan(), WithSchedule(Overlap)}, "WithAutoPlan owns"},

@@ -4,81 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/negf"
 	"repro/internal/obs"
-	"repro/internal/sse"
 )
 
 // IterStats is the unified per-iteration telemetry schema shared by the
 // sequential and distributed solvers — the row type every report
-// encoder and streaming consumer keys on. Fields that a solver does not
-// measure stay zero: sequential runs move no bytes, and Compute/CommNs
-// split only under the Overlap schedule.
-type IterStats struct {
-	Iter     int     `json:"iter"`
-	Current  float64 `json:"current"`  // left-contact electron current (a.u.), global
-	Residual float64 `json:"residual"` // relative change vs the previous iteration; 0 on the first (nothing to compare, kept JSON-safe)
-
-	ElEnergyLoss float64 `json:"el_energy_loss"` // R_e: electron energy lost to the lattice
-	PhEnergyGain float64 `json:"ph_energy_gain"` // R_ph: energy absorbed by the phonon bath
-
-	SSE sse.Stats `json:"sse"` // tile/kernel arithmetic counters
-
-	SSEBytes    int64   `json:"sse_bytes"`    // four-Alltoallv exchange traffic (wire volume under Mixed)
-	ReduceBytes int64   `json:"reduce_bytes"` // observable/convergence reduction traffic
-	SigmaErr    float64 `json:"sigma_err"`    // worst-rank Σ≷/Π≷ quantization deviation (error probe)
-	// FallbackBlocks counts exchange segments shipped as verbatim fp64
-	// under Mixed precision, summed over ranks (0 under FP64 and for
-	// sequential runs; omitted from JSON then, keeping existing report
-	// encodings byte-identical).
-	FallbackBlocks int64 `json:"fallback_blocks,omitempty"`
-
-	WallNs    int64 `json:"wall_ns"`    // measured iteration wall time (rank 0 for distributed)
-	ComputeNs int64 `json:"compute_ns"` // rank-0 summed compute-task time (Overlap/Pipeline)
-	CommNs    int64 `json:"comm_ns"`    // rank-0 summed communication-task time (Overlap/Pipeline)
-
-	// Plan announces the resolved execution plan (Simulation.PlanString)
-	// on the first streamed row of a distributed run; later rows leave it
-	// empty — the plan cannot change mid-run.
-	Plan string `json:"plan,omitempty"`
-}
-
-// residual sanitizes the solvers' relative change: the first iteration
-// compares against NaN, which the unified (JSON-encodable) schema
-// reports as 0.
-func residual(rel float64) float64 {
-	if math.IsNaN(rel) || math.IsInf(rel, 0) {
-		return 0
-	}
-	return rel
-}
-
-// fromSequential maps the sequential solver's trace row into the
-// unified schema.
-func fromSequential(st negf.IterStats) IterStats {
-	return IterStats{
-		Iter: st.Iter, Current: st.Current, Residual: residual(st.RelChange),
-		ElEnergyLoss: st.ElEnergyLoss, PhEnergyGain: st.PhEnergyGain,
-		SSE: st.SSEStats, WallNs: st.WallNs,
-	}
-}
-
-// fromDistributed maps the distributed solver's trace row into the
-// unified schema.
-func fromDistributed(st dist.IterStats) IterStats {
-	return IterStats{
-		Iter: st.Iter, Current: st.Current, Residual: residual(st.RelChange),
-		ElEnergyLoss: st.ElEnergyLoss, PhEnergyGain: st.PhEnergyGain,
-		SSE:      st.SSE,
-		SSEBytes: st.SSEBytes, ReduceBytes: st.ReduceBytes, SigmaErr: st.SigmaErr,
-		FallbackBlocks: st.FallbackBlocks,
-		WallNs:         st.WallNs, ComputeNs: st.ComputeNs, CommNs: st.CommNs,
-	}
-}
+// encoder and streaming consumer keys on. It is the loops' own row
+// (negf.IterStats), not a copy: what a run streams is what its solver
+// recorded, plus the Plan announcement on the first distributed row.
+type IterStats = negf.IterStats
 
 // Result summarizes a finished (converged, capped, or cancelled) run.
 type Result struct {
@@ -178,24 +116,29 @@ func (s *Simulation) Start(ctx context.Context) (*Run, error) {
 	return r, nil
 }
 
-// emit forwards one iteration's telemetry; the buffer covers the full
-// iteration budget, so the send never blocks.
-func (r *Run) emit(st IterStats) {
-	select {
-	case r.stats <- st:
-	default: // impossible while maxIter bounds the iterations; never block the solver
+// progress is the per-iteration hook both solvers run under the facade
+// contract: record the row in trace, stream it, and observe the context.
+// The first row of a distributed run announces its plan (empty for a
+// sequential one). The stream's buffer covers the full iteration budget,
+// so the send never blocks.
+func (r *Run) progress(ctx context.Context, trace *[]IterStats, plan string) func(IterStats) error {
+	return func(st IterStats) error {
+		if len(*trace) == 0 {
+			st.Plan = plan
+		}
+		*trace = append(*trace, st)
+		select {
+		case r.stats <- st:
+		default: // impossible while maxIter bounds the iterations; never block the solver
+		}
+		return ctx.Err()
 	}
 }
 
 // runSequential drives the negf solver under the facade contract.
 func (s *Simulation) runSequential(ctx context.Context, r *Run, tracer *obs.Tracer) (*Result, error) {
 	trace := []IterStats{}
-	no := s.cfg.negfOptions(func(st negf.IterStats) error {
-		u := fromSequential(st)
-		trace = append(trace, u)
-		r.emit(u)
-		return ctx.Err()
-	})
+	no := s.cfg.negfOptions(r.progress(ctx, &trace, ""))
 	no.Tracer = tracer
 	solver := negf.New(s.Device, no)
 	if w := s.cfg.warm; w != nil {
@@ -231,16 +174,7 @@ func (s *Simulation) runSequential(ctx context.Context, r *Run, tracer *obs.Trac
 // runDistributed drives the dist solver under the facade contract.
 func (s *Simulation) runDistributed(ctx context.Context, r *Run, tracer *obs.Tracer) (*Result, error) {
 	trace := []IterStats{}
-	planStr := s.PlanString()
-	do := s.cfg.distOptions(func(st dist.IterStats) error {
-		u := fromDistributed(st)
-		if len(trace) == 0 {
-			u.Plan = planStr
-		}
-		trace = append(trace, u)
-		r.emit(u)
-		return ctx.Err()
-	})
+	do := s.cfg.distOptions(r.progress(ctx, &trace, s.PlanString()))
 	do.Tracer = tracer
 	res, err := dist.Run(s.Device, do)
 	switch {

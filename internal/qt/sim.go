@@ -148,7 +148,7 @@ func (c *config) sequentialKernel() sse.Kernel {
 }
 
 // negfOptions assembles the sequential solver options.
-func (c *config) negfOptions(progress func(negf.IterStats) error) negf.Options {
+func (c *config) negfOptions(progress func(IterStats) error) negf.Options {
 	o := negf.DefaultOptions()
 	o.Kernel = c.sequentialKernel()
 	if !c.cacheBC {

@@ -1,8 +1,13 @@
 package qt
 
 import (
+	"context"
+	"errors"
+	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/negf"
 )
 
 // TestWarmStartFewerIterations pins the warm-start contract the qtd
@@ -65,5 +70,41 @@ func TestWarmStartValidation(t *testing.T) {
 	}
 	if _, err := New(smallSpec(), WithWarmStart(st)); err != nil {
 		t.Errorf("matching warm start rejected: %v", err)
+	}
+}
+
+// TestNonFiniteCurrentIsAnError: a run seeded with a NaN Σ≷ produces a
+// NaN contact current on its first iteration. That must end the run with
+// the typed negf.ErrNonFinite through Wait — not stream MaxIter rows that
+// report the NaN as "residual 0".
+func TestNonFiniteCurrentIsAnError(t *testing.T) {
+	_, res := solve(t, smallSpec(), WithMaxIterations(1), WithTolerance(1e-300))
+	bad := res.FinalState.Clone()
+	for i := range bad.SigL.Data {
+		bad.SigL.Data[i] = complex(math.NaN(), 0)
+	}
+	sim, err := New(smallSpec(), WithMaxIterations(6), WithTolerance(1e-300), WithWarmStart(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := sim.Start(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = run.Wait()
+	var nf negf.ErrNonFinite
+	if !errors.As(err, &nf) {
+		t.Fatalf("Wait returned %v, want negf.ErrNonFinite", err)
+	}
+	if nf.Iter != 0 {
+		t.Errorf("non-finite current reported at iteration %d, want 0", nf.Iter)
+	}
+	for st := range run.Stats() {
+		if st.Iter > 0 && st.Residual == 0 {
+			t.Errorf("streamed iteration %d with residual 0", st.Iter)
+		}
+		if math.IsNaN(st.Current) {
+			t.Errorf("streamed a NaN current at iteration %d", st.Iter)
+		}
 	}
 }

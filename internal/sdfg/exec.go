@@ -44,9 +44,7 @@ type Span struct {
 }
 
 // Trace is the measured execution profile of one Run: per-node spans and
-// the wall-clock makespan. Use it to compare a measured overlapped
-// schedule against the phase-barrier baseline and against the
-// internal/stream predictions.
+// the wall-clock makespan.
 type Trace struct {
 	Spans []Span // indexed by NodeID
 	Wall  time.Duration
@@ -54,17 +52,6 @@ type Trace struct {
 	// that unblocked them — a direct measure of how much the stealing
 	// discipline rebalanced the graph.
 	Steals int
-}
-
-// Busy sums the span durations of nodes matching kind on g.
-func (tr *Trace) Busy(g *Graph, kind Kind) time.Duration {
-	var d time.Duration
-	for _, s := range tr.Spans {
-		if g.Node(s.Node).Kind == kind {
-			d += s.End - s.Start
-		}
-	}
-	return d
 }
 
 // execState is the shared scheduling state of one Run. A single mutex

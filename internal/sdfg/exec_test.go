@@ -130,16 +130,3 @@ func TestEmptyGraph(t *testing.T) {
 		t.Fatalf("empty graph: %v %v", tr, err)
 	}
 }
-
-func TestTraceBusySplitsKinds(t *testing.T) {
-	g := New()
-	g.Add(Spec{Kind: Compute, Run: func() error { time.Sleep(2 * time.Millisecond); return nil }})
-	g.Add(Spec{Kind: Comm, Run: func() error { time.Sleep(2 * time.Millisecond); return nil }})
-	tr, err := NewExecutor(2).Run(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Busy(g, Compute) <= 0 || tr.Busy(g, Comm) <= 0 {
-		t.Fatalf("busy split = %v / %v", tr.Busy(g, Compute), tr.Busy(g, Comm))
-	}
-}

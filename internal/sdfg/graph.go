@@ -12,8 +12,9 @@
 //     executor per simulated MPI rank; cross-rank edges are enforced by
 //     the nonblocking internal/comm primitives the comm nodes call.
 //   - Simulate: a deterministic virtual-time list scheduler (Node.Cost
-//     durations), the DAG generalization of internal/stream's two-engine
-//     model, used to compare overlapped against phase-barrier schedules.
+//     durations) — the repo's one cost model: internal/plan scores
+//     schedules with it and internal/stream lowers its CUDA-stream model
+//     onto it.
 package sdfg
 
 import "fmt"
@@ -44,10 +45,6 @@ type NodeID int32
 type Spec struct {
 	Label string
 	Kind  Kind
-	// Phase is the bulk-synchronous phase this node belongs to (GF solve,
-	// SSE exchange, reduction, ...). The overlapped schedule ignores it;
-	// Phased() turns it into barrier edges for the A/B comparison.
-	Phase int
 	// Rank is the simulated MPI rank owning the node. Per-rank graphs may
 	// leave it zero; global graphs built for Simulate set it so nodes
 	// compete only for their own rank's engines.
@@ -143,53 +140,4 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("sdfg: graph has a cycle (%d of %d nodes reachable)", seen, len(g.nodes))
 	}
 	return nil
-}
-
-// Phased returns a copy of g with a zero-cost barrier node between
-// consecutive phases: no node of phase p+1 may start before every node
-// of phase p has finished, on any rank. This is exactly the
-// bulk-synchronous execution the paper's baseline uses, expressed on the
-// same task set, so Simulate(g) vs Simulate(Phased(g)) isolates the gain
-// of overlapped scheduling.
-func (g *Graph) Phased() *Graph {
-	lo, hi := 0, 0
-	for _, n := range g.nodes {
-		if n.Phase < lo {
-			lo = n.Phase
-		}
-		if n.Phase > hi {
-			hi = n.Phase
-		}
-	}
-	out := New()
-	ids := make([]NodeID, len(g.nodes))
-	var prevBarrier NodeID = -1
-	for p := lo; p <= hi; p++ {
-		var phase []NodeID
-		for _, n := range g.nodes {
-			if n.Phase != p {
-				continue
-			}
-			deps := make([]NodeID, 0, len(n.deps)+1)
-			for _, d := range n.deps {
-				if g.nodes[d].Phase > p {
-					panic(fmt.Sprintf("sdfg: node %q (phase %d) depends on later phase %d",
-						n.Label, p, g.nodes[d].Phase))
-				}
-				// Earlier-phase edges are subsumed by the barrier.
-				if g.nodes[d].Phase == p {
-					deps = append(deps, ids[d])
-				}
-			}
-			if prevBarrier >= 0 {
-				deps = append(deps, prevBarrier)
-			}
-			ids[n.ID] = out.Add(n.Spec, deps...)
-			phase = append(phase, ids[n.ID])
-		}
-		if len(phase) > 0 && p < hi {
-			prevBarrier = out.Add(Spec{Label: fmt.Sprintf("barrier/%d", p), Phase: p}, phase...)
-		}
-	}
-	return out
 }

@@ -44,37 +44,15 @@ func TestValidateDetectsCycle(t *testing.T) {
 	}
 }
 
-func TestPhasedInsertsBarriers(t *testing.T) {
-	// Two ranks, two phases, no cross-phase edges: the phased graph must
-	// prevent any phase-1 node from starting before both phase-0 nodes end.
+// TestSimulateRanksOwnEngines: nodes compete only for their own rank's
+// engines, so two ranks' chains run side by side even with one worker.
+func TestSimulateRanksOwnEngines(t *testing.T) {
 	g := New()
-	g.Add(Spec{Label: "gf0", Phase: 0, Rank: 0, Cost: 10})
-	g.Add(Spec{Label: "gf1", Phase: 0, Rank: 1, Cost: 1})
-	g.Add(Spec{Label: "sse0", Phase: 1, Rank: 0, Cost: 1})
-	g.Add(Spec{Label: "sse1", Phase: 1, Rank: 1, Cost: 10})
-	ph := g.Phased()
-	if err := ph.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if ph.Len() != g.Len()+1 {
-		t.Fatalf("phased graph has %d nodes, want %d", ph.Len(), g.Len()+1)
-	}
-	// Overlapped: each rank runs its own chain → makespan 11.
-	// Phased: the barrier serializes the slow halves → 20.
+	gf0 := g.Add(Spec{Label: "gf0", Rank: 0, Cost: 10})
+	gf1 := g.Add(Spec{Label: "gf1", Rank: 1, Cost: 1})
+	g.Add(Spec{Label: "sse0", Rank: 0, Cost: 1}, gf0)
+	g.Add(Spec{Label: "sse1", Rank: 1, Cost: 10}, gf1)
 	if got := Simulate(g, 1); got != 11 {
-		t.Fatalf("overlapped makespan = %v, want 11", got)
-	}
-	if got := Simulate(ph, 1); got != 20 {
-		t.Fatalf("phased makespan = %v, want 20", got)
-	}
-}
-
-func TestPhasedKeepsIntraPhaseEdges(t *testing.T) {
-	g := New()
-	a := g.Add(Spec{Label: "a", Phase: 0, Cost: 3})
-	g.Add(Spec{Label: "b", Phase: 0, Cost: 4}, a)
-	ph := g.Phased()
-	if got := Simulate(ph, 4); got != 7 {
-		t.Fatalf("chain within a phase must stay serialized: makespan %v", got)
+		t.Fatalf("two-rank makespan = %v, want 11", got)
 	}
 }

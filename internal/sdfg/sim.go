@@ -1,19 +1,14 @@
 package sdfg
 
-// Simulate computes the virtual-time makespan of g: the DAG
-// generalization of internal/stream's two-engine model. Every rank owns
+// Simulate computes the virtual-time makespan of g. Every rank owns
 // `workers` compute engines plus one communication engine; each node
 // occupies one engine of its Kind on its Rank for Cost units of virtual
 // time, starting no earlier than its dependencies finish. Scheduling is
 // greedy list scheduling — among all ready nodes, the one that can start
-// earliest runs next (ties broken by node id), exactly the policy
-// stream.Makespan uses for CUDA streams — so the result is deterministic
-// and comparable across schedules of the same task set:
-//
-//	gain = Simulate(g.Phased(), w) − Simulate(g, w)
-//
-// is the predicted benefit of overlapped execution over bulk-synchronous
-// phases.
+// earliest runs next (ties broken by node id) — so the result is
+// deterministic and comparable across schedules of the same task set.
+// One rank with one worker is internal/stream's two-engine GPU (compute
+// engine + copy engine), which is how stream.Makespan lowers onto it.
 func Simulate(g *Graph, workers int) float64 {
 	if workers < 1 {
 		workers = 1

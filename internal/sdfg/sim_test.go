@@ -1,12 +1,6 @@
 package sdfg
 
-import (
-	"fmt"
-	"math"
-	"testing"
-
-	"repro/internal/stream"
-)
+import "testing"
 
 func TestSimulateChainAndFan(t *testing.T) {
 	g := New()
@@ -41,93 +35,42 @@ func TestSimulateOverlapsCommWithCompute(t *testing.T) {
 	}
 }
 
-// TestSimulateMatchesStreamModel validates the DAG scheduler against
-// internal/stream on the workload both can express: independent
-// copy-compute-copy tasks round-robined over FIFO chains, one compute
-// engine, one copy engine.
-func TestSimulateMatchesStreamModel(t *testing.T) {
-	tasks := stream.GFTaskSet(24, 1.0, 0.08)
-	for _, streams := range []int{1, 2, 4, 8, 24} {
-		want := stream.Makespan(tasks, streams)
-		g := New()
-		prev := make([]NodeID, streams)
-		for i := range prev {
-			prev[i] = -1
-		}
-		for i, task := range tasks {
-			s := i % streams
-			deps := func() []NodeID {
-				if prev[s] < 0 {
-					return nil
-				}
-				return []NodeID{prev[s]}
-			}
-			in := g.Add(Spec{Label: fmt.Sprintf("in/%d", i), Kind: Comm, Cost: task.CopyIn}, deps()...)
-			cp := g.Add(Spec{Label: fmt.Sprintf("k/%d", i), Kind: Compute, Cost: task.Compute}, in)
-			prev[s] = g.Add(Spec{Label: fmt.Sprintf("out/%d", i), Kind: Comm, Cost: task.CopyOut}, cp)
-		}
-		got := Simulate(g, 1)
-		if math.Abs(got-want) > 1e-9*want {
-			t.Errorf("streams=%d: sdfg makespan %v, stream model %v", streams, got, want)
-		}
-	}
-}
-
-// negfIterationDAG builds the shape of one distributed NEGF iteration:
-// per-rank GF point solves, the four SSE exchange collectives (posts
-// depend on local solves, waits depend on every rank's post), the tile
-// kernel, and the observable reduction. Point counts per rank are uneven
-// — the load imbalance overlap feeds on.
-func negfIterationDAG(points []int, pointCost, commCost, tileCost float64) *Graph {
+// TestSimulateComputeThenComm: 4 solves on 2 workers = 10, then the
+// exchange on the comm engine 3, then the tile 2.
+func TestSimulateComputeThenComm(t *testing.T) {
 	g := New()
-	ranks := len(points)
-	elDone := make([][]NodeID, ranks)
-	for r := 0; r < ranks; r++ {
-		for i := 0; i < points[r]; i++ {
-			bc := g.Add(Spec{Label: "bc", Phase: 0, Rank: r, Cost: pointCost / 4})
-			rgf := g.Add(Spec{Label: "rgf", Phase: 0, Rank: r, Cost: pointCost}, bc)
-			elDone[r] = append(elDone[r], rgf)
-		}
+	var gf []NodeID
+	for i := 0; i < 4; i++ {
+		gf = append(gf, g.Add(Spec{Label: "gf", Cost: 5}))
 	}
-	posts := make([]NodeID, ranks)
-	for r := 0; r < ranks; r++ {
-		posts[r] = g.Add(Spec{Label: "post", Phase: 1, Rank: r, Kind: Comm, Cost: commCost}, elDone[r]...)
+	ex := g.Add(Spec{Label: "exch", Kind: Comm, Cost: 3}, gf...)
+	g.Add(Spec{Label: "tile", Cost: 2}, ex)
+	if got := Simulate(g, 2); got != 15 {
+		t.Errorf("makespan %g, want 15", got)
 	}
-	reduce := make([]NodeID, 0, ranks)
-	for r := 0; r < ranks; r++ {
-		wait := g.Add(Spec{Label: "wait", Phase: 1, Rank: r, Kind: Comm, Cost: commCost}, posts...)
-		tile := g.Add(Spec{Label: "tile", Phase: 1, Rank: r, Cost: tileCost}, wait)
-		// Collision partials belong to the GF phase of the bulk-synchronous
-		// baseline; the dataflow schedule instead overlaps them with the
-		// exchange wait.
-		coll := g.Add(Spec{Label: "collision", Phase: 0, Rank: r, Cost: pointCost}, elDone[r]...)
-		reduce = append(reduce, g.Add(Spec{Label: "obs", Phase: 2, Rank: r, Kind: Comm, Cost: commCost}, tile, coll))
-	}
-	g.Add(Spec{Label: "conv", Phase: 2, Rank: 0, Cost: 0}, reduce...)
-	return g
 }
 
-// TestOverlapBeatsPhasesInVirtualTime is the deterministic half of the
-// acceptance criterion: on an imbalanced workload where the stream model
-// predicts overlap gains, the overlapped schedule's makespan is strictly
-// below the phase-barrier schedule of the same task set.
-func TestOverlapBeatsPhasesInVirtualTime(t *testing.T) {
-	// Stream model sanity: with comm a visible fraction of compute,
-	// multiple streams recover time — overlap should pay.
-	tasks := stream.GFTaskSet(16, 1, 0.3)
-	if s1, s4 := stream.Makespan(tasks, 1), stream.Makespan(tasks, 4); s4 >= s1 {
-		t.Fatalf("stream model predicts no gain (%v vs %v); workload is wrong", s1, s4)
+// TestSimulateEdgeCases pins the degenerate inputs.
+func TestSimulateEdgeCases(t *testing.T) {
+	if got := Simulate(New(), 3); got != 0 {
+		t.Errorf("empty graph: Simulate = %g", got)
 	}
 
-	g := negfIterationDAG([]int{6, 4, 3, 3}, 1.0, 0.5, 2.0)
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
+	g := New()
+	g.Add(Spec{Label: "solo", Cost: 4.5})
+	if got := Simulate(g, 1); got != 4.5 {
+		t.Errorf("single node: Simulate = %g, want 4.5", got)
 	}
-	for _, workers := range []int{1, 2} {
-		over := Simulate(g, workers)
-		phased := Simulate(g.Phased(), workers)
-		if over >= phased {
-			t.Errorf("workers=%d: overlapped %v not below phased %v", workers, over, phased)
-		}
+	if got := Simulate(g, 0); got != 4.5 {
+		t.Errorf("workers clamp: Simulate = %g, want 4.5", got)
+	}
+
+	// Workers beyond the node count change nothing.
+	g2 := New()
+	for i := 0; i < 3; i++ {
+		g2.Add(Spec{Label: "p", Cost: float64(i + 1)})
+	}
+	if a, b := Simulate(g2, 3), Simulate(g2, 64); a != b || a != 3 {
+		t.Errorf("independent nodes: Simulate(3)=%g Simulate(64)=%g, want 3", a, b)
 	}
 }

@@ -8,7 +8,11 @@
 // recovers the copy time.
 package stream
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/sdfg"
+)
 
 // Task is one unit of GF work: an input copy, a kernel, an output copy.
 type Task struct {
@@ -21,72 +25,34 @@ type Task struct {
 // and returns the total completion time.
 //
 // Engine model: the copy engine and the compute engine each execute one
-// operation at a time. Operations within a stream are ordered; operations
-// from different streams compete for the engines in issue order.
+// operation at a time; operations within a stream are ordered, and among
+// every stream's next operation the one that can start earliest runs
+// next (ties to the lowest stream). That is sdfg.Simulate on one rank
+// with one worker — the comm engine is the copy engine, a stream is a
+// dependency chain — so Makespan only lowers the task set onto a graph.
+// Chains are added in ascending stream order, which makes Simulate's
+// node-id tie-break the ascending-stream one.
 func Makespan(tasks []Task, streams int) float64 {
 	if streams < 1 {
 		streams = 1
 	}
-	type op struct {
-		isCopy bool
-		dur    float64
-	}
-	// Build per-stream FIFO queues (round-robin task assignment).
-	queues := make([][]op, streams)
-	for i, t := range tasks {
-		s := i % streams
-		for _, o := range []op{{true, t.CopyIn}, {false, t.Compute}, {true, t.CopyOut}} {
-			if o.dur > 0 {
-				queues[s] = append(queues[s], o)
-			}
-		}
-	}
-	streamTime := make([]float64, streams)
-	head := make([]int, streams)
-	var copyFree, computeFree float64
-	for {
-		// Greedy list scheduling: among every stream's next operation,
-		// run the one that can start earliest (the hardware engines pick
-		// whichever queued operation is ready first).
-		best := -1
-		bestStart := 0.0
-		for s := 0; s < streams; s++ {
-			if head[s] >= len(queues[s]) {
-				continue
-			}
-			o := queues[s][head[s]]
-			start := streamTime[s]
-			if o.isCopy {
-				if copyFree > start {
-					start = copyFree
+	g := sdfg.New()
+	for s := 0; s < streams; s++ {
+		var prev []sdfg.NodeID
+		for i := s; i < len(tasks); i += streams {
+			t := tasks[i]
+			for _, op := range []sdfg.Spec{
+				{Kind: sdfg.Comm, Cost: t.CopyIn},
+				{Kind: sdfg.Compute, Cost: t.Compute},
+				{Kind: sdfg.Comm, Cost: t.CopyOut},
+			} {
+				if op.Cost > 0 { // a zero-duration op does not queue on its engine
+					prev = []sdfg.NodeID{g.Add(op, prev...)}
 				}
-			} else if computeFree > start {
-				start = computeFree
-			}
-			if best < 0 || start < bestStart {
-				best, bestStart = s, start
 			}
 		}
-		if best < 0 {
-			break
-		}
-		o := queues[best][head[best]]
-		head[best]++
-		end := bestStart + o.dur
-		if o.isCopy {
-			copyFree = end
-		} else {
-			computeFree = end
-		}
-		streamTime[best] = end
 	}
-	var endT float64
-	for _, t := range streamTime {
-		if t > endT {
-			endT = t
-		}
-	}
-	return endT
+	return sdfg.Simulate(g, 1)
 }
 
 // Table6Row is one column of the CUDA-stream sweep.

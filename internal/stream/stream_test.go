@@ -92,3 +92,40 @@ func TestStreamsClampedToOne(t *testing.T) {
 		t.Fatal("stream count must clamp to 1")
 	}
 }
+
+// TestMakespanRecorded pins Makespan to the values its own list scheduler
+// produced before it became a lowering onto sdfg.Simulate (recorded at
+// commit 1f4b91f): irregular durations so no two ops share a cost, a
+// zero-duration op that both lowerings drop, and the regular GFTaskSet
+// shape where every greedy choice is a tie resolved by stream order.
+func TestMakespanRecorded(t *testing.T) {
+	irregular := []Task{
+		{CopyIn: 3, Compute: 7.5, CopyOut: 2},
+		{CopyIn: 1, Compute: 4.25, CopyOut: 6},
+		{CopyIn: 5, Compute: 2.125, CopyOut: 1.5},
+		{CopyIn: 2.5, Compute: 8, CopyOut: 3.5},
+		{CopyIn: 0, Compute: 9, CopyOut: 0.75},
+	}
+	for _, c := range []struct {
+		tasks   []Task
+		streams int
+		want    float64
+	}{
+		{irregular, 1, 56.125}, // fully serial: the sum of every op
+		{irregular, 2, 45.5},
+		{irregular, 3, 34.625},
+		{irregular, 8, 34.375},
+		{GFTaskSet(24, 1.0, 0.08), 1, 1.0799999999999996},
+		{GFTaskSet(24, 1.0, 0.08), 2, 1.0033333333333332},
+		{GFTaskSet(24, 1.0, 0.08), 24, 1.0033333333333332},
+		{GFTaskSet(64, 9.32, 0.082), 1, 10.084240000000012},
+		{GFTaskSet(64, 9.32, 0.082), 32, 9.331941250000003},
+		{nil, 4, 0},
+		{[]Task{{CopyIn: 2, Compute: 5, CopyOut: 3}}, 1, 10},
+		{[]Task{{CopyIn: 2, Compute: 5, CopyOut: 3}}, 16, 10}, // excess streams stay empty
+	} {
+		if got := Makespan(c.tasks, c.streams); got != c.want {
+			t.Errorf("%d tasks on %d streams: Makespan = %v, recorded %v", len(c.tasks), c.streams, got, c.want)
+		}
+	}
+}
