@@ -53,9 +53,12 @@ func ParsePrecision(s string) (Precision, error) {
 //     overlaps the waits with unrelated compute.
 //
 // The stage pairs are (#1 G≷, #2 D≷, #3 Σ≷, #4 Π≷) of the Fig. 5 (right)
-// scheme. Pack and unpack orders are identical between the two drivers,
-// so the overlapped execution is bitwise equal to the bulk-synchronous
-// one.
+// scheme. Each is one exchange descriptor — the tensor pair, the segment
+// length, copy-or-accumulate on arrival, and a single enumerator of the
+// segments rank s ships to rank d in wire order — from which the generic
+// pack and unpack derive both endpoints (the paper's memlet: a movement
+// described once). Both drivers go through them, so the overlapped
+// execution is bitwise equal to the bulk-synchronous one.
 type DaCePlan struct {
 	l        *DaCeLayout
 	src      *OMENLayout
@@ -155,121 +158,157 @@ func (pl *DaCePlan) decode(buf []complex128, seg int) []complex128 {
 // Output returns the tile results (valid after UnpackSigma/UnpackPi).
 func (pl *DaCePlan) Output() *sse.Output { return pl.out }
 
-func (pl *DaCePlan) countOffRank(dst int, buf []complex128) {
-	if dst != pl.rank {
+// exchange describes one of the four Fig. 5 data movements once; pack
+// derives the sender's side from it and unpack the receiver's, so the two
+// cannot disagree on which segments travel or in which order.
+type exchange struct {
+	// lesser and greater are the flat storage of the ≷ tensor pair that
+	// travels; one wire segment is seg values of each, lesser first.
+	lesser, greater []complex128
+	seg             int
+	// accumulate sums arrivals into the destination (the Π≷ tile
+	// partials) instead of overwriting it.
+	accumulate bool
+	// segments lists, in wire order, the storage offset of every segment
+	// rank from ships to rank to — the same offset on both ranks, since
+	// all hold full-shape tensors.
+	segments func(from, to int) []int
+}
+
+// electronSegments lists the blocks of (kz, E ∈ [elo, ehi), atom ∈ atoms)
+// whose (kz, E) pair rank owner owns.
+func (pl *DaCePlan) electronSegments(elo, ehi, owner int, atoms []int) []int {
+	var offs []int
+	for ik := 0; ik < pl.in.GL.Nkz; ik++ {
+		for ie := elo; ie < ehi; ie++ {
+			if pl.src.PairOwner(ik, ie) != owner {
+				continue
+			}
+			for _, a := range atoms {
+				offs = append(offs, pl.in.GL.Index(ik, ie, a))
+			}
+		}
+	}
+	return offs
+}
+
+// phononSegments lists the (atom ∈ atoms, all neighbour slots) rows of
+// every (qz, ω) point rank owner owns.
+func (pl *DaCePlan) phononSegments(owner int, atoms []int) []int {
+	var offs []int
+	for iq := 0; iq < pl.in.DL.Nqz; iq++ {
+		for m := 1; m <= pl.in.DL.Nw; m++ {
+			if pl.src.PhononOwner(iq, m) != owner {
+				continue
+			}
+			for _, a := range atoms {
+				offs = append(offs, pl.in.DL.Index(iq, m-1, a, 0))
+			}
+		}
+	}
+	return offs
+}
+
+// The four exchanges of the Fig. 5 (right) scheme. Inputs travel from the
+// GF-phase owner to every tile that reads them; results travel back from
+// the tile that computed them to the owner.
+
+// exchangeG is #1: owned G≷ pairs to each tile's (atom set + halo, energy
+// range + 2Nω halo).
+func (pl *DaCePlan) exchangeG() exchange {
+	return exchange{lesser: pl.in.GL.Data, greater: pl.in.GG.Data, seg: pl.bl,
+		segments: func(from, to int) []int {
+			ta, te := pl.l.TileOf(to)
+			elo, ehi := pl.l.EnergyHalo(te)
+			return pl.electronSegments(elo, ehi, from, pl.atomSets[ta])
+		}}
+}
+
+// exchangeD is #2: owned D≷ points to each tile's atom set, all (qz, ω).
+func (pl *DaCePlan) exchangeD() exchange {
+	return exchange{lesser: pl.in.DL.Data, greater: pl.in.DG.Data, seg: pl.pbl,
+		segments: func(from, to int) []int {
+			ta, _ := pl.l.TileOf(to)
+			return pl.phononSegments(from, pl.atomSets[ta])
+		}}
+}
+
+// exchangeSigma is #3: a tile's Σ≷ pieces (its owned atoms × energy
+// range) back to the pair owners. Requires ComputeTile.
+func (pl *DaCePlan) exchangeSigma() exchange {
+	return exchange{lesser: pl.out.SigL.Data, greater: pl.out.SigG.Data, seg: pl.bl,
+		segments: func(from, to int) []int {
+			ta, te := pl.l.TileOf(from)
+			elo, ehi := pl.l.EnergyRange(te)
+			return pl.electronSegments(elo, ehi, to, pl.l.OwnedAtoms(ta))
+		}}
+}
+
+// exchangePi is #4: a tile's Π≷ partials to the phonon point owners,
+// summed on arrival in ascending tile order — the association order the
+// sequential kernel uses. Requires ComputeTile.
+func (pl *DaCePlan) exchangePi() exchange {
+	return exchange{lesser: pl.out.PiL.Data, greater: pl.out.PiG.Data, seg: pl.pbl, accumulate: true,
+		segments: func(from, to int) []int {
+			ta, _ := pl.l.TileOf(from)
+			return pl.phononSegments(to, pl.l.OwnedAtoms(ta))
+		}}
+}
+
+// pack builds this rank's send buffers of x, one per destination; the
+// rank's own share stays in place (nil buffer).
+func (pl *DaCePlan) pack(x exchange) [][]complex128 {
+	send := make([][]complex128, pl.ranks)
+	for dst := range send {
+		if dst == pl.rank {
+			continue
+		}
+		var buf []complex128
+		if offs := x.segments(pl.rank, dst); len(offs) > 0 {
+			buf = make([]complex128, 0, 2*x.seg*len(offs))
+			for _, o := range offs {
+				buf = append(buf, x.lesser[o:o+x.seg]...)
+				buf = append(buf, x.greater[o:o+x.seg]...)
+			}
+		}
+		buf = pl.encode(buf, 2*x.seg)
 		pl.offRankBytes.Add(int64(len(buf)) * 16)
-	}
-}
-
-// PackG builds exchange #1: this rank's owned G≷ pairs for every tile's
-// (atom set + halo, energy range + 2Nω halo).
-func (pl *DaCePlan) PackG() [][]complex128 {
-	p := pl.in.Dev.P
-	send := make([][]complex128, pl.ranks)
-	for dst := 0; dst < pl.ranks; dst++ {
-		if dst == pl.rank {
-			continue // own data stays in place
-		}
-		dTa, dTe := pl.l.TileOf(dst)
-		elo, ehi := pl.l.EnergyHalo(dTe)
-		var buf []complex128
-		for ik := 0; ik < p.Nkz; ik++ {
-			for ie := elo; ie < ehi; ie++ {
-				if pl.src.PairOwner(ik, ie) != pl.rank {
-					continue
-				}
-				for _, a := range pl.atomSets[dTa] {
-					buf = append(buf, pl.in.GL.Block(ik, ie, a)...)
-					buf = append(buf, pl.in.GG.Block(ik, ie, a)...)
-				}
-			}
-		}
-		buf = pl.encode(buf, 2*pl.bl)
-		pl.countOffRank(dst, buf)
 		send[dst] = buf
 	}
 	return send
 }
 
-// UnpackG scatters exchange #1's arrivals into this tile's G≷ halo.
-func (pl *DaCePlan) UnpackG(recv [][]complex128) {
-	p := pl.in.Dev.P
-	elo, ehi := pl.l.EnergyHalo(pl.myTe)
-	for from := 0; from < pl.ranks; from++ {
+// unpack lands the other ranks' buffers of x in this rank's tensors, in
+// ascending source order.
+func (pl *DaCePlan) unpack(x exchange, recv [][]complex128) {
+	land := func(dst, src []complex128) { copy(dst, src) }
+	if x.accumulate {
+		land = addInto
+	}
+	for from := range recv {
 		if from == pl.rank {
-			continue // own data never left
+			continue
 		}
-		buf := pl.decode(recv[from], 2*pl.bl)
-		pos := 0
-		for ik := 0; ik < p.Nkz; ik++ {
-			for ie := elo; ie < ehi; ie++ {
-				if pl.src.PairOwner(ik, ie) != from {
-					continue
-				}
-				for _, a := range pl.atomSets[pl.myTa] {
-					copy(pl.in.GL.Block(ik, ie, a), buf[pos:pos+pl.bl])
-					copy(pl.in.GG.Block(ik, ie, a), buf[pos+pl.bl:pos+2*pl.bl])
-					pos += 2 * pl.bl
-				}
-			}
+		buf := pl.decode(recv[from], 2*x.seg)
+		for _, o := range x.segments(from, pl.rank) {
+			land(x.lesser[o:o+x.seg], buf[:x.seg])
+			land(x.greater[o:o+x.seg], buf[x.seg:2*x.seg])
+			buf = buf[2*x.seg:]
 		}
 	}
 }
 
-// PackD builds exchange #2: owned D≷ points for every tile's atom set,
-// all (qz, ω).
-func (pl *DaCePlan) PackD() [][]complex128 {
-	p := pl.in.Dev.P
-	send := make([][]complex128, pl.ranks)
-	for dst := 0; dst < pl.ranks; dst++ {
-		if dst == pl.rank {
-			continue // own data stays in place
-		}
-		dTa, _ := pl.l.TileOf(dst)
-		var buf []complex128
-		for iq := 0; iq < p.Nqz(); iq++ {
-			for m := 1; m <= p.Nomega; m++ {
-				if pl.src.PhononOwner(iq, m) != pl.rank {
-					continue
-				}
-				for _, a := range pl.atomSets[dTa] {
-					o := pl.in.DL.Index(iq, m-1, a, 0)
-					buf = append(buf, pl.in.DL.Data[o:o+pl.pbl]...)
-					buf = append(buf, pl.in.DG.Data[o:o+pl.pbl]...)
-				}
-			}
-		}
-		buf = pl.encode(buf, 2*pl.pbl)
-		pl.countOffRank(dst, buf)
-		send[dst] = buf
-	}
-	return send
-}
+// The exported stages: Pack* returns the send buffers of one exchange for
+// Alltoallv, Unpack* takes its arrivals.
+func (pl *DaCePlan) PackG() [][]complex128     { return pl.pack(pl.exchangeG()) }
+func (pl *DaCePlan) PackD() [][]complex128     { return pl.pack(pl.exchangeD()) }
+func (pl *DaCePlan) PackSigma() [][]complex128 { return pl.pack(pl.exchangeSigma()) }
+func (pl *DaCePlan) PackPi() [][]complex128    { return pl.pack(pl.exchangePi()) }
 
-// UnpackD scatters exchange #2's arrivals into this tile's D≷ halo.
-func (pl *DaCePlan) UnpackD(recv [][]complex128) {
-	p := pl.in.Dev.P
-	for from := 0; from < pl.ranks; from++ {
-		if from == pl.rank {
-			continue // own data never left
-		}
-		buf := pl.decode(recv[from], 2*pl.pbl)
-		pos := 0
-		for iq := 0; iq < p.Nqz(); iq++ {
-			for m := 1; m <= p.Nomega; m++ {
-				if pl.src.PhononOwner(iq, m) != from {
-					continue
-				}
-				for _, a := range pl.atomSets[pl.myTa] {
-					o := pl.in.DL.Index(iq, m-1, a, 0)
-					copy(pl.in.DL.Data[o:o+pl.pbl], buf[pos:pos+pl.pbl])
-					copy(pl.in.DG.Data[o:o+pl.pbl], buf[pos+pl.pbl:pos+2*pl.pbl])
-					pos += 2 * pl.pbl
-				}
-			}
-		}
-	}
-}
+func (pl *DaCePlan) UnpackG(recv [][]complex128)     { pl.unpack(pl.exchangeG(), recv) }
+func (pl *DaCePlan) UnpackD(recv [][]complex128)     { pl.unpack(pl.exchangeD(), recv) }
+func (pl *DaCePlan) UnpackSigma(recv [][]complex128) { pl.unpack(pl.exchangeSigma(), recv) }
+func (pl *DaCePlan) UnpackPi(recv [][]complex128)    { pl.unpack(pl.exchangePi(), recv) }
 
 // ComputeTile runs the restricted SSE kernel on this tile (requires
 // UnpackG and UnpackD): the fp64 DaCe schedule, or under Mixed precision
@@ -329,122 +368,6 @@ func cabs(v complex128) float64 {
 		return im
 	}
 	return re
-}
-
-// PackSigma builds exchange #3: the tile's Σ≷ pieces back to the pair
-// owners (requires ComputeTile).
-func (pl *DaCePlan) PackSigma() [][]complex128 {
-	p := pl.in.Dev.P
-	elo, ehi := pl.l.EnergyRange(pl.myTe)
-	owned := pl.l.OwnedAtoms(pl.myTa)
-	send := make([][]complex128, pl.ranks)
-	for dst := 0; dst < pl.ranks; dst++ {
-		if dst == pl.rank {
-			continue // own pieces stay in place
-		}
-		var buf []complex128
-		for ik := 0; ik < p.Nkz; ik++ {
-			for ie := elo; ie < ehi; ie++ {
-				if pl.src.PairOwner(ik, ie) != dst {
-					continue
-				}
-				for _, a := range owned {
-					buf = append(buf, pl.out.SigL.Block(ik, ie, a)...)
-					buf = append(buf, pl.out.SigG.Block(ik, ie, a)...)
-				}
-			}
-		}
-		buf = pl.encode(buf, 2*pl.bl)
-		pl.countOffRank(dst, buf)
-		send[dst] = buf
-	}
-	return send
-}
-
-// UnpackSigma assembles the owned pairs' Σ≷ from every tile's piece.
-func (pl *DaCePlan) UnpackSigma(recv [][]complex128) {
-	p := pl.in.Dev.P
-	for from := 0; from < pl.ranks; from++ {
-		if from == pl.rank {
-			continue // own pieces never left
-		}
-		fTa, fTe := pl.l.TileOf(from)
-		fLo, fHi := pl.l.EnergyRange(fTe)
-		fOwned := pl.l.OwnedAtoms(fTa)
-		buf := pl.decode(recv[from], 2*pl.bl)
-		pos := 0
-		for ik := 0; ik < p.Nkz; ik++ {
-			for ie := fLo; ie < fHi; ie++ {
-				if pl.src.PairOwner(ik, ie) != pl.rank {
-					continue
-				}
-				for _, a := range fOwned {
-					copy(pl.out.SigL.Block(ik, ie, a), buf[pos:pos+pl.bl])
-					copy(pl.out.SigG.Block(ik, ie, a), buf[pos+pl.bl:pos+2*pl.bl])
-					pos += 2 * pl.bl
-				}
-			}
-		}
-	}
-}
-
-// PackPi builds exchange #4: the tile's Π≷ partials to the phonon point
-// owners (requires ComputeTile).
-func (pl *DaCePlan) PackPi() [][]complex128 {
-	p := pl.in.Dev.P
-	owned := pl.l.OwnedAtoms(pl.myTa)
-	send := make([][]complex128, pl.ranks)
-	for dst := 0; dst < pl.ranks; dst++ {
-		if dst == pl.rank {
-			continue // own partials stay in place
-		}
-		var buf []complex128
-		for iq := 0; iq < p.Nqz(); iq++ {
-			for m := 1; m <= p.Nomega; m++ {
-				if pl.src.PhononOwner(iq, m) != dst {
-					continue
-				}
-				for _, a := range owned {
-					o := pl.out.PiL.Index(iq, m-1, a, 0)
-					buf = append(buf, pl.out.PiL.Data[o:o+pl.pbl]...)
-					buf = append(buf, pl.out.PiG.Data[o:o+pl.pbl]...)
-				}
-			}
-		}
-		buf = pl.encode(buf, 2*pl.pbl)
-		pl.countOffRank(dst, buf)
-		send[dst] = buf
-	}
-	return send
-}
-
-// UnpackPi sums the other tiles' Π≷ partials into the owned points, in
-// ascending tile order — the association order the sequential kernel and
-// the bulk-synchronous exchange both use.
-func (pl *DaCePlan) UnpackPi(recv [][]complex128) {
-	p := pl.in.Dev.P
-	for from := 0; from < pl.ranks; from++ {
-		if from == pl.rank {
-			continue // own partials already in place
-		}
-		fTa, _ := pl.l.TileOf(from)
-		fOwned := pl.l.OwnedAtoms(fTa)
-		buf := pl.decode(recv[from], 2*pl.pbl)
-		pos := 0
-		for iq := 0; iq < p.Nqz(); iq++ {
-			for m := 1; m <= p.Nomega; m++ {
-				if pl.src.PhononOwner(iq, m) != pl.rank {
-					continue
-				}
-				for _, a := range fOwned {
-					o := pl.out.PiL.Index(iq, m-1, a, 0)
-					addInto(pl.out.PiL.Data[o:o+pl.pbl], buf[pos:pos+pl.pbl])
-					addInto(pl.out.PiG.Data[o:o+pl.pbl], buf[pos+pl.pbl:pos+2*pl.pbl])
-					pos += 2 * pl.pbl
-				}
-			}
-		}
-	}
 }
 
 // Nonblocking slots for the four exchanges plus the observable reduction

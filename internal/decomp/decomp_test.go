@@ -162,7 +162,10 @@ func TestDistributedOMENMatchesSequential(t *testing.T) {
 
 func TestDistributedDaCeMatchesSequential(t *testing.T) {
 	in := testInput(t)
-	for _, tile := range [][2]int{{1, 1}, {2, 1}, {1, 2}, {2, 2}, {3, 2}, {4, 1}} {
+	// NE = 10: {1, 3} and {2, 4} split the energies unevenly, and {1, 11}
+	// has more energy tiles than energies — one rank owns none and takes
+	// the empty-tile branch of ComputeTile.
+	for _, tile := range [][2]int{{1, 1}, {2, 1}, {1, 2}, {2, 2}, {3, 2}, {4, 1}, {1, 3}, {2, 4}, {1, 11}} {
 		w := comm.NewWorld(tile[0] * tile[1])
 		got, _, err := RunDaCe(w, in, tile[0], tile[1])
 		if err != nil {

@@ -102,10 +102,16 @@ func (p Params) Validate() error {
 		return fmt.Errorf("device: Emin must be finite (got %g): a NaN/Inf grid origin poisons every energy point", p.Emin)
 	case !isFinite(p.Coupling):
 		return fmt.Errorf("device: Coupling must be finite (got %g): NaN would propagate silently through ∇H into Σ≷", p.Coupling)
+	case !isFinite(p.Vds) || !isFinite(p.Mu):
+		return fmt.Errorf("device: Vds and Mu must be finite (got %g, %g): a NaN/Inf contact potential poisons every Fermi factor", p.Vds, p.Mu)
 	case p.Eta <= 0:
 		return fmt.Errorf("device: Eta must be positive")
+	case !isFinite(p.Eta):
+		return fmt.Errorf("device: Eta must be finite (got %g)", p.Eta)
 	case p.TC <= 0:
 		return fmt.Errorf("device: contact temperature must be positive")
+	case !isFinite(p.TC):
+		return fmt.Errorf("device: contact temperature must be finite (got %g)", p.TC)
 	}
 	return nil
 }

@@ -33,8 +33,17 @@ func TestValidate(t *testing.T) {
 		{"-Inf grid origin", func(p *Params) { p.Emin = -inf }, "Emin must be finite"},
 		{"NaN coupling", func(p *Params) { p.Coupling = nan }, "Coupling must be finite"},
 		{"Inf coupling", func(p *Params) { p.Coupling = inf }, "Coupling must be finite"},
+		{"NaN bias", func(p *Params) { p.Vds = nan }, "Vds and Mu must be finite"},
+		{"-Inf bias", func(p *Params) { p.Vds = -inf }, "Vds and Mu must be finite"},
+		{"NaN Fermi level", func(p *Params) { p.Mu = nan }, "Vds and Mu must be finite"},
+		{"Inf Fermi level", func(p *Params) { p.Mu = inf }, "Vds and Mu must be finite"},
+		{"negative bias ok", func(p *Params) { p.Vds = -0.3 }, ""},
 		{"zero broadening", func(p *Params) { p.Eta = 0 }, "Eta must be positive"},
+		{"NaN broadening", func(p *Params) { p.Eta = nan }, "Eta must be finite"},
+		{"Inf broadening", func(p *Params) { p.Eta = inf }, "Eta must be finite"},
 		{"zero temperature", func(p *Params) { p.TC = 0 }, "temperature must be positive"},
+		{"NaN temperature", func(p *Params) { p.TC = nan }, "temperature must be finite"},
+		{"Inf temperature", func(p *Params) { p.TC = inf }, "temperature must be finite"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -182,14 +182,11 @@ func DefaultOptions(ranks int) Options {
 }
 
 // Validate reports whether the options describe a runnable
-// configuration, without running it — the facade's pre-flight check.
-func (o Options) Validate() error {
-	_, err := o.normalize()
-	return err
-}
-
-// normalize fills defaults and validates the tile split.
-func (o Options) normalize() (Options, error) {
+// configuration, without running it — the facade's pre-flight check —
+// and returns them as Run will see them: every default filled and the
+// tile split inferred, so a caller that displays or hashes the resolved
+// Ta/TE/PipelineDepth reads them here instead of re-deriving the rules.
+func (o Options) Validate() (Options, error) {
 	if o.Ranks <= 0 {
 		return o, fmt.Errorf("dist: world size must be positive, got %d", o.Ranks)
 	}
@@ -260,7 +257,8 @@ type RankLoad struct {
 type Result struct {
 	// Obs holds the globally reduced observables of the final iteration.
 	// LDOS is not aggregated (it is a single-node diagnostic); every other
-	// field matches the sequential solver up to reduction ordering.
+	// field matches the sequential solver up to reduction ordering — and
+	// bit for bit at Ranks 1, where there is nothing to reorder.
 	Obs negf.Observables
 	// IterTrace records per-iteration convergence data, identical in
 	// Current/Residual to the sequential solver's trace within 1e-12.
@@ -281,7 +279,7 @@ type Result struct {
 // the (valid, unconverged) result, mirroring the sequential solver; a
 // non-finite global current is negf.ErrNonFinite with no result.
 func Run(dev *device.Device, opts Options) (*Result, error) {
-	opts, err := opts.normalize()
+	opts, err := opts.Validate()
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -175,7 +176,7 @@ func TestRankErrorAborts(t *testing.T) {
 	}
 }
 
-// TestSingleZeroTileField checks normalize infers the missing tile count.
+// TestSingleZeroTileField checks Validate infers the missing tile count.
 func TestSingleZeroTileField(t *testing.T) {
 	dev := testDevice(t)
 	opts := DefaultOptions(2)
@@ -224,6 +225,33 @@ func TestConvergedRun(t *testing.T) {
 	for a := range res.Obs.AtomTemperature {
 		if e := math.Abs(res.Obs.AtomTemperature[a] - obs.AtomTemperature[a]); e > 1e-6 {
 			t.Errorf("temperature[%d] differs by %g K", a, e)
+		}
+	}
+}
+
+// TestSingleRankFoldBitwiseMatchesSequential: a one-rank world sweeps and
+// folds the same shard through the same negf code as the sequential
+// solver, so the first iteration's observables agree bit for bit — not
+// merely within the 1e-12 reduction-order tolerance — under every
+// schedule. LDOS is the one field a distributed run does not carry.
+func TestSingleRankFoldBitwiseMatchesSequential(t *testing.T) {
+	dev := testDevice(t)
+	seq := negf.New(dev, negf.DefaultOptions())
+	if err := seq.GFPhase(); err != nil {
+		t.Fatal(err)
+	}
+	want := seq.Obs
+	want.LDOS = nil
+	for _, sched := range []Schedule{SchedulePhases, ScheduleOverlap, SchedulePipeline} {
+		opts := DefaultOptions(1)
+		opts.Schedule = sched
+		opts.MaxIter = 1
+		res, err := Run(dev, opts)
+		if !errors.Is(err, negf.ErrNotConverged) {
+			t.Fatalf("%v: expected ErrNotConverged after one iteration, got %v", sched, err)
+		}
+		if !reflect.DeepEqual(res.Obs, want) {
+			t.Errorf("%v: observables differ from the sequential GF phase:\n got %+v\nwant %+v", sched, res.Obs, want)
 		}
 	}
 }

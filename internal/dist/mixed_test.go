@@ -120,7 +120,7 @@ func TestMixedHalvesMeasuredVolume(t *testing.T) {
 	// charges the full halo including the locally owned share) and the
 	// modelled mixed/fp64 ratio must show the same reduction.
 	opts := DefaultOptions(4)
-	opts, err := opts.normalize()
+	opts, err := opts.Validate()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,24 +6,19 @@ import (
 	"repro/internal/sse"
 )
 
-// partialObs is one rank's additive share of the global observables — the
-// payload of the per-iteration Allreduce. Every field is a plain sum over
-// the rank's owned points, so the elementwise reduction of the packed
-// vectors yields the global values.
+// partialObs is one rank's additive share of an iteration — the payload
+// of the per-iteration Allreduce: the observables accumulated over the
+// rank's shard (negf's own accumulator), the tile kernel's counters, and
+// four control words. Every reduced field is a plain sum over the rank's
+// owned points, so the elementwise reduction of the packed vectors yields
+// the global values.
 type partialObs struct {
-	currentL, currentR float64
-	energyL            float64
-	phononEnergyL      float64
-	elLoss, phGain     float64
-	ifaceCur, ifaceEn  []float64
-	phIfaceEn          []float64
-	diss               []float64
-	spectral           []float64
-	sse                sse.Stats
-	// flag is the failure-agreement bit of the overlapped schedule: the
-	// reduced value is nonzero iff any rank's GF solves errored this
-	// iteration. The bulk-synchronous path agrees through a dedicated
-	// Allreduce instead and leaves it zero.
+	negf.Observables
+	sse sse.Stats
+	// flag is the failure-agreement bit of the task graph: the reduced
+	// value is nonzero iff any rank's GF solves errored this iteration.
+	// The bulk-synchronous path agrees through a dedicated Allreduce
+	// instead and leaves it zero.
 	flag float64
 	// sseB/redB carry each rank's measured off-rank SSE exchange and
 	// reduction bytes, so both schedules get per-iteration traffic totals
@@ -33,93 +28,63 @@ type partialObs struct {
 	sseB, redB, fbk float64
 }
 
-func newPartialObs(p device.Params) *partialObs {
-	return &partialObs{
-		ifaceCur:  make([]float64, p.Bnum-1),
-		ifaceEn:   make([]float64, p.Bnum-1),
-		phIfaceEn: make([]float64, p.Bnum-1),
-		diss:      make([]float64, p.Bnum),
-		spectral:  make([]float64, p.NE),
+// walk visits every reduced field in wire order — the single definition
+// of the reduction vector, from which its length, pack and unpackObs all
+// derive. A new reduced quantity is one more visit here (or, for an
+// observable, in negf.Observables.Additive).
+func (po *partialObs) walk(p device.Params, visit func(*float64)) {
+	po.Additive(p, visit)
+	// Counters cross as floats: the comm runtime's currency is complex128.
+	for _, c := range []*int64{&po.sse.MatMuls, &po.sse.Flops, &po.sse.ScalarOps, &po.sse.BytesMoved} {
+		f := float64(*c)
+		visit(&f)
+		*c = int64(f)
+	}
+	for _, v := range []*float64{&po.flag, &po.sseB, &po.redB, &po.fbk} {
+		visit(v)
 	}
 }
 
-// vecLen is the packed length: 6 scalars, three (Bnum−1) profiles, the
-// Bnum dissipation profile, the NE spectral current, 4 kernel counters,
-// and the 4 control fields (failure flag, byte counters, fallback count).
-func vecLen(p device.Params) int {
-	return 6 + 3*(p.Bnum-1) + p.Bnum + p.NE + 4 + 4
-}
+// vecLen is the packed length for p: the number of fields walk visits.
+func vecLen(p device.Params) int { return len(new(partialObs).pack(p)) }
 
 // pack serializes the partial into the real parts of a complex vector,
-// the currency of the comm runtime. The capacity hint counts every field
-// vecLen counts — including the 4 control words (failure flag, 2 byte
-// counters, fallback count) — so the per-iteration Allreduce payload is
-// built with a single allocation instead of reallocating mid-append.
-func (po *partialObs) pack() []complex128 {
-	out := make([]complex128, 0,
-		6+len(po.ifaceCur)+len(po.ifaceEn)+len(po.phIfaceEn)+len(po.diss)+len(po.spectral)+4+4)
-	put := func(vs ...float64) {
-		for _, v := range vs {
-			out = append(out, complex(v, 0))
-		}
-	}
-	put(po.currentL, po.currentR, po.energyL, po.phononEnergyL, po.elLoss, po.phGain)
-	put(po.ifaceCur...)
-	put(po.ifaceEn...)
-	put(po.phIfaceEn...)
-	put(po.diss...)
-	put(po.spectral...)
-	put(float64(po.sse.MatMuls), float64(po.sse.Flops),
-		float64(po.sse.ScalarOps), float64(po.sse.BytesMoved))
-	put(po.flag, po.sseB, po.redB, po.fbk)
+// the currency of the comm runtime, in one exactly-sized allocation.
+func (po *partialObs) pack(p device.Params) []complex128 {
+	n := 0
+	po.walk(p, func(*float64) { n++ })
+	out := make([]complex128, 0, n)
+	po.walk(p, func(v *float64) { out = append(out, complex(*v, 0)) })
 	return out
 }
 
 // unpackObs deserializes a reduced vector back into the (now global)
-// observable totals.
+// totals. LDOS, the phonon spectra and AtomTemperature are not on the
+// wire and stay nil.
 func unpackObs(v []complex128, p device.Params) *partialObs {
-	if len(v) != vecLen(p) {
+	po := &partialObs{}
+	pos := 0
+	po.walk(p, func(f *float64) {
+		if pos < len(v) {
+			*f = real(v[pos])
+		}
+		pos++
+	})
+	if pos != len(v) {
 		panic("dist: observable vector length mismatch")
 	}
-	po := newPartialObs(p)
-	pos := 0
-	get := func() float64 { f := real(v[pos]); pos++; return f }
-	fill := func(dst []float64) {
-		for i := range dst {
-			dst[i] = get()
-		}
-	}
-	po.currentL, po.currentR = get(), get()
-	po.energyL, po.phononEnergyL = get(), get()
-	po.elLoss, po.phGain = get(), get()
-	fill(po.ifaceCur)
-	fill(po.ifaceEn)
-	fill(po.phIfaceEn)
-	fill(po.diss)
-	fill(po.spectral)
-	po.sse = sse.Stats{
-		MatMuls: int64(get()), Flops: int64(get()),
-		ScalarOps: int64(get()), BytesMoved: int64(get()),
-	}
-	po.flag, po.sseB, po.redB, po.fbk = get(), get(), get(), get()
 	return po
 }
 
-// observables converts a globally reduced partial into the sequential
-// solver's Observables shape (LDOS and AtomTemperature are filled by the
-// caller or left nil).
-func (po *partialObs) observables(p device.Params) negf.Observables {
-	return negf.Observables{
-		CurrentL:               po.currentL,
-		CurrentR:               po.currentR,
-		EnergyCurrentL:         po.energyL,
-		PhononEnergyCurrentL:   po.phononEnergyL,
-		ElectronEnergyLoss:     po.elLoss,
-		PhononEnergyGain:       po.phGain,
-		InterfaceCurrent:       po.ifaceCur,
-		InterfaceEnergyCurrent: po.ifaceEn,
-		PhononInterfaceEnergy:  po.phIfaceEn,
-		DissipatedPower:        po.diss,
-		SpectralCurrent:        po.spectral,
+// row is the telemetry row of iteration it read off the reduced totals;
+// the caller adds what it measured itself (wall and task times).
+func (po *partialObs) row(it int, residual, sigmaErr float64) IterStats {
+	return IterStats{
+		Iter: it, Current: po.CurrentL, Residual: residual,
+		ElEnergyLoss: po.ElectronEnergyLoss, PhEnergyGain: po.PhononEnergyGain,
+		SSE:      po.sse,
+		SSEBytes: int64(po.sseB), ReduceBytes: int64(po.redB),
+		SigmaErr:       sigmaErr,
+		FallbackBlocks: int64(po.fbk),
 	}
 }

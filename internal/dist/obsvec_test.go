@@ -1,6 +1,11 @@
 package dist
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/device"
@@ -9,9 +14,10 @@ import (
 
 // TestPackLenMatchesVecLen pins the pack/vecLen contract for a spread of
 // device shapes: the packed observable vector must come out at exactly
-// vecLen entries, and — the regression of the capacity-hint bug — must be
-// built in one allocation, i.e. the hint must already cover the 4 control
-// words (failure flag, 2 byte counters, fallback count) that vecLen counts.
+// vecLen entries — the wire length 6 scalars + three (Bnum−1) profiles +
+// Bnum + NE + 4 counters + 4 control words the walker has to reproduce —
+// and, the regression of the capacity-hint bug, must be built in one
+// allocation.
 func TestPackLenMatchesVecLen(t *testing.T) {
 	params := []device.Params{
 		{Bnum: 2, NE: 1},
@@ -21,10 +27,14 @@ func TestPackLenMatchesVecLen(t *testing.T) {
 		{Bnum: 152, NE: 650}, // paper-scale shape
 	}
 	for _, p := range params {
-		po := newPartialObs(p)
+		po := &partialObs{}
 		po.flag, po.sseB, po.redB, po.fbk = 1, 2, 3, 4
 		po.sse = sse.Stats{MatMuls: 4, Flops: 5, ScalarOps: 6, BytesMoved: 7}
-		v := po.pack()
+		v := po.pack(p)
+		want := 6 + 3*(p.Bnum-1) + p.Bnum + p.NE + 4 + 4
+		if vecLen(p) != want {
+			t.Errorf("Bnum=%d NE=%d: vecLen = %d, want the wire length %d", p.Bnum, p.NE, vecLen(p), want)
+		}
 		if len(v) != vecLen(p) {
 			t.Errorf("Bnum=%d NE=%d: len(pack()) = %d, want vecLen = %d",
 				p.Bnum, p.NE, len(v), vecLen(p))
@@ -36,59 +46,61 @@ func TestPackLenMatchesVecLen(t *testing.T) {
 	}
 }
 
-// TestPackUnpackRoundTrip checks that every field — including the control
-// words the capacity bug clipped out of the hint — survives pack/unpack.
-func TestPackUnpackRoundTrip(t *testing.T) {
-	p := device.Params{Bnum: 3, NE: 5}
-	po := newPartialObs(p)
-	po.currentL, po.currentR = 1.5, -2.5
-	po.energyL, po.phononEnergyL = 3.25, 4.75
-	po.elLoss, po.phGain = -0.125, 0.375
-	for i := range po.ifaceCur {
-		po.ifaceCur[i] = float64(i) + 0.1
-		po.ifaceEn[i] = float64(i) + 0.2
-		po.phIfaceEn[i] = float64(i) + 0.3
+// populatedPartial fills every reduced field with a distinct value.
+func populatedPartial(p device.Params) *partialObs {
+	po := &partialObs{}
+	po.Reset(p)
+	po.CurrentL, po.CurrentR = 1.5, -2.5
+	po.EnergyCurrentL, po.PhononEnergyCurrentL = 3.25, 4.75
+	po.ElectronEnergyLoss, po.PhononEnergyGain = -0.125, 0.375
+	for i := range po.InterfaceCurrent {
+		po.InterfaceCurrent[i] = float64(i) + 0.1
+		po.InterfaceEnergyCurrent[i] = float64(i) + 0.2
+		po.PhononInterfaceEnergy[i] = float64(i) + 0.3
 	}
-	for i := range po.diss {
-		po.diss[i] = float64(i) - 0.4
+	for i := range po.DissipatedPower {
+		po.DissipatedPower[i] = float64(i) - 0.4
 	}
-	for i := range po.spectral {
-		po.spectral[i] = float64(i) * 0.5
+	for i := range po.SpectralCurrent {
+		po.SpectralCurrent[i] = float64(i) * 0.5
 	}
 	po.sse = sse.Stats{MatMuls: 11, Flops: 22, ScalarOps: 33, BytesMoved: 44}
 	po.flag, po.sseB, po.redB, po.fbk = 1, 1024, 2048, 17
+	return po
+}
 
-	got := unpackObs(po.pack(), p)
-	if *gotCmp(got) != *gotCmp(po) {
+// TestPackUnpackRoundTrip checks that every reduced field — including the
+// control words the capacity bug clipped out of the hint — survives
+// pack/unpack, and that what is not on the wire arrives empty.
+func TestPackUnpackRoundTrip(t *testing.T) {
+	p := device.Params{Bnum: 3, NE: 5, Na: 2, Nomega: 2}
+	po := populatedPartial(p)
+	po.LDOS[1][2], po.PhononDOS[1][1] = 9, 9
+	got := unpackObs(po.pack(p), p)
+	if got.LDOS != nil || got.PhononDOS != nil || got.PhononOcc != nil || got.AtomTemperature != nil {
+		t.Errorf("off-wire fields must stay nil after unpack: %+v", got.Observables)
+	}
+	po.LDOS, po.PhononDOS, po.PhononOcc = nil, nil, nil
+	if !reflect.DeepEqual(got, po) {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, po)
-	}
-	for i := range po.ifaceCur {
-		if got.ifaceCur[i] != po.ifaceCur[i] || got.ifaceEn[i] != po.ifaceEn[i] || got.phIfaceEn[i] != po.phIfaceEn[i] {
-			t.Fatalf("profile %d mismatch", i)
-		}
-	}
-	for i := range po.diss {
-		if got.diss[i] != po.diss[i] {
-			t.Fatalf("diss %d mismatch", i)
-		}
-	}
-	for i := range po.spectral {
-		if got.spectral[i] != po.spectral[i] {
-			t.Fatalf("spectral %d mismatch", i)
-		}
 	}
 }
 
-// gotCmp projects the scalar fields into a comparable struct.
-func gotCmp(po *partialObs) *struct {
-	a, b, c, d, e, f float64
-	s                sse.Stats
-	g, h, i, j       float64
-} {
-	return &struct {
-		a, b, c, d, e, f float64
-		s                sse.Stats
-		g, h, i, j       float64
-	}{po.currentL, po.currentR, po.energyL, po.phononEnergyL, po.elLoss, po.phGain,
-		po.sse, po.flag, po.sseB, po.redB, po.fbk}
+// TestPackWireDigest pins the wire order of the reduction vector bit for
+// bit: the digest is the SHA-256 of the packed vector of the same
+// populated partial at commit bd65bb6, where vecLen, pack and unpackObs
+// each listed the fields by hand.
+func TestPackWireDigest(t *testing.T) {
+	v := populatedPartial(device.Params{Bnum: 3, NE: 5}).pack(device.Params{Bnum: 3, NE: 5})
+	h := sha256.New()
+	var b [16]byte
+	for _, x := range v {
+		binary.LittleEndian.PutUint64(b[:8], math.Float64bits(real(x)))
+		binary.LittleEndian.PutUint64(b[8:], math.Float64bits(imag(x)))
+		h.Write(b[:])
+	}
+	const want = "30c5ebba0bba108f0298cb318e75dd3d0754e5f2d220b4960393e219c109cbca"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want || len(v) != 28 {
+		t.Errorf("packed vector: digest %s (len %d), want %s (len 28)", got, len(v), want)
+	}
 }

@@ -314,25 +314,25 @@ func TestOverlapConverged(t *testing.T) {
 	}
 }
 
-// TestOptionValidation covers the normalize error paths and defaults.
+// TestOptionValidation covers the Validate error paths and defaults.
 func TestOptionValidation(t *testing.T) {
-	if _, err := (Options{Ranks: 0}).normalize(); err == nil {
+	if _, err := (Options{Ranks: 0}).Validate(); err == nil {
 		t.Error("Ranks=0 must be rejected")
 	}
-	if _, err := (Options{Ranks: -2}).normalize(); err == nil {
+	if _, err := (Options{Ranks: -2}).Validate(); err == nil {
 		t.Error("negative Ranks must be rejected")
 	}
-	if _, err := (Options{Ranks: 4, Ta: 3, TE: 2}).normalize(); err == nil {
+	if _, err := (Options{Ranks: 4, Ta: 3, TE: 2}).Validate(); err == nil {
 		t.Error("Ta·TE ≠ Ranks must be rejected")
 	}
-	if _, err := (Options{Ranks: 4, Ta: 8}).normalize(); err == nil {
+	if _, err := (Options{Ranks: 4, Ta: 8}).Validate(); err == nil {
 		t.Error("Ta > Ranks with TE unset must be rejected")
 	}
-	if _, err := (Options{Ranks: 2, Schedule: Schedule(99)}).normalize(); err == nil {
+	if _, err := (Options{Ranks: 2, Schedule: Schedule(99)}).Validate(); err == nil {
 		t.Error("unknown schedule must be rejected")
 	}
 
-	o, err := (Options{Ranks: 2, Mixing: 0}).normalize()
+	o, err := (Options{Ranks: 2, Mixing: 0}).Validate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestOptionValidation(t *testing.T) {
 	if o.MaxIter != 25 || o.Tol != 1e-5 {
 		t.Errorf("defaults not applied: %+v", o)
 	}
-	o, err = (Options{Ranks: 6, TE: 3, Schedule: ScheduleOverlap}).normalize()
+	o, err = (Options{Ranks: 6, TE: 3, Schedule: ScheduleOverlap}).Validate()
 	if err != nil {
 		t.Fatal(err)
 	}

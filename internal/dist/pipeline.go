@@ -52,8 +52,11 @@ type pipeRun struct {
 	stopErr  error // rank 0: pending Progress cancellation
 	wantStop bool  // rank 0: ride the stop request on the next reduction
 
-	prev     float64     // previous valid iteration's global current
-	global   *partialObs // last valid iteration's reduced observables
+	prev float64 // previous valid iteration's global current
+	// local and global are the last valid iteration's partial before and
+	// after the reduction.
+	local, global *partialObs
+
 	lastConv time.Duration
 	decided  time.Duration // window-relative instant the halt decision landed
 }
@@ -97,13 +100,24 @@ func (st *iterRun) failed() bool {
 	return st.err != nil
 }
 
+// try runs the GF-phase step of point i unless a point of this rank's
+// shard has already failed (the iteration is then discarded at its conv),
+// and records the step's own failure.
+func (st *iterRun) try(step func(i int) error, i int) {
+	if st.failed() {
+		return
+	}
+	if err := step(i); err != nil {
+		st.fail(err)
+	}
+}
+
 // windowIter is the per-iteration slice of a window's state: the
 // iterRun node state plus private result slots and the measured
 // compute/communication split the conv node folds into IterStats.
 type windowIter struct {
-	st    *iterRun
-	elRes []*negf.ElectronPointResult
-	phRes []*negf.PhononPointResult
+	st     *iterRun
+	points *negf.PointResults
 
 	compNs, commNs atomic.Int64
 }
@@ -164,11 +178,7 @@ func runRankWindow(c *comm.Comm, dev *device.Device, opts Options, depth int, re
 		pr.lastConv = 0
 		win := make([]*windowIter, w)
 		for k := range win {
-			win[k] = &windowIter{
-				st:    &iterRun{},
-				elRes: make([]*negf.ElectronPointResult, len(rs.pairs)),
-				phRes: make([]*negf.PhononPointResult, len(rs.points)),
-			}
+			win[k] = &windowIter{st: &iterRun{}, points: rs.sh.NewResults()}
 		}
 		g := rs.buildWindowGraph(opts, pr, win, base, winStart, res)
 		if _, err := ex.Run(g); err != nil {
@@ -205,7 +215,7 @@ func runRankWindow(c *comm.Comm, dev *device.Device, opts Options, depth int, re
 	if r == 0 {
 		res.stopErr = pr.stopErr
 	}
-	rs.epilogue(opts, res, pr.converged, pr.global)
+	rs.epilogue(opts, res, pr.converged, pr.local, pr.global)
 	return nil
 }
 
@@ -246,6 +256,7 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*windowIt
 	c := rs.c
 	r := c.Rank()
 	g := sdfg.New()
+	redShare := reduceShare(c, vecLen(p))
 
 	var prevConv sdfg.NodeID = -1
 	var prevBCEl, prevBCPh, prevMixSig, prevMixPi []sdfg.NodeID
@@ -255,7 +266,8 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*windowIt
 		a := base + k
 		wi := win[k]
 		st := wi.st
-		st.part = newPartialObs(p)
+		st.part = &partialObs{}
+		st.part.Reset(p)
 		st.plan = decomp.NewDaCePlan(r, rs.tiles, rs.src, rs.atomSets, rs.in).
 			WithPrecision(opts.Precision)
 		if opts.ErrorProbe {
@@ -291,127 +303,69 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*windowIt
 			}, deps...)
 		}
 
-		// ── GF solves, skipped once a point of this rank's shard has
-		// failed (the iteration is discarded at its conv). A point's BC
-		// chain serializes on the previous iteration's BC node for the same
+		// ── GF solves: per point a BC node and a solve node, each a no-op
+		// once a point of this rank's shard has failed. A point's BC chain
+		// serializes on the previous iteration's BC node for the same
 		// point: the boundary depends only on (momentum, energy) — the
 		// iteration-lag bc.Cache tolerates trivially — so every iteration
 		// past the first is a guaranteed cache hit instead of a duplicated
-		// decimation.
-		elDone := make([]sdfg.NodeID, len(rs.pairs))
-		bcEl := make([]sdfg.NodeID, len(rs.pairs))
-		for i, pair := range rs.pairs {
-			i, ik, ie := i, pair[0], pair[1]
-			var deps []sdfg.NodeID
-			if opts.CacheMode == bc.CacheBC {
-				var bdeps []sdfg.NodeID
+		// decimation. The solve additionally waits for the previous
+		// iteration's mix of that point's own Σ (or Π) plane.
+		pairs, points := rs.sh.Pairs, rs.sh.Points
+		gfNodes := func(species string, pts [][2]int, prevBC, prevMix []sdfg.NodeID,
+			prepare, solve func(i int) error) (bcs, done []sdfg.NodeID) {
+			bcs = make([]sdfg.NodeID, len(pts))
+			done = make([]sdfg.NodeID, len(pts))
+			for i, pt := range pts {
+				var deps []sdfg.NodeID
+				if opts.CacheMode == bc.CacheBC {
+					var bdeps []sdfg.NodeID
+					if k > 0 {
+						bdeps = append(bdeps, prevBC[i])
+					}
+					bcs[i] = node(fmt.Sprintf("bc/%s/%d,%d", species, pt[0], pt[1]), sdfg.Compute,
+						func() { st.try(prepare, i) }, bdeps...)
+					deps = append(deps, bcs[i])
+				}
 				if k > 0 {
-					bdeps = append(bdeps, prevBCEl[i])
+					deps = append(deps, prevMix[i])
 				}
-				bcEl[i] = node(fmt.Sprintf("bc/el/%d,%d", ik, ie), sdfg.Compute, func() {
-					if st.failed() {
-						return
-					}
-					if err := rs.ps.PrepareElectronBC(rs.hams[ik], ik, ie); err != nil {
-						st.fail(fmt.Errorf("point (kz=%d, E=%d): %w", ik, ie, err))
-					}
-				}, bdeps...)
-				deps = append(deps, bcEl[i])
+				done[i] = node(fmt.Sprintf("rgf/%s/%d,%d", species, pt[0], pt[1]), sdfg.Compute,
+					func() { st.try(solve, i) }, deps...)
 			}
-			if k > 0 {
-				deps = append(deps, prevMixSig[i])
-			}
-			elDone[i] = node(fmt.Sprintf("rgf/el/%d,%d", ik, ie), sdfg.Compute, func() {
-				if st.failed() {
-					return
-				}
-				pt, err := rs.ps.SolveElectronPoint(rs.hams[ik], ik, ie)
-				if err != nil {
-					st.fail(fmt.Errorf("point (kz=%d, E=%d): %w", ik, ie, err))
-					return
-				}
-				wi.elRes[i] = pt
-			}, deps...)
+			return bcs, done
 		}
-		phDone := make([]sdfg.NodeID, len(rs.points))
-		bcPh := make([]sdfg.NodeID, len(rs.points))
-		for j, point := range rs.points {
-			j, iq, m := j, point[0], point[1]
-			var deps []sdfg.NodeID
-			if opts.CacheMode == bc.CacheBC {
-				var bdeps []sdfg.NodeID
-				if k > 0 {
-					bdeps = append(bdeps, prevBCPh[j])
-				}
-				bcPh[j] = node(fmt.Sprintf("bc/ph/%d,%d", iq, m), sdfg.Compute, func() {
-					if st.failed() {
-						return
-					}
-					if err := rs.ps.PreparePhononBC(rs.dyns[iq], iq, m); err != nil {
-						st.fail(fmt.Errorf("point (qz=%d, ω=%d): %w", iq, m, err))
-					}
-				}, bdeps...)
-				deps = append(deps, bcPh[j])
-			}
-			if k > 0 {
-				deps = append(deps, prevMixPi[j])
-			}
-			phDone[j] = node(fmt.Sprintf("rgf/ph/%d,%d", iq, m), sdfg.Compute, func() {
-				if st.failed() {
-					return
-				}
-				pt, err := rs.ps.SolvePhononPoint(rs.dyns[iq], iq, m)
-				if err != nil {
-					st.fail(fmt.Errorf("point (qz=%d, ω=%d): %w", iq, m, err))
-					return
-				}
-				wi.phRes[j] = pt
-			}, deps...)
-		}
+		bcEl, elDone := gfNodes("el", pairs, prevBCEl, prevMixSig,
+			func(i int) error { return rs.ps.PrepareElectronBC(rs.sh, i) },
+			func(i int) error { return rs.ps.SolveElectron(rs.sh, i, wi.points) })
+		bcPh, phDone := gfNodes("ph", points, prevBCPh, prevMixPi,
+			func(j int) error { return rs.ps.PreparePhononBC(rs.sh, j) },
+			func(j int) error { return rs.ps.SolvePhonon(rs.sh, j, wi.points) })
 
 		// Deterministic accumulation: the point solves land in slots, and
-		// one node folds them in global point order — the identical
-		// association the sequential reduction uses, independent of
-		// scheduling. After a failure the slots may hold stale results;
-		// the iteration is discarded.
+		// one node per species folds them in global point order through
+		// negf's own accumulator — the identical association the
+		// sequential fold uses, independent of scheduling. After a failure
+		// the slots may hold stale results; the iteration is discarded.
 		elAccum := node("accum/el", sdfg.Compute, func() {
-			if st.failed() {
-				return
-			}
-			for i, pair := range rs.pairs {
-				st.part.addElectron(p, pair[1], wi.elRes[i])
+			if !st.failed() {
+				st.part.AddElectron(p, wi.points.El...)
 			}
 		}, elDone...)
-		// accum/ph overwrites the shared dos/occ accumulators the
-		// temperature map is fitted from, so — unlike the pure speculation
-		// upstream — it is fenced on the previous conv: a converged
-		// decision keeps the accumulators at the converged iteration.
-		phAccumDeps := append([]sdfg.NodeID{}, phDone...)
-		if prevConv >= 0 {
-			phAccumDeps = append(phAccumDeps, prevConv)
-		}
 		phAccum := node("accum/ph", sdfg.Compute, func() {
-			if st.failed() {
-				return
+			if !st.failed() {
+				st.part.AddPhonon(p, wi.points.Ph...)
 			}
-			for at := range rs.dos {
-				for m := range rs.dos[at] {
-					rs.dos[at][m], rs.occ[at][m] = 0, 0
-				}
-			}
-			for j, point := range rs.points {
-				st.part.addPhonon(p, point[1], wi.phRes[j], rs.dos, rs.occ)
-			}
-		}, phAccumDeps...)
+		}, phDone...)
 
 		// Collision partials: need the fresh G≷/D≷ and the pre-mix Σ≷/Π≷,
 		// so they must precede the mixing nodes — on the graph they overlap
 		// the exchange waits instead of padding the GF phase.
 		elLoss := node("collision/el", sdfg.Compute, func() {
-			st.part.elLoss = rs.ps.ElectronCollisionSum(rs.pairs)
+			st.part.ElectronEnergyLoss = rs.ps.ElectronCollisionSum(pairs)
 		}, elDone...)
 		phGain := node("collision/ph", sdfg.Compute, func() {
-			st.part.phGain = rs.ps.PhononCollisionSum(rs.points)
+			st.part.PhononEnergyGain = rs.ps.PhononCollisionSum(points)
 		}, phDone...)
 
 		// ── SSE exchanges. Posts fire as soon as this rank's own inputs
@@ -459,7 +413,7 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*windowIt
 		}, postPi, postSig)
 
 		// Precision telemetry: a blocking max-reduction of the probe's tile
-		// deviation, legal only in a one-iteration window (normalize
+		// deviation, legal only in a one-iteration window (Validate
 		// enforces it). Like the wait nodes, it depends on both Σ/Π posts,
 		// so a worker may only block here once this rank has posted
 		// everything its peers need to reach their own probe.
@@ -475,15 +429,15 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*windowIt
 		// is mixed — it does not wait for the whole mixing sweep. A
 		// skipped mix leaves the solver state at the last valid iteration,
 		// which is exactly the discard rule of the speculation fence.
-		mixSig := make([]sdfg.NodeID, len(rs.pairs))
-		for i, pair := range rs.pairs {
+		mixSig := make([]sdfg.NodeID, len(pairs))
+		for i, pair := range pairs {
 			ik, ie := pair[0], pair[1]
 			mixSig[i] = node(fmt.Sprintf("mix/Sigma/%d,%d", ik, ie), sdfg.Compute, func() {
 				rs.mixSigmaAt(st.plan.Output(), ik, ie, opts.Mixing)
 			}, waitSig, elLoss)
 		}
-		mixPi := make([]sdfg.NodeID, len(rs.points))
-		for j, point := range rs.points {
+		mixPi := make([]sdfg.NodeID, len(points))
+		for j, point := range points {
 			iq, m := point[0], point[1]
 			mixPi[j] = node(fmt.Sprintf("mix/Pi/%d,%d", iq, m), sdfg.Compute, func() {
 				rs.mixPiAt(st.plan.Output(), iq, m, opts.Mixing)
@@ -503,9 +457,9 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*windowIt
 				st.part.flag += stopRideFlag
 			}
 			st.part.sseB = float64(st.plan.OffRankBytes())
-			st.part.redB = reduceShare(c, vecLen(p))
+			st.part.redB = redShare
 			st.part.fbk = float64(st.plan.FallbackBlocks())
-			st.reqObs = c.IAllreduce(decomp.SlotObs, st.part.pack())
+			st.reqObs = c.IAllreduce(decomp.SlotObs, st.part.pack(p))
 		}, elAccum, phAccum, elLoss, phGain, tile, postSig, postPi)
 		waitObs := add("wait/obs", sdfg.Comm, func() {
 			if st.reqObs != nil {
@@ -537,7 +491,7 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*windowIt
 				}
 				return
 			}
-			cur := gl.currentL
+			cur := gl.CurrentL
 			rel, converged, err := negf.ConvergenceStep(a, cur, pr.prev, opts.Tol)
 			now := time.Since(winStart)
 			if err != nil {
@@ -548,17 +502,9 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*windowIt
 				return
 			}
 			if r == 0 {
-				iterSt := IterStats{
-					Iter: a, Current: cur, Residual: rel,
-					ElEnergyLoss: gl.elLoss, PhEnergyGain: gl.phGain,
-					SSE:      gl.sse,
-					SSEBytes: int64(gl.sseB), ReduceBytes: int64(gl.redB),
-					SigmaErr:       st.qerr,
-					FallbackBlocks: int64(gl.fbk),
-					WallNs:         (now - pr.lastConv).Nanoseconds(),
-					ComputeNs:      wi.compNs.Load(),
-					CommNs:         wi.commNs.Load(),
-				}
+				iterSt := gl.row(a, rel, st.qerr)
+				iterSt.WallNs = (now - pr.lastConv).Nanoseconds()
+				iterSt.ComputeNs, iterSt.CommNs = wi.compNs.Load(), wi.commNs.Load()
 				res.IterTrace = append(res.IterTrace, iterSt)
 				if opts.Progress != nil && pr.stopErr == nil {
 					if err := opts.Progress(iterSt); err != nil {
@@ -568,7 +514,7 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*windowIt
 				}
 			}
 			pr.lastConv = now
-			pr.global = gl
+			pr.local, pr.global = st.part, gl
 			pr.prev = cur
 			if converged {
 				pr.converged = true

@@ -336,37 +336,37 @@ func TestPipelineMixedPrecision(t *testing.T) {
 	}
 }
 
-// TestPipelineOptionValidation covers the pipeline-specific normalize
+// TestPipelineOptionValidation covers the pipeline-specific Validate
 // paths: the depth default, depth misuse under other schedules, and the
 // error probe's depth-1 rule.
 func TestPipelineOptionValidation(t *testing.T) {
-	o, err := (Options{Ranks: 2, Schedule: SchedulePipeline}).normalize()
+	o, err := (Options{Ranks: 2, Schedule: SchedulePipeline}).Validate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o.PipelineDepth != 2 {
 		t.Errorf("pipeline depth should default to 2, got %d", o.PipelineDepth)
 	}
-	if _, err := (Options{Ranks: 2, Schedule: SchedulePipeline, PipelineDepth: -1}).normalize(); err == nil {
+	if _, err := (Options{Ranks: 2, Schedule: SchedulePipeline, PipelineDepth: -1}).Validate(); err == nil {
 		t.Error("negative pipeline depth must be rejected")
 	}
-	if _, err := (Options{Ranks: 2, PipelineDepth: 2}).normalize(); err == nil {
+	if _, err := (Options{Ranks: 2, PipelineDepth: 2}).Validate(); err == nil {
 		t.Error("PipelineDepth under SchedulePhases must be rejected")
 	}
-	if _, err := (Options{Ranks: 2, Schedule: ScheduleOverlap, PipelineDepth: 2}).normalize(); err == nil {
+	if _, err := (Options{Ranks: 2, Schedule: ScheduleOverlap, PipelineDepth: 2}).Validate(); err == nil {
 		t.Error("PipelineDepth under ScheduleOverlap must be rejected")
 	}
 	if _, err := (Options{Ranks: 2, Schedule: SchedulePipeline,
-		Precision: PrecisionMixed, ErrorProbe: true}).normalize(); err == nil {
+		Precision: PrecisionMixed, ErrorProbe: true}).Validate(); err == nil {
 		t.Error("ErrorProbe under SchedulePipeline at the default depth must be rejected")
 	}
 	if _, err := (Options{Ranks: 2, Schedule: SchedulePipeline, PipelineDepth: 1,
-		Precision: PrecisionMixed, ErrorProbe: true}).normalize(); err != nil {
+		Precision: PrecisionMixed, ErrorProbe: true}).Validate(); err != nil {
 		t.Errorf("ErrorProbe in a depth-1 window must be accepted: %v", err)
 	}
 	// FP64 silently clears the probe (as on the other schedules), so the
 	// combination is not an error there.
-	if _, err := (Options{Ranks: 2, Schedule: SchedulePipeline, ErrorProbe: true}).normalize(); err != nil {
+	if _, err := (Options{Ranks: 2, Schedule: SchedulePipeline, ErrorProbe: true}).Validate(); err != nil {
 		t.Errorf("FP64 clears the probe before the schedule check: %v", err)
 	}
 	if got := SchedulePipeline.String(); got != "pipeline" {

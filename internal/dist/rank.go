@@ -2,10 +2,8 @@ package dist
 
 import (
 	"fmt"
-	"math"
 	"time"
 
-	"repro/internal/blocktri"
 	"repro/internal/comm"
 	"repro/internal/decomp"
 	"repro/internal/device"
@@ -20,56 +18,26 @@ type rankState struct {
 	c        *comm.Comm
 	dev      *device.Device
 	ps       *negf.PointSolver
+	sh       *negf.Shard // owned (kz, E) pairs and (qz, ω) points
 	src      *decomp.OMENLayout
 	tiles    *decomp.DaCeLayout
 	atomSets [][]int
-	pairs    [][2]int // owned electron (kz, E) points
-	points   [][2]int // owned phonon (qz, ω) points
-	hams     map[int]*blocktri.Matrix
-	dyns     map[int]*blocktri.Matrix
-	// Per-atom phonon spectral weight and occupation partials of the last
-	// GF phase, reduced once after the loop for the temperature map.
-	dos, occ [][]float64
 	in       *sse.Input
 }
 
 func newRankState(c *comm.Comm, dev *device.Device, opts Options) *rankState {
-	p := dev.P
 	r := c.Rank()
 	rs := &rankState{
 		c:     c,
 		dev:   dev,
 		ps:    negf.NewPointSolver(dev, opts.CacheMode),
-		src:   decomp.NewOMENLayout(p, opts.Ranks),
+		src:   decomp.NewOMENLayout(dev.P, opts.Ranks),
 		tiles: decomp.NewDaCeLayout(dev, opts.Ta, opts.TE),
 	}
 	rs.atomSets = rs.tiles.AtomSets()
-	rs.pairs = rs.src.OwnedPairs(r)
-	rs.points = rs.src.OwnedPhonon(r)
+	rs.sh = negf.NewShard(dev, rs.src.OwnedPairs(r), rs.src.OwnedPhonon(r))
 	rs.ps.Trace = opts.Tracer
 	rs.ps.TraceRank = r
-
-	// H(kz) and Φ(qz) are self-energy-independent: assemble each owned
-	// momentum once for the whole run.
-	rs.hams = make(map[int]*blocktri.Matrix)
-	for _, pr := range rs.pairs {
-		if _, ok := rs.hams[pr[0]]; !ok {
-			rs.hams[pr[0]] = dev.Hamiltonian(pr[0])
-		}
-	}
-	rs.dyns = make(map[int]*blocktri.Matrix)
-	for _, pt := range rs.points {
-		if _, ok := rs.dyns[pt[0]]; !ok {
-			rs.dyns[pt[0]] = dev.Dynamical(pt[0])
-		}
-	}
-
-	rs.dos = make([][]float64, p.Na)
-	rs.occ = make([][]float64, p.Na)
-	for a := range rs.dos {
-		rs.dos[a] = make([]float64, p.Nomega)
-		rs.occ[a] = make([]float64, p.Nomega)
-	}
 	rs.in = &sse.Input{Dev: dev, GL: rs.ps.GL, GG: rs.ps.GG, DL: rs.ps.DL, DG: rs.ps.DG}
 	return rs
 }
@@ -88,39 +56,38 @@ func (rs *rankState) mixPiAt(out *sse.Output, iq, m int, mixing float64) {
 	tensor.MixSlice(rs.ps.PiG.Plane(iq, m-1), out.PiG.Plane(iq, m-1), mixing)
 }
 
-// epilogue reduces the spectral weight/occupation for the temperature map
-// (dos in the real parts, occ in the imaginary) and gathers the per-rank
-// load report. Only rank 0 consumes either, so both collectives are
-// rooted there — the measured volume stays what the algorithm strictly
-// needs.
-func (rs *rankState) epilogue(opts Options, res *Result, converged bool, global *partialObs) {
+// epilogue reduces the last valid iteration's phonon spectra for the
+// temperature map (local's weight in the real parts, its occupation in
+// the imaginary) and gathers the per-rank load report. Only rank 0
+// consumes either, so both collectives are rooted there — the measured
+// volume stays what the algorithm strictly needs.
+func (rs *rankState) epilogue(opts Options, res *Result, converged bool, local, global *partialObs) {
 	p := rs.dev.P
-	buf := make([]complex128, p.Na*p.Nomega)
-	for a := 0; a < p.Na; a++ {
-		for m := 0; m < p.Nomega; m++ {
-			buf[a*p.Nomega+m] = complex(rs.dos[a][m], rs.occ[a][m])
+	buf := make([]complex128, 0, p.Na*p.Nomega)
+	for a, dos := range local.PhononDOS {
+		for m := range dos {
+			buf = append(buf, complex(dos[m], local.PhononOcc[a][m]))
 		}
 	}
 	buf = rs.c.Reduce(0, buf)
 	_, misses := rs.ps.BC.Stats()
 	loads := rs.c.Gather(0, []complex128{
-		complex(float64(len(rs.pairs)), 0),
-		complex(float64(len(rs.points)), 0),
+		complex(float64(len(rs.sh.Pairs)), 0),
+		complex(float64(len(rs.sh.Points)), 0),
 		complex(float64(misses), 0),
 	})
 
 	if rs.c.Rank() != 0 {
 		return
 	}
-	for a := 0; a < p.Na; a++ {
-		for m := 0; m < p.Nomega; m++ {
-			rs.dos[a][m] = real(buf[a*p.Nomega+m])
-			rs.occ[a][m] = imag(buf[a*p.Nomega+m])
-		}
-	}
 	res.Converged = converged
-	res.Obs = global.observables(p)
-	res.Obs.AtomTemperature = negf.FitTemperatures(p, rs.dos, rs.occ)
+	res.Obs = global.Observables
+	res.Obs.PhononDOS, res.Obs.PhononOcc = local.PhononDOS, local.PhononOcc
+	for i, v := range buf {
+		a, m := i/p.Nomega, i%p.Nomega
+		res.Obs.PhononDOS[a][m], res.Obs.PhononOcc[a][m] = real(v), imag(v)
+	}
+	res.Obs.AtomTemperature = negf.FitTemperatures(p, res.Obs.PhononDOS, res.Obs.PhononOcc)
 	res.Load = make([]RankLoad, opts.Ranks)
 	for rank, l := range loads {
 		res.Load[rank] = RankLoad{
@@ -139,7 +106,9 @@ func runRank(c *comm.Comm, dev *device.Device, opts Options, res *Result) error 
 	rs := newRankState(c, dev, opts)
 	r := c.Rank()
 	trc := opts.Tracer
-	var global *partialObs
+	points := rs.sh.NewResults()
+	redShare := reduceShare(c, vecLen(dev.P)) + agreeShare(c, opts)
+	var part, global *partialObs
 	var stopErr error
 	var prev float64
 	converged := false
@@ -149,8 +118,13 @@ func runRank(c *comm.Comm, dev *device.Device, opts Options, res *Result) error 
 		}
 		iterStart := time.Now()
 		tIter := trc.Begin()
-		// ── GF phase: RGF solves for the owned shard only. No traffic.
-		part, err := solveShard(rs.ps, rs.hams, rs.dyns, rs.pairs, rs.points, rs.dos, rs.occ)
+		// ── GF phase: RGF solves for the owned shard only, serially (the
+		// ranks are the parallelism). No traffic.
+		part = &partialObs{}
+		err := rs.ps.Sweep(rs.sh, 1, points)
+		if err == nil {
+			rs.ps.Fold(rs.sh, points, &part.Observables)
+		}
 		// A rank cannot abandon the collectives unilaterally — the others
 		// would block in the next exchange forever. Agree on failure first:
 		// one scalar Allreduce, nonzero iff any rank errored. The failing
@@ -189,14 +163,14 @@ func runRank(c *comm.Comm, dev *device.Device, opts Options, res *Result) error 
 		trc.End(r, 0, "exchange", "exchange/SigmaPi", it, -1, tEx)
 		out := pl.Output()
 		part.sse = out.Stats
-		for _, pr := range rs.pairs {
+		for _, pr := range rs.sh.Pairs {
 			rs.mixSigmaAt(out, pr[0], pr[1], opts.Mixing)
 		}
-		for _, pt := range rs.points {
+		for _, pt := range rs.sh.Points {
 			rs.mixPiAt(out, pt[0], pt[1], opts.Mixing)
 		}
 		part.sseB = float64(pl.OffRankBytes())
-		part.redB = reduceShare(c, vecLen(dev.P)) + agreeShare(c, opts)
+		part.redB = redShare
 		part.fbk = float64(pl.FallbackBlocks())
 		// Precision telemetry: the global deviation is the worst rank's,
 		// so it rides a max-reduction, not the summed observable vector.
@@ -208,26 +182,19 @@ func runRank(c *comm.Comm, dev *device.Device, opts Options, res *Result) error 
 		// ── Convergence: Allreduce the packed observables so every rank
 		// sees the identical global contact current.
 		tRed := trc.Begin()
-		global = unpackObs(c.Allreduce(part.pack()), dev.P)
+		global = unpackObs(c.Allreduce(part.pack(dev.P)), dev.P)
 		trc.End(r, 0, "reduce", "reduce/obs", it, -1, tRed)
 		trc.End(r, 0, "iter", "iter", it, -1, tIter)
 
-		cur := global.currentL
+		cur := global.CurrentL
 		rel, conv, err := negf.ConvergenceStep(it, cur, prev, opts.Tol)
 		if err != nil {
 			// Decided from the reduced current: every rank leaves here.
 			return fmt.Errorf("dist: %w", err)
 		}
 		if r == 0 {
-			st := IterStats{
-				Iter: it, Current: cur, Residual: rel,
-				ElEnergyLoss: global.elLoss, PhEnergyGain: global.phGain,
-				SSE:      global.sse,
-				SSEBytes: int64(global.sseB), ReduceBytes: int64(global.redB),
-				SigmaErr:       qerr,
-				FallbackBlocks: int64(global.fbk),
-				WallNs:         time.Since(iterStart).Nanoseconds(),
-			}
+			st := global.row(it, rel, qerr)
+			st.WallNs = time.Since(iterStart).Nanoseconds()
 			res.IterTrace = append(res.IterTrace, st)
 			if opts.Progress != nil && stopErr == nil {
 				stopErr = opts.Progress(st)
@@ -243,7 +210,7 @@ func runRank(c *comm.Comm, dev *device.Device, opts Options, res *Result) error 
 	if r == 0 {
 		res.stopErr = stopErr
 	}
-	rs.epilogue(opts, res, converged, global)
+	rs.epilogue(opts, res, converged, part, global)
 	return nil
 }
 
@@ -305,73 +272,4 @@ func reduceProbe(c *comm.Comm, pl *decomp.DaCePlan) float64 {
 		}
 	}
 	return worst
-}
-
-// solveShard runs the GF phase for this rank's owned points: electron and
-// phonon RGF solves plus the collision-integral partials, accumulated in
-// global point order so the cross-rank reduction reproduces the sequential
-// summation up to floating-point reassociation.
-func solveShard(ps *negf.PointSolver, hams, dyns map[int]*blocktri.Matrix,
-	pairs, points [][2]int, dos, occ [][]float64) (*partialObs, error) {
-	p := ps.Dev.P
-	part := newPartialObs(p)
-
-	for _, pr := range pairs {
-		ik, ie := pr[0], pr[1]
-		r, err := ps.SolveElectronPoint(hams[ik], ik, ie)
-		if err != nil {
-			return nil, fmt.Errorf("point (kz=%d, E=%d): %w", ik, ie, err)
-		}
-		part.addElectron(p, ie, r)
-	}
-
-	for a := range dos {
-		for m := range dos[a] {
-			dos[a][m], occ[a][m] = 0, 0
-		}
-	}
-	for _, pt := range points {
-		iq, m := pt[0], pt[1]
-		r, err := ps.SolvePhononPoint(dyns[iq], iq, m)
-		if err != nil {
-			return nil, fmt.Errorf("point (qz=%d, ω=%d): %w", iq, m, err)
-		}
-		part.addPhonon(p, m, r, dos, occ)
-	}
-
-	part.elLoss = ps.ElectronCollisionSum(pairs)
-	part.phGain = ps.PhononCollisionSum(points)
-	return part, nil
-}
-
-// addElectron folds one electron point's observables into the partial,
-// with the same weights and order as the sequential reduction.
-func (po *partialObs) addElectron(p device.Params, ie int, r *negf.ElectronPointResult) {
-	we := p.DE / (2 * math.Pi) / float64(p.Nkz)
-	po.currentL += we * r.CurrentL
-	po.currentR += we * r.CurrentR
-	po.energyL += we * r.EnergyL
-	for i := range r.InterfaceCurrent {
-		po.ifaceCur[i] += we * r.InterfaceCurrent[i]
-		po.ifaceEn[i] += we * r.InterfaceEnergy[i]
-	}
-	for i := range r.DissipatedPerSlab {
-		po.diss[i] += we * r.DissipatedPerSlab[i]
-	}
-	po.spectral[ie] += r.CurrentL
-}
-
-// addPhonon folds one phonon point's observables into the partial and the
-// dos/occ accumulators.
-func (po *partialObs) addPhonon(p device.Params, m int, r *negf.PhononPointResult, dos, occ [][]float64) {
-	wp := p.DE / (2 * math.Pi) / float64(p.Nqz())
-	omega := p.Omega(m)
-	po.phononEnergyL += wp * omega * r.EnergyContactL
-	for i := range r.InterfaceEnergy {
-		po.phIfaceEn[i] += wp * omega * r.InterfaceEnergy[i]
-	}
-	for a := 0; a < p.Na; a++ {
-		dos[a][m-1] += r.DOS[a] / float64(p.Nqz())
-		occ[a][m-1] += r.Occ[a] / float64(p.Nqz())
-	}
 }

@@ -25,10 +25,11 @@ func TestPrepareBCMatchesInSolvePath(t *testing.T) {
 	h := dev.Hamiltonian(0)
 	phi := dev.Dynamical(0)
 
-	if err := warm.PrepareElectronBC(h, 0, 1); err != nil {
+	sh := NewShard(dev, [][2]int{{0, 1}}, [][2]int{{0, 1}})
+	if err := warm.PrepareElectronBC(sh, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := warm.PreparePhononBC(phi, 0, 1); err != nil {
+	if err := warm.PreparePhononBC(sh, 0); err != nil {
 		t.Fatal(err)
 	}
 	if hits, misses := warm.BC.Stats(); hits != 0 || misses != 4 {

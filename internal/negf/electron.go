@@ -2,9 +2,6 @@ package negf
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/bc"
 	"repro/internal/blocktri"
@@ -13,8 +10,8 @@ import (
 )
 
 // ElectronPointResult carries the observables extracted from one (kz, E)
-// solve — the per-point contributions a caller (the sequential phase loop
-// or a distributed rank) weighs and accumulates.
+// solve — the per-point contributions Observables.AddElectron weighs and
+// accumulates.
 type ElectronPointResult struct {
 	CurrentL, CurrentR float64   // Meir-Wingreen contact currents
 	EnergyL            float64   // contact energy current (left)
@@ -23,58 +20,6 @@ type ElectronPointResult struct {
 	DissipatedPerSlab  []float64
 	IE                 int       // energy index of this point
 	LDOS               []float64 // −(1/π)·Im tr Gᴿ per slab
-}
-
-// electronPhase solves the electron Green's functions for every (kz, E)
-// point in parallel and fills the G≷ tensors.
-func (s *Solver) electronPhase() error {
-	p := s.Dev.P
-	npts := p.Nkz * p.NE
-	results := make([]*ElectronPointResult, npts)
-	spectral := make([]float64, p.NE)
-	var specMu sync.Mutex
-	var firstErr atomic.Value
-
-	parallelPoints(npts, func(idx int) {
-		if firstErr.Load() != nil {
-			return
-		}
-		ik, ie := idx/p.NE, idx%p.NE
-		res, err := s.SolveElectronPoint(s.hams[ik], ik, ie)
-		if err != nil {
-			firstErr.CompareAndSwap(nil, fmt.Errorf("point (kz=%d, E=%d): %w", ik, ie, err))
-			return
-		}
-		results[idx] = res
-		specMu.Lock()
-		spectral[ie] += res.CurrentL
-		specMu.Unlock()
-	})
-	if e := firstErr.Load(); e != nil {
-		return e.(error)
-	}
-
-	// Reduce the per-point observables.
-	obs := &s.Obs
-	obs.resetElectron(p)
-	copy(obs.SpectralCurrent, spectral)
-	w := p.DE / (2 * 3.141592653589793) / float64(p.Nkz)
-	for _, r := range results {
-		obs.CurrentL += w * r.CurrentL
-		obs.CurrentR += w * r.CurrentR
-		obs.EnergyCurrentL += w * r.EnergyL
-		for i := range r.InterfaceCurrent {
-			obs.InterfaceCurrent[i] += w * r.InterfaceCurrent[i]
-			obs.InterfaceEnergyCurrent[i] += w * r.InterfaceEnergy[i]
-		}
-		for i := range r.DissipatedPerSlab {
-			obs.DissipatedPower[i] += w * r.DissipatedPerSlab[i]
-		}
-		for i := range r.LDOS {
-			obs.LDOS[i][r.IE] += r.LDOS[i] / float64(p.Nkz)
-		}
-	}
-	return nil
 }
 
 // SolveElectronPoint builds and solves one (kz, E) RGF problem against the
@@ -254,39 +199,4 @@ func realTraceMul(a, b *linalg.Matrix) float64 {
 		}
 	}
 	return real(tr)
-}
-
-// parallelPoints distributes independent (momentum, energy) solves over a
-// worker pool — the natural parallelism of the GF phase.
-func parallelPoints(n int, work func(idx int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			work(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := int64(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Reserve this worker in the kernel budget so nested GEMMs
-			// don't fan out on top of the point-level parallelism.
-			release := linalg.ReserveWorker()
-			defer release()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				work(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

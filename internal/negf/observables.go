@@ -1,12 +1,22 @@
 package negf
 
 import (
+	"math"
+
 	"repro/internal/device"
 )
 
 // Observables are the physical outputs of a GF phase — the quantities
 // plotted in Figs. 1(d) and 11 of the paper: currents, energy currents,
 // dissipated power, and the atomically resolved temperature.
+//
+// The struct is also the accumulator they are summed in. Every field but
+// AtomTemperature is additive over grid points: Reset empties it,
+// AddElectron/AddPhonon fold per-point results in with the quadrature
+// weights, and the sum over any partition of the grid — the sequential
+// solver's one shard or the ranks' shards after a reduction — is the same
+// value up to the association of the partial sums. Additive lists the
+// fields a distributed run reduces every iteration.
 type Observables struct {
 	// CurrentL/R are the Meir-Wingreen electron currents at the source and
 	// drain contacts (arbitrary units; equal magnitude, opposite sign in
@@ -43,17 +53,97 @@ type Observables struct {
 	// energy E_n, −(1/π)·Im tr Gᴿ_ii averaged over kz — the "conduction
 	// band edge" backdrop of Fig. 11 (middle).
 	LDOS [][]float64
+	// PhononDOS[a][m-1] and PhononOcc[a][m-1] are the per-atom phonon
+	// spectral weight −2·Im tr Dᴿ_aa and occupation −Im tr D<_aa at ω_m,
+	// averaged over qz — what FitTemperatures turns into AtomTemperature.
+	PhononDOS, PhononOcc [][]float64
 }
 
-func (o *Observables) resetElectron(p device.Params) {
-	o.CurrentL, o.CurrentR, o.EnergyCurrentL = 0, 0, 0
-	o.SpectralCurrent = make([]float64, p.NE)
-	o.InterfaceCurrent = make([]float64, p.Bnum-1)
-	o.InterfaceEnergyCurrent = make([]float64, p.Bnum-1)
-	o.DissipatedPower = make([]float64, p.Bnum)
-	o.LDOS = make([][]float64, p.Bnum)
-	for i := range o.LDOS {
-		o.LDOS[i] = make([]float64, p.NE)
+// Additive visits the fields a distributed run sums across ranks every
+// iteration, in the wire order of that reduction, sizing the profiles for
+// p where they are not already. LDOS and the phonon spectra are additive
+// too but stay off the per-iteration wire: the first is a single-node
+// diagnostic, the second is reduced once after the loop.
+func (o *Observables) Additive(p device.Params, visit func(*float64)) {
+	for _, v := range []*float64{
+		&o.CurrentL, &o.CurrentR, &o.EnergyCurrentL,
+		&o.PhononEnergyCurrentL, &o.ElectronEnergyLoss, &o.PhononEnergyGain,
+	} {
+		visit(v)
+	}
+	vec := func(v *[]float64, n int) {
+		if len(*v) != n {
+			*v = make([]float64, n)
+		}
+		for i := range *v {
+			visit(&(*v)[i])
+		}
+	}
+	vec(&o.InterfaceCurrent, p.Bnum-1)
+	vec(&o.InterfaceEnergyCurrent, p.Bnum-1)
+	vec(&o.PhononInterfaceEnergy, p.Bnum-1)
+	vec(&o.DissipatedPower, p.Bnum)
+	vec(&o.SpectralCurrent, p.NE)
+}
+
+// Reset makes o the empty accumulator for p: every additive field zero
+// in freshly allocated storage (a caller may still hold the previous GF
+// phase's slices), AtomTemperature kept.
+func (o *Observables) Reset(p device.Params) {
+	*o = Observables{AtomTemperature: o.AtomTemperature}
+	o.Additive(p, func(*float64) {})
+	o.LDOS = grid(p.Bnum, p.NE)
+	o.PhononDOS = grid(p.Na, p.Nomega)
+	o.PhononOcc = grid(p.Na, p.Nomega)
+}
+
+// grid allocates a zeroed rows×cols table on one backing array.
+func grid(rows, cols int) [][]float64 {
+	flat := make([]float64, rows*cols)
+	out := make([][]float64, rows)
+	for i := range out {
+		out[i] = flat[i*cols : (i+1)*cols : (i+1)*cols]
+	}
+	return out
+}
+
+// AddElectron folds electron point results into the accumulator, in the
+// order given, with the energy-integration weight ΔE/2π/Nkz — the one
+// place the electron observables are weighed and summed.
+func (o *Observables) AddElectron(p device.Params, results ...*ElectronPointResult) {
+	w := p.DE / (2 * math.Pi) / float64(p.Nkz)
+	for _, r := range results {
+		o.CurrentL += w * r.CurrentL
+		o.CurrentR += w * r.CurrentR
+		o.EnergyCurrentL += w * r.EnergyL
+		for i := range r.InterfaceCurrent {
+			o.InterfaceCurrent[i] += w * r.InterfaceCurrent[i]
+			o.InterfaceEnergyCurrent[i] += w * r.InterfaceEnergy[i]
+		}
+		for i := range r.DissipatedPerSlab {
+			o.DissipatedPower[i] += w * r.DissipatedPerSlab[i]
+		}
+		o.SpectralCurrent[r.IE] += r.CurrentL
+		for i := range r.LDOS {
+			o.LDOS[i][r.IE] += r.LDOS[i] / float64(p.Nkz)
+		}
+	}
+}
+
+// AddPhonon is AddElectron for phonon point results, with the weight
+// ΔE/2π/Nqz on the heat currents and the qz average on the spectra.
+func (o *Observables) AddPhonon(p device.Params, results ...*PhononPointResult) {
+	w := p.DE / (2 * math.Pi) / float64(p.Nqz())
+	for _, r := range results {
+		omega := p.Omega(r.M)
+		o.PhononEnergyCurrentL += w * omega * r.EnergyContactL
+		for i := range r.InterfaceEnergy {
+			o.PhononInterfaceEnergy[i] += w * omega * r.InterfaceEnergy[i]
+		}
+		for a := range r.DOS {
+			o.PhononDOS[a][r.M-1] += r.DOS[a] / float64(p.Nqz())
+			o.PhononOcc[a][r.M-1] += r.Occ[a] / float64(p.Nqz())
+		}
 	}
 }
 
@@ -78,29 +168,6 @@ func (o *Observables) BandEdge(p device.Params, frac float64) []float64 {
 		}
 	}
 	return out
-}
-
-func (o *Observables) resetPhonon(p device.Params) {
-	o.PhononEnergyCurrentL = 0
-	o.PhononInterfaceEnergy = make([]float64, p.Bnum-1)
-	if o.AtomTemperature == nil {
-		o.AtomTemperature = make([]float64, p.Na)
-	}
-}
-
-// finalizeObservables computes the cross-phase quantities after both GF
-// solves: the collision-integral totals whose balance expresses energy
-// conservation between the electron and phonon baths.
-func (s *Solver) finalizeObservables() {
-	p := s.Dev.P
-	s.Obs.ElectronEnergyLoss = s.ElectronCollisionSum(AllPairs(p))
-	s.Obs.PhononEnergyGain = s.PhononCollisionSum(AllPhononPoints(p))
-}
-
-// fitTemperatures extracts the per-atom effective lattice temperature from
-// the non-equilibrium phonon occupations.
-func (s *Solver) fitTemperatures(occ [][]float64) {
-	s.Obs.AtomTemperature = FitTemperatures(s.Dev.P, s.phDOS, occ)
 }
 
 // FitTemperatures extracts per-atom effective lattice temperatures from

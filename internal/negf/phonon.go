@@ -2,7 +2,6 @@ package negf
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/bc"
 	"repro/internal/blocktri"
@@ -12,72 +11,12 @@ import (
 
 // PhononPointResult carries observables from one (qz, ω) solve.
 type PhononPointResult struct {
+	M               int // frequency index of this point, ∈ [1, Nω]
 	EnergyContactL  float64
 	InterfaceEnergy []float64
 	// Per-atom spectral weight and occupation at this frequency.
 	DOS []float64
 	Occ []float64
-}
-
-// phononPhase solves the phonon Green's functions for every (qz, ω) point
-// and fills the D≷ tensors, the phonon DOS, and the heat observables.
-func (s *Solver) phononPhase() error {
-	p := s.Dev.P
-	npts := p.Nqz() * p.Nomega
-	results := make([]*PhononPointResult, npts)
-	omegaOf := make([]int, npts)
-	var firstErr atomic.Value
-
-	parallelPoints(npts, func(idx int) {
-		if firstErr.Load() != nil {
-			return
-		}
-		iq, m := idx/p.Nomega, idx%p.Nomega+1
-		res, err := s.SolvePhononPoint(s.dyns[iq], iq, m)
-		if err != nil {
-			firstErr.CompareAndSwap(nil, fmt.Errorf("point (qz=%d, ω=%d): %w", iq, m, err))
-			return
-		}
-		results[idx] = res
-		omegaOf[idx] = m
-	})
-	if e := firstErr.Load(); e != nil {
-		return e.(error)
-	}
-
-	obs := &s.Obs
-	obs.resetPhonon(p)
-	if s.phDOS == nil {
-		s.phDOS = make([][]float64, p.Na)
-		for a := range s.phDOS {
-			s.phDOS[a] = make([]float64, p.Nomega)
-		}
-	}
-	occ := make([][]float64, p.Na)
-	for a := range occ {
-		occ[a] = make([]float64, p.Nomega)
-	}
-	// phDOS holds only the latest GF pass; clear before accumulating.
-	for a := 0; a < p.Na; a++ {
-		for m := 0; m < p.Nomega; m++ {
-			s.phDOS[a][m] = 0
-		}
-	}
-	w := p.DE / (2 * 3.141592653589793) / float64(p.Nqz())
-	for idx, r := range results {
-		m := omegaOf[idx]
-		omega := p.Omega(m)
-		obs.PhononEnergyCurrentL += w * omega * r.EnergyContactL
-		for i := range r.InterfaceEnergy {
-			obs.PhononInterfaceEnergy[i] += w * omega * r.InterfaceEnergy[i]
-		}
-		for a := 0; a < p.Na; a++ {
-			s.phDOS[a][m-1] += r.DOS[a] / float64(p.Nqz())
-			occ[a][m-1] += r.Occ[a] / float64(p.Nqz())
-		}
-	}
-	s.fitTemperatures(occ)
-	return nil
 }
 
 // SolvePhononPoint builds and solves one (qz, ω) RGF problem:
@@ -175,6 +114,7 @@ func (s *PointSolver) SolvePhononPoint(phi *blocktri.Matrix, iq, m int) (*Phonon
 	}
 
 	res := &PhononPointResult{
+		M:               m,
 		InterfaceEnergy: make([]float64, nb-1),
 		DOS:             make([]float64, p.Na),
 		Occ:             make([]float64, p.Na),

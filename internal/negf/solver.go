@@ -9,10 +9,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 
 	"repro/internal/bc"
-	"repro/internal/blocktri"
 	"repro/internal/device"
 	"repro/internal/obs"
 	"repro/internal/sse"
@@ -65,13 +65,10 @@ type Solver struct {
 	*PointSolver
 	Opts Options
 
-	// hams[ik] = H(kz) and dyns[iq] = Φ(qz) depend on neither energy nor
-	// the self-consistent state: assembled once, shared by every GF phase.
-	hams, dyns []*blocktri.Matrix
-
-	// Per-atom phonon spectral weight A_a(ω) = −2·Im tr Dᴿ_aa, averaged
-	// over qz, used by the temperature extraction.
-	phDOS [][]float64
+	// The sequential solver owns the one shard covering both grids; points
+	// holds the result slots every GF phase solves into.
+	shard  *Shard
+	points *PointResults
 
 	anderson *andersonState
 	Obs      Observables
@@ -168,15 +165,8 @@ func New(dev *device.Device, opts Options) *Solver {
 		Opts:        opts,
 	}
 	s.PointSolver.Trace = opts.Tracer
-	p := dev.P
-	s.hams = make([]*blocktri.Matrix, p.Nkz)
-	for ik := range s.hams {
-		s.hams[ik] = dev.Hamiltonian(ik)
-	}
-	s.dyns = make([]*blocktri.Matrix, p.Nqz())
-	for iq := range s.dyns {
-		s.dyns[iq] = dev.Dynamical(iq)
-	}
+	s.shard = NewShard(dev, AllPairs(dev.P), AllPhononPoints(dev.P))
+	s.points = s.shard.NewResults()
 	return s
 }
 
@@ -227,15 +217,14 @@ func (s *Solver) Run() (*Observables, error) {
 }
 
 // GFPhase computes all Green's functions for the current self-energies and
-// refreshes the observables.
+// refreshes the observables: the sweep over the full shard on all cores,
+// the fold, and the temperature map fitted from the folded spectra.
 func (s *Solver) GFPhase() error {
-	if err := s.electronPhase(); err != nil {
+	if err := s.Sweep(s.shard, runtime.GOMAXPROCS(0), s.points); err != nil {
 		return err
 	}
-	if err := s.phononPhase(); err != nil {
-		return err
-	}
-	s.finalizeObservables()
+	s.Fold(s.shard, s.points, &s.Obs)
+	s.Obs.AtomTemperature = FitTemperatures(s.Dev.P, s.Obs.PhononDOS, s.Obs.PhononOcc)
 	return nil
 }
 

@@ -3,6 +3,8 @@ package negf
 import (
 	"errors"
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/bc"
@@ -391,5 +393,33 @@ func TestConvergenceStep(t *testing.T) {
 				t.Errorf("ConvergenceStep(%d, %g) = (%g, %v, %v), want ErrNonFinite{%d}", it, cur, res, conv, err, it)
 			}
 		}
+	}
+}
+
+// TestGFPhaseBitwiseAcrossGOMAXPROCS: the fold reads the result slots in
+// global point order, so no observable may depend on how many workers
+// swept the shard or in which order their solves landed — SpectralCurrent
+// included, which used to be summed under a mutex in arrival order.
+func TestGFPhaseBitwiseAcrossGOMAXPROCS(t *testing.T) {
+	dev := device.MustBuild(testParams())
+	run := func(procs int) Observables {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		s := New(dev, DefaultOptions())
+		// One full iteration first, so the compared GF phase runs against
+		// nonzero Σ≷/Π≷ and every collision term is live.
+		for pass := 0; pass < 2; pass++ {
+			if err := s.GFPhase(); err != nil {
+				t.Fatal(err)
+			}
+			s.SSEPhase()
+		}
+		return s.Obs
+	}
+	one, four := run(1), run(4)
+	if !reflect.DeepEqual(one, four) {
+		t.Errorf("observables differ between GOMAXPROCS 1 and 4:\n 1: %+v\n 4: %+v", one, four)
+	}
+	if one.SpectralCurrent == nil || one.LDOS == nil || one.ElectronEnergyLoss == 0 {
+		t.Errorf("compared observables are not populated: %+v", one)
 	}
 }

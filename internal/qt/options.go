@@ -359,7 +359,7 @@ func (c *config) validate() error {
 				return fmt.Errorf("WithAutoPlan owns the schedule, worker and pipeline-depth knobs: drop WithSchedule/WithWorkers/WithPipelineDepth")
 			}
 		}
-		if err := c.distOptions(nil).Validate(); err != nil {
+		if _, err := c.distOptions(nil).Validate(); err != nil {
 			return err
 		}
 	}
@@ -373,9 +373,6 @@ func (c *config) validate() error {
 func (c *config) distOptions(progress func(IterStats) error) dist.Options {
 	o := dist.DefaultOptions(c.ranks)
 	o.Ta, o.TE = c.ta, c.te
-	if o.Ta == 0 && o.TE == 0 {
-		o.Ta, o.TE = 1, c.ranks
-	}
 	if !c.cacheBC {
 		o.CacheMode = bc.NoCache
 	}

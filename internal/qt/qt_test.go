@@ -250,3 +250,31 @@ func TestWithBiasOverridesZero(t *testing.T) {
 		t.Fatalf("zero bias should carry ~zero current, got %g", obs.CurrentL)
 	}
 }
+
+// TestNonFiniteParametersRejected: a NaN/Inf bias or temperature must be a
+// validation error from New — it used to build, and then panic in
+// RunConfig.Key ("not marshalable") on the submit route — and a sweep
+// carrying one must fail at that point before solving it.
+func TestNonFiniteParametersRejected(t *testing.T) {
+	for name, tc := range map[string]struct {
+		spec Spec
+		opts []Option
+	}{
+		"NaN bias option":  {smallSpec(), []Option{WithBias(math.NaN())}},
+		"Inf bias option":  {smallSpec(), []Option{WithBias(math.Inf(-1))}},
+		"NaN bias spec":    {Spec{Bias: math.NaN()}, nil},
+		"NaN temperature":  {Spec{Temperature: math.NaN()}, nil},
+		"Inf temperature":  {Spec{Temperature: math.Inf(1)}, nil},
+		"NaN bias, ranked": {smallSpec(), []Option{WithRanks(2), WithBias(math.NaN())}},
+	} {
+		if sim, err := New(tc.spec, tc.opts...); err == nil || !strings.Contains(err.Error(), "must be finite") {
+			t.Errorf("%s: New = %v, %v; want a 'must be finite' error", name, sim, err)
+		}
+	}
+
+	points, err := Sweep{Spec: smallSpec(), Options: []Option{WithMaxIterations(1)},
+		Bias: []float64{math.NaN(), 0.2}}.Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "must be finite") || len(points) != 0 {
+		t.Errorf("sweep with a NaN bias: %d points, err %v; want no point solved and a 'must be finite' error", len(points), err)
+	}
+}

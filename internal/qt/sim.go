@@ -93,17 +93,13 @@ func (s *Simulation) PlanString() string {
 	if s.cfg.ranks == 0 {
 		return ""
 	}
-	o := s.cfg.distOptions(nil)
+	o := s.resolvedDist()
 	str := o.Schedule.String()
 	if s.cfg.workers > 0 {
 		str += fmt.Sprintf(" w=%d", s.cfg.workers)
 	}
 	if s.cfg.schedule == Pipeline {
-		d := s.cfg.pipelineDepth
-		if d == 0 {
-			d = 2 // the dist default
-		}
-		str += fmt.Sprintf(" d=%d", d)
+		str += fmt.Sprintf(" d=%d", o.PipelineDepth)
 	}
 	if s.cfg.blocking != (linalg.BlockSizes{}) && s.cfg.blocking != linalg.DefaultBlocking() {
 		str += fmt.Sprintf(" gemm=%dx%dx%d", s.cfg.blocking.MC, s.cfg.blocking.KC, s.cfg.blocking.NC)
@@ -123,14 +119,16 @@ func (s *Simulation) Tiles() (ta, te int) {
 	if s.cfg.ranks == 0 {
 		return 0, 0
 	}
-	o := s.cfg.distOptions(nil)
-	if o.TE == 0 && o.Ta > 0 {
-		o.TE = s.cfg.ranks / o.Ta
-	}
-	if o.Ta == 0 && o.TE > 0 {
-		o.Ta = s.cfg.ranks / o.TE
-	}
+	o := s.resolvedDist()
 	return o.Ta, o.TE
+}
+
+// resolvedDist returns the distributed options as dist.Run will see them,
+// defaults filled by dist itself. New validated them, so the
+// normalisation cannot fail here.
+func (s *Simulation) resolvedDist() dist.Options {
+	o, _ := s.cfg.distOptions(nil).Validate()
+	return o
 }
 
 // sequentialKernel derives the sequential SSE kernel of the config.

@@ -28,8 +28,8 @@ type studyRequest struct {
 	Config   qt.RunConfig `json:"config"`
 }
 
-// studyRun is the live handle of an executing study, mirroring job:
-// member-completion events fan out to subscribed SSE streams, done
+// studyRun is the live handle of an executing study: member-completion
+// events fan out to subscribed SSE streams through its feed, whose done
 // closes when the study record reached its terminal state.
 type studyRun struct {
 	id     string
@@ -38,42 +38,8 @@ type studyRun struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu     sync.Mutex
-	events []report.MemberRow
-	subs   map[chan report.MemberRow]bool
-
-	done     chan struct{}
-	doneOnce sync.Once
+	*feed[report.MemberRow]
 }
-
-func (st *studyRun) publish(row report.MemberRow) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.events = append(st.events, row)
-	for ch := range st.subs {
-		select {
-		case ch <- row:
-		default:
-		}
-	}
-}
-
-// subscribe returns the member events so far plus a live channel for
-// the rest; the caller must invoke the returned unsubscribe.
-func (st *studyRun) subscribe(members int) ([]report.MemberRow, chan report.MemberRow, func()) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	snap := append([]report.MemberRow(nil), st.events...)
-	ch := make(chan report.MemberRow, members+1)
-	st.subs[ch] = true
-	return snap, ch, func() {
-		st.mu.Lock()
-		delete(st.subs, ch)
-		st.mu.Unlock()
-	}
-}
-
-func (st *studyRun) markDone() { st.doneOnce.Do(func() { close(st.done) }) }
 
 // submitStudy validates and launches one ensemble study. The returned
 // handle streams member completions; the study executes detached on its
@@ -101,8 +67,7 @@ func (s *Server) submitStudy(req studyRequest) (StudyRecord, *studyRun, error) {
 	}
 	st := &studyRun{
 		id: rec.ID, tenant: rec.Tenant,
-		subs: map[chan report.MemberRow]bool{},
-		done: make(chan struct{}),
+		feed: newFeed[report.MemberRow](rec.Members),
 	}
 	st.ctx, st.cancel = context.WithCancel(s.ctx)
 	s.mu.Lock()

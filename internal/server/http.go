@@ -92,7 +92,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if j == nil { // answered from the content-addressed cache
 		if stream {
-			s.replayStream(w, rec)
+			replayRun(w, rec)
 			return
 		}
 		writeJSON(w, http.StatusOK, rec)
@@ -168,7 +168,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown run %q", id)
 		return
 	}
-	s.replayStream(w, rec)
+	replayRun(w, rec)
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -225,76 +225,31 @@ func sseHeaders(w http.ResponseWriter) http.Flusher {
 	return fl
 }
 
-// replayStream renders a finished run as the same frame sequence a live
-// stream produces: run, one iter per trace row, done.
-func (s *Server) replayStream(w http.ResponseWriter, rec Record) {
-	fl := sseHeaders(w)
-	if fl == nil {
-		return
-	}
-	report.SSE(w, "run", rec)
+// replayRun renders a finished run as the frame sequence a live stream
+// produces: run, one iter per trace row, done.
+func replayRun(w http.ResponseWriter, rec Record) {
+	var trace []qt.IterStats
 	if rec.Report != nil {
-		for _, st := range rec.Report.Trace {
-			report.SSE(w, "iter", st)
-		}
+		trace = rec.Report.Trace
 	}
-	report.SSE(w, "done", rec)
-	fl.Flush()
+	replayFeed(w, "run", "iter", rec, trace)
 }
 
-// streamJob streams a live run: a "run" frame with the registry record
-// (the client learns the id), "iter" frames as the solver produces them
-// (recorded iterations are replayed first), and a terminal "done" frame
-// with the final record. When ownCancel is set, the client hanging up
-// cancels the run — the submit-and-stream contract.
+// streamJob streams a live run ("run", "iter"…, "done"). When ownCancel
+// is set, the client hanging up cancels the run — the submit-and-stream
+// contract.
 func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *job, ownCancel bool) {
-	fl := sseHeaders(w)
-	if fl == nil {
-		return
-	}
-	rec, _ := s.reg.Get(j.id)
-	report.SSE(w, "run", rec)
-	fl.Flush()
-
-	snap, ch, unsub := j.subscribe()
-	defer unsub()
-	for _, st := range snap {
-		report.SSE(w, "iter", st)
-	}
-	fl.Flush()
-
-	ctx := r.Context()
-	for {
-		select {
-		case st := <-ch:
-			report.SSE(w, "iter", st)
-			fl.Flush()
-		case <-ctx.Done():
-			if ownCancel {
-				j.cancel()
-				// The worker still owns the finalization; wait so the
-				// registry reaches its terminal state before we return
-				// (the connection is gone — nothing more is written).
-				<-j.done
-			}
-			return
-		case <-j.done:
-			// Drain iterations that raced the close.
-			for {
-				select {
-				case st := <-ch:
-					report.SSE(w, "iter", st)
-					continue
-				default:
-				}
-				break
-			}
-			final, _ := s.reg.Get(j.id)
-			report.SSE(w, "done", final)
-			fl.Flush()
-			return
+	var hangUp func()
+	if ownCancel {
+		hangUp = func() {
+			j.cancel()
+			// The worker still owns the finalization; wait so the
+			// registry reaches its terminal state before we return (the
+			// connection is gone — nothing more is written).
+			<-j.done
 		}
 	}
+	streamFeed(w, r, j.feed, "run", "iter", func() Record { rec, _ := s.reg.Get(j.id); return rec }, hangUp)
 }
 
 // handleSubmitStudy admits one ensemble study. With ?stream=sse the
@@ -376,7 +331,7 @@ func (s *Server) handleStudyStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown study %q", id)
 		return
 	}
-	s.replayStudyStream(w, rec)
+	replayStudy(w, rec)
 }
 
 // handleStudyReport renders the reduced ensemble report in
@@ -400,66 +355,19 @@ func (s *Server) handleStudyReport(w http.ResponseWriter, r *http.Request) {
 	report.Write(w, f, rec.Report)
 }
 
-// replayStudyStream renders a finished study as the same frame sequence
-// a live stream produces: study, one member row each, done.
-func (s *Server) replayStudyStream(w http.ResponseWriter, rec StudyRecord) {
-	fl := sseHeaders(w)
-	if fl == nil {
-		return
-	}
-	report.SSE(w, "study", rec)
+// replayStudy renders a finished study as the frame sequence a live
+// stream produces: study, one member row each, done.
+func replayStudy(w http.ResponseWriter, rec StudyRecord) {
+	var rows []report.MemberRow
 	if rec.Report != nil {
-		for _, row := range rec.Report.MemberRows {
-			report.SSE(w, "member", row)
-		}
+		rows = rec.Report.MemberRows
 	}
-	report.SSE(w, "done", rec)
-	fl.Flush()
+	replayFeed(w, "study", "member", rec, rows)
 }
 
-// streamStudy streams a live study: a "study" frame with the registry
-// record, "member" frames as realizations complete (recorded ones are
-// replayed first), and a terminal "done" frame with the final record
-// (including the reduced report). Hanging up detaches without
-// cancelling — a study is a batch artifact, not an interactive session.
+// streamStudy streams a live study ("study", "member"…, "done" with the
+// reduced report). Hanging up detaches without cancelling — a study is a
+// batch artifact, not an interactive session.
 func (s *Server) streamStudy(w http.ResponseWriter, r *http.Request, st *studyRun) {
-	fl := sseHeaders(w)
-	if fl == nil {
-		return
-	}
-	rec, _ := s.reg.GetStudy(st.id)
-	report.SSE(w, "study", rec)
-	fl.Flush()
-
-	snap, ch, unsub := st.subscribe(rec.Members)
-	defer unsub()
-	for _, row := range snap {
-		report.SSE(w, "member", row)
-	}
-	fl.Flush()
-
-	ctx := r.Context()
-	for {
-		select {
-		case row := <-ch:
-			report.SSE(w, "member", row)
-			fl.Flush()
-		case <-ctx.Done():
-			return
-		case <-st.done:
-			for {
-				select {
-				case row := <-ch:
-					report.SSE(w, "member", row)
-					continue
-				default:
-				}
-				break
-			}
-			final, _ := s.reg.GetStudy(st.id)
-			report.SSE(w, "done", final)
-			fl.Flush()
-			return
-		}
-	}
+	streamFeed(w, r, st.feed, "study", "member", func() StudyRecord { rec, _ := s.reg.GetStudy(st.id); return rec }, nil)
 }

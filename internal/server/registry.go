@@ -131,7 +131,7 @@ func OpenRegistry(dir string) (*Registry, error) {
 		}
 		if rec.Status == StatusQueued || rec.Status == StatusRunning {
 			rec.Status = StatusLost
-			if err := r.write(&rec); err != nil {
+			if err := r.persist(rec.ID, &rec); err != nil {
 				return nil, err
 			}
 		}
@@ -157,7 +157,7 @@ func OpenRegistry(dir string) (*Registry, error) {
 		}
 		if rec.Status == StatusQueued || rec.Status == StatusRunning {
 			rec.Status = StatusLost
-			if err := r.writeStudy(&rec); err != nil {
+			if err := r.persist(rec.ID, &rec); err != nil {
 				return nil, err
 			}
 		}
@@ -186,7 +186,7 @@ func (r *Registry) Put(rec Record) error {
 		r.order = append(r.order, rec.ID)
 	}
 	r.recs[rec.ID] = &rec
-	return r.write(&rec)
+	return r.persist(rec.ID, &rec)
 }
 
 // Delete removes a record that never became a run — an admission the
@@ -214,17 +214,22 @@ func (r *Registry) Delete(id string) error {
 	return nil
 }
 
-// write persists one record (atomically: temp file + rename). Callers
-// hold r.mu or have exclusive access.
-func (r *Registry) write(rec *Record) error {
+// persist writes v as <id>.json in the data dir; an in-memory registry
+// persists nothing. Callers hold r.mu or have exclusive access.
+func (r *Registry) persist(id string, v any) error {
 	if r.dir == "" {
 		return nil
 	}
-	b, err := json.MarshalIndent(rec, "", "  ")
+	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(r.dir, rec.ID+".json")
+	return writeAtomic(filepath.Join(r.dir, id+".json"), b)
+}
+
+// writeAtomic replaces path with b through a temp file and a rename, so a
+// reader (or a crash) sees the old file or the new one, never a torn one.
+func writeAtomic(path string, b []byte) error {
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, b, 0o644); err != nil {
 		return err
@@ -247,12 +252,7 @@ func (r *Registry) PutTrace(id string, tr *obs.Trace) error {
 	if r.dir == "" {
 		return nil
 	}
-	path := filepath.Join(r.dir, id+".trace.json")
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return writeAtomic(filepath.Join(r.dir, id+".trace.json"), b)
 }
 
 // GetTrace returns the run's Chrome trace JSON: from memory for runs of

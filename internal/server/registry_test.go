@@ -90,3 +90,23 @@ func TestRegistryMemoryOnly(t *testing.T) {
 		t.Fatal("Get returned a shared reference, not a copy")
 	}
 }
+
+// TestPutStudyOwnsMemberRuns: the study runner keeps writing run ids into
+// the MemberRuns slice of the record it passed to PutStudy while handlers
+// encode what GetStudy returns, so the stored copy must not share it
+// (the shared backing array was an intermittent -race failure of the
+// study stream and cancel tests).
+func TestPutStudyOwnsMemberRuns(t *testing.T) {
+	reg, err := OpenRegistry("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := StudyRecord{ID: reg.NewStudyID(), Members: 2, MemberRuns: make([]string, 2)}
+	if err := reg.PutStudy(rec); err != nil {
+		t.Fatal(err)
+	}
+	rec.MemberRuns[0] = "run-000001"
+	if got, _ := reg.GetStudy(rec.ID); got.MemberRuns[0] != "" {
+		t.Errorf("stored study record shares the caller's MemberRuns: %v", got.MemberRuns)
+	}
+}

@@ -72,57 +72,16 @@ type job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu    sync.Mutex
-	trace []qt.IterStats
-	subs  map[chan qt.IterStats]bool
+	// The iteration telemetry: execute publishes one row per iteration
+	// and marks the feed done after the registry record is final.
+	*feed[qt.IterStats]
 
 	// result is the full facade result, set by execute before done is
 	// closed (the close is the happens-before edge readers synchronize
 	// on). The ensemble runner reads it for the DOS reduction — the
 	// registry record only carries scalars.
 	result *qt.Result
-
-	done     chan struct{}
-	doneOnce sync.Once
 }
-
-// publish appends one iteration's telemetry and fans it out to the
-// subscribed streams (never blocking the solver: subscriber channels are
-// buffered for the full iteration budget).
-func (j *job) publish(st qt.IterStats) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.trace = append(j.trace, st)
-	for ch := range j.subs {
-		select {
-		case ch <- st:
-		default:
-		}
-	}
-}
-
-// subscribe returns a snapshot of the telemetry so far plus a live
-// channel for the rest; the caller must invoke the returned unsubscribe.
-func (j *job) subscribe() ([]qt.IterStats, chan qt.IterStats, func()) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	snap := append([]qt.IterStats(nil), j.trace...)
-	n := j.cfg.MaxIterations
-	if n <= 0 {
-		n = 25
-	}
-	ch := make(chan qt.IterStats, n+1)
-	j.subs[ch] = true
-	return snap, ch, func() {
-		j.mu.Lock()
-		delete(j.subs, ch)
-		j.mu.Unlock()
-	}
-}
-
-// markDone closes the done channel exactly once, after the registry
-// record reached its final state.
-func (j *job) markDone() { j.doneOnce.Do(func() { close(j.done) }) }
 
 // Server is the in-process service; cmd/qtd wraps it in an http.Server.
 type Server struct {
@@ -306,8 +265,7 @@ func (s *Server) submit(tenant string, priority int, rc qt.RunConfig, studyID st
 		id: s.reg.NewID(), tenant: tenant, priority: priority,
 		cfg: resolved, key: key, warmKey: warmKey,
 		submitted: time.Now(),
-		subs:      map[chan qt.IterStats]bool{},
-		done:      make(chan struct{}),
+		feed:      newFeed[qt.IterStats](resolved.MaxIterations),
 	}
 	j.ctx, j.cancel = context.WithCancel(s.ctx)
 

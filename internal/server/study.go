@@ -1,10 +1,8 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
+	"slices"
 	"time"
 
 	"repro/internal/qt"
@@ -58,32 +56,18 @@ func (r *Registry) NewStudyID() string {
 	return fmt.Sprintf("study-%06d", r.studySeq)
 }
 
-// PutStudy stores (a copy of) the study record and persists it.
+// PutStudy stores a copy of the study record and persists it. The copy
+// owns its MemberRuns: the study runner keeps filling the caller's slice
+// while handlers encode what GetStudy returned.
 func (r *Registry) PutStudy(rec StudyRecord) error {
+	rec.MemberRuns = slices.Clone(rec.MemberRuns)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.studies[rec.ID]; !ok {
 		r.studyOrder = append(r.studyOrder, rec.ID)
 	}
 	r.studies[rec.ID] = &rec
-	return r.writeStudy(&rec)
-}
-
-// writeStudy persists one study record (atomically). Callers hold r.mu.
-func (r *Registry) writeStudy(rec *StudyRecord) error {
-	if r.dir == "" {
-		return nil
-	}
-	b, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(r.dir, rec.ID+".json")
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return r.persist(rec.ID, &rec)
 }
 
 // GetStudy returns a copy of the study record.
