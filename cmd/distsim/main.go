@@ -12,8 +12,9 @@
 //     while the per-rank work shrinks.
 //   - weak:    the energy grid grows with P (NE = ne·P), keeping the
 //     per-rank GF work constant while the exchange volume grows.
-//   - overlap: each world size runs twice — bulk-synchronous phases vs
-//     the overlapped task-graph schedule (internal/sdfg) — and the
+//   - overlap: each world size runs the iteration graph twice — in
+//     bulk-synchronous order on one worker per rank (phases) vs on a
+//     work-stealing pool (overlap, internal/sdfg) — and the
 //     measured per-iteration makespans are compared against the
 //     internal/stream copy/compute-overlap prediction built from the
 //     measured compute/communication split.
@@ -237,8 +238,8 @@ func runScaleSweep(rep *report.Scaling, sweep string, base qt.Spec, ranks []int,
 }
 
 // runOverlapSweep is the schedule A/B experiment: for every world size,
-// run the same workload bulk-synchronously and as an overlapped task
-// graph, compare measured per-iteration makespans, and set the result
+// run the same iteration graph in phase order on one worker and
+// overlapped on a pool, compare measured per-iteration makespans, and set the result
 // against the internal/stream prediction derived from the measured
 // compute/communication split.
 func runOverlapSweep(base qt.Spec, ranks []int, iters, workers int, prec qt.Precision) []report.OverlapRow {

@@ -9,7 +9,8 @@
 // single collective the communication-avoiding DaCe variant relies on.
 // The nonblocking forms (Isend/Irecv/IAlltoallv/IAllreduce, see
 // nonblocking.go) return waitable requests so the task-graph runtime can
-// overlap collectives with compute.
+// overlap collectives with compute; blocking Alltoallv and Allreduce are
+// those same operations waited at once, counted under the same names.
 package comm
 
 import (
@@ -217,6 +218,8 @@ const (
 	tagAllgather
 	tagMaxUp
 	tagMaxDown
+	tagAllreduceUp
+	tagAllreduceDown
 )
 
 // Bcast sends root's data to every rank and returns the received copy
@@ -259,13 +262,11 @@ func (c *Comm) Reduce(root int, data []complex128) []complex128 {
 	return sum
 }
 
-// Allreduce is Reduce-to-0 followed by Bcast.
+// Allreduce sums every rank's contribution elementwise and returns the
+// identical result on all ranks: IAllreduce posted on the blocking
+// form's reserved tags and waited at once.
 func (c *Comm) Allreduce(data []complex128) []complex128 {
-	sum := c.Reduce(0, data)
-	if c.rank == 0 {
-		return c.Bcast(0, sum)
-	}
-	return c.Bcast(0, nil)
+	return c.postAllreduce("Allreduce", tagAllreduceUp, tagAllreduceDown, data, addInto).Wait()
 }
 
 // AllreduceMax combines every rank's contribution with the elementwise
@@ -274,53 +275,35 @@ func (c *Comm) Allreduce(data []complex128) []complex128 {
 // The distributed solver uses it for the mixed-precision error telemetry:
 // the global deviation is the worst rank's, not the sum.
 func (c *Comm) AllreduceMax(data []complex128) []complex128 {
-	if c.rank != 0 {
-		c.send(0, tagMaxUp, data, "AllreduceMax")
-		return c.Recv(0, tagMaxDown)
+	return c.postAllreduce("AllreduceMax", tagMaxUp, tagMaxDown, data, maxInto).Wait()
+}
+
+func addInto(acc, part []complex128) {
+	for i, v := range part {
+		acc[i] += v
 	}
-	c.world.countCollective("AllreduceMax")
-	mx := append([]complex128(nil), data...)
-	for r := 1; r < c.world.size; r++ {
-		part := c.Recv(r, tagMaxUp)
-		if len(part) != len(mx) {
-			panic("comm: AllreduceMax length mismatch")
+}
+
+func maxInto(acc, part []complex128) {
+	for i, v := range part {
+		re, im := real(acc[i]), imag(acc[i])
+		if real(v) > re {
+			re = real(v)
 		}
-		for i, v := range part {
-			re, im := real(mx[i]), imag(mx[i])
-			if real(v) > re {
-				re = real(v)
-			}
-			if imag(v) > im {
-				im = imag(v)
-			}
-			mx[i] = complex(re, im)
+		if imag(v) > im {
+			im = imag(v)
 		}
+		acc[i] = complex(re, im)
 	}
-	for r := 1; r < c.world.size; r++ {
-		c.send(r, tagMaxDown, mx, "AllreduceMax")
-	}
-	return mx
 }
 
 // Alltoallv exchanges per-destination buffers: send[r] goes to rank r, and
 // the returned recv[r] is what rank r sent here. This is the collective
 // the DaCe variant's four exchanges use (§6.1.2); the measured volume is
-// the sum of all off-diagonal buffer sizes.
+// the sum of all off-diagonal buffer sizes. It is IAlltoallv posted on
+// the blocking form's reserved tag and waited at once.
 func (c *Comm) Alltoallv(send [][]complex128) [][]complex128 {
-	if len(send) != c.world.size {
-		panic("comm: Alltoallv needs one buffer per rank")
-	}
-	if c.rank == 0 {
-		c.world.countCollective("Alltoallv")
-	}
-	for r := 0; r < c.world.size; r++ {
-		c.send(r, tagAlltoall, send[r], "Alltoallv")
-	}
-	recv := make([][]complex128, c.world.size)
-	for r := 0; r < c.world.size; r++ {
-		recv[r] = c.Recv(r, tagAlltoall)
-	}
-	return recv
+	return c.postAlltoallv("Alltoallv", tagAlltoall, send).Wait()
 }
 
 // Gather collects every rank's buffer at root (index = source rank).
@@ -344,22 +327,16 @@ func (c *Comm) Gather(root int, data []complex128) [][]complex128 {
 
 // Allgather collects every rank's buffer on every rank: the returned
 // slice holds rank r's contribution at index r, identical on all ranks.
-// Buffers may have different lengths (allgatherv semantics). Counted as
-// one collective; the flat-exchange volume is P·(P−1)·len·16 bytes for
-// equal-length buffers — the cost the distributed solver's per-rank
-// diagnostics pay.
+// Buffers may have different lengths (allgatherv semantics). It is the
+// all-to-all exchange with the same row for every destination, counted as
+// one "Allgather"; the flat-exchange volume is P·(P−1)·len·16 bytes for
+// equal-length buffers.
 func (c *Comm) Allgather(data []complex128) [][]complex128 {
-	if c.rank == 0 {
-		c.world.countCollective("Allgather")
+	send := make([][]complex128, c.world.size)
+	for r := range send {
+		send[r] = data
 	}
-	for r := 0; r < c.world.size; r++ {
-		c.send(r, tagAllgather, data, "Allgather")
-	}
-	out := make([][]complex128, c.world.size)
-	for r := 0; r < c.world.size; r++ {
-		out[r] = c.Recv(r, tagAllgather)
-	}
-	return out
+	return c.postAlltoallv("Allgather", tagAllgather, send).Wait()
 }
 
 // Barrier synchronizes all ranks (central-coordinator implementation).

@@ -77,19 +77,24 @@ func (c *Comm) Irecv(from, tag int) *RecvRequest {
 
 // IAlltoallv posts the nonblocking form of Alltoallv on the given slot.
 // All sends happen (and are counted) at post time; Wait blocks until
-// every rank's buffer for this rank has arrived. Counted under the same
-// "Alltoallv" collective name as the blocking form — it is the same
-// exchange, only its completion is deferred.
+// every rank's buffer for this rank has arrived.
 func (c *Comm) IAlltoallv(slot int, send [][]complex128) *MatRequest {
+	return c.postAlltoallv("Alltoallv", nbTag(slot, legAlltoall), send)
+}
+
+// postAlltoallv is the one all-to-all exchange: the slotted nonblocking
+// Alltoallv and its blocking form differ only in the tag they match on
+// and in when they wait, so both count as one "Alltoallv"; Allgather is
+// the same exchange under its own name.
+func (c *Comm) postAlltoallv(name string, tag int, send [][]complex128) *MatRequest {
 	if len(send) != c.world.size {
-		panic("comm: IAlltoallv needs one buffer per rank")
+		panic("comm: " + name + " needs one buffer per rank")
 	}
 	if c.rank == 0 {
-		c.world.countCollective("Alltoallv")
+		c.world.countCollective(name)
 	}
-	tag := nbTag(slot, legAlltoall)
 	for r := 0; r < c.world.size; r++ {
-		c.send(r, tag, send[r], "Alltoallv")
+		c.send(r, tag, send[r], name)
 	}
 	req := &MatRequest{ch: make(chan [][]complex128, 1)}
 	go func() {
@@ -103,38 +108,40 @@ func (c *Comm) IAlltoallv(slot int, send [][]complex128) *MatRequest {
 }
 
 // IAllreduce posts a nonblocking elementwise sum over all ranks on the
-// given slot. The reduction sums rank contributions in ascending rank
-// order at rank 0 — the same association order as the blocking
-// Allreduce, so both forms are bitwise interchangeable. Counted as one
-// "Allreduce" collective (the blocking form, composed of Reduce+Bcast,
-// counts as those two instead).
+// given slot.
 func (c *Comm) IAllreduce(slot int, data []complex128) *VecRequest {
+	return c.postAllreduce("Allreduce", nbTag(slot, legReduce), nbTag(slot, legBcast), data, addInto)
+}
+
+// postAllreduce is the one all-reduction, behind the slotted nonblocking
+// form and the blocking forms alike: rank 0 folds the contributions into
+// its own in ascending rank order with combine (one association order, so
+// IAllreduce and Allreduce are bitwise interchangeable) and sends the
+// result back to everyone. Counted as one collective under name, moving
+// 2·(P−1)·len·16 bytes.
+func (c *Comm) postAllreduce(name string, tagR, tagB int, data []complex128, combine func(acc, part []complex128)) *VecRequest {
 	if c.rank == 0 {
-		c.world.countCollective("Allreduce")
+		c.world.countCollective(name)
 	}
 	cp := append([]complex128(nil), data...)
-	tagR, tagB := nbTag(slot, legReduce), nbTag(slot, legBcast)
 	req := &VecRequest{ch: make(chan []complex128, 1)}
 	if c.rank != 0 {
-		c.send(0, tagR, cp, "Allreduce")
+		c.send(0, tagR, cp, name)
 		go func() { req.ch <- c.Recv(0, tagB) }()
 		return req
 	}
 	go func() {
-		sum := cp
 		for r := 1; r < c.world.size; r++ {
 			part := c.Recv(r, tagR)
-			if len(part) != len(sum) {
-				panic("comm: IAllreduce length mismatch")
+			if len(part) != len(cp) {
+				panic("comm: " + name + " length mismatch")
 			}
-			for i, v := range part {
-				sum[i] += v
-			}
+			combine(cp, part)
 		}
 		for r := 1; r < c.world.size; r++ {
-			c.send(r, tagB, sum, "Allreduce")
+			c.send(r, tagB, cp, name)
 		}
-		req.ch <- sum
+		req.ch <- cp
 	}()
 	return req
 }

@@ -89,13 +89,15 @@ func TestIAllreduceMatchesBlocking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Both forms are the one collective and count under the one name —
+	// nothing is booked as the blocking form's Reduce and Bcast legs.
 	st := w.Stats()
-	if st.Collectives["Allreduce"] != 1 {
-		t.Fatalf("Allreduce count = %d", st.Collectives["Allreduce"])
+	if st.Collectives["Allreduce"] != 2 || st.Collectives["Reduce"]+st.Collectives["Bcast"] != 0 {
+		t.Fatalf("collective counts = %v, want 2 Allreduce only", st.Collectives)
 	}
-	// Volume: (n−1) contributions to rank 0 plus (n−1) broadcast copies.
-	if want := int64(2*(n-1)) * 2 * 16; st.CollectiveBytes["Allreduce"] != want {
-		t.Fatalf("Allreduce bytes = %d, want %d", st.CollectiveBytes["Allreduce"], want)
+	// Volume, each: (n−1) contributions to rank 0 plus (n−1) copies back.
+	if want := int64(2 * 2 * (n - 1) * 2 * 16); st.CollectiveBytes["Allreduce"] != want || st.BytesSent != want {
+		t.Fatalf("Allreduce bytes = %d of %d sent, want %d", st.CollectiveBytes["Allreduce"], st.BytesSent, want)
 	}
 }
 

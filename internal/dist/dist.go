@@ -13,17 +13,24 @@
 // are block-distributed over the ranks (decomp.OMENLayout). Each rank
 // runs its own boundary-condition cache (§7.1.2) and RGF solves for its
 // owned points, then participates in the four Alltoallv exchanges of the
-// communication-avoiding DaCe SSE decomposition (decomp.ExchangeDaCe) and
-// an Allreduce of the observables, so every iteration's left-contact
-// current — and hence the convergence decision — is globally consistent.
+// communication-avoiding DaCe SSE decomposition (decomp.DaCePlan) and an
+// Allreduce of the observables, so every iteration's left-contact current
+// — and hence the convergence decision — is globally consistent.
+//
+// There is one engine. Every rank executes the dataflow graph
+// buildWindowGraph lays out — the only place that lists an iteration's
+// steps — on an internal/sdfg worker pool; a Schedule is an execution
+// order of that graph, i.e. a window depth and a pool size, and the
+// bulk-synchronous phases are the depth-1 window on one worker.
 //
 // The per-iteration currents match the sequential solver to floating-point
-// reduction ordering (≲1e-12 relative), which the package tests assert
-// for P ∈ {1, 2, 4, 8}.
+// reduction ordering (≲1e-12 relative) and each other bit for bit, which
+// the package tests assert for P ∈ {1, 2, 4, 8} over the schedule table.
 package dist
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/bc"
 	"repro/internal/comm"
@@ -51,42 +58,42 @@ const (
 // MixedCurrentTol is the documented mixed-precision acceptance tolerance:
 // the per-iteration left-contact current of a PrecisionMixed run must
 // match the sequential fp64 solver within this relative deviation for
-// any world size and either schedule. The binary16 mantissa carries 11
+// any world size and every schedule. The binary16 mantissa carries 11
 // bits (ε₁₆ ≈ 4.9e-4 relative per rounding); the quantized Σ≷ feed back
 // through the damped (mixing 0.5) self-consistent loop, and the current
 // — an integral observable — lands two to three orders looser than a
 // single rounding. The package regression tests assert this bound for
-// P ∈ {1, 2, 4, 8} on both schedules.
+// P ∈ {1, 2, 4, 8}.
 const MixedCurrentTol = 1e-2
 
-// Schedule selects how each self-consistent iteration executes. There
-// are two engines: the bulk-synchronous reference loop (SchedulePhases)
-// and the window task graph, of which ScheduleOverlap and
-// SchedulePipeline are two spellings.
+// Schedule names one execution order of the per-rank dataflow graph
+// (buildWindowGraph). There is one engine; a schedule only sets how many
+// self-consistent iterations one graph spans (the window depth) and how
+// many workers run it, and Validate resolves it to those two integers.
+// Per-iteration arithmetic — accumulation order, mixing, reduction
+// association — is the graph's, so all three record bitwise-equal
+// currents.
 type Schedule int
 
 const (
-	// SchedulePhases is the bulk-synchronous baseline: the GF phase, a
-	// failure-agreement barrier, the blocking SSE exchange, and the
-	// observable reduction run strictly one after another.
+	// SchedulePhases is the bulk-synchronous order: depth 1 on one
+	// worker, which runs the graph's nodes (GF solves, G≷/D≷ exchange,
+	// tile, Σ≷/Π≷ exchange, mixing, observable reduction) strictly one
+	// after another and blocks in every wait, so nothing overlaps within
+	// a rank — §4's claim that the phases are one order of the dataflow
+	// program, not a second program.
 	SchedulePhases Schedule = iota
-	// ScheduleOverlap is the window task graph at depth 1: every
-	// iteration is a dataflow graph on a work-stealing pool
-	// (internal/sdfg) — per-point BC and RGF solves, collision partials,
-	// the four SSE exchanges as nonblocking collectives posted as soon as
-	// this rank's own points finish, the tile kernel, per-point mixing and
-	// the observable reduction — the paper's data-centric execution model,
-	// numerically identical to SchedulePhases.
+	// ScheduleOverlap is depth 1 on a work-stealing pool of Workers
+	// (internal/sdfg): the four SSE exchanges are posted as soon as this
+	// rank's own points finish and complete behind the remaining point
+	// solves and collision partials — the §7.1.3 overlap.
 	ScheduleOverlap
-	// SchedulePipeline spans the same task graph across a window of
-	// PipelineDepth self-consistent iterations: iteration n+1's boundary
-	// solves and point solves are enqueued as soon as the mixed Σ≷/Π≷ of
-	// iteration n is available for their points, and a conv fence node per
-	// iteration discards speculated work when convergence (or a failure or
-	// cancellation riding the reduction) lands. The arithmetic per
-	// iteration is identical to the other schedules, so the recorded
-	// currents still match SchedulePhases bitwise — only the iteration
-	// barrier is gone.
+	// SchedulePipeline spans PipelineDepth iterations per graph on the
+	// same pool: iteration n+1's boundary and point solves start as soon
+	// as the mixed Σ≷/Π≷ of iteration n is available for their points,
+	// and a conv fence node per iteration discards speculated work when
+	// convergence (or a failure or cancellation riding the reduction)
+	// lands — only the iteration barrier is gone.
 	SchedulePipeline
 )
 
@@ -119,18 +126,20 @@ type Options struct {
 	MaxIter int
 	// Tol is the relative change of the contact current at convergence.
 	Tol float64
-	// Schedule selects bulk-synchronous phases (default) or the window
-	// task graph (ScheduleOverlap, SchedulePipeline).
+	// Schedule selects the execution order of the iteration graph
+	// (default SchedulePhases).
 	Schedule Schedule
 	// Workers is the per-rank worker-pool size of ScheduleOverlap and
 	// SchedulePipeline (default 2: one worker can block in a collective
-	// wait while the other computes). Ignored by SchedulePhases.
+	// wait while the other computes). SchedulePhases is the one-worker
+	// order by definition: Validate resolves it to 1.
 	Workers int
-	// PipelineDepth is the iteration-window size of SchedulePipeline:
-	// how many self-consistent iterations one task graph spans before the
-	// ranks drain and the next window is built (default 2). Depth 1 is
-	// exactly ScheduleOverlap. Setting it under any other schedule is a
-	// configuration error.
+	// PipelineDepth is the iteration-window size: how many
+	// self-consistent iterations one task graph spans before the ranks
+	// drain and the next window is built. SchedulePipeline takes any
+	// depth >= 1 (default 2); SchedulePhases and ScheduleOverlap are
+	// depth 1 by definition — Validate resolves them to 1, and asking
+	// for anything else under them is a configuration error.
 	PipelineDepth int
 	// Precision selects fp64 (default) or the mixed binary16 SSE path:
 	// quantized tile kernel plus half-width wire payloads on all four
@@ -139,31 +148,30 @@ type Options struct {
 	// ErrorProbe (PrecisionMixed only) additionally runs the fp64 tile
 	// kernel each iteration and reduces the worst rank's normwise Σ≷/Π≷
 	// deviation into IterStats.SigmaErr — per-iteration quantization
-	// telemetry at the cost of doubling the tile compute. On the task
-	// graph it requires window depth 1 (ScheduleOverlap, or
-	// SchedulePipeline with PipelineDepth 1): the probe is a blocking
-	// max-reduction inside every iteration, which in a deeper window would
-	// reinstate the cross-iteration barrier the window exists to remove.
+	// telemetry at the cost of doubling the tile compute. It requires
+	// window depth 1 (any schedule but SchedulePipeline at depth > 1):
+	// the probe is a blocking max-reduction inside every iteration, which
+	// in a deeper window would reinstate the cross-iteration barrier the
+	// window exists to remove.
 	ErrorProbe bool
 	// Progress, when non-nil, is invoked on rank 0 after every
 	// self-consistent iteration with that iteration's stats — the
 	// cancel/telemetry hook the qt facade threads a context and its
 	// streaming through. A non-nil return requests cancellation: a rank
-	// cannot abandon the collectives unilaterally, so all ranks agree on
-	// the request before anyone stops, and Run returns the hook's error
-	// alongside the partial result, its trace truncated at the iteration
-	// the hook saw. SchedulePhases agrees at the start of the next
-	// iteration (one scalar Allreduce, paid only when the hook is
-	// installed and accounted in IterStats.ReduceBytes). The task graph
-	// folds the request into the next iteration's observable reduction
-	// instead — no extra collective, at the price of computing and
-	// discarding that one speculative iteration.
+	// cannot abandon the collectives unilaterally, so the request rides
+	// the next iteration's observable reduction — no collective of its
+	// own, at the price of computing and discarding that one iteration —
+	// and Run returns the hook's error alongside the partial result, its
+	// trace truncated at the iteration the hook saw.
 	Progress func(IterStats) error
 	// Tracer, when non-nil, records per-phase spans for every rank —
 	// per-point BC/RGF solves (with the rank and a per-worker track),
-	// the SSE exchanges and tile kernel, the observable reduction, and
-	// the iteration envelope. All ranks of the simulated world share one
-	// tracer; nil (the default) keeps the hot path allocation-free.
+	// every graph node (exchange posts and waits, tile kernel, observable
+	// reduction, mixing) and the window envelope. A pool of two or more
+	// workers records its nodes on tracks 100+worker; a one-worker pool
+	// has no worker lanes, so its nodes go on the rank's own track 0. All
+	// ranks of the simulated world share one tracer; nil (the default)
+	// keeps the hot path allocation-free.
 	Tracer *obs.Tracer
 }
 
@@ -201,6 +209,13 @@ func (o Options) Validate() (Options, error) {
 	if o.Ta <= 0 || o.TE <= 0 || o.Ta*o.TE != o.Ranks {
 		return o, fmt.Errorf("dist: tile split %d×%d does not cover %d ranks", o.Ta, o.TE, o.Ranks)
 	}
+	// NaN compares false against every range check below and would reach
+	// tensor.MixSlice and the convergence test as is.
+	for _, v := range []float64{o.Mixing, o.Tol} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return o, fmt.Errorf("dist: Mixing and Tol must be finite, got %g and %g", o.Mixing, o.Tol)
+		}
+	}
 	if o.Mixing <= 0 || o.Mixing > 1 {
 		o.Mixing = 0.5
 	}
@@ -216,10 +231,19 @@ func (o Options) Validate() (Options, error) {
 	if o.Precision != PrecisionMixed {
 		o.ErrorProbe = false
 	}
+	if o.Workers <= 0 {
+		o.Workers = 2
+	}
+	// The schedule resolves to (window depth, pool size) here and
+	// nowhere else: the engine reads only the two integers.
 	switch o.Schedule {
 	case SchedulePhases, ScheduleOverlap:
-		if o.PipelineDepth != 0 {
-			return o, fmt.Errorf("dist: PipelineDepth requires SchedulePipeline")
+		if o.PipelineDepth != 0 && o.PipelineDepth != 1 {
+			return o, fmt.Errorf("dist: PipelineDepth %d requires SchedulePipeline", o.PipelineDepth)
+		}
+		o.PipelineDepth = 1
+		if o.Schedule == SchedulePhases {
+			o.Workers = 1
 		}
 	case SchedulePipeline:
 		if o.PipelineDepth == 0 {
@@ -228,14 +252,11 @@ func (o Options) Validate() (Options, error) {
 		if o.PipelineDepth < 1 {
 			return o, fmt.Errorf("dist: pipeline depth must be >= 1, got %d", o.PipelineDepth)
 		}
-		if o.ErrorProbe && o.PipelineDepth != 1 {
-			return o, fmt.Errorf("dist: ErrorProbe requires window depth 1, got %d: its blocking max-reduction would serialize the iteration window", o.PipelineDepth)
-		}
 	default:
 		return o, fmt.Errorf("dist: unknown schedule %d", o.Schedule)
 	}
-	if o.Workers <= 0 {
-		o.Workers = 2
+	if o.ErrorProbe && o.PipelineDepth != 1 {
+		return o, fmt.Errorf("dist: ErrorProbe requires window depth 1, got %d: its blocking max-reduction would serialize the iteration window", o.PipelineDepth)
 	}
 	return o, nil
 }
@@ -285,15 +306,7 @@ func Run(dev *device.Device, opts Options) (*Result, error) {
 	}
 	w := comm.NewWorld(opts.Ranks)
 	res := &Result{}
-	if err := w.Run(func(c *comm.Comm) error {
-		switch opts.Schedule {
-		case ScheduleOverlap:
-			return runRankWindow(c, dev, opts, 1, res)
-		case SchedulePipeline:
-			return runRankWindow(c, dev, opts, opts.PipelineDepth, res)
-		}
-		return runRank(c, dev, opts, res)
-	}); err != nil {
+	if err := w.Run(func(c *comm.Comm) error { return runRankWindow(c, dev, opts, res) }); err != nil {
 		return nil, err
 	}
 	res.Comm = w.Stats()

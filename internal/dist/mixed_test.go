@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,70 +10,42 @@ import (
 	"repro/internal/negf"
 )
 
-// TestMixedGoldenCrossSchedule is the golden regression of the
-// mixed-precision distributed path: for P ∈ {1, 2, 4, 8} and both
-// schedules, every per-iteration left-contact current of a
+// mixedWithinTol is the golden regression of the mixed-precision
+// distributed path: every per-iteration left-contact current of a
 // PrecisionMixed run must match the sequential FP64 solver within the
 // documented MixedCurrentTol. This pins the combined quantization error
 // of the binary16 wire format and the mixed tile kernel through the
 // self-consistent feedback loop.
-func TestMixedGoldenCrossSchedule(t *testing.T) {
-	const iters = 5
-	dev := testDevice(t)
-	ref := sequentialTrace(t, dev, iters)
-
-	for _, sched := range []Schedule{SchedulePhases, ScheduleOverlap} {
-		for _, ranks := range []int{1, 2, 4, 8} {
-			opts := DefaultOptions(ranks)
-			opts.MaxIter = iters
-			opts.Tol = 1e-300
-			opts.Schedule = sched
+func mixedWithinTol(worlds ...int) func(*testing.T, sched) {
+	return func(t *testing.T, s sched) {
+		const iters = 5
+		ref := sequentialTrace(t, iters)
+		for _, ranks := range worlds {
+			opts := s.forced(ranks, iters)
 			opts.Precision = PrecisionMixed
-			res, err := Run(dev, opts)
-			if !errors.Is(err, negf.ErrNotConverged) {
-				t.Fatalf("%v P=%d: expected ErrNotConverged, got %v", sched, ranks, err)
-			}
-			if len(res.IterTrace) != iters {
-				t.Fatalf("%v P=%d: trace has %d iterations, want %d",
-					sched, ranks, len(res.IterTrace), iters)
-			}
-			for i, st := range res.IterTrace {
+			for i, st := range mustRun(t, fmt.Sprint("P=", ranks), opts).IterTrace {
 				if e := relErr(st.Current, ref[i].Current); e > MixedCurrentTol {
-					t.Errorf("%v P=%d iter %d: mixed current %.12g vs sequential fp64 %.12g (rel %.3g > %g)",
-						sched, ranks, i, st.Current, ref[i].Current, e, MixedCurrentTol)
+					t.Errorf("P=%d iter %d: mixed current %.12g vs sequential fp64 %.12g (rel %.3g > %g)",
+						ranks, i, st.Current, ref[i].Current, e, MixedCurrentTol)
 				}
 			}
 		}
 	}
 }
 
-// TestMixedSchedulesAgree: the two schedules execute the identical mixed
-// arithmetic in the identical association order, so their per-iteration
-// currents must agree to reduction-ordering noise — quantization does
-// not excuse schedule-dependent results.
-func TestMixedSchedulesAgree(t *testing.T) {
-	const iters = 4
-	dev := testDevice(t)
+func TestMixedGoldenCrossSchedule(t *testing.T) {
+	forEach(t, func(s sched) bool { return !isPipeline(s) }, mixedWithinTol(1, 2, 4, 8))
+}
 
-	run := func(sched Schedule) *Result {
-		opts := DefaultOptions(4)
-		opts.MaxIter = iters
-		opts.Tol = 1e-300
-		opts.Schedule = sched
-		opts.Precision = PrecisionMixed
-		res, err := Run(dev, opts)
-		if !errors.Is(err, negf.ErrNotConverged) {
-			t.Fatalf("%v: expected ErrNotConverged, got %v", sched, err)
-		}
-		return res
-	}
-	ph, ov := run(SchedulePhases), run(ScheduleOverlap)
-	for i := range ph.IterTrace {
-		if e := relErr(ov.IterTrace[i].Current, ph.IterTrace[i].Current); e > 1e-12 {
-			t.Errorf("iter %d: overlap %.17g vs phases %.17g (rel %.3g)",
-				i, ov.IterTrace[i].Current, ph.IterTrace[i].Current, e)
-		}
-	}
+// Speculation across a window and quantization compose; the world-size
+// sweep of the deeper windows is TestPipelineBitwiseMatchesPhases'.
+func TestPipelineMixedPrecision(t *testing.T) { forEach(t, isPipeline, mixedWithinTol(2)) }
+
+// TestMixedSchedulesAgree: the schedules execute the identical mixed
+// arithmetic in the identical association order — quantization does not
+// excuse schedule-dependent results.
+func TestMixedSchedulesAgree(t *testing.T) {
+	forEach(t, isOverlap, bitwiseMatchesPhases(PrecisionMixed))
 }
 
 // TestMixedHalvesMeasuredVolume: at an identical decomposition the mixed
@@ -137,52 +110,28 @@ func TestMixedHalvesMeasuredVolume(t *testing.T) {
 
 // TestMixedErrorProbe: with the probe on, every iteration reports a
 // small nonzero Σ deviation, bounded well under the current tolerance —
-// the same one under every schedule that can run it, bit for bit the
-// values ScheduleOverlap reported at commit 1f4b91f, before the probe
-// became a node of the window graph. The task graph additionally runs
-// with a single-worker pool: the probe's blocking max-reduction must stay
-// deadlock-free when the rank's only worker can block in it (the probe
-// node depends on both Σ/Π posts, like the exchange waits). A window
-// deeper than 1 cannot host the probe and is rejected.
+// the same one on every depth-1 row of the schedule table, bit for bit
+// the values ScheduleOverlap reported at commit 1f4b91f, before the probe
+// became a node of the window graph. The one-worker rows matter most: the
+// probe's blocking max-reduction must stay deadlock-free when the rank's
+// only worker can block in it (the probe node depends on both Σ/Π posts,
+// like the exchange waits). A window deeper than 1 cannot host the probe
+// and is rejected.
 func TestMixedErrorProbe(t *testing.T) {
 	recorded := []uint64{0x3f4449098578ea10, 0x3f3e61a63c4a347e}
-	for _, tc := range []struct {
-		sched          Schedule
-		workers, depth int
-	}{
-		{SchedulePhases, 0, 0},
-		{ScheduleOverlap, 2, 0},
-		{ScheduleOverlap, 1, 0},
-		{SchedulePipeline, 2, 1},
-		{SchedulePipeline, 1, 1},
-	} {
-		dev := testDevice(t)
-		opts := DefaultOptions(2)
-		opts.MaxIter = 2
-		opts.Tol = 1e-300
-		opts.Schedule = tc.sched
-		opts.Workers = tc.workers
-		opts.PipelineDepth = tc.depth
+	forEach(t, func(s sched) bool { return s.depth <= 1 }, func(t *testing.T, s sched) {
+		opts := s.forced(2, len(recorded))
 		opts.Precision = PrecisionMixed
 		opts.ErrorProbe = true
-		res, err := Run(dev, opts)
-		if err != nil && !errors.Is(err, negf.ErrNotConverged) {
-			t.Fatal(err)
-		}
-		if len(res.IterTrace) != len(recorded) {
-			t.Fatalf("%v workers=%d: %d iterations, want %d", tc.sched, tc.workers, len(res.IterTrace), len(recorded))
-		}
-		for i, it := range res.IterTrace {
+		for i, it := range mustRun(t, "probe", opts).IterTrace {
 			if it.SigmaErr <= 0 || it.SigmaErr > 0.05 {
-				t.Errorf("%v workers=%d iter %d: SigmaErr %g outside (0, 0.05]",
-					tc.sched, tc.workers, i, it.SigmaErr)
+				t.Errorf("iter %d: SigmaErr %g outside (0, 0.05]", i, it.SigmaErr)
 			}
 			if got := math.Float64bits(it.SigmaErr); got != recorded[i] {
-				t.Errorf("%v workers=%d iter %d: SigmaErr %#x, recorded %#x",
-					tc.sched, tc.workers, i, got, recorded[i])
+				t.Errorf("iter %d: SigmaErr %#x, recorded %#x", i, got, recorded[i])
 			}
 		}
-	}
+	})
 	deep := DefaultOptions(2)
 	deep.Schedule = SchedulePipeline
 	deep.PipelineDepth = 2

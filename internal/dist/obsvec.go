@@ -15,13 +15,12 @@ import (
 type partialObs struct {
 	negf.Observables
 	sse sse.Stats
-	// flag is the failure-agreement bit of the task graph: the reduced
-	// value is nonzero iff any rank's GF solves errored this iteration.
-	// The bulk-synchronous path agrees through a dedicated Allreduce
-	// instead and leaves it zero.
+	// flag is the control word riding the reduction: each rank whose GF
+	// solves errored this iteration adds 1, and rank 0 adds stopRideFlag
+	// for a pending Progress cancellation.
 	flag float64
 	// sseB/redB carry each rank's measured off-rank SSE exchange and
-	// reduction bytes, so both schedules get per-iteration traffic totals
+	// reduction bytes, so every iteration gets its traffic totals
 	// without the barriers counter snapshots would need; fbk carries the
 	// rank's fp64-fallback segment count of the mixed-precision wire
 	// encoder (zero under FP64).

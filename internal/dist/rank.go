@@ -1,19 +1,15 @@
 package dist
 
 import (
-	"fmt"
-	"time"
-
 	"repro/internal/comm"
 	"repro/internal/decomp"
 	"repro/internal/device"
 	"repro/internal/negf"
 	"repro/internal/sse"
-	"repro/internal/tensor"
 )
 
 // rankState is one rank's persistent shard state across the whole
-// self-consistent loop, shared by both engines.
+// self-consistent loop.
 type rankState struct {
 	c        *comm.Comm
 	dev      *device.Device
@@ -40,20 +36,6 @@ func newRankState(c *comm.Comm, dev *device.Device, opts Options) *rankState {
 	rs.ps.TraceRank = r
 	rs.in = &sse.Input{Dev: dev, GL: rs.ps.GL, GG: rs.ps.GG, DL: rs.ps.DL, DG: rs.ps.DG}
 	return rs
-}
-
-// mixSigmaAt and mixPiAt blend the freshly exchanged Σ≷ (Π≷) plane of one
-// owned point into the solver state — tensor.MixSlice is the same blend
-// the sequential solver applies tensor-wide. The bulk-synchronous loop
-// sweeps them over the shard; the task graph runs one node per point.
-func (rs *rankState) mixSigmaAt(out *sse.Output, ik, ie int, mixing float64) {
-	tensor.MixSlice(rs.ps.SigL.Plane(ik, ie), out.SigL.Plane(ik, ie), mixing)
-	tensor.MixSlice(rs.ps.SigG.Plane(ik, ie), out.SigG.Plane(ik, ie), mixing)
-}
-
-func (rs *rankState) mixPiAt(out *sse.Output, iq, m int, mixing float64) {
-	tensor.MixSlice(rs.ps.PiL.Plane(iq, m-1), out.PiL.Plane(iq, m-1), mixing)
-	tensor.MixSlice(rs.ps.PiG.Plane(iq, m-1), out.PiG.Plane(iq, m-1), mixing)
 }
 
 // epilogue reduces the last valid iteration's phonon spectra for the
@@ -97,146 +79,6 @@ func (rs *rankState) epilogue(opts Options, res *Result, converged bool, local, 
 			BCComputes: int(real(l[2])),
 		}
 	}
-}
-
-// runRank is one rank's life under SchedulePhases: the bulk-synchronous
-// GF → barrier → SSE → reduce loop. Only rank 0 writes into res (the
-// caller reads it after World.Run returns, which orders the accesses).
-func runRank(c *comm.Comm, dev *device.Device, opts Options, res *Result) error {
-	rs := newRankState(c, dev, opts)
-	r := c.Rank()
-	trc := opts.Tracer
-	points := rs.sh.NewResults()
-	redShare := reduceShare(c, vecLen(dev.P)) + agreeShare(c, opts)
-	var part, global *partialObs
-	var stopErr error
-	var prev float64
-	converged := false
-	for it := 0; it < opts.MaxIter; it++ {
-		if opts.Progress != nil && agreeStop(c, stopErr) {
-			break
-		}
-		iterStart := time.Now()
-		tIter := trc.Begin()
-		// ── GF phase: RGF solves for the owned shard only, serially (the
-		// ranks are the parallelism). No traffic.
-		part = &partialObs{}
-		err := rs.ps.Sweep(rs.sh, 1, points)
-		if err == nil {
-			rs.ps.Fold(rs.sh, points, &part.Observables)
-		}
-		// A rank cannot abandon the collectives unilaterally — the others
-		// would block in the next exchange forever. Agree on failure first:
-		// one scalar Allreduce, nonzero iff any rank errored. The failing
-		// rank(s) then report the real error; healthy ranks exit cleanly.
-		var flag complex128
-		if err != nil {
-			flag = 1
-		}
-		if fail := c.Allreduce([]complex128{flag}); real(fail[0]) != 0 {
-			if err != nil {
-				return fmt.Errorf("dist: iteration %d: %w", it, err)
-			}
-			return nil
-		}
-
-		// ── SSE phase: four Alltoallv exchanges + local tile kernel, then
-		// linear mixing of the owned Σ≷/Π≷ planes. The plan counts this
-		// rank's off-rank traffic at pack time — the same barrier-free
-		// accounting the task graph uses, so the schedules' iteration
-		// timings stay comparable.
-		pl := decomp.NewDaCePlan(c.Rank(), rs.tiles, rs.src, rs.atomSets, rs.in).
-			WithPrecision(opts.Precision)
-		if opts.ErrorProbe {
-			pl.WithErrorProbe()
-		}
-		tEx := trc.Begin()
-		pl.UnpackG(c.Alltoallv(pl.PackG()))
-		pl.UnpackD(c.Alltoallv(pl.PackD()))
-		trc.End(r, 0, "exchange", "exchange/GD", it, -1, tEx)
-		tTile := trc.Begin()
-		pl.ComputeTile()
-		trc.End(r, 0, "sse", "sse/tile", it, -1, tTile)
-		tEx = trc.Begin()
-		pl.UnpackSigma(c.Alltoallv(pl.PackSigma()))
-		pl.UnpackPi(c.Alltoallv(pl.PackPi()))
-		trc.End(r, 0, "exchange", "exchange/SigmaPi", it, -1, tEx)
-		out := pl.Output()
-		part.sse = out.Stats
-		for _, pr := range rs.sh.Pairs {
-			rs.mixSigmaAt(out, pr[0], pr[1], opts.Mixing)
-		}
-		for _, pt := range rs.sh.Points {
-			rs.mixPiAt(out, pt[0], pt[1], opts.Mixing)
-		}
-		part.sseB = float64(pl.OffRankBytes())
-		part.redB = redShare
-		part.fbk = float64(pl.FallbackBlocks())
-		// Precision telemetry: the global deviation is the worst rank's,
-		// so it rides a max-reduction, not the summed observable vector.
-		var qerr float64
-		if opts.ErrorProbe {
-			qerr = reduceProbe(c, pl)
-		}
-
-		// ── Convergence: Allreduce the packed observables so every rank
-		// sees the identical global contact current.
-		tRed := trc.Begin()
-		global = unpackObs(c.Allreduce(part.pack(dev.P)), dev.P)
-		trc.End(r, 0, "reduce", "reduce/obs", it, -1, tRed)
-		trc.End(r, 0, "iter", "iter", it, -1, tIter)
-
-		cur := global.CurrentL
-		rel, conv, err := negf.ConvergenceStep(it, cur, prev, opts.Tol)
-		if err != nil {
-			// Decided from the reduced current: every rank leaves here.
-			return fmt.Errorf("dist: %w", err)
-		}
-		if r == 0 {
-			st := global.row(it, rel, qerr)
-			st.WallNs = time.Since(iterStart).Nanoseconds()
-			res.IterTrace = append(res.IterTrace, st)
-			if opts.Progress != nil && stopErr == nil {
-				stopErr = opts.Progress(st)
-			}
-		}
-		if conv {
-			converged = true
-			break
-		}
-		prev = cur
-	}
-
-	if r == 0 {
-		res.stopErr = stopErr
-	}
-	rs.epilogue(opts, res, converged, part, global)
-	return nil
-}
-
-// agreeStop is the cancellation agreement of the Progress hook: every
-// rank contributes whether it carries a pending stop request (only
-// rank 0 ever does — the hook runs there) and the reduced flag gives
-// all ranks the identical break decision, so nobody abandons a peer in
-// a collective. It costs one scalar Allreduce per iteration and runs
-// only when a hook is installed.
-func agreeStop(c *comm.Comm, stopErr error) bool {
-	var flag complex128
-	if stopErr != nil {
-		flag = 1
-	}
-	return real(c.Allreduce([]complex128{flag})[0]) != 0
-}
-
-// agreeShare is this rank's contribution to the iteration's
-// cancellation-agreement Allreduce — zero when no Progress hook is
-// installed (the collective does not run), so IterStats.ReduceBytes
-// keeps summing to what the comm layer measures either way.
-func agreeShare(c *comm.Comm, opts Options) float64 {
-	if opts.Progress == nil {
-		return 0
-	}
-	return reduceShare(c, 1)
 }
 
 // reduceShare is the off-rank traffic this rank contributes to one

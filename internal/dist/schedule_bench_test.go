@@ -10,8 +10,9 @@ import (
 
 // The schedule benchmarks: the same imbalanced workload (point counts
 // not divisible by the world size, so ranks finish their GF shards at
-// different times) through the bulk-synchronous loop and the window task
-// graph at depths 1 (ScheduleOverlap), 2 and 3. Compare with
+// different times) through the window graph on one worker
+// (SchedulePhases) and on pools of 2 and 4 at depths 1 (ScheduleOverlap),
+// 2 and 3. Compare with
 //
 //	go test ./internal/dist -bench 'Schedule' -benchtime 3x
 //
@@ -64,7 +65,6 @@ func BenchmarkSchedulePhases(b *testing.B) { benchSchedule(b, SchedulePhases, 0,
 // electron points start as soon as their mixed Σ is in, closing the
 // cross-iteration bubble. Deeper windows only pay off when convergence is
 // far away.
-func BenchmarkScheduleWindowD1W1(b *testing.B) { benchSchedule(b, ScheduleOverlap, 1, 0) }
 func BenchmarkScheduleWindowD1W2(b *testing.B) { benchSchedule(b, ScheduleOverlap, 2, 0) }
 func BenchmarkScheduleWindowD2W2(b *testing.B) { benchSchedule(b, SchedulePipeline, 2, 2) }
 func BenchmarkScheduleWindowD1W4(b *testing.B) { benchSchedule(b, ScheduleOverlap, 4, 0) }

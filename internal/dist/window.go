@@ -14,6 +14,7 @@ import (
 	"repro/internal/negf"
 	"repro/internal/obs"
 	"repro/internal/sdfg"
+	"repro/internal/tensor"
 )
 
 // stopRideFlag is the cancellation contribution rank 0 adds to the
@@ -28,7 +29,7 @@ const stopRideFlag = 0.5
 // one rank's solve failure (failure outranks a stop request).
 func flagFailure(f float64) bool { return f >= 1 }
 
-// pipeRun is one rank's control state across the whole task-graph run:
+// pipeRun is one rank's control state across the whole run:
 // the speculation fence plus the convergence bookkeeping every rank
 // tracks symmetrically. All plain fields are written only by conv nodes
 // (which form a dependency chain) or between window drains, so the
@@ -84,6 +85,12 @@ type iterRun struct {
 	reqObs                    *comm.VecRequest
 	global                    *partialObs
 	qerr                      float64 // globally reduced probe deviation
+
+	// points are the iteration's private result slots; compNs/commNs the
+	// measured compute/communication split the conv node folds into
+	// IterStats.
+	points         *negf.PointResults
+	compNs, commNs atomic.Int64
 }
 
 func (st *iterRun) fail(err error) {
@@ -112,41 +119,39 @@ func (st *iterRun) try(step func(i int) error, i int) {
 	}
 }
 
-// windowIter is the per-iteration slice of a window's state: the
-// iterRun node state plus private result slots and the measured
-// compute/communication split the conv node folds into IterStats.
-type windowIter struct {
-	st     *iterRun
-	points *negf.PointResults
-
-	compNs, commNs atomic.Int64
-}
-
-// runRankWindow is one rank's life on the task graph — ScheduleOverlap at
-// depth 1, SchedulePipeline at PipelineDepth. The graph spans a window of
-// depth iterations, so iteration n+1's boundary and point solves start as
-// soon as iteration n's mixed Σ≷/Π≷ is available for their points — the
-// cross-iteration form of the §7.1.3 overlap; at depth 1 the window drain
-// is the iteration barrier and only the within-iteration overlap remains.
-// Failure, convergence and cancellation agreement ride the per-iteration
-// observable IAllreduce (no dedicated barrier or agreement collective),
-// and the per-iteration conv fence discards speculated work when any of
-// them lands. Per-iteration arithmetic (accumulation order, mixing,
-// reduction association) is that of SchedulePhases, so the recorded
-// currents match it bitwise.
-func runRankWindow(c *comm.Comm, dev *device.Device, opts Options, depth int, res *Result) error {
+// runRankWindow is one rank's life, under every schedule: opts arrives
+// resolved (Validate), and the schedule is by now only the window depth
+// opts.PipelineDepth and the pool size opts.Workers. The graph spans a
+// window of depth iterations, so iteration n+1's boundary and point solves
+// start as soon as iteration n's mixed Σ≷/Π≷ is available for their points
+// — the cross-iteration form of the §7.1.3 overlap; at depth 1 the window
+// drain is the iteration barrier and only the within-iteration overlap
+// remains, and on one worker the nodes run strictly one after another —
+// the bulk-synchronous phases. Failure, convergence and cancellation
+// agreement ride the per-iteration observable IAllreduce (no dedicated
+// barrier or agreement collective), and the per-iteration conv fence
+// discards speculated work when any of them lands. Only rank 0 writes
+// into res (the caller reads it after World.Run returns, which orders the
+// accesses).
+func runRankWindow(c *comm.Comm, dev *device.Device, opts Options, res *Result) error {
 	rs := newRankState(c, dev, opts)
 	r := c.Rank()
 	ex := sdfg.NewExecutor(opts.Workers)
 
-	// Mirror executor task spans into the run trace: each worker gets its
-	// own 100+ track, and the node label picks the category the phase view
-	// groups by. traceBase rebases the executor's per-Run clock onto the
-	// shared tracer's; it is written between graph runs and read only by
-	// worker goroutines Run spawns afterwards, so the accesses are ordered.
+	// Mirror executor task spans into the run trace; the node label picks
+	// the category the phase view groups by. Each worker of a pool gets
+	// its own 100+ track; a one-worker pool has no worker lanes, so its
+	// nodes are the rank's serial lane, track 0. traceBase rebases the
+	// executor's per-Run clock onto the shared tracer's; it is written
+	// between graph runs and read only by worker goroutines Run spawns
+	// afterwards, so the accesses are ordered.
 	trc := opts.Tracer
 	var traceBase int64
 	if trc != nil {
+		lane := 100
+		if opts.Workers == 1 {
+			lane = 0
+		}
 		ex.Observer = func(label string, kind sdfg.Kind, worker int, start, end time.Duration) {
 			cat := "task"
 			switch {
@@ -158,7 +163,7 @@ func runRankWindow(c *comm.Comm, dev *device.Device, opts Options, depth int, re
 				cat = "exchange"
 			}
 			trc.Add(obs.Span{
-				Name: label, Cat: cat, Rank: r, Track: 100 + worker, I: -1, J: -1,
+				Name: label, Cat: cat, Rank: r, Track: lane + worker, I: -1, J: -1,
 				Start: traceBase + start.Nanoseconds(), Dur: (end - start).Nanoseconds(),
 			})
 		}
@@ -168,17 +173,14 @@ func runRankWindow(c *comm.Comm, dev *device.Device, opts Options, depth int, re
 	pr.stopAt.Store(math.MaxInt64)
 
 	for base := 0; base < opts.MaxIter && !pr.halt; {
-		w := depth
-		if rem := opts.MaxIter - base; w > rem {
-			w = rem
-		}
+		w := min(opts.PipelineDepth, opts.MaxIter-base)
 		winStart := time.Now()
 		tWin := trc.Begin()
 		traceBase = tWin
 		pr.lastConv = 0
-		win := make([]*windowIter, w)
+		win := make([]*iterRun, w)
 		for k := range win {
-			win[k] = &windowIter{st: &iterRun{}, points: rs.sh.NewResults()}
+			win[k] = &iterRun{points: rs.sh.NewResults()}
 		}
 		g := rs.buildWindowGraph(opts, pr, win, base, winStart, res)
 		if _, err := ex.Run(g); err != nil {
@@ -249,7 +251,7 @@ func runRankWindow(c *comm.Comm, dev *device.Device, opts Options, depth int, re
 // the control word), so every rank moves the fence identically with no
 // agreement collective of its own; a rank-0 cancellation is folded into
 // the next reduction's control word instead of being acted on locally.
-func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*windowIter,
+func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*iterRun,
 	base int, winStart time.Time, res *Result) *sdfg.Graph {
 
 	p := rs.dev.P
@@ -264,8 +266,7 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*windowIt
 	for k := range win {
 		k := k
 		a := base + k
-		wi := win[k]
-		st := wi.st
+		st := win[k]
 		st.part = &partialObs{}
 		st.part.Reset(p)
 		st.plan = decomp.NewDaCePlan(r, rs.tiles, rs.src, rs.atomSets, rs.in).
@@ -281,9 +282,9 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*windowIt
 		// when it reads them. No node returns an error: a failure is
 		// recorded and agreed in the reduction.
 		add := func(label string, kind sdfg.Kind, body func(), deps ...sdfg.NodeID) sdfg.NodeID {
-			ns := &wi.compNs
+			ns := &st.compNs
 			if kind == sdfg.Comm {
-				ns = &wi.commNs
+				ns = &st.commNs
 			}
 			return g.Add(sdfg.Spec{Label: label, Kind: kind, Run: func() error {
 				t0 := time.Now()
@@ -337,10 +338,10 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*windowIt
 		}
 		bcEl, elDone := gfNodes("el", pairs, prevBCEl, prevMixSig,
 			func(i int) error { return rs.ps.PrepareElectronBC(rs.sh, i) },
-			func(i int) error { return rs.ps.SolveElectron(rs.sh, i, wi.points) })
+			func(i int) error { return rs.ps.SolveElectron(rs.sh, i, st.points) })
 		bcPh, phDone := gfNodes("ph", points, prevBCPh, prevMixPi,
 			func(j int) error { return rs.ps.PreparePhononBC(rs.sh, j) },
-			func(j int) error { return rs.ps.SolvePhonon(rs.sh, j, wi.points) })
+			func(j int) error { return rs.ps.SolvePhonon(rs.sh, j, st.points) })
 
 		// Deterministic accumulation: the point solves land in slots, and
 		// one node per species folds them in global point order through
@@ -349,12 +350,12 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*windowIt
 		// the slots may hold stale results; the iteration is discarded.
 		elAccum := node("accum/el", sdfg.Compute, func() {
 			if !st.failed() {
-				st.part.AddElectron(p, wi.points.El...)
+				st.part.AddElectron(p, st.points.El...)
 			}
 		}, elDone...)
 		phAccum := node("accum/ph", sdfg.Compute, func() {
 			if !st.failed() {
-				st.part.AddPhonon(p, wi.points.Ph...)
+				st.part.AddPhonon(p, st.points.Ph...)
 			}
 		}, phDone...)
 
@@ -429,18 +430,24 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*windowIt
 		// is mixed — it does not wait for the whole mixing sweep. A
 		// skipped mix leaves the solver state at the last valid iteration,
 		// which is exactly the discard rule of the speculation fence.
+		// tensor.MixSlice is the blend the sequential solver applies
+		// tensor-wide.
 		mixSig := make([]sdfg.NodeID, len(pairs))
 		for i, pair := range pairs {
 			ik, ie := pair[0], pair[1]
 			mixSig[i] = node(fmt.Sprintf("mix/Sigma/%d,%d", ik, ie), sdfg.Compute, func() {
-				rs.mixSigmaAt(st.plan.Output(), ik, ie, opts.Mixing)
+				out := st.plan.Output()
+				tensor.MixSlice(rs.ps.SigL.Plane(ik, ie), out.SigL.Plane(ik, ie), opts.Mixing)
+				tensor.MixSlice(rs.ps.SigG.Plane(ik, ie), out.SigG.Plane(ik, ie), opts.Mixing)
 			}, waitSig, elLoss)
 		}
 		mixPi := make([]sdfg.NodeID, len(points))
 		for j, point := range points {
 			iq, m := point[0], point[1]
 			mixPi[j] = node(fmt.Sprintf("mix/Pi/%d,%d", iq, m), sdfg.Compute, func() {
-				rs.mixPiAt(st.plan.Output(), iq, m, opts.Mixing)
+				out := st.plan.Output()
+				tensor.MixSlice(rs.ps.PiL.Plane(iq, m-1), out.PiL.Plane(iq, m-1), opts.Mixing)
+				tensor.MixSlice(rs.ps.PiG.Plane(iq, m-1), out.PiG.Plane(iq, m-1), opts.Mixing)
 			}, waitPi, phGain)
 		}
 
@@ -504,7 +511,7 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*windowIt
 			if r == 0 {
 				iterSt := gl.row(a, rel, st.qerr)
 				iterSt.WallNs = (now - pr.lastConv).Nanoseconds()
-				iterSt.ComputeNs, iterSt.CommNs = wi.compNs.Load(), wi.commNs.Load()
+				iterSt.ComputeNs, iterSt.CommNs = st.compNs.Load(), st.commNs.Load()
 				res.IterTrace = append(res.IterTrace, iterSt)
 				if opts.Progress != nil && pr.stopErr == nil {
 					if err := opts.Progress(iterSt); err != nil {

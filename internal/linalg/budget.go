@@ -8,12 +8,13 @@ import (
 // Worker budget: a package-global pool of schedulable CPU tokens that makes
 // kernel-level parallelism compose with the outer worker pools instead of
 // oversubscribing them. Every layer that runs compute goroutines — the
-// sequential GF phase's point workers, the sdfg executor workers, the
-// simulated MPI ranks, the SSE atom pool, the SBSMM batch splitter —
-// reserves one token per worker for the worker's lifetime. A large GEMM
-// then fans out only over tokens that are actually free: called from a
-// saturated pool it runs serially on its caller's goroutine; called from
-// the top level with idle CPUs it takes them.
+// sequential GF phase's point workers, the simulated MPI ranks
+// (comm.World.Run) and the sdfg executor workers each rank runs its
+// iteration graph on under every dist schedule, the SSE atom pool, the
+// SBSMM batch splitter — reserves one token per worker for the worker's
+// lifetime. A large GEMM then fans out only over tokens that are actually
+// free: called from a saturated pool it runs serially on its caller's
+// goroutine; called from the top level with idle CPUs it takes them.
 //
 // The budget defaults to GOMAXPROCS at process start. SetWorkerBudget
 // overrides it (tests pin it; a daemon colocating several solvers can

@@ -78,11 +78,11 @@ type Solver struct {
 }
 
 // IterStats is the one per-iteration telemetry row of the repo: every
-// self-consistent loop (the sequential Solver.Run and both distributed
-// engines) fills it, dist and qt re-export it under their own names, and
-// the report encoders, the SSE "iter" frames and the qtd registry key on
-// its JSON form. Fields a loop does not measure stay zero: a sequential
-// run moves no bytes, and ComputeNs/CommNs split only on the task graph.
+// self-consistent loop (the sequential Solver.Run and the distributed
+// window graph) fills it, dist and qt re-export it under their own names,
+// and the report encoders, the SSE "iter" frames and the qtd registry key
+// on its JSON form. Fields a loop does not measure stay zero: a
+// sequential run moves no bytes and has no compute/communication split.
 type IterStats struct {
 	Iter    int     `json:"iter"`
 	Current float64 `json:"current"` // left-contact electron current (a.u.), global
@@ -96,9 +96,9 @@ type IterStats struct {
 	SSE sse.Stats `json:"sse"` // tile/kernel arithmetic counters, summed over ranks
 
 	// SSEBytes is the traffic of the four Alltoallv exchanges (the encoded
-	// wire volume under mixed precision); ReduceBytes is the
-	// observable/convergence Allreduce plus, under the bulk-synchronous
-	// schedule with a Progress hook, its cancellation agreement.
+	// wire volume under mixed precision); ReduceBytes is the one
+	// observable Allreduce, which also carries the failure, convergence
+	// and cancellation agreement.
 	SSEBytes    int64 `json:"sse_bytes"`
 	ReduceBytes int64 `json:"reduce_bytes"`
 	// SigmaErr is the worst rank's normwise relative Σ≷/Π≷ deviation of
@@ -111,8 +111,8 @@ type IterStats struct {
 	FallbackBlocks int64 `json:"fallback_blocks,omitempty"`
 
 	// WallNs is the measured wall time of the iteration (rank 0 when
-	// distributed); ComputeNs and CommNs are rank 0's summed task
-	// durations by node kind under the task-graph schedules.
+	// distributed); ComputeNs and CommNs are rank 0's summed graph-node
+	// durations by node kind, zero for sequential runs.
 	WallNs    int64 `json:"wall_ns"`
 	ComputeNs int64 `json:"compute_ns"`
 	CommNs    int64 `json:"comm_ns"`
@@ -154,7 +154,7 @@ func New(dev *device.Device, opts Options) *Solver {
 	if opts.Kernel == nil {
 		opts.Kernel = sse.DaCe{}
 	}
-	if opts.Mixing <= 0 || opts.Mixing > 1 {
+	if !(opts.Mixing > 0 && opts.Mixing <= 1) { // NaN is out of range too
 		opts.Mixing = 0.5
 	}
 	if opts.MaxIter <= 0 {

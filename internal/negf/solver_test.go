@@ -396,6 +396,22 @@ func TestConvergenceStep(t *testing.T) {
 	}
 }
 
+// TestNewDefaultsOutOfRangeMixing: anything outside (0, 1] — NaN and ±Inf
+// included, which compare false against both bounds — falls back to the
+// default factor instead of reaching tensor.MixSlice.
+func TestNewDefaultsOutOfRangeMixing(t *testing.T) {
+	dev := device.MustBuild(testParams())
+	for _, c := range []struct{ in, want float64 }{
+		{0, 0.5}, {-0.1, 0.5}, {1.5, 0.5},
+		{math.NaN(), 0.5}, {math.Inf(1), 0.5}, {math.Inf(-1), 0.5},
+		{1, 1}, {0.3, 0.3},
+	} {
+		if got := New(dev, Options{Mixing: c.in}).Opts.Mixing; got != c.want {
+			t.Errorf("Mixing %g resolves to %g, want %g", c.in, got, c.want)
+		}
+	}
+}
+
 // TestGFPhaseBitwiseAcrossGOMAXPROCS: the fold reads the result slots in
 // global point order, so no observable may depend on how many workers
 // swept the shard or in which order their solves landed — SpectralCurrent

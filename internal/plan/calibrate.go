@@ -8,10 +8,10 @@
 // content-addressed configuration.
 //
 // Calibration contract: the probe runs two self-consistent iterations
-// of the overlapped schedule (the depth-1 task graph) on a single rank
-// with tracing enabled. The first iteration observes cold
-// boundary-condition decimations, the second observes cache hits;
-// per-point costs keep the
+// of the phases schedule (the depth-1 window graph on one worker, so no
+// node's span is inflated by a sibling) on a single rank with tracing
+// enabled. The first iteration observes cold boundary-condition
+// decimations, the second observes cache hits; per-point costs keep the
 // minimum observed occurrence (noise-robust: contention only inflates a
 // span) while the per-iteration aggregates (tile, residual, reduce) are
 // averaged across both iterations — so the calibration describes the
@@ -23,7 +23,6 @@ package plan
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/device"
@@ -59,9 +58,7 @@ type Calibration struct {
 // Calibrate runs the probe and reduces its trace to a Calibration.
 func Calibrate(dev *device.Device) (Calibration, error) {
 	trc := obs.NewTracer()
-	opts := dist.DefaultOptions(1)
-	opts.Schedule = dist.ScheduleOverlap
-	opts.Workers = 1
+	opts := dist.DefaultOptions(1) // SchedulePhases: every node on one worker, back to back
 	opts.MaxIter = 2
 	opts.Tol = 1e-300 // never converge: we want exactly two iterations
 	opts.Tracer = trc
@@ -114,9 +111,7 @@ func reduceTrace(tr *obs.Trace, iters int) Calibration {
 			// Executor node envelopes: solve nodes re-cover their bc/rgf
 			// spans, so the residual (accum/collision/mix/...) is the
 			// task total minus the inner categories, folded in below.
-			if !strings.HasPrefix(sp.Name, "iter") {
-				misc += float64(sp.Dur)
-			}
+			misc += float64(sp.Dur)
 		}
 	}
 	residual := (misc - bcrgf) / float64(iters)

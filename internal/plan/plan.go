@@ -74,17 +74,21 @@ func (o Options) normalize() (Options, error) {
 // Candidates enumerates the schedule search space: the serial phases
 // baseline, then the window task graph per depth × worker count. Depth 1
 // is spelled ScheduleOverlap — the name plans, reports and -schedule
-// flags already use for it. Shallower windows come first, so a tie
-// resolves to the simpler schedule. Blocking is orthogonal (it never
-// changes results or the graph shape) and is chosen separately by
-// measurement.
+// flags already use for it — except on one worker, where it is the
+// phases baseline itself and is not listed twice. Shallower windows come
+// first, so a tie resolves to the simpler schedule. Blocking is
+// orthogonal (it never changes results or the graph shape) and is chosen
+// separately by measurement.
 func Candidates(o Options) []Candidate {
 	cands := []Candidate{{Schedule: dist.SchedulePhases, Workers: 1}}
 	for _, d := range o.Depths {
 		for _, w := range o.Workers {
-			c := Candidate{Schedule: dist.ScheduleOverlap, Workers: w}
-			if d != 1 {
-				c = Candidate{Schedule: dist.SchedulePipeline, Workers: w, PipelineDepth: d}
+			c := Candidate{Schedule: dist.SchedulePipeline, Workers: w, PipelineDepth: d}
+			if d == 1 {
+				if w == 1 {
+					continue // that execution is the phases baseline above
+				}
+				c = Candidate{Schedule: dist.ScheduleOverlap, Workers: w}
 			}
 			cands = append(cands, c)
 		}
@@ -94,11 +98,11 @@ func Candidates(o Options) []Candidate {
 
 // Predict scores one candidate: the modeled steady-state makespan of one
 // self-consistent iteration on the most-loaded rank, in nanoseconds of
-// virtual time. One rank's phases iteration is a strict FIFO — the GF
-// phase computes, the exchange copies, the tile computes, the reduction
-// copies — so its makespan is the plain sum; the window task graph is
-// scored with sdfg.Simulate on a model of the per-rank graph dist
-// actually builds, at depth 1 for ScheduleOverlap.
+// virtual time — sdfg.Simulate on a model of the per-rank window graph
+// dist builds, at the candidate's depth and pool size. A depth-1 window
+// on one worker (SchedulePhases) is a strict FIFO — the GF phase
+// computes, the exchange copies, the tile computes, the reduction copies
+// — so it scores as the plain sum.
 func Predict(p device.Params, ranks int, cal Calibration, c Candidate) float64 {
 	nEl := ceilDiv(len(negf.AllPairs(p)), ranks)
 	nPh := ceilDiv(len(negf.AllPhononPoints(p)), ranks)
@@ -107,19 +111,19 @@ func Predict(p device.Params, ranks int, cal Calibration, c Candidate) float64 {
 	exchNs := model.DaCeCommVolume(p, 1, ranks) / float64(ranks) * cal.CopyNsPerByte
 	tileNs := cal.TileNs * tileShare(p, 1, ranks)
 
-	if c.Schedule == dist.SchedulePhases {
-		return (float64(nEl)*elNs + float64(nPh)*phNs) + exchNs + (tileNs + cal.MiscNs) + cal.ReduceNs
-	}
-	d := 1
-	if c.Schedule == dist.SchedulePipeline && c.PipelineDepth > 1 {
-		d = c.PipelineDepth
+	d, workers := 1, c.Workers
+	switch c.Schedule {
+	case dist.SchedulePhases:
+		workers = 1
+	case dist.SchedulePipeline:
+		d = max(1, c.PipelineDepth)
 	}
 	g := sdfg.New()
 	var release []sdfg.NodeID
 	for k := 0; k < d; k++ {
 		release = addIteration(g, release, nEl, nPh, elNs, phNs, exchNs, tileNs, cal)
 	}
-	return sdfg.Simulate(g, c.Workers) / float64(d)
+	return sdfg.Simulate(g, workers) / float64(d)
 }
 
 // tileShare is the fraction of a full-grid SSE tile that the slowest rank

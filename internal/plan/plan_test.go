@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -94,22 +95,19 @@ func TestCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands := Candidates(o)
-	// phases + 3 depths × 3 worker counts; depth 1 is named overlap.
-	if len(cands) != 1+3*3 {
-		t.Fatalf("got %d candidates: %+v", len(cands), cands)
+	// phases, then 3 depths × 3 worker counts with depth 1 named overlap —
+	// minus overlap w=1, which would be the phases execution a second time.
+	want := []Candidate{{Schedule: dist.SchedulePhases, Workers: 1}}
+	for _, w := range []int{2, 4} {
+		want = append(want, Candidate{Schedule: dist.ScheduleOverlap, Workers: w})
 	}
-	if cands[0].Schedule != dist.SchedulePhases {
-		t.Errorf("first candidate should be the phases baseline, got %+v", cands[0])
+	for _, d := range []int{2, 3} {
+		for _, w := range []int{1, 2, 4} {
+			want = append(want, Candidate{Schedule: dist.SchedulePipeline, Workers: w, PipelineDepth: d})
+		}
 	}
-	for i, c := range cands[1:] {
-		want := Candidate{Schedule: dist.ScheduleOverlap, Workers: c.Workers}
-		if i >= 3 {
-			want = Candidate{Schedule: dist.SchedulePipeline, Workers: c.Workers, PipelineDepth: 2 + (i-3)/3}
-		}
-		if c != want {
-			t.Errorf("candidate %d = %+v, want %+v", i+1, c, want)
-		}
+	if got := Candidates(o); !reflect.DeepEqual(got, want) {
+		t.Errorf("candidates\n got %+v\nwant %+v", got, want)
 	}
 	if _, err := (Options{}).normalize(); err == nil {
 		t.Error("Ranks 0 must be rejected")

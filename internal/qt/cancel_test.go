@@ -52,6 +52,8 @@ func TestCancelStopsRun(t *testing.T) {
 			WithMaxIterations(budget), WithTolerance(1e-300)},
 		"dist-overlap-mixed": {WithRanks(4), WithSchedule(Overlap), WithPrecision(Mixed),
 			WithMaxIterations(budget), WithTolerance(1e-300)},
+		"dist-pipeline": {WithRanks(4), WithSchedule(Pipeline), WithPipelineDepth(3),
+			WithMaxIterations(budget), WithTolerance(1e-300)},
 	}
 	for name, opts := range configs {
 		t.Run(name, func(t *testing.T) {

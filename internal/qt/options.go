@@ -2,6 +2,7 @@ package qt
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/bc"
 	"repro/internal/device"
@@ -189,8 +190,8 @@ func WithMaxIterations(n int) Option {
 // the measuring-not-converging mode of the scaling sweeps.
 func WithTolerance(tol float64) Option {
 	return func(c *config) error {
-		if tol <= 0 {
-			return fmt.Errorf("WithTolerance: tolerance must be positive, got %g", tol)
+		if !(tol > 0) || math.IsInf(tol, 0) { // written to reject NaN too
+			return fmt.Errorf("WithTolerance: tolerance must be positive and finite, got %g", tol)
 		}
 		c.tol = tol
 		return nil
@@ -200,7 +201,7 @@ func WithTolerance(tol float64) Option {
 // WithMixing sets the linear self-consistency mixing factor in (0, 1].
 func WithMixing(m float64) Option {
 	return func(c *config) error {
-		if m <= 0 || m > 1 {
+		if !(m > 0 && m <= 1) { // written to reject NaN too
 			return fmt.Errorf("WithMixing: factor must be in (0, 1], got %g", m)
 		}
 		c.mixing = m
@@ -379,19 +380,10 @@ func (c *config) distOptions(progress func(IterStats) error) dist.Options {
 	o.Mixing = c.mixing
 	o.MaxIter = c.maxIter
 	o.Tol = c.tol
-	switch c.schedule {
-	case Overlap:
-		o.Schedule = dist.ScheduleOverlap
-	case Pipeline:
-		o.Schedule = dist.SchedulePipeline
-		o.PipelineDepth = c.pipelineDepth
-	}
-	if c.workers > 0 {
-		o.Workers = c.workers
-	}
-	if c.precision == Mixed {
-		o.Precision = dist.PrecisionMixed
-	}
+	o.Schedule = c.schedule
+	o.PipelineDepth = c.pipelineDepth
+	o.Workers = c.workers
+	o.Precision = c.precision
 	o.ErrorProbe = c.errorProbe
 	o.Progress = progress
 	return o

@@ -1,7 +1,7 @@
 // Package qt is the top-level experiment API of the quantum transport
 // library — one facade over the entire solver matrix: the sequential
-// negf solver, the distributed dist solver (bulk-synchronous phases or
-// the overlapped task-graph schedule), and the fp64/mixed-precision SSE
+// negf solver, the distributed dist solver (one iteration graph under
+// the phases, overlap or pipeline schedule), and the fp64/mixed-precision SSE
 // paths, mirroring how the paper's DaCe OMEN exposes a single
 // data-centric entry point for a full electro-thermal simulation.
 //
@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/decomp"
 	"repro/internal/device"
+	"repro/internal/dist"
 )
 
 // Spec describes the physical experiment: the synthetic structure and
@@ -165,35 +166,26 @@ func (s Spec) applyProfile(dev *device.Device) error {
 	return nil
 }
 
-// Schedule selects how a distributed self-consistent iteration executes
-// (dist.Schedule behind the facade).
-type Schedule int
+// Schedule selects how a distributed self-consistent iteration executes:
+// dist.Schedule under the facade's names.
+type Schedule = dist.Schedule
 
 const (
-	// Phases is the bulk-synchronous baseline: GF phase, SSE exchange,
-	// observable reduction strictly one after another.
-	Phases Schedule = iota
+	// Phases is the bulk-synchronous order: GF phase, SSE exchange,
+	// observable reduction strictly one after another — the iteration
+	// graph at window depth 1 on one worker.
+	Phases = dist.SchedulePhases
 	// Overlap runs each iteration as a dataflow graph on a work-stealing
 	// pool with nonblocking exchanges (§7.1.3) — the Pipeline graph at
 	// window depth 1.
-	Overlap
+	Overlap = dist.ScheduleOverlap
 	// Pipeline extends the Overlap graph across a window of
 	// self-consistent iterations: the next iteration's boundary solves
 	// and GF points start as soon as their mixed Σ is available, with a
 	// correctness fence discarding speculated work once convergence or
 	// cancellation lands. See WithPipelineDepth for the window size.
-	Pipeline
+	Pipeline = dist.SchedulePipeline
 )
-
-func (s Schedule) String() string {
-	switch s {
-	case Overlap:
-		return "overlap"
-	case Pipeline:
-		return "pipeline"
-	}
-	return "phases"
-}
 
 // ParseSchedule maps the command-line spelling to a Schedule — the
 // symmetric partner of ParsePrecision/ParseKernel, so every cmd (and the
@@ -211,24 +203,18 @@ func ParseSchedule(s string) (Schedule, error) {
 	return Phases, fmt.Errorf("qt: unknown schedule %q (want phases, overlap or pipeline)", s)
 }
 
-// Precision selects the SSE arithmetic (§5.4).
-type Precision int
+// Precision selects the SSE arithmetic (§5.4): decomp.Precision under
+// the facade's names.
+type Precision = decomp.Precision
 
 const (
 	// FP64 runs the SSE phase entirely in complex128 (the default).
-	FP64 Precision = iota
+	FP64 = decomp.FP64
 	// Mixed quantizes the SSE inputs to emulated binary16 with dynamic
 	// normalization (and, distributed, ships half-width wire payloads on
 	// all four Alltoallv exchanges) while accumulating in fp64.
-	Mixed
+	Mixed = decomp.Mixed
 )
-
-func (p Precision) String() string {
-	if p == Mixed {
-		return "mixed"
-	}
-	return "fp64"
-}
 
 // ParsePrecision maps the command-line spelling to a Precision. The
 // accepted spellings are decomp.ParsePrecision's — one parser for the
@@ -238,10 +224,7 @@ func ParsePrecision(s string) (Precision, error) {
 	if err != nil {
 		return FP64, fmt.Errorf("qt: %w", err)
 	}
-	if p == decomp.Mixed {
-		return Mixed, nil
-	}
-	return FP64, nil
+	return p, nil
 }
 
 // Kernel selects the sequential SSE schedule.

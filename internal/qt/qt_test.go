@@ -45,6 +45,12 @@ func TestOptionValidation(t *testing.T) {
 		{"negative ranks", Spec{}, []Option{WithRanks(-2)}, "WithRanks"},
 		{"zero tolerance", Spec{}, []Option{WithTolerance(0)}, "WithTolerance"},
 		{"negative tolerance", Spec{}, []Option{WithTolerance(-1e-5)}, "WithTolerance"},
+		// NaN fails every range comparison: accepted, it would panic in
+		// Config().Key() (JSON has no NaN) or poison the Σ≷ mix.
+		{"NaN tolerance", Spec{}, []Option{WithTolerance(math.NaN())}, "WithTolerance"},
+		{"infinite tolerance", Spec{}, []Option{WithTolerance(math.Inf(1))}, "WithTolerance"},
+		{"NaN mixing", Spec{}, []Option{WithMixing(math.NaN())}, "WithMixing"},
+		{"infinite mixing", Spec{}, []Option{WithMixing(math.Inf(1))}, "WithMixing"},
 		{"zero iterations", Spec{}, []Option{WithMaxIterations(0)}, "WithMaxIterations"},
 		{"mixing too large", Spec{}, []Option{WithMixing(1.5)}, "WithMixing"},
 		{"mixing zero", Spec{}, []Option{WithMixing(0)}, "WithMixing"},

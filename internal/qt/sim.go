@@ -61,14 +61,7 @@ func New(spec Spec, opts ...Option) (*Simulation, error) {
 		if err != nil {
 			return nil, fmt.Errorf("qt: auto plan: %w", err)
 		}
-		switch pl.Schedule {
-		case dist.ScheduleOverlap:
-			cfg.schedule = Overlap
-		case dist.SchedulePipeline:
-			cfg.schedule = Pipeline
-		default:
-			cfg.schedule = Phases
-		}
+		cfg.schedule = pl.Schedule
 		cfg.workers = pl.Workers
 		cfg.pipelineDepth = pl.PipelineDepth
 		cfg.blocking = pl.Blocking
