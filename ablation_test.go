@@ -2,6 +2,7 @@ package repro
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/bc"
@@ -21,8 +22,8 @@ import (
 
 func benchSSEWorkers(b *testing.B, workers int) {
 	in := benchInput()
-	old := sse.SetWorkers(workers)
-	defer sse.SetWorkers(old)
+	// The atom pool is min(GOMAXPROCS, atoms); 0 leaves the host's value.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = (sse.DaCe{}).Compute(in)

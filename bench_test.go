@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/batch"
@@ -338,12 +339,13 @@ func BenchmarkTable10_SSE_DaCe(b *testing.B) {
 
 // BenchmarkSSETile measures one full-grid sse.DaCe tile on the device shape
 // of the iv_sse_bound workload (36 atoms, 2 orbitals, 3 kz × 32 E × 4 ω)
-// and on its 12-atom cut. The worker count is pinned so allocs/op is
-// comparable across hosts: scratch is per worker, so the CI guard requires
+// and on its 12-atom cut. The worker count is pinned (the atom pool is
+// min(GOMAXPROCS, atoms)) so allocs/op is comparable across hosts: scratch
+// is per worker, so the CI guard requires
 // the two sizes to report the same allocs/op (give or take a stray runtime
 // allocation).
 func BenchmarkSSETile(b *testing.B) {
-	defer sse.SetWorkers(sse.SetWorkers(2))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	for _, na := range []int{12, 36} {
 		b.Run(fmt.Sprintf("na=%d", na), func(b *testing.B) {
 			b.ReportAllocs()

@@ -8,9 +8,8 @@
 // solver, -ranks P the distributed one (with -schedule
 // phases|overlap|pipeline and -depth for the pipelined window), and
 // -kernel selects the SSE variant. -autoplan calibrates a cost model on
-// a short probe run and picks schedule, workers, pipeline depth and
-// GEMM blocking automatically; the resolved plan prints in the report
-// header. -format text|json|csv selects the report encoding (the
+// a short probe run and picks the plan — schedule, workers, pipeline
+// depth — automatically; the resolved plan prints in the report header. -format text|json|csv selects the report encoding (the
 // machine-readable forms share the distsim schema via internal/report).
 //
 // Device-zoo runs load a declarative disorder profile with -profile
@@ -61,7 +60,7 @@ func main() {
 	ranks := flag.Int("ranks", 0, "simulated MPI world size (0 = sequential solver)")
 	schedule := flag.String("schedule", "phases", "distributed schedule: phases | overlap | pipeline")
 	depth := flag.Int("depth", 0, "pipelined-iteration window depth (with -schedule pipeline; 0 = solver default)")
-	autoplan := flag.Bool("autoplan", false, "autotune schedule, workers, pipeline depth and GEMM blocking from a calibrated cost model (requires -ranks)")
+	autoplan := flag.Bool("autoplan", false, "autotune the plan (schedule, workers, pipeline depth) from a calibrated cost model (requires -ranks)")
 	format := flag.String("format", "text", "output format: text, json, or csv")
 	traceFile := flag.String("trace", "", "record per-phase spans and write Chrome trace-event JSON to FILE (load in Perfetto)")
 	metrics := flag.Bool("metrics", false, "print a Prometheus-text snapshot of the run's counters to stderr")

@@ -13,7 +13,6 @@ package batch
 
 import (
 	"runtime"
-	"sync"
 
 	"repro/internal/half"
 	"repro/internal/linalg"
@@ -30,7 +29,7 @@ const PadSize = 16
 // The batch is split across GOMAXPROCS goroutines.
 func SBSMM(c, a, b []complex128, n, count int) {
 	checkLen("SBSMM", c, a, b, n, count)
-	parallelOver(count, func(lo, hi int) {
+	forChunks(count, func(lo, hi int) {
 		stride := n * n
 		for t := lo; t < hi; t++ {
 			mulAddSmall(c[t*stride:(t+1)*stride], a[t*stride:(t+1)*stride], b[t*stride:(t+1)*stride], n)
@@ -77,7 +76,7 @@ func SBSMMPadded(c, a, b []complex128, n, count int) {
 	if n > PadSize {
 		panic("batch: SBSMMPadded requires n <= PadSize")
 	}
-	parallelOver(count, func(lo, hi int) {
+	forChunks(count, func(lo, hi int) {
 		const p = PadSize
 		var pa, pb, pc [p * p]complex128
 		stride := n * n
@@ -166,7 +165,7 @@ func SBSMMHalf(c []complex128, a, b *HalfBatch) {
 		panic("batch: SBSMMHalf output length mismatch")
 	}
 	inv := 1 / (a.scale * b.scale)
-	parallelOver(count, func(lo, hi int) {
+	forChunks(count, func(lo, hi int) {
 		stride := n * n
 		are, aim := a.buf.Re, a.buf.Im
 		bre, bim := b.buf.Re, b.buf.Im
@@ -197,33 +196,23 @@ func checkLen(fn string, c, a, b []complex128, n, count int) {
 	}
 }
 
-func parallelOver(count int, f func(lo, hi int)) {
+// forChunks splits [0, count) into one contiguous chunk per CPU and runs
+// f on each through the budgeted pool; a batch too small to amortize the
+// fan-out (fewer than four elements per CPU) runs as one chunk on the
+// caller's goroutine.
+func forChunks(count int, f func(lo, hi int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if count < 4*workers {
 		f(0, count)
 		return
 	}
-	var wg sync.WaitGroup
 	chunk := (count + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > count {
-			hi = count
+	linalg.ParallelFor((count+chunk-1)/chunk, workers, func() func(int) error {
+		return func(w int) error {
+			f(w*chunk, min((w+1)*chunk, count))
+			return nil
 		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			// Reserve this worker in the kernel budget so nested GEMMs
-			// don't fan out on top of the batch split.
-			release := linalg.ReserveWorker()
-			defer release()
-			f(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 }
 
 // SBSMMFixedB computes C[t] += A[t]·B for t in [0, count) where B is a

@@ -141,12 +141,11 @@ func runRankWindow(c *comm.Comm, dev *device.Device, opts Options, res *Result) 
 	// Mirror executor task spans into the run trace; the node label picks
 	// the category the phase view groups by. Each worker of a pool gets
 	// its own 100+ track; a one-worker pool has no worker lanes, so its
-	// nodes are the rank's serial lane, track 0. traceBase rebases the
-	// executor's per-Run clock onto the shared tracer's; it is written
-	// between graph runs and read only by worker goroutines Run spawns
-	// afterwards, so the accesses are ordered.
+	// nodes are the rank's serial lane, track 0. The executor times each
+	// node on its own per-Run clock and calls the observer as the node
+	// ends, so the span is placed on the tracer's clock ending now: a
+	// task then encloses the bc/rgf spans recorded inside it.
 	trc := opts.Tracer
-	var traceBase int64
 	if trc != nil {
 		lane := 100
 		if opts.Workers == 1 {
@@ -162,9 +161,10 @@ func runRankWindow(c *comm.Comm, dev *device.Device, opts Options, res *Result) 
 			case kind == sdfg.Comm:
 				cat = "exchange"
 			}
+			dur := (end - start).Nanoseconds()
 			trc.Add(obs.Span{
 				Name: label, Cat: cat, Rank: r, Track: lane + worker, I: -1, J: -1,
-				Start: traceBase + start.Nanoseconds(), Dur: (end - start).Nanoseconds(),
+				Start: trc.Begin() - dur, Dur: dur,
 			})
 		}
 	}
@@ -176,7 +176,6 @@ func runRankWindow(c *comm.Comm, dev *device.Device, opts Options, res *Result) 
 		w := min(opts.PipelineDepth, opts.MaxIter-base)
 		winStart := time.Now()
 		tWin := trc.Begin()
-		traceBase = tWin
 		pr.lastConv = 0
 		win := make([]*iterRun, w)
 		for k := range win {

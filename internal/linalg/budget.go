@@ -2,19 +2,22 @@ package linalg
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 )
 
 // Worker budget: a package-global pool of schedulable CPU tokens that makes
 // kernel-level parallelism compose with the outer worker pools instead of
-// oversubscribing them. Every layer that runs compute goroutines — the
-// sequential GF phase's point workers, the simulated MPI ranks
-// (comm.World.Run) and the sdfg executor workers each rank runs its
-// iteration graph on under every dist schedule, the SSE atom pool, the
-// SBSMM batch splitter — reserves one token per worker for the worker's
-// lifetime. A large GEMM then fans out only over tokens that are actually
-// free: called from a saturated pool it runs serially on its caller's
-// goroutine; called from the top level with idle CPUs it takes them.
+// oversubscribing them. Every layer that runs compute goroutines reserves
+// one token per worker for the worker's lifetime: the data-parallel loops
+// (the sequential GF phase's point workers, the SSE atom pool, the SBSMM
+// batch splitter) through ParallelFor below, the long-lived pools (the
+// simulated MPI ranks of comm.World.Run, the sdfg executor workers each
+// rank runs its iteration graph on, the ensemble member runners) through
+// ReserveWorker directly. A large GEMM then fans out only over tokens that
+// are actually free: called from a saturated pool it runs serially on its
+// caller's goroutine; called from the top level with idle CPUs it takes
+// them.
 //
 // The budget defaults to GOMAXPROCS at process start. SetWorkerBudget
 // overrides it (tests pin it; a daemon colocating several solvers can
@@ -91,4 +94,57 @@ func releaseWorkers(n int) {
 	if n > 0 {
 		budgetFree.Add(int64(n))
 	}
+}
+
+// ParallelFor runs work on every index of [0, n) over a pool of at most
+// workers goroutines — the one data-parallel loop of the compute layers.
+// Each goroutine holds one ReserveWorker token for its lifetime, calls
+// newWorker once (scratch allocated there is per worker, not per index)
+// and feeds the function it gets back the indices it claims from a shared
+// counter, so uneven items balance themselves. The first error stops
+// further claims and is returned; indices already claimed still finish.
+// With workers ≤ 1 or a single index the loop runs in order on the
+// caller's goroutine and reserves nothing: a serial caller occupies
+// whatever its own pool already accounted for.
+func ParallelFor(n, workers int, newWorker func() func(i int) error) error {
+	if n <= 0 {
+		return nil
+	}
+	if workers = min(workers, n); workers <= 1 {
+		work := newWorker()
+		for i := 0; i < n; i++ {
+			if err := work(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var pool struct { // one heap object for what the workers share
+		wg    sync.WaitGroup
+		next  atomic.Int64
+		first atomic.Pointer[error]
+	}
+	for w := 0; w < workers; w++ {
+		pool.wg.Add(1)
+		go func() {
+			defer pool.wg.Done()
+			defer ReserveWorker()()
+			work := newWorker()
+			for pool.first.Load() == nil {
+				i := int(pool.next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if err := work(i); err != nil {
+					failure := err // only a failure escapes to the heap
+					pool.first.CompareAndSwap(nil, &failure)
+				}
+			}
+		}()
+	}
+	pool.wg.Wait()
+	if e := pool.first.Load(); e != nil {
+		return *e
+	}
+	return nil
 }

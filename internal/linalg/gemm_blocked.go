@@ -16,9 +16,9 @@ package linalg
 // gemm_blocked_test.go pins this across all Op combinations and edge
 // shapes.
 //
-// The MC/KC/NC constants below are compile-time defaults; the effective
-// sizes come from Blocking() (see blocking.go) so the plan autotuner can
-// retune the cache footprint at runtime without touching results.
+// The contract is also independent of the cache blocking — tiling the
+// loops differently never reorders one element's k sweep — so the MC/KC/NC
+// constants below only shape the cache footprint, never a result.
 const (
 	// gemmMR×gemmNR is the register tile: 2×8 complex128 = 8 ymm
 	// accumulators, which together with 4 broadcast registers and 4
@@ -42,8 +42,16 @@ const (
 )
 
 // gemmBlocked computes rows [lo, hi) of C = alpha·op(A)·op(B) + beta·C
-// through packed panels from pb.
+// through packed panels from pb, under the compiled-in cache blocking.
 func gemmBlocked(alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta complex128, c *Matrix, pb *packBuf, lo, hi int) {
+	gemmTiled(gemmMC, gemmKC, gemmNC, alpha, a, opA, b, opB, beta, c, pb, lo, hi)
+}
+
+// gemmTiled is gemmBlocked under an explicit blocking — mcB-tall row
+// blocks, kcB-deep k-panels, ncB-wide column blocks, covering at least one
+// register tile (mcB ≥ gemmMR, ncB ≥ gemmNR, kcB ≥ 1). The bitwise
+// invariance test drives it with sizes production never uses.
+func gemmTiled(mcB, kcB, ncB int, alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta complex128, c *Matrix, pb *packBuf, lo, hi int) {
 	n := c.Cols
 	var kk int
 	if opA == NoTrans {
@@ -52,16 +60,15 @@ func gemmBlocked(alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta co
 		kk = a.Rows
 	}
 	ldc := c.Cols
-	bs := Blocking()
-	pb.ensure((bs.MC+gemmMR)*bs.KC, (bs.NC+gemmNR)*bs.KC)
-	for jc := 0; jc < n; jc += bs.NC {
-		nc := min2(bs.NC, n-jc)
-		for pc := 0; pc < kk; pc += bs.KC {
-			kc := min2(bs.KC, kk-pc)
+	pb.ensure((mcB+gemmMR)*kcB, (ncB+gemmNR)*kcB)
+	for jc := 0; jc < n; jc += ncB {
+		nc := min2(ncB, n-jc)
+		for pc := 0; pc < kk; pc += kcB {
+			kc := min2(kcB, kk-pc)
 			first := pc == 0
 			packB(pb.b, b, opB, pc, kc, jc, nc)
-			for ic := lo; ic < hi; ic += bs.MC {
-				mc := min2(bs.MC, hi-ic)
+			for ic := lo; ic < hi; ic += mcB {
+				mc := min2(mcB, hi-ic)
 				packA(pb.a, alpha, a, opA, ic, mc, pc, kc)
 				for jt := 0; jt < nc; jt += gemmNR {
 					bp := pb.b[jt*kc:]

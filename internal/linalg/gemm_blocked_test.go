@@ -27,10 +27,15 @@ func referenceGEMM(alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta 
 	gemmStripe(alpha, am, bm, beta, c, 0, c.Rows)
 }
 
-// runBlocked drives gemmBlocked through the same degenerate-shape entry
-// logic as GEMM, bypassing the stripe shortcut so small problems exercise
-// the packed kernel too.
+// runBlocked drives the packed driver, under its compiled-in blocking,
+// through the same degenerate-shape entry logic as GEMM, bypassing the
+// stripe shortcut so small problems exercise the packed kernel too.
 func runBlocked(alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta complex128, c *Matrix) {
+	runTiled(gemmMC, gemmKC, gemmNC, alpha, a, opA, b, opB, beta, c)
+}
+
+// runTiled is runBlocked under an explicit cache blocking.
+func runTiled(mc, kc, nc int, alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta complex128, c *Matrix) {
 	m, n := c.Rows, c.Cols
 	var k int
 	if opA == NoTrans {
@@ -46,7 +51,7 @@ func runBlocked(alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta com
 		return
 	}
 	pb := packPool.Get().(*packBuf)
-	gemmBlocked(alpha, a, opA, b, opB, beta, c, pb, 0, m)
+	gemmTiled(mc, kc, nc, alpha, a, opA, b, opB, beta, c, pb, 0, m)
 	packPool.Put(pb)
 }
 

@@ -13,13 +13,14 @@ import (
 // The boundary depends only on the bare Hamiltonian and the energy — not
 // on the scattering self-energies — so the task-graph runtime
 // (internal/sdfg) schedules it as its own node ahead of the RGF solve,
-// which then hits the cache. The arithmetic is identical to the in-solve
-// path, so the cached result is bitwise the same. Only meaningful in
-// bc.CacheBC mode; with bc.NoCache the result would be recomputed anyway.
+// which then hits the cache. Only meaningful in bc.CacheBC mode; with
+// bc.NoCache the result would be recomputed anyway.
 func (s *PointSolver) PrepareElectronBC(sh *Shard, i int) error {
 	pr := sh.Pairs[i]
-	h, z := sh.hams[pr[0]], complex(s.Dev.P.Energy(pr[1]), s.Dev.P.Eta)
-	return electronErr(pr, s.prepareBC(0, pr, h, z))
+	sc := s.getScratch()
+	defer s.putScratch(sc)
+	_, _, err := s.leadBCs(sc, 0, "bc/el", pr[0], pr[1], sh.hams[pr[0]], complex(s.Dev.P.Energy(pr[1]), s.Dev.P.Eta))
+	return electronErr(pr, err)
 }
 
 // PreparePhononBC is PrepareElectronBC for phonon point j of the shard:
@@ -27,33 +28,43 @@ func (s *PointSolver) PrepareElectronBC(sh *Shard, i int) error {
 // again independent of the scattering self-energies.
 func (s *PointSolver) PreparePhononBC(sh *Shard, j int) error {
 	pt := sh.Points[j]
-	z := complex(s.Dev.P.Omega(pt[1]), s.Dev.P.Eta)
-	return phononErr(pt, s.prepareBC(2, pt, sh.dyns[pt[0]], z*z))
-}
-
-// prepareBC fills the cache entries side (left) and side+1 (right) of
-// one grid point from the lead blocks of op.
-func (s *PointSolver) prepareBC(side int, pt [2]int, op *blocktri.Matrix, z complex128) error {
-	nb := s.Dev.P.Bnum
 	sc := s.getScratch()
 	defer s.putScratch(sc)
-	if _, err := s.BC.Get(side, pt[0], pt[1], func() (*bc.Result, error) {
+	z := complex(s.Dev.P.Omega(pt[1]), s.Dev.P.Eta)
+	_, _, err := s.leadBCs(sc, 2, "bc/ph", pt[0], pt[1], sh.dyns[pt[0]], z*z)
+	return phononErr(pt, err)
+}
+
+// leadBCs is the two-lead boundary lookup of grid point (i, j): the left
+// and right open-boundary results of the bare operator op at complex
+// energy z — cache sides side and side+1 (0, 1 electron; 2, 3 phonon) —
+// from the cache or, on a miss, decimated on sc's workspace (idle outside
+// solveRGF) and stored. It is the only place a boundary is looked up, by
+// the point solves and the Prepare*BC nodes alike, so the "bc" span it
+// records under the given name is a decimation exactly where one ran and
+// a cache hit everywhere else.
+func (s *PointSolver) leadBCs(sc *solveScratch, side int, span string, i, j int, op *blocktri.Matrix, z complex128) (left, right *bc.Result, err error) {
+	nb := s.Dev.P.Bnum
+	t0 := s.Trace.Begin()
+	left, err = s.BC.Get(side, i, j, func() (*bc.Result, error) {
 		return sc.leadBC(op.Diag[0], op.Lower[0], z)
-	}); err != nil {
-		return fmt.Errorf("left boundary: %w", err)
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("left boundary: %w", err)
 	}
-	if _, err := s.BC.Get(side+1, pt[0], pt[1], func() (*bc.Result, error) {
+	right, err = s.BC.Get(side+1, i, j, func() (*bc.Result, error) {
 		return sc.leadBC(op.Diag[nb-1], op.Upper[nb-2], z)
-	}); err != nil {
-		return fmt.Errorf("right boundary: %w", err)
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("right boundary: %w", err)
 	}
-	return nil
+	s.Trace.End(s.TraceRank, sc.track, "bc", span, i, j, t0)
+	return left, right, nil
 }
 
 // leadBC decimates the lead whose onsite block is z·I − onsite and whose
 // coupling is −coupling — the contact blocks of the A matrix before any
-// self-energy enters, the same expressions the point solves build in
-// place — with every temporary on the scratch workspace.
+// self-energy enters — with every temporary on the scratch workspace.
 func (sc *solveScratch) leadBC(onsite, coupling *linalg.Matrix, z complex128) (*bc.Result, error) {
 	n := onsite.Rows
 	d00 := linalg.Scale(sc.ws.Get(n, n), -1, onsite)

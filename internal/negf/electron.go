@@ -1,9 +1,6 @@
 package negf
 
 import (
-	"fmt"
-
-	"repro/internal/bc"
 	"repro/internal/blocktri"
 	"repro/internal/device"
 	"repro/internal/linalg"
@@ -51,22 +48,10 @@ func (s *PointSolver) SolveElectronPoint(h *blocktri.Matrix, ik, ie int) (*Elect
 	}
 
 	// Open boundaries: semi-infinite periodic extensions of the edge slabs.
-	// A cold decimation borrows the worker's workspace, idle until
-	// solveRGF resets it.
-	tBC := s.Trace.Begin()
-	left, err := s.BC.Get(0, ik, ie, func() (*bc.Result, error) {
-		return bc.SurfaceGFInto(sc.ws, a.Diag[0], a.Lower[0], 0, 0)
-	})
+	left, right, err := s.leadBCs(sc, 0, "bc/el", ik, ie, h, z)
 	if err != nil {
-		return nil, fmt.Errorf("left boundary: %w", err)
+		return nil, err
 	}
-	right, err := s.BC.Get(1, ik, ie, func() (*bc.Result, error) {
-		return bc.SurfaceGFInto(sc.ws, a.Diag[nb-1], a.Upper[nb-2], 0, 0)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("right boundary: %w", err)
-	}
-	s.Trace.End(s.TraceRank, sc.track, "bc", "bc/el", ik, ie, tBC)
 	linalg.AXPY(a.Diag[0], -1, left.SigmaR)
 	linalg.AXPY(a.Diag[nb-1], -1, right.SigmaR)
 

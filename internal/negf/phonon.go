@@ -1,9 +1,6 @@
 package negf
 
 import (
-	"fmt"
-
-	"repro/internal/bc"
 	"repro/internal/blocktri"
 	"repro/internal/device"
 	"repro/internal/linalg"
@@ -49,20 +46,10 @@ func (s *PointSolver) SolvePhononPoint(phi *blocktri.Matrix, iq, m int) (*Phonon
 	// lead blocks (the semi-infinite contacts stay in equilibrium, so the
 	// boundary is independent of the scattering self-energies and can be
 	// cached across iterations, §7.1.2).
-	tBC := s.Trace.Begin()
-	left, err := s.BC.Get(2, iq, m, func() (*bc.Result, error) {
-		return bc.SurfaceGFInto(sc.ws, a.Diag[0], a.Lower[0], 0, 0)
-	})
+	left, right, err := s.leadBCs(sc, 2, "bc/ph", iq, m, phi, z2)
 	if err != nil {
-		return nil, fmt.Errorf("left phonon boundary: %w", err)
+		return nil, err
 	}
-	right, err := s.BC.Get(3, iq, m, func() (*bc.Result, error) {
-		return bc.SurfaceGFInto(sc.ws, a.Diag[nb-1], a.Upper[nb-2], 0, 0)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("right phonon boundary: %w", err)
-	}
-	s.Trace.End(s.TraceRank, sc.track, "bc", "bc/ph", iq, m, tBC)
 	linalg.AXPY(a.Diag[0], -1, left.SigmaR)
 	linalg.AXPY(a.Diag[nb-1], -1, right.SigmaR)
 

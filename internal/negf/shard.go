@@ -2,8 +2,6 @@ package negf
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/blocktri"
 	"repro/internal/device"
@@ -92,13 +90,16 @@ func (ps *PointSolver) SolvePhonon(sh *Shard, j int, out *PointResults) error {
 
 // Sweep runs the GF phase of the shard: every electron pair, then every
 // phonon point, each solved into its slot of out by up to workers
-// goroutines (1 = serially on the caller's). It returns the first
-// failure; the points after it are skipped.
+// goroutines (1 = serially on the caller's) — the natural parallelism of
+// the GF phase. It returns the first failure; points not yet started when
+// it lands are skipped.
 func (ps *PointSolver) Sweep(sh *Shard, workers int, out *PointResults) error {
-	if err := forEachPoint(len(sh.Pairs), workers, func(i int) error { return ps.SolveElectron(sh, i, out) }); err != nil {
+	electron := func(i int) error { return ps.SolveElectron(sh, i, out) }
+	phonon := func(j int) error { return ps.SolvePhonon(sh, j, out) }
+	if err := linalg.ParallelFor(len(sh.Pairs), workers, func() func(int) error { return electron }); err != nil {
 		return err
 	}
-	return forEachPoint(len(sh.Points), workers, func(j int) error { return ps.SolvePhonon(sh, j, out) })
+	return linalg.ParallelFor(len(sh.Points), workers, func() func(int) error { return phonon })
 }
 
 // Fold accumulates a finished sweep into o, in global point order: the
@@ -112,51 +113,4 @@ func (ps *PointSolver) Fold(sh *Shard, res *PointResults, o *Observables) {
 	o.AddPhonon(p, res.Ph...)
 	o.ElectronEnergyLoss = ps.ElectronCollisionSum(sh.Pairs)
 	o.PhononEnergyGain = ps.PhononCollisionSum(sh.Points)
-}
-
-// forEachPoint distributes n independent (momentum, energy) solves over a
-// worker pool — the natural parallelism of the GF phase — and returns the
-// first error; work not yet started when it lands is skipped.
-func forEachPoint(n, workers int, work func(idx int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := work(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg    sync.WaitGroup
-		next  atomic.Int64
-		first atomic.Pointer[error]
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Reserve this worker in the kernel budget so nested GEMMs
-			// don't fan out on top of the point-level parallelism.
-			release := linalg.ReserveWorker()
-			defer release()
-			for first.Load() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := work(i); err != nil {
-					failure := err // only a failure escapes to the heap
-					first.CompareAndSwap(nil, &failure)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if e := first.Load(); e != nil {
-		return *e
-	}
-	return nil
 }

@@ -2,23 +2,24 @@
 // repo's virtual-time cost model (internal/sdfg.Simulate — the model
 // validated against the paper's Table 6 shape through internal/stream)
 // from a short probe run on the actual device, scores every candidate
-// plan (schedule × worker pool × window depth × GEMM cache blocking) in
-// virtual time, and returns the argmin. The qt facade surfaces it as
-// WithAutoPlan; the resolved plan is recorded in the run's
-// content-addressed configuration.
+// plan (schedule × worker pool × window depth) in virtual time, and
+// returns the argmin. The qt facade surfaces it as WithAutoPlan; the
+// resolved plan is recorded in the run's content-addressed configuration.
 //
 // Calibration contract: the probe runs two self-consistent iterations
 // of the phases schedule (the depth-1 window graph on one worker, so no
 // node's span is inflated by a sibling) on a single rank with tracing
-// enabled. The first iteration observes cold boundary-condition
-// decimations, the second observes cache hits; per-point costs keep the
-// minimum observed occurrence (noise-robust: contention only inflates a
-// span) while the per-iteration aggregates (tile, residual, reduce) are
-// averaged across both iterations — so the calibration describes the
-// steady state of a cached run, plus the one-time cold cost. Costs are
-// per-node nanoseconds; the prediction step scales them by each
-// candidate's shard sizes. A calibration is only as good as the probe
-// host: it is measured wall time, not a hardware model.
+// enabled. The first iteration's bc/* nodes decimate every boundary;
+// every later lookup — the solve node's own and the second iteration's
+// — is a cache hit, and negf records each as a "bc" span where it runs,
+// so the first span of a point is the cold cost and the rest are warm.
+// Per-point costs keep the minimum observed occurrence (noise-robust:
+// contention only inflates a span) while the per-iteration aggregates
+// (tile, residual, reduce) are averaged across both iterations — so the
+// calibration describes the steady state of a cached run, plus the
+// one-time cold cost. Costs are per-node nanoseconds; the prediction step
+// scales them by each candidate's shard sizes. A calibration is only as
+// good as the probe host: it is measured wall time, not a hardware model.
 package plan
 
 import (
@@ -108,9 +109,10 @@ func reduceTrace(tr *obs.Trace, iters int) Calibration {
 		case "reduce":
 			reduce += float64(sp.Dur)
 		case "task":
-			// Executor node envelopes: solve nodes re-cover their bc/rgf
-			// spans, so the residual (accum/collision/mix/...) is the
-			// task total minus the inner categories, folded in below.
+			// Executor node envelopes: the bc/* and rgf/* nodes re-cover
+			// their bc/rgf spans, so the residual (accum/collision/mix/...)
+			// is the task total minus the inner categories, folded in
+			// below — the one-time decimation is not part of it.
 			misc += float64(sp.Dur)
 		}
 	}

@@ -2,12 +2,10 @@ package plan
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/decomp"
 	"repro/internal/device"
 	"repro/internal/dist"
-	"repro/internal/linalg"
 	"repro/internal/model"
 	"repro/internal/negf"
 	"repro/internal/sdfg"
@@ -20,12 +18,10 @@ type Candidate struct {
 	PipelineDepth int // 0 unless Schedule is SchedulePipeline
 }
 
-// Plan is a chosen execution plan: the argmin candidate, the GEMM cache
-// blocking picked by direct measurement, and the virtual-time score the
-// choice was based on.
+// Plan is a chosen execution plan: the argmin candidate and the
+// virtual-time score the choice was based on.
 type Plan struct {
 	Candidate
-	Blocking linalg.BlockSizes
 	// PredictedNs is the modeled steady-state makespan of ONE
 	// self-consistent iteration on the slowest rank.
 	PredictedNs float64
@@ -36,18 +32,14 @@ func (p Plan) String() string {
 	if p.Schedule == dist.SchedulePipeline {
 		s += fmt.Sprintf(" d=%d", p.PipelineDepth)
 	}
-	if p.Blocking != linalg.DefaultBlocking() {
-		s += fmt.Sprintf(" gemm=%dx%dx%d", p.Blocking.MC, p.Blocking.KC, p.Blocking.NC)
-	}
 	return s
 }
 
 // Options bounds the enumeration. Zero fields take defaults.
 type Options struct {
-	Ranks     int                 // world size the plan is for (required)
-	Workers   []int               // worker pool sizes (default 1, 2, 4)
-	Depths    []int               // window depths; 1 is the overlap schedule (default 1, 2, 3)
-	Blockings []linalg.BlockSizes // GEMM blockings (default: compiled-in ± one step)
+	Ranks   int   // world size the plan is for (required)
+	Workers []int // worker pool sizes (default 1, 2, 4)
+	Depths  []int // window depths; 1 is the overlap schedule (default 1, 2, 3)
 }
 
 func (o Options) normalize() (Options, error) {
@@ -60,14 +52,6 @@ func (o Options) normalize() (Options, error) {
 	if len(o.Depths) == 0 {
 		o.Depths = []int{1, 2, 3}
 	}
-	if len(o.Blockings) == 0 {
-		d := linalg.DefaultBlocking()
-		o.Blockings = []linalg.BlockSizes{
-			d,
-			{MC: d.MC / 2, KC: d.KC / 2, NC: d.NC / 2},
-			{MC: d.MC * 2, KC: d.KC, NC: d.NC * 2},
-		}
-	}
 	return o, nil
 }
 
@@ -76,9 +60,7 @@ func (o Options) normalize() (Options, error) {
 // is spelled ScheduleOverlap — the name plans, reports and -schedule
 // flags already use for it — except on one worker, where it is the
 // phases baseline itself and is not listed twice. Shallower windows come
-// first, so a tie resolves to the simpler schedule. Blocking is
-// orthogonal (it never changes results or the graph shape) and is chosen
-// separately by measurement.
+// first, so a tie resolves to the simpler schedule.
 func Candidates(o Options) []Candidate {
 	cands := []Candidate{{Schedule: dist.SchedulePhases, Workers: 1}}
 	for _, d := range o.Depths {
@@ -162,10 +144,10 @@ func addIteration(g *sdfg.Graph, after []sdfg.NodeID, nEl, nPh int, elNs, phNs, 
 	return []sdfg.NodeID{mix}
 }
 
-// Choose calibrates, scores every candidate, measures the GEMM blocking
-// candidates, and returns the argmin plan. Ties (within 1%) resolve
-// toward the earlier — simpler — candidate, so phases beats overlap
-// beats a deeper window when the model sees no benefit.
+// Choose calibrates, scores every candidate and returns the argmin plan.
+// Ties (within 1%) resolve toward the earlier — simpler — candidate, so
+// phases beats overlap beats a deeper window when the model sees no
+// benefit.
 func Choose(dev *device.Device, o Options) (Plan, error) {
 	o, err := o.normalize()
 	if err != nil {
@@ -175,10 +157,10 @@ func Choose(dev *device.Device, o Options) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	return chooseWith(dev, o, cal)
+	return chooseWith(dev, o, cal), nil
 }
 
-func chooseWith(dev *device.Device, o Options, cal Calibration) (Plan, error) {
+func chooseWith(dev *device.Device, o Options, cal Calibration) Plan {
 	best, bestNs := Candidate{}, 0.0
 	for i, c := range Candidates(o) {
 		ns := Predict(dev.P, o.Ranks, cal, c)
@@ -186,59 +168,7 @@ func chooseWith(dev *device.Device, o Options, cal Calibration) (Plan, error) {
 			best, bestNs = c, ns
 		}
 	}
-	bl, err := ChooseBlocking(dev, o.Blockings)
-	if err != nil {
-		return Plan{}, err
-	}
-	return Plan{Candidate: best, Blocking: bl, PredictedNs: bestNs}, nil
-}
-
-// ChooseBlocking times a representative GEMM (the device's largest
-// diagonal block, the shape every RGF step multiplies) under each
-// candidate blocking and returns the fastest, preferring the
-// compiled-in default within a 3% band — measured noise should not
-// evict a hand-tuned setting.
-func ChooseBlocking(dev *device.Device, cands []linalg.BlockSizes) (linalg.BlockSizes, error) {
-	n := 0
-	for _, s := range dev.Hamiltonian(0).Sizes {
-		if s > n {
-			n = s
-		}
-	}
-	if n < 8 {
-		n = 8
-	}
-	a, b, c := linalg.New(n, n), linalg.New(n, n), linalg.New(n, n)
-	for i := range a.Data {
-		a.Data[i] = complex(float64(i%7)-3, float64(i%5)-2)
-		b.Data[i] = complex(float64(i%3)-1, float64(i%11)-5)
-	}
-	def := linalg.DefaultBlocking()
-	defer linalg.ResetBlocking()
-	bestBl, bestNs, defNs := def, 0.0, 0.0
-	for _, bl := range cands {
-		if err := linalg.SetBlocking(bl); err != nil {
-			return def, fmt.Errorf("plan: blocking candidate: %w", err)
-		}
-		ns := 0.0
-		for rep := 0; rep < 3; rep++ {
-			t0 := time.Now()
-			linalg.GEMM(1, a, linalg.NoTrans, b, linalg.NoTrans, 0, c)
-			if d := float64(time.Since(t0).Nanoseconds()); rep == 0 || d < ns {
-				ns = d
-			}
-		}
-		if bl == def {
-			defNs = ns
-		}
-		if bestNs == 0 || ns < bestNs {
-			bestBl, bestNs = bl, ns
-		}
-	}
-	if defNs > 0 && bestNs > defNs*0.97 {
-		return def, nil
-	}
-	return bestBl, nil
+	return Plan{Candidate: best, PredictedNs: bestNs}
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/dist"
-	"repro/internal/linalg"
 	"repro/internal/sse"
 )
 
@@ -124,10 +123,7 @@ func TestChooseArgmin(t *testing.T) {
 		t.Fatal(err)
 	}
 	cal := testCal()
-	got, err := chooseWith(dev, o, cal)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := chooseWith(dev, o, cal)
 	best := 0.0
 	for i, c := range Candidates(o) {
 		if ns := Predict(dev.P, o.Ranks, cal, c); i == 0 || ns < best {
@@ -139,9 +135,6 @@ func TestChooseArgmin(t *testing.T) {
 	}
 	if got.Schedule != dist.SchedulePipeline {
 		t.Errorf("the reduce-heavy calibration should pick the pipeline, got %v", got.Schedule)
-	}
-	if got.Blocking == (linalg.BlockSizes{}) {
-		t.Error("no blocking chosen")
 	}
 }
 
@@ -155,18 +148,16 @@ func TestChooseTieBreak(t *testing.T) {
 		t.Fatal(err)
 	}
 	cal := Calibration{BCWarmNs: 10, ElNs: 100, PhBCWarmNs: 10, PhNs: 60, TileNs: 400}
-	got, err := chooseWith(dev, o, cal)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := chooseWith(dev, o, cal)
 	if got.Schedule != dist.SchedulePhases {
 		t.Errorf("tie should keep the phases baseline, got %v", got.Schedule)
 	}
 }
 
 // TestCalibrate runs the real probe on the test device and sanity-checks
-// the measured calibration: every steady-state cost positive, the cold
-// boundary solve at least as expensive as the warm lookup.
+// the measured calibration: every steady-state cost positive, and the
+// cold boundary cost an actual decimation — an order of magnitude above
+// the warm cache lookup, not a second lookup mistaken for one.
 func TestCalibrate(t *testing.T) {
 	cal, err := Calibrate(testDevice(t))
 	if err != nil {
@@ -175,29 +166,17 @@ func TestCalibrate(t *testing.T) {
 	if cal.ElNs <= 0 || cal.PhNs <= 0 || cal.TileNs <= 0 || cal.MiscNs <= 0 || cal.ReduceNs <= 0 {
 		t.Fatalf("incomplete calibration: %+v", cal)
 	}
-	if cal.BCColdNs < cal.BCWarmNs {
-		t.Errorf("cold BC %.0f ns cheaper than warm %.0f ns", cal.BCColdNs, cal.BCWarmNs)
+	if cal.BCColdNs < 10*cal.BCWarmNs {
+		t.Errorf("cold electron BC %.0f ns is not a decimation next to the warm lookup's %.0f ns", cal.BCColdNs, cal.BCWarmNs)
+	}
+	if cal.PhBCColdNs < 10*cal.PhBCWarmNs {
+		t.Errorf("cold phonon BC %.0f ns is not a decimation next to the warm lookup's %.0f ns", cal.PhBCColdNs, cal.PhBCWarmNs)
 	}
 	if cal.CopyNsPerByte <= 0 {
 		t.Errorf("no copy bandwidth measured")
 	}
 	if cal.ProbeNs <= 0 {
 		t.Errorf("no probe wall time")
-	}
-}
-
-func TestChooseBlocking(t *testing.T) {
-	dev := testDevice(t)
-	defer linalg.ResetBlocking()
-	bl, err := ChooseBlocking(dev, []linalg.BlockSizes{linalg.DefaultBlocking(), {MC: 64, KC: 64, NC: 128}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := linalg.SetBlocking(bl); err != nil {
-		t.Fatalf("chosen blocking %+v is not admissible: %v", bl, err)
-	}
-	if _, err := ChooseBlocking(dev, []linalg.BlockSizes{{MC: 1, KC: 0, NC: 0}}); err == nil {
-		t.Error("inadmissible candidate must surface an error")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -136,5 +137,95 @@ func waitForGoroutines(t *testing.T, before int) {
 	}
 	if n := runtime.NumGoroutine(); n > before+2 {
 		t.Errorf("goroutines leaked: %d before, %d after", before, n)
+	}
+}
+
+// TestConcurrentPlansStayPerRun: a run's plan is (schedule, workers,
+// depth) on its own options and nothing else — resolving one run's plan
+// writes no process-wide state — so an auto-planned simulation built and
+// solved next to a hand-planned one leaves each with its own PlanString
+// and with currents bit-identical to the same plan solved alone. Run under
+// -race in CI.
+func TestConcurrentPlansStayPerRun(t *testing.T) {
+	common := func(extra ...Option) []Option {
+		return append([]Option{WithRanks(2), WithMaxIterations(3), WithTolerance(1e-300)}, extra...)
+	}
+	hand := func() []Option { return common(WithSchedule(Pipeline), WithPipelineDepth(2), WithWorkers(2)) }
+	const handPlan = "pipeline w=2 d=2"
+	_, handSolo := solve(t, smallSpec(), hand()...)
+
+	const pairs = 2
+	type outcome struct {
+		sim *Simulation
+		res *Result
+	}
+	var (
+		wg           sync.WaitGroup
+		autos, hands [pairs]outcome
+	)
+	start := func(out *outcome, opts []Option) {
+		defer wg.Done()
+		sim, err := New(smallSpec(), opts...) // the auto plan probes here, concurrently
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		run, err := sim.Start(context.Background())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		res, err := run.Wait()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		*out = outcome{sim, res}
+	}
+	for i := 0; i < pairs; i++ {
+		wg.Add(2)
+		go start(&autos[i], common(WithAutoPlan()))
+		go start(&hands[i], hand())
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	for i := 0; i < pairs; i++ {
+		h, a := hands[i], autos[i]
+		if got := h.sim.PlanString(); got != handPlan || h.res.Trace[0].Plan != handPlan {
+			t.Errorf("hand-planned run %d reports plan %q (row %q), want %q", i, got, h.res.Trace[0].Plan, handPlan)
+		}
+		if rc := h.sim.Config(); rc.AutoPlan {
+			t.Errorf("hand-planned run %d picked up auto_plan: %+v", i, rc)
+		}
+		if math.Float64bits(h.res.Current) != math.Float64bits(handSolo.Current) {
+			t.Errorf("hand-planned run %d: concurrent current %v != solo %v", i, h.res.Current, handSolo.Current)
+		}
+
+		plan := a.sim.PlanString()
+		if !strings.HasSuffix(plan, " [auto]") || strings.Contains(plan, "gemm") || a.res.Trace[0].Plan != plan {
+			t.Errorf("auto-planned run %d reports plan %q (row %q)", i, plan, a.res.Trace[0].Plan)
+		}
+		// Its solo twin: the same resolved plan, rebuilt without probing.
+		solo, err := NewFromConfig(a.sim.Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if solo.PlanString() != plan {
+			t.Errorf("auto-planned run %d: rebuilt plan %q != %q", i, solo.PlanString(), plan)
+		}
+		run, err := solo.Start(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		soloRes, err := run.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(a.res.Current) != math.Float64bits(soloRes.Current) {
+			t.Errorf("auto-planned run %d (%s): concurrent current %v != solo %v", i, plan, a.res.Current, soloRes.Current)
+		}
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"repro/internal/linalg"
 )
 
 // RunConfig is the exported, JSON-stable form of a resolved experiment
@@ -52,9 +50,6 @@ type RunConfig struct {
 	// in the content hash: two runs planned differently are different
 	// artifacts.
 	AutoPlan bool `json:"auto_plan,omitempty"`
-	// GemmBlocking is a resolved GEMM cache blocking ("MCxKCxNC"),
-	// recorded when a plan installed one.
-	GemmBlocking string `json:"gemm_blocking,omitempty"`
 	// Trace enables per-phase span recording (qt.WithTrace). It is part
 	// of the hashed configuration: a traced and an untraced run are
 	// different artifacts (the trace is part of the result), so they
@@ -96,9 +91,6 @@ func (s *Simulation) Config() RunConfig {
 		// phases default: a non-empty Schedule next to AutoPlan is the
 		// resolved-plan marker NewFromConfig keys on.
 		rc.Schedule = c.schedule.String()
-	}
-	if c.blocking != (linalg.BlockSizes{}) {
-		rc.GemmBlocking = fmt.Sprintf("%dx%dx%d", c.blocking.MC, c.blocking.KC, c.blocking.NC)
 	}
 	if c.precision != FP64 {
 		rc.Precision = c.precision.String()
@@ -148,10 +140,13 @@ func (rc RunConfig) Options() ([]Option, error) {
 	if rc.MaxIterations > 0 {
 		opts = append(opts, WithMaxIterations(rc.MaxIterations))
 	}
-	if rc.Tolerance > 0 {
+	// Zero is "absent"; anything else — negative, NaN, ±Inf — goes to the
+	// option's own validation instead of being silently dropped (a
+	// non-finite value kept in the config could not be hashed by Key).
+	if rc.Tolerance != 0 {
 		opts = append(opts, WithTolerance(rc.Tolerance))
 	}
-	if rc.Mixing > 0 {
+	if rc.Mixing != 0 {
 		opts = append(opts, WithMixing(rc.Mixing))
 	}
 	if rc.NoBoundaryCache {
@@ -179,13 +174,6 @@ func (rc RunConfig) Options() ([]Option, error) {
 			// resolution — use them verbatim instead of re-probing.
 			opts = append(opts, withResolvedPlan())
 		}
-	}
-	if rc.GemmBlocking != "" {
-		var bs linalg.BlockSizes
-		if _, err := fmt.Sscanf(rc.GemmBlocking, "%dx%dx%d", &bs.MC, &bs.KC, &bs.NC); err != nil {
-			return nil, fmt.Errorf("qt: gemm_blocking %q: want MCxKCxNC", rc.GemmBlocking)
-		}
-		opts = append(opts, withGemmBlocking(bs))
 	}
 	if rc.Trace {
 		opts = append(opts, WithTrace())
@@ -223,37 +211,38 @@ func (rc RunConfig) Key() string { return rc.hash(false) }
 func (rc RunConfig) WarmKey() string { return rc.hash(true) }
 
 func (rc RunConfig) hash(warm bool) string {
-	b, err := json.Marshal(rc)
-	if err != nil {
-		panic("qt: RunConfig not marshalable: " + err.Error())
+	m := jsonObject(rc)
+	if spec, ok := m["spec"].(map[string]any); ok && warm {
+		delete(spec, "bias")
+		delete(spec, "disorder_seed")
 	}
-	var m map[string]any
-	if err := json.Unmarshal(b, &m); err != nil {
-		panic("qt: RunConfig JSON not an object: " + err.Error())
-	}
-	if warm {
-		if spec, ok := m["spec"].(map[string]any); ok {
-			delete(spec, "bias")
-			delete(spec, "disorder_seed")
-		}
-	}
-	h := sha256.New()
-	writeCanonical(h, m)
-	return hex.EncodeToString(h.Sum(nil))
+	return canonicalHash(m)
 }
 
 // Key returns the canonical content hash of the defaulted Spec alone —
 // the structure-level identity. RunConfig.Key covers the full resolved
 // configuration and is what the service cache keys on.
-func (s Spec) Key() string {
-	b, err := json.Marshal(s.withDefaults())
+func (s Spec) Key() string { return canonicalHash(jsonObject(s.withDefaults())) }
+
+// jsonObject is v's JSON form parsed back into a generic object — what
+// the content hashes edit and canonicalize. Only a non-finite float makes
+// a RunConfig or Spec unmarshalable, and NewFromConfig rejects those in
+// every float field (TestNonFiniteConfigRejected), so for a configuration
+// that was built the two panics are unreachable.
+func jsonObject(v any) map[string]any {
+	b, err := json.Marshal(v)
 	if err != nil {
-		panic("qt: Spec not marshalable: " + err.Error())
+		panic(fmt.Sprintf("qt: %T not marshalable: %v", v, err))
 	}
 	var m map[string]any
 	if err := json.Unmarshal(b, &m); err != nil {
-		panic("qt: Spec JSON not an object: " + err.Error())
+		panic(fmt.Sprintf("qt: %T JSON not an object: %v", v, err))
 	}
+	return m
+}
+
+// canonicalHash is the SHA-256 of m written with recursively sorted keys.
+func canonicalHash(m map[string]any) string {
 	h := sha256.New()
 	writeCanonical(h, m)
 	return hex.EncodeToString(h.Sum(nil))

@@ -2,9 +2,13 @@ package qt
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/device"
 )
 
 func TestParseScheduleAndKernel(t *testing.T) {
@@ -165,5 +169,66 @@ func TestRunConfigKey(t *testing.T) {
 	}
 	if (Spec{}).Key() == smallSpec().Key() {
 		t.Error("different specs share a key")
+	}
+}
+
+// TestNonFiniteConfigRejected feeds NaN and ±Inf through every float
+// field reachable from a RunConfig — found by reflection, so a field added
+// later is covered without touching this test — and requires NewFromConfig
+// to return an error. A non-finite value that slipped through would not
+// marshal, and RunConfig.Key / Spec.Key on the submit route would panic.
+func TestNonFiniteConfigRejected(t *testing.T) {
+	full := func() RunConfig {
+		spec := smallSpec()
+		spec.Bias, spec.Temperature, spec.Coupling = 0.2, 300, 0.05
+		spec.Profile = &device.Profile{
+			Regions:   []device.Region{{From: 0, To: 1, Offset: 0.1}},
+			Gates:     []device.Gate{{Center: 1, Width: 1, Depth: 0.1}},
+			Doping:    &device.Doping{Fraction: 0.1, Shift: -0.05},
+			Vacancies: &device.Vacancies{Fraction: 0.1, Shift: 8, BondScale: 0.1},
+			Strain:    &device.Strain{Amplitude: 0.02},
+		}
+		return RunConfig{Spec: spec, Tolerance: 1e-6, Mixing: 0.5}
+	}
+	if _, err := NewFromConfig(full()); err != nil {
+		t.Fatalf("the finite base configuration must build: %v", err)
+	}
+	// eachFloat visits every float64 under v, depth first.
+	var eachFloat func(v reflect.Value, path string, visit func(path string, f reflect.Value))
+	eachFloat = func(v reflect.Value, path string, visit func(string, reflect.Value)) {
+		switch v.Kind() {
+		case reflect.Float64:
+			visit(path, v)
+		case reflect.Pointer:
+			eachFloat(v.Elem(), path, visit)
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				eachFloat(v.Field(i), path+"."+v.Type().Field(i).Name, visit)
+			}
+		case reflect.Slice:
+			for i := 0; i < v.Len(); i++ {
+				eachFloat(v.Index(i), fmt.Sprintf("%s[%d]", path, i), visit)
+			}
+		}
+	}
+	base, fields := full(), 0
+	eachFloat(reflect.ValueOf(&base), "", func(string, reflect.Value) { fields++ })
+	if fields < 15 {
+		t.Fatalf("reflection walk found only %d float fields", fields)
+	}
+	for k := 0; k < fields; k++ {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			rc, seen, name := full(), 0, ""
+			eachFloat(reflect.ValueOf(&rc), "", func(path string, f reflect.Value) {
+				if seen == k {
+					f.SetFloat(bad)
+					name = path
+				}
+				seen++
+			})
+			if sim, err := NewFromConfig(rc); err == nil {
+				t.Errorf("%s = %g accepted (resolved config %+v)", name, bad, sim.Config())
+			}
+		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/bc"
 	"repro/internal/device"
 	"repro/internal/dist"
-	"repro/internal/linalg"
 	"repro/internal/sse"
 )
 
@@ -35,13 +34,12 @@ type config struct {
 	warm       *SigmaState // sequential-only Σ≷/Π≷ seed; nil = cold start
 
 	pipelineDepth int // 0 = dist default; only valid with Pipeline
-	// autoPlan defers schedule/workers/depth/blocking to the internal/plan
+	// autoPlan defers schedule/workers/depth to the internal/plan
 	// autotuner; planResolved marks a configuration whose resolved knobs
 	// are already present (the RunConfig round-trip), so New must not
-	// re-probe. blocking, when non-zero, is installed process-wide at New.
+	// re-probe.
 	autoPlan     bool
 	planResolved bool
-	blocking     linalg.BlockSizes
 }
 
 func defaultConfig(spec Spec) config {
@@ -98,10 +96,10 @@ func WithPipelineDepth(d int) Option {
 	}
 }
 
-// WithAutoPlan hands schedule, worker pool, pipeline depth and GEMM
-// cache blocking to the internal/plan autotuner: New runs a short
-// calibration probe on the built device, scores every candidate plan in
-// the virtual-time cost model, and applies the argmin. The resolved
+// WithAutoPlan hands schedule, worker pool and pipeline depth to the
+// internal/plan autotuner: New runs a short calibration probe on the
+// built device, scores every candidate plan in the virtual-time cost
+// model, and applies the argmin to this run's own options. The resolved
 // plan is written into the configuration (visible in Config and part of
 // the content hash), so a cached or re-built run keeps the exact plan it
 // was solved with instead of re-probing. Requires WithRanks; conflicts
@@ -121,15 +119,6 @@ func WithAutoPlan() Option {
 func withResolvedPlan() Option {
 	return func(c *config) error {
 		c.planResolved = true
-		return nil
-	}
-}
-
-// withGemmBlocking records a resolved GEMM cache blocking to install at
-// New (the serialized-plan path; WithAutoPlan sets it directly).
-func withGemmBlocking(bs linalg.BlockSizes) Option {
-	return func(c *config) error {
-		c.blocking = bs
 		return nil
 	}
 }

@@ -2,13 +2,12 @@ package qt
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"runtime"
 	"strings"
 	"testing"
-
-	"repro/internal/linalg"
 )
 
 // TestPipelineThroughFacade runs the pipelined schedule end to end via
@@ -94,7 +93,6 @@ func TestPipelineConfigRoundTrip(t *testing.T) {
 // config keeps the plan without re-probing, and the content key is
 // stable across the round trip.
 func TestAutoPlanResolvesAndRoundTrips(t *testing.T) {
-	defer linalg.ResetBlocking()
 	sim, err := New(smallSpec(), WithRanks(2), WithAutoPlan(), WithMaxIterations(3))
 	if err != nil {
 		t.Fatal(err)
@@ -111,6 +109,10 @@ func TestAutoPlanResolvesAndRoundTrips(t *testing.T) {
 	}
 	if !strings.Contains(sim.PlanString(), "[auto]") {
 		t.Errorf("PlanString %q does not mark the auto plan", sim.PlanString())
+	}
+	// A plan is schedule, workers and depth: no GEMM blocking is recorded.
+	if b, err := json.Marshal(rc); err != nil || strings.Contains(string(b), "gemm") {
+		t.Errorf("resolved config marshals to %s (err %v)", b, err)
 	}
 
 	sim2, err := NewFromConfig(rc)
@@ -148,23 +150,28 @@ func TestAutoPlanResolvesAndRoundTrips(t *testing.T) {
 	}
 }
 
-// TestGemmBlockingConfigParse covers the serialized-blocking path: a
-// valid MCxKCxNC string round-trips, a malformed one is rejected.
-func TestGemmBlockingConfigParse(t *testing.T) {
-	defer linalg.ResetBlocking()
-	rc := RunConfig{Spec: smallSpec(), GemmBlocking: "64x64x128"}
-	if _, err := NewFromConfig(rc); err != nil {
+// TestStoredGemmBlockingIgnored: configurations recorded before the GEMM
+// blocking axis was deleted carry "gemm_blocking". They must keep decoding
+// and building, as the same run they describe without the field.
+func TestStoredGemmBlockingIgnored(t *testing.T) {
+	const stored = `{"spec":{"atoms":12,"slabs":3,"energy_points":12,"phonon_modes":3},"ranks":2,` +
+		`"schedule":"overlap","workers":4,"auto_plan":true,"gemm_blocking":"64x64x128"}`
+	var rc RunConfig
+	if err := json.Unmarshal([]byte(stored), &rc); err != nil {
 		t.Fatal(err)
 	}
-	if got := linalg.Blocking(); got != (linalg.BlockSizes{MC: 64, KC: 64, NC: 128}) {
-		t.Errorf("blocking not installed: %+v", got)
+	sim, err := NewFromConfig(rc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	rc.GemmBlocking = "64x64"
-	if _, err := NewFromConfig(rc); err == nil || !strings.Contains(err.Error(), "gemm_blocking") {
-		t.Errorf("malformed blocking string not rejected: %v", err)
+	if want := "overlap w=4 [auto]"; sim.PlanString() != want {
+		t.Errorf("PlanString() = %q, want %q", sim.PlanString(), want)
 	}
-	rc.GemmBlocking = "1x0x0"
-	if _, err := NewFromConfig(rc); err == nil {
-		t.Error("inadmissible blocking not rejected")
+	var bare RunConfig
+	if err := json.Unmarshal([]byte(strings.Replace(stored, `,"gemm_blocking":"64x64x128"`, "", 1)), &bare); err != nil {
+		t.Fatal(err)
+	}
+	if rc != bare {
+		t.Errorf("the stored field changed the decoded config:\n  %+v\n  %+v", rc, bare)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/bc"
 	"repro/internal/device"
 	"repro/internal/dist"
-	"repro/internal/linalg"
 	"repro/internal/negf"
 	"repro/internal/plan"
 	"repro/internal/sse"
@@ -64,13 +63,7 @@ func New(spec Spec, opts ...Option) (*Simulation, error) {
 		cfg.schedule = pl.Schedule
 		cfg.workers = pl.Workers
 		cfg.pipelineDepth = pl.PipelineDepth
-		cfg.blocking = pl.Blocking
 		cfg.planResolved = true
-	}
-	if cfg.blocking != (linalg.BlockSizes{}) {
-		if err := linalg.SetBlocking(cfg.blocking); err != nil {
-			return nil, fmt.Errorf("qt: %w", err)
-		}
 	}
 	// Reflect option-level overrides back into the exported Spec so it
 	// always reports what is actually solved.
@@ -93,9 +86,6 @@ func (s *Simulation) PlanString() string {
 	}
 	if s.cfg.schedule == Pipeline {
 		str += fmt.Sprintf(" d=%d", o.PipelineDepth)
-	}
-	if s.cfg.blocking != (linalg.BlockSizes{}) && s.cfg.blocking != linalg.DefaultBlocking() {
-		str += fmt.Sprintf(" gemm=%dx%dx%d", s.cfg.blocking.MC, s.cfg.blocking.KC, s.cfg.blocking.NC)
 	}
 	if s.cfg.autoPlan {
 		str += " [auto]"

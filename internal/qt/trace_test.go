@@ -2,7 +2,12 @@ package qt
 
 import (
 	"context"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // collectCats runs the given simulation and indexes the recorded spans
@@ -114,5 +119,70 @@ func TestTraceChangesKey(t *testing.T) {
 	}
 	if rt.Config().Key() != traced.Config().Key() {
 		t.Error("Trace flag lost in the RunConfig round trip")
+	}
+}
+
+// TestTraceBCSpansWhereTheDecimationRuns: the "bc" span is recorded by the
+// boundary lookup itself, so under the task graph the cold decimation of
+// iteration 0 shows inside its bc/* task envelope — not as a nanosecond
+// cache hit in the solve node while the real cost hides in the task span —
+// and every later lookup of the point is a hit orders of magnitude
+// shorter.
+func TestTraceBCSpansWhereTheDecimationRuns(t *testing.T) {
+	_, res := solve(t, smallSpec(), WithTrace(), WithRanks(2), WithMaxIterations(2), WithTolerance(1e-300))
+	type point struct {
+		rank int
+		name string // "bc/el/ik,ie" — the task label, rebuilt from a bc span
+	}
+	tasks := map[point]obs.Span{} // first (iteration-0) bc/* task of each point
+	lookups := map[point][]obs.Span{}
+	for _, sp := range res.Spans.Spans {
+		switch {
+		case sp.Cat == "task" && strings.HasPrefix(sp.Name, "bc/"):
+			if _, seen := tasks[point{sp.Rank, sp.Name}]; !seen {
+				tasks[point{sp.Rank, sp.Name}] = sp
+			}
+		case sp.Cat == "bc":
+			k := point{sp.Rank, fmt.Sprintf("%s/%d,%d", sp.Name, sp.I, sp.J)}
+			lookups[k] = append(lookups[k], sp)
+		}
+	}
+	if len(tasks) == 0 {
+		t.Fatal("traced graph run recorded no bc/* tasks")
+	}
+	// Wall-clock spans on a shared host: one preempted goroutine stretches
+	// a 100 ns lookup into milliseconds, so judge medians and a quorum,
+	// not every span.
+	var cold, warm []int64
+	enclosed := 0
+	for k, task := range tasks {
+		spans := lookups[k]
+		// Two iterations × (bc node + solve node) lookups per point.
+		if len(spans) != 4 {
+			t.Errorf("%v: %d bc spans, want 4", k, len(spans))
+			continue
+		}
+		first := spans[0]
+		cold = append(cold, first.Dur)
+		for _, sp := range spans[1:] {
+			warm = append(warm, sp.Dur)
+		}
+		// The executor and the tracer read the clock separately, so allow
+		// the envelope a few microseconds of skew, not a whole span.
+		lo, hi := max(first.Start, task.Start), min(first.Start+first.Dur, task.Start+task.Dur)
+		if float64(hi-lo) >= 0.9*float64(first.Dur) {
+			enclosed++
+		}
+	}
+	if t.Failed() {
+		return
+	}
+	if 10*enclosed < 9*len(tasks) {
+		t.Errorf("only %d of %d cold bc spans lie inside their bc/* task envelope", enclosed, len(tasks))
+	}
+	slices.Sort(cold)
+	slices.Sort(warm)
+	if c, w := cold[len(cold)/2], warm[len(warm)/2]; c < 10*w {
+		t.Errorf("median first lookup %d ns vs median later lookup %d ns: the first must be the decimation, the rest cache hits", c, w)
 	}
 }

@@ -1,6 +1,12 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -108,5 +114,69 @@ func TestPutStudyOwnsMemberRuns(t *testing.T) {
 	rec.MemberRuns[0] = "run-000001"
 	if got, _ := reg.GetStudy(rec.ID); got.MemberRuns[0] != "" {
 		t.Errorf("stored study record shares the caller's MemberRuns: %v", got.MemberRuns)
+	}
+}
+
+// TestParentFormatRecordReopens: testdata/run-parent-format.json is a
+// registry record written by the commit before the GEMM blocking axis was
+// deleted — an auto-planned run whose config carries "gemm_blocking" and
+// whose report names it in the plan. A data directory holding it must
+// reopen, list the record as stored, and replay: resubmitting the stored
+// config verbatim (unknown field included) runs the recorded plan.
+func TestParentFormatRecordReopens(t *testing.T) {
+	stored, err := os.ReadFile("testdata/run-parent-format.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(stored, []byte(`"gemm_blocking": "64x64x128"`)) {
+		t.Fatal("the fixture lost the field it exists to carry")
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "run-000001.json"), stored, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newService(t, Config{Slots: 1, QueueCap: 4, DataDir: dir})
+
+	listed := s.Registry().List(Query{Status: StatusDone})
+	if len(listed) != 1 || listed[0].ID != "run-000001" {
+		t.Fatalf("reopened registry lists %+v", listed)
+	}
+	old := listed[0]
+	if !old.Config.AutoPlan || old.Config.Schedule != "overlap" || old.Config.Workers != 4 {
+		t.Errorf("stored plan knobs lost on reopen: %+v", old.Config)
+	}
+	if old.Report == nil || old.Report.Plan != "overlap w=4 gemm=64x64x128 [auto]" {
+		t.Errorf("stored report is history and must read as written: %+v", old.Report)
+	}
+
+	// Replay the stored request body, field for field.
+	var raw struct {
+		Config json.RawMessage `json:"config"`
+	}
+	if err := json.Unmarshal(stored, &raw); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json",
+		bytes.NewReader([]byte(`{"tenant":"acme","config":`+string(raw.Config)+`}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var rec Record
+	if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("replay = %d, decode error %v", resp.StatusCode, err)
+	}
+	if rec.ID != "run-000002" {
+		t.Errorf("replay got id %s, want the id after the stored record's", rec.ID)
+	}
+	done := waitForStatus(t, s, rec.ID, StatusDone)
+	if done.Config != old.Config {
+		t.Errorf("replayed config differs from the stored one:\n  %+v\n  %+v", done.Config, old.Config)
+	}
+	if done.Report == nil || done.Report.Plan != "overlap w=4 [auto]" {
+		t.Errorf("replay ran plan %+v, want the recorded schedule and workers", done.Report)
+	}
+	if math.Float64bits(done.Current) != math.Float64bits(old.Current) {
+		t.Errorf("replay current %v != recorded %v: the blocking never was part of the result", done.Current, old.Current)
 	}
 }

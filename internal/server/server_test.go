@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/linalg"
 	"repro/internal/qt"
 )
 
@@ -436,7 +435,6 @@ func TestServiceRegistryAndReport(t *testing.T) {
 // from the first Put, and the finished report names the plan with its
 // [auto] marker.
 func TestServiceAutoPlanRegistry(t *testing.T) {
-	defer linalg.ResetBlocking()
 	s, ts := newService(t, Config{Slots: 1, QueueCap: 4})
 	rc := qt.RunConfig{Spec: smallSpec(0.3), Ranks: 2, AutoPlan: true,
 		MaxIterations: 3, Tolerance: 1e-300}

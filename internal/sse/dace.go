@@ -2,6 +2,7 @@ package sse
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 
 	"repro/internal/batch"
@@ -170,10 +171,14 @@ func daceCompute(in *Input, q *quantizer, restr *restriction) *Output {
 
 	var matmuls, scalarOps atomic.Int64
 
-	parallelAtoms(len(restr.atoms), func() func(ai int) {
+	// One worker per CPU at most, each with its own scratch. Worker a
+	// writes only atom-a-owned regions of the output tensors, so no
+	// locking is needed — the associative accumulation the SDFG map
+	// exploits. The tile body cannot fail; the pool's error is always nil.
+	linalg.ParallelFor(len(restr.atoms), runtime.GOMAXPROCS(0), func() func(ai int) error {
 		s := newTileScratch(nkz, bl, restr)
 		var wl, wg [9]complex128
-		return func(ai int) {
+		return func(ai int) error {
 			a := restr.atoms[ai]
 			var localMuls, localScalar int64
 			zero(s.sigL)
@@ -308,6 +313,7 @@ func daceCompute(in *Input, q *quantizer, restr *restriction) *Output {
 			}
 			matmuls.Add(localMuls)
 			scalarOps.Add(localScalar)
+			return nil
 		}
 	})
 

@@ -7,8 +7,6 @@ import (
 	"repro/internal/linalg"
 )
 
-func gomaxprocs() int { return runtime.GOMAXPROCS(0) }
-
 // OMEN is the baseline kernel: the straightforward translation of
 // Eqs. (2)–(3), evaluating two fresh small matrix multiplications for
 // every (kz, E, qz, ω, a, b, i, j) tuple, exactly as the original OMEN
@@ -39,7 +37,7 @@ func (o OMEN) Compute(in *Input) *Output {
 	prefP := prefPi(p)
 	var matmuls, scalarOps atomic.Int64
 
-	perAtom := func(a int) {
+	perAtom := func(a int) error {
 		var wl, wg [9]complex128
 		gmix := linalg.New(norb, norb)
 		tmp := linalg.New(norb, norb)
@@ -153,8 +151,9 @@ func (o OMEN) Compute(in *Input) *Output {
 		}
 		matmuls.Add(localMuls)
 		scalarOps.Add(localScalar)
+		return nil
 	}
-	parallelAtoms(p.Na, func() func(int) { return perAtom })
+	linalg.ParallelFor(p.Na, runtime.GOMAXPROCS(0), func() func(int) error { return perAtom })
 
 	n3 := int64(norb) * int64(norb) * int64(norb)
 	out.Stats = Stats{

@@ -35,11 +35,8 @@ package sse
 
 import (
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/device"
-	"repro/internal/linalg"
 	"repro/internal/tensor"
 )
 
@@ -129,61 +126,4 @@ func dTilde(dl, dg *tensor.Phonon, iq, iw, a, b, slotAB, slotBA int, wl, wg *[9]
 	for e := 0; e < 9; e++ {
 		wg[e] = gba[e] - gbb[e] - gaa[e] + gab[e]
 	}
-}
-
-// parallelAtoms fans per-atom work out over a worker pool. Each worker
-// calls newWorker once and feeds the atoms it claims to the function it
-// gets back, so scratch allocated in newWorker is per worker, not per atom.
-// All kernels write only atom-a-owned tensor regions from worker a, so no
-// locking is needed — the associative accumulation the SDFG map exploits.
-func parallelAtoms(na int, newWorker func() func(a int)) {
-	if na == 0 {
-		return
-	}
-	workers := min(parallelWorkers, na)
-	if workers <= 1 {
-		work := newWorker()
-		for a := 0; a < na; a++ {
-			work(a)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := int64(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Reserve this worker in the kernel budget so nested GEMMs
-			// don't fan out on top of the atom-level parallelism.
-			release := linalg.ReserveWorker()
-			defer release()
-			work := newWorker()
-			for {
-				a := int(atomic.AddInt64(&next, 1))
-				if a >= na {
-					return
-				}
-				work(a)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// parallelWorkers is a package-level knob so benchmarks can fix the worker
-// count; zero or negative means GOMAXPROCS.
-var parallelWorkers = defaultWorkers()
-
-func defaultWorkers() int { return gomaxprocs() }
-
-// SetWorkers overrides the SSE worker count (0 restores the default).
-// Returns the previous value.
-func SetWorkers(n int) int {
-	old := parallelWorkers
-	if n <= 0 {
-		n = gomaxprocs()
-	}
-	parallelWorkers = n
-	return old
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/device"
@@ -135,10 +136,11 @@ func TestSSEDeterministic(t *testing.T) {
 
 func TestSequentialMatchesParallel(t *testing.T) {
 	in := synthInput(t, 1)
+	// The atom pool is min(GOMAXPROCS, atoms), read at call time.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	par := DaCe{}.Compute(in)
-	old := SetWorkers(1)
+	runtime.GOMAXPROCS(1)
 	seq := DaCe{}.Compute(in)
-	SetWorkers(old)
 	if abs, _ := maxTensorDiff(par.SigL.Data, seq.SigL.Data); abs != 0 {
 		t.Fatal("parallel and sequential SSE differ")
 	}

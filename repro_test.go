@@ -2,6 +2,7 @@ package repro
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/bc"
@@ -46,26 +47,23 @@ func TestAblationCacheModesAgree(t *testing.T) {
 // TestAblationSSEWorkerCountInvariant: the SSE map parallelism the
 // worker-scaling benchmarks sweep must not change the self-energies —
 // each worker writes only atom-owned regions, so any worker count gives
-// bitwise-identical output.
+// bitwise-identical output. The atom pool is min(GOMAXPROCS, atoms), read
+// at call time, so GOMAXPROCS is the knob.
 func TestAblationSSEWorkerCountInvariant(t *testing.T) {
 	in := benchInput()
-	ref := func() *sse.Output {
-		old := sse.SetWorkers(1)
-		defer sse.SetWorkers(old)
-		return (sse.DaCe{}).Compute(in)
-	}()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ref := (sse.DaCe{}).Compute(in)
 	for _, workers := range []int{2, 4} {
-		old := sse.SetWorkers(workers)
+		runtime.GOMAXPROCS(workers)
 		out := (sse.DaCe{}).Compute(in)
-		sse.SetWorkers(old)
-		for i, v := range out.SigL.Data {
-			if v != ref.SigL.Data[i] {
-				t.Fatalf("workers=%d: SigL[%d] differs", workers, i)
-			}
-		}
-		for i, v := range out.PiL.Data {
-			if v != ref.PiL.Data[i] {
-				t.Fatalf("workers=%d: PiL[%d] differs", workers, i)
+		for name, pair := range map[string][2][]complex128{
+			"SigL": {out.SigL.Data, ref.SigL.Data}, "SigG": {out.SigG.Data, ref.SigG.Data},
+			"PiL": {out.PiL.Data, ref.PiL.Data}, "PiG": {out.PiG.Data, ref.PiG.Data},
+		} {
+			for i, v := range pair[0] {
+				if v != pair[1][i] {
+					t.Fatalf("workers=%d: %s[%d] differs", workers, name, i)
+				}
 			}
 		}
 	}
