@@ -106,7 +106,14 @@ func main() {
 		handler = mux
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	// No WriteTimeout: /v1/runs?stream=sse responses are long-lived by
+	// design. The two below bound what an idle or stalled client can hold.
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           handler,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Printf("qtd: listening on %s (registry: %s)", *addr, registryLabel(*data))

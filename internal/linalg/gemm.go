@@ -208,9 +208,6 @@ func gemmStripe(alpha complex128, a, b *Matrix, beta complex128, c *Matrix, lo, 
 	}
 }
 
-// MulAdd computes dst += a·b without allocating.
-func MulAdd(dst, a, b *Matrix) { GEMM(1, a, NoTrans, b, NoTrans, 1, dst) }
-
 // Mul3 returns a·b·c, association chosen to minimize work.
 func Mul3(a, b, c *Matrix) *Matrix {
 	// Cost of (ab)c vs a(bc) in complex multiply-adds.

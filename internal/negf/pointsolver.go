@@ -11,7 +11,6 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/rgf"
-	"repro/internal/sparse"
 	"repro/internal/tensor"
 )
 
@@ -24,12 +23,6 @@ import (
 type PointSolver struct {
 	Dev *device.Device
 	BC  *bc.Cache
-
-	// Sparsity is the block-sparse routing policy handed to every RGF
-	// solve. NewPointSolver sets it automatically when the device's
-	// coupling blocks qualify (see couplingPolicy); nil keeps all
-	// products dense and bit-identical to the reference path.
-	Sparsity *rgf.Sparsity
 
 	// Trace, when non-nil, records per-point BC and RGF spans; TraceRank
 	// labels them with the owning rank (0 for the sequential solver). The
@@ -68,10 +61,6 @@ type solveScratch struct {
 	// id (assigned once, ≥ 1) separates concurrent solves in the trace.
 	track int
 
-	// sparsity mirrors the owning PointSolver's policy (copied at
-	// checkout so solveRGF needs no back-pointer).
-	sparsity *rgf.Sparsity
-
 	// Electron assembly: A = (E+iη)·S − H − Σᴿ and the Σ≷ injections.
 	elA            *blocktri.Matrix
 	elSigL, elSigG []*linalg.Matrix
@@ -84,10 +73,9 @@ type solveScratch struct {
 // time a worker needs one); putScratch returns it.
 func (ps *PointSolver) getScratch() *solveScratch {
 	if sc, _ := ps.scratch.Get().(*solveScratch); sc != nil {
-		sc.sparsity = ps.Sparsity
 		return sc
 	}
-	return &solveScratch{ws: linalg.NewWorkspace(), track: int(ps.trackSeq.Add(1)), sparsity: ps.Sparsity}
+	return &solveScratch{ws: linalg.NewWorkspace(), track: int(ps.trackSeq.Add(1))}
 }
 
 func (ps *PointSolver) putScratch(sc *solveScratch) { ps.scratch.Put(sc) }
@@ -140,7 +128,6 @@ func sameSizes(a, b []int) bool {
 // solveRGF runs the workspace-pooled RGF recursion on the scratch.
 func (sc *solveScratch) solveRGF(a *blocktri.Matrix, sigL, sigG []*linalg.Matrix) (*rgf.Solution, error) {
 	sc.prob.A, sc.prob.SigL, sc.prob.SigG = a, sigL, sigG
-	sc.prob.Sparsity = sc.sparsity
 	sol, err := rgf.SolveInto(&sc.prob, sc.ws, sc.sol)
 	if err != nil {
 		return nil, err
@@ -155,42 +142,17 @@ func NewPointSolver(dev *device.Device, mode bc.Mode) *PointSolver {
 	p := dev.P
 	nbp1 := dev.MaxNb() + 1
 	return &PointSolver{
-		Dev:      dev,
-		Sparsity: couplingPolicy(dev),
-		BC:       bc.NewCache(mode),
-		GL:       tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb),
-		GG:       tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb),
-		DL:       tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D),
-		DG:       tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D),
-		SigL:     tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb),
-		SigG:     tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb),
-		PiL:      tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D),
-		PiG:      tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D),
+		Dev:  dev,
+		BC:   bc.NewCache(mode),
+		GL:   tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb),
+		GG:   tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb),
+		DL:   tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D),
+		DG:   tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D),
+		SigL: tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb),
+		SigG: tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb),
+		PiL:  tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D),
+		PiG:  tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D),
 	}
-}
-
-// couplingPolicy decides once per device whether RGF solves should route
-// coupling products through the sparse kernels: every interface of the
-// kz=0 Hamiltonian must qualify under the default policy (the coupling
-// pattern is energy- and kz-phase-independent, so one check covers the
-// whole grid; rgf re-verifies per interface per solve against the actual
-// assembled blocks anyway). Devices with small or dense couplings get
-// nil — the fully dense, bit-identical path.
-func couplingPolicy(dev *device.Device) *rgf.Sparsity {
-	pol := rgf.DefaultSparsity()
-	h := dev.Hamiltonian(0)
-	if h.NB < 2 {
-		return nil
-	}
-	for i := 0; i+1 < h.NB; i++ {
-		if h.Sizes[i] < pol.MinDim || h.Sizes[i+1] < pol.MinDim {
-			return nil
-		}
-		if sparse.FromDense(h.Upper[i], 0).Density() > pol.Threshold {
-			return nil
-		}
-	}
-	return pol
 }
 
 // AllPairs lists every electron (ik, ie) point in global order.

@@ -140,13 +140,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.with(values, func() metric { return &Counter{} }).(*Counter)
 }
 
-// CounterFunc registers a counter whose value is read from fn at
-// exposition time — for monotone values another subsystem already
-// counts (e.g. cache hit totals).
-func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	r.register(name, help, "counter", nil, nil, fn)
-}
-
 // ── Gauge ────────────────────────────────────────────────────────────
 
 // Gauge is a value that can go up and down.

@@ -106,8 +106,13 @@ func (s *Simulation) Config() RunConfig {
 // partial RunConfig gets the same defaults as a hand-written option
 // list.
 func (rc RunConfig) Options() ([]Option, error) {
+	// Zero is "absent"; anything else — negative, NaN, ±Inf — goes to the
+	// option's own validation instead of being silently dropped (a
+	// negative rank count would otherwise solve as a sequential default
+	// run; a non-finite value kept in the config could not be hashed by
+	// Key).
 	var opts []Option
-	if rc.Ranks > 0 {
+	if rc.Ranks != 0 {
 		opts = append(opts, WithRanks(rc.Ranks))
 	}
 	if rc.Schedule != "" {
@@ -137,12 +142,9 @@ func (rc RunConfig) Options() ([]Option, error) {
 			opts = append(opts, WithKernel(k))
 		}
 	}
-	if rc.MaxIterations > 0 {
+	if rc.MaxIterations != 0 {
 		opts = append(opts, WithMaxIterations(rc.MaxIterations))
 	}
-	// Zero is "absent"; anything else — negative, NaN, ±Inf — goes to the
-	// option's own validation instead of being silently dropped (a
-	// non-finite value kept in the config could not be hashed by Key).
 	if rc.Tolerance != 0 {
 		opts = append(opts, WithTolerance(rc.Tolerance))
 	}
@@ -158,13 +160,13 @@ func (rc RunConfig) Options() ([]Option, error) {
 	if rc.TileA != 0 || rc.TileE != 0 {
 		opts = append(opts, WithTiles(rc.TileA, rc.TileE))
 	}
-	if rc.Workers > 0 {
+	if rc.Workers != 0 {
 		opts = append(opts, WithWorkers(rc.Workers))
 	}
 	if rc.ErrorProbe {
 		opts = append(opts, WithErrorProbe())
 	}
-	if rc.PipelineDepth > 0 {
+	if rc.PipelineDepth != 0 {
 		opts = append(opts, WithPipelineDepth(rc.PipelineDepth))
 	}
 	if rc.AutoPlan {

@@ -60,7 +60,7 @@ func TestRGFMatchesDenseProperty(t *testing.T) {
 // passes those tests and fails conservation downstream. With a Hermitian
 // admixture in every injection, all blocks the recursion computes without
 // that assumption must still match the dense oracle — on non-uniform
-// blocks, dense and sparse-routed. G≷Lower is excluded: −(G≷Upper)ᴴ is
+// blocks, dense- and sparse-coupled. G≷Lower is excluded: −(G≷Upper)ᴴ is
 // the documented anti-Hermitian-input assumption.
 func TestGenericSigmaMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
@@ -77,22 +77,17 @@ func TestGenericSigmaMatchesDense(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		p    *Problem
-		pol  *Sparsity
 	}{
-		{"dense", randomProblem(rng, []int{3, 5, 2, 4}), nil},
-		{"dense-large", randomSparseCouplingProblem(rng, []int{20, 24, 16, 20}, 0.1), nil},
-		{"sparse", randomSparseCouplingProblem(rng, []int{20, 24, 16, 20}, 0.1), DefaultSparsity()},
+		{"dense", randomProblem(rng, []int{3, 5, 2, 4})},
+		{"dense-large", randomSparseCouplingProblem(rng, []int{20, 24, 16, 20}, 0.1)},
+		{"sparse", randomSparseCouplingProblem(rng, []int{20, 24, 16, 20}, 0.1)},
 	} {
 		p := c.p
 		admix(p.SigL)
 		admix(p.SigG)
-		p.Sparsity = c.pol
 		sol, err := Solve(p)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
-		}
-		if c.pol != nil && sol.spAt(0) == nil {
-			t.Fatalf("%s: no interface routed sparse", c.name)
 		}
 		grD, glD, ggD, err := DenseReference(p)
 		if err != nil {
@@ -164,21 +159,31 @@ func TestGreaterLesserDifference(t *testing.T) {
 	}
 }
 
-// TestFlopCountExact pins the work of a dense solve, product by product:
+// TestFlopCountExact pins the work of a solve, product by product:
 // nb uniform n×n blocks cost 8n³·(25(nb−1)+4) GEMM flops — per interface
 // 10 products in the backward pass (2 embedding A·gᴿ·A, 4 injecting
 // A·g≷·Aᴴ, 4 in g≷ = gᴿ·σ≷·gᴬ) and 15 in the forward pass, plus the 4 g≷
 // products of the last slab — and nb factorizations (8·⅔n³) and inverses
-// (8n³). A 16th forward product, or a recomputed shared operand, fails
+// (8n³). A 16th forward product, a recomputed shared operand, or a
+// product that skips the counter (the last row: dims ≥ 16 with coupling
+// density 0.1, where exact zeros must cost what any entry costs) fails
 // this test.
 func TestFlopCountExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, c := range []struct{ nb, n int }{{1, 6}, {4, 6}, {8, 6}, {4, 9}} {
+	for _, c := range []struct {
+		nb, n   int
+		density float64 // of the coupling blocks; 0 = fully dense fixture
+	}{{1, 6, 0}, {4, 6, 0}, {8, 6, 0}, {4, 9, 0}, {4, 16, 0.1}} {
 		sizes := make([]int, c.nb)
 		for i := range sizes {
 			sizes[i] = c.n
 		}
-		p := randomProblem(rng, sizes)
+		var p *Problem
+		if c.density > 0 {
+			p = randomSparseCouplingProblem(rng, sizes, c.density)
+		} else {
+			p = randomProblem(rng, sizes)
+		}
 		linalg.EnableFlopCounting(true)
 		linalg.ResetFlops()
 		_, err := Solve(p)

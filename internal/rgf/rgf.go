@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/blocktri"
 	"repro/internal/linalg"
-	"repro/internal/sparse"
 )
 
 // Problem describes one (momentum, energy) RGF solve.
@@ -32,33 +31,7 @@ type Problem struct {
 	// scattering terms everywhere). Entries may be nil for zero blocks.
 	SigL []*linalg.Matrix
 	SigG []*linalg.Matrix
-	// Sparsity, when non-nil, routes the off-diagonal coupling products
-	// through CSRMM/GEMMI kernels for interfaces whose coupling blocks
-	// qualify (density ≤ Threshold, dims ≥ MinDim). nil keeps every
-	// product dense and bit-identical to Solve's reference behaviour.
-	Sparsity *Sparsity
 }
-
-// Sparsity is the block-sparse routing policy. The sparse kernels skip
-// stored zeros, so results on sparse-routed interfaces are tolerance-
-// equivalent (like MixedCurrentTol), not bit-identical, to the dense
-// path; TestSparseRGFMatchesDense pins the agreement.
-type Sparsity struct {
-	// Threshold is the coupling-block density at or below which the
-	// interface is routed sparse. The break-even mirrors the paper's
-	// Table 7: CSRMM beats GEMM roughly below one nonzero in four.
-	Threshold float64
-	// MinDim skips sparse routing for blocks smaller than this — at tiny
-	// sizes the dense micro-kernel wins regardless of density.
-	MinDim int
-	// Tol is the magnitude below which entries are dropped at
-	// extraction (0 keeps everything that is not exactly zero).
-	Tol float64
-}
-
-// DefaultSparsity is the policy negf applies when the device's coupling
-// blocks qualify.
-func DefaultSparsity() *Sparsity { return &Sparsity{Threshold: 0.25, MinDim: 16} }
 
 // Solution holds the computed Green's function blocks. A Solution returned
 // by SolveInto is backed by the workspace that produced it: its blocks are
@@ -79,73 +52,6 @@ type Solution struct {
 	// scratch keeps the right-connected g-function slices alive across
 	// calls so a reused Solution costs no per-solve slice allocations.
 	gR, gL, gG []*linalg.Matrix
-	// sp holds the per-interface sparse coupling forms (empty when the
-	// problem has no Sparsity policy). Slices and value buffers are
-	// reused across solves.
-	sp     []spCoupling
-	spNext []int
-}
-
-// spCoupling caches the sparse forms of one interface's coupling blocks
-// for the duration of a solve: CSR of A_{i,i+1} (up) and A_{i+1,i} (lo)
-// for sparse·dense products, CSC of both for dense·sparse, and CSC of
-// upᴴ (index structure shared with csrUp).
-type spCoupling struct {
-	use          bool
-	csrUp, csrLo sparse.CSR
-	cscUp, cscLo sparse.CSC
-	cscUpH       sparse.CSC // CSC of upᴴ
-}
-
-// prepSparse re-extracts the coupling blocks of qualifying interfaces
-// into s.sp. Extraction is O(nnz) per interface per solve — negligible
-// against the O(n³) products it redirects — and reuses all storage.
-func (s *Solution) prepSparse(p *Problem) {
-	a := p.A
-	pol := p.Sparsity
-	if cap(s.sp) < a.NB {
-		s.sp = make([]spCoupling, a.NB)
-	}
-	s.sp = s.sp[:a.NB]
-	maxDim := 0
-	for _, sz := range a.Sizes {
-		if sz > maxDim {
-			maxDim = sz
-		}
-	}
-	if cap(s.spNext) < maxDim {
-		s.spNext = make([]int, maxDim)
-	}
-	s.spNext = s.spNext[:maxDim]
-	for i := 0; i+1 < a.NB; i++ {
-		sp := &s.sp[i]
-		n, m := a.Sizes[i], a.Sizes[i+1]
-		sp.use = false
-		if n < pol.MinDim || m < pol.MinDim {
-			continue
-		}
-		sparse.FromDenseInto(&sp.csrUp, a.Upper[i], pol.Tol)
-		if sp.csrUp.Density() > pol.Threshold {
-			continue
-		}
-		sparse.FromDenseInto(&sp.csrLo, a.Lower[i], pol.Tol)
-		if sp.csrLo.Density() > pol.Threshold {
-			continue
-		}
-		sp.use = true
-		sp.csrUp.ToCSCInto(&sp.cscUp, s.spNext)
-		sp.csrLo.ToCSCInto(&sp.cscLo, s.spNext)
-		sp.csrUp.ConjTransCSCInto(&sp.cscUpH)
-	}
-}
-
-// spAt returns the sparse coupling for interface i, or nil when the
-// interface runs dense.
-func (s *Solution) spAt(i int) *spCoupling {
-	if i >= len(s.sp) || !s.sp[i].use {
-		return nil
-	}
-	return &s.sp[i]
 }
 
 // resize (re)shapes the block slices for nb slabs, reusing prior storage.
@@ -190,11 +96,6 @@ func SolveInto(p *Problem, ws *linalg.Workspace, sol *Solution) (*Solution, erro
 		sol = &Solution{}
 	}
 	sol.resize(nb)
-	if p.Sparsity != nil {
-		sol.prepSparse(p)
-	} else {
-		sol.sp = sol.sp[:0]
-	}
 
 	// Backward pass: right-connected g-functions.
 	gR, gL, gG := sol.gR, sol.gL, sol.gG
@@ -205,15 +106,7 @@ func SolveInto(p *Problem, ws *linalg.Workspace, sol *Solution) (*Solution, erro
 		if i+1 < nb {
 			// Embed the right part: A_ii − A_{i,i+1}·gR_{i+1}·A_{i+1,i}.
 			w := ws.Get(n, n)
-			if sp := sol.spAt(i); sp != nil {
-				m := a.Sizes[i+1]
-				t := ws.Get(n, m)
-				sparse.CSRMMInto(t, &sp.csrUp, gR[i+1])
-				sparse.GEMMIInto(w, t, &sp.cscLo)
-				ws.Put(t)
-			} else {
-				ws.Mul3Into(w, a.Upper[i], gR[i+1], a.Lower[i])
-			}
+			ws.Mul3Into(w, a.Upper[i], gR[i+1], a.Lower[i])
 			linalg.Sub(eff, eff, w)
 			ws.Put(w)
 		}
@@ -248,23 +141,14 @@ func SolveInto(p *Problem, ws *linalg.Workspace, sol *Solution) (*Solution, erro
 			m := a.Sizes[i+1]
 			t := ws.Get(n, m)
 			prod := ws.Get(n, n)
-			if sp := sol.spAt(i); sp != nil {
-				sparse.CSRMMInto(t, &sp.csrUp, gL[i+1])
-				sparse.GEMMIInto(prod, t, &sp.cscUpH)
-				linalg.Add(sL, sL, prod)
-				sparse.CSRMMInto(t, &sp.csrUp, gG[i+1])
-				sparse.GEMMIInto(prod, t, &sp.cscUpH)
-				linalg.Add(sG, sG, prod)
-			} else {
-				upH := linalg.HInto(ws.Get(m, n), up)
-				ws.MulInto(t, up, gL[i+1])
-				ws.MulInto(prod, t, upH)
-				linalg.Add(sL, sL, prod)
-				ws.MulInto(t, up, gG[i+1])
-				ws.MulInto(prod, t, upH)
-				linalg.Add(sG, sG, prod)
-				ws.Put(upH)
-			}
+			upH := linalg.HInto(ws.Get(m, n), up)
+			ws.MulInto(t, up, gL[i+1])
+			ws.MulInto(prod, t, upH)
+			linalg.Add(sL, sL, prod)
+			ws.MulInto(t, up, gG[i+1])
+			ws.MulInto(prod, t, upH)
+			linalg.Add(sG, sG, prod)
+			ws.Put(upH)
 			ws.Put(t)
 			ws.Put(prod)
 		}
@@ -285,7 +169,7 @@ func SolveInto(p *Problem, ws *linalg.Workspace, sol *Solution) (*Solution, erro
 	// Forward pass: accumulate the left-connected full G blocks. Each
 	// interface runs 15 n³ products around two shared operands,
 	// X = gR_{i+1}·A_{i+1,i} and U = GR_ii·A_{i,i+1} — the only two that
-	// touch a coupling block, hence the only two routed sparse:
+	// touch a coupling block:
 	//
 	//	GR_{i,i+1}   = −U·gR_{i+1}
 	//	GR_{i+1,i+1} = gR_{i+1} − X·GR_{i,i+1}
@@ -310,13 +194,8 @@ func SolveInto(p *Problem, ws *linalg.Workspace, sol *Solution) (*Solution, erro
 
 		x := ws.Get(m, n)
 		u := ws.Get(n, m)
-		if sp := s.spAt(i); sp != nil {
-			sparse.GEMMIInto(x, gRn, &sp.cscLo)
-			sparse.GEMMIInto(u, GRi, &sp.cscUp)
-		} else {
-			ws.MulInto(x, gRn, a.Lower[i])
-			ws.MulInto(u, GRi, a.Upper[i])
-		}
+		ws.MulInto(x, gRn, a.Lower[i])
+		ws.MulInto(u, GRi, a.Upper[i])
 
 		s.GRUpper[i] = ws.Get(n, m)
 		ws.GEMM(-1, u, nt, gRn, nt, 0, s.GRUpper[i])

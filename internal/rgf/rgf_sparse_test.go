@@ -81,95 +81,50 @@ func compareSolutions(t *testing.T, ctx string, got, want *Solution, tol float64
 	}
 }
 
-// TestSparseRGFMatchesDense is the agreement test the Sparsity contract
-// references: on a problem whose couplings qualify for sparse routing, the
-// sparse path must match the dense path and the dense-inversion oracle at
-// tolerance (the sparse kernels skip stored zeros, so bit-identity is not
-// promised on routed interfaces).
+// TestSparseRGFMatchesDense: on sparse-coupled problems — coupling blocks
+// with exact zeros at density 0.1, the structure of a DFT Hamiltonian,
+// on uniform and non-uniform blocks of dims ≥ 16 — the recursion matches
+// the dense-inversion oracle, and SolveInto on one reused workspace and
+// solution reproduces Solve bit for bit. There is one arithmetic: stored
+// zeros are multiplied like any other entry.
 func TestSparseRGFMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
-	for _, sizes := range [][]int{{20, 24, 20}, {16, 16, 16, 16}, {24, 32, 24, 16}} {
+	ws := linalg.NewWorkspace()
+	var into *Solution
+	for _, sizes := range [][]int{{20, 24, 20}, {16, 16, 16, 16}, {20, 24, 16, 20}} {
 		p := randomSparseCouplingProblem(rng, sizes, 0.1)
-		dense, err := Solve(p)
+		sol, err := Solve(p)
 		if err != nil {
-			t.Fatalf("sizes %v dense: %v", sizes, err)
+			t.Fatalf("sizes %v: %v", sizes, err)
 		}
-		pS := &Problem{A: p.A, SigL: p.SigL, SigG: p.SigG, Sparsity: DefaultSparsity()}
-		sp, err := Solve(pS)
-		if err != nil {
-			t.Fatalf("sizes %v sparse: %v", sizes, err)
+		if into, err = SolveInto(p, ws, into); err != nil {
+			t.Fatalf("sizes %v SolveInto: %v", sizes, err)
 		}
-		// The routing must actually have engaged, or this test is vacuous.
-		engaged := false
-		for i := range sp.sp {
-			if sp.sp[i].use {
-				engaged = true
-			}
-		}
-		if !engaged {
-			t.Fatalf("sizes %v: no interface routed sparse", sizes)
-		}
-		compareSolutions(t, "sparse vs dense", sp, dense, 1e-8)
+		compareSolutions(t, "SolveInto vs Solve", into, sol, 0)
 
 		grD, glD, ggD, err := DenseReference(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range sizes {
-			if d := linalg.MaxDiff(sp.GR[i], blockAt(grD, p.A, i, i)); d > 1e-8 {
-				t.Fatalf("sizes %v: sparse GR[%d] vs oracle differs by %g", sizes, i, d)
+			if d := linalg.MaxDiff(sol.GR[i], blockAt(grD, p.A, i, i)); d > 1e-8 {
+				t.Fatalf("sizes %v: GR[%d] vs oracle differs by %g", sizes, i, d)
 			}
-			if d := linalg.MaxDiff(sp.GL[i], blockAt(glD, p.A, i, i)); d > 1e-8 {
-				t.Fatalf("sizes %v: sparse GL[%d] vs oracle differs by %g", sizes, i, d)
+			if d := linalg.MaxDiff(sol.GL[i], blockAt(glD, p.A, i, i)); d > 1e-8 {
+				t.Fatalf("sizes %v: GL[%d] vs oracle differs by %g", sizes, i, d)
 			}
-			if d := linalg.MaxDiff(sp.GG[i], blockAt(ggD, p.A, i, i)); d > 1e-8 {
-				t.Fatalf("sizes %v: sparse GG[%d] vs oracle differs by %g", sizes, i, d)
-			}
-		}
-	}
-}
-
-// TestSparsityGatesFallBackBitwise checks the two disqualification gates:
-// dense couplings (density above Threshold) and small blocks (below
-// MinDim) must leave every interface on the dense path, making a
-// Sparsity-carrying solve bitwise identical to a Sparsity-nil one.
-func TestSparsityGatesFallBackBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	cases := []struct {
-		name string
-		p    *Problem
-	}{
-		// Couplings at density ~0.9: far above the 0.25 threshold.
-		{"dense-couplings", randomSparseCouplingProblem(rng, []int{20, 20, 20}, 0.9)},
-		// Blocks below MinDim=16: sparse couplings but gated by size.
-		{"small-blocks", randomSparseCouplingProblem(rng, []int{6, 8, 6}, 0.1)},
-	}
-	for _, tc := range cases {
-		want, err := Solve(tc.p)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		pS := &Problem{A: tc.p.A, SigL: tc.p.SigL, SigG: tc.p.SigG, Sparsity: DefaultSparsity()}
-		got, err := Solve(pS)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		for i := range got.sp {
-			if got.sp[i].use {
-				t.Fatalf("%s: interface %d routed sparse; gate failed", tc.name, i)
+			if d := linalg.MaxDiff(sol.GG[i], blockAt(ggD, p.A, i, i)); d > 1e-8 {
+				t.Fatalf("sizes %v: GG[%d] vs oracle differs by %g", sizes, i, d)
 			}
 		}
-		compareSolutions(t, tc.name, got, want, 0) // bitwise: same code path
 	}
 }
 
 // TestSparseSolveIntoSteadyStateAllocs extends the zero-alloc steady-state
-// contract to the sparse path: the per-solve extraction reuses all its
-// storage once warm.
+// contract to the sparse-coupled fixture (dims ≥ 16, density 0.1).
 func TestSparseSolveIntoSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	p := randomSparseCouplingProblem(rng, []int{20, 20, 20, 20}, 0.1)
-	p.Sparsity = DefaultSparsity()
 	ws := linalg.NewWorkspace()
 	var sol *Solution
 	var err error
@@ -181,7 +136,7 @@ func TestSparseSolveIntoSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 2 {
-		t.Errorf("warm sparse SolveInto allocates %.1f times per solve, want ≤ 2", allocs)
+	if allocs != 0 {
+		t.Errorf("warm SolveInto allocates %.1f times per solve on the sparse-coupled fixture, want 0", allocs)
 	}
 }

@@ -273,8 +273,7 @@ func TestSingleBlockReducesToDirectInverse(t *testing.T) {
 
 // BenchmarkRGFSolve measures the production hot path: the workspace-pooled
 // SolveInto on a warm per-worker workspace, the way negf.PointSolver and
-// the dist rank workers call it. allocs/op ≈ 0 is the tentpole invariant
-// tracked in BENCH_5.json.
+// the dist rank workers call it. 0 allocs/op is the bound CI guards.
 func BenchmarkRGFSolve(b *testing.B) {
 	b.ReportAllocs()
 	rng := rand.New(rand.NewSource(1))

@@ -429,6 +429,25 @@ func TestServiceRegistryAndReport(t *testing.T) {
 	}
 }
 
+// TestNegativeKnobIsBadRequest: a negative integer knob is refused at
+// admission, not dropped as "absent" and solved as a sequential default
+// run under a 202.
+func TestNegativeKnobIsBadRequest(t *testing.T) {
+	_, ts := newService(t, Config{Slots: 1, QueueCap: 4})
+	for _, knob := range []string{`"ranks":-2`, `"workers":-1`, `"max_iterations":-1`, `"pipeline_depth":-1`} {
+		body := `{"tenant":"acme","config":{"spec":{"atoms":12,"slabs":3},` + knob + `}}`
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", knob, resp.StatusCode, msg)
+		}
+	}
+}
+
 // TestServiceAutoPlanRegistry: an auto-plan submission resolves its
 // execution plan at admission (qt.NewFromConfig runs the autotuner), so
 // the registry record carries the concrete schedule/worker/depth choice

@@ -1,12 +1,15 @@
 // Package sparse provides complex sparse matrices in CSR and CSC formats
-// with the multiplication kernels the RGF solver mixes with dense algebra:
-// CSRMM (sparse·dense, in NN/NT/TN operand modes, the cuSPARSE csrmm2
-// analogue) and GEMMI (dense·CSC, the cuSPARSE gemmi analogue).
+// with the multiplication kernels the paper mixes with dense algebra in
+// its RGF: CSRMM (sparse·dense, in NN/NT/TN operand modes, the cuSPARSE
+// csrmm2 analogue) and GEMMI (dense·CSC, the cuSPARSE gemmi analogue).
 //
 // The off-diagonal blocks of the DFT Hamiltonian are very sparse (each atom
 // couples only to Nb neighbours out of thousands), which is why the paper's
 // Table 7/8 experiments replace dense GEMM with these kernels and obtain
-// 5–10× speedups. The same trade-off reproduces on CPU.
+// 5–10× speedups on a V100. cmd/paperbench regenerates that table from
+// this package; the solver itself (internal/rgf) is dense on every device
+// — at this repo's block sizes and densities the kernels tie or lose
+// against the blocked GEMM on a CPU (ROADMAP item 6(a)).
 package sparse
 
 import (
@@ -47,25 +50,10 @@ func (a *CSR) Density() float64 {
 }
 
 // FromDense converts m to CSR, dropping entries with |v| <= tol.
-func FromDense(m *linalg.Matrix, tol float64) *CSR {
-	a := &CSR{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int, m.Rows+1)}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			if cmplx.Abs(v) > tol {
-				a.ColIdx = append(a.ColIdx, j)
-				a.Val = append(a.Val, v)
-			}
-		}
-		a.RowPtr[i+1] = len(a.Val)
-	}
-	return a
-}
+func FromDense(m *linalg.Matrix, tol float64) *CSR { return FromDenseInto(&CSR{}, m, tol) }
 
-// FromDenseInto is FromDense reusing a's slices — the workspace-pooled
-// form the RGF sparse path uses to re-extract coupling blocks every solve
-// without heap traffic (extraction is O(Rows·Cols), negligible next to
-// the O(n³) products it feeds).
+// FromDenseInto is FromDense reusing a's slices: a warm a re-extracts
+// without heap traffic.
 func FromDenseInto(a *CSR, m *linalg.Matrix, tol float64) *CSR {
 	a.Rows, a.Cols = m.Rows, m.Cols
 	if cap(a.RowPtr) < m.Rows+1 {
@@ -99,33 +87,10 @@ func (a *CSR) Dense() *linalg.Matrix {
 }
 
 // ToCSC converts a CSR matrix into CSC format.
-func (a *CSR) ToCSC() *CSC {
-	c := &CSC{Rows: a.Rows, Cols: a.Cols, ColPtr: make([]int, a.Cols+1)}
-	counts := make([]int, a.Cols)
-	for _, j := range a.ColIdx {
-		counts[j]++
-	}
-	for j := 0; j < a.Cols; j++ {
-		c.ColPtr[j+1] = c.ColPtr[j] + counts[j]
-	}
-	c.RowIdx = make([]int, a.NNZ())
-	c.Val = make([]complex128, a.NNZ())
-	next := make([]int, a.Cols)
-	copy(next, c.ColPtr[:a.Cols])
-	for i := 0; i < a.Rows; i++ {
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			j := a.ColIdx[p]
-			q := next[j]
-			c.RowIdx[q] = i
-			c.Val[q] = a.Val[p]
-			next[j]++
-		}
-	}
-	return c
-}
+func (a *CSR) ToCSC() *CSC { return a.ToCSCInto(&CSC{}, make([]int, a.Cols)) }
 
 // ToCSCInto is ToCSC reusing c's slices. next is caller-provided scratch
-// of length ≥ a.Cols (pooled by hot callers alongside c).
+// of length ≥ a.Cols.
 func (a *CSR) ToCSCInto(c *CSC, next []int) *CSC {
 	c.Rows, c.Cols = a.Rows, a.Cols
 	if cap(c.ColPtr) < a.Cols+1 {
@@ -164,30 +129,6 @@ func (a *CSR) ToCSCInto(c *CSC, next []int) *CSC {
 	return c
 }
 
-// TransCSCView returns aᵀ in CSC form without copying: the CSR arrays of
-// a, reinterpreted column-wise, are exactly the CSC arrays of aᵀ. The
-// view shares storage with a.
-func (a *CSR) TransCSCView() *CSC {
-	return &CSC{Rows: a.Cols, Cols: a.Rows, ColPtr: a.RowPtr, RowIdx: a.ColIdx, Val: a.Val}
-}
-
-// ConjTransCSCInto stores aᴴ in CSC form into dst: the index structure is
-// shared with a (same reinterpretation as TransCSCView), only the values
-// are conjugated into dst's reused Val slice.
-func (a *CSR) ConjTransCSCInto(dst *CSC) *CSC {
-	dst.Rows, dst.Cols = a.Cols, a.Rows
-	dst.ColPtr, dst.RowIdx = a.RowPtr, a.ColIdx
-	nnz := a.NNZ()
-	if cap(dst.Val) < nnz {
-		dst.Val = make([]complex128, nnz)
-	}
-	dst.Val = dst.Val[:nnz]
-	for i, v := range a.Val {
-		dst.Val[i] = cmplx.Conj(v)
-	}
-	return dst
-}
-
 // Dense expands a CSC matrix to dense.
 func (c *CSC) Dense() *linalg.Matrix {
 	m := linalg.New(c.Rows, c.Cols)
@@ -223,7 +164,7 @@ func (a *CSR) ConjTranspose() *CSR {
 func CSRMM(a *CSR, opA linalg.Op, b *linalg.Matrix, opB linalg.Op) *linalg.Matrix {
 	switch {
 	case opA == linalg.NoTrans && opB == linalg.NoTrans:
-		return csrmmNN(a, b)
+		return CSRMMInto(linalg.New(a.Rows, b.Cols), a, b)
 	case opA == linalg.NoTrans && opB == linalg.Trans:
 		return csrmmNT(a, b)
 	case opA == linalg.Trans && opB == linalg.NoTrans:
@@ -231,25 +172,6 @@ func CSRMM(a *CSR, opA linalg.Op, b *linalg.Matrix, opB linalg.Op) *linalg.Matri
 	default:
 		panic(fmt.Sprintf("sparse: CSRMM unsupported op combination %v/%v", opA, opB))
 	}
-}
-
-func csrmmNN(a *CSR, b *linalg.Matrix) *linalg.Matrix {
-	if a.Cols != b.Rows {
-		panic("sparse: CSRMM NN shape mismatch")
-	}
-	c := linalg.New(a.Rows, b.Cols)
-	n := b.Cols
-	for i := 0; i < a.Rows; i++ {
-		crow := c.Data[i*n : (i+1)*n]
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			av := a.Val[p]
-			brow := b.Data[a.ColIdx[p]*n : (a.ColIdx[p]+1)*n]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
-	return c
 }
 
 // csrmmNT computes C = A·Bᵀ. Note the dense operand is accessed row-wise,
@@ -299,28 +221,14 @@ func csrmmTN(a *CSR, b *linalg.Matrix) *linalg.Matrix {
 // GEMMI computes C = B·A where B is dense and A is sparse CSC — the
 // cusparseZgemmi analogue (dense·sparse, NN only).
 func GEMMI(b *linalg.Matrix, a *CSC) *linalg.Matrix {
-	if b.Cols != a.Rows {
-		panic("sparse: GEMMI shape mismatch")
-	}
-	c := linalg.New(b.Rows, a.Cols)
-	for j := 0; j < a.Cols; j++ {
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			k := a.RowIdx[p]
-			av := a.Val[p]
-			for i := 0; i < b.Rows; i++ {
-				c.Data[i*c.Cols+j] += b.Data[i*b.Cols+k] * av
-			}
-		}
-	}
-	return c
+	return GEMMIInto(linalg.New(b.Rows, a.Cols), b, a)
 }
 
 // CSRMMInto computes dst = A·B (the NN mode of CSRMM) into a
-// preallocated dst, overwriting it. dst must not alias b. This is the
-// kernel the sparse RGF path routes coupling products through: per
-// element the products accumulate in ascending stored-column order,
-// which skips exact zeros — results are tolerance-equivalent, not
-// bit-identical, to the dense kernel (see the rgf package docs).
+// preallocated dst, overwriting it. dst must not alias b. Per element
+// the products accumulate in ascending stored-column order, which skips
+// exact zeros — results are tolerance-equivalent, not bit-identical, to
+// the dense GEMM.
 func CSRMMInto(dst *linalg.Matrix, a *CSR, b *linalg.Matrix) *linalg.Matrix {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic("sparse: CSRMMInto shape mismatch")
@@ -343,8 +251,9 @@ func CSRMMInto(dst *linalg.Matrix, a *CSR, b *linalg.Matrix) *linalg.Matrix {
 }
 
 // GEMMIInto computes dst = B·A (dense·sparse-CSC) into a preallocated
-// dst, overwriting it. dst must not alias b. Same tolerance-equivalence
-// caveat as CSRMMInto.
+// dst, overwriting it. dst must not alias b. Each element is one gather
+// over its column's stored rows; same tolerance-equivalence caveat as
+// CSRMMInto.
 func GEMMIInto(dst, b *linalg.Matrix, a *CSC) *linalg.Matrix {
 	if b.Cols != a.Rows || dst.Rows != b.Rows || dst.Cols != a.Cols {
 		panic("sparse: GEMMIInto shape mismatch")
