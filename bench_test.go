@@ -25,6 +25,7 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/model"
 	"repro/internal/negf"
+	"repro/internal/qt"
 	"repro/internal/rgf"
 	"repro/internal/sparse"
 	"repro/internal/sse"
@@ -442,6 +443,30 @@ func BenchmarkNEGFIteration(b *testing.B) {
 			b.Fatal(err)
 		}
 		s.SSEPhase()
+	}
+}
+
+// BenchmarkNew is the facade's set-up cost — qt.NewFromConfig on the two
+// sequential device shapes of the committed benchmark (its setup_s):
+// validation, device.Build and the profile lowering, and no boundary
+// work, which belongs to the first iteration (qt.TestNewTouchesNoBoundary).
+func BenchmarkNew(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		spec qt.Spec
+	}{
+		{"sse_bound_12x12", qt.Spec{Atoms: 36, Slabs: 6, Orbitals: 2, MomentumPoints: 3, EnergyPoints: 32, PhononModes: 4}},
+		{"gf_bound_64x64", qt.Spec{Atoms: 64, Slabs: 4, Orbitals: 4, MomentumPoints: 2, EnergyPoints: 12, PhononModes: 2}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			rc := qt.RunConfig{Spec: c.spec, Tolerance: 1e-4, MaxIterations: 40}
+			for i := 0; i < b.N; i++ {
+				if _, err := qt.NewFromConfig(rc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

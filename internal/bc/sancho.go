@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/linalg"
 )
@@ -72,12 +73,7 @@ func SurfaceGFInto(ws *linalg.Workspace, d00, tau *linalg.Matrix, tol float64, m
 	if !d00.IsSquare() || !tau.IsSquare() || d00.Rows != tau.Rows {
 		return nil, fmt.Errorf("bc: incompatible blocks %dx%d and %dx%d", d00.Rows, d00.Cols, tau.Rows, tau.Cols)
 	}
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIter
-	}
+	tol, maxIter = stoppingRule(tol, maxIter)
 	n := d00.Rows
 	tmp := func() *linalg.Matrix { return ws.Get(n, n) }
 	eps, epsS := tmp(), tmp()
@@ -127,20 +123,38 @@ func SurfaceGFInto(ws *linalg.Workspace, d00, tau *linalg.Matrix, tol float64, m
 	return nil, ErrNoConvergence
 }
 
+// stoppingRule resolves the decimation's stopping parameters: a
+// non-positive value selects the default.
+func stoppingRule(tol float64, maxIter int) (float64, int) {
+	if tol <= 0 {
+		tol = DefaultTol
+	}
+	if maxIter <= 0 {
+		maxIter = DefaultMaxIter
+	}
+	return tol, maxIter
+}
+
 // Cache memoizes boundary results per (contact, momentum, energy/frequency)
-// grid point — the compute/memory trade-off of §7.1.2. Mode selects how
-// much is retained between self-consistent iterations. The cache is safe
-// for concurrent use: the parallel GF phase and the task-graph scheduler
-// (internal/sdfg) hit it from many point solves at once. The compute
-// callback runs outside the lock, so distinct points never serialize;
-// concurrent misses of the same key both compute and the last write wins
-// (the result is deterministic, so both are identical).
+// grid point of one run — the compute/memory trade-off of §7.1.2. Mode
+// selects how much is retained between self-consistent iterations. The
+// cache is safe for concurrent use: the parallel GF phase and the
+// task-graph scheduler (internal/sdfg) hit it from many point solves at
+// once. The compute callback runs outside the lock, so distinct points
+// never serialize; concurrent misses of the same key both compute and the
+// last write wins (the result is deterministic, so both are identical).
 type Cache struct {
-	mode    Mode
-	mu      sync.Mutex
-	entries map[key]*Result
-	hits    int
-	misses  int
+	// Store, when non-nil, is the content-keyed store GetLead asks on a
+	// CacheBC miss before it decimates — how the solves of a process share
+	// boundaries. Set it before the first lookup; nil means no sharing.
+	Store *Store
+
+	mode        Mode
+	mu          sync.Mutex
+	entries     map[key]*Result
+	hits        int
+	misses      int
+	decimations atomic.Int64
 }
 
 // Mode enumerates the §7.1.2 execution modes of the GF phase.
@@ -172,6 +186,14 @@ func NewCache(mode Mode) *Cache {
 
 // Get returns the cached boundary result or computes it with compute().
 func (c *Cache) Get(contact, ik, ie int, compute func() (*Result, error)) (*Result, error) {
+	return c.GetLead(contact, ik, ie, nil, compute)
+}
+
+// GetLead is Get for a lookup that can name its decimation by content:
+// on a CacheBC miss with a Store attached, lead() keys the store, and
+// compute runs only if the store misses too. NoCache bypasses the store —
+// that mode exists to recompute — and so does a nil lead.
+func (c *Cache) GetLead(contact, ik, ie int, lead func() LeadKey, compute func() (*Result, error)) (*Result, error) {
 	k := key{contact, ik, ie}
 	c.mu.Lock()
 	if c.mode == CacheBC {
@@ -183,7 +205,17 @@ func (c *Cache) Get(contact, ik, ie int, compute func() (*Result, error)) (*Resu
 	}
 	c.misses++
 	c.mu.Unlock()
-	r, err := compute()
+	decimate := func() (*Result, error) {
+		c.decimations.Add(1)
+		return compute()
+	}
+	var r *Result
+	var err error
+	if c.mode == CacheBC && c.Store != nil && lead != nil {
+		r, err = c.Store.Get(lead(), decimate)
+	} else {
+		r, err = decimate()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -201,3 +233,8 @@ func (c *Cache) Stats() (hits, misses int) {
 	defer c.mu.Unlock()
 	return c.hits, c.misses
 }
+
+// Decimations reports how many times a compute callback actually ran: the
+// misses the store could not serve (every miss without one, and every
+// lookup under NoCache).
+func (c *Cache) Decimations() int { return int(c.decimations.Load()) }

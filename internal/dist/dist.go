@@ -120,6 +120,9 @@ type Options struct {
 	// CacheMode selects boundary-condition caching (§7.1.2); each rank
 	// holds its own cache covering only its owned points.
 	CacheMode bc.Mode
+	// Store, when non-nil, is the content-keyed boundary store every
+	// rank's cache sits over (negf.Options.Store); nil means no sharing.
+	Store *bc.Store
 	// Mixing is the linear self-consistency mixing factor in (0, 1].
 	Mixing float64
 	// MaxIter bounds the GF↔SSE iterations.
@@ -271,7 +274,7 @@ type RankLoad struct {
 	Rank       int
 	Pairs      int // owned electron (kz, E) points
 	Points     int // owned phonon (qz, ω) points
-	BCComputes int // boundary-condition cache misses (Sancho-Rubio runs)
+	BCComputes int // Sancho–Rubio decimations the rank ran (misses its cache and the store could not serve)
 }
 
 // Result is the outcome of a distributed run.

@@ -32,6 +32,7 @@ func newRankState(c *comm.Comm, dev *device.Device, opts Options) *rankState {
 	}
 	rs.atomSets = rs.tiles.AtomSets()
 	rs.sh = negf.NewShard(dev, rs.src.OwnedPairs(r), rs.src.OwnedPhonon(r))
+	rs.ps.BC.Store = opts.Store
 	rs.ps.Trace = opts.Tracer
 	rs.ps.TraceRank = r
 	rs.in = &sse.Input{Dev: dev, GL: rs.ps.GL, GG: rs.ps.GG, DL: rs.ps.DL, DG: rs.ps.DG}
@@ -52,11 +53,10 @@ func (rs *rankState) epilogue(opts Options, res *Result, converged bool, local, 
 		}
 	}
 	buf = rs.c.Reduce(0, buf)
-	_, misses := rs.ps.BC.Stats()
 	loads := rs.c.Gather(0, []complex128{
 		complex(float64(len(rs.sh.Pairs)), 0),
 		complex(float64(len(rs.sh.Points)), 0),
-		complex(float64(misses), 0),
+		complex(float64(rs.ps.BC.Decimations()), 0),
 	})
 
 	if rs.c.Rank() != 0 {

@@ -60,7 +60,10 @@ func gemmTiled(mcB, kcB, ncB int, alpha complex128, a *Matrix, opA Op, b *Matrix
 		kk = a.Rows
 	}
 	ldc := c.Cols
-	pb.ensure((mcB+gemmMR)*kcB, (ncB+gemmNR)*kcB)
+	// The panels of this problem, not of the blocking: a 12×12 product
+	// packs 3 KB, not the 0.8 MB a full MC×KC and KC×NC block would take.
+	kcMax := min2(kcB, kk)
+	pb.ensure((min2(mcB, hi-lo)+gemmMR)*kcMax, (min2(ncB, n)+gemmNR)*kcMax)
 	for jc := 0; jc < n; jc += ncB {
 		nc := min2(ncB, n-jc)
 		for pc := 0; pc < kk; pc += kcB {

@@ -25,8 +25,9 @@ import (
 // edge tiles but cannot change any stored bit.
 
 // packBuf holds the packed panels of one GEMM invocation. Buffers grow to
-// the high-water block size and are reused via packPool (allocating
-// callers) or a Workspace (hot solver paths).
+// the high-water panel size of the problems they have served — at most one
+// cache block each — and are reused via packPool (allocating callers) or a
+// Workspace (hot solver paths).
 type packBuf struct {
 	a, b []complex128
 }

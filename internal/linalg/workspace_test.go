@@ -214,3 +214,34 @@ func TestWorkspaceSteadyStateAllocFree(t *testing.T) {
 		t.Errorf("steady-state workspace cycle allocates %.1f times per run", allocs)
 	}
 }
+
+// TestPackPanelsSizedByProblem: the packing panels are sized by the
+// product, not by the compiled-in MC×KC / KC×NC cache block (0.8 MB per
+// workspace before, whatever the block size) — a 12×12 product packs a
+// few KB — and they grow on demand without touching a result: a 64×64
+// product on the grown workspace is bitwise the one on a fresh workspace.
+func TestPackPanelsSizedByProblem(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	ws := NewWorkspace()
+	a, b := randMat(rng, 12, 12), randMat(rng, 12, 12)
+	small := New(12, 12)
+	ws.GEMM(1, a, NoTrans, b, ConjTrans, 0, small)
+	if panels := 16 * (cap(ws.pack.a) + cap(ws.pack.b)); panels == 0 || panels >= 16<<10 {
+		t.Errorf("a 12×12 product holds %d bytes of panels, want under 16 KB", panels)
+	}
+	want := New(12, 12)
+	GEMM(1, a, NoTrans, b, ConjTrans, 0, want)
+	if d := MaxDiff(small, want); d != 0 {
+		t.Errorf("12×12 on small panels differs from GEMM by %g", d)
+	}
+
+	a, b = randMat(rng, 64, 64), randMat(rng, 64, 64)
+	grown, fresh := New(64, 64), New(64, 64)
+	ws.GEMM(1, a, Trans, b, NoTrans, 0, grown)
+	NewWorkspace().GEMM(1, a, Trans, b, NoTrans, 0, fresh)
+	for i, v := range grown.Data {
+		if v != fresh.Data[i] {
+			t.Fatalf("64×64 on the grown workspace differs from a fresh one at %d: %v vs %v", i, v, fresh.Data[i])
+		}
+	}
+}

@@ -22,7 +22,14 @@ import (
 // and calls the same per-point solves on its shard of the grids.
 type PointSolver struct {
 	Dev *device.Device
-	BC  *bc.Cache
+	// BC is the run's boundary cache. Attach a process-level store to it
+	// (BC.Store, before the first solve) to share decimations with other
+	// solves; NewPointSolver leaves it nil.
+	BC *bc.Cache
+	// leadDigests memoizes the content digest of each lead this solver
+	// has asked the store about, by (cache side, momentum index).
+	digestMu    sync.Mutex
+	leadDigests map[[2]int]bc.LeadDigest
 
 	// Trace, when non-nil, records per-point BC and RGF spans; TraceRank
 	// labels them with the owning rank (0 for the sequential solver). The

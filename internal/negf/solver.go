@@ -24,6 +24,12 @@ type Options struct {
 	Kernel sse.Kernel
 	// CacheMode selects boundary-condition caching (§7.1.2).
 	CacheMode bc.Mode
+	// Store, when non-nil, shares Sancho–Rubio results with every other
+	// solve handed the same store: under bc.CacheBC a boundary this run
+	// has not cached is taken from the store when an earlier solve
+	// decimated the same lead at the same energy — bit for bit the result
+	// this run would compute. Nil (the default) means no sharing.
+	Store *bc.Store
 	// Mixing is the linear self-consistency mixing factor in (0, 1].
 	Mixing float64
 	// MaxIter bounds the GF↔SSE iterations.
@@ -164,6 +170,7 @@ func New(dev *device.Device, opts Options) *Solver {
 		PointSolver: NewPointSolver(dev, opts.CacheMode),
 		Opts:        opts,
 	}
+	s.PointSolver.BC.Store = opts.Store
 	s.PointSolver.Trace = opts.Tracer
 	s.shard = NewShard(dev, AllPairs(dev.P), AllPhononPoints(dev.P))
 	s.points = s.shard.NewResults()

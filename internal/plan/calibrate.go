@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/bc"
 	"repro/internal/device"
 	"repro/internal/dist"
 	"repro/internal/negf"
@@ -56,10 +57,17 @@ type Calibration struct {
 	ProbeNs int64
 }
 
-// Calibrate runs the probe and reduces its trace to a Calibration.
-func Calibrate(dev *device.Device) (Calibration, error) {
+// Calibrate runs the probe on cold boundaries — no store under its
+// cache — and reduces its trace to a Calibration.
+func Calibrate(dev *device.Device) (Calibration, error) { return calibrate(dev, nil) }
+
+// calibrate is Calibrate with the probe's boundaries shared through
+// store: leads an earlier solve decimated read as hits (BCColdNs then
+// measures a store hit, which is what the planned run will pay too).
+func calibrate(dev *device.Device, store *bc.Store) (Calibration, error) {
 	trc := obs.NewTracer()
 	opts := dist.DefaultOptions(1) // SchedulePhases: every node on one worker, back to back
+	opts.Store = store
 	opts.MaxIter = 2
 	opts.Tol = 1e-300 // never converge: we want exactly two iterations
 	opts.Tracer = trc

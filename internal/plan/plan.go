@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 
+	"repro/internal/bc"
 	"repro/internal/decomp"
 	"repro/internal/device"
 	"repro/internal/dist"
@@ -40,6 +41,10 @@ type Options struct {
 	Ranks   int   // world size the plan is for (required)
 	Workers []int // worker pool sizes (default 1, 2, 4)
 	Depths  []int // window depths; 1 is the overlap schedule (default 1, 2, 3)
+	// Store, when non-nil, is the boundary store the calibration probe
+	// solves over (dist.Options.Store): what the probe decimates the
+	// planned run finds, and the other way round. Nil means no sharing.
+	Store *bc.Store
 }
 
 func (o Options) normalize() (Options, error) {
@@ -153,7 +158,7 @@ func Choose(dev *device.Device, o Options) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	cal, err := Calibrate(dev)
+	cal, err := calibrate(dev, o.Store)
 	if err != nil {
 		return Plan{}, err
 	}

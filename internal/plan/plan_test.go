@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bc"
 	"repro/internal/device"
 	"repro/internal/dist"
 	"repro/internal/sse"
@@ -159,9 +160,15 @@ func TestChooseTieBreak(t *testing.T) {
 // cold boundary cost an actual decimation — an order of magnitude above
 // the warm cache lookup, not a second lookup mistaken for one.
 func TestCalibrate(t *testing.T) {
-	cal, err := Calibrate(testDevice(t))
+	// A private, empty store: the cold numbers below are decimations only
+	// while nothing has solved this device over the probe's store before.
+	store := bc.NewStore(bc.StoreBudget)
+	cal, err := calibrate(testDevice(t), store)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st := store.Stats(); st.Decimations == 0 || st.Hits != 0 {
+		t.Fatalf("the probe did not solve over its store: %+v", st)
 	}
 	if cal.ElNs <= 0 || cal.PhNs <= 0 || cal.TileNs <= 0 || cal.MiscNs <= 0 || cal.ReduceNs <= 0 {
 		t.Fatalf("incomplete calibration: %+v", cal)

@@ -17,19 +17,7 @@ func smallSpec() Spec {
 // solve runs one configuration to completion.
 func solve(t *testing.T, spec Spec, opts ...Option) (*Simulation, *Result) {
 	t.Helper()
-	sim, err := New(spec, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := sim.Start(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := run.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sim, res
+	return solveOver(t, boundaries, spec, opts...)
 }
 
 func TestOptionValidation(t *testing.T) {

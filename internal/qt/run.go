@@ -140,6 +140,7 @@ func (s *Simulation) runSequential(ctx context.Context, r *Run, tracer *obs.Trac
 	trace := []IterStats{}
 	no := s.cfg.negfOptions(r.progress(ctx, &trace, ""))
 	no.Tracer = tracer
+	no.Store = s.store
 	solver := negf.New(s.Device, no)
 	if w := s.cfg.warm; w != nil {
 		// Seed the loop with the warm Σ≷/Π≷ state (copied: the shared
@@ -176,6 +177,7 @@ func (s *Simulation) runDistributed(ctx context.Context, r *Run, tracer *obs.Tra
 	trace := []IterStats{}
 	do := s.cfg.distOptions(r.progress(ctx, &trace, s.PlanString()))
 	do.Tracer = tracer
+	do.Store = s.store
 	res, err := dist.Run(s.Device, do)
 	switch {
 	case err == nil, errors.Is(err, negf.ErrNotConverged):

@@ -20,6 +20,10 @@ type Simulation struct {
 	Device *device.Device
 
 	cfg config
+	// store is the boundary store this simulation's solves share
+	// decimations through: the process-wide one, always (tests swap in a
+	// private store to observe a cold run).
+	store *bc.Store
 }
 
 // New validates the configuration, builds the synthetic device and
@@ -56,7 +60,7 @@ func New(spec Spec, opts ...Option) (*Simulation, error) {
 		// candidates in the virtual-time cost model. The resolved knobs
 		// become part of the configuration (and its content hash), so
 		// rebuilding from Config keeps this plan instead of re-probing.
-		pl, err := plan.Choose(dev, plan.Options{Ranks: cfg.ranks})
+		pl, err := plan.Choose(dev, plan.Options{Ranks: cfg.ranks, Store: boundaries})
 		if err != nil {
 			return nil, fmt.Errorf("qt: auto plan: %w", err)
 		}
@@ -68,7 +72,7 @@ func New(spec Spec, opts ...Option) (*Simulation, error) {
 	// Reflect option-level overrides back into the exported Spec so it
 	// always reports what is actually solved.
 	spec.Bias = cfg.params.Vds
-	return &Simulation{Spec: spec, Device: dev, cfg: cfg}, nil
+	return &Simulation{Spec: spec, Device: dev, cfg: cfg, store: boundaries}, nil
 }
 
 // PlanString renders the resolved execution plan of a distributed
@@ -149,7 +153,9 @@ func (c *config) negfOptions(progress func(IterStats) error) negf.Options {
 // the sequential solver — a single GF phase has no exchange to
 // distribute.
 func (s *Simulation) Ballistic() (*negf.Observables, error) {
-	solver := negf.New(s.Device, s.cfg.negfOptions(nil))
+	no := s.cfg.negfOptions(nil)
+	no.Store = s.store
+	solver := negf.New(s.Device, no)
 	if err := solver.GFPhase(); err != nil {
 		return nil, fmt.Errorf("qt: %w", err)
 	}

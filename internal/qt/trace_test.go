@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bc"
 	"repro/internal/obs"
 )
 
@@ -129,7 +130,9 @@ func TestTraceChangesKey(t *testing.T) {
 // and every later lookup of the point is a hit orders of magnitude
 // shorter.
 func TestTraceBCSpansWhereTheDecimationRuns(t *testing.T) {
-	_, res := solve(t, smallSpec(), WithTrace(), WithRanks(2), WithMaxIterations(2), WithTolerance(1e-300))
+	// A private store: this package's other tests have long decimated
+	// smallSpec's leads into the process-wide one.
+	_, res := solveOver(t, bc.NewStore(bc.StoreBudget), smallSpec(), WithTrace(), WithRanks(2), WithMaxIterations(2), WithTolerance(1e-300))
 	type point struct {
 		rank int
 		name string // "bc/el/ik,ie" — the task label, rebuilt from a bc span

@@ -72,6 +72,30 @@ func newMetrics(cfg Config) *metrics {
 	}
 	r.GaugeFunc("qtd_slots",
 		"Configured solver slots.", func() float64 { return float64(cfg.Slots) })
+	// The process's boundary store (qt.BoundaryStore): hits ÷ lookups is
+	// the share of cold boundary lookups an earlier run had already paid.
+	for _, g := range []struct {
+		name, help string
+		read       func(qt.BoundaryStoreStats) int64
+	}{
+		{"lookups", "Boundary lookups that missed their run's cache and asked the store.",
+			func(b qt.BoundaryStoreStats) int64 { return b.Lookups }},
+		{"hits", "Store lookups served from an earlier solve's decimation.",
+			func(b qt.BoundaryStoreStats) int64 { return b.Hits }},
+		{"decimations", "Store lookups that ran a Sancho-Rubio decimation.",
+			func(b qt.BoundaryStoreStats) int64 { return b.Decimations }},
+		{"evictions", "Results evicted (least recently used) to stay inside the byte budget.",
+			func(b qt.BoundaryStoreStats) int64 { return b.Evictions }},
+		{"digests", "Lead blocks hashed into a content key (once per lead and run).",
+			func(b qt.BoundaryStoreStats) int64 { return b.Digests }},
+		{"bytes", "Resident bytes of stored boundary results.",
+			func(b qt.BoundaryStoreStats) int64 { return b.Bytes }},
+		{"entries", "Stored boundary results.",
+			func(b qt.BoundaryStoreStats) int64 { return b.Entries }},
+	} {
+		r.GaugeFunc("qtd_boundary_store_"+g.name, g.help,
+			func() float64 { return float64(g.read(qt.BoundaryStore())) })
+	}
 	return m
 }
 

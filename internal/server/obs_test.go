@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/qt"
 )
 
 // getBody fetches a URL and returns status + body.
@@ -140,5 +142,47 @@ func TestServiceShedMetric(t *testing.T) {
 	s.met.reg.WritePrometheus(rec)
 	if !strings.Contains(rec.Body.String(), `qtd_shed_total{tenant="acme"} 1`) {
 		t.Errorf("shed counter missing: %s", rec.Body.String())
+	}
+}
+
+// The boundary store is the cache-quality picture of a bias family: the
+// first bias of a never-seen device decimates its leads, the second finds
+// every one of them — hits rise, decimations do not — and both /v1/stats
+// and /metrics say so.
+func TestServiceBoundaryStore(t *testing.T) {
+	s, ts := newService(t, Config{Slots: 1})
+	family := func(bias float64) qt.RunConfig {
+		rc := convergingConfig(bias)
+		rc.Spec.Seed = 0xb0d5 // a structure no other test of this package solves
+		return rc
+	}
+
+	rec := postRun(t, ts, "acme", 0, family(0.21), http.StatusAccepted)
+	waitForStatus(t, s, rec.ID, StatusDone)
+	first := getStats(t, ts).BoundaryStore
+	if first.Decimations == 0 || first.Entries == 0 || first.Bytes == 0 {
+		t.Fatalf("first bias left no boundaries in the store: %+v", first)
+	}
+
+	rec = postRun(t, ts, "acme", 0, family(0.27), http.StatusAccepted)
+	waitForStatus(t, s, rec.ID, StatusDone)
+	second := getStats(t, ts).BoundaryStore
+	if second.Decimations != first.Decimations || second.Entries != first.Entries {
+		t.Errorf("second bias of the family decimated again: %+v → %+v", first, second)
+	}
+	if second.Hits <= first.Hits || second.Lookups-first.Lookups != second.Hits-first.Hits {
+		t.Errorf("second bias of the family did not hit the store on every lookup: %+v → %+v", first, second)
+	}
+
+	_, body := getBody(t, ts.URL+"/metrics")
+	for _, want := range []string{
+		fmt.Sprintf("qtd_boundary_store_hits %d", second.Hits),
+		fmt.Sprintf("qtd_boundary_store_decimations %d", second.Decimations),
+		fmt.Sprintf("qtd_boundary_store_entries %d", second.Entries),
+		"qtd_boundary_store_bytes ", "qtd_boundary_store_lookups ", "qtd_boundary_store_evictions 0", "qtd_boundary_store_digests ",
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("/metrics missing %q", want)
+		}
 	}
 }

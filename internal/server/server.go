@@ -192,6 +192,9 @@ type Stats struct {
 	Slots    int        `json:"slots"`
 	SlotRuns int64      `json:"slot_runs"` // runs that consumed a slot (cache hits do not)
 	Cache    CacheStats `json:"cache"`
+	// BoundaryStore is the process-wide boundary store every run of this
+	// daemon solves over (qt.BoundaryStore).
+	BoundaryStore qt.BoundaryStoreStats `json:"boundary_store"`
 }
 
 // ServiceStats snapshots the queue, slot, and cache counters.
@@ -200,7 +203,8 @@ func (s *Server) ServiceStats() Stats {
 	return Stats{
 		Queued: queued, Running: running,
 		Slots: s.cfg.Slots, SlotRuns: s.slotRuns.Load(),
-		Cache: s.cache.Stats(),
+		Cache:         s.cache.Stats(),
+		BoundaryStore: qt.BoundaryStore(),
 	}
 }
 
