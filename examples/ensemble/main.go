@@ -6,7 +6,7 @@
 // 95% confidence interval, reduced Welford-style as members finish.
 //
 // The study runs in-process through ensemble.Study: realizations fan
-// out over the linalg worker budget, member 0 solves cold and donates
+// out over GOMAXPROCS member runners, member 0 solves cold and donates
 // its converged Σ≷ state to warm-start the siblings.
 package main
 

@@ -197,7 +197,7 @@ func checkLen(fn string, c, a, b []complex128, n, count int) {
 }
 
 // forChunks splits [0, count) into one contiguous chunk per CPU and runs
-// f on each through the budgeted pool; a batch too small to amortize the
+// f on each through linalg.ParallelFor; a batch too small to amortize the
 // fan-out (fewer than four elements per CPU) runs as one chunk on the
 // caller's goroutine.
 func forChunks(count int, f func(lo, hi int)) {

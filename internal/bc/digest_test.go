@@ -129,13 +129,10 @@ func TestSurfaceGFWork(t *testing.T) {
 }
 
 // BenchmarkSurfaceGF measures one cold-cache boundary computation the way
-// the point solver runs it: a 64×64 lead on the worker's warm workspace,
-// inside a saturated worker pool (budget 1: the GEMMs stay on the calling
-// goroutine). allocs/op = the retained Result is the invariant the CI
-// guard tracks.
+// the point solver runs it: a 64×64 lead on the worker's warm workspace.
+// allocs/op = the retained Result is the invariant the CI guard tracks.
 func BenchmarkSurfaceGF(b *testing.B) {
 	b.ReportAllocs()
-	defer linalg.SetWorkerBudget(linalg.SetWorkerBudget(1))
 	d00, tau := leadBlocks(rand.New(rand.NewSource(1)), 64, 0.4, 1e-3)
 	ws := linalg.NewWorkspace()
 	if _, err := SurfaceGFInto(ws, d00, tau, 0, 0); err != nil {

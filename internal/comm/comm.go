@@ -7,7 +7,7 @@
 // The primitives mirror the MPI subset the paper uses: point-to-point
 // Send/Recv, Bcast, Reduce (sum of complex vectors), and Alltoallv — the
 // single collective the communication-avoiding DaCe variant relies on.
-// The nonblocking forms (Isend/Irecv/IAlltoallv/IAllreduce, see
+// The nonblocking forms (IAlltoallv/IAllreduce, see
 // nonblocking.go) return waitable requests so the task-graph runtime can
 // overlap collectives with compute; blocking Alltoallv and Allreduce are
 // those same operations waited at once, counted under the same names.
@@ -16,8 +16,6 @@ package comm
 import (
 	"fmt"
 	"sync"
-
-	"repro/internal/linalg"
 )
 
 // message is one in-flight transfer. Payloads are complex128 vectors, the
@@ -82,11 +80,6 @@ func (w *World) Run(fn func(c *Comm) error) error {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			// Each simulated rank counts against the kernel worker
-			// budget: a large GEMM inside one rank must not fan out
-			// across CPUs the other ranks are using.
-			release := linalg.ReserveWorker()
-			defer release()
 			errs[rank] = fn(&Comm{world: w, rank: rank})
 		}(r)
 	}

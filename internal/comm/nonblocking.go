@@ -31,21 +31,6 @@ const (
 	legBcast
 )
 
-// SendRequest is the handle of an Isend. The simulated runtime buffers
-// unboundedly, so the send completes at post time; Wait exists for
-// MPI-shaped call sites.
-type SendRequest struct{}
-
-// Wait completes the send (a no-op on this runtime).
-func (*SendRequest) Wait() {}
-
-// RecvRequest is the handle of an Irecv.
-type RecvRequest struct{ ch chan []complex128 }
-
-// Wait blocks until the message arrives and returns its payload. Call
-// exactly once.
-func (r *RecvRequest) Wait() []complex128 { return <-r.ch }
-
 // VecRequest is the handle of a vector-valued collective (IAllreduce).
 type VecRequest struct{ ch chan []complex128 }
 
@@ -59,21 +44,6 @@ type MatRequest struct{ ch chan [][]complex128 }
 // Wait blocks until every row has arrived; row r is what rank r sent
 // here. Call exactly once.
 func (r *MatRequest) Wait() [][]complex128 { return <-r.ch }
-
-// Isend posts a send and returns immediately; the payload is copied, so
-// the buffer may be reused. Tags share the user (non-negative) space with
-// blocking Send/Recv, and either Recv or Irecv can complete it.
-func (c *Comm) Isend(to, tag int, data []complex128) *SendRequest {
-	c.send(to, tag, data, "Isend")
-	return &SendRequest{}
-}
-
-// Irecv posts a receive for (from, tag) and returns a waitable request.
-func (c *Comm) Irecv(from, tag int) *RecvRequest {
-	req := &RecvRequest{ch: make(chan []complex128, 1)}
-	go func() { req.ch <- c.Recv(from, tag) }()
-	return req
-}
 
 // IAlltoallv posts the nonblocking form of Alltoallv on the given slot.
 // All sends happen (and are counted) at post time; Wait blocks until

@@ -5,30 +5,6 @@ import (
 	"testing"
 )
 
-func TestIsendIrecvCopiesPayload(t *testing.T) {
-	w := NewWorld(2)
-	err := w.Run(func(c *Comm) error {
-		if c.Rank() == 0 {
-			buf := []complex128{11}
-			req := c.Isend(1, 4, buf)
-			buf[0] = 0 // post-time copy: mutation must not be visible
-			req.Wait()
-			return nil
-		}
-		req := c.Irecv(0, 4)
-		if got := req.Wait(); got[0] != 11 {
-			return fmt.Errorf("Irecv payload %v", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := w.Stats(); st.Sends != 1 || st.CollectiveBytes["Isend"] != 16 {
-		t.Fatalf("Isend accounting = %+v", st)
-	}
-}
-
 // TestIAlltoallvSlotsOutOfOrder is the property the task-graph scheduler
 // relies on: two outstanding IAlltoallv collectives posted in opposite
 // order on different ranks still match by slot, not by call order.
@@ -139,11 +115,6 @@ func TestNonblockingSizeOneWorld(t *testing.T) {
 		recv := c.IAlltoallv(1, [][]complex128{{3, 4}}).Wait()
 		if len(recv) != 1 || len(recv[0]) != 2 || recv[0][0] != 3 {
 			return fmt.Errorf("size-1 IAlltoallv = %v", recv)
-		}
-		req := c.Isend(0, 2, []complex128{5})
-		req.Wait()
-		if got := c.Irecv(0, 2).Wait(); got[0] != 5 {
-			return fmt.Errorf("self Isend/Irecv = %v", got)
 		}
 		return nil
 	})

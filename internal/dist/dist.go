@@ -269,7 +269,7 @@ func (o Options) Validate() (Options, error) {
 type IterStats = negf.IterStats
 
 // RankLoad reports one rank's share of the work — the load-balance view
-// of the block distribution, gathered with Allgather.
+// of the block distribution, gathered on rank 0 with Gather.
 type RankLoad struct {
 	Rank       int
 	Pairs      int // owned electron (kz, E) points

@@ -5,9 +5,9 @@
 //
 // A Study names a profiled qt.Spec, a realization count and a base
 // seed; member i solves the spec with DisorderSeed = BaseSeed + i.
-// Members run concurrently, bounded by the linalg worker budget (each
-// member reserves one worker token, so inner kernel parallelism
-// composes instead of oversubscribing), stream their per-iteration
+// Members run concurrently, at most Study.Workers at a time (GOMAXPROCS
+// by default; the study is the outer loop, so it alone decides the count —
+// the kernels inside a member never spawn), stream their per-iteration
 // IterStats through OnIter, and reduce Welford-style into the
 // report.Ensemble schema: running mean/variance and the 95% confidence
 // interval of the terminal current and of the DOS spectrum.
@@ -23,10 +23,10 @@ package ensemble
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
-	"repro/internal/linalg"
 	"repro/internal/qt"
 	"repro/internal/report"
 )
@@ -42,7 +42,7 @@ type Study struct {
 	// from BaseSeed + i.
 	BaseSeed uint64
 	// Workers bounds how many members solve concurrently. Zero means
-	// min(Members, linalg.WorkerBudget()).
+	// min(Members, GOMAXPROCS), read when Run is called.
 	Workers int
 	// Options apply to every member's simulation.
 	Options []qt.Option
@@ -102,7 +102,7 @@ func (st *Study) validate() error {
 func (st *Study) workers() int {
 	w := st.Workers
 	if w <= 0 {
-		w = linalg.WorkerBudget()
+		w = runtime.GOMAXPROCS(0)
 	}
 	if w > st.Members {
 		w = st.Members
@@ -155,11 +155,6 @@ func (st *Study) Run(ctx context.Context) (*Result, error) {
 		go func(m *Member) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			// One budget token per in-flight member: inner kernels of
-			// concurrent members share the machine instead of each
-			// assuming they own it.
-			release := linalg.ReserveWorker()
-			defer release()
 			st.solve(ctx, m, &mu, warm)
 		}(&members[i])
 	}

@@ -1,9 +1,6 @@
 package linalg
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Op selects how an input operand enters a multiplication, mirroring the
 // BLAS transpose flags that OMEN passes to cuBLAS (Table 7 uses NN/NT/TN/TT).
@@ -53,11 +50,6 @@ func countFlops(n int64) {
 	}
 }
 
-// parallelThreshold is the operation count above which MatMul fans out
-// across goroutines. Tuned so that the Norb-sized multiplications in the
-// SSE kernel never pay goroutine overhead.
-const parallelThreshold = 64 * 64 * 64
-
 // MatMul computes C = op(A)·op(B), allocating the result.
 func MatMul(a *Matrix, opA Op, b *Matrix, opB Op) *Matrix {
 	m, k := opDims(a, opA)
@@ -80,9 +72,10 @@ func Mul(a, b *Matrix) *Matrix { return MatMul(a, NoTrans, b, NoTrans) }
 // the result, so it panics instead). Transposed operands are consumed
 // through pooled packing buffers — no per-call materialization.
 //
-// Large problems fan out across row stripes of C, but only over worker
-// tokens the budget has free (see ReserveWorker): invoked from inside a
-// saturated worker pool, GEMM runs serially on its caller's goroutine.
+// A GEMM is a leaf: at every size it runs on its caller's goroutine and
+// spawns nothing. Parallelism lives in the loops over independent points,
+// atoms and batches above it (ParallelFor), as in the paper, which batches
+// its many small products rather than splitting one across cores.
 func GEMM(alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta complex128, c *Matrix) {
 	m, k := opDims(a, opA)
 	k2, n := opDims(b, opB)
@@ -103,67 +96,23 @@ func GEMM(alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta complex12
 
 // gemmDispatch routes one shape-checked GEMM to a kernel: the unpacked
 // gemmStripe reference for small NoTrans problems, the packed blocked
-// kernel otherwise, row-partitioned across budget-free workers when the
-// problem is large. ws, when non-nil, donates the packing buffers
+// kernel otherwise. ws, when non-nil, donates the packing buffers
 // (workspace-pooled hot path); otherwise they come from packPool. Shared
 // by the allocating GEMM and Workspace.GEMM.
 func gemmDispatch(alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta complex128, c *Matrix, ws *Workspace) {
 	m, n := c.Rows, c.Cols
-	var k int
-	if opA == NoTrans {
-		k = a.Cols
-	} else {
-		k = a.Rows
-	}
-	work := int64(m) * int64(n) * int64(k)
-	if work < packThreshold && opA == NoTrans && opB == NoTrans {
-		gemmStripe(alpha, a, b, beta, c, 0, m)
+	_, k := opDims(a, opA)
+	if int64(m)*int64(n)*int64(k) < packThreshold && opA == NoTrans && opB == NoTrans {
+		gemmStripe(alpha, a, b, beta, c)
 		return
 	}
-
-	workers := 1
-	if work >= parallelThreshold {
-		maxUseful := (m + gemmMR - 1) / gemmMR // one worker per row micro-panel at most
-		workers = 1 + tryAcquireWorkers(maxUseful-1)
-	}
-	if workers == 1 {
-		var pb *packBuf
-		if ws != nil {
-			pb = &ws.pack
-		} else {
-			pb = packPool.Get().(*packBuf)
-		}
-		gemmBlocked(alpha, a, opA, b, opB, beta, c, pb, 0, m)
-		if ws == nil {
-			packPool.Put(pb)
-		}
+	if ws != nil {
+		gemmBlocked(alpha, a, opA, b, opB, beta, c, &ws.pack)
 		return
 	}
-	defer releaseWorkers(workers - 1)
-	// Row-partition C on micro-panel boundaries: every element still sees
-	// its full k sweep on one worker, so parallel results are bitwise
-	// identical to serial ones.
-	chunk := (m + workers - 1) / workers
-	chunk = (chunk + gemmMR - 1) / gemmMR * gemmMR
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			pb := packPool.Get().(*packBuf)
-			gemmBlocked(alpha, a, opA, b, opB, beta, c, pb, lo, hi)
-			packPool.Put(pb)
-		}(lo, hi)
-	}
-	wg.Wait()
+	pb := packPool.Get().(*packBuf)
+	gemmBlocked(alpha, a, opA, b, opB, beta, c, pb)
+	packPool.Put(pb)
 }
 
 // scaleInPlace applies C = beta·C, the k == 0 degenerate GEMM.
@@ -180,13 +129,13 @@ func scaleInPlace(c *Matrix, beta complex128) {
 	}
 }
 
-// gemmStripe computes rows [lo, hi) of C = alpha·A·B + beta·C with A and B
-// both in natural orientation. The inner loops run in i-k-j order so that
+// gemmStripe computes C = alpha·A·B + beta·C with A and B both in natural
+// orientation. The inner loops run in i-k-j order so that
 // both B and C are swept contiguously (the classic cache-friendly ordering).
-func gemmStripe(alpha complex128, a, b *Matrix, beta complex128, c *Matrix, lo, hi int) {
+func gemmStripe(alpha complex128, a, b *Matrix, beta complex128, c *Matrix) {
 	n := c.Cols
 	k := a.Cols
-	for i := lo; i < hi; i++ {
+	for i := 0; i < c.Rows; i++ {
 		crow := c.Data[i*n : (i+1)*n]
 		if beta == 0 {
 			for j := range crow {

@@ -40,7 +40,7 @@ func BenchmarkGEMMStripeRef(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				gemmStripe(1, am, bm, 0, cm, 0, n)
+				gemmStripe(1, am, bm, 0, cm)
 			}
 		})
 	}

@@ -11,10 +11,9 @@ package linalg
 // single accumulator, beta applied exactly once up front, and each
 // complex multiply-add rounded exactly as Go's scalar lowering (no FMA
 // anywhere) — the same order and association as the retained gemmStripe
-// reference, so the blocked kernel (serial or row-partitioned across
-// workers) produces bitwise-identical results. The property suite in
-// gemm_blocked_test.go pins this across all Op combinations and edge
-// shapes.
+// reference, so the blocked kernel produces bitwise-identical results.
+// The property suite in gemm_blocked_test.go pins this across all Op
+// combinations and edge shapes.
 //
 // The contract is also independent of the cache blocking — tiling the
 // loops differently never reorders one element's k sweep — so the MC/KC/NC
@@ -41,37 +40,32 @@ const (
 	packThreshold = 512
 )
 
-// gemmBlocked computes rows [lo, hi) of C = alpha·op(A)·op(B) + beta·C
-// through packed panels from pb, under the compiled-in cache blocking.
-func gemmBlocked(alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta complex128, c *Matrix, pb *packBuf, lo, hi int) {
-	gemmTiled(gemmMC, gemmKC, gemmNC, alpha, a, opA, b, opB, beta, c, pb, lo, hi)
+// gemmBlocked computes C = alpha·op(A)·op(B) + beta·C through packed
+// panels from pb, under the compiled-in cache blocking.
+func gemmBlocked(alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta complex128, c *Matrix, pb *packBuf) {
+	gemmTiled(gemmMC, gemmKC, gemmNC, alpha, a, opA, b, opB, beta, c, pb)
 }
 
 // gemmTiled is gemmBlocked under an explicit blocking — mcB-tall row
 // blocks, kcB-deep k-panels, ncB-wide column blocks, covering at least one
 // register tile (mcB ≥ gemmMR, ncB ≥ gemmNR, kcB ≥ 1). The bitwise
 // invariance test drives it with sizes production never uses.
-func gemmTiled(mcB, kcB, ncB int, alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta complex128, c *Matrix, pb *packBuf, lo, hi int) {
-	n := c.Cols
-	var kk int
-	if opA == NoTrans {
-		kk = a.Cols
-	} else {
-		kk = a.Rows
-	}
+func gemmTiled(mcB, kcB, ncB int, alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta complex128, c *Matrix, pb *packBuf) {
+	m, n := c.Rows, c.Cols
+	_, kk := opDims(a, opA)
 	ldc := c.Cols
 	// The panels of this problem, not of the blocking: a 12×12 product
 	// packs 3 KB, not the 0.8 MB a full MC×KC and KC×NC block would take.
 	kcMax := min2(kcB, kk)
-	pb.ensure((min2(mcB, hi-lo)+gemmMR)*kcMax, (min2(ncB, n)+gemmNR)*kcMax)
+	pb.ensure((min2(mcB, m)+gemmMR)*kcMax, (min2(ncB, n)+gemmNR)*kcMax)
 	for jc := 0; jc < n; jc += ncB {
 		nc := min2(ncB, n-jc)
 		for pc := 0; pc < kk; pc += kcB {
 			kc := min2(kcB, kk-pc)
 			first := pc == 0
 			packB(pb.b, b, opB, pc, kc, jc, nc)
-			for ic := lo; ic < hi; ic += mcB {
-				mc := min2(mcB, hi-ic)
+			for ic := 0; ic < m; ic += mcB {
+				mc := min2(mcB, m-ic)
 				packA(pb.a, alpha, a, opA, ic, mc, pc, kc)
 				for jt := 0; jt < nc; jt += gemmNR {
 					bp := pb.b[jt*kc:]

@@ -3,6 +3,7 @@ package linalg
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -24,7 +25,7 @@ func referenceGEMM(alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta 
 	case ConjTrans:
 		bm = b.H()
 	}
-	gemmStripe(alpha, am, bm, beta, c, 0, c.Rows)
+	gemmStripe(alpha, am, bm, beta, c)
 }
 
 // runBlocked drives the packed driver, under its compiled-in blocking,
@@ -37,12 +38,7 @@ func runBlocked(alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta com
 // runTiled is runBlocked under an explicit cache blocking.
 func runTiled(mc, kc, nc int, alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta complex128, c *Matrix) {
 	m, n := c.Rows, c.Cols
-	var k int
-	if opA == NoTrans {
-		k = a.Cols
-	} else {
-		k = a.Rows
-	}
+	_, k := opDims(a, opA)
 	if m == 0 || n == 0 {
 		return
 	}
@@ -51,7 +47,7 @@ func runTiled(mc, kc, nc int, alpha complex128, a *Matrix, opA Op, b *Matrix, op
 		return
 	}
 	pb := packPool.Get().(*packBuf)
-	gemmTiled(mc, kc, nc, alpha, a, opA, b, opB, beta, c, pb, 0, m)
+	gemmTiled(mc, kc, nc, alpha, a, opA, b, opB, beta, c, pb)
 	packPool.Put(pb)
 }
 
@@ -181,22 +177,36 @@ func TestGEMMBlockedBitwiseFuzz(t *testing.T) {
 	}
 }
 
-// TestGEMMParallelBitwise forces the row-partitioned parallel path by
-// inflating the worker budget beyond GOMAXPROCS and checks the partitioned
-// result stays bitwise identical to the serial reference — every C element
-// still sees its full k sweep on one worker.
+// TestGEMMParallelBitwise: products issued concurrently from the workers
+// of one ParallelFor — the only parallelism a GEMM ever sees — draw their
+// packing panels from the shared packPool and still each reproduce the
+// serial reference bitwise, at and above the largest block a benchmark
+// device has, on and off the register-tile grid.
 func TestGEMMParallelBitwise(t *testing.T) {
-	old := SetWorkerBudget(8)
-	defer SetWorkerBudget(old)
 	rng := rand.New(rand.NewSource(11))
-	for _, dim := range []int{64, 65, 130} {
-		a := randMat(rng, dim, dim)
-		b := randMat(rng, dim, dim)
-		c := randMat(rng, dim, dim)
-		want := c.Clone()
-		referenceGEMM(complex(1.1, 0.2), a, NoTrans, b, ConjTrans, complex(0.3, -1), want)
-		GEMM(complex(1.1, 0.2), a, NoTrans, b, ConjTrans, complex(0.3, -1), c)
-		checkBitwise(t, "parallel dim="+itoa(dim), c, want)
+	alpha, beta := complex(1.1, 0.2), complex(0.3, -1)
+	type problem struct{ a, b, c, want *Matrix }
+	var problems []problem
+	for rep := 0; rep < 8; rep++ {
+		for _, dim := range []int{64, 65, 130} {
+			p := problem{a: randMat(rng, dim, dim), b: randMat(rng, dim, dim), c: randMat(rng, dim, dim)}
+			p.want = p.c.Clone()
+			referenceGEMM(alpha, p.a, NoTrans, p.b, ConjTrans, beta, p.want)
+			problems = append(problems, p)
+		}
+	}
+	err := ParallelFor(len(problems), 8, func() func(int) error {
+		return func(i int) error {
+			p := problems[i]
+			GEMM(alpha, p.a, NoTrans, p.b, ConjTrans, beta, p.c)
+			return nil
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range problems {
+		checkBitwise(t, "problem "+itoa(i)+" dim="+itoa(p.c.Rows), p.c, p.want)
 	}
 }
 
@@ -301,81 +311,121 @@ func TestGEMMAliasingPanics(t *testing.T) {
 	GEMM(1, a3, NoTrans, b, NoTrans, 0, c3)
 }
 
-// TestWorkerBudgetAccounting exercises the token pool directly: reservation
-// never blocks, release is idempotent, acquisition always leaves the
-// caller's token behind, and SetWorkerBudget carries reservations across.
-func TestWorkerBudgetAccounting(t *testing.T) {
-	old := SetWorkerBudget(4)
-	defer SetWorkerBudget(old)
-
-	if got := WorkerBudget(); got != 4 {
-		t.Fatalf("WorkerBudget = %d, want 4", got)
-	}
-	// 4 free: an unreserved caller may add up to 3 helpers.
-	if got := tryAcquireWorkers(10); got != 3 {
-		t.Fatalf("acquire with 4 free = %d, want 3", got)
-	}
-	releaseWorkers(3)
-	if got := tryAcquireWorkers(2); got != 2 {
-		t.Fatalf("acquire capped at max = %d, want 2", got)
-	}
-	releaseWorkers(2)
-
-	// Saturate with outer-pool reservations: 3 reserved leaves 1 free,
-	// which belongs to the calling goroutine — no helpers available.
-	r1 := ReserveWorker()
-	r2 := ReserveWorker()
-	r3 := ReserveWorker()
-	if got := tryAcquireWorkers(10); got != 0 {
-		t.Fatalf("acquire under saturation = %d, want 0", got)
-	}
-	r3()
-	r3() // idempotent: must not double-release
-	if got := tryAcquireWorkers(10); got != 1 {
-		t.Fatalf("acquire with 2 free = %d, want 1", got)
-	}
-	releaseWorkers(1)
-
-	// Budget change with reservations outstanding: delta carries over.
-	SetWorkerBudget(8)
-	if got := tryAcquireWorkers(10); got != 5 { // 8 total − 2 reserved − 1 for caller
-		t.Fatalf("acquire after budget raise = %d, want 5", got)
-	}
-	releaseWorkers(5)
-	r1()
-	r2()
-	if free := budgetFree.Load(); free != 8 {
-		t.Fatalf("free after all releases = %d, want 8", free)
-	}
+// peakGoroutines runs f while a monitor samples runtime.NumGoroutine and
+// returns the highest count seen above the level before f started, the
+// monitor itself excluded. Goroutines that live only inside f — a kernel
+// fan-out joined before the kernel returns — show up here and nowhere in
+// a before/after comparison.
+func peakGoroutines(f func()) int {
+	base := runtime.NumGoroutine()
+	stop, peak := make(chan struct{}), make(chan int)
+	go func() {
+		top := 0
+		for {
+			select {
+			case <-stop:
+				peak <- top
+				return
+			default:
+				top = max(top, runtime.NumGoroutine())
+				runtime.Gosched()
+			}
+		}
+	}()
+	f()
+	close(stop)
+	return <-peak - base - 1
 }
 
 // TestGEMMSerialUnderSaturatedPool pins the composition contract: a GEMM
-// large enough to want helpers, invoked while outer-pool reservations hold
-// every token, must not take any (it runs serially on its caller) — and
-// must still be bitwise correct.
+// runs on its caller's goroutine. An 80³ product — larger than any block a
+// benchmark device has — starts no goroutine from an idle top level, and
+// inside a ParallelFor the only goroutines are the loop's own workers;
+// both are bitwise correct.
 func TestGEMMSerialUnderSaturatedPool(t *testing.T) {
-	old := SetWorkerBudget(4)
-	defer SetWorkerBudget(old)
-	releases := []func(){ReserveWorker(), ReserveWorker(), ReserveWorker(), ReserveWorker()}
-	defer func() {
-		for _, r := range releases {
-			r()
-		}
-	}()
-
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // idle Ps: room to spread, if a kernel tried
 	rng := rand.New(rand.NewSource(15))
-	dim := 80 // 80³ > parallelThreshold: would fan out if tokens were free
+	const dim, reps, workers = 80, 40, 2
 	a := randMat(rng, dim, dim)
 	b := randMat(rng, dim, dim)
-	c := randMat(rng, dim, dim)
-	want := c.Clone()
+	seed := randMat(rng, dim, dim)
+	want := seed.Clone()
 	referenceGEMM(1, a, NoTrans, b, NoTrans, 1, want)
 
-	before := budgetFree.Load()
-	GEMM(1, a, NoTrans, b, NoTrans, 1, c)
-	after := budgetFree.Load()
-	if before != 0 || after != 0 {
-		t.Fatalf("budget leaked across saturated GEMM: free %d -> %d, want 0 -> 0", before, after)
+	outs := make([]*Matrix, reps)
+	reset := func() {
+		for i := range outs {
+			outs[i] = seed.Clone()
+		}
 	}
-	checkBitwise(t, "saturated", c, want)
+
+	reset()
+	if extra := peakGoroutines(func() {
+		for _, c := range outs {
+			GEMM(1, a, NoTrans, b, NoTrans, 1, c)
+		}
+	}); extra > 0 {
+		t.Errorf("top-level GEMM ran beside %d goroutines it started, want 0", extra)
+	}
+	for _, c := range outs {
+		checkBitwise(t, "top level", c, want)
+	}
+
+	reset()
+	var err error
+	if extra := peakGoroutines(func() {
+		err = ParallelFor(reps, workers, func() func(int) error {
+			return func(i int) error {
+				GEMM(1, a, NoTrans, b, NoTrans, 1, outs[i])
+				return nil
+			}
+		})
+	}); extra > workers {
+		t.Errorf("GEMMs inside a %d-worker ParallelFor ran beside %d goroutines, want at most the workers", workers, extra)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range outs {
+		checkBitwise(t, "in pool", c, want)
+	}
+}
+
+// leastMallocs returns the fewest heap allocations any one of runs calls
+// of f made. It stands in for testing.AllocsPerRun where that cannot
+// measure the property: AllocsPerRun pins GOMAXPROCS to 1, and its average
+// charges the call for every buffer sync.Pool chooses to drop (a quarter
+// of all Puts under -race). A call that always allocates still reads > 0.
+func leastMallocs(runs int, f func()) uint64 {
+	var before, after runtime.MemStats
+	least := ^uint64(0)
+	for i := 0; i < runs; i++ {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	return least
+}
+
+// TestGEMMAllocFreeAtEverySize is the CI allocation guard's property as a
+// test: with at least two Ps to spread over, GEMM and Workspace.GEMM
+// allocate nothing at any size of the benchmark sweep, for natural and
+// transposed operands alike — there is no size above which a product
+// stops being a plain call.
+func TestGEMMAllocFreeAtEverySize(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	rng := rand.New(rand.NewSource(16))
+	ws := NewWorkspace()
+	for _, n := range []int{12, 32, 64, 128, 256} {
+		a, b, c := randMat(rng, n, n), randMat(rng, n, n), New(n, n)
+		for _, op := range []Op{NoTrans, Trans, ConjTrans} {
+			if got := leastMallocs(10, func() { GEMM(1, a, NoTrans, b, op, 0, c) }); got != 0 {
+				t.Errorf("GEMM n=%d opB=%s: %d allocs per call, want 0", n, op, got)
+			}
+			if got := leastMallocs(10, func() { ws.GEMM(1, a, NoTrans, b, op, 0, c) }); got != 0 {
+				t.Errorf("Workspace.GEMM n=%d opB=%s: %d allocs per call, want 0", n, op, got)
+			}
+		}
+	}
 }

@@ -193,7 +193,7 @@ func TestGEMMAlphaBeta(t *testing.T) {
 
 func TestGEMMParallelLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	n := 70 // above the parallel threshold for n^3 work
+	n := 70 // larger than any block a benchmark device has (64)
 	a := randomMatrix(rng, n, n)
 	b := randomMatrix(rng, n, n)
 	got := Mul(a, b)
@@ -204,7 +204,7 @@ func TestGEMMParallelLarge(t *testing.T) {
 			s += a.At(idx[0], p) * b.At(p, idx[1])
 		}
 		if cmplx.Abs(got.At(idx[0], idx[1])-s) > 1e-9 {
-			t.Fatalf("parallel GEMM wrong at %v", idx)
+			t.Fatalf("large GEMM wrong at %v", idx)
 		}
 	}
 }

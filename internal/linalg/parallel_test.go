@@ -9,28 +9,20 @@ import (
 )
 
 // TestParallelForCoversEveryIndexOnce: for every pool size and item count
-// each index is visited exactly once, newWorker runs once per worker —
+// each index is visited exactly once and newWorker runs once per worker —
 // min(workers, n) of them, the caller itself being the one worker of the
-// serial path — each pooled worker holds one budget token while it works
-// (the serial path none), and every token is back when the call returns.
+// serial path.
 func TestParallelForCoversEveryIndexOnce(t *testing.T) {
-	old := SetWorkerBudget(8)
-	defer SetWorkerBudget(old)
 	for _, workers := range []int{1, 2, 7} {
 		for _, n := range []int{0, 1, 5, 64} {
 			t.Run(fmt.Sprintf("workers=%d/n=%d", workers, n), func(t *testing.T) {
 				visits := make([]atomic.Int32, n)
-				var made, lowWater atomic.Int64
-				lowWater.Store(budgetFree.Load())
+				var made atomic.Int64
 				err := ParallelFor(n, workers, func() func(int) error {
 					made.Add(1)
 					return func(i int) error {
 						visits[i].Add(1)
-						for free := budgetFree.Load(); ; {
-							if low := lowWater.Load(); free >= low || lowWater.CompareAndSwap(low, free) {
-								return nil
-							}
-						}
+						return nil
 					}
 				})
 				if err != nil {
@@ -45,14 +37,6 @@ func TestParallelForCoversEveryIndexOnce(t *testing.T) {
 				if got := made.Load(); got != int64(pool) {
 					t.Errorf("newWorker called %d times for a pool of %d over %d items", got, pool, n)
 				}
-				// A worker that ran an item held its token at that moment;
-				// never more tokens than goroutines are out.
-				if taken := 8 - lowWater.Load(); taken > int64(pool) || (pool <= 1 && taken != 0) {
-					t.Errorf("%d budget tokens were out at once for a pool of %d", taken, pool)
-				}
-				if free := budgetFree.Load(); free != 8 {
-					t.Errorf("budget free count %d after the call, want 8", free)
-				}
 			})
 		}
 	}
@@ -61,8 +45,6 @@ func TestParallelForCoversEveryIndexOnce(t *testing.T) {
 // TestParallelForFirstErrorStopsClaims: the first failure is the one
 // returned, and once it has landed no worker claims another index.
 func TestParallelForFirstErrorStopsClaims(t *testing.T) {
-	old := SetWorkerBudget(8)
-	defer SetWorkerBudget(old)
 	boom := errors.New("boom")
 
 	// Serial: in order, stop at the failure.
@@ -80,19 +62,24 @@ func TestParallelForFirstErrorStopsClaims(t *testing.T) {
 		t.Errorf("serial: err %v after indices %v, want boom after 0..3", err, ran)
 	}
 
-	// Pooled, two workers: index 0 fails. Whoever claimed index 1 in the
-	// meantime holds it until the failing worker has returned its budget
-	// token — which it does on exit, after publishing the error — so when
-	// it comes back for another index the failure is there to stop it.
+	// Pooled, two workers: index 0 fails once index 1 is claimed too, so
+	// both workers are alive when index 1 counts the goroutines. It then
+	// holds its index until that count drops — the failing worker exits
+	// only after publishing the error — so when it comes back for another
+	// index the failure is there to stop it.
 	var visited atomic.Int64
+	bothAlive := make(chan struct{})
 	err = ParallelFor(64, 2, func() func(int) error {
 		return func(i int) error {
 			visited.Add(1)
 			switch i {
 			case 0:
+				<-bothAlive
 				return boom
 			case 1:
-				for budgetFree.Load() < 7 {
+				alive := runtime.NumGoroutine()
+				close(bothAlive)
+				for runtime.NumGoroutine() >= alive {
 					runtime.Gosched()
 				}
 				return nil
@@ -105,8 +92,5 @@ func TestParallelForFirstErrorStopsClaims(t *testing.T) {
 	}
 	if v := visited.Load(); v > 2 {
 		t.Errorf("pooled: %d indices ran after index 0 failed; the failure must stop further claims", v)
-	}
-	if free := budgetFree.Load(); free != 8 {
-		t.Errorf("budget free count %d after a failed call, want 8", free)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"repro/internal/linalg"
 )
 
 // Executor runs a graph on a pool of workers with work stealing: a
@@ -109,10 +107,6 @@ func (e *Executor) Run(g *Graph) (*Trace, error) {
 		wg.Add(1)
 		go func(wid int) {
 			defer wg.Done()
-			// Reserve this worker in the kernel budget so GEMMs inside
-			// node bodies don't oversubscribe the executor pool.
-			release := linalg.ReserveWorker()
-			defer release()
 			for {
 				id, stolen, ok := st.next(wid, e.workers)
 				if !ok {
