@@ -94,52 +94,33 @@ func main() {
 		fmt.Fprintln(os.Stderr, "qtsim: -ensemble requires -profile (a clean device has nothing to average over)")
 		os.Exit(2)
 	}
-	opts := []qt.Option{
-		qt.WithBias(*vds),
-		qt.WithMaxIterations(*iters),
-		qt.WithTolerance(*tol),
+	// The flags are already in wire spelling: fill the configuration a
+	// request body would and build it the way qtd does. -kernel mixed is
+	// precision shorthand; under -autoplan the planner owns the plan knobs,
+	// so -schedule and -depth are not carried (next to auto_plan a schedule
+	// would read as a recorded plan); without -ranks they do not apply.
+	rc := qt.RunConfig{
+		Spec: spec, Ranks: *ranks,
+		MaxIterations: *iters, Tolerance: *tol,
+		AutoPlan: *autoplan, Trace: *traceFile != "",
 	}
-	// -kernel mixed is precision shorthand, everything else goes through
-	// the shared spelling parser.
 	if *kernel == "mixed" {
-		opts = append(opts, qt.WithPrecision(qt.Mixed))
+		rc.Precision = *kernel
 	} else {
-		k, err := qt.ParseKernel(*kernel)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "qtsim: %v (or mixed)\n", err)
-			os.Exit(2)
-		}
-		opts = append(opts, qt.WithKernel(k))
+		rc.Kernel = *kernel
 	}
-	switch {
-	case *autoplan && *ranks < 1:
-		fmt.Fprintln(os.Stderr, "qtsim: -autoplan requires -ranks (the plan space is the distributed solver's)")
-		os.Exit(2)
-	case *autoplan:
-		// WithAutoPlan owns the schedule/worker/depth knobs; -schedule and
-		// -depth are ignored (qt.New rejects explicit combinations).
-		opts = append(opts, qt.WithRanks(*ranks), qt.WithAutoPlan())
-	case *ranks > 0:
-		sched, err := qt.ParseSchedule(*schedule)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "qtsim:", err)
-			os.Exit(2)
-		}
-		opts = append(opts, qt.WithRanks(*ranks), qt.WithSchedule(sched))
-		if *depth > 0 {
-			opts = append(opts, qt.WithPipelineDepth(*depth))
-		}
+	if *ranks > 0 && !*autoplan {
+		rc.Schedule, rc.PipelineDepth = *schedule, *depth
 	}
-	if *traceFile != "" {
-		opts = append(opts, qt.WithTrace())
-	}
+	// An explicit -vds 0 has no wire form (a zero Spec.Bias is the default).
+	bias := qt.WithBias(*vds)
 
 	if *members > 0 {
-		runEnsemble(spec, opts, *members, *dseed, f)
+		runEnsemble(rc, bias, *members, *dseed, f)
 		return
 	}
 
-	sim, err := qt.New(spec, opts...)
+	sim, err := qt.NewFromConfig(rc, bias)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qtsim:", err)
 		os.Exit(2)
@@ -170,17 +151,7 @@ func main() {
 		printMetrics(res, wall)
 	}
 
-	rep := report.NewRun(sim, res, *kernel, wall.Nanoseconds())
-	if *ranks > 0 {
-		// The resolved config is authoritative: under -autoplan the
-		// schedule may differ from the -schedule flag.
-		if sched := sim.Config().Schedule; sched != "" {
-			rep.Schedule = sched
-		} else {
-			rep.Schedule = *schedule
-		}
-	}
-	if err := report.Write(os.Stdout, f, rep); err != nil {
+	if err := report.Write(os.Stdout, f, report.NewRun(sim, res, wall.Nanoseconds())); err != nil {
 		fmt.Fprintln(os.Stderr, "qtsim:", err)
 		os.Exit(1)
 	}
@@ -191,10 +162,10 @@ func main() {
 
 // runEnsemble drives an N-realization study in-process and writes the
 // Welford-reduced ensemble report; member progress streams on stderr.
-func runEnsemble(spec qt.Spec, opts []qt.Option, members int, baseSeed uint64, f report.Format) {
+func runEnsemble(rc qt.RunConfig, bias qt.Option, members int, baseSeed uint64, f report.Format) {
 	st := &ensemble.Study{
-		Spec: spec, Members: members, BaseSeed: baseSeed,
-		Options: opts, WarmStart: true,
+		Config: rc, Members: members, BaseSeed: baseSeed,
+		Options: []qt.Option{bias}, WarmStart: true,
 		OnMember: func(m ensemble.Member) {
 			status := "failed"
 			if m.Err == nil && m.Result != nil {

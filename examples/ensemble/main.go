@@ -34,16 +34,18 @@ func main() {
 
 	for _, bias := range []float64{0.05, 0.10, 0.15, 0.20, 0.25} {
 		st := &ensemble.Study{
-			Spec: qt.Spec{
-				Atoms: 24, Slabs: 6, Orbitals: 2,
-				EnergyPoints: 20, PhononModes: 3,
-				Bias:    bias,
-				Profile: profile,
+			Config: qt.RunConfig{
+				Spec: qt.Spec{
+					Atoms: 24, Slabs: 6, Orbitals: 2,
+					EnergyPoints: 20, PhononModes: 3,
+					Bias:    bias,
+					Profile: profile,
+				},
+				MaxIterations: 25, Tolerance: 1e-5,
 			},
 			Members:   members,
 			BaseSeed:  4000,
 			WarmStart: true, // member 0 donates its Σ≷ state to the rest
-			Options:   []qt.Option{qt.WithMaxIterations(25), qt.WithTolerance(1e-5)},
 		}
 		res, err := st.Run(context.Background())
 		if err != nil {

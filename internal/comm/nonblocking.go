@@ -31,19 +31,43 @@ const (
 	legBcast
 )
 
+// A request completes on its waiter: everything a rank contributes is
+// sent (counted and copied) when the operation is posted, so what is left
+// is receiving, and Wait does that on the caller's goroutine. Only rank
+// 0's fold-and-send-back leg of a reduction runs on a goroutine of its
+// own — it is the progress engine the other ranks' waits depend on.
+
 // VecRequest is the handle of a vector-valued collective (IAllreduce).
-type VecRequest struct{ ch chan []complex128 }
+type VecRequest struct {
+	c    *Comm
+	tag  int               // where a non-root rank receives the result
+	root chan []complex128 // rank 0: the folded result
+}
 
 // Wait blocks until the collective completes and returns the reduced
 // vector. Call exactly once.
-func (r *VecRequest) Wait() []complex128 { return <-r.ch }
+func (r *VecRequest) Wait() []complex128 {
+	if r.root != nil {
+		return <-r.root
+	}
+	return r.c.Recv(0, r.tag)
+}
 
 // MatRequest is the handle of a per-rank-buffer collective (IAlltoallv).
-type MatRequest struct{ ch chan [][]complex128 }
+type MatRequest struct {
+	c   *Comm
+	tag int
+}
 
 // Wait blocks until every row has arrived; row r is what rank r sent
 // here. Call exactly once.
-func (r *MatRequest) Wait() [][]complex128 { return <-r.ch }
+func (r *MatRequest) Wait() [][]complex128 {
+	recv := make([][]complex128, r.c.world.size)
+	for src := range recv {
+		recv[src] = r.c.Recv(src, r.tag)
+	}
+	return recv
+}
 
 // IAlltoallv posts the nonblocking form of Alltoallv on the given slot.
 // All sends happen (and are counted) at post time; Wait blocks until
@@ -66,15 +90,7 @@ func (c *Comm) postAlltoallv(name string, tag int, send [][]complex128) *MatRequ
 	for r := 0; r < c.world.size; r++ {
 		c.send(r, tag, send[r], name)
 	}
-	req := &MatRequest{ch: make(chan [][]complex128, 1)}
-	go func() {
-		recv := make([][]complex128, c.world.size)
-		for r := 0; r < c.world.size; r++ {
-			recv[r] = c.Recv(r, tag)
-		}
-		req.ch <- recv
-	}()
-	return req
+	return &MatRequest{c: c, tag: tag}
 }
 
 // IAllreduce posts a nonblocking elementwise sum over all ranks on the
@@ -90,16 +106,13 @@ func (c *Comm) IAllreduce(slot int, data []complex128) *VecRequest {
 // result back to everyone. Counted as one collective under name, moving
 // 2·(P−1)·len·16 bytes.
 func (c *Comm) postAllreduce(name string, tagR, tagB int, data []complex128, combine func(acc, part []complex128)) *VecRequest {
-	if c.rank == 0 {
-		c.world.countCollective(name)
-	}
-	cp := append([]complex128(nil), data...)
-	req := &VecRequest{ch: make(chan []complex128, 1)}
 	if c.rank != 0 {
-		c.send(0, tagR, cp, name)
-		go func() { req.ch <- c.Recv(0, tagB) }()
-		return req
+		c.send(0, tagR, data, name)
+		return &VecRequest{c: c, tag: tagB}
 	}
+	c.world.countCollective(name)
+	cp := append([]complex128(nil), data...)
+	req := &VecRequest{root: make(chan []complex128, 1)}
 	go func() {
 		for r := 1; r < c.world.size; r++ {
 			part := c.Recv(r, tagR)
@@ -111,7 +124,7 @@ func (c *Comm) postAllreduce(name string, tagR, tagB int, data []complex128, com
 		for r := 1; r < c.world.size; r++ {
 			c.send(r, tagB, cp, name)
 		}
-		req.ch <- cp
+		req.root <- cp
 	}()
 	return req
 }

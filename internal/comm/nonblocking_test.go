@@ -2,16 +2,29 @@ package comm
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 )
 
 // TestIAlltoallvSlotsOutOfOrder is the property the task-graph scheduler
 // relies on: two outstanding IAlltoallv collectives posted in opposite
 // order on different ranks still match by slot, not by call order.
+//
+// It also pins that a request completes on its waiter: between post and
+// wait no goroutine exists on the request's behalf — for IAlltoallv on
+// any rank, and for IAllreduce on a non-root rank. The last rank (for the
+// exchanges) and the root (for the reduction) post only once the others
+// have counted, so a receiver goroutine, were there one, would still be
+// blocked on the missing rank when it is looked for.
 func TestIAlltoallvSlotsOutOfOrder(t *testing.T) {
 	const n = 4
 	w := NewWorld(n)
+	var countedExchange, countedReduce sync.WaitGroup
+	countedExchange.Add(n - 1)
+	countedReduce.Add(n - 1)
 	err := w.Run(func(c *Comm) error {
+		c.Barrier() // every rank's own goroutine exists before anyone counts
 		mk := func(scale float64) [][]complex128 {
 			send := make([][]complex128, n)
 			for dst := 0; dst < n; dst++ {
@@ -19,6 +32,10 @@ func TestIAlltoallvSlotsOutOfOrder(t *testing.T) {
 			}
 			return send
 		}
+		if c.Rank() == n-1 {
+			countedExchange.Wait()
+		}
+		before := runtime.NumGoroutine()
 		var reqA, reqB *MatRequest
 		if c.Rank()%2 == 0 {
 			reqA = c.IAlltoallv(0, mk(1))
@@ -26,6 +43,10 @@ func TestIAlltoallvSlotsOutOfOrder(t *testing.T) {
 		} else {
 			reqB = c.IAlltoallv(1, mk(100))
 			reqA = c.IAlltoallv(0, mk(1))
+		}
+		grewExchange := runtime.NumGoroutine() - before
+		if c.Rank() != n-1 {
+			countedExchange.Done()
 		}
 		recvB, recvA := reqB.Wait(), reqA.Wait()
 		for from := 0; from < n; from++ {
@@ -35,6 +56,23 @@ func TestIAlltoallvSlotsOutOfOrder(t *testing.T) {
 			if real(recvB[from][0]) != 100*float64(from) {
 				return fmt.Errorf("slot 1 from %d: %v", from, recvB[from])
 			}
+		}
+
+		if c.Rank() == 0 {
+			countedReduce.Wait()
+		}
+		before = runtime.NumGoroutine()
+		req := c.IAllreduce(2, []complex128{1})
+		grewReduce := runtime.NumGoroutine() - before
+		if c.Rank() != 0 {
+			countedReduce.Done()
+		}
+		if got := req.Wait(); got[0] != n {
+			return fmt.Errorf("IAllreduce = %v, want %d", got, n)
+		}
+		if grewExchange > 0 || (c.Rank() != 0 && grewReduce > 0) {
+			return fmt.Errorf("goroutines between post and wait: +%d for two IAlltoallv, +%d for IAllreduce; a request must complete on its waiter",
+				grewExchange, grewReduce)
 		}
 		return nil
 	})
@@ -112,7 +150,12 @@ func TestNonblockingSizeOneWorld(t *testing.T) {
 		if got := c.IAllreduce(0, []complex128{7}).Wait(); got[0] != 7 {
 			return fmt.Errorf("size-1 IAllreduce = %v", got)
 		}
-		recv := c.IAlltoallv(1, [][]complex128{{3, 4}}).Wait()
+		before := runtime.NumGoroutine()
+		req := c.IAlltoallv(1, [][]complex128{{3, 4}})
+		if grew := runtime.NumGoroutine() - before; grew > 0 {
+			return fmt.Errorf("IAlltoallv started %d goroutines; the request completes on its waiter", grew)
+		}
+		recv := req.Wait()
 		if len(recv) != 1 || len(recv[0]) != 2 || recv[0][0] != 3 {
 			return fmt.Errorf("size-1 IAlltoallv = %v", recv)
 		}

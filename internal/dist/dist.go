@@ -181,14 +181,15 @@ type Options struct {
 // DefaultOptions returns the distributed counterpart of
 // negf.DefaultOptions for a P-rank world.
 func DefaultOptions(ranks int) Options {
+	def := negf.DefaultOptions()
 	return Options{
 		Ranks:     ranks,
 		Ta:        1,
 		TE:        ranks,
-		CacheMode: bc.CacheBC,
-		Mixing:    0.5,
-		MaxIter:   25,
-		Tol:       1e-5,
+		CacheMode: def.CacheMode,
+		Mixing:    def.Mixing,
+		MaxIter:   def.MaxIter,
+		Tol:       def.Tol,
 	}
 }
 
@@ -219,14 +220,17 @@ func (o Options) Validate() (Options, error) {
 			return o, fmt.Errorf("dist: Mixing and Tol must be finite, got %g and %g", o.Mixing, o.Tol)
 		}
 	}
+	// Unset or out of range takes the sequential loop's default, by the
+	// rule negf.New applies.
+	def := negf.DefaultOptions()
 	if o.Mixing <= 0 || o.Mixing > 1 {
-		o.Mixing = 0.5
+		o.Mixing = def.Mixing
 	}
 	if o.MaxIter <= 0 {
-		o.MaxIter = 25
+		o.MaxIter = def.MaxIter
 	}
 	if o.Tol <= 0 {
-		o.Tol = 1e-5
+		o.Tol = def.Tol
 	}
 	if o.Precision != PrecisionFP64 && o.Precision != PrecisionMixed {
 		return o, fmt.Errorf("dist: unknown precision %d", o.Precision)

@@ -569,6 +569,38 @@ func TestScheduleResolution(t *testing.T) {
 	}
 }
 
+// TestLoopDefaultsAgree: the two loops resolve an unset or out-of-range
+// loop knob to the same value — negf.DefaultOptions' — so a zero Tol is
+// 1e-5 in both, not "never converge" in one of them.
+func TestLoopDefaultsAgree(t *testing.T) {
+	dev := testDevice(t)
+	def := negf.DefaultOptions()
+	for _, c := range []struct {
+		name    string
+		mixing  float64
+		maxIter int
+		tol     float64
+	}{
+		{"all zero", 0, 0, 0},
+		{"out of range", 1.5, -3, -1e-5},
+		{"set", 0.25, 7, 1e-9},
+	} {
+		seq := negf.New(dev, negf.Options{Mixing: c.mixing, MaxIter: c.maxIter, Tol: c.tol}).Opts
+		par, err := (Options{Ranks: 2, Mixing: c.mixing, MaxIter: c.maxIter, Tol: c.tol}).Validate()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if seq.Mixing != par.Mixing || seq.MaxIter != par.MaxIter || seq.Tol != par.Tol {
+			t.Errorf("%s: negf.New resolves to mixing %g, %d iterations, tol %g; dist.Validate to %g, %d, %g",
+				c.name, seq.Mixing, seq.MaxIter, seq.Tol, par.Mixing, par.MaxIter, par.Tol)
+		}
+		if c.name != "set" && (seq.Mixing != def.Mixing || seq.MaxIter != def.MaxIter || seq.Tol != def.Tol) {
+			t.Errorf("%s: resolved to mixing %g, %d iterations, tol %g, not the defaults %g, %d, %g",
+				c.name, seq.Mixing, seq.MaxIter, seq.Tol, def.Mixing, def.MaxIter, def.Tol)
+		}
+	}
+}
+
 // TestPipelineOptionValidation covers the window-depth Validate paths:
 // the depth default, depth misuse under the depth-1 schedules, and the
 // error probe's depth-1 rule.

@@ -3,8 +3,8 @@
 // a realistic device's observables (current, DOS) only mean anything as
 // averages over many disorder realizations of one device profile.
 //
-// A Study names a profiled qt.Spec, a realization count and a base
-// seed; member i solves the spec with DisorderSeed = BaseSeed + i.
+// A Study names a configuration over a profiled qt.Spec, a realization
+// count and a base seed; member i solves it with DisorderSeed = BaseSeed + i.
 // Members run concurrently, at most Study.Workers at a time (GOMAXPROCS
 // by default; the study is the outer loop, so it alone decides the count —
 // the kernels inside a member never spawn), stream their per-iteration
@@ -33,9 +33,10 @@ import (
 
 // Study is an N-realization disorder study over one profiled spec.
 type Study struct {
-	// Spec is the base experiment; it must carry a Profile (an ensemble
+	// Config is the base experiment, knobs included — what
+	// qt.NewFromConfig takes. Its Spec must carry a Profile (an ensemble
 	// over a clean device is N copies of one run).
-	Spec qt.Spec
+	Config qt.RunConfig
 	// Members is the realization count N.
 	Members int
 	// BaseSeed seeds the first realization; member i draws its disorder
@@ -44,7 +45,9 @@ type Study struct {
 	// Workers bounds how many members solve concurrently. Zero means
 	// min(Members, GOMAXPROCS), read when Run is called.
 	Workers int
-	// Options apply to every member's simulation.
+	// Options apply to every member's simulation on top of Config — the
+	// place for what a RunConfig cannot say (an explicit zero bias, an
+	// injected kernel).
 	Options []qt.Option
 	// WarmStart seeds members 1..N−1 from member 0's converged Σ≷/Π≷
 	// state (realizations of one profile share tensor shapes, so a
@@ -82,7 +85,7 @@ type Result struct {
 // member's derived disorder seed. Exposed so the service-side driver
 // submits byte-identical configurations.
 func (st *Study) MemberSpec(i int) qt.Spec {
-	s := st.Spec
+	s := st.Config.Spec
 	s.DisorderSeed = st.BaseSeed + uint64(i)
 	return s
 }
@@ -92,7 +95,7 @@ func (st *Study) validate() error {
 	if st.Members <= 0 {
 		return fmt.Errorf("ensemble: need at least one member (got %d)", st.Members)
 	}
-	if st.Spec.Profile == nil {
+	if st.Config.Spec.Profile == nil {
 		return fmt.Errorf("ensemble: spec has no profile: an ensemble over a clean device is %d copies of one run", st.Members)
 	}
 	return nil
@@ -160,7 +163,7 @@ func (st *Study) Run(ctx context.Context) (*Result, error) {
 	}
 	wg.Wait()
 
-	dev, err := st.Spec.Build()
+	dev, err := st.Config.Spec.Build()
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +182,9 @@ func (st *Study) solve(ctx context.Context, m *Member, mu *sync.Mutex, warm *qt.
 		// solvers, each of which mixes into its own copy.
 		opts = append(opts, qt.WithWarmStart(warm.Clone()))
 	}
-	sim, err := qt.New(st.MemberSpec(m.Index), opts...)
+	rc := st.Config
+	rc.Spec = st.MemberSpec(m.Index)
+	sim, err := qt.NewFromConfig(rc, opts...)
 	if err != nil {
 		m.Err = err
 		st.notify(m, mu)

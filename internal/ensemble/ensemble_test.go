@@ -91,7 +91,7 @@ func relErr(a, b float64) float64 {
 func TestStudyEndToEnd(t *testing.T) {
 	var iterMembers sync.Map
 	st := &Study{
-		Spec: studySpec(), Members: 4, BaseSeed: 100, Options: fastOpts(),
+		Config: qt.RunConfig{Spec: studySpec()}, Members: 4, BaseSeed: 100, Options: fastOpts(),
 		OnIter: func(member int, _ qt.IterStats) { iterMembers.Store(member, true) },
 	}
 	res, err := st.Run(context.Background())
@@ -148,7 +148,7 @@ func TestStudyEndToEnd(t *testing.T) {
 // in index order).
 func TestStudyDeterministic(t *testing.T) {
 	run := func() *Result {
-		st := &Study{Spec: studySpec(), Members: 3, BaseSeed: 7, Workers: 3, Options: fastOpts()}
+		st := &Study{Config: qt.RunConfig{Spec: studySpec()}, Members: 3, BaseSeed: 7, Workers: 3, Options: fastOpts()}
 		res, err := st.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -169,7 +169,7 @@ func TestStudyDeterministic(t *testing.T) {
 // TestStudyWarmStart: the warm-started study converges every member and
 // reports the same physics family as the cold one.
 func TestStudyWarmStart(t *testing.T) {
-	st := &Study{Spec: studySpec(), Members: 3, BaseSeed: 55, WarmStart: true,
+	st := &Study{Config: qt.RunConfig{Spec: studySpec()}, Members: 3, BaseSeed: 55, WarmStart: true,
 		Options: []qt.Option{qt.WithMaxIterations(12), qt.WithTolerance(1e-4)}}
 	res, err := st.Run(context.Background())
 	if err != nil {
@@ -187,13 +187,13 @@ func TestStudyWarmStart(t *testing.T) {
 
 // TestStudyValidation rejects empty and profile-less studies.
 func TestStudyValidation(t *testing.T) {
-	if _, err := (&Study{Spec: studySpec()}).Run(context.Background()); err == nil ||
+	if _, err := (&Study{Config: qt.RunConfig{Spec: studySpec()}}).Run(context.Background()); err == nil ||
 		!strings.Contains(err.Error(), "at least one member") {
 		t.Errorf("zero-member study accepted (err = %v)", err)
 	}
 	clean := studySpec()
 	clean.Profile = nil
-	if _, err := (&Study{Spec: clean, Members: 2}).Run(context.Background()); err == nil ||
+	if _, err := (&Study{Config: qt.RunConfig{Spec: clean}, Members: 2}).Run(context.Background()); err == nil ||
 		!strings.Contains(err.Error(), "no profile") {
 		t.Errorf("profile-less study accepted (err = %v)", err)
 	}
@@ -204,7 +204,7 @@ func TestStudyValidation(t *testing.T) {
 func TestStudyCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	st := &Study{Spec: studySpec(), Members: 2, Options: fastOpts()}
+	st := &Study{Config: qt.RunConfig{Spec: studySpec()}, Members: 2, Options: fastOpts()}
 	res, err := st.Run(ctx)
 	if err == nil {
 		t.Fatal("cancelled study reported no error")

@@ -53,7 +53,9 @@ type Options struct {
 	Tracer *obs.Tracer
 }
 
-// DefaultOptions returns the settings used by the examples and tests.
+// DefaultOptions returns the settings used by the examples and tests. It
+// is the one table of loop defaults: New here, dist.Options.Validate and
+// the qt facade all fill an unset Mixing, MaxIter or Tol from it.
 func DefaultOptions() Options {
 	return Options{
 		Kernel:    sse.DaCe{},
@@ -155,16 +157,22 @@ func ConvergenceStep(it int, cur, prev, tol float64) (residual float64, converge
 	return residual, residual < tol, nil
 }
 
-// New allocates a solver for dev.
+// New allocates a solver for dev. A zero or out-of-range Kernel, Mixing,
+// MaxIter or Tol takes its DefaultOptions value — the same resolution
+// dist.Options.Validate applies, so the two loops agree on an unset knob.
 func New(dev *device.Device, opts Options) *Solver {
+	def := DefaultOptions()
 	if opts.Kernel == nil {
-		opts.Kernel = sse.DaCe{}
+		opts.Kernel = def.Kernel
 	}
 	if !(opts.Mixing > 0 && opts.Mixing <= 1) { // NaN is out of range too
-		opts.Mixing = 0.5
+		opts.Mixing = def.Mixing
 	}
 	if opts.MaxIter <= 0 {
-		opts.MaxIter = 25
+		opts.MaxIter = def.MaxIter
+	}
+	if !(opts.Tol > 0) { // residual < 0 never holds: the loop could only end in ErrNotConverged
+		opts.Tol = def.Tol
 	}
 	s := &Solver{
 		PointSolver: NewPointSolver(dev, opts.CacheMode),

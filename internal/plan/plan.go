@@ -36,29 +36,21 @@ func (p Plan) String() string {
 	return s
 }
 
-// Options bounds the enumeration. Zero fields take defaults.
+// Options says what to plan for.
 type Options struct {
-	Ranks   int   // world size the plan is for (required)
-	Workers []int // worker pool sizes (default 1, 2, 4)
-	Depths  []int // window depths; 1 is the overlap schedule (default 1, 2, 3)
+	Ranks int // world size the plan is for (required)
 	// Store, when non-nil, is the boundary store the calibration probe
 	// solves over (dist.Options.Store): what the probe decimates the
 	// planned run finds, and the other way round. Nil means no sharing.
 	Store *bc.Store
 }
 
-func (o Options) normalize() (Options, error) {
-	if o.Ranks < 1 {
-		return o, fmt.Errorf("plan: world size %d", o.Ranks)
-	}
-	if len(o.Workers) == 0 {
-		o.Workers = []int{1, 2, 4}
-	}
-	if len(o.Depths) == 0 {
-		o.Depths = []int{1, 2, 3}
-	}
-	return o, nil
-}
+// The enumerated search space: per-rank worker pool sizes, and window
+// depths (1 is the overlap schedule).
+var (
+	poolSizes = [...]int{1, 2, 4}
+	depths    = [...]int{1, 2, 3}
+)
 
 // Candidates enumerates the schedule search space: the serial phases
 // baseline, then the window task graph per depth × worker count. Depth 1
@@ -66,10 +58,10 @@ func (o Options) normalize() (Options, error) {
 // flags already use for it — except on one worker, where it is the
 // phases baseline itself and is not listed twice. Shallower windows come
 // first, so a tie resolves to the simpler schedule.
-func Candidates(o Options) []Candidate {
+func Candidates() []Candidate {
 	cands := []Candidate{{Schedule: dist.SchedulePhases, Workers: 1}}
-	for _, d := range o.Depths {
-		for _, w := range o.Workers {
+	for _, d := range depths {
+		for _, w := range poolSizes {
 			c := Candidate{Schedule: dist.SchedulePipeline, Workers: w, PipelineDepth: d}
 			if d == 1 {
 				if w == 1 {
@@ -154,21 +146,20 @@ func addIteration(g *sdfg.Graph, after []sdfg.NodeID, nEl, nPh int, elNs, phNs, 
 // phases beats overlap beats a deeper window when the model sees no
 // benefit.
 func Choose(dev *device.Device, o Options) (Plan, error) {
-	o, err := o.normalize()
-	if err != nil {
-		return Plan{}, err
+	if o.Ranks < 1 {
+		return Plan{}, fmt.Errorf("plan: world size %d", o.Ranks)
 	}
 	cal, err := calibrate(dev, o.Store)
 	if err != nil {
 		return Plan{}, err
 	}
-	return chooseWith(dev, o, cal), nil
+	return chooseWith(dev.P, o.Ranks, cal, Candidates()), nil
 }
 
-func chooseWith(dev *device.Device, o Options, cal Calibration) Plan {
+func chooseWith(p device.Params, ranks int, cal Calibration, cands []Candidate) Plan {
 	best, bestNs := Candidate{}, 0.0
-	for i, c := range Candidates(o) {
-		ns := Predict(dev.P, o.Ranks, cal, c)
+	for i, c := range cands {
+		ns := Predict(p, ranks, cal, c)
 		if i == 0 || ns < bestNs*0.99 {
 			best, bestNs = c, ns
 		}

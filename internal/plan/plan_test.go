@@ -91,10 +91,6 @@ func TestPredictOrdering(t *testing.T) {
 }
 
 func TestCandidates(t *testing.T) {
-	o, err := Options{Ranks: 4}.normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
 	// phases, then 3 depths × 3 worker counts with depth 1 named overlap —
 	// minus overlap w=1, which would be the phases execution a second time.
 	want := []Candidate{{Schedule: dist.SchedulePhases, Workers: 1}}
@@ -106,10 +102,10 @@ func TestCandidates(t *testing.T) {
 			want = append(want, Candidate{Schedule: dist.SchedulePipeline, Workers: w, PipelineDepth: d})
 		}
 	}
-	if got := Candidates(o); !reflect.DeepEqual(got, want) {
+	if got := Candidates(); !reflect.DeepEqual(got, want) {
 		t.Errorf("candidates\n got %+v\nwant %+v", got, want)
 	}
-	if _, err := (Options{}).normalize(); err == nil {
+	if _, err := Choose(testDevice(t), Options{}); err == nil {
 		t.Error("Ranks 0 must be rejected")
 	}
 }
@@ -119,15 +115,11 @@ func TestCandidates(t *testing.T) {
 // enumerated predictions — the acceptance property of the autotuner.
 func TestChooseArgmin(t *testing.T) {
 	dev := testDevice(t)
-	o, err := Options{Ranks: 4}.normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
 	cal := testCal()
-	got := chooseWith(dev, o, cal)
+	got := chooseWith(dev.P, 4, cal, Candidates())
 	best := 0.0
-	for i, c := range Candidates(o) {
-		if ns := Predict(dev.P, o.Ranks, cal, c); i == 0 || ns < best {
+	for i, c := range Candidates() {
+		if ns := Predict(dev.P, 4, cal, c); i == 0 || ns < best {
 			best = ns
 		}
 	}
@@ -143,13 +135,11 @@ func TestChooseArgmin(t *testing.T) {
 // schedules tie per-iteration at 1 worker, and the tie must resolve to
 // the simplest candidate — the phases baseline.
 func TestChooseTieBreak(t *testing.T) {
-	dev := testDevice(t)
-	o, err := Options{Ranks: 1, Workers: []int{1}, Depths: []int{2}}.normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
 	cal := Calibration{BCWarmNs: 10, ElNs: 100, PhBCWarmNs: 10, PhNs: 60, TileNs: 400}
-	got := chooseWith(dev, o, cal)
+	got := chooseWith(testDevice(t).P, 1, cal, []Candidate{
+		{Schedule: dist.SchedulePhases, Workers: 1},
+		{Schedule: dist.SchedulePipeline, Workers: 1, PipelineDepth: 2},
+	})
 	if got.Schedule != dist.SchedulePhases {
 		t.Errorf("tie should keep the phases baseline, got %v", got.Schedule)
 	}

@@ -6,22 +6,26 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
+
+	"repro/internal/negf"
 )
 
-// RunConfig is the exported, JSON-stable form of a resolved experiment
-// configuration: the defaulted Spec plus every option knob, each in its
-// flag spelling. It is what the qtd service accepts as a request body
-// and records in the run registry, and what the content-addressed result
-// cache hashes — so the field set and JSON names are a wire format.
+// RunConfig is the configuration of a simulation — the only one. It is
+// the struct an Option writes into, the body the qtd service decodes, the
+// record the run registry stores and the value the content-addressed
+// result cache hashes: the defaulted Spec plus every knob, each in its
+// flag spelling. The field set and JSON names are a wire format.
 //
-// The zero value of every knob means "option absent" (the facade
-// default), mirroring how an unset functional option leaves the default
-// in place; booleans are therefore spelled in their non-default
-// direction (NoBoundaryCache). Two facade knobs have no RunConfig form:
-// WithSSEKernel (an injected Go value cannot be serialized; Config drops
-// it) and an explicit zero bias (Spec.Bias = 0 means the Spec default,
-// exactly as in Spec itself — WithBias(0) is option-only).
+// The zero value of every knob means "absent" (the default applies), so
+// booleans are spelled in their non-default direction (NoBoundaryCache).
+// A RunConfig is either raw — as decoded, or as a list of options left
+// it — or resolved: what Simulation.resolve made of a raw one, which is
+// what Simulation.Config returns and the only form worth hashing. Three
+// facade knobs have no RunConfig form (see unwired): WithSSEKernel and
+// WithWarmStart carry Go values, and an explicit zero bias is
+// option-only because Spec.Bias = 0 means the Spec default.
 type RunConfig struct {
 	Spec Spec `json:"spec"`
 
@@ -43,12 +47,11 @@ type RunConfig struct {
 	// schedule (qt.WithPipelineDepth; 0 = the dist default).
 	PipelineDepth int `json:"pipeline_depth,omitempty"`
 	// AutoPlan records that the plan knobs were (or are to be) chosen by
-	// the autotuner. In a resolved configuration (Simulation.Config
-	// output) Schedule is always non-empty alongside it — that is how
-	// NewFromConfig tells a resolved plan from a bare auto-plan request,
-	// which it resolves by probing at New. The resolved knobs take part
-	// in the content hash: two runs planned differently are different
-	// artifacts.
+	// the autotuner. Next to a non-empty Schedule it is a recorded plan,
+	// used as given — a resolved configuration always has that form, the
+	// phases default spelled out — and without one it is a request, which
+	// New resolves by probing. The resolved knobs take part in the content
+	// hash: two runs planned differently are different artifacts.
 	AutoPlan bool `json:"auto_plan,omitempty"`
 	// Trace enables per-phase span recording (qt.WithTrace). It is part
 	// of the hashed configuration: a traced and an untraced run are
@@ -57,143 +60,178 @@ type RunConfig struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// Config exports the simulation's resolved configuration: the defaulted
-// Spec and every non-default knob. NewFromConfig(sim.Config()) rebuilds
-// an equivalent simulation, and two simulations with the same resolved
-// configuration report identical Configs regardless of the option order
-// or spelling that produced them.
-func (s *Simulation) Config() RunConfig {
-	c := s.cfg
-	// Report the resolved tile split (1×P when unset), so a defaulted and
-	// an explicitly default-tiled configuration share one key.
-	ta, te := s.Tiles()
-	rc := RunConfig{
-		Spec:            s.Spec,
-		Ranks:           c.ranks,
-		MaxIterations:   c.maxIter,
-		Tolerance:       c.tol,
-		Mixing:          c.mixing,
-		NoBoundaryCache: !c.cacheBC,
-		Anderson:        c.anderson,
-		TileA:           ta,
-		TileE:           te,
-		Workers:         c.workers,
-		ErrorProbe:      c.errorProbe,
-		PipelineDepth:   c.pipelineDepth,
-		AutoPlan:        c.autoPlan,
-		Trace:           c.trace,
-	}
-	if c.schedule != Phases {
-		rc.Schedule = c.schedule.String()
-	}
-	if c.autoPlan {
-		// A resolved plan records its schedule even when it is the
-		// phases default: a non-empty Schedule next to AutoPlan is the
-		// resolved-plan marker NewFromConfig keys on.
-		rc.Schedule = c.schedule.String()
-	}
-	if c.precision != FP64 {
-		rc.Precision = c.precision.String()
-	}
-	if c.kernel != DataCentric {
-		rc.Kernel = c.kernel.String()
-	}
-	return rc
-}
-
-// Options lowers the RunConfig back into the functional options it
-// stands for. Zero-valued knobs produce no option, so a hand-written
-// partial RunConfig gets the same defaults as a hand-written option
-// list.
-func (rc RunConfig) Options() ([]Option, error) {
-	// Zero is "absent"; anything else — negative, NaN, ±Inf — goes to the
-	// option's own validation instead of being silently dropped (a
-	// negative rank count would otherwise solve as a sequential default
-	// run; a non-finite value kept in the config could not be hashed by
-	// Key).
-	var opts []Option
-	if rc.Ranks != 0 {
-		opts = append(opts, WithRanks(rc.Ranks))
-	}
-	if rc.Schedule != "" {
-		sch, err := ParseSchedule(rc.Schedule)
-		if err != nil {
-			return nil, err
-		}
-		if sch != Phases {
-			opts = append(opts, WithSchedule(sch))
-		}
-	}
-	if rc.Precision != "" {
-		p, err := ParsePrecision(rc.Precision)
-		if err != nil {
-			return nil, err
-		}
-		if p != FP64 {
-			opts = append(opts, WithPrecision(p))
-		}
-	}
-	if rc.Kernel != "" {
-		k, err := ParseKernel(rc.Kernel)
-		if err != nil {
-			return nil, err
-		}
-		if k != DataCentric {
-			opts = append(opts, WithKernel(k))
-		}
-	}
-	if rc.MaxIterations != 0 {
-		opts = append(opts, WithMaxIterations(rc.MaxIterations))
-	}
-	if rc.Tolerance != 0 {
-		opts = append(opts, WithTolerance(rc.Tolerance))
-	}
-	if rc.Mixing != 0 {
-		opts = append(opts, WithMixing(rc.Mixing))
-	}
-	if rc.NoBoundaryCache {
-		opts = append(opts, WithBoundaryCache(false))
-	}
-	if rc.Anderson {
-		opts = append(opts, WithAnderson())
-	}
-	if rc.TileA != 0 || rc.TileE != 0 {
-		opts = append(opts, WithTiles(rc.TileA, rc.TileE))
-	}
-	if rc.Workers != 0 {
-		opts = append(opts, WithWorkers(rc.Workers))
-	}
-	if rc.ErrorProbe {
-		opts = append(opts, WithErrorProbe())
-	}
-	if rc.PipelineDepth != 0 {
-		opts = append(opts, WithPipelineDepth(rc.PipelineDepth))
-	}
-	if rc.AutoPlan {
-		opts = append(opts, WithAutoPlan())
-		if rc.Schedule != "" {
-			// The plan knobs present in the config are a recorded
-			// resolution — use them verbatim instead of re-probing.
-			opts = append(opts, withResolvedPlan())
-		}
-	}
-	if rc.Trace {
-		opts = append(opts, WithTrace())
-	}
-	return opts, nil
-}
+// Config returns the simulation's resolved configuration: the defaulted
+// Spec and every non-default knob in its canonical spelling.
+// NewFromConfig(sim.Config()) rebuilds an equivalent simulation, and two
+// simulations with the same resolved configuration report identical
+// Configs regardless of the option order or spelling that produced them.
+func (s *Simulation) Config() RunConfig { return s.cfg }
 
 // NewFromConfig builds the simulation a RunConfig describes — the
 // deserialization path of the service layer. Extra options (e.g.
-// WithWarmStart, which has no serialized form) apply after the config's
-// own.
+// WithWarmStart, which has no serialized form) are applied to the config
+// before it is resolved.
 func NewFromConfig(rc RunConfig, extra ...Option) (*Simulation, error) {
-	opts, err := rc.Options()
-	if err != nil {
-		return nil, fmt.Errorf("qt: %w", err)
+	s := &Simulation{cfg: rc, store: boundaries}
+	for _, o := range extra {
+		if err := o(s); err != nil {
+			return nil, fmt.Errorf("qt: %w", err)
+		}
 	}
-	return New(rc.Spec, append(opts, extra...)...)
+	if err := s.resolve(); err != nil {
+		return nil, err
+	}
+	if err := s.build(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
+
+// resolve turns the raw configuration into the resolved one, in place,
+// or says why it cannot: every range and combination rule, every
+// default, and the canonical spelling of every knob are here and nowhere
+// else. It runs before the device is built and needs nothing but the
+// configuration. Errors name the option of the offending knob whichever
+// door it came through.
+func (s *Simulation) resolve() error {
+	rc := &s.cfg
+	fail := func(format string, a ...any) error { return fmt.Errorf("qt: "+format, a...) }
+
+	rc.Spec = rc.Spec.withDefaults()
+	if s.zeroBias {
+		rc.Spec.Bias = 0
+	}
+	if err := rc.Spec.params().Validate(); err != nil {
+		return fail("%w", err)
+	}
+	if err := rc.Spec.validateProfile(); err != nil {
+		return err
+	}
+
+	// A field that is present must be in range. Zero is absent; anything
+	// else — negative, NaN, ±Inf — is judged, not dropped: a negative rank
+	// count would otherwise solve as a sequential default run, and a
+	// non-finite value kept in the config could not be hashed by Key. The
+	// float rules are written to reject NaN too.
+	switch {
+	case rc.Ranks < 0:
+		return fail("WithRanks: world size must be >= 1, got %d", rc.Ranks)
+	case rc.MaxIterations < 0:
+		return fail("WithMaxIterations: need at least one iteration, got %d", rc.MaxIterations)
+	case rc.Workers < 0:
+		return fail("WithWorkers: need at least one worker, got %d", rc.Workers)
+	case rc.PipelineDepth < 0:
+		return fail("WithPipelineDepth: depth must be >= 1, got %d", rc.PipelineDepth)
+	case rc.TileA < 0 || rc.TileE < 0:
+		return fail("WithTiles: tile counts must be positive (one may be 0 to infer), got %d×%d", rc.TileA, rc.TileE)
+	case rc.Tolerance != 0 && (!(rc.Tolerance > 0) || math.IsInf(rc.Tolerance, 0)):
+		return fail("WithTolerance: tolerance must be positive and finite, got %g", rc.Tolerance)
+	case rc.Mixing != 0 && !(rc.Mixing > 0 && rc.Mixing <= 1):
+		return fail("WithMixing: factor must be in (0, 1], got %g", rc.Mixing)
+	}
+	sch, err := ParseSchedule(rc.Schedule)
+	if err != nil {
+		return err
+	}
+	prec, err := ParsePrecision(rc.Precision)
+	if err != nil {
+		return err
+	}
+	kern, err := ParseKernel(rc.Kernel)
+	if err != nil {
+		return err
+	}
+
+	// The loop defaults are negf's: the one table both loops read.
+	def := negf.DefaultOptions()
+	if rc.MaxIterations == 0 {
+		rc.MaxIterations = def.MaxIter
+	}
+	if rc.Tolerance == 0 {
+		rc.Tolerance = def.Tol
+	}
+	if rc.Mixing == 0 {
+		rc.Mixing = def.Mixing
+	}
+
+	// A plan that arrives with its schedule named is a recorded one.
+	recorded := rc.AutoPlan && rc.Schedule != ""
+
+	if rc.Ranks == 0 {
+		// Sequential solver.
+		switch {
+		case sch != Phases:
+			return fail("WithSchedule(%v) requires WithRanks", sch)
+		case rc.TileA != 0 || rc.TileE != 0:
+			return fail("WithTiles requires WithRanks")
+		case rc.Workers != 0:
+			return fail("WithWorkers requires WithRanks")
+		case rc.PipelineDepth != 0:
+			return fail("WithPipelineDepth requires WithRanks")
+		case rc.AutoPlan:
+			return fail("WithAutoPlan requires WithRanks: the planner chooses among distributed schedules")
+		case kern == Baseline && prec == Mixed:
+			return fail("WithKernel(Baseline) conflicts with WithPrecision(Mixed): the baseline loop nest has no binary16 form")
+		case s.sseKernel != nil && (kern == Baseline || prec == Mixed):
+			return fail("WithSSEKernel overrides the kernel: do not combine it with WithKernel or WithPrecision")
+		}
+	} else {
+		// Distributed solver.
+		switch {
+		case s.warm != nil:
+			return fail("WithWarmStart requires the sequential solver")
+		case kern == Baseline:
+			return fail("WithKernel(Baseline) requires the sequential solver: the distributed SSE exchange is data-centric by construction")
+		case s.sseKernel != nil:
+			return fail("WithSSEKernel requires the sequential solver")
+		case rc.Anderson:
+			return fail("WithAnderson requires the sequential solver")
+		case rc.PipelineDepth != 0 && sch != Pipeline:
+			return fail("WithPipelineDepth requires WithSchedule(Pipeline)")
+		case sch == Pipeline && rc.ErrorProbe && rc.PipelineDepth != 1:
+			return fail("WithErrorProbe requires WithPipelineDepth(1) under WithSchedule(Pipeline): the probe's blocking max-reduction would serialize a deeper iteration window")
+		case rc.AutoPlan && rc.ErrorProbe:
+			return fail("WithErrorProbe conflicts with WithAutoPlan: the planner may select a window deeper than 1, which cannot run the probe")
+		case rc.AutoPlan && !recorded && (rc.Workers != 0 || rc.PipelineDepth != 0):
+			return fail("WithAutoPlan owns the worker and pipeline-depth knobs: drop WithWorkers/WithPipelineDepth, or name the schedule to record a plan")
+		}
+	}
+	if rc.ErrorProbe && (rc.Ranks == 0 || prec != Mixed) {
+		return fail("WithErrorProbe requires WithRanks and WithPrecision(Mixed)")
+	}
+
+	// Canonical spellings: a default is spelled absent, so equivalent
+	// configurations share one Key — except a recorded plan's schedule,
+	// whose presence is what marks the plan as recorded.
+	rc.Schedule, rc.Precision, rc.Kernel = "", "", ""
+	if sch != Phases || recorded {
+		rc.Schedule = sch.String()
+	}
+	if prec != FP64 {
+		rc.Precision = prec.String()
+	}
+	if kern != DataCentric {
+		rc.Kernel = kern.String()
+	}
+	if rc.Ranks > 0 {
+		// dist has the last word on the distributed knobs, and infers the
+		// tile split (1×P when unset), which is recorded so a defaulted and
+		// an explicitly default-tiled configuration share one key.
+		o, err := s.distOptions(nil, nil).Validate()
+		if err != nil {
+			return fail("%w", err)
+		}
+		rc.TileA, rc.TileE = o.Ta, o.TE
+	}
+	return nil
+}
+
+// schedule, precision and kernel decode the enum knobs of a resolved
+// configuration for the loops. resolve has parsed each spelling, so none
+// can fail here.
+func (rc RunConfig) schedule() Schedule   { v, _ := ParseSchedule(rc.Schedule); return v }
+func (rc RunConfig) precision() Precision { v, _ := ParsePrecision(rc.Precision); return v }
+func (rc RunConfig) kernel() Kernel       { v, _ := ParseKernel(rc.Kernel); return v }
 
 // Key returns the canonical content hash of the configuration: the
 // SHA-256 of its JSON form re-serialized with recursively sorted object

@@ -177,27 +177,10 @@ func TestRunConfigKey(t *testing.T) {
 // later is covered without touching this test — and requires NewFromConfig
 // to return an error. A non-finite value that slipped through would not
 // marshal, and RunConfig.Key / Spec.Key on the submit route would panic.
-// The integer knobs follow the same rule (zero is "absent", any other
-// value reaches its option's validator): a negative one dropped as absent
-// would be solved as a sequential default run.
+// (The integer knobs follow the same rule — zero is "absent", any other
+// value is judged by resolve — and their negative rows sit in
+// TestOptionValidation's table, which drives both entry points.)
 func TestNonFiniteConfigRejected(t *testing.T) {
-	for name, c := range map[string]struct {
-		rc   RunConfig
-		want string
-	}{
-		"negative ranks":      {RunConfig{Ranks: -2}, "WithRanks"},
-		"negative iterations": {RunConfig{MaxIterations: -1}, "WithMaxIterations"},
-		"negative workers":    {RunConfig{Ranks: 2, Schedule: "overlap", Workers: -1}, "WithWorkers"},
-		"negative depth":      {RunConfig{Ranks: 2, Schedule: "pipeline", PipelineDepth: -1}, "WithPipelineDepth"},
-	} {
-		c.rc.Spec = smallSpec()
-		if sim, err := NewFromConfig(c.rc); err == nil {
-			t.Errorf("%s accepted (resolved config %+v)", name, sim.Config())
-		} else if !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: error %q does not mention %q", name, err, c.want)
-		}
-	}
-
 	full := func() RunConfig {
 		spec := smallSpec()
 		spec.Bias, spec.Temperature, spec.Coupling = 0.2, 300, 0.05

@@ -131,16 +131,23 @@ func (s Spec) Build() (*device.Device, error) {
 	if err := s.validateProfile(); err != nil {
 		return nil, err
 	}
-	p := s.params()
-	if err := p.Validate(); err != nil {
+	if err := s.params().Validate(); err != nil {
 		return nil, fmt.Errorf("qt: %w", err)
 	}
-	dev, err := device.Build(p)
+	return s.device()
+}
+
+// device builds the device of a defaulted, validated spec and lowers its
+// profile (if any) onto it.
+func (s Spec) device() (*device.Device, error) {
+	dev, err := device.Build(s.params())
 	if err != nil {
 		return nil, fmt.Errorf("qt: %w", err)
 	}
-	if err := s.applyProfile(dev); err != nil {
-		return nil, err
+	if s.Profile != nil {
+		if err := s.Profile.Apply(dev, s.DisorderSeed); err != nil {
+			return nil, fmt.Errorf("qt: %w", err)
+		}
 	}
 	return dev, nil
 }
@@ -150,18 +157,6 @@ func (s Spec) Build() (*device.Device, error) {
 func (s Spec) validateProfile() error {
 	if s.Profile == nil && s.DisorderSeed != 0 {
 		return fmt.Errorf("qt: disorder_seed set without a profile: the seed only draws profile disorder, and a seed-only spec would mint distinct cache keys for identical runs")
-	}
-	return nil
-}
-
-// applyProfile lowers the spec's profile (if any) onto a freshly built
-// device.
-func (s Spec) applyProfile(dev *device.Device) error {
-	if s.Profile == nil {
-		return nil
-	}
-	if err := s.Profile.Apply(dev, s.DisorderSeed); err != nil {
-		return fmt.Errorf("qt: %w", err)
 	}
 	return nil
 }
@@ -218,8 +213,12 @@ const (
 
 // ParsePrecision maps the command-line spelling to a Precision. The
 // accepted spellings are decomp.ParsePrecision's — one parser for the
-// whole stack.
+// whole stack — plus, as for the schedule and the kernel, the empty
+// string for the default.
 func ParsePrecision(s string) (Precision, error) {
+	if s == "" {
+		return FP64, nil
+	}
 	p, err := decomp.ParsePrecision(s)
 	if err != nil {
 		return FP64, fmt.Errorf("qt: %w", err)

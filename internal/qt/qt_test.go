@@ -2,6 +2,7 @@ package qt
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -20,80 +21,104 @@ func solve(t *testing.T, spec Spec, opts ...Option) (*Simulation, *Result) {
 	return solveOver(t, boundaries, spec, opts...)
 }
 
+// TestOptionValidation drives every case through New and, where the case
+// has a wire form, through NewFromConfig: one resolve behind two doors,
+// so both must give the same verdict in the same words — and, when they
+// accept, the same resolved configuration. A nil wire is a value the wire
+// cannot say: an explicit zero, an injected Go value, an out-of-range
+// enum.
 func TestOptionValidation(t *testing.T) {
+	wire := func(rc RunConfig) *RunConfig { return &rc }
 	cases := []struct {
 		name string
 		spec Spec
 		opts []Option
-		want string // substring of the error; "" = must succeed
+		wire *RunConfig // its Spec is filled from spec
+		want string     // substring of the error; "" = must succeed
 	}{
-		{"defaults", Spec{}, nil, ""},
-		{"indivisible atoms", Spec{Atoms: 25, Slabs: 6}, nil, "device"},
-		{"zero ranks", Spec{}, []Option{WithRanks(0)}, "WithRanks"},
-		{"negative ranks", Spec{}, []Option{WithRanks(-2)}, "WithRanks"},
-		{"zero tolerance", Spec{}, []Option{WithTolerance(0)}, "WithTolerance"},
-		{"negative tolerance", Spec{}, []Option{WithTolerance(-1e-5)}, "WithTolerance"},
+		{"defaults", Spec{}, nil, wire(RunConfig{}), ""},
+		{"indivisible atoms", Spec{Atoms: 25, Slabs: 6}, nil, wire(RunConfig{}), "device"},
+		{"zero ranks", Spec{}, []Option{WithRanks(0)}, nil, "WithRanks"},
+		{"negative ranks", Spec{}, []Option{WithRanks(-2)}, wire(RunConfig{Ranks: -2}), "WithRanks"},
+		{"zero tolerance", Spec{}, []Option{WithTolerance(0)}, nil, "WithTolerance"},
+		{"negative tolerance", Spec{}, []Option{WithTolerance(-1e-5)}, wire(RunConfig{Tolerance: -1e-5}), "WithTolerance"},
 		// NaN fails every range comparison: accepted, it would panic in
 		// Config().Key() (JSON has no NaN) or poison the Σ≷ mix.
-		{"NaN tolerance", Spec{}, []Option{WithTolerance(math.NaN())}, "WithTolerance"},
-		{"infinite tolerance", Spec{}, []Option{WithTolerance(math.Inf(1))}, "WithTolerance"},
-		{"NaN mixing", Spec{}, []Option{WithMixing(math.NaN())}, "WithMixing"},
-		{"infinite mixing", Spec{}, []Option{WithMixing(math.Inf(1))}, "WithMixing"},
-		{"zero iterations", Spec{}, []Option{WithMaxIterations(0)}, "WithMaxIterations"},
-		{"mixing too large", Spec{}, []Option{WithMixing(1.5)}, "WithMixing"},
-		{"mixing zero", Spec{}, []Option{WithMixing(0)}, "WithMixing"},
-		{"overlap needs ranks", Spec{}, []Option{WithSchedule(Overlap)}, "WithRanks"},
-		{"tiles need ranks", Spec{}, []Option{WithTiles(2, 2)}, "WithRanks"},
-		{"workers need ranks", Spec{}, []Option{WithWorkers(2)}, "WithRanks"},
-		{"workers positive", Spec{}, []Option{WithRanks(2), WithWorkers(0)}, "WithWorkers"},
-		{"tile split mismatch", Spec{}, []Option{WithRanks(4), WithTiles(3, 2)}, "tile split"},
-		{"tile inference", Spec{}, []Option{WithRanks(4), WithTiles(2, 0)}, ""},
-		{"baseline distributed", Spec{}, []Option{WithRanks(2), WithKernel(Baseline)}, "sequential"},
-		{"custom kernel distributed", Spec{}, []Option{WithRanks(2), WithSSEKernel(sse.DaCe{})}, "sequential"},
-		{"anderson distributed", Spec{}, []Option{WithRanks(2), WithAnderson()}, "sequential"},
-		{"probe needs mixed", Spec{}, []Option{WithRanks(2), WithErrorProbe()}, "WithErrorProbe"},
-		{"probe sequential", Spec{}, []Option{WithPrecision(Mixed), WithErrorProbe()}, "WithErrorProbe"},
-		{"probe ok", Spec{}, []Option{WithRanks(2), WithPrecision(Mixed), WithErrorProbe()}, ""},
-		{"baseline plus mixed", Spec{}, []Option{WithKernel(Baseline), WithPrecision(Mixed)}, "conflicts"},
-		{"custom kernel plus mixed", Spec{}, []Option{WithSSEKernel(sse.DaCe{}), WithPrecision(Mixed)}, "WithSSEKernel"},
-		{"nil custom kernel", Spec{}, []Option{WithSSEKernel(nil)}, "WithSSEKernel"},
-		{"unknown schedule", Spec{}, []Option{WithRanks(2), WithSchedule(Schedule(7))}, "WithSchedule"},
-		{"pipeline needs ranks", Spec{}, []Option{WithSchedule(Pipeline)}, "WithRanks"},
-		{"pipeline ok", Spec{}, []Option{WithRanks(2), WithSchedule(Pipeline)}, ""},
-		{"pipeline with depth", Spec{}, []Option{WithRanks(2), WithSchedule(Pipeline), WithPipelineDepth(3)}, ""},
-		{"depth zero", Spec{}, []Option{WithRanks(2), WithSchedule(Pipeline), WithPipelineDepth(0)}, "WithPipelineDepth"},
-		{"depth negative", Spec{}, []Option{WithRanks(2), WithSchedule(Pipeline), WithPipelineDepth(-1)}, "WithPipelineDepth"},
-		{"depth needs ranks", Spec{}, []Option{WithPipelineDepth(2)}, "WithRanks"},
-		{"depth needs pipeline", Spec{}, []Option{WithRanks(2), WithPipelineDepth(2)}, "WithSchedule(Pipeline)"},
-		{"depth under overlap", Spec{}, []Option{WithRanks(2), WithSchedule(Overlap), WithPipelineDepth(2)}, "WithSchedule(Pipeline)"},
-		{"pipeline probe fp64", Spec{}, []Option{WithRanks(2), WithSchedule(Pipeline), WithErrorProbe()}, "WithErrorProbe"},
-		{"pipeline probe mixed", Spec{}, []Option{WithRanks(2), WithSchedule(Pipeline), WithPrecision(Mixed), WithErrorProbe()}, "WithErrorProbe"},
-		{"pipeline depth-2 probe", Spec{}, []Option{WithRanks(2), WithSchedule(Pipeline), WithPipelineDepth(2), WithPrecision(Mixed), WithErrorProbe()}, "WithPipelineDepth(1)"},
-		{"pipeline depth-1 probe ok", Spec{}, []Option{WithRanks(2), WithSchedule(Pipeline), WithPipelineDepth(1), WithPrecision(Mixed), WithErrorProbe()}, ""},
-		{"overlap probe ok", Spec{}, []Option{WithRanks(2), WithSchedule(Overlap), WithPrecision(Mixed), WithErrorProbe()}, ""},
-		{"pipeline mixed ok", Spec{}, []Option{WithRanks(2), WithSchedule(Pipeline), WithPrecision(Mixed)}, ""},
-		{"autoplan needs ranks", Spec{}, []Option{WithAutoPlan()}, "WithRanks"},
-		{"autoplan owns schedule", Spec{}, []Option{WithRanks(2), WithAutoPlan(), WithSchedule(Overlap)}, "WithAutoPlan owns"},
-		{"autoplan owns workers", Spec{}, []Option{WithRanks(2), WithAutoPlan(), WithWorkers(2)}, "WithAutoPlan owns"},
-		{"autoplan owns depth", Spec{}, []Option{WithRanks(2), WithAutoPlan(), WithPipelineDepth(2)}, "WithSchedule(Pipeline)"},
-		{"autoplan no probe", Spec{}, []Option{WithRanks(2), WithAutoPlan(), WithPrecision(Mixed), WithErrorProbe()}, "WithAutoPlan"},
-		{"unknown precision", Spec{}, []Option{WithPrecision(Precision(7))}, "WithPrecision"},
-		{"unknown kernel", Spec{}, []Option{WithKernel(Kernel(7))}, "WithKernel"},
+		{"NaN tolerance", Spec{}, []Option{WithTolerance(math.NaN())}, wire(RunConfig{Tolerance: math.NaN()}), "WithTolerance"},
+		{"infinite tolerance", Spec{}, []Option{WithTolerance(math.Inf(1))}, wire(RunConfig{Tolerance: math.Inf(1)}), "WithTolerance"},
+		{"NaN mixing", Spec{}, []Option{WithMixing(math.NaN())}, wire(RunConfig{Mixing: math.NaN()}), "WithMixing"},
+		{"infinite mixing", Spec{}, []Option{WithMixing(math.Inf(1))}, wire(RunConfig{Mixing: math.Inf(1)}), "WithMixing"},
+		{"zero iterations", Spec{}, []Option{WithMaxIterations(0)}, nil, "WithMaxIterations"},
+		// A negative integer knob is refused, not dropped as "absent" and
+		// solved as a sequential default run.
+		{"negative iterations", Spec{}, []Option{WithMaxIterations(-1)}, wire(RunConfig{MaxIterations: -1}), "WithMaxIterations"},
+		{"mixing too large", Spec{}, []Option{WithMixing(1.5)}, wire(RunConfig{Mixing: 1.5}), "WithMixing"},
+		{"mixing zero", Spec{}, []Option{WithMixing(0)}, nil, "WithMixing"},
+		{"overlap needs ranks", Spec{}, []Option{WithSchedule(Overlap)}, wire(RunConfig{Schedule: "overlap"}), "WithRanks"},
+		{"tiles need ranks", Spec{}, []Option{WithTiles(2, 2)}, wire(RunConfig{TileA: 2, TileE: 2}), "WithRanks"},
+		{"tiles both zero", Spec{}, []Option{WithRanks(4), WithTiles(0, 0)}, nil, "WithTiles"},
+		{"negative tile", Spec{}, []Option{WithRanks(4), WithTiles(-2, 0)}, wire(RunConfig{Ranks: 4, TileA: -2}), "WithTiles"},
+		{"workers need ranks", Spec{}, []Option{WithWorkers(2)}, wire(RunConfig{Workers: 2}), "WithRanks"},
+		{"workers positive", Spec{}, []Option{WithRanks(2), WithWorkers(0)}, nil, "WithWorkers"},
+		{"negative workers", Spec{}, []Option{WithRanks(2), WithSchedule(Overlap), WithWorkers(-1)}, wire(RunConfig{Ranks: 2, Schedule: "overlap", Workers: -1}), "WithWorkers"},
+		{"tile split mismatch", Spec{}, []Option{WithRanks(4), WithTiles(3, 2)}, wire(RunConfig{Ranks: 4, TileA: 3, TileE: 2}), "tile split"},
+		{"tile inference", Spec{}, []Option{WithRanks(4), WithTiles(2, 0)}, wire(RunConfig{Ranks: 4, TileA: 2}), ""},
+		{"baseline distributed", Spec{}, []Option{WithRanks(2), WithKernel(Baseline)}, wire(RunConfig{Ranks: 2, Kernel: "omen"}), "sequential"},
+		{"custom kernel distributed", Spec{}, []Option{WithRanks(2), WithSSEKernel(sse.DaCe{})}, nil, "sequential"},
+		{"anderson distributed", Spec{}, []Option{WithRanks(2), WithAnderson()}, wire(RunConfig{Ranks: 2, Anderson: true}), "sequential"},
+		{"probe needs mixed", Spec{}, []Option{WithRanks(2), WithErrorProbe()}, wire(RunConfig{Ranks: 2, ErrorProbe: true}), "WithErrorProbe"},
+		{"probe sequential", Spec{}, []Option{WithPrecision(Mixed), WithErrorProbe()}, wire(RunConfig{Precision: "mixed", ErrorProbe: true}), "WithErrorProbe"},
+		{"probe ok", Spec{}, []Option{WithRanks(2), WithPrecision(Mixed), WithErrorProbe()}, wire(RunConfig{Ranks: 2, Precision: "mixed", ErrorProbe: true}), ""},
+		{"baseline plus mixed", Spec{}, []Option{WithKernel(Baseline), WithPrecision(Mixed)}, wire(RunConfig{Kernel: "omen", Precision: "mixed"}), "conflicts"},
+		{"custom kernel plus mixed", Spec{}, []Option{WithSSEKernel(sse.DaCe{}), WithPrecision(Mixed)}, nil, "WithSSEKernel"},
+		{"nil custom kernel", Spec{}, []Option{WithSSEKernel(nil)}, nil, "WithSSEKernel"},
+		{"unknown schedule", Spec{}, []Option{WithRanks(2), WithSchedule(Schedule(7))}, nil, "WithSchedule"},
+		{"pipeline needs ranks", Spec{}, []Option{WithSchedule(Pipeline)}, wire(RunConfig{Schedule: "pipeline"}), "WithRanks"},
+		{"pipeline ok", Spec{}, []Option{WithRanks(2), WithSchedule(Pipeline)}, wire(RunConfig{Ranks: 2, Schedule: "pipeline"}), ""},
+		{"pipeline with depth", Spec{}, []Option{WithRanks(2), WithSchedule(Pipeline), WithPipelineDepth(3)}, wire(RunConfig{Ranks: 2, Schedule: "pipeline", PipelineDepth: 3}), ""},
+		{"depth zero", Spec{}, []Option{WithRanks(2), WithSchedule(Pipeline), WithPipelineDepth(0)}, nil, "WithPipelineDepth"},
+		{"depth negative", Spec{}, []Option{WithRanks(2), WithSchedule(Pipeline), WithPipelineDepth(-1)}, wire(RunConfig{Ranks: 2, Schedule: "pipeline", PipelineDepth: -1}), "WithPipelineDepth"},
+		{"depth needs ranks", Spec{}, []Option{WithPipelineDepth(2)}, wire(RunConfig{PipelineDepth: 2}), "WithRanks"},
+		{"depth needs pipeline", Spec{}, []Option{WithRanks(2), WithPipelineDepth(2)}, wire(RunConfig{Ranks: 2, PipelineDepth: 2}), "WithSchedule(Pipeline)"},
+		{"depth under overlap", Spec{}, []Option{WithRanks(2), WithSchedule(Overlap), WithPipelineDepth(2)}, wire(RunConfig{Ranks: 2, Schedule: "overlap", PipelineDepth: 2}), "WithSchedule(Pipeline)"},
+		{"pipeline probe fp64", Spec{}, []Option{WithRanks(2), WithSchedule(Pipeline), WithErrorProbe()}, wire(RunConfig{Ranks: 2, Schedule: "pipeline", ErrorProbe: true}), "WithErrorProbe"},
+		{"pipeline probe mixed", Spec{}, []Option{WithRanks(2), WithSchedule(Pipeline), WithPrecision(Mixed), WithErrorProbe()}, wire(RunConfig{Ranks: 2, Schedule: "pipeline", Precision: "mixed", ErrorProbe: true}), "WithErrorProbe"},
+		{"pipeline depth-2 probe", Spec{}, []Option{WithRanks(2), WithSchedule(Pipeline), WithPipelineDepth(2), WithPrecision(Mixed), WithErrorProbe()}, wire(RunConfig{Ranks: 2, Schedule: "pipeline", PipelineDepth: 2, Precision: "mixed", ErrorProbe: true}), "WithPipelineDepth(1)"},
+		{"pipeline depth-1 probe ok", Spec{}, []Option{WithRanks(2), WithSchedule(Pipeline), WithPipelineDepth(1), WithPrecision(Mixed), WithErrorProbe()}, wire(RunConfig{Ranks: 2, Schedule: "pipeline", PipelineDepth: 1, Precision: "mixed", ErrorProbe: true}), ""},
+		{"overlap probe ok", Spec{}, []Option{WithRanks(2), WithSchedule(Overlap), WithPrecision(Mixed), WithErrorProbe()}, wire(RunConfig{Ranks: 2, Schedule: "overlap", Precision: "mixed", ErrorProbe: true}), ""},
+		{"pipeline mixed ok", Spec{}, []Option{WithRanks(2), WithSchedule(Pipeline), WithPrecision(Mixed)}, wire(RunConfig{Ranks: 2, Schedule: "pipeline", Precision: "mixed"}), ""},
+		{"autoplan needs ranks", Spec{}, []Option{WithAutoPlan()}, wire(RunConfig{AutoPlan: true}), "WithRanks"},
+		// Options write wire fields, so a schedule named next to the auto
+		// plan is what it is on the wire: a recorded plan, used as given.
+		{"autoplan with schedule is a recorded plan", Spec{}, []Option{WithRanks(2), WithAutoPlan(), WithSchedule(Overlap)}, wire(RunConfig{Ranks: 2, AutoPlan: true, Schedule: "overlap"}), ""},
+		{"autoplan owns workers", Spec{}, []Option{WithRanks(2), WithAutoPlan(), WithWorkers(2)}, wire(RunConfig{Ranks: 2, AutoPlan: true, Workers: 2}), "WithAutoPlan owns"},
+		{"autoplan owns depth", Spec{}, []Option{WithRanks(2), WithAutoPlan(), WithPipelineDepth(2)}, wire(RunConfig{Ranks: 2, AutoPlan: true, PipelineDepth: 2}), "WithSchedule(Pipeline)"},
+		{"autoplan no probe", Spec{}, []Option{WithRanks(2), WithAutoPlan(), WithPrecision(Mixed), WithErrorProbe()}, wire(RunConfig{Ranks: 2, AutoPlan: true, Precision: "mixed", ErrorProbe: true}), "WithAutoPlan"},
+		{"unknown precision", Spec{}, []Option{WithPrecision(Precision(7))}, nil, "WithPrecision"},
+		{"unknown kernel", Spec{}, []Option{WithKernel(Kernel(7))}, nil, "WithKernel"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := New(c.spec, c.opts...)
-			if c.want == "" {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
-				}
+			sim, err := New(c.spec, c.opts...)
+			switch {
+			case c.want == "" && err != nil:
+				t.Fatalf("unexpected error: %v", err)
+			case c.want != "" && err == nil:
+				t.Fatalf("expected an error mentioning %q, got nil", c.want)
+			case c.want != "" && !strings.Contains(err.Error(), c.want):
+				t.Fatalf("error %q does not mention %q", err, c.want)
+			}
+			if c.wire == nil {
 				return
 			}
-			if err == nil {
-				t.Fatalf("expected an error mentioning %q, got nil", c.want)
+			rc := *c.wire
+			rc.Spec = c.spec
+			wsim, werr := NewFromConfig(rc)
+			if fmt.Sprint(err) != fmt.Sprint(werr) {
+				t.Fatalf("the two doors disagree:\n  New:           %v\n  NewFromConfig: %v", err, werr)
 			}
-			if !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("error %q does not mention %q", err, c.want)
+			if err == nil && sim.Config().Key() != wsim.Config().Key() {
+				t.Fatalf("the two doors resolve differently:\n  New:           %+v\n  NewFromConfig: %+v", sim.Config(), wsim.Config())
 			}
 		})
 	}

@@ -94,17 +94,17 @@ func (s *Simulation) Start(ctx context.Context) (*Run, error) {
 		return nil, fmt.Errorf("qt: %w", err)
 	}
 	r := &Run{
-		stats: make(chan IterStats, s.cfg.maxIter),
+		stats: make(chan IterStats, s.cfg.MaxIterations),
 		done:  make(chan struct{}),
 	}
 	var tracer *obs.Tracer
-	if s.cfg.trace {
+	if s.cfg.Trace {
 		tracer = obs.NewTracer()
 	}
 	go func() {
 		defer close(r.done)
 		defer close(r.stats)
-		if s.cfg.ranks > 0 {
+		if s.cfg.Ranks > 0 {
 			r.res, r.err = s.runDistributed(ctx, r, tracer)
 		} else {
 			r.res, r.err = s.runSequential(ctx, r, tracer)
@@ -138,11 +138,8 @@ func (r *Run) progress(ctx context.Context, trace *[]IterStats, plan string) fun
 // runSequential drives the negf solver under the facade contract.
 func (s *Simulation) runSequential(ctx context.Context, r *Run, tracer *obs.Tracer) (*Result, error) {
 	trace := []IterStats{}
-	no := s.cfg.negfOptions(r.progress(ctx, &trace, ""))
-	no.Tracer = tracer
-	no.Store = s.store
-	solver := negf.New(s.Device, no)
-	if w := s.cfg.warm; w != nil {
+	solver := negf.New(s.Device, s.negfOptions(r.progress(ctx, &trace, ""), tracer))
+	if w := s.warm; w != nil {
 		// Seed the loop with the warm Σ≷/Π≷ state (copied: the shared
 		// cache artifact may seed many concurrent runs).
 		copy(solver.SigL.Data, w.SigL.Data)
@@ -175,10 +172,7 @@ func (s *Simulation) runSequential(ctx context.Context, r *Run, tracer *obs.Trac
 // runDistributed drives the dist solver under the facade contract.
 func (s *Simulation) runDistributed(ctx context.Context, r *Run, tracer *obs.Tracer) (*Result, error) {
 	trace := []IterStats{}
-	do := s.cfg.distOptions(r.progress(ctx, &trace, s.PlanString()))
-	do.Tracer = tracer
-	do.Store = s.store
-	res, err := dist.Run(s.Device, do)
+	res, err := dist.Run(s.Device, s.distOptions(r.progress(ctx, &trace, s.PlanString()), tracer))
 	switch {
 	case err == nil, errors.Is(err, negf.ErrNotConverged):
 	case ctx.Err() != nil && errors.Is(err, ctx.Err()):

@@ -7,6 +7,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/dist"
 	"repro/internal/negf"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/sse"
 )
@@ -19,7 +20,10 @@ type Simulation struct {
 	Spec   Spec
 	Device *device.Device
 
-	cfg config
+	// cfg is the configuration: raw while the options are applied,
+	// resolved from then on (see RunConfig).
+	cfg RunConfig
+	unwired
 	// store is the boundary store this simulation's solves share
 	// decimations through: the process-wide one, always (tests swap in a
 	// private store to observe a cold run).
@@ -27,52 +31,41 @@ type Simulation struct {
 }
 
 // New validates the configuration, builds the synthetic device and
-// returns the runnable simulation.
+// returns the runnable simulation: NewFromConfig of the bare spec with
+// the options applied to it.
 func New(spec Spec, opts ...Option) (*Simulation, error) {
-	spec = spec.withDefaults()
-	cfg := defaultConfig(spec)
-	for _, o := range opts {
-		if err := o(&cfg); err != nil {
-			return nil, fmt.Errorf("qt: %w", err)
-		}
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, fmt.Errorf("qt: %w", err)
-	}
-	if err := spec.validateProfile(); err != nil {
-		return nil, err
-	}
-	dev, err := device.Build(cfg.params)
+	return NewFromConfig(RunConfig{Spec: spec}, opts...)
+}
+
+// build constructs the device of the resolved configuration and settles
+// what needs the device: the warm-start shape check and the auto plan.
+func (s *Simulation) build() error {
+	s.Spec = s.cfg.Spec
+	dev, err := s.Spec.device()
 	if err != nil {
-		return nil, fmt.Errorf("qt: %w", err)
+		return err
 	}
-	if err := spec.applyProfile(dev); err != nil {
-		return nil, err
-	}
-	if cfg.warm != nil {
-		if err := cfg.warm.compatible(dev); err != nil {
-			return nil, fmt.Errorf("qt: WithWarmStart: %w", err)
+	s.Device = dev
+	if s.warm != nil {
+		if err := s.warm.compatible(dev); err != nil {
+			return fmt.Errorf("qt: WithWarmStart: %w", err)
 		}
 	}
-	if cfg.autoPlan && !cfg.planResolved {
-		// Resolve the execution plan against the actual device: a short
-		// calibration probe, then the argmin over the enumerated
-		// candidates in the virtual-time cost model. The resolved knobs
-		// become part of the configuration (and its content hash), so
+	if s.cfg.AutoPlan && s.cfg.Schedule == "" {
+		// A plan request: resolve it against the actual device — a short
+		// calibration probe, then the argmin over the enumerated candidates
+		// in the virtual-time cost model. Written into the configuration
+		// the knobs are a recorded plan (and part of its content hash), so
 		// rebuilding from Config keeps this plan instead of re-probing.
-		pl, err := plan.Choose(dev, plan.Options{Ranks: cfg.ranks, Store: boundaries})
+		pl, err := plan.Choose(dev, plan.Options{Ranks: s.cfg.Ranks, Store: s.store})
 		if err != nil {
-			return nil, fmt.Errorf("qt: auto plan: %w", err)
+			return fmt.Errorf("qt: auto plan: %w", err)
 		}
-		cfg.schedule = pl.Schedule
-		cfg.workers = pl.Workers
-		cfg.pipelineDepth = pl.PipelineDepth
-		cfg.planResolved = true
+		s.cfg.Schedule = pl.Schedule.String()
+		s.cfg.Workers = pl.Workers
+		s.cfg.PipelineDepth = pl.PipelineDepth
 	}
-	// Reflect option-level overrides back into the exported Spec so it
-	// always reports what is actually solved.
-	spec.Bias = cfg.params.Vds
-	return &Simulation{Spec: spec, Device: dev, cfg: cfg, store: boundaries}, nil
+	return nil
 }
 
 // PlanString renders the resolved execution plan of a distributed
@@ -80,71 +73,78 @@ func New(spec Spec, opts ...Option) (*Simulation, error) {
 // chose it) — what report and the qtd registry surface per run. Empty
 // for sequential configurations.
 func (s *Simulation) PlanString() string {
-	if s.cfg.ranks == 0 {
+	if s.cfg.Ranks == 0 {
 		return ""
 	}
-	o := s.resolvedDist()
+	// The schedule and depth as dist.Run will see them, defaults filled by
+	// dist itself; resolve validated them, so this cannot fail.
+	o, _ := s.distOptions(nil, nil).Validate()
 	str := o.Schedule.String()
-	if s.cfg.workers > 0 {
-		str += fmt.Sprintf(" w=%d", s.cfg.workers)
+	if s.cfg.Workers > 0 {
+		str += fmt.Sprintf(" w=%d", s.cfg.Workers)
 	}
-	if s.cfg.schedule == Pipeline {
+	if o.Schedule == Pipeline {
 		str += fmt.Sprintf(" d=%d", o.PipelineDepth)
 	}
-	if s.cfg.autoPlan {
+	if s.cfg.AutoPlan {
 		str += " [auto]"
 	}
 	return str
 }
 
 // Ranks reports the configured world size (0 = sequential solver).
-func (s *Simulation) Ranks() int { return s.cfg.ranks }
+func (s *Simulation) Ranks() int { return s.cfg.Ranks }
 
 // Tiles reports the resolved Ta×TE tile split of the distributed SSE
 // exchange (1×P when unset; zeros for sequential configurations).
-func (s *Simulation) Tiles() (ta, te int) {
-	if s.cfg.ranks == 0 {
-		return 0, 0
-	}
-	o := s.resolvedDist()
-	return o.Ta, o.TE
-}
+func (s *Simulation) Tiles() (ta, te int) { return s.cfg.TileA, s.cfg.TileE }
 
-// resolvedDist returns the distributed options as dist.Run will see them,
-// defaults filled by dist itself. New validated them, so the
-// normalisation cannot fail here.
-func (s *Simulation) resolvedDist() dist.Options {
-	o, _ := s.cfg.distOptions(nil).Validate()
-	return o
-}
-
-// sequentialKernel derives the sequential SSE kernel of the config.
-func (c *config) sequentialKernel() sse.Kernel {
-	switch {
-	case c.sseKernel != nil:
-		return c.sseKernel
-	case c.precision == Mixed:
-		return sse.Mixed{Normalize: true}
-	case c.kernel == Baseline:
-		return sse.OMEN{}
-	default:
-		return sse.DaCe{}
-	}
-}
-
-// negfOptions assembles the sequential solver options.
-func (c *config) negfOptions(progress func(IterStats) error) negf.Options {
+// loopOptions lowers the knobs the two self-consistent loops share, over
+// negf's defaults. It returns them as negf.Options; distOptions carries
+// them over by name.
+func (s *Simulation) loopOptions(progress func(IterStats) error, tracer *obs.Tracer) negf.Options {
 	o := negf.DefaultOptions()
-	o.Kernel = c.sequentialKernel()
-	if !c.cacheBC {
+	if s.cfg.NoBoundaryCache {
 		o.CacheMode = bc.NoCache
 	}
-	o.Mixing = c.mixing
-	o.MaxIter = c.maxIter
-	o.Tol = c.tol
-	o.Anderson = c.anderson
+	o.Store = s.store
+	o.Mixing = s.cfg.Mixing
+	o.MaxIter = s.cfg.MaxIterations
+	o.Tol = s.cfg.Tolerance
 	o.Progress = progress
+	o.Tracer = tracer
 	return o
+}
+
+// negfOptions lowers the configuration for the sequential solver: the
+// loop knobs plus the accelerator and the SSE kernel, when it is not the
+// default one.
+func (s *Simulation) negfOptions(progress func(IterStats) error, tracer *obs.Tracer) negf.Options {
+	o := s.loopOptions(progress, tracer)
+	o.Anderson = s.cfg.Anderson
+	switch {
+	case s.sseKernel != nil:
+		o.Kernel = s.sseKernel
+	case s.cfg.precision() == Mixed:
+		o.Kernel = sse.Mixed{Normalize: true}
+	case s.cfg.kernel() == Baseline:
+		o.Kernel = sse.OMEN{}
+	}
+	return o
+}
+
+// distOptions lowers the configuration for the distributed solver: the
+// loop knobs plus the world, the tile split and the plan.
+func (s *Simulation) distOptions(progress func(IterStats) error, tracer *obs.Tracer) dist.Options {
+	l := s.loopOptions(progress, tracer)
+	return dist.Options{
+		Ranks: s.cfg.Ranks, Ta: s.cfg.TileA, TE: s.cfg.TileE,
+		CacheMode: l.CacheMode, Store: l.Store,
+		Mixing: l.Mixing, MaxIter: l.MaxIter, Tol: l.Tol,
+		Schedule: s.cfg.schedule(), Workers: s.cfg.Workers, PipelineDepth: s.cfg.PipelineDepth,
+		Precision: s.cfg.precision(), ErrorProbe: s.cfg.ErrorProbe,
+		Progress: l.Progress, Tracer: l.Tracer,
+	}
 }
 
 // Ballistic solves the Green's functions once with zero scattering
@@ -153,9 +153,7 @@ func (c *config) negfOptions(progress func(IterStats) error) negf.Options {
 // the sequential solver — a single GF phase has no exchange to
 // distribute.
 func (s *Simulation) Ballistic() (*negf.Observables, error) {
-	no := s.cfg.negfOptions(nil)
-	no.Store = s.store
-	solver := negf.New(s.Device, no)
+	solver := negf.New(s.Device, s.negfOptions(nil, nil))
 	if err := solver.GFPhase(); err != nil {
 		return nil, fmt.Errorf("qt: %w", err)
 	}

@@ -88,7 +88,7 @@ func (sw Sweep) Run(ctx context.Context) ([]SweepPoint, error) {
 				// not the requested ones — they differ when a sentinel
 				// kept the base configuration.
 				points = append(points, SweepPoint{
-					Bias: v, Ranks: sim.cfg.ranks, Precision: sim.cfg.precision, Result: res,
+					Bias: v, Ranks: sim.Ranks(), Precision: sim.cfg.precision(), Result: res,
 				})
 				if err != nil {
 					return points, err
@@ -105,12 +105,12 @@ func (sw Sweep) Run(ctx context.Context) ([]SweepPoint, error) {
 // base options may carry — a sequential grid point must validate even
 // when the base configuration is distributed.
 func withSequential() Option {
-	return func(c *config) error {
-		c.ranks = 0
-		c.schedule = Phases
-		c.ta, c.te = 0, 0
-		c.workers = 0
-		c.errorProbe = false
+	return func(s *Simulation) error {
+		s.cfg.Ranks = 0
+		s.cfg.Schedule = ""
+		s.cfg.TileA, s.cfg.TileE = 0, 0
+		s.cfg.Workers = 0
+		s.cfg.ErrorProbe = false
 		return nil
 	}
 }

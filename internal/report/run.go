@@ -1,6 +1,7 @@
 package report
 
 import (
+	"cmp"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -164,13 +165,15 @@ func (r *Run) CSV(w io.Writer) error {
 	return nil
 }
 
-// NewRun assembles the report of a finished facade run.
-func NewRun(sim *qt.Simulation, res *qt.Result, kernel string, wallNs int64) *Run {
+// NewRun assembles the report of a finished facade run. The kernel and
+// schedule labels are the resolved configuration's, defaults spelled out.
+func NewRun(sim *qt.Simulation, res *qt.Result, wallNs int64) *Run {
 	p := sim.Device.P
+	cfg := sim.Config()
 	r := &Run{
 		Device:    NewDeviceInfo(sim.Device),
-		Kernel:    kernel,
-		Ranks:     sim.Ranks(),
+		Kernel:    cmp.Or(cfg.Precision, cfg.Kernel, qt.DataCentric.String()),
+		Ranks:     cfg.Ranks,
 		Plan:      sim.PlanString(),
 		Converged: res.Converged,
 		WallNs:    wallNs,
@@ -178,6 +181,9 @@ func NewRun(sim *qt.Simulation, res *qt.Result, kernel string, wallNs int64) *Ru
 
 		MaxTemperature: res.MaxTemperature,
 		HotSpot:        res.HotSpot,
+	}
+	if cfg.Ranks > 0 {
+		r.Schedule = cmp.Or(cfg.Schedule, qt.Phases.String())
 	}
 	obs := res.Observables
 	if obs == nil {

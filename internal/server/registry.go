@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -82,37 +83,57 @@ type Record struct {
 // Registry is the persistent run registry: an in-memory index over
 // JSON-on-disk records (one file per run under dir; dir = "" keeps it
 // memory-only, the in-process test mode). Ensemble studies live next to
-// the runs as their own record kind (study-NNNNNN.json).
+// the runs as their own record kind (study-NNNNNN.json). Both kinds are
+// one table; the exported methods are its spellings per kind, under the
+// registry's lock.
 type Registry struct {
-	mu    sync.Mutex
-	dir   string
-	recs  map[string]*Record
-	order []string // insertion order; IDs are monotonic
-	seq   int
+	mu      sync.Mutex
+	dir     string
+	runs    *table[Record]
+	studies *table[StudyRecord]
 	// traces holds the Chrome-trace artifacts of WithTrace runs, encoded
 	// JSON by run ID; the disk form is <id>.trace.json next to the record.
 	traces map[string][]byte
-
-	studies    map[string]*StudyRecord
-	studyOrder []string
-	studySeq   int
 }
 
 // OpenRegistry loads (creating if needed) the registry at dir. Runs and
 // studies still marked queued/running are relabelled lost: the process
 // that owned them is gone.
 func OpenRegistry(dir string) (*Registry, error) {
-	r := &Registry{
-		dir: dir, recs: map[string]*Record{}, traces: map[string][]byte{},
-		studies: map[string]*StudyRecord{},
+	if dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("server: registry dir: %w", err)
+		}
 	}
+	runs, err := loadTable(dir, "run-", func(r *Record) (string, *Status) { return r.ID, &r.Status })
+	if err != nil {
+		return nil, err
+	}
+	studies, err := loadTable(dir, "study-", func(r *StudyRecord) (string, *Status) { return r.ID, &r.Status })
+	if err != nil {
+		return nil, err
+	}
+	return &Registry{dir: dir, runs: runs, studies: studies, traces: map[string][]byte{}}, nil
+}
+
+// table is one kind of registry row: an index by ID, in insertion order,
+// over the <prefix>NNNNNN.json files of dir. It has no lock of its own;
+// the Registry's guards it.
+type table[T any] struct {
+	dir, prefix string
+	recs        map[string]*T
+	order       []string // insertion order; IDs are monotonic
+	seq         int
+}
+
+// loadTable indexes the records of one kind found under dir (none when
+// dir is ""). head points at a row's ID and status.
+func loadTable[T any](dir, prefix string, head func(*T) (string, *Status)) (*table[T], error) {
+	t := &table[T]{dir: dir, prefix: prefix, recs: map[string]*T{}}
 	if dir == "" {
-		return r, nil
+		return t, nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("server: registry dir: %w", err)
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "run-*.json"))
+	files, err := filepath.Glob(filepath.Join(dir, prefix+"*.json"))
 	if err != nil {
 		return nil, err
 	}
@@ -125,68 +146,106 @@ func OpenRegistry(dir string) (*Registry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: registry read %s: %w", f, err)
 		}
-		var rec Record
-		if err := json.Unmarshal(b, &rec); err != nil {
+		rec := new(T)
+		if err := json.Unmarshal(b, rec); err != nil {
 			return nil, fmt.Errorf("server: registry decode %s: %w", f, err)
 		}
-		if rec.Status == StatusQueued || rec.Status == StatusRunning {
-			rec.Status = StatusLost
-			if err := r.persist(rec.ID, &rec); err != nil {
+		id, status := head(rec)
+		if *status == StatusQueued || *status == StatusRunning {
+			*status = StatusLost
+			if err := t.persist(id, rec); err != nil {
 				return nil, err
 			}
 		}
-		r.recs[rec.ID] = &rec
-		r.order = append(r.order, rec.ID)
-		if n, err := strconv.Atoi(strings.TrimPrefix(rec.ID, "run-")); err == nil && n > r.seq {
-			r.seq = n
+		t.recs[id] = rec
+		t.order = append(t.order, id)
+		if n, err := strconv.Atoi(strings.TrimPrefix(id, prefix)); err == nil && n > t.seq {
+			t.seq = n
 		}
 	}
-	studies, err := filepath.Glob(filepath.Join(dir, "study-*.json"))
+	return t, nil
+}
+
+// newID mints the next ID of the kind (monotonic across daemon restarts).
+func (t *table[T]) newID() string {
+	t.seq++
+	return fmt.Sprintf("%s%06d", t.prefix, t.seq)
+}
+
+// put stores rec (the table's own copy) under id and persists it.
+func (t *table[T]) put(id string, rec T) error {
+	if _, ok := t.recs[id]; !ok {
+		t.order = append(t.order, id)
+	}
+	t.recs[id] = &rec
+	return t.persist(id, &rec)
+}
+
+// get returns a copy of the record.
+func (t *table[T]) get(id string) (rec T, ok bool) {
+	if p, ok := t.recs[id]; ok {
+		return *p, true
+	}
+	return rec, false
+}
+
+// list returns copies of the matching records, newest first, at most
+// limit of them (0 = unlimited).
+func (t *table[T]) list(limit int, match func(*T) bool) []T {
+	var out []T
+	for i := len(t.order) - 1; i >= 0; i-- {
+		if rec := t.recs[t.order[i]]; match(rec) {
+			out = append(out, *rec)
+			if limit > 0 && len(out) >= limit {
+				break
+			}
+		}
+	}
+	return out
+}
+
+// remove drops the record from the index and the data dir. Unknown ids
+// are a no-op.
+func (t *table[T]) remove(id string) error {
+	if _, ok := t.recs[id]; !ok {
+		return nil
+	}
+	delete(t.recs, id)
+	t.order = slices.DeleteFunc(t.order, func(o string) bool { return o == id })
+	if t.dir == "" {
+		return nil
+	}
+	if err := os.Remove(filepath.Join(t.dir, id+".json")); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("server: registry delete %s: %w", id, err)
+	}
+	return nil
+}
+
+// persist writes rec as <id>.json in the data dir; an in-memory table
+// persists nothing.
+func (t *table[T]) persist(id string, rec *T) error {
+	if t.dir == "" {
+		return nil
+	}
+	b, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	sort.Strings(studies)
-	for _, f := range studies {
-		b, err := os.ReadFile(f)
-		if err != nil {
-			return nil, fmt.Errorf("server: registry read %s: %w", f, err)
-		}
-		var rec StudyRecord
-		if err := json.Unmarshal(b, &rec); err != nil {
-			return nil, fmt.Errorf("server: registry decode %s: %w", f, err)
-		}
-		if rec.Status == StatusQueued || rec.Status == StatusRunning {
-			rec.Status = StatusLost
-			if err := r.persist(rec.ID, &rec); err != nil {
-				return nil, err
-			}
-		}
-		r.studies[rec.ID] = &rec
-		r.studyOrder = append(r.studyOrder, rec.ID)
-		if n, err := strconv.Atoi(strings.TrimPrefix(rec.ID, "study-")); err == nil && n > r.studySeq {
-			r.studySeq = n
-		}
-	}
-	return r, nil
+	return writeAtomic(filepath.Join(t.dir, id+".json"), b)
 }
 
 // NewID mints the next run ID (monotonic across daemon restarts).
 func (r *Registry) NewID() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.seq++
-	return fmt.Sprintf("run-%06d", r.seq)
+	return r.runs.newID()
 }
 
 // Put stores (a copy of) the record and persists it.
 func (r *Registry) Put(rec Record) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.recs[rec.ID]; !ok {
-		r.order = append(r.order, rec.ID)
-	}
-	r.recs[rec.ID] = &rec
-	return r.persist(rec.ID, &rec)
+	return r.runs.put(rec.ID, rec)
 }
 
 // Delete removes a record that never became a run — an admission the
@@ -195,36 +254,7 @@ func (r *Registry) Put(rec Record) error {
 func (r *Registry) Delete(id string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.recs[id]; !ok {
-		return nil
-	}
-	delete(r.recs, id)
-	for i, o := range r.order {
-		if o == id {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-	if r.dir == "" {
-		return nil
-	}
-	if err := os.Remove(filepath.Join(r.dir, id+".json")); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("server: registry delete %s: %w", id, err)
-	}
-	return nil
-}
-
-// persist writes v as <id>.json in the data dir; an in-memory registry
-// persists nothing. Callers hold r.mu or have exclusive access.
-func (r *Registry) persist(id string, v any) error {
-	if r.dir == "" {
-		return nil
-	}
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return writeAtomic(filepath.Join(r.dir, id+".json"), b)
+	return r.runs.remove(id)
 }
 
 // writeAtomic replaces path with b through a temp file and a rename, so a
@@ -279,11 +309,7 @@ func (r *Registry) GetTrace(id string) ([]byte, bool) {
 func (r *Registry) Get(id string) (Record, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rec, ok := r.recs[id]
-	if !ok {
-		return Record{}, false
-	}
-	return *rec, true
+	return r.runs.get(id)
 }
 
 // Query filters the registry; zero fields match everything.
@@ -300,28 +326,11 @@ type Query struct {
 func (r *Registry) List(q Query) []Record {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var out []Record
-	for i := len(r.order) - 1; i >= 0; i-- {
-		rec := r.recs[r.order[i]]
-		if q.Tenant != "" && rec.Tenant != q.Tenant {
-			continue
-		}
-		if q.Status != "" && rec.Status != q.Status {
-			continue
-		}
-		if q.Key != "" && rec.Key != q.Key {
-			continue
-		}
-		if q.WarmKey != "" && rec.WarmKey != q.WarmKey {
-			continue
-		}
-		if q.Study != "" && rec.Study != q.Study {
-			continue
-		}
-		out = append(out, *rec)
-		if q.Limit > 0 && len(out) >= q.Limit {
-			break
-		}
-	}
-	return out
+	return r.runs.list(q.Limit, func(rec *Record) bool {
+		return (q.Tenant == "" || rec.Tenant == q.Tenant) &&
+			(q.Status == "" || rec.Status == q.Status) &&
+			(q.Key == "" || rec.Key == q.Key) &&
+			(q.WarmKey == "" || rec.WarmKey == q.WarmKey) &&
+			(q.Study == "" || rec.Study == q.Study)
+	})
 }

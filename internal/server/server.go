@@ -421,10 +421,7 @@ func (s *Server) execute(j *job) {
 	switch {
 	case err == nil:
 		rec.Status = StatusDone
-		rep := report.NewRun(sim, res, kernelName(j.cfg), wall.Nanoseconds())
-		if j.cfg.Ranks > 0 {
-			rep.Schedule = scheduleName(j.cfg)
-		}
+		rep := report.NewRun(sim, res, wall.Nanoseconds())
 		rec.Report = rep
 		if res.Converged {
 			s.cache.Put(&cacheEntry{
@@ -451,22 +448,4 @@ func (s *Server) execute(j *job) {
 		"status", string(rec.Status), "converged", rec.Converged,
 		"iterations", rec.Iterations, "wall_ms", wall.Milliseconds(),
 		"plan", sim.PlanString())
-}
-
-// kernelName is the report label of the configuration's SSE kernel.
-func kernelName(rc qt.RunConfig) string {
-	if rc.Precision == "mixed" {
-		return "mixed"
-	}
-	if rc.Kernel != "" {
-		return rc.Kernel
-	}
-	return "dace"
-}
-
-func scheduleName(rc qt.RunConfig) string {
-	if rc.Schedule != "" {
-		return rc.Schedule
-	}
-	return "phases"
 }

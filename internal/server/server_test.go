@@ -431,12 +431,14 @@ func TestServiceRegistryAndReport(t *testing.T) {
 
 // TestNegativeKnobIsBadRequest: a negative integer knob is refused at
 // admission, not dropped as "absent" and solved as a sequential default
-// run under a 202.
+// run under a 202 — and refused in qt.NewFromConfig's own words, the
+// ones qt.New gives the same knob set by an option (the service adds no
+// validation of its own to drift from them).
 func TestNegativeKnobIsBadRequest(t *testing.T) {
 	_, ts := newService(t, Config{Slots: 1, QueueCap: 4})
-	for _, knob := range []string{`"ranks":-2`, `"workers":-1`, `"max_iterations":-1`, `"pipeline_depth":-1`} {
-		body := `{"tenant":"acme","config":{"spec":{"atoms":12,"slabs":3},` + knob + `}}`
-		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+	for _, knob := range []string{`"ranks":-2`, `"workers":-1`, `"max_iterations":-1`, `"pipeline_depth":-1`, `"tile_a":-1`, `"tolerance":-1`, `"mixing":2`} {
+		config := `{"spec":{"atoms":12,"slabs":3},` + knob + `}`
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(`{"tenant":"acme","config":`+config+`}`))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -444,6 +446,17 @@ func TestNegativeKnobIsBadRequest(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d (%s), want 400", knob, resp.StatusCode, msg)
+		}
+		var rc qt.RunConfig
+		if err := json.Unmarshal([]byte(config), &rc); err != nil {
+			t.Fatal(err)
+		}
+		var answer struct{ Error string }
+		if err := json.Unmarshal(msg, &answer); err != nil {
+			t.Fatalf("%s: %v in %s", knob, err, msg)
+		}
+		if _, err := qt.NewFromConfig(rc); err == nil || answer.Error != err.Error() {
+			t.Errorf("%s: the service answered %q, qt.NewFromConfig says %v", knob, answer.Error, err)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"slices"
 	"time"
 
@@ -52,8 +51,7 @@ type StudyRecord struct {
 func (r *Registry) NewStudyID() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.studySeq++
-	return fmt.Sprintf("study-%06d", r.studySeq)
+	return r.studies.newID()
 }
 
 // PutStudy stores a copy of the study record and persists it. The copy
@@ -63,22 +61,14 @@ func (r *Registry) PutStudy(rec StudyRecord) error {
 	rec.MemberRuns = slices.Clone(rec.MemberRuns)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.studies[rec.ID]; !ok {
-		r.studyOrder = append(r.studyOrder, rec.ID)
-	}
-	r.studies[rec.ID] = &rec
-	return r.persist(rec.ID, &rec)
+	return r.studies.put(rec.ID, rec)
 }
 
 // GetStudy returns a copy of the study record.
 func (r *Registry) GetStudy(id string) (StudyRecord, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rec, ok := r.studies[id]
-	if !ok {
-		return StudyRecord{}, false
-	}
-	return *rec, true
+	return r.studies.get(id)
 }
 
 // StudyQuery filters the study listing; zero fields match everything.
@@ -92,19 +82,8 @@ type StudyQuery struct {
 func (r *Registry) ListStudies(q StudyQuery) []StudyRecord {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var out []StudyRecord
-	for i := len(r.studyOrder) - 1; i >= 0; i-- {
-		rec := r.studies[r.studyOrder[i]]
-		if q.Tenant != "" && rec.Tenant != q.Tenant {
-			continue
-		}
-		if q.Status != "" && rec.Status != q.Status {
-			continue
-		}
-		out = append(out, *rec)
-		if q.Limit > 0 && len(out) >= q.Limit {
-			break
-		}
-	}
-	return out
+	return r.studies.list(q.Limit, func(rec *StudyRecord) bool {
+		return (q.Tenant == "" || rec.Tenant == q.Tenant) &&
+			(q.Status == "" || rec.Status == q.Status)
+	})
 }
