@@ -13,7 +13,7 @@ import (
 	"repro/internal/sse"
 )
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: the SSE
+// Ablation benchmarks for the paper's design choices: the SSE
 // schedule (regrouped transients vs naive), the atom-level parallelism,
 // the boundary-condition caching of §7.1.2, and the RGF-vs-dense solver
 // crossover that motivates the recursive algorithm.

@@ -1,12 +1,14 @@
 // Command paperbench regenerates every table and figure of the paper's
 // evaluation section, printing the same rows/series the paper reports.
+// It is the only program that does.
 //
 // Analytic artifacts (Tables 3–5, 11–12, Figs 8–10, the §6.1.2 worked
 // example, §7.1.1 ingestion) are evaluated at paper scale from the
 // performance model. Measured artifacts (Tables 6–10, Fig 7, Fig 11,
 // measured communication volumes) execute the real kernels on scaled-down
-// synthetic devices — see DESIGN.md §2 for the substitution rules and
-// EXPERIMENTS.md for paper-vs-reproduction numbers.
+// synthetic devices: counts (flops, bytes, messages) depend only on the
+// tensor shapes and are exact, timings are this host's (see the
+// internal/device package doc for why the substitution is faithful).
 //
 // Usage:
 //

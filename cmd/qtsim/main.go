@@ -9,8 +9,9 @@
 // phases|overlap|pipeline and -depth for the pipelined window), and
 // -kernel selects the SSE variant. -autoplan calibrates a cost model on
 // a short probe run and picks the plan — schedule, workers, pipeline
-// depth — automatically; the resolved plan prints in the report header. -format text|json|csv selects the report encoding (the
-// machine-readable forms share the distsim schema via internal/report).
+// depth — automatically; the resolved plan prints in the report header.
+// -format text|json|csv selects the report encoding (internal/report,
+// keyed on the facade's unified per-iteration telemetry schema).
 //
 // Device-zoo runs load a declarative disorder profile with -profile
 // FILE (JSON device.Profile: regions, gates, doping, vacancies, strain)

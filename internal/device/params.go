@@ -12,7 +12,10 @@
 // kz/qz phases for the homogeneous z-direction, and an acoustic-sum-rule
 // dynamical matrix. All algorithmic behaviour studied in the paper depends
 // on these structural properties and the tensor shapes, not on chemistry,
-// which is what makes the substitution faithful (see DESIGN.md §2).
+// which is what makes the substitution faithful: every count the paper
+// reports (flops, bytes moved, messages) is a function of the shapes, so
+// it is measured here exactly, while wall times are measured at scaled-down
+// sizes and paper-scale numbers come from the analytic model.
 package device
 
 import (

@@ -20,8 +20,9 @@ import (
 // phase-barrier one: the fast ranks' exchange posts and collision
 // partials hide behind the slow ranks' remaining solves instead of idling
 // at the barrier, and the worker pool exploits the per-rank point
-// parallelism the graph exposes. cmd/distsim -mode overlap prints the
-// same comparison next to the internal/stream prediction.
+// parallelism the graph exposes. The benchmark's dist_schedules workload
+// (bench/) times the same comparison end to end (dist.*_iter_ms_p50) and
+// scores the cost model's prediction against it (plan.predict_err_pct).
 func benchDevice(b *testing.B) *device.Device {
 	b.Helper()
 	p := device.TestParams(12, 3, 2)

@@ -168,8 +168,8 @@ func (s *PointSolver) scatterPiRetarded(a *blocktri.Matrix, iq, m int) {
 
 // scatterPiInjections adds the Π≷_S blocks into the block-diagonal RGF
 // injections. Same-slab neighbour blocks are included; the few cross-slab
-// injection blocks are outside the block-diagonal form the lesser
-// recursion consumes and are dropped (see DESIGN.md §5).
+// injection blocks are dropped: rgf.Problem carries Σ≷ as one block per
+// slab, so the lesser recursion has no slot for an off-diagonal injection.
 func (s *PointSolver) scatterPiInjections(sigL, sigG []*linalg.Matrix, iq, m int) {
 	p := s.Dev.P
 	rows := p.AtomsPerSlab()

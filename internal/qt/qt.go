@@ -25,8 +25,8 @@
 // self-consistent iterations through the context, and streams one
 // IterStats per iteration (the unified telemetry schema shared by the
 // sequential and distributed solvers) while it executes. The Sweep
-// driver fans one Spec across bias/world-size/precision grids for I-V
-// curves and scaling studies.
+// driver fans one Spec across bias/world-size grids for I-V curves and
+// scaling studies.
 package qt
 
 import (
@@ -122,7 +122,7 @@ func (s Spec) params() device.Params {
 
 // Build validates the (defaulted) spec and constructs the synthetic
 // device — the entry point for exchange-level tools that drive the
-// lower layers directly (cmd/commsim, the scaling example) but share
+// lower layers directly (paperbench's measured tables) but share
 // the facade's structure definition. When the spec carries a Profile,
 // the realization it names (profile, disorder seed) is lowered onto the
 // device before it is returned.

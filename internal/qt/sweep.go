@@ -6,11 +6,10 @@ import (
 )
 
 // Sweep fans one Spec across experiment grids — the driver behind I-V
-// curves (Bias axis), strong-scaling studies (Ranks axis) and precision
-// comparisons (Precisions axis). Empty axes keep the base value, so the
-// zero Sweep with just a Spec runs a single point. Points execute
-// sequentially in deterministic axis order (bias, then ranks, then
-// precision); each distributed point already parallelizes internally.
+// curves (Bias axis) and strong-scaling studies (Ranks axis). Empty axes
+// keep the base value, so the zero Sweep with just a Spec runs a single
+// point. Points execute sequentially in deterministic axis order (bias,
+// then ranks); each distributed point already parallelizes internally.
 type Sweep struct {
 	Spec Spec
 	// Options apply to every point, before the axis options.
@@ -22,16 +21,13 @@ type Sweep struct {
 	// overriding any WithRanks in Options; empty keeps the base
 	// configuration.
 	Ranks []int
-	// Precisions values for WithPrecision; empty keeps the base.
-	Precisions []Precision
 }
 
 // SweepPoint is one grid point's outcome.
 type SweepPoint struct {
-	Bias      float64   `json:"bias"`
-	Ranks     int       `json:"ranks"` // 0 = sequential solver
-	Precision Precision `json:"precision"`
-	Result    *Result   `json:"result"`
+	Bias   float64 `json:"bias"`
+	Ranks  int     `json:"ranks"` // 0 = sequential solver
+	Result *Result `json:"result"`
 }
 
 // Run executes the grid. The context cancels between iterations of the
@@ -52,47 +48,36 @@ func (sw Sweep) Run(ctx context.Context) ([]SweepPoint, error) {
 	if len(ranks) == 0 {
 		ranks = []int{-1} // sentinel: keep the base options' solver choice
 	}
-	precs := sw.Precisions
-	if len(precs) == 0 {
-		precs = []Precision{-1}
-	}
 
 	var points []SweepPoint
 	for _, v := range biases {
 		for _, p := range ranks {
-			for _, pr := range precs {
-				if err := ctx.Err(); err != nil {
-					return points, err
-				}
-				opts := append([]Option{}, sw.Options...)
-				opts = append(opts, WithBias(v))
-				switch {
-				case p == 0:
-					opts = append(opts, withSequential())
-				case p > 0:
-					opts = append(opts, WithRanks(p))
-				}
-				if pr >= 0 {
-					opts = append(opts, WithPrecision(pr))
-				}
-				sim, err := New(base, opts...)
-				if err != nil {
-					return points, fmt.Errorf("sweep point (bias=%g, P=%d): %w", v, max(p, 0), err)
-				}
-				run, err := sim.Start(ctx)
-				if err != nil {
-					return points, err
-				}
-				res, err := run.Wait()
-				// Record the effective axes the point actually ran with,
-				// not the requested ones — they differ when a sentinel
-				// kept the base configuration.
-				points = append(points, SweepPoint{
-					Bias: v, Ranks: sim.Ranks(), Precision: sim.cfg.precision(), Result: res,
-				})
-				if err != nil {
-					return points, err
-				}
+			if err := ctx.Err(); err != nil {
+				return points, err
+			}
+			opts := append([]Option{}, sw.Options...)
+			opts = append(opts, WithBias(v))
+			switch {
+			case p == 0:
+				opts = append(opts, withSequential())
+			case p > 0:
+				opts = append(opts, WithRanks(p))
+			}
+			sim, err := New(base, opts...)
+			if err != nil {
+				return points, fmt.Errorf("sweep point (bias=%g, P=%d): %w", v, max(p, 0), err)
+			}
+			run, err := sim.Start(ctx)
+			if err != nil {
+				return points, err
+			}
+			res, err := run.Wait()
+			// Record the effective world size the point actually ran
+			// with, not the requested one — they differ when the
+			// sentinel kept the base configuration.
+			points = append(points, SweepPoint{Bias: v, Ranks: sim.Ranks(), Result: res})
+			if err != nil {
+				return points, err
 			}
 		}
 	}

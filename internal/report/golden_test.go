@@ -57,45 +57,6 @@ func fixedRun() *Run {
 	}
 }
 
-func fixedScaling() *Scaling {
-	return &Scaling{
-		Meta: Meta{
-			Atoms: 12, Slabs: 3, Orbitals: 2,
-			MomentumPoints: 3, EnergyPoints: 8, PhononModes: 3,
-			Iterations: 2, Workers: 2, Precision: "mixed",
-		},
-		Strong: []ScaleRow{
-			{
-				Sweep: "strong", P: 1, Ta: 1, TE: 1, Precision: "mixed",
-				Current: 1.154413e-07, SSEMeasBytes: 0, SSEModelBytes: 846_721,
-				Ratio: 0, ReduceBytes: 0, WallNs: 30_000_000, RelVsSeq: 0,
-				SigmaErr: 5.2e-04,
-			},
-			{
-				Sweep: "strong", P: 2, Ta: 1, TE: 2, Precision: "mixed",
-				Current: 1.154414e-07, SSEMeasBytes: 206_208, SSEModelBytes: 445_824,
-				Ratio: 0.4625, ReduceBytes: 960, WallNs: 62_839_685, RelVsSeq: 1.397e-06,
-				FP64SSEBytes: 789_504, VolumeRatio: 3.8287, SigmaErr: 5.25e-04,
-			},
-		},
-		Weak: []ScaleRow{
-			{
-				Sweep: "weak", P: 2, Ta: 1, TE: 2, Precision: "fp64",
-				Current: 1.924537e-01, SSEMeasBytes: 814_080, SSEModelBytes: 1_693_442,
-				Ratio: 0.4807, ReduceBytes: 1_216, WallNs: 68_000_000, RelVsSeq: -1,
-			},
-		},
-		Overlap: []OverlapRow{
-			{
-				P: 2, Workers: 2, PhasesWallNs: 39_392_373, OverlapWallNs: 37_605_055,
-				Speedup: 1.0475, ComputeNs: 19_191_249, CommNs: 14_790_000,
-				StreamPredGain: 1.694, MaxRelDiff: 0,
-			},
-		},
-		AlltoallvPerIter: 4,
-	}
-}
-
 func fixedEnsemble() *Ensemble {
 	return &Ensemble{
 		Device: DeviceInfo{
@@ -130,7 +91,6 @@ func TestGolden(t *testing.T) {
 		rep  Encoder
 	}{
 		{"run", fixedRun()},
-		{"scaling", fixedScaling()},
 		{"ensemble", fixedEnsemble()},
 	}
 	for _, c := range cases {
@@ -169,21 +129,5 @@ func TestParseFormat(t *testing.T) {
 	}
 	if _, err := ParseFormat("yaml"); err == nil {
 		t.Error("ParseFormat must reject unknown formats")
-	}
-}
-
-func TestPerIter(t *testing.T) {
-	agg := PerIter(fixedTrace())
-	if agg.SSEBytes != 789504 || agg.ReduceBytes != 960 {
-		t.Errorf("byte means wrong: %+v", agg)
-	}
-	if agg.WallNs != 60_000_000 {
-		t.Errorf("wall mean = %d, want 60ms", agg.WallNs)
-	}
-	if agg.MaxSigmaErr != 5.25e-04 {
-		t.Errorf("max sigma err = %g", agg.MaxSigmaErr)
-	}
-	if zero := PerIter(nil); zero != (PerIterAgg{}) {
-		t.Errorf("empty trace must aggregate to zero, got %+v", zero)
 	}
 }

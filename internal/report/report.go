@@ -1,8 +1,8 @@
-// Package report renders experiment results — the qt facade's unified
-// per-iteration telemetry schema and the aggregate rows of the scaling
-// studies — as human tables (text), machine-readable JSON, or CSV. The
-// encoders were extracted from cmd/distsim so every driver shares one
-// set of formats keyed on one schema.
+// Package report renders experiment results — a facade run keyed on the
+// qt facade's unified per-iteration telemetry schema, and an ensemble
+// reduction — as human tables (text), machine-readable JSON, or CSV, so
+// qtsim, qtd and the examples share one set of formats keyed on one
+// schema.
 package report
 
 import (
@@ -10,9 +10,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"time"
-
-	"repro/internal/qt"
 )
 
 // Format selects an output encoding.
@@ -98,43 +95,6 @@ func Write(w io.Writer, f Format, r Encoder) error {
 	}
 }
 
-// PerIterAgg aggregates a run's trace into per-iteration means (and the
-// worst quantization deviation) — the normalized view the scaling rows
-// report.
-type PerIterAgg struct {
-	SSEBytes    int64
-	ReduceBytes int64
-	WallNs      int64
-	ComputeNs   int64
-	CommNs      int64
-	MaxSigmaErr float64
-}
-
-// PerIter reduces a unified-schema trace into per-iteration averages.
-func PerIter(trace []qt.IterStats) PerIterAgg {
-	var a PerIterAgg
-	if len(trace) == 0 {
-		return a
-	}
-	for _, it := range trace {
-		a.SSEBytes += it.SSEBytes
-		a.ReduceBytes += it.ReduceBytes
-		a.WallNs += it.WallNs
-		a.ComputeNs += it.ComputeNs
-		a.CommNs += it.CommNs
-		if it.SigmaErr > a.MaxSigmaErr {
-			a.MaxSigmaErr = it.SigmaErr
-		}
-	}
-	n := int64(len(trace))
-	a.SSEBytes /= n
-	a.ReduceBytes /= n
-	a.WallNs /= n
-	a.ComputeNs /= n
-	a.CommNs /= n
-	return a
-}
-
 // FmtBytes renders a byte count with binary-prefix units.
 func FmtBytes(b int64) string {
 	switch {
@@ -152,4 +112,3 @@ func FmtBytes(b int64) string {
 func itoa(v int) string     { return strconv.Itoa(v) }
 func itoa64(v int64) string { return strconv.FormatInt(v, 10) }
 func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-func durms(ns int64) string { return time.Duration(ns).Round(time.Millisecond).String() }
