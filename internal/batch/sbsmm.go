@@ -5,8 +5,11 @@
 // The SSE self-energies accumulate products of Norb×Norb matrices (Norb is
 // 10–25). Vendor batched-GEMM libraries pad such tiny operands to tile
 // sizes tuned for large problems, so only ~6% of the executed flops are
-// useful. SBSMM multiplies the exact sizes with a register-blocked inner
-// kernel; a "vendor-style" padded variant is provided as the baseline, and
+// useful. SBSMM multiplies the exact sizes: SBSMM, SBSMMFixedA and
+// SBSMMFixedB are shape-checked callers of linalg.SmallBatch, one
+// strided-batch kernel (AVX2 on capable amd64 hosts, a portable loop
+// elsewhere, bitwise equal) that vectorises each output row across its
+// columns. A "vendor-style" padded variant is provided as the baseline, and
 // a half-precision variant models the Tensor-Core path (fp16 inputs with
 // normalization, fp64 accumulation).
 package batch
@@ -26,43 +29,15 @@ const PadSize = 16
 // SBSMM computes C[t] += A[t]·B[t] for t in [0, count): a strided batch of
 // n×n complex multiplications. The three buffers hold count matrices of
 // n*n elements each, contiguously ("constant stride" layout from Fig. 6).
-// The batch is split across GOMAXPROCS goroutines.
+// Each row of C[t] adds a_ik·row_k(B[t]) for ascending k, skipping an a_ik
+// of zero (linalg.SmallBatch's accumulate contract). The batch is split
+// across GOMAXPROCS goroutines.
 func SBSMM(c, a, b []complex128, n, count int) {
 	checkLen("SBSMM", c, a, b, n, count)
-	forChunks(count, func(lo, hi int) {
-		stride := n * n
-		for t := lo; t < hi; t++ {
-			mulAddSmall(c[t*stride:(t+1)*stride], a[t*stride:(t+1)*stride], b[t*stride:(t+1)*stride], n)
-		}
-	})
-}
-
-// SBSMMSeq is the single-goroutine version of SBSMM, used when the caller
-// already parallelizes at an outer level (the SSE kernel parallelizes over
-// energy-momentum pairs).
-func SBSMMSeq(c, a, b []complex128, n, count int) {
-	checkLen("SBSMMSeq", c, a, b, n, count)
 	stride := n * n
-	for t := 0; t < count; t++ {
-		mulAddSmall(c[t*stride:(t+1)*stride], a[t*stride:(t+1)*stride], b[t*stride:(t+1)*stride], n)
-	}
-}
-
-// mulAddSmall computes C += A·B for n×n row-major matrices, ikj order.
-func mulAddSmall(c, a, b []complex128, n int) {
-	for i := 0; i < n; i++ {
-		crow := c[i*n : (i+1)*n : (i+1)*n]
-		arow := a[i*n : (i+1)*n : (i+1)*n]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b[k*n : (k+1)*n : (k+1)*n]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
+	forChunks(count, func(lo, hi int) {
+		linalg.SmallBatch(c[lo*stride:hi*stride], a[lo*stride:hi*stride], b[lo*stride:hi*stride], n, hi-lo, stride, stride, true)
+	})
 }
 
 // SBSMMPadded is the vendor-library baseline: each n×n operand is copied
@@ -216,18 +191,16 @@ func forChunks(count int, f func(lo, hi int)) {
 }
 
 // SBSMMFixedB computes C[t] += A[t]·B for t in [0, count) where B is a
-// single fixed n×n matrix shared by the whole batch. This is the SSE
-// stage-❸ shape: the energy-batched transients multiply the same ∇jH
-// coupling block. Sequential; callers parallelize at the atom level.
+// single fixed n×n matrix shared by the whole batch, in SBSMM's order and
+// with its zero skip. This is the SSE stage-❸ shape: the energy-batched
+// transients multiply the same ∇jH coupling block. Sequential; callers
+// parallelize at the atom level.
 func SBSMMFixedB(c, a []complex128, b []complex128, n, count int) {
 	want := n * n * count
 	if len(a) != want || len(c) != want || len(b) != n*n {
 		panic("batch: SBSMMFixedB buffer length mismatch")
 	}
-	stride := n * n
-	for t := 0; t < count; t++ {
-		mulAddSmall(c[t*stride:(t+1)*stride], a[t*stride:(t+1)*stride], b, n)
-	}
+	linalg.SmallBatch(c, a, b, n, count, n*n, 0, true)
 }
 
 // SBSMMFixedA computes C[t] = A·B[t] for t in [0, count) where A is a
@@ -236,29 +209,14 @@ func SBSMMFixedB(c, a []complex128, b []complex128, n, count int) {
 // the G≷ blocks of one atom along the energy axis, which the
 // [kz, E, atom] tensor layout spaces Na·n² apart. C is dense (stride n²)
 // and overwritten. Every element accumulates its n products in ascending
-// order from +0, the rounding sequence of linalg.GEMM(1, A, B[t], 0, C[t])
-// for finite A: GEMM's 1·A differs from A only in the signs of zeros, which
-// a sum that starts at +0 cannot observe. Sequential; callers parallelize
-// at the atom level.
+// order from +0 with no zero skip, the rounding sequence of
+// linalg.GEMM(1, A, B[t], 0, C[t]) for finite A: GEMM's 1·A differs from A
+// only in the signs of zeros, which a sum that starts at +0 cannot observe.
+// Sequential; callers parallelize at the atom level.
 func SBSMMFixedA(c, a, b []complex128, n, count, bStride int) {
 	stride := n * n
 	if len(a) != stride || len(c) != stride*count || (count > 0 && len(b) < (count-1)*bStride+stride) {
 		panic("batch: SBSMMFixedA buffer length mismatch")
 	}
-	for t := 0; t < count; t++ {
-		bt := b[t*bStride : t*bStride+stride : t*bStride+stride]
-		ct := c[t*stride : (t+1)*stride : (t+1)*stride]
-		for i := 0; i < n; i++ {
-			crow := ct[i*n : (i+1)*n : (i+1)*n]
-			for j := range crow {
-				crow[j] = 0
-			}
-			for p, av := range a[i*n : (i+1)*n] {
-				brow := bt[p*n : (p+1)*n : (p+1)*n]
-				for j, bv := range brow {
-					crow[j] += av * bv
-				}
-			}
-		}
-	}
+	linalg.SmallBatch(c, a, b, n, count, 0, bStride, false)
 }

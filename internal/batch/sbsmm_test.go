@@ -72,20 +72,6 @@ func TestSBSMMAccumulates(t *testing.T) {
 	}
 }
 
-func TestSBSMMSeqEqualsParallel(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n, count := 12, 128
-	a := randomBatch(rng, n, count, 1)
-	b := randomBatch(rng, n, count, 1)
-	c1 := make([]complex128, len(a))
-	c2 := make([]complex128, len(a))
-	SBSMM(c1, a, b, n, count)
-	SBSMMSeq(c2, a, b, n, count)
-	if d := maxDiff(c1, c2); d != 0 {
-		t.Fatalf("parallel and sequential differ by %g", d)
-	}
-}
-
 func TestSBSMMPaddedMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, n := range []int{1, 5, 12, 16} {
@@ -186,7 +172,7 @@ func TestSBSMMHalfErrorBoundVsSeq(t *testing.T) {
 		a := randomBatch(rng, tc.n, tc.count, tc.scale)
 		b := randomBatch(rng, tc.n, tc.count, tc.scale)
 		want := make([]complex128, len(a))
-		SBSMMSeq(want, a, b, tc.n, tc.count)
+		SBSMM(want, a, b, tc.n, tc.count)
 
 		got := make([]complex128, len(a))
 		SBSMMHalf(got, EncodeHalf(a, tc.n, tc.count), EncodeHalf(b, tc.n, tc.count))
@@ -265,22 +251,50 @@ func TestLengthValidation(t *testing.T) {
 	SBSMM(make([]complex128, 3), make([]complex128, 4), make([]complex128, 4), 2, 1)
 }
 
+// TestSBSMMFixedBMatchesReference pins stage ❸ bit for bit against the
+// accumulate contract written out: C += A[t]·B in ikj order, an a_ik of
+// zero skipped. Seeded −0 in C, zeros in A and an Inf and a NaN in B are
+// the inputs on which skipping and not skipping round differently.
 func TestSBSMMFixedBMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	n, count := 5, 17
-	a := randomBatch(rng, n, count, 1)
-	b := randomBatch(rng, n, 1, 1)
-	c := make([]complex128, n*n*count)
-	SBSMMFixedB(c, a, b, n, count)
-	// Reference: replicate B across the batch and use SBSMM.
-	bRep := make([]complex128, n*n*count)
-	for i := 0; i < count; i++ {
-		copy(bRep[i*n*n:(i+1)*n*n], b)
-	}
-	want := make([]complex128, n*n*count)
-	SBSMM(want, a, bRep, n, count)
-	if d := maxDiff(c, want); d != 0 {
-		t.Fatalf("SBSMMFixedB differs by %g", d)
+	negZero := complex(math.Copysign(0, -1), math.Copysign(0, -1))
+	for _, n := range []int{2, 3, 5} {
+		count := 17
+		a := randomBatch(rng, n, count, 1)
+		b := randomBatch(rng, n, 1, 1)
+		c := randomBatch(rng, n, count, 1)
+		for i := range a {
+			switch rng.Intn(6) {
+			case 0:
+				a[i] = 0
+			case 1:
+				c[i] = negZero
+			}
+		}
+		b[0], b[len(b)-1] = complex(math.Inf(-1), 1), complex(0, math.NaN())
+		want := append([]complex128(nil), c...)
+		SBSMMFixedB(c, a, b, n, count)
+		for tt := 0; tt < count; tt++ {
+			at, ct := a[tt*n*n:(tt+1)*n*n], want[tt*n*n:(tt+1)*n*n]
+			for i := 0; i < n; i++ {
+				for k := 0; k < n; k++ {
+					if av := at[i*n+k]; av != 0 {
+						for j := 0; j < n; j++ {
+							ct[i*n+j] += av * b[k*n+j]
+						}
+					}
+				}
+			}
+		}
+		same := func(x, y float64) bool {
+			return math.Float64bits(x) == math.Float64bits(y) || math.IsNaN(x) && math.IsNaN(y)
+		}
+		for e, w := range want {
+			g := c[e]
+			if !same(real(g), real(w)) || !same(imag(g), imag(w)) {
+				t.Fatalf("n=%d elem %d: SBSMMFixedB gives %v, the skip-zero ikj sum %v", n, e, g, w)
+			}
+		}
 	}
 }
 

@@ -108,3 +108,19 @@ func sumMul3x4(acc *[12]complex128, x0, x1, x2, y []complex128, k, n int) {
 	}
 	sumMul3x4Go(acc, x0, x1, x2, y, k, n)
 }
+
+//go:noescape
+func smallBatchAVX2(c, a, b *complex128, n, count, aStride, bStride, acc int)
+
+// smallBatch runs SmallBatch's shape-checked body (n, count ≥ 1).
+func smallBatch(c, a, b []complex128, n, count, aStride, bStride int, acc bool) {
+	if haveAVX2 {
+		mode := 0
+		if acc {
+			mode = 1
+		}
+		smallBatchAVX2(&c[0], &a[0], &b[0], n, count, aStride, bStride, mode)
+		return
+	}
+	smallBatchGo(c, a, b, n, count, aStride, bStride, acc)
+}

@@ -340,3 +340,187 @@ loop5:
 
 	VZEROUPPER
 	RET
+
+// MADDY(ar, ai, acc): acc += a·b for the complex a at ar/ai and the two
+// complex b in Y12 (Y13 pair-swapped), the micro-kernel's no-FMA sequence
+// per lane.
+#define MADDY(ar, ai, acc) \
+	VBROADCASTSD ar, Y8; \
+	VBROADCASTSD ai, Y9; \
+	VMULPD       Y12, Y8, Y14; \
+	VMULPD       Y13, Y9, Y15; \
+	VADDSUBPD    Y15, Y14, Y14; \
+	VADDPD       Y14, acc, acc
+
+// MADDX(ar, ai, acc): MADDY for the one complex b in X12 (X13 swapped).
+#define MADDX(ar, ai, acc) \
+	VMOVDDUP  ar, X8; \
+	VMOVDDUP  ai, X9; \
+	VMULPD    X12, X8, X14; \
+	VMULPD    X13, X9, X15; \
+	VADDSUBPD X15, X14, X14; \
+	VADDPD    X14, acc, acc
+
+// SKIPZERO(ar, ai, to): jump to to when the complex at ar/ai is ±0 in both
+// parts — the OR of the two words with its sign bit shifted out is zero.
+#define SKIPZERO(ar, ai, to) \
+	MOVQ ar, R11; \
+	ORQ  ai, R11; \
+	ADDQ R11, R11; \
+	JZ   to
+
+// func smallBatchAVX2(c, a, b *complex128, n, count, aStride, bStride, acc int)
+//
+// For t in [0, count): C[t] = A[t]·B[t] (acc = 0) or C[t] += A[t]·B[t]
+// (acc ≠ 0), n×n row-major blocks, A[t] at a + t·aStride, B[t] at
+// b + t·bStride, C[t] at c + t·n² (strides in elements; n, count ≥ 1).
+// Rows go in pairs, and each pair in column slices of two complex (one
+// ymm) plus a one-complex xmm slice for odd n: a slice starts from +0 or
+// from C and adds a_ip·B[t][p][slice] for ascending p, so every element
+// sees the roundings of smallBatchGo, while the pair shares each B load.
+// For odd n the last row is paired with itself: both halves compute the
+// same bits and store them to the same place. With acc ≠ 0 an a_ip of ±0
+// contributes nothing, smallBatchGo's av == 0 skip.
+//
+// Registers: DI the C element being written (C is dense, so it only
+// advances), SI/DX the blocks A[t]/B[t], R9 blocks left, R12 the row
+// length in bytes, AX the pair's first row of A[t], R10 the distance to
+// its second row (R12, or 0 when paired with itself), BX rows left, CX
+// slices left, R13 the slice's top in B[t], R14/R15 the a_ip and B[t]
+// slice of step p, R8 steps left, R11 scratch.
+TEXT ·smallBatchAVX2(SB), NOSPLIT, $0-64
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ count+32(FP), R9
+	MOVQ n+24(FP), R12
+	SHLQ $4, R12
+
+block6:
+	MOVQ SI, AX
+	MOVQ n+24(FP), BX
+
+pair6:
+	MOVQ R12, R10
+	CMPQ BX, $1
+	JNE  rows6
+	XORQ R10, R10
+
+rows6:
+	MOVQ DX, R13
+	MOVQ n+24(FP), CX
+	SHRQ $1, CX
+	JZ   tail6
+
+slice6:
+	MOVQ AX, R14
+	MOVQ R13, R15
+	MOVQ n+24(FP), R8
+	CMPQ acc+56(FP), $0
+	JEQ  sety6
+	VMOVUPD (DI), Y0
+	VMOVUPD (DI)(R10*1), Y1
+
+skipy6:
+	VMOVUPD   (R15), Y12
+	VPERMILPD $0x5, Y12, Y13
+	SKIPZERO((R14), 8(R14), oney6)
+	MADDY((R14), 8(R14), Y0)
+
+oney6:
+	SKIPZERO((R14)(R10*1), 8(R14)(R10*1), nexty6)
+	MADDY((R14)(R10*1), 8(R14)(R10*1), Y1)
+
+nexty6:
+	ADDQ $16, R14
+	ADDQ R12, R15
+	DECQ R8
+	JNZ  skipy6
+	JMP  storey6
+
+sety6:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+
+ally6:
+	VMOVUPD   (R15), Y12
+	VPERMILPD $0x5, Y12, Y13
+	MADDY((R14), 8(R14), Y0)
+	MADDY((R14)(R10*1), 8(R14)(R10*1), Y1)
+	ADDQ      $16, R14
+	ADDQ      R12, R15
+	DECQ      R8
+	JNZ       ally6
+
+storey6:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, (DI)(R10*1)
+	ADDQ    $32, DI
+	ADDQ    $32, R13
+	DECQ    CX
+	JNZ     slice6
+
+tail6:
+	MOVQ  n+24(FP), R8
+	TESTQ $1, R8
+	JZ    next6
+	MOVQ  AX, R14
+	MOVQ  R13, R15
+	CMPQ  acc+56(FP), $0
+	JEQ   setx6
+	VMOVUPD (DI), X0
+	VMOVUPD (DI)(R10*1), X1
+
+skipx6:
+	VMOVUPD   (R15), X12
+	VPERMILPD $0x1, X12, X13
+	SKIPZERO((R14), 8(R14), onex6)
+	MADDX((R14), 8(R14), X0)
+
+onex6:
+	SKIPZERO((R14)(R10*1), 8(R14)(R10*1), nextx6)
+	MADDX((R14)(R10*1), 8(R14)(R10*1), X1)
+
+nextx6:
+	ADDQ $16, R14
+	ADDQ R12, R15
+	DECQ R8
+	JNZ  skipx6
+	JMP  storex6
+
+setx6:
+	VXORPD X0, X0, X0
+	VXORPD X1, X1, X1
+
+allx6:
+	VMOVUPD   (R15), X12
+	VPERMILPD $0x1, X12, X13
+	MADDX((R14), 8(R14), X0)
+	MADDX((R14)(R10*1), 8(R14)(R10*1), X1)
+	ADDQ      $16, R14
+	ADDQ      R12, R15
+	DECQ      R8
+	JNZ       allx6
+
+storex6:
+	VMOVUPD X0, (DI)
+	VMOVUPD X1, (DI)(R10*1)
+	ADDQ    $16, DI
+
+next6:
+	ADDQ R10, DI
+	LEAQ (AX)(R12*2), AX
+	SUBQ $2, BX
+	JG   pair6
+
+	MOVQ aStride+40(FP), R11
+	SHLQ $4, R11
+	ADDQ R11, SI
+	MOVQ bStride+48(FP), R11
+	SHLQ $4, R11
+	ADDQ R11, DX
+	DECQ R9
+	JNZ  block6
+
+	VZEROUPPER
+	RET

@@ -23,3 +23,8 @@ func vecAddMul(dst, src []complex128, s complex128) { vecAddMulGo(dst, src, s) }
 func sumMul3x4(acc *[12]complex128, x0, x1, x2, y []complex128, k, n int) {
 	sumMul3x4Go(acc, x0, x1, x2, y, k, n)
 }
+
+// smallBatch runs SmallBatch's shape-checked body.
+func smallBatch(c, a, b []complex128, n, count, aStride, bStride int, acc bool) {
+	smallBatchGo(c, a, b, n, count, aStride, bStride, acc)
+}

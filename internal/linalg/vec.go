@@ -40,6 +40,55 @@ func SumMul3x4(acc *[12]complex128, x0, x1, x2, y []complex128, k, n int) {
 	sumMul3x4(acc, x0, x1, x2, y, k, n)
 }
 
+// SmallBatch multiplies a strided batch of n×n row-major blocks, the SBSMM
+// of the SSE tile: for t in [0, count), C[t] = A[t]·B[t] with A[t] starting
+// t·aStride elements into a, B[t] t·bStride elements into b and C[t] t·n²
+// elements into c. A stride of 0 shares one block across the batch. Row i
+// of C[t] is formed in row-panel order: it starts from +0, or from its
+// current value when acc is set, and adds a_ip·row_p(B[t]) for ascending p.
+// The two modes are two rounding contracts. Without acc every product is
+// added, the sequence of GEMM(1, A, B, 0, C). With acc, a product whose
+// a_ip is zero is skipped, so a −0 in C or an Inf or NaN in B facing a zero
+// of A survives. C must not overlap A or B.
+func SmallBatch(c, a, b []complex128, n, count, aStride, bStride int, acc bool) {
+	bl := n * n
+	if n < 0 || count < 0 || aStride < 0 || bStride < 0 || len(c) < count*bl ||
+		count > 0 && (len(a) < (count-1)*aStride+bl || len(b) < (count-1)*bStride+bl) {
+		panic("linalg: SmallBatch operands shorter than n=" + itoa(n) + " count=" + itoa(count) +
+			" strides " + itoa(aStride) + "/" + itoa(bStride))
+	}
+	if n == 0 || count == 0 {
+		return
+	}
+	smallBatch(c, a, b, n, count, aStride, bStride, acc)
+}
+
+// smallBatchGo is the portable SmallBatch.
+func smallBatchGo(c, a, b []complex128, n, count, aStride, bStride int, acc bool) {
+	bl := n * n
+	for t := 0; t < count; t++ {
+		at := a[t*aStride : t*aStride+bl : t*aStride+bl]
+		bt := b[t*bStride : t*bStride+bl : t*bStride+bl]
+		for i := 0; i < n; i++ {
+			crow := c[t*bl+i*n : t*bl+(i+1)*n : t*bl+(i+1)*n]
+			if !acc {
+				for j := range crow {
+					crow[j] = 0
+				}
+			}
+			for p, av := range at[i*n : (i+1)*n] {
+				if acc && av == 0 {
+					continue
+				}
+				brow := bt[p*n : (p+1)*n : (p+1)*n]
+				for j, bv := range brow {
+					crow[j] += av * bv
+				}
+			}
+		}
+	}
+}
+
 // sumMul3x4Go is the portable SumMul3x4.
 func sumMul3x4Go(acc *[12]complex128, x0, x1, x2, y []complex128, k, n int) {
 	for e := 0; e < n; e++ {

@@ -174,6 +174,142 @@ func TestSumMul3x4ShortOperandPanics(t *testing.T) {
 	expectPanic(t, "SumMul3x4", func() { SumMul3x4(&acc, x, x, x, make([]complex128, 31), 4, 2) })
 }
 
+// smallBatchRun runs SmallBatch and smallBatchGo on copies of one operand
+// set drawn from rng and fails on the first element, C's guard tail
+// included, where they differ. The operands are randVec values with exact
+// zeros of both signs sprinkled into A, −0 into C and ±Inf/NaN into B;
+// each buffer starts up to three elements into its allocation, so no
+// operand is 32-byte aligned.
+func smallBatchRun(t *testing.T, rng *rand.Rand, n, count, aStride, bStride int, acc bool) {
+	t.Helper()
+	const guard = 3
+	bl := n * n
+	span := func(stride int) int {
+		if count == 0 {
+			return bl
+		}
+		return (count-1)*stride + bl
+	}
+	sprinkle := func(v []complex128, vals ...complex128) []complex128 {
+		for i := range v {
+			if rng.Intn(5) == 0 {
+				v[i] = vals[rng.Intn(len(vals))]
+			}
+		}
+		return v
+	}
+	negZero := math.Copysign(0, -1)
+	inf, nan := math.Inf(1), math.NaN()
+	offA, offB, offC := rng.Intn(4), rng.Intn(4), rng.Intn(4)
+	a := sprinkle(randVec(rng, offA+span(aStride)), 0, complex(negZero, 0), complex(0, negZero), complex(negZero, negZero))[offA:]
+	b := sprinkle(randVec(rng, offB+span(bStride)), complex(inf, 1), complex(-inf, 0), complex(0, inf), complex(nan, 0), complex(1, nan))[offB:]
+	got := sprinkle(randVec(rng, offC+count*bl+guard), complex(negZero, negZero), complex(negZero, 1))[offC:]
+	want := append([]complex128(nil), got...)
+	SmallBatch(got[:count*bl], a, b, n, count, aStride, bStride, acc)
+	smallBatchGo(want[:count*bl], a, b, n, count, aStride, bStride, acc)
+	for i := range want {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("n=%d count=%d strides %d/%d acc=%v elem %d: dispatched %v != portable %v",
+				n, count, aStride, bStride, acc, i, got[i], want[i])
+		}
+	}
+}
+
+// TestSmallBatchMatchesGo pins the dispatched SmallBatch (the AVX2 body's
+// ymm slices and, for odd n, its xmm tail) bitwise against the portable
+// loop: every n the SSE tile could meet up to 13, empty, single and longer
+// batches, fixed A, fixed B, both strided with B wider than n², and both
+// rounding contracts, over special values that separate them.
+func TestSmallBatchMatchesGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for n := 1; n <= 13; n++ {
+		bl := n * n
+		for _, count := range []int{0, 1, 7} {
+			for _, s := range [][2]int{{0, bl}, {0, 5*bl + 3}, {bl, 0}, {bl, bl}, {bl + 2, 3*bl + 1}} {
+				for _, acc := range []bool{false, true} {
+					smallBatchRun(t, rng, n, count, s[0], s[1], acc)
+				}
+			}
+		}
+	}
+}
+
+// TestSmallBatchContracts states the two modes without reference to either
+// implementation, on the inputs that tell them apart: a zero of A facing an
+// Inf in B, and a −0 already in C.
+func TestSmallBatchContracts(t *testing.T) {
+	negZero := complex(math.Copysign(0, -1), math.Copysign(0, -1))
+	a := []complex128{0, 2, 0, 0}                       // row 1 of A is zero
+	b := []complex128{complex(math.Inf(1), 0), 1, 3, 4} // row 0 of B holds an Inf
+	for _, acc := range []bool{false, true} {
+		c := []complex128{negZero, negZero, negZero, negZero}
+		SmallBatch(c, a, b, 2, 1, 0, 0, acc)
+		want := make([]complex128, 4)
+		for i := 0; i < 2; i++ {
+			for j := 0; j < 2; j++ {
+				s := complex128(0)
+				if acc {
+					s = negZero
+				}
+				for p := 0; p < 2; p++ {
+					if av := a[i*2+p]; !acc || av != 0 {
+						s += av * b[p*2+j]
+					}
+				}
+				want[i*2+j] = s
+			}
+		}
+		for i := range want {
+			if !sameBits(c[i], want[i]) {
+				t.Fatalf("acc=%v elem %d: got %v want %v", acc, i, c[i], want[i])
+			}
+		}
+	}
+}
+
+// FuzzSmallBatch extends TestSmallBatchMatchesGo to any block size, batch
+// length and stride layout: the dispatched kernel must equal the portable
+// loop bit for bit.
+func FuzzSmallBatch(f *testing.F) {
+	f.Add(uint8(2), uint8(5), int64(1))
+	f.Add(uint8(3), uint8(1), int64(2))
+	f.Add(uint8(4), uint8(9), int64(3))
+	f.Add(uint8(12), uint8(2), int64(4))
+	f.Fuzz(func(t *testing.T, n, count uint8, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		nn, cnt := 1+int(n)%25, int(count)%17
+		bl := nn * nn
+		strides := []int{0, bl, bl + rng.Intn(2*bl+1)}
+		smallBatchRun(t, rng, nn, cnt, strides[rng.Intn(3)], strides[rng.Intn(3)], rng.Intn(2) == 0)
+	})
+}
+
+func TestSmallBatchShortOperandPanics(t *testing.T) {
+	x := make([]complex128, 8)
+	expectPanic(t, "SmallBatch", func() { SmallBatch(x[:7], x[:4], x, 2, 2, 0, 4, false) })
+	expectPanic(t, "SmallBatch", func() { SmallBatch(x, x[:4], x[:7], 2, 2, 0, 4, true) })
+	expectPanic(t, "SmallBatch", func() { SmallBatch(x, x, x, 2, 2, 5, 0, true) })
+}
+
+// BenchmarkSmallBatch times the stage-❶ shape of the SSE tile: one fixed
+// n×n left operand against a batch of 64 blocks spaced 6·n² apart.
+func BenchmarkSmallBatch(b *testing.B) {
+	for _, n := range []int{2, 3, 4, 12} {
+		b.Run("n="+itoa(n), func(b *testing.B) {
+			const count = 64
+			rng := rand.New(rand.NewSource(27))
+			bl := n * n
+			a, src := randMat(rng, 1, bl).Data, randMat(rng, 1, 6*bl*count).Data
+			c := make([]complex128, bl*count)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				SmallBatch(c, a, src, n, count, 0, 6*bl, false)
+			}
+			b.ReportMetric(float64(8*bl*n*count)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+}
+
 func BenchmarkVecAddMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(25))
 	src, dst := randMat(rng, 1, 128).Data, randMat(rng, 1, 128).Data

@@ -37,11 +37,11 @@ const (
 // model directly, so the ratio applies only below the 2,048 block size.
 //
 // This is the paper's accounting (26 products per added slab), kept as
-// published for Tables 3 and 11. This repository's rgf.SolveInto runs 25
-// per slab interface over both passes plus 4 on the last slab —
-// 8·(25·bnum − 21)·bs³, equal to the model at bnum = 4 and below it
-// beyond — and routes up to 8 of the 25 through uncounted sparse kernels,
-// so the benchmark's measured linalg.flops_per_iter sits below this model.
+// published for Tables 3 and 11. This repository's rgf.SolveInto runs 24
+// products per slab interface over both passes plus 4 on the last slab,
+// every one of them through the counted dense GEMM: 8·(24·bnum − 20)·bs³
+// per point, 2·bnum − 5 products below the model (above it only for
+// bnum ≤ 2).
 func RGFFlops(p device.Params) float64 {
 	bs := float64(p.Na) * float64(p.Norb) / float64(p.Bnum)
 	perPoint := 8 * (26*float64(p.Bnum) - 25) * bs * bs * bs

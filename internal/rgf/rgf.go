@@ -41,11 +41,11 @@ type Solution struct {
 	// Diagonal blocks, one per slab.
 	GR, GL, GG []*linalg.Matrix
 	// First off-diagonal blocks: XUpper[i] = X_{i,i+1}, XLower[i] = X_{i+1,i}.
-	// GRLower comes out of the recursion; G≷Lower is set to −(G≷Upper)ᴴ,
-	// which equals G≷_{i+1,i} only for anti-Hermitian Σ≷ — an assumption
-	// on the input, checked against the dense oracle only for such input.
-	// Every other block is exact for general Σ≷.
-	GRUpper, GRLower []*linalg.Matrix
+	// No caller reads Gᴿ_{i+1,i}, so only GRUpper is kept. G≷Lower is set to
+	// −(G≷Upper)ᴴ, which equals G≷_{i+1,i} only for anti-Hermitian Σ≷ — an
+	// assumption on the input, checked against the dense oracle only for
+	// such input. Every other block is exact for general Σ≷.
+	GRUpper          []*linalg.Matrix
 	GLUpper, GLLower []*linalg.Matrix
 	GGUpper, GGLower []*linalg.Matrix
 
@@ -63,7 +63,7 @@ func (s *Solution) resize(nb int) {
 		return make([]*linalg.Matrix, n)
 	}
 	s.GR, s.GL, s.GG = grow(s.GR, nb), grow(s.GL, nb), grow(s.GG, nb)
-	s.GRUpper, s.GRLower = grow(s.GRUpper, nb-1), grow(s.GRLower, nb-1)
+	s.GRUpper = grow(s.GRUpper, nb-1)
 	s.GLUpper, s.GLLower = grow(s.GLUpper, nb-1), grow(s.GLLower, nb-1)
 	s.GGUpper, s.GGLower = grow(s.GGUpper, nb-1), grow(s.GGLower, nb-1)
 	s.gR, s.gL, s.gG = grow(s.gR, nb), grow(s.gL, nb), grow(s.gG, nb)
@@ -167,13 +167,12 @@ func SolveInto(p *Problem, ws *linalg.Workspace, sol *Solution) (*Solution, erro
 	}
 
 	// Forward pass: accumulate the left-connected full G blocks. Each
-	// interface runs 15 n³ products around two shared operands,
+	// interface runs 14 n³ products around two shared operands,
 	// X = gR_{i+1}·A_{i+1,i} and U = GR_ii·A_{i,i+1} — the only two that
 	// touch a coupling block:
 	//
 	//	GR_{i,i+1}   = −U·gR_{i+1}
 	//	GR_{i+1,i+1} = gR_{i+1} − X·GR_{i,i+1}
-	//	GR_{i+1,i}   = −X·GR_ii
 	//	G≷_{i,i+1}   = −U·g≷_{i+1} − G≷_ii·Xᴴ
 	//	G≷_{i+1,i+1} = g≷_{i+1} − X·G≷_{i,i+1} + (g≷_{i+1}·Uᴴ)·Xᴴ
 	//
@@ -202,8 +201,6 @@ func SolveInto(p *Problem, ws *linalg.Workspace, sol *Solution) (*Solution, erro
 		s.GR[i+1] = ws.Get(m, m)
 		s.GR[i+1].CopyFrom(gRn)
 		ws.GEMM(-1, x, nt, s.GRUpper[i], nt, 1, s.GR[i+1])
-		s.GRLower[i] = ws.Get(m, n)
-		ws.GEMM(-1, x, nt, GRi, nt, 0, s.GRLower[i])
 
 		z := ws.Get(m, n)
 		lesserGreater := func(gn, Gi *linalg.Matrix) (upper, lower, diag *linalg.Matrix) {

@@ -62,7 +62,7 @@ func randomSparseCouplingProblem(rng *rand.Rand, sizes []int, density float64) *
 func solutionBlocks(s *Solution) map[string][]*linalg.Matrix {
 	return map[string][]*linalg.Matrix{
 		"GR": s.GR, "GL": s.GL, "GG": s.GG,
-		"GRUpper": s.GRUpper, "GRLower": s.GRLower,
+		"GRUpper": s.GRUpper,
 		"GLUpper": s.GLUpper, "GLLower": s.GLLower,
 		"GGUpper": s.GGUpper, "GGLower": s.GGLower,
 	}

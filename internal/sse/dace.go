@@ -126,9 +126,13 @@ type tileScratch struct {
 	yLab, yGab []complex128
 	sigL, sigG []complex128 // Σ≷_aa rows [Nkz][owned][Norb²] of the current atom
 	cBuf       []complex128 // SBSMM output row
+	// transpose[r·Norb+c] = 4·(c·Norb+r): where interleaveTransposed puts
+	// element (r, c) of a block, relative to the block's lane 0.
+	transpose []int
 }
 
-func newTileScratch(nkz, bl int, r *restriction) *tileScratch {
+func newTileScratch(nkz, norb int, r *restriction) *tileScratch {
+	bl := norb * norb
 	halo, owned := r.hhi-r.hlo, r.ehi-r.elo
 	return &tileScratch{
 		pLab: newTransient(nkz, halo, bl), pGab: newTransient(nkz, halo, bl),
@@ -136,8 +140,19 @@ func newTileScratch(nkz, bl int, r *restriction) *tileScratch {
 		vL: newTransient(nkz, owned, bl), vG: newTransient(nkz, owned, bl),
 		yLab: make([]complex128, nkz*halo*bl*4), yGab: make([]complex128, nkz*halo*bl*4),
 		sigL: make([]complex128, nkz*owned*bl), sigG: make([]complex128, nkz*owned*bl),
-		cBuf: make([]complex128, owned*bl),
+		cBuf:      make([]complex128, owned*bl),
+		transpose: transposeTable(norb),
 	}
+}
+
+func transposeTable(n int) []int {
+	perm := make([]int, n*n)
+	for r := 0; r < n; r++ {
+		for c := 0; c < n; c++ {
+			perm[r*n+c] = 4 * (c*n + r)
+		}
+	}
+	return perm
 }
 
 // quantizer swaps in the fp16-valued coupling blocks and carries the
@@ -176,7 +191,7 @@ func daceCompute(in *Input, q *quantizer, restr *restriction) *Output {
 	// locking is needed — the associative accumulation the SDFG map
 	// exploits. The tile body cannot fail; the pool's error is always nil.
 	linalg.ParallelFor(len(restr.atoms), runtime.GOMAXPROCS(0), func() func(ai int) error {
-		s := newTileScratch(nkz, bl, restr)
+		s := newTileScratch(nkz, norb, restr)
 		var wl, wg [9]complex128
 		return func(ai int) error {
 			a := restr.atoms[ai]
@@ -200,8 +215,8 @@ func daceCompute(in *Input, q *quantizer, restr *restriction) *Output {
 						batch.SBSMMFixedA(s.pGab.eRow(i, ik), gab, in.GG.Data[ob:], norb, halo, eStride)
 						batch.SBSMMFixedA(s.pLba.eRow(i, ik), gba, in.GL.Data[oa:], norb, halo, eStride)
 						batch.SBSMMFixedA(s.pGba.eRow(i, ik), gba, in.GG.Data[oa:], norb, halo, eStride)
-						interleaveTransposed(s.yLab[ik*halo*bl*4:], s.pLab.eRow(i, ik), norb, i)
-						interleaveTransposed(s.yGab[ik*halo*bl*4:], s.pGab.eRow(i, ik), norb, i)
+						interleaveTransposed(s.yLab[ik*halo*bl*4+i:], s.pLab.eRow(i, ik), s.transpose)
+						interleaveTransposed(s.yGab[ik*halo*bl*4+i:], s.pGab.eRow(i, ik), s.transpose)
 					}
 				}
 				localMuls += int64(12 * nkz * halo)
@@ -329,13 +344,13 @@ func daceCompute(in *Input, q *quantizer, restr *restriction) *Output {
 }
 
 // interleaveTransposed writes the transpose of every n×n block of src into
-// lane dir of dst's [block][n²][4] layout.
-func interleaveTransposed(dst, src []complex128, n, dir int) {
-	for o := 0; o < len(src); o += n * n {
-		for r := 0; r < n; r++ {
-			for c := 0; c < n; c++ {
-				dst[(o+c*n+r)*4+dir] = src[o+r*n+c]
-			}
+// dst's [block][n²][4] layout; dst starts at the lane to fill, and perm is
+// the tile scratch's transpose table.
+func interleaveTransposed(dst, src []complex128, perm []int) {
+	for o := 0; o < len(src); o += len(perm) {
+		d := dst[4*o:]
+		for k, v := range src[o : o+len(perm)] {
+			d[perm[k]] = v
 		}
 	}
 }

@@ -49,6 +49,13 @@ func TestKernelDigests(t *testing.T) {
 			atoms: []int{0, 3, 6}, elo: 4, ehi: 5,
 			full: "5d4bb975e30b259c955acfbed5acec98612e0861d53673074b679efd5d2625c6", tile: "c65f3de601b473599e53e3224899a3aaacb2767040d32e4307831be0c004b356", mixd: "28d5f7439fd3ab8ee6d9abc612b1491e5fc0f3444eea9c073c97628bb1a32d32",
 		},
+		{
+			// Odd Norb: every small-block row ends in a one-element slice.
+			// Digests computed at commit 1a57549 (the generic Go loops).
+			name: "norb3", na: 9, bnum: 3, norb: 3, ne: 11, nw: 2,
+			atoms: []int{0, 3, 4, 8}, elo: 3, ehi: 7,
+			full: "23ef319715a43ca003fdda4c2200a26429a6dd284a8fe702fcf264bcb051da8a", tile: "16be0204486906c2033938a35c6d3977e2c99b18fea0efa295f735d6bcbd8121", mixd: "c6e1f9eaea0678f8558fc658fe99af05885dc227f132829123f84d6ab8980895",
+		},
 	}
 	for _, s := range shapes {
 		t.Run(s.name, func(t *testing.T) {
