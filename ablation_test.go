@@ -124,24 +124,6 @@ func randomDense(n int) *linalg.Matrix {
 	return m
 }
 
-func BenchmarkLinalg_GEMM64(b *testing.B) {
-	x, y := randomDense(64), randomDense(64)
-	b.SetBytes(3 * 64 * 64 * 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = linalg.Mul(x, y)
-	}
-}
-
-func BenchmarkLinalg_GEMM256(b *testing.B) {
-	x, y := randomDense(256), randomDense(256)
-	b.SetBytes(3 * 256 * 256 * 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = linalg.Mul(x, y)
-	}
-}
-
 func BenchmarkLinalg_Inverse128(b *testing.B) {
 	x := randomDense(128)
 	for i := 0; i < 128; i++ {

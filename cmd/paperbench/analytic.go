@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/model"
-	"repro/internal/staging"
 )
 
 // runTable3 — single-iteration computational load (Pflop), Small structure.
@@ -161,8 +160,8 @@ func runFigure10(bool) {
 func runIngestion(bool) {
 	header("Data Ingestion (§7.1.1): naive parallel reads vs chunked broadcast")
 	row("Nodes", "Naive [s]", "Staged [s]", "Speedup")
-	for _, r := range staging.Compare([]int{100, 1000, 2589, 4560, 5300}) {
-		row(fmt.Sprintf("%d", r.Nodes), f1(r.NaiveSec), f1(r.StagedSec), fmt.Sprintf("%.0fx", r.Speedup))
+	for _, r := range compareIngestion([]int{100, 1000, 2589, 4560, 5300}) {
+		row(fmt.Sprintf("%d", r.nodes), f1(r.naiveSec), f1(r.stagedSec), fmt.Sprintf("%.0fx", r.speedup))
 	}
 	fmt.Println("(paper: 1,112 s at 2,589 nodes naive; >30 min near full scale; 31.1 s staged at 4,560 nodes)")
 }

@@ -24,14 +24,10 @@ import (
 	"strings"
 )
 
-func main() {
-	table := flag.String("table", "", "regenerate one table: 3,4,5,6,7,8,9,10,11,12 or comm")
-	figure := flag.String("figure", "", "regenerate one figure: 7,8,9,10,11 or ingestion")
-	all := flag.Bool("all", false, "regenerate everything")
-	quick := flag.Bool("quick", false, "smaller measured workloads (faster, noisier)")
-	flag.Parse()
-
-	runners := map[string]func(bool){
+// runners maps a -table/-figure selection to its section; order is the
+// sequence -all prints them in.
+var (
+	runners = map[string]func(bool){
 		"table3":          runTable3,
 		"table4":          runTable4,
 		"table5":          runTable5,
@@ -50,11 +46,19 @@ func main() {
 		"figure11":        runFigure11,
 		"figureingestion": runIngestion,
 	}
-	order := []string{
+	order = []string{
 		"table3", "table4", "table5", "table6", "table7", "table8", "table9",
 		"table10", "table11", "table12", "tablecomm",
 		"figure7", "figure8", "figure9", "figure10", "figure11", "figureingestion",
 	}
+)
+
+func main() {
+	table := flag.String("table", "", "regenerate one table: 3,4,5,6,7,8,9,10,11,12 or comm")
+	figure := flag.String("figure", "", "regenerate one figure: 7,8,9,10,11 or ingestion")
+	all := flag.Bool("all", false, "regenerate everything")
+	quick := flag.Bool("quick", false, "smaller measured workloads (faster, noisier)")
+	flag.Parse()
 
 	switch {
 	case *all:

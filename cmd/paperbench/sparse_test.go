@@ -1,4 +1,4 @@
-package sparse
+package main
 
 import (
 	"math/rand"
@@ -32,8 +32,8 @@ func randomDense(rng *rand.Rand, r, c int) *linalg.Matrix {
 func TestFromDenseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	d := randomSparse(rng, 12, 9, 0.3)
-	a := FromDense(d, 0)
-	back := a.Dense()
+	a := fromDense(d, 0)
+	back := a.dense()
 	if linalg.MaxDiff(d, back) != 0 {
 		t.Fatal("CSR dense roundtrip not exact")
 	}
@@ -43,65 +43,61 @@ func TestFromDenseTolDropsSmall(t *testing.T) {
 	d := linalg.New(2, 2)
 	d.Set(0, 0, 1)
 	d.Set(1, 1, complex(1e-15, 0))
-	a := FromDense(d, 1e-12)
-	if a.NNZ() != 1 {
-		t.Fatalf("NNZ = %d, want 1 (tiny entry dropped)", a.NNZ())
+	a := fromDense(d, 1e-12)
+	if a.nnz() != 1 {
+		t.Fatalf("nnz = %d, want 1 (tiny entry dropped)", a.nnz())
 	}
 }
 
 func TestCSCRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	d := randomSparse(rng, 8, 11, 0.25)
-	csr := FromDense(d, 0)
-	csc := csr.ToCSC()
-	if linalg.MaxDiff(csc.Dense(), d) != 0 {
+	a := fromDense(d, 0)
+	c := a.toCSC()
+	if linalg.MaxDiff(c.dense(), d) != 0 {
 		t.Fatal("CSC roundtrip mismatch")
 	}
-	if csc.NNZ() != csr.NNZ() {
-		t.Fatal("NNZ changed in CSR->CSC")
+	if c.nnz() != a.nnz() {
+		t.Fatal("nnz changed in CSR->CSC")
 	}
 }
 
 func TestTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	d := randomSparse(rng, 6, 9, 0.3)
-	at := FromDense(d, 0).Transpose()
-	if linalg.MaxDiff(at.Dense(), d.T()) != 0 {
+	at := fromDense(d, 0).transpose()
+	if linalg.MaxDiff(at.dense(), d.T()) != 0 {
 		t.Fatal("sparse transpose mismatch")
-	}
-	ah := FromDense(d, 0).ConjTranspose()
-	if linalg.MaxDiff(ah.Dense(), d.H()) != 0 {
-		t.Fatal("sparse conjugate transpose mismatch")
 	}
 }
 
 func TestCSRMMModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	aD := randomSparse(rng, 7, 5, 0.4)
-	a := FromDense(aD, 0)
+	a := fromDense(aD, 0)
 
 	// NN: A(7x5) · B(5x6)
 	b := randomDense(rng, 5, 6)
-	got := CSRMM(a, linalg.NoTrans, b, linalg.NoTrans)
+	got := csrmm(a, linalg.NoTrans, b, linalg.NoTrans)
 	want := linalg.Mul(aD, b)
 	if linalg.MaxDiff(got, want) > 1e-12 {
-		t.Fatal("CSRMM NN mismatch")
+		t.Fatal("csrmm NN mismatch")
 	}
 
 	// NT: A(7x5) · Bᵀ with B(6x5)
 	b = randomDense(rng, 6, 5)
-	got = CSRMM(a, linalg.NoTrans, b, linalg.Trans)
+	got = csrmm(a, linalg.NoTrans, b, linalg.Trans)
 	want = linalg.MatMul(aD, linalg.NoTrans, b, linalg.Trans)
 	if linalg.MaxDiff(got, want) > 1e-12 {
-		t.Fatal("CSRMM NT mismatch")
+		t.Fatal("csrmm NT mismatch")
 	}
 
 	// TN: Aᵀ(5x7) · B(7x4)
 	b = randomDense(rng, 7, 4)
-	got = CSRMM(a, linalg.Trans, b, linalg.NoTrans)
+	got = csrmm(a, linalg.Trans, b, linalg.NoTrans)
 	want = linalg.MatMul(aD, linalg.Trans, b, linalg.NoTrans)
 	if linalg.MaxDiff(got, want) > 1e-12 {
-		t.Fatal("CSRMM TN mismatch")
+		t.Fatal("csrmm TN mismatch")
 	}
 }
 
@@ -111,24 +107,24 @@ func TestCSRMMUnsupportedPanics(t *testing.T) {
 			t.Fatal("expected panic for TT mode")
 		}
 	}()
-	a := FromDense(linalg.Eye(2), 0)
-	CSRMM(a, linalg.Trans, linalg.Eye(2), linalg.Trans)
+	a := fromDense(linalg.Eye(2), 0)
+	csrmm(a, linalg.Trans, linalg.Eye(2), linalg.Trans)
 }
 
 func TestGEMMI(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	b := randomDense(rng, 6, 8)
 	aD := randomSparse(rng, 8, 5, 0.35)
-	a := FromDense(aD, 0).ToCSC()
-	got := GEMMI(b, a)
+	a := fromDense(aD, 0).toCSC()
+	got := gemmi(b, a)
 	want := linalg.Mul(b, aD)
 	if linalg.MaxDiff(got, want) > 1e-12 {
-		t.Fatal("GEMMI mismatch")
+		t.Fatal("gemmi mismatch")
 	}
 }
 
 func TestSparseDenseEquivalenceProperty(t *testing.T) {
-	// For any sparsity pattern, CSRMM NN must agree with dense GEMM.
+	// For any sparsity pattern, csrmm NN must agree with dense GEMM.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := 1 + rng.Intn(10)
@@ -136,7 +132,7 @@ func TestSparseDenseEquivalenceProperty(t *testing.T) {
 		n := 1 + rng.Intn(10)
 		aD := randomSparse(rng, m, k, 0.3)
 		b := randomDense(rng, k, n)
-		got := CSRMM(FromDense(aD, 0), linalg.NoTrans, b, linalg.NoTrans)
+		got := csrmm(fromDense(aD, 0), linalg.NoTrans, b, linalg.NoTrans)
 		return linalg.MaxDiff(got, linalg.Mul(aD, b)) < 1e-11
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -157,41 +153,30 @@ func TestThreeMatrixProductApproachesAgree(t *testing.T) {
 	dense := linalg.Mul(linalg.Mul(fD, g), eD)
 
 	// CSRMM2(TN)/GEMMI: (Eᵀ stored CSR) — compute via E in CSC on the right.
-	f := FromDense(fD, 0)
-	fg := CSRMM(f, linalg.NoTrans, g, linalg.NoTrans)
-	viaGEMMI := GEMMI(fg, FromDense(eD, 0).ToCSC())
+	f := fromDense(fD, 0)
+	fg := csrmm(f, linalg.NoTrans, g, linalg.NoTrans)
+	viaGEMMI := gemmi(fg, fromDense(eD, 0).toCSC())
 	if linalg.MaxDiff(dense, viaGEMMI) > 1e-11 {
-		t.Fatal("CSRMM/GEMMI path mismatch")
+		t.Fatal("csrmm/gemmi path mismatch")
 	}
 
 	// CSRMM2/CSRMM2 with transposes: F·gR = (NN); then (E in CSC as
 	// CSR-of-transpose): F·gR·E = ((Eᵀ)·(F·gR)ᵀ)ᵀ using NT ops.
-	et := FromDense(eD, 0).Transpose()
-	tmp := CSRMM(et, linalg.NoTrans, fg, linalg.Trans) // Eᵀ·(FG)ᵀ = (FG·E)ᵀ
+	et := fromDense(eD, 0).transpose()
+	tmp := csrmm(et, linalg.NoTrans, fg, linalg.Trans) // Eᵀ·(FG)ᵀ = (FG·E)ᵀ
 	viaCSRCSR := tmp.T()
 	if linalg.MaxDiff(dense, viaCSRCSR) > 1e-11 {
-		t.Fatal("CSRMM/CSRMM path mismatch")
-	}
-}
-
-func TestDensityAndFlops(t *testing.T) {
-	d := linalg.Eye(10)
-	a := FromDense(d, 0)
-	if a.Density() != 0.1 {
-		t.Fatalf("Density = %g, want 0.1", a.Density())
-	}
-	if a.MulFlops(4) != 8*10*4 {
-		t.Fatalf("MulFlops = %d", a.MulFlops(4))
+		t.Fatal("csrmm/csrmm path mismatch")
 	}
 }
 
 func TestEmptyMatrix(t *testing.T) {
-	a := FromDense(linalg.New(3, 3), 0)
-	if a.NNZ() != 0 {
+	a := fromDense(linalg.New(3, 3), 0)
+	if a.nnz() != 0 {
 		t.Fatal("zero matrix should have no nonzeros")
 	}
 	b := randomDense(rand.New(rand.NewSource(7)), 3, 2)
-	got := CSRMM(a, linalg.NoTrans, b, linalg.NoTrans)
+	got := csrmm(a, linalg.NoTrans, b, linalg.NoTrans)
 	if got.FrobNorm() != 0 {
 		t.Fatal("product with zero matrix should be zero")
 	}

@@ -1,4 +1,4 @@
-package stream
+package main
 
 import (
 	"math"
@@ -6,17 +6,17 @@ import (
 )
 
 func TestSingleStreamIsSerial(t *testing.T) {
-	tasks := []Task{{1, 2, 1}, {1, 2, 1}}
-	if got := Makespan(tasks, 1); math.Abs(got-8) > 1e-12 {
+	tasks := []task{{1, 2, 1}, {1, 2, 1}}
+	if got := makespan(tasks, 1); math.Abs(got-8) > 1e-12 {
 		t.Fatalf("serial makespan = %g, want 8", got)
 	}
 }
 
 func TestTwoStreamsOverlapCopyAndCompute(t *testing.T) {
 	// With two streams the copy of task 2 overlaps the compute of task 1.
-	tasks := []Task{{1, 2, 0}, {1, 2, 0}}
-	serial := Makespan(tasks, 1)  // 1+2+1+2 = 6
-	overlap := Makespan(tasks, 2) // 1 + max-chain = 1+2+2 = 5
+	tasks := []task{{1, 2, 0}, {1, 2, 0}}
+	serial := makespan(tasks, 1)  // 1+2+1+2 = 6
+	overlap := makespan(tasks, 2) // 1 + max-chain = 1+2+2 = 5
 	if overlap >= serial {
 		t.Fatalf("streams should overlap: %g vs %g", overlap, serial)
 	}
@@ -26,10 +26,10 @@ func TestTwoStreamsOverlapCopyAndCompute(t *testing.T) {
 }
 
 func TestMoreStreamsNeverSlower(t *testing.T) {
-	tasks := GFTaskSet(64, 10, 0.08)
+	tasks := gfTaskSet(64, 10, 0.08)
 	prev := math.Inf(1)
 	for _, s := range []int{1, 2, 4, 8, 16, 32} {
-		got := Makespan(tasks, s)
+		got := makespan(tasks, s)
 		if got > prev+1e-9 {
 			t.Fatalf("%d streams slower than fewer (%g > %g)", s, got, prev)
 		}
@@ -39,8 +39,8 @@ func TestMoreStreamsNeverSlower(t *testing.T) {
 
 func TestComputeBoundLimit(t *testing.T) {
 	// With copies ≪ compute, infinite streams approach the compute total.
-	tasks := GFTaskSet(32, 10, 0.08)
-	best := Makespan(tasks, 32)
+	tasks := gfTaskSet(32, 10, 0.08)
+	best := makespan(tasks, 32)
 	if best < 10 {
 		t.Fatalf("cannot beat the compute-engine total: %g < 10", best)
 	}
@@ -52,13 +52,13 @@ func TestComputeBoundLimit(t *testing.T) {
 func TestTable6Shape(t *testing.T) {
 	// The paper's Table 6: 10.07 s at 1 stream → 9.32 s at 32 streams
 	// (≈7.5% gain) — copies are ~8% of the serial time.
-	tasks := GFTaskSet(64, 9.32, 0.082)
-	rows := Sweep(tasks, []int{1, 2, 4, 16, 32})
-	if rows[0].Streams != 1 || rows[len(rows)-1].Streams != 32 {
+	tasks := gfTaskSet(64, 9.32, 0.082)
+	rows := sweep(tasks, []int{1, 2, 4, 16, 32})
+	if rows[0].streams != 1 || rows[len(rows)-1].streams != 32 {
 		t.Fatal("sweep ordering")
 	}
-	serial := rows[0].TimeSec
-	best := rows[len(rows)-1].TimeSec
+	serial := rows[0].timeSec
+	best := rows[len(rows)-1].timeSec
 	gain := (serial - best) / serial
 	if gain < 0.05 || gain > 0.10 {
 		t.Fatalf("1→32 stream gain %.3f, paper shape is ≈0.075", gain)
@@ -67,11 +67,11 @@ func TestTable6Shape(t *testing.T) {
 	// assert monotonicity and a residual gain from 16 to 32.
 	var at16, at32 float64
 	for _, r := range rows {
-		if r.Streams == 16 {
-			at16 = r.TimeSec
+		if r.streams == 16 {
+			at16 = r.timeSec
 		}
-		if r.Streams == 32 {
-			at32 = r.TimeSec
+		if r.streams == 32 {
+			at32 = r.timeSec
 		}
 	}
 	if at32 > at16 {
@@ -80,34 +80,34 @@ func TestTable6Shape(t *testing.T) {
 }
 
 func TestZeroDurationOpsSkipped(t *testing.T) {
-	tasks := []Task{{0, 5, 0}}
-	if got := Makespan(tasks, 4); got != 5 {
+	tasks := []task{{0, 5, 0}}
+	if got := makespan(tasks, 4); got != 5 {
 		t.Fatalf("makespan = %g, want 5", got)
 	}
 }
 
 func TestStreamsClampedToOne(t *testing.T) {
-	tasks := []Task{{1, 1, 1}}
-	if Makespan(tasks, 0) != Makespan(tasks, 1) {
+	tasks := []task{{1, 1, 1}}
+	if makespan(tasks, 0) != makespan(tasks, 1) {
 		t.Fatal("stream count must clamp to 1")
 	}
 }
 
-// TestMakespanRecorded pins Makespan to the values its own list scheduler
+// TestMakespanRecorded pins makespan to the values its own list scheduler
 // produced before it became a lowering onto sdfg.Simulate (recorded at
 // commit 1f4b91f): irregular durations so no two ops share a cost, a
-// zero-duration op that both lowerings drop, and the regular GFTaskSet
+// zero-duration op that both lowerings drop, and the regular gfTaskSet
 // shape where every greedy choice is a tie resolved by stream order.
 func TestMakespanRecorded(t *testing.T) {
-	irregular := []Task{
-		{CopyIn: 3, Compute: 7.5, CopyOut: 2},
-		{CopyIn: 1, Compute: 4.25, CopyOut: 6},
-		{CopyIn: 5, Compute: 2.125, CopyOut: 1.5},
-		{CopyIn: 2.5, Compute: 8, CopyOut: 3.5},
-		{CopyIn: 0, Compute: 9, CopyOut: 0.75},
+	irregular := []task{
+		{copyIn: 3, compute: 7.5, copyOut: 2},
+		{copyIn: 1, compute: 4.25, copyOut: 6},
+		{copyIn: 5, compute: 2.125, copyOut: 1.5},
+		{copyIn: 2.5, compute: 8, copyOut: 3.5},
+		{copyIn: 0, compute: 9, copyOut: 0.75},
 	}
 	for _, c := range []struct {
-		tasks   []Task
+		tasks   []task
 		streams int
 		want    float64
 	}{
@@ -115,17 +115,17 @@ func TestMakespanRecorded(t *testing.T) {
 		{irregular, 2, 45.5},
 		{irregular, 3, 34.625},
 		{irregular, 8, 34.375},
-		{GFTaskSet(24, 1.0, 0.08), 1, 1.0799999999999996},
-		{GFTaskSet(24, 1.0, 0.08), 2, 1.0033333333333332},
-		{GFTaskSet(24, 1.0, 0.08), 24, 1.0033333333333332},
-		{GFTaskSet(64, 9.32, 0.082), 1, 10.084240000000012},
-		{GFTaskSet(64, 9.32, 0.082), 32, 9.331941250000003},
+		{gfTaskSet(24, 1.0, 0.08), 1, 1.0799999999999996},
+		{gfTaskSet(24, 1.0, 0.08), 2, 1.0033333333333332},
+		{gfTaskSet(24, 1.0, 0.08), 24, 1.0033333333333332},
+		{gfTaskSet(64, 9.32, 0.082), 1, 10.084240000000012},
+		{gfTaskSet(64, 9.32, 0.082), 32, 9.331941250000003},
 		{nil, 4, 0},
-		{[]Task{{CopyIn: 2, Compute: 5, CopyOut: 3}}, 1, 10},
-		{[]Task{{CopyIn: 2, Compute: 5, CopyOut: 3}}, 16, 10}, // excess streams stay empty
+		{[]task{{copyIn: 2, compute: 5, copyOut: 3}}, 1, 10},
+		{[]task{{copyIn: 2, compute: 5, copyOut: 3}}, 16, 10}, // excess streams stay empty
 	} {
-		if got := Makespan(c.tasks, c.streams); got != c.want {
-			t.Errorf("%d tasks on %d streams: Makespan = %v, recorded %v", len(c.tasks), c.streams, got, c.want)
+		if got := makespan(c.tasks, c.streams); got != c.want {
+			t.Errorf("%d tasks on %d streams: makespan = %v, recorded %v", len(c.tasks), c.streams, got, c.want)
 		}
 	}
 }

@@ -119,15 +119,6 @@ func (w *World) Stats() Stats {
 	return Stats{BytesSent: w.bytesSent, Sends: w.sends, Collectives: cp, CollectiveBytes: cb}
 }
 
-// ResetStats clears the counters.
-func (w *World) ResetStats() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.bytesSent, w.sends = 0, 0
-	w.collectives = make(map[string]int64)
-	w.collBytes = make(map[string]int64)
-}
-
 func (w *World) countBytes(n int64, op string, p2p bool) {
 	w.mu.Lock()
 	w.bytesSent += n

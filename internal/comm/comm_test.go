@@ -216,10 +216,6 @@ func TestStatsCounting(t *testing.T) {
 	if st.BytesSent != 160 || st.Sends != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	w.ResetStats()
-	if st := w.Stats(); st.BytesSent != 0 || st.Sends != 0 {
-		t.Fatal("ResetStats did not clear")
-	}
 }
 
 func TestRunPropagatesError(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package plan is the execution-plan autotuner: it calibrates the
 // repo's virtual-time cost model (internal/sdfg.Simulate — the model
-// validated against the paper's Table 6 shape through internal/stream)
+// validated against the paper's Table 6 shape through cmd/paperbench)
 // from a short probe run on the actual device, scores every candidate
 // plan (schedule × worker pool × window depth) in virtual time, and
 // returns the argmin. The qt facade surfaces it as WithAutoPlan; the

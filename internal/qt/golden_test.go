@@ -62,9 +62,8 @@ func TestResolvedConfigGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ta, te := sim.Tiles()
 		sum := sha256.Sum256([]byte(fmt.Sprintf("%s\n%s\n%s\n%s\n%dx%d",
-			sim.PlanString(), js, rc.Key(), rc.WarmKey(), ta, te)))
+			sim.PlanString(), js, rc.Key(), rc.WarmKey(), rc.TileA, rc.TileE)))
 		return hex.EncodeToString(sum[:8])
 	}
 	for _, tc := range cases {

@@ -95,10 +95,6 @@ func (s *Simulation) PlanString() string {
 // Ranks reports the configured world size (0 = sequential solver).
 func (s *Simulation) Ranks() int { return s.cfg.Ranks }
 
-// Tiles reports the resolved Ta×TE tile split of the distributed SSE
-// exchange (1×P when unset; zeros for sequential configurations).
-func (s *Simulation) Tiles() (ta, te int) { return s.cfg.TileA, s.cfg.TileE }
-
 // loopOptions lowers the knobs the two self-consistent loops share, over
 // negf's defaults. It returns them as negf.Options; distOptions carries
 // them over by name.

@@ -13,8 +13,8 @@
 //     the nonblocking internal/comm primitives the comm nodes call.
 //   - Simulate: a deterministic virtual-time list scheduler (Node.Cost
 //     durations) — the repo's one cost model: internal/plan scores
-//     schedules with it and internal/stream lowers its CUDA-stream model
-//     onto it.
+//     schedules with it and cmd/paperbench lowers its CUDA-stream model
+//     (Table 6) onto it.
 package sdfg
 
 import "fmt"

@@ -7,8 +7,8 @@ package sdfg
 // greedy list scheduling — among all ready nodes, the one that can start
 // earliest runs next (ties broken by node id) — so the result is
 // deterministic and comparable across schedules of the same task set.
-// One rank with one worker is internal/stream's two-engine GPU (compute
-// engine + copy engine), which is how stream.Makespan lowers onto it.
+// One rank with one worker is the two-engine GPU (compute engine + copy
+// engine) of cmd/paperbench's CUDA-stream model, which lowers onto it.
 func Simulate(g *Graph, workers int) float64 {
 	if workers < 1 {
 		workers = 1
