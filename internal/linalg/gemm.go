@@ -67,10 +67,10 @@ func Mul(a, b *Matrix) *Matrix { return MatMul(a, NoTrans, b, NoTrans) }
 
 // GEMM computes C = alpha·op(A)·op(B) + beta·C in place.
 //
-// c must not overlap a or b (the blocked kernel stores partial sums into C
-// while the operands are still being read; overlap would silently corrupt
-// the result, so it panics instead). Transposed operands are consumed
-// through pooled packing buffers — no per-call materialization.
+// c must not overlap a or b (both kernels store partial sums into C while
+// the operands are still being read; overlap would silently corrupt the
+// result, so it panics instead). Transposed operands are consumed through
+// pooled packing buffers — no per-call allocation.
 //
 // A GEMM is a leaf: at every size it runs on its caller's goroutine and
 // spawns nothing. Parallelism lives in the loops over independent points,
@@ -94,25 +94,75 @@ func GEMM(alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta complex12
 	gemmDispatch(alpha, a, opA, b, opB, beta, c, nil)
 }
 
-// gemmDispatch routes one shape-checked GEMM to a kernel: the unpacked
-// gemmStripe reference for small NoTrans problems, the packed blocked
-// kernel otherwise. ws, when non-nil, donates the packing buffers
+// rowPanelMaxKN bounds the op(B) panel, k·n elements, of a product that
+// runs on the unpacked row-panel kernel, which re-reads the whole panel for
+// every pair of C rows: 48×48 complex128 is 36 KiB and stays in a 48 KiB
+// L1d. On such a host (the 2-vCPU AVX2 Xeon of bench/README.md) the row
+// panel runs square products about twice as fast as packing at n = 8–18
+// and a fifth to a third faster at 32–48; at 64×64 (64 KiB) the two tie on
+// NoTrans and packing wins on a transposed B, and above that packing wins
+// (internal/README.md, "Dense kernel layer", has the sweep).
+const rowPanelMaxKN = 48 * 48
+
+// gemmDispatch routes one shape-checked GEMM (m, n, k ≥ 1) to a kernel: the
+// row panel when op(B) is at most rowPanelMaxKN elements, the packed
+// blocked kernel otherwise. ws, when non-nil, donates the buffers
 // (workspace-pooled hot path); otherwise they come from packPool. Shared
 // by the allocating GEMM and Workspace.GEMM.
 func gemmDispatch(alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta complex128, c *Matrix, ws *Workspace) {
+	var pb *packBuf
+	if ws != nil {
+		pb = &ws.pack
+	} else {
+		pb = packPool.Get().(*packBuf)
+	}
+	_, k := opDims(a, opA)
+	if k*c.Cols <= rowPanelMaxKN {
+		gemmRowPanel(alpha, a, opA, b, opB, beta, c, pb)
+	} else {
+		gemmBlocked(alpha, a, opA, b, opB, beta, c, pb)
+	}
+	if ws == nil {
+		packPool.Put(pb)
+	}
+}
+
+// gemmRowPanel computes C = alpha·op(A)·op(B) + beta·C on the row-panel
+// kernel of SmallBatch, a batch of one. alpha·op(A), in row blocks no
+// larger than the packed kernel's MC×KC block, and a transposed op(B) are
+// written row-major into pb; C is scaled by beta up front and never read
+// when beta is 0; then every C element adds its products in ascending k
+// with none skipped. Those are the packed kernel's alpha·a products,
+// beta·c start and accumulation order, so the two agree bit for bit.
+func gemmRowPanel(alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta complex128, c *Matrix, pb *packBuf) {
 	m, n := c.Rows, c.Cols
 	_, k := opDims(a, opA)
-	if int64(m)*int64(n)*int64(k) < packThreshold && opA == NoTrans && opB == NoTrans {
-		gemmStripe(alpha, a, b, beta, c)
-		return
+	rows := gemmMC * gemmKC / k // ≥ 7, as k ≤ rowPanelMaxKN
+	bp := b.Data
+	if opB == NoTrans {
+		pb.ensure(min(m, rows)*k, 0)
+	} else {
+		pb.ensure(min(m, rows)*k, k*n)
+		bt := Matrix{Rows: k, Cols: n, Data: pb.b[:k*n]}
+		if opB == Trans {
+			TInto(&bt, b)
+		} else {
+			HInto(&bt, b)
+		}
+		bp = bt.Data
 	}
-	if ws != nil {
-		gemmBlocked(alpha, a, opA, b, opB, beta, c, &ws.pack)
-		return
+	mode := 0
+	if beta != 0 {
+		mode = rowFromC
+		if beta != 1 {
+			vecScale(c.Data, beta)
+		}
 	}
-	pb := packPool.Get().(*packBuf)
-	gemmBlocked(alpha, a, opA, b, opB, beta, c, pb)
-	packPool.Put(pb)
+	for i0 := 0; i0 < m; i0 += rows {
+		mc := min(rows, m-i0)
+		packRowsA(pb.a, alpha, a, opA, i0, mc)
+		smallBatch(c.Data[i0*n:], pb.a, bp, mc, n, k, 1, 0, 0, mode)
+	}
 }
 
 // scaleInPlace applies C = beta·C, the k == 0 degenerate GEMM.
@@ -126,34 +176,6 @@ func scaleInPlace(c *Matrix, beta complex128) {
 	}
 	for i := range c.Data {
 		c.Data[i] *= beta
-	}
-}
-
-// gemmStripe computes C = alpha·A·B + beta·C with A and B both in natural
-// orientation. The inner loops run in i-k-j order so that
-// both B and C are swept contiguously (the classic cache-friendly ordering).
-func gemmStripe(alpha complex128, a, b *Matrix, beta complex128, c *Matrix) {
-	n := c.Cols
-	k := a.Cols
-	for i := 0; i < c.Rows; i++ {
-		crow := c.Data[i*n : (i+1)*n]
-		if beta == 0 {
-			for j := range crow {
-				crow[j] = 0
-			}
-		} else if beta != 1 {
-			for j := range crow {
-				crow[j] *= beta
-			}
-		}
-		arow := a.Data[i*k : (i+1)*k]
-		for p := 0; p < k; p++ {
-			av := alpha * arow[p]
-			brow := b.Data[p*n : (p+1)*n]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
 	}
 }
 

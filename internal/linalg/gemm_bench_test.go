@@ -6,42 +6,34 @@ import (
 	"testing"
 )
 
-// BenchmarkGEMM sweeps the square sizes that occur in the solver: Norb-sized
-// SSE blocks (12), RGF blocks (32–256). The Trans/ConjTrans cases pin the
-// packed path's zero-allocation property (the old kernel materialized
-// b.T()/b.H() per call).
+// gemmSweep is the square block sizes the benchmark devices multiply: 8
+// and 12 (dist_schedules, qtd_tenants), 12 and 18 (iv_sse_bound), 48 and
+// 64 (iv_gf_bound), plus 32, 128 and 256 around and above them.
+var gemmSweep = []int{8, 12, 18, 32, 48, 64, 128, 256}
+
+// BenchmarkGEMM sweeps gemmSweep over the right operand's three ops, then
+// times the RGF forward-pass shape, −U·g≷ᴴ added into C (alpha = −1,
+// opB = ConjTrans, beta = 1). Every row must report 0 allocs/op: the
+// Trans/ConjTrans operands are consumed through pooled buffers, never
+// materialized per call.
 func BenchmarkGEMM(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{12, 32, 64, 128, 192, 256} {
+	for _, n := range gemmSweep {
 		am := randMat(rng, n, n)
 		bm := randMat(rng, n, n)
 		cm := New(n, n)
-		for _, op := range []Op{NoTrans, Trans, ConjTrans} {
-			b.Run(fmt.Sprintf("n=%d/opB=%s", n, op), func(b *testing.B) {
+		run := func(name string, alpha complex128, op Op, beta complex128) {
+			b.Run(fmt.Sprintf("n=%d/%s", n, name), func(b *testing.B) {
 				b.ReportAllocs()
-				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					GEMM(1, am, NoTrans, bm, op, 0, cm)
+					GEMM(alpha, am, NoTrans, bm, op, beta, cm)
 				}
+				b.ReportMetric(8*float64(n*n*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 			})
 		}
-	}
-}
-
-// BenchmarkGEMMStripeRef measures the retained reference kernel for
-// comparison with the blocked path.
-func BenchmarkGEMMStripeRef(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{32, 64, 128, 256} {
-		am := randMat(rng, n, n)
-		bm := randMat(rng, n, n)
-		cm := New(n, n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				gemmStripe(1, am, bm, 0, cm)
-			}
-		})
+		for _, op := range []Op{NoTrans, Trans, ConjTrans} {
+			run("opB="+op.String(), 1, op, 0)
+		}
+		run("rgf", -1, ConjTrans, 1)
 	}
 }

@@ -10,8 +10,9 @@ package linalg
 // (alpha·op(A)[i][k])·op(B)[k][j] are accumulated in ascending k with a
 // single accumulator, beta applied exactly once up front, and each
 // complex multiply-add rounded exactly as Go's scalar lowering (no FMA
-// anywhere) — the same order and association as the retained gemmStripe
-// reference, so the blocked kernel produces bitwise-identical results.
+// anywhere) — the same order and association as the row-panel kernel that
+// runs the small products (gemmRowPanel) and as the i-k-j reference loop
+// the tests keep, so every path produces bitwise-identical results.
 // The property suite in gemm_blocked_test.go pins this across all Op
 // combinations and edge shapes.
 //
@@ -32,12 +33,6 @@ const (
 	gemmMC = 128
 	// gemmNC bounds the packed op(B) panel (gemmKC·gemmNC = 512 KiB).
 	gemmNC = 256
-	// packThreshold is the m·n·k operation count below which a NoTrans
-	// problem runs on the unpacked gemmStripe reference instead. Measured
-	// crossover on AVX2 is between 4³ and 8³ — packing amortizes almost
-	// immediately; transposed operands always pack, which replaces the
-	// old per-call .T()/.H() materialization.
-	packThreshold = 512
 )
 
 // gemmBlocked computes C = alpha·op(A)·op(B) + beta·C through packed
@@ -127,7 +122,7 @@ func storeAcc(cc []complex128, ldc, mr, nr int, acc *[gemmMR * gemmNR]complex128
 
 // microKernelGo is the portable register tile: acc[r][s] accumulates
 // sum_k ap[k·MR+r]·bp[k·NR+s] in ascending k, one accumulator per
-// element — the same ordering as the assembly kernel and gemmStripe.
+// element — the same ordering as the assembly kernel and the row panel.
 func microKernelGo(kc int, ap, bp []complex128, acc *[gemmMR * gemmNR]complex128) {
 	ap = ap[: gemmMR*kc : gemmMR*kc]
 	bp = bp[: gemmNR*kc : gemmNR*kc]

@@ -1,16 +1,47 @@
 package linalg
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"runtime"
 	"testing"
 )
 
-// referenceGEMM computes C = alpha·op(A)·op(B) + beta·C through the
-// retained gemmStripe reference, materializing transposed operands so the
-// stripe always sees natural orientation. This is the bit-identity oracle:
-// the blocked kernel must reproduce it exactly.
+// gemmStripe computes C = alpha·A·B + beta·C with A and B both in natural
+// orientation, in i-k-j order: each C row is scaled by beta (zeroed, never
+// read, when beta is 0), then adds (alpha·a_ip)·row_p(B) for ascending p.
+// This is the plain loop whose per-element roundings both GEMM kernels
+// reproduce.
+func gemmStripe(alpha complex128, a, b *Matrix, beta complex128, c *Matrix) {
+	n := c.Cols
+	k := a.Cols
+	for i := 0; i < c.Rows; i++ {
+		crow := c.Data[i*n : (i+1)*n]
+		if beta == 0 {
+			for j := range crow {
+				crow[j] = 0
+			}
+		} else if beta != 1 {
+			for j := range crow {
+				crow[j] *= beta
+			}
+		}
+		arow := a.Data[i*k : (i+1)*k]
+		for p := 0; p < k; p++ {
+			av := alpha * arow[p]
+			brow := b.Data[p*n : (p+1)*n]
+			for j, bv := range brow {
+				crow[j] += av * bv
+			}
+		}
+	}
+}
+
+// referenceGEMM computes C = alpha·op(A)·op(B) + beta·C through gemmStripe,
+// materializing transposed operands so the stripe always sees natural
+// orientation. This is the bit-identity oracle: the packed and the
+// row-panel kernel must reproduce it exactly.
 func referenceGEMM(alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta complex128, c *Matrix) {
 	am, bm := a, b
 	switch opA {
@@ -30,7 +61,7 @@ func referenceGEMM(alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta 
 
 // runBlocked drives the packed driver, under its compiled-in blocking,
 // through the same degenerate-shape entry logic as GEMM, bypassing the
-// stripe shortcut so small problems exercise the packed kernel too.
+// row-panel dispatch so small problems exercise the packed kernel too.
 func runBlocked(alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta complex128, c *Matrix) {
 	runTiled(gemmMC, gemmKC, gemmNC, alpha, a, opA, b, opB, beta, c)
 }
@@ -311,13 +342,29 @@ func TestGEMMAliasingPanics(t *testing.T) {
 	GEMM(1, a3, NoTrans, b, NoTrans, 0, c3)
 }
 
-// peakGoroutines runs f while a monitor samples runtime.NumGoroutine and
-// returns the highest count seen above the level before f started, the
-// monitor itself excluded. Goroutines that live only inside f — a kernel
-// fan-out joined before the kernel returns — show up here and nowhere in
-// a before/after comparison.
+// linalgGoroutines counts the live goroutines this package started — the
+// ones whose "created by" frame is in repro/internal/linalg — leaving out
+// peakGoroutines' own monitor. runtime.NumGoroutine would also count what
+// the runtime, the testing framework or an earlier test left running.
+func linalgGoroutines(buf []byte) int {
+	stacks := buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range bytes.Split(stacks, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("\ncreated by repro/internal/linalg.")) &&
+			!bytes.Contains(g, []byte("\ncreated by repro/internal/linalg.peakGoroutines")) {
+			n++
+		}
+	}
+	return n
+}
+
+// peakGoroutines runs f while a monitor samples linalgGoroutines and
+// returns the highest count seen above the level before f started.
+// Goroutines that live only inside f — a kernel fan-out joined before the
+// kernel returns — show up here and nowhere in a before/after comparison.
 func peakGoroutines(f func()) int {
-	base := runtime.NumGoroutine()
+	buf := make([]byte, 1<<20)
+	base := linalgGoroutines(buf)
 	stop, peak := make(chan struct{}), make(chan int)
 	go func() {
 		top := 0
@@ -327,67 +374,73 @@ func peakGoroutines(f func()) int {
 				peak <- top
 				return
 			default:
-				top = max(top, runtime.NumGoroutine())
+				top = max(top, linalgGoroutines(buf))
 				runtime.Gosched()
 			}
 		}
 	}()
 	f()
 	close(stop)
-	return <-peak - base - 1
+	return <-peak - base
 }
 
 // TestGEMMSerialUnderSaturatedPool pins the composition contract: a GEMM
-// runs on its caller's goroutine. An 80³ product — larger than any block a
-// benchmark device has — starts no goroutine from an idle top level, and
-// inside a ParallelFor the only goroutines are the loop's own workers;
-// both are bitwise correct.
+// runs on its caller's goroutine. At one size on each kernel of the
+// dispatch — 12³ on the row panel, repeated until the products take about
+// as long as the others, and 80³, larger than any block a benchmark device
+// has, on the packed kernel — products start no goroutine from an idle top
+// level, and inside a ParallelFor the only goroutines are the loop's own
+// workers; all are bitwise correct.
 func TestGEMMSerialUnderSaturatedPool(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // idle Ps: room to spread, if a kernel tried
 	rng := rand.New(rand.NewSource(15))
-	const dim, reps, workers = 80, 40, 2
-	a := randMat(rng, dim, dim)
-	b := randMat(rng, dim, dim)
-	seed := randMat(rng, dim, dim)
-	want := seed.Clone()
-	referenceGEMM(1, a, NoTrans, b, NoTrans, 1, want)
+	const workers = 2
+	for _, size := range []struct{ dim, reps int }{{12, 2000}, {80, 40}} {
+		dim, reps := size.dim, size.reps
+		ctx := "dim=" + itoa(dim) + " "
+		a := randMat(rng, dim, dim)
+		b := randMat(rng, dim, dim)
+		seed := randMat(rng, dim, dim)
+		want := seed.Clone()
+		referenceGEMM(1, a, NoTrans, b, NoTrans, 1, want)
 
-	outs := make([]*Matrix, reps)
-	reset := func() {
-		for i := range outs {
-			outs[i] = seed.Clone()
-		}
-	}
-
-	reset()
-	if extra := peakGoroutines(func() {
-		for _, c := range outs {
-			GEMM(1, a, NoTrans, b, NoTrans, 1, c)
-		}
-	}); extra > 0 {
-		t.Errorf("top-level GEMM ran beside %d goroutines it started, want 0", extra)
-	}
-	for _, c := range outs {
-		checkBitwise(t, "top level", c, want)
-	}
-
-	reset()
-	var err error
-	if extra := peakGoroutines(func() {
-		err = ParallelFor(reps, workers, func() func(int) error {
-			return func(i int) error {
-				GEMM(1, a, NoTrans, b, NoTrans, 1, outs[i])
-				return nil
+		outs := make([]*Matrix, reps)
+		reset := func() {
+			for i := range outs {
+				outs[i] = seed.Clone()
 			}
-		})
-	}); extra > workers {
-		t.Errorf("GEMMs inside a %d-worker ParallelFor ran beside %d goroutines, want at most the workers", workers, extra)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range outs {
-		checkBitwise(t, "in pool", c, want)
+		}
+
+		reset()
+		if extra := peakGoroutines(func() {
+			for _, c := range outs {
+				GEMM(1, a, NoTrans, b, NoTrans, 1, c)
+			}
+		}); extra > 0 {
+			t.Errorf("%stop-level GEMM ran beside %d goroutines it started, want 0", ctx, extra)
+		}
+		for _, c := range outs {
+			checkBitwise(t, ctx+"top level", c, want)
+		}
+
+		reset()
+		var err error
+		if extra := peakGoroutines(func() {
+			err = ParallelFor(reps, workers, func() func(int) error {
+				return func(i int) error {
+					GEMM(1, a, NoTrans, b, NoTrans, 1, outs[i])
+					return nil
+				}
+			})
+		}); extra > workers {
+			t.Errorf("%sGEMMs inside a %d-worker ParallelFor ran beside %d goroutines, want at most the workers", ctx, workers, extra)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range outs {
+			checkBitwise(t, ctx+"in pool", c, want)
+		}
 	}
 }
 
@@ -417,7 +470,7 @@ func TestGEMMAllocFreeAtEverySize(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	rng := rand.New(rand.NewSource(16))
 	ws := NewWorkspace()
-	for _, n := range []int{12, 32, 64, 128, 256} {
+	for _, n := range gemmSweep {
 		a, b, c := randMat(rng, n, n), randMat(rng, n, n), New(n, n)
 		for _, op := range []Op{NoTrans, Trans, ConjTrans} {
 			if got := leastMallocs(10, func() { GEMM(1, a, NoTrans, b, op, 0, c) }); got != 0 {

@@ -260,15 +260,6 @@ func Hermitize(dst, a *Matrix) *Matrix {
 	return Scale(dst, 0.5, dst)
 }
 
-// AntiHermitianPart returns (a − aᴴ)/2, the anti-Hermitian part of a.
-// In NEGF the spectral content of Gᴿ and Σ≷ lives here.
-func AntiHermitianPart(a *Matrix) *Matrix {
-	h := a.H()
-	d := New(a.Rows, a.Cols)
-	Sub(d, a, h)
-	return Scale(d, 0.5, d)
-}
-
 func checkSameShape(op string, a, b *Matrix) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic(fmt.Sprintf("linalg: %s shape mismatch %dx%d vs %dx%d", op, a.Rows, a.Cols, b.Rows, b.Cols))

@@ -265,21 +265,6 @@ func TestHermitize(t *testing.T) {
 	}
 }
 
-func TestAntiHermitianPart(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	a := randomMatrix(rng, 4, 4)
-	anti := AntiHermitianPart(a)
-	sum := Add(New(4, 4), anti, anti.H())
-	if sum.FrobNorm() > 1e-13 {
-		t.Fatal("anti-Hermitian part is not anti-Hermitian")
-	}
-	herm := Hermitize(New(4, 4), a)
-	recon := Add(New(4, 4), herm, anti)
-	if !EqualApprox(recon, a, 1e-13) {
-		t.Fatal("Hermitian + anti-Hermitian parts do not reconstruct the matrix")
-	}
-}
-
 func TestFrobNormAndMaxAbs(t *testing.T) {
 	m := New(2, 2)
 	m.Set(0, 0, 3)

@@ -24,8 +24,9 @@ import (
 // accumulators that are never stored, so padding wastes a few flops on
 // edge tiles but cannot change any stored bit.
 
-// packBuf holds the packed panels of one GEMM invocation. Buffers grow to
-// the high-water panel size of the problems they have served — at most one
+// packBuf holds the packed panels of one GEMM invocation, or the row-major
+// alpha·op(A) block and transposed op(B) of a row-panel one. Buffers grow
+// to the high-water size of the problems they have served — at most one
 // cache block each — and are reused via packPool (allocating callers) or a
 // Workspace (hot solver paths).
 type packBuf struct {
@@ -122,4 +123,32 @@ func packB(bp []complex128, b *Matrix, opB Op, p0, kc, j0, nc int) {
 			}
 		}
 	}
+}
+
+// packRowsA writes alpha·op(A)[i0:i0+mc, :] row-major into ap (mc×k, the
+// row-panel kernel's layout): op(A)'s rows, then one vecScale by alpha —
+// packA's alpha·a products, the two factors of each real multiply swapped,
+// which IEEE rounding does not see.
+func packRowsA(ap []complex128, alpha complex128, a *Matrix, opA Op, i0, mc int) {
+	switch opA {
+	case NoTrans:
+		k := a.Cols
+		ap = ap[:copy(ap, a.Data[i0*k:(i0+mc)*k])]
+	case Trans, ConjTrans:
+		k := a.Rows
+		ap = ap[:mc*k]
+		for p := 0; p < k; p++ {
+			row := a.Data[p*a.Cols+i0 : p*a.Cols+i0+mc]
+			if opA == ConjTrans {
+				for r, v := range row {
+					ap[r*k+p] = cmplx.Conj(v)
+				}
+			} else {
+				for r, v := range row {
+					ap[r*k+p] = v
+				}
+			}
+		}
+	}
+	vecScale(ap, alpha)
 }

@@ -110,17 +110,14 @@ func sumMul3x4(acc *[12]complex128, x0, x1, x2, y []complex128, k, n int) {
 }
 
 //go:noescape
-func smallBatchAVX2(c, a, b *complex128, n, count, aStride, bStride, acc int)
+func smallBatchAVX2(c, a, b *complex128, m, n, k, count, aStride, bStride, mode int)
 
-// smallBatch runs SmallBatch's shape-checked body (n, count ≥ 1).
-func smallBatch(c, a, b []complex128, n, count, aStride, bStride int, acc bool) {
+// smallBatch runs the row-panel kernel smallBatchGo describes
+// (m, n, k, count ≥ 1).
+func smallBatch(c, a, b []complex128, m, n, k, count, aStride, bStride, mode int) {
 	if haveAVX2 {
-		mode := 0
-		if acc {
-			mode = 1
-		}
-		smallBatchAVX2(&c[0], &a[0], &b[0], n, count, aStride, bStride, mode)
+		smallBatchAVX2(&c[0], &a[0], &b[0], m, n, k, count, aStride, bStride, mode)
 		return
 	}
-	smallBatchGo(c, a, b, n, count, aStride, bStride, acc)
+	smallBatchGo(c, a, b, m, n, k, count, aStride, bStride, mode)
 }

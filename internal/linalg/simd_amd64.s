@@ -369,57 +369,71 @@ loop5:
 	ADDQ R11, R11; \
 	JZ   to
 
-// func smallBatchAVX2(c, a, b *complex128, n, count, aStride, bStride, acc int)
+// func smallBatchAVX2(c, a, b *complex128, m, n, k, count, aStride, bStride, mode int)
 //
-// For t in [0, count): C[t] = A[t]·B[t] (acc = 0) or C[t] += A[t]·B[t]
-// (acc ≠ 0), n×n row-major blocks, A[t] at a + t·aStride, B[t] at
-// b + t·bStride, C[t] at c + t·n² (strides in elements; n, count ≥ 1).
-// Rows go in pairs, and each pair in column slices of two complex (one
-// ymm) plus a one-complex xmm slice for odd n: a slice starts from +0 or
-// from C and adds a_ip·B[t][p][slice] for ascending p, so every element
-// sees the roundings of smallBatchGo, while the pair shares each B load.
-// For odd n the last row is paired with itself: both halves compute the
-// same bits and store them to the same place. With acc ≠ 0 an a_ip of ±0
+// The row-panel kernel, smallBatchGo's loop: for t in [0, count),
+// C[t] (m×n) = A[t] (m×k) · B[t] (k×n), row-major blocks, A[t] at
+// a + t·aStride, B[t] at b + t·bStride, C[t] at c + t·m·n (strides in
+// elements; m, n, k, count ≥ 1). Rows go in pairs, and each pair in column
+// slices of two complex (one ymm) plus a one-complex xmm slice for odd n: a
+// slice starts from +0, or from C when mode has rowFromC (bit 0), and adds
+// a_ip·B[t][p][slice] for ascending p, so every element sees the roundings
+// of smallBatchGo, while the pair shares each B load. For odd m the last
+// row is paired with itself: both halves compute the same bits and store
+// them to the same place. When mode has rowSkipZero (bit 1) an a_ip of ±0
 // contributes nothing, smallBatchGo's av == 0 skip.
 //
 // Registers: DI the C element being written (C is dense, so it only
-// advances), SI/DX the blocks A[t]/B[t], R9 blocks left, R12 the row
-// length in bytes, AX the pair's first row of A[t], R10 the distance to
-// its second row (R12, or 0 when paired with itself), BX rows left, CX
+// advances), SI/DX the blocks A[t]/B[t], R12 the C and B row length in
+// bytes, AX the pair's first row of A[t], R10 and R9 the distance to its
+// second row in A and in C (0 when paired with itself), BX rows left, CX
 // slices left, R13 the slice's top in B[t], R14/R15 the a_ip and B[t]
-// slice of step p, R8 steps left, R11 scratch.
-TEXT ·smallBatchAVX2(SB), NOSPLIT, $0-64
+// slice of step p, R8 steps left, R11 the mode, then scratch. The block
+// count counts down in its argument slot.
+TEXT ·smallBatchAVX2(SB), NOSPLIT, $0-80
 	MOVQ c+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DX
-	MOVQ count+32(FP), R9
-	MOVQ n+24(FP), R12
+	MOVQ n+32(FP), R12
 	SHLQ $4, R12
 
 block6:
 	MOVQ SI, AX
-	MOVQ n+24(FP), BX
+	MOVQ m+24(FP), BX
 
 pair6:
-	MOVQ R12, R10
+	MOVQ k+40(FP), R10
+	SHLQ $4, R10
+	MOVQ R12, R9
 	CMPQ BX, $1
 	JNE  rows6
 	XORQ R10, R10
+	XORQ R9, R9
 
 rows6:
 	MOVQ DX, R13
-	MOVQ n+24(FP), CX
+	MOVQ n+32(FP), CX
 	SHRQ $1, CX
 	JZ   tail6
 
 slice6:
-	MOVQ AX, R14
-	MOVQ R13, R15
-	MOVQ n+24(FP), R8
-	CMPQ acc+56(FP), $0
-	JEQ  sety6
+	MOVQ  AX, R14
+	MOVQ  R13, R15
+	MOVQ  k+40(FP), R8
+	MOVQ  mode+72(FP), R11
+	TESTQ $1, R11
+	JNZ   loady6
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	JMP   starty6
+
+loady6:
 	VMOVUPD (DI), Y0
-	VMOVUPD (DI)(R10*1), Y1
+	VMOVUPD (DI)(R9*1), Y1
+
+starty6:
+	TESTQ $2, R11
+	JZ    ally6
 
 skipy6:
 	VMOVUPD   (R15), Y12
@@ -438,10 +452,6 @@ nexty6:
 	JNZ  skipy6
 	JMP  storey6
 
-sety6:
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-
 ally6:
 	VMOVUPD   (R15), Y12
 	VPERMILPD $0x5, Y12, Y13
@@ -454,22 +464,33 @@ ally6:
 
 storey6:
 	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, (DI)(R10*1)
+	VMOVUPD Y1, (DI)(R9*1)
 	ADDQ    $32, DI
 	ADDQ    $32, R13
 	DECQ    CX
 	JNZ     slice6
 
 tail6:
-	MOVQ  n+24(FP), R8
+	MOVQ  n+32(FP), R8
 	TESTQ $1, R8
 	JZ    next6
 	MOVQ  AX, R14
 	MOVQ  R13, R15
-	CMPQ  acc+56(FP), $0
-	JEQ   setx6
+	MOVQ  k+40(FP), R8
+	MOVQ  mode+72(FP), R11
+	TESTQ $1, R11
+	JNZ   loadx6
+	VXORPD X0, X0, X0
+	VXORPD X1, X1, X1
+	JMP   startx6
+
+loadx6:
 	VMOVUPD (DI), X0
-	VMOVUPD (DI)(R10*1), X1
+	VMOVUPD (DI)(R9*1), X1
+
+startx6:
+	TESTQ $2, R11
+	JZ    allx6
 
 skipx6:
 	VMOVUPD   (R15), X12
@@ -488,10 +509,6 @@ nextx6:
 	JNZ  skipx6
 	JMP  storex6
 
-setx6:
-	VXORPD X0, X0, X0
-	VXORPD X1, X1, X1
-
 allx6:
 	VMOVUPD   (R15), X12
 	VPERMILPD $0x1, X12, X13
@@ -504,22 +521,22 @@ allx6:
 
 storex6:
 	VMOVUPD X0, (DI)
-	VMOVUPD X1, (DI)(R10*1)
+	VMOVUPD X1, (DI)(R9*1)
 	ADDQ    $16, DI
 
 next6:
-	ADDQ R10, DI
-	LEAQ (AX)(R12*2), AX
+	ADDQ R9, DI
+	LEAQ (AX)(R10*2), AX
 	SUBQ $2, BX
 	JG   pair6
 
-	MOVQ aStride+40(FP), R11
+	MOVQ aStride+56(FP), R11
 	SHLQ $4, R11
 	ADDQ R11, SI
-	MOVQ bStride+48(FP), R11
+	MOVQ bStride+64(FP), R11
 	SHLQ $4, R11
 	ADDQ R11, DX
-	DECQ R9
+	DECQ count+48(FP)
 	JNZ  block6
 
 	VZEROUPPER

@@ -24,7 +24,7 @@ func sumMul3x4(acc *[12]complex128, x0, x1, x2, y []complex128, k, n int) {
 	sumMul3x4Go(acc, x0, x1, x2, y, k, n)
 }
 
-// smallBatch runs SmallBatch's shape-checked body.
-func smallBatch(c, a, b []complex128, n, count, aStride, bStride int, acc bool) {
-	smallBatchGo(c, a, b, n, count, aStride, bStride, acc)
+// smallBatch runs the row-panel kernel smallBatchGo describes.
+func smallBatch(c, a, b []complex128, m, n, k, count, aStride, bStride, mode int) {
+	smallBatchGo(c, a, b, m, n, k, count, aStride, bStride, mode)
 }

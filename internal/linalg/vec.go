@@ -44,12 +44,13 @@ func SumMul3x4(acc *[12]complex128, x0, x1, x2, y []complex128, k, n int) {
 // of the SSE tile: for t in [0, count), C[t] = A[t]·B[t] with A[t] starting
 // t·aStride elements into a, B[t] t·bStride elements into b and C[t] t·n²
 // elements into c. A stride of 0 shares one block across the batch. Row i
-// of C[t] is formed in row-panel order: it starts from +0, or from its
-// current value when acc is set, and adds a_ip·row_p(B[t]) for ascending p.
-// The two modes are two rounding contracts. Without acc every product is
-// added, the sequence of GEMM(1, A, B, 0, C). With acc, a product whose
-// a_ip is zero is skipped, so a −0 in C or an Inf or NaN in B facing a zero
-// of A survives. C must not overlap A or B.
+// of C[t] is formed in row-panel order (smallBatchGo, the kernel GEMM runs
+// its small products on): it starts from +0, or from its current value when
+// acc is set, and adds a_ip·row_p(B[t]) for ascending p. The two modes are
+// two rounding contracts. Without acc every product is added, the sequence
+// of GEMM(1, A, B, 0, C). With acc, a product whose a_ip is zero is
+// skipped, so a −0 in C or an Inf or NaN in B facing a zero of A survives.
+// C must not overlap A or B.
 func SmallBatch(c, a, b []complex128, n, count, aStride, bStride int, acc bool) {
 	bl := n * n
 	if n < 0 || count < 0 || aStride < 0 || bStride < 0 || len(c) < count*bl ||
@@ -60,24 +61,41 @@ func SmallBatch(c, a, b []complex128, n, count, aStride, bStride int, acc bool) 
 	if n == 0 || count == 0 {
 		return
 	}
-	smallBatch(c, a, b, n, count, aStride, bStride, acc)
+	mode := 0
+	if acc {
+		mode = rowFromC | rowSkipZero
+	}
+	smallBatch(c, a, b, n, n, n, count, aStride, bStride, mode)
 }
 
-// smallBatchGo is the portable SmallBatch.
-func smallBatchGo(c, a, b []complex128, n, count, aStride, bStride int, acc bool) {
-	bl := n * n
+// Mode bits of the row-panel kernel. SmallBatch overwrites with neither and
+// accumulates with both; GEMM runs rowFromC alone when beta ≠ 0.
+const (
+	// rowFromC starts each row of C[t] from its current value, not from +0.
+	rowFromC = 1 << iota
+	// rowSkipZero skips a product whose a_ip is ±0.
+	rowSkipZero
+)
+
+// smallBatchGo is the portable row-panel kernel behind SmallBatch and the
+// small GEMMs: for t in [0, count), C[t] = A[t]·B[t] with the m×k block A[t]
+// starting t·aStride elements into a, the k×n block B[t] t·bStride elements
+// into b and the m×n block C[t] t·m·n elements into c, all row-major. Row i
+// of C[t] starts from +0, or from its current value under rowFromC, and
+// adds a_ip·row_p(B[t]) for ascending p, skipping a_ip = ±0 under
+// rowSkipZero.
+func smallBatchGo(c, a, b []complex128, m, n, k, count, aStride, bStride, mode int) {
+	la, lb, lc := m*k, k*n, m*n
 	for t := 0; t < count; t++ {
-		at := a[t*aStride : t*aStride+bl : t*aStride+bl]
-		bt := b[t*bStride : t*bStride+bl : t*bStride+bl]
-		for i := 0; i < n; i++ {
-			crow := c[t*bl+i*n : t*bl+(i+1)*n : t*bl+(i+1)*n]
-			if !acc {
-				for j := range crow {
-					crow[j] = 0
-				}
+		at := a[t*aStride : t*aStride+la : t*aStride+la]
+		bt := b[t*bStride : t*bStride+lb : t*bStride+lb]
+		for i := 0; i < m; i++ {
+			crow := c[t*lc+i*n : t*lc+(i+1)*n : t*lc+(i+1)*n]
+			if mode&rowFromC == 0 {
+				clear(crow)
 			}
-			for p, av := range at[i*n : (i+1)*n] {
-				if acc && av == 0 {
+			for p, av := range at[i*k : (i+1)*k] {
+				if mode&rowSkipZero != 0 && av == 0 {
 					continue
 				}
 				brow := bt[p*n : (p+1)*n : (p+1)*n]

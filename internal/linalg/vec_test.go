@@ -174,17 +174,19 @@ func TestSumMul3x4ShortOperandPanics(t *testing.T) {
 	expectPanic(t, "SumMul3x4", func() { SumMul3x4(&acc, x, x, x, make([]complex128, 31), 4, 2) })
 }
 
-// smallBatchRun runs SmallBatch and smallBatchGo on copies of one operand
-// set drawn from rng and fails on the first element, C's guard tail
-// included, where they differ. The operands are randVec values with exact
+// smallBatchRun runs the dispatched row-panel kernel and smallBatchGo on
+// copies of one operand set drawn from rng — C[t] (m×n) = A[t] (m×k) ·
+// B[t] (k×n) under mode — and fails on the first element, C's guard tail
+// included, where they differ. Square blocks under SmallBatch's two modes
+// go through SmallBatch itself. The operands are randVec values with exact
 // zeros of both signs sprinkled into A, −0 into C and ±Inf/NaN into B;
 // each buffer starts up to three elements into its allocation, so no
 // operand is 32-byte aligned.
-func smallBatchRun(t *testing.T, rng *rand.Rand, n, count, aStride, bStride int, acc bool) {
+func smallBatchRun(t *testing.T, rng *rand.Rand, m, n, k, count, aStride, bStride, mode int) {
 	t.Helper()
 	const guard = 3
-	bl := n * n
-	span := func(stride int) int {
+	la, lb, lc := m*k, k*n, m*n
+	span := func(stride, bl int) int {
 		if count == 0 {
 			return bl
 		}
@@ -201,33 +203,55 @@ func smallBatchRun(t *testing.T, rng *rand.Rand, n, count, aStride, bStride int,
 	negZero := math.Copysign(0, -1)
 	inf, nan := math.Inf(1), math.NaN()
 	offA, offB, offC := rng.Intn(4), rng.Intn(4), rng.Intn(4)
-	a := sprinkle(randVec(rng, offA+span(aStride)), 0, complex(negZero, 0), complex(0, negZero), complex(negZero, negZero))[offA:]
-	b := sprinkle(randVec(rng, offB+span(bStride)), complex(inf, 1), complex(-inf, 0), complex(0, inf), complex(nan, 0), complex(1, nan))[offB:]
-	got := sprinkle(randVec(rng, offC+count*bl+guard), complex(negZero, negZero), complex(negZero, 1))[offC:]
+	a := sprinkle(randVec(rng, offA+span(aStride, la)), 0, complex(negZero, 0), complex(0, negZero), complex(negZero, negZero))[offA:]
+	b := sprinkle(randVec(rng, offB+span(bStride, lb)), complex(inf, 1), complex(-inf, 0), complex(0, inf), complex(nan, 0), complex(1, nan))[offB:]
+	got := sprinkle(randVec(rng, offC+count*lc+guard), complex(negZero, negZero), complex(negZero, 1))[offC:]
 	want := append([]complex128(nil), got...)
-	SmallBatch(got[:count*bl], a, b, n, count, aStride, bStride, acc)
-	smallBatchGo(want[:count*bl], a, b, n, count, aStride, bStride, acc)
+	switch {
+	case m == n && n == k && (mode == 0 || mode == rowFromC|rowSkipZero):
+		SmallBatch(got[:count*lc], a, b, n, count, aStride, bStride, mode != 0)
+	case count > 0:
+		smallBatch(got[:count*lc], a, b, m, n, k, count, aStride, bStride, mode)
+	}
+	smallBatchGo(want[:count*lc], a, b, m, n, k, count, aStride, bStride, mode)
 	for i := range want {
 		if !sameBits(got[i], want[i]) {
-			t.Fatalf("n=%d count=%d strides %d/%d acc=%v elem %d: dispatched %v != portable %v",
-				n, count, aStride, bStride, acc, i, got[i], want[i])
+			t.Fatalf("m=%d n=%d k=%d count=%d strides %d/%d mode=%d elem %d: dispatched %v != portable %v",
+				m, n, k, count, aStride, bStride, mode, i, got[i], want[i])
 		}
 	}
 }
 
-// TestSmallBatchMatchesGo pins the dispatched SmallBatch (the AVX2 body's
-// ymm slices and, for odd n, its xmm tail) bitwise against the portable
-// loop: every n the SSE tile could meet up to 13, empty, single and longer
-// batches, fixed A, fixed B, both strided with B wider than n², and both
-// rounding contracts, over special values that separate them.
+// TestSmallBatchMatchesGo pins the dispatched row-panel kernel (the AVX2
+// body's ymm slices, for odd n its xmm tail, for odd m its self-paired last
+// row) bitwise against the portable loop: every square n the SSE tile could
+// meet up to 13 under both SmallBatch contracts, with empty, single and
+// longer batches, fixed A, fixed B, both strided with B wider than n²; then
+// rectangular m×k·k×n blocks under all four mode combinations, GEMM's
+// rowFromC-alone included, over special values that separate them.
 func TestSmallBatchMatchesGo(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	for n := 1; n <= 13; n++ {
 		bl := n * n
 		for _, count := range []int{0, 1, 7} {
 			for _, s := range [][2]int{{0, bl}, {0, 5*bl + 3}, {bl, 0}, {bl, bl}, {bl + 2, 3*bl + 1}} {
-				for _, acc := range []bool{false, true} {
-					smallBatchRun(t, rng, n, count, s[0], s[1], acc)
+				for _, mode := range []int{0, rowFromC | rowSkipZero} {
+					smallBatchRun(t, rng, n, n, n, count, s[0], s[1], mode)
+				}
+			}
+		}
+	}
+	dims := []int{1, 2, 3, 4, 5, 8, 13}
+	for _, m := range dims {
+		for _, n := range dims {
+			for _, k := range dims {
+				la, lb := m*k, k*n
+				for _, count := range []int{1, 3} {
+					for _, s := range [][2]int{{0, lb}, {la, 0}, {la + 1, 2*lb + 3}} {
+						for mode := 0; mode <= rowFromC|rowSkipZero; mode++ {
+							smallBatchRun(t, rng, m, n, k, count, s[0], s[1], mode)
+						}
+					}
 				}
 			}
 		}
@@ -280,7 +304,7 @@ func FuzzSmallBatch(f *testing.F) {
 		nn, cnt := 1+int(n)%25, int(count)%17
 		bl := nn * nn
 		strides := []int{0, bl, bl + rng.Intn(2*bl+1)}
-		smallBatchRun(t, rng, nn, cnt, strides[rng.Intn(3)], strides[rng.Intn(3)], rng.Intn(2) == 0)
+		smallBatchRun(t, rng, nn, nn, nn, cnt, strides[rng.Intn(3)], strides[rng.Intn(3)], []int{0, rowFromC | rowSkipZero}[rng.Intn(2)])
 	})
 }
 

@@ -23,7 +23,7 @@ type Workspace struct {
 	free map[int][]*Matrix
 	all  map[int][]*Matrix
 	lus  map[int]*LU
-	// pack holds the blocked GEMM's packing panels. Keeping them on the
+	// pack holds the GEMM kernels' packing buffers. Keeping them on the
 	// workspace (rather than the global packPool) means the steady-state
 	// solver path touches no shared pool at all.
 	pack packBuf
@@ -51,13 +51,6 @@ func (ws *Workspace) Get(r, c int) *Matrix {
 	}
 	m := New(r, c)
 	ws.all[k] = append(ws.all[k], m)
-	return m
-}
-
-// GetZero is Get with the contents cleared.
-func (ws *Workspace) GetZero(r, c int) *Matrix {
-	m := ws.Get(r, c)
-	m.Zero()
 	return m
 }
 
@@ -91,12 +84,12 @@ func (ws *Workspace) LUFor(n int) *LU {
 	return f
 }
 
-// GEMM is linalg.GEMM backed by this workspace's packing panels instead of
-// the global packPool, so the steady-state solver path touches no shared
-// pool. Trans/ConjTrans operands are consumed directly by the packed
-// kernel — nothing is materialized. The result is bit-identical to the
-// allocating path (same kernel, same buffers modulo location). The
-// workspace ownership rule applies: one goroutine at a time.
+// GEMM is linalg.GEMM backed by this workspace's packing buffers instead
+// of the global packPool, so the steady-state solver path touches no
+// shared pool. Trans/ConjTrans operands are consumed through those buffers
+// — nothing is allocated. The result is bit-identical to the allocating
+// path (same kernel, same buffers modulo location). The workspace
+// ownership rule applies: one goroutine at a time.
 func (ws *Workspace) GEMM(alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta complex128, c *Matrix) {
 	m, k := opDims(a, opA)
 	k2, n := opDims(b, opB)

@@ -39,21 +39,6 @@ func TestWorkspaceGetPutReset(t *testing.T) {
 	}
 }
 
-func TestWorkspaceGetZero(t *testing.T) {
-	ws := NewWorkspace()
-	m := ws.Get(2, 2)
-	for i := range m.Data {
-		m.Data[i] = 7
-	}
-	ws.Reset()
-	z := ws.GetZero(2, 2)
-	for i, v := range z.Data {
-		if v != 0 {
-			t.Fatalf("GetZero element %d = %v", i, v)
-		}
-	}
-}
-
 func TestHIntoTIntoMatchAllocating(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randMat(rng, 3, 5)
