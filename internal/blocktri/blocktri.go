@@ -139,25 +139,6 @@ func (m *Matrix) AXPY(s complex128, other *Matrix) {
 	}
 }
 
-// NNZDense returns the number of entries a dense representation would hold.
-func (m *Matrix) NNZDense() int64 {
-	n := int64(m.Dim())
-	return n * n
-}
-
-// NNZBlocks returns the number of entries actually stored.
-func (m *Matrix) NNZBlocks() int64 {
-	var n int64
-	for i := 0; i < m.NB; i++ {
-		s := int64(m.Sizes[i])
-		n += s * s
-		if i+1 < m.NB {
-			n += 2 * s * int64(m.Sizes[i+1])
-		}
-	}
-	return n
-}
-
 func placeBlock(dst *linalg.Matrix, b *linalg.Matrix, r0, c0 int) {
 	for i := 0; i < b.Rows; i++ {
 		copy(dst.Data[(r0+i)*dst.Cols+c0:(r0+i)*dst.Cols+c0+b.Cols], b.Row(i))

@@ -118,17 +118,6 @@ func TestScaleAXPY(t *testing.T) {
 	}
 }
 
-func TestNNZ(t *testing.T) {
-	m := Uniform(3, 2)
-	if m.NNZDense() != 36 {
-		t.Fatalf("NNZDense = %d", m.NNZDense())
-	}
-	// 3 diag 2x2 + 2×2 off-diag 2x2 = 12 + 16 = 28.
-	if m.NNZBlocks() != 28 {
-		t.Fatalf("NNZBlocks = %d", m.NNZBlocks())
-	}
-}
-
 func TestExtractBlockInverseOfDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := randomBT(rng, []int{2, 3, 2})

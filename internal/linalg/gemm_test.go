@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -87,12 +88,12 @@ func dispatchShapes() [][3]int {
 	return shapes
 }
 
-// TestGEMMBitwiseAcrossDispatch pins GEMM and Workspace.GEMM against the
-// i-k-j reference on both sides of the row-panel/packed dispatch: every
-// shape of dispatchShapes under all nine op pairs, alpha ∈ {0, 1, z} and
-// beta ∈ {0, 1, z}, on specialOperands — so 1·a ≠ a, a zero of A facing
-// an Inf of B, a −0 in C and unread NaN garbage all have to come out as
-// the reference has them.
+// TestGEMMBitwiseAcrossDispatch pins GEMM and Workspace.GEMM at every
+// level against the i-k-j reference on both sides of the row-panel/packed
+// dispatch: every shape of dispatchShapes under all nine op pairs,
+// alpha ∈ {0, 1, z} and beta ∈ {0, 1, z}, on specialOperands — so
+// 1·a ≠ a, a zero of A facing an Inf of B, a −0 in C and unread NaN
+// garbage all have to come out as the reference has them.
 func TestGEMMBitwiseAcrossDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	ws := NewWorkspace()
@@ -106,22 +107,27 @@ func TestGEMMBitwiseAcrossDispatch(t *testing.T) {
 						a, b, c := specialOperands(rng, m, n, k, opA, opB, beta)
 						want := c.Clone()
 						referenceGEMM(alpha, a, opA, b, opB, beta, want)
-						if i++; i%2 == 0 {
-							GEMM(alpha, a, opA, b, opB, beta, c)
-						} else {
-							ws.GEMM(alpha, a, opA, b, opB, beta, c)
-						}
-						checkSameBits(t, fmt.Sprintf("m=%d n=%d k=%d op=%s%s alpha=%v beta=%v", m, n, k, opA, opB, alpha, beta), c, want)
+						i++
+						atLevels(func(level string) {
+							got := c.Clone()
+							if i%2 == 0 {
+								GEMM(alpha, a, opA, b, opB, beta, got)
+							} else {
+								ws.GEMM(alpha, a, opA, b, opB, beta, got)
+							}
+							checkSameBits(t, fmt.Sprintf("%s: m=%d n=%d k=%d op=%s%s alpha=%v beta=%v", level, m, n, k, opA, opB, alpha, beta), got, want)
+						})
 					}
 				}
 			}
 		}
 	}
+	t.Logf("levels: %s", strings.Join(simdLevels(), " "))
 }
 
 // FuzzGEMM extends TestGEMMBitwiseAcrossDispatch to any shape up to 70 on
 // each axis — k·n from 1 to well past rowPanelMaxKN — and any of the 81
-// (op pair, alpha, beta) combinations.
+// (op pair, alpha, beta) combinations, at every level.
 func FuzzGEMM(f *testing.F) {
 	f.Add(uint8(12), uint8(12), uint8(12), uint8(0), int64(1))
 	f.Add(uint8(48), uint8(48), uint8(49), uint8(40), int64(2))
@@ -135,11 +141,15 @@ func FuzzGEMM(f *testing.F) {
 		a, b, cm := specialOperands(rng, mm, nn, kk, opA, opB, beta)
 		want := cm.Clone()
 		referenceGEMM(alpha, a, opA, b, opB, beta, want)
-		if seed%2 == 0 {
-			GEMM(alpha, a, opA, b, opB, beta, cm)
-		} else {
-			NewWorkspace().GEMM(alpha, a, opA, b, opB, beta, cm)
-		}
-		checkSameBits(t, fmt.Sprintf("m=%d n=%d k=%d op=%s%s alpha=%v beta=%v", mm, nn, kk, opA, opB, alpha, beta), cm, want)
+		atLevels(func(level string) {
+			got := cm.Clone()
+			if seed%2 == 0 {
+				GEMM(alpha, a, opA, b, opB, beta, got)
+			} else {
+				NewWorkspace().GEMM(alpha, a, opA, b, opB, beta, got)
+			}
+			checkSameBits(t, fmt.Sprintf("%s: m=%d n=%d k=%d op=%s%s alpha=%v beta=%v", level, mm, nn, kk, opA, opB, alpha, beta), got, want)
+		})
+		t.Logf("levels: %s", strings.Join(simdLevels(), " "))
 	})
 }

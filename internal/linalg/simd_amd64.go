@@ -2,10 +2,13 @@
 
 package linalg
 
-// AVX2 micro-kernel plumbing. Detection is done once at init: AVX2 in
-// CPUID leaf 7, plus OSXSAVE/XGETBV confirming the OS preserves ymm
-// state. No FMA requirement — the kernel deliberately avoids fused
-// operations to keep bit-identity with the scalar reference.
+// SIMD kernel plumbing. Detection is done once at init: AVX2 in CPUID
+// leaf 7, plus OSXSAVE/XGETBV confirming the OS preserves ymm state; then
+// AVX-512F on top, with XGETBV confirming the OS also preserves the opmask
+// and all zmm state. No FMA requirement — every kernel deliberately avoids
+// fused operations to keep bit-identity with the scalar reference. The
+// slice kernels dispatch zmm, then ymm, then xmm, then scalar; the packed
+// GEMM micro-kernel stays AVX2.
 
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
@@ -15,6 +18,8 @@ func xgetbv0() (eax, edx uint32)
 func microKernelAVX2(kc int, ap, bp, acc *complex128)
 
 var haveAVX2 = detectAVX2()
+
+var haveAVX512 = haveAVX2 && detectAVX512()
 
 func detectAVX2() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
@@ -33,6 +38,19 @@ func detectAVX2() bool {
 	_, ebx7, _, _ := cpuid(7, 0)
 	const avx2 = 1 << 5
 	return ebx7&avx2 != 0
+}
+
+// detectAVX512 reports AVX-512F with the OS saving the opmask registers,
+// the upper halves of zmm0–15 and zmm16–31 (XCR0 bits 5–7) besides XMM
+// and YMM state. Call it only once detectAVX2 holds.
+func detectAVX512() bool {
+	xcr0, _ := xgetbv0()
+	if xcr0&0xe6 != 0xe6 {
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	const avx512f = 1 << 16
+	return ebx7&avx512f != 0
 }
 
 // microKernel runs one packed 2×8 register tile (see gemm_blocked.go).
@@ -81,10 +99,19 @@ func vecScale(dst []complex128, s complex128) {
 }
 
 //go:noescape
+func vecAddMulAVX512(dst, src *complex128, n int, s complex128)
+
+//go:noescape
 func vecAddMulAVX2(dst, src *complex128, n int, s complex128)
 
-// vecAddMul computes dst[j] += s*src[j] with scalar-identical rounding.
+// vecAddMul computes dst[j] += s*src[j] with scalar-identical rounding:
+// whole zmm (four complex) first, then a ymm pair, then one scalar.
 func vecAddMul(dst, src []complex128, s complex128) {
+	if haveAVX512 && len(dst) >= 4 {
+		q := len(dst) &^ 3
+		vecAddMulAVX512(&dst[0], &src[0], q, s)
+		dst, src = dst[q:], src[q:]
+	}
 	n := len(dst)
 	if haveAVX2 && n >= 2 {
 		even := n &^ 1
@@ -98,26 +125,40 @@ func vecAddMul(dst, src []complex128, s complex128) {
 }
 
 //go:noescape
+func sumMul3x4AVX512(acc, x0, x1, x2, y *complex128, k, n int)
+
+//go:noescape
 func sumMul3x4AVX2(acc, x0, x1, x2, y *complex128, k, n int)
 
 // sumMul3x4 runs SumMul3x4's shape-checked body.
 func sumMul3x4(acc *[12]complex128, x0, x1, x2, y []complex128, k, n int) {
-	if haveAVX2 && k > 0 && n > 0 {
+	switch {
+	case haveAVX512 && k > 0 && n > 0:
+		sumMul3x4AVX512(&acc[0], &x0[0], &x1[0], &x2[0], &y[0], k, n)
+	case haveAVX2 && k > 0 && n > 0:
 		sumMul3x4AVX2(&acc[0], &x0[0], &x1[0], &x2[0], &y[0], k, n)
-		return
+	default:
+		sumMul3x4Go(acc, x0, x1, x2, y, k, n)
 	}
-	sumMul3x4Go(acc, x0, x1, x2, y, k, n)
 }
 
+// rowZMM, a mode bit of smallBatchAsm only, runs the zmm column slices of
+// four complex ahead of the ymm and xmm ones. Set it on AVX-512 hosts alone:
+// elsewhere the zmm instructions fault.
+const rowZMM = rowSkipZero << 1
+
 //go:noescape
-func smallBatchAVX2(c, a, b *complex128, m, n, k, count, aStride, bStride, mode int)
+func smallBatchAsm(c, a, b *complex128, m, n, k, count, aStride, bStride, mode int)
 
 // smallBatch runs the row-panel kernel smallBatchGo describes
-// (m, n, k, count ≥ 1).
+// (m, n, k, count ≥ 1). Rows shorter than one zmm skip the zmm test.
 func smallBatch(c, a, b []complex128, m, n, k, count, aStride, bStride, mode int) {
-	if haveAVX2 {
-		smallBatchAVX2(&c[0], &a[0], &b[0], m, n, k, count, aStride, bStride, mode)
-		return
+	switch {
+	case haveAVX512 && n >= 4:
+		smallBatchAsm(&c[0], &a[0], &b[0], m, n, k, count, aStride, bStride, mode|rowZMM)
+	case haveAVX2:
+		smallBatchAsm(&c[0], &a[0], &b[0], m, n, k, count, aStride, bStride, mode)
+	default:
+		smallBatchGo(c, a, b, m, n, k, count, aStride, bStride, mode)
 	}
-	smallBatchGo(c, a, b, m, n, k, count, aStride, bStride, mode)
 }

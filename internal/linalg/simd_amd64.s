@@ -239,6 +239,96 @@ done4:
 	VZEROUPPER
 	RET
 
+// AVX-512 has no VADDSUBPD, so the zmm bodies fold its subtraction into a
+// sign: signRe is −1 in the real lanes and +1 in the imaginary ones, and
+// multiplying the pair-swapped operand (or the imaginary broadcast) by it
+// turns ai·bi into −(ai·bi), exactly, as rounding to nearest is symmetric.
+// The plain add that follows, ar·br + (−(ai·bi)), is by definition the
+// subtraction ar·br − ai·bi, signed zeros included, so every lane rounds
+// as the ymm sequence does.
+DATA signRe<>+0(SB)/8, $0xbff0000000000000
+DATA signRe<>+8(SB)/8, $0x3ff0000000000000
+DATA signRe<>+16(SB)/8, $0xbff0000000000000
+DATA signRe<>+24(SB)/8, $0x3ff0000000000000
+DATA signRe<>+32(SB)/8, $0xbff0000000000000
+DATA signRe<>+40(SB)/8, $0x3ff0000000000000
+DATA signRe<>+48(SB)/8, $0xbff0000000000000
+DATA signRe<>+56(SB)/8, $0x3ff0000000000000
+GLOBL signRe<>(SB), RODATA|NOPTR, $64
+
+// SIGNSWAPZ(b, bs): bs = the four complex of b pair-swapped and signed by
+// signRe (held in Z31): (−bi, br) per complex.
+#define SIGNSWAPZ(b, bs) \
+	VPERMILPD $0x55, b, bs; \
+	VMULPD    Z31, bs, bs
+
+// MADDZ(ar, ai, b, bs, acc): acc += a·b for the complex a at ar/ai and the
+// four complex b in b (bs from SIGNSWAPZ): per lane ar·b + ai·bs, the ymm
+// sequence's VADDSUBPD as a plain add.
+#define MADDZ(ar, ai, b, bs, acc) \
+	VBROADCASTSD ar, Z8; \
+	VBROADCASTSD ai, Z9; \
+	VMULPD       b, Z8, Z10; \
+	VMULPD       bs, Z9, Z11; \
+	VADDPD       Z11, Z10, Z10; \
+	VADDPD       Z10, acc, acc
+
+// func vecAddMulAVX512(dst, src *complex128, n int, s complex128)
+//
+// vecAddMulAVX2 on zmm: dst[j] += s*src[j] for j in [0, n), n a multiple
+// of four (the Go wrapper hands the rest to the ymm and scalar paths), two
+// vectors per trip and a one-vector tail. The imaginary broadcast carries
+// the sign: Z9 = signRe·si.
+TEXT ·vecAddMulAVX512(SB), NOSPLIT, $0-40
+	MOVQ         dst+0(FP), DX
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSD s_real+24(FP), Z8
+	VBROADCASTSD s_imag+32(FP), Z9
+	VMULPD       signRe<>(SB), Z9, Z9
+	SHRQ         $2, CX
+	MOVQ         CX, BX
+	SHRQ         $1, CX
+	JZ           tail7
+
+loop7:
+	VMOVUPD   (SI), Z12
+	VMOVUPD   64(SI), Z10
+	VPERMILPD $0x55, Z12, Z13
+	VPERMILPD $0x55, Z10, Z11
+	VMULPD    Z12, Z8, Z14
+	VMULPD    Z13, Z9, Z15
+	VMULPD    Z10, Z8, Z6
+	VMULPD    Z11, Z9, Z7
+	VADDPD    Z15, Z14, Z14
+	VADDPD    Z7, Z6, Z6
+	VMOVUPD   (DX), Z0
+	VMOVUPD   64(DX), Z1
+	VADDPD    Z14, Z0, Z0
+	VADDPD    Z6, Z1, Z1
+	VMOVUPD   Z0, (DX)
+	VMOVUPD   Z1, 64(DX)
+	ADDQ      $128, SI
+	ADDQ      $128, DX
+	DECQ      CX
+	JNZ       loop7
+
+tail7:
+	ANDQ $1, BX
+	JZ   done7
+	VMOVUPD   (SI), Z12
+	VPERMILPD $0x55, Z12, Z13
+	VMULPD    Z12, Z8, Z14
+	VMULPD    Z13, Z9, Z15
+	VADDPD    Z15, Z14, Z14
+	VMOVUPD   (DX), Z0
+	VADDPD    Z14, Z0, Z0
+	VMOVUPD   Z0, (DX)
+
+done7:
+	VZEROUPPER
+	RET
+
 // func sumMul3x4AVX2(acc, x0, x1, x2, y *complex128, k, n int)
 //
 // For each of n consecutive steps: T = X·Y with X the 3×k matrix whose
@@ -341,6 +431,109 @@ loop5:
 	VZEROUPPER
 	RET
 
+// func sumMul3x4AVX512(acc, x0, x1, x2, y *complex128, k, n int)
+//
+// sumMul3x4AVX2 on zmm: a step's T row i, four complex, is one zmm, so T
+// takes three accumulators where the ymm body needs six. Two steps run at
+// once, T of step e in Z0-Z2 and of step e+1 in Z3-Z5, so that their add
+// chains overlap; an odd last step runs alone. acc stays in Z20-Z22 and
+// adds T of step e, then T of step e+1: the order of sumMul3x4Go.
+//
+// Registers: R8-R10 the x rows at step e's current k (step e+1's are R12
+// bytes on), DI its row of y (step e+1's is R13 bytes on), BX k left, CX
+// steps left, Z12/Z14 one row of y for each step, Z13/Z15 their signed
+// swaps, Z31 signRe.
+TEXT ·sumMul3x4AVX512(SB), NOSPLIT, $0-56
+	MOVQ    acc+0(FP), DX
+	MOVQ    x0+8(FP), R8
+	MOVQ    x1+16(FP), R9
+	MOVQ    x2+24(FP), R10
+	MOVQ    y+32(FP), DI
+	MOVQ    k+40(FP), R11
+	MOVQ    n+48(FP), CX
+	MOVQ    R11, R12
+	SHLQ    $4, R12
+	MOVQ    R11, R13
+	SHLQ    $6, R13
+	VMOVUPD signRe<>(SB), Z31
+	VMOVUPD (DX), Z20
+	VMOVUPD 64(DX), Z21
+	VMOVUPD 128(DX), Z22
+	CMPQ    CX, $2
+	JLT     one8
+
+two8:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	MOVQ   R11, BX
+
+twok8:
+	VMOVUPD (DI), Z12
+	VMOVUPD (DI)(R13*1), Z14
+	SIGNSWAPZ(Z12, Z13)
+	SIGNSWAPZ(Z14, Z15)
+	MADDZ((R8), 8(R8), Z12, Z13, Z0)
+	MADDZ((R8)(R12*1), 8(R8)(R12*1), Z14, Z15, Z3)
+	MADDZ((R9), 8(R9), Z12, Z13, Z1)
+	MADDZ((R9)(R12*1), 8(R9)(R12*1), Z14, Z15, Z4)
+	MADDZ((R10), 8(R10), Z12, Z13, Z2)
+	MADDZ((R10)(R12*1), 8(R10)(R12*1), Z14, Z15, Z5)
+	ADDQ    $16, R8
+	ADDQ    $16, R9
+	ADDQ    $16, R10
+	ADDQ    $64, DI
+	DECQ    BX
+	JNZ     twok8
+
+	VADDPD Z0, Z20, Z20
+	VADDPD Z1, Z21, Z21
+	VADDPD Z2, Z22, Z22
+	VADDPD Z3, Z20, Z20
+	VADDPD Z4, Z21, Z21
+	VADDPD Z5, Z22, Z22
+	ADDQ   R12, R8
+	ADDQ   R12, R9
+	ADDQ   R12, R10
+	ADDQ   R13, DI
+	SUBQ   $2, CX
+	CMPQ   CX, $2
+	JGE    two8
+
+one8:
+	TESTQ  CX, CX
+	JZ     done8
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+
+onek8:
+	VMOVUPD (DI), Z12
+	SIGNSWAPZ(Z12, Z13)
+	MADDZ((R8), 8(R8), Z12, Z13, Z0)
+	MADDZ((R9), 8(R9), Z12, Z13, Z1)
+	MADDZ((R10), 8(R10), Z12, Z13, Z2)
+	ADDQ    $16, R8
+	ADDQ    $16, R9
+	ADDQ    $16, R10
+	ADDQ    $64, DI
+	DECQ    R11
+	JNZ     onek8
+
+	VADDPD Z0, Z20, Z20
+	VADDPD Z1, Z21, Z21
+	VADDPD Z2, Z22, Z22
+
+done8:
+	VMOVUPD Z20, (DX)
+	VMOVUPD Z21, 64(DX)
+	VMOVUPD Z22, 128(DX)
+	VZEROUPPER
+	RET
+
 // MADDY(ar, ai, acc): acc += a·b for the complex a at ar/ai and the two
 // complex b in Y12 (Y13 pair-swapped), the micro-kernel's no-FMA sequence
 // per lane.
@@ -369,13 +562,14 @@ loop5:
 	ADDQ R11, R11; \
 	JZ   to
 
-// func smallBatchAVX2(c, a, b *complex128, m, n, k, count, aStride, bStride, mode int)
+// func smallBatchAsm(c, a, b *complex128, m, n, k, count, aStride, bStride, mode int)
 //
 // The row-panel kernel, smallBatchGo's loop: for t in [0, count),
 // C[t] (m×n) = A[t] (m×k) · B[t] (k×n), row-major blocks, A[t] at
 // a + t·aStride, B[t] at b + t·bStride, C[t] at c + t·m·n (strides in
 // elements; m, n, k, count ≥ 1). Rows go in pairs, and each pair in column
-// slices of two complex (one ymm) plus a one-complex xmm slice for odd n: a
+// slices: of four complex (one zmm) when mode has rowZMM (bit 2, AVX-512
+// hosts only), then of two (one ymm), then one xmm slice for odd n. A
 // slice starts from +0, or from C when mode has rowFromC (bit 0), and adds
 // a_ip·B[t][p][slice] for ascending p, so every element sees the roundings
 // of smallBatchGo, while the pair shares each B load. For odd m the last
@@ -388,14 +582,18 @@ loop5:
 // bytes, AX the pair's first row of A[t], R10 and R9 the distance to its
 // second row in A and in C (0 when paired with itself), BX rows left, CX
 // slices left, R13 the slice's top in B[t], R14/R15 the a_ip and B[t]
-// slice of step p, R8 steps left, R11 the mode, then scratch. The block
-// count counts down in its argument slot.
-TEXT ·smallBatchAVX2(SB), NOSPLIT, $0-80
-	MOVQ c+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ n+32(FP), R12
-	SHLQ $4, R12
+// slice of step p, R8 steps left, R11 the mode, then scratch; Z31 holds
+// signRe under rowZMM. The block count counts down in its argument slot.
+TEXT ·smallBatchAsm(SB), NOSPLIT, $0-80
+	MOVQ    c+0(FP), DI
+	MOVQ    a+8(FP), SI
+	MOVQ    b+16(FP), DX
+	MOVQ    n+32(FP), R12
+	SHLQ    $4, R12
+	MOVQ    mode+72(FP), R11
+	TESTQ   $4, R11
+	JZ      block6
+	VMOVUPD signRe<>(SB), Z31
 
 block6:
 	MOVQ SI, AX
@@ -411,8 +609,73 @@ pair6:
 	XORQ R9, R9
 
 rows6:
-	MOVQ DX, R13
+	MOVQ  DX, R13
+	MOVQ  n+32(FP), CX
+	MOVQ  mode+72(FP), R11
+	TESTQ $4, R11
+	JZ    ymm6
+	SHRQ  $2, CX
+	JZ    ymmtail6
+
+slicez6:
+	MOVQ  AX, R14
+	MOVQ  R13, R15
+	MOVQ  k+40(FP), R8
+	MOVQ  mode+72(FP), R11
+	TESTQ $1, R11
+	JNZ   loadz6
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	JMP   startz6
+
+loadz6:
+	VMOVUPD (DI), Z0
+	VMOVUPD (DI)(R9*1), Z1
+
+startz6:
+	TESTQ $2, R11
+	JZ    allz6
+
+skipz6:
+	VMOVUPD (R15), Z12
+	SIGNSWAPZ(Z12, Z13)
+	SKIPZERO((R14), 8(R14), onez6)
+	MADDZ((R14), 8(R14), Z12, Z13, Z0)
+
+onez6:
+	SKIPZERO((R14)(R10*1), 8(R14)(R10*1), nextz6)
+	MADDZ((R14)(R10*1), 8(R14)(R10*1), Z12, Z13, Z1)
+
+nextz6:
+	ADDQ $16, R14
+	ADDQ R12, R15
+	DECQ R8
+	JNZ  skipz6
+	JMP  storez6
+
+allz6:
+	VMOVUPD (R15), Z12
+	SIGNSWAPZ(Z12, Z13)
+	MADDZ((R14), 8(R14), Z12, Z13, Z0)
+	MADDZ((R14)(R10*1), 8(R14)(R10*1), Z12, Z13, Z1)
+	ADDQ $16, R14
+	ADDQ R12, R15
+	DECQ R8
+	JNZ  allz6
+
+storez6:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, (DI)(R9*1)
+	ADDQ    $64, DI
+	ADDQ    $64, R13
+	DECQ    CX
+	JNZ     slicez6
+
+ymmtail6:
 	MOVQ n+32(FP), CX
+	ANDQ $3, CX
+
+ymm6:
 	SHRQ $1, CX
 	JZ   tail6
 

@@ -1,11 +1,11 @@
 package linalg
 
 // Slice kernels of the SSE tile (internal/sse): plain []complex128 streams
-// with no Matrix header, dispatched to AVX2 assembly on capable amd64 hosts
-// and to the portable loops below elsewhere. Both paths round every complex
-// multiply-add exactly as Go's scalar lowering (four multiplies, one
-// add/sub pair, one add; no FMA), so results are bitwise identical across
-// them — vec_test.go pins it.
+// with no Matrix header, dispatched to AVX-512 or AVX2 assembly on capable
+// amd64 hosts and to the portable loops below elsewhere. Every path rounds
+// each complex multiply-add exactly as Go's scalar lowering (four
+// multiplies, one add/sub pair, one add; no FMA), so results are bitwise
+// identical across them — vec_test.go pins it at every level.
 
 // VecAddMul computes dst[k] += s·src[k] over two equal-length slices — the
 // long constant-stride stream the SSE ω-stencil is made of. Because the
