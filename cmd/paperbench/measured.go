@@ -52,9 +52,7 @@ func measuredDevice(quick bool) *device.Device {
 // facadeTrace runs one facade configuration for a fixed iteration count
 // and returns the per-iteration currents.
 func facadeTrace(spec qt.Spec, iters int, opts ...qt.Option) []float64 {
-	sim, err := qt.New(spec, append([]qt.Option{
-		qt.WithMaxIterations(iters), qt.WithTolerance(1e-300),
-	}, opts...)...)
+	sim, err := qt.NewFromConfig(qt.RunConfig{Spec: spec, MaxIterations: iters, Tolerance: 1e-300}, opts...)
 	if err != nil {
 		panic(err)
 	}
@@ -393,7 +391,7 @@ func runFigure11(quick bool) {
 	if quick {
 		spec = qt.Spec{Atoms: 16, Slabs: 4, Orbitals: 2, EnergyPoints: 16, PhononModes: 3, Coupling: 0.12}
 	}
-	sim, err := qt.New(spec, qt.WithMaxIterations(20))
+	sim, err := qt.NewFromConfig(qt.RunConfig{Spec: spec, MaxIterations: 20})
 	if err != nil {
 		panic(err)
 	}

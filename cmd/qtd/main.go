@@ -70,7 +70,6 @@ func main() {
 	slots := flag.Int("slots", 0, "concurrent solver slots (0 = half the CPUs, min 2)")
 	queueCap := flag.Int("queue", 64, "admission queue capacity")
 	cacheCap := flag.Int("cache", 128, "result cache capacity (entries)")
-	noWarm := flag.Bool("no-warm-start", false, "disable warm-starting from cached Σ≷ states")
 	logLevel := flag.String("log", "info", "structured log level: debug, info, warn, error")
 	withPprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	flag.Parse()
@@ -84,8 +83,7 @@ func main() {
 
 	svc, err := server.New(server.Config{
 		Slots: *slots, QueueCap: *queueCap, CacheCap: *cacheCap,
-		DataDir: *data, NoWarmStart: *noWarm,
-		Logger: logger,
+		DataDir: *data, Logger: logger,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qtd:", err)

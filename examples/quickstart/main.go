@@ -1,12 +1,12 @@
 // Quickstart: the canonical use of the qt facade — a complete
 // self-consistent electro-thermal simulation is three lines:
 //
-//	sim, _ := qt.New(qt.Spec{Atoms: 24, Slabs: 6, Orbitals: 2})
+//	sim, _ := qt.NewFromConfig(qt.RunConfig{Spec: qt.Spec{Atoms: 24, Slabs: 6, Orbitals: 2}})
 //	run, _ := sim.Start(context.Background())
 //	res, _ := run.Wait()
 //
 // Everything else — the ballistic limit, per-iteration telemetry, and
-// the I-V sweep driver — hangs off the same two types.
+// an I-V curve — hangs off the same two types.
 package main
 
 import (
@@ -21,7 +21,7 @@ func main() {
 	ctx := context.Background()
 
 	// A 24-atom FinFET slice: 6 slabs of 4 atoms, 2 orbitals per atom.
-	sim, err := qt.New(qt.Spec{Atoms: 24, Slabs: 6, Orbitals: 2})
+	sim, err := qt.NewFromConfig(qt.RunConfig{Spec: qt.Spec{Atoms: 24, Slabs: 6, Orbitals: 2}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,18 +53,27 @@ func main() {
 		fmt.Printf("  interface %d: %.6g\n", i, j)
 	}
 
-	// An I-V characteristic through the Sweep driver: one spec fanned
-	// across the bias axis (a smaller structure keeps the sweep quick).
+	// An I-V characteristic: one configuration solved at each bias (a
+	// smaller structure keeps the curve quick). WithBias, not Spec.Bias,
+	// because a zero Spec.Bias is the default bias, not 0 V.
 	fmt.Println("\nI-V characteristic (self-consistent, 5 iterations/point):")
-	points, err := qt.Sweep{
-		Spec:    qt.Spec{Atoms: 16, Slabs: 4, Orbitals: 2, EnergyPoints: 16, PhononModes: 3},
-		Options: []qt.Option{qt.WithMaxIterations(5)},
-		Bias:    []float64{0.0, 0.1, 0.2, 0.3, 0.4, 0.5},
-	}.Run(ctx)
-	if err != nil {
-		log.Fatal(err)
+	iv := qt.RunConfig{
+		Spec:          qt.Spec{Atoms: 16, Slabs: 4, Orbitals: 2, EnergyPoints: 16, PhononModes: 3},
+		MaxIterations: 5,
 	}
-	for _, pt := range points {
-		fmt.Printf("  Vds = %.1f V  ->  I = %.6g\n", pt.Bias, pt.Result.Current)
+	for _, vds := range []float64{0.0, 0.1, 0.2, 0.3, 0.4, 0.5} {
+		sim, err := qt.NewFromConfig(iv, qt.WithBias(vds))
+		if err != nil {
+			log.Fatal(err)
+		}
+		run, err := sim.Start(ctx)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := run.Wait()
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  Vds = %.1f V  ->  I = %.6g\n", vds, res.Current)
 	}
 }

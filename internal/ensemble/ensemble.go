@@ -82,8 +82,9 @@ type Result struct {
 }
 
 // MemberSpec returns the spec member i solves: the base spec with the
-// member's derived disorder seed. Exposed so the service-side driver
-// submits byte-identical configurations.
+// member's derived disorder seed — the one member-seed rule. qtd's study
+// runner derives its members through it too, so a study submitted there
+// and one run here solve byte-identical configurations.
 func (st *Study) MemberSpec(i int) qt.Spec {
 	s := st.Config.Spec
 	s.DisorderSeed = st.BaseSeed + uint64(i)
@@ -132,7 +133,7 @@ func (st *Study) Run(ctx context.Context) (*Result, error) {
 	start := time.Now()
 	members := make([]Member, st.Members)
 	for i := range members {
-		members[i] = Member{Index: i, Seed: st.BaseSeed + uint64(i)}
+		members[i] = Member{Index: i, Seed: st.MemberSpec(i).DisorderSeed}
 	}
 
 	var mu sync.Mutex // serializes OnMember/OnIter across members

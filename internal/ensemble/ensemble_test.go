@@ -22,8 +22,9 @@ func studySpec() qt.Spec {
 	}
 }
 
-func fastOpts() []qt.Option {
-	return []qt.Option{qt.WithMaxIterations(5), qt.WithTolerance(1e-3)}
+// fastConfig solves studySpec in at most five loose iterations.
+func fastConfig() qt.RunConfig {
+	return qt.RunConfig{Spec: studySpec(), MaxIterations: 5, Tolerance: 1e-3}
 }
 
 // TestWelfordMatchesTwoPass pins the reduction arithmetic: the
@@ -91,7 +92,7 @@ func relErr(a, b float64) float64 {
 func TestStudyEndToEnd(t *testing.T) {
 	var iterMembers sync.Map
 	st := &Study{
-		Config: qt.RunConfig{Spec: studySpec()}, Members: 4, BaseSeed: 100, Options: fastOpts(),
+		Config: fastConfig(), Members: 4, BaseSeed: 100,
 		OnIter: func(member int, _ qt.IterStats) { iterMembers.Store(member, true) },
 	}
 	res, err := st.Run(context.Background())
@@ -148,7 +149,7 @@ func TestStudyEndToEnd(t *testing.T) {
 // in index order).
 func TestStudyDeterministic(t *testing.T) {
 	run := func() *Result {
-		st := &Study{Config: qt.RunConfig{Spec: studySpec()}, Members: 3, BaseSeed: 7, Workers: 3, Options: fastOpts()}
+		st := &Study{Config: fastConfig(), Members: 3, BaseSeed: 7, Workers: 3}
 		res, err := st.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -169,8 +170,8 @@ func TestStudyDeterministic(t *testing.T) {
 // TestStudyWarmStart: the warm-started study converges every member and
 // reports the same physics family as the cold one.
 func TestStudyWarmStart(t *testing.T) {
-	st := &Study{Config: qt.RunConfig{Spec: studySpec()}, Members: 3, BaseSeed: 55, WarmStart: true,
-		Options: []qt.Option{qt.WithMaxIterations(12), qt.WithTolerance(1e-4)}}
+	st := &Study{Config: qt.RunConfig{Spec: studySpec(), MaxIterations: 12, Tolerance: 1e-4},
+		Members: 3, BaseSeed: 55, WarmStart: true}
 	res, err := st.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +205,7 @@ func TestStudyValidation(t *testing.T) {
 func TestStudyCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	st := &Study{Config: qt.RunConfig{Spec: studySpec()}, Members: 2, Options: fastOpts()}
+	st := &Study{Config: fastConfig(), Members: 2}
 	res, err := st.Run(ctx)
 	if err == nil {
 		t.Fatal("cancelled study reported no error")

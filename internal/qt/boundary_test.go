@@ -10,9 +10,9 @@ import (
 
 // solveOver is solve with the simulation's boundaries shared through
 // store instead of the process-wide one.
-func solveOver(t *testing.T, store *bc.Store, spec Spec, opts ...Option) (*Simulation, *Result) {
+func solveOver(t *testing.T, store *bc.Store, rc RunConfig, opts ...Option) (*Simulation, *Result) {
 	t.Helper()
-	sim, err := New(spec, opts...)
+	sim, err := NewFromConfig(rc, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,22 +45,25 @@ func untimed(trace []IterStats) []IterStats {
 // decimated them itself.
 func TestBiasSweepDecimatesEachLeadOnce(t *testing.T) {
 	for _, c := range []struct {
-		name string
-		opts []Option
+		name  string
+		ranks int
 	}{
-		{"sequential", nil},
-		{"P=2", []Option{WithRanks(2)}},
+		{"sequential", 0},
+		{"P=2", 2},
 	} {
-		opts := append([]Option{WithMaxIterations(3), WithTolerance(1e-300)}, c.opts...)
-		at := func(bias float64) []Option { return append([]Option{WithBias(bias)}, opts...) }
+		at := func(bias float64) RunConfig {
+			spec := smallSpec()
+			spec.Bias = bias
+			return RunConfig{Spec: spec, Ranks: c.ranks, MaxIterations: 3, Tolerance: 1e-300}
+		}
 		shared := bc.NewStore(bc.StoreBudget)
 
-		solveOver(t, shared, smallSpec(), at(0.2)...)
+		solveOver(t, shared, at(0.2))
 		first := shared.Stats()
 		if first.Decimations == 0 || first.Hits != 0 || first.Entries != first.Decimations {
 			t.Fatalf("%s: first bias left the store at %+v", c.name, first)
 		}
-		_, second := solveOver(t, shared, smallSpec(), at(0.3)...)
+		_, second := solveOver(t, shared, at(0.3))
 		st := shared.Stats()
 		if st.Decimations != first.Decimations || st.Entries != first.Entries || st.Hits != first.Decimations {
 			t.Errorf("%s: second bias moved the store %+v → %+v: want every lookup a hit", c.name, first, st)
@@ -71,7 +74,7 @@ func TestBiasSweepDecimatesEachLeadOnce(t *testing.T) {
 			}
 		}
 
-		_, twin := solveOver(t, bc.NewStore(bc.StoreBudget), smallSpec(), at(0.3)...)
+		_, twin := solveOver(t, bc.NewStore(bc.StoreBudget), at(0.3))
 		if !reflect.DeepEqual(untimed(second.Trace), untimed(twin.Trace)) {
 			t.Errorf("%s: rows over the warm store differ from the cold twin's:\n%+v\n%+v", c.name, second.Trace, twin.Trace)
 		}
@@ -87,7 +90,7 @@ var unseenSeed uint64 = 0xb0d4
 // TestNewTouchesNoBoundary: building a simulation does no boundary work —
 // no lookup, no digest, no entry — so set-up costs what it did before the
 // store existed. The auto-plan probe is a solve and may fill the store;
-// the second New of that configuration then finds everything.
+// the second NewFromConfig of that configuration then finds everything.
 func TestNewTouchesNoBoundary(t *testing.T) {
 	spec := smallSpec()
 	spec.Seed = unseenSeed // a device nothing in this process has built

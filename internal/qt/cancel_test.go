@@ -8,11 +8,18 @@ import (
 	"time"
 )
 
-// cancelAfter launches the configuration, cancels the context as soon
-// as the first iteration's telemetry arrives, and returns the outcome.
-func cancelAfter(t *testing.T, opts ...Option) (*Result, error) {
+// budget is the iteration cap of a cancelled run: far more iterations
+// than it may use.
+const budget = 50
+
+// cancelAfter launches the configuration over smallSpec with the budget
+// and no reachable tolerance, cancels the context as soon as the first
+// iteration's telemetry arrives, and returns the outcome.
+func cancelAfter(t *testing.T, rc RunConfig) (*Result, error) {
 	t.Helper()
-	sim, err := New(smallSpec(), opts...)
+	rc.Spec = smallSpec()
+	rc.MaxIterations, rc.Tolerance = budget, 1e-300
+	sim, err := NewFromConfig(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,21 +51,17 @@ func cancelAfter(t *testing.T, opts ...Option) (*Result, error) {
 // the run stops between iterations with a valid partial result and no
 // leaked rank goroutines.
 func TestCancelStopsRun(t *testing.T) {
-	const budget = 50 // far more iterations than a cancelled run may use
-	configs := map[string][]Option{
-		"sequential":  {WithMaxIterations(budget), WithTolerance(1e-300)},
-		"dist-phases": {WithRanks(4), WithMaxIterations(budget), WithTolerance(1e-300)},
-		"dist-overlap": {WithRanks(4), WithSchedule(Overlap), WithWorkers(2),
-			WithMaxIterations(budget), WithTolerance(1e-300)},
-		"dist-overlap-mixed": {WithRanks(4), WithSchedule(Overlap), WithPrecision(Mixed),
-			WithMaxIterations(budget), WithTolerance(1e-300)},
-		"dist-pipeline": {WithRanks(4), WithSchedule(Pipeline), WithPipelineDepth(3),
-			WithMaxIterations(budget), WithTolerance(1e-300)},
+	configs := map[string]RunConfig{
+		"sequential":         {},
+		"dist-phases":        {Ranks: 4},
+		"dist-overlap":       {Ranks: 4, Schedule: "overlap", Workers: 2},
+		"dist-overlap-mixed": {Ranks: 4, Schedule: "overlap", Precision: "mixed"},
+		"dist-pipeline":      {Ranks: 4, Schedule: "pipeline", PipelineDepth: 3},
 	}
-	for name, opts := range configs {
+	for name, rc := range configs {
 		t.Run(name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
-			res, err := cancelAfter(t, opts...)
+			res, err := cancelAfter(t, rc)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("want context.Canceled, got %v", err)
 			}
@@ -88,7 +91,7 @@ func TestCancelStopsRun(t *testing.T) {
 
 // TestStartOnCancelledContext must refuse to launch.
 func TestStartOnCancelledContext(t *testing.T) {
-	sim, err := New(smallSpec())
+	sim, err := NewFromConfig(RunConfig{Spec: smallSpec()})
 	if err != nil {
 		t.Fatal(err)
 	}

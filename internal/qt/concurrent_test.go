@@ -15,23 +15,25 @@ import (
 // process must leak no goroutines and produce bit-identical fp64
 // currents to the same specs solved serially. Run under -race in CI.
 func TestConcurrentStartsBitIdentical(t *testing.T) {
-	opts := func() []Option { return []Option{WithMaxIterations(4), WithTolerance(1e-300)} }
+	at := func(bias float64, rc RunConfig) RunConfig {
+		rc.Spec = smallSpec()
+		rc.Spec.Bias = bias
+		rc.MaxIterations, rc.Tolerance = 4, 1e-300
+		return rc
+	}
 	// A mix of sequential points (different biases → different answers)
 	// and one distributed configuration sharing the process.
-	points := []struct {
-		bias  float64
-		extra []Option
-	}{
-		{0.10, nil},
-		{0.20, nil},
-		{0.30, nil},
-		{0.30, []Option{WithRanks(2)}},
-		{0.40, []Option{WithPrecision(Mixed)}},
+	points := []RunConfig{
+		at(0.10, RunConfig{}),
+		at(0.20, RunConfig{}),
+		at(0.30, RunConfig{}),
+		at(0.30, RunConfig{Ranks: 2}),
+		at(0.40, RunConfig{Precision: "mixed"}),
 	}
 
 	serial := make([]float64, len(points))
-	for i, pt := range points {
-		_, res := solve(t, smallSpec(), append(append(opts(), WithBias(pt.bias)), pt.extra...)...)
+	for i, rc := range points {
+		_, res := solve(t, rc)
 		serial[i] = res.Current
 	}
 
@@ -41,11 +43,11 @@ func TestConcurrentStartsBitIdentical(t *testing.T) {
 	var wg sync.WaitGroup
 	for r := 0; r < rounds; r++ {
 		results[r] = make([]float64, len(points))
-		for i, pt := range points {
+		for i, rc := range points {
 			wg.Add(1)
-			go func(r, i int, bias float64, extra []Option) {
+			go func(r, i int) {
 				defer wg.Done()
-				sim, err := New(smallSpec(), append(append(opts(), WithBias(bias)), extra...)...)
+				sim, err := NewFromConfig(rc)
 				if err != nil {
 					t.Error(err)
 					return
@@ -61,7 +63,7 @@ func TestConcurrentStartsBitIdentical(t *testing.T) {
 					return
 				}
 				results[r][i] = res.Current
-			}(r, i, pt.bias, pt.extra)
+			}(r, i)
 		}
 	}
 	wg.Wait()
@@ -78,36 +80,54 @@ func TestConcurrentStartsBitIdentical(t *testing.T) {
 	waitForGoroutines(t, before)
 }
 
-// TestConcurrentSweeps runs whole Sweep grids concurrently with each
-// other and checks the grid results match a serial execution bitwise.
-func TestConcurrentSweeps(t *testing.T) {
-	grid := func() Sweep {
-		return Sweep{
-			Spec:    smallSpec(),
-			Options: []Option{WithMaxIterations(3), WithTolerance(1e-300)},
-			Bias:    []float64{0.1, 0.3},
-			Ranks:   []int{0, 2},
+// ivGrid solves a bias×ranks grid — an I-V curve, sequential and on two
+// ranks — point by point, in bias-major order.
+func ivGrid(t *testing.T, biases []float64, iters int) []*Result {
+	t.Helper()
+	var results []*Result
+	for _, bias := range biases {
+		for _, ranks := range []int{0, 2} {
+			rc := RunConfig{Spec: smallSpec(), Ranks: ranks, MaxIterations: iters, Tolerance: 1e-300}
+			rc.Spec.Bias = bias
+			sim, err := NewFromConfig(rc)
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			run, err := sim.Start(context.Background())
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			res, err := run.Wait()
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			results = append(results, res)
 		}
 	}
-	want, err := grid().Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	return results
+}
+
+// TestConcurrentSweeps runs whole bias×ranks grids concurrently with each
+// other and checks the grid results match a serial execution bitwise.
+func TestConcurrentSweeps(t *testing.T) {
+	biases := []float64{0.1, 0.3}
+	want := ivGrid(t, biases, 3)
+	if t.Failed() {
+		return
 	}
 
 	before := runtime.NumGoroutine()
 	const sweeps = 3
-	got := make([][]SweepPoint, sweeps)
+	got := make([][]*Result, sweeps)
 	var wg sync.WaitGroup
 	for i := 0; i < sweeps; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			pts, err := grid().Run(context.Background())
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			got[i] = pts
+			got[i] = ivGrid(t, biases, 3)
 		}(i)
 	}
 	wg.Wait()
@@ -117,7 +137,7 @@ func TestConcurrentSweeps(t *testing.T) {
 			t.Fatalf("sweep %d returned %d points, want %d", i, len(got[i]), len(want))
 		}
 		for j := range got[i] {
-			g, w := got[i][j].Result.Current, want[j].Result.Current
+			g, w := got[i][j].Current, want[j].Current
 			if math.Float64bits(g) != math.Float64bits(w) {
 				t.Errorf("sweep %d point %d: current %v != serial %v (not bit-identical)", i, j, g, w)
 			}
@@ -147,12 +167,12 @@ func waitForGoroutines(t *testing.T, before int) {
 // and with currents bit-identical to the same plan solved alone. Run under
 // -race in CI.
 func TestConcurrentPlansStayPerRun(t *testing.T) {
-	common := func(extra ...Option) []Option {
-		return append([]Option{WithRanks(2), WithMaxIterations(3), WithTolerance(1e-300)}, extra...)
-	}
-	hand := func() []Option { return common(WithSchedule(Pipeline), WithPipelineDepth(2), WithWorkers(2)) }
+	common := RunConfig{Spec: smallSpec(), Ranks: 2, MaxIterations: 3, Tolerance: 1e-300}
+	hand, auto := common, common
+	hand.Schedule, hand.PipelineDepth, hand.Workers = "pipeline", 2, 2
+	auto.AutoPlan = true
 	const handPlan = "pipeline w=2 d=2"
-	_, handSolo := solve(t, smallSpec(), hand()...)
+	_, handSolo := solve(t, hand)
 
 	const pairs = 2
 	type outcome struct {
@@ -163,9 +183,9 @@ func TestConcurrentPlansStayPerRun(t *testing.T) {
 		wg           sync.WaitGroup
 		autos, hands [pairs]outcome
 	)
-	start := func(out *outcome, opts []Option) {
+	start := func(out *outcome, rc RunConfig) {
 		defer wg.Done()
-		sim, err := New(smallSpec(), opts...) // the auto plan probes here, concurrently
+		sim, err := NewFromConfig(rc) // the auto plan probes here, concurrently
 		if err != nil {
 			t.Error(err)
 			return
@@ -184,8 +204,8 @@ func TestConcurrentPlansStayPerRun(t *testing.T) {
 	}
 	for i := 0; i < pairs; i++ {
 		wg.Add(2)
-		go start(&autos[i], common(WithAutoPlan()))
-		go start(&hands[i], hand())
+		go start(&autos[i], auto)
+		go start(&hands[i], hand)
 	}
 	wg.Wait()
 	if t.Failed() {

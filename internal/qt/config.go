@@ -12,27 +12,28 @@ import (
 	"repro/internal/negf"
 )
 
-// RunConfig is the configuration of a simulation — the only one. It is
-// the struct an Option writes into, the body the qtd service decodes, the
-// record the run registry stores and the value the content-addressed
-// result cache hashes: the defaulted Spec plus every knob, each in its
-// flag spelling. The field set and JSON names are a wire format.
+// RunConfig is the configuration of a simulation — the only one, and the
+// only way to set a knob. It is what NewFromConfig builds, the body the
+// qtd service decodes, the record the run registry stores and the value
+// the content-addressed result cache hashes: the defaulted Spec plus
+// every knob, each in its flag spelling. The field set and JSON names
+// are a wire format.
 //
 // The zero value of every knob means "absent" (the default applies), so
 // booleans are spelled in their non-default direction (NoBoundaryCache).
-// A RunConfig is either raw — as decoded, or as a list of options left
-// it — or resolved: what Simulation.resolve made of a raw one, which is
-// what Simulation.Config returns and the only form worth hashing. Three
-// facade knobs have no RunConfig form (see unwired): WithSSEKernel and
-// WithWarmStart carry Go values, and an explicit zero bias is
-// option-only because Spec.Bias = 0 means the Spec default.
+// A RunConfig is either raw — as built or decoded — or resolved: what
+// Simulation.resolve made of a raw one, which is what Simulation.Config
+// returns and the only form worth hashing. Three things a run can be
+// given have no RunConfig form and are Options (see unwired):
+// WithSSEKernel and WithWarmStart carry Go values, and WithBias(0) is an
+// explicit zero bias, because Spec.Bias = 0 means the Spec default.
 type RunConfig struct {
 	Spec Spec `json:"spec"`
 
 	Ranks     int    `json:"ranks,omitempty"`     // 0 = sequential solver
-	Schedule  string `json:"schedule,omitempty"`  // ParseSchedule spellings
-	Precision string `json:"precision,omitempty"` // ParsePrecision spellings
-	Kernel    string `json:"kernel,omitempty"`    // ParseKernel spellings
+	Schedule  string `json:"schedule,omitempty"`  // parseSchedule spellings
+	Precision string `json:"precision,omitempty"` // parsePrecision spellings
+	Kernel    string `json:"kernel,omitempty"`    // parseKernel spellings
 
 	MaxIterations   int     `json:"max_iterations,omitempty"`
 	Tolerance       float64 `json:"tolerance,omitempty"`
@@ -44,19 +45,21 @@ type RunConfig struct {
 	Workers         int     `json:"workers,omitempty"`
 	ErrorProbe      bool    `json:"error_probe,omitempty"`
 	// PipelineDepth is the iteration-window size of the pipeline
-	// schedule (qt.WithPipelineDepth; 0 = the dist default).
+	// schedule: how many self-consistent iterations the task graph spans
+	// at once (0 = the dist default, 2). Depth 1 is the overlap schedule.
 	PipelineDepth int `json:"pipeline_depth,omitempty"`
-	// AutoPlan records that the plan knobs were (or are to be) chosen by
-	// the autotuner. Next to a non-empty Schedule it is a recorded plan,
-	// used as given — a resolved configuration always has that form, the
-	// phases default spelled out — and without one it is a request, which
-	// New resolves by probing. The resolved knobs take part in the content
+	// AutoPlan hands schedule, workers and pipeline depth to the
+	// internal/plan autotuner. Without a Schedule it is a request, which
+	// NewFromConfig resolves by a short calibration probe on the built
+	// device; next to a non-empty Schedule it is a recorded plan, used as
+	// given — a resolved configuration always has that form, the phases
+	// default spelled out. The resolved knobs take part in the content
 	// hash: two runs planned differently are different artifacts.
 	AutoPlan bool `json:"auto_plan,omitempty"`
-	// Trace enables per-phase span recording (qt.WithTrace). It is part
-	// of the hashed configuration: a traced and an untraced run are
-	// different artifacts (the trace is part of the result), so they
-	// address different cache entries.
+	// Trace enables per-phase span recording: the finished run's
+	// Result.Spans carries it. It is part of the hashed configuration: a
+	// traced and an untraced run are different artifacts (the trace is
+	// part of the result), so they address different cache entries.
 	Trace bool `json:"trace,omitempty"`
 }
 
@@ -64,13 +67,13 @@ type RunConfig struct {
 // Spec and every non-default knob in its canonical spelling.
 // NewFromConfig(sim.Config()) rebuilds an equivalent simulation, and two
 // simulations with the same resolved configuration report identical
-// Configs regardless of the option order or spelling that produced them.
+// Configs regardless of the spelling that produced them.
 func (s *Simulation) Config() RunConfig { return s.cfg }
 
-// NewFromConfig builds the simulation a RunConfig describes — the
-// deserialization path of the service layer. Extra options (e.g.
-// WithWarmStart, which has no serialized form) are applied to the config
-// before it is resolved.
+// NewFromConfig validates the configuration, builds the synthetic device
+// and returns the runnable simulation — the one constructor. Options
+// (what a RunConfig cannot say) are applied before the configuration is
+// resolved.
 func NewFromConfig(rc RunConfig, extra ...Option) (*Simulation, error) {
 	s := &Simulation{cfg: rc, store: boundaries}
 	for _, o := range extra {
@@ -91,8 +94,9 @@ func NewFromConfig(rc RunConfig, extra ...Option) (*Simulation, error) {
 // or says why it cannot: every range and combination rule, every
 // default, and the canonical spelling of every knob are here and nowhere
 // else. It runs before the device is built and needs nothing but the
-// configuration. Errors name the option of the offending knob whichever
-// door it came through.
+// configuration. Errors name the JSON field of the offending knob — what
+// a qtd client sends and a qtsim flag fills — or the Option that carried
+// it.
 func (s *Simulation) resolve() error {
 	rc := &s.cfg
 	fail := func(format string, a ...any) error { return fmt.Errorf("qt: "+format, a...) }
@@ -102,7 +106,7 @@ func (s *Simulation) resolve() error {
 		rc.Spec.Bias = 0
 	}
 	if err := rc.Spec.params().Validate(); err != nil {
-		return fail("%w", err)
+		return fail("spec: %w", err)
 	}
 	if err := rc.Spec.validateProfile(); err != nil {
 		return err
@@ -115,29 +119,29 @@ func (s *Simulation) resolve() error {
 	// float rules are written to reject NaN too.
 	switch {
 	case rc.Ranks < 0:
-		return fail("WithRanks: world size must be >= 1, got %d", rc.Ranks)
+		return fail("ranks: world size must be >= 1, got %d", rc.Ranks)
 	case rc.MaxIterations < 0:
-		return fail("WithMaxIterations: need at least one iteration, got %d", rc.MaxIterations)
+		return fail("max_iterations: need at least one iteration, got %d", rc.MaxIterations)
 	case rc.Workers < 0:
-		return fail("WithWorkers: need at least one worker, got %d", rc.Workers)
+		return fail("workers: need at least one worker, got %d", rc.Workers)
 	case rc.PipelineDepth < 0:
-		return fail("WithPipelineDepth: depth must be >= 1, got %d", rc.PipelineDepth)
+		return fail("pipeline_depth: depth must be >= 1, got %d", rc.PipelineDepth)
 	case rc.TileA < 0 || rc.TileE < 0:
-		return fail("WithTiles: tile counts must be positive (one may be 0 to infer), got %d×%d", rc.TileA, rc.TileE)
+		return fail("tile_a, tile_e: tile counts must be positive (one may be 0 to infer), got %d×%d", rc.TileA, rc.TileE)
 	case rc.Tolerance != 0 && (!(rc.Tolerance > 0) || math.IsInf(rc.Tolerance, 0)):
-		return fail("WithTolerance: tolerance must be positive and finite, got %g", rc.Tolerance)
+		return fail("tolerance: must be positive and finite, got %g", rc.Tolerance)
 	case rc.Mixing != 0 && !(rc.Mixing > 0 && rc.Mixing <= 1):
-		return fail("WithMixing: factor must be in (0, 1], got %g", rc.Mixing)
+		return fail("mixing: factor must be in (0, 1], got %g", rc.Mixing)
 	}
-	sch, err := ParseSchedule(rc.Schedule)
+	sch, err := parseSchedule(rc.Schedule)
 	if err != nil {
 		return err
 	}
-	prec, err := ParsePrecision(rc.Precision)
+	prec, err := parsePrecision(rc.Precision)
 	if err != nil {
 		return err
 	}
-	kern, err := ParseKernel(rc.Kernel)
+	kern, err := parseKernel(rc.Kernel)
 	if err != nil {
 		return err
 	}
@@ -161,43 +165,43 @@ func (s *Simulation) resolve() error {
 		// Sequential solver.
 		switch {
 		case sch != Phases:
-			return fail("WithSchedule(%v) requires WithRanks", sch)
+			return fail("schedule %v requires ranks", sch)
 		case rc.TileA != 0 || rc.TileE != 0:
-			return fail("WithTiles requires WithRanks")
+			return fail("tile_a, tile_e require ranks")
 		case rc.Workers != 0:
-			return fail("WithWorkers requires WithRanks")
+			return fail("workers requires ranks")
 		case rc.PipelineDepth != 0:
-			return fail("WithPipelineDepth requires WithRanks")
+			return fail("pipeline_depth requires ranks")
 		case rc.AutoPlan:
-			return fail("WithAutoPlan requires WithRanks: the planner chooses among distributed schedules")
+			return fail("auto_plan requires ranks: the planner chooses among distributed schedules")
 		case kern == Baseline && prec == Mixed:
-			return fail("WithKernel(Baseline) conflicts with WithPrecision(Mixed): the baseline loop nest has no binary16 form")
+			return fail("kernel omen conflicts with precision mixed: the baseline loop nest has no binary16 form")
 		case s.sseKernel != nil && (kern == Baseline || prec == Mixed):
-			return fail("WithSSEKernel overrides the kernel: do not combine it with WithKernel or WithPrecision")
+			return fail("WithSSEKernel overrides the kernel: do not combine it with kernel or precision")
 		}
 	} else {
 		// Distributed solver.
 		switch {
 		case s.warm != nil:
-			return fail("WithWarmStart requires the sequential solver")
+			return fail("WithWarmStart requires the sequential solver (no ranks)")
 		case kern == Baseline:
-			return fail("WithKernel(Baseline) requires the sequential solver: the distributed SSE exchange is data-centric by construction")
+			return fail("kernel omen requires the sequential solver (no ranks): the distributed SSE exchange is data-centric by construction")
 		case s.sseKernel != nil:
-			return fail("WithSSEKernel requires the sequential solver")
+			return fail("WithSSEKernel requires the sequential solver (no ranks)")
 		case rc.Anderson:
-			return fail("WithAnderson requires the sequential solver")
+			return fail("anderson requires the sequential solver (no ranks)")
 		case rc.PipelineDepth != 0 && sch != Pipeline:
-			return fail("WithPipelineDepth requires WithSchedule(Pipeline)")
+			return fail("pipeline_depth requires schedule pipeline")
 		case sch == Pipeline && rc.ErrorProbe && rc.PipelineDepth != 1:
-			return fail("WithErrorProbe requires WithPipelineDepth(1) under WithSchedule(Pipeline): the probe's blocking max-reduction would serialize a deeper iteration window")
+			return fail("error_probe requires pipeline_depth 1 under schedule pipeline: the probe's blocking max-reduction would serialize a deeper iteration window")
 		case rc.AutoPlan && rc.ErrorProbe:
-			return fail("WithErrorProbe conflicts with WithAutoPlan: the planner may select a window deeper than 1, which cannot run the probe")
+			return fail("error_probe conflicts with auto_plan: the planner may select a window deeper than 1, which cannot run the probe")
 		case rc.AutoPlan && !recorded && (rc.Workers != 0 || rc.PipelineDepth != 0):
-			return fail("WithAutoPlan owns the worker and pipeline-depth knobs: drop WithWorkers/WithPipelineDepth, or name the schedule to record a plan")
+			return fail("auto_plan owns workers and pipeline_depth: drop them, or name the schedule to record a plan")
 		}
 	}
 	if rc.ErrorProbe && (rc.Ranks == 0 || prec != Mixed) {
-		return fail("WithErrorProbe requires WithRanks and WithPrecision(Mixed)")
+		return fail("error_probe requires ranks and precision mixed")
 	}
 
 	// Canonical spellings: a default is spelled absent, so equivalent
@@ -216,10 +220,12 @@ func (s *Simulation) resolve() error {
 	if rc.Ranks > 0 {
 		// dist has the last word on the distributed knobs, and infers the
 		// tile split (1×P when unset), which is recorded so a defaulted and
-		// an explicitly default-tiled configuration share one key.
+		// an explicitly default-tiled configuration share one key. Every
+		// other rule dist checks was judged above, so only the split can
+		// fail here.
 		o, err := s.distOptions(nil, nil).Validate()
 		if err != nil {
-			return fail("%w", err)
+			return fail("tile_a, tile_e: %w", err)
 		}
 		rc.TileA, rc.TileE = o.Ta, o.TE
 	}
@@ -229,9 +235,9 @@ func (s *Simulation) resolve() error {
 // schedule, precision and kernel decode the enum knobs of a resolved
 // configuration for the loops. resolve has parsed each spelling, so none
 // can fail here.
-func (rc RunConfig) schedule() Schedule   { v, _ := ParseSchedule(rc.Schedule); return v }
-func (rc RunConfig) precision() Precision { v, _ := ParsePrecision(rc.Precision); return v }
-func (rc RunConfig) kernel() Kernel       { v, _ := ParseKernel(rc.Kernel); return v }
+func (rc RunConfig) schedule() Schedule   { v, _ := parseSchedule(rc.Schedule); return v }
+func (rc RunConfig) precision() Precision { v, _ := parsePrecision(rc.Precision); return v }
+func (rc RunConfig) kernel() Kernel       { v, _ := parseKernel(rc.Kernel); return v }
 
 // Key returns the canonical content hash of the configuration: the
 // SHA-256 of its JSON form re-serialized with recursively sorted object
@@ -250,39 +256,24 @@ func (rc RunConfig) Key() string { return rc.hash(false) }
 // sibling's Σ≷ is an excellent initial guess.
 func (rc RunConfig) WarmKey() string { return rc.hash(true) }
 
+// hash is the SHA-256 of the configuration's JSON form re-written with
+// sorted keys, without the bias and the disorder seed when warm. Only a
+// non-finite float makes a RunConfig unmarshalable, and NewFromConfig
+// rejects those in every float field (TestNonFiniteConfigRejected), so for
+// a configuration that was built the two panics are unreachable.
 func (rc RunConfig) hash(warm bool) string {
-	m := jsonObject(rc)
+	b, err := json.Marshal(rc)
+	if err != nil {
+		panic(fmt.Sprintf("qt: RunConfig not marshalable: %v", err))
+	}
+	var m map[string]any
+	if err := json.Unmarshal(b, &m); err != nil {
+		panic(fmt.Sprintf("qt: RunConfig JSON not an object: %v", err))
+	}
 	if spec, ok := m["spec"].(map[string]any); ok && warm {
 		delete(spec, "bias")
 		delete(spec, "disorder_seed")
 	}
-	return canonicalHash(m)
-}
-
-// Key returns the canonical content hash of the defaulted Spec alone —
-// the structure-level identity. RunConfig.Key covers the full resolved
-// configuration and is what the service cache keys on.
-func (s Spec) Key() string { return canonicalHash(jsonObject(s.withDefaults())) }
-
-// jsonObject is v's JSON form parsed back into a generic object — what
-// the content hashes edit and canonicalize. Only a non-finite float makes
-// a RunConfig or Spec unmarshalable, and NewFromConfig rejects those in
-// every float field (TestNonFiniteConfigRejected), so for a configuration
-// that was built the two panics are unreachable.
-func jsonObject(v any) map[string]any {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(fmt.Sprintf("qt: %T not marshalable: %v", v, err))
-	}
-	var m map[string]any
-	if err := json.Unmarshal(b, &m); err != nil {
-		panic(fmt.Sprintf("qt: %T JSON not an object: %v", v, err))
-	}
-	return m
-}
-
-// canonicalHash is the SHA-256 of m written with recursively sorted keys.
-func canonicalHash(m map[string]any) string {
 	h := sha256.New()
 	writeCanonical(h, m)
 	return hex.EncodeToString(h.Sum(nil))

@@ -23,9 +23,9 @@ func TestParseScheduleAndKernel(t *testing.T) {
 		{"bulk", Phases, true},
 	}
 	for _, tc := range schedCases {
-		got, err := ParseSchedule(tc.in)
+		got, err := parseSchedule(tc.in)
 		if (err != nil) != tc.err || got != tc.want {
-			t.Errorf("ParseSchedule(%q) = %v, %v; want %v, err=%v", tc.in, got, err, tc.want, tc.err)
+			t.Errorf("parseSchedule(%q) = %v, %v; want %v, err=%v", tc.in, got, err, tc.want, tc.err)
 		}
 	}
 	kernCases := []struct {
@@ -39,27 +39,31 @@ func TestParseScheduleAndKernel(t *testing.T) {
 		{"mixed", DataCentric, true}, // mixed is a precision, not a kernel
 	}
 	for _, tc := range kernCases {
-		got, err := ParseKernel(tc.in)
+		got, err := parseKernel(tc.in)
 		if (err != nil) != tc.err || got != tc.want {
-			t.Errorf("ParseKernel(%q) = %v, %v; want %v, err=%v", tc.in, got, err, tc.want, tc.err)
+			t.Errorf("parseKernel(%q) = %v, %v; want %v, err=%v", tc.in, got, err, tc.want, tc.err)
 		}
 	}
 }
 
 // TestRunConfigRoundTrip pins the satellite contract: the resolved
-// option set survives Config → JSON → Unmarshal → NewFromConfig → Config
-// unchanged, for a representative cell of every solver path.
+// configuration survives Config → JSON → Unmarshal → NewFromConfig →
+// Config unchanged, for a representative cell of every solver path.
 func TestRunConfigRoundTrip(t *testing.T) {
-	cases := map[string][]Option{
-		"defaults":   nil,
-		"sequential": {WithTolerance(1e-4), WithMaxIterations(7), WithMixing(0.3), WithAnderson(), WithBoundaryCache(false)},
-		"baseline":   {WithKernel(Baseline), WithBias(0.1)},
-		"distributed": {WithRanks(4), WithSchedule(Overlap), WithWorkers(2),
-			WithTiles(2, 2), WithPrecision(Mixed), WithErrorProbe()},
+	biased := smallSpec()
+	biased.Bias = 0.1
+	cases := map[string]RunConfig{
+		"defaults":    {},
+		"sequential":  {Tolerance: 1e-4, MaxIterations: 7, Mixing: 0.3, Anderson: true, NoBoundaryCache: true},
+		"baseline":    {Spec: biased, Kernel: "omen"},
+		"distributed": {Ranks: 4, Schedule: "overlap", Workers: 2, TileA: 2, TileE: 2, Precision: "mixed", ErrorProbe: true},
 	}
-	for name, opts := range cases {
+	for name, rc := range cases {
 		t.Run(name, func(t *testing.T) {
-			sim, err := New(smallSpec(), opts...)
+			if rc.Spec == (Spec{}) {
+				rc.Spec = smallSpec()
+			}
+			sim, err := NewFromConfig(rc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,39 +97,35 @@ func TestRunConfigRoundTrip(t *testing.T) {
 }
 
 func TestRunConfigKey(t *testing.T) {
-	base := func() *Simulation {
-		sim, err := New(smallSpec(), WithRanks(4), WithPrecision(Mixed))
+	resolved := func(rc RunConfig, opts ...Option) RunConfig {
+		rc.Spec = smallSpec()
+		sim, err := NewFromConfig(rc, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sim
+		return sim.Config()
 	}
 
 	// Identical resolved configurations share a key, independent of the
-	// option order that produced them.
-	a := base().Config()
-	simB, err := New(smallSpec(), WithPrecision(Mixed), WithRanks(4), WithTiles(1, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b := simB.Config(); a.Key() != b.Key() {
+	// spelling that produced them.
+	a := resolved(RunConfig{Ranks: 4, Precision: "mixed"})
+	if b := resolved(RunConfig{Precision: "mixed", Ranks: 4, TileA: 1, TileE: 4}); a.Key() != b.Key() {
 		t.Errorf("equivalent configurations hash differently:\n %s\n %s", a.Key(), b.Key())
 	}
 
 	// Any knob change must change the key.
-	variants := map[string][]Option{
-		"ranks":     {WithRanks(2), WithPrecision(Mixed)},
-		"precision": {WithRanks(4)},
-		"schedule":  {WithRanks(4), WithPrecision(Mixed), WithSchedule(Overlap)},
-		"tolerance": {WithRanks(4), WithPrecision(Mixed), WithTolerance(1e-7)},
-		"bias":      {WithRanks(4), WithPrecision(Mixed), WithBias(0.17)},
+	variants := map[string]struct {
+		rc   RunConfig
+		opts []Option
+	}{
+		"ranks":     {RunConfig{Ranks: 2, Precision: "mixed"}, nil},
+		"precision": {RunConfig{Ranks: 4}, nil},
+		"schedule":  {RunConfig{Ranks: 4, Precision: "mixed", Schedule: "overlap"}, nil},
+		"tolerance": {RunConfig{Ranks: 4, Precision: "mixed", Tolerance: 1e-7}, nil},
+		"bias":      {RunConfig{Ranks: 4, Precision: "mixed"}, []Option{WithBias(0.17)}},
 	}
-	for name, opts := range variants {
-		sim, err := New(smallSpec(), opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sim.Config().Key() == a.Key() {
+	for name, v := range variants {
+		if resolved(v.rc, v.opts...).Key() == a.Key() {
 			t.Errorf("%s change did not change the key", name)
 		}
 	}
@@ -133,18 +133,10 @@ func TestRunConfigKey(t *testing.T) {
 	// WarmKey ignores exactly the bias and the disorder seed:
 	// neighbouring-bias configs share a family, any other change splits
 	// it. (The disorder-seed half lives in TestProfileKeys.)
-	biasSim, err := New(smallSpec(), WithRanks(4), WithPrecision(Mixed), WithBias(0.17))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.WarmKey() != biasSim.Config().WarmKey() {
+	if a.WarmKey() != resolved(RunConfig{Ranks: 4, Precision: "mixed"}, WithBias(0.17)).WarmKey() {
 		t.Error("WarmKey differs across bias values")
 	}
-	tolSim, err := New(smallSpec(), WithRanks(4), WithPrecision(Mixed), WithTolerance(1e-7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.WarmKey() == tolSim.Config().WarmKey() {
+	if a.WarmKey() == resolved(RunConfig{Ranks: 4, Precision: "mixed", Tolerance: 1e-7}).WarmKey() {
 		t.Error("WarmKey ignores more than the bias")
 	}
 
@@ -162,24 +154,16 @@ func TestRunConfigKey(t *testing.T) {
 	if back.Key() != rc.Key() {
 		t.Error("key not stable across decode")
 	}
-
-	// Spec.Key: default-filled and explicit-default specs coincide.
-	if (Spec{}).Key() != (Spec{Atoms: 24, Slabs: 6, Orbitals: 2}).Key() {
-		t.Error("Spec.Key does not normalize defaults")
-	}
-	if (Spec{}).Key() == smallSpec().Key() {
-		t.Error("different specs share a key")
-	}
 }
 
 // TestNonFiniteConfigRejected feeds NaN and ±Inf through every float
 // field reachable from a RunConfig — found by reflection, so a field added
 // later is covered without touching this test — and requires NewFromConfig
 // to return an error. A non-finite value that slipped through would not
-// marshal, and RunConfig.Key / Spec.Key on the submit route would panic.
+// marshal, and RunConfig.Key on the submit route would panic.
 // (The integer knobs follow the same rule — zero is "absent", any other
 // value is judged by resolve — and their negative rows sit in
-// TestOptionValidation's table, which drives both entry points.)
+// TestOptionValidation's table.)
 func TestNonFiniteConfigRejected(t *testing.T) {
 	full := func() RunConfig {
 		spec := smallSpec()

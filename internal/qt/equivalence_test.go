@@ -18,8 +18,8 @@ import (
 func TestFacadeMatchesSequentialSolver(t *testing.T) {
 	const iters = 4
 	for _, prec := range []Precision{FP64, Mixed} {
-		_, res := solve(t, smallSpec(), WithPrecision(prec),
-			WithMaxIterations(iters), WithTolerance(1e-300))
+		_, res := solve(t, RunConfig{Spec: smallSpec(), Precision: prec.String(),
+			MaxIterations: iters, Tolerance: 1e-300})
 
 		dev, err := smallSpec().Build()
 		if err != nil {
@@ -54,8 +54,8 @@ func TestFacadeMatchesSequentialSolver(t *testing.T) {
 func TestFacadeMatchesDistributedSolver(t *testing.T) {
 	const iters, ranks = 3, 4
 	for _, prec := range []Precision{FP64, Mixed} {
-		_, res := solve(t, smallSpec(), WithRanks(ranks), WithPrecision(prec),
-			WithMaxIterations(iters), WithTolerance(1e-300))
+		_, res := solve(t, RunConfig{Spec: smallSpec(), Ranks: ranks, Precision: prec.String(),
+			MaxIterations: iters, Tolerance: 1e-300})
 
 		dev, err := smallSpec().Build()
 		if err != nil {
@@ -91,14 +91,14 @@ func TestFacadeMatchesDistributedSolver(t *testing.T) {
 // (mixed).
 func TestDistributedMatchesSequentialThroughFacade(t *testing.T) {
 	const iters = 3
-	_, seq := solve(t, smallSpec(), WithMaxIterations(iters), WithTolerance(1e-300))
+	_, seq := solve(t, RunConfig{Spec: smallSpec(), MaxIterations: iters, Tolerance: 1e-300})
 	for _, prec := range []Precision{FP64, Mixed} {
 		tol := 1e-12
 		if prec == Mixed {
 			tol = dist.MixedCurrentTol
 		}
-		_, dres := solve(t, smallSpec(), WithRanks(2), WithPrecision(prec),
-			WithMaxIterations(iters), WithTolerance(1e-300))
+		_, dres := solve(t, RunConfig{Spec: smallSpec(), Ranks: 2, Precision: prec.String(),
+			MaxIterations: iters, Tolerance: 1e-300})
 		for i := range dres.Trace {
 			rel := math.Abs(dres.Trace[i].Current-seq.Trace[i].Current) /
 				math.Abs(seq.Trace[i].Current)
@@ -115,15 +115,15 @@ func TestDistributedMatchesSequentialThroughFacade(t *testing.T) {
 // solver paths.
 func TestTelemetryStreamMatchesTrace(t *testing.T) {
 	const iters = 3
-	configs := map[string][]Option{
-		"sequential":  {WithMaxIterations(iters), WithTolerance(1e-300)},
-		"dist-phases": {WithRanks(2), WithMaxIterations(iters), WithTolerance(1e-300)},
-		"dist-overlap": {WithRanks(2), WithSchedule(Overlap),
-			WithMaxIterations(iters), WithTolerance(1e-300)},
+	configs := map[string]RunConfig{
+		"sequential":   {},
+		"dist-phases":  {Ranks: 2},
+		"dist-overlap": {Ranks: 2, Schedule: "overlap"},
 	}
-	for name, opts := range configs {
+	for name, rc := range configs {
 		t.Run(name, func(t *testing.T) {
-			sim, err := New(smallSpec(), opts...)
+			rc.Spec, rc.MaxIterations, rc.Tolerance = smallSpec(), iters, 1e-300
+			sim, err := NewFromConfig(rc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,17 +152,11 @@ func TestTelemetryStreamMatchesTrace(t *testing.T) {
 }
 
 // TestSweepGrid runs a tiny bias×ranks grid and cross-checks the
-// solver-equivalence of the grid points.
+// solver-equivalence of the grid points: a zero on the ranks axis is the
+// sequential solver, which carries no communication counters.
 func TestSweepGrid(t *testing.T) {
-	points, err := Sweep{
-		Spec:    smallSpec(),
-		Options: []Option{WithMaxIterations(2), WithTolerance(1e-300)},
-		Bias:    []float64{0.2, 0.3},
-		Ranks:   []int{0, 2},
-	}.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	biases := []float64{0.2, 0.3}
+	points := ivGrid(t, biases, 2)
 	if len(points) != 4 {
 		t.Fatalf("expected 4 grid points, got %d", len(points))
 	}
@@ -170,20 +164,17 @@ func TestSweepGrid(t *testing.T) {
 	// bias must agree.
 	for i := 0; i < len(points); i += 2 {
 		seq, dst := points[i], points[i+1]
-		if seq.Ranks != 0 || dst.Ranks != 2 {
-			t.Fatalf("unexpected grid order: %+v / %+v", seq, dst)
+		if seq.Comm != nil || dst.Comm == nil {
+			t.Fatalf("bias %g: comm stats %v (sequential) / %v (P=2)", biases[i/2], seq.Comm, dst.Comm)
 		}
-		if seq.Bias != dst.Bias {
-			t.Fatalf("bias mismatch in pair: %g vs %g", seq.Bias, dst.Bias)
-		}
-		rel := math.Abs(seq.Result.Current-dst.Result.Current) / math.Abs(seq.Result.Current)
+		rel := math.Abs(seq.Current-dst.Current) / math.Abs(seq.Current)
 		if rel > 1e-12 {
 			t.Errorf("bias %g: sequential %.17g vs distributed %.17g (rel %.3g)",
-				seq.Bias, seq.Result.Current, dst.Result.Current, rel)
+				biases[i/2], seq.Current, dst.Current, rel)
 		}
 	}
 	// Different biases must give different currents.
-	if points[0].Result.Current == points[2].Result.Current {
+	if points[0].Current == points[2].Current {
 		t.Error("bias axis had no effect")
 	}
 }
@@ -198,21 +189,20 @@ func TestSweepGrid(t *testing.T) {
 // observable reduction, which leaves its 1120 bytes.
 func TestTraceRowEncoding(t *testing.T) {
 	for _, c := range []struct {
-		name string
-		opts []Option
-		want []string
+		name  string
+		ranks int
+		want  []string
 	}{
-		{"sequential", nil, []string{
+		{"sequential", 0, []string{
 			`{"iter":0,"current":0.06862937982202044,"residual":0,"el_energy_loss":0,"ph_energy_gain":0,"sse":{"MatMuls":53136,"Flops":3400704,"ScalarOps":30606336,"BytesMoved":857088},"sse_bytes":0,"reduce_bytes":0,"sigma_err":0,"wall_ns":0,"compute_ns":0,"comm_ns":0}`,
 			`{"iter":1,"current":0.06863286678143306,"residual":0.00005080597061055736,"el_energy_loss":4.6693875714745013e-7,"ph_energy_gain":0.0000011942879746129608,"sse":{"MatMuls":53136,"Flops":3400704,"ScalarOps":30606336,"BytesMoved":857088},"sse_bytes":0,"reduce_bytes":0,"sigma_err":0,"wall_ns":0,"compute_ns":0,"comm_ns":0}`,
 		}},
-		{"P=2", []Option{WithRanks(2)}, []string{
+		{"P=2", 2, []string{
 			`{"iter":0,"current":0.06862937982202044,"residual":0,"el_energy_loss":0,"ph_energy_gain":0,"sse":{"MatMuls":70848,"Flops":4534272,"ScalarOps":30606336,"BytesMoved":1714176},"sse_bytes":801792,"reduce_bytes":1120,"sigma_err":0,"wall_ns":0,"compute_ns":0,"comm_ns":0,"plan":"phases"}`,
 			`{"iter":1,"current":0.06863286678143306,"residual":0.00005080597061055736,"el_energy_loss":4.669387571474503e-7,"ph_energy_gain":0.0000011942879746129613,"sse":{"MatMuls":70848,"Flops":4534272,"ScalarOps":30606336,"BytesMoved":1714176},"sse_bytes":801792,"reduce_bytes":1120,"sigma_err":0,"wall_ns":0,"compute_ns":0,"comm_ns":0}`,
 		}},
 	} {
-		opts := append([]Option{WithMaxIterations(2), WithTolerance(1e-300)}, c.opts...)
-		_, res := solve(t, smallSpec(), opts...)
+		_, res := solve(t, RunConfig{Spec: smallSpec(), Ranks: c.ranks, MaxIterations: 2, Tolerance: 1e-300})
 		if len(res.Trace) != len(c.want) {
 			t.Fatalf("%s: %d rows, want %d", c.name, len(res.Trace), len(c.want))
 		}

@@ -15,10 +15,9 @@ import (
 // solver, plus the plan announcement on the first streamed row.
 func TestPipelineThroughFacade(t *testing.T) {
 	const iters = 3
-	_, seq := solve(t, smallSpec(), WithMaxIterations(iters), WithTolerance(1e-300))
-	sim, res := solve(t, smallSpec(), WithRanks(4), WithSchedule(Pipeline),
-		WithPipelineDepth(2), WithWorkers(2),
-		WithMaxIterations(iters), WithTolerance(1e-300))
+	_, seq := solve(t, RunConfig{Spec: smallSpec(), MaxIterations: iters, Tolerance: 1e-300})
+	sim, res := solve(t, RunConfig{Spec: smallSpec(), Ranks: 4, Schedule: "pipeline",
+		PipelineDepth: 2, Workers: 2, MaxIterations: iters, Tolerance: 1e-300})
 	if len(res.Trace) != iters {
 		t.Fatalf("pipeline ran %d iterations, want %d", len(res.Trace), iters)
 	}
@@ -48,12 +47,11 @@ func TestPipelineThroughFacade(t *testing.T) {
 // goroutines) and return the context error with the partial trace.
 func TestPipelineCancelThroughFacade(t *testing.T) {
 	before := runtime.NumGoroutine()
-	res, err := cancelAfter(t, WithRanks(4), WithSchedule(Pipeline), WithPipelineDepth(3),
-		WithMaxIterations(50), WithTolerance(1e-300))
+	res, err := cancelAfter(t, RunConfig{Ranks: 4, Schedule: "pipeline", PipelineDepth: 3})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected context.Canceled, got %v", err)
 	}
-	if res == nil || len(res.Trace) == 0 || len(res.Trace) >= 50 {
+	if res == nil || len(res.Trace) == 0 || len(res.Trace) >= budget {
 		t.Fatalf("expected a truncated partial trace, got %+v", res)
 	}
 	for i := 0; i < 50 && runtime.NumGoroutine() > before; i++ {
@@ -67,7 +65,7 @@ func TestPipelineCancelThroughFacade(t *testing.T) {
 // TestPipelineConfigRoundTrip: the pipeline knobs survive the RunConfig
 // round-trip with a stable content key.
 func TestPipelineConfigRoundTrip(t *testing.T) {
-	sim, err := New(smallSpec(), WithRanks(4), WithSchedule(Pipeline), WithPipelineDepth(3))
+	sim, err := NewFromConfig(RunConfig{Spec: smallSpec(), Ranks: 4, Schedule: "pipeline", PipelineDepth: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,13 +85,13 @@ func TestPipelineConfigRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAutoPlanResolvesAndRoundTrips is the WithAutoPlan contract: New
-// resolves a concrete plan, Config records it (AutoPlan set and
+// TestAutoPlanResolvesAndRoundTrips is the auto_plan contract:
+// NewFromConfig resolves a concrete plan, Config records it (AutoPlan set and
 // Schedule non-empty — the resolved marker), rebuilding from that
 // config keeps the plan without re-probing, and the content key is
 // stable across the round trip.
 func TestAutoPlanResolvesAndRoundTrips(t *testing.T) {
-	sim, err := New(smallSpec(), WithRanks(2), WithAutoPlan(), WithMaxIterations(3))
+	sim, err := NewFromConfig(RunConfig{Spec: smallSpec(), Ranks: 2, AutoPlan: true, MaxIterations: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +126,7 @@ func TestAutoPlanResolvesAndRoundTrips(t *testing.T) {
 
 	// The resolved plan is part of the artifact identity: the same
 	// request without auto-planning hashes differently.
-	plain, err := New(smallSpec(), WithRanks(2), WithMaxIterations(3))
+	plain, err := NewFromConfig(RunConfig{Spec: smallSpec(), Ranks: 2, MaxIterations: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

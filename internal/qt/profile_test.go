@@ -35,7 +35,7 @@ type (
 // one WarmKey family; a profile change splits the family.
 func TestProfileKeys(t *testing.T) {
 	mk := func(spec Spec) RunConfig {
-		sim, err := New(spec)
+		sim, err := NewFromConfig(RunConfig{Spec: spec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestProfileKeys(t *testing.T) {
 // TestProfileRoundTrip: a profiled spec survives Config → JSON →
 // NewFromConfig unchanged — the qtd wire path for ensemble members.
 func TestProfileRoundTrip(t *testing.T) {
-	sim, err := New(disorderedSpec(5), WithTolerance(1e-4))
+	sim, err := NewFromConfig(RunConfig{Spec: disorderedSpec(5), Tolerance: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestProfileRoundTrip(t *testing.T) {
 // hold bitwise-identical devices (spot-checked through H(kz)).
 func TestProfileDeviceDeterminism(t *testing.T) {
 	build := func() *Simulation {
-		sim, err := New(disorderedSpec(42))
+		sim, err := NewFromConfig(RunConfig{Spec: disorderedSpec(42)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,8 +124,8 @@ func TestProfileDeviceDeterminism(t *testing.T) {
 func TestDisorderSeedRequiresProfile(t *testing.T) {
 	s := smallSpec()
 	s.DisorderSeed = 9
-	if _, err := New(s); err == nil || !strings.Contains(err.Error(), "disorder_seed") {
-		t.Fatalf("New accepted disorder_seed without profile (err = %v)", err)
+	if _, err := NewFromConfig(RunConfig{Spec: s}); err == nil || !strings.Contains(err.Error(), "disorder_seed") {
+		t.Fatalf("NewFromConfig accepted disorder_seed without profile (err = %v)", err)
 	}
 	if _, err := s.Build(); err == nil || !strings.Contains(err.Error(), "disorder_seed") {
 		t.Fatalf("Build accepted disorder_seed without profile (err = %v)", err)
@@ -137,7 +137,7 @@ func TestDisorderSeedRequiresProfile(t *testing.T) {
 func TestProfileValidationSurfacesThroughNew(t *testing.T) {
 	s := smallSpec()
 	s.Profile = &device.Profile{Regions: []Region{{From: 0, To: 99, Offset: 1}}}
-	if _, err := New(s); err == nil || !strings.Contains(err.Error(), "slab range") {
-		t.Fatalf("New accepted an out-of-range profile region (err = %v)", err)
+	if _, err := NewFromConfig(RunConfig{Spec: s}); err == nil || !strings.Contains(err.Error(), "slab range") {
+		t.Fatalf("NewFromConfig accepted an out-of-range profile region (err = %v)", err)
 	}
 }

@@ -7,26 +7,27 @@
 //
 // A minimal simulation is three lines:
 //
-//	sim, _ := qt.New(qt.Spec{Atoms: 24, Slabs: 6, Orbitals: 2})
+//	sim, _ := qt.NewFromConfig(qt.RunConfig{Spec: qt.Spec{Atoms: 24, Slabs: 6, Orbitals: 2}})
 //	run, _ := sim.Start(context.Background())
 //	res, _ := run.Wait()
 //
-// Every knob beyond the physical Spec is a functional option — an unset
-// knob is simply an absent option:
+// Every knob beyond the physical Spec is a RunConfig field, spelled as
+// the qtd request body and the qtsim flags spell it — an unset knob is
+// simply a zero field:
 //
-//	sim, err := qt.New(spec,
-//		qt.WithRanks(8),                // distributed, P = 8 simulated ranks
-//		qt.WithSchedule(qt.Overlap),    // task-graph execution
-//		qt.WithPrecision(qt.Mixed),     // §5.4 binary16 SSE + half wire
-//		qt.WithTolerance(1e-5),
-//	)
+//	sim, err := qt.NewFromConfig(qt.RunConfig{
+//		Spec:      spec,
+//		Ranks:     8,         // distributed, P = 8 simulated ranks
+//		Schedule:  "overlap", // task-graph execution
+//		Precision: "mixed",   // §5.4 binary16 SSE + half wire
+//		Tolerance: 1e-5,
+//	})
 //
 // Start returns a run handle: the run is cancellable between
 // self-consistent iterations through the context, and streams one
 // IterStats per iteration (the unified telemetry schema shared by the
-// sequential and distributed solvers) while it executes. The Sweep
-// driver fans one Spec across bias/world-size grids for I-V curves and
-// scaling studies.
+// sequential and distributed solvers) while it executes. An I-V curve is
+// a loop over biases, each point its own NewFromConfig and Start.
 package qt
 
 import (
@@ -41,7 +42,7 @@ import (
 // the (kz, E, ω) grid it is solved on. Zero fields take the documented
 // defaults (the paper-scale-down FinFET slice used across the repo);
 // execution knobs — solver selection, precision, tolerances — are
-// options on New, not Spec fields.
+// RunConfig fields, not Spec fields.
 // The JSON field names are part of the service wire format (the qtd
 // request body and registry records serialize Spec through RunConfig)
 // and must stay stable.
@@ -178,15 +179,13 @@ const (
 	// self-consistent iterations: the next iteration's boundary solves
 	// and GF points start as soon as their mixed Σ is available, with a
 	// correctness fence discarding speculated work once convergence or
-	// cancellation lands. See WithPipelineDepth for the window size.
+	// cancellation lands. RunConfig.PipelineDepth is the window size.
 	Pipeline = dist.SchedulePipeline
 )
 
-// ParseSchedule maps the command-line spelling to a Schedule — the
-// symmetric partner of ParsePrecision/ParseKernel, so every cmd (and the
-// qtd request decoder) shares one set of spellings. The empty string is
-// the default schedule.
-func ParseSchedule(s string) (Schedule, error) {
+// parseSchedule maps the schedule field's spelling to a Schedule. The
+// empty string is the default schedule.
+func parseSchedule(s string) (Schedule, error) {
 	switch s {
 	case "phases", "":
 		return Phases, nil
@@ -211,11 +210,11 @@ const (
 	Mixed = decomp.Mixed
 )
 
-// ParsePrecision maps the command-line spelling to a Precision. The
+// parsePrecision maps the precision field's spelling to a Precision. The
 // accepted spellings are decomp.ParsePrecision's — one parser for the
 // whole stack — plus, as for the schedule and the kernel, the empty
 // string for the default.
-func ParsePrecision(s string) (Precision, error) {
+func parsePrecision(s string) (Precision, error) {
 	if s == "" {
 		return FP64, nil
 	}
@@ -244,9 +243,9 @@ func (k Kernel) String() string {
 	return "dace"
 }
 
-// ParseKernel maps the command-line spelling to a Kernel. The empty
+// parseKernel maps the kernel field's spelling to a Kernel. The empty
 // string is the default (data-centric) kernel.
-func ParseKernel(s string) (Kernel, error) {
+func parseKernel(s string) (Kernel, error) {
 	switch s {
 	case "dace", "":
 		return DataCentric, nil

@@ -47,7 +47,7 @@ type Result struct {
 	// distributed runs; never serialized (it is solver state, not a
 	// result row).
 	FinalState *SigmaState `json:"-"`
-	// Spans is the per-phase span recording of a WithTrace run (nil
+	// Spans is the per-phase span recording of a traced run (nil
 	// otherwise) — export it with Spans.WriteChrome for Perfetto. Not
 	// serialized here: the qtd registry stores the Chrome form as its
 	// own artifact.
@@ -68,10 +68,6 @@ type Run struct {
 // The channel is buffered for the full iteration budget, so a consumer
 // that reads late (or not at all) never blocks the solver.
 func (r *Run) Stats() <-chan IterStats { return r.stats }
-
-// Done is closed when the run has fully finished (all solver goroutines
-// exited and the result is available).
-func (r *Run) Done() <-chan struct{} { return r.done }
 
 // Wait blocks until the run finishes and returns its result. On
 // cancellation it returns the partial result of the completed

@@ -13,14 +13,14 @@ import (
 )
 
 // Simulation is a validated, buildable experiment: the synthetic device
-// plus the resolved execution configuration. It is immutable after New;
-// every Start launches an independent solve against the shared
-// (read-only) device, so one Simulation can back a whole sweep.
+// plus the resolved execution configuration. It is immutable after
+// NewFromConfig; every Start launches an independent solve against the
+// shared (read-only) device, so one Simulation can back many runs.
 type Simulation struct {
 	Spec   Spec
 	Device *device.Device
 
-	// cfg is the configuration: raw while the options are applied,
+	// cfg is the configuration: raw as NewFromConfig is handed it,
 	// resolved from then on (see RunConfig).
 	cfg RunConfig
 	unwired
@@ -28,13 +28,6 @@ type Simulation struct {
 	// decimations through: the process-wide one, always (tests swap in a
 	// private store to observe a cold run).
 	store *bc.Store
-}
-
-// New validates the configuration, builds the synthetic device and
-// returns the runnable simulation: NewFromConfig of the bare spec with
-// the options applied to it.
-func New(spec Spec, opts ...Option) (*Simulation, error) {
-	return NewFromConfig(RunConfig{Spec: spec}, opts...)
 }
 
 // build constructs the device of the resolved configuration and settles
@@ -91,9 +84,6 @@ func (s *Simulation) PlanString() string {
 	}
 	return str
 }
-
-// Ranks reports the configured world size (0 = sequential solver).
-func (s *Simulation) Ranks() int { return s.cfg.Ranks }
 
 // loopOptions lowers the knobs the two self-consistent loops share, over
 // negf's defaults. It returns them as negf.Options; distOptions carries

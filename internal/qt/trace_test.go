@@ -13,9 +13,9 @@ import (
 
 // collectCats runs the given simulation and indexes the recorded spans
 // by category and by rank.
-func collectCats(t *testing.T, spec Spec, opts ...Option) (cats map[string]int, ranks map[int]bool) {
+func collectCats(t *testing.T, rc RunConfig) (cats map[string]int, ranks map[int]bool) {
 	t.Helper()
-	sim, err := New(spec, opts...)
+	sim, err := NewFromConfig(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func collectCats(t *testing.T, spec Spec, opts ...Option) (cats map[string]int, 
 		t.Fatal(err)
 	}
 	if res.Spans == nil {
-		t.Fatal("WithTrace run returned nil Spans")
+		t.Fatal("traced run returned nil Spans")
 	}
 	cats = map[string]int{}
 	ranks = map[int]bool{}
@@ -45,7 +45,7 @@ func collectCats(t *testing.T, spec Spec, opts ...Option) (cats map[string]int, 
 // TestTraceSequential pins that a traced sequential run records the
 // iteration envelope, the GF/SSE phases, and per-point BC/RGF spans.
 func TestTraceSequential(t *testing.T) {
-	cats, _ := collectCats(t, smallSpec(), WithTrace(), WithMaxIterations(2), WithTolerance(1e-300))
+	cats, _ := collectCats(t, RunConfig{Spec: smallSpec(), Trace: true, MaxIterations: 2, Tolerance: 1e-300})
 	for _, c := range []string{"iter", "gf", "sse", "bc", "rgf"} {
 		if cats[c] == 0 {
 			t.Errorf("category %q missing from sequential trace (got %v)", c, cats)
@@ -63,9 +63,8 @@ func TestTraceDistributed(t *testing.T) {
 		sch := sch
 		t.Run(sch.String(), func(t *testing.T) {
 			const P = 2
-			cats, ranks := collectCats(t, smallSpec(),
-				WithTrace(), WithRanks(P), WithSchedule(sch),
-				WithMaxIterations(2), WithTolerance(1e-300))
+			cats, ranks := collectCats(t, RunConfig{Spec: smallSpec(), Trace: true, Ranks: P,
+				Schedule: sch.String(), MaxIterations: 2, Tolerance: 1e-300})
 			for _, c := range []string{"iter", "bc", "rgf", "sse", "exchange", "reduce"} {
 				if cats[c] == 0 {
 					t.Errorf("category %q missing from %s trace (got %v)", c, sch, cats)
@@ -80,10 +79,10 @@ func TestTraceDistributed(t *testing.T) {
 	}
 }
 
-// TestTraceDisabled pins the off-by-default contract: without WithTrace
-// the result carries no spans.
+// TestTraceDisabled pins the off-by-default contract: without trace the
+// result carries no spans.
 func TestTraceDisabled(t *testing.T) {
-	sim, err := New(smallSpec(), WithMaxIterations(1))
+	sim, err := NewFromConfig(RunConfig{Spec: smallSpec(), MaxIterations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,14 +99,14 @@ func TestTraceDisabled(t *testing.T) {
 	}
 }
 
-// TestTraceChangesKey pins that WithTrace participates in the content
-// hash: a traced and an untraced run address different cache entries.
+// TestTraceChangesKey pins that trace participates in the content hash:
+// a traced and an untraced run address different cache entries.
 func TestTraceChangesKey(t *testing.T) {
-	plain, err := New(smallSpec())
+	plain, err := NewFromConfig(RunConfig{Spec: smallSpec()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, err := New(smallSpec(), WithTrace())
+	traced, err := NewFromConfig(RunConfig{Spec: smallSpec(), Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +131,7 @@ func TestTraceChangesKey(t *testing.T) {
 func TestTraceBCSpansWhereTheDecimationRuns(t *testing.T) {
 	// A private store: this package's other tests have long decimated
 	// smallSpec's leads into the process-wide one.
-	_, res := solveOver(t, bc.NewStore(bc.StoreBudget), smallSpec(), WithTrace(), WithRanks(2), WithMaxIterations(2), WithTolerance(1e-300))
+	_, res := solveOver(t, bc.NewStore(bc.StoreBudget), RunConfig{Spec: smallSpec(), Trace: true, Ranks: 2, MaxIterations: 2, Tolerance: 1e-300})
 	type point struct {
 		rank int
 		name string // "bc/el/ik,ie" — the task label, rebuilt from a bc span

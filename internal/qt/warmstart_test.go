@@ -16,10 +16,9 @@ import (
 // neighbouring-bias run (the near-identical request) converges in fewer
 // iterations than the cold start.
 func TestWarmStartFewerIterations(t *testing.T) {
-	spec := smallSpec()
-	opts := []Option{WithTolerance(1e-6), WithMaxIterations(40)}
+	rc := RunConfig{Spec: smallSpec(), Tolerance: 1e-6, MaxIterations: 40}
 
-	_, cold := solve(t, spec, opts...)
+	_, cold := solve(t, rc)
 	if !cold.Converged {
 		t.Fatal("cold run did not converge")
 	}
@@ -31,7 +30,7 @@ func TestWarmStartFewerIterations(t *testing.T) {
 	}
 
 	// Same configuration, warm seed: the loop starts at its fixed point.
-	_, self := solve(t, spec, append(opts[:len(opts):len(opts)], WithWarmStart(cold.FinalState))...)
+	_, self := solve(t, rc, WithWarmStart(cold.FinalState))
 	if !self.Converged {
 		t.Fatal("self-seeded run did not converge")
 	}
@@ -40,9 +39,10 @@ func TestWarmStartFewerIterations(t *testing.T) {
 	}
 
 	// Neighbouring bias: cold vs warm-started from the first run's state.
-	shifted := append(opts[:len(opts):len(opts)], WithBias(spec.withDefaults().Bias+0.02))
-	_, coldN := solve(t, spec, shifted...)
-	_, warmN := solve(t, spec, append(shifted[:len(shifted):len(shifted)], WithWarmStart(cold.FinalState))...)
+	shifted := rc
+	shifted.Spec.Bias = rc.Spec.withDefaults().Bias + 0.02
+	_, coldN := solve(t, shifted)
+	_, warmN := solve(t, shifted, WithWarmStart(cold.FinalState))
 	if !coldN.Converged || !warmN.Converged {
 		t.Fatalf("neighbour runs did not converge (cold %v, warm %v)", coldN.Converged, warmN.Converged)
 	}
@@ -54,21 +54,21 @@ func TestWarmStartFewerIterations(t *testing.T) {
 // TestWarmStartValidation: the option is sequential-only and
 // shape-checked against the device.
 func TestWarmStartValidation(t *testing.T) {
-	_, res := solve(t, smallSpec(), WithMaxIterations(2), WithTolerance(1e-300))
+	_, res := solve(t, RunConfig{Spec: smallSpec(), MaxIterations: 2, Tolerance: 1e-300})
 	st := res.FinalState
 
-	if _, err := New(smallSpec(), WithRanks(2), WithWarmStart(st)); err == nil ||
+	if _, err := NewFromConfig(RunConfig{Spec: smallSpec(), Ranks: 2}, WithWarmStart(st)); err == nil ||
 		!strings.Contains(err.Error(), "sequential") {
 		t.Errorf("distributed warm start not rejected: %v", err)
 	}
-	if _, err := New(Spec{Atoms: 24, Slabs: 6}, WithWarmStart(st)); err == nil ||
+	if _, err := NewFromConfig(RunConfig{Spec: Spec{Atoms: 24, Slabs: 6}}, WithWarmStart(st)); err == nil ||
 		!strings.Contains(err.Error(), "shape") {
 		t.Errorf("shape mismatch not rejected: %v", err)
 	}
-	if _, err := New(smallSpec(), WithWarmStart(nil)); err == nil {
+	if _, err := NewFromConfig(RunConfig{Spec: smallSpec()}, WithWarmStart(nil)); err == nil {
 		t.Error("nil state not rejected")
 	}
-	if _, err := New(smallSpec(), WithWarmStart(st)); err != nil {
+	if _, err := NewFromConfig(RunConfig{Spec: smallSpec()}, WithWarmStart(st)); err != nil {
 		t.Errorf("matching warm start rejected: %v", err)
 	}
 }
@@ -78,12 +78,12 @@ func TestWarmStartValidation(t *testing.T) {
 // the typed negf.ErrNonFinite through Wait — not stream MaxIter rows that
 // report the NaN as "residual 0".
 func TestNonFiniteCurrentIsAnError(t *testing.T) {
-	_, res := solve(t, smallSpec(), WithMaxIterations(1), WithTolerance(1e-300))
+	_, res := solve(t, RunConfig{Spec: smallSpec(), MaxIterations: 1, Tolerance: 1e-300})
 	bad := res.FinalState.Clone()
 	for i := range bad.SigL.Data {
 		bad.SigL.Data[i] = complex(math.NaN(), 0)
 	}
-	sim, err := New(smallSpec(), WithMaxIterations(6), WithTolerance(1e-300), WithWarmStart(bad))
+	sim, err := NewFromConfig(RunConfig{Spec: smallSpec(), MaxIterations: 6, Tolerance: 1e-300}, WithWarmStart(bad))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,9 +45,8 @@ type DOSRow struct {
 
 // Ensemble is the report of an N-realization disorder study: per-member
 // rows plus the Welford-reduced statistics of the terminal current and
-// the DOS spectrum. It is the third report schema next to Run and
-// Scaling, shared by the in-process ensemble.Study driver and the qtd
-// /v1/ensembles endpoint.
+// the DOS spectrum. It is the report schema next to Run, shared by the
+// in-process ensemble.Study driver and the qtd /v1/ensembles endpoint.
 type Ensemble struct {
 	Device    DeviceInfo `json:"device"`
 	Members   int        `json:"members"`

@@ -123,6 +123,11 @@ func (s *Server) runStudy(st *studyRun, rec StudyRecord) {
 	rec.MemberRuns = make([]string, rec.Members)
 	s.reg.PutStudy(rec)
 
+	// Members follow ensemble's seed rule, so a study submitted here and
+	// one run in-process solve the same configurations.
+	study := ensemble.Study{Config: rec.Config, BaseSeed: rec.BaseSeed}
+	seed := func(i int) uint64 { return study.MemberSpec(i).DisorderSeed }
+
 	outcomes := make([]memberOutcome, rec.Members)
 	var mu sync.Mutex // guards rec progress counters + PutStudy ordering
 	var wg sync.WaitGroup
@@ -162,7 +167,7 @@ func (s *Server) runStudy(st *studyRun, rec StudyRecord) {
 		s.reg.PutStudy(progress)
 		s.met.ensembleMembers.Inc()
 		st.publish(report.MemberRow{
-			Index: i, Seed: rec.BaseSeed + uint64(i), RunID: out.rec.ID,
+			Index: i, Seed: seed(i), RunID: out.rec.ID,
 			Current: out.rec.Current, Iterations: out.rec.Iterations,
 			Converged: out.rec.Converged,
 			CacheHit:  out.rec.CacheHit, WarmStart: out.rec.WarmStart,
@@ -176,7 +181,7 @@ func (s *Server) runStudy(st *studyRun, rec StudyRecord) {
 			continue
 		}
 		mrc := rec.Config
-		mrc.Spec.DisorderSeed = rec.BaseSeed + uint64(i)
+		mrc.Spec = study.MemberSpec(i)
 
 		var mrec Record
 		var j *job
@@ -234,7 +239,7 @@ func (s *Server) runStudy(st *studyRun, rec StudyRecord) {
 	members := make([]ensemble.Member, rec.Members)
 	for i := range members {
 		out := outcomes[i]
-		members[i] = ensemble.Member{Index: i, Seed: rec.BaseSeed + uint64(i), WallNs: out.rec.WallNs}
+		members[i] = ensemble.Member{Index: i, Seed: seed(i), WallNs: out.rec.WallNs}
 		switch {
 		case out.err != nil:
 			members[i].Err = out.err

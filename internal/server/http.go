@@ -49,6 +49,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
+	enc.SetEscapeHTML(false) // a JSON API, not HTML: ">=" stays ">="
 	enc.Encode(v)
 }
 

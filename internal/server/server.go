@@ -36,8 +36,6 @@ type Config struct {
 	CacheCap int
 	// DataDir persists the run registry ("" = in-memory only).
 	DataDir string
-	// NoWarmStart disables Σ≷ seeding from the cache (A/B debugging).
-	NoWarmStart bool
 	// Logger receives the service's structured log records (admission,
 	// dispatch, cache hits, sheds, completions), each carrying run-id and
 	// tenant attributes. Nil discards them — the in-process test default.
@@ -372,7 +370,7 @@ func (s *Server) execute(j *job) {
 	// Warm-start lineage: a converged Σ≷ state of the same bias-family
 	// seeds the sequential loop close to its fixed point.
 	var extra []qt.Option
-	if !s.cfg.NoWarmStart && j.cfg.Ranks == 0 {
+	if j.cfg.Ranks == 0 {
 		if e, ok := s.cache.Warm(j.warmKey, j.key); ok {
 			extra = append(extra, qt.WithWarmStart(e.Result.FinalState))
 			rec.WarmStart = true

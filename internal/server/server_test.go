@@ -431,9 +431,8 @@ func TestServiceRegistryAndReport(t *testing.T) {
 
 // TestNegativeKnobIsBadRequest: a negative integer knob is refused at
 // admission, not dropped as "absent" and solved as a sequential default
-// run under a 202 — and refused in qt.NewFromConfig's own words, the
-// ones qt.New gives the same knob set by an option (the service adds no
-// validation of its own to drift from them).
+// run under a 202 — and refused in qt.NewFromConfig's own words (the
+// service adds no validation of its own to drift from them).
 func TestNegativeKnobIsBadRequest(t *testing.T) {
 	_, ts := newService(t, Config{Slots: 1, QueueCap: 4})
 	for _, knob := range []string{`"ranks":-2`, `"workers":-1`, `"max_iterations":-1`, `"pipeline_depth":-1`, `"tile_a":-1`, `"tolerance":-1`, `"mixing":2`} {
@@ -457,6 +456,38 @@ func TestNegativeKnobIsBadRequest(t *testing.T) {
 		}
 		if _, err := qt.NewFromConfig(rc); err == nil || answer.Error != err.Error() {
 			t.Errorf("%s: the service answered %q, qt.NewFromConfig says %v", knob, answer.Error, err)
+		}
+	}
+}
+
+// TestBadKnobNamesItsField: a 400 names the JSON field the client sent,
+// not a Go option it never sees, and its body is plain JSON — ">=" is not
+// HTML-escaped to "\u003e=".
+func TestBadKnobNamesItsField(t *testing.T) {
+	_, ts := newService(t, Config{Slots: 1, QueueCap: 4})
+	for _, c := range []struct{ knobs, field string }{
+		{`"ranks":-2`, "ranks"},
+		{`"ranks":2,"pipeline_depth":2`, "pipeline_depth"},
+		{`"workers":2`, "workers"},
+	} {
+		body := `{"tenant":"acme","config":{"spec":{"atoms":12,"slabs":3},` + c.knobs + `}}`
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var answer struct{ Error string }
+		if err := json.Unmarshal(raw, &answer); err != nil {
+			t.Fatalf("%s: %v in %s", c.knobs, err, raw)
+		}
+		switch {
+		case resp.StatusCode != http.StatusBadRequest:
+			t.Errorf("%s: status %d (%s), want 400", c.knobs, resp.StatusCode, raw)
+		case !strings.Contains(answer.Error, c.field) || strings.Contains(answer.Error, "With"):
+			t.Errorf("%s: error %q should name %q and no Go option", c.knobs, answer.Error, c.field)
+		case bytes.Contains(raw, []byte(`\u003e`)):
+			t.Errorf("%s: body HTML-escapes its JSON: %s", c.knobs, raw)
 		}
 	}
 }
