@@ -97,7 +97,7 @@ func BenchmarkAblation_RGF8x24(b *testing.B) {
 	p := rgfProblem(8, 24)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rgf.Solve(p); err != nil {
+		if _, err := rgf.SolveInto(p, linalg.NewWorkspace(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -131,6 +131,8 @@ func BenchmarkLinalg_Inverse128(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = linalg.MustInverse(x)
+		if _, err := linalg.Inverse(x); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/device"
 	"repro/internal/model"
 )
 
@@ -11,8 +10,8 @@ import (
 func runTable3(bool) {
 	header("Table 3: Single Iteration Computational Load (Pflop), Small structure")
 	row("Kernel \\ Nkz", "3", "5", "7", "9", "11")
-	rows := model.Table3([]int{3, 5, 7, 9, 11})
-	line := func(name string, sel func(model.Table3Row) float64, paper []float64) {
+	rows := table3([]int{3, 5, 7, 9, 11})
+	line := func(name string, sel func(table3Row) float64, paper []float64) {
 		cols := []string{name}
 		for _, r := range rows {
 			cols = append(cols, f2(sel(r)))
@@ -24,10 +23,10 @@ func runTable3(bool) {
 		}
 		row(cols...)
 	}
-	line("Boundary Cond.", func(r model.Table3Row) float64 { return r.BC }, []float64{8.45, 14.12, 19.77, 25.42, 31.06})
-	line("RGF", func(r model.Table3Row) float64 { return r.RGF }, []float64{52.95, 88.25, 123.55, 158.85, 194.15})
-	line("SSE (OMEN)", func(r model.Table3Row) float64 { return r.SSEOMEN }, []float64{24.41, 67.80, 132.89, 219.67, 328.15})
-	line("SSE (DaCe)", func(r model.Table3Row) float64 { return r.SSEDaCe }, []float64{12.38, 34.19, 66.85, 110.36, 164.71})
+	line("Boundary Cond.", func(r table3Row) float64 { return r.BC }, []float64{8.45, 14.12, 19.77, 25.42, 31.06})
+	line("RGF", func(r table3Row) float64 { return r.RGF }, []float64{52.95, 88.25, 123.55, 158.85, 194.15})
+	line("SSE (OMEN)", func(r table3Row) float64 { return r.SSEOMEN }, []float64{24.41, 67.80, 132.89, 219.67, 328.15})
+	line("SSE (DaCe)", func(r table3Row) float64 { return r.SSEDaCe }, []float64{12.38, 34.19, 66.85, 110.36, 164.71})
 }
 
 // runTable4 — SSE communication volume, weak scaling (TiB).
@@ -36,7 +35,7 @@ func runTable4(bool) {
 	row("Nkz (procs)", "OMEN", "(paper)", "DaCe", "(paper)", "reduction")
 	paperO := []float64{32.11, 89.18, 174.80, 288.95, 431.65}
 	paperD := []float64{0.54, 1.22, 2.17, 3.38, 4.86}
-	for i, r := range model.Table4([]int{3, 5, 7, 9, 11}) {
+	for i, r := range table4([]int{3, 5, 7, 9, 11}) {
 		row(fmt.Sprintf("%d (%d)", r.Nkz, r.Procs),
 			f2(r.OMENTiB), f2(paperO[i]), f2(r.DaCeTiB), f2(paperD[i]),
 			fmt.Sprintf("%.0fx", r.Ratio))
@@ -49,26 +48,26 @@ func runTable5(bool) {
 	row("Processes", "OMEN", "(paper)", "DaCe", "(paper)", "reduction")
 	paperO := []float64{108.24, 117.75, 136.76, 174.80, 212.84}
 	paperD := []float64{0.95, 1.13, 1.48, 2.17, 2.87}
-	for i, r := range model.Table5([]int{224, 448, 896, 1792, 2688}) {
+	for i, r := range table5([]int{224, 448, 896, 1792, 2688}) {
 		row(fmt.Sprintf("%d", r.Procs),
 			f2(r.OMENTiB), f2(paperO[i]), f2(r.DaCeTiB), f2(paperD[i]),
 			fmt.Sprintf("%.0fx", r.Ratio))
 	}
-	ex := model.WorkedExample()
+	ex := workedExample()
 	fmt.Println("\n§6.1.2 worked example (Large, NE=1000):")
 	fmt.Printf("  OMEN D≷/Π≷ per process: %.0f GiB (paper: 276 GiB)\n", ex.OMENDPerProcessGiB)
 	fmt.Printf("  OMEN G≷ replication:    %.2f PiB (paper: 2.58 PiB)\n", ex.OMENGTotalPiB)
 	fmt.Printf("  DaCe D≷ halo/process:   %.2f MiB (paper: 28.26 MiB)\n", ex.DaCeDPerProcMiB)
 	fmt.Printf("  DaCe G≷ distributed:    %.2f TiB (paper: 1.8 TiB)\n", ex.DaCeGTotalTiB)
-	p := device.Small(7)
+	p := paperSmall(7)
 	fmt.Printf("  MPI invocations: OMEN %d per iteration vs DaCe %d\n",
-		model.OMENMPIInvocations(p, p.NE), model.DaCeMPIInvocations())
+		omenMPIInvocations(p, p.NE), daceMPIInvocations)
 }
 
 // runTable11 — full-scale 10,240-atom run breakdown.
 func runTable11(bool) {
 	header("Table 11: Full-Scale 10,240-Atom Run Breakdown (4,560 Summit nodes, model)")
-	r := model.Table11()
+	r := table11()
 	row("Phase", "Time [s]", "Eflop", "Pflop/s", "(paper t)", "(paper Eflop)")
 	row("Data Ingestion", f2(r.Ingestion), "-", "-", "31.10", "-")
 	row("GF (RGF)", f2(r.Double.GFSec), f2(r.Double.GFEflop),
@@ -91,7 +90,7 @@ func runTable11(bool) {
 func runTable12(bool) {
 	header("Table 12: Per-Atom Performance (P=6,840 GPUs, Nkz=21, NE=1,220)")
 	row("Variant", "Na", "Time [s]", "Time/Atom [s]", "Speedup")
-	rows := model.Table12()
+	rows := table12()
 	base := rows[0].TimePerAtom
 	for _, r := range rows {
 		row(r.Variant, fmt.Sprintf("%d", r.Na), f1(r.TimeSec),
@@ -103,7 +102,7 @@ func runTable12(bool) {
 // runFigure8 — scaling model series.
 func runFigure8(bool) {
 	header("Figure 8: Strong & Weak Scaling, OMEN vs DaCe (model)")
-	for _, m := range []model.Machine{model.PizDaint(), model.Summit()} {
+	for _, m := range []machine{pizDaint(), summit()} {
 		fmt.Printf("\n-- %s, strong scaling (Small, Nkz=7), per-iteration seconds --\n", m.Name)
 		row("GPUs", "OMEN comp", "OMEN comm", "DaCe comp", "DaCe comm", "speedup")
 		var gpus []int
@@ -112,7 +111,7 @@ func runFigure8(bool) {
 		} else {
 			gpus = []int{114, 500, 1000, 1400}
 		}
-		for _, pt := range model.StrongScaling(m, gpus) {
+		for _, pt := range strongScaling(m, gpus) {
 			row(fmt.Sprintf("%d", pt.GPUs),
 				f1(pt.OMEN.TotalSec-pt.OMEN.CommSec), f1(pt.OMEN.CommSec),
 				f1(pt.DaCe.TotalSec-pt.DaCe.CommSec), f1(pt.DaCe.CommSec),
@@ -120,7 +119,7 @@ func runFigure8(bool) {
 		}
 		fmt.Printf("\n-- %s, weak scaling (Nkz grows with allocation) --\n", m.Name)
 		row("Nkz", "GPUs", "OMEN total", "DaCe total", "speedup")
-		for i, pt := range model.WeakScaling(m, []int{3, 5, 7, 9, 11}) {
+		for i, pt := range weakScaling(m, []int{3, 5, 7, 9, 11}) {
 			row(fmt.Sprintf("%d", []int{3, 5, 7, 9, 11}[i]), fmt.Sprintf("%d", pt.GPUs),
 				f1(pt.OMEN.TotalSec), f1(pt.DaCe.TotalSec), fmt.Sprintf("%.1fx", pt.Speedup))
 		}
@@ -132,11 +131,11 @@ func runFigure8(bool) {
 func runFigure9(bool) {
 	header("Figure 9: Strong Scaling on Summit, Large structure, Nkz=21 (model)")
 	row("GPUs", "No Cache", "Cache BC", "BC+Spec", "Mixed", "% of HPL")
-	for _, pt := range model.Figure9([]int{3420, 6840, 13680, 27360}) {
+	for _, pt := range figure9([]int{3420, 6840, 13680, 27360}) {
 		row(fmt.Sprintf("%d", pt.GPUs),
-			f1(pt.Double[model.NoCache].SustainedPflops),
-			f1(pt.Double[model.CacheBC].SustainedPflops),
-			f1(pt.Double[model.CacheBCSpec].SustainedPflops),
+			f1(pt.Double[noCache].SustainedPflops),
+			f1(pt.Double[cacheBC].SustainedPflops),
+			f1(pt.Double[cacheBCSpec].SustainedPflops),
 			f1(pt.MixedPflops),
 			f1(pt.PctOfHPL))
 	}
@@ -147,7 +146,7 @@ func runFigure9(bool) {
 func runFigure10(bool) {
 	header("Figure 10: Roofline of the Computational Kernels (V100)")
 	row("Kernel", "OI [F/B]", "Attainable", "Achieved", "Bound")
-	for _, pt := range model.Roofline(device.Large(21)) {
+	for _, pt := range model.Roofline(paperLarge(21)) {
 		row(pt.Kernel, f2(pt.Intensity),
 			fmt.Sprintf("%.2f Tflop/s", pt.Attainable/1e12),
 			fmt.Sprintf("%.2f Tflop/s", pt.Achieved/1e12),

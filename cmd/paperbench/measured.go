@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -49,23 +50,24 @@ func measuredDevice(quick bool) *device.Device {
 	return dev
 }
 
-// facadeTrace runs one facade configuration for a fixed iteration count
-// and returns the per-iteration currents.
-func facadeTrace(spec qt.Spec, iters int, opts ...qt.Option) []float64 {
-	sim, err := qt.NewFromConfig(qt.RunConfig{Spec: spec, MaxIterations: iters, Tolerance: 1e-300}, opts...)
+// kernelTrace runs the sequential self-consistent loop on spec's device
+// with SSE kernel k for a fixed iteration count and returns the
+// per-iteration currents.
+func kernelTrace(spec qt.Spec, iters int, k sse.Kernel) []float64 {
+	dev, err := spec.Build()
 	if err != nil {
 		panic(err)
 	}
-	run, err := sim.Start(context.Background())
-	if err != nil {
+	opts := negf.DefaultOptions()
+	opts.Kernel = k
+	opts.MaxIter = iters
+	opts.Tol = 1e-300
+	s := negf.New(dev, opts)
+	if _, err := s.Run(); err != nil && !errors.Is(err, negf.ErrNotConverged) {
 		panic(err)
 	}
-	res, err := run.Wait()
-	if err != nil {
-		panic(err)
-	}
-	tr := make([]float64, len(res.Trace))
-	for i, it := range res.Trace {
+	tr := make([]float64, len(s.IterTrace))
+	for i, it := range s.IterTrace {
 		tr[i] = it.Current
 	}
 	return tr
@@ -109,9 +111,9 @@ func runTable7(quick bool) {
 	spc := sp.toCSC()
 
 	row("Method", "NN", "NT", "TN", "")
-	gNN := timeIt(func() { linalg.Mul(spD, dn) })
-	gNT := timeIt(func() { linalg.MatMul(spD, linalg.NoTrans, dn, linalg.Trans) })
-	gTN := timeIt(func() { linalg.MatMul(spD, linalg.Trans, dn, linalg.NoTrans) })
+	gNN := timeIt(func() { linalg.GEMM(1, spD, linalg.NoTrans, dn, linalg.NoTrans, 0, linalg.New(n, n)) })
+	gNT := timeIt(func() { linalg.GEMM(1, spD, linalg.NoTrans, dn, linalg.Trans, 0, linalg.New(n, n)) })
+	gTN := timeIt(func() { linalg.GEMM(1, spD, linalg.Trans, dn, linalg.NoTrans, 0, linalg.New(n, n)) })
 	row("GEMM (dense)", gNN.String(), gNT.String(), gTN.String(), "")
 	cNN := timeIt(func() { csrmm(sp, linalg.NoTrans, dn, linalg.NoTrans) })
 	cNT := timeIt(func() { csrmm(sp, linalg.NoTrans, dn, linalg.Trans) })
@@ -153,7 +155,11 @@ func runTable8(quick bool) {
 	eCSC := fromDense(eD, 0).toCSC()
 	eT := fromDense(eD, 0).transpose()
 
-	t1 := timeIt(func() { linalg.Mul(linalg.Mul(fD, g), eD) })
+	t1 := timeIt(func() {
+		fg := linalg.New(n, n)
+		linalg.GEMM(1, fD, linalg.NoTrans, g, linalg.NoTrans, 0, fg)
+		linalg.GEMM(1, fg, linalg.NoTrans, eD, linalg.NoTrans, 0, linalg.New(n, n))
+	})
 	t2 := timeIt(func() {
 		fg := csrmm(f, linalg.NoTrans, g, linalg.NoTrans)
 		gemmi(fg, eCSC)
@@ -188,8 +194,8 @@ func runTable9(quick bool) {
 	a, b := mk(1e-4), mk(1e-4)
 	c := make([]complex128, n*n*count)
 
-	tPad := timeIt(func() { batch.SBSMMPadded(c, a, b, n, count) })
-	tSBS := timeIt(func() { batch.SBSMM(c, a, b, n, count) })
+	tPad := timeIt(func() { sbsmmPadded(c, a, b, n, count) })
+	tSBS := timeIt(func() { sbsmm(c, a, b, n, count) })
 	ha, hb := batch.EncodeHalf(a, n, count), batch.EncodeHalf(b, n, count)
 	tHalf := timeIt(func() { batch.SBSMMHalf(c, ha, hb) })
 
@@ -197,7 +203,7 @@ func runTable9(quick bool) {
 	row("Kernel", "Time", "Gflop/s", "useful/executed", "")
 	row("Padded (vendor)", tPad.String(),
 		f1(useful/tPad.Seconds()/1e9),
-		fmt.Sprintf("%.1f%%", 100*useful/float64(batch.PaddedFlops(count))), "")
+		fmt.Sprintf("%.1f%%", 100*useful/float64(paddedFlops(count))), "")
 	row("DaCe SBSMM", tSBS.String(), f1(useful/tSBS.Seconds()/1e9), "100%", "")
 	row("SBSMM fp16", tHalf.String(), f1(useful/tHalf.Seconds()/1e9), "100%", "")
 	fmt.Printf("\nSBSMM vs padded speedup: %.2fx (paper: 5.76x fp64, 31x fp16 incl. Tensor Cores)\n",
@@ -268,8 +274,8 @@ func runCommMeasured(quick bool) {
 	fmt.Println("\n(DaCe model = model.DaCeCommVolume: it charges each rank its full tile")
 	fmt.Println("halo, including the locally owned share, so the measured off-rank bytes stay below it.)")
 	fmt.Println("\n§7.1.8 bandwidth-bound check (model):")
-	fmt.Printf("  D≷/Π≷ exchange at %.1f%% of the injection bound (paper: 84.57%%)\n", model.AlltoallUtilization*100)
-	fmt.Printf("  G≷/Σ≷ exchange at %.1f%% (paper: 42.32%%)\n", model.AlltoallUtilizationG*100)
+	fmt.Printf("  D≷/Π≷ exchange at %.1f%% of the injection bound (paper: 84.57%%)\n", alltoallUtilization*100)
+	fmt.Printf("  G≷/Σ≷ exchange at %.1f%% (paper: 42.32%%)\n", alltoallUtilizationG*100)
 }
 
 // maxDiff is the largest elementwise |a−b| over Σ≷. (Π≷ sums over the
@@ -330,9 +336,9 @@ func runFigure7(quick bool) {
 	// of our synthetic magnitudes) so the fp16 dynamic-range effects of
 	// §5.4 are exercised exactly as in the paper.
 	const units = 1e-7
-	ref := facadeTrace(spec, iters, qt.WithSSEKernel(unitsScaled{sse.DaCe{}, units}))
-	norm := facadeTrace(spec, iters, qt.WithSSEKernel(unitsScaled{sse.Mixed{Normalize: true}, units}))
-	raw := facadeTrace(spec, iters, qt.WithSSEKernel(unitsScaled{sse.Mixed{Normalize: false}, units}))
+	ref := kernelTrace(spec, iters, unitsScaled{sse.DaCe{}, units})
+	norm := kernelTrace(spec, iters, unitsScaled{sse.Mixed{Normalize: true}, units})
+	raw := kernelTrace(spec, iters, unitsScaled{sse.Mixed{Normalize: false}, units})
 
 	fmt.Println("(b) Convergence of the electronic current (a.u.):")
 	row("Iter", "64-bit", "16-bit norm.", "16-bit unnorm.", "rel.err norm", "rel.err unnorm")
@@ -415,7 +421,7 @@ func runFigure11(quick bool) {
 
 	fmt.Println("\nEnergy currents along x (left panel): electron, phonon, total")
 	row("Interface", "Electron", "Phonon", "Total")
-	tot := obs.TotalEnergyCurrent()
+	tot := totalEnergyCurrent(obs)
 	for i := range tot {
 		row(fmt.Sprintf("%d", i),
 			fmt.Sprintf("%.6g", obs.InterfaceEnergyCurrent[i]),
@@ -433,7 +439,7 @@ func runFigure11(quick bool) {
 	}
 
 	fmt.Println("\nConduction-band-edge profile from the LDOS (middle panel backdrop):")
-	edges := obs.BandEdge(dev.P, 0.1)
+	edges := bandEdge(obs, dev.P, 0.1)
 	for i, e := range edges {
 		fmt.Printf("  slab %d: band edge ≈ %+.2f eV\n", i, e)
 	}
@@ -445,6 +451,39 @@ func runFigure11(quick bool) {
 		row(fmt.Sprintf("%d", i), f1(t), fmt.Sprintf("%.4g", obs.DissipatedPower[i]))
 	}
 	fmt.Println("(paper: heat generated near the channel end, Tmax inside the channel, energy conserved)")
+}
+
+// bandEdge returns, per slab, the lowest energy at which the LDOS exceeds
+// the given fraction of its slab maximum — a discrete estimate of the
+// conduction-band-edge profile drawn in Fig. 11 (middle).
+func bandEdge(o *negf.Observables, p device.Params, frac float64) []float64 {
+	out := make([]float64, len(o.LDOS))
+	for i, dos := range o.LDOS {
+		var mx float64
+		for _, v := range dos {
+			if v > mx {
+				mx = v
+			}
+		}
+		out[i] = p.Energy(p.NE - 1)
+		for n, v := range dos {
+			if v >= frac*mx {
+				out[i] = p.Energy(n)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// totalEnergyCurrent returns the combined electron+phonon energy-current
+// profile; its flatness is the Fig. 11 conservation statement.
+func totalEnergyCurrent(o *negf.Observables) []float64 {
+	out := make([]float64, len(o.InterfaceEnergyCurrent))
+	for i := range out {
+		out[i] = o.InterfaceEnergyCurrent[i] + o.PhononInterfaceEnergy[i]
+	}
+	return out
 }
 
 func maxAbs(v []float64) float64 {

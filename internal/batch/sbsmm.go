@@ -5,13 +5,13 @@
 // The SSE self-energies accumulate products of Norb×Norb matrices (Norb is
 // 10–25). Vendor batched-GEMM libraries pad such tiny operands to tile
 // sizes tuned for large problems, so only ~6% of the executed flops are
-// useful. SBSMM multiplies the exact sizes: SBSMM, SBSMMFixedA and
-// SBSMMFixedB are shape-checked callers of linalg.SmallBatch, one
-// strided-batch kernel (AVX2 on capable amd64 hosts, a portable loop
-// elsewhere, bitwise equal) that vectorises each output row across its
-// columns. A "vendor-style" padded variant is provided as the baseline, and
-// a half-precision variant models the Tensor-Core path (fp16 inputs with
-// normalization, fp64 accumulation).
+// useful. SBSMM multiplies the exact sizes: SBSMMFixedA and SBSMMFixedB,
+// the SSE tile's two shapes, are shape-checked callers of
+// linalg.SmallBatch, one strided-batch kernel (AVX-512 or AVX2 on capable
+// amd64 hosts, a portable loop elsewhere, bitwise equal) that vectorises
+// each output row across its columns. A half-precision variant models the
+// Tensor-Core path (fp16 inputs with normalization, fp64 accumulation).
+// The padded vendor-style baseline of Table 9 is cmd/paperbench's.
 package batch
 
 import (
@@ -21,78 +21,8 @@ import (
 	"repro/internal/linalg"
 )
 
-// PadSize is the tile edge the padded baseline rounds matrix dimensions up
-// to, mirroring the 16×16 padding the paper observes in cuBLAS and requires
-// for Tensor Cores.
-const PadSize = 16
-
-// SBSMM computes C[t] += A[t]·B[t] for t in [0, count): a strided batch of
-// n×n complex multiplications. The three buffers hold count matrices of
-// n*n elements each, contiguously ("constant stride" layout from Fig. 6).
-// Each row of C[t] adds a_ik·row_k(B[t]) for ascending k, skipping an a_ik
-// of zero (linalg.SmallBatch's accumulate contract). The batch is split
-// across GOMAXPROCS goroutines.
-func SBSMM(c, a, b []complex128, n, count int) {
-	checkLen("SBSMM", c, a, b, n, count)
-	stride := n * n
-	forChunks(count, func(lo, hi int) {
-		linalg.SmallBatch(c[lo*stride:hi*stride], a[lo*stride:hi*stride], b[lo*stride:hi*stride], n, hi-lo, stride, stride, true)
-	})
-}
-
-// SBSMMPadded is the vendor-library baseline: each n×n operand is copied
-// into a PadSize×PadSize zero-padded tile and the padded product is
-// computed in full, exactly as a batched GEMM tuned for large tiles would.
-// The useful result is then extracted. Useful flops are 8n³ per batch
-// element while executed flops are 8·PadSize³ — the 6% useful-ops ratio
-// reported in Table 9 for n=12.
-func SBSMMPadded(c, a, b []complex128, n, count int) {
-	checkLen("SBSMMPadded", c, a, b, n, count)
-	if n > PadSize {
-		panic("batch: SBSMMPadded requires n <= PadSize")
-	}
-	forChunks(count, func(lo, hi int) {
-		const p = PadSize
-		var pa, pb, pc [p * p]complex128
-		stride := n * n
-		for t := lo; t < hi; t++ {
-			at := a[t*stride : (t+1)*stride]
-			bt := b[t*stride : (t+1)*stride]
-			for i := range pc {
-				pa[i], pb[i], pc[i] = 0, 0, 0
-			}
-			for i := 0; i < n; i++ {
-				copy(pa[i*p:i*p+n], at[i*n:(i+1)*n])
-				copy(pb[i*p:i*p+n], bt[i*n:(i+1)*n])
-			}
-			// Full padded product — the wasted work is the point.
-			for i := 0; i < p; i++ {
-				crow := pc[i*p : (i+1)*p]
-				arow := pa[i*p : (i+1)*p]
-				for k, av := range arow {
-					brow := pb[k*p : (k+1)*p]
-					for j, bv := range brow {
-						crow[j] += av * bv
-					}
-				}
-			}
-			ct := c[t*stride : (t+1)*stride]
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					ct[i*n+j] += pc[i*p+j]
-				}
-			}
-		}
-	})
-}
-
 // UsefulFlops returns the algorithmically necessary flops of a batch.
 func UsefulFlops(n, count int) int64 { return 8 * int64(n) * int64(n) * int64(n) * int64(count) }
-
-// PaddedFlops returns the flops the padded baseline actually executes.
-func PaddedFlops(count int) int64 {
-	return 8 * int64(PadSize) * int64(PadSize) * int64(PadSize) * int64(count)
-}
 
 // HalfBatch is a batch of matrices held in normalized split-complex fp16,
 // the Tensor-Core input format from §5.4.
@@ -114,17 +44,6 @@ func EncodeHalf(a []complex128, n, count int) *HalfBatch {
 	buf := half.NewSplitComplex(len(a))
 	buf.EncodeScaled(a, scale)
 	return &HalfBatch{N: n, Count: count, buf: buf, scale: scale}
-}
-
-// EncodeHalfUnnormalized quantizes without scaling — the ablation the paper
-// uses in Fig. 7 to show that normalization is what preserves convergence.
-func EncodeHalfUnnormalized(a []complex128, n, count int) *HalfBatch {
-	if len(a) != n*n*count {
-		panic("batch: EncodeHalfUnnormalized length mismatch")
-	}
-	buf := half.NewSplitComplex(len(a))
-	buf.EncodeScaled(a, 1)
-	return &HalfBatch{N: n, Count: count, buf: buf, scale: 1}
 }
 
 // SBSMMHalf computes C[t] += A[t]·B[t] where the inputs are fp16-quantized
@@ -164,13 +83,6 @@ func SBSMMHalf(c []complex128, a, b *HalfBatch) {
 	})
 }
 
-func checkLen(fn string, c, a, b []complex128, n, count int) {
-	want := n * n * count
-	if len(a) != want || len(b) != want || len(c) != want {
-		panic("batch: " + fn + " buffer length mismatch")
-	}
-}
-
 // forChunks splits [0, count) into one contiguous chunk per CPU and runs
 // f on each through linalg.ParallelFor; a batch too small to amortize the
 // fan-out (fewer than four elements per CPU) runs as one chunk on the
@@ -191,10 +103,11 @@ func forChunks(count int, f func(lo, hi int)) {
 }
 
 // SBSMMFixedB computes C[t] += A[t]·B for t in [0, count) where B is a
-// single fixed n×n matrix shared by the whole batch, in SBSMM's order and
-// with its zero skip. This is the SSE stage-❸ shape: the energy-batched
-// transients multiply the same ∇jH coupling block. Sequential; callers
-// parallelize at the atom level.
+// single fixed n×n matrix shared by the whole batch: each row of C[t] adds
+// a_ik·row_k(B) for ascending k, skipping an a_ik of zero
+// (linalg.SmallBatch's accumulate contract). This is the SSE stage-❸
+// shape: the energy-batched transients multiply the same ∇jH coupling
+// block. Sequential; callers parallelize at the atom level.
 func SBSMMFixedB(c, a []complex128, b []complex128, n, count int) {
 	want := n * n * count
 	if len(a) != want || len(c) != want || len(b) != n*n {

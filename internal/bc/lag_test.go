@@ -87,7 +87,7 @@ func TestCacheRaceUnderPipelinedExecutor(t *testing.T) {
 		for i := 0; i < points; i++ {
 			ie := i
 			spec := sdfg.Spec{Label: fmt.Sprintf("bc/%d/%d", k, ie), Run: func() error {
-				r, err := cache.Get(0, 0, ie, mk(ie))
+				r, err := cache.GetLead(0, 0, ie, nil, mk(ie))
 				if err != nil {
 					return err
 				}

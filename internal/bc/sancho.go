@@ -20,12 +20,12 @@ import (
 	"repro/internal/linalg"
 )
 
-// DefaultMaxIter bounds the decimation iterations. Each iteration doubles
+// defaultMaxIter bounds the decimation iterations. Each iteration doubles
 // the effective lead depth, so 60 iterations cover ~2^60 periods.
-const DefaultMaxIter = 60
+const defaultMaxIter = 60
 
-// DefaultTol is the convergence threshold on the decimation coupling norm.
-const DefaultTol = 1e-10
+// defaultTol is the convergence threshold on the decimation coupling norm.
+const defaultTol = 1e-10
 
 // ErrNoConvergence is returned when decimation fails to converge, which in
 // practice signals a vanishing imaginary part (η too small).
@@ -127,10 +127,10 @@ func SurfaceGFInto(ws *linalg.Workspace, d00, tau *linalg.Matrix, tol float64, m
 // non-positive value selects the default.
 func stoppingRule(tol float64, maxIter int) (float64, int) {
 	if tol <= 0 {
-		tol = DefaultTol
+		tol = defaultTol
 	}
 	if maxIter <= 0 {
-		maxIter = DefaultMaxIter
+		maxIter = defaultMaxIter
 	}
 	return tol, maxIter
 }
@@ -184,13 +184,9 @@ func NewCache(mode Mode) *Cache {
 	return &Cache{mode: mode, entries: make(map[key]*Result)}
 }
 
-// Get returns the cached boundary result or computes it with compute().
-func (c *Cache) Get(contact, ik, ie int, compute func() (*Result, error)) (*Result, error) {
-	return c.GetLead(contact, ik, ie, nil, compute)
-}
-
-// GetLead is Get for a lookup that can name its decimation by content:
-// on a CacheBC miss with a Store attached, lead() keys the store, and
+// GetLead returns the cached boundary result or computes it with
+// compute(). A lookup that can name its decimation by content does: on a
+// CacheBC miss with a Store attached, lead() keys the store, and
 // compute runs only if the store misses too. NoCache bypasses the store —
 // that mode exists to recompute — and so does a nil lead.
 func (c *Cache) GetLead(contact, ik, ie int, lead func() LeadKey, compute func() (*Result, error)) (*Result, error) {
@@ -212,7 +208,7 @@ func (c *Cache) GetLead(contact, ik, ie int, lead func() LeadKey, compute func()
 	var r *Result
 	var err error
 	if c.mode == CacheBC && c.Store != nil && lead != nil {
-		r, err = c.Store.Get(lead(), decimate)
+		r, err = c.Store.get(lead(), decimate)
 	} else {
 		r, err = decimate()
 	}

@@ -122,10 +122,10 @@ func (s *Store) DigestLead(onsite, coupling *linalg.Matrix) LeadDigest {
 	return d
 }
 
-// Get returns the stored result of k or runs compute and stores what it
+// get returns the stored result of k or runs compute and stores what it
 // returns. A failed decimation is returned and not stored; a result
 // larger than the whole budget is returned and not stored.
-func (s *Store) Get(k LeadKey, compute func() (*Result, error)) (*Result, error) {
+func (s *Store) get(k LeadKey, compute func() (*Result, error)) (*Result, error) {
 	s.mu.Lock()
 	s.stats.Lookups++
 	if el, ok := s.entries[k]; ok {

@@ -31,13 +31,13 @@ func TestStoreNoFalseSharing(t *testing.T) {
 	runs := 0
 	get := func(k LeadKey) {
 		t.Helper()
-		if _, err := s.Get(k, decimation(d00, tau, &runs)); err != nil {
+		if _, err := s.get(k, decimation(d00, tau, &runs)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	get(NewLeadKey(lead, z, 0, 0))
 	get(NewLeadKey(lead, z, 0, 0))
-	get(NewLeadKey(lead, z, DefaultTol, DefaultMaxIter)) // the zeros resolve to these
+	get(NewLeadKey(lead, z, defaultTol, defaultMaxIter)) // the zeros resolve to these
 	if runs != 1 {
 		t.Fatalf("the same lead at the same energy decimated %d times, want 1", runs)
 	}
@@ -79,7 +79,7 @@ func TestStoreBudgetAndLRU(t *testing.T) {
 	touch := func(i int) (ran bool) {
 		t.Helper()
 		before := runs
-		if _, err := s.Get(key(i), decimation(d00, tau, &runs)); err != nil {
+		if _, err := s.get(key(i), decimation(d00, tau, &runs)); err != nil {
 			t.Fatal(err)
 		}
 		if st := s.Stats(); st.Bytes > 3*one || st.Entries > 3 || st.Bytes != st.Entries*one {
@@ -106,7 +106,7 @@ func TestStoreBudgetAndLRU(t *testing.T) {
 
 	// A result larger than the whole budget is returned, not stored.
 	tiny := NewStore(one - 1)
-	if r, err := tiny.Get(key(0), decimation(d00, tau, &runs)); err != nil || r == nil {
+	if r, err := tiny.get(key(0), decimation(d00, tau, &runs)); err != nil || r == nil {
 		t.Fatalf("over-budget result: %v, %v", r, err)
 	}
 	if st := tiny.Stats(); st.Entries != 0 || st.Bytes != 0 || st.Evictions != 0 {
@@ -176,7 +176,7 @@ func TestCacheOverStore(t *testing.T) {
 	// Without a content key the lookup cannot be shared.
 	c := NewCache(CacheBC)
 	c.Store = s
-	if _, err := c.Get(1, 2, 3, decimation(d00, tau, &runs)); err != nil || runs != 2 {
+	if _, err := c.GetLead(1, 2, 3, nil, decimation(d00, tau, &runs)); err != nil || runs != 2 {
 		t.Errorf("Get with a store attached: err %v, %d decimations", err, runs)
 	}
 
@@ -214,7 +214,7 @@ func TestStoreConcurrentLookups(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds*keys; i++ {
 				k := (i + w) % keys
-				r, err := s.Get(NewLeadKey(lead, complex(0.1*float64(k), 1e-3), 0, 0),
+				r, err := s.get(NewLeadKey(lead, complex(0.1*float64(k), 1e-3), 0, 0),
 					func() (*Result, error) { return SurfaceGF(d00, tau, 0, 0) })
 				if err != nil {
 					t.Error(err)

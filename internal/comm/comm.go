@@ -68,9 +68,6 @@ func NewWorld(size int) *World {
 	return w
 }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
-
 // Run executes fn concurrently on every rank and waits for completion.
 // The first non-nil error is returned.
 func (w *World) Run(fn func(c *Comm) error) error {
@@ -199,7 +196,6 @@ const (
 	tagAlltoall
 	tagBarrier
 	tagGather
-	tagAllgather
 	tagMaxUp
 	tagMaxDown
 	tagAllreduceUp
@@ -287,7 +283,7 @@ func maxInto(acc, part []complex128) {
 // the sum of all off-diagonal buffer sizes. It is IAlltoallv posted on
 // the blocking form's reserved tag and waited at once.
 func (c *Comm) Alltoallv(send [][]complex128) [][]complex128 {
-	return c.postAlltoallv("Alltoallv", tagAlltoall, send).Wait()
+	return c.postAlltoallv(tagAlltoall, send).Wait()
 }
 
 // Gather collects every rank's buffer at root (index = source rank).
@@ -307,20 +303,6 @@ func (c *Comm) Gather(root int, data []complex128) [][]complex128 {
 		out[r] = c.Recv(r, tagGather)
 	}
 	return out
-}
-
-// Allgather collects every rank's buffer on every rank: the returned
-// slice holds rank r's contribution at index r, identical on all ranks.
-// Buffers may have different lengths (allgatherv semantics). It is the
-// all-to-all exchange with the same row for every destination, counted as
-// one "Allgather"; the flat-exchange volume is P·(P−1)·len·16 bytes for
-// equal-length buffers.
-func (c *Comm) Allgather(data []complex128) [][]complex128 {
-	send := make([][]complex128, c.world.size)
-	for r := range send {
-		send[r] = data
-	}
-	return c.postAlltoallv("Allgather", tagAllgather, send).Wait()
 }
 
 // Barrier synchronizes all ranks (central-coordinator implementation).

@@ -231,45 +231,6 @@ func TestRunPropagatesError(t *testing.T) {
 	}
 }
 
-func TestAllgather(t *testing.T) {
-	const n = 4
-	w := NewWorld(n)
-	err := w.Run(func(c *Comm) error {
-		// Variable-length contributions: rank r sends r+1 copies of r.
-		data := make([]complex128, c.Rank()+1)
-		for i := range data {
-			data[i] = complex(float64(c.Rank()), 0)
-		}
-		got := c.Allgather(data)
-		for r := 0; r < n; r++ {
-			if len(got[r]) != r+1 {
-				return fmt.Errorf("rank %d: got[%d] has %d elements", c.Rank(), r, len(got[r]))
-			}
-			for _, v := range got[r] {
-				if real(v) != float64(r) {
-					return fmt.Errorf("rank %d: got[%d] = %v", c.Rank(), r, v)
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := w.Stats()
-	if st.Collectives["Allgather"] != 1 {
-		t.Fatalf("Allgather count = %d", st.Collectives["Allgather"])
-	}
-	// Volume: each rank's len(data) elements travel to the other n−1 ranks.
-	want := int64(0)
-	for r := 0; r < n; r++ {
-		want += int64(r+1) * (n - 1) * 16
-	}
-	if st.BytesSent != want {
-		t.Fatalf("Allgather bytes = %d, want %d", st.BytesSent, want)
-	}
-}
-
 func TestAlltoallvZeroLengthRows(t *testing.T) {
 	const n = 3
 	w := NewWorld(n)
@@ -338,8 +299,8 @@ func TestCollectivesOnSizeOneWorld(t *testing.T) {
 		if got := c.Bcast(0, []complex128{2}); got[0] != 2 {
 			return fmt.Errorf("size-1 Bcast = %v", got)
 		}
-		if got := c.Allgather([]complex128{9}); len(got) != 1 || got[0][0] != 9 {
-			return fmt.Errorf("size-1 Allgather = %v", got)
+		if got := c.Alltoallv([][]complex128{{9}}); len(got) != 1 || got[0][0] != 9 {
+			return fmt.Errorf("size-1 Alltoallv = %v", got)
 		}
 		c.Barrier()
 		return nil

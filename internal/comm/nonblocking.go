@@ -73,22 +73,21 @@ func (r *MatRequest) Wait() [][]complex128 {
 // All sends happen (and are counted) at post time; Wait blocks until
 // every rank's buffer for this rank has arrived.
 func (c *Comm) IAlltoallv(slot int, send [][]complex128) *MatRequest {
-	return c.postAlltoallv("Alltoallv", nbTag(slot, legAlltoall), send)
+	return c.postAlltoallv(nbTag(slot, legAlltoall), send)
 }
 
 // postAlltoallv is the one all-to-all exchange: the slotted nonblocking
 // Alltoallv and its blocking form differ only in the tag they match on
-// and in when they wait, so both count as one "Alltoallv"; Allgather is
-// the same exchange under its own name.
-func (c *Comm) postAlltoallv(name string, tag int, send [][]complex128) *MatRequest {
+// and in when they wait, so both count as one "Alltoallv".
+func (c *Comm) postAlltoallv(tag int, send [][]complex128) *MatRequest {
 	if len(send) != c.world.size {
-		panic("comm: " + name + " needs one buffer per rank")
+		panic("comm: Alltoallv needs one buffer per rank")
 	}
 	if c.rank == 0 {
-		c.world.countCollective(name)
+		c.world.countCollective("Alltoallv")
 	}
 	for r := 0; r < c.world.size; r++ {
-		c.send(r, tag, send[r], name)
+		c.send(r, tag, send[r], "Alltoallv")
 	}
 	return &MatRequest{c: c, tag: tag}
 }

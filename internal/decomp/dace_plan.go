@@ -46,7 +46,7 @@ func ParsePrecision(s string) (Precision, error) {
 // its pack / unpack / compute pieces, so both execution styles share one
 // implementation:
 //
-//   - the blocking ExchangeDaCe drives the stages back-to-back through
+//   - the blocking RunDaCe drives the stages back-to-back through
 //     Alltoallv, reproducing the bulk-synchronous phase exactly;
 //   - the task-graph runtime (internal/dist with ScheduleOverlap) posts
 //     each pack through comm.IAlltoallv as soon as its inputs exist and
@@ -87,10 +87,10 @@ type DaCePlan struct {
 // points filled (per src); its non-owned halo planes are overwritten by
 // the unpack stages.
 func NewDaCePlan(rank int, l *DaCeLayout, src *OMENLayout, atomSets [][]int, local *sse.Input) *DaCePlan {
-	myTa, myTe := l.TileOf(rank)
+	myTa, myTe := l.tileOf(rank)
 	return &DaCePlan{
 		l: l, src: src, atomSets: atomSets, in: local,
-		rank: rank, ranks: l.P(), myTa: myTa, myTe: myTe,
+		rank: rank, ranks: l.procs(), myTa: myTa, myTe: myTe,
 		bl:  local.GL.BlockLen(),
 		pbl: local.DL.BlockLen() * local.DL.NbP1,
 	}
@@ -181,7 +181,7 @@ func (pl *DaCePlan) electronSegments(elo, ehi, owner int, atoms []int) []int {
 	var offs []int
 	for ik := 0; ik < pl.in.GL.Nkz; ik++ {
 		for ie := elo; ie < ehi; ie++ {
-			if pl.src.PairOwner(ik, ie) != owner {
+			if pl.src.pairOwner(ik, ie) != owner {
 				continue
 			}
 			for _, a := range atoms {
@@ -198,7 +198,7 @@ func (pl *DaCePlan) phononSegments(owner int, atoms []int) []int {
 	var offs []int
 	for iq := 0; iq < pl.in.DL.Nqz; iq++ {
 		for m := 1; m <= pl.in.DL.Nw; m++ {
-			if pl.src.PhononOwner(iq, m) != owner {
+			if pl.src.phononOwner(iq, m) != owner {
 				continue
 			}
 			for _, a := range atoms {
@@ -218,7 +218,7 @@ func (pl *DaCePlan) phononSegments(owner int, atoms []int) []int {
 func (pl *DaCePlan) exchangeG() exchange {
 	return exchange{lesser: pl.in.GL.Data, greater: pl.in.GG.Data, seg: pl.bl,
 		segments: func(from, to int) []int {
-			ta, te := pl.l.TileOf(to)
+			ta, te := pl.l.tileOf(to)
 			elo, ehi := pl.l.EnergyHalo(te)
 			return pl.electronSegments(elo, ehi, from, pl.atomSets[ta])
 		}}
@@ -228,7 +228,7 @@ func (pl *DaCePlan) exchangeG() exchange {
 func (pl *DaCePlan) exchangeD() exchange {
 	return exchange{lesser: pl.in.DL.Data, greater: pl.in.DG.Data, seg: pl.pbl,
 		segments: func(from, to int) []int {
-			ta, _ := pl.l.TileOf(to)
+			ta, _ := pl.l.tileOf(to)
 			return pl.phononSegments(from, pl.atomSets[ta])
 		}}
 }
@@ -238,9 +238,9 @@ func (pl *DaCePlan) exchangeD() exchange {
 func (pl *DaCePlan) exchangeSigma() exchange {
 	return exchange{lesser: pl.out.SigL.Data, greater: pl.out.SigG.Data, seg: pl.bl,
 		segments: func(from, to int) []int {
-			ta, te := pl.l.TileOf(from)
-			elo, ehi := pl.l.EnergyRange(te)
-			return pl.electronSegments(elo, ehi, to, pl.l.OwnedAtoms(ta))
+			ta, te := pl.l.tileOf(from)
+			elo, ehi := pl.l.energyRange(te)
+			return pl.electronSegments(elo, ehi, to, pl.l.ownedAtoms(ta))
 		}}
 }
 
@@ -250,8 +250,8 @@ func (pl *DaCePlan) exchangeSigma() exchange {
 func (pl *DaCePlan) exchangePi() exchange {
 	return exchange{lesser: pl.out.PiL.Data, greater: pl.out.PiG.Data, seg: pl.pbl, accumulate: true,
 		segments: func(from, to int) []int {
-			ta, _ := pl.l.TileOf(from)
-			return pl.phononSegments(to, pl.l.OwnedAtoms(ta))
+			ta, _ := pl.l.tileOf(from)
+			return pl.phononSegments(to, pl.l.ownedAtoms(ta))
 		}}
 }
 
@@ -317,8 +317,8 @@ func (pl *DaCePlan) UnpackPi(recv [][]complex128)    { pl.unpack(pl.exchangePi()
 // (wire-decoded) inputs and the normwise relative deviation of the mixed
 // Σ≷/Π≷ is recorded for the telemetry reduction.
 func (pl *DaCePlan) ComputeTile() {
-	elo, ehi := pl.l.EnergyRange(pl.myTe)
-	atoms := pl.l.OwnedAtoms(pl.myTa)
+	elo, ehi := pl.l.energyRange(pl.myTe)
+	atoms := pl.l.ownedAtoms(pl.myTa)
 	if elo == ehi {
 		// More energy tiles than energies: this rank owns none. The kernel
 		// takes no empty energy range (0, 0 is its spelling of "all"), so
@@ -375,25 +375,25 @@ func cabs(v complex128) float64 {
 // collective (see comm: slots match across ranks regardless of the order
 // a dynamic schedule posts them in).
 const (
-	SlotG = iota
-	SlotD
-	SlotSigma
-	SlotPi
+	slotG = iota
+	slotD
+	slotSigma
+	slotPi
 	SlotObs
 )
 
 // PostG posts exchange #1 as soon as the owned G≷ pairs exist.
-func (pl *DaCePlan) PostG(c *comm.Comm) *comm.MatRequest { return c.IAlltoallv(SlotG, pl.PackG()) }
+func (pl *DaCePlan) PostG(c *comm.Comm) *comm.MatRequest { return c.IAlltoallv(slotG, pl.PackG()) }
 
 // PostD posts exchange #2 as soon as the owned D≷ points exist.
-func (pl *DaCePlan) PostD(c *comm.Comm) *comm.MatRequest { return c.IAlltoallv(SlotD, pl.PackD()) }
+func (pl *DaCePlan) PostD(c *comm.Comm) *comm.MatRequest { return c.IAlltoallv(slotD, pl.PackD()) }
 
 // PostSigma posts exchange #3 after ComputeTile.
 func (pl *DaCePlan) PostSigma(c *comm.Comm) *comm.MatRequest {
-	return c.IAlltoallv(SlotSigma, pl.PackSigma())
+	return c.IAlltoallv(slotSigma, pl.PackSigma())
 }
 
 // PostPi posts exchange #4 after ComputeTile.
 func (pl *DaCePlan) PostPi(c *comm.Comm) *comm.MatRequest {
-	return c.IAlltoallv(SlotPi, pl.PackPi())
+	return c.IAlltoallv(slotPi, pl.PackPi())
 }

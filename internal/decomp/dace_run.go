@@ -10,53 +10,34 @@ import (
 func (l *DaCeLayout) AtomSets() [][]int {
 	sets := make([][]int, l.Ta)
 	for t := 0; t < l.Ta; t++ {
-		sets[t] = l.AtomSet(t)
+		sets[t] = l.atomSet(t)
 	}
 	return sets
-}
-
-// ExchangeDaCe runs the communication-avoiding SSE phase from within one
-// already-running rank of a world: the four Alltoallv collectives of the
-// Fig. 5 (right) scheme plus the local tile computation.
-//
-//	#1  G≷  pair owners   → tiles (atom set + Nb halo, energy range + 2Nω halo)
-//	#2  D≷  point owners  → tiles (atom set + halo, all (qz, ω))
-//	#3  Σ≷  tiles         → pair owners
-//	#4  Π≷  tile partials → phonon point owners (summed on arrival)
-//
-// local holds full-shape tensors with this rank's owned electron pairs and
-// phonon points (per the src layout) filled; its non-owned halo planes are
-// overwritten with received data. The returned output holds Σ≷ for the
-// owned pairs and fully-summed Π≷ for the owned points — the distribution
-// the next GF phase consumes. The union over ranks reproduces the
-// sequential kernel exactly.
-//
-// This is the bulk-synchronous driver of a DaCePlan: each stage packs,
-// exchanges, and unpacks back-to-back. The overlapped driver
-// (internal/dist's task-graph schedule) runs the same stages through the
-// nonblocking collectives instead.
-func ExchangeDaCe(c *comm.Comm, l *DaCeLayout, src *OMENLayout, atomSets [][]int, local *sse.Input) *sse.Output {
-	pl := NewDaCePlan(c.Rank(), l, src, atomSets, local)
-	pl.UnpackG(c.Alltoallv(pl.PackG()))
-	pl.UnpackD(c.Alltoallv(pl.PackD()))
-	pl.ComputeTile()
-	pl.UnpackSigma(c.Alltoallv(pl.PackSigma()))
-	pl.UnpackPi(c.Alltoallv(pl.PackPi()))
-	return pl.Output()
 }
 
 // RunDaCe executes the SSE phase under the communication-avoiding Ta×TE
 // atom×energy decomposition on the simulated MPI runtime — the Fig. 5
 // (right) scheme. The Green's functions start in the same distribution the
 // GF phase produces (pairs and phonon points block-distributed over the
-// ranks); ExchangeDaCe then performs the four Alltoallv collectives and the
-// local tile computation. The returned Output is the full result gathered
-// on rank 0 (for verification), and Stats are the communication counters
-// measured before the verification gather.
+// ranks); each rank then runs the four Alltoallv collectives and the local
+// tile computation:
+//
+//	#1  G≷  pair owners   → tiles (atom set + Nb halo, energy range + 2Nω halo)
+//	#2  D≷  point owners  → tiles (atom set + halo, all (qz, ω))
+//	#3  Σ≷  tiles         → pair owners
+//	#4  Π≷  tile partials → phonon point owners (summed on arrival)
+//
+// This is the bulk-synchronous driver of a DaCePlan: each stage packs,
+// exchanges, and unpacks back-to-back. The overlapped driver
+// (internal/dist's task-graph schedule) runs the same stages through the
+// nonblocking collectives instead. The union over ranks reproduces the
+// sequential kernel exactly. The returned Output is the full result
+// gathered on rank 0 (for verification), and Stats are the communication
+// counters measured before the verification gather.
 func RunDaCe(w *comm.World, in *sse.Input, ta, te int) (*sse.Output, comm.Stats, error) {
 	p := in.Dev.P
 	l := NewDaCeLayout(in.Dev, ta, te)
-	ranks := l.P()
+	ranks := l.procs()
 	src := NewOMENLayout(p, ranks) // GF-phase ownership of pairs and points
 	var stats comm.Stats
 	final := newGathered(in)
@@ -66,10 +47,16 @@ func RunDaCe(w *comm.World, in *sse.Input, ta, te int) (*sse.Output, comm.Stats,
 
 	err := w.Run(func(c *comm.Comm) error {
 		r := c.Rank()
-		local := localInput(in, func(ik, ie int) bool { return src.PairOwner(ik, ie) == r },
-			func(iq, m int) bool { return src.PhononOwner(iq, m) == r })
+		local := localInput(in, func(ik, ie int) bool { return src.pairOwner(ik, ie) == r },
+			func(iq, m int) bool { return src.phononOwner(iq, m) == r })
 
-		out := ExchangeDaCe(c, l, src, atomSets, local)
+		pl := NewDaCePlan(r, l, src, atomSets, local)
+		pl.UnpackG(c.Alltoallv(pl.PackG()))
+		pl.UnpackD(c.Alltoallv(pl.PackD()))
+		pl.ComputeTile()
+		pl.UnpackSigma(c.Alltoallv(pl.PackSigma()))
+		pl.UnpackPi(c.Alltoallv(pl.PackPi()))
+		out := pl.Output()
 
 		// Snapshot traffic before the verification gather.
 		if r == 0 {

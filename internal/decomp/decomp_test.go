@@ -82,7 +82,7 @@ func TestOMENLayoutPartition(t *testing.T) {
 	for r := 0; r < 4; r++ {
 		for _, pr := range l.OwnedPairs(r) {
 			seen[pr]++
-			if l.PairOwner(pr[0], pr[1]) != r {
+			if l.pairOwner(pr[0], pr[1]) != r {
 				t.Fatal("OwnedPairs inconsistent with PairOwner")
 			}
 		}
@@ -100,20 +100,20 @@ func TestOMENLayoutPartition(t *testing.T) {
 func TestDaCeLayoutTiles(t *testing.T) {
 	in := testInput(t)
 	l := NewDaCeLayout(in.Dev, 3, 2)
-	if l.P() != 6 {
+	if l.procs() != 6 {
 		t.Fatal("P wrong")
 	}
 	covered := make([]int, in.Dev.P.Na)
 	for ta := 0; ta < 3; ta++ {
-		for _, a := range l.OwnedAtoms(ta) {
+		for _, a := range l.ownedAtoms(ta) {
 			covered[a]++
 		}
 		// The atom set must contain every owned atom plus all neighbours.
 		set := make(map[int]bool)
-		for _, a := range l.AtomSet(ta) {
+		for _, a := range l.atomSet(ta) {
 			set[a] = true
 		}
-		for _, a := range l.OwnedAtoms(ta) {
+		for _, a := range l.ownedAtoms(ta) {
 			if !set[a] {
 				t.Fatal("owned atom missing from atom set")
 			}
@@ -132,7 +132,7 @@ func TestDaCeLayoutTiles(t *testing.T) {
 	// Energy ranges partition [0, NE).
 	covE := make([]int, in.Dev.P.NE)
 	for te := 0; te < 2; te++ {
-		lo, hi := l.EnergyRange(te)
+		lo, hi := l.energyRange(te)
 		for e := lo; e < hi; e++ {
 			covE[e]++
 		}
@@ -327,14 +327,14 @@ func TestMixedExchangeMatchesSequential(t *testing.T) {
 	runPrec := func(prec Precision) (*sse.Output, comm.Stats) {
 		p := in.Dev.P
 		l := NewDaCeLayout(in.Dev, 3, 2)
-		w := comm.NewWorld(l.P())
-		src := NewOMENLayout(p, l.P())
+		w := comm.NewWorld(l.procs())
+		src := NewOMENLayout(p, l.procs())
 		atomSets := l.AtomSets()
 		final := newGathered(in)
 		err := w.Run(func(c *comm.Comm) error {
 			r := c.Rank()
-			local := localInput(in, func(ik, ie int) bool { return src.PairOwner(ik, ie) == r },
-				func(iq, m int) bool { return src.PhononOwner(iq, m) == r })
+			local := localInput(in, func(ik, ie int) bool { return src.pairOwner(ik, ie) == r },
+				func(iq, m int) bool { return src.phononOwner(iq, m) == r })
 			pl := NewDaCePlan(r, l, src, atomSets, local).WithPrecision(prec)
 			pl.UnpackG(c.Alltoallv(pl.PackG()))
 			pl.UnpackD(c.Alltoallv(pl.PackD()))

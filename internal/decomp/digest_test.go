@@ -41,16 +41,16 @@ func hashSend(h hash.Hash, send [][]complex128) [][]complex128 {
 func exchangeDigests(t *testing.T, in *sse.Input, ta, te int, prec Precision) (wire, state string) {
 	t.Helper()
 	l := NewDaCeLayout(in.Dev, ta, te)
-	src := NewOMENLayout(in.Dev.P, l.P())
+	src := NewOMENLayout(in.Dev.P, l.procs())
 	atomSets := l.AtomSets()
-	wires := make([]hash.Hash, l.P())
-	states := make([]hash.Hash, l.P())
-	err := comm.NewWorld(l.P()).Run(func(c *comm.Comm) error {
+	wires := make([]hash.Hash, l.procs())
+	states := make([]hash.Hash, l.procs())
+	err := comm.NewWorld(l.procs()).Run(func(c *comm.Comm) error {
 		r := c.Rank()
 		hw, hs := sha256.New(), sha256.New()
 		wires[r], states[r] = hw, hs
-		local := localInput(in, func(ik, ie int) bool { return src.PairOwner(ik, ie) == r },
-			func(iq, m int) bool { return src.PhononOwner(iq, m) == r })
+		local := localInput(in, func(ik, ie int) bool { return src.pairOwner(ik, ie) == r },
+			func(iq, m int) bool { return src.phononOwner(iq, m) == r })
 		pl := NewDaCePlan(r, l, src, atomSets, local).WithPrecision(prec)
 		pl.UnpackG(c.Alltoallv(hashSend(hw, pl.PackG())))
 		pl.UnpackD(c.Alltoallv(hashSend(hw, pl.PackD())))
@@ -89,7 +89,7 @@ func exchangeDigests(t *testing.T, in *sse.Input, ta, te int, prec Precision) (w
 // the global D≷ on its atom set for every (qz, ω), bit for bit.
 func checkTileWindow(t *testing.T, l *DaCeLayout, r int, atomSets [][]int, local, global *sse.Input) {
 	p := global.Dev.P
-	myTa, myTe := l.TileOf(r)
+	myTa, myTe := l.tileOf(r)
 	elo, ehi := l.EnergyHalo(myTe)
 	same := func(a, b []complex128) bool {
 		for i := range a {

@@ -36,14 +36,14 @@ func NewOMENLayout(p device.Params, ranks int) *OMENLayout {
 	return &OMENLayout{P: ranks, Nkz: p.Nkz, NE: p.NE, Nqz: p.Nqz(), Nomega: p.Nomega}
 }
 
-// PairOwner returns the rank owning electron pair (ik, ie).
-func (l *OMENLayout) PairOwner(ik, ie int) int {
+// pairOwner returns the rank owning electron pair (ik, ie).
+func (l *OMENLayout) pairOwner(ik, ie int) int {
 	idx := ik*l.NE + ie
 	return idx * l.P / (l.Nkz * l.NE)
 }
 
-// PhononOwner returns the rank owning phonon point (iq, m) with m ∈ [1, Nω].
-func (l *OMENLayout) PhononOwner(iq, m int) int {
+// phononOwner returns the rank owning phonon point (iq, m) with m ∈ [1, Nω].
+func (l *OMENLayout) phononOwner(iq, m int) int {
 	idx := iq*l.Nomega + (m - 1)
 	return idx * l.P / (l.Nqz * l.Nomega)
 }
@@ -53,7 +53,7 @@ func (l *OMENLayout) OwnedPairs(r int) [][2]int {
 	var out [][2]int
 	for ik := 0; ik < l.Nkz; ik++ {
 		for ie := 0; ie < l.NE; ie++ {
-			if l.PairOwner(ik, ie) == r {
+			if l.pairOwner(ik, ie) == r {
 				out = append(out, [2]int{ik, ie})
 			}
 		}
@@ -66,7 +66,7 @@ func (l *OMENLayout) OwnedPhonon(r int) [][2]int {
 	var out [][2]int
 	for iq := 0; iq < l.Nqz; iq++ {
 		for m := 1; m <= l.Nomega; m++ {
-			if l.PhononOwner(iq, m) == r {
+			if l.phononOwner(iq, m) == r {
 				out = append(out, [2]int{iq, m})
 			}
 		}
@@ -88,21 +88,21 @@ func NewDaCeLayout(dev *device.Device, ta, te int) *DaCeLayout {
 	return &DaCeLayout{Ta: ta, TE: te, Na: dev.P.Na, NE: dev.P.NE, Nomega: dev.P.Nomega, dev: dev}
 }
 
-// P returns the number of ranks (Ta·TE).
-func (l *DaCeLayout) P() int { return l.Ta * l.TE }
+// procs returns the number of ranks (Ta·TE).
+func (l *DaCeLayout) procs() int { return l.Ta * l.TE }
 
-// TileOf splits a rank into its (atom-tile, energy-tile) coordinates.
-func (l *DaCeLayout) TileOf(r int) (ta, te int) { return r / l.TE, r % l.TE }
+// tileOf splits a rank into its (atom-tile, energy-tile) coordinates.
+func (l *DaCeLayout) tileOf(r int) (ta, te int) { return r / l.TE, r % l.TE }
 
-// AtomRange returns the [lo, hi) atom range of atom-tile ta.
-func (l *DaCeLayout) AtomRange(ta int) (lo, hi int) {
+// atomRange returns the [lo, hi) atom range of atom-tile ta.
+func (l *DaCeLayout) atomRange(ta int) (lo, hi int) {
 	lo = ta * l.Na / l.Ta
 	hi = (ta + 1) * l.Na / l.Ta
 	return lo, hi
 }
 
-// EnergyRange returns the [lo, hi) energy range of energy-tile te.
-func (l *DaCeLayout) EnergyRange(te int) (lo, hi int) {
+// energyRange returns the [lo, hi) energy range of energy-tile te.
+func (l *DaCeLayout) energyRange(te int) (lo, hi int) {
 	lo = te * l.NE / l.TE
 	hi = (te + 1) * l.NE / l.TE
 	return lo, hi
@@ -112,7 +112,7 @@ func (l *DaCeLayout) EnergyRange(te int) (lo, hi int) {
 // widened by Nω on each side ("each process is assigned NE/TE + 2Nω
 // energies", §6.1.2), clamped to the grid.
 func (l *DaCeLayout) EnergyHalo(te int) (lo, hi int) {
-	lo, hi = l.EnergyRange(te)
+	lo, hi = l.energyRange(te)
 	lo -= l.Nomega
 	hi += l.Nomega
 	if lo < 0 {
@@ -124,10 +124,10 @@ func (l *DaCeLayout) EnergyHalo(te int) (lo, hi int) {
 	return lo, hi
 }
 
-// AtomSet returns the atoms a tile needs: the owned range plus the
+// atomSet returns the atoms a tile needs: the owned range plus the
 // neighbour halo (the "+c ≤ Nb" atoms of §6.1.2), in ascending order.
-func (l *DaCeLayout) AtomSet(ta int) []int {
-	lo, hi := l.AtomRange(ta)
+func (l *DaCeLayout) atomSet(ta int) []int {
+	lo, hi := l.atomRange(ta)
 	need := make([]bool, l.Na)
 	for a := lo; a < hi; a++ {
 		need[a] = true
@@ -144,9 +144,9 @@ func (l *DaCeLayout) AtomSet(ta int) []int {
 	return out
 }
 
-// OwnedAtoms returns the atoms owned (not halo) by atom-tile ta.
-func (l *DaCeLayout) OwnedAtoms(ta int) []int {
-	lo, hi := l.AtomRange(ta)
+// ownedAtoms returns the atoms owned (not halo) by atom-tile ta.
+func (l *DaCeLayout) ownedAtoms(ta int) []int {
+	lo, hi := l.atomRange(ta)
 	out := make([]int, hi-lo)
 	for i := range out {
 		out[i] = lo + i

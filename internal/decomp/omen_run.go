@@ -25,13 +25,13 @@ func RunOMEN(w *comm.World, in *sse.Input, ranks int) (*sse.Output, comm.Stats, 
 
 	err := w.Run(func(c *comm.Comm) error {
 		r := c.Rank()
-		local := localInput(in, func(ik, ie int) bool { return l.PairOwner(ik, ie) == r },
-			func(iq, m int) bool { return l.PhononOwner(iq, m) == r })
+		local := localInput(in, func(ik, ie int) bool { return l.pairOwner(ik, ie) == r },
+			func(iq, m int) bool { return l.phononOwner(iq, m) == r })
 
 		// ── Round structure 1: broadcast each phonon point to everyone.
 		for iq := 0; iq < l.Nqz; iq++ {
 			for m := 1; m <= l.Nomega; m++ {
-				owner := l.PhononOwner(iq, m)
+				owner := l.phononOwner(iq, m)
 				var payload []complex128
 				if owner == r {
 					payload = concat(phononPlane(local.DL, iq, m), phononPlane(local.DG, iq, m))
@@ -49,16 +49,16 @@ func RunOMEN(w *comm.World, in *sse.Input, ranks int) (*sse.Output, comm.Stats, 
 		// neighbours (2·Nqz·Nω destinations per owned pair). Sends never
 		// block on the simulated fabric, so all sends precede all receives.
 		forEachGTransfer(l, func(srcIK, srcIE, dstIK, dstIE, tag int) {
-			src := l.PairOwner(srcIK, srcIE)
-			dst := l.PairOwner(dstIK, dstIE)
+			src := l.pairOwner(srcIK, srcIE)
+			dst := l.pairOwner(dstIK, dstIE)
 			if src != r || dst == r {
 				return
 			}
 			c.Send(dst, tag, concat(electronPlane(local.GL, srcIK, srcIE), electronPlane(local.GG, srcIK, srcIE)))
 		})
 		forEachGTransfer(l, func(srcIK, srcIE, dstIK, dstIE, tag int) {
-			src := l.PairOwner(srcIK, srcIE)
-			dst := l.PairOwner(dstIK, dstIE)
+			src := l.pairOwner(srcIK, srcIE)
+			dst := l.pairOwner(dstIK, dstIE)
 			if dst != r || src == r {
 				return
 			}
@@ -69,12 +69,12 @@ func RunOMEN(w *comm.World, in *sse.Input, ranks int) (*sse.Output, comm.Stats, 
 		})
 
 		// ── Local computation with the pair mask.
-		out := (sse.OMEN{Mask: func(ik, ie int) bool { return l.PairOwner(ik, ie) == r }}).Compute(local)
+		out := (sse.OMEN{Mask: func(ik, ie int) bool { return l.pairOwner(ik, ie) == r }}).Compute(local)
 
 		// ── Round structure 3: reduce partial Π≷ to the phonon owners.
 		for iq := 0; iq < l.Nqz; iq++ {
 			for m := 1; m <= l.Nomega; m++ {
-				owner := l.PhononOwner(iq, m)
+				owner := l.phononOwner(iq, m)
 				tag := 1 << 28 // distinct tag space from the G transfers
 				tag += iq*l.Nomega + (m - 1)
 				if owner != r {
@@ -144,7 +144,7 @@ func gatherOMEN(c *comm.Comm, l *OMENLayout, out *sse.Output, final *sse.Output)
 	// Electron self-energies live with their pair owners.
 	for ik := 0; ik < l.Nkz; ik++ {
 		for ie := 0; ie < l.NE; ie++ {
-			owner := l.PairOwner(ik, ie)
+			owner := l.pairOwner(ik, ie)
 			tag := base + ik*l.NE + ie
 			switch {
 			case owner == 0 && r == 0:
@@ -163,7 +163,7 @@ func gatherOMEN(c *comm.Comm, l *OMENLayout, out *sse.Output, final *sse.Output)
 	// Phonon self-energies live with their point owners.
 	for iq := 0; iq < l.Nqz; iq++ {
 		for m := 1; m <= l.Nomega; m++ {
-			owner := l.PhononOwner(iq, m)
+			owner := l.phononOwner(iq, m)
 			tag := base + 1<<20 + iq*l.Nomega + m
 			switch {
 			case owner == 0 && r == 0:

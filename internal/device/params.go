@@ -15,7 +15,9 @@
 // which is what makes the substitution faithful: every count the paper
 // reports (flops, bytes moved, messages) is a function of the shapes, so
 // it is measured here exactly, while wall times are measured at scaled-down
-// sizes and paper-scale numbers come from the analytic model.
+// sizes. The paper-scale numbers come from cmd/paperbench's closed forms
+// over the paper's Small and Large structures, which are far too large to
+// build here.
 package device
 
 import (
@@ -73,8 +75,8 @@ func (p Params) Energy(n int) float64 { return p.Emin + float64(n)*p.DE }
 // Omega returns ω_m for m ∈ [1, Nomega].
 func (p Params) Omega(m int) float64 { return float64(m) * p.DE }
 
-// Kz returns the kz value of index i on the periodic grid [−π, π).
-func (p Params) Kz(i int) float64 { return -math.Pi + 2*math.Pi*float64(i)/float64(p.Nkz) }
+// kz returns the kz value of index i on the periodic grid [−π, π).
+func (p Params) kz(i int) float64 { return -math.Pi + 2*math.Pi*float64(i)/float64(p.Nkz) }
 
 // MuL and MuR are the contact chemical potentials under bias.
 func (p Params) MuL() float64 { return p.Mu + p.Vds/2 }
@@ -82,7 +84,7 @@ func (p Params) MuL() float64 { return p.Mu + p.Vds/2 }
 // MuR is the drain-side chemical potential.
 func (p Params) MuR() float64 { return p.Mu - p.Vds/2 }
 
-// Validate checks internal consistency of the parameters.
+// validate checks internal consistency of the parameters.
 func (p Params) Validate() error {
 	switch {
 	case p.Na <= 0 || p.Bnum <= 0 || p.Norb <= 0:
@@ -135,44 +137,13 @@ func TestParams(na, bnum, norb int) Params {
 	}
 }
 
-// Small returns the paper's "Small" Si FinFET structure parameters
-// (W=2.1 nm, L=35 nm): Na=4,864, Nb=34, NE=706, Nω=70, Norb=12. The
-// block count bnum=38 (128 atoms per slab) reproduces the RGF flop counts
-// of Table 3. Used by the analytic performance model; far too large to
-// solve in-process.
-func Small(nkz int) Params {
-	return Params{
-		Na: 4864, Bnum: 38, Norb: 12, NbT: 34,
-		Nkz: nkz, NE: 706, Nomega: 70,
-		Emin: -1.5, DE: 0.005,
-		Mu: 0, Vds: 0.6, TC: 300,
-		Coupling: 0.08, Eta: 1e-4,
-		Seed: 1,
-	}
-}
-
-// Large returns the paper's "Large" structure (W=4.8 nm, L=35 nm):
-// Na=10,240, Nb=34, NE=1,220, Nω=70.
-// bnum=40 (256 atoms per slab) reproduces the 6.00-Eflop GF phase of
-// Table 11.
-func Large(nkz int) Params {
-	return Params{
-		Na: 10240, Bnum: 40, Norb: 12, NbT: 34,
-		Nkz: nkz, NE: 1220, Nomega: 70,
-		Emin: -1.5, DE: 0.005,
-		Mu: 0, Vds: 0.6, TC: 300,
-		Coupling: 0.08, Eta: 1e-4,
-		Seed: 1,
-	}
-}
-
 // Boltzmann constant in eV/K.
-const KB = 8.617333262e-5
+const boltzmann = 8.617333262e-5
 
 // FermiDirac returns the Fermi-Dirac occupation at energy e (eV) for
 // chemical potential mu (eV) and temperature t (K).
 func FermiDirac(e, mu, t float64) float64 {
-	x := (e - mu) / (KB * t)
+	x := (e - mu) / (boltzmann * t)
 	if x > 40 {
 		return math.Exp(-x)
 	}
@@ -185,7 +156,7 @@ func FermiDirac(e, mu, t float64) float64 {
 // BoseEinstein returns the Bose-Einstein occupation at frequency w (eV)
 // and temperature t (K).
 func BoseEinstein(w, t float64) float64 {
-	x := w / (KB * t)
+	x := w / (boltzmann * t)
 	if x > 40 {
 		return math.Exp(-x)
 	}

@@ -109,9 +109,9 @@ type Strain struct {
 	Amplitude float64 `json:"amplitude"` // relative coupling fluctuation, in [0, 1)
 }
 
-// Validate checks the profile against the device parameters it will be
+// validate checks the profile against the device parameters it will be
 // lowered onto.
-func (pr *Profile) Validate(p Params) error {
+func (pr *Profile) validate(p Params) error {
 	for i, r := range pr.Regions {
 		switch {
 		case r.From < 0 || r.To >= p.Bnum || r.From > r.To:
@@ -193,7 +193,7 @@ func siteFloat(seed, channel, site uint64) float64 {
 // channels (doping, vacancies, strain) while the deterministic layers
 // (regions, gates) stay fixed.
 func (pr *Profile) Apply(d *Device, seed uint64) error {
-	if err := pr.Validate(d.P); err != nil {
+	if err := pr.validate(d.P); err != nil {
 		return err
 	}
 	pr.applyPotential(d)

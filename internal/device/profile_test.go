@@ -217,7 +217,7 @@ func TestProfileValidate(t *testing.T) {
 	p := TestParams(24, 6, 2)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.pr.Validate(p)
+			err := tc.pr.validate(p)
 			switch {
 			case tc.wantErr == "" && err != nil:
 				t.Fatalf("Validate() = %v, want nil", err)

@@ -301,7 +301,7 @@ func (d *Device) GradH(a, b, i int) *linalg.Matrix {
 // 2·cos(kz)·W z-image coupling. H(kz) is Hermitian for every kz.
 func (d *Device) Hamiltonian(ikz int) *blocktri.Matrix {
 	p := d.P
-	ck := math.Cos(p.Kz(ikz))
+	ck := math.Cos(p.kz(ikz))
 	mod := complex(1+2*d.zeta*ck, 0)
 	m := blocktri.Uniform(p.Bnum, p.ElBlockSize())
 	rows := p.AtomsPerSlab()
@@ -362,20 +362,6 @@ func (d *Device) Hamiltonian(ikz int) *blocktri.Matrix {
 	return m
 }
 
-// Overlap returns S(kz). The synthetic basis is orthonormal (S = I), the
-// standard choice after Löwdin orthogonalization; the solver nevertheless
-// carries S through the E·S − H algebra exactly as the paper's Eq. (1).
-func (d *Device) Overlap(ikz int) *blocktri.Matrix {
-	p := d.P
-	m := blocktri.Uniform(p.Bnum, p.ElBlockSize())
-	for i := 0; i < p.Bnum; i++ {
-		for r := 0; r < p.ElBlockSize(); r++ {
-			m.Diag[i].Set(r, r, 1)
-		}
-	}
-	return m
-}
-
 // Dynamical assembles the block-tridiagonal dynamical matrix Φ(qz) for
 // momentum index iqz. Off-diagonal blocks are −K_ab; onsite blocks follow
 // the acoustic sum rule Φ_aa = Σ_b K_ab plus the z-image spring
@@ -383,7 +369,7 @@ func (d *Device) Overlap(ikz int) *blocktri.Matrix {
 // acoustic behaviour.
 func (d *Device) Dynamical(iqz int) *blocktri.Matrix {
 	p := d.P
-	sq := math.Sin(p.Kz(iqz) / 2)
+	sq := math.Sin(p.kz(iqz) / 2)
 	zspring := 4 * d.kappaZ * sq * sq
 	m := blocktri.Uniform(p.Bnum, p.PhBlockSize())
 	rows := p.AtomsPerSlab()

@@ -15,19 +15,12 @@ import "math"
 // Float16 is an IEEE 754 binary16 value stored as its bit pattern.
 type Float16 uint16
 
-// Limits of the binary16 format.
-const (
-	// MaxValue is the largest finite binary16 value (65504).
-	MaxValue = 65504.0
-	// MinNormal is the smallest positive normal binary16 value (2^-14).
-	MinNormal = 6.103515625e-05
-	// SmallestNonzero is the smallest positive subnormal value (2^-24).
-	SmallestNonzero = 5.9604644775390625e-08
-)
+// maxValue is the largest finite binary16 value (65504).
+const maxValue = 65504.0
 
-// FromFloat32 converts f to binary16 with round-to-nearest-even.
-// Overflows become ±Inf (use Clamp before conversion to saturate instead).
-func FromFloat32(f float32) Float16 {
+// fromFloat32 converts f to binary16 with round-to-nearest-even.
+// Overflows become ±Inf (use clamp before conversion to saturate instead).
+func fromFloat32(f float32) Float16 {
 	b := math.Float32bits(f)
 	sign := uint16(b>>16) & 0x8000
 	exp := int32(b>>23&0xff) - 127 + 15
@@ -68,8 +61,8 @@ func FromFloat32(f float32) Float16 {
 	}
 }
 
-// Float32 converts h back to float32 exactly.
-func (h Float16) Float32() float32 {
+// toFloat32 converts h back to float32 exactly.
+func (h Float16) toFloat32() float32 {
 	sign := uint32(h&0x8000) << 16
 	exp := uint32(h >> 10 & 0x1f)
 	mant := uint32(h & 0x3ff)
@@ -93,31 +86,25 @@ func (h Float16) Float32() float32 {
 	}
 }
 
-// FromFloat64 converts through float32.
-func FromFloat64(f float64) Float16 { return FromFloat32(float32(f)) }
+// fromFloat64 converts through float32.
+func fromFloat64(f float64) Float16 { return fromFloat32(float32(f)) }
 
 // Float64 converts h to float64 exactly.
-func (h Float16) Float64() float64 { return float64(h.Float32()) }
+func (h Float16) Float64() float64 { return float64(h.toFloat32()) }
 
-// IsInf reports whether h is ±Inf.
-func (h Float16) IsInf() bool { return h&0x7fff == 0x7c00 }
-
-// IsNaN reports whether h is a NaN.
-func (h Float16) IsNaN() bool { return h&0x7c00 == 0x7c00 && h&0x3ff != 0 }
-
-// Clamp saturates f into the finite binary16 range [−MaxValue, MaxValue].
+// clamp saturates f into the finite binary16 range [−maxValue, maxValue].
 // This is the paper's out-of-range handling: "Out-of-range values are
 // clamped to avoid under/overflow".
-func Clamp(f float64) float64 {
-	if f > MaxValue {
-		return MaxValue
+func clamp(f float64) float64 {
+	if f > maxValue {
+		return maxValue
 	}
-	if f < -MaxValue {
-		return -MaxValue
+	if f < -maxValue {
+		return -maxValue
 	}
 	return f
 }
 
 // Quantize rounds f through binary16 with saturation, returning the value
 // a Tensor-Core input register would hold.
-func Quantize(f float64) float64 { return FromFloat64(Clamp(f)).Float64() }
+func Quantize(f float64) float64 { return fromFloat64(clamp(f)).Float64() }

@@ -6,6 +6,28 @@ import (
 	"testing/quick"
 )
 
+// Limits of the binary16 format.
+const (
+	// minNormal is the smallest positive normal binary16 value (2^-14).
+	minNormal = 6.103515625e-05
+	// smallestNonzero is the smallest positive subnormal value (2^-24).
+	smallestNonzero = 5.9604644775390625e-08
+)
+
+// isInf reports whether h is ±Inf.
+func isInf(h Float16) bool { return h&0x7fff == 0x7c00 }
+
+// isNaN reports whether h is a NaN.
+func isNaN(h Float16) bool { return h&0x7c00 == 0x7c00 && h&0x3ff != 0 }
+
+// decodeScaled reads s back into dst, multiplying by invScale (algebraic
+// denormalization: "denormalization entails scaling by inverse factors").
+func decodeScaled(s *SplitComplex, dst []complex128, invScale float64) {
+	for i := range dst {
+		dst[i] = complex(s.Re[i].Float64()*invScale, s.Im[i].Float64()*invScale)
+	}
+}
+
 func TestExactValues(t *testing.T) {
 	cases := []struct {
 		f    float64
@@ -17,11 +39,11 @@ func TestExactValues(t *testing.T) {
 		{2, 0x4000},
 		{0.5, 0x3800},
 		{65504, 0x7bff},                  // MaxValue
-		{6.103515625e-05, 0x0400},        // MinNormal
+		{6.103515625e-05, 0x0400},        // minNormal
 		{5.9604644775390625e-08, 0x0001}, // smallest subnormal
 	}
 	for _, c := range cases {
-		if got := FromFloat64(c.f); got != c.bits {
+		if got := fromFloat64(c.f); got != c.bits {
 			t.Errorf("FromFloat64(%g) = %#04x, want %#04x", c.f, got, c.bits)
 		}
 		if got := c.bits.Float64(); got != c.f {
@@ -31,19 +53,19 @@ func TestExactValues(t *testing.T) {
 }
 
 func TestOverflowToInf(t *testing.T) {
-	h := FromFloat64(1e6)
-	if !h.IsInf() {
+	h := fromFloat64(1e6)
+	if !isInf(h) {
 		t.Fatalf("1e6 should overflow to Inf, got %#04x (%g)", h, h.Float64())
 	}
-	h = FromFloat64(-1e6)
-	if !h.IsInf() || h.Float64() > 0 {
+	h = fromFloat64(-1e6)
+	if !isInf(h) || h.Float64() > 0 {
 		t.Fatalf("-1e6 should overflow to -Inf")
 	}
 }
 
 func TestNaNPropagation(t *testing.T) {
-	h := FromFloat64(math.NaN())
-	if !h.IsNaN() {
+	h := fromFloat64(math.NaN())
+	if !isNaN(h) {
 		t.Fatal("NaN should convert to half NaN")
 	}
 	if !math.IsNaN(h.Float64()) {
@@ -52,11 +74,11 @@ func TestNaNPropagation(t *testing.T) {
 }
 
 func TestUnderflowToZero(t *testing.T) {
-	h := FromFloat64(1e-12)
+	h := fromFloat64(1e-12)
 	if h != 0 {
 		t.Fatalf("1e-12 should underflow to +0, got %#04x", h)
 	}
-	h = FromFloat64(-1e-12)
+	h = fromFloat64(-1e-12)
 	if h != 0x8000 {
 		t.Fatalf("-1e-12 should underflow to -0, got %#04x", h)
 	}
@@ -65,7 +87,7 @@ func TestUnderflowToZero(t *testing.T) {
 func TestSubnormalRange(t *testing.T) {
 	// 2^-20 is subnormal in binary16 but exactly representable.
 	f := math.Ldexp(1, -20)
-	h := FromFloat64(f)
+	h := fromFloat64(f)
 	if h.Float64() != f {
 		t.Fatalf("2^-20 roundtrip: got %g", h.Float64())
 	}
@@ -76,10 +98,10 @@ func TestRoundTripProperty(t *testing.T) {
 	// finite half value, and half(f).Float64() must be within half an ULP.
 	f := func(bits uint16) bool {
 		h := Float16(bits)
-		if h.IsNaN() {
-			return FromFloat32(h.Float32()).IsNaN()
+		if isNaN(h) {
+			return isNaN(fromFloat32(h.toFloat32()))
 		}
-		return FromFloat32(h.Float32()) == h
+		return fromFloat32(h.toFloat32()) == h
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
@@ -90,15 +112,15 @@ func TestRoundingIsNearest(t *testing.T) {
 	// The binary16 ULP at 1.0 is 2^-10; values less than half an ULP away
 	// must round to 1.0.
 	ulp := math.Ldexp(1, -10)
-	if got := FromFloat64(1 + 0.49*ulp).Float64(); got != 1 {
+	if got := fromFloat64(1 + 0.49*ulp).Float64(); got != 1 {
 		t.Fatalf("1+0.49ulp rounded to %g", got)
 	}
-	if got := FromFloat64(1 + 0.51*ulp).Float64(); got != 1+ulp {
+	if got := fromFloat64(1 + 0.51*ulp).Float64(); got != 1+ulp {
 		t.Fatalf("1+0.51ulp rounded to %g, want %g", got, 1+ulp)
 	}
 	// Ties round to even: 1 + 0.5ulp is exactly between 1 (mantissa even)
 	// and 1+ulp (odd) → rounds down to 1.
-	if got := FromFloat64(1 + 0.5*ulp).Float64(); got != 1 {
+	if got := fromFloat64(1 + 0.5*ulp).Float64(); got != 1 {
 		t.Fatalf("tie 1+0.5ulp rounded to %g, want 1 (even)", got)
 	}
 }
@@ -108,7 +130,7 @@ func TestQuantizeErrorBoundProperty(t *testing.T) {
 	// most 2^-11 (half an ULP of a 10-bit mantissa).
 	f := func(x float64) bool {
 		x = math.Mod(math.Abs(x), 60000)
-		if x < MinNormal {
+		if x < minNormal {
 			return true
 		}
 		q := Quantize(x)
@@ -120,47 +142,47 @@ func TestQuantizeErrorBoundProperty(t *testing.T) {
 }
 
 func TestClamp(t *testing.T) {
-	if Clamp(1e9) != MaxValue {
+	if clamp(1e9) != maxValue {
 		t.Fatal("positive clamp failed")
 	}
-	if Clamp(-1e9) != -MaxValue {
+	if clamp(-1e9) != -maxValue {
 		t.Fatal("negative clamp failed")
 	}
-	if Clamp(123.0) != 123.0 {
+	if clamp(123.0) != 123.0 {
 		t.Fatal("in-range value should pass through")
 	}
-	if q := Quantize(1e9); q != MaxValue {
+	if q := Quantize(1e9); q != maxValue {
 		t.Fatalf("Quantize should saturate, got %g", q)
 	}
 }
 
 func TestClampEdgeCases(t *testing.T) {
 	// Exact boundaries saturate to themselves.
-	if Clamp(MaxValue) != MaxValue || Clamp(-MaxValue) != -MaxValue {
+	if clamp(maxValue) != maxValue || clamp(-maxValue) != -maxValue {
 		t.Fatal("boundary values must pass unchanged")
 	}
 	// The next float64 above the boundary clamps.
-	up := math.Nextafter(MaxValue, math.Inf(1))
-	if Clamp(up) != MaxValue {
-		t.Fatalf("Clamp(%g) = %g, want MaxValue", up, Clamp(up))
+	up := math.Nextafter(maxValue, math.Inf(1))
+	if clamp(up) != maxValue {
+		t.Fatalf("Clamp(%g) = %g, want MaxValue", up, clamp(up))
 	}
 	// Infinities saturate; NaN propagates (neither comparison fires) and
 	// Quantize keeps it a NaN rather than inventing a finite value.
-	if Clamp(math.Inf(1)) != MaxValue || Clamp(math.Inf(-1)) != -MaxValue {
+	if clamp(math.Inf(1)) != maxValue || clamp(math.Inf(-1)) != -maxValue {
 		t.Fatal("infinities must saturate")
 	}
-	if !math.IsNaN(Clamp(math.NaN())) {
+	if !math.IsNaN(clamp(math.NaN())) {
 		t.Fatal("Clamp(NaN) must stay NaN")
 	}
 	if !math.IsNaN(Quantize(math.NaN())) {
 		t.Fatal("Quantize(NaN) must stay NaN")
 	}
 	// Signed zeros survive.
-	if math.Signbit(Clamp(math.Copysign(0, -1))) != true {
+	if math.Signbit(clamp(math.Copysign(0, -1))) != true {
 		t.Fatal("Clamp must preserve -0")
 	}
 	// Subnormal halves quantize exactly (they are representable).
-	if q := Quantize(SmallestNonzero); q != SmallestNonzero {
+	if q := Quantize(smallestNonzero); q != smallestNonzero {
 		t.Fatalf("smallest subnormal quantized to %g", q)
 	}
 }
@@ -173,22 +195,22 @@ func FuzzFloat16RoundTrip(f *testing.F) {
 	f.Add(uint16(0x8000)) // -0
 	f.Add(uint16(0x0001)) // smallest subnormal
 	f.Add(uint16(0x03ff)) // largest subnormal
-	f.Add(uint16(0x0400)) // MinNormal
+	f.Add(uint16(0x0400)) // minNormal
 	f.Add(uint16(0x7bff)) // MaxValue
 	f.Add(uint16(0x7c00)) // +Inf
 	f.Add(uint16(0x7e00)) // NaN
 	f.Fuzz(func(t *testing.T, bits uint16) {
 		h := Float16(bits)
-		if h.IsNaN() {
-			if !FromFloat32(h.Float32()).IsNaN() {
+		if isNaN(h) {
+			if !isNaN(fromFloat32(h.toFloat32())) {
 				t.Fatalf("%#04x: NaN lost in round trip", bits)
 			}
 			return
 		}
-		if got := FromFloat32(h.Float32()); got != h {
-			t.Fatalf("%#04x -> %g -> %#04x", bits, h.Float32(), got)
+		if got := fromFloat32(h.toFloat32()); got != h {
+			t.Fatalf("%#04x -> %g -> %#04x", bits, h.toFloat32(), got)
 		}
-		if got := FromFloat64(h.Float64()); got != h {
+		if got := fromFloat64(h.Float64()); got != h {
 			t.Fatalf("%#04x float64 round trip -> %#04x", bits, got)
 		}
 	})
@@ -211,10 +233,10 @@ func FuzzQuantize(f *testing.F) {
 			}
 			return
 		}
-		if math.Abs(q) > MaxValue {
+		if math.Abs(q) > maxValue {
 			t.Fatalf("Quantize(%g) = %g escapes the binary16 range", x, q)
 		}
-		if a := math.Abs(x); a >= MinNormal && a <= MaxValue {
+		if a := math.Abs(x); a >= minNormal && a <= maxValue {
 			if math.Abs(q-x) > a*math.Ldexp(1, -11) {
 				t.Fatalf("Quantize(%g) = %g outside half-ulp bound", x, q)
 			}
@@ -227,7 +249,7 @@ func TestSplitComplexRoundTrip(t *testing.T) {
 	sc := NewSplitComplex(len(src))
 	sc.EncodeScaled(src, 1)
 	dst := make([]complex128, len(src))
-	sc.DecodeScaled(dst, 1)
+	decodeScaled(sc, dst, 1)
 	for i := range src {
 		if math.Abs(real(dst[i])-real(src[i])) > math.Abs(real(src[i]))*1e-3+1e-6 ||
 			math.Abs(imag(dst[i])-imag(src[i])) > math.Abs(imag(src[i]))*1e-3+1e-6 {
@@ -245,7 +267,7 @@ func TestScaleForPowerOfTwo(t *testing.T) {
 			t.Fatalf("ScaleFor(%g) = %g is not a power of two", m, s)
 		}
 		scaled := m * s
-		if scaled > MaxValue || scaled < 256 {
+		if scaled > maxValue || scaled < 256 {
 			t.Fatalf("ScaleFor(%g): scaled max %g outside [256, 65504]", m, scaled)
 		}
 	}
@@ -262,14 +284,14 @@ func TestNormalizationPreservesSmallValues(t *testing.T) {
 	direct := NewSplitComplex(len(vals))
 	direct.EncodeScaled(vals, 1)
 	out := make([]complex128, len(vals))
-	direct.DecodeScaled(out, 1)
+	decodeScaled(direct, out, 1)
 	if out[0] != 0 || out[1] != 0 {
 		t.Fatal("expected unnormalized 1e-9 values to flush to zero in fp16")
 	}
 	scale := ScaleFor(MaxAbsComplex(vals))
 	norm := NewSplitComplex(len(vals))
 	norm.EncodeScaled(vals, scale)
-	norm.DecodeScaled(out, 1/scale)
+	decodeScaled(norm, out, 1/scale)
 	for i := range vals {
 		if math.Abs(real(out[i])-real(vals[i])) > 1e-11 {
 			t.Fatalf("normalized roundtrip lost value %d: %v -> %v", i, vals[i], out[i])

@@ -27,20 +27,8 @@ func (s *SplitComplex) EncodeScaled(src []complex128, scale float64) {
 		panic("half: EncodeScaled length mismatch")
 	}
 	for i, v := range src {
-		s.Re[i] = FromFloat64(Clamp(real(v) * scale))
-		s.Im[i] = FromFloat64(Clamp(imag(v) * scale))
-	}
-}
-
-// DecodeScaled reads the buffer back into dst, multiplying by invScale
-// (algebraic denormalization: "denormalization entails scaling by inverse
-// factors").
-func (s *SplitComplex) DecodeScaled(dst []complex128, invScale float64) {
-	if len(dst) != s.N {
-		panic("half: DecodeScaled length mismatch")
-	}
-	for i := range dst {
-		dst[i] = complex(s.Re[i].Float64()*invScale, s.Im[i].Float64()*invScale)
+		s.Re[i] = fromFloat64(clamp(real(v) * scale))
+		s.Im[i] = fromFloat64(clamp(imag(v) * scale))
 	}
 }
 

@@ -27,10 +27,10 @@ const (
 	wireQuad = 4 // complex values per packed wire word
 )
 
-// WireWords returns the wire words one half-format segment of n complex
+// wireWords returns the wire words one half-format segment of n complex
 // values occupies (header + packed quads) — the prediction the analytic
 // communication model scales its fp64 volumes by.
-func WireWords(n int) int { return 1 + (n+wireQuad-1)/wireQuad }
+func wireWords(n int) int { return 1 + (n+wireQuad-1)/wireQuad }
 
 // wireScale derives the segment normalization factor. ok = false demands
 // the fp64 fallback: the magnitudes are non-finite, or the power-of-two
@@ -60,7 +60,7 @@ func WireEncode(src []complex128, seg int) []complex128 {
 	if len(src)%seg != 0 {
 		panic("half: WireEncode payload not a multiple of the segment length")
 	}
-	out := make([]complex128, 0, (len(src)/seg)*WireWords(seg))
+	out := make([]complex128, 0, (len(src)/seg)*wireWords(seg))
 	for off := 0; off < len(src); off += seg {
 		out = appendSegment(out, src[off:off+seg])
 	}
@@ -165,8 +165,8 @@ func appendSegment(out []complex128, src []complex128) []complex128 {
 func packQuad(vs []complex128, scale float64) complex128 {
 	var lo, hi uint64
 	for j, v := range vs {
-		re := uint64(FromFloat64(Clamp(real(v) * scale)))
-		im := uint64(FromFloat64(Clamp(imag(v) * scale)))
+		re := uint64(fromFloat64(clamp(real(v) * scale)))
+		im := uint64(fromFloat64(clamp(imag(v) * scale)))
 		bits := re | im<<16
 		if j < 2 {
 			lo |= bits << (32 * uint(j))

@@ -45,16 +45,16 @@ func TestWireVolumeReduction(t *testing.T) {
 			src[i] = complex(float64(i%7)-3, float64(i%5)-2)
 		}
 		wire := WireEncode(src, tc.seg)
-		if want := tc.count * WireWords(tc.seg); len(wire) != want {
+		if want := tc.count * wireWords(tc.seg); len(wire) != want {
 			t.Errorf("seg %d: wire length %d, want %d", tc.seg, len(wire), want)
 		}
 	}
 	// The exchange units: 2·Norb² = 8 at Norb 2 → 8/3; the phonon unit
 	// 2·9·(Nb+1) = 54 at Nb 2 → 54/15.
-	if r := 8.0 / float64(WireWords(8)); r < 2.6 {
+	if r := 8.0 / float64(wireWords(8)); r < 2.6 {
 		t.Errorf("electron unit reduction %g < 2.6", r)
 	}
-	if r := 54.0 / float64(WireWords(54)); r < 3.5 {
+	if r := 54.0 / float64(wireWords(54)); r < 3.5 {
 		t.Errorf("phonon unit reduction %g < 3.5", r)
 	}
 }
@@ -105,7 +105,7 @@ func TestWireFallbackFP64(t *testing.T) {
 		t.Errorf("NaN segment quantized its finite values: %v %v", got[3*seg+2], got[3*seg+3])
 	}
 	// Message length: three fp64 segments (1+seg words) + one half segment.
-	if want := 3*(1+seg) + WireWords(seg); len(wire) != want {
+	if want := 3*(1+seg) + wireWords(seg); len(wire) != want {
 		t.Errorf("wire length %d, want %d", len(wire), want)
 	}
 }

@@ -50,21 +50,6 @@ func countFlops(n int64) {
 	}
 }
 
-// MatMul computes C = op(A)·op(B), allocating the result.
-func MatMul(a *Matrix, opA Op, b *Matrix, opB Op) *Matrix {
-	m, k := opDims(a, opA)
-	k2, n := opDims(b, opB)
-	if k != k2 {
-		panicShape("MatMul", a, opA, b, opB)
-	}
-	c := New(m, n)
-	GEMM(1, a, opA, b, opB, 0, c)
-	return c
-}
-
-// Mul is shorthand for MatMul(a, NoTrans, b, NoTrans).
-func Mul(a, b *Matrix) *Matrix { return MatMul(a, NoTrans, b, NoTrans) }
-
 // GEMM computes C = alpha·op(A)·op(B) + beta·C in place.
 //
 // c must not overlap a or b (both kernels store partial sums into C while
@@ -145,7 +130,7 @@ func gemmRowPanel(alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta c
 		pb.ensure(min(m, rows)*k, k*n)
 		bt := Matrix{Rows: k, Cols: n, Data: pb.b[:k*n]}
 		if opB == Trans {
-			TInto(&bt, b)
+			tInto(&bt, b)
 		} else {
 			HInto(&bt, b)
 		}
@@ -185,9 +170,16 @@ func Mul3(a, b, c *Matrix) *Matrix {
 	left := int64(a.Rows)*int64(a.Cols)*int64(b.Cols) + int64(a.Rows)*int64(b.Cols)*int64(c.Cols)
 	right := int64(b.Rows)*int64(b.Cols)*int64(c.Cols) + int64(a.Rows)*int64(a.Cols)*int64(c.Cols)
 	if left <= right {
-		return Mul(Mul(a, b), c)
+		return mul(mul(a, b), c)
 	}
-	return Mul(a, Mul(b, c))
+	return mul(a, mul(b, c))
+}
+
+// mul returns a·b in a new matrix.
+func mul(a, b *Matrix) *Matrix {
+	c := New(a.Rows, b.Cols)
+	GEMM(1, a, NoTrans, b, NoTrans, 0, c)
+	return c
 }
 
 func opDims(m *Matrix, op Op) (rows, cols int) {

@@ -46,13 +46,13 @@ func referenceGEMM(alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta 
 	am, bm := a, b
 	switch opA {
 	case Trans:
-		am = a.T()
+		am = transpose(a)
 	case ConjTrans:
 		am = a.H()
 	}
 	switch opB {
 	case Trans:
-		bm = b.T()
+		bm = transpose(b)
 	case ConjTrans:
 		bm = b.H()
 	}

@@ -5,44 +5,30 @@ import (
 	"math/cmplx"
 )
 
-// ErrSingular is returned when a factorization or solve encounters an
+// errSingular is returned when a factorization encounters an
 // (numerically) singular matrix.
-var ErrSingular = errors.New("linalg: matrix is singular")
+var errSingular = errors.New("linalg: matrix is singular")
 
 // LU holds an LU factorization with partial pivoting: P·A = L·U where L is
 // unit lower triangular and U is upper triangular, both packed into lu.
 type LU struct {
 	lu    *Matrix
 	pivot []int
-	signs int // parity of the permutation, for determinants
 }
 
-// NewLU allocates an LU record with storage for n×n factorizations. The
+// newLU allocates an LU record with storage for n×n factorizations. The
 // record is reusable: successive FactorizeInto calls overwrite the packed
 // factors and pivots in place, so the hot RGF loop refactorizes without
 // heap traffic.
-func NewLU(n int) *LU {
+func newLU(n int) *LU {
 	return &LU{lu: New(n, n), pivot: make([]int, n)}
-}
-
-// Factorize computes the LU factorization of a (which is not modified).
-// The retarded Green's function solve (E·S − H − Σᴿ)·Gᴿ = I in the RGF
-// kernel reduces to factorizations of the per-block effective Hamiltonian.
-func Factorize(a *Matrix) (*LU, error) {
-	if !a.IsSquare() {
-		return nil, errors.New("linalg: Factorize requires a square matrix")
-	}
-	f := &LU{lu: a.Clone(), pivot: make([]int, a.Rows)}
-	if err := f.factorize(); err != nil {
-		return nil, err
-	}
-	return f, nil
 }
 
 // FactorizeInto recomputes the factorization of a into f's existing
 // storage without allocating — the workspace path of the RGF kernel
 // (obtain f once with Workspace.LUFor, refactorize every block). The
-// arithmetic is identical to Factorize, so the factors are bit-identical.
+// retarded Green's function solve (E·S − H − Σᴿ)·Gᴿ = I in the RGF kernel
+// reduces to factorizations of the per-block effective Hamiltonian.
 func (f *LU) FactorizeInto(a *Matrix) error {
 	if !a.IsSquare() || a.Rows != f.lu.Rows {
 		return errors.New("linalg: FactorizeInto dimension mismatch")
@@ -56,7 +42,6 @@ func (f *LU) FactorizeInto(a *Matrix) error {
 func (f *LU) factorize() error {
 	n := f.lu.Rows
 	piv := f.pivot
-	signs := 1
 	d := f.lu.Data
 	countFlops(8 * int64(n) * int64(n) * int64(n) * 2 / 3)
 	for col := 0; col < n; col++ {
@@ -69,11 +54,10 @@ func (f *LU) factorize() error {
 			}
 		}
 		if max == 0 {
-			return ErrSingular
+			return errSingular
 		}
 		piv[col] = p
 		if p != col {
-			signs = -signs
 			rp, rc := d[p*n:(p+1)*n], d[col*n:(col+1)*n]
 			for j := range rp {
 				rp[j], rc[j] = rc[j], rp[j]
@@ -91,23 +75,11 @@ func (f *LU) factorize() error {
 			vecSubMul(rr, rc, fac)
 		}
 	}
-	f.signs = signs
 	return nil
 }
 
-// Solve computes X such that A·X = B for the factorized A. B is not modified.
-func (f *LU) Solve(b *Matrix) *Matrix {
-	n := f.lu.Rows
-	if b.Rows != n {
-		panic("linalg: LU.Solve dimension mismatch")
-	}
-	x := b.Clone()
-	f.SolveInPlace(x)
-	return x
-}
-
-// SolveInPlace overwrites x with A⁻¹·x.
-func (f *LU) SolveInPlace(x *Matrix) {
+// solveInPlace overwrites x with A⁻¹·x.
+func (f *LU) solveInPlace(x *Matrix) {
 	n := f.lu.Rows
 	m := x.Cols
 	d := f.lu.Data
@@ -150,52 +122,22 @@ func (f *LU) SolveInPlace(x *Matrix) {
 	}
 }
 
-// Det returns the determinant of the factorized matrix.
-func (f *LU) Det() complex128 {
-	n := f.lu.Rows
-	det := complex(float64(f.signs), 0)
-	for i := 0; i < n; i++ {
-		det *= f.lu.Data[i*n+i]
-	}
-	return det
-}
-
 // InverseInto overwrites dst with the inverse of the factorized matrix:
 // dst is set to the identity and solved in place, exactly the sequence
 // Inverse performs on a fresh matrix.
 func (f *LU) InverseInto(dst *Matrix) {
-	dst.SetIdentity()
-	f.SolveInPlace(dst)
+	dst.setIdentity()
+	f.solveInPlace(dst)
 }
 
-// Inverse returns A⁻¹ for square A, or ErrSingular.
+// Inverse returns A⁻¹ for square A, or an error for a non-square or
+// singular A.
 func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := Factorize(a)
-	if err != nil {
+	f := newLU(a.Rows)
+	if err := f.FactorizeInto(a); err != nil {
 		return nil, err
 	}
 	inv := Eye(a.Rows)
-	f.SolveInPlace(inv)
+	f.solveInPlace(inv)
 	return inv, nil
-}
-
-// MustInverse returns A⁻¹ and panics on singular input. The RGF recursion
-// applies it to effective-Hamiltonian blocks that are nonsingular for any
-// energy with a nonzero imaginary part (E + iη), so failure indicates a
-// programming error rather than a data condition.
-func MustInverse(a *Matrix) *Matrix {
-	inv, err := Inverse(a)
-	if err != nil {
-		panic(err)
-	}
-	return inv
-}
-
-// Solve computes X with A·X = B without exposing the factorization.
-func Solve(a, b *Matrix) (*Matrix, error) {
-	f, err := Factorize(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b), nil
 }

@@ -83,26 +83,14 @@ func (m *Matrix) Zero() {
 // IsSquare reports whether m has equal row and column counts.
 func (m *Matrix) IsSquare() bool { return m.Rows == m.Cols }
 
-// T returns a newly allocated transpose of m.
-func (m *Matrix) T() *Matrix {
-	t := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			t.Data[j*t.Cols+i] = v
-		}
-	}
-	return t
-}
-
 // H returns a newly allocated Hermitian conjugate (conjugate transpose) of m.
 func (m *Matrix) H() *Matrix {
 	return HInto(New(m.Cols, m.Rows), m)
 }
 
-// TInto stores aᵀ into dst without allocating and returns dst.
+// tInto stores aᵀ into dst without allocating and returns dst.
 // dst must not alias a.
-func TInto(dst, a *Matrix) *Matrix {
+func tInto(dst, a *Matrix) *Matrix {
 	if dst.Rows != a.Cols || dst.Cols != a.Rows {
 		panic(fmt.Sprintf("linalg: TInto shape mismatch %dx%d <- (%dx%d)ᵀ", dst.Rows, dst.Cols, a.Rows, a.Cols))
 	}
@@ -130,8 +118,8 @@ func HInto(dst, a *Matrix) *Matrix {
 	return dst
 }
 
-// SetIdentity overwrites square m with the identity matrix.
-func (m *Matrix) SetIdentity() {
+// setIdentity overwrites square m with the identity matrix.
+func (m *Matrix) setIdentity() {
 	if !m.IsSquare() {
 		panic("linalg: SetIdentity of non-square matrix")
 	}
@@ -139,27 +127,6 @@ func (m *Matrix) SetIdentity() {
 	for i := 0; i < m.Rows; i++ {
 		m.Data[i*m.Cols+i] = 1
 	}
-}
-
-// Conj returns a newly allocated elementwise complex conjugate of m.
-func (m *Matrix) Conj() *Matrix {
-	c := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		c.Data[i] = cmplx.Conj(v)
-	}
-	return c
-}
-
-// Trace returns the sum of diagonal elements. Panics if m is not square.
-func (m *Matrix) Trace() complex128 {
-	if !m.IsSquare() {
-		panic("linalg: Trace of non-square matrix")
-	}
-	var t complex128
-	for i := 0; i < m.Rows; i++ {
-		t += m.Data[i*m.Cols+i]
-	}
-	return t
 }
 
 // FrobNorm returns the Frobenius norm of m.
@@ -181,20 +148,6 @@ func (m *Matrix) MaxAbs() float64 {
 		}
 	}
 	return mx
-}
-
-// EqualApprox reports whether a and b have the same shape and all elements
-// agree within absolute tolerance tol.
-func EqualApprox(a, b *Matrix, tol float64) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i := range a.Data {
-		if cmplx.Abs(a.Data[i]-b.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // MaxDiff returns the largest elementwise |a-b|. Panics on shape mismatch.

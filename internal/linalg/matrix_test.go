@@ -71,7 +71,7 @@ func TestCloneIndependence(t *testing.T) {
 func TestTransposeAndHermitian(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := randomMatrix(rng, 3, 5)
-	at := a.T()
+	at := transpose(a)
 	ah := a.H()
 	for i := 0; i < a.Rows; i++ {
 		for j := 0; j < a.Cols; j++ {
@@ -91,7 +91,7 @@ func TestDoubleHermitianIsIdentityProperty(t *testing.T) {
 		r := 1 + rng.Intn(6)
 		c := 1 + rng.Intn(6)
 		a := randomMatrix(rng, r, c)
-		return EqualApprox(a.H().H(), a, 0)
+		return equalApprox(a.H().H(), a, 0)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestTraceLinearityProperty(t *testing.T) {
 		a := randomMatrix(rng, n, n)
 		b := randomMatrix(rng, n, n)
 		s := Add(New(n, n), a, b)
-		return cmplx.Abs(s.Trace()-(a.Trace()+b.Trace())) < 1e-12
+		return cmplx.Abs(trace(s)-(trace(a)+trace(b))) < 1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -118,12 +118,12 @@ func TestAddSubScaleAXPY(t *testing.T) {
 	b := randomMatrix(rng, 4, 4)
 	sum := Add(New(4, 4), a, b)
 	diff := Sub(New(4, 4), sum, b)
-	if !EqualApprox(diff, a, 1e-14) {
+	if !equalApprox(diff, a, 1e-14) {
 		t.Fatal("Add then Sub does not round-trip")
 	}
 	sc := Scale(New(4, 4), 2, a)
 	back := Scale(New(4, 4), 0.5, sc)
-	if !EqualApprox(back, a, 1e-14) {
+	if !equalApprox(back, a, 1e-14) {
 		t.Fatal("Scale does not round-trip")
 	}
 	ax := a.Clone()
@@ -139,7 +139,7 @@ func TestMatMulAgainstNaive(t *testing.T) {
 		m, k, n := dims[0], dims[1], dims[2]
 		a := randomMatrix(rng, m, k)
 		b := randomMatrix(rng, k, n)
-		got := Mul(a, b)
+		got := mul(a, b)
 		want := New(m, n)
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
@@ -161,18 +161,18 @@ func TestMatMulOps(t *testing.T) {
 	a := randomMatrix(rng, 4, 6)
 	b := randomMatrix(rng, 4, 6)
 	// op(A)=Aᵀ (6x4), op(B)=B (4x6): valid.
-	tn := MatMul(a, Trans, b, NoTrans)
-	want := Mul(a.T(), b)
+	tn := matMul(a, Trans, b, NoTrans)
+	want := mul(transpose(a), b)
 	if MaxDiff(tn, want) > 1e-12 {
 		t.Fatal("TN mismatch")
 	}
-	nt := MatMul(a, NoTrans, b, Trans)
-	want = Mul(a, b.T())
+	nt := matMul(a, NoTrans, b, Trans)
+	want = mul(a, transpose(b))
 	if MaxDiff(nt, want) > 1e-12 {
 		t.Fatal("NT mismatch")
 	}
-	cc := MatMul(a, ConjTrans, b, NoTrans)
-	want = Mul(a.H(), b)
+	cc := matMul(a, ConjTrans, b, NoTrans)
+	want = mul(a.H(), b)
 	if MaxDiff(cc, want) > 1e-12 {
 		t.Fatal("CN mismatch")
 	}
@@ -185,7 +185,7 @@ func TestGEMMAlphaBeta(t *testing.T) {
 	c := randomMatrix(rng, 3, 3)
 	c0 := c.Clone()
 	GEMM(2, a, NoTrans, b, NoTrans, 3, c)
-	want := Add(New(3, 3), Scale(New(3, 3), 2, Mul(a, b)), Scale(New(3, 3), 3, c0))
+	want := Add(New(3, 3), Scale(New(3, 3), 2, mul(a, b)), Scale(New(3, 3), 3, c0))
 	if MaxDiff(c, want) > 1e-12 {
 		t.Fatal("GEMM alpha/beta mismatch")
 	}
@@ -196,7 +196,7 @@ func TestGEMMParallelLarge(t *testing.T) {
 	n := 70 // larger than any block a benchmark device has (64)
 	a := randomMatrix(rng, n, n)
 	b := randomMatrix(rng, n, n)
-	got := Mul(a, b)
+	got := mul(a, b)
 	// Spot-check a handful of entries against the naive sum.
 	for _, idx := range [][2]int{{0, 0}, {n - 1, n - 1}, {3, 61}, {40, 7}} {
 		var s complex128
@@ -216,8 +216,8 @@ func TestMulAssociativityProperty(t *testing.T) {
 		a := randomMatrix(rng, n, n)
 		b := randomMatrix(rng, n, n)
 		c := randomMatrix(rng, n, n)
-		left := Mul(Mul(a, b), c)
-		right := Mul(a, Mul(b, c))
+		left := mul(mul(a, b), c)
+		right := mul(a, mul(b, c))
 		return MaxDiff(left, right) < 1e-10
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -232,7 +232,7 @@ func TestProductHermitianConjugateProperty(t *testing.T) {
 		n := 1 + rng.Intn(5)
 		a := randomMatrix(rng, n, n)
 		b := randomMatrix(rng, n, n)
-		return MaxDiff(Mul(a, b).H(), Mul(b.H(), a.H())) < 1e-11
+		return MaxDiff(mul(a, b).H(), mul(b.H(), a.H())) < 1e-11
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -245,7 +245,7 @@ func TestMul3Associativity(t *testing.T) {
 	b := randomMatrix(rng, 8, 3)
 	c := randomMatrix(rng, 3, 5)
 	got := Mul3(a, b, c)
-	want := Mul(Mul(a, b), c)
+	want := mul(mul(a, b), c)
 	if MaxDiff(got, want) > 1e-11 {
 		t.Fatal("Mul3 mismatch")
 	}
@@ -255,12 +255,12 @@ func TestHermitize(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := randomMatrix(rng, 5, 5)
 	h := Hermitize(New(5, 5), a)
-	if !EqualApprox(h, h.H(), 1e-14) {
+	if !equalApprox(h, h.H(), 1e-14) {
 		t.Fatal("Hermitize result not Hermitian")
 	}
 	// Hermitize of a Hermitian matrix is the identity operation.
 	h2 := Hermitize(New(5, 5), h)
-	if !EqualApprox(h2, h, 1e-14) {
+	if !equalApprox(h2, h, 1e-14) {
 		t.Fatal("Hermitize not idempotent")
 	}
 }
@@ -283,7 +283,7 @@ func TestFlopCounting(t *testing.T) {
 	ResetFlops()
 	a := Eye(10)
 	b := Eye(10)
-	Mul(a, b)
+	mul(a, b)
 	if got := Flops(); got != 8*10*10*10 {
 		t.Fatalf("Flops = %d, want %d", got, 8*1000)
 	}
@@ -299,7 +299,7 @@ func TestShapePanics(t *testing.T) {
 			t.Fatal("expected panic on shape mismatch")
 		}
 	}()
-	Mul(New(2, 3), New(2, 3))
+	mul(New(2, 3), New(2, 3))
 }
 
 func TestLUSolveIdentity(t *testing.T) {
@@ -310,8 +310,11 @@ func TestLUSolveIdentity(t *testing.T) {
 		for i := 0; i < n; i++ {
 			a.Set(i, i, a.At(i, i)+complex(float64(n), 0))
 		}
-		inv := MustInverse(a)
-		prod := Mul(a, inv)
+		inv, err := Inverse(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prod := mul(a, inv)
 		if MaxDiff(prod, Eye(n)) > 1e-9 {
 			t.Fatalf("n=%d: A·A⁻¹ differs from I by %g", n, MaxDiff(prod, Eye(n)))
 		}
@@ -326,8 +329,8 @@ func TestLUSolveMultipleRHS(t *testing.T) {
 		a.Set(i, i, a.At(i, i)+10)
 	}
 	x := randomMatrix(rng, n, 3)
-	b := Mul(a, x)
-	got, err := Solve(a, b)
+	b := mul(a, x)
+	got, err := solve(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,8 +341,8 @@ func TestLUSolveMultipleRHS(t *testing.T) {
 
 func TestLUSingular(t *testing.T) {
 	a := New(3, 3) // all zeros
-	if _, err := Factorize(a); err != ErrSingular {
-		t.Fatalf("expected ErrSingular, got %v", err)
+	if _, err := luOf(a); err != errSingular {
+		t.Fatalf("expected errSingular, got %v", err)
 	}
 	// Rank-deficient.
 	b := New(2, 2)
@@ -347,8 +350,8 @@ func TestLUSingular(t *testing.T) {
 	b.Set(0, 1, 2)
 	b.Set(1, 0, 2)
 	b.Set(1, 1, 4)
-	if _, err := Factorize(b); err != ErrSingular {
-		t.Fatalf("expected ErrSingular for rank-1 matrix, got %v", err)
+	if _, err := luOf(b); err != errSingular {
+		t.Fatalf("expected errSingular for rank-1 matrix, got %v", err)
 	}
 }
 
@@ -358,12 +361,12 @@ func TestLUDeterminant(t *testing.T) {
 	a.Set(0, 1, 2)
 	a.Set(1, 0, 3)
 	a.Set(1, 1, 4)
-	f, err := Factorize(a)
+	f, err := luOf(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmplx.Abs(f.Det()-(-2)) > 1e-12 {
-		t.Fatalf("Det = %v, want -2", f.Det())
+	if cmplx.Abs(det(f)-(-2)) > 1e-12 {
+		t.Fatalf("Det = %v, want -2", det(f))
 	}
 }
 
@@ -379,7 +382,7 @@ func TestInverseProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return MaxDiff(Mul(inv, a), Eye(n)) < 1e-8
+		return MaxDiff(mul(inv, a), Eye(n)) < 1e-8
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -394,12 +397,87 @@ func TestSolveConsistentWithInverse(t *testing.T) {
 		a.Set(i, i, a.At(i, i)+8)
 	}
 	b := randomMatrix(rng, n, n)
-	x1, err := Solve(a, b)
+	x1, err := solve(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x2 := Mul(MustInverse(a), b)
+	inv, err := Inverse(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x2 := mul(inv, b)
 	if MaxDiff(x1, x2) > 1e-9 {
 		t.Fatal("Solve and Inverse-multiply disagree")
 	}
+}
+
+// The allocating conveniences the tests spell their oracles with.
+
+// matMul returns op(A)·op(B) in a new matrix.
+func matMul(a *Matrix, opA Op, b *Matrix, opB Op) *Matrix {
+	m, _ := opDims(a, opA)
+	_, n := opDims(b, opB)
+	c := New(m, n)
+	GEMM(1, a, opA, b, opB, 0, c)
+	return c
+}
+
+// transpose returns aᵀ in a new matrix.
+func transpose(a *Matrix) *Matrix { return tInto(New(a.Cols, a.Rows), a) }
+
+// trace returns the sum of the diagonal elements of square m.
+func trace(m *Matrix) complex128 {
+	var t complex128
+	for i := 0; i < m.Rows; i++ {
+		t += m.At(i, i)
+	}
+	return t
+}
+
+// luOf factorizes a into a fresh LU record.
+func luOf(a *Matrix) (*LU, error) {
+	f := newLU(a.Rows)
+	if err := f.FactorizeInto(a); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// solve returns X with A·X = B.
+func solve(a, b *Matrix) (*Matrix, error) {
+	f, err := luOf(a)
+	if err != nil {
+		return nil, err
+	}
+	x := b.Clone()
+	f.solveInPlace(x)
+	return x, nil
+}
+
+// det returns the determinant of the factorized matrix: the product of
+// U's diagonal, negated once per row swap of the pivoting.
+func det(f *LU) complex128 {
+	n := f.lu.Rows
+	d := complex(1, 0)
+	for i := 0; i < n; i++ {
+		if f.pivot[i] != i {
+			d = -d
+		}
+		d *= f.lu.At(i, i)
+	}
+	return d
+}
+
+// equalApprox reports whether a and b have the same shape and all elements
+// agree within absolute tolerance tol.
+func equalApprox(a, b *Matrix, tol float64) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i := range a.Data {
+		if cmplx.Abs(a.Data[i]-b.Data[i]) > tol {
+			return false
+		}
+	}
+	return true
 }

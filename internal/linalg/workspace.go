@@ -79,7 +79,7 @@ func (ws *Workspace) LUFor(n int) *LU {
 	if f, ok := ws.lus[n]; ok {
 		return f
 	}
-	f := NewLU(n)
+	f := newLU(n)
 	ws.lus[n] = f
 	return f
 }
@@ -109,13 +109,8 @@ func (ws *Workspace) GEMM(alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op
 }
 
 // MulInto stores a·b into dst (which must be preallocated with the product
-// shape and must not alias a or b) and returns dst.
-func MulInto(dst, a, b *Matrix) *Matrix {
-	GEMM(1, a, NoTrans, b, NoTrans, 0, dst)
-	return dst
-}
-
-// MulInto is linalg.MulInto on this workspace's packing panels.
+// shape and must not alias a or b) on this workspace's packing panels and
+// returns dst.
 func (ws *Workspace) MulInto(dst, a, b *Matrix) *Matrix {
 	ws.GEMM(1, a, NoTrans, b, NoTrans, 0, dst)
 	return dst

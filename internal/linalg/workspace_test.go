@@ -45,7 +45,7 @@ func TestHIntoTIntoMatchAllocating(t *testing.T) {
 	if d := MaxDiff(HInto(New(5, 3), a), a.H()); d != 0 {
 		t.Errorf("HInto differs from H() by %g", d)
 	}
-	if d := MaxDiff(TInto(New(5, 3), a), a.T()); d != 0 {
+	if d := MaxDiff(tInto(New(5, 3), a), transpose(a)); d != 0 {
 		t.Errorf("TInto differs from T() by %g", d)
 	}
 }
@@ -98,12 +98,14 @@ func TestMul3IntoMatchesMul3(t *testing.T) {
 	}
 }
 
+// TestFactorizeIntoMatchesFactorize: refactorizing into a reused LU record
+// gives the factors, pivots and inverse of a fresh one, bit for bit.
 func TestFactorizeIntoMatchesFactorize(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	f := NewLU(5)
+	f := newLU(5)
 	for trial := 0; trial < 3; trial++ {
 		a := randMat(rng, 5, 5)
-		want, err := Factorize(a)
+		want, err := luOf(a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,8 +120,8 @@ func TestFactorizeIntoMatchesFactorize(t *testing.T) {
 				t.Errorf("trial %d: pivot %d differs", trial, i)
 			}
 		}
-		if f.Det() != want.Det() {
-			t.Errorf("trial %d: determinant %v != %v", trial, f.Det(), want.Det())
+		if det(f) != det(want) {
+			t.Errorf("trial %d: determinant %v != %v", trial, det(f), det(want))
 		}
 		inv := New(5, 5)
 		f.InverseInto(inv)
@@ -134,7 +136,7 @@ func TestFactorizeIntoMatchesFactorize(t *testing.T) {
 }
 
 func TestFactorizeIntoRejectsMismatch(t *testing.T) {
-	f := NewLU(3)
+	f := newLU(3)
 	if err := f.FactorizeInto(New(4, 4)); err == nil {
 		t.Error("expected dimension-mismatch error")
 	}
@@ -144,8 +146,8 @@ func TestFactorizeIntoRejectsMismatch(t *testing.T) {
 }
 
 func TestFactorizeIntoSingular(t *testing.T) {
-	f := NewLU(2)
-	if err := f.FactorizeInto(New(2, 2)); err != ErrSingular {
+	f := newLU(2)
+	if err := f.FactorizeInto(New(2, 2)); err != errSingular {
 		t.Errorf("got %v, want ErrSingular", err)
 	}
 	// The record must stay reusable after a failed factorization.
@@ -167,7 +169,7 @@ func TestSetIdentity(t *testing.T) {
 	for i := range m.Data {
 		m.Data[i] = 9
 	}
-	m.SetIdentity()
+	m.setIdentity()
 	if d := MaxDiff(m, Eye(3)); d != 0 {
 		t.Errorf("SetIdentity differs from Eye by %g", d)
 	}

@@ -1,37 +1,12 @@
+// Package model holds the closed forms of the paper's §6.1 performance
+// model that a run evaluates: the SSE communication volume of the Ta×TE
+// decomposition, which the planner prices an exchange with, and the
+// roofline coordinates of Fig. 10. The paper-scale tables and projections
+// built on the same model (Tables 3–5 and 11–12, Figs. 8–9) are
+// cmd/paperbench's.
 package model
 
-import (
-	"repro/internal/device"
-	"repro/internal/half"
-)
-
-// Bytes-per-object sizes (complex128 = 16 bytes; both lesser and greater
-// components are moved, hence the factor 32 per stored element).
-func sizeGPair(p device.Params) float64 {
-	// One electron (kz, E) point: Na diagonal Norb×Norb blocks, ≷ pair.
-	return 32 * float64(p.Na) * float64(p.Norb) * float64(p.Norb)
-}
-
-func sizeDPoint(p device.Params) float64 {
-	// One phonon (qz, ω) point: Na×(Nb+1) blocks of N3D², ≷ pair.
-	return 32 * float64(p.Na) * float64(p.NbT+1) * float64(device.N3D) * float64(device.N3D)
-}
-
-// OMENCommVolume returns the per-iteration SSE communication volume (bytes)
-// of the original momentum×energy decomposition on P processes:
-//
-//	V = 2·Nqz·Nω·Nkz·NE·sG  +  2·P·Nqz·Nω·sD
-//
-// The first term is the point-to-point replication of every electron
-// Green's function to its 2·Nqz·Nω stencil partners; the second is the
-// broadcast of each phonon point to all processes plus the reduction of
-// the partial Π≷ from all processes. Reproduces Tables 4–5 within ~2%.
-func OMENCommVolume(p device.Params, procs int) float64 {
-	rounds := float64(p.Nqz()) * float64(p.Nomega)
-	g := 2 * rounds * float64(p.Nkz) * float64(p.NE) * sizeGPair(p)
-	d := 2 * float64(procs) * rounds * sizeDPoint(p)
-	return g + d
-}
+import "repro/internal/device"
 
 // DaCeCommVolume returns the per-iteration SSE communication volume of the
 // communication-avoiding Ta×TE decomposition (§6.1.2): each of the P=Ta·TE
@@ -50,129 +25,3 @@ func DaCeCommVolume(p device.Params, ta, te int) float64 {
 		float64(device.N3D) * float64(device.N3D)
 	return procs * (g + d)
 }
-
-// DaCeCommVolumeMixed returns the predicted per-iteration SSE wire
-// volume of the Ta×TE decomposition when the exchanges ship the
-// half-width split-complex binary16 format (internal/half's wire
-// encoding) instead of complex128. Each (point, atom) block unit of the
-// fp64 model becomes one wire segment of 1 + ⌈n/4⌉ words (n elements
-// packed four complex values per word, plus the per-segment
-// normalization header), assuming no segment takes the fp64 fallback —
-// the prediction the measured mixed Alltoallv bytes are set against.
-func DaCeCommVolumeMixed(p device.Params, ta, te int) float64 {
-	procs := float64(ta * te)
-	atomShare := float64(p.Na)/float64(ta) + float64(p.NbT)
-	energyShare := float64(p.NE)/float64(te) + 2*float64(p.Nomega)
-	segG := 2 * p.Norb * p.Norb
-	segD := 2 * (p.NbT + 1) * device.N3D * device.N3D
-	// Block units per process: electron (point, atom) pairs for the
-	// G≷/Σ≷ stage pair, phonon (point, atom) pairs for D≷/Π≷; each unit
-	// moves one segment in each stage of its pair.
-	uG := float64(p.Nkz) * energyShare * atomShare
-	uD := float64(p.Nqz()) * float64(p.Nomega) * atomShare
-	g := 2 * uG * 16 * float64(half.WireWords(segG))
-	d := 2 * uD * 16 * float64(half.WireWords(segD))
-	return procs * (g + d)
-}
-
-// PaperTiling returns the Ta×TE split the published tables use:
-// TE = Nkz energy tiles and Ta = P/Nkz atom tiles.
-func PaperTiling(p device.Params, procs int) (ta, te int) {
-	te = p.Nkz
-	ta = procs / te
-	if ta < 1 {
-		ta = 1
-	}
-	return ta, te
-}
-
-// TiB converts bytes to binary terabytes.
-func TiB(b float64) float64 { return b / (1 << 40) }
-
-// GiB converts bytes to binary gigabytes.
-func GiB(b float64) float64 { return b / (1 << 30) }
-
-// CommRow is one column of Table 4 or Table 5.
-type CommRow struct {
-	Nkz     int
-	Procs   int
-	OMENTiB float64
-	DaCeTiB float64
-	Ratio   float64
-}
-
-// Table4 evaluates the weak-scaling communication volumes of the "Small"
-// structure: P = 256·Nkz processes, paper tiling.
-func Table4(nkzs []int) []CommRow {
-	out := make([]CommRow, 0, len(nkzs))
-	for _, nkz := range nkzs {
-		p := device.Small(nkz)
-		procs := 256 * nkz
-		ta, te := PaperTiling(p, procs)
-		omen := OMENCommVolume(p, procs)
-		dace := DaCeCommVolume(p, ta, te)
-		out = append(out, CommRow{Nkz: nkz, Procs: procs,
-			OMENTiB: TiB(omen), DaCeTiB: TiB(dace), Ratio: omen / dace})
-	}
-	return out
-}
-
-// Table5 evaluates the strong-scaling volumes at fixed Nkz=7.
-func Table5(procs []int) []CommRow {
-	out := make([]CommRow, 0, len(procs))
-	p := device.Small(7)
-	for _, pr := range procs {
-		ta, te := PaperTiling(p, pr)
-		omen := OMENCommVolume(p, pr)
-		dace := DaCeCommVolume(p, ta, te)
-		out = append(out, CommRow{Nkz: 7, Procs: pr,
-			OMENTiB: TiB(omen), DaCeTiB: TiB(dace), Ratio: omen / dace})
-	}
-	return out
-}
-
-// Section612 reproduces the §6.1.2 worked example for the "Large"
-// structure with NE = 1,000: the OMEN scheme's D≷/Π≷ traffic per electron
-// process, its total G≷ replication volume, and the DaCe totals.
-type Section612 struct {
-	OMENDPerProcessGiB float64 // "receiving and sending 276 GiB for D≷ (Π≷)"
-	OMENGTotalPiB      float64 // "2.58 PiB for G≷"
-	DaCeDPerProcMiB    float64 // "minor overhead of 28.26 MiB per process"
-	DaCeGTotalTiB      float64 // "only 1.8 TiB distributed to all processes"
-}
-
-// WorkedExample evaluates Section612 with the paper's parameters
-// (Ta = P, TE = 1, in the large-P limit for the per-process numbers).
-func WorkedExample() Section612 {
-	p := device.Large(21)
-	p.NE = 1000
-	rounds := float64(p.Nqz()) * float64(p.Nomega)
-	// Per electron process: receive all D≷ points and send all Π≷ partials.
-	dPer := 2 * rounds * sizeDPoint(p)
-	gTotal := 2 * rounds * float64(p.Nkz) * float64(p.NE) * sizeGPair(p)
-	// DaCe with Ta = P, TE = 1. The paper quotes the per-process overhead
-	// with the realized halo c = 1 extra atom (it over-approximates c by
-	// Nb only in the volume tables) and the distributed G≷ total without
-	// the 2Nω energy halo.
-	const realizedHalo = 1
-	dDace := 64 * rounds * realizedHalo * float64(p.NbT+1) * 9
-	gDace := 64 * float64(p.Nkz) * float64(p.NE) *
-		float64(p.Na) * float64(p.Norb) * float64(p.Norb) // Σ over processes of Na/Ta = Na
-	return Section612{
-		OMENDPerProcessGiB: GiB(dPer),
-		OMENGTotalPiB:      gTotal / (1 << 50),
-		DaCeDPerProcMiB:    dDace / (1 << 20),
-		DaCeGTotalTiB:      TiB(gDace),
-	}
-}
-
-// OMENMPIInvocations returns the per-iteration MPI call count of the
-// original scheme: 9 calls per (ω, qz) round per energy sub-communicator
-// (§5.2 reports 9·Nω·Nqz·NE/tE).
-func OMENMPIInvocations(p device.Params, tE int) int64 {
-	return 9 * int64(p.Nomega) * int64(p.Nqz()) * int64(p.NE) / int64(tE)
-}
-
-// DaCeMPIInvocations is the constant collective count of the
-// communication-avoiding variant.
-func DaCeMPIInvocations() int64 { return 4 }

@@ -147,29 +147,6 @@ func (o *Observables) AddPhonon(p device.Params, results ...*PhononPointResult) 
 	}
 }
 
-// BandEdge returns, per slab, the lowest energy at which the LDOS exceeds
-// the given fraction of its slab maximum — a discrete estimate of the
-// conduction-band-edge profile drawn in Fig. 11 (middle).
-func (o *Observables) BandEdge(p device.Params, frac float64) []float64 {
-	out := make([]float64, len(o.LDOS))
-	for i, dos := range o.LDOS {
-		var mx float64
-		for _, v := range dos {
-			if v > mx {
-				mx = v
-			}
-		}
-		out[i] = p.Energy(p.NE - 1)
-		for n, v := range dos {
-			if v >= frac*mx {
-				out[i] = p.Energy(n)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // FitTemperatures extracts per-atom effective lattice temperatures from
 // the phonon spectral weight dos_a(ω_m) and observed occupation
 // occ_a(ω_m): find T_a such that the Bose-weighted spectral energy matches
@@ -227,16 +204,6 @@ func (o *Observables) SlabTemperature(dev *device.Device) []float64 {
 			sum += o.AtomTemperature[a]
 		}
 		out[sInd] = sum / float64(len(atoms))
-	}
-	return out
-}
-
-// TotalEnergyCurrent returns the combined electron+phonon energy-current
-// profile; its flatness is the Fig. 11 conservation statement.
-func (o *Observables) TotalEnergyCurrent() []float64 {
-	out := make([]float64, len(o.InterfaceEnergyCurrent))
-	for i := range out {
-		out[i] = o.InterfaceEnergyCurrent[i] + o.PhononInterfaceEnergy[i]
 	}
 	return out
 }

@@ -88,12 +88,12 @@ func (ps *PointSolver) SolvePhonon(sh *Shard, j int, out *PointResults) error {
 	return phononErr(pt, err)
 }
 
-// Sweep runs the GF phase of the shard: every electron pair, then every
+// sweep runs the GF phase of the shard: every electron pair, then every
 // phonon point, each solved into its slot of out by up to workers
 // goroutines (1 = serially on the caller's) — the natural parallelism of
 // the GF phase. It returns the first failure; points not yet started when
 // it lands are skipped.
-func (ps *PointSolver) Sweep(sh *Shard, workers int, out *PointResults) error {
+func (ps *PointSolver) sweep(sh *Shard, workers int, out *PointResults) error {
 	electron := func(i int) error { return ps.SolveElectron(sh, i, out) }
 	phonon := func(j int) error { return ps.SolvePhonon(sh, j, out) }
 	if err := linalg.ParallelFor(len(sh.Pairs), workers, func() func(int) error { return electron }); err != nil {
@@ -102,11 +102,11 @@ func (ps *PointSolver) Sweep(sh *Shard, workers int, out *PointResults) error {
 	return linalg.ParallelFor(len(sh.Points), workers, func() func(int) error { return phonon })
 }
 
-// Fold accumulates a finished sweep into o, in global point order: the
+// fold accumulates a finished sweep into o, in global point order: the
 // per-point observables from the slots and the two collision integrals
 // over the shard's lists. Over all points o then holds the observables of
 // the GF phase; over a rank's shard, its additive share of them.
-func (ps *PointSolver) Fold(sh *Shard, res *PointResults, o *Observables) {
+func (ps *PointSolver) fold(sh *Shard, res *PointResults, o *Observables) {
 	p := ps.Dev.P
 	o.Reset(p)
 	o.AddElectron(p, res.El...)

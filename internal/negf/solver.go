@@ -235,10 +235,10 @@ func (s *Solver) Run() (*Observables, error) {
 // refreshes the observables: the sweep over the full shard on all cores,
 // the fold, and the temperature map fitted from the folded spectra.
 func (s *Solver) GFPhase() error {
-	if err := s.Sweep(s.shard, runtime.GOMAXPROCS(0), s.points); err != nil {
+	if err := s.sweep(s.shard, runtime.GOMAXPROCS(0), s.points); err != nil {
 		return err
 	}
-	s.Fold(s.shard, s.points, &s.Obs)
+	s.fold(s.shard, s.points, &s.Obs)
 	s.Obs.AtomTemperature = FitTemperatures(s.Dev.P, s.Obs.PhononDOS, s.Obs.PhononOcc)
 	return nil
 }

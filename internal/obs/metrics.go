@@ -1,7 +1,7 @@
 // Package obs is the dependency-free observability layer: a small
 // metrics registry (counters, gauges, histograms, optionally labeled)
 // with Prometheus text exposition, and a per-run span tracer exported as
-// Chrome trace-event JSON (Perfetto-loadable).
+// chrome trace-event JSON (Perfetto-loadable).
 //
 // Overhead contract: everything is opt-in and nil-safe. A nil *Tracer
 // records nothing — every recording method is a single nil check, no
@@ -114,11 +114,11 @@ func (c *Counter) Add(v float64) {
 // Inc adds 1.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value returns the current count.
-func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
+// value returns the current count.
+func (c *Counter) value() float64 { return math.Float64frombits(c.bits.Load()) }
 
 func (c *Counter) write(w io.Writer, f *family, lv []string) error {
-	return writeSample(w, f.name, f.labels, lv, "", "", c.Value())
+	return writeSample(w, f.name, f.labels, lv, "", "", c.value())
 }
 
 // Counter registers an unlabeled counter.
@@ -145,9 +145,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 // Gauge is a value that can go up and down.
 type Gauge struct{ bits atomic.Uint64 }
 
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
 // Add increments by v (may be negative).
 func (g *Gauge) Add(v float64) {
 	for {
@@ -159,11 +156,11 @@ func (g *Gauge) Add(v float64) {
 	}
 }
 
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+// value returns the current value.
+func (g *Gauge) value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 func (g *Gauge) write(w io.Writer, f *family, lv []string) error {
-	return writeSample(w, f.name, f.labels, lv, "", "", g.Value())
+	return writeSample(w, f.name, f.labels, lv, "", "", g.value())
 }
 
 // Gauge registers an unlabeled gauge.
@@ -221,21 +218,8 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// BucketCounts returns the per-bucket (non-cumulative) counts, the last
-// entry being the +Inf overflow bucket.
-func (h *Histogram) BucketCounts() []int64 {
-	out := make([]int64, len(h.counts))
-	for i := range h.counts {
-		out[i] = h.counts[i].Load()
-	}
-	return out
-}
+// sum returns the sum of observed values.
+func (h *Histogram) sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
 func (h *Histogram) write(w io.Writer, f *family, lv []string) error {
 	var cum int64
@@ -249,7 +233,7 @@ func (h *Histogram) write(w io.Writer, f *family, lv []string) error {
 	if err := writeSample(w, f.name+"_bucket", f.labels, lv, "le", "+Inf", float64(cum)); err != nil {
 		return err
 	}
-	if err := writeSample(w, f.name+"_sum", f.labels, lv, "", "", h.Sum()); err != nil {
+	if err := writeSample(w, f.name+"_sum", f.labels, lv, "", "", h.sum()); err != nil {
 		return err
 	}
 	return writeSample(w, f.name+"_count", f.labels, lv, "", "", float64(h.count.Load()))

@@ -23,17 +23,20 @@ func TestHistogramBucketEdges(t *testing.T) {
 	h.Observe(-3)   // below every edge → le=1
 
 	want := []int64{2, 2, 1, 1}
-	got := h.BucketCounts()
+	got := make([]int64, len(h.counts))
+	for i := range h.counts {
+		got[i] = h.counts[i].Load()
+	}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("bucket %d: count = %d, want %d (all: %v)", i, got[i], want[i], got)
 		}
 	}
-	if h.Count() != 6 {
-		t.Errorf("Count = %d, want 6", h.Count())
+	if h.count.Load() != 6 {
+		t.Errorf("Count = %d, want 6", h.count.Load())
 	}
-	if math.Abs(h.Sum()-22.01) > 1e-12 {
-		t.Errorf("Sum = %g, want 22.01", h.Sum())
+	if math.Abs(h.sum()-22.01) > 1e-12 {
+		t.Errorf("Sum = %g, want 22.01", h.sum())
 	}
 }
 
@@ -62,14 +65,14 @@ func TestConcurrentCounters(t *testing.T) {
 	}
 	wg.Wait()
 
-	if c.Value() != workers*per {
-		t.Errorf("counter = %g, want %d", c.Value(), workers*per)
+	if c.value() != workers*per {
+		t.Errorf("counter = %g, want %d", c.value(), workers*per)
 	}
-	if g.Value() != 0 {
-		t.Errorf("gauge = %g, want 0", g.Value())
+	if g.value() != 0 {
+		t.Errorf("gauge = %g, want 0", g.value())
 	}
-	if h.Count() != workers*per {
-		t.Errorf("histogram count = %d, want %d", h.Count(), workers*per)
+	if h.count.Load() != workers*per {
+		t.Errorf("histogram count = %d, want %d", h.count.Load(), workers*per)
 	}
 }
 
@@ -79,8 +82,8 @@ func TestConcurrentCounters(t *testing.T) {
 func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
 	q := r.GaugeVec("qtd_queue_depth", "Jobs waiting per tenant.", "tenant")
-	q.With("beta").Set(2)
-	q.With("acme").Set(3)
+	q.With("beta").Add(2)
+	q.With("acme").Add(3)
 	runs := r.CounterVec("qtd_runs_total", "Finished runs.", "tenant", "status")
 	runs.With("acme", "done").Add(5)
 	h := r.Histogram("qtd_run_duration_seconds", "Run wall time.", []float64{0.1, 1})

@@ -71,16 +71,6 @@ func (t *Tracer) Add(sp Span) {
 	t.mu.Unlock()
 }
 
-// Len reports the number of recorded spans (0 on nil).
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
-}
-
 // Trace snapshots the recorded spans into an immutable Trace, sorted by
 // start time. Nil tracer yields nil.
 func (t *Tracer) Trace() *Trace {
@@ -100,8 +90,8 @@ type Trace struct {
 	Spans []Span `json:"spans"`
 }
 
-// ChromeEvent is one trace-event of the Chrome/Perfetto JSON format.
-type ChromeEvent struct {
+// chromeEvent is one trace-event of the Chrome/Perfetto JSON format.
+type chromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
@@ -112,29 +102,29 @@ type ChromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// ChromeTrace is the JSON-object form of the trace-event format; load
+// chromeTrace is the JSON-object form of the trace-event format; load
 // the serialized bytes in Perfetto (ui.perfetto.dev) or
 // chrome://tracing.
-type ChromeTrace struct {
-	TraceEvents     []ChromeEvent `json:"traceEvents"`
+type chromeTrace struct {
+	TraceEvents     []chromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit,omitempty"`
 }
 
-// Chrome converts the trace into trace-event form: one complete ("X")
+// chrome converts the trace into trace-event form: one complete ("X")
 // event per span, processes named per rank (pid = rank+1), threads per
 // track, plus the metadata events naming them.
-func (tr *Trace) Chrome() *ChromeTrace {
-	ct := &ChromeTrace{DisplayTimeUnit: "ns"}
+func (tr *Trace) chrome() *chromeTrace {
+	ct := &chromeTrace{DisplayTimeUnit: "ns"}
 	ranks := map[int]bool{}
 	for _, sp := range tr.Spans {
 		if !ranks[sp.Rank] {
 			ranks[sp.Rank] = true
-			ct.TraceEvents = append(ct.TraceEvents, ChromeEvent{
+			ct.TraceEvents = append(ct.TraceEvents, chromeEvent{
 				Name: "process_name", Ph: "M", Pid: sp.Rank + 1, Tid: 0,
 				Args: map[string]any{"name": fmt.Sprintf("rank %d", sp.Rank)},
 			})
 		}
-		ev := ChromeEvent{
+		ev := chromeEvent{
 			Name: sp.Name, Cat: sp.Cat, Ph: "X",
 			Ts: float64(sp.Start) / 1e3, Dur: float64(sp.Dur) / 1e3,
 			Pid: sp.Rank + 1, Tid: sp.Track,
@@ -149,15 +139,5 @@ func (tr *Trace) Chrome() *ChromeTrace {
 
 // WriteChrome serializes the trace as Chrome trace-event JSON.
 func (tr *Trace) WriteChrome(w io.Writer) error {
-	return json.NewEncoder(w).Encode(tr.Chrome())
-}
-
-// ParseChrome parses Chrome trace-event JSON (the round-trip check the
-// tests and the service E2E use).
-func ParseChrome(b []byte) (*ChromeTrace, error) {
-	var ct ChromeTrace
-	if err := json.Unmarshal(b, &ct); err != nil {
-		return nil, fmt.Errorf("obs: parse chrome trace: %w", err)
-	}
-	return &ct, nil
+	return json.NewEncoder(w).Encode(tr.chrome())
 }

@@ -52,13 +52,13 @@ var (
 	depths    = [...]int{1, 2, 3}
 )
 
-// Candidates enumerates the schedule search space: the serial phases
+// candidates enumerates the schedule search space: the serial phases
 // baseline, then the window task graph per depth × worker count. Depth 1
 // is spelled ScheduleOverlap — the name plans, reports and -schedule
 // flags already use for it — except on one worker, where it is the
 // phases baseline itself and is not listed twice. Shallower windows come
 // first, so a tie resolves to the simpler schedule.
-func Candidates() []Candidate {
+func candidates() []Candidate {
 	cands := []Candidate{{Schedule: dist.SchedulePhases, Workers: 1}}
 	for _, d := range depths {
 		for _, w := range poolSizes {
@@ -153,7 +153,7 @@ func Choose(dev *device.Device, o Options) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	return chooseWith(dev.P, o.Ranks, cal, Candidates()), nil
+	return chooseWith(dev.P, o.Ranks, cal, candidates()), nil
 }
 
 func chooseWith(p device.Params, ranks int, cal Calibration, cands []Candidate) Plan {

@@ -102,7 +102,7 @@ func TestCandidates(t *testing.T) {
 			want = append(want, Candidate{Schedule: dist.SchedulePipeline, Workers: w, PipelineDepth: d})
 		}
 	}
-	if got := Candidates(); !reflect.DeepEqual(got, want) {
+	if got := candidates(); !reflect.DeepEqual(got, want) {
 		t.Errorf("candidates\n got %+v\nwant %+v", got, want)
 	}
 	if _, err := Choose(testDevice(t), Options{}); err == nil {
@@ -116,9 +116,9 @@ func TestCandidates(t *testing.T) {
 func TestChooseArgmin(t *testing.T) {
 	dev := testDevice(t)
 	cal := testCal()
-	got := chooseWith(dev.P, 4, cal, Candidates())
+	got := chooseWith(dev.P, 4, cal, candidates())
 	best := 0.0
-	for i, c := range Candidates() {
+	for i, c := range candidates() {
 		if ns := Predict(dev.P, 4, cal, c); i == 0 || ns < best {
 			best = ns
 		}

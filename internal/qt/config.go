@@ -9,6 +9,8 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/decomp"
+	"repro/internal/dist"
 	"repro/internal/negf"
 )
 
@@ -23,10 +25,10 @@ import (
 // booleans are spelled in their non-default direction (NoBoundaryCache).
 // A RunConfig is either raw — as built or decoded — or resolved: what
 // Simulation.resolve made of a raw one, which is what Simulation.Config
-// returns and the only form worth hashing. Three things a run can be
+// returns and the only form worth hashing. Two things a run can be
 // given have no RunConfig form and are Options (see unwired):
-// WithSSEKernel and WithWarmStart carry Go values, and WithBias(0) is an
-// explicit zero bias, because Spec.Bias = 0 means the Spec default.
+// WithWarmStart carries a Go value, and WithBias(0) is an explicit zero
+// bias, because Spec.Bias = 0 means the Spec default.
 type RunConfig struct {
 	Spec Spec `json:"spec"`
 
@@ -176,8 +178,6 @@ func (s *Simulation) resolve() error {
 			return fail("auto_plan requires ranks: the planner chooses among distributed schedules")
 		case kern == Baseline && prec == Mixed:
 			return fail("kernel omen conflicts with precision mixed: the baseline loop nest has no binary16 form")
-		case s.sseKernel != nil && (kern == Baseline || prec == Mixed):
-			return fail("WithSSEKernel overrides the kernel: do not combine it with kernel or precision")
 		}
 	} else {
 		// Distributed solver.
@@ -186,8 +186,6 @@ func (s *Simulation) resolve() error {
 			return fail("WithWarmStart requires the sequential solver (no ranks)")
 		case kern == Baseline:
 			return fail("kernel omen requires the sequential solver (no ranks): the distributed SSE exchange is data-centric by construction")
-		case s.sseKernel != nil:
-			return fail("WithSSEKernel requires the sequential solver (no ranks)")
 		case rc.Anderson:
 			return fail("anderson requires the sequential solver (no ranks)")
 		case rc.PipelineDepth != 0 && sch != Pipeline:
@@ -235,9 +233,9 @@ func (s *Simulation) resolve() error {
 // schedule, precision and kernel decode the enum knobs of a resolved
 // configuration for the loops. resolve has parsed each spelling, so none
 // can fail here.
-func (rc RunConfig) schedule() Schedule   { v, _ := parseSchedule(rc.Schedule); return v }
-func (rc RunConfig) precision() Precision { v, _ := parsePrecision(rc.Precision); return v }
-func (rc RunConfig) kernel() Kernel       { v, _ := parseKernel(rc.Kernel); return v }
+func (rc RunConfig) schedule() dist.Schedule     { v, _ := parseSchedule(rc.Schedule); return v }
+func (rc RunConfig) precision() decomp.Precision { v, _ := parsePrecision(rc.Precision); return v }
+func (rc RunConfig) kernel() Kernel              { v, _ := parseKernel(rc.Kernel); return v }
 
 // Key returns the canonical content hash of the configuration: the
 // SHA-256 of its JSON form re-serialized with recursively sorted object

@@ -9,12 +9,13 @@ import (
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/dist"
 )
 
 func TestParseScheduleAndKernel(t *testing.T) {
 	schedCases := []struct {
 		in   string
-		want Schedule
+		want dist.Schedule
 		err  bool
 	}{
 		{"phases", Phases, false},

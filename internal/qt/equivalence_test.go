@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/decomp"
 	"repro/internal/dist"
 	"repro/internal/negf"
 	"repro/internal/sse"
@@ -17,7 +18,7 @@ import (
 // bitwise, in fp64 and mixed precision.
 func TestFacadeMatchesSequentialSolver(t *testing.T) {
 	const iters = 4
-	for _, prec := range []Precision{FP64, Mixed} {
+	for _, prec := range []decomp.Precision{FP64, Mixed} {
 		_, res := solve(t, RunConfig{Spec: smallSpec(), Precision: prec.String(),
 			MaxIterations: iters, Tolerance: 1e-300})
 
@@ -53,7 +54,7 @@ func TestFacadeMatchesSequentialSolver(t *testing.T) {
 // agreement collective) must not perturb the arithmetic.
 func TestFacadeMatchesDistributedSolver(t *testing.T) {
 	const iters, ranks = 3, 4
-	for _, prec := range []Precision{FP64, Mixed} {
+	for _, prec := range []decomp.Precision{FP64, Mixed} {
 		_, res := solve(t, RunConfig{Spec: smallSpec(), Ranks: ranks, Precision: prec.String(),
 			MaxIterations: iters, Tolerance: 1e-300})
 
@@ -92,7 +93,7 @@ func TestFacadeMatchesDistributedSolver(t *testing.T) {
 func TestDistributedMatchesSequentialThroughFacade(t *testing.T) {
 	const iters = 3
 	_, seq := solve(t, RunConfig{Spec: smallSpec(), MaxIterations: iters, Tolerance: 1e-300})
-	for _, prec := range []Precision{FP64, Mixed} {
+	for _, prec := range []decomp.Precision{FP64, Mixed} {
 		tol := 1e-12
 		if prec == Mixed {
 			tol = dist.MixedCurrentTol

@@ -18,35 +18,7 @@ import (
 // move a byte, or every qtd cache entry and registry record would be
 // orphaned.
 func TestResolvedConfigGolden(t *testing.T) {
-	biased := smallSpec()
-	biased.Bias = 0.1
-	cases := []struct {
-		name string
-		rc   RunConfig // over smallSpec() unless it names a Spec
-		want string
-	}{
-		{"defaults", RunConfig{}, "046d23123674f36e"},
-		{"sequential", RunConfig{Tolerance: 1e-4, MaxIterations: 7, Mixing: 0.3, Anderson: true, NoBoundaryCache: true}, "52885896e8ade827"},
-		{"baseline", RunConfig{Spec: biased, Kernel: "omen"}, "efec4451727291fe"},
-		{"distributed", RunConfig{Ranks: 4, Schedule: "overlap", Workers: 2, TileA: 2, TileE: 2, Precision: "mixed", ErrorProbe: true}, "8e760623c4bb63ba"},
-		{"ranks", RunConfig{Ranks: 4, Precision: "mixed"}, "b4c4d0409244268f"},
-		{"tiles 1x4", RunConfig{Ranks: 4, TileA: 1, TileE: 4}, "668bb536c2f6fdc7"},
-		{"tiles 2x?", RunConfig{Ranks: 4, TileA: 2}, "0ff852760ccfe112"},
-		{"tiles ?x1", RunConfig{Ranks: 4, TileE: 1}, "e5daa36e35759690"},
-		{"overlap", RunConfig{Ranks: 2, Schedule: "overlap"}, "a9bcb2fe04017c96"},
-		{"pipeline", RunConfig{Ranks: 4, Schedule: "pipeline"}, "82b051dabab5427e"},
-		{"pipeline d=3", RunConfig{Ranks: 4, Schedule: "pipeline", PipelineDepth: 3}, "724b8b33fa582084"},
-		{"pipeline d=1 w=3", RunConfig{Ranks: 3, Schedule: "pipeline", PipelineDepth: 1, Workers: 3}, "5f54fbc9a1db1f50"},
-		{"traced", RunConfig{Ranks: 2, Trace: true}, "6f9c4c5cc56e3cdc"},
-		// A default spelled out is the default: the bytes of "defaults".
-		{"defaults spelled", RunConfig{Schedule: "phases", Precision: "fp64", Kernel: "dace"}, "046d23123674f36e"},
-		// The defaulted tiling is the explicit 1×P one: the bytes of "tiles 1x4".
-		{"tiles defaulted", RunConfig{Ranks: 4}, "668bb536c2f6fdc7"},
-		// A recorded auto plan is used as given, without a probe, and keeps
-		// its schedule spelled even when it is the default.
-		{"recorded plan", RunConfig{Ranks: 2, AutoPlan: true, Schedule: "overlap", Workers: 4}, "2656439de1d0f68e"},
-		{"recorded phases plan", RunConfig{Ranks: 2, AutoPlan: true, Schedule: "phases"}, "66b9564ad33584f1"},
-	}
+	cases := goldenConfigs()
 	digest := func(sim *Simulation) string {
 		rc := sim.Config()
 		js, err := json.Marshal(rc)
@@ -83,5 +55,43 @@ func TestResolvedConfigGolden(t *testing.T) {
 	}
 	if digest(planned) != digest(rebuilt) {
 		t.Errorf("resolved plan drifted across the round trip:\n  %+v\n  %+v", planned.Config(), rebuilt.Config())
+	}
+}
+
+// goldenConfig is one row of TestResolvedConfigGolden: a configuration,
+// over smallSpec() unless it names a Spec, and the digest of what it
+// resolves to.
+type goldenConfig struct {
+	name string
+	rc   RunConfig
+	want string
+}
+
+// goldenConfigs is the knob matrix of the config and plan tests.
+func goldenConfigs() []goldenConfig {
+	biased := smallSpec()
+	biased.Bias = 0.1
+	return []goldenConfig{
+		{"defaults", RunConfig{}, "046d23123674f36e"},
+		{"sequential", RunConfig{Tolerance: 1e-4, MaxIterations: 7, Mixing: 0.3, Anderson: true, NoBoundaryCache: true}, "52885896e8ade827"},
+		{"baseline", RunConfig{Spec: biased, Kernel: "omen"}, "efec4451727291fe"},
+		{"distributed", RunConfig{Ranks: 4, Schedule: "overlap", Workers: 2, TileA: 2, TileE: 2, Precision: "mixed", ErrorProbe: true}, "8e760623c4bb63ba"},
+		{"ranks", RunConfig{Ranks: 4, Precision: "mixed"}, "b4c4d0409244268f"},
+		{"tiles 1x4", RunConfig{Ranks: 4, TileA: 1, TileE: 4}, "668bb536c2f6fdc7"},
+		{"tiles 2x?", RunConfig{Ranks: 4, TileA: 2}, "0ff852760ccfe112"},
+		{"tiles ?x1", RunConfig{Ranks: 4, TileE: 1}, "e5daa36e35759690"},
+		{"overlap", RunConfig{Ranks: 2, Schedule: "overlap"}, "a9bcb2fe04017c96"},
+		{"pipeline", RunConfig{Ranks: 4, Schedule: "pipeline"}, "82b051dabab5427e"},
+		{"pipeline d=3", RunConfig{Ranks: 4, Schedule: "pipeline", PipelineDepth: 3}, "724b8b33fa582084"},
+		{"pipeline d=1 w=3", RunConfig{Ranks: 3, Schedule: "pipeline", PipelineDepth: 1, Workers: 3}, "5f54fbc9a1db1f50"},
+		{"traced", RunConfig{Ranks: 2, Trace: true}, "6f9c4c5cc56e3cdc"},
+		// A default spelled out is the default: the bytes of "defaults".
+		{"defaults spelled", RunConfig{Schedule: "phases", Precision: "fp64", Kernel: "dace"}, "046d23123674f36e"},
+		// The defaulted tiling is the explicit 1×P one: the bytes of "tiles 1x4".
+		{"tiles defaulted", RunConfig{Ranks: 4}, "668bb536c2f6fdc7"},
+		// A recorded auto plan is used as given, without a probe, and keeps
+		// its schedule spelled even when it is the default.
+		{"recorded plan", RunConfig{Ranks: 2, AutoPlan: true, Schedule: "overlap", Workers: 4}, "2656439de1d0f68e"},
+		{"recorded phases plan", RunConfig{Ranks: 2, AutoPlan: true, Schedule: "phases"}, "66b9564ad33584f1"},
 	}
 }

@@ -1,10 +1,6 @@
 package qt
 
-import (
-	"fmt"
-
-	"repro/internal/sse"
-)
+import "fmt"
 
 // A simulation has one configuration, the RunConfig it carries: every
 // knob is a RunConfig field, in the spelling a qtd request body and a
@@ -12,8 +8,8 @@ import (
 // combination check and all defaulting, once.
 //
 // An Option says what a RunConfig cannot, and lives beside it in
-// unwired: an injected Go kernel, a warm-start state, and an explicit
-// zero bias (Spec.Bias = 0 on the wire is the default bias).
+// unwired: a warm-start state and an explicit zero bias (Spec.Bias = 0
+// on the wire is the default bias).
 
 // Option configures a Simulation beyond its RunConfig. Options are
 // applied in order, later ones overwriting earlier ones; NewFromConfig
@@ -22,23 +18,8 @@ type Option func(*Simulation) error
 
 // unwired is what an option can say that a RunConfig cannot.
 type unwired struct {
-	sseKernel sse.Kernel  // WithSSEKernel: a Go value; nil = derived from the config
-	warm      *SigmaState // WithWarmStart: solver state; nil = cold start
-	zeroBias  bool        // WithBias(0): Spec.Bias = 0 reads as "the default" on the wire
-}
-
-// WithSSEKernel injects a custom sequential SSE kernel — the advanced
-// escape hatch the precision experiments use to wrap kernels (e.g. unit
-// rescaling). Sequential only; it replaces the kernel the configuration
-// derives, so it does not combine with the kernel or precision fields.
-func WithSSEKernel(k sse.Kernel) Option {
-	return func(s *Simulation) error {
-		if k == nil {
-			return fmt.Errorf("WithSSEKernel: kernel must be non-nil")
-		}
-		s.sseKernel = k
-		return nil
-	}
+	warm     *SigmaState // WithWarmStart: solver state; nil = cold start
+	zeroBias bool        // WithBias(0): Spec.Bias = 0 reads as "the default" on the wire
 }
 
 // WithBias overrides the drain-source bias (eV) after Spec defaulting,

@@ -162,10 +162,8 @@ func (s Spec) validateProfile() error {
 	return nil
 }
 
-// Schedule selects how a distributed self-consistent iteration executes:
+// The schedules a distributed self-consistent iteration executes under:
 // dist.Schedule under the facade's names.
-type Schedule = dist.Schedule
-
 const (
 	// Phases is the bulk-synchronous order: GF phase, SSE exchange,
 	// observable reduction strictly one after another — the iteration
@@ -183,9 +181,9 @@ const (
 	Pipeline = dist.SchedulePipeline
 )
 
-// parseSchedule maps the schedule field's spelling to a Schedule. The
+// parseSchedule maps the schedule field's spelling to a schedule. The
 // empty string is the default schedule.
-func parseSchedule(s string) (Schedule, error) {
+func parseSchedule(s string) (dist.Schedule, error) {
 	switch s {
 	case "phases", "":
 		return Phases, nil
@@ -197,10 +195,7 @@ func parseSchedule(s string) (Schedule, error) {
 	return Phases, fmt.Errorf("qt: unknown schedule %q (want phases, overlap or pipeline)", s)
 }
 
-// Precision selects the SSE arithmetic (§5.4): decomp.Precision under
-// the facade's names.
-type Precision = decomp.Precision
-
+// The SSE arithmetics (§5.4): decomp.Precision under the facade's names.
 const (
 	// FP64 runs the SSE phase entirely in complex128 (the default).
 	FP64 = decomp.FP64
@@ -210,11 +205,11 @@ const (
 	Mixed = decomp.Mixed
 )
 
-// parsePrecision maps the precision field's spelling to a Precision. The
+// parsePrecision maps the precision field's spelling to a precision. The
 // accepted spellings are decomp.ParsePrecision's — one parser for the
 // whole stack — plus, as for the schedule and the kernel, the empty
 // string for the default.
-func parsePrecision(s string) (Precision, error) {
+func parsePrecision(s string) (decomp.Precision, error) {
 	if s == "" {
 		return FP64, nil
 	}

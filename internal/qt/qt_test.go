@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"repro/internal/sse"
 )
 
 // smallSpec is the fast structure every facade test runs on.
@@ -52,14 +50,11 @@ func TestOptionValidation(t *testing.T) {
 		{"tile split mismatch", RunConfig{Ranks: 4, TileA: 3, TileE: 2}, nil, "tile_a, tile_e: dist: tile split"},
 		{"tile inference", RunConfig{Ranks: 4, TileA: 2}, nil, ""},
 		{"baseline distributed", RunConfig{Ranks: 2, Kernel: "omen"}, nil, "kernel omen requires the sequential solver"},
-		{"custom kernel distributed", RunConfig{Ranks: 2}, []Option{WithSSEKernel(sse.DaCe{})}, "WithSSEKernel requires the sequential solver"},
 		{"anderson distributed", RunConfig{Ranks: 2, Anderson: true}, nil, "anderson requires the sequential solver"},
 		{"probe needs mixed", RunConfig{Ranks: 2, ErrorProbe: true}, nil, "error_probe requires ranks and precision mixed"},
 		{"probe sequential", RunConfig{Precision: "mixed", ErrorProbe: true}, nil, "error_probe requires ranks and precision mixed"},
 		{"probe ok", RunConfig{Ranks: 2, Precision: "mixed", ErrorProbe: true}, nil, ""},
 		{"baseline plus mixed", RunConfig{Kernel: "omen", Precision: "mixed"}, nil, "kernel omen conflicts with precision mixed"},
-		{"custom kernel plus mixed", RunConfig{Precision: "mixed"}, []Option{WithSSEKernel(sse.DaCe{})}, "WithSSEKernel overrides the kernel"},
-		{"nil custom kernel", RunConfig{}, []Option{WithSSEKernel(nil)}, "WithSSEKernel"},
 		{"unknown schedule", RunConfig{Ranks: 2, Schedule: "bulk"}, nil, `unknown schedule "bulk"`},
 		{"unknown precision", RunConfig{Precision: "half"}, nil, `unknown precision "half"`},
 		{"unknown kernel", RunConfig{Kernel: "cuda"}, nil, `unknown kernel "cuda"`},

@@ -109,8 +109,6 @@ func (s *Simulation) negfOptions(progress func(IterStats) error, tracer *obs.Tra
 	o := s.loopOptions(progress, tracer)
 	o.Anderson = s.cfg.Anderson
 	switch {
-	case s.sseKernel != nil:
-		o.Kernel = s.sseKernel
 	case s.cfg.precision() == Mixed:
 		o.Kernel = sse.Mixed{Normalize: true}
 	case s.cfg.kernel() == Baseline:

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/bc"
+	"repro/internal/dist"
 	"repro/internal/obs"
 )
 
@@ -59,7 +60,7 @@ func TestTraceSequential(t *testing.T) {
 // TestTraceDistributed pins the distributed coverage contract for both
 // schedules: BC, RGF, SSE, and exchange spans for every rank.
 func TestTraceDistributed(t *testing.T) {
-	for _, sch := range []Schedule{Phases, Overlap} {
+	for _, sch := range []dist.Schedule{Phases, Overlap} {
 		sch := sch
 		t.Run(sch.String(), func(t *testing.T) {
 			const P = 2

@@ -122,7 +122,7 @@ func TestGolden(t *testing.T) {
 }
 
 func TestParseFormat(t *testing.T) {
-	for _, s := range Formats {
+	for _, s := range []string{"text", "json", "csv"} {
 		if _, err := ParseFormat(s); err != nil {
 			t.Errorf("ParseFormat(%q): %v", s, err)
 		}

@@ -32,9 +32,6 @@ func (f Format) String() string {
 	}
 }
 
-// Formats lists the supported encodings in flag spelling.
-var Formats = []string{"text", "json", "csv"}
-
 // ContentType returns the HTTP media type of the encoding — the
 // Content-Type header qtd pairs with Write when a report is a response
 // body.
@@ -95,8 +92,8 @@ func Write(w io.Writer, f Format, r Encoder) error {
 	}
 }
 
-// FmtBytes renders a byte count with binary-prefix units.
-func FmtBytes(b int64) string {
+// fmtBytes renders a byte count with binary-prefix units.
+func fmtBytes(b int64) string {
 	switch {
 	case b >= 1<<30:
 		return fmt.Sprintf("%.2f GiB", float64(b)/(1<<30))

@@ -105,7 +105,7 @@ func (r *Run) Text(w io.Writer) error {
 	for _, it := range r.Trace {
 		pf("  iter %2d: I = %.8g   Δ = %.2e   (SSE matmuls %d", it.Iter+1, it.Current, it.Residual, it.SSE.MatMuls)
 		if it.SSEBytes > 0 {
-			pf(", exchange %s", FmtBytes(it.SSEBytes))
+			pf(", exchange %s", fmtBytes(it.SSEBytes))
 		}
 		if it.SigmaErr > 0 {
 			pf(", Σ qerr %.1e", it.SigmaErr)

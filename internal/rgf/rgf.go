@@ -69,14 +69,6 @@ func (s *Solution) resize(nb int) {
 	s.gR, s.gL, s.gG = grow(s.gR, nb), grow(s.gL, nb), grow(s.gG, nb)
 }
 
-// Solve runs the forward/backward RGF recursion, allocating a fresh
-// workspace and solution — the convenience wrapper over SolveInto for
-// one-off solves (tests, oracles). Hot callers reuse a per-worker
-// workspace instead.
-func Solve(p *Problem) (*Solution, error) {
-	return SolveInto(p, linalg.NewWorkspace(), nil)
-}
-
 // SolveInto runs the forward/backward RGF recursion with every temporary —
 // effective blocks, LU storage, Hermitian conjugates, Σ≷ accumulators, and
 // the Solution blocks themselves — checked out of ws, so a warm workspace
@@ -84,7 +76,7 @@ func Solve(p *Problem) (*Solution, error) {
 // from ws earlier, including the blocks of a Solution a previous SolveInto
 // on the same workspace returned, are recycled. sol, when non-nil, has its
 // slices reused; pass the previous call's Solution for an allocation-free
-// steady state. Results are bit-identical to Solve.
+// steady state. Results do not depend on the workspace or its history.
 func SolveInto(p *Problem, ws *linalg.Workspace, sol *Solution) (*Solution, error) {
 	a := p.A
 	nb := a.NB

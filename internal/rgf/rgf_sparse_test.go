@@ -93,7 +93,7 @@ func TestSparseRGFMatchesDense(t *testing.T) {
 	var into *Solution
 	for _, sizes := range [][]int{{20, 24, 20}, {16, 16, 16, 16}, {20, 24, 16, 20}} {
 		p := randomSparseCouplingProblem(rng, sizes, 0.1)
-		sol, err := Solve(p)
+		sol, err := solve(p)
 		if err != nil {
 			t.Fatalf("sizes %v: %v", sizes, err)
 		}

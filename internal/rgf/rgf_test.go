@@ -55,15 +55,27 @@ func randomProblem(rng *rand.Rand, sizes []int) *Problem {
 	return &Problem{A: a, SigL: sigL, SigG: sigG}
 }
 
+// blockAt copies block (i, j) of a's dense scatter d.
 func blockAt(d *linalg.Matrix, a *blocktri.Matrix, i, j int) *linalg.Matrix {
-	return blocktri.ExtractBlock(d, a.Offset(i), a.Offset(j), a.Sizes[i], a.Sizes[j])
+	r0, c0 := 0, 0
+	for b := range i {
+		r0 += a.Sizes[b]
+	}
+	for b := range j {
+		c0 += a.Sizes[b]
+	}
+	out := linalg.New(a.Sizes[i], a.Sizes[j])
+	for r := range out.Rows {
+		copy(out.Row(r), d.Data[(r0+r)*d.Cols+c0:(r0+r)*d.Cols+c0+out.Cols])
+	}
+	return out
 }
 
 func TestRGFMatchesDenseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, sizes := range [][]int{{3}, {2, 2}, {3, 4, 3}, {2, 5, 3, 4}, {4, 4, 4, 4, 4, 4}} {
 		p := randomProblem(rng, sizes)
-		sol, err := Solve(p)
+		sol, err := solve(p)
 		if err != nil {
 			t.Fatalf("sizes %v: %v", sizes, err)
 		}
@@ -108,7 +120,7 @@ func TestLesserAntiHermitian(t *testing.T) {
 	// its diagonal blocks satisfy Xᴴ = −X.
 	rng := rand.New(rand.NewSource(7))
 	p := randomProblem(rng, []int{3, 3, 3})
-	sol, err := Solve(p)
+	sol, err := solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +140,11 @@ func TestNilSigmaBlocksTreatedAsZero(t *testing.T) {
 	pNil.SigL[1] = nil
 	pZero := &Problem{A: p.A, SigL: append([]*linalg.Matrix(nil), p.SigL...), SigG: append([]*linalg.Matrix(nil), p.SigG...)}
 	pZero.SigL[1] = linalg.New(3, 3)
-	s1, err := Solve(pNil)
+	s1, err := solve(pNil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Solve(pZero)
+	s2, err := solve(pZero)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +171,7 @@ func TestSolveIntoMatchesSolveBitwise(t *testing.T) {
 	var sol *Solution
 	for round := 0; round < 2; round++ {
 		for pi, p := range problems {
-			want, err := Solve(p)
+			want, err := solve(p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,11 +212,11 @@ func TestNilSigmaAllBlocks(t *testing.T) {
 		pZero.SigL[i] = linalg.New(base.A.Sizes[i], base.A.Sizes[i])
 		pZero.SigG[i] = linalg.New(base.A.Sizes[i], base.A.Sizes[i])
 	}
-	sNil, err := Solve(pNil)
+	sNil, err := solve(pNil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sZero, err := Solve(pZero)
+	sZero, err := solve(pZero)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +261,7 @@ func TestSigmaCountValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	p := randomProblem(rng, []int{2, 2})
 	p.SigL = p.SigL[:1]
-	if _, err := Solve(p); err == nil {
+	if _, err := solve(p); err == nil {
 		t.Fatal("expected error for mismatched sigma count")
 	}
 }
@@ -257,11 +269,14 @@ func TestSigmaCountValidation(t *testing.T) {
 func TestSingleBlockReducesToDirectInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	p := randomProblem(rng, []int{5})
-	sol, err := Solve(p)
+	sol, err := solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inv := linalg.MustInverse(p.A.Diag[0])
+	inv, err := linalg.Inverse(p.A.Diag[0])
+	if err != nil {
+		t.Fatal(err)
+	}
 	if linalg.MaxDiff(sol.GR[0], inv) > 1e-9 {
 		t.Fatal("single-block GR should equal the direct inverse")
 	}
@@ -294,8 +309,13 @@ func BenchmarkRGFSolveColdWorkspace(b *testing.B) {
 	p := randomProblem(rng, []int{32, 32, 32, 32, 32, 32, 32, 32})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(p); err != nil {
+		if _, err := solve(p); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// solve runs the RGF recursion on a fresh workspace and solution.
+func solve(p *Problem) (*Solution, error) {
+	return SolveInto(p, linalg.NewWorkspace(), nil)
 }

@@ -31,9 +31,6 @@ func NewExecutor(workers int) *Executor {
 	return &Executor{workers: workers}
 }
 
-// Workers returns the pool size.
-func (e *Executor) Workers() int { return e.workers }
-
 // Span records when one node ran and on which worker.
 type Span struct {
 	Node       NodeID
@@ -73,7 +70,7 @@ type execState struct {
 // agreement is a node's job, not the scheduler's), and the first error is
 // returned alongside the trace after the graph drains.
 func (e *Executor) Run(g *Graph) (*Trace, error) {
-	if err := g.Validate(); err != nil {
+	if err := g.validate(); err != nil {
 		return nil, err
 	}
 	n := g.Len()
@@ -171,7 +168,7 @@ func (st *execState) next(wid, workers int) (NodeID, bool, bool) {
 
 // finish marks a node complete, records its error, and releases any
 // successors whose last dependency it was onto wid's deque.
-func (st *execState) finish(wid int, node *Node, err error) {
+func (st *execState) finish(wid int, node *vertex, err error) {
 	st.mu.Lock()
 	if err != nil && st.err == nil {
 		st.err = fmt.Errorf("node %q: %w", node.Label, err)

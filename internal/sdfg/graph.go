@@ -56,22 +56,19 @@ type Spec struct {
 	Run func() error
 }
 
-// Node is one vertex of the dataflow graph.
-type Node struct {
+// vertex is one node of the dataflow graph.
+type vertex struct {
 	Spec
 	ID    NodeID
 	deps  []NodeID
 	succs []NodeID
 }
 
-// Deps returns the node's dependencies (the nodes producing its inputs).
-func (n *Node) Deps() []NodeID { return n.deps }
-
-// Graph is a DAG of tasks. Build it with Add; Validate checks shape.
+// Graph is a DAG of tasks. Build it with Add; validate checks shape.
 // A Graph is not safe for concurrent mutation, and a single Graph must
 // not be executed by two executors at once.
 type Graph struct {
-	nodes []*Node
+	nodes []*vertex
 }
 
 // New returns an empty graph.
@@ -82,7 +79,7 @@ func New() *Graph { return &Graph{} }
 // insertion order), which makes cycles unrepresentable by construction.
 func (g *Graph) Add(s Spec, deps ...NodeID) NodeID {
 	id := NodeID(len(g.nodes))
-	n := &Node{Spec: s, ID: id}
+	n := &vertex{Spec: s, ID: id}
 	for _, d := range deps {
 		if d < 0 || d >= id {
 			panic(fmt.Sprintf("sdfg: node %q depends on unknown node %d", s.Label, d))
@@ -97,13 +94,10 @@ func (g *Graph) Add(s Spec, deps ...NodeID) NodeID {
 // Len returns the number of nodes.
 func (g *Graph) Len() int { return len(g.nodes) }
 
-// Node returns the node with the given id.
-func (g *Graph) Node(id NodeID) *Node { return g.nodes[id] }
-
-// Validate checks structural invariants: dependency ids in range and
+// validate checks structural invariants: dependency ids in range and
 // acyclicity (guaranteed by Add, but re-checked for graphs assembled by
 // hand or mutated in tests).
-func (g *Graph) Validate() error {
+func (g *Graph) validate() error {
 	for _, n := range g.nodes {
 		for _, d := range n.deps {
 			if d < 0 || int(d) >= len(g.nodes) {

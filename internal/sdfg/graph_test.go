@@ -13,10 +13,10 @@ func TestAddAndValidate(t *testing.T) {
 	if g.Len() != 3 {
 		t.Fatalf("Len = %d", g.Len())
 	}
-	if got := g.Node(c).Deps(); len(got) != 2 || got[0] != a || got[1] != b {
+	if got := g.nodes[c].deps; len(got) != 2 || got[0] != a || got[1] != b {
 		t.Fatalf("deps of c = %v", got)
 	}
-	if err := g.Validate(); err != nil {
+	if err := g.validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -38,7 +38,7 @@ func TestValidateDetectsCycle(t *testing.T) {
 	// Hand-wire a back edge (unreachable through Add).
 	g.nodes[a].deps = append(g.nodes[a].deps, b)
 	g.nodes[b].succs = append(g.nodes[b].succs, a)
-	err := g.Validate()
+	err := g.validate()
 	if err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Fatalf("expected cycle error, got %v", err)
 	}

@@ -35,7 +35,7 @@ func TestSubmitNeverLosesAdmission(t *testing.T) {
 					return
 				}
 				<-j.done
-				got, ok := s.reg.Get(rec.ID)
+				got, ok := s.reg.get(rec.ID)
 				if !ok || got.Status != StatusCancelled {
 					t.Errorf("%s submission %d: run %s finished with record %q (found %v), want %q",
 						tenant, i, rec.ID, got.Status, ok, StatusCancelled)
@@ -66,7 +66,7 @@ func TestShedLeavesNoRecord(t *testing.T) {
 		switch {
 		case err == nil:
 			admitted = append(admitted, rec.ID)
-		case errors.Is(err, ErrQueueFull):
+		case errors.Is(err, errQueueFull):
 			shed++
 		default:
 			t.Fatal(err)

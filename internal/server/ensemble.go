@@ -46,24 +46,24 @@ type studyRun struct {
 // own goroutine, fanning members through the regular submit path (so
 // duplicate realizations hit the result cache and every member is a
 // first-class registry run with study lineage).
-func (s *Server) submitStudy(req studyRequest) (StudyRecord, *studyRun, error) {
+func (s *Server) submitStudy(req studyRequest) (studyRecord, *studyRun, error) {
 	if req.Members <= 0 || req.Members > maxStudyMembers {
-		return StudyRecord{}, nil, fmt.Errorf("members must be in [1, %d] (got %d)", maxStudyMembers, req.Members)
+		return studyRecord{}, nil, fmt.Errorf("members must be in [1, %d] (got %d)", maxStudyMembers, req.Members)
 	}
 	if req.Config.Spec.Profile == nil {
-		return StudyRecord{}, nil, fmt.Errorf("spec has no profile: an ensemble over a clean device is %d copies of one run", req.Members)
+		return studyRecord{}, nil, fmt.Errorf("spec has no profile: an ensemble over a clean device is %d copies of one run", req.Members)
 	}
 	sim, err := qt.NewFromConfig(req.Config)
 	if err != nil {
-		return StudyRecord{}, nil, err
+		return studyRecord{}, nil, err
 	}
-	rec := StudyRecord{
-		ID: s.reg.NewStudyID(), Tenant: req.Tenant, Priority: req.Priority,
+	rec := studyRecord{
+		ID: s.reg.newStudyID(), Tenant: req.Tenant, Priority: req.Priority,
 		Config: sim.Config(), Members: req.Members, BaseSeed: req.BaseSeed,
 		Status: StatusQueued, Submitted: time.Now().UTC(),
 	}
-	if err := s.reg.PutStudy(rec); err != nil {
-		return StudyRecord{}, nil, err
+	if err := s.reg.putStudy(rec); err != nil {
+		return studyRecord{}, nil, err
 	}
 	st := &studyRun{
 		id: rec.ID, tenant: rec.Tenant,
@@ -95,11 +95,11 @@ func (s *Server) removeStudy(id string) {
 // cancelStudy cancels a running study: member submission stops and
 // in-flight member runs are cancelled. Returns the record and whether
 // the id was known.
-func (s *Server) cancelStudy(id string) (StudyRecord, bool) {
+func (s *Server) cancelStudy(id string) (studyRecord, bool) {
 	if st, live := s.studyByID(id); live {
 		st.cancel()
 	}
-	return s.reg.GetStudy(id)
+	return s.reg.getStudy(id)
 }
 
 // memberOutcome is one member's terminal state as the runner saw it.
@@ -112,7 +112,7 @@ type memberOutcome struct {
 // runStudy executes one study: admit every member through the regular
 // submit path (content-addressed fast path included), wait for them,
 // reduce in member-index order, finalize the study record.
-func (s *Server) runStudy(st *studyRun, rec StudyRecord) {
+func (s *Server) runStudy(st *studyRun, rec studyRecord) {
 	defer s.studyWg.Done()
 	defer st.markDone()
 	defer s.removeStudy(st.id)
@@ -121,7 +121,7 @@ func (s *Server) runStudy(st *studyRun, rec StudyRecord) {
 	rec.Status = StatusRunning
 	rec.Started = time.Now().UTC()
 	rec.MemberRuns = make([]string, rec.Members)
-	s.reg.PutStudy(rec)
+	s.reg.putStudy(rec)
 
 	// Members follow ensemble's seed rule, so a study submitted here and
 	// one run in-process solve the same configurations.
@@ -164,7 +164,7 @@ func (s *Server) runStudy(st *studyRun, rec StudyRecord) {
 		}
 		progress := rec
 		mu.Unlock()
-		s.reg.PutStudy(progress)
+		s.reg.putStudy(progress)
 		s.met.ensembleMembers.Inc()
 		st.publish(report.MemberRow{
 			Index: i, Seed: seed(i), RunID: out.rec.ID,
@@ -188,7 +188,7 @@ func (s *Server) runStudy(st *studyRun, rec StudyRecord) {
 		var err error
 		for {
 			mrec, j, err = s.submit(rec.Tenant, rec.Priority, mrc, rec.ID)
-			if !errors.Is(err, ErrQueueFull) {
+			if !errors.Is(err, errQueueFull) {
 				break
 			}
 			// Backpressure: the study yields until a queue slot frees.
@@ -228,7 +228,7 @@ func (s *Server) runStudy(st *studyRun, rec StudyRecord) {
 		go func(i int, j *job) {
 			defer wg.Done()
 			<-j.done
-			final, _ := s.reg.Get(j.id)
+			final, _ := s.reg.get(j.id)
 			finish(i, memberOutcome{rec: final, res: j.result})
 		}(i, j)
 	}
@@ -287,7 +287,7 @@ func (s *Server) runStudy(st *studyRun, rec StudyRecord) {
 			rec.Status = StatusDone
 		}
 	}
-	s.reg.PutStudy(rec)
+	s.reg.putStudy(rec)
 	s.met.ensembles.With(string(rec.Status)).Inc()
 	s.log.Info("study finished", "study", rec.ID, "tenant", rec.Tenant,
 		"status", string(rec.Status), "members", rec.DoneMembers,

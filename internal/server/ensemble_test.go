@@ -28,7 +28,7 @@ func disorderedConfig(bias float64) qt.RunConfig {
 }
 
 // postStudy submits a study and decodes the admission record.
-func postStudy(t *testing.T, ts *httptest.Server, req studyRequest, wantStatus int) StudyRecord {
+func postStudy(t *testing.T, ts *httptest.Server, req studyRequest, wantStatus int) studyRecord {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(ts.URL+"/v1/ensembles", "application/json", bytes.NewReader(body))
@@ -40,7 +40,7 @@ func postStudy(t *testing.T, ts *httptest.Server, req studyRequest, wantStatus i
 	if resp.StatusCode != wantStatus {
 		t.Fatalf("POST /v1/ensembles = %d, want %d: %s", resp.StatusCode, wantStatus, raw)
 	}
-	var rec StudyRecord
+	var rec studyRecord
 	if err := json.Unmarshal(raw, &rec); err != nil {
 		t.Fatalf("decode study record: %v: %s", err, raw)
 	}
@@ -49,19 +49,19 @@ func postStudy(t *testing.T, ts *httptest.Server, req studyRequest, wantStatus i
 
 // waitForStudy polls the registry until the study reaches the wanted
 // status.
-func waitForStudy(t *testing.T, s *Server, id string, want Status) StudyRecord {
+func waitForStudy(t *testing.T, s *Server, id string, want Status) studyRecord {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		rec, ok := s.reg.GetStudy(id)
+		rec, ok := s.reg.getStudy(id)
 		if ok && rec.Status == want {
 			return rec
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	rec, _ := s.reg.GetStudy(id)
+	rec, _ := s.reg.getStudy(id)
 	t.Fatalf("study %s stuck in status %s, want %s", id, rec.Status, want)
-	return StudyRecord{}
+	return studyRecord{}
 }
 
 // TestStudyEndToEnd is the acceptance path: an N=8 study through the
@@ -111,7 +111,7 @@ func TestStudyEndToEnd(t *testing.T) {
 	}
 	currents := make([]float64, 0, n)
 	for _, id := range final.MemberRuns {
-		mr, ok := s.reg.Get(id)
+		mr, ok := s.reg.get(id)
 		if !ok || !mr.Converged {
 			t.Fatalf("member %s missing or unconverged", id)
 		}
@@ -180,7 +180,7 @@ func TestStudyWarmStartLineage(t *testing.T) {
 			final.WarmStarts, n-1, n)
 	}
 	for i, id := range final.MemberRuns {
-		mr, _ := s.reg.Get(id)
+		mr, _ := s.reg.get(id)
 		if i == 0 && mr.WarmStart {
 			t.Error("first member warm-started with an empty cache")
 		}
@@ -255,7 +255,7 @@ func drainStudyStream(t *testing.T, r io.Reader) (map[string]int, string) {
 			event = strings.TrimPrefix(line, "event: ")
 			events[event]++
 		case strings.HasPrefix(line, "data: ") && event == "study" && id == "":
-			var rec StudyRecord
+			var rec studyRecord
 			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &rec); err != nil {
 				t.Fatalf("decode study frame: %v", err)
 			}
@@ -334,7 +334,7 @@ func TestStudyPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	got, ok := s2.reg.GetStudy(final.ID)
+	got, ok := s2.reg.getStudy(final.ID)
 	if !ok {
 		t.Fatalf("study %s lost across restart", final.ID)
 	}

@@ -83,7 +83,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	rec, j, err := s.submit(req.Tenant, req.Priority, req.Config, "")
 	switch {
-	case errors.Is(err, ErrQueueFull):
+	case errors.Is(err, errQueueFull):
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.retryAfter().Seconds())))
 		writeError(w, http.StatusTooManyRequests, "%v", err)
 		return
@@ -138,7 +138,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	rec, ok := s.reg.Get(r.PathValue("id"))
+	rec, ok := s.reg.get(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown run %q", r.PathValue("id"))
 		return
@@ -164,7 +164,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		s.streamJob(w, r, j, false)
 		return
 	}
-	rec, ok := s.reg.Get(id)
+	rec, ok := s.reg.get(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown run %q", id)
 		return
@@ -173,7 +173,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	rec, ok := s.reg.Get(r.PathValue("id"))
+	rec, ok := s.reg.get(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown run %q", r.PathValue("id"))
 		return
@@ -196,9 +196,9 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 // but not traced (or not finished)" from an unknown id.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	b, ok := s.reg.GetTrace(id)
+	b, ok := s.reg.getTrace(id)
 	if !ok {
-		if _, known := s.reg.Get(id); known {
+		if _, known := s.reg.get(id); known {
 			writeError(w, http.StatusConflict,
 				"run %s has no trace (submit with config.trace=true and wait for completion)", id)
 			return
@@ -250,7 +250,7 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *job, ownCa
 			<-j.done
 		}
 	}
-	streamFeed(w, r, j.feed, "run", "iter", func() Record { rec, _ := s.reg.Get(j.id); return rec }, hangUp)
+	streamFeed(w, r, j.feed, "run", "iter", func() Record { rec, _ := s.reg.get(j.id); return rec }, hangUp)
 }
 
 // handleSubmitStudy admits one ensemble study. With ?stream=sse the
@@ -283,7 +283,7 @@ func (s *Server) handleSubmitStudy(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleListStudies(w http.ResponseWriter, r *http.Request) {
 	qp := r.URL.Query()
-	q := StudyQuery{
+	q := studyQuery{
 		Tenant: qp.Get("tenant"),
 		Status: Status(qp.Get("status")),
 		Limit:  defaultListLimit,
@@ -296,12 +296,12 @@ func (s *Server) handleListStudies(w http.ResponseWriter, r *http.Request) {
 		}
 		q.Limit = min(n, maxListLimit)
 	}
-	recs := s.reg.ListStudies(q)
+	recs := s.reg.listStudies(q)
 	writeJSON(w, http.StatusOK, map[string]any{"studies": recs, "count": len(recs)})
 }
 
 func (s *Server) handleGetStudy(w http.ResponseWriter, r *http.Request) {
-	rec, ok := s.reg.GetStudy(r.PathValue("id"))
+	rec, ok := s.reg.getStudy(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown study %q", r.PathValue("id"))
 		return
@@ -327,7 +327,7 @@ func (s *Server) handleStudyStream(w http.ResponseWriter, r *http.Request) {
 		s.streamStudy(w, r, st)
 		return
 	}
-	rec, ok := s.reg.GetStudy(id)
+	rec, ok := s.reg.getStudy(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown study %q", id)
 		return
@@ -338,7 +338,7 @@ func (s *Server) handleStudyStream(w http.ResponseWriter, r *http.Request) {
 // handleStudyReport renders the reduced ensemble report in
 // text/json/csv; 409 until the study reaches a terminal state.
 func (s *Server) handleStudyReport(w http.ResponseWriter, r *http.Request) {
-	rec, ok := s.reg.GetStudy(r.PathValue("id"))
+	rec, ok := s.reg.getStudy(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown study %q", r.PathValue("id"))
 		return
@@ -358,7 +358,7 @@ func (s *Server) handleStudyReport(w http.ResponseWriter, r *http.Request) {
 
 // replayStudy renders a finished study as the frame sequence a live
 // stream produces: study, one member row each, done.
-func replayStudy(w http.ResponseWriter, rec StudyRecord) {
+func replayStudy(w http.ResponseWriter, rec studyRecord) {
 	var rows []report.MemberRow
 	if rec.Report != nil {
 		rows = rec.Report.MemberRows
@@ -370,5 +370,5 @@ func replayStudy(w http.ResponseWriter, rec StudyRecord) {
 // reduced report). Hanging up detaches without cancelling — a study is a
 // batch artifact, not an interactive session.
 func (s *Server) streamStudy(w http.ResponseWriter, r *http.Request, st *studyRun) {
-	streamFeed(w, r, st.feed, "study", "member", func() StudyRecord { rec, _ := s.reg.GetStudy(st.id); return rec }, nil)
+	streamFeed(w, r, st.feed, "study", "member", func() studyRecord { rec, _ := s.reg.getStudy(st.id); return rec }, nil)
 }

@@ -5,9 +5,9 @@ import (
 	"sync"
 )
 
-// ErrQueueFull is the admission-control signal: the bounded queue is at
+// errQueueFull is the admission-control signal: the bounded queue is at
 // capacity and the caller must shed load (HTTP 429 + Retry-After).
-var ErrQueueFull = errors.New("server: admission queue full")
+var errQueueFull = errors.New("server: admission queue full")
 
 // queue is the fair-share admission queue in front of the solver slots.
 // Jobs wait in one FIFO per tenant, ordered by priority within the
@@ -49,7 +49,7 @@ func (q *queue) Push(j *job) error {
 		return errors.New("server: queue closed")
 	}
 	if q.size >= q.cap {
-		return ErrQueueFull
+		return errQueueFull
 	}
 	list := q.pending[j.tenant]
 	i := len(list)

@@ -94,7 +94,7 @@ func TestQueueFull(t *testing.T) {
 	if err := q.Push(qjob("2", "B", 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Push(qjob("3", "C", 0)); !errors.Is(err, ErrQueueFull) {
+	if err := q.Push(qjob("3", "C", 0)); !errors.Is(err, errQueueFull) {
 		t.Fatalf("Push beyond capacity: err = %v, want ErrQueueFull", err)
 	}
 	queued, running := q.Stats()

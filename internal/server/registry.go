@@ -90,7 +90,7 @@ type Registry struct {
 	mu      sync.Mutex
 	dir     string
 	runs    *table[Record]
-	studies *table[StudyRecord]
+	studies *table[studyRecord]
 	// traces holds the Chrome-trace artifacts of WithTrace runs, encoded
 	// JSON by run ID; the disk form is <id>.trace.json next to the record.
 	traces map[string][]byte
@@ -109,7 +109,7 @@ func OpenRegistry(dir string) (*Registry, error) {
 	if err != nil {
 		return nil, err
 	}
-	studies, err := loadTable(dir, "study-", func(r *StudyRecord) (string, *Status) { return r.ID, &r.Status })
+	studies, err := loadTable(dir, "study-", func(r *studyRecord) (string, *Status) { return r.ID, &r.Status })
 	if err != nil {
 		return nil, err
 	}
@@ -234,24 +234,24 @@ func (t *table[T]) persist(id string, rec *T) error {
 	return writeAtomic(filepath.Join(t.dir, id+".json"), b)
 }
 
-// NewID mints the next run ID (monotonic across daemon restarts).
-func (r *Registry) NewID() string {
+// newID mints the next run ID (monotonic across daemon restarts).
+func (r *Registry) newID() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.runs.newID()
 }
 
-// Put stores (a copy of) the record and persists it.
-func (r *Registry) Put(rec Record) error {
+// put stores (a copy of) the record and persists it.
+func (r *Registry) put(rec Record) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.runs.put(rec.ID, rec)
 }
 
-// Delete removes a record that never became a run — an admission the
+// remove removes a record that never became a run — an admission the
 // queue shed after its queued record was written — from the index and the
 // data dir. Unknown ids are a no-op.
-func (r *Registry) Delete(id string) error {
+func (r *Registry) remove(id string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.runs.remove(id)
@@ -267,10 +267,10 @@ func writeAtomic(path string, b []byte) error {
 	return os.Rename(tmp, path)
 }
 
-// PutTrace stores the run's per-phase span recording as its Chrome
+// putTrace stores the run's per-phase span recording as its Chrome
 // trace-event artifact (the body of GET /v1/runs/{id}/trace), persisted
 // as <id>.trace.json when the registry has a data dir.
-func (r *Registry) PutTrace(id string, tr *obs.Trace) error {
+func (r *Registry) putTrace(id string, tr *obs.Trace) error {
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf); err != nil {
 		return fmt.Errorf("server: encode trace %s: %w", id, err)
@@ -285,9 +285,9 @@ func (r *Registry) PutTrace(id string, tr *obs.Trace) error {
 	return writeAtomic(filepath.Join(r.dir, id+".trace.json"), b)
 }
 
-// GetTrace returns the run's Chrome trace JSON: from memory for runs of
+// getTrace returns the run's Chrome trace JSON: from memory for runs of
 // this process, falling back to the data dir for runs of a previous one.
-func (r *Registry) GetTrace(id string) ([]byte, bool) {
+func (r *Registry) getTrace(id string) ([]byte, bool) {
 	r.mu.Lock()
 	b, ok := r.traces[id]
 	dir := r.dir
@@ -305,8 +305,8 @@ func (r *Registry) GetTrace(id string) ([]byte, bool) {
 	return b, true
 }
 
-// Get returns a copy of the record.
-func (r *Registry) Get(id string) (Record, bool) {
+// get returns a copy of the record.
+func (r *Registry) get(id string) (Record, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.runs.get(id)

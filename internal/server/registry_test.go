@@ -24,9 +24,9 @@ func TestRegistryPersistence(t *testing.T) {
 	statuses := []Status{StatusDone, StatusQueued, StatusRunning, StatusFailed}
 	var ids []string
 	for _, st := range statuses {
-		id := reg.NewID()
+		id := reg.newID()
 		ids = append(ids, id)
-		if err := reg.Put(Record{
+		if err := reg.put(Record{
 			ID: id, Tenant: "acme", Key: "k-" + string(st), WarmKey: "w",
 			Config: cfg, Status: st, Submitted: now,
 		}); err != nil {
@@ -40,7 +40,7 @@ func TestRegistryPersistence(t *testing.T) {
 	}
 	// Runs owned by the dead process are relabelled lost.
 	for i, st := range statuses {
-		rec, ok := reopened.Get(ids[i])
+		rec, ok := reopened.get(ids[i])
 		if !ok {
 			t.Fatalf("record %s missing after reopen", ids[i])
 		}
@@ -53,7 +53,7 @@ func TestRegistryPersistence(t *testing.T) {
 		}
 	}
 	// IDs keep increasing across restarts.
-	if id := reopened.NewID(); id != "run-000005" {
+	if id := reopened.newID(); id != "run-000005" {
 		t.Fatalf("NewID after reopen = %s, want run-000005", id)
 	}
 
@@ -82,17 +82,17 @@ func TestRegistryMemoryOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := reg.NewID()
-	if err := reg.Put(Record{ID: id, Status: StatusDone}); err != nil {
+	id := reg.newID()
+	if err := reg.put(Record{ID: id, Status: StatusDone}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := reg.Get(id); !ok {
+	if _, ok := reg.get(id); !ok {
 		t.Fatal("record missing from memory-only registry")
 	}
 	// Mutating the returned copy must not affect the stored record.
-	rec, _ := reg.Get(id)
+	rec, _ := reg.get(id)
 	rec.Status = StatusFailed
-	if again, _ := reg.Get(id); again.Status != StatusDone {
+	if again, _ := reg.get(id); again.Status != StatusDone {
 		t.Fatal("Get returned a shared reference, not a copy")
 	}
 }
@@ -107,12 +107,12 @@ func TestPutStudyOwnsMemberRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := StudyRecord{ID: reg.NewStudyID(), Members: 2, MemberRuns: make([]string, 2)}
-	if err := reg.PutStudy(rec); err != nil {
+	rec := studyRecord{ID: reg.newStudyID(), Members: 2, MemberRuns: make([]string, 2)}
+	if err := reg.putStudy(rec); err != nil {
 		t.Fatal(err)
 	}
 	rec.MemberRuns[0] = "run-000001"
-	if got, _ := reg.GetStudy(rec.ID); got.MemberRuns[0] != "" {
+	if got, _ := reg.getStudy(rec.ID); got.MemberRuns[0] != "" {
 		t.Errorf("stored study record shares the caller's MemberRuns: %v", got.MemberRuns)
 	}
 }
@@ -137,7 +137,7 @@ func TestParentFormatRecordReopens(t *testing.T) {
 	}
 	s, ts := newService(t, Config{Slots: 1, QueueCap: 4, DataDir: dir})
 
-	listed := s.Registry().List(Query{Status: StatusDone})
+	listed := s.reg.List(Query{Status: StatusDone})
 	if len(listed) != 1 || listed[0].ID != "run-000001" {
 		t.Fatalf("reopened registry lists %+v", listed)
 	}

@@ -138,9 +138,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Registry exposes the run registry (read access for tools and tests).
-func (s *Server) Registry() *Registry { return s.reg }
-
 // Close cancels every admitted run, stops the workers, and waits for
 // them to drain. Safe to call more than once.
 func (s *Server) Close() {
@@ -248,7 +245,7 @@ func (s *Server) submit(tenant string, priority int, rc qt.RunConfig, studyID st
 	if e, ok := s.cache.Get(key); ok {
 		s.met.cacheHits.Inc()
 		rec := Record{
-			ID: s.reg.NewID(), Tenant: tenant, Priority: priority,
+			ID: s.reg.newID(), Tenant: tenant, Priority: priority,
 			Key: key, WarmKey: warmKey, Config: resolved,
 			Status: StatusCached, Submitted: now, Finished: now,
 			CacheHit: true, SourceRun: e.RunID, Study: studyID,
@@ -256,7 +253,7 @@ func (s *Server) submit(tenant string, priority int, rc qt.RunConfig, studyID st
 			Current: e.Result.Current,
 			Report:  e.Report,
 		}
-		if err := s.reg.Put(rec); err != nil {
+		if err := s.reg.put(rec); err != nil {
 			return Record{}, nil, err
 		}
 		s.log.Info("cache hit", "run", rec.ID, "tenant", tenant, "source", e.RunID)
@@ -264,7 +261,7 @@ func (s *Server) submit(tenant string, priority int, rc qt.RunConfig, studyID st
 	}
 
 	j := &job{
-		id: s.reg.NewID(), tenant: tenant, priority: priority,
+		id: s.reg.newID(), tenant: tenant, priority: priority,
 		cfg: resolved, key: key, warmKey: warmKey,
 		submitted: time.Now(),
 		feed:      newFeed[qt.IterStats](resolved.MaxIterations),
@@ -279,7 +276,7 @@ func (s *Server) submit(tenant string, priority int, rc qt.RunConfig, studyID st
 		Key: key, WarmKey: warmKey, Config: resolved,
 		Status: StatusQueued, Submitted: now, Study: studyID,
 	}
-	if err := s.reg.Put(rec); err != nil {
+	if err := s.reg.put(rec); err != nil {
 		j.cancel()
 		return Record{}, nil, err
 	}
@@ -291,7 +288,7 @@ func (s *Server) submit(tenant string, priority int, rc qt.RunConfig, studyID st
 		s.met.queueDepth.With(tenant).Add(-1)
 		s.removeJob(j.id)
 		j.cancel()
-		if derr := s.reg.Delete(j.id); derr != nil {
+		if derr := s.reg.remove(j.id); derr != nil {
 			s.log.Warn("shed record not removed", "run", j.id, "err", derr)
 		}
 		s.met.shed.With(tenant).Inc()
@@ -331,7 +328,7 @@ func (s *Server) cancelRun(id string) (Record, bool) {
 			j.cancel()
 		}
 	}
-	return s.reg.Get(id)
+	return s.reg.get(id)
 }
 
 // finalizeCancelled marks a never-executed job cancelled. Callers have
@@ -340,10 +337,10 @@ func (s *Server) finalizeCancelled(j *job) {
 	s.met.queueDepth.With(j.tenant).Add(-1)
 	s.log.Info("cancelled while queued", "run", j.id, "tenant", j.tenant)
 	j.cancel()
-	if rec, ok := s.reg.Get(j.id); ok {
+	if rec, ok := s.reg.get(j.id); ok {
 		rec.Status = StatusCancelled
 		rec.Finished = time.Now().UTC()
-		s.reg.Put(rec)
+		s.reg.put(rec)
 	}
 	s.removeJob(j.id)
 	j.markDone()
@@ -356,14 +353,14 @@ func (s *Server) execute(j *job) {
 	s.met.slotsBusy.Add(1)
 	defer s.met.slotsBusy.Add(-1)
 
-	rec, ok := s.reg.Get(j.id)
+	rec, ok := s.reg.get(j.id)
 	if !ok {
 		return
 	}
 	if j.ctx.Err() != nil {
 		rec.Status = StatusCancelled
 		rec.Finished = time.Now().UTC()
-		s.reg.Put(rec)
+		s.reg.put(rec)
 		return
 	}
 
@@ -384,21 +381,21 @@ func (s *Server) execute(j *job) {
 		rec.Status = StatusFailed
 		rec.Error = err.Error()
 		rec.Finished = time.Now().UTC()
-		s.reg.Put(rec)
+		s.reg.put(rec)
 		return
 	}
 
 	s.slotRuns.Add(1)
 	rec.Status = StatusRunning
 	rec.Started = time.Now().UTC()
-	s.reg.Put(rec)
+	s.reg.put(rec)
 
 	start := time.Now()
 	run, err := sim.Start(j.ctx)
 	if err != nil {
 		rec.Status = StatusCancelled
 		rec.Finished = time.Now().UTC()
-		s.reg.Put(rec)
+		s.reg.put(rec)
 		return
 	}
 	for st := range run.Stats() {
@@ -436,11 +433,11 @@ func (s *Server) execute(j *job) {
 	// The trace goes first: a client that sees the final status may ask
 	// for the artifact at once.
 	if res != nil && res.Spans != nil {
-		if err := s.reg.PutTrace(j.id, res.Spans); err != nil {
+		if err := s.reg.putTrace(j.id, res.Spans); err != nil {
 			s.log.Warn("trace store failed", "run", j.id, "err", err)
 		}
 	}
-	s.reg.Put(rec)
+	s.reg.put(rec)
 	s.met.observeRun(j.tenant, rec.Status, wall.Seconds(), res)
 	s.log.Info("finished", "run", j.id, "tenant", j.tenant,
 		"status", string(rec.Status), "converged", rec.Converged,

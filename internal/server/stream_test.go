@@ -87,7 +87,7 @@ func TestReplayedStreamMatchesLive(t *testing.T) {
 	}
 
 	studyLive := live("/v1/ensembles", studyRequest{Tenant: "lab", Members: 3, BaseSeed: 7, Config: disorderedConfig(0.15)})
-	var srec StudyRecord
+	var srec studyRecord
 	if len(studyLive) < 3 || json.Unmarshal([]byte(studyLive[0].data), &srec) != nil || srec.ID == "" {
 		t.Fatalf("live study stream malformed: %v", names(studyLive))
 	}

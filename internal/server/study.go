@@ -8,12 +8,12 @@ import (
 	"repro/internal/report"
 )
 
-// StudyRecord is one ensemble study's registry row: the base
+// studyRecord is one ensemble study's registry row: the base
 // configuration the members derive from, the realization axis, the
 // member-run lineage, and — once finished — the reduced ensemble
 // report. Studies are the JSON bodies of /v1/ensembles responses and
 // the study-NNNNNN.json files under the data dir.
-type StudyRecord struct {
+type studyRecord struct {
 	ID       string `json:"id"`
 	Tenant   string `json:"tenant"`
 	Priority int    `json:"priority,omitempty"`
@@ -47,42 +47,42 @@ type StudyRecord struct {
 	Report *report.Ensemble `json:"report,omitempty"`
 }
 
-// NewStudyID mints the next study ID (monotonic across restarts).
-func (r *Registry) NewStudyID() string {
+// newStudyID mints the next study ID (monotonic across restarts).
+func (r *Registry) newStudyID() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.studies.newID()
 }
 
-// PutStudy stores a copy of the study record and persists it. The copy
+// putStudy stores a copy of the study record and persists it. The copy
 // owns its MemberRuns: the study runner keeps filling the caller's slice
 // while handlers encode what GetStudy returned.
-func (r *Registry) PutStudy(rec StudyRecord) error {
+func (r *Registry) putStudy(rec studyRecord) error {
 	rec.MemberRuns = slices.Clone(rec.MemberRuns)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.studies.put(rec.ID, rec)
 }
 
-// GetStudy returns a copy of the study record.
-func (r *Registry) GetStudy(id string) (StudyRecord, bool) {
+// getStudy returns a copy of the study record.
+func (r *Registry) getStudy(id string) (studyRecord, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.studies.get(id)
 }
 
-// StudyQuery filters the study listing; zero fields match everything.
-type StudyQuery struct {
+// studyQuery filters the study listing; zero fields match everything.
+type studyQuery struct {
 	Tenant string
 	Status Status
 	Limit  int // 0 = unlimited
 }
 
-// ListStudies returns matching study records, newest first.
-func (r *Registry) ListStudies(q StudyQuery) []StudyRecord {
+// listStudies returns matching study records, newest first.
+func (r *Registry) listStudies(q studyQuery) []studyRecord {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.studies.list(q.Limit, func(rec *StudyRecord) bool {
+	return r.studies.list(q.Limit, func(rec *studyRecord) bool {
 		return (q.Tenant == "" || rec.Tenant == q.Tenant) &&
 			(q.Status == "" || rec.Status == q.Status)
 	})

@@ -9,7 +9,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/linalg"
 )
@@ -55,13 +54,6 @@ func (t *Electron) Plane(ik, ie int) []complex128 {
 	return t.Data[o : o+t.Na*t.BlockLen()]
 }
 
-// Zero clears the tensor.
-func (t *Electron) Zero() {
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
-}
-
 // Clone deep-copies the tensor.
 func (t *Electron) Clone() *Electron {
 	c := NewElectron(t.Nkz, t.NE, t.Na, t.Norb)
@@ -87,21 +79,6 @@ func MixSlice(dst, src []complex128, mix float64) {
 	for i, v := range src {
 		dst[i] = m*v + om*dst[i]
 	}
-}
-
-// MaxAbsDiff returns the largest elementwise |t−o|.
-func (t *Electron) MaxAbsDiff(o *Electron) float64 {
-	if len(t.Data) != len(o.Data) {
-		panic("tensor: MaxAbsDiff shape mismatch")
-	}
-	var mx float64
-	for i := range t.Data {
-		d := t.Data[i] - o.Data[i]
-		if a := real(d)*real(d) + imag(d)*imag(d); a > mx {
-			mx = a
-		}
-	}
-	return math.Sqrt(mx)
 }
 
 // Bytes returns the tensor's payload size in bytes (complex128 = 16 B).
@@ -137,23 +114,11 @@ func (t *Phonon) Block(iq, iw, a, slot int) []complex128 {
 	return t.Data[o : o+t.BlockLen()]
 }
 
-// Mat wraps block (iq, iw, a, slot) as a matrix view.
-func (t *Phonon) Mat(iq, iw, a, slot int) *linalg.Matrix {
-	return linalg.FromSlice(t.N3D, t.N3D, t.Block(iq, iw, a, slot))
-}
-
 // Plane returns the contiguous all-atom slice of one (qz, ω) point
 // (iw is the zero-based frequency index, m−1).
 func (t *Phonon) Plane(iq, iw int) []complex128 {
 	o := t.Index(iq, iw, 0, 0)
 	return t.Data[o : o+t.Na*t.NbP1*t.BlockLen()]
-}
-
-// Zero clears the tensor.
-func (t *Phonon) Zero() {
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
 }
 
 // Clone deep-copies the tensor.
