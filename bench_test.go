@@ -107,7 +107,7 @@ func BenchmarkNew(b *testing.B) {
 func BenchmarkDistributedLoop(b *testing.B) {
 	b.ReportAllocs()
 	dev := benchDevice()
-	opts := dist.DefaultOptions(4)
+	opts := dist.Options{Ranks: 4}
 	opts.MaxIter = 2
 	opts.Tol = 1e-300
 	b.ResetTimer()

@@ -157,14 +157,15 @@ type Cache struct {
 	decimations atomic.Int64
 }
 
-// Mode enumerates the §7.1.2 execution modes of the GF phase.
+// Mode enumerates the §7.1.2 execution modes of the GF phase. The zero
+// value is CacheBC, the default of every loop.
 type Mode int
 
 const (
-	// NoCache recomputes boundary conditions on every access.
-	NoCache Mode = iota
 	// CacheBC retains boundary-condition results across iterations.
-	CacheBC
+	CacheBC Mode = iota
+	// NoCache recomputes boundary conditions on every access.
+	NoCache
 )
 
 func (m Mode) String() string {

@@ -32,12 +32,10 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/bc"
 	"repro/internal/comm"
 	"repro/internal/decomp"
 	"repro/internal/device"
 	"repro/internal/negf"
-	"repro/internal/obs"
 )
 
 // Precision selects the numeric and wire format of the SSE phase; see
@@ -89,11 +87,11 @@ const (
 	// solves and collision partials — the §7.1.3 overlap.
 	ScheduleOverlap
 	// SchedulePipeline spans PipelineDepth iterations per graph on the
-	// same pool: iteration n+1's boundary and point solves start as soon
-	// as the mixed Σ≷/Π≷ of iteration n is available for their points,
-	// and a conv fence node per iteration discards speculated work when
-	// convergence (or a failure or cancellation riding the reduction)
-	// lands — only the iteration barrier is gone.
+	// same pool: iteration n+1's point solves start as soon as the mixed
+	// Σ≷/Π≷ of iteration n is available for their points, and a conv
+	// fence node per iteration discards speculated work when convergence
+	// (or a failure or cancellation riding the reduction) lands — only the
+	// iteration barrier is gone.
 	SchedulePipeline
 )
 
@@ -107,8 +105,11 @@ func (s Schedule) String() string {
 	return "phases"
 }
 
-// Options configures a distributed run.
+// Options configures a distributed run: the loop knobs the sequential
+// solver shares (negf.Loop), plus the world, its tiling, the schedule,
+// the precision and the probe.
 type Options struct {
+	negf.Loop
 	// Ranks is the simulated world size P.
 	Ranks int
 	// Ta, TE are the atom×energy tile split of the SSE exchange
@@ -117,18 +118,6 @@ type Options struct {
 	// small; leaving one zero infers it from the other (Ranks/Ta or
 	// Ranks/TE).
 	Ta, TE int
-	// CacheMode selects boundary-condition caching (§7.1.2); each rank
-	// holds its own cache covering only its owned points.
-	CacheMode bc.Mode
-	// Store, when non-nil, is the content-keyed boundary store every
-	// rank's cache sits over (negf.Options.Store); nil means no sharing.
-	Store *bc.Store
-	// Mixing is the linear self-consistency mixing factor in (0, 1].
-	Mixing float64
-	// MaxIter bounds the GF↔SSE iterations.
-	MaxIter int
-	// Tol is the relative change of the contact current at convergence.
-	Tol float64
 	// Schedule selects the execution order of the iteration graph
 	// (default SchedulePhases).
 	Schedule Schedule
@@ -157,47 +146,14 @@ type Options struct {
 	// in a deeper window would reinstate the cross-iteration barrier the
 	// window exists to remove.
 	ErrorProbe bool
-	// Progress, when non-nil, is invoked on rank 0 after every
-	// self-consistent iteration with that iteration's stats — the
-	// cancel/telemetry hook the qt facade threads a context and its
-	// streaming through. A non-nil return requests cancellation: a rank
-	// cannot abandon the collectives unilaterally, so the request rides
-	// the next iteration's observable reduction — no collective of its
-	// own, at the price of computing and discarding that one iteration —
-	// and Run returns the hook's error alongside the partial result, its
-	// trace truncated at the iteration the hook saw.
-	Progress func(IterStats) error
-	// Tracer, when non-nil, records per-phase spans for every rank —
-	// per-point BC/RGF solves (with the rank and a per-worker track),
-	// every graph node (exchange posts and waits, tile kernel, observable
-	// reduction, mixing) and the window envelope. A pool of two or more
-	// workers records its nodes on tracks 100+worker; a one-worker pool
-	// has no worker lanes, so its nodes go on the rank's own track 0. All
-	// ranks of the simulated world share one tracer; nil (the default)
-	// keeps the hot path allocation-free.
-	Tracer *obs.Tracer
-}
-
-// DefaultOptions returns the distributed counterpart of
-// negf.DefaultOptions for a P-rank world.
-func DefaultOptions(ranks int) Options {
-	def := negf.DefaultOptions()
-	return Options{
-		Ranks:     ranks,
-		Ta:        1,
-		TE:        ranks,
-		CacheMode: def.CacheMode,
-		Mixing:    def.Mixing,
-		MaxIter:   def.MaxIter,
-		Tol:       def.Tol,
-	}
 }
 
 // Validate reports whether the options describe a runnable
-// configuration, without running it — the facade's pre-flight check —
-// and returns them as Run will see them: every default filled and the
-// tile split inferred, so a caller that displays or hashes the resolved
-// Ta/TE/PipelineDepth reads them here instead of re-deriving the rules.
+// configuration, without running it — the facade's and the planner's
+// pre-flight check — and returns them as Run will see them: every default
+// filled, the tile split inferred and the schedule resolved, so a caller
+// that displays, hashes or scores the resolved Ta/TE/PipelineDepth/Workers
+// reads them here instead of re-deriving the rules.
 func (o Options) Validate() (Options, error) {
 	if o.Ranks <= 0 {
 		return o, fmt.Errorf("dist: world size must be positive, got %d", o.Ranks)
@@ -222,16 +178,7 @@ func (o Options) Validate() (Options, error) {
 	}
 	// Unset or out of range takes the sequential loop's default, by the
 	// rule negf.New applies.
-	def := negf.DefaultOptions()
-	if o.Mixing <= 0 || o.Mixing > 1 {
-		o.Mixing = def.Mixing
-	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = def.MaxIter
-	}
-	if o.Tol <= 0 {
-		o.Tol = def.Tol
-	}
+	o.Loop = o.Loop.WithDefaults()
 	if o.Precision != PrecisionFP64 && o.Precision != PrecisionMixed {
 		return o, fmt.Errorf("dist: unknown precision %d", o.Precision)
 	}

@@ -22,7 +22,7 @@ func TestLoopExchangeIsSSEExchange(t *testing.T) {
 	dev := testDevice(t)
 	for _, c := range []struct{ p, ta, te int }{{2, 1, 2}, {4, 2, 2}, {4, 1, 4}, {8, 4, 2}} {
 		t.Run(fmt.Sprintf("P%d_%dx%d", c.p, c.ta, c.te), func(t *testing.T) {
-			opts := DefaultOptions(c.p)
+			opts := Options{Ranks: c.p}
 			opts.Ta, opts.TE = c.ta, c.te
 			opts.MaxIter, opts.Tol = 1, 1e-300
 			res, err := Run(dev, opts)

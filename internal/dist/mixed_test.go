@@ -57,7 +57,7 @@ func TestMixedSchedulesAgree(t *testing.T) {
 func TestMixedHalvesMeasuredVolume(t *testing.T) {
 	dev := testDevice(t)
 	run := func(prec Precision) *Result {
-		opts := DefaultOptions(4)
+		opts := Options{Ranks: 4}
 		opts.MaxIter = 2
 		opts.Tol = 1e-300
 		opts.Precision = prec
@@ -93,7 +93,7 @@ func TestMixedHalvesMeasuredVolume(t *testing.T) {
 	// Model consistency: measured/modelled must not exceed 1 (the model
 	// charges the full halo including the locally owned share) and the
 	// modelled mixed/fp64 ratio must show the same reduction.
-	opts := DefaultOptions(4)
+	opts := Options{Ranks: 4}
 	opts, err := opts.Validate()
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestMixedErrorProbe(t *testing.T) {
 			}
 		}
 	})
-	deep := DefaultOptions(2)
+	deep := Options{Ranks: 2}
 	deep.Schedule = SchedulePipeline
 	deep.PipelineDepth = 2
 	deep.Precision = PrecisionMixed
@@ -192,7 +192,7 @@ func TestMixedErrorProbe(t *testing.T) {
 	dev := testDevice(t)
 
 	// fp64 runs must not report a deviation (probe is mixed-only).
-	opts := DefaultOptions(2)
+	opts := Options{Ranks: 2}
 	opts.MaxIter = 1
 	opts.Tol = 1e-300
 	opts.ErrorProbe = true

@@ -26,15 +26,12 @@ func newRankState(c *comm.Comm, dev *device.Device, opts Options) *rankState {
 	rs := &rankState{
 		c:     c,
 		dev:   dev,
-		ps:    negf.NewPointSolver(dev, opts.CacheMode),
+		ps:    opts.Loop.NewPointSolver(dev, r),
 		src:   decomp.NewOMENLayout(dev.P, opts.Ranks),
 		tiles: decomp.NewDaCeLayout(dev, opts.Ta, opts.TE),
 	}
 	rs.atomSets = rs.tiles.AtomSets()
 	rs.sh = negf.NewShard(dev, rs.src.OwnedPairs(r), rs.src.OwnedPhonon(r))
-	rs.ps.BC.Store = opts.Store
-	rs.ps.Trace = opts.Tracer
-	rs.ps.TraceRank = r
 	rs.in = &sse.Input{Dev: dev, GL: rs.ps.GL, GG: rs.ps.GG, DL: rs.ps.DL, DG: rs.ps.DG}
 	return rs
 }

@@ -39,7 +39,7 @@ func benchDevice(b *testing.B) *device.Device {
 func benchSchedule(b *testing.B, sched Schedule, workers, depth int) {
 	b.ReportAllocs()
 	dev := benchDevice(b)
-	opts := DefaultOptions(4)
+	opts := Options{Ranks: 4}
 	opts.Schedule = sched
 	opts.Workers = workers
 	opts.PipelineDepth = depth
@@ -62,8 +62,8 @@ func benchSchedule(b *testing.B, sched Schedule, workers, depth int) {
 func BenchmarkSchedulePhases(b *testing.B) { benchSchedule(b, SchedulePhases, 0, 0) }
 
 // Window depth 1 vs 2 at equal pool size: depth 1 drains the graph at
-// every iteration; depth 2 lets the next iteration's BC solves and
-// electron points start as soon as their mixed Σ is in, closing the
+// every iteration; depth 2 lets the next iteration's point solves start
+// as soon as their mixed Σ is in, closing the
 // cross-iteration bubble. Deeper windows only pay off when convergence is
 // far away.
 func BenchmarkScheduleWindowD1W2(b *testing.B) { benchSchedule(b, ScheduleOverlap, 2, 0) }

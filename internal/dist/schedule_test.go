@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/bc"
+	"repro/internal/decomp"
 	"repro/internal/device"
 	"repro/internal/negf"
+	"repro/internal/obs"
 	"repro/internal/sse"
 )
 
@@ -55,7 +58,7 @@ func (s sched) String() string {
 // makes that a run of exactly iters iterations (a tolerance no run can
 // meet).
 func (s sched) options(ranks int) Options {
-	o := DefaultOptions(ranks)
+	o := Options{Ranks: ranks}
 	o.Schedule, o.Workers, o.PipelineDepth = s.Schedule, s.workers, s.depth
 	return o
 }
@@ -116,8 +119,8 @@ func sequentialTrace(t *testing.T, iters int) []negf.IterStats {
 		return tr
 	}
 	s := negf.New(testDevice(t), negf.Options{
-		Kernel: sse.DaCe{}, CacheMode: bc.CacheBC,
-		Mixing: 0.5, MaxIter: iters, Tol: 1e-300,
+		Kernel: sse.DaCe{},
+		Loop:   negf.Loop{CacheMode: bc.CacheBC, Mixing: 0.5, MaxIter: iters, Tol: 1e-300},
 	})
 	if _, err := s.Run(); !errors.Is(err, negf.ErrNotConverged) {
 		t.Fatalf("reference run: expected ErrNotConverged, got %v", err)
@@ -413,7 +416,7 @@ func TestPipelineStopRequest(t *testing.T) { forEach(t, isPipeline, stopRequest)
 // discard any speculated iterations past the converged one, keep the
 // temperature accumulators at the converged iteration, and report the
 // sequential solver's converged state — the phases row's bit for bit. It
-// also covers NoCache mode (no BC nodes in the graph).
+// also covers NoCache mode.
 func converged(t *testing.T, s sched) {
 	dev := testDevice(t)
 	seq := negf.New(dev, negf.DefaultOptions())
@@ -460,6 +463,52 @@ func TestConvergedRun(t *testing.T)      { forEach(t, isPhases, converged) }
 func TestOverlapConverged(t *testing.T)  { forEach(t, isOverlap, converged) }
 func TestPipelineConverged(t *testing.T) { forEach(t, isPipeline, converged) }
 
+// graphShape pins one graph node per grid point: a traced run records,
+// per rank, one rgf/* task per owned point and iteration and no bc/*
+// task — the point solve looks its own boundaries up — and each rank
+// decimates exactly as often as the graph with a separate boundary node
+// per point did (the counts below were taken from that graph): two
+// contacts per owned point, once.
+func graphShape(t *testing.T, s sched) {
+	const iters = 3
+	for _, c := range []struct {
+		ranks      int
+		bcComputes []int
+	}{{1, []int{90}}, {2, []int{46, 44}}} {
+		opts := s.forced(c.ranks, iters)
+		trc := obs.NewTracer()
+		opts.Tracer = trc
+		res := mustRun(t, fmt.Sprint("P=", c.ranks), opts)
+		tasks := make([]map[string]int, c.ranks)
+		for r := range tasks {
+			tasks[r] = map[string]int{}
+		}
+		for _, sp := range trc.Trace().Spans {
+			if sp.Cat == "task" && (strings.HasPrefix(sp.Name, "rgf/") || strings.HasPrefix(sp.Name, "bc/")) {
+				tasks[sp.Rank][sp.Name]++
+			}
+		}
+		layout := decomp.NewOMENLayout(testDevice(t).P, c.ranks)
+		for r := range tasks {
+			want := map[string]int{}
+			for _, pt := range layout.OwnedPairs(r) {
+				want[fmt.Sprintf("rgf/el/%d,%d", pt[0], pt[1])] = iters
+			}
+			for _, pt := range layout.OwnedPhonon(r) {
+				want[fmt.Sprintf("rgf/ph/%d,%d", pt[0], pt[1])] = iters
+			}
+			if !reflect.DeepEqual(tasks[r], want) {
+				t.Errorf("P=%d rank %d: point tasks\n got %v\nwant %v", c.ranks, r, tasks[r], want)
+			}
+			if got := res.Load[r].BCComputes; got != c.bcComputes[r] {
+				t.Errorf("P=%d rank %d: %d decimations, want %d", c.ranks, r, got, c.bcComputes[r])
+			}
+		}
+	}
+}
+
+func TestGraphOneNodePerPoint(t *testing.T) { forEach(t, anySchedule, graphShape) }
+
 // TestSingleRankFoldBitwiseMatchesSequential: a one-rank world sweeps and
 // folds the same shard through the same negf code as the sequential
 // solver, so the first iteration's observables agree bit for bit — not
@@ -482,14 +531,14 @@ func TestSingleRankFoldBitwiseMatchesSequential(t *testing.T) {
 // TestSingleZeroTileField checks Validate infers the missing tile count.
 func TestSingleZeroTileField(t *testing.T) {
 	dev := testDevice(t)
-	opts := DefaultOptions(2)
+	opts := Options{Ranks: 2}
 	opts.Ta, opts.TE = 2, 0 // infer TE = 1
 	opts.MaxIter = 2
 	opts.Tol = 1e-300
 	if _, err := Run(dev, opts); err != nil && !errors.Is(err, negf.ErrNotConverged) {
 		t.Fatalf("Ta=2, TE=0 should infer TE=1: %v", err)
 	}
-	opts = DefaultOptions(3)
+	opts = Options{Ranks: 3}
 	opts.Ta, opts.TE = 2, 0 // 3 ranks not divisible by Ta=2
 	if _, err := Run(dev, opts); err == nil {
 		t.Fatal("indivisible tile split must be rejected")
@@ -507,18 +556,18 @@ func TestOptionValidation(t *testing.T) {
 		// NaN fails every range comparison, so without a finiteness check
 		// it would skip the defaults and reach tensor.MixSlice and the
 		// convergence test as is.
-		"NaN Mixing":  {Ranks: 2, Mixing: math.NaN()},
-		"+Inf Mixing": {Ranks: 2, Mixing: math.Inf(1)},
-		"NaN Tol":     {Ranks: 2, Tol: math.NaN()},
-		"+Inf Tol":    {Ranks: 2, Tol: math.Inf(1)},
-		"-Inf Tol":    {Ranks: 2, Tol: math.Inf(-1)},
+		"NaN Mixing":  {Ranks: 2, Loop: negf.Loop{Mixing: math.NaN()}},
+		"+Inf Mixing": {Ranks: 2, Loop: negf.Loop{Mixing: math.Inf(1)}},
+		"NaN Tol":     {Ranks: 2, Loop: negf.Loop{Tol: math.NaN()}},
+		"+Inf Tol":    {Ranks: 2, Loop: negf.Loop{Tol: math.Inf(1)}},
+		"-Inf Tol":    {Ranks: 2, Loop: negf.Loop{Tol: math.Inf(-1)}},
 	} {
 		if _, err := o.Validate(); err == nil {
 			t.Errorf("%s must be rejected", name)
 		}
 	}
 
-	o, err := (Options{Ranks: 2, Mixing: 0}).Validate()
+	o, err := (Options{Ranks: 2}).Validate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,8 +634,9 @@ func TestLoopDefaultsAgree(t *testing.T) {
 		{"out of range", 1.5, -3, -1e-5},
 		{"set", 0.25, 7, 1e-9},
 	} {
-		seq := negf.New(dev, negf.Options{Mixing: c.mixing, MaxIter: c.maxIter, Tol: c.tol}).Opts
-		par, err := (Options{Ranks: 2, Mixing: c.mixing, MaxIter: c.maxIter, Tol: c.tol}).Validate()
+		l := negf.Loop{Mixing: c.mixing, MaxIter: c.maxIter, Tol: c.tol}
+		seq := negf.New(dev, negf.Options{Loop: l}).Opts
+		par, err := (Options{Loop: l, Ranks: 2}).Validate()
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

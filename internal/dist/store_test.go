@@ -14,7 +14,7 @@ import (
 // often and decimates nothing — with the same observables bit for bit.
 // Under NoCache every lookup is a run, store or not.
 func TestBCComputesCountsDecimations(t *testing.T) {
-	opts := DefaultOptions(2)
+	opts := Options{Ranks: 2}
 	opts.MaxIter = 3
 	opts.Tol = 1e-300
 	opts.Store = bc.NewStore(bc.StoreBudget)

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bc"
 	"repro/internal/comm"
 	"repro/internal/decomp"
 	"repro/internal/device"
@@ -122,8 +121,8 @@ func (st *iterRun) try(step func(i int) error, i int) {
 // runRankWindow is one rank's life, under every schedule: opts arrives
 // resolved (Validate), and the schedule is by now only the window depth
 // opts.PipelineDepth and the pool size opts.Workers. The graph spans a
-// window of depth iterations, so iteration n+1's boundary and point solves
-// start as soon as iteration n's mixed Σ≷/Π≷ is available for their points
+// window of depth iterations, so iteration n+1's point solves start as
+// soon as iteration n's mixed Σ≷/Π≷ is available for their points
 // — the cross-iteration form of the §7.1.3 overlap; at depth 1 the window
 // drain is the iteration barrier and only the within-iteration overlap
 // remains, and on one worker the nodes run strictly one after another —
@@ -222,10 +221,10 @@ func runRankWindow(c *comm.Comm, dev *device.Device, opts Options, res *Result) 
 
 // buildWindowGraph lays out a window of w consecutive self-consistent
 // iterations as one dataflow graph — the only task-graph builder of the
-// package. Node kinds follow §4's SDFG: per-point boundary solves and RGF
-// solves, collision partials, the four SSE tile exchanges, the tile
-// kernel, mixing, and the observable reduction. Three things carry the
-// window:
+// package. Node kinds follow §4's SDFG: one solve per grid point (its
+// boundary lookup and RGF), collision partials, the four SSE tile
+// exchanges, the tile kernel, mixing, and the observable reduction. Three
+// things carry the window:
 //
 //   - mixing is split into per-point nodes, so iteration k+1's solve of a
 //     point depends only on the mixed Σ (or Π) of that same point — the
@@ -260,7 +259,7 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*iterRun,
 	redShare := reduceShare(c, vecLen(p))
 
 	var prevConv sdfg.NodeID = -1
-	var prevBCEl, prevBCPh, prevMixSig, prevMixPi []sdfg.NodeID
+	var prevMixSig, prevMixPi []sdfg.NodeID
 
 	for k := range win {
 		k := k
@@ -303,43 +302,28 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*iterRun,
 			}, deps...)
 		}
 
-		// ── GF solves: per point a BC node and a solve node, each a no-op
-		// once a point of this rank's shard has failed. A point's BC chain
-		// serializes on the previous iteration's BC node for the same
-		// point: the boundary depends only on (momentum, energy) — the
-		// iteration-lag bc.Cache tolerates trivially — so every iteration
-		// past the first is a guaranteed cache hit instead of a duplicated
-		// decimation. The solve additionally waits for the previous
-		// iteration's mix of that point's own Σ (or Π) plane.
+		// ── GF solves: one node per owned point, a no-op once a point of
+		// this rank's shard has failed. The solve looks its boundaries up
+		// where it runs: iteration 0 decimates them, and every later
+		// iteration's solve of the point already waits (through the
+		// previous iteration's mix of its own Σ or Π plane) for the
+		// solve that cached them, so it hits.
 		pairs, points := rs.sh.Pairs, rs.sh.Points
-		gfNodes := func(species string, pts [][2]int, prevBC, prevMix []sdfg.NodeID,
-			prepare, solve func(i int) error) (bcs, done []sdfg.NodeID) {
-			bcs = make([]sdfg.NodeID, len(pts))
-			done = make([]sdfg.NodeID, len(pts))
+		gfNodes := func(species string, pts [][2]int, prevMix []sdfg.NodeID, solve func(i int) error) []sdfg.NodeID {
+			done := make([]sdfg.NodeID, len(pts))
 			for i, pt := range pts {
 				var deps []sdfg.NodeID
-				if opts.CacheMode == bc.CacheBC {
-					var bdeps []sdfg.NodeID
-					if k > 0 {
-						bdeps = append(bdeps, prevBC[i])
-					}
-					bcs[i] = node(fmt.Sprintf("bc/%s/%d,%d", species, pt[0], pt[1]), sdfg.Compute,
-						func() { st.try(prepare, i) }, bdeps...)
-					deps = append(deps, bcs[i])
-				}
 				if k > 0 {
 					deps = append(deps, prevMix[i])
 				}
 				done[i] = node(fmt.Sprintf("rgf/%s/%d,%d", species, pt[0], pt[1]), sdfg.Compute,
 					func() { st.try(solve, i) }, deps...)
 			}
-			return bcs, done
+			return done
 		}
-		bcEl, elDone := gfNodes("el", pairs, prevBCEl, prevMixSig,
-			func(i int) error { return rs.ps.PrepareElectronBC(rs.sh, i) },
+		elDone := gfNodes("el", pairs, prevMixSig,
 			func(i int) error { return rs.ps.SolveElectron(rs.sh, i, st.points) })
-		bcPh, phDone := gfNodes("ph", points, prevBCPh, prevMixPi,
-			func(j int) error { return rs.ps.PreparePhononBC(rs.sh, j) },
+		phDone := gfNodes("ph", points, prevMixPi,
 			func(j int) error { return rs.ps.SolvePhonon(rs.sh, j, st.points) })
 
 		// Deterministic accumulation: the point solves land in slots, and
@@ -529,7 +513,6 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*iterRun,
 		}, convDeps...)
 
 		prevConv = conv
-		prevBCEl, prevBCPh = bcEl, bcPh
 		prevMixSig, prevMixPi = mixSig, mixPi
 	}
 	return g

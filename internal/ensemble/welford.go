@@ -8,9 +8,10 @@ import (
 )
 
 // welford is Welford's online mean/variance accumulator: numerically
-// stable single-pass moments, the streaming form the service-side
-// driver folds members into as they finish. stat() reports the unbiased
-// sample variance M2/(N−1).
+// stable single-pass moments. Reduce feeds it the finished members in
+// index order — both drivers, Study.Run and the service's, call Reduce
+// once, after the last member. stat() reports the unbiased sample
+// variance M2/(N−1).
 type welford struct {
 	n        int
 	mean, m2 float64

@@ -8,41 +8,14 @@ import (
 	"repro/internal/linalg"
 )
 
-// PrepareElectronBC computes the two contact boundary conditions of
-// electron pair i of the shard into the cache, without solving the point.
-// The boundary depends only on the bare Hamiltonian and the energy — not
-// on the scattering self-energies — so the task-graph runtime
-// (internal/sdfg) schedules it as its own node ahead of the RGF solve,
-// which then hits the cache. Only meaningful in bc.CacheBC mode; with
-// bc.NoCache the result would be recomputed anyway.
-func (s *PointSolver) PrepareElectronBC(sh *Shard, i int) error {
-	pr := sh.Pairs[i]
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	_, _, err := s.leadBCs(sc, 0, "bc/el", pr[0], pr[1], sh.hams[pr[0]], complex(s.Dev.P.Energy(pr[1]), s.Dev.P.Eta))
-	return electronErr(pr, err)
-}
-
-// PreparePhononBC is PrepareElectronBC for phonon point j of the shard:
-// the boundary blocks are (ω+iη)²·I − Φ with the bare dynamical matrix,
-// again independent of the scattering self-energies.
-func (s *PointSolver) PreparePhononBC(sh *Shard, j int) error {
-	pt := sh.Points[j]
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	z := complex(s.Dev.P.Omega(pt[1]), s.Dev.P.Eta)
-	_, _, err := s.leadBCs(sc, 2, "bc/ph", pt[0], pt[1], sh.dyns[pt[0]], z*z)
-	return phononErr(pt, err)
-}
-
 // leadBCs is the two-lead boundary lookup of grid point (i, j): the left
 // and right open-boundary results of the bare operator op at complex
 // energy z — cache sides side and side+1 (0, 1 electron; 2, 3 phonon) —
 // from the run's cache, else from the shared store under it, else
 // decimated on sc's workspace (idle outside solveRGF) and kept by both. It
-// is the only place a boundary is looked up, by the point solves and the
-// Prepare*BC nodes alike, so the "bc" span it records under the given
-// name is a decimation exactly where one ran and a hit everywhere else.
+// is the only place a boundary is looked up, inside the point solve that
+// needs it, so the "bc" span it records under the given name is a
+// decimation exactly where one ran and a hit everywhere else.
 func (s *PointSolver) leadBCs(sc *solveScratch, side int, span string, i, j int, op *blocktri.Matrix, z complex128) (left, right *bc.Result, err error) {
 	nb := s.Dev.P.Bnum
 	t0 := s.Trace.Begin()

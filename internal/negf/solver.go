@@ -18,11 +18,13 @@ import (
 	"repro/internal/sse"
 )
 
-// Options configures a solver run.
-type Options struct {
-	// Kernel selects the SSE implementation (default sse.DaCe{}).
-	Kernel sse.Kernel
-	// CacheMode selects boundary-condition caching (§7.1.2).
+// Loop is the one table of the knobs both self-consistent loops share:
+// Options embeds it for the sequential Solver, dist.Options for the
+// distributed window graph, and WithDefaults resolves it for both.
+type Loop struct {
+	// CacheMode selects boundary-condition caching (§7.1.2); the zero
+	// value is bc.CacheBC. A distributed rank's cache covers only its
+	// owned points.
 	CacheMode bc.Mode
 	// Store, when non-nil, shares Sancho–Rubio results with every other
 	// solve handed the same store: under bc.CacheBC a boundary this run
@@ -36,33 +38,72 @@ type Options struct {
 	MaxIter int
 	// Tol is the relative change of the contact current at convergence.
 	Tol float64
+	// Progress, when non-nil, is called after every self-consistent
+	// iteration with that iteration's stats (on rank 0 when distributed)
+	// — the cancel/telemetry hook the qt facade threads a context and its
+	// streaming through. A non-nil return stops the run, which returns
+	// the hook's error alongside the partial result. The sequential loop
+	// stops between iterations; a rank cannot abandon the collectives
+	// unilaterally, so a distributed run rides the request on the next
+	// iteration's observable reduction and discards that one iteration.
+	Progress func(IterStats) error
+	// Tracer, when non-nil, records per-phase spans into the run's trace:
+	// per-point BC and RGF solves, and the iteration and phase envelopes
+	// of the sequential loop or every graph node of a distributed rank.
+	// Nil — the default — costs one nil check per seam and keeps the hot
+	// path allocation-free.
+	Tracer *obs.Tracer
+}
+
+// WithDefaults returns l with every unset or out-of-range knob taken from
+// DefaultOptions: a Mixing outside (0, 1], a MaxIter below 1, a Tol that
+// is not positive and finite (NaN included) — under Tol ≤ 0 a run could
+// never converge, under +Inf it would at iteration 1. It is the one place
+// loop defaults are filled: New, dist.Options.Validate and qt call it.
+func (l Loop) WithDefaults() Loop {
+	def := DefaultOptions().Loop
+	if !(l.Mixing > 0 && l.Mixing <= 1) {
+		l.Mixing = def.Mixing
+	}
+	if l.MaxIter <= 0 {
+		l.MaxIter = def.MaxIter
+	}
+	if !(l.Tol > 0) || math.IsInf(l.Tol, 1) {
+		l.Tol = def.Tol
+	}
+	return l
+}
+
+// NewPointSolver is the point solver of one loop's GF phase over dev: a
+// boundary cache in CacheMode over Store, its spans traced into Tracer
+// under the given rank (0 for the sequential solver).
+func (l Loop) NewPointSolver(dev *device.Device, rank int) *PointSolver {
+	ps := NewPointSolver(dev, l.CacheMode)
+	ps.BC.Store = l.Store
+	ps.Trace = l.Tracer
+	ps.TraceRank = rank
+	return ps
+}
+
+// Options configures a solver run: the shared loop knobs plus the SSE
+// kernel and the accelerator only the sequential loop has.
+type Options struct {
+	Loop
+	// Kernel selects the SSE implementation (default sse.DaCe{}).
+	Kernel sse.Kernel
 	// Anderson enables depth-1 Anderson acceleration of the
 	// self-consistency iteration instead of plain linear mixing — an
 	// extension beyond the paper's solver (see anderson.go).
 	Anderson bool
-	// Progress, when non-nil, is called after every self-consistent
-	// iteration with that iteration's stats — the cancel/telemetry hook
-	// the qt facade threads a context and its streaming through.
-	// Returning a non-nil error stops the loop between iterations; Run
-	// returns that error (wrapped) alongside the partial observables.
-	Progress func(IterStats) error
-	// Tracer, when non-nil, records per-phase spans (iteration, GF/SSE
-	// phases, per-point BC and RGF solves) into the run's trace. Nil —
-	// the default — disables recording at the cost of one nil check per
-	// seam, keeping the hot path allocation-free.
-	Tracer *obs.Tracer
 }
 
 // DefaultOptions returns the settings used by the examples and tests. It
-// is the one table of loop defaults: New here, dist.Options.Validate and
-// the qt facade all fill an unset Mixing, MaxIter or Tol from it.
+// is the one table of loop defaults, which Loop.WithDefaults fills an
+// unset knob from.
 func DefaultOptions() Options {
 	return Options{
-		Kernel:    sse.DaCe{},
-		CacheMode: bc.CacheBC,
-		Mixing:    0.5,
-		MaxIter:   25,
-		Tol:       1e-5,
+		Kernel: sse.DaCe{},
+		Loop:   Loop{CacheMode: bc.CacheBC, Mixing: 0.5, MaxIter: 25, Tol: 1e-5},
 	}
 }
 
@@ -157,29 +198,18 @@ func ConvergenceStep(it int, cur, prev, tol float64) (residual float64, converge
 	return residual, residual < tol, nil
 }
 
-// New allocates a solver for dev. A zero or out-of-range Kernel, Mixing,
-// MaxIter or Tol takes its DefaultOptions value — the same resolution
+// New allocates a solver for dev. A nil Kernel takes sse.DaCe{}, and the
+// loop knobs resolve through Loop.WithDefaults — the resolution
 // dist.Options.Validate applies, so the two loops agree on an unset knob.
 func New(dev *device.Device, opts Options) *Solver {
-	def := DefaultOptions()
 	if opts.Kernel == nil {
-		opts.Kernel = def.Kernel
+		opts.Kernel = DefaultOptions().Kernel
 	}
-	if !(opts.Mixing > 0 && opts.Mixing <= 1) { // NaN is out of range too
-		opts.Mixing = def.Mixing
-	}
-	if opts.MaxIter <= 0 {
-		opts.MaxIter = def.MaxIter
-	}
-	if !(opts.Tol > 0) { // residual < 0 never holds: the loop could only end in ErrNotConverged
-		opts.Tol = def.Tol
-	}
+	opts.Loop = opts.Loop.WithDefaults()
 	s := &Solver{
-		PointSolver: NewPointSolver(dev, opts.CacheMode),
+		PointSolver: opts.NewPointSolver(dev, 0),
 		Opts:        opts,
 	}
-	s.PointSolver.BC.Store = opts.Store
-	s.PointSolver.Trace = opts.Tracer
 	s.shard = NewShard(dev, AllPairs(dev.P), AllPhononPoints(dev.P))
 	s.points = s.shard.NewResults()
 	return s

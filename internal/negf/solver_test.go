@@ -412,8 +412,25 @@ func TestNewDefaultsOutOfRangeMixing(t *testing.T) {
 		{math.NaN(), 0.5}, {math.Inf(1), 0.5}, {math.Inf(-1), 0.5},
 		{1, 1}, {0.3, 0.3},
 	} {
-		if got := New(dev, Options{Mixing: c.in}).Opts.Mixing; got != c.want {
+		if got := New(dev, Options{Loop: Loop{Mixing: c.in}}).Opts.Mixing; got != c.want {
 			t.Errorf("Mixing %g resolves to %g, want %g", c.in, got, c.want)
+		}
+	}
+}
+
+// TestNewDefaultsOutOfRangeTol: a tolerance that is not positive and
+// finite falls back to the default. Below zero the loop could only end in
+// ErrNotConverged; at +Inf every residual is under it, so a run would
+// report convergence at iteration 1.
+func TestNewDefaultsOutOfRangeTol(t *testing.T) {
+	dev := device.MustBuild(testParams())
+	for _, c := range []struct{ in, want float64 }{
+		{0, 1e-5}, {-1, 1e-5},
+		{math.NaN(), 1e-5}, {math.Inf(1), 1e-5}, {math.Inf(-1), 1e-5},
+		{1e-9, 1e-9},
+	} {
+		if got := New(dev, Options{Loop: Loop{Tol: c.in}}).Opts.Tol; got != c.want {
+			t.Errorf("Tol %g resolves to %g, want %g", c.in, got, c.want)
 		}
 	}
 }

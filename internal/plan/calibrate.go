@@ -3,16 +3,17 @@
 // validated against the paper's Table 6 shape through cmd/paperbench)
 // from a short probe run on the actual device, scores every candidate
 // plan (schedule × worker pool × window depth) in virtual time, and
-// returns the argmin. The qt facade surfaces it as WithAutoPlan; the
-// resolved plan is recorded in the run's content-addressed configuration.
+// returns the argmin. The qt facade surfaces it as RunConfig.AutoPlan;
+// the resolved plan is recorded in the run's content-addressed
+// configuration.
 //
 // Calibration contract: the probe runs two self-consistent iterations
 // of the phases schedule (the depth-1 window graph on one worker, so no
 // node's span is inflated by a sibling) on a single rank with tracing
-// enabled. The first iteration's bc/* nodes decimate every boundary;
-// every later lookup — the solve node's own and the second iteration's
-// — is a cache hit, and negf records each as a "bc" span where it runs,
-// so the first span of a point is the cold cost and the rest are warm.
+// enabled. The first iteration's point solves decimate every boundary;
+// the second iteration's lookups are cache hits, and negf records each
+// lookup as a "bc" span inside the solve that ran it, so the first span
+// of a point is the cold cost and the second is warm.
 // Per-point costs keep the minimum observed occurrence (noise-robust:
 // contention only inflates a span) while the per-iteration aggregates
 // (tile, residual, reduce) are averaged across both iterations — so the
@@ -66,7 +67,7 @@ func Calibrate(dev *device.Device) (Calibration, error) { return calibrate(dev, 
 // measures a store hit, which is what the planned run will pay too).
 func calibrate(dev *device.Device, store *bc.Store) (Calibration, error) {
 	trc := obs.NewTracer()
-	opts := dist.DefaultOptions(1) // SchedulePhases: every node on one worker, back to back
+	opts := dist.Options{Ranks: 1} // SchedulePhases: every node on one worker, back to back
 	opts.Store = store
 	opts.MaxIter = 2
 	opts.Tol = 1e-300 // never converge: we want exactly two iterations
@@ -117,8 +118,8 @@ func reduceTrace(tr *obs.Trace, iters int) Calibration {
 		case "reduce":
 			reduce += float64(sp.Dur)
 		case "task":
-			// Executor node envelopes: the bc/* and rgf/* nodes re-cover
-			// their bc/rgf spans, so the residual (accum/collision/mix/...)
+			// Executor node envelopes: the rgf/* nodes re-cover their bc
+			// and rgf spans, so the residual (accum/collision/mix/...)
 			// is the task total minus the inner categories, folded in
 			// below — the one-time decimation is not part of it.
 			misc += float64(sp.Dur)

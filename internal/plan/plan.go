@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/bc"
 	"repro/internal/decomp"
@@ -78,11 +79,16 @@ func candidates() []Candidate {
 // Predict scores one candidate: the modeled steady-state makespan of one
 // self-consistent iteration on the most-loaded rank, in nanoseconds of
 // virtual time — sdfg.Simulate on a model of the per-rank window graph
-// dist builds, at the candidate's depth and pool size. A depth-1 window
-// on one worker (SchedulePhases) is a strict FIFO — the GF phase
-// computes, the exchange copies, the tile computes, the reduction copies
-// — so it scores as the plain sum.
+// dist builds, at the window depth and pool size dist.Options.Validate
+// resolves the candidate to. A candidate dist would refuse to run scores
+// +Inf. A depth-1 window on one worker (SchedulePhases) is a strict
+// FIFO — the GF phase computes, the exchange copies, the tile computes,
+// the reduction copies — so it scores as the plain sum.
 func Predict(p device.Params, ranks int, cal Calibration, c Candidate) float64 {
+	o, err := dist.Options{Ranks: ranks, Schedule: c.Schedule, Workers: c.Workers, PipelineDepth: c.PipelineDepth}.Validate()
+	if err != nil {
+		return math.Inf(1)
+	}
 	nEl := ceilDiv(len(negf.AllPairs(p)), ranks)
 	nPh := ceilDiv(len(negf.AllPhononPoints(p)), ranks)
 	elNs := cal.BCWarmNs + cal.ElNs
@@ -90,19 +96,12 @@ func Predict(p device.Params, ranks int, cal Calibration, c Candidate) float64 {
 	exchNs := model.DaCeCommVolume(p, 1, ranks) / float64(ranks) * cal.CopyNsPerByte
 	tileNs := cal.TileNs * tileShare(p, 1, ranks)
 
-	d, workers := 1, c.Workers
-	switch c.Schedule {
-	case dist.SchedulePhases:
-		workers = 1
-	case dist.SchedulePipeline:
-		d = max(1, c.PipelineDepth)
-	}
 	g := sdfg.New()
 	var release []sdfg.NodeID
-	for k := 0; k < d; k++ {
+	for k := 0; k < o.PipelineDepth; k++ {
 		release = addIteration(g, release, nEl, nPh, elNs, phNs, exchNs, tileNs, cal)
 	}
-	return sdfg.Simulate(g, workers) / float64(d)
+	return sdfg.Simulate(g, o.Workers) / float64(o.PipelineDepth)
 }
 
 // tileShare is the fraction of a full-grid SSE tile that the slowest rank

@@ -110,6 +110,38 @@ func TestCandidates(t *testing.T) {
 	}
 }
 
+// TestCandidatesAreWhatDistRuns: the planner prices the schedule dist
+// runs. Every candidate validates as a dist.Options, no two resolve to
+// the same (window depth, pool size) — the same execution priced twice —
+// and a candidate dist would refuse scores +Inf instead of being priced
+// as some other schedule.
+func TestCandidatesAreWhatDistRuns(t *testing.T) {
+	seen := map[[2]int]Candidate{}
+	for _, c := range candidates() {
+		o, err := dist.Options{Ranks: 4, Schedule: c.Schedule, Workers: c.Workers, PipelineDepth: c.PipelineDepth}.Validate()
+		if err != nil {
+			t.Errorf("%+v does not validate: %v", c, err)
+			continue
+		}
+		k := [2]int{o.PipelineDepth, o.Workers}
+		if prev, dup := seen[k]; dup {
+			t.Errorf("%+v and %+v both resolve to depth %d × %d workers", prev, c, k[0], k[1])
+		}
+		seen[k] = c
+	}
+	p := testDevice(t).P
+	for _, c := range []Candidate{
+		{Schedule: dist.ScheduleOverlap, Workers: 2, PipelineDepth: 3},
+		{Schedule: dist.SchedulePhases, Workers: 1, PipelineDepth: 2},
+		{Schedule: dist.SchedulePipeline, Workers: 2, PipelineDepth: -1},
+		{Schedule: dist.Schedule(99), Workers: 2},
+	} {
+		if got := Predict(p, 4, testCal(), c); !math.IsInf(got, 1) {
+			t.Errorf("invalid %+v scored %g, want +Inf", c, got)
+		}
+	}
+}
+
 // TestChooseArgmin runs the full selection against the synthetic
 // calibration (no probe) and checks the pick is the true argmin of the
 // enumerated predictions — the acceptance property of the autotuner.

@@ -148,17 +148,10 @@ func (s *Simulation) resolve() error {
 		return err
 	}
 
-	// The loop defaults are negf's: the one table both loops read.
-	def := negf.DefaultOptions()
-	if rc.MaxIterations == 0 {
-		rc.MaxIterations = def.MaxIter
-	}
-	if rc.Tolerance == 0 {
-		rc.Tolerance = def.Tol
-	}
-	if rc.Mixing == 0 {
-		rc.Mixing = def.Mixing
-	}
+	// The loop defaults are negf's, filled by the rule both loops apply;
+	// every knob left is zero (absent) or was judged in range above.
+	l := negf.Loop{Mixing: rc.Mixing, MaxIter: rc.MaxIterations, Tol: rc.Tolerance}.WithDefaults()
+	rc.Mixing, rc.MaxIterations, rc.Tolerance = l.Mixing, l.MaxIter, l.Tol
 
 	// A plan that arrives with its schedule named is a recorded one.
 	recorded := rc.AutoPlan && rc.Schedule != ""

@@ -62,7 +62,7 @@ func TestFacadeMatchesDistributedSolver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := dist.DefaultOptions(ranks)
+		opts := dist.Options{Ranks: ranks}
 		opts.MaxIter = iters
 		opts.Tol = 1e-300
 		if prec == Mixed {

@@ -85,29 +85,24 @@ func (s *Simulation) PlanString() string {
 	return str
 }
 
-// loopOptions lowers the knobs the two self-consistent loops share, over
-// negf's defaults. It returns them as negf.Options; distOptions carries
-// them over by name.
-func (s *Simulation) loopOptions(progress func(IterStats) error, tracer *obs.Tracer) negf.Options {
-	o := negf.DefaultOptions()
-	if s.cfg.NoBoundaryCache {
-		o.CacheMode = bc.NoCache
+// loop lowers the knobs the two self-consistent loops share: the one
+// negf.Loop both solvers' options embed. The loops fill what is unset.
+func (s *Simulation) loop(progress func(IterStats) error, tracer *obs.Tracer) negf.Loop {
+	l := negf.Loop{
+		Store: s.store, Mixing: s.cfg.Mixing, MaxIter: s.cfg.MaxIterations, Tol: s.cfg.Tolerance,
+		Progress: progress, Tracer: tracer,
 	}
-	o.Store = s.store
-	o.Mixing = s.cfg.Mixing
-	o.MaxIter = s.cfg.MaxIterations
-	o.Tol = s.cfg.Tolerance
-	o.Progress = progress
-	o.Tracer = tracer
-	return o
+	if s.cfg.NoBoundaryCache {
+		l.CacheMode = bc.NoCache
+	}
+	return l
 }
 
 // negfOptions lowers the configuration for the sequential solver: the
 // loop knobs plus the accelerator and the SSE kernel, when it is not the
 // default one.
 func (s *Simulation) negfOptions(progress func(IterStats) error, tracer *obs.Tracer) negf.Options {
-	o := s.loopOptions(progress, tracer)
-	o.Anderson = s.cfg.Anderson
+	o := negf.Options{Loop: s.loop(progress, tracer), Anderson: s.cfg.Anderson}
 	switch {
 	case s.cfg.precision() == Mixed:
 		o.Kernel = sse.Mixed{Normalize: true}
@@ -120,14 +115,11 @@ func (s *Simulation) negfOptions(progress func(IterStats) error, tracer *obs.Tra
 // distOptions lowers the configuration for the distributed solver: the
 // loop knobs plus the world, the tile split and the plan.
 func (s *Simulation) distOptions(progress func(IterStats) error, tracer *obs.Tracer) dist.Options {
-	l := s.loopOptions(progress, tracer)
 	return dist.Options{
+		Loop:  s.loop(progress, tracer),
 		Ranks: s.cfg.Ranks, Ta: s.cfg.TileA, TE: s.cfg.TileE,
-		CacheMode: l.CacheMode, Store: l.Store,
-		Mixing: l.Mixing, MaxIter: l.MaxIter, Tol: l.Tol,
 		Schedule: s.cfg.schedule(), Workers: s.cfg.Workers, PipelineDepth: s.cfg.PipelineDepth,
 		Precision: s.cfg.precision(), ErrorProbe: s.cfg.ErrorProbe,
-		Progress: l.Progress, Tracer: l.Tracer,
 	}
 }
 

@@ -124,34 +124,33 @@ func TestTraceChangesKey(t *testing.T) {
 }
 
 // TestTraceBCSpansWhereTheDecimationRuns: the "bc" span is recorded by the
-// boundary lookup itself, so under the task graph the cold decimation of
-// iteration 0 shows inside its bc/* task envelope — not as a nanosecond
-// cache hit in the solve node while the real cost hides in the task span —
-// and every later lookup of the point is a hit orders of magnitude
-// shorter.
+// boundary lookup itself, inside the point solve that needs it, so under
+// the task graph the cold decimation of iteration 0 shows inside the
+// point's rgf/* task envelope, and the next iteration's lookup of the
+// point is a hit orders of magnitude shorter.
 func TestTraceBCSpansWhereTheDecimationRuns(t *testing.T) {
 	// A private store: this package's other tests have long decimated
 	// smallSpec's leads into the process-wide one.
 	_, res := solveOver(t, bc.NewStore(bc.StoreBudget), RunConfig{Spec: smallSpec(), Trace: true, Ranks: 2, MaxIterations: 2, Tolerance: 1e-300})
 	type point struct {
 		rank int
-		name string // "bc/el/ik,ie" — the task label, rebuilt from a bc span
+		name string // "rgf/el/ik,ie" — the task label, rebuilt from a bc span
 	}
-	tasks := map[point]obs.Span{} // first (iteration-0) bc/* task of each point
+	tasks := map[point]obs.Span{} // first (iteration-0) rgf/* task of each point
 	lookups := map[point][]obs.Span{}
 	for _, sp := range res.Spans.Spans {
 		switch {
-		case sp.Cat == "task" && strings.HasPrefix(sp.Name, "bc/"):
+		case sp.Cat == "task" && strings.HasPrefix(sp.Name, "rgf/"):
 			if _, seen := tasks[point{sp.Rank, sp.Name}]; !seen {
 				tasks[point{sp.Rank, sp.Name}] = sp
 			}
 		case sp.Cat == "bc":
-			k := point{sp.Rank, fmt.Sprintf("%s/%d,%d", sp.Name, sp.I, sp.J)}
+			k := point{sp.Rank, fmt.Sprintf("rgf/%s/%d,%d", strings.TrimPrefix(sp.Name, "bc/"), sp.I, sp.J)}
 			lookups[k] = append(lookups[k], sp)
 		}
 	}
 	if len(tasks) == 0 {
-		t.Fatal("traced graph run recorded no bc/* tasks")
+		t.Fatal("traced graph run recorded no rgf/* tasks")
 	}
 	// Wall-clock spans on a shared host: one preempted goroutine stretches
 	// a 100 ns lookup into milliseconds, so judge medians and a quorum,
@@ -160,16 +159,14 @@ func TestTraceBCSpansWhereTheDecimationRuns(t *testing.T) {
 	enclosed := 0
 	for k, task := range tasks {
 		spans := lookups[k]
-		// Two iterations × (bc node + solve node) lookups per point.
-		if len(spans) != 4 {
-			t.Errorf("%v: %d bc spans, want 4", k, len(spans))
+		// One lookup per point solve, two iterations.
+		if len(spans) != 2 {
+			t.Errorf("%v: %d bc spans, want 2", k, len(spans))
 			continue
 		}
 		first := spans[0]
 		cold = append(cold, first.Dur)
-		for _, sp := range spans[1:] {
-			warm = append(warm, sp.Dur)
-		}
+		warm = append(warm, spans[1].Dur)
 		// The executor and the tracer read the clock separately, so allow
 		// the envelope a few microseconds of skew, not a whole span.
 		lo, hi := max(first.Start, task.Start), min(first.Start+first.Dur, task.Start+task.Dur)
@@ -181,11 +178,11 @@ func TestTraceBCSpansWhereTheDecimationRuns(t *testing.T) {
 		return
 	}
 	if 10*enclosed < 9*len(tasks) {
-		t.Errorf("only %d of %d cold bc spans lie inside their bc/* task envelope", enclosed, len(tasks))
+		t.Errorf("only %d of %d cold bc spans lie inside their rgf/* task envelope", enclosed, len(tasks))
 	}
 	slices.Sort(cold)
 	slices.Sort(warm)
 	if c, w := cold[len(cold)/2], warm[len(warm)/2]; c < 10*w {
-		t.Errorf("median first lookup %d ns vs median later lookup %d ns: the first must be the decimation, the rest cache hits", c, w)
+		t.Errorf("median first lookup %d ns vs median later lookup %d ns: the first must be the decimation, the second a cache hit", c, w)
 	}
 }

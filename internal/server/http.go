@@ -191,7 +191,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	report.Write(w, f, rec.Report)
 }
 
-// handleTrace serves the Chrome trace-event artifact of a WithTrace run
+// handleTrace serves the Chrome trace-event artifact of a RunConfig.Trace run
 // (load it in Perfetto / chrome://tracing). 409 distinguishes "run known
 // but not traced (or not finished)" from an unknown id.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {

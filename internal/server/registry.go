@@ -91,8 +91,9 @@ type Registry struct {
 	dir     string
 	runs    *table[Record]
 	studies *table[studyRecord]
-	// traces holds the Chrome-trace artifacts of WithTrace runs, encoded
-	// JSON by run ID; the disk form is <id>.trace.json next to the record.
+	// traces holds the Chrome-trace artifacts of RunConfig.Trace runs,
+	// encoded JSON by run ID; the disk form is <id>.trace.json next to the
+	// record.
 	traces map[string][]byte
 }
 
