@@ -81,15 +81,18 @@ func GEMM(alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta complex12
 
 // The row-panel bounds: a product whose op(B) panel, k·n elements, is at
 // most its level's bound (rowPanelMaxKN) runs on the unpacked row-panel
-// kernel, which re-reads the whole panel for every pair of C rows; larger
-// ones are packed. On the 2-vCPU AVX-512 Xeon of bench/README.md the zmm
-// panel's median beat the AVX2 packed micro-kernel by ≥ 8 % on all four
-// BenchmarkGEMM rows (NoTrans, Trans, ConjTrans and the RGF shape) up to
-// n = 96 and tied three of them at 128 (BenchmarkRowPanelVsPacked, 9–18
-// alternated runs). The ymm panel and the Go loops keep the 48×48 of the
-// 2-vCPU AVX2 Xeon, where the row panel ran square products a fifth to a
-// third faster than packing at n = 32–48 and tied or lost at 64
-// (internal/README.md, "Dense kernel layer", has both sweeps). A bound
+// kernel, whose zmm slices read the whole panel once per group of eight
+// C rows (four or two in a block's last rows) and whose ymm and xmm
+// slices read it once per pair; larger ones are packed. On the 2-vCPU
+// AVX-512 Xeon of bench/README.md the zmm panel's median, when it still
+// read the panel once per row pair, beat the AVX2 packed micro-kernel by
+// ≥ 8 % on all four BenchmarkGEMM rows (NoTrans, Trans, ConjTrans and the
+// RGF shape) up to n = 96 and tied three of them at 128
+// (BenchmarkRowPanelVsPacked, 9–18 alternated runs); on the row groups
+// it beats packing at 128 too. The ymm panel and the Go loops keep the
+// 48×48 of the 2-vCPU AVX2 Xeon, where the row panel ran square products
+// a fifth to a third faster than packing at n = 32–48 and tied or lost
+// at 64 (internal/README.md, "Dense kernel layer", has the sweeps). A bound
 // must not exceed gemmMC·gemmKC (checked below at compile time):
 // gemmRowPanel packs op(A) in blocks of that many elements, at least one
 // row each.

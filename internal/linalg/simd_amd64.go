@@ -160,16 +160,18 @@ func sumMul3x4(acc *[12]complex128, x0, x1, x2, y []complex128, k, n int) {
 	}
 }
 
-// rowZMM, a mode bit of smallBatchAsm only, runs the zmm column slices of
-// four complex ahead of the ymm and xmm ones. Set it on AVX-512 hosts alone:
-// elsewhere the zmm instructions fault.
+// rowZMM, a mode bit of smallBatchAsm only, runs every column in zmm
+// slices of four complex, the last one masked, over row groups of up to
+// eight, in place of the ymm and xmm slices over row pairs. Set it on
+// AVX-512 hosts alone: elsewhere the zmm instructions fault.
 const rowZMM = rowSkipZero << 1
 
 //go:noescape
 func smallBatchAsm(c, a, b *complex128, m, n, k, count, aStride, bStride, mode int)
 
 // smallBatch runs the row-panel kernel smallBatchGo describes
-// (m, n, k, count ≥ 1). Rows shorter than one zmm skip the zmm test.
+// (m, n, k, count ≥ 1). Rows shorter than one zmm run the ymm and xmm
+// slices.
 func smallBatch(c, a, b []complex128, m, n, k, count, aStride, bStride, mode int) {
 	switch {
 	case haveAVX512 && n >= 4:

@@ -262,16 +262,17 @@ GLOBL signRe<>(SB), RODATA|NOPTR, $64
 	VPERMILPD $0x55, b, bs; \
 	VMULPD    Z31, bs, bs
 
-// MADDZ(ar, ai, b, bs, acc): acc += a·b for the complex a at ar/ai and the
-// four complex b in b (bs from SIGNSWAPZ): per lane ar·b + ai·bs, the ymm
-// sequence's VADDSUBPD as a plain add.
-#define MADDZ(ar, ai, b, bs, acc) \
-	VBROADCASTSD ar, Z8; \
-	VBROADCASTSD ai, Z9; \
-	VMULPD       b, Z8, Z10; \
-	VMULPD       bs, Z9, Z11; \
-	VADDPD       Z11, Z10, Z10; \
-	VADDPD       Z10, acc, acc
+// MADDZ(ar, ai, b, bs, tr, ti, acc): acc += a·b for the complex a at ar/ai
+// and the four complex b in b (bs from SIGNSWAPZ): per lane ar·b + ai·bs,
+// the ymm sequence's VADDSUBPD as a plain add. tr and ti take the
+// broadcasts of ar and ai, then their products.
+#define MADDZ(ar, ai, b, bs, tr, ti, acc) \
+	VBROADCASTSD ar, tr; \
+	VBROADCASTSD ai, ti; \
+	VMULPD       b, tr, tr; \
+	VMULPD       bs, ti, ti; \
+	VADDPD       ti, tr, tr; \
+	VADDPD       tr, acc, acc
 
 // func vecAddMulAVX512(dst, src *complex128, n int, s complex128)
 //
@@ -577,12 +578,12 @@ twok8:
 	VMOVUPD (DI)(R13*1), Z14
 	SIGNSWAPZ(Z12, Z13)
 	SIGNSWAPZ(Z14, Z15)
-	MADDZ((R8), 8(R8), Z12, Z13, Z0)
-	MADDZ((R8)(R12*1), 8(R8)(R12*1), Z14, Z15, Z3)
-	MADDZ((R9), 8(R9), Z12, Z13, Z1)
-	MADDZ((R9)(R12*1), 8(R9)(R12*1), Z14, Z15, Z4)
-	MADDZ((R10), 8(R10), Z12, Z13, Z2)
-	MADDZ((R10)(R12*1), 8(R10)(R12*1), Z14, Z15, Z5)
+	MADDZ((R8), 8(R8), Z12, Z13, Z8, Z9, Z0)
+	MADDZ((R8)(R12*1), 8(R8)(R12*1), Z14, Z15, Z10, Z11, Z3)
+	MADDZ((R9), 8(R9), Z12, Z13, Z8, Z9, Z1)
+	MADDZ((R9)(R12*1), 8(R9)(R12*1), Z14, Z15, Z10, Z11, Z4)
+	MADDZ((R10), 8(R10), Z12, Z13, Z8, Z9, Z2)
+	MADDZ((R10)(R12*1), 8(R10)(R12*1), Z14, Z15, Z10, Z11, Z5)
 	ADDQ    $16, R8
 	ADDQ    $16, R9
 	ADDQ    $16, R10
@@ -614,9 +615,9 @@ one8:
 onek8:
 	VMOVUPD (DI), Z12
 	SIGNSWAPZ(Z12, Z13)
-	MADDZ((R8), 8(R8), Z12, Z13, Z0)
-	MADDZ((R9), 8(R9), Z12, Z13, Z1)
-	MADDZ((R10), 8(R10), Z12, Z13, Z2)
+	MADDZ((R8), 8(R8), Z12, Z13, Z8, Z9, Z0)
+	MADDZ((R9), 8(R9), Z12, Z13, Z8, Z9, Z1)
+	MADDZ((R10), 8(R10), Z12, Z13, Z8, Z9, Z2)
 	ADDQ    $16, R8
 	ADDQ    $16, R9
 	ADDQ    $16, R10
@@ -668,33 +669,52 @@ done8:
 // The row-panel kernel, smallBatchGo's loop: for t in [0, count),
 // C[t] (m×n) = A[t] (m×k) · B[t] (k×n), row-major blocks, A[t] at
 // a + t·aStride, B[t] at b + t·bStride, C[t] at c + t·m·n (strides in
-// elements; m, n, k, count ≥ 1). Rows go in pairs, and each pair in column
-// slices: of four complex (one zmm) when mode has rowZMM (bit 2, AVX-512
-// hosts only), then of two (one ymm), then one xmm slice for odd n. A
-// slice starts from +0, or from C when mode has rowFromC (bit 0), and adds
-// a_ip·B[t][p][slice] for ascending p, so every element sees the roundings
-// of smallBatchGo, while the pair shares each B load. For odd m the last
-// row is paired with itself: both halves compute the same bits and store
-// them to the same place. When mode has rowSkipZero (bit 1) an a_ip of ±0
-// contributes nothing, smallBatchGo's av == 0 skip.
+// elements; m, n, k, count ≥ 1). A C element starts from +0, or from C
+// when mode has rowFromC (bit 0), and adds a_ip·B[t][p][j] for ascending
+// p, so every element sees the roundings of smallBatchGo, whichever C
+// elements share a load of B; when mode has rowSkipZero (bit 1) an a_ip
+// of ±0 contributes nothing, smallBatchGo's av == 0 skip.
 //
+// Under rowZMM (bit 2, AVX-512 hosts only) the rows go in groups of
+// eight, then at most one group of four, then pairs, an odd last row
+// paired with itself (both halves compute the same bits and store them
+// to the same place), and each group in zmm column slices of four
+// complex, the last one masked to the n mod 4 columns left: K1 holds the
+// slice's lanes, K3 (all eight) or K2 (the last slice's), its loads zero
+// the other lanes and its stores leave them, so nothing past an operand
+// is touched. Each step p of a slice loads B's slice, swaps and signs it
+// once and feeds every row of the group, so a group of eight streams B
+// once where row pairs streamed it four times. Registers: DX the block
+// B[t], DI its C[t] row of the group, AX its A[t] row, R10 the A row
+// length in bytes (0 for a row paired with itself), SI 3·R10, R12 the C
+// and B row length in bytes, BX rows left, CX slices left, R13 the
+// slice's top in B[t], R14 the a_ip of the group's first row at step p,
+// R9 that of its fifth (groups of eight) or the distance in C to a pair's
+// second row (0 when paired with itself), R15 the B[t] slice of step p,
+// R8 steps left, R11 scratch; Z0–Z7 accumulate rows 0–7 of a group,
+// Z(8+2j) and Z(9+2j) broadcast row j's a_ip and take its products,
+// Z24/Z25 B's slice and its signed swap, Z31 signRe. That is every
+// general register but SP and the frame pointer, so A[t] advances in its
+// argument slot.
+//
+// Otherwise the rows go in pairs, an odd last row paired with itself, and
+// each pair in ymm slices of two complex, then one xmm slice for odd n.
 // Registers: DI the C element being written (C is dense, so it only
 // advances), SI/DX the blocks A[t]/B[t], R12 the C and B row length in
 // bytes, AX the pair's first row of A[t], R10 and R9 the distance to its
 // second row in A and in C (0 when paired with itself), BX rows left, CX
 // slices left, R13 the slice's top in B[t], R14/R15 the a_ip and B[t]
-// slice of step p, R8 steps left, R11 the mode, then scratch; Z31 holds
-// signRe under rowZMM. The block count counts down in its argument slot.
+// slice of step p, R8 steps left, R11 the mode, then scratch.
+//
+// Either way the block count counts down in its argument slot.
 TEXT ·smallBatchAsm(SB), NOSPLIT, $0-80
-	MOVQ    c+0(FP), DI
-	MOVQ    a+8(FP), SI
-	MOVQ    b+16(FP), DX
-	MOVQ    n+32(FP), R12
-	SHLQ    $4, R12
-	MOVQ    mode+72(FP), R11
-	TESTQ   $4, R11
-	JZ      block6
-	VMOVUPD signRe<>(SB), Z31
+	MOVQ  c+0(FP), DI
+	MOVQ  a+8(FP), SI
+	MOVQ  b+16(FP), DX
+	MOVQ  n+32(FP), R12
+	SHLQ  $4, R12
+	TESTQ $4, mode+72(FP)
+	JNZ   zmm6
 
 block6:
 	MOVQ SI, AX
@@ -710,71 +730,8 @@ pair6:
 	XORQ R9, R9
 
 rows6:
-	MOVQ  DX, R13
-	MOVQ  n+32(FP), CX
-	MOVQ  mode+72(FP), R11
-	TESTQ $4, R11
-	JZ    ymm6
-	SHRQ  $2, CX
-	JZ    ymmtail6
-
-slicez6:
-	MOVQ  AX, R14
-	MOVQ  R13, R15
-	MOVQ  k+40(FP), R8
-	MOVQ  mode+72(FP), R11
-	TESTQ $1, R11
-	JNZ   loadz6
-	VPXORQ Z0, Z0, Z0
-	VPXORQ Z1, Z1, Z1
-	JMP   startz6
-
-loadz6:
-	VMOVUPD (DI), Z0
-	VMOVUPD (DI)(R9*1), Z1
-
-startz6:
-	TESTQ $2, R11
-	JZ    allz6
-
-skipz6:
-	VMOVUPD (R15), Z12
-	SIGNSWAPZ(Z12, Z13)
-	SKIPZERO((R14), 8(R14), onez6)
-	MADDZ((R14), 8(R14), Z12, Z13, Z0)
-
-onez6:
-	SKIPZERO((R14)(R10*1), 8(R14)(R10*1), nextz6)
-	MADDZ((R14)(R10*1), 8(R14)(R10*1), Z12, Z13, Z1)
-
-nextz6:
-	ADDQ $16, R14
-	ADDQ R12, R15
-	DECQ R8
-	JNZ  skipz6
-	JMP  storez6
-
-allz6:
-	VMOVUPD (R15), Z12
-	SIGNSWAPZ(Z12, Z13)
-	MADDZ((R14), 8(R14), Z12, Z13, Z0)
-	MADDZ((R14)(R10*1), 8(R14)(R10*1), Z12, Z13, Z1)
-	ADDQ $16, R14
-	ADDQ R12, R15
-	DECQ R8
-	JNZ  allz6
-
-storez6:
-	VMOVUPD Z0, (DI)
-	VMOVUPD Z1, (DI)(R9*1)
-	ADDQ    $64, DI
-	ADDQ    $64, R13
-	DECQ    CX
-	JNZ     slicez6
-
-ymmtail6:
+	MOVQ DX, R13
 	MOVQ n+32(FP), CX
-	ANDQ $3, CX
 
 ymm6:
 	SHRQ $1, CX
@@ -902,6 +859,363 @@ next6:
 	ADDQ R11, DX
 	DECQ count+48(FP)
 	JNZ  block6
+
+	VZEROUPPER
+	RET
+
+zmm6:
+	VMOVUPD signRe<>(SB), Z31
+	MOVQ    $0xff, R11
+	KMOVW   R11, K3
+	KMOVW   R11, K2
+	MOVQ    n+32(FP), CX
+	ANDQ    $3, CX
+	JZ      blockz6
+	SHLQ    $1, CX
+	MOVQ    $1, R11
+	SHLQ    CX, R11
+	DECQ    R11
+	KMOVW   R11, K2
+
+blockz6:
+	MOVQ a+8(FP), AX
+	MOVQ k+40(FP), R10
+	SHLQ $4, R10
+	LEAQ (R10)(R10*2), SI
+	MOVQ m+24(FP), BX
+	CMPQ BX, $8
+	JLT  group4
+
+group8:
+	MOVQ DX, R13
+	MOVQ n+32(FP), CX
+	ADDQ $3, CX
+	SHRQ $2, CX
+
+g8slice:
+	KMOVW K3, K1
+	CMPQ  CX, $1
+	JNE   g8lanes
+	KMOVW K2, K1
+
+g8lanes:
+	MOVQ  AX, R14
+	LEAQ  (AX)(R10*4), R9
+	MOVQ  R13, R15
+	MOVQ  k+40(FP), R8
+	TESTQ $1, mode+72(FP)
+	JNZ   g8load
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	JMP   g8start
+
+g8load:
+	MOVQ    R13, R11
+	SUBQ    DX, R11
+	ADDQ    DI, R11
+	VMOVUPD.Z (R11), K1, Z0
+	ADDQ    R12, R11
+	VMOVUPD.Z (R11), K1, Z1
+	ADDQ    R12, R11
+	VMOVUPD.Z (R11), K1, Z2
+	ADDQ    R12, R11
+	VMOVUPD.Z (R11), K1, Z3
+	ADDQ    R12, R11
+	VMOVUPD.Z (R11), K1, Z4
+	ADDQ    R12, R11
+	VMOVUPD.Z (R11), K1, Z5
+	ADDQ    R12, R11
+	VMOVUPD.Z (R11), K1, Z6
+	ADDQ    R12, R11
+	VMOVUPD.Z (R11), K1, Z7
+
+g8start:
+	TESTQ $2, mode+72(FP)
+	JZ    g8all
+
+g8skip:
+	VMOVUPD.Z (R15), K1, Z24
+	SIGNSWAPZ(Z24, Z25)
+	SKIPZERO((R14), 8(R14), g8row1)
+	MADDZ((R14), 8(R14), Z24, Z25, Z8, Z9, Z0)
+
+g8row1:
+	SKIPZERO((R14)(R10*1), 8(R14)(R10*1), g8row2)
+	MADDZ((R14)(R10*1), 8(R14)(R10*1), Z24, Z25, Z10, Z11, Z1)
+
+g8row2:
+	SKIPZERO((R14)(R10*2), 8(R14)(R10*2), g8row3)
+	MADDZ((R14)(R10*2), 8(R14)(R10*2), Z24, Z25, Z12, Z13, Z2)
+
+g8row3:
+	SKIPZERO((R14)(SI*1), 8(R14)(SI*1), g8row4)
+	MADDZ((R14)(SI*1), 8(R14)(SI*1), Z24, Z25, Z14, Z15, Z3)
+
+g8row4:
+	SKIPZERO((R9), 8(R9), g8row5)
+	MADDZ((R9), 8(R9), Z24, Z25, Z16, Z17, Z4)
+
+g8row5:
+	SKIPZERO((R9)(R10*1), 8(R9)(R10*1), g8row6)
+	MADDZ((R9)(R10*1), 8(R9)(R10*1), Z24, Z25, Z18, Z19, Z5)
+
+g8row6:
+	SKIPZERO((R9)(R10*2), 8(R9)(R10*2), g8row7)
+	MADDZ((R9)(R10*2), 8(R9)(R10*2), Z24, Z25, Z20, Z21, Z6)
+
+g8row7:
+	SKIPZERO((R9)(SI*1), 8(R9)(SI*1), g8next)
+	MADDZ((R9)(SI*1), 8(R9)(SI*1), Z24, Z25, Z22, Z23, Z7)
+
+g8next:
+	ADDQ $16, R14
+	ADDQ $16, R9
+	ADDQ R12, R15
+	DECQ R8
+	JNZ  g8skip
+	JMP  g8store
+
+g8all:
+	VMOVUPD.Z (R15), K1, Z24
+	SIGNSWAPZ(Z24, Z25)
+	MADDZ((R14), 8(R14), Z24, Z25, Z8, Z9, Z0)
+	MADDZ((R14)(R10*1), 8(R14)(R10*1), Z24, Z25, Z10, Z11, Z1)
+	MADDZ((R14)(R10*2), 8(R14)(R10*2), Z24, Z25, Z12, Z13, Z2)
+	MADDZ((R14)(SI*1), 8(R14)(SI*1), Z24, Z25, Z14, Z15, Z3)
+	MADDZ((R9), 8(R9), Z24, Z25, Z16, Z17, Z4)
+	MADDZ((R9)(R10*1), 8(R9)(R10*1), Z24, Z25, Z18, Z19, Z5)
+	MADDZ((R9)(R10*2), 8(R9)(R10*2), Z24, Z25, Z20, Z21, Z6)
+	MADDZ((R9)(SI*1), 8(R9)(SI*1), Z24, Z25, Z22, Z23, Z7)
+	ADDQ $16, R14
+	ADDQ $16, R9
+	ADDQ R12, R15
+	DECQ R8
+	JNZ  g8all
+
+g8store:
+	MOVQ    R13, R11
+	SUBQ    DX, R11
+	ADDQ    DI, R11
+	VMOVUPD Z0, K1, (R11)
+	ADDQ    R12, R11
+	VMOVUPD Z1, K1, (R11)
+	ADDQ    R12, R11
+	VMOVUPD Z2, K1, (R11)
+	ADDQ    R12, R11
+	VMOVUPD Z3, K1, (R11)
+	ADDQ    R12, R11
+	VMOVUPD Z4, K1, (R11)
+	ADDQ    R12, R11
+	VMOVUPD Z5, K1, (R11)
+	ADDQ    R12, R11
+	VMOVUPD Z6, K1, (R11)
+	ADDQ    R12, R11
+	VMOVUPD Z7, K1, (R11)
+	ADDQ    $64, R13
+	DECQ    CX
+	JNZ     g8slice
+	LEAQ    (DI)(R12*8), DI
+	LEAQ    (AX)(R10*8), AX
+	SUBQ    $8, BX
+	CMPQ    BX, $8
+	JGE     group8
+
+group4:
+	CMPQ BX, $4
+	JLT  group2
+	MOVQ DX, R13
+	MOVQ n+32(FP), CX
+	ADDQ $3, CX
+	SHRQ $2, CX
+
+g4slice:
+	KMOVW K3, K1
+	CMPQ  CX, $1
+	JNE   g4lanes
+	KMOVW K2, K1
+
+g4lanes:
+	MOVQ  AX, R14
+	MOVQ  R13, R15
+	MOVQ  k+40(FP), R8
+	TESTQ $1, mode+72(FP)
+	JNZ   g4load
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	JMP   g4start
+
+g4load:
+	MOVQ    R13, R11
+	SUBQ    DX, R11
+	ADDQ    DI, R11
+	VMOVUPD.Z (R11), K1, Z0
+	ADDQ    R12, R11
+	VMOVUPD.Z (R11), K1, Z1
+	ADDQ    R12, R11
+	VMOVUPD.Z (R11), K1, Z2
+	ADDQ    R12, R11
+	VMOVUPD.Z (R11), K1, Z3
+
+g4start:
+	TESTQ $2, mode+72(FP)
+	JZ    g4all
+
+g4skip:
+	VMOVUPD.Z (R15), K1, Z24
+	SIGNSWAPZ(Z24, Z25)
+	SKIPZERO((R14), 8(R14), g4row1)
+	MADDZ((R14), 8(R14), Z24, Z25, Z8, Z9, Z0)
+
+g4row1:
+	SKIPZERO((R14)(R10*1), 8(R14)(R10*1), g4row2)
+	MADDZ((R14)(R10*1), 8(R14)(R10*1), Z24, Z25, Z10, Z11, Z1)
+
+g4row2:
+	SKIPZERO((R14)(R10*2), 8(R14)(R10*2), g4row3)
+	MADDZ((R14)(R10*2), 8(R14)(R10*2), Z24, Z25, Z12, Z13, Z2)
+
+g4row3:
+	SKIPZERO((R14)(SI*1), 8(R14)(SI*1), g4next)
+	MADDZ((R14)(SI*1), 8(R14)(SI*1), Z24, Z25, Z14, Z15, Z3)
+
+g4next:
+	ADDQ $16, R14
+	ADDQ R12, R15
+	DECQ R8
+	JNZ  g4skip
+	JMP  g4store
+
+g4all:
+	VMOVUPD.Z (R15), K1, Z24
+	SIGNSWAPZ(Z24, Z25)
+	MADDZ((R14), 8(R14), Z24, Z25, Z8, Z9, Z0)
+	MADDZ((R14)(R10*1), 8(R14)(R10*1), Z24, Z25, Z10, Z11, Z1)
+	MADDZ((R14)(R10*2), 8(R14)(R10*2), Z24, Z25, Z12, Z13, Z2)
+	MADDZ((R14)(SI*1), 8(R14)(SI*1), Z24, Z25, Z14, Z15, Z3)
+	ADDQ $16, R14
+	ADDQ R12, R15
+	DECQ R8
+	JNZ  g4all
+
+g4store:
+	MOVQ    R13, R11
+	SUBQ    DX, R11
+	ADDQ    DI, R11
+	VMOVUPD Z0, K1, (R11)
+	ADDQ    R12, R11
+	VMOVUPD Z1, K1, (R11)
+	ADDQ    R12, R11
+	VMOVUPD Z2, K1, (R11)
+	ADDQ    R12, R11
+	VMOVUPD Z3, K1, (R11)
+	ADDQ    $64, R13
+	DECQ    CX
+	JNZ     g4slice
+	LEAQ    (DI)(R12*4), DI
+	LEAQ    (AX)(R10*4), AX
+	SUBQ    $4, BX
+
+group2:
+	TESTQ BX, BX
+	JZ    nextz6
+	MOVQ  R12, R9
+	CMPQ  BX, $1
+	JNE   pairz6
+	XORQ  R10, R10
+	XORQ  R9, R9
+
+pairz6:
+	MOVQ DX, R13
+	MOVQ n+32(FP), CX
+	ADDQ $3, CX
+	SHRQ $2, CX
+
+g2slice:
+	KMOVW K3, K1
+	CMPQ  CX, $1
+	JNE   g2lanes
+	KMOVW K2, K1
+
+g2lanes:
+	MOVQ  AX, R14
+	MOVQ  R13, R15
+	MOVQ  k+40(FP), R8
+	TESTQ $1, mode+72(FP)
+	JNZ   g2load
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	JMP   g2start
+
+g2load:
+	MOVQ    R13, R11
+	SUBQ    DX, R11
+	ADDQ    DI, R11
+	VMOVUPD.Z (R11), K1, Z0
+	VMOVUPD.Z (R11)(R9*1), K1, Z1
+
+g2start:
+	TESTQ $2, mode+72(FP)
+	JZ    g2all
+
+g2skip:
+	VMOVUPD.Z (R15), K1, Z24
+	SIGNSWAPZ(Z24, Z25)
+	SKIPZERO((R14), 8(R14), g2row1)
+	MADDZ((R14), 8(R14), Z24, Z25, Z8, Z9, Z0)
+
+g2row1:
+	SKIPZERO((R14)(R10*1), 8(R14)(R10*1), g2next)
+	MADDZ((R14)(R10*1), 8(R14)(R10*1), Z24, Z25, Z10, Z11, Z1)
+
+g2next:
+	ADDQ $16, R14
+	ADDQ R12, R15
+	DECQ R8
+	JNZ  g2skip
+	JMP  g2store
+
+g2all:
+	VMOVUPD.Z (R15), K1, Z24
+	SIGNSWAPZ(Z24, Z25)
+	MADDZ((R14), 8(R14), Z24, Z25, Z8, Z9, Z0)
+	MADDZ((R14)(R10*1), 8(R14)(R10*1), Z24, Z25, Z10, Z11, Z1)
+	ADDQ $16, R14
+	ADDQ R12, R15
+	DECQ R8
+	JNZ  g2all
+
+g2store:
+	MOVQ    R13, R11
+	SUBQ    DX, R11
+	ADDQ    DI, R11
+	VMOVUPD Z0, K1, (R11)
+	VMOVUPD Z1, K1, (R11)(R9*1)
+	ADDQ    $64, R13
+	DECQ    CX
+	JNZ     g2slice
+	ADDQ    R12, DI
+	ADDQ    R9, DI
+	LEAQ    (AX)(R10*2), AX
+	SUBQ    $2, BX
+	JG      group2
+
+nextz6:
+	MOVQ aStride+56(FP), R11
+	SHLQ $4, R11
+	ADDQ R11, a+8(FP)
+	MOVQ bStride+64(FP), R11
+	SHLQ $4, R11
+	ADDQ R11, DX
+	DECQ count+48(FP)
+	JNZ  blockz6
 
 	VZEROUPPER
 	RET

@@ -267,18 +267,21 @@ func smallBatchRun(t *testing.T, rng *rand.Rand, m, n, k, count, aStride, bStrid
 }
 
 // rowPanelNs are the row lengths that reach every slice combination of the
-// row-panel kernel — zmm slices of four complex, then a ymm slice of two,
-// then an xmm one — with none, one and several zmm slices: n mod 4 ∈
-// {0, 1, 2, 3} below four and above, the SSE tile's 12 and 18, and 47 and
-// 48, rows of many zmm slices.
+// row-panel kernel — zmm slices of four complex, the last masked to the
+// n mod 4 columns left, at AVX-512; ymm slices of two, then an xmm one,
+// below n = 4 and at AVX2 — with none, one and several full slices:
+// n mod 4 ∈ {0, 1, 2, 3} below four and above, the SSE tile's 12 and 18,
+// and 47 and 48, rows of many zmm slices.
 var rowPanelNs = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 18, 47, 48}
 
 // TestSmallBatchMatchesGo pins the dispatched row-panel kernel at every
-// level (its zmm, ymm and xmm slices, for odd m its self-paired last row)
+// level (its zmm slices over row groups of eight, four and two, its ymm
+// and xmm slices over row pairs, the odd last row paired with itself)
 // bitwise against the portable loop: every square n the SSE tile could
 // meet up to 13 and those of rowPanelNs under both SmallBatch contracts,
 // with empty, single and longer batches, fixed A, fixed B, both strided
-// with B wider than n²; then rectangular m×k·k×n blocks, n from
+// with B wider than n²; then rectangular m×k·k×n blocks, m from 1 to 17
+// (every combination of the groups' tails) plus 24 and 64, n from
 // rowPanelNs, under all four mode combinations, GEMM's rowFromC-alone
 // included, over special values that separate them.
 func TestSmallBatchMatchesGo(t *testing.T) {
@@ -293,7 +296,11 @@ func TestSmallBatchMatchesGo(t *testing.T) {
 			}
 		}
 	}
-	for _, m := range []int{1, 2, 3, 5, 8} {
+	ms := []int{24, 64}
+	for m := 1; m <= 17; m++ {
+		ms = append(ms, m)
+	}
+	for _, m := range ms {
 		for _, n := range rowPanelNs {
 			for _, k := range []int{1, 2, 5, 13} {
 				la, lb := m*k, k*n
@@ -352,20 +359,25 @@ func TestSmallBatchContracts(t *testing.T) {
 	})
 }
 
-// FuzzSmallBatch extends TestSmallBatchMatchesGo to any block size, batch
-// length and stride layout: at every level the dispatched kernel must
-// equal the portable loop bit for bit.
+// FuzzSmallBatch extends TestSmallBatchMatchesGo to any block shape —
+// m (up to 40, so several groups of eight and every tail), n and k drawn
+// apart, square blocks going through SmallBatch itself — batch length,
+// stride layout and mode: at every level the dispatched kernel must equal
+// the portable loop bit for bit.
 func FuzzSmallBatch(f *testing.F) {
-	f.Add(uint8(2), uint8(5), int64(1))
-	f.Add(uint8(3), uint8(1), int64(2))
-	f.Add(uint8(4), uint8(9), int64(3))
-	f.Add(uint8(12), uint8(2), int64(4))
-	f.Fuzz(func(t *testing.T, n, count uint8, seed int64) {
+	f.Add(uint8(2), uint8(2), uint8(2), uint8(5), int64(1))
+	f.Add(uint8(3), uint8(3), uint8(3), uint8(1), int64(2))
+	f.Add(uint8(4), uint8(4), uint8(4), uint8(9), int64(3))
+	f.Add(uint8(12), uint8(12), uint8(12), uint8(2), int64(4))
+	f.Add(uint8(15), uint8(6), uint8(13), uint8(3), int64(5))
+	f.Add(uint8(39), uint8(24), uint8(1), uint8(1), int64(6))
+	f.Fuzz(func(t *testing.T, m, n, k, count uint8, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
-		nn, cnt := 1+int(n)%25, int(count)%17
-		bl := nn * nn
-		strides := []int{0, bl, bl + rng.Intn(2*bl+1)}
-		smallBatchRun(t, rng, nn, nn, nn, cnt, strides[rng.Intn(3)], strides[rng.Intn(3)], []int{0, rowFromC | rowSkipZero}[rng.Intn(2)])
+		mm, nn, kk, cnt := 1+int(m)%40, 1+int(n)%25, 1+int(k)%25, int(count)%17
+		la, lb := mm*kk, kk*nn
+		aStrides := []int{0, la, la + rng.Intn(2*la+1)}
+		bStrides := []int{0, lb, lb + rng.Intn(2*lb+1)}
+		smallBatchRun(t, rng, mm, nn, kk, cnt, aStrides[rng.Intn(3)], bStrides[rng.Intn(3)], rng.Intn(rowFromC|rowSkipZero+1))
 		t.Logf("levels: %s", strings.Join(simdLevels(), " "))
 	})
 }

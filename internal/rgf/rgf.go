@@ -16,6 +16,7 @@ package rgf
 
 import (
 	"fmt"
+	"math/cmplx"
 
 	"repro/internal/blocktri"
 	"repro/internal/linalg"
@@ -171,14 +172,16 @@ func SolveInto(p *Problem, ws *linalg.Workspace, sol *Solution) (*Solution, erro
 	// with Xᴴ = A_{i+1,i}ᴴ·gA_{i+1} and Uᴴ = A_{i,i+1}ᴴ·GA_ii. Every line
 	// is exact for general Σ≷; only G≷_{i+1,i} = −(G≷_{i,i+1})ᴴ assumes
 	// anti-Hermitian injections. Signs and sums ride the GEMM's alpha and
-	// beta, and ᴴ operands are consumed by its packing, so the step
-	// materializes three temporaries (X, U, g≷·Uᴴ) and writes everything
-	// else straight into the Solution blocks.
+	// beta. Xᴴ and Uᴴ are taken once per interface and enter their six
+	// products as stored — the conjugates a ConjTrans operand would be
+	// packed into on every call — so the step materializes five
+	// temporaries (X, U, Xᴴ, Uᴴ, g≷·Uᴴ) and writes everything else
+	// straight into the Solution blocks.
 	s := sol
 	s.GR[0] = gR[0]
 	s.GL[0] = gL[0]
 	s.GG[0] = gG[0]
-	const nt, ct = linalg.NoTrans, linalg.ConjTrans
+	const nt = linalg.NoTrans
 	for i := 0; i+1 < nb; i++ {
 		n, m := a.Sizes[i], a.Sizes[i+1]
 		gRn, GRi := gR[i+1], s.GR[i]
@@ -187,6 +190,8 @@ func SolveInto(p *Problem, ws *linalg.Workspace, sol *Solution) (*Solution, erro
 		u := ws.Get(n, m)
 		ws.MulInto(x, gRn, a.Lower[i])
 		ws.MulInto(u, GRi, a.Upper[i])
+		xH := linalg.HInto(ws.Get(n, m), x)
+		uH := linalg.HInto(ws.Get(m, n), u)
 
 		s.GRUpper[i] = ws.Get(n, m)
 		ws.GEMM(-1, u, nt, gRn, nt, 0, s.GRUpper[i])
@@ -198,14 +203,13 @@ func SolveInto(p *Problem, ws *linalg.Workspace, sol *Solution) (*Solution, erro
 		lesserGreater := func(gn, Gi *linalg.Matrix) (upper, lower, diag *linalg.Matrix) {
 			upper = ws.Get(n, m)
 			ws.GEMM(-1, u, nt, gn, nt, 0, upper)
-			ws.GEMM(-1, Gi, nt, x, ct, 1, upper)
-			lower = linalg.HInto(ws.Get(m, n), upper)
-			linalg.Scale(lower, -1, lower)
+			ws.GEMM(-1, Gi, nt, xH, nt, 1, upper)
+			lower = negHInto(ws.Get(m, n), upper)
 			diag = ws.Get(m, m)
 			diag.CopyFrom(gn)
 			ws.GEMM(-1, x, nt, upper, nt, 1, diag)
-			ws.GEMM(1, gn, nt, u, ct, 0, z)
-			ws.GEMM(1, z, nt, x, ct, 1, diag)
+			ws.GEMM(1, gn, nt, uH, nt, 0, z)
+			ws.GEMM(1, z, nt, xH, nt, 1, diag)
 			return upper, lower, diag
 		}
 		s.GLUpper[i], s.GLLower[i], s.GL[i+1] = lesserGreater(gL[i+1], s.GL[i])
@@ -213,9 +217,28 @@ func SolveInto(p *Problem, ws *linalg.Workspace, sol *Solution) (*Solution, erro
 
 		ws.Put(x)
 		ws.Put(u)
+		ws.Put(xH)
+		ws.Put(uH)
 		ws.Put(z)
 	}
 	return s, nil
+}
+
+// negHInto stores −aᴴ into dst, which must not alias a, in one pass and
+// returns dst. Each element is the complex product −1·conj(a_ji) that
+// HInto followed by linalg.Scale(dst, −1, dst) forms, signed zeros
+// included: the real part of −1·(+0 − 1i) is +0, not −0.
+func negHInto(dst, a *linalg.Matrix) *linalg.Matrix {
+	if dst.Rows != a.Cols || dst.Cols != a.Rows {
+		panic(fmt.Sprintf("rgf: negHInto shape mismatch %dx%d <- (%dx%d)ᴴ", dst.Rows, dst.Cols, a.Rows, a.Cols))
+	}
+	neg := complex(-1, 0)
+	for i := 0; i < a.Rows; i++ {
+		for j, v := range a.Row(i) {
+			dst.Data[j*dst.Cols+i] = neg * cmplx.Conj(v)
+		}
+	}
+	return dst
 }
 
 // DenseReference solves the same problem by dense inversion:

@@ -1,6 +1,7 @@
 package rgf
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -318,4 +319,29 @@ func BenchmarkRGFSolveColdWorkspace(b *testing.B) {
 // solve runs the RGF recursion on a fresh workspace and solution.
 func solve(p *Problem) (*Solution, error) {
 	return SolveInto(p, linalg.NewWorkspace(), nil)
+}
+
+// TestNegHIntoMatchesHIntoScale pins the one-pass −aᴴ of the forward step
+// to the HInto-then-Scale(−1) pair it replaced, bit for bit with NaN
+// payloads aside, over the operands that separate a product by −1 from a negation:
+// signed zeros facing either sign of the other part, and Inf, whose
+// product with the zero imaginary part of −1 is NaN.
+func TestNegHIntoMatchesHIntoScale(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	parts := []float64{0, negZero, 1, -1, math.Inf(1), math.Inf(-1)}
+	a := linalg.New(len(parts), len(parts)+1)
+	for i := range a.Data {
+		a.Data[i] = complex(parts[i%len(parts)], parts[(i/len(parts))%len(parts)])
+	}
+	want := linalg.HInto(linalg.New(a.Cols, a.Rows), a)
+	linalg.Scale(want, -1, want)
+	got := negHInto(linalg.New(a.Cols, a.Rows), a)
+	same := func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y) || math.IsNaN(x) && math.IsNaN(y)
+	}
+	for i, w := range want.Data {
+		if g := got.Data[i]; !same(real(g), real(w)) || !same(imag(g), imag(w)) {
+			t.Fatalf("elem %d: negHInto %v, HInto+Scale %v", i, g, w)
+		}
+	}
 }
