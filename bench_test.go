@@ -1,6 +1,6 @@
 // Package repro's root benchmarks time the solver end to end — one
-// sequential GF↔SSE iteration, one SSE tile, the facade's set-up and the
-// distributed loop — plus the ablations of the paper's design choices
+// GF↔SSE iteration of the negf kit, one SSE tile, the facade's set-up and
+// the self-consistent loop — plus the ablations of the paper's design choices
 // (ablation_test.go) and their correctness counterparts (repro_test.go).
 // The paper's tables and figures, including the kernel timings of Tables
 // 7–10, are regenerated by:
@@ -101,23 +101,33 @@ func BenchmarkNew(b *testing.B) {
 	}
 }
 
-// BenchmarkDistributedLoop runs the full GF↔SSE self-consistent loop on
-// 4 simulated ranks for two iterations — the end-to-end cost the paper's
-// distributed solver pays per convergence step.
+// BenchmarkDistributedLoop runs the full GF↔SSE self-consistent loop for
+// two iterations — the end-to-end cost the paper's distributed solver
+// pays per convergence step — on 4 simulated ranks, and on the one-rank
+// world a qt run without ranks executes (the overlap order on a pool of
+// two workers). The ranks=1 row's allocs/op is CI's allocation guard of
+// the one loop.
 func BenchmarkDistributedLoop(b *testing.B) {
-	b.ReportAllocs()
 	dev := benchDevice()
-	opts := dist.Options{Ranks: 4}
-	opts.MaxIter = 2
-	opts.Tol = 1e-300
-	b.ResetTimer()
-	var bytes int64
-	for i := 0; i < b.N; i++ {
-		res, err := dist.Run(dev, opts)
-		if err != nil && !errors.Is(err, negf.ErrNotConverged) {
-			b.Fatal(err)
-		}
-		bytes = res.Comm.BytesSent
+	for _, ranks := range []int{4, 1} {
+		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
+			b.ReportAllocs()
+			opts := dist.Options{Ranks: ranks}
+			if ranks == 1 {
+				opts.Schedule, opts.Workers = dist.ScheduleOverlap, 2
+			}
+			opts.MaxIter = 2
+			opts.Tol = 1e-300
+			b.ResetTimer()
+			var bytes int64
+			for i := 0; i < b.N; i++ {
+				res, err := dist.Run(dev, opts)
+				if err != nil && !errors.Is(err, negf.ErrNotConverged) {
+					b.Fatal(err)
+				}
+				bytes = res.Comm.BytesSent
+			}
+			b.ReportMetric(float64(bytes), "bytes/run")
+		})
 	}
-	b.ReportMetric(float64(bytes), "bytes/run")
 }

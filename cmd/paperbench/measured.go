@@ -7,12 +7,14 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"repro/internal/batch"
 	"repro/internal/comm"
 	"repro/internal/decomp"
 	"repro/internal/device"
+	"repro/internal/dist"
 	"repro/internal/linalg"
 	"repro/internal/model"
 	"repro/internal/negf"
@@ -50,24 +52,21 @@ func measuredDevice(quick bool) *device.Device {
 	return dev
 }
 
-// kernelTrace runs the sequential self-consistent loop on spec's device
-// with SSE kernel k for a fixed iteration count and returns the
-// per-iteration currents.
+// kernelTrace runs the self-consistent loop on spec's device — the
+// one-rank window graph — with SSE kernel k for a fixed iteration count
+// and returns the per-iteration currents.
 func kernelTrace(spec qt.Spec, iters int, k sse.Kernel) []float64 {
 	dev, err := spec.Build()
 	if err != nil {
 		panic(err)
 	}
-	opts := negf.DefaultOptions()
-	opts.Kernel = k
-	opts.MaxIter = iters
-	opts.Tol = 1e-300
-	s := negf.New(dev, opts)
-	if _, err := s.Run(); err != nil && !errors.Is(err, negf.ErrNotConverged) {
+	res, err := dist.Run(dev, dist.Options{Ranks: 1, Schedule: dist.ScheduleOverlap, Workers: runtime.GOMAXPROCS(0),
+		Loop: negf.Loop{Kernel: k, MaxIter: iters, Tol: 1e-300}})
+	if err != nil && !errors.Is(err, negf.ErrNotConverged) {
 		panic(err)
 	}
-	tr := make([]float64, len(s.IterTrace))
-	for i, it := range s.IterTrace {
+	tr := make([]float64, len(res.IterTrace))
+	for i, it := range res.IterTrace {
 		tr[i] = it.Current
 	}
 	return tr

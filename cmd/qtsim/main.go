@@ -4,10 +4,10 @@
 // interface currents, energy currents, dissipated power, and the
 // atomically resolved lattice temperature.
 //
-// The solver matrix is fully reachable: -ranks 0 runs the sequential
-// solver, -ranks P the distributed one (with -schedule
-// phases|overlap|pipeline and -depth for the pipelined window), and
-// -kernel selects the SSE variant. -autoplan calibrates a cost model on
+// The solver matrix is fully reachable: -ranks 0 runs without ranks (the
+// one-rank window graph, where -kernel selects the SSE variant), -ranks P
+// on P simulated ranks (with -schedule phases|overlap|pipeline and -depth
+// for the pipelined window). -autoplan calibrates a cost model on
 // a short probe run and picks the plan — schedule, workers, pipeline
 // depth — automatically; the resolved plan prints in the report header.
 // -format text|json|csv selects the report encoding (internal/report,
@@ -58,7 +58,7 @@ func main() {
 	profileFile := flag.String("profile", "", "JSON device profile (regions, gates, doping, vacancies, strain)")
 	dseed := flag.Uint64("dseed", 1, "disorder realization seed (requires -profile)")
 	members := flag.Int("ensemble", 0, "average N disorder realizations, seeds dseed..dseed+N-1 (requires -profile)")
-	ranks := flag.Int("ranks", 0, "simulated MPI world size (0 = sequential solver)")
+	ranks := flag.Int("ranks", 0, "simulated MPI world size (0 = no ranks: one in-process rank)")
 	schedule := flag.String("schedule", "phases", "distributed schedule: phases | overlap | pipeline")
 	depth := flag.Int("depth", 0, "pipelined-iteration window depth (with -schedule pipeline; 0 = solver default)")
 	autoplan := flag.Bool("autoplan", false, "autotune the plan (schedule, workers, pipeline depth) from a calibrated cost model (requires -ranks)")
@@ -242,9 +242,7 @@ func printPanels(sim *qt.Simulation, res *qt.Result) {
 			}
 		}
 	}
-	// The LDOS is a single-node diagnostic the distributed solver does
-	// not aggregate; print it only when it was computed.
-	if len(obs.LDOS) >= p.Bnum && dosMax > 0 {
+	if dosMax > 0 {
 		fmt.Println("\nlocal density of states (rows = E descending, cols = slabs; '#' ∝ weight):")
 		for n := p.NE - 1; n >= 0; n-- {
 			fmt.Printf("  E=%+5.2f ", p.Energy(n))

@@ -1,5 +1,5 @@
 // Iteration-lag and concurrency contract of the boundary cache, tested
-// from outside the package: these tests drive the real solvers (negf,
+// from outside the package: these tests drive the real solvers (dist,
 // sdfg), which import bc, so they live in bc_test.
 package bc_test
 
@@ -12,10 +12,10 @@ import (
 
 	"repro/internal/bc"
 	"repro/internal/device"
+	"repro/internal/dist"
 	"repro/internal/linalg"
 	"repro/internal/negf"
 	"repro/internal/sdfg"
-	"repro/internal/sse"
 )
 
 // TestIterationLagTolerance is the physical license of the pipelined
@@ -34,17 +34,13 @@ func TestIterationLagTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(mode bc.Mode) *negf.Solver {
-		o := negf.DefaultOptions()
-		o.Kernel = sse.DaCe{}
-		o.CacheMode = mode
-		o.MaxIter = 6
-		o.Tol = 1e-300
-		s := negf.New(dev, o)
-		if _, err := s.Run(); !errors.Is(err, negf.ErrNotConverged) {
+	run := func(mode bc.Mode) *dist.Result {
+		res, err := dist.Run(dev, dist.Options{Ranks: 1, Schedule: dist.ScheduleOverlap, Workers: 2,
+			Loop: negf.Loop{CacheMode: mode, MaxIter: 6, Tol: 1e-300}})
+		if !errors.Is(err, negf.ErrNotConverged) {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
-		return s
+		return res
 	}
 	cached := run(bc.CacheBC)
 	fresh := run(bc.NoCache)
@@ -57,8 +53,10 @@ func TestIterationLagTolerance(t *testing.T) {
 			t.Errorf("iter %d: cached current %.17g vs fresh %.17g (rel %.3g)", i, c, f, rel)
 		}
 	}
-	if hits, misses := cached.BC.Stats(); hits == 0 || misses == 0 {
-		t.Errorf("cache never exercised the lag: hits=%d misses=%d", hits, misses)
+	// Every iteration of the fresh run decimates; the cached run only
+	// the first, and every later lookup is a hit.
+	if c, f := cached.Load[0].BCComputes, fresh.Load[0].BCComputes; c == 0 || 6*c != f {
+		t.Errorf("cache never exercised the lag: %d decimations cached, %d fresh", c, f)
 	}
 }
 

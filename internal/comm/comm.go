@@ -69,17 +69,19 @@ func NewWorld(size int) *World {
 }
 
 // Run executes fn concurrently on every rank and waits for completion.
-// The first non-nil error is returned.
+// The first non-nil error is returned. Rank 0 runs on the caller's
+// goroutine, so a one-rank world starts none.
 func (w *World) Run(fn func(c *Comm) error) error {
 	errs := make([]error, w.size)
 	var wg sync.WaitGroup
-	for r := 0; r < w.size; r++ {
+	for r := 1; r < w.size; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
 			errs[rank] = fn(&Comm{world: w, rank: rank})
 		}(r)
 	}
+	errs[0] = fn(&Comm{world: w})
 	wg.Wait()
 	for r, err := range errs {
 		if err != nil {

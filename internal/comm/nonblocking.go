@@ -35,7 +35,8 @@ const (
 // sent (counted and copied) when the operation is posted, so what is left
 // is receiving, and Wait does that on the caller's goroutine. Only rank
 // 0's fold-and-send-back leg of a reduction runs on a goroutine of its
-// own — it is the progress engine the other ranks' waits depend on.
+// own — it is the progress engine the other ranks' waits depend on — and
+// only when there are other ranks: a one-rank reduction completes at post.
 
 // VecRequest is the handle of a vector-valued collective (IAllreduce).
 type VecRequest struct {
@@ -112,6 +113,10 @@ func (c *Comm) postAllreduce(name string, tagR, tagB int, data []complex128, com
 	c.world.countCollective(name)
 	cp := append([]complex128(nil), data...)
 	req := &VecRequest{root: make(chan []complex128, 1)}
+	if c.world.size == 1 {
+		req.root <- cp
+		return req
+	}
 	go func() {
 		for r := 1; r < c.world.size; r++ {
 			part := c.Recv(r, tagR)

@@ -245,3 +245,45 @@ func TestCollectiveByteAttribution(t *testing.T) {
 		}
 	}
 }
+
+// TestSizeOneWorldSpawnsNothing pins that a one-rank world adds no
+// goroutine: World.Run runs the rank on the caller's goroutine, and an
+// IAllreduce completes at post — its result is ready before Wait, with
+// no fold goroutine behind it — while still counting as one Allreduce.
+func TestSizeOneWorldSpawnsNothing(t *testing.T) {
+	w := NewWorld(1)
+	before := runtime.NumGoroutine()
+	ran := false
+	err := w.Run(func(c *Comm) error {
+		ran = true
+		if grew := runtime.NumGoroutine() - before; grew > 0 {
+			return fmt.Errorf("World.Run started %d goroutines for one rank", grew)
+		}
+		req := c.IAllreduce(0, []complex128{5})
+		if grew := runtime.NumGoroutine() - before; grew > 0 {
+			return fmt.Errorf("IAllreduce started %d goroutines on a one-rank world", grew)
+		}
+		select {
+		case got := <-req.root:
+			req.root <- got
+		default:
+			return fmt.Errorf("one-rank IAllreduce not complete at post")
+		}
+		if got := req.Wait(); got[0] != 5 {
+			return fmt.Errorf("size-1 IAllreduce = %v", got)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ran {
+		t.Fatal("World.Run did not run the rank")
+	}
+	if st := w.Stats(); st.Collectives["Allreduce"] != 1 || st.BytesSent != 0 {
+		t.Fatalf("size-1 IAllreduce: collectives %v, bytes %d; want one Allreduce and no bytes", st.Collectives, st.BytesSent)
+	}
+	if err := w.Run(func(*Comm) error { return fmt.Errorf("boom") }); err == nil || err.Error() != "comm: rank 0: boom" {
+		t.Fatalf("size-1 Run error = %v, want it wrapped with the rank", err)
+	}
+}

@@ -71,8 +71,9 @@ type DaCePlan struct {
 	myTa, myTe int
 	bl, pbl    int
 
-	prec  Precision
-	probe bool
+	prec   Precision
+	probe  bool
+	kernel sse.Kernel // WithKernel: the whole-grid kernel of a one-rank plan
 	// Probe accumulators, written by ComputeTile and read after
 	// (graph-ordered): absolute ∞-norm deviation and reference ∞-norm of
 	// this tile's output, per tensor class ([0] Σ≷ pair, [1] Π≷ pair).
@@ -100,6 +101,15 @@ func NewDaCePlan(rank int, l *DaCeLayout, src *OMENLayout, atomSets [][]int, loc
 // and returns the plan for chaining. Must be set before any pack stage.
 func (pl *DaCePlan) WithPrecision(p Precision) *DaCePlan {
 	pl.prec = p
+	return pl
+}
+
+// WithKernel makes ComputeTile run k over the whole input in place of
+// the tile kernel of the plan's precision, and returns the plan for
+// chaining. It is for one-rank plans only, whose one tile is the whole
+// grid (dist.Options.Validate refuses a kernel above one rank).
+func (pl *DaCePlan) WithKernel(k sse.Kernel) *DaCePlan {
+	pl.kernel = k
 	return pl
 }
 
@@ -311,12 +321,17 @@ func (pl *DaCePlan) UnpackSigma(recv [][]complex128) { pl.unpack(pl.exchangeSigm
 func (pl *DaCePlan) UnpackPi(recv [][]complex128)    { pl.unpack(pl.exchangePi(), recv) }
 
 // ComputeTile runs the restricted SSE kernel on this tile (requires
-// UnpackG and UnpackD): the fp64 DaCe schedule, or under Mixed precision
+// UnpackG and UnpackD): the WithKernel kernel when one is set, else the
+// fp64 DaCe schedule, or under Mixed precision
 // the SBSMM-backed normalized binary16 kernel of §5.4. With the error
 // probe enabled, the fp64 kernel additionally runs on the identical
 // (wire-decoded) inputs and the normwise relative deviation of the mixed
 // Σ≷/Π≷ is recorded for the telemetry reduction.
 func (pl *DaCePlan) ComputeTile() {
+	if pl.kernel != nil {
+		pl.out = pl.kernel.Compute(pl.in)
+		return
+	}
 	elo, ehi := pl.l.energyRange(pl.myTe)
 	atoms := pl.l.ownedAtoms(pl.myTa)
 	if elo == ehi {

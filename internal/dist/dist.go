@@ -2,11 +2,12 @@
 // (boundary conditions + RGF over all electron (kz, E) and phonon (qz, ω)
 // points) and the SSE phase (scattering self-energies) — distributed
 // across P simulated MPI ranks on the internal/comm runtime. It is the
-// end-to-end form of the paper's distributed solver: where
-// internal/decomp distributes only the SSE exchange of a single
-// iteration, dist keeps a persistent rank state across iterations and
-// alternates the two phases until the contact current converges, exactly
-// like the sequential negf.Solver.
+// end-to-end form of the paper's distributed solver, and the only
+// self-consistent loop of the repo: where internal/decomp distributes
+// only the SSE exchange of a single iteration, dist keeps a persistent
+// rank state across iterations and alternates the two phases until the
+// contact current converges. A run without ranks is the one-rank world,
+// whose exchanges ship nothing (a rank's own share stays in place).
 //
 // Data distribution follows the GF-phase ownership the paper assumes
 // (§5.2): the flattened electron (kz, E) pairs and phonon (qz, ω) points
@@ -23,9 +24,10 @@
 // order of that graph, i.e. a window depth and a pool size, and the
 // bulk-synchronous phases are the depth-1 window on one worker.
 //
-// The per-iteration currents match the sequential solver to floating-point
-// reduction ordering (≲1e-12 relative) and each other bit for bit, which
-// the package tests assert for P ∈ {1, 2, 4, 8} over the schedule table.
+// The per-iteration currents at P ranks match the one-rank run to
+// floating-point reduction ordering (≲1e-12 relative), and every schedule
+// at one P matches every other bit for bit, which the package tests
+// assert for P ∈ {1, 2, 4, 8} over the schedule table.
 package dist
 
 import (
@@ -55,7 +57,7 @@ const (
 
 // MixedCurrentTol is the documented mixed-precision acceptance tolerance:
 // the per-iteration left-contact current of a PrecisionMixed run must
-// match the sequential fp64 solver within this relative deviation for
+// match the one-rank fp64 run within this relative deviation for
 // any world size and every schedule. The binary16 mantissa carries 11
 // bits (ε₁₆ ≈ 4.9e-4 relative per rounding); the quantized Σ≷ feed back
 // through the damped (mixing 0.5) self-consistent loop, and the current
@@ -105,9 +107,8 @@ func (s Schedule) String() string {
 	return "phases"
 }
 
-// Options configures a distributed run: the loop knobs the sequential
-// solver shares (negf.Loop), plus the world, its tiling, the schedule,
-// the precision and the probe.
+// Options configures a distributed run: the loop knobs (negf.Loop), plus
+// the world, its tiling, the schedule, the precision and the probe.
 type Options struct {
 	negf.Loop
 	// Ranks is the simulated world size P.
@@ -176,11 +177,19 @@ func (o Options) Validate() (Options, error) {
 			return o, fmt.Errorf("dist: Mixing and Tol must be finite, got %g and %g", o.Mixing, o.Tol)
 		}
 	}
-	// Unset or out of range takes the sequential loop's default, by the
-	// rule negf.New applies.
+	// Unset or out of range takes the loop default, by the rule negf.New
+	// applies.
 	o.Loop = o.Loop.WithDefaults()
+	if o.Ranks > 1 && (o.Kernel != nil || o.Anderson || o.Warm != nil) {
+		return o, fmt.Errorf("dist: Kernel, Anderson and Warm need the whole state on one rank, got %d ranks", o.Ranks)
+	}
 	if o.Precision != PrecisionFP64 && o.Precision != PrecisionMixed {
 		return o, fmt.Errorf("dist: unknown precision %d", o.Precision)
+	}
+	// A kernel replaces the tile of the run's precision, so it would
+	// silently displace the mixed tile and leave the probe reading 0.
+	if o.Kernel != nil && (o.Precision == PrecisionMixed || o.ErrorProbe) {
+		return o, fmt.Errorf("dist: Kernel replaces the precision's tile; it cannot run with PrecisionMixed or ErrorProbe")
 	}
 	if o.Precision != PrecisionMixed {
 		o.ErrorProbe = false
@@ -230,15 +239,19 @@ type RankLoad struct {
 
 // Result is the outcome of a distributed run.
 type Result struct {
-	// Obs holds the globally reduced observables of the final iteration.
-	// LDOS is not aggregated (it is a single-node diagnostic); every other
-	// field matches the sequential solver up to reduction ordering — and
-	// bit for bit at Ranks 1, where there is nothing to reorder.
+	// Obs holds the globally reduced observables of the final iteration;
+	// every field matches the one-rank run up to reduction ordering.
 	Obs negf.Observables
 	// IterTrace records per-iteration convergence data, identical in
-	// Current/Residual to the sequential solver's trace within 1e-12.
+	// Current/Residual to the one-rank run's trace within 1e-12.
 	IterTrace []IterStats
 	Converged bool
+	// Final is the Σ≷/Π≷ state of a one-rank run after its last reported
+	// iteration — its tensors, handed over, not copied. It is nil above
+	// one rank, where no rank holds the whole state, and when a discarded
+	// iteration has already mixed into the state: after a stop request,
+	// or after convergence inside a window deeper than one.
+	Final *negf.SigmaState
 	// Comm is the world's total communication counters for the whole run.
 	Comm comm.Stats
 	// Load is the per-rank work distribution.
@@ -251,12 +264,17 @@ type Result struct {
 
 // Run executes the distributed self-consistent loop on a fresh P-rank
 // world. Non-convergence is reported via negf.ErrNotConverged alongside
-// the (valid, unconverged) result, mirroring the sequential solver; a
-// non-finite global current is negf.ErrNonFinite with no result.
+// the (valid, unconverged) result; a non-finite global current is
+// negf.ErrNonFinite with no result.
 func Run(dev *device.Device, opts Options) (*Result, error) {
 	opts, err := opts.Validate()
 	if err != nil {
 		return nil, err
+	}
+	if opts.Warm != nil {
+		if err := opts.Warm.Fits(dev); err != nil {
+			return nil, fmt.Errorf("dist: Warm: %w", err)
+		}
 	}
 	w := comm.NewWorld(opts.Ranks)
 	res := &Result{}

@@ -13,20 +13,20 @@ import (
 
 // mixedWithinTol is the golden regression of the mixed-precision
 // distributed path: every per-iteration left-contact current of a
-// PrecisionMixed run must match the sequential FP64 solver within the
+// PrecisionMixed run must match the one-rank FP64 run within the
 // documented MixedCurrentTol. This pins the combined quantization error
 // of the binary16 wire format and the mixed tile kernel through the
 // self-consistent feedback loop.
 func mixedWithinTol(worlds ...int) func(*testing.T, sched) {
 	return func(t *testing.T, s sched) {
 		const iters = 5
-		ref := sequentialTrace(t, iters)
+		ref := oneRankTrace(t, iters)
 		for _, ranks := range worlds {
 			opts := s.forced(ranks, iters)
 			opts.Precision = PrecisionMixed
 			for i, st := range mustRun(t, fmt.Sprint("P=", ranks), opts).IterTrace {
 				if e := relErr(st.Current, ref[i].Current); e > MixedCurrentTol {
-					t.Errorf("P=%d iter %d: mixed current %.12g vs sequential fp64 %.12g (rel %.3g > %g)",
+					t.Errorf("P=%d iter %d: mixed current %.12g vs one-rank fp64 %.12g (rel %.3g > %g)",
 						ranks, i, st.Current, ref[i].Current, e, MixedCurrentTol)
 				}
 			}

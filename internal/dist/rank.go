@@ -36,17 +36,25 @@ func newRankState(c *comm.Comm, dev *device.Device, opts Options) *rankState {
 	return rs
 }
 
-// epilogue reduces the last valid iteration's phonon spectra for the
-// temperature map (local's weight in the real parts, its occupation in
-// the imaginary) and gathers the per-rank load report. Only rank 0
-// consumes either, so both collectives are rooted there — the measured
-// volume stays what the algorithm strictly needs.
-func (rs *rankState) epilogue(opts Options, res *Result, converged bool, local, global *partialObs) {
+// epilogue reduces the last valid iteration's spectra — the phonon
+// spectra for the temperature map (local's weight in the real parts, its
+// occupation in the imaginary) and the electron LDOS (real parts) — and
+// gathers the per-rank load report. Only rank 0 consumes either, so both
+// collectives are rooted there — the measured volume stays what the
+// algorithm strictly needs. final is the one-rank state to hand over, or
+// nil.
+func (rs *rankState) epilogue(opts Options, res *Result, converged bool, local, global *partialObs, final *negf.SigmaState) {
 	p := rs.dev.P
-	buf := make([]complex128, 0, p.Na*p.Nomega)
+	nph := p.Na * p.Nomega
+	buf := make([]complex128, 0, nph+p.Bnum*p.NE)
 	for a, dos := range local.PhononDOS {
 		for m := range dos {
 			buf = append(buf, complex(dos[m], local.PhononOcc[a][m]))
+		}
+	}
+	for _, ldos := range local.LDOS {
+		for _, v := range ldos {
+			buf = append(buf, complex(v, 0))
 		}
 	}
 	buf = rs.c.Reduce(0, buf)
@@ -60,11 +68,15 @@ func (rs *rankState) epilogue(opts Options, res *Result, converged bool, local, 
 		return
 	}
 	res.Converged = converged
+	res.Final = final
 	res.Obs = global.Observables
-	res.Obs.PhononDOS, res.Obs.PhononOcc = local.PhononDOS, local.PhononOcc
-	for i, v := range buf {
+	res.Obs.PhononDOS, res.Obs.PhononOcc, res.Obs.LDOS = local.PhononDOS, local.PhononOcc, local.LDOS
+	for i, v := range buf[:nph] {
 		a, m := i/p.Nomega, i%p.Nomega
 		res.Obs.PhononDOS[a][m], res.Obs.PhononOcc[a][m] = real(v), imag(v)
+	}
+	for i, v := range buf[nph:] {
+		res.Obs.LDOS[i/p.NE][i%p.NE] = real(v)
 	}
 	res.Obs.AtomTemperature = negf.FitTemperatures(p, res.Obs.PhononDOS, res.Obs.PhononOcc)
 	res.Load = make([]RankLoad, opts.Ranks)

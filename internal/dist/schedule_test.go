@@ -109,24 +109,20 @@ func mustRun(t *testing.T, tag string, opts Options) *Result {
 	return res
 }
 
-// sequentialTrace is the reference solver's trace over exactly iters
-// iterations, solved once per length.
-var seqTraces = map[int][]negf.IterStats{}
+// oneRankTrace is the reference trace over exactly iters iterations: the
+// one-rank world, where there is nothing to reorder (qt's
+// TestRanksAbsentLoopDigests pins it to the deleted sequential solver),
+// solved once per length.
+var oneRankTraces = map[int][]negf.IterStats{}
 
-func sequentialTrace(t *testing.T, iters int) []negf.IterStats {
+func oneRankTrace(t *testing.T, iters int) []negf.IterStats {
 	t.Helper()
-	if tr, ok := seqTraces[iters]; ok {
+	if tr, ok := oneRankTraces[iters]; ok {
 		return tr
 	}
-	s := negf.New(testDevice(t), negf.Options{
-		Kernel: sse.DaCe{},
-		Loop:   negf.Loop{CacheMode: bc.CacheBC, Mixing: 0.5, MaxIter: iters, Tol: 1e-300},
-	})
-	if _, err := s.Run(); !errors.Is(err, negf.ErrNotConverged) {
-		t.Fatalf("reference run: expected ErrNotConverged, got %v", err)
-	}
-	seqTraces[iters] = s.IterTrace
-	return s.IterTrace
+	tr := mustRun(t, "reference", sched{Schedule: SchedulePhases}.forced(1, iters)).IterTrace
+	oneRankTraces[iters] = tr
+	return tr
 }
 
 // phasesRun is the SchedulePhases run of opts, solved once per
@@ -154,12 +150,11 @@ func relErr(a, b float64) float64 {
 
 // matchesSequential is the acceptance criterion of the subsystem: the
 // per-iteration left-contact currents and collision integrals match the
-// sequential solver within 1e-12 for every world size — the same
-// arithmetic up to floating-point reduction ordering, whatever the
-// execution order.
+// one-rank run within 1e-12 for every world size — the same arithmetic
+// up to floating-point reduction ordering, whatever the execution order.
 func matchesSequential(t *testing.T, s sched) {
 	const iters = 5
-	ref := sequentialTrace(t, iters)
+	ref := oneRankTrace(t, iters)
 	for _, ranks := range []int{1, 2, 4, 8} {
 		res := mustRun(t, fmt.Sprint("P=", ranks), s.forced(ranks, iters))
 		for i, st := range res.IterTrace {
@@ -167,7 +162,7 @@ func matchesSequential(t *testing.T, s sched) {
 				t.Errorf("P=%d: row %d carries iteration %d", ranks, i, st.Iter)
 			}
 			if e := relErr(st.Current, ref[i].Current); e > 1e-12 {
-				t.Errorf("P=%d iter %d: current %.17g vs sequential %.17g (rel %.3g)",
+				t.Errorf("P=%d iter %d: current %.17g vs one rank %.17g (rel %.3g)",
 					ranks, i, st.Current, ref[i].Current, e)
 			}
 			if e := relErr(st.ElEnergyLoss, ref[i].ElEnergyLoss); e > 1e-12 {
@@ -204,7 +199,7 @@ func TestPipelineSingleWorker(t *testing.T) {
 // split (Ta>1), exercising the neighbour-halo path of the SSE exchange.
 func atomTiling(t *testing.T, s sched) {
 	const iters = 4
-	ref := sequentialTrace(t, iters)
+	ref := oneRankTrace(t, iters)
 	opts := s.forced(4, iters)
 	opts.Ta, opts.TE = 2, 2
 	for i, st := range mustRun(t, "2×2", opts).IterTrace {
@@ -408,6 +403,25 @@ func stopRequest(t *testing.T, s sched) {
 	}
 }
 
+// TestFinalState: a one-rank run hands its Σ≷/Π≷ over after its last
+// reported iteration; a wider world, where no rank holds the whole state,
+// and a stopped run, whose discarded iteration has already mixed, hand
+// over nothing.
+func TestFinalState(t *testing.T) {
+	one := mustRun(t, "P=1", sched{Schedule: ScheduleOverlap, workers: 2}.forced(1, 2))
+	if one.Final == nil || one.Final.SigL == nil || one.Final.PiG == nil {
+		t.Fatal("one-rank run handed over no final state")
+	}
+	if two := mustRun(t, "P=2", sched{Schedule: SchedulePhases}.forced(2, 2)); two.Final != nil {
+		t.Error("a two-rank run handed over a final state")
+	}
+	opts := sched{Schedule: ScheduleOverlap, workers: 2}.forced(1, 8)
+	opts.Progress = func(IterStats) error { return errors.New("enough") }
+	if res, err := Run(testDevice(t), opts); err == nil || res.Final != nil {
+		t.Errorf("stopped one-rank run: err %v, final state %v; want an error and none", err, res.Final)
+	}
+}
+
 func TestStopRequest(t *testing.T)         { forEach(t, isPhases, stopRequest) }
 func TestOverlapStopRequest(t *testing.T)  { forEach(t, isOverlap, stopRequest) }
 func TestPipelineStopRequest(t *testing.T) { forEach(t, isPipeline, stopRequest) }
@@ -415,15 +429,15 @@ func TestPipelineStopRequest(t *testing.T) { forEach(t, isPipeline, stopRequest)
 // converged lets the loop terminate on its own tolerance: the fence must
 // discard any speculated iterations past the converged one, keep the
 // temperature accumulators at the converged iteration, and report the
-// sequential solver's converged state — the phases row's bit for bit. It
-// also covers NoCache mode.
+// one-rank run's converged state — the phases row's bit for bit. It also
+// covers NoCache mode.
 func converged(t *testing.T, s sched) {
 	dev := testDevice(t)
-	seq := negf.New(dev, negf.DefaultOptions())
-	obs, err := seq.Run()
+	seq, err := Run(dev, Options{Ranks: 1})
 	if err != nil {
-		t.Fatalf("sequential: %v", err)
+		t.Fatalf("one rank: %v", err)
 	}
+	obs := &seq.Obs
 	opts := s.options(2)
 	res, err := Run(dev, opts)
 	if err != nil {
@@ -510,22 +524,45 @@ func graphShape(t *testing.T, s sched) {
 func TestGraphOneNodePerPoint(t *testing.T) { forEach(t, anySchedule, graphShape) }
 
 // TestSingleRankFoldBitwiseMatchesSequential: a one-rank world sweeps and
-// folds the same shard through the same negf code as the sequential
-// solver, so the first iteration's observables agree bit for bit — not
-// merely within the 1e-12 reduction-order tolerance — on every row. LDOS
-// is the one field a distributed run does not carry.
+// folds the same shard through the same negf code as the kit's GFPhase,
+// so the first iteration's observables, the LDOS included, agree bit for
+// bit — not merely within the 1e-12 reduction-order tolerance — on every
+// row.
 func TestSingleRankFoldBitwiseMatchesSequential(t *testing.T) {
 	seq := negf.New(testDevice(t), negf.DefaultOptions())
 	if err := seq.GFPhase(); err != nil {
 		t.Fatal(err)
 	}
 	want := seq.Obs
-	want.LDOS = nil
 	forEach(t, anySchedule, func(t *testing.T, s sched) {
 		if res := mustRun(t, "P=1", s.forced(1, 1)); !reflect.DeepEqual(res.Obs, want) {
 			t.Errorf("observables differ from the sequential GF phase:\n got %+v\nwant %+v", res.Obs, want)
 		}
 	})
+}
+
+// TestLDOSAtEveryRankCount: the epilogue reduces every rank's share of
+// the LDOS to rank 0 beside the phonon spectra, so a distributed run
+// reports the one-rank LDOS up to the reduction order.
+func TestLDOSAtEveryRankCount(t *testing.T) {
+	ref := mustRun(t, "P=1", sched{Schedule: SchedulePhases}.forced(1, 2)).Obs.LDOS
+	p := testDevice(t).P
+	if len(ref) != p.Bnum || len(ref[0]) != p.NE {
+		t.Fatalf("one-rank LDOS is %d×%d, want %d×%d", len(ref), len(ref[0]), p.Bnum, p.NE)
+	}
+	for _, ranks := range []int{2, 4} {
+		got := mustRun(t, fmt.Sprint("P=", ranks), sched{Schedule: SchedulePhases}.forced(ranks, 2)).Obs.LDOS
+		if len(got) != len(ref) {
+			t.Fatalf("P=%d: LDOS has %d slabs, want %d", ranks, len(got), len(ref))
+		}
+		for i := range ref {
+			for n := range ref[i] {
+				if e := relErr(got[i][n], ref[i][n]); e > 1e-12 {
+					t.Errorf("P=%d LDOS[%d][%d] = %.17g, one rank %.17g (rel %.3g)", ranks, i, n, got[i][n], ref[i][n], e)
+				}
+			}
+		}
+	}
 }
 
 // TestSingleZeroTileField checks Validate infers the missing tile count.
@@ -561,10 +598,31 @@ func TestOptionValidation(t *testing.T) {
 		"NaN Tol":     {Ranks: 2, Loop: negf.Loop{Tol: math.NaN()}},
 		"+Inf Tol":    {Ranks: 2, Loop: negf.Loop{Tol: math.Inf(1)}},
 		"-Inf Tol":    {Ranks: 2, Loop: negf.Loop{Tol: math.Inf(-1)}},
+		// The whole-state knobs need the whole state on one rank.
+		"Kernel at P=2":   {Ranks: 2, Loop: negf.Loop{Kernel: sse.OMEN{}}},
+		"Anderson at P=2": {Ranks: 2, Loop: negf.Loop{Anderson: true}},
+		"Warm at P=2":     {Ranks: 2, Loop: negf.Loop{Warm: &negf.SigmaState{}}},
+		// A kernel replaces the precision's tile: it would displace the
+		// mixed tile and leave the probe at 0.
+		"Kernel with mixed":      {Ranks: 1, Precision: PrecisionMixed, Loop: negf.Loop{Kernel: sse.OMEN{}}},
+		"Kernel with ErrorProbe": {Ranks: 1, Precision: PrecisionMixed, ErrorProbe: true, Loop: negf.Loop{Kernel: sse.OMEN{}}},
 	} {
 		if _, err := o.Validate(); err == nil {
 			t.Errorf("%s must be rejected", name)
 		}
+	}
+	if _, err := (Options{Ranks: 1, Loop: negf.Loop{Kernel: sse.OMEN{}, Anderson: true, Warm: &negf.SigmaState{}}}).Validate(); err != nil {
+		t.Errorf("the whole-state knobs are legal at one rank: %v", err)
+	}
+	// The warm state's shapes are checked against the device before any
+	// rank starts: a mismatched state would be truncated by the seed copy.
+	dev := testDevice(t)
+	p := dev.P
+	p.NE++
+	ps := negf.NewPointSolver(device.MustBuild(p), 0)
+	warm := &negf.SigmaState{SigL: ps.SigL, SigG: ps.SigG, PiL: ps.PiL, PiG: ps.PiG}
+	if _, err := Run(dev, Options{Ranks: 1, Loop: negf.Loop{Warm: warm, MaxIter: 1}}); err == nil || !strings.Contains(err.Error(), "does not match device") {
+		t.Errorf("a warm state of another device must be refused, got %v", err)
 	}
 
 	o, err := (Options{Ranks: 2}).Validate()

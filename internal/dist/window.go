@@ -215,7 +215,13 @@ func runRankWindow(c *comm.Comm, dev *device.Device, opts Options, res *Result) 
 	if r == 0 {
 		res.stopErr = pr.stopErr
 	}
-	rs.epilogue(opts, res, pr.converged, pr.local, pr.global)
+	// A stop request, and a convergence inside a deeper window, discard
+	// an iteration whose mix nodes have already run.
+	var final *negf.SigmaState
+	if opts.Ranks == 1 && pr.stopErr == nil && !(pr.converged && opts.PipelineDepth > 1) {
+		final = &negf.SigmaState{SigL: rs.ps.SigL, SigG: rs.ps.SigG, PiL: rs.ps.PiL, PiG: rs.ps.PiG}
+	}
+	rs.epilogue(opts, res, pr.converged, pr.local, pr.global, final)
 	return nil
 }
 
@@ -228,7 +234,8 @@ func runRankWindow(c *comm.Comm, dev *device.Device, opts Options, res *Result) 
 //
 //   - mixing is split into per-point nodes, so iteration k+1's solve of a
 //     point depends only on the mixed Σ (or Π) of that same point — the
-//     finest-grained cross-iteration release the data allows;
+//     finest-grained cross-iteration release the data allows (the
+//     one-rank Anderson accelerator mixes the whole state in one node);
 //   - every comm post of iteration k+1 additionally depends on the conv
 //     fence of iteration k, so the (symmetric) skip decision is settled
 //     before any rank commits to a collective — all ranks post or all
@@ -271,6 +278,9 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*iterRun,
 			WithPrecision(opts.Precision)
 		if opts.ErrorProbe {
 			st.plan.WithErrorProbe()
+		}
+		if opts.Kernel != nil {
+			st.plan.WithKernel(opts.Kernel)
 		}
 
 		skip := func() bool { return pr.stopAt.Load() <= int64(a) }
@@ -329,7 +339,7 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*iterRun,
 		// Deterministic accumulation: the point solves land in slots, and
 		// one node per species folds them in global point order through
 		// negf's own accumulator — the identical association the
-		// sequential fold uses, independent of scheduling. After a failure
+		// kit's fold uses, independent of scheduling. After a failure
 		// the slots may hold stale results; the iteration is discarded.
 		elAccum := node("accum/el", sdfg.Compute, func() {
 			if !st.failed() {
@@ -413,25 +423,40 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*iterRun,
 		// is mixed — it does not wait for the whole mixing sweep. A
 		// skipped mix leaves the solver state at the last valid iteration,
 		// which is exactly the discard rule of the speculation fence.
-		// tensor.MixSlice is the blend the sequential solver applies
-		// tensor-wide.
+		// tensor.MixSlice is the blend the kit's SSEPhase applies
+		// tensor-wide. The Anderson accelerator extrapolates over the whole
+		// state at once, so under it one node mixes everything: it stands
+		// in for every point's mix, and every point of the next iteration
+		// (and the conv, once per point) waits for it.
 		mixSig := make([]sdfg.NodeID, len(pairs))
-		for i, pair := range pairs {
-			ik, ie := pair[0], pair[1]
-			mixSig[i] = node(fmt.Sprintf("mix/Sigma/%d,%d", ik, ie), sdfg.Compute, func() {
-				out := st.plan.Output()
-				tensor.MixSlice(rs.ps.SigL.Plane(ik, ie), out.SigL.Plane(ik, ie), opts.Mixing)
-				tensor.MixSlice(rs.ps.SigG.Plane(ik, ie), out.SigG.Plane(ik, ie), opts.Mixing)
-			}, waitSig, elLoss)
-		}
 		mixPi := make([]sdfg.NodeID, len(points))
-		for j, point := range points {
-			iq, m := point[0], point[1]
-			mixPi[j] = node(fmt.Sprintf("mix/Pi/%d,%d", iq, m), sdfg.Compute, func() {
-				out := st.plan.Output()
-				tensor.MixSlice(rs.ps.PiL.Plane(iq, m-1), out.PiL.Plane(iq, m-1), opts.Mixing)
-				tensor.MixSlice(rs.ps.PiG.Plane(iq, m-1), out.PiG.Plane(iq, m-1), opts.Mixing)
-			}, waitPi, phGain)
+		if opts.Anderson {
+			all := node("mix/anderson", sdfg.Compute, func() {
+				rs.ps.MixAnderson(st.plan.Output(), opts.Mixing)
+			}, waitSig, waitPi, elLoss, phGain)
+			for i := range mixSig {
+				mixSig[i] = all
+			}
+			for j := range mixPi {
+				mixPi[j] = all
+			}
+		} else {
+			for i, pair := range pairs {
+				ik, ie := pair[0], pair[1]
+				mixSig[i] = node(fmt.Sprintf("mix/Sigma/%d,%d", ik, ie), sdfg.Compute, func() {
+					out := st.plan.Output()
+					tensor.MixSlice(rs.ps.SigL.Plane(ik, ie), out.SigL.Plane(ik, ie), opts.Mixing)
+					tensor.MixSlice(rs.ps.SigG.Plane(ik, ie), out.SigG.Plane(ik, ie), opts.Mixing)
+				}, waitSig, elLoss)
+			}
+			for j, point := range points {
+				iq, m := point[0], point[1]
+				mixPi[j] = node(fmt.Sprintf("mix/Pi/%d,%d", iq, m), sdfg.Compute, func() {
+					out := st.plan.Output()
+					tensor.MixSlice(rs.ps.PiL.Plane(iq, m-1), out.PiL.Plane(iq, m-1), opts.Mixing)
+					tensor.MixSlice(rs.ps.PiG.Plane(iq, m-1), out.PiG.Plane(iq, m-1), opts.Mixing)
+				}, waitPi, phGain)
+			}
 		}
 
 		// ── Ride-along reduction, overlapping the Σ/Π waits: observables

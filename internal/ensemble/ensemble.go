@@ -179,9 +179,9 @@ func (st *Study) solve(ctx context.Context, m *Member, mu *sync.Mutex, warm *qt.
 	begin := time.Now()
 	opts := append([]qt.Option{}, st.Options...)
 	if warm != nil {
-		// Clone per member: the donated state seeds many concurrent
-		// solvers, each of which mixes into its own copy.
-		opts = append(opts, qt.WithWarmStart(warm.Clone()))
+		// The donated state seeds many concurrent solvers; each copies it
+		// into its own tensors at Start.
+		opts = append(opts, qt.WithWarmStart(warm))
 	}
 	rc := st.Config
 	rc.Spec = st.MemberSpec(m.Index)

@@ -52,8 +52,7 @@ func (w *welford) stat() report.Stat {
 // spectrum — any realization's device works, since profiles never
 // change shapes; the clean base device is fine too. Members with an
 // error (or no result) appear as bare rows and contribute to no
-// statistic; members without an LDOS (distributed solves) contribute to
-// the current but not the DOS.
+// statistic; every other member contributes to the current and the DOS.
 func Reduce(dev *device.Device, members []Member) *report.Ensemble {
 	p := dev.P
 	e := &report.Ensemble{
@@ -77,7 +76,7 @@ func Reduce(dev *device.Device, members []Member) *report.Ensemble {
 			e.Converged++
 		}
 		cur.add(res.Current)
-		if obs := res.Observables; obs != nil && len(obs.LDOS) > 0 {
+		if obs := res.Observables; obs != nil {
 			e.DOSMembers++
 			for n := 0; n < p.NE; n++ {
 				// Device DOS at E_n: the per-slab LDOS summed over slabs.

@@ -1,6 +1,10 @@
 package negf
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/sse"
+)
 
 // Anderson acceleration (depth-1) for the self-consistent Born loop — an
 // extension over the paper's plain iteration. The GF↔SSE cycle is a fixed
@@ -26,21 +30,24 @@ type andersonState struct {
 	haveH bool
 }
 
-// mixAnderson updates the solver's self-energy tensors in place from the
-// freshly computed SSE output using Anderson extrapolation.
-func (s *Solver) mixAnderson(computedL, computedG, computedPL, computedPG []complex128) {
-	x := concatViews(s.SigL.Data, s.SigG.Data, s.PiL.Data, s.PiG.Data)
+// MixAnderson updates the point solver's self-energy tensors in place
+// from the freshly computed SSE output using Anderson extrapolation with
+// underlying linear-mixing factor mixing. The history lives on the point
+// solver; its one caller is the mix/anderson node of a one-rank window
+// graph, which owns the whole state.
+func (ps *PointSolver) MixAnderson(out *sse.Output, mixing float64) {
+	x := concatViews(ps.SigL.Data, ps.SigG.Data, ps.PiL.Data, ps.PiG.Data)
 	fx := make([]complex128, len(x.flat))
-	computed := concatViews(computedL, computedG, computedPL, computedPG)
+	computed := concatViews(out.SigL.Data, out.SigG.Data, out.PiL.Data, out.PiG.Data)
 	for i := range fx {
 		fx[i] = computed.flat[i] - x.flat[i]
 	}
 
-	beta := complex(s.Opts.Mixing, 0)
-	st := s.anderson
+	beta := complex(mixing, 0)
+	st := ps.anderson
 	if st == nil {
 		st = &andersonState{}
-		s.anderson = st
+		ps.anderson = st
 	}
 
 	next := make([]complex128, len(fx))

@@ -1,12 +1,8 @@
 package negf
 
 import (
-	"errors"
 	"math"
 	"testing"
-
-	"repro/internal/device"
-	"repro/internal/sse"
 )
 
 // Physics-invariant suite: current conservation across the slab
@@ -76,54 +72,6 @@ func TestCurrentConservationBallistic(t *testing.T) {
 	}
 }
 
-// scbaSolver runs the self-consistent loop with the given SSE kernel.
-func scbaSolver(t *testing.T, kernel sse.Kernel) *Solver {
-	t.Helper()
-	p := testParams()
-	p.Coupling = 0.1
-	dev := device.MustBuild(p)
-	opts := DefaultOptions()
-	opts.Kernel = kernel
-	s := New(dev, opts)
-	if _, err := s.Run(); err != nil && !errors.Is(err, ErrNotConverged) {
-		t.Fatal(err)
-	}
-	return s
-}
-
-// TestCurrentConservationSCBA: with electron-phonon scattering the
-// current must still be conserved through every slab once the Σ≷ have
-// self-consistently converged — for the FP64 kernel and, within the same
-// documented bound, for the mixed-precision kernel whose quantization
-// error is far below the SCBA residual.
-func TestCurrentConservationSCBA(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		kernel sse.Kernel
-		tol    float64
-	}{
-		{"fp64", sse.DaCe{}, scbaConservTol},
-		{"mixed", sse.Mixed{Normalize: true}, scbaConservTol},
-	} {
-		s := scbaSolver(t, tc.kernel)
-		if r := conservationResidual(&s.Obs); r > tc.tol {
-			t.Errorf("%s: SCBA interface currents deviate by %.3g (tol %g): I_L=%g profile=%v",
-				tc.name, r, tc.tol, s.Obs.CurrentL, s.Obs.InterfaceCurrent)
-		}
-	}
-}
-
-// TestConservationDegradesGracefullyMixed: the mixed path must not make
-// conservation materially worse than fp64 — the two SCBA residuals stay
-// within a small factor of each other.
-func TestConservationDegradesGracefullyMixed(t *testing.T) {
-	fp := conservationResidual(&scbaSolver(t, sse.DaCe{}).Obs)
-	mx := conservationResidual(&scbaSolver(t, sse.Mixed{Normalize: true}).Obs)
-	if mx > 3*fp+1e-3 {
-		t.Errorf("mixed SCBA residual %.3g vs fp64 %.3g: quantization dominates conservation", mx, fp)
-	}
-}
-
 // antiHermResidual measures the worst violation of B† = −B over the
 // diagonal G≷ blocks, relative to each plane's magnitude: the
 // correlation functions i·G<(E), i·G>(E) are Hermitian with definite
@@ -178,25 +126,5 @@ func TestGAntiHermitianBallistic(t *testing.T) {
 	s := ballistic(t, testParams())
 	if r := antiHermResidual(s); r > antiHermBallistic {
 		t.Fatalf("ballistic G≷ anti-Hermiticity violated: %.3g (tol %g)", r, antiHermBallistic)
-	}
-}
-
-// TestGAntiHermitianSCBA: through the self-consistent loop the scattering
-// Σ≷ feed back into G≷; both precisions preserve the identity to the
-// D̃-stencil discretization level, and the mixed path's quantization must
-// stay hidden below it.
-func TestGAntiHermitianSCBA(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		kernel sse.Kernel
-		tol    float64
-	}{
-		{"fp64", sse.DaCe{}, antiHermFP64},
-		{"mixed", sse.Mixed{Normalize: true}, antiHermMixed},
-	} {
-		s := scbaSolver(t, tc.kernel)
-		if r := antiHermResidual(s); r > tc.tol {
-			t.Errorf("%s: SCBA G≷ anti-Hermiticity violated: %.3g (tol %g)", tc.name, r, tc.tol)
-		}
 	}
 }

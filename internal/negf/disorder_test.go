@@ -1,11 +1,9 @@
 package negf
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/device"
-	"repro/internal/sse"
 )
 
 // Disorder-ensemble extension of the physics-invariant suite: current
@@ -70,31 +68,6 @@ func TestGAntiHermitianDisorderedBallistic(t *testing.T) {
 		if r := antiHermResidual(s); r > antiHermBallistic {
 			t.Errorf("seed %d: ballistic G≷ anti-Hermiticity violated: %.3g (tol %g)",
 				seed, r, antiHermBallistic)
-		}
-	}
-}
-
-// TestConservationDisorderedSCBA: with electron-phonon scattering on top
-// of the disorder, both invariants must hold at the documented SCBA
-// bounds through the self-consistent loop.
-func TestConservationDisorderedSCBA(t *testing.T) {
-	for _, seed := range []uint64{11, 12} {
-		p := testParams()
-		p.Coupling = 0.1
-		dev := disordered(t, p, seed)
-		opts := DefaultOptions()
-		opts.Kernel = sse.DaCe{}
-		s := New(dev, opts)
-		if _, err := s.Run(); err != nil && !errors.Is(err, ErrNotConverged) {
-			t.Fatal(err)
-		}
-		if r := conservationResidual(&s.Obs); r > scbaConservTol {
-			t.Errorf("seed %d: SCBA interface currents deviate by %.3g (tol %g)",
-				seed, r, scbaConservTol)
-		}
-		if r := antiHermResidual(s); r > antiHermFP64 {
-			t.Errorf("seed %d: SCBA G≷ anti-Hermiticity violated: %.3g (tol %g)",
-				seed, r, antiHermFP64)
 		}
 	}
 }

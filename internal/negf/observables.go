@@ -13,8 +13,8 @@ import (
 // The struct is also the accumulator they are summed in. Every field but
 // AtomTemperature is additive over grid points: Reset empties it,
 // AddElectron/AddPhonon fold per-point results in with the quadrature
-// weights, and the sum over any partition of the grid — the sequential
-// solver's one shard or the ranks' shards after a reduction — is the same
+// weights, and the sum over any partition of the grid — the Solver kit's
+// one shard or the ranks' shards after a reduction — is the same
 // value up to the association of the partial sums. Additive lists the
 // fields a distributed run reduces every iteration.
 type Observables struct {
@@ -62,8 +62,8 @@ type Observables struct {
 // Additive visits the fields a distributed run sums across ranks every
 // iteration, in the wire order of that reduction, sizing the profiles for
 // p where they are not already. LDOS and the phonon spectra are additive
-// too but stay off the per-iteration wire: the first is a single-node
-// diagnostic, the second is reduced once after the loop.
+// too but stay off the per-iteration wire: they are reduced once, after
+// the loop.
 func (o *Observables) Additive(p device.Params, visit func(*float64)) {
 	for _, v := range []*float64{
 		&o.CurrentL, &o.CurrentR, &o.EnergyCurrentL,

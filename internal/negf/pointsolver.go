@@ -17,9 +17,9 @@ import (
 // PointSolver bundles exactly the state a single Green's-function point
 // solve needs — the device, the scattering self-energy inputs, the G≷/D≷
 // output tensors, and a boundary-condition cache — decoupled from the
-// sequential Solver. The Solver embeds one covering the full (kz, E) and
-// (qz, ω) grids; a distributed rank (internal/dist) owns its own instance
-// and calls the same per-point solves on its shard of the grids.
+// Solver kit. The Solver embeds one covering the full (kz, E) and
+// (qz, ω) grids; a rank of the window graph (internal/dist) owns its own
+// instance and calls the same per-point solves on its shard of the grids.
 type PointSolver struct {
 	Dev *device.Device
 	// BC is the run's boundary cache. Attach a process-level store to it
@@ -32,7 +32,7 @@ type PointSolver struct {
 	leadDigests map[[2]int]bc.LeadDigest
 
 	// Trace, when non-nil, records per-point BC and RGF spans; TraceRank
-	// labels them with the owning rank (0 for the sequential solver). The
+	// labels them with the owning rank (0 for the kit). The
 	// nil default keeps the point solves allocation-free.
 	Trace     *obs.Tracer
 	TraceRank int
@@ -53,6 +53,10 @@ type PointSolver struct {
 	// linalg.Workspace), so the parallel GF phase and the dist rank
 	// workers never share scratch.
 	scratch sync.Pool
+
+	// anderson is the depth-1 accelerator's history (MixAnderson); nil
+	// until the first accelerated mix.
+	anderson *andersonState
 }
 
 // solveScratch is the reusable per-worker state of one point solve. After

@@ -8,7 +8,7 @@ import (
 	"repro/internal/linalg"
 )
 
-// Shard is the GF-phase share of one owner — the sequential solver (every
+// Shard is the GF-phase share of one owner — the Solver kit (every
 // point) or one distributed rank (its block of the grids): the owned
 // electron (kz, E) pairs and phonon (qz, ω) points in global order, plus
 // the H(kz) and Φ(qz) those points need. Neither operator depends on the

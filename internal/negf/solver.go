@@ -1,8 +1,9 @@
-// Package negf orchestrates the self-consistent DFT+NEGF electro-thermal
-// simulation: the GF phase (open-boundary conditions + RGF solves for all
-// electron (kz, E) and phonon (qz, ω) points) alternating with the SSE
-// phase (scattering self-energies) until the electronic current converges —
-// the outer loop of Fig. 4 in the paper.
+// Package negf holds the steps of the self-consistent DFT+NEGF
+// electro-thermal simulation: the GF phase (open-boundary conditions +
+// RGF solves for all electron (kz, E) and phonon (qz, ω) points), the
+// observables folded from it, the mixing of the scattering self-energies
+// the SSE phase computes, and the convergence rule — the outer loop of
+// Fig. 4 in the paper, which internal/dist runs as one dataflow graph.
 package negf
 
 import (
@@ -10,17 +11,18 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"time"
 
 	"repro/internal/bc"
 	"repro/internal/device"
 	"repro/internal/obs"
 	"repro/internal/sse"
+	"repro/internal/tensor"
 )
 
-// Loop is the one table of the knobs both self-consistent loops share:
-// Options embeds it for the sequential Solver, dist.Options for the
-// distributed window graph, and WithDefaults resolves it for both.
+// Loop is the one table of the self-consistent loop's knobs: the
+// distributed window graph reads it through dist.Options, the
+// per-iteration kit (New, GFPhase, SSEPhase) through Options, and
+// WithDefaults resolves it for both.
 type Loop struct {
 	// CacheMode selects boundary-condition caching (§7.1.2); the zero
 	// value is bc.CacheBC. A distributed rank's cache covers only its
@@ -39,20 +41,33 @@ type Loop struct {
 	// Tol is the relative change of the contact current at convergence.
 	Tol float64
 	// Progress, when non-nil, is called after every self-consistent
-	// iteration with that iteration's stats (on rank 0 when distributed)
-	// — the cancel/telemetry hook the qt facade threads a context and its
+	// iteration with that iteration's stats (on rank 0) — the
+	// cancel/telemetry hook the qt facade threads a context and its
 	// streaming through. A non-nil return stops the run, which returns
-	// the hook's error alongside the partial result. The sequential loop
-	// stops between iterations; a rank cannot abandon the collectives
-	// unilaterally, so a distributed run rides the request on the next
-	// iteration's observable reduction and discards that one iteration.
+	// the hook's error alongside the partial result. A rank cannot
+	// abandon the collectives unilaterally, so the request rides the next
+	// iteration's observable reduction, and that one iteration is
+	// discarded.
 	Progress func(IterStats) error
 	// Tracer, when non-nil, records per-phase spans into the run's trace:
-	// per-point BC and RGF solves, and the iteration and phase envelopes
-	// of the sequential loop or every graph node of a distributed rank.
-	// Nil — the default — costs one nil check per seam and keeps the hot
-	// path allocation-free.
+	// per-point BC and RGF solves and every graph node of a rank. Nil —
+	// the default — costs one nil check per seam and keeps the hot path
+	// allocation-free.
 	Tracer *obs.Tracer
+
+	// The one-rank knobs, which need the whole grid on one tile and the
+	// whole state on one rank (dist refuses them above one): Kernel, when
+	// non-nil, is the SSE implementation run in place of the tile kernel
+	// of the run's precision (the kit defaults a nil one to sse.DaCe{});
+	// Anderson replaces linear mixing with depth-1 Anderson acceleration,
+	// an extension beyond the paper's solver (anderson.go), read only by
+	// the one-rank window graph — the kit always mixes linearly; Warm, when
+	// non-nil, seeds Σ≷/Π≷ in place of the cold Σ = 0 (ballistic) first
+	// guess, copied, so one state can seed many concurrent runs (dist.Run
+	// refuses one that does not Fit the device).
+	Kernel   sse.Kernel
+	Anderson bool
+	Warm     *SigmaState
 }
 
 // WithDefaults returns l with every unset or out-of-range knob taken from
@@ -76,62 +91,96 @@ func (l Loop) WithDefaults() Loop {
 
 // NewPointSolver is the point solver of one loop's GF phase over dev: a
 // boundary cache in CacheMode over Store, its spans traced into Tracer
-// under the given rank (0 for the sequential solver).
+// under the given rank, and Σ≷/Π≷ seeded from Warm when it is set.
 func (l Loop) NewPointSolver(dev *device.Device, rank int) *PointSolver {
 	ps := NewPointSolver(dev, l.CacheMode)
 	ps.BC.Store = l.Store
 	ps.Trace = l.Tracer
 	ps.TraceRank = rank
+	if w := l.Warm; w != nil {
+		copy(ps.SigL.Data, w.SigL.Data)
+		copy(ps.SigG.Data, w.SigG.Data)
+		copy(ps.PiL.Data, w.PiL.Data)
+		copy(ps.PiG.Data, w.PiG.Data)
+	}
 	return ps
 }
 
-// Options configures a solver run: the shared loop knobs plus the SSE
-// kernel and the accelerator only the sequential loop has.
+// SigmaState is the scattering self-energy state (Σ≷ and Π≷) a
+// self-consistent loop ends on — the reusable artifact a near-identical
+// simulation warm-starts from (Loop.Warm) instead of the cold Σ = 0
+// first guess.
+type SigmaState struct {
+	SigL, SigG *tensor.Electron
+	PiL, PiG   *tensor.Phonon
+}
+
+// Fits reports whether the state's tensor shapes match dev — the
+// condition for seeding a loop over dev with it (Loop.Warm).
+func (st *SigmaState) Fits(dev *device.Device) error {
+	p := dev.P
+	e := st.SigL
+	if e == nil || st.SigG == nil || st.PiL == nil || st.PiG == nil {
+		return fmt.Errorf("incomplete state (nil tensor)")
+	}
+	if e.Nkz != p.Nkz || e.NE != p.NE || e.Na != p.Na || e.Norb != p.Norb {
+		return fmt.Errorf("electron shape [%d %d %d %d] does not match device [%d %d %d %d]",
+			e.Nkz, e.NE, e.Na, e.Norb, p.Nkz, p.NE, p.Na, p.Norb)
+	}
+	ph := st.PiL
+	if ph.Nqz != p.Nqz() || ph.Nw != p.Nomega || ph.Na != p.Na || ph.NbP1 != dev.MaxNb()+1 {
+		return fmt.Errorf("phonon shape %s does not match device [%d %d %d %d]",
+			ph.ShapeString(), p.Nqz(), p.Nomega, p.Na, dev.MaxNb()+1)
+	}
+	return nil
+}
+
+// Bytes reports the in-memory size of the four tensors — what a cache
+// entry holding this state costs.
+func (st *SigmaState) Bytes() int64 {
+	if st == nil {
+		return 0
+	}
+	return st.SigL.Bytes() + st.SigG.Bytes() + st.PiL.Bytes() + st.PiG.Bytes()
+}
+
+// Options configures the per-iteration kit: the loop knobs, of which the
+// kit reads the cache mode, the store, the tracer, the mixing factor,
+// the kernel and the warm start.
 type Options struct {
 	Loop
-	// Kernel selects the SSE implementation (default sse.DaCe{}).
-	Kernel sse.Kernel
-	// Anderson enables depth-1 Anderson acceleration of the
-	// self-consistency iteration instead of plain linear mixing — an
-	// extension beyond the paper's solver (see anderson.go).
-	Anderson bool
 }
 
 // DefaultOptions returns the settings used by the examples and tests. It
 // is the one table of loop defaults, which Loop.WithDefaults fills an
 // unset knob from.
 func DefaultOptions() Options {
-	return Options{
-		Kernel: sse.DaCe{},
-		Loop:   Loop{CacheMode: bc.CacheBC, Mixing: 0.5, MaxIter: 25, Tol: 1e-5},
-	}
+	return Options{Loop: Loop{CacheMode: bc.CacheBC, Mixing: 0.5, MaxIter: 25, Tol: 1e-5}}
 }
 
-// Solver holds the simulation state across iterations. The embedded
-// PointSolver carries the tensors and boundary-condition cache shared with
-// the per-point GF solves.
+// Solver is the per-iteration kit of the self-consistent loop over the
+// whole grid: GFPhase and SSEPhase, which a caller alternates itself
+// (the benchmark's in-situ loop, the ballistic limit, the kernel
+// tables). The loop that runs to convergence is dist.Run. The embedded
+// PointSolver carries the tensors and boundary-condition cache shared
+// with the per-point GF solves.
 type Solver struct {
 	*PointSolver
 	Opts Options
 
-	// The sequential solver owns the one shard covering both grids; points
-	// holds the result slots every GF phase solves into.
+	// The solver owns the one shard covering both grids; points holds
+	// the result slots every GF phase solves into.
 	shard  *Shard
 	points *PointResults
 
-	anderson *andersonState
-	Obs      Observables
-
-	// IterTrace records per-iteration convergence data (Fig. 7b style).
-	IterTrace []IterStats
+	Obs Observables
 }
 
-// IterStats is the one per-iteration telemetry row of the repo: every
-// self-consistent loop (the sequential Solver.Run and the distributed
-// window graph) fills it, dist and qt re-export it under their own names,
-// and the report encoders, the SSE "iter" frames and the qtd registry key
-// on its JSON form. Fields a loop does not measure stay zero: a
-// sequential run moves no bytes and has no compute/communication split.
+// IterStats is the one per-iteration telemetry row of the repo: the
+// window graph's conv node fills it, dist and qt re-export it under their
+// own names, and the report encoders, the SSE "iter" frames and the qtd
+// registry key on its JSON form. Fields a run does not measure stay zero:
+// a one-rank run moves no bytes.
 type IterStats struct {
 	Iter    int     `json:"iter"`
 	Current float64 `json:"current"` // left-contact electron current (a.u.), global
@@ -156,12 +205,12 @@ type IterStats struct {
 	SigmaErr float64 `json:"sigma_err"`
 	// FallbackBlocks counts the exchange segments the mixed-precision wire
 	// encoder shipped as verbatim fp64, summed over ranks (0 under fp64
-	// and for sequential runs, and omitted from JSON then).
+	// and at one rank, and omitted from JSON then).
 	FallbackBlocks int64 `json:"fallback_blocks,omitempty"`
 
-	// WallNs is the measured wall time of the iteration (rank 0 when
-	// distributed); ComputeNs and CommNs are rank 0's summed graph-node
-	// durations by node kind, zero for sequential runs.
+	// WallNs is the measured wall time of the iteration on rank 0;
+	// ComputeNs and CommNs are rank 0's summed graph-node durations by
+	// node kind.
 	WallNs    int64 `json:"wall_ns"`
 	ComputeNs int64 `json:"compute_ns"`
 	CommNs    int64 `json:"comm_ns"`
@@ -198,12 +247,12 @@ func ConvergenceStep(it int, cur, prev, tol float64) (residual float64, converge
 	return residual, residual < tol, nil
 }
 
-// New allocates a solver for dev. A nil Kernel takes sse.DaCe{}, and the
+// New allocates the kit for dev. A nil Kernel takes sse.DaCe{}, and the
 // loop knobs resolve through Loop.WithDefaults — the resolution
-// dist.Options.Validate applies, so the two loops agree on an unset knob.
+// dist.Options.Validate applies, so the two agree on an unset knob.
 func New(dev *device.Device, opts Options) *Solver {
 	if opts.Kernel == nil {
-		opts.Kernel = DefaultOptions().Kernel
+		opts.Kernel = sse.DaCe{}
 	}
 	opts.Loop = opts.Loop.WithDefaults()
 	s := &Solver{
@@ -218,49 +267,6 @@ func New(dev *device.Device, opts Options) *Solver {
 // ErrNotConverged reports that MaxIter was reached before Tol.
 var ErrNotConverged = errors.New("negf: self-consistent loop did not converge")
 
-// Run executes the self-consistent GF↔SSE loop. It returns the final
-// observables; ErrNotConverged still leaves valid (unconverged) results,
-// ErrNonFinite (a NaN/Inf contact current) does not.
-func (s *Solver) Run() (*Observables, error) {
-	var prev float64
-	tr := s.Opts.Tracer
-	for it := 0; it < s.Opts.MaxIter; it++ {
-		iterStart := time.Now()
-		tIter := tr.Begin()
-		tGF := tr.Begin()
-		if err := s.GFPhase(); err != nil {
-			return nil, fmt.Errorf("negf: GF phase (iteration %d): %w", it, err)
-		}
-		tr.End(s.TraceRank, 0, "gf", "gf/phase", it, -1, tGF)
-		tSSE := tr.Begin()
-		stats := s.SSEPhase()
-		tr.End(s.TraceRank, 0, "sse", "sse/phase", it, -1, tSSE)
-		tr.End(s.TraceRank, 0, "iter", "iter", it, -1, tIter)
-
-		cur := s.Obs.CurrentL
-		rel, converged, err := ConvergenceStep(it, cur, prev, s.Opts.Tol)
-		if err != nil {
-			return nil, err
-		}
-		st := IterStats{
-			Iter: it, Current: cur, Residual: rel, SSE: stats,
-			ElEnergyLoss: s.Obs.ElectronEnergyLoss, PhEnergyGain: s.Obs.PhononEnergyGain,
-			WallNs: time.Since(iterStart).Nanoseconds(),
-		}
-		s.IterTrace = append(s.IterTrace, st)
-		if s.Opts.Progress != nil {
-			if err := s.Opts.Progress(st); err != nil {
-				return &s.Obs, fmt.Errorf("negf: stopped after iteration %d: %w", it, err)
-			}
-		}
-		if converged {
-			return &s.Obs, nil
-		}
-		prev = cur
-	}
-	return &s.Obs, ErrNotConverged
-}
-
 // GFPhase computes all Green's functions for the current self-energies and
 // refreshes the observables: the sweep over the full shard on all cores,
 // the fold, and the temperature map fitted from the folded spectra.
@@ -274,15 +280,11 @@ func (s *Solver) GFPhase() error {
 }
 
 // SSEPhase evaluates the scattering self-energies from the current Green's
-// functions and mixes them into the solver state.
+// functions and mixes them linearly into the solver state.
 func (s *Solver) SSEPhase() sse.Stats {
 	out := s.Opts.Kernel.Compute(&sse.Input{
 		Dev: s.Dev, GL: s.GL, GG: s.GG, DL: s.DL, DG: s.DG,
 	})
-	if s.Opts.Anderson {
-		s.mixAnderson(out.SigL.Data, out.SigG.Data, out.PiL.Data, out.PiG.Data)
-		return out.Stats
-	}
 	mix := s.Opts.Mixing
 	s.SigL.Mix(out.SigL, mix)
 	s.SigG.Mix(out.SigG, mix)

@@ -3,14 +3,11 @@ package negf
 import (
 	"errors"
 	"math"
-	"math/cmplx"
 	"reflect"
 	"runtime"
 	"testing"
 
-	"repro/internal/bc"
 	"repro/internal/device"
-	"repro/internal/sse"
 )
 
 func testParams() device.Params {
@@ -85,141 +82,6 @@ func TestCurrentIncreasesWithBias(t *testing.T) {
 	}
 }
 
-func TestSelfConsistentLoopConverges(t *testing.T) {
-	dev := device.MustBuild(testParams())
-	s := New(dev, DefaultOptions())
-	obs, err := s.Run()
-	if err != nil {
-		t.Fatalf("loop did not converge: %v (trace %v)", err, s.IterTrace)
-	}
-	if len(s.IterTrace) < 2 {
-		t.Fatal("expected at least two iterations")
-	}
-	last := s.IterTrace[len(s.IterTrace)-1]
-	if last.Residual > s.Opts.Tol {
-		t.Fatalf("final relative change %g above tolerance", last.Residual)
-	}
-	if obs.CurrentL <= 0 {
-		t.Fatal("converged current should remain positive")
-	}
-}
-
-func TestSelfHeatingRaisesChannelTemperature(t *testing.T) {
-	p := testParams()
-	p.Coupling = 0.12
-	dev := device.MustBuild(p)
-	s := New(dev, DefaultOptions())
-	if _, err := s.Run(); err != nil && !errors.Is(err, ErrNotConverged) {
-		t.Fatal(err)
-	}
-	temps := s.Obs.SlabTemperature(dev)
-	var maxT float64
-	for _, temp := range temps {
-		maxT = math.Max(maxT, temp)
-	}
-	if maxT < p.TC+5 {
-		t.Fatalf("expected Joule heating to raise the lattice temperature above %g K, got max %g K (profile %v)",
-			p.TC, maxT, temps)
-	}
-	// The hottest point must lie inside the channel, not at the contacts —
-	// the Fig. 1(d)/Fig. 11 signature.
-	hottest := 0
-	for i, temp := range temps {
-		if temp > temps[hottest] {
-			hottest = i
-		}
-	}
-	if hottest == 0 || hottest == len(temps)-1 {
-		t.Fatalf("hottest slab %d should be interior (profile %v)", hottest, temps)
-	}
-}
-
-func TestEnergyConservationBetweenBaths(t *testing.T) {
-	// The §8.1 validation: energy lost by electrons equals energy absorbed
-	// by the phonon system (within the discretization error of the folded
-	// ω-grid and the η bath).
-	p := testParams()
-	p.Coupling = 0.12
-	dev := device.MustBuild(p)
-	s := New(dev, DefaultOptions())
-	if _, err := s.Run(); err != nil && !errors.Is(err, ErrNotConverged) {
-		t.Fatal(err)
-	}
-	re, rp := s.Obs.ElectronEnergyLoss, s.Obs.PhononEnergyGain
-	if re <= 0 {
-		t.Fatalf("electrons under bias must lose energy to the lattice, got %g", re)
-	}
-	if rp <= 0 {
-		t.Fatalf("phonon bath must gain energy, got %g", rp)
-	}
-	if rel := math.Abs(re-rp) / math.Max(re, rp); rel > 0.4 {
-		t.Fatalf("energy balance violated: electron loss %g vs phonon gain %g (rel %g)", re, rp, rel)
-	}
-}
-
-func TestDissipatedPowerPositiveInChannel(t *testing.T) {
-	p := testParams()
-	p.Coupling = 0.12
-	dev := device.MustBuild(p)
-	s := New(dev, DefaultOptions())
-	if _, err := s.Run(); err != nil && !errors.Is(err, ErrNotConverged) {
-		t.Fatal(err)
-	}
-	var total float64
-	for _, pw := range s.Obs.DissipatedPower {
-		total += pw
-	}
-	if total <= 0 {
-		t.Fatalf("total dissipated power should be positive, got %g (profile %v)",
-			total, s.Obs.DissipatedPower)
-	}
-}
-
-func TestOMENAndDaCeKernelsGiveSameSolution(t *testing.T) {
-	p := testParams()
-	p.NE = 14
-	run := func(k sse.Kernel) *Solver {
-		dev := device.MustBuild(p)
-		opts := DefaultOptions()
-		opts.Kernel = k
-		opts.MaxIter = 4
-		s := New(dev, opts)
-		if _, err := s.Run(); err != nil && !errors.Is(err, ErrNotConverged) {
-			t.Fatal(err)
-		}
-		return s
-	}
-	so := run(sse.OMEN{})
-	sd := run(sse.DaCe{})
-	if rel := math.Abs(so.Obs.CurrentL-sd.Obs.CurrentL) / math.Abs(sd.Obs.CurrentL); rel > 1e-9 {
-		t.Fatalf("kernels disagree on the converged current: %g vs %g", so.Obs.CurrentL, sd.Obs.CurrentL)
-	}
-	for i, v := range so.GL.Data {
-		if d := cmplx.Abs(v - sd.GL.Data[i]); d > 1e-9 {
-			t.Fatalf("kernels disagree on G< element %d: %g", i, d)
-		}
-	}
-}
-
-func TestCacheModesAgree(t *testing.T) {
-	p := testParams()
-	p.NE = 12
-	run := func(mode bc.Mode) float64 {
-		dev := device.MustBuild(p)
-		opts := DefaultOptions()
-		opts.CacheMode = mode
-		opts.MaxIter = 3
-		s := New(dev, opts)
-		if _, err := s.Run(); err != nil && !errors.Is(err, ErrNotConverged) {
-			t.Fatal(err)
-		}
-		return s.Obs.CurrentL
-	}
-	if a, b := run(bc.NoCache), run(bc.CacheBC); a != b {
-		t.Fatalf("cache mode changed the physics: %g vs %g", a, b)
-	}
-}
-
 func TestSpectralCurrentIntegratesToTotal(t *testing.T) {
 	s := ballistic(t, testParams())
 	p := s.Dev.P
@@ -244,126 +106,6 @@ func TestSpectralCurrentIntegratesToTotal(t *testing.T) {
 		t.Fatalf("spectral current peak at %g eV, far outside the bias window [%g, %g]",
 			e, p.MuR(), p.MuL())
 	}
-}
-
-func TestIterTraceMonotoneConvergence(t *testing.T) {
-	dev := device.MustBuild(testParams())
-	s := New(dev, DefaultOptions())
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Relative change should shrink substantially from the first measured
-	// iteration to the last (geometric with linear mixing).
-	first := s.IterTrace[1].Residual
-	last := s.IterTrace[len(s.IterTrace)-1].Residual
-	if last > first {
-		t.Fatalf("convergence trace not decreasing: first %g, last %g", first, last)
-	}
-}
-
-func TestTotalEnergyCurrentProfile(t *testing.T) {
-	p := testParams()
-	p.Coupling = 0.12
-	dev := device.MustBuild(p)
-	s := New(dev, DefaultOptions())
-	if _, err := s.Run(); err != nil && !errors.Is(err, ErrNotConverged) {
-		t.Fatal(err)
-	}
-	el, ph := s.Obs.InterfaceEnergyCurrent, s.Obs.PhononInterfaceEnergy
-	if len(el) != p.Bnum-1 || len(ph) != p.Bnum-1 {
-		t.Fatal("profile length wrong")
-	}
-	// Fig. 11: the electron energy current drops along the channel as
-	// energy converts to heat; the combined profile varies less than the
-	// electron part alone.
-	tot := make([]float64, len(el))
-	for i := range tot {
-		tot[i] = el[i] + ph[i]
-	}
-	varOf := func(v []float64) float64 {
-		mn, mx := v[0], v[0]
-		for _, x := range v {
-			mn = math.Min(mn, x)
-			mx = math.Max(mx, x)
-		}
-		return mx - mn
-	}
-	if varOf(tot) > varOf(el)+1e-12 {
-		t.Logf("note: total profile variation %g vs electron %g", varOf(tot), varOf(el))
-	}
-}
-
-func TestRunErrNotConvergedStillReturnsObservables(t *testing.T) {
-	dev := device.MustBuild(testParams())
-	opts := DefaultOptions()
-	opts.MaxIter = 1
-	s := New(dev, opts)
-	obs, err := s.Run()
-	if !errors.Is(err, ErrNotConverged) {
-		t.Fatalf("expected ErrNotConverged, got %v", err)
-	}
-	if obs == nil || obs.CurrentL == 0 {
-		t.Fatal("unconverged run should still produce observables")
-	}
-}
-
-func TestMixedPrecisionConvergesToSameCurrent(t *testing.T) {
-	// Fig. 7(b): with normalization the SSE-16 loop converges to a current
-	// within ~1e-3 relative of the fp64 result; without normalization the
-	// discrepancy is significantly larger.
-	p := testParams()
-	p.NE = 14
-	p.Coupling = 0.12
-	run := func(k sse.Kernel) float64 {
-		dev := device.MustBuild(p)
-		opts := DefaultOptions()
-		opts.Kernel = k
-		opts.MaxIter = 8
-		s := New(dev, opts)
-		if _, err := s.Run(); err != nil && !errors.Is(err, ErrNotConverged) {
-			t.Fatal(err)
-		}
-		return s.Obs.CurrentL
-	}
-	ref := run(sse.DaCe{})
-	norm := run(sse.Mixed{Normalize: true})
-	raw := run(sse.Mixed{Normalize: false})
-	relNorm := math.Abs(norm-ref) / math.Abs(ref)
-	relRaw := math.Abs(raw-ref) / math.Abs(ref)
-	if relNorm > 1e-3 {
-		t.Fatalf("normalized mixed precision off by %g", relNorm)
-	}
-	if relRaw < relNorm {
-		t.Fatalf("unnormalized (%g) should not beat normalized (%g)", relRaw, relNorm)
-	}
-	t.Logf("mixed-precision current error: normalized %.2e, unnormalized %.2e", relNorm, relRaw)
-}
-
-func TestAndersonAccelerationConverges(t *testing.T) {
-	// The Anderson-accelerated loop must reach the same fixed point as
-	// linear mixing, in no more iterations.
-	p := testParams()
-	p.Coupling = 0.12
-	run := func(anderson bool) (float64, int) {
-		dev := device.MustBuild(p)
-		opts := DefaultOptions()
-		opts.Anderson = anderson
-		opts.MaxIter = 40
-		s := New(dev, opts)
-		if _, err := s.Run(); err != nil {
-			t.Fatalf("anderson=%v: %v", anderson, err)
-		}
-		return s.Obs.CurrentL, len(s.IterTrace)
-	}
-	iLin, nLin := run(false)
-	iAnd, nAnd := run(true)
-	if rel := math.Abs(iAnd-iLin) / math.Abs(iLin); rel > 1e-4 {
-		t.Fatalf("Anderson converged to a different current: %g vs %g (rel %g)", iAnd, iLin, rel)
-	}
-	if nAnd > nLin+2 {
-		t.Fatalf("Anderson (%d iters) should not be slower than linear mixing (%d)", nAnd, nLin)
-	}
-	t.Logf("iterations: linear %d, Anderson %d", nLin, nAnd)
 }
 
 // TestConvergenceStep pins the decision every self-consistent loop

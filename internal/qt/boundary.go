@@ -3,7 +3,7 @@ package qt
 import "repro/internal/bc"
 
 // boundaries is the one boundary store of the process: every solve a
-// Simulation launches — sequential, distributed, ballistic, and the
+// Simulation launches — with or without ranks, ballistic, and the
 // auto-plan probe inside NewFromConfig — sits its per-run cache over it,
 // so a lead one solve decimated at an energy is never decimated again by
 // a later one (the next bias of a sweep, a qtd bias family, a schedule

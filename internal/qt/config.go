@@ -32,7 +32,7 @@ import (
 type RunConfig struct {
 	Spec Spec `json:"spec"`
 
-	Ranks     int    `json:"ranks,omitempty"`     // 0 = sequential solver
+	Ranks     int    `json:"ranks,omitempty"`     // 0 = no ranks: the one-rank world
 	Schedule  string `json:"schedule,omitempty"`  // parseSchedule spellings
 	Precision string `json:"precision,omitempty"` // parsePrecision spellings
 	Kernel    string `json:"kernel,omitempty"`    // parseKernel spellings
@@ -157,7 +157,7 @@ func (s *Simulation) resolve() error {
 	recorded := rc.AutoPlan && rc.Schedule != ""
 
 	if rc.Ranks == 0 {
-		// Sequential solver.
+		// No ranks: the one-rank world, which owns the whole state.
 		switch {
 		case sch != Phases:
 			return fail("schedule %v requires ranks", sch)
@@ -173,14 +173,14 @@ func (s *Simulation) resolve() error {
 			return fail("kernel omen conflicts with precision mixed: the baseline loop nest has no binary16 form")
 		}
 	} else {
-		// Distributed solver.
+		// Ranks: the state is distributed.
 		switch {
 		case s.warm != nil:
-			return fail("WithWarmStart requires the sequential solver (no ranks)")
+			return fail("WithWarmStart requires a run without ranks")
 		case kern == Baseline:
-			return fail("kernel omen requires the sequential solver (no ranks): the distributed SSE exchange is data-centric by construction")
+			return fail("kernel omen requires a run without ranks: the distributed SSE exchange is data-centric by construction")
 		case rc.Anderson:
-			return fail("anderson requires the sequential solver (no ranks)")
+			return fail("anderson requires a run without ranks")
 		case rc.PipelineDepth != 0 && sch != Pipeline:
 			return fail("pipeline_depth requires schedule pipeline")
 		case sch == Pipeline && rc.ErrorProbe && rc.PipelineDepth != 1:

@@ -10,13 +10,14 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/dist"
 	"repro/internal/negf"
-	"repro/internal/sse"
 )
 
-// TestFacadeMatchesSequentialSolver checks the facade is a zero-cost
-// veneer: its per-iteration currents equal a hand-wired negf solver's
-// bitwise, in fp64 and mixed precision.
-func TestFacadeMatchesSequentialSolver(t *testing.T) {
+// TestFacadeMatchesOneRankRun checks the facade is a zero-cost veneer
+// over the one loop: a configuration without ranks records the
+// per-iteration currents of a hand-wired one-rank dist.Run bitwise, in
+// fp64 and mixed precision — on the phases order, where the facade
+// lowers to the overlap order on a pool.
+func TestFacadeMatchesOneRankRun(t *testing.T) {
 	const iters = 4
 	for _, prec := range []decomp.Precision{FP64, Mixed} {
 		_, res := solve(t, RunConfig{Spec: smallSpec(), Precision: prec.String(),
@@ -26,24 +27,21 @@ func TestFacadeMatchesSequentialSolver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := negf.DefaultOptions()
+		opts := dist.Options{Ranks: 1, Precision: prec}
 		opts.MaxIter = iters
 		opts.Tol = 1e-300
-		if prec == Mixed {
-			opts.Kernel = sse.Mixed{Normalize: true}
-		}
-		s := negf.New(dev, opts)
-		if _, err := s.Run(); !errors.Is(err, negf.ErrNotConverged) {
+		dres, err := dist.Run(dev, opts)
+		if !errors.Is(err, negf.ErrNotConverged) {
 			t.Fatalf("direct solver: %v", err)
 		}
 
-		if len(res.Trace) != len(s.IterTrace) {
-			t.Fatalf("%s: facade ran %d iterations, direct %d", prec, len(res.Trace), len(s.IterTrace))
+		if len(res.Trace) != len(dres.IterTrace) {
+			t.Fatalf("%s: facade ran %d iterations, direct %d", prec, len(res.Trace), len(dres.IterTrace))
 		}
 		for i := range res.Trace {
-			if res.Trace[i].Current != s.IterTrace[i].Current {
+			if res.Trace[i].Current != dres.IterTrace[i].Current {
 				t.Errorf("%s iter %d: facade current %.17g != direct %.17g",
-					prec, i, res.Trace[i].Current, s.IterTrace[i].Current)
+					prec, i, res.Trace[i].Current, dres.IterTrace[i].Current)
 			}
 		}
 	}
@@ -153,8 +151,8 @@ func TestTelemetryStreamMatchesTrace(t *testing.T) {
 }
 
 // TestSweepGrid runs a tiny bias×ranks grid and cross-checks the
-// solver-equivalence of the grid points: a zero on the ranks axis is the
-// sequential solver, which carries no communication counters.
+// solver-equivalence of the grid points: a zero on the ranks axis is a
+// run without ranks, which carries no communication counters.
 func TestSweepGrid(t *testing.T) {
 	biases := []float64{0.2, 0.3}
 	points := ivGrid(t, biases, 2)

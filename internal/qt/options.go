@@ -36,7 +36,7 @@ func WithBias(v float64) Option {
 // scattering self-energy state instead of the cold Σ≷ = Π≷ = 0 ballistic
 // guess — the near-identical-request accelerator of the qtd result
 // cache: a converged neighbouring-bias state starts the loop close to
-// its fixed point, cutting the iteration count. Sequential solver only;
+// its fixed point, cutting the iteration count. Runs without ranks only;
 // the state's tensor shapes must match the Spec's device (checked by
 // NewFromConfig). The seed is copied at Start, so one cached state can
 // seed many concurrent runs.

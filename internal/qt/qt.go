@@ -1,9 +1,11 @@
 // Package qt is the top-level experiment API of the quantum transport
-// library — one facade over the entire solver matrix: the sequential
-// negf solver, the distributed dist solver (one iteration graph under
-// the phases, overlap or pipeline schedule), and the fp64/mixed-precision SSE
-// paths, mirroring how the paper's DaCe OMEN exposes a single
-// data-centric entry point for a full electro-thermal simulation.
+// library — one facade over the entire solver matrix: the one
+// self-consistent loop of internal/dist (one iteration graph under the
+// phases, overlap or pipeline schedule, on P simulated ranks or, without
+// ranks, on the one-rank world), the SSE kernels and the
+// fp64/mixed-precision SSE paths, mirroring how the paper's DaCe OMEN
+// exposes a single data-centric entry point for a full electro-thermal
+// simulation.
 //
 // A minimal simulation is three lines:
 //
@@ -25,8 +27,8 @@
 //
 // Start returns a run handle: the run is cancellable between
 // self-consistent iterations through the context, and streams one
-// IterStats per iteration (the unified telemetry schema shared by the
-// sequential and distributed solvers) while it executes. An I-V curve is
+// IterStats per iteration (the unified telemetry schema of every run)
+// while it executes. An I-V curve is
 // a loop over biases, each point its own NewFromConfig and Start.
 package qt
 
@@ -220,7 +222,7 @@ func parsePrecision(s string) (decomp.Precision, error) {
 	return p, nil
 }
 
-// Kernel selects the sequential SSE schedule.
+// Kernel selects the SSE schedule of a run without ranks.
 type Kernel int
 
 const (

@@ -49,8 +49,8 @@ func TestOptionValidation(t *testing.T) {
 		{"negative workers", RunConfig{Ranks: 2, Schedule: "overlap", Workers: -1}, nil, "workers: need"},
 		{"tile split mismatch", RunConfig{Ranks: 4, TileA: 3, TileE: 2}, nil, "tile_a, tile_e: dist: tile split"},
 		{"tile inference", RunConfig{Ranks: 4, TileA: 2}, nil, ""},
-		{"baseline distributed", RunConfig{Ranks: 2, Kernel: "omen"}, nil, "kernel omen requires the sequential solver"},
-		{"anderson distributed", RunConfig{Ranks: 2, Anderson: true}, nil, "anderson requires the sequential solver"},
+		{"baseline distributed", RunConfig{Ranks: 2, Kernel: "omen"}, nil, "kernel omen requires a run without ranks"},
+		{"anderson distributed", RunConfig{Ranks: 2, Anderson: true}, nil, "anderson requires a run without ranks"},
 		{"probe needs mixed", RunConfig{Ranks: 2, ErrorProbe: true}, nil, "error_probe requires ranks and precision mixed"},
 		{"probe sequential", RunConfig{Precision: "mixed", ErrorProbe: true}, nil, "error_probe requires ranks and precision mixed"},
 		{"probe ok", RunConfig{Ranks: 2, Precision: "mixed", ErrorProbe: true}, nil, ""},
@@ -201,7 +201,7 @@ func TestSweepRankZeroOverridesBaseRanks(t *testing.T) {
 		t.Fatalf("rank 0 over a distributed base: err = %v, want a rejection naming ranks", err)
 	}
 
-	// Cleared of those knobs, the point runs the sequential solver, is
+	// Cleared of those knobs, the point runs without ranks, is
 	// labelled with what ran, and carries no distributed comm stats; the
 	// base itself still runs distributed.
 	seq := base
@@ -211,7 +211,7 @@ func TestSweepRankZeroOverridesBaseRanks(t *testing.T) {
 		t.Fatalf("rank-0 point resolved to ranks %d", got)
 	}
 	if res.Comm != nil {
-		t.Error("a sequential point must not carry distributed comm stats")
+		t.Error("a point without ranks must not carry distributed comm stats")
 	}
 	sim, res = solve(t, base)
 	if got := sim.Config().Ranks; got != 2 || res.Comm == nil {

@@ -11,11 +11,11 @@ import (
 	"repro/internal/obs"
 )
 
-// IterStats is the unified per-iteration telemetry schema shared by the
-// sequential and distributed solvers — the row type every report
-// encoder and streaming consumer keys on. It is the loops' own row
-// (negf.IterStats), not a copy: what a run streams is what its solver
-// recorded, plus the Plan announcement on the first distributed row.
+// IterStats is the unified per-iteration telemetry schema of every run,
+// with or without ranks — the row type every report encoder and
+// streaming consumer keys on. It is the loop's own row (negf.IterStats),
+// not a copy: what a run streams is what its solver recorded, plus the
+// Plan announcement on the first row of a run with ranks.
 type IterStats = negf.IterStats
 
 // Result summarizes a finished (converged, capped, or cancelled) run.
@@ -39,13 +39,15 @@ type Result struct {
 	// Observables exposes the full per-slab/per-atom detail.
 	Observables *negf.Observables `json:"-"`
 	// Comm holds the world's communication counters and Load the
-	// per-rank work distribution; both are nil for sequential runs.
+	// per-rank work distribution; both are nil for runs without ranks.
 	Comm *comm.Stats     `json:"comm,omitempty"`
 	Load []dist.RankLoad `json:"load,omitempty"`
-	// FinalState is the Σ≷/Π≷ state the sequential loop ended on — the
-	// artifact WithWarmStart seeds a near-identical run from. Nil for
-	// distributed runs; never serialized (it is solver state, not a
-	// result row).
+	// FinalState is the Σ≷/Π≷ state after the last reported iteration of
+	// a run without ranks that converged or reached max_iterations — the
+	// artifact WithWarmStart seeds a near-identical run from. Nil for runs
+	// with ranks and for cancelled runs, whose discarded extra iteration
+	// has already mixed into the state; never serialized (it is solver
+	// state, not a result row).
 	FinalState *SigmaState `json:"-"`
 	// Spans is the per-phase span recording of a traced run (nil
 	// otherwise) — export it with Spans.WriteChrome for Perfetto. Not
@@ -72,14 +74,18 @@ func (r *Run) Stats() <-chan IterStats { return r.stats }
 // Wait blocks until the run finishes and returns its result. On
 // cancellation it returns the partial result of the completed
 // iterations together with the context's error; ErrNotConverged is not
-// an error here — it is reported through Result.Converged.
+// an error here — it is reported through Result.Converged. A
+// cancellation lands one iteration late on every run: the stop request
+// rides the next iteration's observable reduction, and that iteration
+// is computed, then discarded.
 func (r *Run) Wait() (*Result, error) {
 	<-r.done
 	return r.res, r.err
 }
 
-// Start launches the solve and returns its handle. The context is
-// observed between self-consistent iterations — on cancellation every
+// Start launches the solve — dist.Run, on the one-rank world when the
+// configuration has no ranks — and returns its handle. The context is
+// observed after every self-consistent iteration — on cancellation every
 // simulated rank agrees to stop, the solver drains cleanly (no leaked
 // goroutines) and Wait returns the partial result with ctx's error.
 func (s *Simulation) Start(ctx context.Context) (*Run, error) {
@@ -100,11 +106,7 @@ func (s *Simulation) Start(ctx context.Context) (*Run, error) {
 	go func() {
 		defer close(r.done)
 		defer close(r.stats)
-		if s.cfg.Ranks > 0 {
-			r.res, r.err = s.runDistributed(ctx, r, tracer)
-		} else {
-			r.res, r.err = s.runSequential(ctx, r, tracer)
-		}
+		r.res, r.err = s.run(ctx, r, tracer)
 		if tracer != nil && r.res != nil {
 			r.res.Spans = tracer.Trace()
 		}
@@ -112,11 +114,11 @@ func (s *Simulation) Start(ctx context.Context) (*Run, error) {
 	return r, nil
 }
 
-// progress is the per-iteration hook both solvers run under the facade
+// progress is the per-iteration hook the solver runs under the facade
 // contract: record the row in trace, stream it, and observe the context.
-// The first row of a distributed run announces its plan (empty for a
-// sequential one). The stream's buffer covers the full iteration budget,
-// so the send never blocks.
+// The first row of a run with ranks announces its plan (empty without).
+// The stream's buffer covers the full iteration budget, so the send never
+// blocks.
 func (r *Run) progress(ctx context.Context, trace *[]IterStats, plan string) func(IterStats) error {
 	return func(st IterStats) error {
 		if len(*trace) == 0 {
@@ -131,70 +133,29 @@ func (r *Run) progress(ctx context.Context, trace *[]IterStats, plan string) fun
 	}
 }
 
-// runSequential drives the negf solver under the facade contract.
-func (s *Simulation) runSequential(ctx context.Context, r *Run, tracer *obs.Tracer) (*Result, error) {
+// run drives the dist solver under the facade contract and folds its
+// outcome into the Result. A configuration without ranks reports no
+// world, and hands its final state over.
+func (s *Simulation) run(ctx context.Context, r *Run, tracer *obs.Tracer) (*Result, error) {
 	trace := []IterStats{}
-	solver := negf.New(s.Device, s.negfOptions(r.progress(ctx, &trace, ""), tracer))
-	if w := s.warm; w != nil {
-		// Seed the loop with the warm Σ≷/Π≷ state (copied: the shared
-		// cache artifact may seed many concurrent runs).
-		copy(solver.SigL.Data, w.SigL.Data)
-		copy(solver.SigG.Data, w.SigG.Data)
-		copy(solver.PiL.Data, w.PiL.Data)
-		copy(solver.PiG.Data, w.PiG.Data)
-	}
-	finalState := func() *SigmaState {
-		return (&SigmaState{
-			SigL: solver.SigL, SigG: solver.SigG,
-			PiL: solver.PiL, PiG: solver.PiG,
-		}).Clone()
-	}
-	obs, err := solver.Run()
-	switch {
-	case err == nil, errors.Is(err, negf.ErrNotConverged):
-		// Converged or capped: both carry valid observables.
-	case ctx.Err() != nil && errors.Is(err, ctx.Err()):
-		res := s.summarize(obs, trace, err == nil, nil, nil)
-		res.FinalState = finalState()
-		return res, ctx.Err()
-	default:
+	d, err := dist.Run(s.Device, s.distOptions(r.progress(ctx, &trace, s.PlanString()), tracer))
+	cancelled := ctx.Err() != nil && errors.Is(err, ctx.Err())
+	if err != nil && !cancelled && !errors.Is(err, negf.ErrNotConverged) {
 		return nil, err
 	}
-	res := s.summarize(obs, trace, err == nil, nil, nil)
-	res.FinalState = finalState()
-	return res, nil
-}
-
-// runDistributed drives the dist solver under the facade contract.
-func (s *Simulation) runDistributed(ctx context.Context, r *Run, tracer *obs.Tracer) (*Result, error) {
-	trace := []IterStats{}
-	res, err := dist.Run(s.Device, s.distOptions(r.progress(ctx, &trace, s.PlanString()), tracer))
-	switch {
-	case err == nil, errors.Is(err, negf.ErrNotConverged):
-	case ctx.Err() != nil && errors.Is(err, ctx.Err()):
-		return s.summarize(&res.Obs, trace, false, &res.Comm, res.Load), ctx.Err()
-	default:
-		return nil, err
-	}
-	return s.summarize(&res.Obs, trace, res.Converged, &res.Comm, res.Load), nil
-}
-
-// summarize folds the observables and trace into the Result.
-func (s *Simulation) summarize(obs *negf.Observables, trace []IterStats, converged bool,
-	cs *comm.Stats, load []dist.RankLoad) *Result {
-
+	obs := &d.Obs
 	res := &Result{
-		Converged:   converged,
+		Converged:   d.Converged && !cancelled,
 		Iterations:  len(trace),
 		Trace:       trace,
 		Observables: obs,
-		Comm:        cs,
-		Load:        load,
+		Current:     obs.CurrentL,
 	}
-	if obs == nil {
-		return res
+	if s.cfg.Ranks > 0 {
+		res.Comm, res.Load = &d.Comm, d.Load
+	} else {
+		res.FinalState = d.Final
 	}
-	res.Current = obs.CurrentL
 	for i, t := range obs.SlabTemperature(s.Device) {
 		if t > res.MaxTemperature {
 			res.MaxTemperature, res.HotSpot = t, i
@@ -203,5 +164,8 @@ func (s *Simulation) summarize(obs *negf.Observables, trace []IterStats, converg
 	if obs.ElectronEnergyLoss != 0 {
 		res.EnergyBalance = obs.PhononEnergyGain / obs.ElectronEnergyLoss
 	}
-	return res
+	if cancelled {
+		return res, ctx.Err()
+	}
+	return res, nil
 }

@@ -2,6 +2,7 @@ package qt
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/bc"
 	"repro/internal/device"
@@ -40,7 +41,7 @@ func (s *Simulation) build() error {
 	}
 	s.Device = dev
 	if s.warm != nil {
-		if err := s.warm.compatible(dev); err != nil {
+		if err := s.warm.Fits(dev); err != nil {
 			return fmt.Errorf("qt: WithWarmStart: %w", err)
 		}
 	}
@@ -64,7 +65,7 @@ func (s *Simulation) build() error {
 // PlanString renders the resolved execution plan of a distributed
 // configuration ("pipeline w=2 d=2", with "[auto]" when the autotuner
 // chose it) — what report and the qtd registry surface per run. Empty
-// for sequential configurations.
+// for configurations without ranks.
 func (s *Simulation) PlanString() string {
 	if s.cfg.Ranks == 0 {
 		return ""
@@ -85,51 +86,50 @@ func (s *Simulation) PlanString() string {
 	return str
 }
 
-// loop lowers the knobs the two self-consistent loops share: the one
-// negf.Loop both solvers' options embed. The loops fill what is unset.
+// loop lowers the loop knobs: the one negf.Loop dist.Options embeds.
+// The kernel, the accelerator and the warm start are one-rank knobs,
+// which resolve admits only without ranks. dist fills what is unset.
 func (s *Simulation) loop(progress func(IterStats) error, tracer *obs.Tracer) negf.Loop {
 	l := negf.Loop{
 		Store: s.store, Mixing: s.cfg.Mixing, MaxIter: s.cfg.MaxIterations, Tol: s.cfg.Tolerance,
 		Progress: progress, Tracer: tracer,
+		Anderson: s.cfg.Anderson, Warm: s.warm,
 	}
 	if s.cfg.NoBoundaryCache {
 		l.CacheMode = bc.NoCache
 	}
+	if s.cfg.kernel() == Baseline {
+		l.Kernel = sse.OMEN{}
+	}
 	return l
 }
 
-// negfOptions lowers the configuration for the sequential solver: the
-// loop knobs plus the accelerator and the SSE kernel, when it is not the
-// default one.
-func (s *Simulation) negfOptions(progress func(IterStats) error, tracer *obs.Tracer) negf.Options {
-	o := negf.Options{Loop: s.loop(progress, tracer), Anderson: s.cfg.Anderson}
-	switch {
-	case s.cfg.precision() == Mixed:
-		o.Kernel = sse.Mixed{Normalize: true}
-	case s.cfg.kernel() == Baseline:
-		o.Kernel = sse.OMEN{}
-	}
-	return o
-}
-
-// distOptions lowers the configuration for the distributed solver: the
-// loop knobs plus the world, the tile split and the plan.
+// distOptions lowers the configuration for the solver: the loop knobs
+// plus the world, the tile split and the plan. A configuration without
+// ranks is the one-rank world on the overlap order over a pool of
+// GOMAXPROCS workers — a lowering, not a resolution, so the RunConfig
+// (and its key) keeps the ranks absent.
 func (s *Simulation) distOptions(progress func(IterStats) error, tracer *obs.Tracer) dist.Options {
-	return dist.Options{
+	o := dist.Options{
 		Loop:  s.loop(progress, tracer),
 		Ranks: s.cfg.Ranks, Ta: s.cfg.TileA, TE: s.cfg.TileE,
 		Schedule: s.cfg.schedule(), Workers: s.cfg.Workers, PipelineDepth: s.cfg.PipelineDepth,
 		Precision: s.cfg.precision(), ErrorProbe: s.cfg.ErrorProbe,
 	}
+	if s.cfg.Ranks == 0 {
+		o.Ranks, o.Schedule, o.Workers = 1, Overlap, runtime.GOMAXPROCS(0)
+	}
+	return o
 }
 
 // Ballistic solves the Green's functions once with zero scattering
 // self-energies (the coherent-transport limit) and returns the
-// observables without running the self-consistent loop. It always uses
-// the sequential solver — a single GF phase has no exchange to
-// distribute.
+// observables without running the self-consistent loop: one GF phase of
+// the negf kit over the whole grid, which has no exchange to distribute.
 func (s *Simulation) Ballistic() (*negf.Observables, error) {
-	solver := negf.New(s.Device, s.negfOptions(nil, nil))
+	l := s.loop(nil, nil)
+	l.Warm = nil
+	solver := negf.New(s.Device, negf.Options{Loop: l})
 	if err := solver.GFPhase(); err != nil {
 		return nil, fmt.Errorf("qt: %w", err)
 	}

@@ -1,60 +1,11 @@
 package qt
 
-import (
-	"fmt"
-
-	"repro/internal/device"
-	"repro/internal/tensor"
-)
+import "repro/internal/negf"
 
 // SigmaState is the scattering self-energy state (Σ≷ and Π≷) of a
-// finished sequential solve — the reusable artifact a near-identical
+// finished run without ranks — the reusable artifact a near-identical
 // simulation warm-starts from instead of the cold Σ = 0 (ballistic)
-// first guess. Sequential runs capture it in Result.FinalState; the qtd
-// result cache keeps the converged states and seeds same-structure
+// first guess. Such runs capture it in Result.FinalState; the qtd result
+// cache keeps the converged states and seeds same-structure
 // neighbouring-bias requests from them.
-type SigmaState struct {
-	SigL, SigG *tensor.Electron
-	PiL, PiG   *tensor.Phonon
-}
-
-// Clone deep-copies the state, decoupling it from the solver tensors it
-// was captured from.
-func (st *SigmaState) Clone() *SigmaState {
-	if st == nil {
-		return nil
-	}
-	return &SigmaState{
-		SigL: st.SigL.Clone(), SigG: st.SigG.Clone(),
-		PiL: st.PiL.Clone(), PiG: st.PiG.Clone(),
-	}
-}
-
-// Bytes reports the in-memory size of the four tensors — what a cache
-// entry holding this state costs.
-func (st *SigmaState) Bytes() int64 {
-	if st == nil {
-		return 0
-	}
-	return st.SigL.Bytes() + st.SigG.Bytes() + st.PiL.Bytes() + st.PiG.Bytes()
-}
-
-// compatible reports whether the state's tensor shapes match the device —
-// the condition for seeding a solve with it.
-func (st *SigmaState) compatible(dev *device.Device) error {
-	p := dev.P
-	e := st.SigL
-	if e == nil || st.SigG == nil || st.PiL == nil || st.PiG == nil {
-		return fmt.Errorf("incomplete state (nil tensor)")
-	}
-	if e.Nkz != p.Nkz || e.NE != p.NE || e.Na != p.Na || e.Norb != p.Norb {
-		return fmt.Errorf("electron shape [%d %d %d %d] does not match device [%d %d %d %d]",
-			e.Nkz, e.NE, e.Na, e.Norb, p.Nkz, p.NE, p.Na, p.Norb)
-	}
-	ph := st.PiL
-	if ph.Nqz != p.Nqz() || ph.Nw != p.Nomega || ph.Na != p.Na || ph.NbP1 != dev.MaxNb()+1 {
-		return fmt.Errorf("phonon shape %s does not match device [%d %d %d %d]",
-			ph.ShapeString(), p.Nqz(), p.Nomega, p.Na, dev.MaxNb()+1)
-	}
-	return nil
-}
+type SigmaState = negf.SigmaState

@@ -43,14 +43,42 @@ func collectCats(t *testing.T, rc RunConfig) (cats map[string]int, ranks map[int
 	return cats, ranks
 }
 
-// TestTraceSequential pins that a traced sequential run records the
-// iteration envelope, the GF/SSE phases, and per-point BC/RGF spans.
+// TestTraceSequential pins that a traced run without ranks records the
+// one-rank window graph's spans: one window envelope per iteration, its
+// nodes (tasks, the tile, the exchange and reduction nodes that ship
+// nothing) and per-point BC/RGF spans — and none of the deleted
+// sequential loop's phase envelopes.
 func TestTraceSequential(t *testing.T) {
-	cats, _ := collectCats(t, RunConfig{Spec: smallSpec(), Trace: true, MaxIterations: 2, Tolerance: 1e-300})
-	for _, c := range []string{"iter", "gf", "sse", "bc", "rgf"} {
-		if cats[c] == 0 {
-			t.Errorf("category %q missing from sequential trace (got %v)", c, cats)
+	rc := RunConfig{Spec: smallSpec(), Trace: true, MaxIterations: 2, Tolerance: 1e-300}
+	sim, err := NewFromConfig(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := sim.Start(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := run.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cats := map[string]int{}
+	for _, sp := range res.Spans.Spans {
+		cats[sp.Cat]++
+		if sp.Rank != 0 {
+			t.Errorf("span %q on rank %d of a one-rank run", sp.Name, sp.Rank)
 		}
+		if sp.Name == "sse/phase" || sp.Name == "gf/phase" {
+			t.Errorf("span %q of the deleted sequential loop", sp.Name)
+		}
+	}
+	for _, c := range []string{"iter", "task", "sse", "exchange", "reduce", "bc", "rgf"} {
+		if cats[c] == 0 {
+			t.Errorf("category %q missing from the trace without ranks (got %v)", c, cats)
+		}
+	}
+	if cats["gf"] != 0 {
+		t.Errorf("gf spans = %d, want none", cats["gf"])
 	}
 	if cats["iter"] != 2 {
 		t.Errorf("iter spans = %d, want 2", cats["iter"])

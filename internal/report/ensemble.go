@@ -55,8 +55,8 @@ type Ensemble struct {
 	WallNs    int64      `json:"wall_ns,omitempty"`
 
 	Current Stat `json:"current"`
-	// DOS is the per-energy statistics over the members that reported an
-	// LDOS (DOSMembers of them; distributed members do not).
+	// DOS is the per-energy statistics over the members that finished
+	// (DOSMembers of them).
 	DOS        []DOSRow `json:"dos,omitempty"`
 	DOSMembers int      `json:"dos_members,omitempty"`
 

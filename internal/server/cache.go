@@ -9,7 +9,7 @@ import (
 )
 
 // cacheEntry is one content-addressed result artifact: the resolved
-// configuration, the full facade result (including, for sequential runs,
+// configuration, the full facade result (including, for runs without ranks,
 // the converged Σ≷/Π≷ state near-identical requests warm-start from),
 // the rendered report, and the run that produced it (lineage).
 type cacheEntry struct {

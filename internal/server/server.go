@@ -365,7 +365,7 @@ func (s *Server) execute(j *job) {
 	}
 
 	// Warm-start lineage: a converged Σ≷ state of the same bias-family
-	// seeds the sequential loop close to its fixed point.
+	// seeds a run without ranks close to its fixed point.
 	var extra []qt.Option
 	if j.cfg.Ranks == 0 {
 		if e, ok := s.cache.Warm(j.warmKey, j.key); ok {
