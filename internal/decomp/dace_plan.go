@@ -2,6 +2,7 @@ package decomp
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/comm"
@@ -59,12 +60,24 @@ func ParsePrecision(s string) (Precision, error) {
 // pack and unpack derive both endpoints (the paper's memlet: a movement
 // described once). Both drivers go through them, so the overlapped
 // execution is bitwise equal to the bulk-synchronous one.
+//
+// A plan is built once and may run any number of iterations: it owns the
+// tile output, the compiled tile with its scratch, every exchange's
+// segment offsets (enumerated at construction) and its wire buffers, so a
+// reused plan allocates nothing of its own after its first iteration.
 type DaCePlan struct {
 	l        *DaCeLayout
 	src      *OMENLayout
 	atomSets [][]int
 	in       *sse.Input
-	out      *sse.Output
+	out      *sse.Output // zeroed and rewritten by every ComputeTile
+	xs       [4]exchange // #1 G≷, #2 D≷, #3 Σ≷, #4 Π≷
+
+	// tile is compiled by the first ComputeTile (the precision is chosen
+	// after construction); probeTile and probeOut are the fp64 reference
+	// of the error probe.
+	tile, probeTile *sse.Tile
+	probeOut        *sse.Output
 
 	rank       int
 	ranks      int
@@ -89,16 +102,19 @@ type DaCePlan struct {
 // the unpack stages.
 func NewDaCePlan(rank int, l *DaCeLayout, src *OMENLayout, atomSets [][]int, local *sse.Input) *DaCePlan {
 	myTa, myTe := l.tileOf(rank)
-	return &DaCePlan{
-		l: l, src: src, atomSets: atomSets, in: local,
+	pl := &DaCePlan{
+		l: l, src: src, atomSets: atomSets, in: local, out: sse.NewOutput(local),
 		rank: rank, ranks: l.procs(), myTa: myTa, myTe: myTe,
 		bl:  local.GL.BlockLen(),
 		pbl: local.DL.BlockLen() * local.DL.NbP1,
 	}
+	pl.xs = [4]exchange{pl.exchangeG(), pl.exchangeD(), pl.exchangeSigma(), pl.exchangePi()}
+	return pl
 }
 
 // WithPrecision selects the plan's numeric/wire format (default FP64)
-// and returns the plan for chaining. Must be set before any pack stage.
+// and returns the plan for chaining. Must be set before any pack stage
+// (the first ComputeTile compiles the tile of the precision).
 func (pl *DaCePlan) WithPrecision(p Precision) *DaCePlan {
 	pl.prec = p
 	return pl
@@ -117,6 +133,7 @@ func (pl *DaCePlan) WithKernel(k sse.Kernel) *DaCePlan {
 // kernel on the same (wire-decoded) inputs and record the normwise
 // relative deviation of the mixed tile's Σ≷/Π≷ — the per-iteration
 // precision-error telemetry. Doubles the tile compute; diagnostics only.
+// Must be set before the first ComputeTile.
 func (pl *DaCePlan) WithErrorProbe() *DaCePlan {
 	pl.probe = true
 	return pl
@@ -139,31 +156,17 @@ func (pl *DaCePlan) ProbeDeviation() (dev, ref [2]float64) {
 // encoded wire volume, i.e. what actually crosses the network.
 func (pl *DaCePlan) OffRankBytes() int64 { return pl.offRankBytes.Load() }
 
+// ResetCounters zeroes OffRankBytes and FallbackBlocks, so a plan reused
+// for another iteration reports that iteration's traffic alone.
+func (pl *DaCePlan) ResetCounters() {
+	pl.offRankBytes.Store(0)
+	pl.fallbackBlocks.Store(0)
+}
+
 // FallbackBlocks reports how many segments the mixed-precision encoder
 // shipped as verbatim fp64 passthrough so far (always 0 under FP64) —
 // the precision-degradation telemetry counterpart of OffRankBytes.
 func (pl *DaCePlan) FallbackBlocks() int64 { return pl.fallbackBlocks.Load() }
-
-// encode wraps a packed buffer in the half-width wire format when the
-// plan runs mixed precision; seg is the pack loop's append unit.
-func (pl *DaCePlan) encode(buf []complex128, seg int) []complex128 {
-	if pl.prec != Mixed || len(buf) == 0 {
-		return buf
-	}
-	out := half.WireEncode(buf, seg)
-	if n := half.WireFallbacks(out, seg); n > 0 {
-		pl.fallbackBlocks.Add(int64(n))
-	}
-	return out
-}
-
-// decode undoes encode on an arrived buffer.
-func (pl *DaCePlan) decode(buf []complex128, seg int) []complex128 {
-	if pl.prec != Mixed || len(buf) == 0 {
-		return buf
-	}
-	return half.WireDecode(buf, seg)
-}
 
 // Output returns the tile results (valid after UnpackSigma/UnpackPi).
 func (pl *DaCePlan) Output() *sse.Output { return pl.out }
@@ -179,10 +182,36 @@ type exchange struct {
 	// accumulate sums arrivals into the destination (the Π≷ tile
 	// partials) instead of overwriting it.
 	accumulate bool
-	// segments lists, in wire order, the storage offset of every segment
-	// rank from ships to rank to — the same offset on both ranks, since
-	// all hold full-shape tensors.
-	segments func(from, to int) []int
+	// send[to] lists, in wire order, the storage offset of every segment
+	// this rank ships to rank to, and recv[from] those rank from ships
+	// here — the same offset on both ranks, since all hold full-shape
+	// tensors. Both are enumerated once, when the plan is built; a rank's
+	// own share stays in place and has no list.
+	send, recv [][]int
+
+	// The exchange's buffers, reused every iteration (the comm layer
+	// copies a payload when it is posted): per destination the packed
+	// payload, its wire encoding under Mixed and the list handed to the
+	// post, and the decoding of one arrival.
+	packed, wire, post [][]complex128
+	decoded            []complex128
+}
+
+// newExchange describes the movement of the ≷ pair whose segments(from,
+// to) lists the offsets rank from ships to rank to, enumerating this
+// rank's send and receive lists once.
+func (pl *DaCePlan) newExchange(lesser, greater []complex128, seg int, accumulate bool, segments func(from, to int) []int) exchange {
+	x := exchange{lesser: lesser, greater: greater, seg: seg, accumulate: accumulate,
+		send: make([][]int, pl.ranks), recv: make([][]int, pl.ranks),
+		packed: make([][]complex128, pl.ranks), wire: make([][]complex128, pl.ranks),
+		post: make([][]complex128, pl.ranks)}
+	for peer := range x.send {
+		if peer != pl.rank {
+			x.send[peer] = segments(pl.rank, peer)
+			x.recv[peer] = segments(peer, pl.rank)
+		}
+	}
+	return x
 }
 
 // electronSegments lists the blocks of (kz, E ∈ [elo, ehi), atom ∈ atoms)
@@ -226,81 +255,86 @@ func (pl *DaCePlan) phononSegments(owner int, atoms []int) []int {
 // exchangeG is #1: owned G≷ pairs to each tile's (atom set + halo, energy
 // range + 2Nω halo).
 func (pl *DaCePlan) exchangeG() exchange {
-	return exchange{lesser: pl.in.GL.Data, greater: pl.in.GG.Data, seg: pl.bl,
-		segments: func(from, to int) []int {
-			ta, te := pl.l.tileOf(to)
-			elo, ehi := pl.l.EnergyHalo(te)
-			return pl.electronSegments(elo, ehi, from, pl.atomSets[ta])
-		}}
+	return pl.newExchange(pl.in.GL.Data, pl.in.GG.Data, pl.bl, false, func(from, to int) []int {
+		ta, te := pl.l.tileOf(to)
+		elo, ehi := pl.l.EnergyHalo(te)
+		return pl.electronSegments(elo, ehi, from, pl.atomSets[ta])
+	})
 }
 
 // exchangeD is #2: owned D≷ points to each tile's atom set, all (qz, ω).
 func (pl *DaCePlan) exchangeD() exchange {
-	return exchange{lesser: pl.in.DL.Data, greater: pl.in.DG.Data, seg: pl.pbl,
-		segments: func(from, to int) []int {
-			ta, _ := pl.l.tileOf(to)
-			return pl.phononSegments(from, pl.atomSets[ta])
-		}}
+	return pl.newExchange(pl.in.DL.Data, pl.in.DG.Data, pl.pbl, false, func(from, to int) []int {
+		ta, _ := pl.l.tileOf(to)
+		return pl.phononSegments(from, pl.atomSets[ta])
+	})
 }
 
 // exchangeSigma is #3: a tile's Σ≷ pieces (its owned atoms × energy
-// range) back to the pair owners. Requires ComputeTile.
+// range) back to the pair owners. Packed after ComputeTile.
 func (pl *DaCePlan) exchangeSigma() exchange {
-	return exchange{lesser: pl.out.SigL.Data, greater: pl.out.SigG.Data, seg: pl.bl,
-		segments: func(from, to int) []int {
-			ta, te := pl.l.tileOf(from)
-			elo, ehi := pl.l.energyRange(te)
-			return pl.electronSegments(elo, ehi, to, pl.l.ownedAtoms(ta))
-		}}
+	return pl.newExchange(pl.out.SigL.Data, pl.out.SigG.Data, pl.bl, false, func(from, to int) []int {
+		ta, te := pl.l.tileOf(from)
+		elo, ehi := pl.l.energyRange(te)
+		return pl.electronSegments(elo, ehi, to, pl.l.ownedAtoms(ta))
+	})
 }
 
 // exchangePi is #4: a tile's Π≷ partials to the phonon point owners,
 // summed on arrival in ascending tile order — the association order the
-// sequential kernel uses. Requires ComputeTile.
+// sequential kernel uses. Packed after ComputeTile.
 func (pl *DaCePlan) exchangePi() exchange {
-	return exchange{lesser: pl.out.PiL.Data, greater: pl.out.PiG.Data, seg: pl.pbl, accumulate: true,
-		segments: func(from, to int) []int {
-			ta, _ := pl.l.tileOf(from)
-			return pl.phononSegments(to, pl.l.ownedAtoms(ta))
-		}}
+	return pl.newExchange(pl.out.PiL.Data, pl.out.PiG.Data, pl.pbl, true, func(from, to int) []int {
+		ta, _ := pl.l.tileOf(from)
+		return pl.phononSegments(to, pl.l.ownedAtoms(ta))
+	})
 }
 
-// pack builds this rank's send buffers of x, one per destination; the
-// rank's own share stays in place (nil buffer).
-func (pl *DaCePlan) pack(x exchange) [][]complex128 {
-	send := make([][]complex128, pl.ranks)
-	for dst := range send {
+// pack fills this rank's send buffers of x, one per destination, in the
+// exchange's own storage (valid until its next pack); the rank's own
+// share stays in place (nil buffer). Under Mixed each buffer ships in the
+// half-width wire format.
+func (pl *DaCePlan) pack(x *exchange) [][]complex128 {
+	for dst, offs := range x.send {
 		if dst == pl.rank {
 			continue
 		}
-		var buf []complex128
-		if offs := x.segments(pl.rank, dst); len(offs) > 0 {
-			buf = make([]complex128, 0, 2*x.seg*len(offs))
-			for _, o := range offs {
-				buf = append(buf, x.lesser[o:o+x.seg]...)
-				buf = append(buf, x.greater[o:o+x.seg]...)
+		buf := slices.Grow(x.packed[dst][:0], 2*x.seg*len(offs))
+		for _, o := range offs {
+			buf = append(buf, x.lesser[o:o+x.seg]...)
+			buf = append(buf, x.greater[o:o+x.seg]...)
+		}
+		x.packed[dst] = buf
+		if pl.prec == Mixed && len(buf) > 0 {
+			x.wire[dst] = half.AppendWireEncode(x.wire[dst][:0], buf, 2*x.seg)
+			buf = x.wire[dst]
+			if n := half.WireFallbacks(buf, 2*x.seg); n > 0 {
+				pl.fallbackBlocks.Add(int64(n))
 			}
 		}
-		buf = pl.encode(buf, 2*x.seg)
 		pl.offRankBytes.Add(int64(len(buf)) * 16)
-		send[dst] = buf
+		x.post[dst] = buf
 	}
-	return send
+	return x.post
 }
 
 // unpack lands the other ranks' buffers of x in this rank's tensors, in
 // ascending source order.
-func (pl *DaCePlan) unpack(x exchange, recv [][]complex128) {
+func (pl *DaCePlan) unpack(x *exchange, recv [][]complex128) {
 	land := func(dst, src []complex128) { copy(dst, src) }
 	if x.accumulate {
 		land = addInto
 	}
-	for from := range recv {
+	for from, offs := range x.recv {
 		if from == pl.rank {
 			continue
 		}
-		buf := pl.decode(recv[from], 2*x.seg)
-		for _, o := range x.segments(from, pl.rank) {
+		buf := recv[from]
+		if pl.prec == Mixed && len(buf) > 0 {
+			x.decoded = half.AppendWireDecode(x.decoded[:0], buf, 2*x.seg)
+			buf = x.decoded
+		}
+		for _, o := range offs {
 			land(x.lesser[o:o+x.seg], buf[:x.seg])
 			land(x.greater[o:o+x.seg], buf[x.seg:2*x.seg])
 			buf = buf[2*x.seg:]
@@ -309,16 +343,17 @@ func (pl *DaCePlan) unpack(x exchange, recv [][]complex128) {
 }
 
 // The exported stages: Pack* returns the send buffers of one exchange for
-// Alltoallv, Unpack* takes its arrivals.
-func (pl *DaCePlan) PackG() [][]complex128     { return pl.pack(pl.exchangeG()) }
-func (pl *DaCePlan) PackD() [][]complex128     { return pl.pack(pl.exchangeD()) }
-func (pl *DaCePlan) PackSigma() [][]complex128 { return pl.pack(pl.exchangeSigma()) }
-func (pl *DaCePlan) PackPi() [][]complex128    { return pl.pack(pl.exchangePi()) }
+// Alltoallv (the plan's storage, rewritten by the stage's next pack),
+// Unpack* takes its arrivals.
+func (pl *DaCePlan) PackG() [][]complex128     { return pl.pack(&pl.xs[0]) }
+func (pl *DaCePlan) PackD() [][]complex128     { return pl.pack(&pl.xs[1]) }
+func (pl *DaCePlan) PackSigma() [][]complex128 { return pl.pack(&pl.xs[2]) }
+func (pl *DaCePlan) PackPi() [][]complex128    { return pl.pack(&pl.xs[3]) }
 
-func (pl *DaCePlan) UnpackG(recv [][]complex128)     { pl.unpack(pl.exchangeG(), recv) }
-func (pl *DaCePlan) UnpackD(recv [][]complex128)     { pl.unpack(pl.exchangeD(), recv) }
-func (pl *DaCePlan) UnpackSigma(recv [][]complex128) { pl.unpack(pl.exchangeSigma(), recv) }
-func (pl *DaCePlan) UnpackPi(recv [][]complex128)    { pl.unpack(pl.exchangePi(), recv) }
+func (pl *DaCePlan) UnpackG(recv [][]complex128)     { pl.unpack(&pl.xs[0], recv) }
+func (pl *DaCePlan) UnpackD(recv [][]complex128)     { pl.unpack(&pl.xs[1], recv) }
+func (pl *DaCePlan) UnpackSigma(recv [][]complex128) { pl.unpack(&pl.xs[2], recv) }
+func (pl *DaCePlan) UnpackPi(recv [][]complex128)    { pl.unpack(&pl.xs[3], recv) }
 
 // ComputeTile runs the restricted SSE kernel on this tile (requires
 // UnpackG and UnpackD): the WithKernel kernel when one is set, else the
@@ -329,9 +364,34 @@ func (pl *DaCePlan) UnpackPi(recv [][]complex128)    { pl.unpack(pl.exchangePi()
 // Σ≷/Π≷ is recorded for the telemetry reduction.
 func (pl *DaCePlan) ComputeTile() {
 	if pl.kernel != nil {
-		pl.out = pl.kernel.Compute(pl.in)
+		res := pl.kernel.Compute(pl.in)
+		copy(pl.out.SigL.Data, res.SigL.Data)
+		copy(pl.out.SigG.Data, res.SigG.Data)
+		copy(pl.out.PiL.Data, res.PiL.Data)
+		copy(pl.out.PiG.Data, res.PiG.Data)
+		pl.out.Stats = res.Stats
 		return
 	}
+	if pl.tile == nil {
+		pl.compileTile()
+	}
+	pl.tile.Compute(pl.in, pl.out)
+	if pl.probeTile != nil {
+		ref := pl.probeOut
+		pl.probeTile.Compute(pl.in, ref)
+		pl.probeDev[0], pl.probeRef[0] = normDev(pl.out.SigL.Data, ref.SigL.Data)
+		d, r := normDev(pl.out.SigG.Data, ref.SigG.Data)
+		pl.probeDev[0], pl.probeRef[0] = max(pl.probeDev[0], d), max(pl.probeRef[0], r)
+		pl.probeDev[1], pl.probeRef[1] = normDev(pl.out.PiL.Data, ref.PiL.Data)
+		d, r = normDev(pl.out.PiG.Data, ref.PiG.Data)
+		pl.probeDev[1], pl.probeRef[1] = max(pl.probeDev[1], d), max(pl.probeRef[1], r)
+	}
+}
+
+// compileTile builds the tile of the plan's precision — the fp64 DaCe
+// schedule, or under Mixed the normalized binary16 kernel plus, with the
+// probe, its fp64 reference.
+func (pl *DaCePlan) compileTile() {
 	elo, ehi := pl.l.energyRange(pl.myTe)
 	atoms := pl.l.ownedAtoms(pl.myTa)
 	if elo == ehi {
@@ -340,19 +400,14 @@ func (pl *DaCePlan) ComputeTile() {
 		// the empty tile is the one over no atoms.
 		atoms, elo, ehi = atoms[:0], 0, 0
 	}
+	fp64 := sse.DaCe{Atoms: atoms, ELo: elo, EHi: ehi}
 	if pl.prec != Mixed {
-		pl.out = (sse.DaCe{Atoms: atoms, ELo: elo, EHi: ehi}).Compute(pl.in)
+		pl.tile = fp64.NewTile(pl.in)
 		return
 	}
-	pl.out = (sse.Mixed{Normalize: true, Atoms: atoms, ELo: elo, EHi: ehi}).Compute(pl.in)
+	pl.tile = (sse.Mixed{Normalize: true, Atoms: atoms, ELo: elo, EHi: ehi}).NewTile(pl.in)
 	if pl.probe {
-		ref := (sse.DaCe{Atoms: atoms, ELo: elo, EHi: ehi}).Compute(pl.in)
-		pl.probeDev[0], pl.probeRef[0] = normDev(pl.out.SigL.Data, ref.SigL.Data)
-		d, r := normDev(pl.out.SigG.Data, ref.SigG.Data)
-		pl.probeDev[0], pl.probeRef[0] = max(pl.probeDev[0], d), max(pl.probeRef[0], r)
-		pl.probeDev[1], pl.probeRef[1] = normDev(pl.out.PiL.Data, ref.PiL.Data)
-		d, r = normDev(pl.out.PiG.Data, ref.PiG.Data)
-		pl.probeDev[1], pl.probeRef[1] = max(pl.probeDev[1], d), max(pl.probeRef[1], r)
+		pl.probeTile, pl.probeOut = fp64.NewTile(pl.in), sse.NewOutput(pl.in)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/comm"
@@ -37,21 +38,45 @@ func hashSend(h hash.Hash, send [][]complex128) [][]complex128 {
 // configuration and returns two digests, each folded over the ranks in
 // rank order: wire — every rank's four packed send buffers, per
 // destination — and state — every rank's G≷/D≷ input tensors after
-// UnpackG/UnpackD and its Σ≷/Π≷ output tensors after UnpackSigma/UnpackPi.
-func exchangeDigests(t *testing.T, in *sse.Input, ta, te int, prec Precision) (wire, state string) {
+// UnpackG/UnpackD and its Σ≷/Π≷ output tensors after UnpackSigma/UnpackPi
+// — plus every rank's tile Stats. With warm set, each rank's plan first
+// runs the whole exchange on warm, unhashed, and then on in.
+func exchangeDigests(t *testing.T, in, warm *sse.Input, ta, te int, prec Precision) (wire, state string, stats []sse.Stats) {
 	t.Helper()
 	l := NewDaCeLayout(in.Dev, ta, te)
 	src := NewOMENLayout(in.Dev.P, l.procs())
 	atomSets := l.AtomSets()
 	wires := make([]hash.Hash, l.procs())
 	states := make([]hash.Hash, l.procs())
+	stats = make([]sse.Stats, l.procs())
 	err := comm.NewWorld(l.procs()).Run(func(c *comm.Comm) error {
 		r := c.Rank()
 		hw, hs := sha256.New(), sha256.New()
 		wires[r], states[r] = hw, hs
-		local := localInput(in, func(ik, ie int) bool { return src.pairOwner(ik, ie) == r },
-			func(iq, m int) bool { return src.phononOwner(iq, m) == r })
-		pl := NewDaCePlan(r, l, src, atomSets, local).WithPrecision(prec)
+		owned := func(in *sse.Input) *sse.Input {
+			return localInput(in, func(ik, ie int) bool { return src.pairOwner(ik, ie) == r },
+				func(iq, m int) bool { return src.phononOwner(iq, m) == r })
+		}
+		local := owned(in)
+		var pl *DaCePlan
+		if warm != nil {
+			local = owned(warm)
+			pl = NewDaCePlan(r, l, src, atomSets, local).WithPrecision(prec)
+			pl.UnpackG(c.Alltoallv(pl.PackG()))
+			pl.UnpackD(c.Alltoallv(pl.PackD()))
+			pl.ComputeTile()
+			pl.UnpackSigma(c.Alltoallv(pl.PackSigma()))
+			pl.UnpackPi(c.Alltoallv(pl.PackPi()))
+			// The plan reads the tensors it was built over: reload them.
+			next := owned(in)
+			dst := [][]complex128{local.GL.Data, local.GG.Data, local.DL.Data, local.DG.Data}
+			for i, v := range [][]complex128{next.GL.Data, next.GG.Data, next.DL.Data, next.DG.Data} {
+				copy(dst[i], v)
+			}
+			pl.ResetCounters()
+		} else {
+			pl = NewDaCePlan(r, l, src, atomSets, local).WithPrecision(prec)
+		}
 		pl.UnpackG(c.Alltoallv(hashSend(hw, pl.PackG())))
 		pl.UnpackD(c.Alltoallv(hashSend(hw, pl.PackD())))
 		for _, v := range [][]complex128{local.GL.Data, local.GG.Data, local.DL.Data, local.DG.Data} {
@@ -69,6 +94,7 @@ func exchangeDigests(t *testing.T, in *sse.Input, ta, te int, prec Precision) (w
 		for _, v := range [][]complex128{out.SigL.Data, out.SigG.Data, out.PiL.Data, out.PiG.Data} {
 			hashVec(hs, v)
 		}
+		stats[r] = out.Stats
 		return nil
 	})
 	if err != nil {
@@ -81,7 +107,7 @@ func exchangeDigests(t *testing.T, in *sse.Input, ta, te int, prec Precision) (w
 		}
 		return hex.EncodeToString(all.Sum(nil))
 	}
-	return fold(wires), fold(states)
+	return fold(wires), fold(states), stats
 }
 
 // checkTileWindow asserts that, after exchanges #1 and #2 under FP64,
@@ -146,10 +172,30 @@ func TestExchangeDigests(t *testing.T) {
 	for _, tile := range [][2]int{{1, 2}, {2, 1}, {2, 2}, {1, 3}, {3, 2}} {
 		for _, prec := range []Precision{FP64, Mixed} {
 			name := fmt.Sprintf("%dx%d/%s", tile[0], tile[1], prec)
-			wire, state := exchangeDigests(t, in, tile[0], tile[1], prec)
+			wire, state, _ := exchangeDigests(t, in, nil, tile[0], tile[1], prec)
 			if w := want[name]; wire != w[0] || state != w[1] {
 				t.Errorf("%q: {%q, %q},", name, wire, state)
 			}
+		}
+	}
+}
+
+// TestReusedPlanLeavesNoStaleData runs one plan per rank at P=2 through
+// the whole exchange twice — on one input, then on another — and
+// requires the second round's wire, state and tile Stats to equal a fresh
+// plan's on the second input bit for bit, fp64 and mixed: the tile output
+// is zeroed before the Π≷ partials accumulate into it and UnpackPi adds
+// arrivals to it, and the pack, encode and decode buffers carry nothing
+// from round to round.
+func TestReusedPlanLeavesNoStaleData(t *testing.T) {
+	dev := testInput(t).Dev
+	first, second := sse.RandomInput(dev, 1), sse.RandomInput(dev, 2)
+	for _, prec := range []Precision{FP64, Mixed} {
+		wire, state, stats := exchangeDigests(t, second, nil, 1, 2, prec)
+		rWire, rState, rStats := exchangeDigests(t, second, first, 1, 2, prec)
+		if rWire != wire || rState != state || !reflect.DeepEqual(rStats, stats) {
+			t.Errorf("%s: the reused plan's second round differs from a fresh plan's:\n wire %s vs %s\nstate %s vs %s\nstats %+v vs %+v",
+				prec, rWire, wire, rState, state, rStats, stats)
 		}
 	}
 }

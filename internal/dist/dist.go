@@ -18,11 +18,15 @@
 // Allreduce of the observables, so every iteration's left-contact current
 // — and hence the convergence decision — is globally consistent.
 //
-// There is one engine. Every rank executes the dataflow graph
-// buildWindowGraph lays out — the only place that lists an iteration's
-// steps — on an internal/sdfg worker pool; a Schedule is an execution
-// order of that graph, i.e. a window depth and a pool size, and the
-// bulk-synchronous phases are the depth-1 window on one worker.
+// There is one engine. buildWindowGraph — the only place that lists an
+// iteration's steps — is each rank's compile step: once per run it lays
+// out the dataflow graph of one window over a ring of iteration slots,
+// which own every buffer an iteration writes (tile plan and output, wire
+// buffers, point results, partials), and an internal/sdfg worker pool
+// runs that one graph for every window, re-arming the slots in between,
+// so an iteration allocates nothing of its own. A Schedule is an
+// execution order of that graph, i.e. a window depth and a pool size,
+// and the bulk-synchronous phases are the depth-1 window on one worker.
 //
 // The per-iteration currents at P ranks match the one-rank run to
 // floating-point reduction ordering (≲1e-12 relative), and every schedule

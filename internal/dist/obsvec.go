@@ -25,19 +25,21 @@ type partialObs struct {
 	// rank's fp64-fallback segment count of the mixed-precision wire
 	// encoder (zero under FP64).
 	sseB, redB, fbk float64
+	// cnt is the wire form of the sse counters, which cross as floats
+	// (the comm runtime's currency is complex128).
+	cnt [4]float64
 }
 
 // walk visits every reduced field in wire order — the single definition
-// of the reduction vector, from which its length, pack and unpackObs all
+// of the reduction vector, from which its length, pack and unpack all
 // derive. A new reduced quantity is one more visit here (or, for an
 // observable, in negf.Observables.Additive).
 func (po *partialObs) walk(p device.Params, visit func(*float64)) {
 	po.Additive(p, visit)
-	// Counters cross as floats: the comm runtime's currency is complex128.
-	for _, c := range []*int64{&po.sse.MatMuls, &po.sse.Flops, &po.sse.ScalarOps, &po.sse.BytesMoved} {
-		f := float64(*c)
-		visit(&f)
-		*c = int64(f)
+	for i, c := range []*int64{&po.sse.MatMuls, &po.sse.Flops, &po.sse.ScalarOps, &po.sse.BytesMoved} {
+		po.cnt[i] = float64(*c)
+		visit(&po.cnt[i])
+		*c = int64(po.cnt[i])
 	}
 	for _, v := range []*float64{&po.flag, &po.sseB, &po.redB, &po.fbk} {
 		visit(v)
@@ -45,23 +47,30 @@ func (po *partialObs) walk(p device.Params, visit func(*float64)) {
 }
 
 // vecLen is the packed length for p: the number of fields walk visits.
-func vecLen(p device.Params) int { return len(new(partialObs).pack(p)) }
-
-// pack serializes the partial into the real parts of a complex vector,
-// the currency of the comm runtime, in one exactly-sized allocation.
-func (po *partialObs) pack(p device.Params) []complex128 {
+func vecLen(p device.Params) int {
 	n := 0
-	po.walk(p, func(*float64) { n++ })
-	out := make([]complex128, 0, n)
-	po.walk(p, func(v *float64) { out = append(out, complex(*v, 0)) })
-	return out
+	new(partialObs).walk(p, func(*float64) { n++ })
+	return n
 }
 
-// unpackObs deserializes a reduced vector back into the (now global)
-// totals. LDOS, the phonon spectra and AtomTemperature are not on the
-// wire and stay nil.
-func unpackObs(v []complex128, p device.Params) *partialObs {
-	po := &partialObs{}
+// pack serializes the partial into the real parts of a complex vector,
+// the currency of the comm runtime, reusing dst's storage; a dst too
+// small for it is replaced by one exactly-sized allocation.
+func (po *partialObs) pack(p device.Params, dst []complex128) []complex128 {
+	n := 0
+	po.walk(p, func(*float64) { n++ })
+	if cap(dst) < n {
+		dst = make([]complex128, 0, n)
+	}
+	dst = dst[:0]
+	po.walk(p, func(v *float64) { dst = append(dst, complex(*v, 0)) })
+	return dst
+}
+
+// unpack deserializes a reduced vector into po, which then holds the
+// global totals. LDOS, the phonon spectra and AtomTemperature are not on
+// the wire and are left as they are.
+func (po *partialObs) unpack(v []complex128, p device.Params) {
 	pos := 0
 	po.walk(p, func(f *float64) {
 		if pos < len(v) {
@@ -72,7 +81,53 @@ func unpackObs(v []complex128, p device.Params) *partialObs {
 	if pos != len(v) {
 		panic("dist: observable vector length mismatch")
 	}
-	return po
+}
+
+// empty makes po the empty accumulator for p, in its own storage once it
+// has any (negf's Reset allocates it the first time).
+func (po *partialObs) empty(p device.Params) {
+	if po.LDOS == nil {
+		*po = partialObs{}
+		po.Reset(p)
+		return
+	}
+	po.walk(p, func(v *float64) { *v = 0 })
+	for _, grid := range [][][]float64{po.LDOS, po.PhononDOS, po.PhononOcc} {
+		for _, row := range grid {
+			clear(row)
+		}
+	}
+}
+
+// assign makes po a copy of src that shares no storage with it, reusing
+// po's own: what a run keeps of an iteration outlives the slot the
+// iteration ran in.
+func (po *partialObs) assign(src *partialObs) {
+	o := po.Observables
+	*po = *src
+	po.SpectralCurrent = append(o.SpectralCurrent[:0], src.SpectralCurrent...)
+	po.InterfaceCurrent = append(o.InterfaceCurrent[:0], src.InterfaceCurrent...)
+	po.InterfaceEnergyCurrent = append(o.InterfaceEnergyCurrent[:0], src.InterfaceEnergyCurrent...)
+	po.PhononInterfaceEnergy = append(o.PhononInterfaceEnergy[:0], src.PhononInterfaceEnergy...)
+	po.DissipatedPower = append(o.DissipatedPower[:0], src.DissipatedPower...)
+	po.AtomTemperature = append(o.AtomTemperature[:0], src.AtomTemperature...)
+	po.LDOS = copyGrid(o.LDOS, src.LDOS)
+	po.PhononDOS = copyGrid(o.PhononDOS, src.PhononDOS)
+	po.PhononOcc = copyGrid(o.PhononOcc, src.PhononOcc)
+}
+
+// copyGrid copies src into dst's storage, resized as needed.
+func copyGrid(dst, src [][]float64) [][]float64 {
+	if src == nil {
+		return nil
+	}
+	if len(dst) != len(src) {
+		dst = make([][]float64, len(src))
+	}
+	for i, row := range src {
+		dst[i] = append(dst[i][:0], row...)
+	}
+	return dst
 }
 
 // row is the telemetry row of iteration it read off the reduced totals;

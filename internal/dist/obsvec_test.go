@@ -30,7 +30,7 @@ func TestPackLenMatchesVecLen(t *testing.T) {
 		po := &partialObs{}
 		po.flag, po.sseB, po.redB, po.fbk = 1, 2, 3, 4
 		po.sse = sse.Stats{MatMuls: 4, Flops: 5, ScalarOps: 6, BytesMoved: 7}
-		v := po.pack(p)
+		v := po.pack(p, nil)
 		want := 6 + 3*(p.Bnum-1) + p.Bnum + p.NE + 4 + 4
 		if vecLen(p) != want {
 			t.Errorf("Bnum=%d NE=%d: vecLen = %d, want the wire length %d", p.Bnum, p.NE, vecLen(p), want)
@@ -76,7 +76,8 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	p := device.Params{Bnum: 3, NE: 5, Na: 2, Nomega: 2}
 	po := populatedPartial(p)
 	po.LDOS[1][2], po.PhononDOS[1][1] = 9, 9
-	got := unpackObs(po.pack(p), p)
+	got := &partialObs{}
+	got.unpack(po.pack(p, nil), p)
 	if got.LDOS != nil || got.PhononDOS != nil || got.PhononOcc != nil || got.AtomTemperature != nil {
 		t.Errorf("off-wire fields must stay nil after unpack: %+v", got.Observables)
 	}
@@ -91,7 +92,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 // populated partial at commit bd65bb6, where vecLen, pack and unpackObs
 // each listed the fields by hand.
 func TestPackWireDigest(t *testing.T) {
-	v := populatedPartial(device.Params{Bnum: 3, NE: 5}).pack(device.Params{Bnum: 3, NE: 5})
+	v := populatedPartial(device.Params{Bnum: 3, NE: 5}).pack(device.Params{Bnum: 3, NE: 5}, nil)
 	h := sha256.New()
 	var b [16]byte
 	for _, x := range v {

@@ -378,7 +378,10 @@ func TestNonFiniteCurrent(t *testing.T) {
 // iteration waits for the previous conv fence, so the request can never
 // miss the next reduction, whether the stop lands mid-window or at a
 // window boundary — and Run returns the hook's error with the trace
-// truncated at the iteration the hook saw.
+// truncated at the iteration the hook saw. The result is the last valid
+// iteration's: its observables equal those of a run capped there, though
+// the discarded iteration ran in a re-armed slot (at depth 2 iteration 3
+// reuses iteration 1's).
 func stopRequest(t *testing.T, s sched) {
 	stop := errors.New("enough")
 	opts := s.forced(4, 8)
@@ -400,6 +403,10 @@ func stopRequest(t *testing.T, s sched) {
 	// Iterations 0 and 1 plus the one discarded.
 	if got := res.Comm.Collectives["Allreduce"]; got != 3 {
 		t.Errorf("%d Allreduces, want 3", got)
+	}
+	capped := mustRun(t, "capped", s.forced(4, 2))
+	if !reflect.DeepEqual(res.Obs, capped.Obs) {
+		t.Errorf("stopped run's observables differ from the run capped at its last valid iteration:\n got %+v\nwant %+v", res.Obs, capped.Obs)
 	}
 }
 

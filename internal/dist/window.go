@@ -53,11 +53,14 @@ type pipeRun struct {
 	wantStop bool  // rank 0: ride the stop request on the next reduction
 
 	prev float64 // previous valid iteration's global current
-	// local and global are the last valid iteration's partial before and
-	// after the reduction.
-	local, global *partialObs
+	// local and global are copies of the last valid iteration's partial
+	// before and after the reduction, taken at its conv node: the slot
+	// the iteration ran in is re-armed for a later one, possibly while a
+	// speculated iteration still runs in it.
+	local, global partialObs
 
-	lastConv time.Duration
+	winStart time.Time     // the current window's clock zero
+	lastConv time.Duration // window-relative instant of the last conv
 	decided  time.Duration // window-relative instant the halt decision landed
 }
 
@@ -69,30 +72,64 @@ func (pr *pipeRun) fence(at int, now time.Duration) {
 	pr.decided = now
 }
 
-// iterRun is the mutable state one iteration of the graph threads
-// through its nodes. Fields are written by exactly one node each (or
-// guarded by mu), and the executor's scheduling lock orders every write
-// before the nodes that consume it.
-type iterRun struct {
+// slot is one iteration's storage in a run's ring: everything an
+// iteration of the window graph writes, allocated once per run and
+// re-armed (arm) for each iteration it carries. Fields are written by
+// exactly one node each (or guarded by mu), and the executor's
+// scheduling lock orders every write before the nodes that consume it.
+type slot struct {
+	iter int // the absolute iteration the slot carries in this window
+
 	mu  sync.Mutex
 	err error // first failed point solve of this rank
 
-	part *partialObs
-	plan *decomp.DaCePlan
+	// plan owns the tile output, the tile with its scratch and the wire
+	// buffers; points holds the point results; part, global and obsBuf
+	// are the iteration's partial, its reduction and the reduction's
+	// payload.
+	plan         *decomp.DaCePlan
+	points       *negf.PointResults
+	part, global partialObs
+	obsBuf       []complex128
 
 	reqG, reqD, reqSig, reqPi *comm.MatRequest
 	reqObs                    *comm.VecRequest
-	global                    *partialObs
 	qerr                      float64 // globally reduced probe deviation
 
-	// points are the iteration's private result slots; compNs/commNs the
-	// measured compute/communication split the conv node folds into
-	// IterStats.
-	points         *negf.PointResults
+	// compNs/commNs are the measured compute/communication split the conv
+	// node folds into IterStats.
 	compNs, commNs atomic.Int64
 }
 
-func (st *iterRun) fail(err error) {
+// newSlot allocates one slot of the rank's ring.
+func (rs *rankState) newSlot(opts Options) *slot {
+	pl := decomp.NewDaCePlan(rs.c.Rank(), rs.tiles, rs.src, rs.atomSets, rs.in).
+		WithPrecision(opts.Precision)
+	if opts.ErrorProbe {
+		pl.WithErrorProbe()
+	}
+	if opts.Kernel != nil {
+		pl.WithKernel(opts.Kernel)
+	}
+	return &slot{plan: pl, points: rs.sh.NewResults()}
+}
+
+// arm re-arms the slot for absolute iteration a, between windows: a fresh
+// accumulator and counters, no error and no request outstanding. The
+// point results, the tile output and the wire buffers are overwritten by
+// the nodes that produce them.
+func (st *slot) arm(a int, p device.Params) {
+	st.iter = a
+	st.err = nil
+	st.part.empty(p)
+	st.plan.ResetCounters()
+	st.reqG, st.reqD, st.reqSig, st.reqPi, st.reqObs = nil, nil, nil, nil, nil
+	st.qerr = 0
+	st.compNs.Store(0)
+	st.commNs.Store(0)
+}
+
+func (st *slot) fail(err error) {
 	st.mu.Lock()
 	if st.err == nil {
 		st.err = err
@@ -100,7 +137,7 @@ func (st *iterRun) fail(err error) {
 	st.mu.Unlock()
 }
 
-func (st *iterRun) failed() bool {
+func (st *slot) failed() bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.err != nil
@@ -109,7 +146,7 @@ func (st *iterRun) failed() bool {
 // try runs the GF-phase step of point i unless a point of this rank's
 // shard has already failed (the iteration is then discarded at its conv),
 // and records the step's own failure.
-func (st *iterRun) try(step func(i int) error, i int) {
+func (st *slot) try(step func(i int) error, i int) {
 	if st.failed() {
 		return
 	}
@@ -137,10 +174,24 @@ func runRankWindow(c *comm.Comm, dev *device.Device, opts Options, res *Result) 
 	r := c.Rank()
 	ex := sdfg.NewExecutor(opts.Workers)
 
-	// Mirror executor task spans into the run trace; the node label picks
-	// the category the phase view groups by. Each worker of a pool gets
-	// its own 100+ track; a one-worker pool has no worker lanes, so its
-	// nodes are the rank's serial lane, track 0. The executor times each
+	pr := &pipeRun{}
+	pr.stopAt.Store(math.MaxInt64)
+
+	// Compile the run: a ring of one slot per iteration of the window and
+	// one graph over it, run by the executor every window. A window past
+	// the last iteration leaves its trailing slots idle.
+	p := dev.P
+	ring := make([]*slot, min(opts.PipelineDepth, opts.MaxIter))
+	for k := range ring {
+		ring[k] = rs.newSlot(opts)
+	}
+	g, owner := rs.buildWindowGraph(opts, pr, ring, res)
+
+	// Mirror executor task spans into the run trace, except those of an
+	// idle slot's nodes; the node label picks the category the phase view
+	// groups by. Each worker of a pool gets its own 100+ track; a
+	// one-worker pool has no worker lanes, so its nodes are the rank's
+	// serial lane, track 0. The executor times each
 	// node on its own per-Run clock and calls the observer as the node
 	// ends, so the span is placed on the tracer's clock ending now: a
 	// task then encloses the bc/rgf spans recorded inside it.
@@ -150,7 +201,10 @@ func runRankWindow(c *comm.Comm, dev *device.Device, opts Options, res *Result) 
 		if opts.Workers == 1 {
 			lane = 0
 		}
-		ex.Observer = func(label string, kind sdfg.Kind, worker int, start, end time.Duration) {
+		ex.Observer = func(id sdfg.NodeID, label string, kind sdfg.Kind, worker int, start, end time.Duration) {
+			if owner[id].iter >= opts.MaxIter {
+				return
+			}
 			cat := "task"
 			switch {
 			case label == "sse/tile":
@@ -168,23 +222,17 @@ func runRankWindow(c *comm.Comm, dev *device.Device, opts Options, res *Result) 
 		}
 	}
 
-	pr := &pipeRun{}
-	pr.stopAt.Store(math.MaxInt64)
-
-	for base := 0; base < opts.MaxIter && !pr.halt; {
-		w := min(opts.PipelineDepth, opts.MaxIter-base)
-		winStart := time.Now()
+	for base := 0; base < opts.MaxIter && !pr.halt; base += len(ring) {
+		for k, st := range ring {
+			st.arm(base+k, p)
+		}
+		pr.winStart = time.Now()
 		tWin := trc.Begin()
 		pr.lastConv = 0
-		win := make([]*iterRun, w)
-		for k := range win {
-			win[k] = &iterRun{points: rs.sh.NewResults()}
-		}
-		g := rs.buildWindowGraph(opts, pr, win, base, winStart, res)
 		if _, err := ex.Run(g); err != nil {
 			return fmt.Errorf("dist: window at iteration %d: %w", base, err)
 		}
-		drain := time.Since(winStart)
+		drain := time.Since(pr.winStart)
 		trc.End(r, 0, "iter", "window", base, -1, tWin)
 		if trc != nil && pr.halt {
 			// The tail between the halt decision and the window drain is
@@ -194,8 +242,8 @@ func runRankWindow(c *comm.Comm, dev *device.Device, opts Options, res *Result) 
 				Name: "pipeline/fence", Cat: "stall", Rank: r, Track: 99, I: base, J: -1,
 				Start: tWin + pr.decided.Nanoseconds(), Dur: (drain - pr.decided).Nanoseconds(),
 			})
-			for k := range win {
-				if a := base + k; int64(a) >= pr.stopAt.Load() {
+			for _, st := range ring {
+				if a := st.iter; a < opts.MaxIter && int64(a) >= pr.stopAt.Load() {
 					trc.Add(obs.Span{
 						Name: "pipeline/discard", Cat: "stall", Rank: r, Track: 99, I: a, J: -1,
 						Start: tWin + pr.decided.Nanoseconds(), Dur: (drain - pr.decided).Nanoseconds(),
@@ -209,7 +257,6 @@ func runRankWindow(c *comm.Comm, dev *device.Device, opts Options, res *Result) 
 			}
 			return nil
 		}
-		base += w
 	}
 
 	if r == 0 {
@@ -221,16 +268,19 @@ func runRankWindow(c *comm.Comm, dev *device.Device, opts Options, res *Result) 
 	if opts.Ranks == 1 && pr.stopErr == nil && !(pr.converged && opts.PipelineDepth > 1) {
 		final = &negf.SigmaState{SigL: rs.ps.SigL, SigG: rs.ps.SigG, PiL: rs.ps.PiL, PiG: rs.ps.PiG}
 	}
-	rs.epilogue(opts, res, pr.converged, pr.local, pr.global, final)
+	rs.epilogue(opts, res, pr.converged, &pr.local, &pr.global, final)
 	return nil
 }
 
-// buildWindowGraph lays out a window of w consecutive self-consistent
-// iterations as one dataflow graph — the only task-graph builder of the
-// package. Node kinds follow §4's SDFG: one solve per grid point (its
-// boundary lookup and RGF), collision partials, the four SSE tile
-// exchanges, the tile kernel, mixing, and the observable reduction. Three
-// things carry the window:
+// buildWindowGraph is the run's compile step: it lays out a window of
+// consecutive self-consistent iterations, one per slot of the ring, as
+// one dataflow graph — the only task-graph builder of the package — which
+// the rank's executor then runs once per window. Node bodies read their
+// iteration from their slot, so the graph, its closures and its labels
+// are built once per run. Node kinds follow §4's SDFG: one solve per grid
+// point (its boundary lookup and RGF), collision partials, the four SSE
+// tile exchanges, the tile kernel, mixing, and the observable reduction.
+// Three things carry the window:
 //
 //   - mixing is split into per-point nodes, so iteration k+1's solve of a
 //     point depends only on the mixed Σ (or Π) of that same point — the
@@ -256,34 +306,23 @@ func runRankWindow(c *comm.Comm, dev *device.Device, opts Options, res *Result) 
 // the control word), so every rank moves the fence identically with no
 // agreement collective of its own; a rank-0 cancellation is folded into
 // the next reduction's control word instead of being acted on locally.
-func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*iterRun,
-	base int, winStart time.Time, res *Result) *sdfg.Graph {
-
+//
+// It returns the graph and, per node, the slot the node belongs to.
+func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, ring []*slot, res *Result) (*sdfg.Graph, []*slot) {
 	p := rs.dev.P
 	c := rs.c
 	r := c.Rank()
 	g := sdfg.New()
+	var owner []*slot
 	redShare := reduceShare(c, vecLen(p))
 
 	var prevConv sdfg.NodeID = -1
 	var prevMixSig, prevMixPi []sdfg.NodeID
 
-	for k := range win {
-		k := k
-		a := base + k
-		st := win[k]
-		st.part = &partialObs{}
-		st.part.Reset(p)
-		st.plan = decomp.NewDaCePlan(r, rs.tiles, rs.src, rs.atomSets, rs.in).
-			WithPrecision(opts.Precision)
-		if opts.ErrorProbe {
-			st.plan.WithErrorProbe()
-		}
-		if opts.Kernel != nil {
-			st.plan.WithKernel(opts.Kernel)
-		}
-
-		skip := func() bool { return pr.stopAt.Load() <= int64(a) }
+	for k, st := range ring {
+		// A slot idles once the fence has moved to or before its
+		// iteration, and in a window that runs past the last iteration.
+		skip := func() bool { return pr.stopAt.Load() <= int64(st.iter) || st.iter >= opts.MaxIter }
 		// add wraps every node with the per-iteration compute/comm timers
 		// the conv node folds into IterStats — conv depends (transitively)
 		// on every node of its iteration, so the counters are complete
@@ -294,6 +333,7 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*iterRun,
 			if kind == sdfg.Comm {
 				ns = &st.commNs
 			}
+			owner = append(owner, st)
 			return g.Add(sdfg.Spec{Label: label, Kind: kind, Run: func() error {
 				t0 := time.Now()
 				body()
@@ -474,11 +514,12 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*iterRun,
 			st.part.sseB = float64(st.plan.OffRankBytes())
 			st.part.redB = redShare
 			st.part.fbk = float64(st.plan.FallbackBlocks())
-			st.reqObs = c.IAllreduce(decomp.SlotObs, st.part.pack(p))
+			st.obsBuf = st.part.pack(p, st.obsBuf)
+			st.reqObs = c.IAllreduce(decomp.SlotObs, st.obsBuf)
 		}, elAccum, phAccum, elLoss, phGain, tile, postSig, postPi)
 		waitObs := add("wait/obs", sdfg.Comm, func() {
 			if st.reqObs != nil {
-				st.global = unpackObs(st.reqObs.Wait(), p)
+				st.global.unpack(st.reqObs.Wait(), p)
 			}
 		}, obsPost)
 
@@ -493,13 +534,13 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*iterRun,
 		if prevConv >= 0 {
 			convDeps = append(convDeps, prevConv)
 		}
-		conv := node(fmt.Sprintf("conv/%d", a), sdfg.Compute, func() {
-			gl := st.global
-			if gl == nil {
+		conv := node("conv", sdfg.Compute, func() {
+			if st.reqObs == nil {
 				return
 			}
+			a, gl := st.iter, &st.global
 			if gl.flag != 0 {
-				pr.fence(a, time.Since(winStart))
+				pr.fence(a, time.Since(pr.winStart))
 				if flagFailure(gl.flag) {
 					pr.failed = true
 					pr.err = st.err // nil on healthy ranks
@@ -508,7 +549,7 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*iterRun,
 			}
 			cur := gl.CurrentL
 			rel, converged, err := negf.ConvergenceStep(a, cur, pr.prev, opts.Tol)
-			now := time.Since(winStart)
+			now := time.Since(pr.winStart)
 			if err != nil {
 				// Decided from the reduced current, so every rank fails
 				// this iteration alike — no collective is abandoned.
@@ -529,7 +570,8 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*iterRun,
 				}
 			}
 			pr.lastConv = now
-			pr.local, pr.global = st.part, gl
+			pr.local.assign(&st.part)
+			pr.global.assign(gl)
 			pr.prev = cur
 			if converged {
 				pr.converged = true
@@ -540,5 +582,5 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, win []*iterRun,
 		prevConv = conv
 		prevMixSig, prevMixPi = mixSig, mixPi
 	}
-	return g
+	return g, owner
 }

@@ -1,6 +1,9 @@
 package half
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Wire format: the half-width payload encoding the distributed SSE
 // exchanges ship through the simulated MPI runtime. The comm layer's
@@ -51,29 +54,41 @@ func wireScale(maxAbs float64) (scale float64, ok bool) {
 }
 
 // WireEncode packs src — whose length must be a multiple of seg — into a
-// fresh wire buffer. Appends one segment at a time so mixed half/fp64
-// segments coexist in one message.
+// fresh wire buffer; AppendWireEncode is the form that reuses one.
 func WireEncode(src []complex128, seg int) []complex128 {
+	return AppendWireEncode(nil, src, seg)
+}
+
+// AppendWireEncode appends the wire encoding of src to dst and returns
+// the extended buffer. One segment is appended at a time, so mixed
+// half/fp64 segments coexist in one message.
+func AppendWireEncode(dst, src []complex128, seg int) []complex128 {
 	if seg <= 0 {
 		panic("half: WireEncode segment length must be positive")
 	}
 	if len(src)%seg != 0 {
 		panic("half: WireEncode payload not a multiple of the segment length")
 	}
-	out := make([]complex128, 0, (len(src)/seg)*wireWords(seg))
+	dst = slices.Grow(dst, len(src)/seg*wireWords(seg)) // exact unless a segment falls back
 	for off := 0; off < len(src); off += seg {
-		out = appendSegment(out, src[off:off+seg])
+		dst = appendSegment(dst, src[off:off+seg])
 	}
-	return out
+	return dst
 }
 
 // WireDecode expands a WireEncode buffer back into full complex128
 // values, walking the per-segment headers. seg must match the encoder's.
 func WireDecode(wire []complex128, seg int) []complex128 {
+	return AppendWireDecode(nil, wire, seg)
+}
+
+// AppendWireDecode appends the decoded values of wire to dst and returns
+// the extended buffer.
+func AppendWireDecode(dst, wire []complex128, seg int) []complex128 {
 	if seg <= 0 {
 		panic("half: WireDecode segment length must be positive")
 	}
-	var out []complex128
+	dst = slices.Grow(dst, len(wire)/wireWords(seg)*seg) // exact unless a segment fell back
 	pos := 0
 	for pos < len(wire) {
 		h := wire[pos]
@@ -82,7 +97,7 @@ func WireDecode(wire []complex128, seg int) []complex128 {
 			if pos+seg > len(wire) {
 				panic("half: WireDecode truncated fp64 segment")
 			}
-			out = append(out, wire[pos:pos+seg]...)
+			dst = append(dst, wire[pos:pos+seg]...)
 			pos += seg
 			continue
 		}
@@ -91,10 +106,10 @@ func WireDecode(wire []complex128, seg int) []complex128 {
 			panic("half: WireDecode truncated half segment")
 		}
 		invScale := 1 / real(h)
-		out = decodeQuads(out, wire[pos:pos+words], seg, invScale)
+		dst = decodeQuads(dst, wire[pos:pos+words], seg, invScale)
 		pos += words
 	}
-	return out
+	return dst
 }
 
 // WireFallbacks walks an encoded wire buffer's segment headers and counts

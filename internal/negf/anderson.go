@@ -23,7 +23,8 @@ import (
 // For θ = 0 this reduces to plain linear mixing; θ is clamped to [−2, 2]
 // to keep early iterations stable.
 
-// andersonState carries the history the accelerator needs.
+// andersonState carries the history the accelerator needs, as one
+// vector over the four tensors in state order.
 type andersonState struct {
 	prevX []complex128 // x_{n-1}
 	prevF []complex128 // f_{n-1}
@@ -34,79 +35,63 @@ type andersonState struct {
 // from the freshly computed SSE output using Anderson extrapolation with
 // underlying linear-mixing factor mixing. The history lives on the point
 // solver; its one caller is the mix/anderson node of a one-rank window
-// graph, which owns the whole state.
+// graph, which owns the whole state. The four (state, output) tensor
+// pairs are walked in place as one vector, so a mix allocates nothing
+// once the history exists.
 func (ps *PointSolver) MixAnderson(out *sse.Output, mixing float64) {
-	x := concatViews(ps.SigL.Data, ps.SigG.Data, ps.PiL.Data, ps.PiG.Data)
-	fx := make([]complex128, len(x.flat))
-	computed := concatViews(out.SigL.Data, out.SigG.Data, out.PiL.Data, out.PiG.Data)
-	for i := range fx {
-		fx[i] = computed.flat[i] - x.flat[i]
-	}
-
-	beta := complex(mixing, 0)
+	xs := [4][]complex128{ps.SigL.Data, ps.SigG.Data, ps.PiL.Data, ps.PiG.Data}
+	fs := [4][]complex128{out.SigL.Data, out.SigG.Data, out.PiL.Data, out.PiG.Data}
 	st := ps.anderson
 	if st == nil {
-		st = &andersonState{}
+		n := 0
+		for _, x := range xs {
+			n += len(x)
+		}
+		st = &andersonState{prevX: make([]complex128, n), prevF: make([]complex128, n)}
 		ps.anderson = st
 	}
 
-	next := make([]complex128, len(fx))
-	if !st.haveH {
-		for i := range next {
-			next[i] = x.flat[i] + beta*fx[i]
-		}
-	} else {
+	// θ from the residual difference, summed in vector order. The
+	// residual f = F(x) − x is recomputed where it is needed.
+	theta := complex(0, 0)
+	if st.haveH {
 		var num, den complex128
-		for i := range fx {
-			df := fx[i] - st.prevF[i]
-			num += conj(df) * fx[i]
-			den += conj(df) * df
+		off := 0
+		for t, x := range xs {
+			for i, xi := range x {
+				fx := fs[t][i] - xi
+				df := fx - st.prevF[off+i]
+				num += conj(df) * fx
+				den += conj(df) * df
+			}
+			off += len(x)
 		}
-		theta := complex(0, 0)
 		if real(den) > 0 {
 			theta = num / den
 			if mag := real(theta)*real(theta) + imag(theta)*imag(theta); mag > 4 {
 				theta *= complex(2/math.Sqrt(mag), 0)
 			}
 		}
-		for i := range next {
-			dx := x.flat[i] - st.prevX[i]
-			df := fx[i] - st.prevF[i]
-			next[i] = x.flat[i] + beta*fx[i] - theta*(dx+beta*df)
-		}
 	}
-	st.prevX = append(st.prevX[:0], x.flat...)
-	st.prevF = append(st.prevF[:0], fx...)
-	st.haveH = true
-	x.scatter(next)
-}
 
-// concatView lets the accelerator treat the four tensors as one vector
-// without copying them around permanently.
-type concatView struct {
-	parts [][]complex128
-	flat  []complex128
-}
-
-func concatViews(parts ...[]complex128) *concatView {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	flat := make([]complex128, 0, total)
-	for _, p := range parts {
-		flat = append(flat, p...)
-	}
-	return &concatView{parts: parts, flat: flat}
-}
-
-// scatter writes a flat vector back into the underlying tensors.
-func (v *concatView) scatter(flat []complex128) {
+	beta := complex(mixing, 0)
 	off := 0
-	for _, p := range v.parts {
-		copy(p, flat[off:off+len(p)])
-		off += len(p)
+	for t, x := range xs {
+		prevX, prevF := st.prevX[off:off+len(x)], st.prevF[off:off+len(x)]
+		for i, xi := range x {
+			fx := fs[t][i] - xi
+			if st.haveH {
+				dx := xi - prevX[i]
+				df := fx - prevF[i]
+				x[i] = xi + beta*fx - theta*(dx+beta*df)
+			} else {
+				x[i] = xi + beta*fx
+			}
+			prevX[i], prevF[i] = xi, fx
+		}
+		off += len(x)
 	}
+	st.haveH = true
 }
 
 func conj(z complex128) complex128 { return complex(real(z), -imag(z)) }

@@ -19,10 +19,31 @@ type ElectronPointResult struct {
 	LDOS               []float64 // −(1/π)·Im tr Gᴿ per slab
 }
 
+// newElectronResult allocates the storage of one electron point result.
+func newElectronResult(p device.Params) *ElectronPointResult {
+	nb := p.Bnum
+	return &ElectronPointResult{
+		InterfaceCurrent:  make([]float64, nb-1),
+		InterfaceEnergy:   make([]float64, nb-1),
+		DissipatedPerSlab: make([]float64, nb),
+		LDOS:              make([]float64, nb),
+	}
+}
+
 // SolveElectronPoint builds and solves one (kz, E) RGF problem against the
 // current scattering self-energies, filling the G≷ blocks of that point and
 // returning its observable contributions.
 func (s *PointSolver) SolveElectronPoint(h *blocktri.Matrix, ik, ie int) (*ElectronPointResult, error) {
+	res := newElectronResult(s.Dev.P)
+	if err := s.solveElectronInto(h, ik, ie, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// solveElectronInto is SolveElectronPoint writing its observables into
+// res, whose storage it overwrites in full.
+func (s *PointSolver) solveElectronInto(h *blocktri.Matrix, ik, ie int, res *ElectronPointResult) error {
 	p := s.Dev.P
 	e := p.Energy(ie)
 	z := complex(e, p.Eta)
@@ -50,7 +71,7 @@ func (s *PointSolver) SolveElectronPoint(h *blocktri.Matrix, ik, ie int) (*Elect
 	// Open boundaries: semi-infinite periodic extensions of the edge slabs.
 	left, right, err := s.leadBCs(sc, 0, "bc/el", ik, ie, h, z)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	linalg.AXPY(a.Diag[0], -1, left.SigmaR)
 	linalg.AXPY(a.Diag[nb-1], -1, right.SigmaR)
@@ -90,7 +111,7 @@ func (s *PointSolver) SolveElectronPoint(h *blocktri.Matrix, ik, ie int) (*Elect
 	tRGF := s.Trace.Begin()
 	sol, err := sc.solveRGF(a, sigL, sigG)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.Trace.End(s.TraceRank, sc.track, "rgf", "rgf/el", ik, ie, tRGF)
 
@@ -110,13 +131,8 @@ func (s *PointSolver) SolveElectronPoint(h *blocktri.Matrix, ik, ie int) (*Elect
 
 	// Observables. Meir-Wingreen contact currents:
 	// I_c(E) = Tr[Σ<_c·G> − Σ>_c·G<] evaluated at the contact slab.
-	res := &ElectronPointResult{
-		InterfaceCurrent:  make([]float64, nb-1),
-		InterfaceEnergy:   make([]float64, nb-1),
-		DissipatedPerSlab: make([]float64, nb),
-		IE:                ie,
-		LDOS:              make([]float64, nb),
-	}
+	res.IE = ie
+	clear(res.DissipatedPerSlab) // accumulated per atom below
 	for i := 0; i < nb; i++ {
 		var tr complex128
 		for r := 0; r < bs; r++ {
@@ -156,8 +172,7 @@ func (s *PointSolver) SolveElectronPoint(h *blocktri.Matrix, ik, ie int) (*Elect
 		}
 		res.DissipatedPerSlab[sl] += e * real(tr)
 	}
-
-	return res, nil
+	return nil
 }
 
 // contactCurrent computes Tr[Σ<_c·G> − Σ>_c·G<] with Σ<_c = i·f·Γ and

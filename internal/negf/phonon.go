@@ -20,6 +20,25 @@ type PhononPointResult struct {
 // ((ω+iη)²·I − Φ − Πᴿ)·Dᴿ = I, D≷ = Dᴿ·Π≷·Dᴬ. It fills the D≷ blocks of
 // that point and returns its observable contributions.
 func (s *PointSolver) SolvePhononPoint(phi *blocktri.Matrix, iq, m int) (*PhononPointResult, error) {
+	res := newPhononResult(s.Dev.P)
+	if err := s.solvePhononInto(phi, iq, m, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// newPhononResult allocates the storage of one phonon point result.
+func newPhononResult(p device.Params) *PhononPointResult {
+	return &PhononPointResult{
+		InterfaceEnergy: make([]float64, p.Bnum-1),
+		DOS:             make([]float64, p.Na),
+		Occ:             make([]float64, p.Na),
+	}
+}
+
+// solvePhononInto is SolvePhononPoint writing its observables into res,
+// whose storage it overwrites in full.
+func (s *PointSolver) solvePhononInto(phi *blocktri.Matrix, iq, m int, res *PhononPointResult) error {
 	p := s.Dev.P
 	omega := p.Omega(m)
 	z := complex(omega, p.Eta)
@@ -48,7 +67,7 @@ func (s *PointSolver) SolvePhononPoint(phi *blocktri.Matrix, iq, m int) (*Phonon
 	// cached across iterations, §7.1.2).
 	left, right, err := s.leadBCs(sc, 2, "bc/ph", iq, m, phi, z2)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	linalg.AXPY(a.Diag[0], -1, left.SigmaR)
 	linalg.AXPY(a.Diag[nb-1], -1, right.SigmaR)
@@ -70,7 +89,7 @@ func (s *PointSolver) SolvePhononPoint(phi *blocktri.Matrix, iq, m int) (*Phonon
 	tRGF := s.Trace.Begin()
 	sol, err := sc.solveRGF(a, sigL, sigG)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.Trace.End(s.TraceRank, sc.track, "rgf", "rgf/ph", iq, m, tRGF)
 
@@ -100,12 +119,7 @@ func (s *PointSolver) SolvePhononPoint(phi *blocktri.Matrix, iq, m int) (*Phonon
 		}
 	}
 
-	res := &PhononPointResult{
-		M:               m,
-		InterfaceEnergy: make([]float64, nb-1),
-		DOS:             make([]float64, p.Na),
-		Occ:             make([]float64, p.Na),
-	}
+	res.M = m
 	// Contact heat current (Meir-Wingreen form for phonons).
 	res.EnergyContactL = phononContactCurrent(left.Gamma, n, sol.GL[0], sol.GG[0])
 	// Interface heat flux, rightward-positive. The phonon energy-current
@@ -130,7 +144,7 @@ func (s *PointSolver) SolvePhononPoint(phi *blocktri.Matrix, iq, m int) (*Phonon
 		res.DOS[at] = -2 * imag(trR)
 		res.Occ[at] = -imag(trL)
 	}
-	return res, nil
+	return nil
 }
 
 // scatterPiRetarded adds Πᴿ_S = (Π> − Π<)/2 blocks into the assembled A.

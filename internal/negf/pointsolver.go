@@ -46,13 +46,16 @@ type PointSolver struct {
 	SigL, SigG *tensor.Electron
 	PiL, PiG   *tensor.Phonon
 
-	// scratch pools one solveScratch per concurrently running point solve:
-	// the linalg workspace, the reusable RGF solution, and the assembly
-	// storage. Each checkout is owned by exactly one worker goroutine for
-	// the duration of one point solve (the per-worker ownership rule of
-	// linalg.Workspace), so the parallel GF phase and the dist rank
-	// workers never share scratch.
-	scratch sync.Pool
+	// scratch is the free list of solveScratch values, one per
+	// concurrently running point solve: the linalg workspace, the reusable
+	// RGF solution, and the assembly storage. Each checkout is owned by
+	// exactly one worker goroutine for the duration of one point solve
+	// (the per-worker ownership rule of linalg.Workspace), so the parallel
+	// GF phase and the dist rank workers never share scratch. The list
+	// keeps its entries for the solver's life — a sync.Pool would drop
+	// them at every GC, and the solves after it would allocate them anew.
+	scratchMu sync.Mutex
+	scratch   []*solveScratch
 
 	// anderson is the depth-1 accelerator's history (MixAnderson); nil
 	// until the first accelerated mix.
@@ -80,16 +83,24 @@ type solveScratch struct {
 	phSigL, phSigG []*linalg.Matrix
 }
 
-// getScratch checks a solveScratch out of the pool (allocating the first
-// time a worker needs one); putScratch returns it.
+// getScratch checks a solveScratch out of the free list (allocating the
+// first time a worker needs one); putScratch returns it.
 func (ps *PointSolver) getScratch() *solveScratch {
-	if sc, _ := ps.scratch.Get().(*solveScratch); sc != nil {
+	ps.scratchMu.Lock()
+	defer ps.scratchMu.Unlock()
+	if n := len(ps.scratch); n > 0 {
+		sc := ps.scratch[n-1]
+		ps.scratch = ps.scratch[:n-1]
 		return sc
 	}
 	return &solveScratch{ws: linalg.NewWorkspace(), track: int(ps.trackSeq.Add(1))}
 }
 
-func (ps *PointSolver) putScratch(sc *solveScratch) { ps.scratch.Put(sc) }
+func (ps *PointSolver) putScratch(sc *solveScratch) {
+	ps.scratchMu.Lock()
+	ps.scratch = append(ps.scratch, sc)
+	ps.scratchMu.Unlock()
+}
 
 // electron returns the reusable electron assembly for the given block
 // sizes: the A matrix blocks are fully overwritten by the caller, the Σ≷

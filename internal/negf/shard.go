@@ -18,13 +18,14 @@ type Shard struct {
 	Pairs  [][2]int // (ik, ie)
 	Points [][2]int // (iq, m), m ∈ [1, Nω]
 
+	p          device.Params      // sizes the result slots
 	hams, dyns []*blocktri.Matrix // by ik / iq; nil where no owned point needs one
 }
 
 // NewShard assembles the operators for the listed points of dev.
 func NewShard(dev *device.Device, pairs, points [][2]int) *Shard {
 	sh := &Shard{
-		Pairs: pairs, Points: points,
+		Pairs: pairs, Points: points, p: dev.P,
 		hams: make([]*blocktri.Matrix, dev.P.Nkz),
 		dyns: make([]*blocktri.Matrix, dev.P.Nqz()),
 	}
@@ -41,21 +42,30 @@ func NewShard(dev *device.Device, pairs, points [][2]int) *Shard {
 	return sh
 }
 
-// PointResults are the result slots of one sweep over a shard: El[i]
+// PointResults are the result slots of a sweep over a shard: El[i]
 // belongs to Pairs[i], Ph[j] to Points[j]. Solves land in their own slot
-// in any order; the fold then reads the slots front to back, which is
-// what makes the accumulated observables independent of scheduling.
+// in any order, overwriting what an earlier sweep left there; the fold
+// then reads the slots front to back, which is what makes the
+// accumulated observables independent of scheduling.
 type PointResults struct {
 	El []*ElectronPointResult
 	Ph []*PhononPointResult
 }
 
-// NewResults allocates empty slots for one sweep of the shard.
+// NewResults allocates the slots for the sweeps of the shard, each with
+// the storage its point solve writes into.
 func (sh *Shard) NewResults() *PointResults {
-	return &PointResults{
+	res := &PointResults{
 		El: make([]*ElectronPointResult, len(sh.Pairs)),
 		Ph: make([]*PhononPointResult, len(sh.Points)),
 	}
+	for i := range res.El {
+		res.El[i] = newElectronResult(sh.p)
+	}
+	for j := range res.Ph {
+		res.Ph[j] = newPhononResult(sh.p)
+	}
+	return res
 }
 
 func electronErr(pr [2]int, err error) error {
@@ -75,17 +85,13 @@ func phononErr(pt [2]int, err error) error {
 // SolveElectron solves electron pair i of the shard into its slot.
 func (ps *PointSolver) SolveElectron(sh *Shard, i int, out *PointResults) error {
 	pr := sh.Pairs[i]
-	r, err := ps.SolveElectronPoint(sh.hams[pr[0]], pr[0], pr[1])
-	out.El[i] = r
-	return electronErr(pr, err)
+	return electronErr(pr, ps.solveElectronInto(sh.hams[pr[0]], pr[0], pr[1], out.El[i]))
 }
 
 // SolvePhonon solves phonon point j of the shard into its slot.
 func (ps *PointSolver) SolvePhonon(sh *Shard, j int, out *PointResults) error {
 	pt := sh.Points[j]
-	r, err := ps.SolvePhononPoint(sh.dyns[pt[0]], pt[0], pt[1])
-	out.Ph[j] = r
-	return phononErr(pt, err)
+	return phononErr(pt, ps.solvePhononInto(sh.dyns[pt[0]], pt[0], pt[1], out.Ph[j]))
 }
 
 // sweep runs the GF phase of the shard: every electron pair, then every

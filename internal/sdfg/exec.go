@@ -12,15 +12,48 @@ import (
 // worker steals the oldest entry of another worker's deque (FIFO,
 // breadth-first), which spreads independent subtrees — the classic
 // Cilk/TBB discipline, and the scheduling freedom the SDFG model exposes.
+//
+// An executor is armed for the graph it runs: the first Run of a graph
+// validates it and sizes the in-degree, deque and span arrays, and every
+// later Run of the same graph re-arms them in place, so running a graph
+// again allocates nothing. An executor runs one graph at a time.
 type Executor struct {
 	workers int
 
 	// Observer, when non-nil, is called after every node completes with
-	// its label, kind, the worker that ran it, and its start/end offsets
-	// from the run's clock zero — the hook internal/dist uses to mirror
-	// executor spans into a run trace. It is called from worker
+	// its id, label and kind, the worker that ran it, and its start/end
+	// offsets from the run's clock zero — the hook internal/dist uses to
+	// mirror executor spans into a run trace. It is called from worker
 	// goroutines concurrently and must be safe for that.
-	Observer func(label string, kind Kind, worker int, start, end time.Duration)
+	Observer func(id NodeID, label string, kind Kind, worker int, start, end time.Duration)
+
+	// The armed graph and its run state. A single mutex guards the
+	// scheduling state: the simulated tasks (RGF solves, tile kernels,
+	// collective waits) are micro- to milliseconds, so queue contention
+	// is negligible and the coarse lock keeps the scheduler trivially
+	// race-clean; the stealing *policy* is what shapes the schedule.
+	g      *Graph
+	indeg  []int32
+	deques []deque // per worker: owner pops back, thieves steal front
+	done   int
+	err    error
+	steals int
+	mu     sync.Mutex
+	cond   sync.Cond
+	wg     sync.WaitGroup
+	t0     time.Time
+	trace  Trace
+	// loops[w] is worker w's goroutine body, built once (starting a
+	// prebuilt func value allocates nothing); worker 0 is Run's caller.
+	loops []func()
+}
+
+// deque is one worker's ready list: q[head:] are the queued nodes. Every
+// node is pushed at most once per Run, so capacity for the whole graph
+// never grows.
+type deque struct {
+	q    []NodeID
+	head int
 }
 
 // NewExecutor returns an executor with the given pool size (minimum 1).
@@ -28,7 +61,15 @@ func NewExecutor(workers int) *Executor {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Executor{workers: workers}
+	e := &Executor{workers: workers, loops: make([]func(), workers)}
+	e.cond.L = &e.mu
+	for w := 1; w < workers; w++ {
+		e.loops[w] = func() {
+			defer e.wg.Done()
+			e.work(w)
+		}
+	}
+	return e
 }
 
 // Span records when one node ran and on which worker.
@@ -49,137 +90,137 @@ type Trace struct {
 	Steals int
 }
 
-// execState is the shared scheduling state of one Run. A single mutex
-// guards every deque: the simulated tasks (RGF solves, tile kernels,
-// collective waits) are micro- to milliseconds, so queue contention is
-// negligible and the coarse lock keeps the scheduler trivially
-// race-clean; the stealing *policy* is what shapes the schedule.
-type execState struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	deques [][]NodeID // per worker: owner pops back, thieves steal front
-	indeg  []int
-	done   int
-	total  int
-	err    error
-}
-
 // Run executes every node of g, honoring dependencies. Nodes that return
 // an error do not stop the graph: the remaining nodes still run (a rank
 // abandoning its collectives would deadlock the other ranks — failure
 // agreement is a node's job, not the scheduler's), and the first error is
-// returned alongside the trace after the graph drains.
+// returned alongside the trace after the graph drains. The trace is the
+// executor's own and is overwritten by its next Run.
 func (e *Executor) Run(g *Graph) (*Trace, error) {
-	if err := g.validate(); err != nil {
+	if err := e.arm(g); err != nil {
 		return nil, err
 	}
-	n := g.Len()
-	tr := &Trace{Spans: make([]Span, n)}
-	if n == 0 {
+	tr := &e.trace
+	tr.Wall, tr.Steals = 0, 0
+	if g.Len() == 0 {
 		return tr, nil
-	}
-	st := &execState{
-		deques: make([][]NodeID, e.workers),
-		indeg:  make([]int, n),
-		total:  n,
-	}
-	st.cond = sync.NewCond(&st.mu)
-	for _, node := range g.nodes {
-		st.indeg[node.ID] = len(node.deps)
 	}
 	// Seed the sources round-robin so every worker starts busy.
 	w := 0
 	for _, node := range g.nodes {
-		if st.indeg[node.ID] == 0 {
-			st.deques[w%e.workers] = append(st.deques[w%e.workers], node.ID)
+		if e.indeg[node.ID] == 0 {
+			d := &e.deques[w%e.workers]
+			d.q = append(d.q, node.ID)
 			w++
 		}
 	}
 
-	t0 := time.Now()
-	var wg sync.WaitGroup
-	var steals int64
-	var stealMu sync.Mutex
-	for wid := 0; wid < e.workers; wid++ {
-		wg.Add(1)
-		go func(wid int) {
-			defer wg.Done()
-			for {
-				id, stolen, ok := st.next(wid, e.workers)
-				if !ok {
-					return
-				}
-				if stolen {
-					stealMu.Lock()
-					steals++
-					stealMu.Unlock()
-				}
-				node := g.nodes[id]
-				start := time.Since(t0)
-				var err error
-				if node.Run != nil {
-					err = node.Run()
-				}
-				end := time.Since(t0)
-				tr.Spans[id] = Span{Node: id, Worker: wid, Start: start, End: end}
-				if e.Observer != nil {
-					e.Observer(node.Label, node.Kind, wid, start, end)
-				}
-				st.finish(wid, node, err)
-			}
-		}(wid)
+	e.t0 = time.Now()
+	e.wg.Add(e.workers - 1)
+	for wid := 1; wid < e.workers; wid++ {
+		go e.loops[wid]()
 	}
-	wg.Wait()
-	tr.Wall = time.Since(t0)
-	tr.Steals = int(steals)
-	if st.err != nil {
-		return tr, fmt.Errorf("sdfg: %w", st.err)
+	e.work(0)
+	e.wg.Wait()
+	tr.Wall = time.Since(e.t0)
+	tr.Steals = e.steals
+	if e.err != nil {
+		return tr, fmt.Errorf("sdfg: %w", e.err)
 	}
 	return tr, nil
 }
 
+// arm sizes the run state for g — validating it — unless g is the graph
+// the state was sized for, and resets it for a new Run.
+func (e *Executor) arm(g *Graph) error {
+	n := g.Len()
+	if g != e.g || n != len(e.indeg) {
+		if err := g.validate(); err != nil {
+			return err
+		}
+		e.g = g
+		e.indeg = make([]int32, n)
+		e.trace.Spans = make([]Span, n)
+		e.deques = make([]deque, e.workers)
+		for w := range e.deques {
+			e.deques[w].q = make([]NodeID, 0, n)
+		}
+	}
+	for _, node := range g.nodes {
+		e.indeg[node.ID] = int32(len(node.deps))
+	}
+	for w := range e.deques {
+		e.deques[w] = deque{q: e.deques[w].q[:0]}
+	}
+	e.done, e.err, e.steals = 0, nil, 0
+	return nil
+}
+
+// work is worker wid's loop: run ready nodes until the graph drains.
+func (e *Executor) work(wid int) {
+	for {
+		id, ok := e.next(wid)
+		if !ok {
+			return
+		}
+		node := e.g.nodes[id]
+		start := time.Since(e.t0)
+		var err error
+		if node.Run != nil {
+			err = node.Run()
+		}
+		end := time.Since(e.t0)
+		e.trace.Spans[id] = Span{Node: id, Worker: wid, Start: start, End: end}
+		if e.Observer != nil {
+			e.Observer(id, node.Label, node.Kind, wid, start, end)
+		}
+		e.finish(wid, node, err)
+	}
+}
+
 // next blocks until work is available for worker wid or the graph has
-// drained. It returns the node to run and whether it was stolen.
-func (st *execState) next(wid, workers int) (NodeID, bool, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
+// drained, and returns the node to run.
+func (e *Executor) next(wid int) (NodeID, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	for {
 		// Own deque: newest first.
-		if q := st.deques[wid]; len(q) > 0 {
-			id := q[len(q)-1]
-			st.deques[wid] = q[:len(q)-1]
-			return id, false, true
+		if d := &e.deques[wid]; len(d.q) > d.head {
+			id := d.q[len(d.q)-1]
+			d.q = d.q[:len(d.q)-1]
+			return id, true
 		}
 		// Steal: oldest entry of the first non-empty victim.
-		for k := 1; k < workers; k++ {
-			v := (wid + k) % workers
-			if q := st.deques[v]; len(q) > 0 {
-				id := q[0]
-				st.deques[v] = q[1:]
-				return id, true, true
+		for k := 1; k < e.workers; k++ {
+			if v := &e.deques[(wid+k)%e.workers]; len(v.q) > v.head {
+				id := v.q[v.head]
+				v.head++
+				e.steals++
+				return id, true
 			}
 		}
-		if st.done == st.total {
-			return 0, false, false
+		if e.done == len(e.indeg) {
+			return 0, false
 		}
-		st.cond.Wait()
+		e.cond.Wait()
 	}
 }
 
 // finish marks a node complete, records its error, and releases any
 // successors whose last dependency it was onto wid's deque.
-func (st *execState) finish(wid int, node *vertex, err error) {
-	st.mu.Lock()
-	if err != nil && st.err == nil {
-		st.err = fmt.Errorf("node %q: %w", node.Label, err)
+func (e *Executor) finish(wid int, node *vertex, err error) {
+	e.mu.Lock()
+	if err != nil && e.err == nil {
+		e.err = fmt.Errorf("node %q: %w", node.Label, err)
 	}
+	d := &e.deques[wid]
 	for _, s := range node.succs {
-		st.indeg[s]--
-		if st.indeg[s] == 0 {
-			st.deques[wid] = append(st.deques[wid], s)
+		e.indeg[s]--
+		if e.indeg[s] == 0 {
+			d.q = append(d.q, s)
 		}
 	}
-	st.done++
-	st.cond.Broadcast()
-	st.mu.Unlock()
+	e.done++
+	e.cond.Broadcast()
+	e.mu.Unlock()
 }

@@ -130,3 +130,49 @@ func TestEmptyGraph(t *testing.T) {
 		t.Fatalf("empty graph: %v %v", tr, err)
 	}
 }
+
+// TestRunAgainReArms runs one graph on one executor repeatedly: every Run
+// executes every node exactly once after its dependencies, the trace is
+// rewritten each time, and once the executor is armed for the graph a
+// Run allocates nothing of its own (starting a worker goroutine may
+// allocate a runtime descriptor now and then, which the bound of less
+// than one per Run absorbs).
+func TestRunAgainReArms(t *testing.T) {
+	const fan = 16
+	var runs [2 + fan]atomic.Int64
+	g := New()
+	head := g.Add(Spec{Label: "head", Run: func() error { runs[0].Add(1); return nil }})
+	leaves := make([]NodeID, fan)
+	for i := range leaves {
+		leaves[i] = g.Add(Spec{Label: "leaf", Run: func() error {
+			if runs[0].Load() != runs[2+i].Load()+1 {
+				return errors.New("leaf ran before its head")
+			}
+			runs[2+i].Add(1)
+			return nil
+		}}, head)
+	}
+	g.Add(Spec{Label: "tail", Run: func() error { runs[1].Add(1); return nil }}, leaves...)
+	ex := NewExecutor(3)
+	for k := 1; k <= 5; k++ {
+		tr, err := ex.Run(g)
+		if err != nil {
+			t.Fatalf("run %d: %v", k, err)
+		}
+		for i := range runs {
+			if got := runs[i].Load(); got != int64(k) {
+				t.Fatalf("run %d: node slot %d ran %d times in total, want %d", k, i, got, k)
+			}
+		}
+		if len(tr.Spans) != g.Len() || tr.Spans[g.Len()-1].End < tr.Spans[0].End {
+			t.Fatalf("run %d: trace %d spans, tail ends %v before head %v", k, len(tr.Spans), tr.Spans[g.Len()-1].End, tr.Spans[0].End)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := ex.Run(g); err != nil {
+			t.Error(err)
+		}
+	}); n != 0 {
+		t.Errorf("%v allocations per Run of an armed graph, want 0", n)
+	}
+}

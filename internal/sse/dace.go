@@ -3,9 +3,11 @@ package sse
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/batch"
+	"repro/internal/device"
 	"repro/internal/linalg"
 )
 
@@ -39,7 +41,9 @@ func (DaCe) Name() string { return "DaCe" }
 // Compute implements Kernel. It panics, before any work starts, on a tile
 // that does not fit the device.
 func (d DaCe) Compute(in *Input) *Output {
-	return daceCompute(in, nil, d.mustRestrict(in))
+	out := NewOutput(in)
+	d.NewTile(in).Compute(in, out)
+	return out
 }
 
 // restriction is the resolved tile: the atom list, the owned energy range
@@ -155,192 +159,274 @@ func transposeTable(n int) []int {
 	return perm
 }
 
-// quantizer swaps in the fp16-valued coupling blocks and carries the
-// inverse normalization of the final accumulations; nil means full double
-// precision. It is how the Mixed kernel reuses the DaCe schedule (its G≷
-// and D≷ arrive already quantized in the Input).
-type quantizer struct {
-	gradH       func(a, b, i int) *linalg.Matrix
-	denormSigma complex128
-	denormPi    complex128
+// Tile is a DaCe or Mixed kernel compiled for one input shape: the
+// resolved tile restriction, one scratch per worker and, under Mixed, the
+// quantized copies of the inputs and of the coupling blocks. Compute runs
+// it into a caller-owned Output, so a tile that is reused allocates
+// nothing after its first call; the kernels' Compute(in) is the one-shot
+// form over a fresh tile and output. A Tile runs one Compute at a time,
+// on inputs shaped like (and on the device of) the one it was built for.
+type Tile struct {
+	dev   *device.Device
+	restr *restriction
+	mixed *mixedTile // nil: the fp64 schedule
+
+	// scratch holds one working set per worker, grown to the pool size
+	// on demand and kept across calls.
+	scratch []*tileScratch
+	// The call in flight, read by the workers: the input the schedule
+	// reads (the quantized copies under Mixed), the output, and the
+	// prefactors with any denormalization folded in.
+	in           *Input
+	out          *Output
+	prefS, prefP complex128
+
+	next, slot         atomic.Int64 // atom and scratch claims
+	matmuls, scalarOps atomic.Int64
+	wg                 sync.WaitGroup
+	// spawn is the body of every worker goroutine but the caller's, built
+	// once: starting a prebuilt func value allocates nothing.
+	spawn func()
 }
 
-func daceCompute(in *Input, q *quantizer, restr *restriction) *Output {
-	out := newOutput(in)
+func newTile(in *Input, restr *restriction, mixed *mixedTile) *Tile {
+	t := &Tile{dev: in.Dev, restr: restr, mixed: mixed}
+	t.spawn = func() {
+		defer t.wg.Done()
+		t.work()
+	}
+	return t
+}
+
+// NewTile compiles the kernel's tile for in's shape. It panics, before
+// any work starts, on a tile that does not fit the device.
+func (d DaCe) NewTile(in *Input) *Tile { return newTile(in, d.mustRestrict(in), nil) }
+
+// Compute runs the tile on in and overwrites out with the result: the
+// self-energy tensors are zeroed first (the Π≷ blocks accumulate) and
+// Stats replaced.
+func (t *Tile) Compute(in *Input, out *Output) {
+	p := in.Dev.P
+	t.in, t.out = in, out
+	t.prefS, t.prefP = prefSigma(p), prefPi(p)
+	if t.mixed != nil {
+		denormS, denormP := t.mixed.quantize(in)
+		t.in = t.mixed.q
+		t.prefS *= denormS
+		t.prefP *= denormP
+	}
+	out.zero()
+	t.matmuls.Store(0)
+	t.scalarOps.Store(0)
+	t.run()
+
+	src := t.in
+	norb := int64(p.Norb)
+	out.Stats = Stats{
+		MatMuls:   t.matmuls.Load(),
+		Flops:     t.matmuls.Load() * 8 * norb * norb * norb,
+		ScalarOps: t.scalarOps.Load(),
+		BytesMoved: src.GL.Bytes() + src.GG.Bytes() + src.DL.Bytes() + src.DG.Bytes() +
+			out.SigL.Bytes() + out.SigG.Bytes() + out.PiL.Bytes() + out.PiG.Bytes(),
+	}
+	if t.mixed != nil {
+		// Halve the byte estimate for the quantized inputs (fp16 vs fp64),
+		// reflecting the reduced memory traffic of SSE-16 in Fig. 10.
+		out.Stats.BytesMoved -= (in.GL.Bytes() + in.GG.Bytes() + in.DL.Bytes() + in.DG.Bytes()) * 3 / 4
+	}
+	t.in, t.out = nil, nil
+}
+
+// run processes the tile's atoms on one worker per CPU at most, the
+// caller's goroutine being one of them. Worker a writes only atom-a-owned
+// regions of the output tensors, so no locking is needed — the
+// associative accumulation the SDFG map exploits.
+func (t *Tile) run() {
+	n := len(t.restr.atoms)
+	if n == 0 {
+		return
+	}
+	workers := min(runtime.GOMAXPROCS(0), n)
+	for len(t.scratch) < workers {
+		t.scratch = append(t.scratch, newTileScratch(t.dev.P.Nkz, t.dev.P.Norb, t.restr))
+	}
+	t.next.Store(0)
+	t.slot.Store(0)
+	t.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go t.spawn()
+	}
+	t.work()
+	t.wg.Wait()
+}
+
+// work claims a scratch, then atoms until none is left.
+func (t *Tile) work() {
+	s := t.scratch[t.slot.Add(1)-1]
+	for {
+		ai := int(t.next.Add(1)) - 1
+		if ai >= len(t.restr.atoms) {
+			return
+		}
+		t.atom(s, t.restr.atoms[ai])
+	}
+}
+
+// grad is the coupling block ∇iH_ab the schedule multiplies by: the
+// device's, or its quantized copy under Mixed.
+func (t *Tile) grad(a, b, i int) *linalg.Matrix {
+	if t.mixed != nil {
+		return t.mixed.grad[gradKey{a, b, i}]
+	}
+	return t.dev.GradH(a, b, i)
+}
+
+// atom computes Σ≷_aa and the Π≷_a* blocks of atom a on scratch s.
+func (t *Tile) atom(s *tileScratch, a int) {
+	in, out := t.in, t.out
 	p := in.Dev.P
 	norb := p.Norb
 	bl := norb * norb
 	nw := p.Nomega
 	nkz, ne := p.Nkz, p.NE
-	prefS := prefSigma(p)
-	prefP := prefPi(p)
-	gradH := in.Dev.GradH
-	if q != nil {
-		prefS *= q.denormSigma
-		prefP *= q.denormPi
-		gradH = q.gradH
-	}
-	elo, ehi, hlo := restr.elo, restr.ehi, restr.hlo
-	halo, owned := restr.hhi-hlo, ehi-elo
+	prefS, prefP := t.prefS, t.prefP
+	elo, ehi, hlo := t.restr.elo, t.restr.ehi, t.restr.hlo
+	halo, owned := t.restr.hhi-hlo, ehi-elo
 	eStride := in.GL.Na * bl // distance between one atom's blocks at E and E+1
+	var wl, wg [9]complex128
+	var localMuls, localScalar int64
+	zero(s.sigL)
+	zero(s.sigG)
 
-	var matmuls, scalarOps atomic.Int64
+	for slotAB, b := range in.Dev.Neigh[a] {
+		slotBA := in.Dev.NeighbourSlot(b, a)
 
-	// One worker per CPU at most, each with its own scratch. Worker a
-	// writes only atom-a-owned regions of the output tensors, so no
-	// locking is needed — the associative accumulation the SDFG map
-	// exploits. The tile body cannot fail; the pool's error is always nil.
-	linalg.ParallelFor(len(restr.atoms), runtime.GOMAXPROCS(0), func() func(ai int) error {
-		s := newTileScratch(nkz, norb, restr)
-		var wl, wg [9]complex128
-		return func(ai int) error {
-			a := restr.atoms[ai]
-			var localMuls, localScalar int64
-			zero(s.sigL)
-			zero(s.sigG)
-
-			for slotAB, b := range in.Dev.Neigh[a] {
-				slotBA := in.Dev.NeighbourSlot(b, a)
-
-				// ── Stage ❶: map fission — materialize the ∇H·G transients
-				// on the halo window, one fixed-left-operand strided batch per
-				// (direction, momentum) row.
-				for i := 0; i < 3; i++ {
-					gab := gradH(a, b, i).Data
-					gba := gradH(b, a, i).Data
-					for ik := 0; ik < nkz; ik++ {
-						ob := in.GL.Index(ik, hlo, b)
-						oa := in.GL.Index(ik, hlo, a)
-						batch.SBSMMFixedA(s.pLab.eRow(i, ik), gab, in.GL.Data[ob:], norb, halo, eStride)
-						batch.SBSMMFixedA(s.pGab.eRow(i, ik), gab, in.GG.Data[ob:], norb, halo, eStride)
-						batch.SBSMMFixedA(s.pLba.eRow(i, ik), gba, in.GL.Data[oa:], norb, halo, eStride)
-						batch.SBSMMFixedA(s.pGba.eRow(i, ik), gba, in.GG.Data[oa:], norb, halo, eStride)
-						interleaveTransposed(s.yLab[ik*halo*bl*4+i:], s.pLab.eRow(i, ik), s.transpose)
-						interleaveTransposed(s.yGab[ik*halo*bl*4+i:], s.pGab.eRow(i, ik), s.transpose)
-					}
-				}
-				localMuls += int64(12 * nkz * halo)
-
-				// ── Stage ❷: ω-stencil accumulation with the energy axis
-				// contiguous. V_j(kz,E) gathers every (qz, ω, i) contribution
-				// as scalar AXPYs; the matrix multiplications by ∇jH_ba are
-				// deferred to stage ❸. Along a row the E−ω_m term of every
-				// owned energy is one long AXPY and the E+ω_m term a second:
-				// each destination element still receives −m before +m.
-				zero(s.vL.data)
-				zero(s.vG.data)
-				for iq := 0; iq < nkz; iq++ {
-					for m := 1; m <= nw; m++ {
-						dTilde(in.DL, in.DG, iq, m-1, a, b, slotAB, slotBA, &wl, &wg)
-						// Owned energies whose partner is on the grid: E−ω_m
-						// for E in [dn, ehi), E+ω_m for E in [elo, up). v is
-						// indexed from elo, the transients from hlo.
-						dn, up := max(elo, m), min(ehi, ne-m)
-						for ik := 0; ik < nkz; ik++ {
-							ikq := ((ik-iq)%nkz + nkz) % nkz
-							for i := 0; i < 3; i++ {
-								pl, pg := s.pLab.eRow(i, ikq), s.pGab.eRow(i, ikq)
-								for j := 0; j < 3; j++ {
-									wle, wge := wl[i*3+j], wg[i*3+j]
-									if wle == 0 && wge == 0 {
-										continue
-									}
-									vl, vg := s.vL.eRow(j, ik), s.vG.eRow(j, ik)
-									if dn < ehi {
-										lo, hi := (dn-m-hlo)*bl, (ehi-m-hlo)*bl
-										linalg.VecAddMul(vl[(dn-elo)*bl:], pl[lo:hi], wle)
-										linalg.VecAddMul(vg[(dn-elo)*bl:], pg[lo:hi], wge)
-									}
-									if elo < up {
-										lo, hi := (elo+m-hlo)*bl, (up+m-hlo)*bl
-										linalg.VecAddMul(vl[:(up-elo)*bl], pl[lo:hi], wge)
-										linalg.VecAddMul(vg[:(up-elo)*bl], pg[lo:hi], wle)
-									}
-								}
-							}
-						}
-					}
-				}
-				localScalar += int64(9*nkz*nkz*nw) * int64(2*owned) * int64(bl) * 8
-
-				// ── Stage ❸: strided-batched SBSMM with fixed right operand
-				// ∇jH_ba over the contiguous energy batch, accumulated into
-				// this atom's Σ≷ rows (stage ❹ scatters them once per atom).
-				for j := 0; j < 3; j++ {
-					gjh := gradH(b, a, j).Data
-					for ik := 0; ik < nkz; ik++ {
-						zero(s.cBuf)
-						batch.SBSMMFixedB(s.cBuf, s.vL.eRow(j, ik), gjh, norb, owned)
-						linalg.VecAddMul(s.sigL[ik*owned*bl:(ik+1)*owned*bl], s.cBuf, prefS)
-						zero(s.cBuf)
-						batch.SBSMMFixedB(s.cBuf, s.vG.eRow(j, ik), gjh, norb, owned)
-						linalg.VecAddMul(s.sigG[ik*owned*bl:(ik+1)*owned*bl], s.cBuf, prefS)
-					}
-				}
-				localMuls += int64(6 * nkz * owned)
-
-				// ── Π≷ via the same transients: trace contractions replace
-				// the OMEN matmul+trace, and the (a,b) kernel feeds both the
-				// neighbour block and the diagonal l-sum of Eq. (3). With the
-				// right operands stored transposed, tr(X·Y) is a contiguous
-				// dot product; one walk along the energy row loads each X and
-				// Y block once and feeds all nine (i,j) sums, each of which
-				// still adds its per-energy partials in (kz, E) order.
-				for iq := 0; iq < nkz; iq++ {
-					for m := 1; m <= nw; m++ {
-						var sumL, sumG [12]complex128
-						if n := min(ehi, ne-m) - elo; n > 0 {
-							x := (elo + m - hlo) * bl
-							for ik := 0; ik < nkz; ik++ {
-								ikpq := (ik + iq) % nkz
-								y := (ik*halo + elo - hlo) * bl * 4
-								// tr[(∇iH_ba·G≷_aa(E+ω))·(∇jH_ab·G≶_bb(E))]
-								x0, x1, x2 := s.pLba.dirRows(ikpq, x)
-								linalg.SumMul3x4(&sumL, x0, x1, x2, s.yGab[y:], bl, n)
-								x0, x1, x2 = s.pGba.dirRows(ikpq, x)
-								linalg.SumMul3x4(&sumG, x0, x1, x2, s.yLab[y:], bl, n)
-							}
-						}
-						piLd := out.PiL.Block(iq, m-1, a, 0)
-						piGd := out.PiG.Block(iq, m-1, a, 0)
-						piLn := out.PiL.Block(iq, m-1, a, 1+slotAB)
-						piGn := out.PiG.Block(iq, m-1, a, 1+slotAB)
-						for i := 0; i < 3; i++ {
-							for j := 0; j < 3; j++ {
-								piLd[i*3+j] += prefP * sumL[i*4+j]
-								piGd[i*3+j] += prefP * sumG[i*4+j]
-								piLn[i*3+j] += prefP * sumL[i*4+j]
-								piGn[i*3+j] += prefP * sumG[i*4+j]
-							}
-						}
-					}
-				}
-				localScalar += int64(9*nkz*nkz*nw) * int64(owned) * int64(bl) * 16
-			}
-
-			// ── Stage ❹: scatter the atom's Σ≷ rows into the output tensor.
+		// ── Stage ❶: map fission — materialize the ∇H·G transients
+		// on the halo window, one fixed-left-operand strided batch per
+		// (direction, momentum) row.
+		for i := 0; i < 3; i++ {
+			gab := t.grad(a, b, i).Data
+			gba := t.grad(b, a, i).Data
 			for ik := 0; ik < nkz; ik++ {
-				for e := 0; e < owned; e++ {
-					o := (ik*owned + e) * bl
-					copy(out.SigL.Block(ik, elo+e, a), s.sigL[o:o+bl])
-					copy(out.SigG.Block(ik, elo+e, a), s.sigG[o:o+bl])
+				ob := in.GL.Index(ik, hlo, b)
+				oa := in.GL.Index(ik, hlo, a)
+				batch.SBSMMFixedA(s.pLab.eRow(i, ik), gab, in.GL.Data[ob:], norb, halo, eStride)
+				batch.SBSMMFixedA(s.pGab.eRow(i, ik), gab, in.GG.Data[ob:], norb, halo, eStride)
+				batch.SBSMMFixedA(s.pLba.eRow(i, ik), gba, in.GL.Data[oa:], norb, halo, eStride)
+				batch.SBSMMFixedA(s.pGba.eRow(i, ik), gba, in.GG.Data[oa:], norb, halo, eStride)
+				interleaveTransposed(s.yLab[ik*halo*bl*4+i:], s.pLab.eRow(i, ik), s.transpose)
+				interleaveTransposed(s.yGab[ik*halo*bl*4+i:], s.pGab.eRow(i, ik), s.transpose)
+			}
+		}
+		localMuls += int64(12 * nkz * halo)
+
+		// ── Stage ❷: ω-stencil accumulation with the energy axis
+		// contiguous. V_j(kz,E) gathers every (qz, ω, i) contribution
+		// as scalar AXPYs; the matrix multiplications by ∇jH_ba are
+		// deferred to stage ❸. Along a row the E−ω_m term of every
+		// owned energy is one long AXPY and the E+ω_m term a second:
+		// each destination element still receives −m before +m.
+		zero(s.vL.data)
+		zero(s.vG.data)
+		for iq := 0; iq < nkz; iq++ {
+			for m := 1; m <= nw; m++ {
+				dTilde(in.DL, in.DG, iq, m-1, a, b, slotAB, slotBA, &wl, &wg)
+				// Owned energies whose partner is on the grid: E−ω_m
+				// for E in [dn, ehi), E+ω_m for E in [elo, up). v is
+				// indexed from elo, the transients from hlo.
+				dn, up := max(elo, m), min(ehi, ne-m)
+				for ik := 0; ik < nkz; ik++ {
+					ikq := ((ik-iq)%nkz + nkz) % nkz
+					for i := 0; i < 3; i++ {
+						pl, pg := s.pLab.eRow(i, ikq), s.pGab.eRow(i, ikq)
+						for j := 0; j < 3; j++ {
+							wle, wge := wl[i*3+j], wg[i*3+j]
+							if wle == 0 && wge == 0 {
+								continue
+							}
+							vl, vg := s.vL.eRow(j, ik), s.vG.eRow(j, ik)
+							if dn < ehi {
+								lo, hi := (dn-m-hlo)*bl, (ehi-m-hlo)*bl
+								linalg.VecAddMul(vl[(dn-elo)*bl:], pl[lo:hi], wle)
+								linalg.VecAddMul(vg[(dn-elo)*bl:], pg[lo:hi], wge)
+							}
+							if elo < up {
+								lo, hi := (elo+m-hlo)*bl, (up+m-hlo)*bl
+								linalg.VecAddMul(vl[:(up-elo)*bl], pl[lo:hi], wge)
+								linalg.VecAddMul(vg[:(up-elo)*bl], pg[lo:hi], wle)
+							}
+						}
+					}
 				}
 			}
-			matmuls.Add(localMuls)
-			scalarOps.Add(localScalar)
-			return nil
 		}
-	})
+		localScalar += int64(9*nkz*nkz*nw) * int64(2*owned) * int64(bl) * 8
 
-	n3 := int64(norb) * int64(norb) * int64(norb)
-	out.Stats = Stats{
-		MatMuls:   matmuls.Load(),
-		Flops:     matmuls.Load() * 8 * n3,
-		ScalarOps: scalarOps.Load(),
-		BytesMoved: in.GL.Bytes() + in.GG.Bytes() + in.DL.Bytes() + in.DG.Bytes() +
-			out.SigL.Bytes() + out.SigG.Bytes() + out.PiL.Bytes() + out.PiG.Bytes(),
+		// ── Stage ❸: strided-batched SBSMM with fixed right operand
+		// ∇jH_ba over the contiguous energy batch, accumulated into
+		// this atom's Σ≷ rows (stage ❹ scatters them once per atom).
+		for j := 0; j < 3; j++ {
+			gjh := t.grad(b, a, j).Data
+			for ik := 0; ik < nkz; ik++ {
+				zero(s.cBuf)
+				batch.SBSMMFixedB(s.cBuf, s.vL.eRow(j, ik), gjh, norb, owned)
+				linalg.VecAddMul(s.sigL[ik*owned*bl:(ik+1)*owned*bl], s.cBuf, prefS)
+				zero(s.cBuf)
+				batch.SBSMMFixedB(s.cBuf, s.vG.eRow(j, ik), gjh, norb, owned)
+				linalg.VecAddMul(s.sigG[ik*owned*bl:(ik+1)*owned*bl], s.cBuf, prefS)
+			}
+		}
+		localMuls += int64(6 * nkz * owned)
+
+		// ── Π≷ via the same transients: trace contractions replace
+		// the OMEN matmul+trace, and the (a,b) kernel feeds both the
+		// neighbour block and the diagonal l-sum of Eq. (3). With the
+		// right operands stored transposed, tr(X·Y) is a contiguous
+		// dot product; one walk along the energy row loads each X and
+		// Y block once and feeds all nine (i,j) sums, each of which
+		// still adds its per-energy partials in (kz, E) order.
+		for iq := 0; iq < nkz; iq++ {
+			for m := 1; m <= nw; m++ {
+				var sumL, sumG [12]complex128
+				if n := min(ehi, ne-m) - elo; n > 0 {
+					x := (elo + m - hlo) * bl
+					for ik := 0; ik < nkz; ik++ {
+						ikpq := (ik + iq) % nkz
+						y := (ik*halo + elo - hlo) * bl * 4
+						// tr[(∇iH_ba·G≷_aa(E+ω))·(∇jH_ab·G≶_bb(E))]
+						x0, x1, x2 := s.pLba.dirRows(ikpq, x)
+						linalg.SumMul3x4(&sumL, x0, x1, x2, s.yGab[y:], bl, n)
+						x0, x1, x2 = s.pGba.dirRows(ikpq, x)
+						linalg.SumMul3x4(&sumG, x0, x1, x2, s.yLab[y:], bl, n)
+					}
+				}
+				piLd := out.PiL.Block(iq, m-1, a, 0)
+				piGd := out.PiG.Block(iq, m-1, a, 0)
+				piLn := out.PiL.Block(iq, m-1, a, 1+slotAB)
+				piGn := out.PiG.Block(iq, m-1, a, 1+slotAB)
+				for i := 0; i < 3; i++ {
+					for j := 0; j < 3; j++ {
+						piLd[i*3+j] += prefP * sumL[i*4+j]
+						piGd[i*3+j] += prefP * sumG[i*4+j]
+						piLn[i*3+j] += prefP * sumL[i*4+j]
+						piGn[i*3+j] += prefP * sumG[i*4+j]
+					}
+				}
+			}
+		}
+		localScalar += int64(9*nkz*nkz*nw) * int64(owned) * int64(bl) * 16
 	}
-	return out
+
+	// ── Stage ❹: scatter the atom's Σ≷ rows into the output tensor.
+	for ik := 0; ik < nkz; ik++ {
+		for e := 0; e < owned; e++ {
+			o := (ik*owned + e) * bl
+			copy(out.SigL.Block(ik, elo+e, a), s.sigL[o:o+bl])
+			copy(out.SigG.Block(ik, elo+e, a), s.sigG[o:o+bl])
+		}
+	}
+	t.matmuls.Add(localMuls)
+	t.scalarOps.Add(localScalar)
 }
 
 // interleaveTransposed writes the transpose of every n×n block of src into

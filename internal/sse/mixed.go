@@ -42,72 +42,83 @@ func (m Mixed) Name() string {
 
 // Compute implements Kernel.
 func (m Mixed) Compute(in *Input) *Output {
+	out := NewOutput(in)
+	m.NewTile(in).Compute(in, out)
+	return out
+}
+
+// NewTile compiles the kernel's tile for in's shape: the DaCe schedule
+// over quantized copies of the inputs, with the coupling matrices — whose
+// normalization depends on the device alone — quantized once here.
+func (m Mixed) NewTile(in *Input) *Tile {
 	restr := (DaCe{Atoms: m.Atoms, ELo: m.ELo, EHi: m.EHi}).mustRestrict(in)
-
-	// Per-tensor normalization factors from input magnitudes.
-	sG, sD, sH := 1.0, 1.0, 1.0
+	mt := &mixedTile{
+		normalize: m.Normalize,
+		sH:        1,
+		q: &Input{
+			Dev: in.Dev,
+			GL:  tensor.NewElectron(in.GL.Nkz, in.GL.NE, in.GL.Na, in.GL.Norb),
+			GG:  tensor.NewElectron(in.GG.Nkz, in.GG.NE, in.GG.Na, in.GG.Norb),
+			DL:  tensor.NewPhonon(in.DL.Nqz, in.DL.Nw, in.DL.Na, in.DL.NbP1, in.DL.N3D),
+			DG:  tensor.NewPhonon(in.DG.Nqz, in.DG.Nw, in.DG.Na, in.DG.NbP1, in.DG.N3D),
+		},
+		grad: make(map[gradKey]*linalg.Matrix),
+	}
 	if m.Normalize {
-		sG = half.ScaleFor(maxAbs2(in.GL.Data, in.GG.Data))
-		sD = half.ScaleFor(maxAbs2(in.DL.Data, in.DG.Data))
-		sH = half.ScaleFor(maxGradH(in.Dev))
+		mt.sH = half.ScaleFor(maxGradH(in.Dev))
 	}
-
-	// Quantize the Green's functions into scaled fp16-valued copies.
-	qIn := &Input{
-		Dev: in.Dev,
-		GL:  quantizeElectron(in.GL, sG),
-		GG:  quantizeElectron(in.GG, sG),
-		DL:  quantizePhonon(in.DL, sD),
-		DG:  quantizePhonon(in.DG, sD),
-	}
-
-	// Quantize the coupling matrices once up front.
-	type pd struct{ a, b, i int }
-	qGrad := make(map[pd]*linalg.Matrix)
 	for a := 0; a < in.Dev.P.Na; a++ {
 		for _, b := range in.Dev.Neigh[a] {
 			for i := 0; i < 3; i++ {
 				g := in.Dev.GradH(a, b, i)
 				qg := linalg.New(g.Rows, g.Cols)
-				for e, v := range g.Data {
-					qg.Data[e] = quantizeC(v, sH)
-				}
-				qGrad[pd{a, b, i}] = qg
+				quantizeInto(qg.Data, g.Data, mt.sH)
+				mt.grad[gradKey{a, b, i}] = qg
 			}
 		}
 	}
+	return newTile(in, restr, mt)
+}
 
-	q := &quantizer{
-		gradH: func(a, b, i int) *linalg.Matrix { return qGrad[pd{a, b, i}] },
-		// Σ carries ∇H·G·∇H·D̃ → sH²·sG·sD; Π carries ∇H·G·∇H·G → sH²·sG².
-		denormSigma: complex(1/(sH*sH*sG*sD), 0),
-		denormPi:    complex(1/(sH*sH*sG*sG), 0),
+// gradKey names the coupling block ∇iH_ab.
+type gradKey struct{ a, b, i int }
+
+// mixedTile is what a Mixed tile keeps besides the DaCe schedule: the
+// scaled fp16-valued copies of the Green's functions (rewritten by every
+// call) and of the coupling matrices (written once).
+type mixedTile struct {
+	normalize bool
+	sH        float64 // coupling normalization
+	q         *Input
+	grad      map[gradKey]*linalg.Matrix
+}
+
+// quantize rewrites the copies from in with per-tensor normalization
+// factors taken from its magnitudes, and returns the inverse factors the
+// final accumulations carry: Σ carries ∇H·G·∇H·D̃ → sH²·sG·sD, Π carries
+// ∇H·G·∇H·G → sH²·sG².
+func (mt *mixedTile) quantize(in *Input) (denormSigma, denormPi complex128) {
+	sG, sD, sH := 1.0, 1.0, mt.sH
+	if mt.normalize {
+		sG = half.ScaleFor(maxAbs2(in.GL.Data, in.GG.Data))
+		sD = half.ScaleFor(maxAbs2(in.DL.Data, in.DG.Data))
 	}
-	out := daceCompute(qIn, q, restr)
-	// Halve the byte estimate for the quantized inputs (fp16 vs fp64),
-	// reflecting the reduced memory traffic of SSE-16 in Fig. 10.
-	out.Stats.BytesMoved -= (in.GL.Bytes() + in.GG.Bytes() + in.DL.Bytes() + in.DG.Bytes()) * 3 / 4
-	return out
+	quantizeInto(mt.q.GL.Data, in.GL.Data, sG)
+	quantizeInto(mt.q.GG.Data, in.GG.Data, sG)
+	quantizeInto(mt.q.DL.Data, in.DL.Data, sD)
+	quantizeInto(mt.q.DG.Data, in.DG.Data, sD)
+	return complex(1/(sH*sH*sG*sD), 0), complex(1/(sH*sH*sG*sG), 0)
 }
 
 func quantizeC(v complex128, scale float64) complex128 {
 	return complex(half.Quantize(real(v)*scale), half.Quantize(imag(v)*scale))
 }
 
-func quantizeElectron(t *tensor.Electron, scale float64) *tensor.Electron {
-	q := tensor.NewElectron(t.Nkz, t.NE, t.Na, t.Norb)
-	for i, v := range t.Data {
-		q.Data[i] = quantizeC(v, scale)
+// quantizeInto writes the scaled binary16 rounding of src into dst.
+func quantizeInto(dst, src []complex128, scale float64) {
+	for i, v := range src {
+		dst[i] = quantizeC(v, scale)
 	}
-	return q
-}
-
-func quantizePhonon(t *tensor.Phonon, scale float64) *tensor.Phonon {
-	q := tensor.NewPhonon(t.Nqz, t.Nw, t.Na, t.NbP1, t.N3D)
-	for i, v := range t.Data {
-		q.Data[i] = quantizeC(v, scale)
-	}
-	return q
 }
 
 func maxAbs2(a, b []complex128) float64 {

@@ -27,7 +27,7 @@ func (OMEN) Name() string { return "OMEN" }
 
 // Compute implements Kernel.
 func (o OMEN) Compute(in *Input) *Output {
-	out := newOutput(in)
+	out := NewOutput(in)
 	masked := func(ik, ie int) bool { return o.Mask != nil && !o.Mask(ik, ie) }
 	p := in.Dev.P
 	norb := p.Norb

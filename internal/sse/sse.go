@@ -88,14 +88,23 @@ type Kernel interface {
 	Compute(in *Input) *Output
 }
 
-// newOutput allocates zeroed result tensors shaped like the inputs.
-func newOutput(in *Input) *Output {
+// NewOutput allocates zeroed result tensors shaped like the inputs — the
+// storage a Tile computes into.
+func NewOutput(in *Input) *Output {
 	return &Output{
 		SigL: tensor.NewElectron(in.GL.Nkz, in.GL.NE, in.GL.Na, in.GL.Norb),
 		SigG: tensor.NewElectron(in.GL.Nkz, in.GL.NE, in.GL.Na, in.GL.Norb),
 		PiL:  tensor.NewPhonon(in.DL.Nqz, in.DL.Nw, in.DL.Na, in.DL.NbP1, in.DL.N3D),
 		PiG:  tensor.NewPhonon(in.DL.Nqz, in.DL.Nw, in.DL.Na, in.DL.NbP1, in.DL.N3D),
 	}
+}
+
+// zero clears the result tensors in place.
+func (o *Output) zero() {
+	clear(o.SigL.Data)
+	clear(o.SigG.Data)
+	clear(o.PiL.Data)
+	clear(o.PiG.Data)
 }
 
 // prefSigma returns the Σ≷ prefactor i·(dE/2π)/Nqz.

@@ -142,3 +142,50 @@ func TestStatsCountWhatRan(t *testing.T) {
 		}
 	}
 }
+
+// TestTileReuseLeavesNoStaleData runs one tile value twice — on one
+// input, then on another — and requires the second Output and Stats to
+// equal a fresh Compute on the second input bit for bit, for the fp64 and
+// the mixed tile, over the whole grid and over a restricted tile: the
+// output is zeroed before the Π≷ blocks accumulate into it (a restricted
+// tile writes only its own region), and neither the per-worker scratch
+// nor the quantized copies carry anything from call to call.
+func TestTileReuseLeavesNoStaleData(t *testing.T) {
+	dev := synthInput(t, 1).Dev
+	first, second := RandomInput(dev, 1), RandomInput(dev, 2)
+	for _, c := range []struct {
+		name string
+		k    interface {
+			Kernel
+			NewTile(*Input) *Tile
+		}
+	}{
+		{"dace", DaCe{}},
+		{"dace tile", DaCe{Atoms: []int{1, 4, 7}, ELo: 2, EHi: 7}},
+		{"mixed", Mixed{Normalize: true}},
+		{"mixed tile", Mixed{Normalize: true, Atoms: []int{1, 4, 7}, ELo: 2, EHi: 7}},
+	} {
+		want := c.k.Compute(second)
+		tile, out := c.k.NewTile(first), NewOutput(first)
+		tile.Compute(first, out)
+		tile.Compute(second, out)
+		if outputDigest(out) != outputDigest(want) || out.Stats != want.Stats {
+			t.Errorf("%s: the reused tile's second output differs from a fresh Compute (stats %+v, want %+v)", c.name, out.Stats, want.Stats)
+		}
+	}
+}
+
+// TestTileReuseAllocatesNothing: once a tile has run, computing into the
+// same output allocates nothing of its own — the steady state of a run's
+// iterations (goroutine starts may still allocate a runtime descriptor
+// now and then, which the bound of less than one per call absorbs).
+func TestTileReuseAllocatesNothing(t *testing.T) {
+	in := synthInput(t, 1)
+	for _, k := range []interface{ NewTile(*Input) *Tile }{DaCe{}, Mixed{Normalize: true}} {
+		tile, out := k.NewTile(in), NewOutput(in)
+		tile.Compute(in, out)
+		if n := testing.AllocsPerRun(100, func() { tile.Compute(in, out) }); n != 0 {
+			t.Errorf("%T: %v allocations per reused Compute, want 0", k, n)
+		}
+	}
+}
