@@ -1,20 +1,24 @@
 // Command qtd is the multi-tenant simulation daemon: it serves the qt
 // facade over HTTP/JSON, streams per-iteration telemetry as server-sent
 // events, schedules runs through a fair-share queue onto a bounded pool
-// of solver slots, answers repeated specs from a content-addressed
-// result cache (and warm-starts near-identical ones from cached
-// converged Σ≷ states), and records every run in a persistent registry.
+// of solver slots, answers every request for one result identity —
+// whatever execution plan it names — with one execution, from a
+// content-addressed result cache or by joining the run in flight (and
+// warm-starts near-identical ones from cached converged Σ≷ states), and
+// records every run in a persistent registry.
 //
 // API (all under /v1):
 //
-//	POST   /runs              submit {tenant, priority, config}; 202 queued,
-//	                          200 cached, 429 + Retry-After when shedding.
-//	                          ?stream=sse streams run/iter/done frames and
-//	                          cancels the run if the client hangs up.
+//	POST   /runs              submit {tenant, priority, config}; 202 queued
+//	                          (or joined to the run in flight), 200 cached,
+//	                          429 + Retry-After when shedding. ?stream=sse
+//	                          streams run/iter/done frames and withdraws
+//	                          the request if the client hangs up.
 //	GET    /runs              query the registry (?tenant= &status= &key= &limit=;
 //	                          newest 100 by default, limit capped at 1000)
 //	GET    /runs/{id}         one registry record
-//	DELETE /runs/{id}         cancel a queued or running run
+//	DELETE /runs/{id}         withdraw a queued or running request: the run
+//	                          stops once no request is attached to it
 //	GET    /runs/{id}/stream  attach to (or replay) the telemetry stream
 //	GET    /runs/{id}/report  the rendered report (?format=text|json|csv)
 //	GET    /runs/{id}/trace   Chrome trace-event JSON of a config.trace=true

@@ -13,7 +13,9 @@
 //     fewer iterations than a cold solve;
 //  4. observability: a config.trace=true run leaves a Chrome trace-event
 //     artifact behind (GET /v1/runs/{id}/trace, Perfetto-loadable) and
-//     every run feeds the Prometheus series on GET /metrics.
+//     every run feeds the Prometheus series on GET /metrics;
+//  5. identity, not plan: the traced run's result answers the same
+//     configuration asked for untraced under another schedule.
 package main
 
 import (
@@ -85,9 +87,9 @@ func main() {
 		fmt.Printf("%s  %-9s converged=%-5v iters=%d\n", r.ID, r.Status, r.Converged, r.Iterations)
 	}
 
-	// 4. A traced run (config.trace=true hashes to its own cache entry)
-	// records every BC/RGF/SSE/exchange phase; the artifact is plain
-	// Chrome trace-event JSON.
+	// 4. A traced run (config.trace=true always executes: it asks for an
+	// execution's spans) records every BC/RGF/SSE/exchange phase; the
+	// artifact is plain Chrome trace-event JSON.
 	fmt.Println("\n-- traced run --")
 	tcfg := cfg
 	tcfg.Trace = true
@@ -106,6 +108,17 @@ func main() {
 		}
 	}
 	fmt.Printf("run %s: %d trace events, spans per category %v\n", traced.ID, len(chrome.TraceEvents), cats)
+
+	// 5. Schedule and trace change how a result is computed, never what it
+	// is: the same configuration untraced under the overlap schedule is
+	// answered by the traced run.
+	fmt.Println("\n-- same result, another plan --")
+	ocfg := tcfg
+	ocfg.Trace = false
+	ocfg.Schedule = "overlap"
+	variant := submit(base, "acme", ocfg)
+	fmt.Printf("run %s: status=%s source=%s (traced run %s; same current: %v)\n",
+		variant.ID, variant.Status, variant.SourceRun, traced.ID, variant.Current == traced.Current)
 
 	// Everything above also moved the Prometheus needles.
 	fmt.Println("\n-- /metrics (excerpt) --")

@@ -16,16 +16,17 @@ import (
 
 // RunConfig is the configuration of a simulation — the only one, and the
 // only way to set a knob. It is what NewFromConfig builds, the body the
-// qtd service decodes, the record the run registry stores and the value
-// the content-addressed result cache hashes: the defaulted Spec plus
-// every knob, each in its flag spelling. The field set and JSON names
+// qtd service decodes and the record the run registry stores: the
+// defaulted Spec plus every knob, each in its flag spelling. Its
+// Identity, the configuration without the execution plan, is what the
+// content-addressed result cache hashes. The field set and JSON names
 // are a wire format.
 //
 // The zero value of every knob means "absent" (the default applies), so
 // booleans are spelled in their non-default direction (NoBoundaryCache).
 // A RunConfig is either raw — as built or decoded — or resolved: what
-// Simulation.resolve made of a raw one, which is what Simulation.Config
-// returns and the only form worth hashing. Two things a run can be
+// Resolve made of a raw one, which is what Simulation.Config returns and
+// the only form worth hashing. Two things a run can be
 // given have no RunConfig form and are Options (see unwired):
 // WithWarmStart carries a Go value, and WithBias(0) is an explicit zero
 // bias, because Spec.Bias = 0 means the Spec default.
@@ -55,13 +56,12 @@ type RunConfig struct {
 	// NewFromConfig resolves by a short calibration probe on the built
 	// device; next to a non-empty Schedule it is a recorded plan, used as
 	// given — a resolved configuration always has that form, the phases
-	// default spelled out. The resolved knobs take part in the content
-	// hash: two runs planned differently are different artifacts.
+	// default spelled out. The resolved knobs take part in Key, which
+	// names the execution; Identity drops them.
 	AutoPlan bool `json:"auto_plan,omitempty"`
 	// Trace enables per-phase span recording: the finished run's
-	// Result.Spans carries it. It is part of the hashed configuration: a
-	// traced and an untraced run are different artifacts (the trace is
-	// part of the result), so they address different cache entries.
+	// Result.Spans carries it. Like the plan it is part of Key and not
+	// of Identity: the spans describe an execution, not the result.
 	Trace bool `json:"trace,omitempty"`
 }
 
@@ -90,6 +90,16 @@ func NewFromConfig(rc RunConfig, extra ...Option) (*Simulation, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// Resolve returns the resolved form of a raw configuration, or says why
+// it has none: NewFromConfig's resolve step, without building the device.
+// An auto_plan request stays a request here, because the probe that
+// answers it needs the device; NewFromConfig runs it.
+func Resolve(rc RunConfig) (RunConfig, error) {
+	s := &Simulation{cfg: rc}
+	err := s.resolve()
+	return s.cfg, err
 }
 
 // resolve turns the raw configuration into the resolved one, in place,
@@ -229,6 +239,19 @@ func (s *Simulation) resolve() error {
 func (rc RunConfig) schedule() dist.Schedule     { v, _ := parseSchedule(rc.Schedule); return v }
 func (rc RunConfig) precision() decomp.Precision { v, _ := parsePrecision(rc.Precision); return v }
 func (rc RunConfig) kernel() Kernel              { v, _ := parseKernel(rc.Kernel); return v }
+
+// Identity returns the result identity of a resolved configuration: the
+// configuration with its execution plan — schedule, workers,
+// pipeline_depth, auto_plan and trace — zeroed. The plan decides how a
+// result is computed, never what it is: TestPlanInvariance solves one
+// device under every plan and requires bitwise-equal currents, and
+// TestIdentityClassifiesEveryField makes every RunConfig field pick a
+// side. Identity().Key() is the address the qtd result cache and its
+// in-flight table use, and Identity().WarmKey() its warm-start family.
+func (rc RunConfig) Identity() RunConfig {
+	rc.Schedule, rc.Workers, rc.PipelineDepth, rc.AutoPlan, rc.Trace = "", 0, 0, false, false
+	return rc
+}
 
 // Key returns the canonical content hash of the configuration: the
 // SHA-256 of its JSON form re-serialized with recursively sorted object

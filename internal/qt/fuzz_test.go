@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzResolve feeds arbitrary bytes through qtd's wire decoding of a
-// RunConfig and resolves what decodes. It runs resolve alone — no device
+// RunConfig and resolves what decodes. It runs Resolve alone — no device
 // is built — so an input cannot make the fuzzer allocate a giant device.
 // A configuration that resolves must hash without panicking, and
 // resolving the resolved configuration again must keep its Key: resolve
@@ -27,18 +27,19 @@ func FuzzResolve(f *testing.F) {
 		if err := json.Unmarshal(data, &rc); err != nil {
 			return
 		}
-		s := &Simulation{cfg: rc}
-		if err := s.resolve(); err != nil {
+		res, err := Resolve(rc)
+		if err != nil {
 			return
 		}
-		key := s.cfg.Key()
-		s.cfg.WarmKey()
-		again := &Simulation{cfg: s.cfg}
-		if err := again.resolve(); err != nil {
-			t.Fatalf("resolved config %+v does not resolve again: %v", s.cfg, err)
+		key := res.Key()
+		res.WarmKey()
+		res.Identity().Key()
+		again, err := Resolve(res)
+		if err != nil {
+			t.Fatalf("resolved config %+v does not resolve again: %v", res, err)
 		}
-		if k := again.cfg.Key(); k != key {
-			t.Fatalf("re-resolving moved the key %s to %s (config %+v)", key, k, s.cfg)
+		if k := again.Key(); k != key {
+			t.Fatalf("re-resolving moved the key %s to %s (config %+v)", key, k, res)
 		}
 	})
 }

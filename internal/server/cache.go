@@ -9,9 +9,10 @@ import (
 )
 
 // cacheEntry is one content-addressed result artifact: the resolved
-// configuration, the full facade result (including, for runs without ranks,
-// the converged Σ≷/Π≷ state near-identical requests warm-start from),
-// the rendered report, and the run that produced it (lineage).
+// configuration it was computed under, the full facade result
+// (including, for runs without ranks, the converged Σ≷/Π≷ state
+// near-identical requests warm-start from), the rendered report, and
+// the run that produced it (lineage).
 type cacheEntry struct {
 	Key     string
 	WarmKey string
@@ -30,12 +31,13 @@ type CacheStats struct {
 	Bytes    int64 `json:"bytes"` // Σ≷ artifact bytes held
 }
 
-// cache is the LRU content-addressed result cache, keyed on
-// qt.RunConfig.Key: an identical resolved configuration — the common
-// case under sweep-heavy traffic — is answered from here without
+// cache is the LRU content-addressed result cache, keyed on the result
+// identity (qt.RunConfig.Identity().Key()): a request for a result
+// already computed — the common case under sweep-heavy traffic, and
+// whatever execution plan either names — is answered from here without
 // touching a solver slot. Warm scans the same entries by WarmKey (the
-// bias-independent family hash) for a converged Σ≷ state to seed a
-// near-identical request from.
+// identity's bias-independent family hash) for a converged Σ≷ state to
+// seed a near-identical request from.
 type cache struct {
 	mu    sync.Mutex
 	cap   int
@@ -49,8 +51,7 @@ func newCache(capacity int) *cache {
 	return &cache{cap: capacity, ll: list.New(), byKey: map[string]*list.Element{}}
 }
 
-// Get returns the entry for an exact configuration key, refreshing its
-// recency.
+// Get returns the entry for an identity key, refreshing its recency.
 func (c *cache) Get(key string) (*cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -216,7 +216,8 @@ func (s *Server) runStudy(st *studyRun, rec studyRecord) {
 		if j == nil {
 			// Content-addressed fast path: no slot consumed. The full
 			// result (with observables for the DOS reduction) is still in
-			// the cache unless it was evicted since submit looked.
+			// the cache under the member's identity key unless it was
+			// evicted since submit looked.
 			out := memberOutcome{rec: mrec}
 			if e, ok := s.cache.peek(mrec.Key); ok {
 				out.res = e.Result

@@ -57,6 +57,15 @@ func (f *feed[T]) subscribe() ([]T, chan T, func()) {
 	}
 }
 
+// follow starts f, a feed nobody has subscribed to yet, with the events
+// src has published so far: a request that joins a run in flight replays
+// the rows it missed.
+func (f *feed[T]) follow(src *feed[T]) {
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	f.events = append(f.events, src.events...)
+}
+
 // markDone closes the done channel exactly once, after the registry
 // record reached its final state.
 func (f *feed[T]) markDone() { f.doneOnce.Do(func() { close(f.done) }) }

@@ -66,9 +66,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSubmit admits one run. With ?stream=sse the response is a live
-// server-sent event stream whose disconnection cancels the run; without
-// it the queued (202) or cached (200) registry record is returned and
-// the run proceeds detached.
+// server-sent event stream whose disconnection withdraws the request
+// (see release); without it the queued (202) or cached (200) registry
+// record is returned and the run proceeds detached. A request that
+// joined a run in flight is queued too, and streams that run's rows.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
@@ -237,17 +238,20 @@ func replayRun(w http.ResponseWriter, rec Record) {
 }
 
 // streamJob streams a live run ("run", "iter"…, "done"). When ownCancel
-// is set, the client hanging up cancels the run — the submit-and-stream
-// contract.
+// is set, the client hanging up withdraws its request — the
+// submit-and-stream contract: the run is cancelled once no other request
+// is attached to it.
 func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *job, ownCancel bool) {
 	var hangUp func()
 	if ownCancel {
 		hangUp = func() {
-			j.cancel()
-			// The worker still owns the finalization; wait so the
-			// registry reaches its terminal state before we return (the
-			// connection is gone — nothing more is written).
-			<-j.done
+			// When this request cancelled the run, the worker still owns
+			// the finalization; wait so the registry reaches its terminal
+			// state before we return (the connection is gone — nothing
+			// more is written).
+			if s.release(j) {
+				<-j.done
+			}
 		}
 	}
 	streamFeed(w, r, j.feed, "run", "iter", func() Record { rec, _ := s.reg.get(j.id); return rec }, hangUp)

@@ -30,8 +30,9 @@ const (
 	StatusFailed    Status = "failed"
 	StatusCancelled Status = "cancelled"
 	// StatusCached marks a request answered from the content-addressed
-	// result cache: no solver slot was consumed, SourceRun names the run
-	// that produced the artifact.
+	// result cache, or by the run in flight it joined: no solver slot was
+	// consumed, SourceRun names the run that produced the artifact, which
+	// may have executed under another plan.
 	StatusCached Status = "cached"
 	// StatusLost marks a run found queued/running when the registry was
 	// reopened: the daemon died underneath it.
@@ -47,8 +48,10 @@ type Record struct {
 	Tenant   string `json:"tenant"`
 	Priority int    `json:"priority,omitempty"`
 
-	// Key is the canonical content hash of Config (the cache address);
-	// WarmKey the bias-independent family hash warm starts match on.
+	// Key is the content hash of Config's result identity
+	// (Config.Identity().Key(), the cache address), shared by every record
+	// of one result whatever plan each names; WarmKey is the identity's
+	// bias-independent family hash warm starts match on.
 	Key     string       `json:"key"`
 	WarmKey string       `json:"warm_key"`
 	Config  qt.RunConfig `json:"config"`

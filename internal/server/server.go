@@ -2,11 +2,12 @@
 // daemon: an HTTP/JSON front over the qt facade with SSE streaming of
 // the per-iteration telemetry, a fair-share priority queue admitting
 // jobs to a bounded pool of solver slots, a content-addressed result
-// cache keyed on the canonical qt.RunConfig hash (identical requests are
-// answered instantly; near-identical ones warm-start from a cached
-// converged Σ≷ state), and a persistent run registry with artifact
-// lineage — the paper's data-centric runs turned into registered,
-// addressable, reusable artifacts.
+// cache and a single-flight table keyed on the result identity
+// (qt.RunConfig.Identity: requests for one result are answered by one
+// execution, whatever plan each names; near-identical ones warm-start
+// from a cached converged Σ≷ state), and a persistent run registry with
+// artifact lineage — the paper's data-centric runs turned into
+// registered, addressable, reusable artifacts.
 package server
 
 import (
@@ -55,30 +56,43 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// job is one admitted (queued or running) run.
+// job is one admitted request whose record is not final yet: a leader,
+// which owns an execution (queued, then running on a slot), or a
+// follower, attached to the leader in flight with its result identity.
 type job struct {
 	id       string
 	tenant   string
 	priority int
-	cfg      qt.RunConfig // resolved configuration
-	key      string
-	warmKey  string
+	cfg      qt.RunConfig // resolved configuration (a leader's: its plan recorded)
+	key      string       // cfg.Identity().Key()
+	warmKey  string       // cfg.Identity().WarmKey()
 	// submitted stamps admission; the queue-wait histogram observes the
 	// distance to dispatch.
 	submitted time.Time
 
+	// ctx and cancel are a leader's execution context.
 	ctx    context.Context
 	cancel context.CancelFunc
 
 	// The iteration telemetry: execute publishes one row per iteration
-	// and marks the feed done after the registry record is final.
+	// of the execution to its leader and every follower, and marks a
+	// feed done after that request's registry record is final.
 	*feed[qt.IterStats]
 
-	// result is the full facade result, set by execute before done is
-	// closed (the close is the happens-before edge readers synchronize
-	// on). The ensemble runner reads it for the DOS reduction — the
-	// registry record only carries scalars.
+	// result is the full facade result, set before done is closed (the
+	// close is the happens-before edge readers synchronize on). The
+	// ensemble runner reads it for the DOS reduction — the registry
+	// record only carries scalars.
 	result *qt.Result
+
+	// The single-flight state, guarded by Server.mu (see flight.go). A
+	// follower names its leader; a leader lists its followers and counts
+	// the requests still attached to its execution, its own included
+	// until released.
+	leader    *job
+	followers []*job
+	attached  int
+	released  bool
 }
 
 // Server is the in-process service; cmd/qtd wraps it in an http.Server.
@@ -97,6 +111,7 @@ type Server struct {
 
 	mu      sync.Mutex
 	jobs    map[string]*job      // admitted and not yet finalized
+	flights map[string]*job      // result identity key → the leader computing it
 	studies map[string]*studyRun // ensemble studies not yet finalized
 
 	// studyWg tracks study runner goroutines separately from the slot
@@ -127,6 +142,7 @@ func New(cfg Config) (*Server, error) {
 		log:     log,
 		met:     newMetrics(cfg),
 		jobs:    map[string]*job{},
+		flights: map[string]*job{},
 		studies: map[string]*studyRun{},
 	}
 	s.ctx, s.stop = context.WithCancel(context.Background())
@@ -228,56 +244,74 @@ func (s *Server) observeRunTime(d time.Duration) {
 }
 
 // submit validates and admits one request. It returns the registry
-// record of the outcome: a cached answer (no slot consumed), or a queued
-// job (whose handle is returned for streaming/cancellation). studyID,
-// when non-empty, stamps the record with its ensemble-study lineage.
-// err is ErrQueueFull under backpressure, or a validation error.
+// record of the outcome and, unless the request was answered at once,
+// the job to stream or cancel. The request is resolved and addressed by
+// its result identity: a cached result answers it with no device built
+// and no auto plan probed; a run of the same identity in flight takes it
+// on as a follower; only a miss builds the simulation (probing an
+// auto_plan request at admission) and queues it. A traced request asks
+// for an execution's spans, so it neither reads the cache nor joins, and
+// its result then serves later requests like any other. studyID, when
+// non-empty, stamps the record with its ensemble-study lineage. err is
+// ErrQueueFull under backpressure, or a validation error.
 func (s *Server) submit(tenant string, priority int, rc qt.RunConfig, studyID string) (Record, *job, error) {
-	sim, err := qt.NewFromConfig(rc)
+	resolved, err := qt.Resolve(rc)
 	if err != nil {
 		return Record{}, nil, err
 	}
-	resolved := sim.Config()
-	key, warmKey := resolved.Key(), resolved.WarmKey()
-	now := time.Now().UTC()
-
-	// Content-addressed fast path: identical resolved configuration.
-	if e, ok := s.cache.Get(key); ok {
-		s.met.cacheHits.Inc()
-		rec := Record{
-			ID: s.reg.newID(), Tenant: tenant, Priority: priority,
-			Key: key, WarmKey: warmKey, Config: resolved,
-			Status: StatusCached, Submitted: now, Finished: now,
-			CacheHit: true, SourceRun: e.RunID, Study: studyID,
-			Converged: e.Result.Converged, Iterations: e.Result.Iterations,
-			Current: e.Result.Current,
-			Report:  e.Report,
-		}
-		if err := s.reg.put(rec); err != nil {
-			return Record{}, nil, err
-		}
-		s.log.Info("cache hit", "run", rec.ID, "tenant", tenant, "source", e.RunID)
-		return rec, nil, nil
+	identity := resolved.Identity()
+	rec := Record{
+		Tenant: tenant, Priority: priority,
+		Key: identity.Key(), WarmKey: identity.WarmKey(), Config: resolved,
+		Status: StatusQueued, Submitted: time.Now().UTC(), Study: studyID,
 	}
 
+	s.mu.Lock()
+	if !resolved.Trace {
+		if e, ok := s.cache.Get(rec.Key); ok {
+			s.mu.Unlock()
+			rec.ID = s.reg.newID()
+			rec = answer(rec, e)
+			if err := s.reg.put(rec); err != nil {
+				return Record{}, nil, err
+			}
+			s.met.cacheHits.Inc()
+			s.log.Info("cache hit", "run", rec.ID, "tenant", tenant, "source", e.RunID)
+			return rec, nil, nil
+		}
+		if leader := s.flights[rec.Key]; leader != nil {
+			defer s.mu.Unlock()
+			return s.join(rec, leader)
+		}
+	}
+	// A miss: this request leads an execution of its identity, reserved
+	// before the device is built so a twin arriving meanwhile joins it.
 	j := &job{
 		id: s.reg.newID(), tenant: tenant, priority: priority,
-		cfg: resolved, key: key, warmKey: warmKey,
-		submitted: time.Now(),
-		feed:      newFeed[qt.IterStats](resolved.MaxIterations),
+		cfg: resolved, key: rec.Key, warmKey: rec.WarmKey,
+		feed:     newFeed[qt.IterStats](resolved.MaxIterations),
+		attached: 1,
 	}
 	j.ctx, j.cancel = context.WithCancel(s.ctx)
+	if s.flights[j.key] == nil {
+		s.flights[j.key] = j
+	}
+	s.mu.Unlock()
+
+	sim, err := qt.NewFromConfig(resolved)
+	if err != nil {
+		s.abandon(j, err)
+		return Record{}, nil, err
+	}
+	j.cfg = sim.Config() // an auto_plan request now records its plan
+	j.submitted = time.Now()
+	rec.ID, rec.Config, rec.Submitted = j.id, j.cfg, j.submitted.UTC()
 
 	// The queued record and the depth gauge must exist before the job is
-	// visible to the slot workers: an idle worker pops it at once, and
-	// execute drops a job it finds no record for.
-	rec := Record{
-		ID: j.id, Tenant: tenant, Priority: priority,
-		Key: key, WarmKey: warmKey, Config: resolved,
-		Status: StatusQueued, Submitted: now, Study: studyID,
-	}
+	// visible to the slot workers: an idle worker pops it at once, and the
+	// final record execute writes must not be overwritten by this one.
 	if err := s.reg.put(rec); err != nil {
-		j.cancel()
+		s.abandon(j, err)
 		return Record{}, nil, err
 	}
 	s.mu.Lock()
@@ -286,11 +320,10 @@ func (s *Server) submit(tenant string, priority int, rc qt.RunConfig, studyID st
 	s.met.queueDepth.With(tenant).Add(1)
 	if err := s.q.Push(j); err != nil {
 		s.met.queueDepth.With(tenant).Add(-1)
-		s.removeJob(j.id)
-		j.cancel()
 		if derr := s.reg.remove(j.id); derr != nil {
 			s.log.Warn("shed record not removed", "run", j.id, "err", derr)
 		}
+		s.abandon(j, err)
 		s.met.shed.With(tenant).Inc()
 		s.log.Warn("shed", "tenant", tenant, "err", err)
 		return Record{}, nil, err
@@ -308,59 +341,43 @@ func (s *Server) jobByID(id string) (*job, bool) {
 	return j, ok
 }
 
-func (s *Server) removeJob(id string) {
-	s.mu.Lock()
-	delete(s.jobs, id)
-	s.mu.Unlock()
-}
-
-// cancelRun cancels a queued or running run. Returns the record and
-// whether the id was known.
+// cancelRun withdraws a queued or running request (see release). Returns
+// the record and whether the id was known.
 func (s *Server) cancelRun(id string) (Record, bool) {
-	j, live := s.jobByID(id)
-	if live {
-		if q := s.q.Remove(id); q != nil {
-			// Still queued: the worker will never see it — finalize here.
-			s.finalizeCancelled(j)
-		} else {
-			// Running (or being popped): the solver observes the context
-			// between iterations and the worker finalizes.
-			j.cancel()
-		}
+	if j, live := s.jobByID(id); live {
+		s.release(j)
 	}
 	return s.reg.get(id)
 }
 
-// finalizeCancelled marks a never-executed job cancelled. Callers have
+// finalizeCancelled marks a never-executed leader cancelled. Callers have
 // already removed it from the queue, so the depth gauge drops here.
 func (s *Server) finalizeCancelled(j *job) {
 	s.met.queueDepth.With(j.tenant).Add(-1)
 	s.log.Info("cancelled while queued", "run", j.id, "tenant", j.tenant)
 	j.cancel()
-	if rec, ok := s.reg.get(j.id); ok {
-		rec.Status = StatusCancelled
-		rec.Finished = time.Now().UTC()
-		s.reg.put(rec)
-	}
-	s.removeJob(j.id)
-	j.markDone()
+	rec, _ := s.reg.get(j.id)
+	rec.Status = StatusCancelled
+	rec.Finished = time.Now().UTC()
+	s.finish(j, rec)
 }
 
 // execute runs one admitted job on the calling worker's slot.
 func (s *Server) execute(j *job) {
-	defer j.markDone()
-	defer s.removeJob(j.id)
 	s.met.slotsBusy.Add(1)
 	defer s.met.slotsBusy.Add(-1)
 
-	rec, ok := s.reg.get(j.id)
-	if !ok {
-		return
+	rec, _ := s.reg.get(j.id)
+	conclude := func(st Status, err error) {
+		rec.Status = st
+		if err != nil {
+			rec.Error = err.Error()
+		}
+		rec.Finished = time.Now().UTC()
+		s.finish(j, rec)
 	}
 	if j.ctx.Err() != nil {
-		rec.Status = StatusCancelled
-		rec.Finished = time.Now().UTC()
-		s.reg.put(rec)
+		conclude(StatusCancelled, nil)
 		return
 	}
 
@@ -378,10 +395,7 @@ func (s *Server) execute(j *job) {
 	}
 	sim, err := qt.NewFromConfig(j.cfg, extra...)
 	if err != nil {
-		rec.Status = StatusFailed
-		rec.Error = err.Error()
-		rec.Finished = time.Now().UTC()
-		s.reg.put(rec)
+		conclude(StatusFailed, err)
 		return
 	}
 
@@ -393,18 +407,16 @@ func (s *Server) execute(j *job) {
 	start := time.Now()
 	run, err := sim.Start(j.ctx)
 	if err != nil {
-		rec.Status = StatusCancelled
-		rec.Finished = time.Now().UTC()
-		s.reg.put(rec)
+		conclude(StatusCancelled, nil)
 		return
 	}
 	for st := range run.Stats() {
-		j.publish(st)
+		s.publish(j, st)
 	}
 	res, err := run.Wait()
 	wall := time.Since(start)
 	s.observeRunTime(wall)
-	j.result = res // published to waiters by the deferred markDone
+	j.result = res // published to waiters by finish's markDone
 
 	rec.Finished = time.Now().UTC()
 	rec.WallNs = wall.Nanoseconds()
@@ -416,14 +428,7 @@ func (s *Server) execute(j *job) {
 	switch {
 	case err == nil:
 		rec.Status = StatusDone
-		rep := report.NewRun(sim, res, wall.Nanoseconds())
-		rec.Report = rep
-		if res.Converged {
-			s.cache.Put(&cacheEntry{
-				Key: j.key, WarmKey: j.warmKey, RunID: j.id,
-				Config: j.cfg, Result: res, Report: rep,
-			})
-		}
+		rec.Report = report.NewRun(sim, res, wall.Nanoseconds())
 	case j.ctx.Err() != nil:
 		rec.Status = StatusCancelled
 	default:
@@ -437,7 +442,7 @@ func (s *Server) execute(j *job) {
 			s.log.Warn("trace store failed", "run", j.id, "err", err)
 		}
 	}
-	s.reg.put(rec)
+	s.finish(j, rec)
 	s.met.observeRun(j.tenant, rec.Status, wall.Seconds(), res)
 	s.log.Info("finished", "run", j.id, "tenant", j.tenant,
 		"status", string(rec.Status), "converged", rec.Converged,
