@@ -25,6 +25,7 @@ package plan
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/bc"
@@ -78,7 +79,7 @@ func calibrate(dev *device.Device, store *bc.Store) (Calibration, error) {
 		return Calibration{}, fmt.Errorf("plan: calibration probe: %w", err)
 	}
 	cal := reduceTrace(trc.Trace(), opts.MaxIter)
-	cal.CopyNsPerByte = measureCopy()
+	cal.CopyNsPerByte = copyNsPerByte()
 	cal.ProbeNs = time.Since(t0).Nanoseconds()
 	if cal.ElNs <= 0 || cal.TileNs <= 0 {
 		return cal, fmt.Errorf("plan: probe trace incomplete: %+v", cal)
@@ -141,6 +142,13 @@ func reduceTrace(tr *obs.Trace, iters int) Calibration {
 		ReduceNs:   reduce / float64(iters),
 	}
 }
+
+// copyNsPerByte is the host's memory copy cost, measured by the first
+// probe of the process and reused by every later one. Like the best-of-3
+// inside measureCopy it is the contention-free host constant, so
+// measuring it again would only add the 8 MB of copy buffers to each
+// probe.
+var copyNsPerByte = sync.OnceValue(measureCopy)
 
 // measureCopy times a memory copy large enough to defeat the caches and
 // returns ns/byte, the cost coefficient of the in-process exchange.
