@@ -7,9 +7,9 @@
 // The solver matrix is fully reachable: -ranks 0 runs without ranks (the
 // one-rank window graph, where -kernel selects the SSE variant), -ranks P
 // on P simulated ranks (with -schedule phases|overlap|pipeline and -depth
-// for the pipelined window). -autoplan calibrates a cost model on
-// a short probe run and picks the plan — schedule, workers, pipeline
-// depth — automatically; the resolved plan prints in the report header.
+// for the pipelined window). -autoplan resolves the plan by rule —
+// GOMAXPROCS ÷ ranks workers per rank, at least one, at window depth 1
+// (plan.Rule) — and the resolved plan prints in the report header.
 // -format text|json|csv selects the report encoding (internal/report,
 // keyed on the facade's unified per-iteration telemetry schema).
 //
@@ -61,7 +61,7 @@ func main() {
 	ranks := flag.Int("ranks", 0, "simulated MPI world size (0 = no ranks: one in-process rank)")
 	schedule := flag.String("schedule", "phases", "distributed schedule: phases | overlap | pipeline")
 	depth := flag.Int("depth", 0, "pipelined-iteration window depth (with -schedule pipeline; 0 = solver default)")
-	autoplan := flag.Bool("autoplan", false, "autotune the plan (schedule, workers, pipeline depth) from a calibrated cost model (requires -ranks)")
+	autoplan := flag.Bool("autoplan", false, "resolve the plan by rule: GOMAXPROCS/ranks workers per rank at window depth 1 (requires -ranks)")
 	format := flag.String("format", "text", "output format: text, json, or csv")
 	traceFile := flag.String("trace", "", "record per-phase spans and write Chrome trace-event JSON to FILE (load in Perfetto)")
 	metrics := flag.Bool("metrics", false, "print a Prometheus-text snapshot of the run's counters to stderr")
@@ -97,7 +97,7 @@ func main() {
 	}
 	// The flags are already in wire spelling: fill the configuration a
 	// request body would and build it the way qtd does. -kernel mixed is
-	// precision shorthand; under -autoplan the planner owns the plan knobs,
+	// precision shorthand; under -autoplan the rule owns the plan knobs,
 	// so -schedule and -depth are not carried (next to auto_plan a schedule
 	// would read as a recorded plan); without -ranks they do not apply.
 	rc := qt.RunConfig{

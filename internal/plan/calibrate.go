@@ -1,26 +1,3 @@
-// Package plan is the execution-plan autotuner: it calibrates the
-// repo's virtual-time cost model (internal/sdfg.Simulate — the model
-// validated against the paper's Table 6 shape through cmd/paperbench)
-// from a short probe run on the actual device, scores every candidate
-// plan (schedule × worker pool × window depth) in virtual time, and
-// returns the argmin. The qt facade surfaces it as RunConfig.AutoPlan;
-// the resolved plan is recorded in the run's content-addressed
-// configuration.
-//
-// Calibration contract: the probe runs two self-consistent iterations
-// of the phases schedule (the depth-1 window graph on one worker, so no
-// node's span is inflated by a sibling) on a single rank with tracing
-// enabled. The first iteration's point solves decimate every boundary;
-// the second iteration's lookups are cache hits, and negf records each
-// lookup as a "bc" span inside the solve that ran it, so the first span
-// of a point is the cold cost and the second is warm.
-// Per-point costs keep the minimum observed occurrence (noise-robust:
-// contention only inflates a span) while the per-iteration aggregates
-// (tile, residual, reduce) are averaged across both iterations — so the
-// calibration describes the steady state of a cached run, plus the
-// one-time cold cost. Costs are per-node nanoseconds; the prediction step
-// scales them by each candidate's shard sizes. A calibration is only as
-// good as the probe host: it is measured wall time, not a hardware model.
 package plan
 
 import (
@@ -28,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/bc"
 	"repro/internal/device"
 	"repro/internal/dist"
 	"repro/internal/negf"
@@ -59,17 +35,11 @@ type Calibration struct {
 	ProbeNs int64
 }
 
-// Calibrate runs the probe on cold boundaries — no store under its
-// cache — and reduces its trace to a Calibration.
-func Calibrate(dev *device.Device) (Calibration, error) { return calibrate(dev, nil) }
-
-// calibrate is Calibrate with the probe's boundaries shared through
-// store: leads an earlier solve decimated read as hits (BCColdNs then
-// measures a store hit, which is what the planned run will pay too).
-func calibrate(dev *device.Device, store *bc.Store) (Calibration, error) {
+// Calibrate runs the probe on cold boundaries and reduces its trace to
+// a Calibration.
+func Calibrate(dev *device.Device) (Calibration, error) {
 	trc := obs.NewTracer()
 	opts := dist.Options{Ranks: 1} // SchedulePhases: every node on one worker, back to back
-	opts.Store = store
 	opts.MaxIter = 2
 	opts.Tol = 1e-300 // never converge: we want exactly two iterations
 	opts.Tracer = trc

@@ -1,10 +1,40 @@
+// Package plan is the execution plan of a distributed run and the cost
+// model that prices plans. Rule resolves a plan request in closed form
+// from the world size and GOMAXPROCS — one worker pool per rank, the
+// pools together no larger than the process, at window depth 1 — and qt
+// writes it into the run's configuration when it resolves an auto_plan
+// request, so the plan is recorded in the content-addressed key without
+// any run. The bitwise plan-invariance suites prove the plan cannot change
+// a result, and the measured model error (the bench's plan rungs) shows
+// the schedules do not separate on small hosts, so no search is made.
+//
+// The cost model is the measurement side: Calibrate runs a short traced
+// probe and Predict scores a candidate in the repo's virtual-time model
+// (internal/sdfg.Simulate — validated against the paper's Table 6 shape
+// through cmd/paperbench).
+//
+// Calibration contract: the probe runs two self-consistent iterations
+// of the phases schedule (the depth-1 window graph on one worker, so no
+// node's span is inflated by a sibling) on a single rank with tracing
+// enabled and no boundary store. The first iteration's point solves
+// decimate every boundary; the second iteration's lookups are cache hits,
+// and negf records each lookup as a "bc" span inside the solve that ran
+// it, so the first span of a point is the cold cost and the second is
+// warm.
+// Per-point costs keep the minimum observed occurrence (noise-robust:
+// contention only inflates a span) while the per-iteration aggregates
+// (tile, residual, reduce) are averaged across both iterations — so the
+// calibration describes the steady state of a cached run, plus the
+// one-time cold cost. Costs are per-node nanoseconds; the prediction step
+// scales them by each candidate's shard sizes. A calibration is only as
+// good as the probe host: it is measured wall time, not a hardware model.
 package plan
 
 import (
 	"fmt"
 	"math"
+	"runtime"
 
-	"repro/internal/bc"
 	"repro/internal/decomp"
 	"repro/internal/device"
 	"repro/internal/dist"
@@ -13,26 +43,18 @@ import (
 	"repro/internal/sdfg"
 )
 
-// Candidate is one point of the plan search space.
+// Candidate is one execution plan: a schedule, its worker pool and its
+// window depth — what Rule resolves and Predict scores.
 type Candidate struct {
 	Schedule      dist.Schedule
 	Workers       int
 	PipelineDepth int // 0 unless Schedule is SchedulePipeline
 }
 
-// Plan is a chosen execution plan: the argmin candidate and the
-// virtual-time score the choice was based on.
-type Plan struct {
-	Candidate
-	// PredictedNs is the modeled steady-state makespan of ONE
-	// self-consistent iteration on the slowest rank.
-	PredictedNs float64
-}
-
-func (p Plan) String() string {
-	s := fmt.Sprintf("%s w=%d", p.Schedule, p.Workers)
-	if p.Schedule == dist.SchedulePipeline {
-		s += fmt.Sprintf(" d=%d", p.PipelineDepth)
+func (c Candidate) String() string {
+	s := fmt.Sprintf("%s w=%d", c.Schedule, c.Workers)
+	if c.Schedule == dist.SchedulePipeline {
+		s += fmt.Sprintf(" d=%d", c.PipelineDepth)
 	}
 	return s
 }
@@ -40,40 +62,30 @@ func (p Plan) String() string {
 // Options says what to plan for.
 type Options struct {
 	Ranks int // world size the plan is for (required)
-	// Store, when non-nil, is the boundary store the calibration probe
-	// solves over (dist.Options.Store): what the probe decimates the
-	// planned run finds, and the other way round. Nil means no sharing.
-	Store *bc.Store
 }
 
-// The enumerated search space: per-rank worker pool sizes, and window
-// depths (1 is the overlap schedule).
-var (
-	poolSizes = [...]int{1, 2, 4}
-	depths    = [...]int{1, 2, 3}
-)
-
-// candidates enumerates the schedule search space: the serial phases
-// baseline, then the window task graph per depth × worker count. Depth 1
-// is spelled ScheduleOverlap — the name plans, reports and -schedule
-// flags already use for it — except on one worker, where it is the
-// phases baseline itself and is not listed twice. Shallower windows come
-// first, so a tie resolves to the simpler schedule.
-func candidates() []Candidate {
-	cands := []Candidate{{Schedule: dist.SchedulePhases, Workers: 1}}
-	for _, d := range depths {
-		for _, w := range poolSizes {
-			c := Candidate{Schedule: dist.SchedulePipeline, Workers: w, PipelineDepth: d}
-			if d == 1 {
-				if w == 1 {
-					continue // that execution is the phases baseline above
-				}
-				c = Candidate{Schedule: dist.ScheduleOverlap, Workers: w}
-			}
-			cands = append(cands, c)
-		}
+// Rule is the execution plan of a world of ranks ≥ 1 on this host: the
+// depth-1 window over GOMAXPROCS ÷ ranks workers per rank, at least one,
+// so the ranks' pools together never ask for more workers than the
+// process has threads. One worker is the phases schedule, spelled with
+// its worker count; more are the overlap schedule. The result is a
+// function of the world size and GOMAXPROCS alone — no device, no
+// measurement — so one host resolves one request to one plan.
+func Rule(ranks int) Candidate {
+	w := max(1, runtime.GOMAXPROCS(0)/ranks)
+	if w == 1 {
+		return Candidate{Schedule: dist.SchedulePhases, Workers: 1}
 	}
-	return cands
+	return Candidate{Schedule: dist.ScheduleOverlap, Workers: w}
+}
+
+// Choose returns the plan a run of o.Ranks ranks resolves to: Rule. The
+// device is not read, since the rule needs none.
+func Choose(_ *device.Device, o Options) (Candidate, error) {
+	if o.Ranks < 1 {
+		return Candidate{}, fmt.Errorf("plan: world size %d", o.Ranks)
+	}
+	return Rule(o.Ranks), nil
 }
 
 // Predict scores one candidate: the modeled steady-state makespan of one
@@ -138,32 +150,6 @@ func addIteration(g *sdfg.Graph, after []sdfg.NodeID, nEl, nPh int, elNs, phNs, 
 	mix := g.Add(sdfg.Spec{Label: "mix", Cost: cal.MiscNs}, tile)
 	g.Add(sdfg.Spec{Label: "reduce", Kind: sdfg.Comm, Cost: cal.ReduceNs}, tile, mix)
 	return []sdfg.NodeID{mix}
-}
-
-// Choose calibrates, scores every candidate and returns the argmin plan.
-// Ties (within 1%) resolve toward the earlier — simpler — candidate, so
-// phases beats overlap beats a deeper window when the model sees no
-// benefit.
-func Choose(dev *device.Device, o Options) (Plan, error) {
-	if o.Ranks < 1 {
-		return Plan{}, fmt.Errorf("plan: world size %d", o.Ranks)
-	}
-	cal, err := calibrate(dev, o.Store)
-	if err != nil {
-		return Plan{}, err
-	}
-	return chooseWith(dev.P, o.Ranks, cal, candidates()), nil
-}
-
-func chooseWith(p device.Params, ranks int, cal Calibration, cands []Candidate) Plan {
-	best, bestNs := Candidate{}, 0.0
-	for i, c := range cands {
-		ns := Predict(p, ranks, cal, c)
-		if i == 0 || ns < bestNs*0.99 {
-			best, bestNs = c, ns
-		}
-	}
-	return Plan{Candidate: best, PredictedNs: bestNs}
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

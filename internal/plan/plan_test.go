@@ -2,11 +2,10 @@ package plan
 
 import (
 	"math"
-	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
-	"repro/internal/bc"
 	"repro/internal/device"
 	"repro/internal/dist"
 	"repro/internal/sse"
@@ -88,92 +87,59 @@ func TestPredictOrdering(t *testing.T) {
 			t.Errorf("Predict(%+v) = %#x, recorded %#x", c.cand, got, c.bits)
 		}
 	}
-}
-
-func TestCandidates(t *testing.T) {
-	// phases, then 3 depths × 3 worker counts with depth 1 named overlap —
-	// minus overlap w=1, which would be the phases execution a second time.
-	want := []Candidate{{Schedule: dist.SchedulePhases, Workers: 1}}
-	for _, w := range []int{2, 4} {
-		want = append(want, Candidate{Schedule: dist.ScheduleOverlap, Workers: w})
-	}
-	for _, d := range []int{2, 3} {
-		for _, w := range []int{1, 2, 4} {
-			want = append(want, Candidate{Schedule: dist.SchedulePipeline, Workers: w, PipelineDepth: d})
-		}
-	}
-	if got := candidates(); !reflect.DeepEqual(got, want) {
-		t.Errorf("candidates\n got %+v\nwant %+v", got, want)
-	}
-	if _, err := Choose(testDevice(t), Options{}); err == nil {
-		t.Error("Ranks 0 must be rejected")
-	}
-}
-
-// TestCandidatesAreWhatDistRuns: the planner prices the schedule dist
-// runs. Every candidate validates as a dist.Options, no two resolve to
-// the same (window depth, pool size) — the same execution priced twice —
-// and a candidate dist would refuse scores +Inf instead of being priced
-// as some other schedule.
-func TestCandidatesAreWhatDistRuns(t *testing.T) {
-	seen := map[[2]int]Candidate{}
-	for _, c := range candidates() {
-		o, err := dist.Options{Ranks: 4, Schedule: c.Schedule, Workers: c.Workers, PipelineDepth: c.PipelineDepth}.Validate()
-		if err != nil {
-			t.Errorf("%+v does not validate: %v", c, err)
-			continue
-		}
-		k := [2]int{o.PipelineDepth, o.Workers}
-		if prev, dup := seen[k]; dup {
-			t.Errorf("%+v and %+v both resolve to depth %d × %d workers", prev, c, k[0], k[1])
-		}
-		seen[k] = c
-	}
-	p := testDevice(t).P
+	// A candidate dist would refuse scores +Inf instead of being priced
+	// as some other schedule.
 	for _, c := range []Candidate{
 		{Schedule: dist.ScheduleOverlap, Workers: 2, PipelineDepth: 3},
 		{Schedule: dist.SchedulePhases, Workers: 1, PipelineDepth: 2},
 		{Schedule: dist.SchedulePipeline, Workers: 2, PipelineDepth: -1},
 		{Schedule: dist.Schedule(99), Workers: 2},
 	} {
-		if got := Predict(p, 4, testCal(), c); !math.IsInf(got, 1) {
+		if got := Predict(p, 4, cal, c); !math.IsInf(got, 1) {
 			t.Errorf("invalid %+v scored %g, want +Inf", c, got)
 		}
 	}
 }
 
-// TestChooseArgmin runs the full selection against the synthetic
-// calibration (no probe) and checks the pick is the true argmin of the
-// enumerated predictions — the acceptance property of the autotuner.
-func TestChooseArgmin(t *testing.T) {
-	dev := testDevice(t)
-	cal := testCal()
-	got := chooseWith(dev.P, 4, cal, candidates())
-	best := 0.0
-	for i, c := range candidates() {
-		if ns := Predict(dev.P, 4, cal, c); i == 0 || ns < best {
-			best = ns
+// TestRule pins the closed-form plan over world sizes and hosts: the
+// expected plan comes out, every plan is one dist runs, and the ranks'
+// pools together never exceed the process's threads (or one worker per
+// rank, when there are more ranks than threads).
+func TestRule(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	phases := func(w int) Candidate { return Candidate{Schedule: dist.SchedulePhases, Workers: w} }
+	overlap := func(w int) Candidate { return Candidate{Schedule: dist.ScheduleOverlap, Workers: w} }
+	want := map[[2]int]Candidate{ // {ranks, GOMAXPROCS}
+		{1, 1}: phases(1), {1, 2}: overlap(2), {1, 4}: overlap(4), {1, 8}: overlap(8),
+		{2, 1}: phases(1), {2, 2}: phases(1), {2, 4}: overlap(2), {2, 8}: overlap(4),
+		{3, 1}: phases(1), {3, 2}: phases(1), {3, 4}: phases(1), {3, 8}: overlap(2),
+		{4, 1}: phases(1), {4, 2}: phases(1), {4, 4}: phases(1), {4, 8}: overlap(2),
+	}
+	for _, ranks := range []int{1, 2, 3, 4} {
+		for _, procs := range []int{1, 2, 4, 8} {
+			runtime.GOMAXPROCS(procs)
+			got := Rule(ranks)
+			if w := want[[2]int{ranks, procs}]; got != w {
+				t.Errorf("ranks %d, GOMAXPROCS %d: %v, want %v", ranks, procs, got, w)
+			}
+			o, err := dist.Options{Ranks: ranks, Schedule: got.Schedule, Workers: got.Workers, PipelineDepth: got.PipelineDepth}.Validate()
+			if err != nil {
+				t.Errorf("ranks %d, GOMAXPROCS %d: %v does not validate: %v", ranks, procs, got, err)
+				continue
+			}
+			if o.Workers != got.Workers || o.PipelineDepth != 1 {
+				t.Errorf("ranks %d, GOMAXPROCS %d: %v runs as %d workers at depth %d", ranks, procs, got, o.Workers, o.PipelineDepth)
+			}
+			if ranks*got.Workers > max(procs, ranks) {
+				t.Errorf("ranks %d × %d workers oversubscribe GOMAXPROCS %d", ranks, got.Workers, procs)
+			}
+			if c, err := Choose(nil, Options{Ranks: ranks}); err != nil || c != got {
+				t.Errorf("Choose(%d ranks) = %v, %v; Rule says %v", ranks, c, err, got)
+			}
 		}
 	}
-	if got.PredictedNs > best*1.01 {
-		t.Errorf("chose %.0f ns (%+v), argmin is %.0f ns", got.PredictedNs, got.Candidate, best)
-	}
-	if got.Schedule != dist.SchedulePipeline {
-		t.Errorf("the reduce-heavy calibration should pick the pipeline, got %v", got.Schedule)
-	}
-}
-
-// TestChooseTieBreak: with a free reduction and free communication the
-// schedules tie per-iteration at 1 worker, and the tie must resolve to
-// the simplest candidate — the phases baseline.
-func TestChooseTieBreak(t *testing.T) {
-	cal := Calibration{BCWarmNs: 10, ElNs: 100, PhBCWarmNs: 10, PhNs: 60, TileNs: 400}
-	got := chooseWith(testDevice(t).P, 1, cal, []Candidate{
-		{Schedule: dist.SchedulePhases, Workers: 1},
-		{Schedule: dist.SchedulePipeline, Workers: 1, PipelineDepth: 2},
-	})
-	if got.Schedule != dist.SchedulePhases {
-		t.Errorf("tie should keep the phases baseline, got %v", got.Schedule)
+	if _, err := Choose(nil, Options{}); err == nil {
+		t.Error("Ranks 0 must be rejected")
 	}
 }
 
@@ -182,15 +148,9 @@ func TestChooseTieBreak(t *testing.T) {
 // cold boundary cost an actual decimation — an order of magnitude above
 // the warm cache lookup, not a second lookup mistaken for one.
 func TestCalibrate(t *testing.T) {
-	// A private, empty store: the cold numbers below are decimations only
-	// while nothing has solved this device over the probe's store before.
-	store := bc.NewStore(bc.StoreBudget)
-	cal, err := calibrate(testDevice(t), store)
+	cal, err := Calibrate(testDevice(t))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if st := store.Stats(); st.Decimations == 0 || st.Hits != 0 {
-		t.Fatalf("the probe did not solve over its store: %+v", st)
 	}
 	if cal.ElNs <= 0 || cal.PhNs <= 0 || cal.TileNs <= 0 || cal.MiscNs <= 0 || cal.ReduceNs <= 0 {
 		t.Fatalf("incomplete calibration: %+v", cal)

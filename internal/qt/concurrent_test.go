@@ -185,7 +185,7 @@ func TestConcurrentPlansStayPerRun(t *testing.T) {
 	)
 	start := func(out *outcome, rc RunConfig) {
 		defer wg.Done()
-		sim, err := NewFromConfig(rc) // the auto plan probes here, concurrently
+		sim, err := NewFromConfig(rc) // the auto plan resolves here, concurrently
 		if err != nil {
 			t.Error(err)
 			return
@@ -228,7 +228,7 @@ func TestConcurrentPlansStayPerRun(t *testing.T) {
 		if !strings.HasSuffix(plan, " [auto]") || strings.Contains(plan, "gemm") || a.res.Trace[0].Plan != plan {
 			t.Errorf("auto-planned run %d reports plan %q (row %q)", i, plan, a.res.Trace[0].Plan)
 		}
-		// Its solo twin: the same resolved plan, rebuilt without probing.
+		// Its solo twin: the same resolved plan, rebuilt.
 		solo, err := NewFromConfig(a.sim.Config())
 		if err != nil {
 			t.Fatal(err)

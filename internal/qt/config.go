@@ -12,6 +12,7 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/dist"
 	"repro/internal/negf"
+	"repro/internal/plan"
 )
 
 // RunConfig is the configuration of a simulation — the only one, and the
@@ -52,12 +53,12 @@ type RunConfig struct {
 	// at once (0 = the dist default, 2). Depth 1 is the overlap schedule.
 	PipelineDepth int `json:"pipeline_depth,omitempty"`
 	// AutoPlan hands schedule, workers and pipeline depth to the
-	// internal/plan autotuner. Without a Schedule it is a request, which
-	// NewFromConfig resolves by a short calibration probe on the built
-	// device; next to a non-empty Schedule it is a recorded plan, used as
-	// given — a resolved configuration always has that form, the phases
-	// default spelled out. The resolved knobs take part in Key, which
-	// names the execution; Identity drops them.
+	// internal/plan rule. Without a Schedule it is a request, which
+	// resolve answers from the world size and GOMAXPROCS alone
+	// (plan.Rule), writing the plan in; next to a non-empty Schedule it
+	// is a recorded plan, used as given — a resolved configuration always
+	// has that form, the phases default spelled out. The resolved knobs
+	// take part in Key, which names the execution; Identity drops them.
 	AutoPlan bool `json:"auto_plan,omitempty"`
 	// Trace enables per-phase span recording: the finished run's
 	// Result.Spans carries it. Like the plan it is part of Key and not
@@ -94,8 +95,9 @@ func NewFromConfig(rc RunConfig, extra ...Option) (*Simulation, error) {
 
 // Resolve returns the resolved form of a raw configuration, or says why
 // it has none: NewFromConfig's resolve step, without building the device.
-// An auto_plan request stays a request here, because the probe that
-// answers it needs the device; NewFromConfig runs it.
+// An auto_plan request resolves here too, to its recorded plan: the rule
+// that answers it needs no device, so Resolve and NewFromConfig agree on
+// every configuration's Key.
 func Resolve(rc RunConfig) (RunConfig, error) {
 	s := &Simulation{cfg: rc}
 	err := s.resolve()
@@ -105,10 +107,11 @@ func Resolve(rc RunConfig) (RunConfig, error) {
 // resolve turns the raw configuration into the resolved one, in place,
 // or says why it cannot: every range and combination rule, every
 // default, and the canonical spelling of every knob are here and nowhere
-// else. It runs before the device is built and needs nothing but the
-// configuration. Errors name the JSON field of the offending knob — what
-// a qtd client sends and a qtsim flag fills — or the Option that carried
-// it.
+// else, the plan of an auto_plan request included. It runs before the
+// device is built and needs nothing but the configuration and, for a plan
+// request, the host's GOMAXPROCS. Errors name the JSON field of the
+// offending knob — what a qtd client sends and a qtsim flag fills — or
+// the Option that carried it.
 func (s *Simulation) resolve() error {
 	rc := &s.cfg
 	fail := func(format string, a ...any) error { return fmt.Errorf("qt: "+format, a...) }
@@ -195,14 +198,17 @@ func (s *Simulation) resolve() error {
 			return fail("pipeline_depth requires schedule pipeline")
 		case sch == Pipeline && rc.ErrorProbe && rc.PipelineDepth != 1:
 			return fail("error_probe requires pipeline_depth 1 under schedule pipeline: the probe's blocking max-reduction would serialize a deeper iteration window")
-		case rc.AutoPlan && rc.ErrorProbe:
-			return fail("error_probe conflicts with auto_plan: the planner may select a window deeper than 1, which cannot run the probe")
 		case rc.AutoPlan && !recorded && (rc.Workers != 0 || rc.PipelineDepth != 0):
 			return fail("auto_plan owns workers and pipeline_depth: drop them, or name the schedule to record a plan")
 		}
 	}
 	if rc.ErrorProbe && (rc.Ranks == 0 || prec != Mixed) {
 		return fail("error_probe requires ranks and precision mixed")
+	}
+	if rc.AutoPlan && !recorded {
+		// A plan request: the rule's plan, written in as a recorded plan.
+		pl := plan.Rule(rc.Ranks)
+		sch, rc.Workers, rc.PipelineDepth, recorded = pl.Schedule, pl.Workers, pl.PipelineDepth, true
 	}
 
 	// Canonical spellings: a default is spelled absent, so equivalent

@@ -43,8 +43,8 @@ func TestResolvedConfigGolden(t *testing.T) {
 		}
 	}
 
-	// A plan request resolves by probing, so its bytes are the probe's to
-	// choose; rebuilt from its own Config it must reproduce them.
+	// A plan request resolves by rule, so its bytes depend on the host's
+	// GOMAXPROCS; rebuilt from its own Config it must reproduce them.
 	planned, err := NewFromConfig(RunConfig{Spec: smallSpec(), Ranks: 2, AutoPlan: true})
 	if err != nil {
 		t.Fatal(err)
@@ -89,8 +89,8 @@ func goldenConfigs() []goldenConfig {
 		{"defaults spelled", RunConfig{Schedule: "phases", Precision: "fp64", Kernel: "dace"}, "046d23123674f36e"},
 		// The defaulted tiling is the explicit 1×P one: the bytes of "tiles 1x4".
 		{"tiles defaulted", RunConfig{Ranks: 4}, "668bb536c2f6fdc7"},
-		// A recorded auto plan is used as given, without a probe, and keeps
-		// its schedule spelled even when it is the default.
+		// A recorded auto plan is used as given, and keeps its schedule
+		// spelled even when it is the default.
 		{"recorded plan", RunConfig{Ranks: 2, AutoPlan: true, Schedule: "overlap", Workers: 4}, "2656439de1d0f68e"},
 		{"recorded phases plan", RunConfig{Ranks: 2, AutoPlan: true, Schedule: "phases"}, "66b9564ad33584f1"},
 	}

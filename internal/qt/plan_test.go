@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/plan"
 )
 
 // TestPipelineThroughFacade runs the pipelined schedule end to end via
@@ -85,25 +87,32 @@ func TestPipelineConfigRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAutoPlanResolvesAndRoundTrips is the auto_plan contract:
-// NewFromConfig resolves a concrete plan, Config records it (AutoPlan set and
-// Schedule non-empty — the resolved marker), rebuilding from that
-// config keeps the plan without re-probing, and the content key is
-// stable across the round trip.
+// TestAutoPlanResolvesAndRoundTrips is the auto_plan contract: Resolve
+// answers the request without a device, with plan.Rule's plan recorded
+// (AutoPlan set and Schedule non-empty — the resolved marker) and one Key
+// however often it is asked; NewFromConfig builds exactly that
+// configuration, rebuilding from it keeps the plan, and the content key
+// is stable across the round trip.
 func TestAutoPlanResolvesAndRoundTrips(t *testing.T) {
-	sim, err := NewFromConfig(RunConfig{Spec: smallSpec(), Ranks: 2, AutoPlan: true, MaxIterations: 3})
+	req := RunConfig{Spec: smallSpec(), Ranks: 2, AutoPlan: true, MaxIterations: 3}
+	resolved, err := Resolve(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := Resolve(req); err != nil || again.Key() != resolved.Key() {
+		t.Errorf("one request resolved to two keys:\n  %+v\n  %+v (%v)", resolved, again, err)
+	}
+	want := plan.Rule(2)
+	if !resolved.AutoPlan || resolved.Schedule != want.Schedule.String() || resolved.Workers != want.Workers || resolved.PipelineDepth != 0 {
+		t.Errorf("resolved %+v, want the rule's %v recorded", resolved, want)
+	}
+	sim, err := NewFromConfig(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rc := sim.Config()
-	if !rc.AutoPlan {
-		t.Fatal("config dropped auto_plan")
-	}
-	if rc.Schedule == "" {
-		t.Fatal("resolved config must record the chosen schedule")
-	}
-	if rc.Workers < 1 {
-		t.Fatalf("resolved config must record the chosen workers, got %d", rc.Workers)
+	if rc != resolved {
+		t.Errorf("NewFromConfig resolved another config than Resolve:\n  %+v\n  %+v", rc, resolved)
 	}
 	if !strings.Contains(sim.PlanString(), "[auto]") {
 		t.Errorf("PlanString %q does not mark the auto plan", sim.PlanString())
@@ -134,7 +143,7 @@ func TestAutoPlanResolvesAndRoundTrips(t *testing.T) {
 		t.Error("auto-planned and plain configurations share a key")
 	}
 
-	// And the planned run still solves correctly.
+	// The planned run still solves correctly.
 	run, err := sim2.Start(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -145,6 +154,25 @@ func TestAutoPlanResolvesAndRoundTrips(t *testing.T) {
 	}
 	if len(res.Trace) == 0 || res.Current == 0 {
 		t.Fatalf("auto-planned run produced no physics: %+v", res)
+	}
+}
+
+// TestAutoPlanRunsErrorProbe: the rule plans a depth-1 window, where the
+// mixed-precision error probe runs, so an auto_plan request may carry it
+// and its rows read the probe.
+func TestAutoPlanRunsErrorProbe(t *testing.T) {
+	rc, err := Resolve(RunConfig{Spec: smallSpec(), Ranks: 2, AutoPlan: true, Precision: "mixed", ErrorProbe: true, MaxIterations: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, res := solve(t, rc)
+	if len(res.Trace) == 0 {
+		t.Fatal("no iterations")
+	}
+	for _, row := range res.Trace {
+		if !(row.SigmaErr > 0) {
+			t.Errorf("iter %d: probe reading %g, want > 0", row.Iter, row.SigmaErr)
+		}
 	}
 }
 

@@ -78,7 +78,6 @@ func TestOptionValidation(t *testing.T) {
 		{"autoplan with schedule is a recorded plan", RunConfig{Ranks: 2, AutoPlan: true, Schedule: "overlap"}, nil, ""},
 		{"autoplan owns workers", RunConfig{Ranks: 2, AutoPlan: true, Workers: 2}, nil, "auto_plan owns workers and pipeline_depth"},
 		{"autoplan owns depth", RunConfig{Ranks: 2, AutoPlan: true, PipelineDepth: 2}, nil, "pipeline_depth requires schedule pipeline"},
-		{"autoplan no probe", RunConfig{Ranks: 2, AutoPlan: true, Precision: "mixed", ErrorProbe: true}, nil, "error_probe conflicts with auto_plan"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

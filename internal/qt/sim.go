@@ -9,7 +9,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/negf"
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/sse"
 )
 
@@ -31,8 +30,9 @@ type Simulation struct {
 	store *bc.Store
 }
 
-// build constructs the device of the resolved configuration and settles
-// what needs the device: the warm-start shape check and the auto plan.
+// build constructs the device of the resolved configuration and checks
+// what needs the device: the warm-start shape. The configuration is not
+// touched: what resolve made of it is what the simulation runs.
 func (s *Simulation) build() error {
 	s.Spec = s.cfg.Spec
 	dev, err := s.Spec.device()
@@ -45,25 +45,11 @@ func (s *Simulation) build() error {
 			return fmt.Errorf("qt: WithWarmStart: %w", err)
 		}
 	}
-	if s.cfg.AutoPlan && s.cfg.Schedule == "" {
-		// A plan request: resolve it against the actual device — a short
-		// calibration probe, then the argmin over the enumerated candidates
-		// in the virtual-time cost model. Written into the configuration
-		// the knobs are a recorded plan (and part of its content hash), so
-		// rebuilding from Config keeps this plan instead of re-probing.
-		pl, err := plan.Choose(dev, plan.Options{Ranks: s.cfg.Ranks, Store: s.store})
-		if err != nil {
-			return fmt.Errorf("qt: auto plan: %w", err)
-		}
-		s.cfg.Schedule = pl.Schedule.String()
-		s.cfg.Workers = pl.Workers
-		s.cfg.PipelineDepth = pl.PipelineDepth
-	}
 	return nil
 }
 
 // PlanString renders the resolved execution plan of a distributed
-// configuration ("pipeline w=2 d=2", with "[auto]" when the autotuner
+// configuration ("pipeline w=2 d=2", with "[auto]" when the plan rule
 // chose it) — what report and the qtd registry surface per run. Empty
 // for configurations without ranks.
 func (s *Simulation) PlanString() string {

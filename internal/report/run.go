@@ -53,7 +53,7 @@ type Run struct {
 	Schedule string     `json:"schedule,omitempty"`
 	// Plan is the resolved execution plan (Simulation.PlanString), e.g.
 	// "pipeline w=2 d=2 [auto]" — schedule, workers, pipeline depth and
-	// the [auto] marker when the plan came from the cost-model autotuner.
+	// the [auto] marker when the plan came from an auto_plan request.
 	// Empty for sequential runs.
 	Plan      string         `json:"plan,omitempty"`
 	Converged bool           `json:"converged"`

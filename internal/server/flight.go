@@ -158,19 +158,12 @@ func (s *Server) end(j *job, rec Record) {
 }
 
 // answer completes rec as an answer from the result src holds: no slot
-// consumed and the producing run named. An auto_plan request records the
-// plan that run executed, as an admitted one records the plan its probe
-// chose.
+// consumed and the producing run named. rec keeps its own resolved
+// configuration, an auto_plan request's recorded plan included.
 func answer(rec Record, src *cacheEntry) Record {
 	rec.Status, rec.CacheHit, rec.SourceRun = StatusCached, true, src.RunID
 	rec.Finished = time.Now().UTC()
 	rec.Converged, rec.Iterations, rec.Current = src.Result.Converged, src.Result.Iterations, src.Result.Current
 	rec.Report = src.Report
-	if c := &rec.Config; c.AutoPlan && c.Schedule == "" {
-		c.Schedule, c.Workers, c.PipelineDepth = src.Config.Schedule, src.Config.Workers, src.Config.PipelineDepth
-		if c.Schedule == "" {
-			c.Schedule = qt.Phases.String()
-		}
-	}
 	return rec
 }

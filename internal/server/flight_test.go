@@ -313,9 +313,9 @@ func TestSingleFlightTracedRequestExecutes(t *testing.T) {
 
 // TestIdentityHitSchedulesAndAutoPlan: requests that differ from a cached
 // result only in their plan — another schedule, an auto_plan request —
-// are answered from it. The auto_plan request is answered without a
-// probe (the process's boundary store sees no lookup) and records the
-// plan the source ran under; a miss of the same kind does probe.
+// are answered from it, each recording its own plan: the auto_plan request
+// the rule's, as qt.Resolve writes it. A miss of the same kind is admitted
+// with that plan recorded and without touching a boundary.
 func TestIdentityHitSchedulesAndAutoPlan(t *testing.T) {
 	s, ts := newService(t, Config{Slots: 1, QueueCap: 16})
 	rc := convergingConfig(0.29)
@@ -338,27 +338,49 @@ func TestIdentityHitSchedulesAndAutoPlan(t *testing.T) {
 
 	auto := rc
 	auto.AutoPlan = true
-	lookups := qt.BoundaryStore().Lookups
-	got := postRun(t, ts, "acme", 0, auto, http.StatusOK)
-	if n := qt.BoundaryStore().Lookups - lookups; n != 0 {
-		t.Errorf("an identity hit for an auto_plan request probed: %d boundary lookups", n)
+	want, err := qt.Resolve(auto)
+	if err != nil {
+		t.Fatal(err)
 	}
+	got := postRun(t, ts, "acme", 0, auto, http.StatusOK)
 	if got.Status != StatusCached || got.SourceRun != first.ID {
 		t.Errorf("auto_plan request: %s from %s, want cached from %s", got.Status, got.SourceRun, first.ID)
 	}
-	if !got.Config.AutoPlan || got.Config.Schedule != "phases" {
-		t.Errorf("auto_plan answer records plan %+v, want the source's phases", got.Config)
+	if got.Config != want {
+		t.Errorf("auto_plan answer records %+v, want its own plan %+v", got.Config, want)
 	}
 	if s.slotRuns.Load() != runs {
 		t.Errorf("plan variants took %d slot runs", s.slotRuns.Load()-runs)
 	}
 
+	// The miss is checked while the one slot is held by a run past its
+	// first iteration, which has every boundary in its own cache: no
+	// lookup can reach the store until the miss itself runs.
+	blocker := occupySlot(t, s)
+	s.mu.Lock()
+	rows, next, unsubscribe := s.jobs[blocker].subscribe()
+	s.mu.Unlock()
+	if len(rows) == 0 {
+		select {
+		case <-next:
+		case <-time.After(30 * time.Second):
+			t.Fatal("the blocker never finished an iteration")
+		}
+	}
+	unsubscribe()
 	miss := auto
 	miss.Spec.Bias = 0.31
-	lookups = qt.BoundaryStore().Lookups
-	rec := postRun(t, ts, "acme", 0, miss, http.StatusAccepted)
-	if qt.BoundaryStore().Lookups == lookups {
-		t.Error("an auto_plan miss was admitted without its probe: the no-probe check above proves nothing")
+	if want, err = qt.Resolve(miss); err != nil {
+		t.Fatal(err)
 	}
+	lookups := qt.BoundaryStore().Lookups
+	rec := postRun(t, ts, "acme", 0, miss, http.StatusAccepted)
+	if n := qt.BoundaryStore().Lookups - lookups; n != 0 {
+		t.Errorf("an auto_plan miss was admitted with %d boundary lookups", n)
+	}
+	if rec.Status != StatusQueued || rec.Config != want {
+		t.Errorf("auto_plan miss admitted %s with %+v, want queued with its plan %+v", rec.Status, rec.Config, want)
+	}
+	s.cancelRun(blocker)
 	waitForStatus(t, s, rec.ID, StatusDone)
 }

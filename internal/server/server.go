@@ -63,7 +63,7 @@ type job struct {
 	id       string
 	tenant   string
 	priority int
-	cfg      qt.RunConfig // resolved configuration (a leader's: its plan recorded)
+	cfg      qt.RunConfig // resolved configuration, its plan recorded
 	key      string       // cfg.Identity().Key()
 	warmKey  string       // cfg.Identity().WarmKey()
 	// submitted stamps admission; the queue-wait histogram observes the
@@ -246,14 +246,14 @@ func (s *Server) observeRunTime(d time.Duration) {
 // submit validates and admits one request. It returns the registry
 // record of the outcome and, unless the request was answered at once,
 // the job to stream or cancel. The request is resolved and addressed by
-// its result identity: a cached result answers it with no device built
-// and no auto plan probed; a run of the same identity in flight takes it
-// on as a follower; only a miss builds the simulation (probing an
-// auto_plan request at admission) and queues it. A traced request asks
-// for an execution's spans, so it neither reads the cache nor joins, and
-// its result then serves later requests like any other. studyID, when
-// non-empty, stamps the record with its ensemble-study lineage. err is
-// ErrQueueFull under backpressure, or a validation error.
+// its result identity: a cached result answers it with no device built;
+// a run of the same identity in flight takes it on as a follower; only a
+// miss builds the simulation and queues it. Resolving has already
+// written an auto_plan request's plan into its configuration. A traced
+// request asks for an execution's spans, so it neither reads the cache
+// nor joins, and its result then serves later requests like any other.
+// studyID, when non-empty, stamps the record with its ensemble-study
+// lineage. err is ErrQueueFull under backpressure, or a validation error.
 func (s *Server) submit(tenant string, priority int, rc qt.RunConfig, studyID string) (Record, *job, error) {
 	resolved, err := qt.Resolve(rc)
 	if err != nil {
@@ -298,14 +298,14 @@ func (s *Server) submit(tenant string, priority int, rc qt.RunConfig, studyID st
 	}
 	s.mu.Unlock()
 
-	sim, err := qt.NewFromConfig(resolved)
-	if err != nil {
+	// Built once at admission so that a spec the device layer refuses (a
+	// profile that does not apply) is refused here, not on a slot.
+	if _, err := qt.NewFromConfig(resolved); err != nil {
 		s.abandon(j, err)
 		return Record{}, nil, err
 	}
-	j.cfg = sim.Config() // an auto_plan request now records its plan
 	j.submitted = time.Now()
-	rec.ID, rec.Config, rec.Submitted = j.id, j.cfg, j.submitted.UTC()
+	rec.ID, rec.Submitted = j.id, j.submitted.UTC()
 
 	// The queued record and the depth gauge must exist before the job is
 	// visible to the slot workers: an idle worker pops it at once, and the

@@ -493,7 +493,7 @@ func TestBadKnobNamesItsField(t *testing.T) {
 }
 
 // TestServiceAutoPlanRegistry: an auto-plan submission resolves its
-// execution plan at admission (qt.NewFromConfig runs the autotuner), so
+// execution plan at admission (qt.Resolve applies the plan rule), so
 // the registry record carries the concrete schedule/worker/depth choice
 // from the first Put, and the finished report names the plan with its
 // [auto] marker.
