@@ -49,9 +49,10 @@ func ParsePrecision(s string) (Precision, error) {
 //
 //   - the blocking RunDaCe drives the stages back-to-back through
 //     Alltoallv, reproducing the bulk-synchronous phase exactly;
-//   - the task-graph runtime (internal/dist with ScheduleOverlap) posts
-//     each pack through comm.IAlltoallv as soon as its inputs exist and
-//     overlaps the waits with unrelated compute.
+//   - the task-graph runtime (internal/dist, under every schedule) posts
+//     each pack through comm.IAlltoallv as soon as its inputs exist and,
+//     on a pool of more than one worker, overlaps the waits with
+//     unrelated compute.
 //
 // The stage pairs are (#1 G≷, #2 D≷, #3 Σ≷, #4 Π≷) of the Fig. 5 (right)
 // scheme. Each is one exchange descriptor — the tensor pair, the segment

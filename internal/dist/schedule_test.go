@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -764,6 +765,74 @@ func TestPipelineWindowWallTimes(t *testing.T) {
 	}
 	if sum > wall.Nanoseconds() {
 		t.Errorf("per-iteration wall times sum to %d ns > run wall %d ns", sum, wall.Nanoseconds())
+	}
+}
+
+// TestTracedRowsAreTheSpanRecord: a row's timings and a traced run's
+// node spans come from one record, the executor's, placed on the trace
+// clock by one offset per window. So on rank 0 every node span lies inside
+// its window, ComputeNs + CommNs of each row is exactly the summed
+// durations of its iteration's node spans, conv excluded, and WallNs runs
+// from the window's start (or the previous conv's) to its conv's.
+func TestTracedRowsAreTheSpanRecord(t *testing.T) {
+	for _, s := range []sched{{Schedule: SchedulePhases}, {ScheduleOverlap, 2, 0}, {SchedulePipeline, 2, 2}} {
+		t.Run(s.String(), func(t *testing.T) {
+			opts := s.forced(2, 4)
+			trc := obs.NewTracer()
+			opts.Tracer = trc
+			rows := mustRun(t, s.String(), opts).IterTrace
+			depth := max(1, s.depth)
+			type window struct {
+				obs.Span
+				nodeNs int64   // Σ durations of the non-conv node spans
+				convs  []int64 // conv starts, in order
+			}
+			var wins []*window
+			spans := trc.Trace().Spans // sorted by start: a window precedes its nodes
+			for _, sp := range spans {
+				if sp.Rank == 0 && sp.Name == "window" {
+					wins = append(wins, &window{Span: sp})
+				}
+			}
+			if len(wins) != len(rows)/depth {
+				t.Fatalf("%d windows for %d rows at depth %d", len(wins), len(rows), depth)
+			}
+			for _, sp := range spans {
+				switch sp.Cat {
+				case "task", "sse", "reduce", "exchange":
+				default:
+					continue
+				}
+				if sp.Rank != 0 {
+					continue
+				}
+				i := slices.IndexFunc(wins, func(w *window) bool {
+					return w.Start <= sp.Start && sp.Start+sp.Dur <= w.Start+w.Dur
+				})
+				switch {
+				case i < 0:
+					t.Fatalf("node span %s [%d, +%d] lies in no window", sp.Name, sp.Start, sp.Dur)
+				case sp.Name == "conv":
+					wins[i].convs = append(wins[i].convs, sp.Start)
+				default:
+					wins[i].nodeNs += sp.Dur
+				}
+			}
+			for i, w := range wins {
+				var nodeNs int64
+				last := w.Start
+				for k, row := range rows[i*depth : (i+1)*depth] {
+					nodeNs += row.ComputeNs + row.CommNs
+					if want := w.convs[k] - last; row.WallNs != want {
+						t.Errorf("iteration %d: WallNs %d, the record says %d", row.Iter, row.WallNs, want)
+					}
+					last = w.convs[k]
+				}
+				if nodeNs != w.nodeNs {
+					t.Errorf("window %d: rows sum ComputeNs + CommNs to %d ns, its node spans to %d ns", i, nodeNs, w.nodeNs)
+				}
+			}
+		})
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/comm"
 	"repro/internal/decomp"
@@ -58,18 +57,13 @@ type pipeRun struct {
 	// the iteration ran in is re-armed for a later one, possibly while a
 	// speculated iteration still runs in it.
 	local, global partialObs
-
-	winStart time.Time     // the current window's clock zero
-	lastConv time.Duration // window-relative instant of the last conv
-	decided  time.Duration // window-relative instant the halt decision landed
 }
 
 // fence moves the speculation fence to iteration at and stops the run
 // after the current window drains.
-func (pr *pipeRun) fence(at int, now time.Duration) {
+func (pr *pipeRun) fence(at int) {
 	pr.stopAt.Store(int64(at))
 	pr.halt = true
-	pr.decided = now
 }
 
 // slot is one iteration's storage in a run's ring: everything an
@@ -79,6 +73,8 @@ func (pr *pipeRun) fence(at int, now time.Duration) {
 // scheduling lock orders every write before the nodes that consume it.
 type slot struct {
 	iter int // the absolute iteration the slot carries in this window
+
+	first, conv sdfg.NodeID // the slot's nodes in the window graph, conv last
 
 	mu  sync.Mutex
 	err error // first failed point solve of this rank
@@ -95,10 +91,6 @@ type slot struct {
 	reqG, reqD, reqSig, reqPi *comm.MatRequest
 	reqObs                    *comm.VecRequest
 	qerr                      float64 // globally reduced probe deviation
-
-	// compNs/commNs are the measured compute/communication split the conv
-	// node folds into IterStats.
-	compNs, commNs atomic.Int64
 }
 
 // newSlot allocates one slot of the rank's ring.
@@ -125,8 +117,26 @@ func (st *slot) arm(a int, p device.Params) {
 	st.plan.ResetCounters()
 	st.reqG, st.reqD, st.reqSig, st.reqPi, st.reqObs = nil, nil, nil, nil, nil
 	st.qerr = 0
-	st.compNs.Store(0)
-	st.commNs.Store(0)
+}
+
+// clock folds the executor's record of the slot's iteration for its conv
+// node, which every other node of the slot precedes: the wall from the
+// window's zero, or the previous slot's conv (the node before first), to
+// this conv, and the node time by kind, conv excluded.
+func (st *slot) clock(ex *sdfg.Executor) (wall, compute, comm int64) {
+	wall = ex.Span(st.conv).Start.Nanoseconds()
+	if st.first > 0 {
+		wall -= ex.Span(st.first - 1).Start.Nanoseconds()
+	}
+	for id := st.first; id < st.conv; id++ {
+		sp := ex.Span(id)
+		if d := (sp.End - sp.Start).Nanoseconds(); sp.Kind == sdfg.Comm {
+			comm += d
+		} else {
+			compute += d
+		}
+	}
+	return wall, compute, comm
 }
 
 func (st *slot) fail(err error) {
@@ -185,71 +195,18 @@ func runRankWindow(c *comm.Comm, dev *device.Device, opts Options, res *Result) 
 	for k := range ring {
 		ring[k] = rs.newSlot(opts)
 	}
-	g, owner := rs.buildWindowGraph(opts, pr, ring, res)
-
-	// Mirror executor task spans into the run trace, except those of an
-	// idle slot's nodes; the node label picks the category the phase view
-	// groups by. Each worker of a pool gets its own 100+ track; a
-	// one-worker pool has no worker lanes, so its nodes are the rank's
-	// serial lane, track 0. The executor times each
-	// node on its own per-Run clock and calls the observer as the node
-	// ends, so the span is placed on the tracer's clock ending now: a
-	// task then encloses the bc/rgf spans recorded inside it.
-	trc := opts.Tracer
-	if trc != nil {
-		lane := 100
-		if opts.Workers == 1 {
-			lane = 0
-		}
-		ex.Observer = func(id sdfg.NodeID, label string, kind sdfg.Kind, worker int, start, end time.Duration) {
-			if owner[id].iter >= opts.MaxIter {
-				return
-			}
-			cat := "task"
-			switch {
-			case label == "sse/tile":
-				cat = "sse"
-			case label == "post/obs" || label == "wait/obs":
-				cat = "reduce"
-			case kind == sdfg.Comm:
-				cat = "exchange"
-			}
-			dur := (end - start).Nanoseconds()
-			trc.Add(obs.Span{
-				Name: label, Cat: cat, Rank: r, Track: lane + worker, I: -1, J: -1,
-				Start: trc.Begin() - dur, Dur: dur,
-			})
-		}
-	}
+	g, names := rs.buildWindowGraph(opts, ex, pr, ring, res)
 
 	for base := 0; base < opts.MaxIter && !pr.halt; base += len(ring) {
 		for k, st := range ring {
 			st.arm(base+k, p)
 		}
-		pr.winStart = time.Now()
-		tWin := trc.Begin()
-		pr.lastConv = 0
-		if _, err := ex.Run(g); err != nil {
+		tr, err := ex.Run(g)
+		if err != nil {
 			return fmt.Errorf("dist: window at iteration %d: %w", base, err)
 		}
-		drain := time.Since(pr.winStart)
-		trc.End(r, 0, "iter", "window", base, -1, tWin)
-		if trc != nil && pr.halt {
-			// The tail between the halt decision and the window drain is
-			// pure speculation overhead: record it as a stall span, plus
-			// one marker per discarded iteration.
-			trc.Add(obs.Span{
-				Name: "pipeline/fence", Cat: "stall", Rank: r, Track: 99, I: base, J: -1,
-				Start: tWin + pr.decided.Nanoseconds(), Dur: (drain - pr.decided).Nanoseconds(),
-			})
-			for _, st := range ring {
-				if a := st.iter; a < opts.MaxIter && int64(a) >= pr.stopAt.Load() {
-					trc.Add(obs.Span{
-						Name: "pipeline/discard", Cat: "stall", Rank: r, Track: 99, I: a, J: -1,
-						Start: tWin + pr.decided.Nanoseconds(), Dur: (drain - pr.decided).Nanoseconds(),
-					})
-				}
-			}
+		if opts.Tracer != nil {
+			mirror(opts, r, tr, names, pr, ring, base)
 		}
 		if pr.failed {
 			if pr.err != nil {
@@ -270,6 +227,52 @@ func runRankWindow(c *comm.Comm, dev *device.Device, opts Options, res *Result) 
 	}
 	rs.epilogue(opts, res, pr.converged, &pr.local, &pr.global, final)
 	return nil
+}
+
+// nodeName is a node's label and the category the phase view groups it by.
+type nodeName struct{ label, cat string }
+
+// mirror places rank r's record of the window from iteration base on the
+// trace by one offset, so a task encloses exactly the bc/rgf spans
+// recorded inside it: the nodes of every slot that carried an iteration,
+// on track 100+worker (a one-worker pool has no worker lanes: track 0),
+// the window envelope, and, when the window halted the run, the tail from
+// the deciding conv to the drain — pure speculation overhead — as a stall
+// span, plus one marker per discarded iteration.
+func mirror(opts Options, r int, tr *sdfg.Trace, names []nodeName, pr *pipeRun, ring []*slot, base int) {
+	trc, wall := opts.Tracer, tr.Wall.Nanoseconds()
+	off := trc.Offset(tr.Zero)
+	lane := 100
+	if opts.Workers == 1 {
+		lane = 0
+	}
+	for _, st := range ring {
+		for id := st.first; id <= st.conv && st.iter < opts.MaxIter; id++ {
+			sp, n := tr.Spans[id], names[id]
+			trc.Add(obs.Span{Name: n.label, Cat: n.cat, Rank: r, Track: lane + sp.Worker, I: -1, J: -1,
+				Start: off + sp.Start.Nanoseconds(), Dur: (sp.End - sp.Start).Nanoseconds()})
+		}
+	}
+	trc.Add(obs.Span{Name: "window", Cat: "iter", Rank: r, I: base, J: -1, Start: off, Dur: wall})
+	if !pr.halt {
+		return
+	}
+	// The deciding conv: a convergence moves the fence past its own
+	// iteration, a failure or a stop request onto it.
+	k := int(pr.stopAt.Load()) - base
+	if pr.converged {
+		k--
+	}
+	decided := tr.Spans[ring[k].conv].Start.Nanoseconds()
+	stall := func(name string, i int) {
+		trc.Add(obs.Span{Name: name, Cat: "stall", Rank: r, Track: 99, I: i, J: -1, Start: off + decided, Dur: wall - decided})
+	}
+	stall("pipeline/fence", base)
+	for _, st := range ring {
+		if a := st.iter; a < opts.MaxIter && int64(a) >= pr.stopAt.Load() {
+			stall("pipeline/discard", a)
+		}
+	}
 }
 
 // buildWindowGraph is the run's compile step: it lays out a window of
@@ -307,13 +310,14 @@ func runRankWindow(c *comm.Comm, dev *device.Device, opts Options, res *Result) 
 // agreement collective of its own; a rank-0 cancellation is folded into
 // the next reduction's control word instead of being acted on locally.
 //
-// It returns the graph and, per node, the slot the node belongs to.
-func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, ring []*slot, res *Result) (*sdfg.Graph, []*slot) {
+// It returns the graph and, when the run is traced, each node's trace
+// name.
+func (rs *rankState) buildWindowGraph(opts Options, ex *sdfg.Executor, pr *pipeRun, ring []*slot, res *Result) (*sdfg.Graph, []nodeName) {
 	p := rs.dev.P
 	c := rs.c
 	r := c.Rank()
 	g := sdfg.New()
-	var owner []*slot
+	var names []nodeName
 	redShare := reduceShare(c, vecLen(p))
 
 	var prevConv sdfg.NodeID = -1
@@ -323,29 +327,29 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, ring []*slot, r
 		// A slot idles once the fence has moved to or before its
 		// iteration, and in a window that runs past the last iteration.
 		skip := func() bool { return pr.stopAt.Load() <= int64(st.iter) || st.iter >= opts.MaxIter }
-		// add wraps every node with the per-iteration compute/comm timers
-		// the conv node folds into IterStats — conv depends (transitively)
-		// on every node of its iteration, so the counters are complete
-		// when it reads them. No node returns an error: a failure is
-		// recorded and agreed in the reduction.
-		add := func(label string, kind sdfg.Kind, body func(), deps ...sdfg.NodeID) sdfg.NodeID {
-			ns := &st.compNs
-			if kind == sdfg.Comm {
-				ns = &st.commNs
+		st.first = sdfg.NodeID(g.Len())
+		// add appends a node of the slot in trace category cat: task,
+		// sse (the tile), or a collective — exchange, or reduce (the
+		// observables) — which is a comm node. No node returns an error:
+		// a failure is recorded and agreed in the reduction.
+		add := func(label, cat string, body func(), deps ...sdfg.NodeID) sdfg.NodeID {
+			kind := sdfg.Compute
+			if cat == "exchange" || cat == "reduce" {
+				kind = sdfg.Comm
 			}
-			owner = append(owner, st)
+			if opts.Tracer != nil {
+				names = append(names, nodeName{label, cat})
+			}
 			return g.Add(sdfg.Spec{Label: label, Kind: kind, Run: func() error {
-				t0 := time.Now()
 				body()
-				ns.Add(time.Since(t0).Nanoseconds())
 				return nil
 			}}, deps...)
 		}
 		// node adds a task that is a no-op once the fence has moved to or
 		// before this iteration — everything but the waits (which follow
 		// their post) and the conv fence itself.
-		node := func(label string, kind sdfg.Kind, body func(), deps ...sdfg.NodeID) sdfg.NodeID {
-			return add(label, kind, func() {
+		node := func(label, cat string, body func(), deps ...sdfg.NodeID) sdfg.NodeID {
+			return add(label, cat, func() {
 				if !skip() {
 					body()
 				}
@@ -366,7 +370,7 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, ring []*slot, r
 				if k > 0 {
 					deps = append(deps, prevMix[i])
 				}
-				done[i] = node(fmt.Sprintf("rgf/%s/%d,%d", species, pt[0], pt[1]), sdfg.Compute,
+				done[i] = node(fmt.Sprintf("rgf/%s/%d,%d", species, pt[0], pt[1]), "task",
 					func() { st.try(solve, i) }, deps...)
 			}
 			return done
@@ -381,12 +385,12 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, ring []*slot, r
 		// negf's own accumulator — the identical association the
 		// kit's fold uses, independent of scheduling. After a failure
 		// the slots may hold stale results; the iteration is discarded.
-		elAccum := node("accum/el", sdfg.Compute, func() {
+		elAccum := node("accum/el", "task", func() {
 			if !st.failed() {
 				st.part.AddElectron(p, st.points.El...)
 			}
 		}, elDone...)
-		phAccum := node("accum/ph", sdfg.Compute, func() {
+		phAccum := node("accum/ph", "task", func() {
 			if !st.failed() {
 				st.part.AddPhonon(p, st.points.Ph...)
 			}
@@ -395,10 +399,10 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, ring []*slot, r
 		// Collision partials: need the fresh G≷/D≷ and the pre-mix Σ≷/Π≷,
 		// so they must precede the mixing nodes — on the graph they overlap
 		// the exchange waits instead of padding the GF phase.
-		elLoss := node("collision/el", sdfg.Compute, func() {
+		elLoss := node("collision/el", "task", func() {
 			st.part.ElectronEnergyLoss = rs.ps.ElectronCollisionSum(pairs)
 		}, elDone...)
-		phGain := node("collision/ph", sdfg.Compute, func() {
+		phGain := node("collision/ph", "task", func() {
 			st.part.PhononEnergyGain = rs.ps.PhononCollisionSum(points)
 		}, phDone...)
 
@@ -417,30 +421,30 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, ring []*slot, r
 			}
 			return deps
 		}
-		postG := node("post/G", sdfg.Comm, func() { st.reqG = st.plan.PostG(c) }, commDeps(elDone...)...)
-		postD := node("post/D", sdfg.Comm, func() { st.reqD = st.plan.PostD(c) }, commDeps(phDone...)...)
-		waitG := add("wait/G", sdfg.Comm, func() {
+		postG := node("post/G", "exchange", func() { st.reqG = st.plan.PostG(c) }, commDeps(elDone...)...)
+		postD := node("post/D", "exchange", func() { st.reqD = st.plan.PostD(c) }, commDeps(phDone...)...)
+		waitG := add("wait/G", "exchange", func() {
 			if st.reqG != nil {
 				st.plan.UnpackG(st.reqG.Wait())
 			}
 		}, postG, postD)
-		waitD := add("wait/D", sdfg.Comm, func() {
+		waitD := add("wait/D", "exchange", func() {
 			if st.reqD != nil {
 				st.plan.UnpackD(st.reqD.Wait())
 			}
 		}, postD, postG)
-		tile := node("sse/tile", sdfg.Compute, func() {
+		tile := node("sse/tile", "sse", func() {
 			st.plan.ComputeTile()
 			st.part.sse = st.plan.Output().Stats
 		}, waitG, waitD)
-		postSig := node("post/Sigma", sdfg.Comm, func() { st.reqSig = st.plan.PostSigma(c) }, tile)
-		postPi := node("post/Pi", sdfg.Comm, func() { st.reqPi = st.plan.PostPi(c) }, tile)
-		waitSig := add("wait/Sigma", sdfg.Comm, func() {
+		postSig := node("post/Sigma", "exchange", func() { st.reqSig = st.plan.PostSigma(c) }, tile)
+		postPi := node("post/Pi", "exchange", func() { st.reqPi = st.plan.PostPi(c) }, tile)
+		waitSig := add("wait/Sigma", "exchange", func() {
 			if st.reqSig != nil {
 				st.plan.UnpackSigma(st.reqSig.Wait())
 			}
 		}, postSig, postPi)
-		waitPi := add("wait/Pi", sdfg.Comm, func() {
+		waitPi := add("wait/Pi", "exchange", func() {
 			if st.reqPi != nil {
 				st.plan.UnpackPi(st.reqPi.Wait())
 			}
@@ -453,7 +457,7 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, ring []*slot, r
 		// everything its peers need to reach their own probe.
 		var probe []sdfg.NodeID
 		if opts.ErrorProbe {
-			probe = append(probe, node("probe/qerr", sdfg.Comm, func() {
+			probe = append(probe, node("probe/qerr", "exchange", func() {
 				st.qerr = reduceProbe(c, st.plan)
 			}, tile, postSig, postPi))
 		}
@@ -471,7 +475,7 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, ring []*slot, r
 		mixSig := make([]sdfg.NodeID, len(pairs))
 		mixPi := make([]sdfg.NodeID, len(points))
 		if opts.Anderson {
-			all := node("mix/anderson", sdfg.Compute, func() {
+			all := node("mix/anderson", "task", func() {
 				rs.ps.MixAnderson(st.plan.Output(), opts.Mixing)
 			}, waitSig, waitPi, elLoss, phGain)
 			for i := range mixSig {
@@ -483,7 +487,7 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, ring []*slot, r
 		} else {
 			for i, pair := range pairs {
 				ik, ie := pair[0], pair[1]
-				mixSig[i] = node(fmt.Sprintf("mix/Sigma/%d,%d", ik, ie), sdfg.Compute, func() {
+				mixSig[i] = node(fmt.Sprintf("mix/Sigma/%d,%d", ik, ie), "task", func() {
 					out := st.plan.Output()
 					tensor.MixSlice(rs.ps.SigL.Plane(ik, ie), out.SigL.Plane(ik, ie), opts.Mixing)
 					tensor.MixSlice(rs.ps.SigG.Plane(ik, ie), out.SigG.Plane(ik, ie), opts.Mixing)
@@ -491,7 +495,7 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, ring []*slot, r
 			}
 			for j, point := range points {
 				iq, m := point[0], point[1]
-				mixPi[j] = node(fmt.Sprintf("mix/Pi/%d,%d", iq, m), sdfg.Compute, func() {
+				mixPi[j] = node(fmt.Sprintf("mix/Pi/%d,%d", iq, m), "task", func() {
 					out := st.plan.Output()
 					tensor.MixSlice(rs.ps.PiL.Plane(iq, m-1), out.PiL.Plane(iq, m-1), opts.Mixing)
 					tensor.MixSlice(rs.ps.PiG.Plane(iq, m-1), out.PiG.Plane(iq, m-1), opts.Mixing)
@@ -504,7 +508,7 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, ring []*slot, r
 		// in one IAllreduce. The post depends on the Σ/Π posts only, so the
 		// plan's off-rank byte counter already covers all four exchanges
 		// of this iteration.
-		obsPost := node("post/obs", sdfg.Comm, func() {
+		obsPost := node("post/obs", "reduce", func() {
 			if st.failed() {
 				st.part.flag = 1
 			}
@@ -517,7 +521,7 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, ring []*slot, r
 			st.obsBuf = st.part.pack(p, st.obsBuf)
 			st.reqObs = c.IAllreduce(decomp.SlotObs, st.obsBuf)
 		}, elAccum, phAccum, elLoss, phGain, tile, postSig, postPi)
-		waitObs := add("wait/obs", sdfg.Comm, func() {
+		waitObs := add("wait/obs", "reduce", func() {
 			if st.reqObs != nil {
 				st.global.unpack(st.reqObs.Wait(), p)
 			}
@@ -527,20 +531,21 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, ring []*slot, r
 		// after every node of its iteration (transitively through its
 		// deps), computes the identical decision on every rank from the
 		// reduced data, and moves the fence — discarding the in-flight
-		// speculated iterations behind it.
+		// speculated iterations behind it. On rank 0 it folds the
+		// executor's record of its iteration into the row's timings.
 		convDeps := append([]sdfg.NodeID{waitObs}, mixSig...)
 		convDeps = append(convDeps, mixPi...)
 		convDeps = append(convDeps, probe...)
 		if prevConv >= 0 {
 			convDeps = append(convDeps, prevConv)
 		}
-		conv := node("conv", sdfg.Compute, func() {
+		conv := node("conv", "task", func() {
 			if st.reqObs == nil {
 				return
 			}
 			a, gl := st.iter, &st.global
 			if gl.flag != 0 {
-				pr.fence(a, time.Since(pr.winStart))
+				pr.fence(a)
 				if flagFailure(gl.flag) {
 					pr.failed = true
 					pr.err = st.err // nil on healthy ranks
@@ -549,18 +554,16 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, ring []*slot, r
 			}
 			cur := gl.CurrentL
 			rel, converged, err := negf.ConvergenceStep(a, cur, pr.prev, opts.Tol)
-			now := time.Since(pr.winStart)
 			if err != nil {
 				// Decided from the reduced current, so every rank fails
 				// this iteration alike — no collective is abandoned.
-				pr.fence(a, now)
+				pr.fence(a)
 				pr.failed, pr.err = true, err
 				return
 			}
 			if r == 0 {
 				iterSt := gl.row(a, rel, st.qerr)
-				iterSt.WallNs = (now - pr.lastConv).Nanoseconds()
-				iterSt.ComputeNs, iterSt.CommNs = st.compNs.Load(), st.commNs.Load()
+				iterSt.WallNs, iterSt.ComputeNs, iterSt.CommNs = st.clock(ex)
 				res.IterTrace = append(res.IterTrace, iterSt)
 				if opts.Progress != nil && pr.stopErr == nil {
 					if err := opts.Progress(iterSt); err != nil {
@@ -569,18 +572,18 @@ func (rs *rankState) buildWindowGraph(opts Options, pr *pipeRun, ring []*slot, r
 					}
 				}
 			}
-			pr.lastConv = now
 			pr.local.assign(&st.part)
 			pr.global.assign(gl)
 			pr.prev = cur
 			if converged {
 				pr.converged = true
-				pr.fence(a+1, now)
+				pr.fence(a + 1)
 			}
 		}, convDeps...)
 
+		st.conv = conv
 		prevConv = conv
 		prevMixSig, prevMixPi = mixSig, mixPi
 	}
-	return g, owner
+	return g, names
 }

@@ -50,18 +50,27 @@ func (t *Tracer) Begin() int64 {
 	return int64(time.Since(t.t0))
 }
 
+// Offset returns instant at on the trace clock (ns since start), which
+// places a record timed from at, such as an executor run's, on the trace
+// exactly. On a nil tracer it returns 0.
+func (t *Tracer) Offset(at time.Time) int64 {
+	if t == nil {
+		return 0
+	}
+	return int64(at.Sub(t.t0))
+}
+
 // End records a span from start (a Begin value) to now. No-op on nil.
 // Pass i, j = -1 when the span is not a grid-point solve.
 func (t *Tracer) End(rank, track int, cat, name string, i, j int, start int64) {
 	if t == nil {
 		return
 	}
-	end := int64(time.Since(t.t0))
-	t.Add(Span{Name: name, Cat: cat, Rank: rank, Track: track, I: i, J: j, Start: start, Dur: end - start})
+	t.Add(Span{Name: name, Cat: cat, Rank: rank, Track: track, I: i, J: j, Start: start, Dur: t.Begin() - start})
 }
 
-// Add appends a fully formed span — the raw hook for observers that
-// already measured their own interval. No-op on nil.
+// Add appends a fully formed span — the raw hook for a caller that
+// already measured its own interval. No-op on nil.
 func (t *Tracer) Add(sp Span) {
 	if t == nil {
 		return

@@ -47,6 +47,12 @@ func TestOptionValidation(t *testing.T) {
 		{"negative tile", RunConfig{Ranks: 4, TileA: -2}, nil, "tile_a, tile_e: tile counts"},
 		{"workers need ranks", RunConfig{Workers: 2}, nil, "workers requires ranks"},
 		{"negative workers", RunConfig{Ranks: 2, Schedule: "overlap", Workers: -1}, nil, "workers: need"},
+		// Phases is the one-worker order: a pool it would not use is
+		// refused, not recorded, reported and hashed.
+		{"workers under default phases", RunConfig{Ranks: 2, Workers: 4}, nil, "workers 4 requires schedule overlap or pipeline"},
+		{"workers under phases", RunConfig{Ranks: 2, Schedule: "phases", Workers: 2}, nil, "workers 2 requires schedule overlap or pipeline"},
+		{"one worker under phases", RunConfig{Ranks: 2, Schedule: "phases", Workers: 1}, nil, ""},
+		{"recorded phases plan", RunConfig{Ranks: 2, AutoPlan: true, Schedule: "phases", Workers: 1}, nil, ""},
 		{"tile split mismatch", RunConfig{Ranks: 4, TileA: 3, TileE: 2}, nil, "tile_a, tile_e: dist: tile split"},
 		{"tile inference", RunConfig{Ranks: 4, TileA: 2}, nil, ""},
 		{"baseline distributed", RunConfig{Ranks: 2, Kernel: "omen"}, nil, "kernel omen requires a run without ranks"},

@@ -20,13 +20,6 @@ import (
 type Executor struct {
 	workers int
 
-	// Observer, when non-nil, is called after every node completes with
-	// its id, label and kind, the worker that ran it, and its start/end
-	// offsets from the run's clock zero — the hook internal/dist uses to
-	// mirror executor spans into a run trace. It is called from worker
-	// goroutines concurrently and must be safe for that.
-	Observer func(id NodeID, label string, kind Kind, worker int, start, end time.Duration)
-
 	// The armed graph and its run state. A single mutex guards the
 	// scheduling state: the simulated tasks (RGF solves, tile kernels,
 	// collective waits) are micro- to milliseconds, so queue contention
@@ -37,11 +30,9 @@ type Executor struct {
 	deques []deque // per worker: owner pops back, thieves steal front
 	done   int
 	err    error
-	steals int
 	mu     sync.Mutex
 	cond   sync.Cond
 	wg     sync.WaitGroup
-	t0     time.Time
 	trace  Trace
 	// loops[w] is worker w's goroutine body, built once (starting a
 	// prebuilt func value allocates nothing); worker 0 is Run's caller.
@@ -72,18 +63,21 @@ func NewExecutor(workers int) *Executor {
 	return e
 }
 
-// Span records when one node ran and on which worker.
+// Span records when one node ran, on which worker, and its kind.
 type Span struct {
-	Node       NodeID
+	Kind       Kind
 	Worker     int
-	Start, End time.Duration // offsets from Trace start
+	Start, End time.Duration // offsets from Trace.Zero
 }
 
-// Trace is the measured execution profile of one Run: per-node spans and
-// the wall-clock makespan.
+// Trace is the measured execution profile of one Run, and its one clock:
+// every node is stamped as it starts and as it ends (a running node may
+// read the record: Span), and the makespan ends the run.
 type Trace struct {
 	Spans []Span // indexed by NodeID
-	Wall  time.Duration
+	// Zero is the instant Run began, before arming and seeding.
+	Zero time.Time
+	Wall time.Duration
 	// Steals counts ready nodes executed by a worker other than the one
 	// that unblocked them — a direct measure of how much the stealing
 	// discipline rebalanced the graph.
@@ -97,11 +91,11 @@ type Trace struct {
 // returned alongside the trace after the graph drains. The trace is the
 // executor's own and is overwritten by its next Run.
 func (e *Executor) Run(g *Graph) (*Trace, error) {
+	tr := &e.trace
+	tr.Zero, tr.Wall, tr.Steals = time.Now(), 0, 0
 	if err := e.arm(g); err != nil {
 		return nil, err
 	}
-	tr := &e.trace
-	tr.Wall, tr.Steals = 0, 0
 	if g.Len() == 0 {
 		return tr, nil
 	}
@@ -115,20 +109,23 @@ func (e *Executor) Run(g *Graph) (*Trace, error) {
 		}
 	}
 
-	e.t0 = time.Now()
 	e.wg.Add(e.workers - 1)
 	for wid := 1; wid < e.workers; wid++ {
 		go e.loops[wid]()
 	}
 	e.work(0)
 	e.wg.Wait()
-	tr.Wall = time.Since(e.t0)
-	tr.Steals = e.steals
+	tr.Wall = time.Since(tr.Zero)
 	if e.err != nil {
 		return tr, fmt.Errorf("sdfg: %w", e.err)
 	}
 	return tr, nil
 }
+
+// Span returns node id's span in the current Run. A running node may read
+// its own (End not yet stamped) and that of every node it depends on,
+// directly or transitively, whose stamps the scheduling lock orders first.
+func (e *Executor) Span(id NodeID) Span { return e.trace.Spans[id] }
 
 // arm sizes the run state for g — validating it — unless g is the graph
 // the state was sized for, and resets it for a new Run.
@@ -152,7 +149,7 @@ func (e *Executor) arm(g *Graph) error {
 	for w := range e.deques {
 		e.deques[w] = deque{q: e.deques[w].q[:0]}
 	}
-	e.done, e.err, e.steals = 0, nil, 0
+	e.done, e.err = 0, nil
 	return nil
 }
 
@@ -164,16 +161,13 @@ func (e *Executor) work(wid int) {
 			return
 		}
 		node := e.g.nodes[id]
-		start := time.Since(e.t0)
+		sp := &e.trace.Spans[id]
+		*sp = Span{Kind: node.Kind, Worker: wid, Start: time.Since(e.trace.Zero)}
 		var err error
 		if node.Run != nil {
 			err = node.Run()
 		}
-		end := time.Since(e.t0)
-		e.trace.Spans[id] = Span{Node: id, Worker: wid, Start: start, End: end}
-		if e.Observer != nil {
-			e.Observer(id, node.Label, node.Kind, wid, start, end)
-		}
+		sp.End = time.Since(e.trace.Zero)
 		e.finish(wid, node, err)
 	}
 }
@@ -195,7 +189,7 @@ func (e *Executor) next(wid int) (NodeID, bool) {
 			if v := &e.deques[(wid+k)%e.workers]; len(v.q) > v.head {
 				id := v.q[v.head]
 				v.head++
-				e.steals++
+				e.trace.Steals++
 				return id, true
 			}
 		}

@@ -176,3 +176,59 @@ func TestRunAgainReArms(t *testing.T) {
 		t.Errorf("%v allocations per Run of an armed graph, want 0", n)
 	}
 }
+
+// TestRunningNodeReadsSpans: a running node reads the executor's record —
+// its own start, its end not yet stamped, and the whole span of every
+// node it depends on, directly or transitively, each ended before this
+// node started. Under -race on a pool of four workers the reads are
+// ordered by the scheduling lock alone.
+func TestRunningNodeReadsSpans(t *testing.T) {
+	const width, layers = 6, 5
+	ex := NewExecutor(4)
+	g := New()
+	ids := make([]NodeID, 0, width*layers)
+	preds := make([]map[NodeID]bool, 0, width*layers) // transitive predecessors
+	for l := 0; l < layers; l++ {
+		for i := 0; i < width; i++ {
+			n := len(ids)
+			var deps []NodeID
+			anc := map[NodeID]bool{}
+			if l > 0 {
+				for _, j := range []int{n - width, (l-1)*width + (i+1)%width} {
+					deps = append(deps, ids[j])
+					anc[ids[j]] = true
+					for p := range preds[j] {
+						anc[p] = true
+					}
+				}
+			}
+			kind := Kind(n % 2)
+			ids = append(ids, g.Add(Spec{Label: fmt.Sprint(n), Kind: kind, Run: func() error {
+				self := ex.Span(ids[n])
+				if self.Kind != kind || self.End != 0 {
+					return fmt.Errorf("own span %+v while running", self)
+				}
+				for p := range anc {
+					sp := ex.Span(p)
+					if sp.Start > sp.End || sp.End > self.Start {
+						return fmt.Errorf("predecessor span %+v, own start %v", sp, self.Start)
+					}
+				}
+				time.Sleep(10 * time.Microsecond)
+				return nil
+			}}, deps...))
+			preds = append(preds, anc)
+		}
+	}
+	for k := 0; k < 10; k++ {
+		tr, err := ex.Run(g)
+		if err != nil {
+			t.Fatalf("run %d: %v", k, err)
+		}
+		for _, sp := range tr.Spans {
+			if sp.Start < 0 || sp.End > tr.Wall {
+				t.Fatalf("run %d: span %+v outside the run [0, %v]", k, sp, tr.Wall)
+			}
+		}
+	}
+}

@@ -65,20 +65,6 @@ func (c *cache) Get(key string) (*cacheEntry, bool) {
 	return el.Value.(*cacheEntry), true
 }
 
-// peek returns the entry for a key without touching recency or the
-// hit/miss counters — for re-reading an artifact a submit fast-path
-// already accounted for (the ensemble runner fetching a cached member's
-// full result).
-func (c *cache) peek(key string) (*cacheEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		return nil, false
-	}
-	return el.Value.(*cacheEntry), true
-}
-
 // Put stores (or refreshes) an entry and evicts the least recently used
 // entries beyond capacity.
 func (c *cache) Put(e *cacheEntry) {

@@ -105,7 +105,7 @@ func (s *Server) cancelStudy(id string) (studyRecord, bool) {
 // memberOutcome is one member's terminal state as the runner saw it.
 type memberOutcome struct {
 	rec Record     // final registry record (zero if never admitted)
-	res *qt.Result // full result when available (solved or still cached)
+	res *qt.Result // full result when available (solved, joined or cached)
 	err error      // admission error / cancellation before admission
 }
 
@@ -207,24 +207,12 @@ func (s *Server) runStudy(st *studyRun, rec studyRecord) {
 		mu.Lock()
 		rec.MemberRuns[i] = mrec.ID
 		mu.Unlock()
-		if st.ctx.Err() != nil && j != nil {
+		if st.ctx.Err() != nil {
 			// The watcher snapshotted MemberRuns before this admission;
 			// cancel the straggler ourselves.
 			s.cancelRun(mrec.ID)
 		}
-
-		if j == nil {
-			// Content-addressed fast path: no slot consumed. The full
-			// result (with observables for the DOS reduction) is still in
-			// the cache under the member's identity key unless it was
-			// evicted since submit looked.
-			out := memberOutcome{rec: mrec}
-			if e, ok := s.cache.peek(mrec.Key); ok {
-				out.res = e.Result
-			}
-			finish(i, out)
-			continue
-		}
+		// A cached member's job is already done and carries its result.
 		wg.Add(1)
 		go func(i int, j *job) {
 			defer wg.Done()
@@ -248,13 +236,6 @@ func (s *Server) runStudy(st *studyRun, rec studyRecord) {
 			members[i].Err = fmt.Errorf("member run %s: %s", out.rec.ID, out.rec.Status)
 		case out.res != nil:
 			members[i].Result = out.res
-		case out.rec.ID != "":
-			// Cached member whose artifact was evicted meanwhile: the
-			// scalars survive in the record; only the DOS detail is lost.
-			members[i].Result = &qt.Result{
-				Converged: out.rec.Converged, Iterations: out.rec.Iterations,
-				Current: out.rec.Current,
-			}
 		default:
 			members[i].Err = context.Canceled
 		}

@@ -158,6 +158,46 @@ func TestStudyEndToEnd(t *testing.T) {
 		t.Errorf("cached rerun mean %.17g != original %.17g",
 			final2.Report.Current.Mean, final.Report.Current.Mean)
 	}
+	if final2.Report.DOSMembers != final.Report.DOSMembers {
+		t.Errorf("cached rerun reduced the DOS of %d members, the original of %d",
+			final2.Report.DOSMembers, final.Report.DOSMembers)
+	}
+}
+
+// TestCachedSubmitCarriesItsResult: a request answered from the cache is
+// a job already done that holds the cached result itself, so a study
+// waiting on it reduces that result even if the cache evicts the
+// artifact meanwhile.
+func TestCachedSubmitCarriesItsResult(t *testing.T) {
+	s, _ := newService(t, Config{Slots: 1, QueueCap: 4, CacheCap: 1})
+	rc := disorderedConfig(0.1)
+	_, lead, err := s.submit("lab", 0, rc, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-lead.done
+	rec, j, err := s.submit("lab", 0, rc, "")
+	if err != nil || !rec.CacheHit {
+		t.Fatalf("resubmission: cache hit %v, err %v", rec.CacheHit, err)
+	}
+	other := disorderedConfig(0.1)
+	other.Spec.DisorderSeed++
+	_, evict, err := s.submit("lab", 0, other, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-evict.done
+	if _, ok := s.cache.Get(rec.Key); ok {
+		t.Fatal("a one-entry cache still holds the first artifact")
+	}
+	select {
+	case <-j.done:
+	default:
+		t.Fatal("a cached answer's job is not done")
+	}
+	if j.result == nil || j.result != lead.result {
+		t.Errorf("the cached answer carries %p, the run that produced it %p", j.result, lead.result)
+	}
 }
 
 // TestStudyWarmStartLineage runs members serially on one slot so every

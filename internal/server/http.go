@@ -92,7 +92,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if j == nil { // answered from the content-addressed cache
+	if rec.CacheHit { // answered from the content-addressed cache
 		if stream {
 			replayRun(w, rec)
 			return

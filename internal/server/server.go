@@ -244,9 +244,10 @@ func (s *Server) observeRunTime(d time.Duration) {
 }
 
 // submit validates and admits one request. It returns the registry
-// record of the outcome and, unless the request was answered at once,
-// the job to stream or cancel. The request is resolved and addressed by
-// its result identity: a cached result answers it with no device built;
+// record of the outcome and the job to stream, cancel or wait on. The
+// request is resolved and addressed by its result identity: a cached
+// result answers it at once, with no device built, as a job already
+// done that carries the cached result (rec.CacheHit);
 // a run of the same identity in flight takes it on as a follower; only a
 // miss builds the simulation and queues it. Resolving has already
 // written an auto_plan request's plan into its configuration. A traced
@@ -277,7 +278,9 @@ func (s *Server) submit(tenant string, priority int, rc qt.RunConfig, studyID st
 			}
 			s.met.cacheHits.Inc()
 			s.log.Info("cache hit", "run", rec.ID, "tenant", tenant, "source", e.RunID)
-			return rec, nil, nil
+			j := &job{id: rec.ID, tenant: tenant, feed: newFeed[qt.IterStats](0), result: e.Result}
+			j.markDone()
+			return rec, j, nil
 		}
 		if leader := s.flights[rec.Key]; leader != nil {
 			defer s.mu.Unlock()

@@ -469,6 +469,8 @@ func TestBadKnobNamesItsField(t *testing.T) {
 		{`"ranks":-2`, "ranks"},
 		{`"ranks":2,"pipeline_depth":2`, "pipeline_depth"},
 		{`"workers":2`, "workers"},
+		{`"ranks":2,"workers":4`, "workers"},
+		{`"ranks":2,"schedule":"phases","workers":4`, "workers"},
 	} {
 		body := `{"tenant":"acme","config":{"spec":{"atoms":12,"slabs":3},` + c.knobs + `}}`
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
