@@ -43,20 +43,46 @@ func benchInput() *sse.Input { return sse.RandomInput(benchDevice(), 1) }
 // tile value computing into one output, its per-worker scratch sized by a
 // first call outside the timer. The worker count is pinned (the atom pool
 // is min(GOMAXPROCS, atoms)) so the numbers are comparable across hosts;
-// the CI guard requires 0 allocs/op at both sizes.
+// the CI guard requires 0 allocs/op at both sizes. The te=1, 2, 4 rows
+// time the dist_schedules device's input (24 atoms, 3 kz × 24 E × 4 ω) as
+// that many energy tiles on one worker, every tile per op: the §6.1.2 TE
+// tiling, whose shorter rows put more of the stencil's cost into
+// per-call overhead.
 func BenchmarkSSETile(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	input := func(na, ne int) *sse.Input {
+		p := device.TestParams(na, 6, 2)
+		p.NE, p.Nomega = ne, 4
+		return sse.RandomInput(device.MustBuild(p), 1)
+	}
 	for _, na := range []int{12, 36} {
 		b.Run(fmt.Sprintf("na=%d", na), func(b *testing.B) {
 			b.ReportAllocs()
-			p := device.TestParams(na, 6, 2)
-			p.NE, p.Nomega = 32, 4
-			in := sse.RandomInput(device.MustBuild(p), 1)
+			in := input(na, 32)
 			tile, out := (sse.DaCe{}).NewTile(in), sse.NewOutput(in)
 			tile.Compute(in, out)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tile.Compute(in, out)
+			}
+		})
+	}
+	for _, te := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("te=%d", te), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			b.ReportAllocs()
+			in := input(24, 24)
+			ne := in.Dev.P.NE
+			tiles, outs := make([]*sse.Tile, te), make([]*sse.Output, te)
+			for k := range tiles {
+				tiles[k], outs[k] = (sse.DaCe{ELo: k * ne / te, EHi: (k + 1) * ne / te}).NewTile(in), sse.NewOutput(in)
+				tiles[k].Compute(in, outs[k])
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k, tile := range tiles {
+					tile.Compute(in, outs[k])
+				}
 			}
 		})
 	}

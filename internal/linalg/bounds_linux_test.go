@@ -58,3 +58,38 @@ func TestSmallBatchStaysInBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestVecAddMul3x2StaysInBounds runs the fused stencil step at every level
+// on rows and sources that each end at an inaccessible page, at every
+// length of vecAddMul3x2Ns: a zmm body that ran past the last whole
+// vector, or a tail that read one element too many, faults. The rows must
+// still equal the six VecAddMul calls.
+func TestVecAddMul3x2StaysInBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, n := range vecAddMul3x2Ns {
+		l, buf := newStencilLayout(rng, n)
+		c := stencilWeights(rng)[0]
+		atLevels(func(level string) {
+			want := append([]complex128(nil), buf...)
+			wd, wl, wg := l.rows(want)
+			vecAddMul3x2Want(&wd, wl, wg, &c)
+			sd, sl, sg := l.rows(buf)
+			var dst [6][]complex128
+			for r := range dst {
+				dst[r] = guardedVec(t, n)
+				copy(dst[r], sd[r])
+			}
+			pl, pg := guardedVec(t, n), guardedVec(t, n)
+			copy(pl, sl)
+			copy(pg, sg)
+			VecAddMul3x2(&dst, pl, pg, &c)
+			for r := range dst {
+				for k := range dst[r] {
+					if !stencilSame(level, dst[r][k], wd[r][k]) {
+						t.Fatalf("%s: n=%d row %d elem %d: %v != %v", level, n, r, k, dst[r][k], wd[r][k])
+					}
+				}
+			}
+		})
+	}
+}

@@ -143,6 +143,26 @@ func vecAddMul(dst, src []complex128, s complex128) {
 }
 
 //go:noescape
+func vecAddMul3x2AVX512(dst *[6][]complex128, pl, pg *complex128, n int, c *[6]complex128)
+
+// vecAddMul3x2 runs VecAddMul3x2's shape-checked body: on AVX-512 one zmm
+// pass over both sources for the whole vectors, each row rounded by
+// vecAddMulAVX512's sequence, then the tail of every row through
+// vecAddMul. A call that skips a direction, and the ymm and Go levels, go
+// through vecAddMul row by row.
+func vecAddMul3x2(dst *[6][]complex128, pl, pg []complex128, c *[6]complex128) {
+	q := len(pl) &^ 3
+	if !haveAVX512 || q == 0 || c[0] == 0 && c[3] == 0 || c[1] == 0 && c[4] == 0 || c[2] == 0 && c[5] == 0 {
+		vecAddMul3x2Rows(dst, pl, pg, c, 0)
+		return
+	}
+	vecAddMul3x2AVX512(dst, &pl[0], &pg[0], q, c)
+	if q < len(pl) {
+		vecAddMul3x2Rows(dst, pl, pg, c, q)
+	}
+}
+
+//go:noescape
 func sumMul3x4AVX512(acc, x0, x1, x2, y *complex128, k, n int)
 
 //go:noescape

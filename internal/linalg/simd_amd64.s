@@ -330,6 +330,80 @@ done7:
 	VZEROUPPER
 	RET
 
+// AXPYROWZ(cr, ci, b, bs, tr, ti, acc, row): the four complex at BX bytes
+// into row += c·b, the per-vector sequence of vecAddMulAVX512: c's real
+// broadcast in cr, its imaginary one signed by signRe in ci, b's
+// pair-swapped copy in bs; the product goes to tr (ti the second
+// multiply), the row to acc, which is the first addend.
+#define AXPYROWZ(cr, ci, b, bs, tr, ti, acc, row) \
+	VMULPD  b, cr, tr; \
+	VMULPD  bs, ci, ti; \
+	VADDPD  ti, tr, tr; \
+	VMOVUPD (row)(BX*1), acc; \
+	VADDPD  tr, acc, acc; \
+	VMOVUPD acc, (row)(BX*1)
+
+// func vecAddMul3x2AVX512(dst *[6][]complex128, pl, pg *complex128, n int, c *[6]complex128)
+//
+// VecAddMul3x2's zmm body: for rows r < 3, dst[r][k] += c[r]·pl[k], for
+// rows r ≥ 3, dst[r][k] += c[r]·pg[k], k in [0, n), n a positive multiple
+// of four no longer than any row (the Go wrapper checks the lengths and
+// hands the tails to vecAddMul); each row's data pointer is read from its
+// 24-byte slice header. One trip loads one
+// vector of each source and swaps it once, then runs the six rows, each
+// element rounded by vecAddMulAVX512's instruction sequence. Z16–Z27 hold
+// the coefficients' broadcasts, real then signed imaginary, row by row.
+TEXT ·vecAddMul3x2AVX512(SB), NOSPLIT, $0-40
+	MOVQ         dst+0(FP), AX
+	MOVQ         0(AX), R8
+	MOVQ         24(AX), R9
+	MOVQ         48(AX), R10
+	MOVQ         72(AX), R11
+	MOVQ         96(AX), R12
+	MOVQ         120(AX), R13
+	MOVQ         pl+8(FP), SI
+	MOVQ         pg+16(FP), DI
+	MOVQ         n+24(FP), CX
+	MOVQ         c+32(FP), AX
+	VBROADCASTSD 0(AX), Z16
+	VBROADCASTSD 8(AX), Z17
+	VBROADCASTSD 16(AX), Z18
+	VBROADCASTSD 24(AX), Z19
+	VBROADCASTSD 32(AX), Z20
+	VBROADCASTSD 40(AX), Z21
+	VBROADCASTSD 48(AX), Z22
+	VBROADCASTSD 56(AX), Z23
+	VBROADCASTSD 64(AX), Z24
+	VBROADCASTSD 72(AX), Z25
+	VBROADCASTSD 80(AX), Z26
+	VBROADCASTSD 88(AX), Z27
+	VMULPD       signRe<>(SB), Z17, Z17
+	VMULPD       signRe<>(SB), Z19, Z19
+	VMULPD       signRe<>(SB), Z21, Z21
+	VMULPD       signRe<>(SB), Z23, Z23
+	VMULPD       signRe<>(SB), Z25, Z25
+	VMULPD       signRe<>(SB), Z27, Z27
+	SHLQ         $4, CX
+	XORQ         BX, BX
+
+loop6:
+	VMOVUPD   (SI)(BX*1), Z0
+	VMOVUPD   (DI)(BX*1), Z2
+	VPERMILPD $0x55, Z0, Z1
+	VPERMILPD $0x55, Z2, Z3
+	AXPYROWZ(Z16, Z17, Z0, Z1, Z4, Z5, Z6, R8)
+	AXPYROWZ(Z18, Z19, Z0, Z1, Z7, Z8, Z9, R9)
+	AXPYROWZ(Z20, Z21, Z0, Z1, Z10, Z11, Z12, R10)
+	AXPYROWZ(Z22, Z23, Z2, Z3, Z13, Z14, Z15, R11)
+	AXPYROWZ(Z24, Z25, Z2, Z3, Z28, Z29, Z30, R12)
+	AXPYROWZ(Z26, Z27, Z2, Z3, Z4, Z5, Z6, R13)
+	ADDQ      $64, BX
+	CMPQ      BX, CX
+	JB        loop6
+
+	VZEROUPPER
+	RET
+
 // func vecSubMulAVX512(dst, src *complex128, n int, l complex128)
 //
 // vecSubMulAVX2 on zmm: dst[j] -= l*src[j] for j in [0, n), n a multiple

@@ -23,6 +23,11 @@ func vecScale(dst []complex128, s complex128) { vecScaleGo(dst, s) }
 // vecAddMul computes dst[j] += s*src[j].
 func vecAddMul(dst, src []complex128, s complex128) { vecAddMulGo(dst, src, s) }
 
+// vecAddMul3x2 runs VecAddMul3x2's shape-checked body.
+func vecAddMul3x2(dst *[6][]complex128, pl, pg []complex128, c *[6]complex128) {
+	vecAddMul3x2Rows(dst, pl, pg, c, 0)
+}
+
 // sumMul3x4 runs SumMul3x4's shape-checked body.
 func sumMul3x4(acc *[12]complex128, x0, x1, x2, y []complex128, k, n int) {
 	sumMul3x4Go(acc, x0, x1, x2, y, k, n)

@@ -25,6 +25,40 @@ func vecAddMulGo(dst, src []complex128, s complex128) {
 	}
 }
 
+// VecAddMul3x2 is the SSE ω-stencil's six AXPYs over one pair of source
+// rows in one pass: for j in [0, 3), dst[j][k] += c[j]·pl[k] and
+// dst[3+j][k] += c[3+j]·pg[k] over k in [0, len(pl)), every element
+// rounded as VecAddMul rounds it. Direction j — rows j and 3+j — is left
+// untouched when c[j] and c[3+j] are both zero, so a −0 in its rows, or
+// an Inf or NaN in the sources facing it, survives. Every row is as long
+// as the sources, and the six rows overlap neither each other nor the
+// sources.
+func VecAddMul3x2(dst *[6][]complex128, pl, pg []complex128, c *[6]complex128) {
+	if len(pg) != len(pl) {
+		panic("linalg: VecAddMul3x2 sources of length " + itoa(len(pl)) + " and " + itoa(len(pg)))
+	}
+	for r, d := range dst {
+		if len(d) != len(pl) {
+			panic("linalg: VecAddMul3x2 row " + itoa(r) + " of length " + itoa(len(d)) + ", sources of " + itoa(len(pl)))
+		}
+	}
+	vecAddMul3x2(dst, pl, pg, c)
+}
+
+// vecAddMul3x2Rows runs VecAddMul3x2 from element from on as one
+// vecAddMul call per row it writes: the ymm and Go levels, the zmm body's
+// tail and a call that skips a direction. The rows are disjoint, so the
+// order of the calls cannot show.
+func vecAddMul3x2Rows(dst *[6][]complex128, pl, pg []complex128, c *[6]complex128, from int) {
+	for j := 0; j < 3; j++ {
+		if c[j] == 0 && c[3+j] == 0 {
+			continue
+		}
+		vecAddMul(dst[j][from:], pl[from:], c[j])
+		vecAddMul(dst[3+j][from:], pg[from:], c[3+j])
+	}
+}
+
 // SumMul3x4 accumulates a batch of n small products, each rounded on its
 // own: for step e in [0, n), T = X(e)·Y(e) where X(e) is the 3×k matrix
 // with rows x0[e·k:], x1[e·k:], x2[e·k:] and Y(e) the k×4 row-major block

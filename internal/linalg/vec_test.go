@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"strings"
 	"testing"
@@ -148,6 +149,207 @@ func TestVecAddMulFuzz(t *testing.T) {
 
 func TestVecAddMulLengthMismatchPanics(t *testing.T) {
 	expectPanic(t, "VecAddMul", func() { VecAddMul(make([]complex128, 3), make([]complex128, 4), 1) })
+}
+
+// vecAddMul3x2Want is the stencil step VecAddMul3x2 stands for, as the
+// six VecAddMul calls it replaces: direction j — rows j and 3+j — skipped
+// when both its weights are zero.
+func vecAddMul3x2Want(dst *[6][]complex128, pl, pg []complex128, c *[6]complex128) {
+	for j := 0; j < 3; j++ {
+		if c[j] == 0 && c[3+j] == 0 {
+			continue
+		}
+		VecAddMul(dst[j], pl, c[j])
+		VecAddMul(dst[3+j], pg, c[3+j])
+	}
+}
+
+// stencilSpecials are the values the stencil's skip rule and its rounding
+// are told apart by: −0 parts, both infinities and NaNs whose sign and
+// payload a kernel must carry through.
+var stencilSpecials = []complex128{
+	complex(math.Copysign(0, -1), math.Copysign(0, -1)), complex(math.Copysign(0, -1), 1),
+	complex(math.Inf(1), 2), complex(-3, math.Inf(-1)),
+	complex(math.Float64frombits(0x7ff8_0000_0000_1234), 1), complex(-1, math.Float64frombits(0xfff8_0000_00ab_cdef)),
+}
+
+// stencilWeights are the weight sets VecAddMul3x2 runs with, drawn from
+// rng: random; a zero weight whose partner is not zero (no skip); −0
+// weights; each direction skipped alone; all three skipped; non-finite
+// weights.
+func stencilWeights(rng *rand.Rand) [][6]complex128 {
+	negZero := complex(math.Copysign(0, -1), 0)
+	draw := func() (c [6]complex128) {
+		copy(c[:], randVec(rng, 6))
+		return c
+	}
+	sets := [][6]complex128{draw(), draw()}
+	c := draw()
+	c[1], c[3] = 0, complex(0, math.Copysign(0, -1))
+	sets = append(sets, c)
+	c = draw()
+	c[0], c[4], c[2] = negZero, negZero, negZero
+	sets = append(sets, c)
+	for j := 0; j < 3; j++ {
+		c = draw()
+		c[j], c[3+j] = 0, negZero
+		sets = append(sets, c)
+	}
+	sets = append(sets, [6]complex128{})
+	c = draw()
+	c[2], c[4] = complex(math.Inf(1), 0), complex(0, math.NaN())
+	return append(sets, c)
+}
+
+// stencilLayout places six rows and the two sources of n elements each in
+// one buffer, every slice starting up to three elements past the end of
+// the one before it and the buffer ending in a three-element guard, so the
+// slices' alignment varies and a stray write lands in a gap.
+type stencilLayout struct {
+	offs [8]int
+	n    int
+}
+
+// newStencilLayout draws a layout for n and a buffer for it: randVec
+// values with stencilSpecials sprinkled in.
+func newStencilLayout(rng *rand.Rand, n int) (stencilLayout, []complex128) {
+	l := stencilLayout{n: n}
+	end := 0
+	for i := range l.offs {
+		l.offs[i] = end + rng.Intn(4)
+		end = l.offs[i] + n
+	}
+	buf := randVec(rng, end+3)
+	for i := range buf {
+		if rng.Intn(6) == 0 {
+			buf[i] = stencilSpecials[rng.Intn(len(stencilSpecials))]
+		}
+	}
+	return l, buf
+}
+
+// rows returns the layout's slices of buf: the six rows, then pl and pg.
+func (l stencilLayout) rows(buf []complex128) (dst [6][]complex128, pl, pg []complex128) {
+	cut := func(i int) []complex128 { return buf[l.offs[i] : l.offs[i]+l.n : l.offs[i]+l.n] }
+	for r := range dst {
+		dst[r] = cut(r)
+	}
+	return dst, cut(6), cut(7)
+}
+
+// stencilSame compares VecAddMul3x2's output with the six VecAddMul calls
+// at level: bit for bit, NaN signs and payloads included, at the assembly
+// levels, where both run the same instructions in the same operand order;
+// NaN for NaN (sameBits) at the Go level, where a caller may inline its
+// own copy of the portable loop and the compiler may swap a commutative
+// multiply's operands in each copy, which decides which of two NaN
+// operands survives (it does on 386).
+func stencilSame(level string, x, y complex128) bool {
+	if level == "go" {
+		return sameBits(x, y)
+	}
+	return bitwiseEqual(x, y)
+}
+
+// vecAddMul3x2Run runs VecAddMul3x2 at every level (atLevels) on one
+// drawn layout of n elements per weight set of stencilWeights, and fails on
+// the first element of the buffer — gaps, sources and guard included —
+// that differs from the six VecAddMul calls at the same level
+// (stencilSame).
+func vecAddMul3x2Run(t *testing.T, rng *rand.Rand, n int) {
+	t.Helper()
+	l, buf := newStencilLayout(rng, n)
+	for _, c := range stencilWeights(rng) {
+		atLevels(func(level string) {
+			want := append([]complex128(nil), buf...)
+			dst, pl, pg := l.rows(want)
+			vecAddMul3x2Want(&dst, pl, pg, &c)
+			got := append([]complex128(nil), buf...)
+			dst, pl, pg = l.rows(got)
+			VecAddMul3x2(&dst, pl, pg, &c)
+			for i := range want {
+				if !stencilSame(level, got[i], want[i]) {
+					t.Fatalf("%s: n=%d offsets %v weights %v elem %d: fused %v != six VecAddMul %v", level, n, l.offs, c, i, got[i], want[i])
+				}
+			}
+		})
+	}
+}
+
+// vecAddMul3x2Ns are the row lengths that reach every split of the zmm
+// body and the tail the wrapper hands to vecAddMul: 0–17 (n mod 4 and
+// n mod 8 all occur, with none, one and several whole vectors), 31 and 33
+// either side of a multiple of eight, and 48.
+var vecAddMul3x2Ns = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 33, 48}
+
+// TestVecAddMul3x2MatchesVecAddMul pins the fused stencil step at every
+// level bitwise against the six VecAddMul calls it replaces, over
+// vecAddMul3x2Ns, unaligned slices, ±0, ±Inf and NaN (payload bits
+// compared at the assembly levels), zero weights and the skip of a
+// direction.
+func TestVecAddMul3x2MatchesVecAddMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for _, n := range vecAddMul3x2Ns {
+		vecAddMul3x2Run(t, rng, n)
+	}
+	t.Logf("levels: %s", strings.Join(simdLevels(), " "))
+}
+
+// TestVecAddMul3x2Skip states the skip rule without reference to any
+// kernel, at every level: a direction whose two weights are ±0 leaves its
+// −0 rows alone although its sources hold an Inf and a NaN, while a
+// direction with one zero weight adds its 0·Inf = NaN.
+func TestVecAddMul3x2Skip(t *testing.T) {
+	negZero := complex(math.Copysign(0, -1), math.Copysign(0, -1))
+	const n = 9
+	atEachLevel(t, func(t *testing.T) {
+		var dst [6][]complex128
+		for r := range dst {
+			dst[r] = make([]complex128, n)
+			for k := range dst[r] {
+				dst[r][k] = negZero
+			}
+		}
+		pl, pg := make([]complex128, n), make([]complex128, n)
+		for k := range pl {
+			pl[k], pg[k] = complex(math.Inf(1), 1), complex(math.NaN(), -1)
+		}
+		c := [6]complex128{0, 0, 1, complex(math.Copysign(0, -1), 0), 2, 0}
+		VecAddMul3x2(&dst, pl, pg, &c)
+		for k := 0; k < n; k++ {
+			if !bitwiseEqual(dst[0][k], negZero) || !bitwiseEqual(dst[3][k], negZero) {
+				t.Fatalf("elem %d: skipped direction 0 was written: %v, %v", k, dst[0][k], dst[3][k])
+			}
+			if !cmplx.IsNaN(dst[1][k]) || !cmplx.IsNaN(dst[4][k]) {
+				t.Fatalf("elem %d: direction 1 (weights 0 and 2) skipped: %v, %v", k, dst[1][k], dst[4][k])
+			}
+			if want := negZero + 1*pl[k]; !bitwiseEqual(dst[2][k], want) {
+				t.Fatalf("elem %d: row 2 = %v, want %v", k, dst[2][k], want)
+			}
+		}
+	})
+}
+
+func TestVecAddMul3x2LengthMismatchPanics(t *testing.T) {
+	x := make([]complex128, 8)
+	dst := [6][]complex128{x, x, x, x, x, x[:7]}
+	var c [6]complex128
+	expectPanic(t, "VecAddMul3x2", func() { VecAddMul3x2(&dst, x, x, &c) })
+	dst[5] = x
+	expectPanic(t, "VecAddMul3x2", func() { VecAddMul3x2(&dst, x, x[:7], &c) })
+}
+
+// FuzzVecAddMul3x2 extends TestVecAddMul3x2MatchesVecAddMul to any row
+// length up to 300 and any layout: at every level the fused step must
+// equal the six VecAddMul calls (stencilSame).
+func FuzzVecAddMul3x2(f *testing.F) {
+	for i, n := range []uint16{0, 3, 4, 9, 17, 48, 177} {
+		f.Add(n, int64(i))
+	}
+	f.Fuzz(func(t *testing.T, n uint16, seed int64) {
+		vecAddMul3x2Run(t, rand.New(rand.NewSource(seed)), int(n)%301)
+		t.Logf("levels: %s", strings.Join(simdLevels(), " "))
+	})
 }
 
 // TestSumMul3x4MatchesGo pins the dispatched Π contraction kernel at every

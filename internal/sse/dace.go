@@ -17,9 +17,10 @@ import (
 // ❸ the accumulated products collapse into strided-batched multiplications
 // with a fixed right operand (SBSMM), and ❹ the maps are fused back per
 // atom. The result is bit-wise the same self-energies as OMEN with ~6·Nω
-// fewer matrix multiplications; the surviving work is scalar AXPY streams,
-// which is why SSE lands in the memory-bound region of the roofline
-// (Fig. 10).
+// fewer matrix multiplications; the surviving work is scalar-weighted AXPY
+// streams along the energy axis — one fused pass per source row and ω-sign
+// updating the three directions of both ≷ accumulators — which is why SSE
+// lands in the memory-bound region of the roofline (Fig. 10).
 // Atoms optionally restricts the kernel to a subset of atoms (nil = all):
 // Σ≷_aa and the Π≷_a* blocks are produced only for listed atoms. ELo/EHi
 // restrict the electron energy range [ELo, EHi) owned by this instance
@@ -133,6 +134,16 @@ type tileScratch struct {
 	// transpose[r·Norb+c] = 4·(c·Norb+r): where interleaveTransposed puts
 	// element (r, c) of a block, relative to the block's lane 0.
 	transpose []int
+}
+
+// stencilRows points rows at elements [lo, hi) of the three direction
+// rows of vL at momentum ik, then of vG: the destinations of one fused
+// stage-❷ call.
+func (s *tileScratch) stencilRows(rows *[6][]complex128, ik, lo, hi int) {
+	for j := 0; j < 3; j++ {
+		rows[j] = s.vL.eRow(j, ik)[lo:hi]
+		rows[3+j] = s.vG.eRow(j, ik)[lo:hi]
+	}
 }
 
 func newTileScratch(nkz, norb int, r *restriction) *tileScratch {
@@ -294,6 +305,10 @@ func (t *Tile) atom(s *tileScratch, a int) {
 	halo, owned := t.restr.hhi-hlo, ehi-elo
 	eStride := in.GL.Na * bl // distance between one atom's blocks at E and E+1
 	var wl, wg [9]complex128
+	// Stage ❷'s fused calls: the E−ω and E+ω destination rows (vL, then
+	// vG, per direction j) and their weights per source direction i.
+	var dnRows, upRows [6][]complex128
+	var dnW, upW [3][6]complex128
 	var localMuls, localScalar int64
 	zero(s.sigL)
 	zero(s.sigG)
@@ -324,37 +339,42 @@ func (t *Tile) atom(s *tileScratch, a int) {
 		// contiguous. V_j(kz,E) gathers every (qz, ω, i) contribution
 		// as scalar AXPYs; the matrix multiplications by ∇jH_ba are
 		// deferred to stage ❸. Along a row the E−ω_m term of every
-		// owned energy is one long AXPY and the E+ω_m term a second:
-		// each destination element still receives −m before +m.
+		// owned energy is one long AXPY and the E+ω_m term a second,
+		// and one fused call runs a term for all three directions j of
+		// both ≷ rows, reading the two source rows once: each
+		// destination element still receives −m before +m.
 		zero(s.vL.data)
 		zero(s.vG.data)
 		for iq := 0; iq < nkz; iq++ {
 			for m := 1; m <= nw; m++ {
 				dTilde(in.DL, in.DG, iq, m-1, a, b, slotAB, slotBA, &wl, &wg)
+				for i := 0; i < 3; i++ {
+					for j := 0; j < 3; j++ {
+						dnW[i][j], dnW[i][3+j] = wl[i*3+j], wg[i*3+j]
+						upW[i][j], upW[i][3+j] = wg[i*3+j], wl[i*3+j]
+					}
+				}
 				// Owned energies whose partner is on the grid: E−ω_m
 				// for E in [dn, ehi), E+ω_m for E in [elo, up). v is
 				// indexed from elo, the transients from hlo.
 				dn, up := max(elo, m), min(ehi, ne-m)
 				for ik := 0; ik < nkz; ik++ {
 					ikq := ((ik-iq)%nkz + nkz) % nkz
+					if dn < ehi {
+						s.stencilRows(&dnRows, ik, (dn-elo)*bl, (ehi-elo)*bl)
+					}
+					if elo < up {
+						s.stencilRows(&upRows, ik, 0, (up-elo)*bl)
+					}
 					for i := 0; i < 3; i++ {
 						pl, pg := s.pLab.eRow(i, ikq), s.pGab.eRow(i, ikq)
-						for j := 0; j < 3; j++ {
-							wle, wge := wl[i*3+j], wg[i*3+j]
-							if wle == 0 && wge == 0 {
-								continue
-							}
-							vl, vg := s.vL.eRow(j, ik), s.vG.eRow(j, ik)
-							if dn < ehi {
-								lo, hi := (dn-m-hlo)*bl, (ehi-m-hlo)*bl
-								linalg.VecAddMul(vl[(dn-elo)*bl:], pl[lo:hi], wle)
-								linalg.VecAddMul(vg[(dn-elo)*bl:], pg[lo:hi], wge)
-							}
-							if elo < up {
-								lo, hi := (elo+m-hlo)*bl, (up+m-hlo)*bl
-								linalg.VecAddMul(vl[:(up-elo)*bl], pl[lo:hi], wge)
-								linalg.VecAddMul(vg[:(up-elo)*bl], pg[lo:hi], wle)
-							}
+						if dn < ehi {
+							lo, hi := (dn-m-hlo)*bl, (ehi-m-hlo)*bl
+							linalg.VecAddMul3x2(&dnRows, pl[lo:hi], pg[lo:hi], &dnW[i])
+						}
+						if elo < up {
+							lo, hi := (elo+m-hlo)*bl, (up+m-hlo)*bl
+							linalg.VecAddMul3x2(&upRows, pl[lo:hi], pg[lo:hi], &upW[i])
 						}
 					}
 				}

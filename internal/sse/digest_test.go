@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/tensor"
 )
 
 // outputDigest hashes the raw IEEE-754 bits of Σ≷ and Π≷, so any change in
@@ -37,6 +38,7 @@ func TestKernelDigests(t *testing.T) {
 		ne, nw           int
 		atoms            []int
 		elo, ehi         int
+		edit             func(*Input) // nil: the random input as drawn
 		full, tile, mixd string
 	}{
 		{
@@ -56,6 +58,19 @@ func TestKernelDigests(t *testing.T) {
 			atoms: []int{0, 3, 4, 8}, elo: 3, ehi: 7,
 			full: "23ef319715a43ca003fdda4c2200a26429a6dd284a8fe702fcf264bcb051da8a", tile: "16be0204486906c2033938a35c6d3977e2c99b18fea0efa295f735d6bcbd8121", mixd: "c6e1f9eaea0678f8558fc658fe99af05885dc227f132829123f84d6ab8980895",
 		},
+		{
+			// The stencil's skip rule: every D̃ weight of the pairs (a, 4)
+			// is exactly zero, and G≷_44 — which the stencil reads through
+			// those weights alone — holds −0, ±Inf and NaN. A skipped
+			// direction adds nothing; adding 0·Inf would put NaN into Σ≷
+			// of atom 4's neighbours (all three rows change when the skip
+			// is removed). Π≷ reads G≷_44 too, and carries its specials.
+			// Digests computed at commit c609ec7 (four VecAddMul calls per
+			// direction).
+			name: "norb3 skip", na: 9, bnum: 3, norb: 3, ne: 11, nw: 2,
+			atoms: []int{0, 3, 4, 8}, elo: 3, ehi: 7, edit: zeroPairsFacing(4),
+			full: "94a731a1a0d2ceae5b37efc0c4dd30e3b672b7f2d990d31a48f1df835eeb9114", tile: "40ba21097203c12c3e0c12ef52847c4d68506dc7d2211512b53ba65a5788bc47", mixd: "fb8226a7c0fc5364dcc5b347ec6c4202c4c828d1a7fabd9304e988144128b1c2",
+		},
 	}
 	for _, s := range shapes {
 		t.Run(s.name, func(t *testing.T) {
@@ -66,6 +81,9 @@ func TestKernelDigests(t *testing.T) {
 				t.Fatal(err)
 			}
 			in := RandomInput(dev, 42)
+			if s.edit != nil {
+				s.edit(in)
+			}
 			for _, c := range []struct {
 				what string
 				k    Kernel
@@ -80,5 +98,41 @@ func TestKernelDigests(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// zeroPairsFacing edits in so that every D̃ weight of the ordered pairs
+// (a, b) and (b, a), a a neighbour of b, is exactly +0 — D_bb and the D_ba
+// blocks zeroed, D_ab set to D_aa, so the four-block sum cancels exactly —
+// and puts −0, ±Inf and NaN (a payload and a sign of its own) into G≷_bb
+// at every energy and momentum, one special per block at a rotating
+// element. Every other weight and G≷ block stays as drawn.
+func zeroPairsFacing(b int) func(*Input) {
+	return func(in *Input) {
+		dev := in.Dev
+		for _, d := range []*tensor.Phonon{in.DL, in.DG} {
+			for iq := 0; iq < d.Nqz; iq++ {
+				for iw := 0; iw < d.Nw; iw++ {
+					clear(d.Block(iq, iw, b, 0))
+					for _, a := range dev.Neigh[b] {
+						clear(d.Block(iq, iw, b, 1+dev.NeighbourSlot(b, a)))
+						copy(d.Block(iq, iw, a, 1+dev.NeighbourSlot(a, b)), d.Block(iq, iw, a, 0))
+					}
+				}
+			}
+		}
+		negZero, inf := math.Copysign(0, -1), math.Inf(1)
+		nan := math.Float64frombits(0x7ff8_0000_dead_beef)
+		negNaN := math.Float64frombits(0xfff8_0000_0000_0bad)
+		specials := []complex128{complex(negZero, negZero), complex(inf, 1), complex(-inf, negZero), complex(nan, 2), complex(3, negNaN)}
+		for _, g := range []*tensor.Electron{in.GL, in.GG} {
+			for ik := 0; ik < g.Nkz; ik++ {
+				for ie := 0; ie < g.NE; ie++ {
+					blk := g.Block(ik, ie, b)
+					k := ik*g.NE + ie
+					blk[k%len(blk)] = specials[k%len(specials)]
+				}
+			}
+		}
 	}
 }

@@ -9,9 +9,10 @@
 //     multiplications per term.
 //   - DaCe:  the data-centric schedule — map fission isolates the
 //     ∇H·G≷ products into reusable transients, the ω accumulation becomes
-//     scalar AXPYs over a constant-stride layout, and the final
-//     multiplications run as strided-batched SBSMM with a fixed right-hand
-//     operand. Multiplication count drops by ~6·Nω (the paper's ½-flop
+//     scalar-weighted AXPYs along the contiguous energy axis, fused so that
+//     one pass over a source row feeds all three directions of both ≷
+//     accumulators, and the final multiplications run as strided-batched
+//     SBSMM with a fixed right-hand operand. Multiplication count drops by ~6·Nω (the paper's ½-flop
 //     algebraic regrouping plus transient reuse).
 //   - Mixed: the DaCe schedule with the multiplications executed in
 //     emulated half precision (normalized split-complex inputs, fp64
