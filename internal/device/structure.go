@@ -295,6 +295,35 @@ func (d *Device) GradH(a, b, i int) *linalg.Matrix {
 	return d.gradH[pairDir{a, b, i}]
 }
 
+// Site returns where atom a's block sits in a block-tridiagonal operator
+// with n rows per atom: the atom's slab and the row (and column) offset of
+// the block inside that slab's diagonal block. Atoms are contiguous by
+// slab, so the offset is the atom's place in its slab times n.
+func (d *Device) Site(a, n int) (slab, off int) {
+	slab = d.SlabOf[a]
+	return slab, (a - d.Slabs[slab][0]) * n
+}
+
+// PairBlock returns where the coupling of atom a to atom b (b = a, or a
+// neighbour of a) sits in the block-tridiagonal operator with blocks diag,
+// upper and lower (Upper[i] = (i, i+1), Lower[i] = (i+1, i)) and n rows
+// per atom: block (slab a, slab b) and the top-left corner of the pair's
+// n×n window in it. PairBlock(b, a) is the mirror window. Neighbours lie
+// within ±1 slab (buildNeighbours); a pair further apart panics.
+func (d *Device) PairBlock(diag, upper, lower []*linalg.Matrix, a, b, n int) (blk *linalg.Matrix, r0, c0 int) {
+	sa, r0 := d.Site(a, n)
+	sb, c0 := d.Site(b, n)
+	switch sb - sa {
+	case 0:
+		return diag[sa], r0, c0
+	case 1:
+		return upper[sa], r0, c0
+	case -1:
+		return lower[sb], r0, c0
+	}
+	panic("device: neighbour crosses more than one slab")
+}
+
 // Hamiltonian assembles the block-tridiagonal H(kz) for momentum index
 // ikz. In-plane hoppings are modulated by (1 + 2ζ·cos kz) — the
 // contribution of the ±z periodic images — and onsite blocks acquire the
@@ -304,16 +333,13 @@ func (d *Device) Hamiltonian(ikz int) *blocktri.Matrix {
 	ck := math.Cos(p.kz(ikz))
 	mod := complex(1+2*d.zeta*ck, 0)
 	m := blocktri.Uniform(p.Bnum, p.ElBlockSize())
-	rows := p.AtomsPerSlab()
 	for a := 0; a < p.Na; a++ {
-		sa := d.SlabOf[a]
-		ra := (a - sa*rows) * p.Norb
 		// Onsite.
-		blk := m.Diag[sa]
+		sa, ra := d.Site(a, p.Norb)
 		for o1 := 0; o1 < p.Norb; o1++ {
 			for o2 := 0; o2 < p.Norb; o2++ {
 				v := d.onsite[a].At(o1, o2) + complex(2*ck, 0)*d.zshift[a].At(o1, o2)
-				blk.Set(ra+o1, ra+o2, v)
+				m.Diag[sa].Set(ra+o1, ra+o2, v)
 			}
 		}
 		for _, b := range d.Neigh[a] {
@@ -321,40 +347,13 @@ func (d *Device) Hamiltonian(ikz int) *blocktri.Matrix {
 				continue
 			}
 			h := d.hop[pair{a, b}]
-			sb := d.SlabOf[b]
-			rb := (b - sb*rows) * p.Norb
-			var dst *linalg.Matrix
-			var r0, c0 int
-			switch {
-			case sb == sa:
-				dst, r0, c0 = m.Diag[sa], ra, rb
-			case sb == sa+1:
-				dst, r0, c0 = m.Upper[sa], ra, rb
-			case sb == sa-1:
-				dst, r0, c0 = m.Lower[sb], ra, rb
-			default:
-				panic("device: neighbour crosses more than one slab")
-			}
-			for o1 := 0; o1 < p.Norb; o1++ {
-				for o2 := 0; o2 < p.Norb; o2++ {
-					dst.Set(r0+o1, c0+o2, mod*h.At(o1, o2))
-				}
-			}
-			// Hermitian mirror.
-			var mir *linalg.Matrix
-			var mr, mc int
-			switch {
-			case sb == sa:
-				mir, mr, mc = m.Diag[sa], rb, ra
-			case sb == sa+1:
-				mir, mr, mc = m.Lower[sa], rb, ra
-			case sb == sa-1:
-				mir, mr, mc = m.Upper[sb], rb, ra
-			}
+			dst, r0, c0 := d.PairBlock(m.Diag, m.Upper, m.Lower, a, b, p.Norb)
+			mir, mr, mc := d.PairBlock(m.Diag, m.Upper, m.Lower, b, a, p.Norb)
 			for o1 := 0; o1 < p.Norb; o1++ {
 				for o2 := 0; o2 < p.Norb; o2++ {
 					v := mod * h.At(o1, o2)
-					mir.Set(mr+o2, mc+o1, complex(real(v), -imag(v)))
+					dst.Set(r0+o1, c0+o2, v)
+					mir.Set(mr+o2, mc+o1, complex(real(v), -imag(v))) // Hermitian mirror
 				}
 			}
 		}
@@ -372,18 +371,14 @@ func (d *Device) Dynamical(iqz int) *blocktri.Matrix {
 	sq := math.Sin(p.kz(iqz) / 2)
 	zspring := 4 * d.kappaZ * sq * sq
 	m := blocktri.Uniform(p.Bnum, p.PhBlockSize())
-	rows := p.AtomsPerSlab()
 	for a := 0; a < p.Na; a++ {
-		sa := d.SlabOf[a]
-		ra := (a - sa*rows) * N3D
+		sa, ra := d.Site(a, N3D)
 		diag := m.Diag[sa]
 		for i := 0; i < N3D; i++ {
 			diag.Set(ra+i, ra+i, complex(zspring, 0))
 		}
 		for _, b := range d.Neigh[a] {
 			k := d.spring[orderedPair(a, b)]
-			sb := d.SlabOf[b]
-			rb := (b - sb*rows) * N3D
 			// Acoustic sum rule accumulation on the diagonal.
 			for i := 0; i < N3D; i++ {
 				for j := 0; j < N3D; j++ {
@@ -393,23 +388,8 @@ func (d *Device) Dynamical(iqz int) *blocktri.Matrix {
 			if b < a {
 				continue // off-diagonal blocks written once per pair below
 			}
-			var dst *linalg.Matrix
-			var r0, c0 int
-			var mir *linalg.Matrix
-			var mr, mc int
-			switch {
-			case sb == sa:
-				dst, r0, c0 = m.Diag[sa], ra, rb
-				mir, mr, mc = m.Diag[sa], rb, ra
-			case sb == sa+1:
-				dst, r0, c0 = m.Upper[sa], ra, rb
-				mir, mr, mc = m.Lower[sa], rb, ra
-			case sb == sa-1:
-				dst, r0, c0 = m.Lower[sb], ra, rb
-				mir, mr, mc = m.Upper[sb], rb, ra
-			default:
-				panic("device: neighbour crosses more than one slab")
-			}
+			dst, r0, c0 := d.PairBlock(m.Diag, m.Upper, m.Lower, a, b, N3D)
+			mir, mr, mc := d.PairBlock(m.Diag, m.Upper, m.Lower, b, a, N3D)
 			for i := 0; i < N3D; i++ {
 				for j := 0; j < N3D; j++ {
 					v := -k.At(i, j)

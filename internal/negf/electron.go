@@ -88,11 +88,9 @@ func (s *PointSolver) solveElectronInto(h *blocktri.Matrix, ik, ie int, res *Ele
 
 	// Scatter the per-atom scattering self-energies into slab blocks:
 	// Σᴿ_S = (Σ> − Σ<)/2 into A, Σ≷_S into the injections.
-	rows := p.AtomsPerSlab()
 	norb := p.Norb
 	for a2 := 0; a2 < p.Na; a2++ {
-		sl := s.Dev.SlabOf[a2]
-		off := (a2 - sl*rows) * norb
+		sl, off := s.Dev.Site(a2, norb)
 		sL := s.SigL.Block(ik, ie, a2)
 		sG := s.SigG.Block(ik, ie, a2)
 		for r := 0; r < norb; r++ {
@@ -117,16 +115,9 @@ func (s *PointSolver) solveElectronInto(h *blocktri.Matrix, ik, ie int, res *Ele
 
 	// Harvest the per-atom diagonal blocks into the G≷ tensors.
 	for a2 := 0; a2 < p.Na; a2++ {
-		sl := s.Dev.SlabOf[a2]
-		off := (a2 - sl*rows) * norb
-		dstL := s.GL.Block(ik, ie, a2)
-		dstG := s.GG.Block(ik, ie, a2)
-		src := sol.GL[sl]
-		srcG := sol.GG[sl]
-		for r := 0; r < norb; r++ {
-			copy(dstL[r*norb:(r+1)*norb], src.Data[(off+r)*src.Cols+off:(off+r)*src.Cols+off+norb])
-			copy(dstG[r*norb:(r+1)*norb], srcG.Data[(off+r)*srcG.Cols+off:(off+r)*srcG.Cols+off+norb])
-		}
+		sl, off := s.Dev.Site(a2, norb)
+		copyWindow(s.GL.Block(ik, ie, a2), sol.GL[sl], off, off, norb)
+		copyWindow(s.GG.Block(ik, ie, a2), sol.GG[sl], off, off, norb)
 	}
 
 	// Observables. Meir-Wingreen contact currents:
@@ -158,8 +149,7 @@ func (s *PointSolver) solveElectronInto(h *blocktri.Matrix, ik, ie int, res *Ele
 	// Local collision integral: energy transferred to the lattice in each
 	// slab, E·Tr[Σ<_S·G> − Σ>_S·G<] with scattering self-energies only.
 	for a2 := 0; a2 < p.Na; a2++ {
-		sl := s.Dev.SlabOf[a2]
-		off := (a2 - sl*rows) * norb
+		sl, off := s.Dev.Site(a2, norb)
 		sL := s.SigL.Block(ik, ie, a2)
 		sG := s.SigG.Block(ik, ie, a2)
 		var tr complex128

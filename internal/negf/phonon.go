@@ -72,11 +72,6 @@ func (s *PointSolver) solvePhononInto(phi *blocktri.Matrix, iq, m int, res *Phon
 	linalg.AXPY(a.Diag[0], -1, left.SigmaR)
 	linalg.AXPY(a.Diag[nb-1], -1, right.SigmaR)
 
-	// Scatter the retarded scattering self-energy Πᴿ = (Π> − Π<)/2 into A:
-	// per-atom diagonal blocks plus neighbour blocks (same-slab neighbours
-	// land inside the slab diagonal; cross-slab neighbours in Upper/Lower).
-	s.scatterPiRetarded(a, iq, m)
-
 	// Equilibrium contacts: Π<_B = −i·n_B·Γ, Π>_B = −i·(n_B+1)·Γ. The
 	// scratch injection blocks arrive zeroed.
 	n := device.BoseEinstein(omega, p.TC)
@@ -84,7 +79,7 @@ func (s *PointSolver) solvePhononInto(phi *blocktri.Matrix, iq, m int, res *Phon
 	linalg.AXPY(sigG[0], complex(0, -(n+1)), left.Gamma)
 	linalg.AXPY(sigL[nb-1], complex(0, -n), right.Gamma)
 	linalg.AXPY(sigG[nb-1], complex(0, -(n+1)), right.Gamma)
-	s.scatterPiInjections(sigL, sigG, iq, m)
+	s.scatterPi(a, sigL, sigG, iq, m)
 
 	tRGF := s.Trace.Begin()
 	sol, err := sc.solveRGF(a, sigL, sigG)
@@ -94,28 +89,14 @@ func (s *PointSolver) solvePhononInto(phi *blocktri.Matrix, iq, m int, res *Phon
 	s.Trace.End(s.TraceRank, sc.track, "rgf", "rgf/ph", iq, m, tRGF)
 
 	// Harvest D≷ into the 6-D tensors: diagonal slot plus Nb neighbours.
-	rows := p.AtomsPerSlab()
 	const n3 = device.N3D
-	for at := 0; at < p.Na; at++ {
-		sa := s.Dev.SlabOf[at]
-		ra := (at - sa*rows) * n3
-		copyWindow(s.DL.Block(iq, m-1, at, 0), sol.GL[sa], ra, ra, n3)
-		copyWindow(s.DG.Block(iq, m-1, at, 0), sol.GG[sa], ra, ra, n3)
-		for slot, b := range s.Dev.Neigh[at] {
-			sb := s.Dev.SlabOf[b]
-			rb := (b - sb*rows) * n3
-			var srcL, srcG *linalg.Matrix
-			var r0, c0 int
-			switch {
-			case sb == sa:
-				srcL, srcG, r0, c0 = sol.GL[sa], sol.GG[sa], ra, rb
-			case sb == sa+1:
-				srcL, srcG, r0, c0 = sol.GLUpper[sa], sol.GGUpper[sa], ra, rb
-			default: // sb == sa-1
-				srcL, srcG, r0, c0 = sol.GLLower[sb], sol.GGLower[sb], ra, rb
-			}
-			copyWindow(s.DL.Block(iq, m-1, at, 1+slot), srcL, r0, c0, n3)
-			copyWindow(s.DG.Block(iq, m-1, at, 1+slot), srcG, r0, c0, n3)
+	for at, nbrs := range s.Dev.Neigh {
+		for slot := 0; slot <= len(nbrs); slot++ {
+			b := s.slotAtom(at, slot)
+			gl, r0, c0 := s.Dev.PairBlock(sol.GL, sol.GLUpper, sol.GLLower, at, b, n3)
+			gg, _, _ := s.Dev.PairBlock(sol.GG, sol.GGUpper, sol.GGLower, at, b, n3)
+			copyWindow(s.DL.Block(iq, m-1, at, slot), gl, r0, c0, n3)
+			copyWindow(s.DG.Block(iq, m-1, at, slot), gg, r0, c0, n3)
 		}
 	}
 
@@ -134,8 +115,7 @@ func (s *PointSolver) solvePhononInto(phi *blocktri.Matrix, iq, m int, res *Phon
 	// Local spectral weight and occupation for the temperature map:
 	// dos_a = −2·Im tr Dᴿ_aa, occ_a = −Im tr D<_aa = n_eff·dos_a.
 	for at := 0; at < p.Na; at++ {
-		sa := s.Dev.SlabOf[at]
-		ra := (at - sa*rows) * n3
+		sa, ra := s.Dev.Site(at, n3)
 		var trR, trL complex128
 		for d := 0; d < n3; d++ {
 			trR += sol.GR[sa].At(ra+d, ra+d)
@@ -147,68 +127,43 @@ func (s *PointSolver) solvePhononInto(phi *blocktri.Matrix, iq, m int, res *Phon
 	return nil
 }
 
-// scatterPiRetarded adds Πᴿ_S = (Π> − Π<)/2 blocks into the assembled A.
-func (s *PointSolver) scatterPiRetarded(a *blocktri.Matrix, iq, m int) {
-	p := s.Dev.P
-	rows := p.AtomsPerSlab()
+// scatterPi adds the scattering self-energies of every pair block into
+// the assembly: Πᴿ_S = (Π> − Π<)/2 into A (same-slab neighbours land
+// inside the slab diagonal, cross-slab neighbours in Upper/Lower) and
+// Π≷_S into the block-diagonal injections. The few cross-slab injection
+// blocks are dropped: rgf.Problem carries Σ≷ as one block per slab, so
+// the lesser recursion has no slot for an off-diagonal injection.
+func (s *PointSolver) scatterPi(a *blocktri.Matrix, sigL, sigG []*linalg.Matrix, iq, m int) {
 	const n3 = device.N3D
-	addBlock := func(dst *linalg.Matrix, r0, c0 int, pl, pg []complex128) {
-		for r := 0; r < n3; r++ {
-			for c := 0; c < n3; c++ {
-				dst.Set(r0+r, c0+c, dst.At(r0+r, c0+c)-(pg[r*n3+c]-pl[r*n3+c])/2)
-			}
-		}
-	}
-	for at := 0; at < p.Na; at++ {
+	for at, nbrs := range s.Dev.Neigh {
 		sa := s.Dev.SlabOf[at]
-		ra := (at - sa*rows) * n3
-		addBlock(a.Diag[sa], ra, ra, s.PiL.Block(iq, m-1, at, 0), s.PiG.Block(iq, m-1, at, 0))
-		for slot, b := range s.Dev.Neigh[at] {
-			sb := s.Dev.SlabOf[b]
-			rb := (b - sb*rows) * n3
-			pl := s.PiL.Block(iq, m-1, at, 1+slot)
-			pg := s.PiG.Block(iq, m-1, at, 1+slot)
-			switch {
-			case sb == sa:
-				addBlock(a.Diag[sa], ra, rb, pl, pg)
-			case sb == sa+1:
-				addBlock(a.Upper[sa], ra, rb, pl, pg)
-			default: // sb == sa-1
-				addBlock(a.Lower[sb], ra, rb, pl, pg)
+		for slot := 0; slot <= len(nbrs); slot++ {
+			b := s.slotAtom(at, slot)
+			pl := s.PiL.Block(iq, m-1, at, slot)
+			pg := s.PiG.Block(iq, m-1, at, slot)
+			dst, r0, c0 := s.Dev.PairBlock(a.Diag, a.Upper, a.Lower, at, b, n3)
+			inject := s.Dev.SlabOf[b] == sa
+			for r := 0; r < n3; r++ {
+				for c := 0; c < n3; c++ {
+					x := r*n3 + c
+					dst.Set(r0+r, c0+c, dst.At(r0+r, c0+c)-(pg[x]-pl[x])/2)
+					if inject {
+						sigL[sa].Set(r0+r, c0+c, sigL[sa].At(r0+r, c0+c)+pl[x])
+						sigG[sa].Set(r0+r, c0+c, sigG[sa].At(r0+r, c0+c)+pg[x])
+					}
+				}
 			}
 		}
 	}
 }
 
-// scatterPiInjections adds the Π≷_S blocks into the block-diagonal RGF
-// injections. Same-slab neighbour blocks are included; the few cross-slab
-// injection blocks are dropped: rgf.Problem carries Σ≷ as one block per
-// slab, so the lesser recursion has no slot for an off-diagonal injection.
-func (s *PointSolver) scatterPiInjections(sigL, sigG []*linalg.Matrix, iq, m int) {
-	p := s.Dev.P
-	rows := p.AtomsPerSlab()
-	const n3 = device.N3D
-	add := func(dst *linalg.Matrix, r0, c0 int, src []complex128) {
-		for r := 0; r < n3; r++ {
-			for c := 0; c < n3; c++ {
-				dst.Set(r0+r, c0+c, dst.At(r0+r, c0+c)+src[r*n3+c])
-			}
-		}
+// slotAtom is the atom in slot slot of at's phonon blocks: at itself in
+// slot 0, then at's neighbours in list order.
+func (s *PointSolver) slotAtom(at, slot int) int {
+	if slot == 0 {
+		return at
 	}
-	for at := 0; at < p.Na; at++ {
-		sa := s.Dev.SlabOf[at]
-		ra := (at - sa*rows) * n3
-		add(sigL[sa], ra, ra, s.PiL.Block(iq, m-1, at, 0))
-		add(sigG[sa], ra, ra, s.PiG.Block(iq, m-1, at, 0))
-		for slot, b := range s.Dev.Neigh[at] {
-			if s.Dev.SlabOf[b] != sa {
-				continue
-			}
-			rb := (b - sa*rows) * n3
-			add(sigL[sa], ra, rb, s.PiL.Block(iq, m-1, at, 1+slot))
-			add(sigG[sa], ra, rb, s.PiG.Block(iq, m-1, at, 1+slot))
-		}
-	}
+	return s.Dev.Neigh[at][slot-1]
 }
 
 // phononContactCurrent computes Tr[Π<_c·D> − Π>_c·D<] with

@@ -2,6 +2,7 @@ package negf
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -118,7 +119,7 @@ func (sc *solveScratch) phonon(sizes []int) (*blocktri.Matrix, []*linalg.Matrix,
 }
 
 func ensureAssembly(a *blocktri.Matrix, sigL, sigG []*linalg.Matrix, sizes []int) (*blocktri.Matrix, []*linalg.Matrix, []*linalg.Matrix) {
-	if a != nil && sameSizes(a.Sizes, sizes) {
+	if a != nil && slices.Equal(a.Sizes, sizes) {
 		for i := range sigL {
 			sigL[i].Zero()
 			sigG[i].Zero()
@@ -133,18 +134,6 @@ func ensureAssembly(a *blocktri.Matrix, sigL, sigG []*linalg.Matrix, sizes []int
 		sigG[i] = linalg.New(s, s)
 	}
 	return a, sigL, sigG
-}
-
-func sameSizes(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // solveRGF runs the workspace-pooled RGF recursion on the scratch.
@@ -241,17 +230,13 @@ func (ps *PointSolver) PhononCollisionSum(points [][2]int) float64 {
 		om := p.Omega(m)
 		for a := 0; a < p.Na; a++ {
 			for slot := 0; slot <= len(ps.Dev.Neigh[a]); slot++ {
-				// Pair Π_ab with D_ba: the transpose-partner block.
-				var dG, dL []complex128
-				if slot == 0 {
-					dG = ps.DG.Block(iq, m-1, a, 0)
-					dL = ps.DL.Block(iq, m-1, a, 0)
-				} else {
-					b := ps.Dev.Neigh[a][slot-1]
-					back := ps.Dev.NeighbourSlot(b, a)
-					dG = ps.DG.Block(iq, m-1, b, 1+back)
-					dL = ps.DL.Block(iq, m-1, b, 1+back)
-				}
+				// Pair Π_ab with D_ba: the transpose-partner block, which
+				// for b = a is slot 0 (a is not its own neighbour, so
+				// NeighbourSlot(a, a) is −1).
+				b := ps.slotAtom(a, slot)
+				back := 1 + ps.Dev.NeighbourSlot(b, a)
+				dG := ps.DG.Block(iq, m-1, b, back)
+				dL := ps.DL.Block(iq, m-1, b, back)
 				pl := ps.PiL.Block(iq, m-1, a, slot)
 				pg := ps.PiG.Block(iq, m-1, a, slot)
 				var tr complex128

@@ -160,10 +160,10 @@ func DefaultOptions() Options {
 
 // Solver is the per-iteration kit of the self-consistent loop over the
 // whole grid: GFPhase and SSEPhase, which a caller alternates itself
-// (the benchmark's in-situ loop, the ballistic limit, the kernel
-// tables). The loop that runs to convergence is dist.Run. The embedded
-// PointSolver carries the tensors and boundary-condition cache shared
-// with the per-point GF solves.
+// (the benchmark's in-situ loop, the kernel tables). The loop that runs
+// to convergence is dist.Run. The embedded PointSolver carries the
+// tensors and boundary-condition cache shared with the per-point GF
+// solves.
 type Solver struct {
 	*PointSolver
 	Opts Options

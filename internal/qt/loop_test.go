@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"math"
 	"runtime"
@@ -128,5 +129,46 @@ func TestFinalStateContract(t *testing.T) {
 	}
 	if res.FinalState != nil {
 		t.Error("a cancelled run handed over a final state")
+	}
+}
+
+// TestBallisticDigests pins the ballistic limit's observables, hashed as
+// their JSON form (which round-trips every float64), to the digest the
+// per-iteration kit's GF phase gave at commit 04d4b6a. Every row must
+// give it: the boundary cache changes no bits, the ballistic limit is the
+// one-rank world whatever the run's ranks, and it ignores a warm start.
+// amd64 bits, as for the loop digests.
+func TestBallisticDigests(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("pinned on amd64; %s differs (ROADMAP item 11)", runtime.GOARCH)
+	}
+	const want = "64a9caa323ccd2b8098b3953fc77214f4bd23495b7fbdb5023ee01475a0ffaf2"
+	_, capped := solve(t, RunConfig{Spec: smallSpec(), MaxIterations: 2, Tolerance: 1e-300})
+	for name, c := range map[string]struct {
+		rc   RunConfig
+		opts []Option
+	}{
+		"cold":              {RunConfig{Spec: smallSpec()}, nil},
+		"no_boundary_cache": {RunConfig{Spec: smallSpec(), NoBoundaryCache: true}, nil},
+		"ranks 2":           {RunConfig{Spec: smallSpec(), Ranks: 2}, nil},
+		"ranks 2 pipeline":  {RunConfig{Spec: smallSpec(), Ranks: 2, Schedule: "pipeline"}, nil},
+		"warm start":        {RunConfig{Spec: smallSpec()}, []Option{WithWarmStart(capped.FinalState)}},
+	} {
+		sim, err := NewFromConfig(c.rc, c.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs, err := sim.Ballistic()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		js, err := json.Marshal(obs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(js)
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("%s: digest %s, want %s", name, got, want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package qt
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 
@@ -110,14 +111,16 @@ func (s *Simulation) distOptions(progress func(IterStats) error, tracer *obs.Tra
 
 // Ballistic solves the Green's functions once with zero scattering
 // self-energies (the coherent-transport limit) and returns the
-// observables without running the self-consistent loop: one GF phase of
-// the negf kit over the whole grid, which has no exchange to distribute.
+// observables: iteration 0 of the one loop, without the warm start, on
+// the one-rank world whatever the configuration's ranks (the GF phase has
+// no exchange to distribute), stopped there unconverged.
 func (s *Simulation) Ballistic() (*negf.Observables, error) {
-	l := s.loop(nil, nil)
-	l.Warm = nil
-	solver := negf.New(s.Device, negf.Options{Loop: l})
-	if err := solver.GFPhase(); err != nil {
+	o := s.distOptions(nil, nil)
+	o.Ranks, o.Ta, o.TE = 1, 0, 0
+	o.Warm, o.MaxIter = nil, 1
+	res, err := dist.Run(s.Device, o)
+	if err != nil && !errors.Is(err, negf.ErrNotConverged) {
 		return nil, fmt.Errorf("qt: %w", err)
 	}
-	return &solver.Obs, nil
+	return &res.Obs, nil
 }
