@@ -197,9 +197,6 @@ const (
 	tagReduce
 	tagAlltoall
 	tagBarrier
-	tagGather
-	tagMaxUp
-	tagMaxDown
 	tagAllreduceUp
 	tagAllreduceDown
 )
@@ -248,35 +245,7 @@ func (c *Comm) Reduce(root int, data []complex128) []complex128 {
 // identical result on all ranks: IAllreduce posted on the blocking
 // form's reserved tags and waited at once.
 func (c *Comm) Allreduce(data []complex128) []complex128 {
-	return c.postAllreduce("Allreduce", tagAllreduceUp, tagAllreduceDown, data, addInto).Wait()
-}
-
-// AllreduceMax combines every rank's contribution with the elementwise
-// maximum of the real and imaginary parts independently (MPI_MAX on a
-// vector of value pairs) and returns the identical result on all ranks.
-// The distributed solver uses it for the mixed-precision error telemetry:
-// the global deviation is the worst rank's, not the sum.
-func (c *Comm) AllreduceMax(data []complex128) []complex128 {
-	return c.postAllreduce("AllreduceMax", tagMaxUp, tagMaxDown, data, maxInto).Wait()
-}
-
-func addInto(acc, part []complex128) {
-	for i, v := range part {
-		acc[i] += v
-	}
-}
-
-func maxInto(acc, part []complex128) {
-	for i, v := range part {
-		re, im := real(acc[i]), imag(acc[i])
-		if real(v) > re {
-			re = real(v)
-		}
-		if imag(v) > im {
-			im = imag(v)
-		}
-		acc[i] = complex(re, im)
-	}
+	return c.postAllreduce(tagAllreduceUp, tagAllreduceDown, data).Wait()
 }
 
 // Alltoallv exchanges per-destination buffers: send[r] goes to rank r, and
@@ -286,25 +255,6 @@ func maxInto(acc, part []complex128) {
 // the blocking form's reserved tag and waited at once.
 func (c *Comm) Alltoallv(send [][]complex128) [][]complex128 {
 	return c.postAlltoallv(tagAlltoall, send).Wait()
-}
-
-// Gather collects every rank's buffer at root (index = source rank).
-// Non-root ranks return nil.
-func (c *Comm) Gather(root int, data []complex128) [][]complex128 {
-	if c.rank != root {
-		c.send(root, tagGather, data, "Gather")
-		return nil
-	}
-	c.world.countCollective("Gather")
-	out := make([][]complex128, c.world.size)
-	for r := 0; r < c.world.size; r++ {
-		if r == root {
-			out[r] = append([]complex128(nil), data...)
-			continue
-		}
-		out[r] = c.Recv(r, tagGather)
-	}
-	return out
 }
 
 // Barrier synchronizes all ranks (central-coordinator implementation).

@@ -140,29 +140,6 @@ func TestAlltoallv(t *testing.T) {
 	}
 }
 
-func TestGather(t *testing.T) {
-	const n = 3
-	w := NewWorld(n)
-	err := w.Run(func(c *Comm) error {
-		out := c.Gather(1, []complex128{complex(float64(c.Rank()), 0)})
-		if c.Rank() != 1 {
-			if out != nil {
-				return fmt.Errorf("non-root gather should be nil")
-			}
-			return nil
-		}
-		for r := 0; r < n; r++ {
-			if real(out[r][0]) != float64(r) {
-				return fmt.Errorf("gather[%d] = %v", r, out[r])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBarrier(t *testing.T) {
 	const n = 6
 	w := NewWorld(n)
@@ -310,48 +287,5 @@ func TestCollectivesOnSizeOneWorld(t *testing.T) {
 	}
 	if st := w.Stats(); st.BytesSent != 0 {
 		t.Fatalf("size-1 collectives must move no bytes, got %d", st.BytesSent)
-	}
-}
-
-func TestAllreduceMax(t *testing.T) {
-	w := NewWorld(4)
-	err := w.Run(func(c *Comm) error {
-		r := float64(c.Rank())
-		// Rank r contributes (r, 3-r): the reduced result must take the
-		// real max and imaginary max from different ranks.
-		got := c.AllreduceMax([]complex128{complex(r, 3-r), complex(-r, r)})
-		if got[0] != complex(3, 3) {
-			return fmt.Errorf("rank %d: got[0] = %v, want (3+3i)", c.Rank(), got[0])
-		}
-		if got[1] != complex(0, 3) {
-			return fmt.Errorf("rank %d: got[1] = %v, want (0+3i)", c.Rank(), got[1])
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := w.Stats()
-	if st.Collectives["AllreduceMax"] != 1 {
-		t.Errorf("AllreduceMax counted %d times", st.Collectives["AllreduceMax"])
-	}
-	if st.CollectiveBytes["AllreduceMax"] != 6*2*16 {
-		t.Errorf("AllreduceMax bytes = %d, want %d", st.CollectiveBytes["AllreduceMax"], 6*2*16)
-	}
-}
-
-func TestAllreduceMaxSizeOne(t *testing.T) {
-	w := NewWorld(1)
-	if err := w.Run(func(c *Comm) error {
-		got := c.AllreduceMax([]complex128{complex(-5, 2)})
-		if got[0] != complex(-5, 2) {
-			return fmt.Errorf("size-1 world changed the value: %v", got[0])
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if w.Stats().BytesSent != 0 {
-		t.Error("size-1 AllreduceMax must be traffic-free")
 	}
 }

@@ -96,21 +96,20 @@ func (c *Comm) postAlltoallv(tag int, send [][]complex128) *MatRequest {
 // IAllreduce posts a nonblocking elementwise sum over all ranks on the
 // given slot.
 func (c *Comm) IAllreduce(slot int, data []complex128) *VecRequest {
-	return c.postAllreduce("Allreduce", nbTag(slot, legReduce), nbTag(slot, legBcast), data, addInto)
+	return c.postAllreduce(nbTag(slot, legReduce), nbTag(slot, legBcast), data)
 }
 
 // postAllreduce is the one all-reduction, behind the slotted nonblocking
-// form and the blocking forms alike: rank 0 folds the contributions into
-// its own in ascending rank order with combine (one association order, so
-// IAllreduce and Allreduce are bitwise interchangeable) and sends the
-// result back to everyone. Counted as one collective under name, moving
-// 2·(P−1)·len·16 bytes.
-func (c *Comm) postAllreduce(name string, tagR, tagB int, data []complex128, combine func(acc, part []complex128)) *VecRequest {
+// form and the blocking form alike: rank 0 adds the contributions into
+// its own in ascending rank order (one association order, so IAllreduce
+// and Allreduce are bitwise interchangeable) and sends the sum back to
+// everyone. Counted as one "Allreduce", moving 2·(P−1)·len·16 bytes.
+func (c *Comm) postAllreduce(tagR, tagB int, data []complex128) *VecRequest {
 	if c.rank != 0 {
-		c.send(0, tagR, data, name)
+		c.send(0, tagR, data, "Allreduce")
 		return &VecRequest{c: c, tag: tagB}
 	}
-	c.world.countCollective(name)
+	c.world.countCollective("Allreduce")
 	cp := append([]complex128(nil), data...)
 	req := &VecRequest{root: make(chan []complex128, 1)}
 	if c.world.size == 1 {
@@ -121,12 +120,14 @@ func (c *Comm) postAllreduce(name string, tagR, tagB int, data []complex128, com
 		for r := 1; r < c.world.size; r++ {
 			part := c.Recv(r, tagR)
 			if len(part) != len(cp) {
-				panic("comm: " + name + " length mismatch")
+				panic("comm: Allreduce length mismatch")
 			}
-			combine(cp, part)
+			for i, v := range part {
+				cp[i] += v
+			}
 		}
 		for r := 1; r < c.world.size; r++ {
-			c.send(r, tagB, cp, name)
+			c.send(r, tagB, cp, "Allreduce")
 		}
 		req.root <- cp
 	}()

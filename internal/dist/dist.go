@@ -143,13 +143,11 @@ type Options struct {
 	// Alltoallv exchanges.
 	Precision Precision
 	// ErrorProbe (PrecisionMixed only) additionally runs the fp64 tile
-	// kernel each iteration and reduces the worst rank's normwise Σ≷/Π≷
-	// deviation into IterStats.SigmaErr — per-iteration quantization
-	// telemetry at the cost of doubling the tile compute. It requires
-	// window depth 1 (any schedule but SchedulePipeline at depth > 1):
-	// the probe is a blocking max-reduction inside every iteration, which
-	// in a deeper window would reinstate the cross-iteration barrier the
-	// window exists to remove.
+	// kernel each iteration and reports the worst rank's normwise Σ≷/Π≷
+	// deviation in IterStats.SigmaErr — per-iteration quantization
+	// telemetry at the cost of doubling the tile compute. Each rank's
+	// probe numbers ride the iteration's observable reduction, so the
+	// probe runs under every schedule and window depth.
 	ErrorProbe bool
 }
 
@@ -181,8 +179,7 @@ func (o Options) Validate() (Options, error) {
 			return o, fmt.Errorf("dist: Mixing and Tol must be finite, got %g and %g", o.Mixing, o.Tol)
 		}
 	}
-	// Unset or out of range takes the loop default, by the rule negf.New
-	// applies.
+	// Unset or out of range takes the loop default, by Loop.WithDefaults.
 	o.Loop = o.Loop.WithDefaults()
 	if o.Ranks > 1 && (o.Kernel != nil || o.Anderson || o.Warm != nil) {
 		return o, fmt.Errorf("dist: Kernel, Anderson and Warm need the whole state on one rank, got %d ranks", o.Ranks)
@@ -222,9 +219,6 @@ func (o Options) Validate() (Options, error) {
 	default:
 		return o, fmt.Errorf("dist: unknown schedule %d", o.Schedule)
 	}
-	if o.ErrorProbe && o.PipelineDepth != 1 {
-		return o, fmt.Errorf("dist: ErrorProbe requires window depth 1, got %d: its blocking max-reduction would serialize the iteration window", o.PipelineDepth)
-	}
 	return o, nil
 }
 
@@ -233,7 +227,8 @@ func (o Options) Validate() (Options, error) {
 type IterStats = negf.IterStats
 
 // RankLoad reports one rank's share of the work — the load-balance view
-// of the block distribution, gathered on rank 0 with Gather.
+// of the block distribution, reduced onto rank 0 with the epilogue's
+// spectra.
 type RankLoad struct {
 	Rank       int
 	Pairs      int // owned electron (kz, E) points

@@ -159,16 +159,14 @@ func TestDaCeCommVolumeMixed(t *testing.T) {
 
 // TestMixedErrorProbe: with the probe on, every iteration reports a
 // small nonzero Σ deviation, bounded well under the current tolerance —
-// the same one on every depth-1 row of the schedule table, bit for bit
-// the values ScheduleOverlap reported at commit 1f4b91f, before the probe
-// became a node of the window graph. The one-worker rows matter most: the
-// probe's blocking max-reduction must stay deadlock-free when the rank's
-// only worker can block in it (the probe node depends on both Σ/Π posts,
-// like the exchange waits). A window deeper than 1 cannot host the probe
-// and is rejected.
+// the same one on every row of the schedule table, deeper windows
+// included, bit for bit the values ScheduleOverlap reported at commit
+// 1f4b91f, when the probe was a blocking max-reduction of its own. The
+// probe words now ride the observable reduction, so no row has a
+// collective more to deadlock on.
 func TestMixedErrorProbe(t *testing.T) {
 	recorded := []uint64{0x3f4449098578ea10, 0x3f3e61a63c4a347e}
-	forEach(t, func(s sched) bool { return s.depth <= 1 }, func(t *testing.T, s sched) {
+	forEach(t, anySchedule, func(t *testing.T, s sched) {
 		opts := s.forced(2, len(recorded))
 		opts.Precision = PrecisionMixed
 		opts.ErrorProbe = true
@@ -186,8 +184,9 @@ func TestMixedErrorProbe(t *testing.T) {
 	deep.PipelineDepth = 2
 	deep.Precision = PrecisionMixed
 	deep.ErrorProbe = true
-	if _, err := Run(testDevice(t), deep); err == nil {
-		t.Error("ErrorProbe in a depth-2 window must be rejected")
+	deep.MaxIter, deep.Tol = 2, 1e-300
+	if _, err := Run(testDevice(t), deep); err != nil && !errors.Is(err, negf.ErrNotConverged) {
+		t.Errorf("ErrorProbe in a depth-2 window must be accepted: %v", err)
 	}
 	dev := testDevice(t)
 

@@ -105,3 +105,49 @@ func TestPackWireDigest(t *testing.T) {
 		t.Errorf("packed vector: digest %s (len %d), want %s (len 28)", got, len(v), want)
 	}
 }
+
+// TestProbeWordsRideTheSum: each rank writes its probe numbers into its
+// own four words of the reduction vector, so the elementwise sum — in the
+// comm layer's rank order — hands every rank's numbers over bit for bit,
+// and sigmaErr takes the maxima over ranks before the ratio.
+func TestProbeWordsRideTheSum(t *testing.T) {
+	p := device.Params{Bnum: 3, NE: 5}
+	const ranks = 3
+	words := [ranks][4]float64{
+		{1e-3, 2.0, 3e-5, 0.5},
+		{0.1, 0.25, 7e-4, 0}, // a cancelled Π≷ partial: no local ratio
+		{2e-3, 4.0, 1e-4, 1.25},
+	}
+	var sum []complex128
+	for r := range ranks {
+		po := &partialObs{probe: make([]float64, 4*ranks)}
+		copy(po.probe[4*r:], words[r][:])
+		v := po.pack(p, nil)
+		if len(v) != vecLen(p)+4*ranks {
+			t.Fatalf("rank %d: packed %d words, want %d", r, len(v), vecLen(p)+4*ranks)
+		}
+		if sum == nil {
+			sum = v
+			continue
+		}
+		for i := range v {
+			sum[i] += v[i]
+		}
+	}
+	got := &partialObs{probe: make([]float64, 4*ranks)}
+	got.unpack(sum, p)
+	for r := range ranks {
+		for i, w := range words[r] {
+			if g := got.probe[4*r+i]; math.Float64bits(g) != math.Float64bits(w) {
+				t.Errorf("rank %d word %d: %g after the sum, want %g", r, i, g, w)
+			}
+		}
+	}
+	// Σ≷: max deviation 0.1 over max reference 4; Π≷: 7e-4 over 1.25.
+	if want := max(0.1/4.0, 7e-4/1.25); got.sigmaErr() != want {
+		t.Errorf("sigmaErr = %g, want %g", got.sigmaErr(), want)
+	}
+	if (&partialObs{}).sigmaErr() != 0 {
+		t.Error("no probe words must read 0")
+	}
+}

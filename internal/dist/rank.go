@@ -39,14 +39,16 @@ func newRankState(c *comm.Comm, dev *device.Device, opts Options) *rankState {
 // epilogue reduces the last valid iteration's spectra — the phonon
 // spectra for the temperature map (local's weight in the real parts, its
 // occupation in the imaginary) and the electron LDOS (real parts) — and
-// gathers the per-rank load report. Only rank 0 consumes either, so both
-// collectives are rooted there — the measured volume stays what the
-// algorithm strictly needs. final is the one-rank state to hand over, or
-// nil.
+// the per-rank load report in one Reduce rooted at rank 0, the only rank
+// that consumes them, so the measured volume stays what the algorithm
+// strictly needs. The load report is three words per rank: rank r writes
+// its pairs, points and decimations into words 3r…3r+2 and leaves the
+// others zero, so the sum holds every rank's counts exactly. final is the
+// one-rank state to hand over, or nil.
 func (rs *rankState) epilogue(opts Options, res *Result, converged bool, local, global *partialObs, final *negf.SigmaState) {
 	p := rs.dev.P
-	nph := p.Na * p.Nomega
-	buf := make([]complex128, 0, nph+p.Bnum*p.NE)
+	nph, nldos := p.Na*p.Nomega, p.Bnum*p.NE
+	buf := make([]complex128, 0, nph+nldos+3*opts.Ranks)
 	for a, dos := range local.PhononDOS {
 		for m := range dos {
 			buf = append(buf, complex(dos[m], local.PhononOcc[a][m]))
@@ -57,12 +59,12 @@ func (rs *rankState) epilogue(opts Options, res *Result, converged bool, local, 
 			buf = append(buf, complex(v, 0))
 		}
 	}
+	buf = buf[:nph+nldos+3*opts.Ranks]
+	load := buf[nph+nldos+3*rs.c.Rank():]
+	load[0] = complex(float64(len(rs.sh.Pairs)), 0)
+	load[1] = complex(float64(len(rs.sh.Points)), 0)
+	load[2] = complex(float64(rs.ps.BC.Decimations()), 0)
 	buf = rs.c.Reduce(0, buf)
-	loads := rs.c.Gather(0, []complex128{
-		complex(float64(len(rs.sh.Pairs)), 0),
-		complex(float64(len(rs.sh.Points)), 0),
-		complex(float64(rs.ps.BC.Decimations()), 0),
-	})
 
 	if rs.c.Rank() != 0 {
 		return
@@ -75,12 +77,13 @@ func (rs *rankState) epilogue(opts Options, res *Result, converged bool, local, 
 		a, m := i/p.Nomega, i%p.Nomega
 		res.Obs.PhononDOS[a][m], res.Obs.PhononOcc[a][m] = real(v), imag(v)
 	}
-	for i, v := range buf[nph:] {
+	for i, v := range buf[nph : nph+nldos] {
 		res.Obs.LDOS[i/p.NE][i%p.NE] = real(v)
 	}
 	res.Obs.AtomTemperature = negf.FitTemperatures(p, res.Obs.PhononDOS, res.Obs.PhononOcc)
 	res.Load = make([]RankLoad, opts.Ranks)
-	for rank, l := range loads {
+	for rank := range res.Load {
+		l := buf[nph+nldos+3*rank:]
 		res.Load[rank] = RankLoad{
 			Rank:       rank,
 			Pairs:      int(real(l[0])),
@@ -102,25 +105,4 @@ func reduceShare(c *comm.Comm, n int) float64 {
 		return float64((c.Size() - 1) * n * 16)
 	}
 	return float64(n * 16)
-}
-
-// reduceProbe turns per-rank tile probe numbers into the global relative
-// Σ≷/Π≷ deviation: absolute ∞-norm deviations and reference norms are
-// max-reduced independently (real and imaginary halves of one payload
-// word per tensor class), and only then divided — a tile's Π≷ partial
-// can cancel to near zero locally, so local ratios would overstate the
-// error.
-func reduceProbe(c *comm.Comm, pl *decomp.DaCePlan) float64 {
-	dev, ref := pl.ProbeDeviation()
-	red := c.AllreduceMax([]complex128{
-		complex(dev[0], ref[0]),
-		complex(dev[1], ref[1]),
-	})
-	var worst float64
-	for _, v := range red {
-		if imag(v) > 0 && real(v)/imag(v) > worst {
-			worst = real(v) / imag(v)
-		}
-	}
-	return worst
 }

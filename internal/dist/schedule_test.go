@@ -265,16 +265,28 @@ func TestPipelineBitwiseMatchesPhases(t *testing.T) {
 // commAccounting checks the wire contract of an iteration: exactly four
 // Alltoallv and one Allreduce, no barrier and no agreement collective —
 // with or without a Progress hook, whose cancellation rides the
-// observable reduction — and per-iteration byte telemetry that sums to
-// what the comm layer measured. A single rank exchanges nothing (every
+// observable reduction, and with the mixed-precision error probe, whose
+// words ride it too — and per-iteration byte telemetry that sums to what
+// the comm layer measured. A single rank exchanges nothing (every
 // transfer is a self-send).
 func commAccounting(t *testing.T, s sched) {
 	const iters = 3
 	dev := testDevice(t)
-	for _, hook := range []func(IterStats) error{nil, func(IterStats) error { return nil }} {
+	for _, c := range []struct {
+		tag   string
+		hook  func(IterStats) error
+		probe bool
+	}{
+		{"hook=false", nil, false},
+		{"hook=true", func(IterStats) error { return nil }, false},
+		{"probe", nil, true},
+	} {
 		opts := s.forced(4, iters)
-		opts.Progress = hook
-		tag := fmt.Sprintf("hook=%t", hook != nil)
+		opts.Progress = c.hook
+		if c.probe {
+			opts.Precision, opts.ErrorProbe = PrecisionMixed, true
+		}
+		tag := c.tag
 		res := mustRun(t, tag, opts)
 		want := map[string]int64{"Alltoallv": 4 * iters, "Allreduce": iters, "Barrier": 0}
 		for name, n := range want {
@@ -719,7 +731,7 @@ func TestLoopDefaultsAgree(t *testing.T) {
 
 // TestPipelineOptionValidation covers the window-depth Validate paths:
 // the depth default, depth misuse under the depth-1 schedules, and the
-// error probe's depth-1 rule.
+// error probe, which every window depth accepts.
 func TestPipelineOptionValidation(t *testing.T) {
 	if _, err := (Options{Ranks: 2, Schedule: SchedulePipeline, PipelineDepth: -1}).Validate(); err == nil {
 		t.Error("negative pipeline depth must be rejected")
@@ -733,8 +745,8 @@ func TestPipelineOptionValidation(t *testing.T) {
 		}
 	}
 	if _, err := (Options{Ranks: 2, Schedule: SchedulePipeline,
-		Precision: PrecisionMixed, ErrorProbe: true}).Validate(); err == nil {
-		t.Error("ErrorProbe under SchedulePipeline at the default depth must be rejected")
+		Precision: PrecisionMixed, ErrorProbe: true}).Validate(); err != nil {
+		t.Errorf("ErrorProbe under SchedulePipeline at the default depth must be accepted: %v", err)
 	}
 	if _, err := (Options{Ranks: 2, Schedule: SchedulePipeline, PipelineDepth: 1,
 		Precision: PrecisionMixed, ErrorProbe: true}).Validate(); err != nil {
@@ -742,8 +754,8 @@ func TestPipelineOptionValidation(t *testing.T) {
 	}
 	// FP64 silently clears the probe, so the combination is not an error
 	// there.
-	if _, err := (Options{Ranks: 2, Schedule: SchedulePipeline, ErrorProbe: true}).Validate(); err != nil {
-		t.Errorf("FP64 clears the probe before the depth check: %v", err)
+	if o, err := (Options{Ranks: 2, Schedule: SchedulePipeline, ErrorProbe: true}).Validate(); err != nil || o.ErrorProbe {
+		t.Errorf("FP64 clears the probe: %+v, %v", o.ErrorProbe, err)
 	}
 }
 

@@ -90,7 +90,6 @@ type slot struct {
 
 	reqG, reqD, reqSig, reqPi *comm.MatRequest
 	reqObs                    *comm.VecRequest
-	qerr                      float64 // globally reduced probe deviation
 }
 
 // newSlot allocates one slot of the rank's ring.
@@ -103,7 +102,12 @@ func (rs *rankState) newSlot(opts Options) *slot {
 	if opts.Kernel != nil {
 		pl.WithKernel(opts.Kernel)
 	}
-	return &slot{plan: pl, points: rs.sh.NewResults()}
+	st := &slot{plan: pl, points: rs.sh.NewResults()}
+	if opts.ErrorProbe {
+		st.part.probe = make([]float64, 4*opts.Ranks)
+		st.global.probe = make([]float64, 4*opts.Ranks)
+	}
+	return st
 }
 
 // arm re-arms the slot for absolute iteration a, between windows: a fresh
@@ -116,7 +120,6 @@ func (st *slot) arm(a int, p device.Params) {
 	st.part.empty(p)
 	st.plan.ResetCounters()
 	st.reqG, st.reqD, st.reqSig, st.reqPi, st.reqObs = nil, nil, nil, nil, nil
-	st.qerr = 0
 }
 
 // clock folds the executor's record of the slot's iteration for its conv
@@ -318,7 +321,7 @@ func (rs *rankState) buildWindowGraph(opts Options, ex *sdfg.Executor, pr *pipeR
 	r := c.Rank()
 	g := sdfg.New()
 	var names []nodeName
-	redShare := reduceShare(c, vecLen(p))
+	redShare := reduceShare(c, vecLen(p)+len(ring[0].part.probe))
 
 	var prevConv sdfg.NodeID = -1
 	var prevMixSig, prevMixPi []sdfg.NodeID
@@ -450,18 +453,6 @@ func (rs *rankState) buildWindowGraph(opts Options, ex *sdfg.Executor, pr *pipeR
 			}
 		}, postPi, postSig)
 
-		// Precision telemetry: a blocking max-reduction of the probe's tile
-		// deviation, legal only in a one-iteration window (Validate
-		// enforces it). Like the wait nodes, it depends on both Σ/Π posts,
-		// so a worker may only block here once this rank has posted
-		// everything its peers need to reach their own probe.
-		var probe []sdfg.NodeID
-		if opts.ErrorProbe {
-			probe = append(probe, node("probe/qerr", "exchange", func() {
-				st.qerr = reduceProbe(c, st.plan)
-			}, tile, postSig, postPi))
-		}
-
 		// Per-point mixing: the cross-iteration release points. The next
 		// iteration's solve of point i starts the moment its own Σ plane
 		// is mixed — it does not wait for the whole mixing sweep. A
@@ -505,15 +496,18 @@ func (rs *rankState) buildWindowGraph(opts Options, ex *sdfg.Executor, pr *pipeR
 
 		// ── Ride-along reduction, overlapping the Σ/Π waits: observables
 		// plus the control word (failure count + fractional stop request)
-		// in one IAllreduce. The post depends on the Σ/Π posts only, so the
-		// plan's off-rank byte counter already covers all four exchanges
-		// of this iteration.
+		// and this rank's probe words in one IAllreduce. The post depends
+		// on the Σ/Π posts only, so the plan's off-rank byte counter
+		// already covers all four exchanges of this iteration.
 		obsPost := node("post/obs", "reduce", func() {
 			if st.failed() {
 				st.part.flag = 1
 			}
 			if r == 0 && pr.wantStop {
 				st.part.flag += stopRideFlag
+			}
+			if st.part.probe != nil {
+				st.part.setProbe(r, st.plan)
 			}
 			st.part.sseB = float64(st.plan.OffRankBytes())
 			st.part.redB = redShare
@@ -535,7 +529,6 @@ func (rs *rankState) buildWindowGraph(opts Options, ex *sdfg.Executor, pr *pipeR
 		// executor's record of its iteration into the row's timings.
 		convDeps := append([]sdfg.NodeID{waitObs}, mixSig...)
 		convDeps = append(convDeps, mixPi...)
-		convDeps = append(convDeps, probe...)
 		if prevConv >= 0 {
 			convDeps = append(convDeps, prevConv)
 		}
@@ -562,7 +555,7 @@ func (rs *rankState) buildWindowGraph(opts Options, ex *sdfg.Executor, pr *pipeR
 				return
 			}
 			if r == 0 {
-				iterSt := gl.row(a, rel, st.qerr)
+				iterSt := gl.row(a, rel)
 				iterSt.WallNs, iterSt.ComputeNs, iterSt.CommNs = st.clock(ex)
 				res.IterTrace = append(res.IterTrace, iterSt)
 				if opts.Progress != nil && pr.stopErr == nil {

@@ -196,16 +196,14 @@ func (s *Simulation) resolve() error {
 			return fail("anderson requires a run without ranks")
 		case rc.PipelineDepth != 0 && sch != Pipeline:
 			return fail("pipeline_depth requires schedule pipeline")
-		case sch == Pipeline && rc.ErrorProbe && rc.PipelineDepth != 1:
-			return fail("error_probe requires pipeline_depth 1 under schedule pipeline: the probe's blocking max-reduction would serialize a deeper iteration window")
 		case rc.AutoPlan && !recorded && (rc.Workers != 0 || rc.PipelineDepth != 0):
 			return fail("auto_plan owns workers and pipeline_depth: drop them, or name the schedule to record a plan")
 		case sch == Phases && rc.Workers > 1:
 			return fail("workers %d requires schedule overlap or pipeline: phases runs on one worker", rc.Workers)
 		}
 	}
-	if rc.ErrorProbe && (rc.Ranks == 0 || prec != Mixed) {
-		return fail("error_probe requires ranks and precision mixed")
+	if rc.ErrorProbe && prec != Mixed {
+		return fail("error_probe requires precision mixed")
 	}
 	if rc.AutoPlan && !recorded {
 		// A plan request: the rule's plan, written in as a recorded plan.

@@ -110,41 +110,64 @@ func TestDistributedMatchesSequentialThroughFacade(t *testing.T) {
 }
 
 // TestTelemetryStreamMatchesTrace drains the streaming channel and
-// checks it delivers exactly the solver's own trace, for all three
-// solver paths.
+// checks it delivers exactly the result's trace, for all three solver
+// paths and for a run cancelled after its first row, whose trace ends
+// where its stream does.
 func TestTelemetryStreamMatchesTrace(t *testing.T) {
 	const iters = 3
-	configs := map[string]RunConfig{
-		"sequential":   {},
-		"dist-phases":  {Ranks: 2},
-		"dist-overlap": {Ranks: 2, Schedule: "overlap"},
+	configs := map[string]struct {
+		rc     RunConfig
+		cancel bool
+	}{
+		"sequential":              {RunConfig{}, false},
+		"dist-phases":             {RunConfig{Ranks: 2}, false},
+		"dist-overlap":            {RunConfig{Ranks: 2, Schedule: "overlap"}, false},
+		"dist-pipeline-cancelled": {RunConfig{Ranks: 2, Schedule: "pipeline", PipelineDepth: 2, MaxIterations: budget}, true},
 	}
-	for name, rc := range configs {
+	for name, c := range configs {
 		t.Run(name, func(t *testing.T) {
-			rc.Spec, rc.MaxIterations, rc.Tolerance = smallSpec(), iters, 1e-300
+			rc := c.rc
+			rc.Spec, rc.Tolerance = smallSpec(), 1e-300
+			if rc.MaxIterations == 0 {
+				rc.MaxIterations = iters
+			}
 			sim, err := NewFromConfig(rc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			run, err := sim.Start(context.Background())
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			run, err := sim.Start(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var streamed []IterStats
 			for st := range run.Stats() {
 				streamed = append(streamed, st)
+				if c.cancel {
+					cancel()
+				}
 			}
 			res, err := run.Wait()
-			if err != nil {
+			switch {
+			case c.cancel && !errors.Is(err, context.Canceled):
+				t.Fatalf("want context.Canceled, got %v", err)
+			case !c.cancel && err != nil:
 				t.Fatal(err)
 			}
-			if len(streamed) != len(res.Trace) || len(streamed) != iters {
-				t.Fatalf("streamed %d rows, trace %d, want %d", len(streamed), len(res.Trace), iters)
+			if len(streamed) != len(res.Trace) || len(streamed) == 0 {
+				t.Fatalf("streamed %d rows, trace %d", len(streamed), len(res.Trace))
+			}
+			if !c.cancel && len(streamed) != iters || c.cancel && len(streamed) >= budget/2 {
+				t.Errorf("%d rows: want %d, or an early stop when cancelled", len(streamed), iters)
 			}
 			for i := range streamed {
 				if streamed[i] != res.Trace[i] {
 					t.Errorf("iter %d: streamed %+v != trace %+v", i, streamed[i], res.Trace[i])
 				}
+			}
+			if want := sim.PlanString(); res.Trace[0].Plan != want {
+				t.Errorf("row 0 announces plan %q, want %q", res.Trace[0].Plan, want)
 			}
 		})
 	}

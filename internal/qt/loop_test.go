@@ -172,3 +172,27 @@ func TestBallisticDigests(t *testing.T) {
 		}
 	}
 }
+
+// TestRanksAbsentErrorProbe: a run without ranks is the one-rank world,
+// whose plan runs the error probe like any other, so its rows read the
+// SigmaErr bits of the same configuration at ranks 1. Iteration 0's
+// reading is pinned on amd64, where the fp64 reference kernel's bits are
+// recorded (ROADMAP item 11).
+func TestRanksAbsentErrorProbe(t *testing.T) {
+	rc := RunConfig{Spec: smallSpec(), Precision: "mixed", ErrorProbe: true, MaxIterations: 3, Tolerance: 1e-300}
+	_, absent := solve(t, rc)
+	rc.Ranks = 1
+	_, one := solve(t, rc)
+	if len(absent.Trace) != 3 || len(one.Trace) != 3 {
+		t.Fatalf("%d and %d rows, want 3 each", len(absent.Trace), len(one.Trace))
+	}
+	for i := range absent.Trace {
+		a, o := absent.Trace[i].SigmaErr, one.Trace[i].SigmaErr
+		if !(a > 0) || math.Float64bits(a) != math.Float64bits(o) {
+			t.Errorf("iter %d: SigmaErr %#x without ranks, %#x at ranks 1", i, math.Float64bits(a), math.Float64bits(o))
+		}
+	}
+	if got := math.Float64bits(absent.Trace[0].SigmaErr); runtime.GOARCH == "amd64" && got != 0x3f445d047daa52a6 {
+		t.Errorf("iter 0: SigmaErr %#x, recorded 0x3f445d047daa52a6", got)
+	}
+}

@@ -157,9 +157,9 @@ func TestAutoPlanResolvesAndRoundTrips(t *testing.T) {
 	}
 }
 
-// TestAutoPlanRunsErrorProbe: the rule plans a depth-1 window, where the
-// mixed-precision error probe runs, so an auto_plan request may carry it
-// and its rows read the probe.
+// TestAutoPlanRunsErrorProbe: the mixed-precision error probe runs under
+// every plan, so an auto_plan request may carry it and its rows read the
+// probe.
 func TestAutoPlanRunsErrorProbe(t *testing.T) {
 	rc, err := Resolve(RunConfig{Spec: smallSpec(), Ranks: 2, AutoPlan: true, Precision: "mixed", ErrorProbe: true, MaxIterations: 2})
 	if err != nil {

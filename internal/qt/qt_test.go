@@ -57,8 +57,8 @@ func TestOptionValidation(t *testing.T) {
 		{"tile inference", RunConfig{Ranks: 4, TileA: 2}, nil, ""},
 		{"baseline distributed", RunConfig{Ranks: 2, Kernel: "omen"}, nil, "kernel omen requires a run without ranks"},
 		{"anderson distributed", RunConfig{Ranks: 2, Anderson: true}, nil, "anderson requires a run without ranks"},
-		{"probe needs mixed", RunConfig{Ranks: 2, ErrorProbe: true}, nil, "error_probe requires ranks and precision mixed"},
-		{"probe sequential", RunConfig{Precision: "mixed", ErrorProbe: true}, nil, "error_probe requires ranks and precision mixed"},
+		{"probe needs mixed", RunConfig{Ranks: 2, ErrorProbe: true}, nil, "error_probe requires precision mixed"},
+		{"probe sequential", RunConfig{Precision: "mixed", ErrorProbe: true}, nil, ""},
 		{"probe ok", RunConfig{Ranks: 2, Precision: "mixed", ErrorProbe: true}, nil, ""},
 		{"baseline plus mixed", RunConfig{Kernel: "omen", Precision: "mixed"}, nil, "kernel omen conflicts with precision mixed"},
 		{"unknown schedule", RunConfig{Ranks: 2, Schedule: "bulk"}, nil, `unknown schedule "bulk"`},
@@ -72,9 +72,9 @@ func TestOptionValidation(t *testing.T) {
 		{"depth needs ranks", RunConfig{PipelineDepth: 2}, nil, "pipeline_depth requires ranks"},
 		{"depth needs pipeline", RunConfig{Ranks: 2, PipelineDepth: 2}, nil, "pipeline_depth requires schedule pipeline"},
 		{"depth under overlap", RunConfig{Ranks: 2, Schedule: "overlap", PipelineDepth: 2}, nil, "pipeline_depth requires schedule pipeline"},
-		{"pipeline probe fp64", RunConfig{Ranks: 2, Schedule: "pipeline", ErrorProbe: true}, nil, "error_probe requires pipeline_depth 1"},
-		{"pipeline probe mixed", RunConfig{Ranks: 2, Schedule: "pipeline", Precision: "mixed", ErrorProbe: true}, nil, "error_probe requires pipeline_depth 1"},
-		{"pipeline depth-2 probe", RunConfig{Ranks: 2, Schedule: "pipeline", PipelineDepth: 2, Precision: "mixed", ErrorProbe: true}, nil, "error_probe requires pipeline_depth 1"},
+		{"pipeline probe fp64", RunConfig{Ranks: 2, Schedule: "pipeline", ErrorProbe: true}, nil, "error_probe requires precision mixed"},
+		{"pipeline probe mixed", RunConfig{Ranks: 2, Schedule: "pipeline", Precision: "mixed", ErrorProbe: true}, nil, ""},
+		{"pipeline depth-2 probe", RunConfig{Ranks: 2, Schedule: "pipeline", PipelineDepth: 2, Precision: "mixed", ErrorProbe: true}, nil, ""},
 		{"pipeline depth-1 probe ok", RunConfig{Ranks: 2, Schedule: "pipeline", PipelineDepth: 1, Precision: "mixed", ErrorProbe: true}, nil, ""},
 		{"overlap probe ok", RunConfig{Ranks: 2, Schedule: "overlap", Precision: "mixed", ErrorProbe: true}, nil, ""},
 		{"pipeline mixed ok", RunConfig{Ranks: 2, Schedule: "pipeline", Precision: "mixed"}, nil, ""},

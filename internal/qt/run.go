@@ -115,16 +115,15 @@ func (s *Simulation) Start(ctx context.Context) (*Run, error) {
 }
 
 // progress is the per-iteration hook the solver runs under the facade
-// contract: record the row in trace, stream it, and observe the context.
-// The first row of a run with ranks announces its plan (empty without).
-// The stream's buffer covers the full iteration budget, so the send never
-// blocks.
-func (r *Run) progress(ctx context.Context, trace *[]IterStats, plan string) func(IterStats) error {
+// contract: stream the row and observe the context. The first row of a
+// run with ranks announces its plan (empty without), as in the result's
+// trace. The stream's buffer covers the full iteration budget, so the
+// send never blocks.
+func (r *Run) progress(ctx context.Context, plan string) func(IterStats) error {
 	return func(st IterStats) error {
-		if len(*trace) == 0 {
+		if st.Iter == 0 {
 			st.Plan = plan
 		}
-		*trace = append(*trace, st)
 		select {
 		case r.stats <- st:
 		default: // impossible while maxIter bounds the iterations; never block the solver
@@ -134,14 +133,19 @@ func (r *Run) progress(ctx context.Context, trace *[]IterStats, plan string) fun
 }
 
 // run drives the dist solver under the facade contract and folds its
-// outcome into the Result. A configuration without ranks reports no
-// world, and hands its final state over.
+// outcome into the Result: the trace is the solver's own record of the
+// rows the hook streamed, the plan stamped on row 0. A configuration
+// without ranks reports no world, and hands its final state over.
 func (s *Simulation) run(ctx context.Context, r *Run, tracer *obs.Tracer) (*Result, error) {
-	trace := []IterStats{}
-	d, err := dist.Run(s.Device, s.distOptions(r.progress(ctx, &trace, s.PlanString()), tracer))
+	plan := s.PlanString()
+	d, err := dist.Run(s.Device, s.distOptions(r.progress(ctx, plan), tracer))
 	cancelled := ctx.Err() != nil && errors.Is(err, ctx.Err())
 	if err != nil && !cancelled && !errors.Is(err, negf.ErrNotConverged) {
 		return nil, err
+	}
+	trace := d.IterTrace
+	if len(trace) > 0 {
+		trace[0].Plan = plan
 	}
 	obs := &d.Obs
 	res := &Result{
