@@ -43,9 +43,8 @@ func main() {
 				},
 				MaxIterations: 25, Tolerance: 1e-5,
 			},
-			Members:   members,
-			BaseSeed:  4000,
-			WarmStart: true, // member 0 donates its Σ≷ state to the rest
+			Members:  members,
+			BaseSeed: 4000,
 		}
 		res, err := st.Run(context.Background())
 		if err != nil {

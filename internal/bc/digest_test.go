@@ -82,7 +82,7 @@ func TestSurfaceGFDigests(t *testing.T) {
 			// not leak state into the result.
 			ws := linalg.NewWorkspace()
 			for _, state := range []string{"cold", "warm"} {
-				res, err := SurfaceGFInto(ws, d00, tau, 0, 0)
+				res, err := SurfaceGFInto(ws, d00, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -106,7 +106,7 @@ func TestSurfaceGFWork(t *testing.T) {
 	ws := linalg.NewWorkspace()
 	linalg.EnableFlopCounting(true)
 	linalg.ResetFlops()
-	res, err := SurfaceGFInto(ws, d00, tau, 0, 0)
+	res, err := SurfaceGFInto(ws, d00, tau)
 	got := linalg.Flops()
 	linalg.EnableFlopCounting(false)
 	if err != nil {
@@ -119,7 +119,7 @@ func TestSurfaceGFWork(t *testing.T) {
 		t.Errorf("%d flops over %d iterations, want %d (%d GEMMs, want %d)", got, it, want, (got-lu)/(8*n3), 6*it+2)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := SurfaceGFInto(ws, d00, tau, 0, 0); err != nil {
+		if _, err := SurfaceGFInto(ws, d00, tau); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -135,12 +135,12 @@ func BenchmarkSurfaceGF(b *testing.B) {
 	b.ReportAllocs()
 	d00, tau := leadBlocks(rand.New(rand.NewSource(1)), 64, 0.4, 1e-3)
 	ws := linalg.NewWorkspace()
-	if _, err := SurfaceGFInto(ws, d00, tau, 0, 0); err != nil {
+	if _, err := SurfaceGFInto(ws, d00, tau); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SurfaceGFInto(ws, d00, tau, 0, 0); err != nil {
+		if _, err := SurfaceGFInto(ws, d00, tau); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,12 +20,15 @@ import (
 	"repro/internal/linalg"
 )
 
-// defaultMaxIter bounds the decimation iterations. Each iteration doubles
-// the effective lead depth, so 60 iterations cover ~2^60 periods.
-const defaultMaxIter = 60
-
-// defaultTol is the convergence threshold on the decimation coupling norm.
-const defaultTol = 1e-10
+// The decimation's stopping rule is one pair of constants, so a result is
+// a function of its lead and energy alone (what LeadKey names): maxIter
+// bounds the iterations — each doubles the effective lead depth, so 60
+// cover ~2^60 periods — and tol is the threshold on the decimation
+// coupling norm.
+const (
+	maxIter = 60
+	tol     = 1e-10
+)
 
 // ErrNoConvergence is returned when decimation fails to converge, which in
 // practice signals a vanishing imaginary part (η too small).
@@ -39,11 +42,15 @@ type Result struct {
 	Iters   int            // decimation iterations used
 }
 
-// SurfaceGF is SurfaceGFInto on a fresh workspace — the convenience
-// wrapper for one-off decimations (tests, oracles, benchmark rungs). Hot
-// callers lend their per-worker workspace instead.
+// SurfaceGF is SurfaceGFInto on a fresh workspace, in the four-argument
+// spelling the benchmark module's rungs call: (0, 0) names the one
+// stopping rule, and any other value is an error, since no other rule
+// exists.
 func SurfaceGF(d00, tau *linalg.Matrix, tol float64, maxIter int) (*Result, error) {
-	return SurfaceGFInto(linalg.NewWorkspace(), d00, tau, tol, maxIter)
+	if tol != 0 || maxIter != 0 {
+		return nil, fmt.Errorf("bc: SurfaceGF(tol %g, maxIter %d): the stopping rule is fixed, pass (0, 0)", tol, maxIter)
+	}
+	return SurfaceGFInto(linalg.NewWorkspace(), d00, tau)
 }
 
 // SurfaceGFInto runs Sancho–Rubio decimation for a semi-infinite lead whose
@@ -61,19 +68,19 @@ func SurfaceGF(d00, tau *linalg.Matrix, tol float64, maxIter int) (*Result, erro
 //	α    = α·g·α
 //	β    = β·g·β
 //
-// until ‖α‖ is negligible; then gs = εs⁻¹. All four triple products
-// associate left, so α·g and β·g are formed once per step and shared:
-// six GEMMs per step, bit-identical to four independent Mul3.
+// until ‖α‖ and ‖β‖ fall below tol, at most maxIter times; then
+// gs = εs⁻¹. All four triple products associate left, so α·g and β·g are
+// formed once per step and shared: six GEMMs per step, bit-identical to
+// four independent Mul3.
 //
 // Every temporary and the LU storage come from ws (not Reset here: the
 // caller may hold other checkouts) and are handed back before a
 // successful return; only the three matrices of the Result, which the
 // boundary cache retains, are heap-allocated.
-func SurfaceGFInto(ws *linalg.Workspace, d00, tau *linalg.Matrix, tol float64, maxIter int) (*Result, error) {
+func SurfaceGFInto(ws *linalg.Workspace, d00, tau *linalg.Matrix) (*Result, error) {
 	if !d00.IsSquare() || !tau.IsSquare() || d00.Rows != tau.Rows {
 		return nil, fmt.Errorf("bc: incompatible blocks %dx%d and %dx%d", d00.Rows, d00.Cols, tau.Rows, tau.Cols)
 	}
-	tol, maxIter = stoppingRule(tol, maxIter)
 	n := d00.Rows
 	tmp := func() *linalg.Matrix { return ws.Get(n, n) }
 	eps, epsS := tmp(), tmp()
@@ -121,18 +128,6 @@ func SurfaceGFInto(ws *linalg.Workspace, d00, tau *linalg.Matrix, tol float64, m
 		}
 	}
 	return nil, ErrNoConvergence
-}
-
-// stoppingRule resolves the decimation's stopping parameters: a
-// non-positive value selects the default.
-func stoppingRule(tol float64, maxIter int) (float64, int) {
-	if tol <= 0 {
-		tol = defaultTol
-	}
-	if maxIter <= 0 {
-		maxIter = defaultMaxIter
-	}
-	return tol, maxIter
 }
 
 // Cache memoizes boundary results per (contact, momentum, energy/frequency)

@@ -29,13 +29,18 @@ func leadBlocks(rng *rand.Rand, n int, e, eta float64) (d00, tau *linalg.Matrix)
 	return d00, tau
 }
 
+// surfaceGF decimates on a fresh workspace.
+func surfaceGF(d00, tau *linalg.Matrix) (*Result, error) {
+	return SurfaceGFInto(linalg.NewWorkspace(), d00, tau)
+}
+
 func TestSurfaceGFSelfConsistency(t *testing.T) {
 	// The surface GF satisfies gs = (d00 − τ·gs·τᴴ)⁻¹, i.e.
 	// (d00 − τ·gs·τᴴ)·gs = I. This is the defining fixed point.
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 2, 4, 8} {
 		d00, tau := leadBlocks(rng, n, 0.5, 1e-3)
-		res, err := SurfaceGF(d00, tau, 0, 0)
+		res, err := surfaceGF(d00, tau)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -51,7 +56,7 @@ func TestSigmaFromSurface(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	n := 4
 	d00, tau := leadBlocks(rng, n, 0.2, 1e-3)
-	res, err := SurfaceGF(d00, tau, 0, 0)
+	res, err := surfaceGF(d00, tau)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +72,7 @@ func TestGammaPositiveSemidefinite(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 6
 	d00, tau := leadBlocks(rng, n, 0.0, 1e-3)
-	res, err := SurfaceGF(d00, tau, 0, 0)
+	res, err := surfaceGF(d00, tau)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +97,7 @@ func TestSurfaceGFCausality(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n := 5
 	d00, tau := leadBlocks(rng, n, 0.3, 1e-3)
-	res, err := SurfaceGF(d00, tau, 0, 0)
+	res, err := surfaceGF(d00, tau)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +114,7 @@ func TestDecoupledLeadLimit(t *testing.T) {
 	n := 3
 	d00, _ := leadBlocks(rng, n, 0.4, 1e-3)
 	tau := linalg.New(n, n)
-	res, err := SurfaceGF(d00, tau, 0, 0)
+	res, err := surfaceGF(d00, tau)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,16 +134,16 @@ func TestDecoupledLeadLimit(t *testing.T) {
 }
 
 func TestNoConvergenceWithoutBroadening(t *testing.T) {
-	// η = 0 inside a band: the decimation coupling decays only
-	// algebraically and should hit the iteration cap. Use a 1x1 chain at
-	// the band center where the surface GF is purely imaginary.
+	// η = 0 inside a band: the decimation coupling never decays and the
+	// iteration cap is hit. A 1x1 chain, hopping 0.5 (band |E| < 1), at
+	// E = 0.3 — not at the band centre E = 0, where d00 = 0 is singular
+	// and the first step fails before any iteration runs.
 	d00 := linalg.New(1, 1)
-	d00.Set(0, 0, 0) // E = 0, no broadening, onsite 0
+	d00.Set(0, 0, 0.3) // E = 0.3, no broadening, onsite 0
 	tau := linalg.New(1, 1)
 	tau.Set(0, 0, -0.5)
-	_, err := SurfaceGF(d00, tau, 1e-14, 8)
-	if err == nil {
-		t.Fatal("expected convergence failure at zero broadening")
+	if _, err := surfaceGF(d00, tau); !errors.Is(err, ErrNoConvergence) {
+		t.Fatalf("err = %v, want ErrNoConvergence at zero broadening", err)
 	}
 }
 
@@ -152,7 +157,7 @@ func TestAnalytic1DChain(t *testing.T) {
 	d00.Set(0, 0, complex(e, 1e-9))
 	tau := linalg.New(1, 1)
 	tau.Set(0, 0, complex(-tt, 0))
-	res, err := SurfaceGF(d00, tau, 1e-14, 100)
+	res, err := surfaceGF(d00, tau)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +170,7 @@ func TestAnalytic1DChain(t *testing.T) {
 	// Inside the band: |Im gs| = sqrt(4t²−E²)/(2t²).
 	e = 0.3
 	d00.Set(0, 0, complex(e, 1e-9))
-	res, err = SurfaceGF(d00, tau, 1e-14, 200)
+	res, err = surfaceGF(d00, tau)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +181,30 @@ func TestAnalytic1DChain(t *testing.T) {
 }
 
 func TestShapeValidation(t *testing.T) {
-	if _, err := SurfaceGF(linalg.New(2, 2), linalg.New(3, 3), 0, 0); err == nil {
+	if _, err := surfaceGF(linalg.New(2, 2), linalg.New(3, 3)); err == nil {
 		t.Fatal("expected shape error")
+	}
+}
+
+// TestSurfaceGFFixedRule: the four-argument spelling accepts only (0, 0),
+// the one stopping rule, and then decimates exactly as SurfaceGFInto.
+func TestSurfaceGFFixedRule(t *testing.T) {
+	d00, tau := leadBlocks(rand.New(rand.NewSource(5)), 4, 0.4, 1e-3)
+	got, err := SurfaceGF(d00, tau, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := surfaceGF(d00, tau)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resultDigest(got) != resultDigest(want) {
+		t.Error("SurfaceGF(0, 0) differs from SurfaceGFInto")
+	}
+	for _, rule := range [][2]float64{{1e-14, 0}, {0, 8}, {-1, -1}} {
+		if _, err := SurfaceGF(d00, tau, rule[0], int(rule[1])); err == nil {
+			t.Errorf("SurfaceGF(%g, %d) accepted", rule[0], int(rule[1]))
+		}
 	}
 }
 

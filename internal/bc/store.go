@@ -21,24 +21,16 @@ const StoreBudget = 128 << 20
 type LeadDigest [sha256.Size]byte
 
 // LeadKey is the content key of one decimation: everything SurfaceGFInto's
-// result is a function of — the lead, the bits of the complex energy z
-// (which carries the broadening η) and the resolved stopping rule.
+// result is a function of — the lead and the bits of the complex energy z
+// (which carries the broadening η); the stopping rule is a constant.
 type LeadKey struct {
 	Lead     LeadDigest
 	zRe, zIm uint64
-	tol      uint64
-	maxIter  int
 }
 
-// NewLeadKey keys the decimation of lead at z under (tol, maxIter), zeros
-// resolved to the defaults exactly as SurfaceGFInto resolves them.
-func NewLeadKey(lead LeadDigest, z complex128, tol float64, maxIter int) LeadKey {
-	tol, maxIter = stoppingRule(tol, maxIter)
-	return LeadKey{
-		Lead: lead,
-		zRe:  math.Float64bits(real(z)), zIm: math.Float64bits(imag(z)),
-		tol: math.Float64bits(tol), maxIter: maxIter,
-	}
+// NewLeadKey keys the decimation of lead at z.
+func NewLeadKey(lead LeadDigest, z complex128) LeadKey {
+	return LeadKey{Lead: lead, zRe: math.Float64bits(real(z)), zIm: math.Float64bits(imag(z))}
 }
 
 // StoreStats are the store's counters since it was created. Bytes and

@@ -15,13 +15,13 @@ import (
 func decimation(d00, tau *linalg.Matrix, runs *int) func() (*Result, error) {
 	return func() (*Result, error) {
 		*runs++
-		return SurfaceGF(d00, tau, 0, 0)
+		return surfaceGF(d00, tau)
 	}
 }
 
-// TestStoreNoFalseSharing: the key is the lead's content, the bits of z
-// and the stopping rule — anything that can change a bit of the result
-// changes the key, down to one ulp of one element.
+// TestStoreNoFalseSharing: the key is the lead's content and the bits of
+// z — anything that can change a bit of the result changes the key, down
+// to one ulp of one element.
 func TestStoreNoFalseSharing(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	d00, tau := leadBlocks(rng, 6, 0.4, 1e-3)
@@ -35,9 +35,8 @@ func TestStoreNoFalseSharing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	get(NewLeadKey(lead, z, 0, 0))
-	get(NewLeadKey(lead, z, 0, 0))
-	get(NewLeadKey(lead, z, defaultTol, defaultMaxIter)) // the zeros resolve to these
+	get(NewLeadKey(lead, z))
+	get(NewLeadKey(lead, z))
 	if runs != 1 {
 		t.Fatalf("the same lead at the same energy decimated %d times, want 1", runs)
 	}
@@ -46,13 +45,11 @@ func TestStoreNoFalseSharing(t *testing.T) {
 	ulp.Data[7] = complex(math.Nextafter(real(ulp.Data[7]), 1), imag(ulp.Data[7]))
 	reshaped := linalg.FromSlice(4, 9, d00.Data)
 	for name, k := range map[string]LeadKey{
-		"onsite off by one ulp":    NewLeadKey(s.DigestLead(ulp, tau), z, 0, 0),
-		"opposite contact (τᴴ)":    NewLeadKey(s.DigestLead(d00, linalg.HInto(linalg.New(6, 6), tau)), z, 0, 0),
-		"same bits, another shape": NewLeadKey(s.DigestLead(reshaped, tau), z, 0, 0),
-		"another η":                NewLeadKey(lead, complex(0.4, 2e-3), 0, 0),
-		"another energy":           NewLeadKey(lead, complex(math.Nextafter(0.4, 1), 1e-3), 0, 0),
-		"another tolerance":        NewLeadKey(lead, z, 1e-12, 0),
-		"another iteration bound":  NewLeadKey(lead, z, 0, 80),
+		"onsite off by one ulp":    NewLeadKey(s.DigestLead(ulp, tau), z),
+		"opposite contact (τᴴ)":    NewLeadKey(s.DigestLead(d00, linalg.HInto(linalg.New(6, 6), tau)), z),
+		"same bits, another shape": NewLeadKey(s.DigestLead(reshaped, tau), z),
+		"another η":                NewLeadKey(lead, complex(0.4, 2e-3)),
+		"another energy":           NewLeadKey(lead, complex(math.Nextafter(0.4, 1), 1e-3)),
 	} {
 		before := runs
 		get(k)
@@ -60,7 +57,7 @@ func TestStoreNoFalseSharing(t *testing.T) {
 			t.Errorf("%s: served from the store", name)
 		}
 	}
-	if st := s.Stats(); st.Lookups != 10 || st.Hits != 2 || st.Decimations != 8 || st.Entries != 8 || st.Digests != 4 {
+	if st := s.Stats(); st.Lookups != 7 || st.Hits != 1 || st.Decimations != 6 || st.Entries != 6 || st.Digests != 4 {
 		t.Errorf("stats = %+v", st)
 	}
 }
@@ -75,7 +72,7 @@ func TestStoreBudgetAndLRU(t *testing.T) {
 	s := NewStore(3*one + one/2)
 	lead := s.DigestLead(d00, tau)
 	runs := 0
-	key := func(i int) LeadKey { return NewLeadKey(lead, complex(0.1*float64(i), 1e-3), 0, 0) }
+	key := func(i int) LeadKey { return NewLeadKey(lead, complex(0.1*float64(i), 1e-3)) }
 	touch := func(i int) (ran bool) {
 		t.Helper()
 		before := runs
@@ -124,9 +121,9 @@ func TestStoreDoesNotKeepFailures(t *testing.T) {
 	s := NewStore(StoreBudget)
 	c := NewCache(CacheBC)
 	c.Store = s
-	key := func() LeadKey { return NewLeadKey(s.DigestLead(d00, tau), 0.3, 0, 5) }
+	key := func() LeadKey { return NewLeadKey(s.DigestLead(d00, tau), 0.3) }
 	for i := 0; i < 2; i++ {
-		_, err := c.GetLead(0, 0, 0, key, func() (*Result, error) { return SurfaceGF(d00, tau, 0, 5) })
+		_, err := c.GetLead(0, 0, 0, key, func() (*Result, error) { return surfaceGF(d00, tau) })
 		if !errors.Is(err, ErrNoConvergence) {
 			t.Fatalf("lookup %d: err = %v, want ErrNoConvergence", i, err)
 		}
@@ -146,7 +143,7 @@ func TestCacheOverStore(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	d00, tau := leadBlocks(rng, 4, 0.4, 1e-3)
 	s := NewStore(StoreBudget)
-	key := func() LeadKey { return NewLeadKey(s.DigestLead(d00, tau), complex(0.4, 1e-3), 0, 0) }
+	key := func() LeadKey { return NewLeadKey(s.DigestLead(d00, tau), complex(0.4, 1e-3)) }
 	runs := 0
 	var results []*Result
 	for run := 0; run < 2; run++ {
@@ -214,8 +211,8 @@ func TestStoreConcurrentLookups(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds*keys; i++ {
 				k := (i + w) % keys
-				r, err := s.get(NewLeadKey(lead, complex(0.1*float64(k), 1e-3), 0, 0),
-					func() (*Result, error) { return SurfaceGF(d00, tau, 0, 0) })
+				r, err := s.get(NewLeadKey(lead, complex(0.1*float64(k), 1e-3)),
+					func() (*Result, error) { return surfaceGF(d00, tau) })
 				if err != nil {
 					t.Error(err)
 					return

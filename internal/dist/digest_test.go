@@ -47,8 +47,8 @@ func runDigest(res *Result) string {
 // must reproduce them bit for bit. The traffic telemetry must also keep
 // adding up: every byte the comm layer counted is either in an
 // iteration's SSEBytes + ReduceBytes or in the epilogue's one rooted
-// Reduce of Na·Nω + Bnum·NE + 3·P words (phonon spectra, LDOS and the
-// three load words of each rank).
+// Reduce of Na·Nω + Bnum·NE + P words (phonon spectra, LDOS and the one
+// decimation word of each rank).
 func TestPhasesDigests(t *testing.T) {
 	const iters = 3
 	dev := testDevice(t)
@@ -90,7 +90,7 @@ func TestPhasesDigests(t *testing.T) {
 				telemetry += st.SSEBytes + st.ReduceBytes
 			}
 			p := dev.P
-			epilogue := int64(tc.ranks-1) * int64(p.Na*p.Nomega+p.Bnum*p.NE+3*tc.ranks) * 16
+			epilogue := int64(tc.ranks-1) * int64(p.Na*p.Nomega+p.Bnum*p.NE+tc.ranks) * 16
 			if got := res.Comm.BytesSent - epilogue; got != telemetry {
 				t.Errorf("%s: iterations account for %d bytes, comm layer measured %d outside the epilogue",
 					tag, telemetry, got)

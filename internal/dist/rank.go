@@ -39,16 +39,17 @@ func newRankState(c *comm.Comm, dev *device.Device, opts Options) *rankState {
 // epilogue reduces the last valid iteration's spectra — the phonon
 // spectra for the temperature map (local's weight in the real parts, its
 // occupation in the imaginary) and the electron LDOS (real parts) — and
-// the per-rank load report in one Reduce rooted at rank 0, the only rank
-// that consumes them, so the measured volume stays what the algorithm
-// strictly needs. The load report is three words per rank: rank r writes
-// its pairs, points and decimations into words 3r…3r+2 and leaves the
-// others zero, so the sum holds every rank's counts exactly. final is the
-// one-rank state to hand over, or nil.
+// the per-rank decimation counts in one Reduce rooted at rank 0, the only
+// rank that consumes them, so the measured volume stays what the
+// algorithm strictly needs. The counts are one word per rank: rank r
+// writes its decimations into word r and leaves the others zero, so the
+// sum holds every rank's count exactly. Rank 0 derives every rank's pairs
+// and points from the layout it holds. final is the one-rank state to
+// hand over, or nil.
 func (rs *rankState) epilogue(opts Options, res *Result, converged bool, local, global *partialObs, final *negf.SigmaState) {
 	p := rs.dev.P
 	nph, nldos := p.Na*p.Nomega, p.Bnum*p.NE
-	buf := make([]complex128, 0, nph+nldos+3*opts.Ranks)
+	buf := make([]complex128, 0, nph+nldos+opts.Ranks)
 	for a, dos := range local.PhononDOS {
 		for m := range dos {
 			buf = append(buf, complex(dos[m], local.PhononOcc[a][m]))
@@ -59,11 +60,8 @@ func (rs *rankState) epilogue(opts Options, res *Result, converged bool, local, 
 			buf = append(buf, complex(v, 0))
 		}
 	}
-	buf = buf[:nph+nldos+3*opts.Ranks]
-	load := buf[nph+nldos+3*rs.c.Rank():]
-	load[0] = complex(float64(len(rs.sh.Pairs)), 0)
-	load[1] = complex(float64(len(rs.sh.Points)), 0)
-	load[2] = complex(float64(rs.ps.BC.Decimations()), 0)
+	buf = buf[:nph+nldos+opts.Ranks]
+	buf[nph+nldos+rs.c.Rank()] = complex(float64(rs.ps.BC.Decimations()), 0)
 	buf = rs.c.Reduce(0, buf)
 
 	if rs.c.Rank() != 0 {
@@ -83,12 +81,11 @@ func (rs *rankState) epilogue(opts Options, res *Result, converged bool, local, 
 	res.Obs.AtomTemperature = negf.FitTemperatures(p, res.Obs.PhononDOS, res.Obs.PhononOcc)
 	res.Load = make([]RankLoad, opts.Ranks)
 	for rank := range res.Load {
-		l := buf[nph+nldos+3*rank:]
 		res.Load[rank] = RankLoad{
 			Rank:       rank,
-			Pairs:      int(real(l[0])),
-			Points:     int(real(l[1])),
-			BCComputes: int(real(l[2])),
+			Pairs:      len(rs.src.OwnedPairs(rank)),
+			Points:     len(rs.src.OwnedPhonon(rank)),
+			BCComputes: int(real(buf[nph+nldos+rank])),
 		}
 	}
 }

@@ -713,7 +713,7 @@ func TestLoopDefaultsAgree(t *testing.T) {
 		{"set", 0.25, 7, 1e-9},
 	} {
 		l := negf.Loop{Mixing: c.mixing, MaxIter: c.maxIter, Tol: c.tol}
-		seq := negf.New(dev, negf.Options{Loop: l}).Opts
+		seq := negf.New(dev, l).Opts
 		par, err := (Options{Loop: l, Ranks: 2}).Validate()
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)

@@ -5,12 +5,12 @@
 //
 // A Study names a configuration over a profiled qt.Spec, a realization
 // count and a base seed; member i solves it with DisorderSeed = BaseSeed + i.
-// Members run concurrently, at most Study.Workers at a time (GOMAXPROCS
-// by default; the study is the outer loop, so it alone decides the count —
-// the kernels inside a member never spawn), stream their per-iteration
-// IterStats through OnIter, and reduce Welford-style into the
-// report.Ensemble schema: running mean/variance and the 95% confidence
-// interval of the terminal current and of the DOS spectrum.
+// Member 0 solves first, alone, and seeds members 1..N−1 with its
+// converged Σ≷/Π≷ state; those then run concurrently through
+// linalg.ParallelFor, at most GOMAXPROCS at a time. The members reduce
+// Welford-style into the report.Ensemble schema: running mean/variance
+// and the 95% confidence interval of the terminal current and of the DOS
+// spectrum.
 //
 // The reduction is deterministic: members are folded in index order
 // after all have finished, so the same member results always produce
@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/linalg"
 	"repro/internal/qt"
 	"repro/internal/report"
 )
@@ -42,27 +43,13 @@ type Study struct {
 	// BaseSeed seeds the first realization; member i draws its disorder
 	// from BaseSeed + i.
 	BaseSeed uint64
-	// Workers bounds how many members solve concurrently. Zero means
-	// min(Members, GOMAXPROCS), read when Run is called.
-	Workers int
 	// Options apply to every member's simulation on top of Config — the
-	// place for what a RunConfig cannot say (an explicit zero bias, an
-	// injected kernel).
+	// place for what a RunConfig cannot say (an explicit zero bias).
 	Options []qt.Option
-	// WarmStart seeds members 1..N−1 from member 0's converged Σ≷/Π≷
-	// state (realizations of one profile share tensor shapes, so a
-	// sibling's fixed point is a valid and close initial guess). Member 0
-	// solves cold first; it is a no-op for distributed members, which
-	// capture no final state.
-	WarmStart bool
 
 	// OnMember, when set, is called once per member as it finishes, in
 	// completion order (serialized by the study).
 	OnMember func(Member)
-	// OnIter, when set, streams every member's per-iteration telemetry,
-	// tagged with the member index. Members run concurrently; calls for
-	// different members interleave (serialized by the study).
-	OnIter func(member int, st qt.IterStats)
 }
 
 // Member is one realization's outcome.
@@ -102,21 +89,6 @@ func (st *Study) validate() error {
 	return nil
 }
 
-// workers resolves the concurrency bound.
-func (st *Study) workers() int {
-	w := st.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > st.Members {
-		w = st.Members
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // Run executes the study. The context cancels between self-consistent
 // iterations of the running members and skips unstarted ones; the
 // completed members are reduced and returned alongside the context's
@@ -136,33 +108,25 @@ func (st *Study) Run(ctx context.Context) (*Result, error) {
 		members[i] = Member{Index: i, Seed: st.MemberSpec(i).DisorderSeed}
 	}
 
-	var mu sync.Mutex // serializes OnMember/OnIter across members
-	next := 0
+	var mu sync.Mutex // serializes OnMember across members
+	// Member 0 solves cold, alone, and donates its final state:
+	// realizations of one profile share tensor shapes, so a sibling's
+	// fixed point is a valid and close initial guess. Members with ranks
+	// and a cancelled member 0 capture none, and the rest then start cold.
+	st.solve(ctx, &members[0], &mu, nil)
 	var warm *qt.SigmaState
-	if st.WarmStart && st.Members > 1 {
-		// Member 0 solves cold, alone, and donates its final state.
-		st.solve(ctx, &members[0], &mu, nil)
-		if r := members[0].Result; r != nil {
-			warm = r.FinalState
-		}
-		next = 1
+	if r := members[0].Result; r != nil {
+		warm = r.FinalState
 	}
-
-	sem := make(chan struct{}, st.workers())
-	var wg sync.WaitGroup
-	for i := next; i < st.Members; i++ {
-		if ctx.Err() != nil {
-			break
+	// A member's failure is its own row, never the pool's error.
+	_ = linalg.ParallelFor(st.Members-1, runtime.GOMAXPROCS(0), func() func(int) error {
+		return func(i int) error {
+			if ctx.Err() == nil {
+				st.solve(ctx, &members[i+1], &mu, warm)
+			}
+			return nil
 		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(m *Member) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			st.solve(ctx, m, &mu, warm)
-		}(&members[i])
-	}
-	wg.Wait()
+	})
 
 	dev, err := st.Config.Spec.Build()
 	if err != nil {
@@ -196,13 +160,6 @@ func (st *Study) solve(ctx context.Context, m *Member, mu *sync.Mutex, warm *qt.
 		m.Err = err
 		st.notify(m, mu)
 		return
-	}
-	for it := range run.Stats() {
-		if st.OnIter != nil {
-			mu.Lock()
-			st.OnIter(m.Index, it)
-			mu.Unlock()
-		}
 	}
 	res, err := run.Wait()
 	m.Result = res

@@ -3,8 +3,8 @@ package ensemble
 import (
 	"context"
 	"math"
+	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/device"
@@ -90,11 +90,7 @@ func relErr(a, b float64) float64 {
 // TestStudyEndToEnd runs a small study and checks the reduced report
 // against a serial recomputation of the member currents.
 func TestStudyEndToEnd(t *testing.T) {
-	var iterMembers sync.Map
-	st := &Study{
-		Config: fastConfig(), Members: 4, BaseSeed: 100,
-		OnIter: func(member int, _ qt.IterStats) { iterMembers.Store(member, true) },
-	}
+	st := &Study{Config: fastConfig(), Members: 4, BaseSeed: 100}
 	res, err := st.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -109,9 +105,6 @@ func TestStudyEndToEnd(t *testing.T) {
 		}
 		if m.Seed != 100+uint64(i) {
 			t.Fatalf("member %d seed = %d, want %d", i, m.Seed, 100+uint64(i))
-		}
-		if _, ok := iterMembers.Load(i); !ok {
-			t.Errorf("member %d streamed no IterStats", i)
 		}
 	}
 
@@ -149,7 +142,7 @@ func TestStudyEndToEnd(t *testing.T) {
 // in index order).
 func TestStudyDeterministic(t *testing.T) {
 	run := func() *Result {
-		st := &Study{Config: fastConfig(), Members: 3, BaseSeed: 7, Workers: 3}
+		st := &Study{Config: fastConfig(), Members: 3, BaseSeed: 7}
 		res, err := st.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -171,7 +164,7 @@ func TestStudyDeterministic(t *testing.T) {
 // reports the same physics family as the cold one.
 func TestStudyWarmStart(t *testing.T) {
 	st := &Study{Config: qt.RunConfig{Spec: studySpec(), MaxIterations: 12, Tolerance: 1e-4},
-		Members: 3, BaseSeed: 55, WarmStart: true}
+		Members: 3, BaseSeed: 55}
 	res, err := st.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -183,6 +176,54 @@ func TestStudyWarmStart(t *testing.T) {
 		if !m.Result.Converged {
 			t.Errorf("warm member %d did not converge", i)
 		}
+	}
+}
+
+// TestStudySeedsFromMemberZero: a study seeds member 1 from member 0's
+// final state — member 1's result is, bit for bit, a direct run of its
+// configuration warm-started from that state.
+func TestStudySeedsFromMemberZero(t *testing.T) {
+	st := &Study{Config: qt.RunConfig{Spec: studySpec(), MaxIterations: 12, Tolerance: 1e-4},
+		Members: 2, BaseSeed: 21}
+	res, err := st.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	donor, got := res.Members[0].Result, res.Members[1].Result
+	if donor == nil || got == nil || donor.FinalState == nil {
+		t.Fatalf("members did not finish with a donor state: %+v", res.Members)
+	}
+	rc := st.Config
+	rc.Spec = st.MemberSpec(1)
+	sim, err := qt.NewFromConfig(rc, qt.WithWarmStart(donor.FinalState))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := sim.Start(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := run.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Iterations != want.Iterations || len(got.Trace) != len(want.Trace) {
+		t.Fatalf("member 1 ran %d iterations, the warm-started run %d", got.Iterations, want.Iterations)
+	}
+	for i := range want.Trace {
+		g, w := got.Trace[i], want.Trace[i]
+		if math.Float64bits(g.Current) != math.Float64bits(w.Current) || math.Float64bits(g.Residual) != math.Float64bits(w.Residual) {
+			t.Errorf("iteration %d: member 1 current %v residual %v, warm-started run %v %v", i, g.Current, g.Residual, w.Current, w.Residual)
+		}
+	}
+	if math.Float64bits(got.Current) != math.Float64bits(want.Current) ||
+		math.Float64bits(got.EnergyBalance) != math.Float64bits(want.EnergyBalance) ||
+		math.Float64bits(got.MaxTemperature) != math.Float64bits(want.MaxTemperature) ||
+		got.HotSpot != want.HotSpot || got.Converged != want.Converged {
+		t.Errorf("member 1 result differs from the warm-started run: %+v vs %+v", got, want)
+	}
+	if !reflect.DeepEqual(got.Observables, want.Observables) {
+		t.Error("member 1 observables differ from the warm-started run's")
 	}
 }
 

@@ -37,7 +37,7 @@ func (s *PointSolver) leadBCs(sc *solveScratch, side int, span string, i, j int,
 // leads once, inside iteration 0, and nothing before Start.
 func (s *PointSolver) leadBC(sc *solveScratch, side, i, j int, onsite, coupling *linalg.Matrix, z complex128) (*bc.Result, error) {
 	return s.BC.GetLead(side, i, j,
-		func() bc.LeadKey { return bc.NewLeadKey(s.leadDigest(side, i, onsite, coupling), z, 0, 0) },
+		func() bc.LeadKey { return bc.NewLeadKey(s.leadDigest(side, i, onsite, coupling), z) },
 		func() (*bc.Result, error) { return sc.decimate(onsite, coupling, z) })
 }
 
@@ -71,7 +71,7 @@ func (sc *solveScratch) decimate(onsite, coupling *linalg.Matrix, z complex128) 
 		d00.Set(r, r, d00.At(r, r)+z)
 	}
 	tau := linalg.Scale(sc.ws.Get(n, n), -1, coupling)
-	res, err := bc.SurfaceGFInto(sc.ws, d00, tau, 0, 0)
+	res, err := bc.SurfaceGFInto(sc.ws, d00, tau)
 	sc.ws.Put(d00)
 	sc.ws.Put(tau)
 	return res, err

@@ -43,7 +43,7 @@ func greens(t *testing.T, dev *device.Device, res *dist.Result) *negf.Solver {
 	if res.Final == nil {
 		t.Fatal("one-rank run handed over no final state")
 	}
-	s := negf.New(dev, negf.Options{Loop: negf.Loop{Warm: res.Final}})
+	s := negf.New(dev, negf.Loop{Warm: res.Final})
 	if err := s.GFPhase(); err != nil {
 		t.Fatal(err)
 	}

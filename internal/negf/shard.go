@@ -2,6 +2,7 @@ package negf
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/blocktri"
 	"repro/internal/device"
@@ -95,11 +96,12 @@ func (ps *PointSolver) SolvePhonon(sh *Shard, j int, out *PointResults) error {
 }
 
 // sweep runs the GF phase of the shard: every electron pair, then every
-// phonon point, each solved into its slot of out by up to workers
-// goroutines (1 = serially on the caller's) — the natural parallelism of
-// the GF phase. It returns the first failure; points not yet started when
-// it lands are skipped.
-func (ps *PointSolver) sweep(sh *Shard, workers int, out *PointResults) error {
+// phonon point, each solved into its slot of out by up to GOMAXPROCS
+// goroutines, read at call time — the natural parallelism of the GF
+// phase. It returns the first failure; points not yet started when it
+// lands are skipped.
+func (ps *PointSolver) sweep(sh *Shard, out *PointResults) error {
+	workers := runtime.GOMAXPROCS(0)
 	electron := func(i int) error { return ps.SolveElectron(sh, i, out) }
 	phonon := func(j int) error { return ps.SolvePhonon(sh, j, out) }
 	if err := linalg.ParallelFor(len(sh.Pairs), workers, func() func(int) error { return electron }); err != nil {

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/bc"
 	"repro/internal/device"
@@ -21,8 +20,8 @@ import (
 
 // Loop is the one table of the self-consistent loop's knobs: the
 // distributed window graph reads it through dist.Options, the
-// per-iteration kit (New, GFPhase, SSEPhase) through Options, and
-// WithDefaults resolves it for both.
+// per-iteration kit (New, GFPhase, SSEPhase) directly, and WithDefaults
+// resolves it for both.
 type Loop struct {
 	// CacheMode selects boundary-condition caching (§7.1.2); the zero
 	// value is bc.CacheBC. A distributed rank's cache covers only its
@@ -76,7 +75,7 @@ type Loop struct {
 // never converge, under +Inf it would at iteration 1. It is the one place
 // loop defaults are filled: New, dist.Options.Validate and qt call it.
 func (l Loop) WithDefaults() Loop {
-	def := DefaultOptions().Loop
+	def := DefaultOptions()
 	if !(l.Mixing > 0 && l.Mixing <= 1) {
 		l.Mixing = def.Mixing
 	}
@@ -144,18 +143,11 @@ func (st *SigmaState) Bytes() int64 {
 	return st.SigL.Bytes() + st.SigG.Bytes() + st.PiL.Bytes() + st.PiG.Bytes()
 }
 
-// Options configures the per-iteration kit: the loop knobs, of which the
-// kit reads the cache mode, the store, the tracer, the mixing factor,
-// the kernel and the warm start.
-type Options struct {
-	Loop
-}
-
 // DefaultOptions returns the settings used by the examples and tests. It
 // is the one table of loop defaults, which Loop.WithDefaults fills an
 // unset knob from.
-func DefaultOptions() Options {
-	return Options{Loop: Loop{CacheMode: bc.CacheBC, Mixing: 0.5, MaxIter: 25, Tol: 1e-5}}
+func DefaultOptions() Loop {
+	return Loop{CacheMode: bc.CacheBC, Mixing: 0.5, MaxIter: 25, Tol: 1e-5}
 }
 
 // Solver is the per-iteration kit of the self-consistent loop over the
@@ -166,7 +158,10 @@ func DefaultOptions() Options {
 // solves.
 type Solver struct {
 	*PointSolver
-	Opts Options
+	// Opts is the resolved loop, of which the kit reads the cache mode,
+	// the store, the tracer, the mixing factor, the kernel and the warm
+	// start.
+	Opts Loop
 
 	// The solver owns the one shard covering both grids; points holds
 	// the result slots every GF phase solves into.
@@ -250,11 +245,11 @@ func ConvergenceStep(it int, cur, prev, tol float64) (residual float64, converge
 // New allocates the kit for dev. A nil Kernel takes sse.DaCe{}, and the
 // loop knobs resolve through Loop.WithDefaults — the resolution
 // dist.Options.Validate applies, so the two agree on an unset knob.
-func New(dev *device.Device, opts Options) *Solver {
+func New(dev *device.Device, opts Loop) *Solver {
 	if opts.Kernel == nil {
 		opts.Kernel = sse.DaCe{}
 	}
-	opts.Loop = opts.Loop.WithDefaults()
+	opts = opts.WithDefaults()
 	s := &Solver{
 		PointSolver: opts.NewPointSolver(dev, 0),
 		Opts:        opts,
@@ -271,7 +266,7 @@ var ErrNotConverged = errors.New("negf: self-consistent loop did not converge")
 // refreshes the observables: the sweep over the full shard on all cores,
 // the fold, and the temperature map fitted from the folded spectra.
 func (s *Solver) GFPhase() error {
-	if err := s.sweep(s.shard, runtime.GOMAXPROCS(0), s.points); err != nil {
+	if err := s.sweep(s.shard, s.points); err != nil {
 		return err
 	}
 	s.fold(s.shard, s.points, &s.Obs)

@@ -154,7 +154,7 @@ func TestNewDefaultsOutOfRangeMixing(t *testing.T) {
 		{math.NaN(), 0.5}, {math.Inf(1), 0.5}, {math.Inf(-1), 0.5},
 		{1, 1}, {0.3, 0.3},
 	} {
-		if got := New(dev, Options{Loop: Loop{Mixing: c.in}}).Opts.Mixing; got != c.want {
+		if got := New(dev, Loop{Mixing: c.in}).Opts.Mixing; got != c.want {
 			t.Errorf("Mixing %g resolves to %g, want %g", c.in, got, c.want)
 		}
 	}
@@ -171,7 +171,7 @@ func TestNewDefaultsOutOfRangeTol(t *testing.T) {
 		{math.NaN(), 1e-5}, {math.Inf(1), 1e-5}, {math.Inf(-1), 1e-5},
 		{1e-9, 1e-9},
 	} {
-		if got := New(dev, Options{Loop: Loop{Tol: c.in}}).Opts.Tol; got != c.want {
+		if got := New(dev, Loop{Tol: c.in}).Opts.Tol; got != c.want {
 			t.Errorf("Tol %g resolves to %g, want %g", c.in, got, c.want)
 		}
 	}

@@ -5,9 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
-	"sort"
 
 	"repro/internal/decomp"
 	"repro/internal/dist"
@@ -294,44 +292,8 @@ func (rc RunConfig) hash(warm bool) string {
 		delete(spec, "bias")
 		delete(spec, "disorder_seed")
 	}
-	h := sha256.New()
-	writeCanonical(h, m)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// writeCanonical streams a parsed-JSON value with sorted object keys —
-// a canonical byte form to hash, independent of the encoder's field
-// order.
-func writeCanonical(w io.Writer, v any) {
-	switch t := v.(type) {
-	case map[string]any:
-		keys := make([]string, 0, len(t))
-		for k := range t {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		io.WriteString(w, "{")
-		for i, k := range keys {
-			if i > 0 {
-				io.WriteString(w, ",")
-			}
-			kb, _ := json.Marshal(k)
-			w.Write(kb)
-			io.WriteString(w, ":")
-			writeCanonical(w, t[k])
-		}
-		io.WriteString(w, "}")
-	case []any:
-		io.WriteString(w, "[")
-		for i, e := range t {
-			if i > 0 {
-				io.WriteString(w, ",")
-			}
-			writeCanonical(w, e)
-		}
-		io.WriteString(w, "]")
-	default:
-		b, _ := json.Marshal(t)
-		w.Write(b)
-	}
+	// A decoded object always re-marshals, its keys sorted at every level.
+	canon, _ := json.Marshal(m)
+	sum := sha256.Sum256(canon)
+	return hex.EncodeToString(sum[:])
 }

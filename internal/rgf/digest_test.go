@@ -67,7 +67,7 @@ func deviceProblem(t *testing.T, na, bnum, norb int) *Problem {
 		linalg.Scale(a.Lower[i], -1, h.Lower[i])
 	}
 	lead := func(onsite, coupling *linalg.Matrix) *bc.Result {
-		res, err := bc.SurfaceGF(shifted(linalg.New(bs, bs), onsite), linalg.Scale(linalg.New(bs, bs), -1, coupling), 0, 0)
+		res, err := bc.SurfaceGFInto(linalg.NewWorkspace(), shifted(linalg.New(bs, bs), onsite), linalg.Scale(linalg.New(bs, bs), -1, coupling))
 		if err != nil {
 			t.Fatal(err)
 		}
