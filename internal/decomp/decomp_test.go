@@ -86,6 +86,10 @@ func TestOMENLayoutPartition(t *testing.T) {
 				t.Fatal("OwnedPairs inconsistent with PairOwner")
 			}
 		}
+		if pairs, points := l.Owned(r); pairs != len(l.OwnedPairs(r)) || points != len(l.OwnedPhonon(r)) {
+			t.Fatalf("rank %d: Owned counts %d pairs, %d points; the lists hold %d, %d",
+				r, pairs, points, len(l.OwnedPairs(r)), len(l.OwnedPhonon(r)))
+		}
 	}
 	if len(seen) != p.Nkz*p.NE {
 		t.Fatalf("pairs covered: %d of %d", len(seen), p.Nkz*p.NE)

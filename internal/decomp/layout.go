@@ -74,6 +74,26 @@ func (l *OMENLayout) OwnedPhonon(r int) [][2]int {
 	return out
 }
 
+// Owned counts the electron pairs and phonon points rank r owns — the
+// lengths of OwnedPairs and OwnedPhonon, without building either list.
+func (l *OMENLayout) Owned(r int) (pairs, points int) {
+	for ik := 0; ik < l.Nkz; ik++ {
+		for ie := 0; ie < l.NE; ie++ {
+			if l.pairOwner(ik, ie) == r {
+				pairs++
+			}
+		}
+	}
+	for iq := 0; iq < l.Nqz; iq++ {
+		for m := 1; m <= l.Nomega; m++ {
+			if l.phononOwner(iq, m) == r {
+				points++
+			}
+		}
+	}
+	return pairs, points
+}
+
 // DaCeLayout is the Ta×TE tile decomposition: rank r = ta·TE + te owns the
 // atom range ta and the energy range te.
 type DaCeLayout struct {

@@ -81,10 +81,9 @@ func (rs *rankState) epilogue(opts Options, res *Result, converged bool, local, 
 	res.Obs.AtomTemperature = negf.FitTemperatures(p, res.Obs.PhononDOS, res.Obs.PhononOcc)
 	res.Load = make([]RankLoad, opts.Ranks)
 	for rank := range res.Load {
+		pairs, points := rs.src.Owned(rank)
 		res.Load[rank] = RankLoad{
-			Rank:       rank,
-			Pairs:      len(rs.src.OwnedPairs(rank)),
-			Points:     len(rs.src.OwnedPhonon(rank)),
+			Rank: rank, Pairs: pairs, Points: points,
 			BCComputes: int(real(buf[nph+nldos+rank])),
 		}
 	}

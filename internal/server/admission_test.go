@@ -35,7 +35,7 @@ func TestSubmitNeverLosesAdmission(t *testing.T) {
 					return
 				}
 				<-j.done
-				got, ok := s.reg.get(rec.ID)
+				got, ok := s.reg.runs.get(rec.ID)
 				if !ok || got.Status != StatusCancelled {
 					t.Errorf("%s submission %d: run %s finished with record %q (found %v), want %q",
 						tenant, i, rec.ID, got.Status, ok, StatusCancelled)

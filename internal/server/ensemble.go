@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -58,11 +59,11 @@ func (s *Server) submitStudy(req studyRequest) (studyRecord, *studyRun, error) {
 		return studyRecord{}, nil, err
 	}
 	rec := studyRecord{
-		ID: s.reg.newStudyID(), Tenant: req.Tenant, Priority: req.Priority,
+		ID: s.reg.studies.newID(), Tenant: req.Tenant, Priority: req.Priority,
 		Config: sim.Config(), Members: req.Members, BaseSeed: req.BaseSeed,
 		Status: StatusQueued, Submitted: time.Now().UTC(),
 	}
-	if err := s.reg.putStudy(rec); err != nil {
+	if err := s.reg.studies.put(rec); err != nil {
 		return studyRecord{}, nil, err
 	}
 	st := &studyRun{
@@ -99,7 +100,7 @@ func (s *Server) cancelStudy(id string) (studyRecord, bool) {
 	if st, live := s.studyByID(id); live {
 		st.cancel()
 	}
-	return s.reg.getStudy(id)
+	return s.reg.studies.get(id)
 }
 
 // memberOutcome is one member's terminal state as the runner saw it.
@@ -117,11 +118,20 @@ func (s *Server) runStudy(st *studyRun, rec studyRecord) {
 	defer st.markDone()
 	defer s.removeStudy(st.id)
 
+	var mu sync.Mutex // guards rec's progress counters and MemberRuns
+	// snapshot copies rec for the registry, under mu once members run: this
+	// runner keeps filling rec's MemberRuns while handlers encode the
+	// stored copy, which must own its slice.
+	snapshot := func() studyRecord {
+		c := rec
+		c.MemberRuns = slices.Clone(rec.MemberRuns)
+		return c
+	}
 	start := time.Now()
 	rec.Status = StatusRunning
 	rec.Started = time.Now().UTC()
 	rec.MemberRuns = make([]string, rec.Members)
-	s.reg.putStudy(rec)
+	s.reg.studies.put(snapshot())
 
 	// Members follow ensemble's seed rule, so a study submitted here and
 	// one run in-process solve the same configurations.
@@ -129,7 +139,6 @@ func (s *Server) runStudy(st *studyRun, rec studyRecord) {
 	seed := func(i int) uint64 { return study.MemberSpec(i).DisorderSeed }
 
 	outcomes := make([]memberOutcome, rec.Members)
-	var mu sync.Mutex // guards rec progress counters + PutStudy ordering
 	var wg sync.WaitGroup
 
 	// Cancellation watcher: a cancelled study cancels its in-flight
@@ -162,9 +171,9 @@ func (s *Server) runStudy(st *studyRun, rec studyRecord) {
 		if out.rec.WarmStart {
 			rec.WarmStarts++
 		}
-		progress := rec
+		progress := snapshot()
 		mu.Unlock()
-		s.reg.putStudy(progress)
+		s.reg.studies.put(progress)
 		s.met.ensembleMembers.Inc()
 		st.publish(report.MemberRow{
 			Index: i, Seed: seed(i), RunID: out.rec.ID,
@@ -217,7 +226,7 @@ func (s *Server) runStudy(st *studyRun, rec studyRecord) {
 		go func(i int, j *job) {
 			defer wg.Done()
 			<-j.done
-			final, _ := s.reg.get(j.id)
+			final, _ := s.reg.runs.get(j.id)
 			finish(i, memberOutcome{rec: final, res: j.result})
 		}(i, j)
 	}
@@ -269,7 +278,7 @@ func (s *Server) runStudy(st *studyRun, rec studyRecord) {
 			rec.Status = StatusDone
 		}
 	}
-	s.reg.putStudy(rec)
+	s.reg.studies.put(rec)
 	s.met.ensembles.With(string(rec.Status)).Inc()
 	s.log.Info("study finished", "study", rec.ID, "tenant", rec.Tenant,
 		"status", string(rec.Status), "members", rec.DoneMembers,

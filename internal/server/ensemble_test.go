@@ -53,13 +53,13 @@ func waitForStudy(t *testing.T, s *Server, id string, want Status) studyRecord {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		rec, ok := s.reg.getStudy(id)
+		rec, ok := s.reg.studies.get(id)
 		if ok && rec.Status == want {
 			return rec
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	rec, _ := s.reg.getStudy(id)
+	rec, _ := s.reg.studies.get(id)
 	t.Fatalf("study %s stuck in status %s, want %s", id, rec.Status, want)
 	return studyRecord{}
 }
@@ -111,7 +111,7 @@ func TestStudyEndToEnd(t *testing.T) {
 	}
 	currents := make([]float64, 0, n)
 	for _, id := range final.MemberRuns {
-		mr, ok := s.reg.get(id)
+		mr, ok := s.reg.runs.get(id)
 		if !ok || !mr.Converged {
 			t.Fatalf("member %s missing or unconverged", id)
 		}
@@ -220,7 +220,7 @@ func TestStudyWarmStartLineage(t *testing.T) {
 			final.WarmStarts, n-1, n)
 	}
 	for i, id := range final.MemberRuns {
-		mr, _ := s.reg.get(id)
+		mr, _ := s.reg.runs.get(id)
 		if i == 0 && mr.WarmStart {
 			t.Error("first member warm-started with an empty cache")
 		}
@@ -374,7 +374,7 @@ func TestStudyPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	got, ok := s2.reg.getStudy(final.ID)
+	got, ok := s2.reg.studies.get(final.ID)
 	if !ok {
 		t.Fatalf("study %s lost across restart", final.ID)
 	}

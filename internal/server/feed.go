@@ -70,48 +70,49 @@ func (f *feed[T]) follow(src *feed[T]) {
 // record reached its final state.
 func (f *feed[T]) markDone() { f.doneOnce.Do(func() { close(f.done) }) }
 
-// replayFeed renders a finished run or study as the same frame sequence
-// a live stream produces: the head frame with the record, one event
-// frame per recorded event, done.
-func replayFeed[T, R any](w http.ResponseWriter, head, event string, rec R, events []T) {
+// replay renders a finished run or study as the same frame sequence a
+// live stream produces: the head frame with the record, one event frame
+// per recorded row, done.
+func (k *kind[R, E]) replay(w http.ResponseWriter, rec R) {
 	fl := sseHeaders(w)
 	if fl == nil {
 		return
 	}
-	report.SSE(w, head, rec)
+	_, events := k.finished(&rec)
+	report.SSE(w, k.noun, rec)
 	for _, ev := range events {
-		report.SSE(w, event, ev)
+		report.SSE(w, k.event, ev)
 	}
 	report.SSE(w, "done", rec)
 	fl.Flush()
 }
 
-// streamFeed streams a live feed: a head frame with the registry record
-// (the client learns the id), event frames as they are published
-// (recorded ones are replayed first), and a terminal "done" frame with
-// the final record. hangUp runs when the client disconnects first: nil
-// detaches without consequence, an owning stream cancels its run there.
-func streamFeed[T, R any](w http.ResponseWriter, r *http.Request, f *feed[T],
-	head, event string, record func() R, hangUp func()) {
-
+// stream streams the live feed f of record id: a head frame with the
+// registry record (the client learns the id), event frames as they are
+// published (recorded ones are replayed first), and a terminal "done"
+// frame with the final record. hangUp runs when the client disconnects
+// first: nil detaches without consequence, an owning stream cancels its
+// run there.
+func (k *kind[R, E]) stream(w http.ResponseWriter, r *http.Request, id string, f *feed[E], hangUp func()) {
 	fl := sseHeaders(w)
 	if fl == nil {
 		return
 	}
-	report.SSE(w, head, record())
+	record := func() R { rec, _ := k.recs.get(id); return rec }
+	report.SSE(w, k.noun, record())
 	fl.Flush()
 
 	snap, ch, unsub := f.subscribe()
 	defer unsub()
 	for _, ev := range snap {
-		report.SSE(w, event, ev)
+		report.SSE(w, k.event, ev)
 	}
 	fl.Flush()
 
 	for {
 		select {
 		case ev := <-ch:
-			report.SSE(w, event, ev)
+			report.SSE(w, k.event, ev)
 			fl.Flush()
 		case <-r.Context().Done():
 			if hangUp != nil {
@@ -123,7 +124,7 @@ func streamFeed[T, R any](w http.ResponseWriter, r *http.Request, f *feed[T],
 			for {
 				select {
 				case ev := <-ch:
-					report.SSE(w, event, ev)
+					report.SSE(w, k.event, ev)
 					continue
 				default:
 				}

@@ -21,8 +21,8 @@ import (
 // written before it becomes visible to finish, which would otherwise race
 // it with the final one. Called with s.mu held.
 func (s *Server) join(rec Record, leader *job) (Record, *job, error) {
-	rec.ID = s.reg.newID()
-	if err := s.reg.put(rec); err != nil {
+	rec.ID = s.reg.runs.newID()
+	if err := s.reg.runs.put(rec); err != nil {
 		return Record{}, nil, err
 	}
 	f := &job{
@@ -83,7 +83,7 @@ func (s *Server) release(j *job) bool {
 	s.mu.Unlock()
 
 	if detached && j != lead {
-		rec, _ := s.reg.get(j.id)
+		rec, _ := s.reg.runs.get(j.id)
 		rec.Status = StatusCancelled
 		rec.Finished = time.Now().UTC()
 		s.end(j, rec)
@@ -121,7 +121,7 @@ func (s *Server) finish(j *job, rec Record) {
 
 	s.end(j, rec)
 	for _, f := range followers {
-		frec, _ := s.reg.get(f.id)
+		frec, _ := s.reg.runs.get(f.id)
 		if src != nil {
 			frec = answer(frec, src)
 			f.result = j.result
@@ -149,7 +149,7 @@ func (s *Server) abandon(j *job, err error) {
 // admitted), retires the job and closes its feed.
 func (s *Server) end(j *job, rec Record) {
 	if rec.ID != "" {
-		s.reg.put(rec)
+		s.reg.runs.put(rec)
 	}
 	s.mu.Lock()
 	delete(s.jobs, j.id)

@@ -222,13 +222,13 @@ func TestSingleFlightFollowerDisconnect(t *testing.T) {
 	<-followerDone
 	waitForStatus(t, s, followerID, StatusCancelled)
 	waitForFollowers(t, s, identityKey(t, rc), 0)
-	if rec, _ := s.reg.get(leader.ID); rec.Status != StatusQueued {
+	if rec, _ := s.reg.runs.get(leader.ID); rec.Status != StatusQueued {
 		t.Errorf("leader is %s after its follower hung up, want queued", rec.Status)
 	}
 
 	s.cancelRun(blocker)
 	waitForStatus(t, s, leader.ID, StatusDone)
-	if rec, _ := s.reg.get(followerID); rec.Status != StatusCancelled {
+	if rec, _ := s.reg.runs.get(followerID); rec.Status != StatusCancelled {
 		t.Errorf("detached follower ended %s, want cancelled", rec.Status)
 	}
 }

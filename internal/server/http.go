@@ -23,23 +23,80 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
+// kind is one record kind of the HTTP surface — runs or ensemble
+// studies, R their registry record and E the event their stream carries
+// — and everything its handlers need that differs between the two.
+type kind[R, E any] struct {
+	// noun names one record in error texts and is the SSE head frame's
+	// name; event names the frame of one streamed row.
+	noun, event string
+	recs        *table[R]
+	// live returns the feed of a record not yet finalized.
+	live func(id string) (*feed[E], bool)
+	// cancel cancels a live record and returns it, whether it was live or
+	// not; false means the id is unknown.
+	cancel func(id string) (R, bool)
+	// finished returns a record's report and the rows a replay of it
+	// streams; the report is nil — a nil interface — until it has one.
+	finished func(*R) (report.Encoder, []E)
+}
+
+// kinds builds the two record kinds the handlers serve.
+func (s *Server) kinds() (*kind[Record, qt.IterStats], *kind[studyRecord, report.MemberRow]) {
+	runs := &kind[Record, qt.IterStats]{
+		noun: "run", event: "iter", recs: s.reg.runs,
+		live: func(id string) (*feed[qt.IterStats], bool) {
+			j, ok := s.jobByID(id)
+			if !ok {
+				return nil, false
+			}
+			return j.feed, true
+		},
+		cancel: s.cancelRun,
+		finished: func(rec *Record) (report.Encoder, []qt.IterStats) {
+			if rec.Report == nil {
+				return nil, nil
+			}
+			return rec.Report, rec.Report.Trace
+		},
+	}
+	studies := &kind[studyRecord, report.MemberRow]{
+		noun: "study", event: "member", recs: s.reg.studies,
+		live: func(id string) (*feed[report.MemberRow], bool) {
+			st, ok := s.studyByID(id)
+			if !ok {
+				return nil, false
+			}
+			return st.feed, true
+		},
+		cancel: s.cancelStudy,
+		finished: func(rec *studyRecord) (report.Encoder, []report.MemberRow) {
+			if rec.Report == nil {
+				return nil, nil
+			}
+			return rec.Report, rec.Report.MemberRows
+		},
+	}
+	return runs, studies
+}
+
 func (s *Server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("POST /v1/runs", s.handleSubmit)
 	mux.HandleFunc("GET /v1/runs", s.handleList)
-	mux.HandleFunc("GET /v1/runs/{id}", s.handleGet)
-	mux.HandleFunc("DELETE /v1/runs/{id}", s.handleCancel)
-	mux.HandleFunc("GET /v1/runs/{id}/stream", s.handleStream)
-	mux.HandleFunc("GET /v1/runs/{id}/report", s.handleReport)
+	mux.HandleFunc("GET /v1/runs/{id}", s.runKind.handleGet)
+	mux.HandleFunc("DELETE /v1/runs/{id}", s.runKind.handleCancel)
+	mux.HandleFunc("GET /v1/runs/{id}/stream", s.runKind.handleStream)
+	mux.HandleFunc("GET /v1/runs/{id}/report", s.runKind.handleReport)
 	mux.HandleFunc("GET /v1/runs/{id}/trace", s.handleTrace)
 	mux.HandleFunc("POST /v1/ensembles", s.handleSubmitStudy)
 	mux.HandleFunc("GET /v1/ensembles", s.handleListStudies)
-	mux.HandleFunc("GET /v1/ensembles/{id}", s.handleGetStudy)
-	mux.HandleFunc("DELETE /v1/ensembles/{id}", s.handleCancelStudy)
-	mux.HandleFunc("GET /v1/ensembles/{id}/stream", s.handleStudyStream)
-	mux.HandleFunc("GET /v1/ensembles/{id}/report", s.handleStudyReport)
+	mux.HandleFunc("GET /v1/ensembles/{id}", s.studyKind.handleGet)
+	mux.HandleFunc("DELETE /v1/ensembles/{id}", s.studyKind.handleCancel)
+	mux.HandleFunc("GET /v1/ensembles/{id}/stream", s.studyKind.handleStream)
+	mux.HandleFunc("GET /v1/ensembles/{id}/report", s.studyKind.handleReport)
 	mux.Handle("GET /metrics", s.met.reg.Handler())
 	return mux
 }
@@ -72,13 +129,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // joined a run in flight is queued too, and streams that run's rows.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+	if !decodeRequest(w, r, &req, &req.Tenant) {
 		return
-	}
-	if req.Tenant == "" {
-		req.Tenant = "anonymous"
 	}
 	stream := r.URL.Query().Get("stream") == "sse"
 
@@ -94,93 +146,132 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if rec.CacheHit { // answered from the content-addressed cache
 		if stream {
-			replayRun(w, rec)
+			s.runKind.replay(w, rec)
 			return
 		}
 		writeJSON(w, http.StatusOK, rec)
 		return
 	}
 	if stream {
-		// The submitting client owns the run: hanging up cancels it.
-		s.streamJob(w, r, j, true)
+		// The submitting client owns the run: hanging up withdraws its
+		// request, and the run is cancelled once no other request is
+		// attached to it. When this request cancelled the run, the worker
+		// still owns the finalization; wait so the registry reaches its
+		// terminal state before we return (the connection is gone —
+		// nothing more is written).
+		s.runKind.stream(w, r, j.id, j.feed, func() {
+			if s.release(j) {
+				<-j.done
+			}
+		})
 		return
 	}
 	writeJSON(w, http.StatusAccepted, rec)
 }
 
-// List bounds: an unqualified GET /v1/runs returns the newest
-// defaultListLimit records, and an explicit ?limit= is clamped to
-// maxListLimit — the registry can outgrow any single response.
+// decodeRequest reads a POST body of at most 1 MiB into req and defaults
+// the tenant it names to "anonymous". It answers 400 itself and reports
+// false when the body does not decode.
+func decodeRequest(w http.ResponseWriter, r *http.Request, req any, tenant *string) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(req); err != nil {
+		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+		return false
+	}
+	if *tenant == "" {
+		*tenant = "anonymous"
+	}
+	return true
+}
+
+// List bounds: an unqualified list returns the newest defaultListLimit
+// records, and an explicit ?limit= is clamped to maxListLimit — the
+// registry can outgrow any single response.
 const (
 	defaultListLimit = 100
 	maxListLimit     = 1000
 )
 
+// listLimit parses a list's ?limit=. It answers 400 itself and reports
+// false when the value is not a positive integer.
+func listLimit(w http.ResponseWriter, r *http.Request) (int, bool) {
+	v := r.URL.Query().Get("limit")
+	if v == "" {
+		return defaultListLimit, true
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n <= 0 {
+		writeError(w, http.StatusBadRequest, "bad limit %q", v)
+		return 0, false
+	}
+	return min(n, maxListLimit), true
+}
+
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
+	limit, ok := listLimit(w, r)
+	if !ok {
+		return
+	}
 	qp := r.URL.Query()
-	q := Query{
+	recs := s.reg.List(Query{
 		Tenant:  qp.Get("tenant"),
 		Status:  Status(qp.Get("status")),
 		Key:     qp.Get("key"),
 		WarmKey: qp.Get("warm_key"),
 		Study:   qp.Get("study"),
-		Limit:   defaultListLimit,
-	}
-	if v := qp.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			writeError(w, http.StatusBadRequest, "bad limit %q", v)
-			return
-		}
-		q.Limit = min(n, maxListLimit)
-	}
-	recs := s.reg.List(q)
+		Limit:   limit,
+	})
 	writeJSON(w, http.StatusOK, map[string]any{"runs": recs, "count": len(recs)})
 }
 
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	rec, ok := s.reg.get(r.PathValue("id"))
+// handleGet answers one record.
+func (k *kind[R, E]) handleGet(w http.ResponseWriter, r *http.Request) {
+	rec, ok := k.recs.get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown run %q", r.PathValue("id"))
+		k.unknown(w, r)
 		return
 	}
 	writeJSON(w, http.StatusOK, rec)
 }
 
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	rec, ok := s.cancelRun(r.PathValue("id"))
+// handleCancel cancels a live record and answers it.
+func (k *kind[R, E]) handleCancel(w http.ResponseWriter, r *http.Request) {
+	rec, ok := k.cancel(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown run %q", r.PathValue("id"))
+		k.unknown(w, r)
 		return
 	}
 	writeJSON(w, http.StatusOK, rec)
 }
 
-// handleStream attaches to a run's telemetry without owning it: a
-// finished run replays its recorded trace, a live one streams from the
-// current iteration on. Disconnecting does not cancel the run.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
+// handleStream attaches to a record's feed without owning it: a finished
+// record replays its recorded rows, a live one streams from the current
+// row on. Disconnecting cancels nothing.
+func (k *kind[R, E]) handleStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if j, ok := s.jobByID(id); ok {
-		s.streamJob(w, r, j, false)
+	if f, ok := k.live(id); ok {
+		k.stream(w, r, id, f, nil)
 		return
 	}
-	rec, ok := s.reg.get(id)
+	rec, ok := k.recs.get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown run %q", id)
+		k.unknown(w, r)
 		return
 	}
-	replayRun(w, rec)
+	k.replay(w, rec)
 }
 
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	rec, ok := s.reg.get(r.PathValue("id"))
+// handleReport renders a finished record's report in text/json/csv; 409
+// until it has one.
+func (k *kind[R, E]) handleReport(w http.ResponseWriter, r *http.Request) {
+	rec, ok := k.recs.get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown run %q", r.PathValue("id"))
+		k.unknown(w, r)
 		return
 	}
-	if rec.Report == nil {
-		writeError(w, http.StatusConflict, "run %s has no report (status %s)", rec.ID, rec.Status)
+	rep, _ := k.finished(&rec)
+	if rep == nil {
+		id, status := k.recs.head(&rec)
+		writeError(w, http.StatusConflict, "%s %s has no report (status %s)", k.noun, id, *status)
 		return
 	}
 	f, err := report.ParseFormat(r.URL.Query().Get("format"))
@@ -189,7 +280,12 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", f.ContentType())
-	report.Write(w, f, rec.Report)
+	report.Write(w, f, rep)
+}
+
+// unknown answers 404 for the request's id.
+func (k *kind[R, E]) unknown(w http.ResponseWriter, r *http.Request) {
+	writeError(w, http.StatusNotFound, "unknown %s %q", k.noun, r.PathValue("id"))
 }
 
 // handleTrace serves the Chrome trace-event artifact of a RunConfig.Trace run
@@ -199,12 +295,12 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	b, ok := s.reg.getTrace(id)
 	if !ok {
-		if _, known := s.reg.get(id); known {
+		if _, known := s.reg.runs.get(id); known {
 			writeError(w, http.StatusConflict,
 				"run %s has no trace (submit with config.trace=true and wait for completion)", id)
 			return
 		}
-		writeError(w, http.StatusNotFound, "unknown run %q", id)
+		s.runKind.unknown(w, r)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -227,36 +323,6 @@ func sseHeaders(w http.ResponseWriter) http.Flusher {
 	return fl
 }
 
-// replayRun renders a finished run as the frame sequence a live stream
-// produces: run, one iter per trace row, done.
-func replayRun(w http.ResponseWriter, rec Record) {
-	var trace []qt.IterStats
-	if rec.Report != nil {
-		trace = rec.Report.Trace
-	}
-	replayFeed(w, "run", "iter", rec, trace)
-}
-
-// streamJob streams a live run ("run", "iter"…, "done"). When ownCancel
-// is set, the client hanging up withdraws its request — the
-// submit-and-stream contract: the run is cancelled once no other request
-// is attached to it.
-func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *job, ownCancel bool) {
-	var hangUp func()
-	if ownCancel {
-		hangUp = func() {
-			// When this request cancelled the run, the worker still owns
-			// the finalization; wait so the registry reaches its terminal
-			// state before we return (the connection is gone — nothing
-			// more is written).
-			if s.release(j) {
-				<-j.done
-			}
-		}
-	}
-	streamFeed(w, r, j.feed, "run", "iter", func() Record { rec, _ := s.reg.get(j.id); return rec }, hangUp)
-}
-
 // handleSubmitStudy admits one ensemble study. With ?stream=sse the
 // response is a live event stream ("study" admission frame, one "member"
 // frame per completed realization, terminal "done" frame with the
@@ -265,13 +331,8 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *job, ownCa
 // queued record is returned with 202.
 func (s *Server) handleSubmitStudy(w http.ResponseWriter, r *http.Request) {
 	var req studyRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode request: %v", err)
+	if !decodeRequest(w, r, &req, &req.Tenant) {
 		return
-	}
-	if req.Tenant == "" {
-		req.Tenant = "anonymous"
 	}
 	rec, st, err := s.submitStudy(req)
 	if err != nil {
@@ -279,100 +340,21 @@ func (s *Server) handleSubmitStudy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.URL.Query().Get("stream") == "sse" {
-		s.streamStudy(w, r, st)
+		s.studyKind.stream(w, r, st.id, st.feed, nil)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, rec)
 }
 
 func (s *Server) handleListStudies(w http.ResponseWriter, r *http.Request) {
+	limit, ok := listLimit(w, r)
+	if !ok {
+		return
+	}
 	qp := r.URL.Query()
-	q := studyQuery{
-		Tenant: qp.Get("tenant"),
-		Status: Status(qp.Get("status")),
-		Limit:  defaultListLimit,
-	}
-	if v := qp.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			writeError(w, http.StatusBadRequest, "bad limit %q", v)
-			return
-		}
-		q.Limit = min(n, maxListLimit)
-	}
-	recs := s.reg.listStudies(q)
+	tenant, status := qp.Get("tenant"), Status(qp.Get("status"))
+	recs := s.reg.studies.list(limit, func(rec *studyRecord) bool {
+		return (tenant == "" || rec.Tenant == tenant) && (status == "" || rec.Status == status)
+	})
 	writeJSON(w, http.StatusOK, map[string]any{"studies": recs, "count": len(recs)})
-}
-
-func (s *Server) handleGetStudy(w http.ResponseWriter, r *http.Request) {
-	rec, ok := s.reg.getStudy(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown study %q", r.PathValue("id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, rec)
-}
-
-func (s *Server) handleCancelStudy(w http.ResponseWriter, r *http.Request) {
-	rec, ok := s.cancelStudy(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown study %q", r.PathValue("id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, rec)
-}
-
-// handleStudyStream attaches to a study's member-completion feed: a
-// finished study replays its recorded member rows, a live one streams
-// from the current member on.
-func (s *Server) handleStudyStream(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if st, ok := s.studyByID(id); ok {
-		s.streamStudy(w, r, st)
-		return
-	}
-	rec, ok := s.reg.getStudy(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown study %q", id)
-		return
-	}
-	replayStudy(w, rec)
-}
-
-// handleStudyReport renders the reduced ensemble report in
-// text/json/csv; 409 until the study reaches a terminal state.
-func (s *Server) handleStudyReport(w http.ResponseWriter, r *http.Request) {
-	rec, ok := s.reg.getStudy(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown study %q", r.PathValue("id"))
-		return
-	}
-	if rec.Report == nil {
-		writeError(w, http.StatusConflict, "study %s has no report (status %s)", rec.ID, rec.Status)
-		return
-	}
-	f, err := report.ParseFormat(r.URL.Query().Get("format"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", f.ContentType())
-	report.Write(w, f, rec.Report)
-}
-
-// replayStudy renders a finished study as the frame sequence a live
-// stream produces: study, one member row each, done.
-func replayStudy(w http.ResponseWriter, rec studyRecord) {
-	var rows []report.MemberRow
-	if rec.Report != nil {
-		rows = rec.Report.MemberRows
-	}
-	replayFeed(w, "study", "member", rec, rows)
-}
-
-// streamStudy streams a live study ("study", "member"…, "done" with the
-// reduced report). Hanging up detaches without cancelling — a study is a
-// batch artifact, not an interactive session.
-func (s *Server) streamStudy(w http.ResponseWriter, r *http.Request, st *studyRun) {
-	streamFeed(w, r, st.feed, "study", "member", func() studyRecord { rec, _ := s.reg.getStudy(st.id); return rec }, nil)
 }

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -78,13 +80,25 @@ func TestServiceTraceEndToEnd(t *testing.T) {
 		t.Errorf("GET trace of unknown run = %d, want 404", code)
 	}
 
+	// With a data dir the artifact lives on disk only: the registry keeps
+	// no in-memory copy for the daemon's lifetime.
+	if _, err := os.Stat(filepath.Join(dir, rec.ID+".trace.json")); err != nil {
+		t.Errorf("trace artifact not on disk: %v", err)
+	}
+	s.reg.mu.Lock()
+	held := len(s.reg.traces)
+	s.reg.mu.Unlock()
+	if held != 0 {
+		t.Errorf("data-dir registry holds %d traces in memory", held)
+	}
+
 	// Restart: the loader must skip the .trace.json artifact and the
-	// trace must still be served — now from disk.
+	// trace must still be served — from disk, as before it.
 	reg, err := OpenRegistry(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := reg.get(rec.ID); !ok {
+	if _, ok := reg.runs.get(rec.ID); !ok {
 		t.Fatalf("record %s lost across restart", rec.ID)
 	}
 	disk, ok := reg.getTrace(rec.ID)

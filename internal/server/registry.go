@@ -83,20 +83,58 @@ type Record struct {
 	Report *report.Run `json:"report,omitempty"`
 }
 
+// studyRecord is one ensemble study's registry row: the base
+// configuration the members derive from, the realization axis, the
+// member-run lineage, and — once finished — the reduced ensemble
+// report. Studies are the JSON bodies of /v1/ensembles responses and
+// the study-NNNNNN.json files under the data dir.
+type studyRecord struct {
+	ID       string `json:"id"`
+	Tenant   string `json:"tenant"`
+	Priority int    `json:"priority,omitempty"`
+
+	// Config is the base resolved configuration; member i runs it with
+	// spec.disorder_seed = BaseSeed + i.
+	Config   qt.RunConfig `json:"config"`
+	Members  int          `json:"members"`
+	BaseSeed uint64       `json:"base_seed"`
+
+	Status Status `json:"status"`
+	Error  string `json:"error,omitempty"`
+
+	Submitted time.Time `json:"submitted"`
+	Started   time.Time `json:"started,omitzero"`
+	Finished  time.Time `json:"finished,omitzero"`
+
+	// Progress and provenance counters, updated as members finish.
+	DoneMembers int `json:"done_members"`
+	CacheHits   int `json:"cache_hits"`
+	WarmStarts  int `json:"warm_starts"`
+
+	// MemberRuns lists the member run IDs in member-index order (the
+	// reverse direction of Record.Study). Filled as members are admitted.
+	MemberRuns []string `json:"member_runs,omitempty"`
+
+	WallNs int64 `json:"wall_ns,omitempty"`
+
+	// Report is the reduced ensemble statistics once the study finished —
+	// what /v1/ensembles/{id}/report re-encodes.
+	Report *report.Ensemble `json:"report,omitempty"`
+}
+
 // Registry is the persistent run registry: an in-memory index over
 // JSON-on-disk records (one file per run under dir; dir = "" keeps it
 // memory-only, the in-process test mode). Ensemble studies live next to
 // the runs as their own record kind (study-NNNNNN.json). Both kinds are
-// one table; the exported methods are its spellings per kind, under the
-// registry's lock.
+// one generic table, read and written directly.
 type Registry struct {
-	mu      sync.Mutex
 	dir     string
 	runs    *table[Record]
 	studies *table[studyRecord]
-	// traces holds the Chrome-trace artifacts of RunConfig.Trace runs,
-	// encoded JSON by run ID; the disk form is <id>.trace.json next to the
-	// record.
+	// traces holds the Chrome-trace artifacts of RunConfig.Trace runs of a
+	// memory-only registry, encoded JSON by run ID; with a data dir the
+	// artifact is <id>.trace.json next to the record, and only there.
+	mu     sync.Mutex
 	traces map[string][]byte
 }
 
@@ -121,19 +159,21 @@ func OpenRegistry(dir string) (*Registry, error) {
 }
 
 // table is one kind of registry row: an index by ID, in insertion order,
-// over the <prefix>NNNNNN.json files of dir. It has no lock of its own;
-// the Registry's guards it.
+// over the <prefix>NNNNNN.json files of dir, under its own lock.
 type table[T any] struct {
 	dir, prefix string
-	recs        map[string]*T
-	order       []string // insertion order; IDs are monotonic
-	seq         int
+	head        func(*T) (string, *Status) // a row's ID and status
+
+	mu    sync.Mutex
+	recs  map[string]*T
+	order []string // insertion order; IDs are monotonic
+	seq   int
 }
 
 // loadTable indexes the records of one kind found under dir (none when
-// dir is ""). head points at a row's ID and status.
+// dir is "").
 func loadTable[T any](dir, prefix string, head func(*T) (string, *Status)) (*table[T], error) {
-	t := &table[T]{dir: dir, prefix: prefix, recs: map[string]*T{}}
+	t := &table[T]{dir: dir, prefix: prefix, head: head, recs: map[string]*T{}}
 	if dir == "" {
 		return t, nil
 	}
@@ -172,12 +212,17 @@ func loadTable[T any](dir, prefix string, head func(*T) (string, *Status)) (*tab
 
 // newID mints the next ID of the kind (monotonic across daemon restarts).
 func (t *table[T]) newID() string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.seq++
 	return fmt.Sprintf("%s%06d", t.prefix, t.seq)
 }
 
-// put stores rec (the table's own copy) under id and persists it.
-func (t *table[T]) put(id string, rec T) error {
+// put stores rec (the table's own copy) under its ID and persists it.
+func (t *table[T]) put(rec T) error {
+	id, _ := t.head(&rec)
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if _, ok := t.recs[id]; !ok {
 		t.order = append(t.order, id)
 	}
@@ -187,6 +232,8 @@ func (t *table[T]) put(id string, rec T) error {
 
 // get returns a copy of the record.
 func (t *table[T]) get(id string) (rec T, ok bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if p, ok := t.recs[id]; ok {
 		return *p, true
 	}
@@ -196,6 +243,8 @@ func (t *table[T]) get(id string) (rec T, ok bool) {
 // list returns copies of the matching records, newest first, at most
 // limit of them (0 = unlimited).
 func (t *table[T]) list(limit int, match func(*T) bool) []T {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	var out []T
 	for i := len(t.order) - 1; i >= 0; i-- {
 		if rec := t.recs[t.order[i]]; match(rec) {
@@ -208,9 +257,12 @@ func (t *table[T]) list(limit int, match func(*T) bool) []T {
 	return out
 }
 
-// remove drops the record from the index and the data dir. Unknown ids
-// are a no-op.
+// remove drops the record from the index and the data dir — for a run,
+// an admission the queue shed after its queued record was written.
+// Unknown ids are a no-op.
 func (t *table[T]) remove(id string) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if _, ok := t.recs[id]; !ok {
 		return nil
 	}
@@ -238,29 +290,6 @@ func (t *table[T]) persist(id string, rec *T) error {
 	return writeAtomic(filepath.Join(t.dir, id+".json"), b)
 }
 
-// newID mints the next run ID (monotonic across daemon restarts).
-func (r *Registry) newID() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.runs.newID()
-}
-
-// put stores (a copy of) the record and persists it.
-func (r *Registry) put(rec Record) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.runs.put(rec.ID, rec)
-}
-
-// remove removes a record that never became a run — an admission the
-// queue shed after its queued record was written — from the index and the
-// data dir. Unknown ids are a no-op.
-func (r *Registry) remove(id string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.runs.remove(id)
-}
-
 // writeAtomic replaces path with b through a temp file and a rename, so a
 // reader (or a crash) sees the old file or the new one, never a torn one.
 func writeAtomic(path string, b []byte) error {
@@ -272,48 +301,33 @@ func writeAtomic(path string, b []byte) error {
 }
 
 // putTrace stores the run's per-phase span recording as its Chrome
-// trace-event artifact (the body of GET /v1/runs/{id}/trace), persisted
-// as <id>.trace.json when the registry has a data dir.
+// trace-event artifact (the body of GET /v1/runs/{id}/trace): the file
+// <id>.trace.json when the registry has a data dir, memory otherwise.
 func (r *Registry) putTrace(id string, tr *obs.Trace) error {
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf); err != nil {
 		return fmt.Errorf("server: encode trace %s: %w", id, err)
 	}
-	b := buf.Bytes()
+	if r.dir != "" {
+		return writeAtomic(filepath.Join(r.dir, id+".trace.json"), buf.Bytes())
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.traces[id] = b
-	if r.dir == "" {
-		return nil
-	}
-	return writeAtomic(filepath.Join(r.dir, id+".trace.json"), b)
+	r.traces[id] = buf.Bytes()
+	return nil
 }
 
-// getTrace returns the run's Chrome trace JSON: from memory for runs of
-// this process, falling back to the data dir for runs of a previous one.
+// getTrace returns the run's Chrome trace JSON from where putTrace
+// stored it.
 func (r *Registry) getTrace(id string) ([]byte, bool) {
-	r.mu.Lock()
-	b, ok := r.traces[id]
-	dir := r.dir
-	r.mu.Unlock()
-	if ok {
-		return b, true
+	if r.dir != "" {
+		b, err := os.ReadFile(filepath.Join(r.dir, id+".trace.json"))
+		return b, err == nil
 	}
-	if dir == "" {
-		return nil, false
-	}
-	b, err := os.ReadFile(filepath.Join(dir, id+".trace.json"))
-	if err != nil {
-		return nil, false
-	}
-	return b, true
-}
-
-// get returns a copy of the record.
-func (r *Registry) get(id string) (Record, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.runs.get(id)
+	b, ok := r.traces[id]
+	return b, ok
 }
 
 // Query filters the registry; zero fields match everything.
@@ -328,8 +342,6 @@ type Query struct {
 
 // List returns matching records, newest first.
 func (r *Registry) List(q Query) []Record {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.runs.list(q.Limit, func(rec *Record) bool {
 		return (q.Tenant == "" || rec.Tenant == q.Tenant) &&
 			(q.Status == "" || rec.Status == q.Status) &&

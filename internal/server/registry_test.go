@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -24,9 +25,9 @@ func TestRegistryPersistence(t *testing.T) {
 	statuses := []Status{StatusDone, StatusQueued, StatusRunning, StatusFailed}
 	var ids []string
 	for _, st := range statuses {
-		id := reg.newID()
+		id := reg.runs.newID()
 		ids = append(ids, id)
-		if err := reg.put(Record{
+		if err := reg.runs.put(Record{
 			ID: id, Tenant: "acme", Key: "k-" + string(st), WarmKey: "w",
 			Config: cfg, Status: st, Submitted: now,
 		}); err != nil {
@@ -40,7 +41,7 @@ func TestRegistryPersistence(t *testing.T) {
 	}
 	// Runs owned by the dead process are relabelled lost.
 	for i, st := range statuses {
-		rec, ok := reopened.get(ids[i])
+		rec, ok := reopened.runs.get(ids[i])
 		if !ok {
 			t.Fatalf("record %s missing after reopen", ids[i])
 		}
@@ -53,7 +54,7 @@ func TestRegistryPersistence(t *testing.T) {
 		}
 	}
 	// IDs keep increasing across restarts.
-	if id := reopened.newID(); id != "run-000005" {
+	if id := reopened.runs.newID(); id != "run-000005" {
 		t.Fatalf("NewID after reopen = %s, want run-000005", id)
 	}
 
@@ -82,38 +83,42 @@ func TestRegistryMemoryOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := reg.newID()
-	if err := reg.put(Record{ID: id, Status: StatusDone}); err != nil {
+	id := reg.runs.newID()
+	if err := reg.runs.put(Record{ID: id, Status: StatusDone}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := reg.get(id); !ok {
+	if _, ok := reg.runs.get(id); !ok {
 		t.Fatal("record missing from memory-only registry")
 	}
 	// Mutating the returned copy must not affect the stored record.
-	rec, _ := reg.get(id)
+	rec, _ := reg.runs.get(id)
 	rec.Status = StatusFailed
-	if again, _ := reg.get(id); again.Status != StatusDone {
+	if again, _ := reg.runs.get(id); again.Status != StatusDone {
 		t.Fatal("Get returned a shared reference, not a copy")
 	}
 }
 
 // TestPutStudyOwnsMemberRuns: the study runner keeps writing run ids into
-// the MemberRuns slice of the record it passed to PutStudy while handlers
-// encode what GetStudy returns, so the stored copy must not share it
-// (the shared backing array was an intermittent -race failure of the
-// study stream and cancel tests).
+// its record's MemberRuns while handlers encode what the registry returns,
+// so every record it stores must own its slice (the shared backing array
+// was an intermittent -race failure of the study stream and cancel
+// tests). With the one slot held, a study's members are admitted and
+// none finishes, so the stored record is still the one the runner saved
+// as it started: admitting members must not write into it.
 func TestPutStudyOwnsMemberRuns(t *testing.T) {
-	reg, err := OpenRegistry("")
+	s, _ := newService(t, Config{Slots: 1, QueueCap: 8})
+	occupySlot(t, s)
+	rec, _, err := s.submitStudy(studyRequest{Tenant: "lab", Members: 2, Config: disorderedConfig(0.15)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := studyRecord{ID: reg.newStudyID(), Members: 2, MemberRuns: make([]string, 2)}
-	if err := reg.putStudy(rec); err != nil {
-		t.Fatal(err)
+	for deadline := time.Now().Add(30 * time.Second); len(s.reg.List(Query{Study: rec.ID})) < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("study members never admitted")
+		}
 	}
-	rec.MemberRuns[0] = "run-000001"
-	if got, _ := reg.getStudy(rec.ID); got.MemberRuns[0] != "" {
-		t.Errorf("stored study record shares the caller's MemberRuns: %v", got.MemberRuns)
+	if got, _ := s.reg.studies.get(rec.ID); got.Status != StatusRunning || !slices.Equal(got.MemberRuns, []string{"", ""}) {
+		t.Errorf("stored study record %s %v: it shares the runner's MemberRuns", got.Status, got.MemberRuns)
 	}
 }
 

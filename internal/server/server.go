@@ -105,6 +105,10 @@ type Server struct {
 	log   *slog.Logger
 	met   *metrics
 
+	// The HTTP surface's two record kinds, served by one handler set.
+	runKind   *kind[Record, qt.IterStats]
+	studyKind *kind[studyRecord, report.MemberRow]
+
 	ctx  context.Context
 	stop context.CancelFunc
 	wg   sync.WaitGroup
@@ -146,6 +150,7 @@ func New(cfg Config) (*Server, error) {
 		studies: map[string]*studyRun{},
 	}
 	s.ctx, s.stop = context.WithCancel(context.Background())
+	s.runKind, s.studyKind = s.kinds()
 	s.mux = s.routes()
 	for i := 0; i < cfg.Slots; i++ {
 		s.wg.Add(1)
@@ -271,9 +276,9 @@ func (s *Server) submit(tenant string, priority int, rc qt.RunConfig, studyID st
 	if !resolved.Trace {
 		if e, ok := s.cache.Get(rec.Key); ok {
 			s.mu.Unlock()
-			rec.ID = s.reg.newID()
+			rec.ID = s.reg.runs.newID()
 			rec = answer(rec, e)
-			if err := s.reg.put(rec); err != nil {
+			if err := s.reg.runs.put(rec); err != nil {
 				return Record{}, nil, err
 			}
 			s.met.cacheHits.Inc()
@@ -290,7 +295,7 @@ func (s *Server) submit(tenant string, priority int, rc qt.RunConfig, studyID st
 	// A miss: this request leads an execution of its identity, reserved
 	// before the device is built so a twin arriving meanwhile joins it.
 	j := &job{
-		id: s.reg.newID(), tenant: tenant, priority: priority,
+		id: s.reg.runs.newID(), tenant: tenant, priority: priority,
 		cfg: resolved, key: rec.Key, warmKey: rec.WarmKey,
 		feed:     newFeed[qt.IterStats](resolved.MaxIterations),
 		attached: 1,
@@ -313,7 +318,7 @@ func (s *Server) submit(tenant string, priority int, rc qt.RunConfig, studyID st
 	// The queued record and the depth gauge must exist before the job is
 	// visible to the slot workers: an idle worker pops it at once, and the
 	// final record execute writes must not be overwritten by this one.
-	if err := s.reg.put(rec); err != nil {
+	if err := s.reg.runs.put(rec); err != nil {
 		s.abandon(j, err)
 		return Record{}, nil, err
 	}
@@ -323,7 +328,7 @@ func (s *Server) submit(tenant string, priority int, rc qt.RunConfig, studyID st
 	s.met.queueDepth.With(tenant).Add(1)
 	if err := s.q.Push(j); err != nil {
 		s.met.queueDepth.With(tenant).Add(-1)
-		if derr := s.reg.remove(j.id); derr != nil {
+		if derr := s.reg.runs.remove(j.id); derr != nil {
 			s.log.Warn("shed record not removed", "run", j.id, "err", derr)
 		}
 		s.abandon(j, err)
@@ -350,7 +355,7 @@ func (s *Server) cancelRun(id string) (Record, bool) {
 	if j, live := s.jobByID(id); live {
 		s.release(j)
 	}
-	return s.reg.get(id)
+	return s.reg.runs.get(id)
 }
 
 // finalizeCancelled marks a never-executed leader cancelled. Callers have
@@ -359,7 +364,7 @@ func (s *Server) finalizeCancelled(j *job) {
 	s.met.queueDepth.With(j.tenant).Add(-1)
 	s.log.Info("cancelled while queued", "run", j.id, "tenant", j.tenant)
 	j.cancel()
-	rec, _ := s.reg.get(j.id)
+	rec, _ := s.reg.runs.get(j.id)
 	rec.Status = StatusCancelled
 	rec.Finished = time.Now().UTC()
 	s.finish(j, rec)
@@ -370,7 +375,7 @@ func (s *Server) execute(j *job) {
 	s.met.slotsBusy.Add(1)
 	defer s.met.slotsBusy.Add(-1)
 
-	rec, _ := s.reg.get(j.id)
+	rec, _ := s.reg.runs.get(j.id)
 	conclude := func(st Status, err error) {
 		rec.Status = st
 		if err != nil {
@@ -405,7 +410,7 @@ func (s *Server) execute(j *job) {
 	s.slotRuns.Add(1)
 	rec.Status = StatusRunning
 	rec.Started = time.Now().UTC()
-	s.reg.put(rec)
+	s.reg.runs.put(rec)
 
 	start := time.Now()
 	run, err := sim.Start(j.ctx)

@@ -74,13 +74,13 @@ func waitForStatus(t *testing.T, s *Server, id string, want Status) Record {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		rec, ok := s.reg.get(id)
+		rec, ok := s.reg.runs.get(id)
 		if ok && rec.Status == want {
 			return rec
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	rec, _ := s.reg.get(id)
+	rec, _ := s.reg.runs.get(id)
 	t.Fatalf("run %s stuck in status %s, want %s", id, rec.Status, want)
 	return Record{}
 }

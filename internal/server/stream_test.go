@@ -36,8 +36,8 @@ func frameData(frames []sseFrame, event string) []string {
 }
 
 // TestReplayedStreamMatchesLive: the live stream of a run or study and
-// the replay of the finished one go through one loop pair (streamFeed,
-// replayFeed) and must put the same frames on the wire — the head frame
+// the replay of the finished one go through one method pair (kind.stream,
+// kind.replay) and must put the same frames on the wire — the head frame
 // aside, which a live stream sends at admission. Iteration frames keep
 // their order; member frames arrive in completion order live and in
 // member order on replay, so they compare as sets.
