@@ -1,10 +1,6 @@
 package main
 
-import (
-	"runtime"
-
-	"repro/internal/linalg"
-)
+import "repro/internal/linalg"
 
 // Table 9's two fp64 batched kernels: SBSMM on the exact n×n sizes and
 // the vendor-library baseline that pads them. (The fp16 row is
@@ -20,11 +16,12 @@ const padSize = 16
 // n*n elements each, contiguously ("constant stride" layout from Fig. 6).
 // Each row of C[t] adds a_ik·row_k(B[t]) for ascending k, skipping an a_ik
 // of zero (linalg.SmallBatch's accumulate contract). The batch is split
-// across GOMAXPROCS goroutines.
+// by linalg.ForChunks, as batch.SBSMMHalf's is, so the three Table 9
+// kernels run on the same fan-out.
 func sbsmm(c, a, b []complex128, n, count int) {
 	checkBatch("sbsmm", c, a, b, n, count)
 	stride := n * n
-	forChunks(count, func(lo, hi int) {
+	linalg.ForChunks(count, func(lo, hi int) {
 		linalg.SmallBatch(c[lo*stride:hi*stride], a[lo*stride:hi*stride], b[lo*stride:hi*stride], n, hi-lo, stride, stride, true)
 	})
 }
@@ -40,7 +37,7 @@ func sbsmmPadded(c, a, b []complex128, n, count int) {
 	if n > padSize {
 		panic("paperbench: sbsmmPadded requires n <= padSize")
 	}
-	forChunks(count, func(lo, hi int) {
+	linalg.ForChunks(count, func(lo, hi int) {
 		const p = padSize
 		var pa, pb, pc [p * p]complex128
 		stride := n * n
@@ -85,24 +82,4 @@ func checkBatch(fn string, c, a, b []complex128, n, count int) {
 	if len(a) != want || len(b) != want || len(c) != want {
 		panic("paperbench: " + fn + " buffer length mismatch")
 	}
-}
-
-// forChunks splits [0, count) into one contiguous chunk per CPU and runs
-// f on each through linalg.ParallelFor, as batch.SBSMMHalf does, so the
-// three Table 9 kernels run on the same fan-out; a batch too small to
-// amortize it (fewer than four elements per CPU) runs as one chunk on the
-// caller's goroutine.
-func forChunks(count int, f func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if count < 4*workers {
-		f(0, count)
-		return
-	}
-	chunk := (count + workers - 1) / workers
-	linalg.ParallelFor((count+chunk-1)/chunk, workers, func() func(int) error {
-		return func(w int) error {
-			f(w*chunk, min((w+1)*chunk, count))
-			return nil
-		}
-	})
 }

@@ -15,8 +15,6 @@
 package batch
 
 import (
-	"runtime"
-
 	"repro/internal/half"
 	"repro/internal/linalg"
 )
@@ -59,7 +57,7 @@ func SBSMMHalf(c []complex128, a, b *HalfBatch) {
 		panic("batch: SBSMMHalf output length mismatch")
 	}
 	inv := 1 / (a.scale * b.scale)
-	forChunks(count, func(lo, hi int) {
+	linalg.ForChunks(count, func(lo, hi int) {
 		stride := n * n
 		are, aim := a.buf.Re, a.buf.Im
 		bre, bim := b.buf.Re, b.buf.Im
@@ -79,25 +77,6 @@ func SBSMMHalf(c []complex128, a, b *HalfBatch) {
 					c[base+i*n+j] += complex(sre*inv, sim*inv)
 				}
 			}
-		}
-	})
-}
-
-// forChunks splits [0, count) into one contiguous chunk per CPU and runs
-// f on each through linalg.ParallelFor; a batch too small to amortize the
-// fan-out (fewer than four elements per CPU) runs as one chunk on the
-// caller's goroutine.
-func forChunks(count int, f func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if count < 4*workers {
-		f(0, count)
-		return
-	}
-	chunk := (count + workers - 1) / workers
-	linalg.ParallelFor((count+chunk-1)/chunk, workers, func() func(int) error {
-		return func(w int) error {
-			f(w*chunk, min((w+1)*chunk, count))
-			return nil
 		}
 	})
 }

@@ -11,6 +11,9 @@
 // nonblocking.go) return waitable requests so the task-graph runtime can
 // overlap collectives with compute; blocking Alltoallv and Allreduce are
 // those same operations waited at once, counted under the same names.
+// Ranks are the only goroutines the runtime starts: a request completes on
+// its waiter, and a reduction's fold runs in rank 0's Wait, so a non-root
+// rank's Wait returns once rank 0 has waited (MPI's progress rule).
 package comm
 
 import (
@@ -226,19 +229,26 @@ func (c *Comm) Reduce(root int, data []complex128) []complex128 {
 	}
 	c.world.countCollective("Reduce")
 	sum := append([]complex128(nil), data...)
+	c.fold(sum, tagReduce, "Reduce")
+	return sum
+}
+
+// fold adds every other rank's part, received on tag, into sum in
+// ascending rank order: the one association of every reduction, so a sum
+// is the same bits whichever collective computed it.
+func (c *Comm) fold(sum []complex128, tag int, op string) {
 	for r := 0; r < c.world.size; r++ {
-		if r == root {
+		if r == c.rank {
 			continue
 		}
-		part := c.Recv(r, tagReduce)
+		part := c.Recv(r, tag)
 		if len(part) != len(sum) {
-			panic("comm: Reduce length mismatch")
+			panic("comm: " + op + " length mismatch")
 		}
 		for i, v := range part {
 			sum[i] += v
 		}
 	}
-	return sum
 }
 
 // Allreduce sums every rank's contribution elementwise and returns the

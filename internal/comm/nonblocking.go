@@ -8,6 +8,16 @@
 // preserve. Slots may be reused once the previous operation on them has
 // completed on all ranks (the per-(source, tag) FIFO mailboxes keep even
 // back-to-back reuse ordered).
+//
+// A request completes on its waiter: everything a rank contributes is
+// sent (counted and copied) when the operation is posted, so what is left
+// is receiving, and Wait does that on the caller's goroutine — on every
+// rank, at every world size; no operation starts a goroutine. Rank 0's
+// Wait of a reduction is also where the contributions are folded and the
+// sum is sent back, so the progress rule is MPI's: a non-root rank's Wait
+// of a reduction returns once rank 0 has waited on it. A caller must
+// therefore never make rank 0's Wait depend on something a peer does only
+// after its own Wait of the same reduction returns.
 package comm
 
 import "fmt"
@@ -31,27 +41,25 @@ const (
 	legBcast
 )
 
-// A request completes on its waiter: everything a rank contributes is
-// sent (counted and copied) when the operation is posted, so what is left
-// is receiving, and Wait does that on the caller's goroutine. Only rank
-// 0's fold-and-send-back leg of a reduction runs on a goroutine of its
-// own — it is the progress engine the other ranks' waits depend on — and
-// only when there are other ranks: a one-rank reduction completes at post.
-
 // VecRequest is the handle of a vector-valued collective (IAllreduce).
 type VecRequest struct {
-	c    *Comm
-	tag  int               // where a non-root rank receives the result
-	root chan []complex128 // rank 0: the folded result
+	c          *Comm
+	tagR, tagB int          // where rank 0 receives the parts, and everyone the sum
+	sum        []complex128 // rank 0: its own part, copied at post
 }
 
 // Wait blocks until the collective completes and returns the reduced
 // vector. Call exactly once.
 func (r *VecRequest) Wait() []complex128 {
-	if r.root != nil {
-		return <-r.root
+	c := r.c
+	if c.rank != 0 {
+		return c.Recv(0, r.tagB)
 	}
-	return r.c.Recv(0, r.tag)
+	c.fold(r.sum, r.tagR, "Allreduce")
+	for dst := 1; dst < c.world.size; dst++ {
+		c.send(dst, r.tagB, r.sum, "Allreduce")
+	}
+	return r.sum
 }
 
 // MatRequest is the handle of a per-rank-buffer collective (IAlltoallv).
@@ -100,36 +108,18 @@ func (c *Comm) IAllreduce(slot int, data []complex128) *VecRequest {
 }
 
 // postAllreduce is the one all-reduction, behind the slotted nonblocking
-// form and the blocking form alike: rank 0 adds the contributions into
-// its own in ascending rank order (one association order, so IAllreduce
-// and Allreduce are bitwise interchangeable) and sends the sum back to
-// everyone. Counted as one "Allreduce", moving 2·(P−1)·len·16 bytes.
+// form and the blocking form alike: each non-root rank sends its part to
+// rank 0, whose Wait adds them into its own in ascending rank order (one
+// association order, so IAllreduce, Allreduce and Reduce at rank 0 are
+// bitwise interchangeable) and sends the sum back to everyone. Counted as
+// one "Allreduce", moving 2·(P−1)·len·16 bytes.
 func (c *Comm) postAllreduce(tagR, tagB int, data []complex128) *VecRequest {
+	req := &VecRequest{c: c, tagR: tagR, tagB: tagB}
 	if c.rank != 0 {
 		c.send(0, tagR, data, "Allreduce")
-		return &VecRequest{c: c, tag: tagB}
-	}
-	c.world.countCollective("Allreduce")
-	cp := append([]complex128(nil), data...)
-	req := &VecRequest{root: make(chan []complex128, 1)}
-	if c.world.size == 1 {
-		req.root <- cp
 		return req
 	}
-	go func() {
-		for r := 1; r < c.world.size; r++ {
-			part := c.Recv(r, tagR)
-			if len(part) != len(cp) {
-				panic("comm: Allreduce length mismatch")
-			}
-			for i, v := range part {
-				cp[i] += v
-			}
-		}
-		for r := 1; r < c.world.size; r++ {
-			c.send(r, tagB, cp, "Allreduce")
-		}
-		req.root <- cp
-	}()
+	c.world.countCollective("Allreduce")
+	req.sum = append([]complex128(nil), data...)
 	return req
 }

@@ -12,11 +12,12 @@ import (
 // order on different ranks still match by slot, not by call order.
 //
 // It also pins that a request completes on its waiter: between post and
-// wait no goroutine exists on the request's behalf — for IAlltoallv on
-// any rank, and for IAllreduce on a non-root rank. The last rank (for the
-// exchanges) and the root (for the reduction) post only once the others
-// have counted, so a receiver goroutine, were there one, would still be
-// blocked on the missing rank when it is looked for.
+// wait no goroutine exists on the request's behalf — for IAlltoallv and
+// for IAllreduce, on every rank, the root included. The last rank (for
+// the exchanges) and the root (for the reduction) post only once the
+// others have counted, so a receiver or fold goroutine, were there one,
+// would still be blocked on the missing rank when it is looked for; the
+// root counts last, while the others are blocked in Wait on its fold.
 func TestIAlltoallvSlotsOutOfOrder(t *testing.T) {
 	const n = 4
 	w := NewWorld(n)
@@ -70,7 +71,7 @@ func TestIAlltoallvSlotsOutOfOrder(t *testing.T) {
 		if got := req.Wait(); got[0] != n {
 			return fmt.Errorf("IAllreduce = %v, want %d", got, n)
 		}
-		if grewExchange > 0 || (c.Rank() != 0 && grewReduce > 0) {
+		if grewExchange > 0 || grewReduce > 0 {
 			return fmt.Errorf("goroutines between post and wait: +%d for two IAlltoallv, +%d for IAllreduce; a request must complete on its waiter",
 				grewExchange, grewReduce)
 		}
@@ -84,34 +85,60 @@ func TestIAlltoallvSlotsOutOfOrder(t *testing.T) {
 	}
 }
 
+// TestIAllreduceMatchesBlocking: the nonblocking and blocking
+// all-reductions and Reduce at rank 0 are one fold — each rank's part
+// added in ascending rank order — so all three return the same bits, on
+// parts whose sum depends on the association.
 func TestIAllreduceMatchesBlocking(t *testing.T) {
-	const n = 4
-	w := NewWorld(n)
-	err := w.Run(func(c *Comm) error {
-		data := []complex128{complex(float64(c.Rank()+1), 0), 1i}
-		want := c.Allreduce(data)
-		req := c.IAllreduce(0, data)
-		data[0] = -999 // post-time copy
-		got := req.Wait()
-		for i := range want {
-			if got[i] != want[i] {
-				return fmt.Errorf("IAllreduce[%d] = %v, want %v", i, got[i], want[i])
+	part := func(r int) []complex128 {
+		return []complex128{complex(1e16*float64(1-2*(r%2)), 0.1*float64(r+1)), complex(1/float64(r+3), 1e-17*float64(r))}
+	}
+	for _, n := range []int{2, 3, 4} {
+		t.Run(fmt.Sprintf("P=%d", n), func(t *testing.T) {
+			want := part(0)
+			for r := 1; r < n; r++ {
+				for i, v := range part(r) {
+					want[i] += v
+				}
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both forms are the one collective and count under the one name —
-	// nothing is booked as the blocking form's Reduce and Bcast legs.
-	st := w.Stats()
-	if st.Collectives["Allreduce"] != 2 || st.Collectives["Reduce"]+st.Collectives["Bcast"] != 0 {
-		t.Fatalf("collective counts = %v, want 2 Allreduce only", st.Collectives)
-	}
-	// Volume, each: (n−1) contributions to rank 0 plus (n−1) copies back.
-	if want := int64(2 * 2 * (n - 1) * 2 * 16); st.CollectiveBytes["Allreduce"] != want || st.BytesSent != want {
-		t.Fatalf("Allreduce bytes = %d of %d sent, want %d", st.CollectiveBytes["Allreduce"], st.BytesSent, want)
+			w := NewWorld(n)
+			err := w.Run(func(c *Comm) error {
+				data := part(c.Rank())
+				blocking := c.Allreduce(data)
+				reduced := c.Reduce(0, data)
+				req := c.IAllreduce(0, data)
+				data[0] = -999 // post-time copy
+				got := req.Wait()
+				for i := range want {
+					if got[i] != want[i] || blocking[i] != want[i] || (c.Rank() == 0 && reduced[i] != want[i]) {
+						return fmt.Errorf("rank %d, element %d: IAllreduce %v, Allreduce %v, Reduce %v, want %v in ascending rank order",
+							c.Rank(), i, got[i], blocking[i], reduced, want[i])
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Both all-reductions are the one collective and count under
+			// the one name — nothing is booked as the blocking form's
+			// Reduce and Bcast legs.
+			st := w.Stats()
+			if st.Collectives["Allreduce"] != 2 || st.Collectives["Reduce"] != 1 || st.Collectives["Bcast"] != 0 {
+				t.Fatalf("collective counts = %v, want 2 Allreduce and 1 Reduce", st.Collectives)
+			}
+			// Volume of each all-reduction: (n−1) contributions to rank 0
+			// plus (n−1) copies back; the Reduce moves the first half.
+			if want := int64(2 * 2 * (n - 1) * 2 * 16); st.CollectiveBytes["Allreduce"] != want {
+				t.Fatalf("Allreduce bytes = %d, want %d", st.CollectiveBytes["Allreduce"], want)
+			}
+			if want := int64((n - 1) * 2 * 16); st.CollectiveBytes["Reduce"] != want {
+				t.Fatalf("Reduce bytes = %d, want %d", st.CollectiveBytes["Reduce"], want)
+			}
+			if st.BytesSent != st.CollectiveBytes["Allreduce"]+st.CollectiveBytes["Reduce"] {
+				t.Fatalf("%d bytes sent, %v attributed", st.BytesSent, st.CollectiveBytes)
+			}
+		})
 	}
 }
 
@@ -248,8 +275,8 @@ func TestCollectiveByteAttribution(t *testing.T) {
 
 // TestSizeOneWorldSpawnsNothing pins that a one-rank world adds no
 // goroutine: World.Run runs the rank on the caller's goroutine, and an
-// IAllreduce completes at post — its result is ready before Wait, with
-// no fold goroutine behind it — while still counting as one Allreduce.
+// IAllreduce starts no fold goroutine — its Wait folds nothing and
+// returns the rank's own part — while still counting as one Allreduce.
 func TestSizeOneWorldSpawnsNothing(t *testing.T) {
 	w := NewWorld(1)
 	before := runtime.NumGoroutine()
@@ -259,16 +286,12 @@ func TestSizeOneWorldSpawnsNothing(t *testing.T) {
 		if grew := runtime.NumGoroutine() - before; grew > 0 {
 			return fmt.Errorf("World.Run started %d goroutines for one rank", grew)
 		}
-		req := c.IAllreduce(0, []complex128{5})
+		data := []complex128{5}
+		req := c.IAllreduce(0, data)
 		if grew := runtime.NumGoroutine() - before; grew > 0 {
 			return fmt.Errorf("IAllreduce started %d goroutines on a one-rank world", grew)
 		}
-		select {
-		case got := <-req.root:
-			req.root <- got
-		default:
-			return fmt.Errorf("one-rank IAllreduce not complete at post")
-		}
+		data[0] = -1 // post-time copy
 		if got := req.Wait(); got[0] != 5 {
 			return fmt.Errorf("size-1 IAllreduce = %v", got)
 		}

@@ -307,6 +307,13 @@ func mirror(opts Options, r int, tr *sdfg.Trace, names []nodeName, pr *pipeRun, 
 // of the stage's posts: a wait may only block a worker once this rank has
 // posted everything its peers need to reach the same stage, which makes
 // the schedule deadlock-free for any pool size, including Workers=1.
+// The observable reduction follows comm's progress rule: it is folded in
+// rank 0's wait/obs, so a peer's wait/obs returns only once rank 0's has
+// run. That cannot deadlock either, because on every rank every post of
+// iteration k depends, through conv k−1, on that rank's wait/obs of
+// iteration k−1: what rank 0's wait/obs of an iteration needs — its own
+// nodes of that iteration and every rank's posts of it — never waits
+// behind a peer's wait/obs of the same iteration.
 //
 // Decisions derive only from globally reduced values (the current and
 // the control word), so every rank moves the fence identically with no

@@ -63,23 +63,24 @@ func TestParallelForFirstErrorStopsClaims(t *testing.T) {
 	}
 
 	// Pooled, two workers: index 0 fails once index 1 is claimed too, so
-	// both workers are alive when index 1 counts the goroutines. It then
-	// holds its index until that count drops — the failing worker exits
-	// only after publishing the error — so when it comes back for another
-	// index the failure is there to stop it.
+	// each worker holds one of them. Index 1 then holds its index until
+	// the failure has landed in the pool's first-error slot, so when its
+	// worker comes back for another index the failure is there to stop
+	// it. (The caller is worker 0 and does not exit before the loop ends,
+	// so the landing is read from the pool, not from a goroutine count.)
+	var p Pool
 	var visited atomic.Int64
-	bothAlive := make(chan struct{})
-	err = ParallelFor(64, 2, func() func(int) error {
+	bothClaimed := make(chan struct{})
+	err = p.Run(64, 2, func(int) func(int) error {
 		return func(i int) error {
 			visited.Add(1)
 			switch i {
 			case 0:
-				<-bothAlive
+				<-bothClaimed
 				return boom
 			case 1:
-				alive := runtime.NumGoroutine()
-				close(bothAlive)
-				for runtime.NumGoroutine() >= alive {
+				close(bothClaimed)
+				for p.first.Load() == nil {
 					runtime.Gosched()
 				}
 				return nil
@@ -92,5 +93,46 @@ func TestParallelForFirstErrorStopsClaims(t *testing.T) {
 	}
 	if v := visited.Load(); v > 2 {
 		t.Errorf("pooled: %d indices ran after index 0 failed; the failure must stop further claims", v)
+	}
+}
+
+// TestPoolReusedAllocatesNothing: a Pool run again with a prebuilt
+// newWorker and prebuilt worker functions allocates nothing — its worker
+// body is built on the first run — and still visits every index once,
+// each worker getting its own number.
+func TestPoolReusedAllocatesNothing(t *testing.T) {
+	const n, workers = 64, 4
+	var p Pool
+	visits := make([]atomic.Int32, n)
+	var owner [workers]atomic.Int32
+	work := make([]func(int) error, workers)
+	for w := range work {
+		work[w] = func(i int) error {
+			visits[i].Add(1)
+			return nil
+		}
+	}
+	newWorker := func(w int) func(int) error {
+		owner[w].Add(1)
+		return work[w]
+	}
+	const runs = 100
+	if allocs := testing.AllocsPerRun(runs, func() {
+		if err := p.Run(n, workers, newWorker); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("a reused Pool allocates %v times per run, want 0", allocs)
+	}
+	// AllocsPerRun runs the function once more to warm up.
+	for i := range visits {
+		if v := visits[i].Load(); v != runs+1 {
+			t.Errorf("index %d visited %d times over %d runs", i, v, runs+1)
+		}
+	}
+	for w := range owner {
+		if got := owner[w].Load(); got != runs+1 {
+			t.Errorf("worker %d started %d times over %d runs, want once per run", w, got, runs+1)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package sse
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/batch"
@@ -182,9 +181,13 @@ type Tile struct {
 	restr *restriction
 	mixed *mixedTile // nil: the fp64 schedule
 
-	// scratch holds one working set per worker, grown to the pool size
-	// on demand and kept across calls.
-	scratch []*tileScratch
+	// The atoms run on one worker per CPU at most, the caller's
+	// goroutine being worker 0. work[w] runs an atom on worker w's own
+	// scratch; the list grows to the pool size on demand and is kept
+	// across calls, and newWorker, built once, hands its entries out.
+	pool      linalg.Pool
+	work      []func(ai int) error
+	newWorker func(w int) func(ai int) error
 	// The call in flight, read by the workers: the input the schedule
 	// reads (the quantized copies under Mixed), the output, and the
 	// prefactors with any denormalization folded in.
@@ -192,20 +195,12 @@ type Tile struct {
 	out          *Output
 	prefS, prefP complex128
 
-	next, slot         atomic.Int64 // atom and scratch claims
 	matmuls, scalarOps atomic.Int64
-	wg                 sync.WaitGroup
-	// spawn is the body of every worker goroutine but the caller's, built
-	// once: starting a prebuilt func value allocates nothing.
-	spawn func()
 }
 
 func newTile(in *Input, restr *restriction, mixed *mixedTile) *Tile {
 	t := &Tile{dev: in.Dev, restr: restr, mixed: mixed}
-	t.spawn = func() {
-		defer t.wg.Done()
-		t.work()
-	}
+	t.newWorker = func(w int) func(int) error { return t.work[w] }
 	return t
 }
 
@@ -229,7 +224,19 @@ func (t *Tile) Compute(in *Input, out *Output) {
 	out.zero()
 	t.matmuls.Store(0)
 	t.scalarOps.Store(0)
-	t.run()
+	// Worker w writes only the output regions of the atoms it claims, so
+	// no locking is needed — the associative accumulation the SDFG map
+	// exploits.
+	atoms := len(t.restr.atoms)
+	workers := min(runtime.GOMAXPROCS(0), atoms)
+	for len(t.work) < workers {
+		s := newTileScratch(p.Nkz, p.Norb, t.restr)
+		t.work = append(t.work, func(ai int) error {
+			t.atom(s, t.restr.atoms[ai])
+			return nil
+		})
+	}
+	t.pool.Run(atoms, workers, t.newWorker)
 
 	src := t.in
 	norb := int64(p.Norb)
@@ -246,41 +253,6 @@ func (t *Tile) Compute(in *Input, out *Output) {
 		out.Stats.BytesMoved -= (in.GL.Bytes() + in.GG.Bytes() + in.DL.Bytes() + in.DG.Bytes()) * 3 / 4
 	}
 	t.in, t.out = nil, nil
-}
-
-// run processes the tile's atoms on one worker per CPU at most, the
-// caller's goroutine being one of them. Worker a writes only atom-a-owned
-// regions of the output tensors, so no locking is needed — the
-// associative accumulation the SDFG map exploits.
-func (t *Tile) run() {
-	n := len(t.restr.atoms)
-	if n == 0 {
-		return
-	}
-	workers := min(runtime.GOMAXPROCS(0), n)
-	for len(t.scratch) < workers {
-		t.scratch = append(t.scratch, newTileScratch(t.dev.P.Nkz, t.dev.P.Norb, t.restr))
-	}
-	t.next.Store(0)
-	t.slot.Store(0)
-	t.wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go t.spawn()
-	}
-	t.work()
-	t.wg.Wait()
-}
-
-// work claims a scratch, then atoms until none is left.
-func (t *Tile) work() {
-	s := t.scratch[t.slot.Add(1)-1]
-	for {
-		ai := int(t.next.Add(1)) - 1
-		if ai >= len(t.restr.atoms) {
-			return
-		}
-		t.atom(s, t.restr.atoms[ai])
-	}
 }
 
 // grad is the coupling block ∇iH_ab the schedule multiplies by: the
