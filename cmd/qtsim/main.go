@@ -166,7 +166,7 @@ func main() {
 func runEnsemble(rc qt.RunConfig, bias qt.Option, members int, baseSeed uint64, f report.Format) {
 	st := &ensemble.Study{
 		Config: rc, Members: members, BaseSeed: baseSeed,
-		Options: []qt.Option{bias},
+		Exec: ensemble.Local(bias),
 		OnMember: func(m ensemble.Member) {
 			status := "failed"
 			if m.Err == nil && m.Result != nil {

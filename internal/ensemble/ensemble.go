@@ -5,25 +5,31 @@
 //
 // A Study names a configuration over a profiled qt.Spec, a realization
 // count and a base seed; member i solves it with DisorderSeed = BaseSeed + i.
-// Member 0 solves first, alone, and seeds members 1..N−1 with its
-// converged Σ≷/Π≷ state; those then run concurrently through
-// linalg.ParallelFor, at most GOMAXPROCS at a time. The members reduce
+// Member 0 solves first, alone and cold, and seeds members 1..N−1 with
+// its converged Σ≷/Π≷ state; those then run concurrently through
+// linalg.ParallelFor, at most GOMAXPROCS at a time. A seeded member that
+// ends unconverged is solved once more, cold. The members reduce
 // Welford-style into the report.Ensemble schema: running mean/variance
 // and the 95% confidence interval of the terminal current and of the DOS
-// spectrum.
+// spectrum, over the converged members.
+//
+// Study.Run is the one study driver. It solves each member through an
+// Executor: Local in-process (qtsim, examples/ensemble), the daemon's
+// submit path in the qtd service (POST /v1/ensembles), where a member's
+// content key additionally lets a duplicate realization hit the result
+// cache. Either way a member's seed is the one this package passes,
+// never one the executor picks.
 //
 // The reduction is deterministic: members are folded in index order
 // after all have finished, so the same member results always produce
-// the bitwise-same statistics regardless of completion order. The qtd
-// service mirrors this driver over HTTP (POST /v1/ensembles), where the
-// (profile, seed) content keys additionally let duplicate realizations
-// hit the result cache and sibling realizations warm-start.
+// the bitwise-same statistics regardless of completion order.
 package ensemble
 
 import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -43,22 +49,78 @@ type Study struct {
 	// BaseSeed seeds the first realization; member i draws its disorder
 	// from BaseSeed + i.
 	BaseSeed uint64
-	// Options apply to every member's simulation on top of Config — the
-	// place for what a RunConfig cannot say (an explicit zero bias).
-	Options []qt.Option
+	// Exec solves each member; nil is Local().
+	Exec Executor
 
 	// OnMember, when set, is called once per member as it finishes, in
 	// completion order (serialized by the study).
 	OnMember func(Member)
 }
 
+// Executor solves one member's configuration to completion, warm-started
+// from seed (nil: cold), and returns its result with the lineage of the
+// run that produced it. A nil error comes with a result; a cancelled
+// solve returns its partial result, if any, with an error. A result
+// that did not converge is not an error.
+type Executor func(ctx context.Context, rc qt.RunConfig, seed *qt.SigmaState) (*qt.Result, Lineage, error)
+
+// Lineage names the run that answered a member where the executor keeps
+// runs (the qtd registry): its id, and whether the result cache answered
+// it. Local leaves it zero.
+type Lineage struct {
+	RunID    string
+	CacheHit bool
+}
+
+// Local is the in-process executor: a member is one qt simulation of its
+// configuration, with opts on top — what a RunConfig cannot say, such as
+// an explicit zero bias.
+func Local(opts ...qt.Option) Executor {
+	return func(ctx context.Context, rc qt.RunConfig, seed *qt.SigmaState) (*qt.Result, Lineage, error) {
+		o := opts
+		if seed != nil {
+			// The donated state seeds many concurrent solvers; each copies
+			// it into its own tensors at Start.
+			o = append(slices.Clip(opts), qt.WithWarmStart(seed))
+		}
+		sim, err := qt.NewFromConfig(rc, o...)
+		if err != nil {
+			return nil, Lineage{}, err
+		}
+		run, err := sim.Start(ctx)
+		if err != nil {
+			return nil, Lineage{}, err
+		}
+		res, err := run.Wait()
+		return res, Lineage{}, err
+	}
+}
+
 // Member is one realization's outcome.
 type Member struct {
-	Index  int
-	Seed   uint64
-	Result *qt.Result // nil when Err is set
+	Index int
+	Seed  uint64
+	// Start is how the member's final run began (report.StartCold,
+	// StartWarm or StartColdRetry); "" when it never ran.
+	Start string
+	// Result may be partial when Err is set (a cancelled solve), and is
+	// nil when the member never produced one.
+	Result *qt.Result
 	Err    error
 	WallNs int64
+	Lineage
+}
+
+// Row is the member's report row.
+func (m Member) Row() report.MemberRow {
+	row := report.MemberRow{
+		Index: m.Index, Seed: m.Seed, RunID: m.RunID,
+		CacheHit: m.CacheHit, Start: m.Start, WallNs: m.WallNs,
+	}
+	if r := m.Result; r != nil {
+		row.Current, row.Iterations, row.Converged = r.Current, r.Iterations, r.Converged
+	}
+	return row
 }
 
 // Result is a finished study: every member in index order plus the
@@ -68,18 +130,16 @@ type Result struct {
 	Report  *report.Ensemble
 }
 
-// MemberSpec returns the spec member i solves: the base spec with the
-// member's derived disorder seed — the one member-seed rule. qtd's study
-// runner derives its members through it too, so a study submitted there
-// and one run here solve byte-identical configurations.
-func (st *Study) MemberSpec(i int) qt.Spec {
+// memberSpec returns the spec member i solves: the base spec with the
+// member's derived disorder seed — the one member-seed rule.
+func (st *Study) memberSpec(i int) qt.Spec {
 	s := st.Config.Spec
 	s.DisorderSeed = st.BaseSeed + uint64(i)
 	return s
 }
 
-// validate checks the study shape before any member runs.
-func (st *Study) validate() error {
+// Validate checks the study shape before any member runs.
+func (st *Study) Validate() error {
 	if st.Members <= 0 {
 		return fmt.Errorf("ensemble: need at least one member (got %d)", st.Members)
 	}
@@ -96,16 +156,20 @@ func (st *Study) validate() error {
 // member excluded from the reduction), not escalated — one diverged
 // realization must not void its N−1 siblings.
 func (st *Study) Run(ctx context.Context) (*Result, error) {
-	if err := st.validate(); err != nil {
+	if err := st.Validate(); err != nil {
 		return nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	exec := st.Exec
+	if exec == nil {
+		exec = Local()
+	}
 	start := time.Now()
 	members := make([]Member, st.Members)
 	for i := range members {
-		members[i] = Member{Index: i, Seed: st.MemberSpec(i).DisorderSeed}
+		members[i] = Member{Index: i, Seed: st.memberSpec(i).DisorderSeed}
 	}
 
 	var mu sync.Mutex // serializes OnMember across members
@@ -113,7 +177,7 @@ func (st *Study) Run(ctx context.Context) (*Result, error) {
 	// realizations of one profile share tensor shapes, so a sibling's
 	// fixed point is a valid and close initial guess. Members with ranks
 	// and a cancelled member 0 capture none, and the rest then start cold.
-	st.solve(ctx, &members[0], &mu, nil)
+	st.solve(ctx, exec, &members[0], &mu, nil)
 	var warm *qt.SigmaState
 	if r := members[0].Result; r != nil {
 		warm = r.FinalState
@@ -122,7 +186,7 @@ func (st *Study) Run(ctx context.Context) (*Result, error) {
 	_ = linalg.ParallelFor(st.Members-1, runtime.GOMAXPROCS(0), func() func(int) error {
 		return func(i int) error {
 			if ctx.Err() == nil {
-				st.solve(ctx, &members[i+1], &mu, warm)
+				st.solve(ctx, exec, &members[i+1], &mu, warm)
 			}
 			return nil
 		}
@@ -132,51 +196,33 @@ func (st *Study) Run(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := Reduce(dev, members)
+	rep := reduce(dev, members)
 	rep.BaseSeed = st.BaseSeed
 	rep.WallNs = time.Since(start).Nanoseconds()
 	return &Result{Members: members, Report: rep}, ctx.Err()
 }
 
-// solve runs one member to completion, filling its row.
-func (st *Study) solve(ctx context.Context, m *Member, mu *sync.Mutex, warm *qt.SigmaState) {
+// solve runs one member to completion, filling its row: from warm when
+// it is set, and once more cold when that run ends unconverged — a
+// sibling's fixed point can lead a realization astray where a cold
+// start converges.
+func (st *Study) solve(ctx context.Context, exec Executor, m *Member, mu *sync.Mutex, warm *qt.SigmaState) {
 	begin := time.Now()
-	opts := append([]qt.Option{}, st.Options...)
-	if warm != nil {
-		// The donated state seeds many concurrent solvers; each copies it
-		// into its own tensors at Start.
-		opts = append(opts, qt.WithWarmStart(warm))
-	}
 	rc := st.Config
-	rc.Spec = st.MemberSpec(m.Index)
-	sim, err := qt.NewFromConfig(rc, opts...)
-	if err != nil {
-		m.Err = err
-		st.notify(m, mu)
-		return
+	rc.Spec = st.memberSpec(m.Index)
+	m.Start = report.StartCold
+	if warm != nil {
+		m.Start = report.StartWarm
 	}
-	run, err := sim.Start(ctx)
-	if err != nil {
-		m.Err = err
-		st.notify(m, mu)
-		return
-	}
-	res, err := run.Wait()
-	m.Result = res
-	// Cancellation still carries the partial result; a hard solver error
-	// voids only this member.
-	if err != nil && res == nil {
-		m.Err = err
+	m.Result, m.Lineage, m.Err = exec(ctx, rc, warm)
+	if warm != nil && m.Err == nil && !m.Result.Converged && ctx.Err() == nil {
+		m.Start = report.StartColdRetry
+		m.Result, m.Lineage, m.Err = exec(ctx, rc, nil)
 	}
 	m.WallNs = time.Since(begin).Nanoseconds()
-	st.notify(m, mu)
-}
-
-func (st *Study) notify(m *Member, mu *sync.Mutex) {
-	if st.OnMember == nil {
-		return
+	if st.OnMember != nil {
+		mu.Lock()
+		st.OnMember(*m)
+		mu.Unlock()
 	}
-	mu.Lock()
-	st.OnMember(*m)
-	mu.Unlock()
 }

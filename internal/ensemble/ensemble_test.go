@@ -2,13 +2,17 @@ package ensemble
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/device"
 	"repro/internal/qt"
+	"repro/internal/report"
 )
 
 // studySpec is the fast profiled structure every test runs on.
@@ -194,7 +198,7 @@ func TestStudySeedsFromMemberZero(t *testing.T) {
 		t.Fatalf("members did not finish with a donor state: %+v", res.Members)
 	}
 	rc := st.Config
-	rc.Spec = st.MemberSpec(1)
+	rc.Spec = st.memberSpec(1)
 	sim, err := qt.NewFromConfig(rc, qt.WithWarmStart(donor.FinalState))
 	if err != nil {
 		t.Fatal(err)
@@ -256,8 +260,8 @@ func TestStudyCancellation(t *testing.T) {
 	}
 }
 
-// TestReduceSkipsFailedMembers: errored members appear as bare rows and
-// poison no statistic.
+// TestReduceSkipsFailedMembers: errored and unconverged members appear
+// as rows and count as members, and poison no statistic.
 func TestReduceSkipsFailedMembers(t *testing.T) {
 	dev, err := studySpec().Build()
 	if err != nil {
@@ -267,15 +271,105 @@ func TestReduceSkipsFailedMembers(t *testing.T) {
 		{Index: 0, Seed: 1, Result: &qt.Result{Converged: true, Current: 1.0, Iterations: 3}},
 		{Index: 1, Seed: 2, Err: context.DeadlineExceeded},
 		{Index: 2, Seed: 3, Result: &qt.Result{Converged: true, Current: 3.0, Iterations: 4}},
+		{Index: 3, Seed: 4, Result: &qt.Result{Converged: false, Current: -19.9, Iterations: 25}},
 	}
-	rep := Reduce(dev, members)
-	if rep.Members != 3 || rep.Current.N != 2 || rep.Converged != 2 {
-		t.Fatalf("failed member mishandled: %+v", rep.Current)
+	rep := reduce(dev, members)
+	if rep.Members != 4 || rep.Current.N != 2 || rep.Converged != 2 {
+		t.Fatalf("failed member mishandled: members %d converged %d, %+v", rep.Members, rep.Converged, rep.Current)
 	}
-	if rep.Current.Mean != 2.0 {
-		t.Errorf("mean = %g, want 2", rep.Current.Mean)
+	if rep.Current.Mean != 2.0 || rep.Current.Min != 1.0 {
+		t.Errorf("mean = %g, min = %g, want 2 and 1", rep.Current.Mean, rep.Current.Min)
 	}
-	if len(rep.MemberRows) != 3 {
-		t.Errorf("rows = %d, want 3 (failed member still listed)", len(rep.MemberRows))
+	if len(rep.MemberRows) != 4 {
+		t.Errorf("rows = %d, want 4 (failed members still listed)", len(rep.MemberRows))
+	}
+	if row := rep.MemberRows[3]; row.Current != -19.9 || row.Converged {
+		t.Errorf("unconverged member's row %+v does not say what it ended at", row)
+	}
+}
+
+// TestStudySeedsAndRetries drives a study through a recording executor:
+// member 0 runs cold before any other member starts, members 1..N−1 are
+// seeded with its final state, and a seeded member that ends unconverged
+// runs once more, cold, and is the member's row.
+func TestStudySeedsAndRetries(t *testing.T) {
+	donor := &qt.SigmaState{}
+	var mu sync.Mutex
+	var calls []string
+	exec := func(ctx context.Context, rc qt.RunConfig, seed *qt.SigmaState) (*qt.Result, Lineage, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		i := rc.Spec.DisorderSeed - 10
+		if len(calls) == 0 && (i != 0 || seed != nil) {
+			t.Errorf("first run: member %d, seeded %v; want member 0, cold", i, seed != nil)
+		}
+		if seed != nil && seed != donor {
+			t.Errorf("member %d seeded with another state than member 0's", i)
+		}
+		calls = append(calls, fmt.Sprintf("%d/%v", i, seed != nil))
+		// Member 2 converges only cold; member 3 converges neither way.
+		converged := i < 2 || (i == 2 && seed == nil)
+		return &qt.Result{Current: float64(i), Converged: converged, FinalState: donor},
+			Lineage{RunID: fmt.Sprintf("run-%d", len(calls))}, nil
+	}
+	st := &Study{Config: fastConfig(), Members: 4, BaseSeed: 10, Exec: exec}
+	res, err := st.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(calls)
+	if want := []string{"0/false", "1/true", "2/false", "2/true", "3/false", "3/true"}; !slices.Equal(calls, want) {
+		t.Errorf("executor calls %v, want %v", calls, want)
+	}
+	for i, want := range []string{report.StartCold, report.StartWarm, report.StartColdRetry, report.StartColdRetry} {
+		if got := res.Members[i].Start; got != want {
+			t.Errorf("member %d start %q, want %q", i, got, want)
+		}
+	}
+	if rep := res.Report; rep.Current.N != 3 || rep.Current.Mean != 1 || rep.MemberRows[3].RunID == "" {
+		t.Errorf("report: %+v over rows %+v", rep.Current, rep.MemberRows)
+	}
+}
+
+// TestStudyColdRetryConverges runs the configuration of `qtsim -profile P
+// -dseed 42 -ensemble 3` (P: a band-offset region over slabs 3–5 at
+// +0.06 eV, doping 0.2 at −0.07 eV, strain 0.03; the default 24-atom
+// structure at qtsim's coupling and bias 0.3). Seeded from member 0,
+// member 2 stops unconverged at 25 iterations, and solved cold it
+// converges; member 1 converges neither way and stays out of the moments,
+// which then average the two physical currents (≈ 0.174) instead of
+// reading −6.5.
+func TestStudyColdRetryConverges(t *testing.T) {
+	st := &Study{
+		Config: qt.RunConfig{Spec: qt.Spec{
+			Bias: 0.3, Coupling: 0.12,
+			Profile: &device.Profile{
+				Regions: []device.Region{{From: 3, To: 5, Offset: 0.06}},
+				Doping:  &device.Doping{Fraction: 0.2, Shift: -0.07},
+				Strain:  &device.Strain{Amplitude: 0.03},
+			},
+		}},
+		Members: 3, BaseSeed: 42,
+	}
+	res, err := st.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m0, m1, m2 := res.Members[0], res.Members[1], res.Members[2]
+	if m0.Start != report.StartCold || !m0.Result.Converged {
+		t.Fatalf("member 0: start %q, converged %v", m0.Start, m0.Result.Converged)
+	}
+	if m2.Start != report.StartColdRetry || !m2.Result.Converged {
+		t.Errorf("member 2: start %q, converged %v; want a converged cold retry", m2.Start, m2.Result.Converged)
+	}
+	if m1.Result.Converged {
+		t.Errorf("member 1 converged (start %q): the configuration no longer exercises an excluded member", m1.Start)
+	}
+	rep := res.Report
+	if rep.Current.N != 2 || rep.Converged != 2 || rep.DOSMembers != 2 {
+		t.Fatalf("moments over %d members (%d converged, DOS over %d), want the 2 converged", rep.Current.N, rep.Converged, rep.DOSMembers)
+	}
+	if want := (m0.Result.Current + m2.Result.Current) / 2; relErr(rep.Current.Mean, want) > 1e-12 || math.Abs(want-0.174) > 0.005 {
+		t.Errorf("mean current %.6g, want %.6g ≈ 0.174", rep.Current.Mean, want)
 	}
 }

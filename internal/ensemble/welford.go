@@ -8,10 +8,10 @@ import (
 )
 
 // welford is Welford's online mean/variance accumulator: numerically
-// stable single-pass moments. Reduce feeds it the finished members in
-// index order — both drivers, Study.Run and the service's, call Reduce
-// once, after the last member. stat() reports the unbiased sample
-// variance M2/(N−1).
+// stable single-pass moments. reduce feeds it the converged members in
+// index order — Study.Run, the one study driver in-process and in qtd,
+// calls reduce once, after the last member. stat() reports the unbiased
+// sample variance M2/(N−1).
 type welford struct {
 	n        int
 	mean, m2 float64
@@ -46,14 +46,15 @@ func (w *welford) stat() report.Stat {
 	return s
 }
 
-// Reduce folds finished members into the report.Ensemble schema, in
+// reduce folds finished members into the report.Ensemble schema, in
 // member-index order (deterministic regardless of completion order).
 // dev supplies the structural header and the energy axis of the DOS
 // spectrum — any realization's device works, since profiles never
-// change shapes; the clean base device is fine too. Members with an
-// error (or no result) appear as bare rows and contribute to no
-// statistic; every other member contributes to the current and the DOS.
-func Reduce(dev *device.Device, members []Member) *report.Ensemble {
+// change shapes; the clean base device is fine too. Every member gets a
+// row and counts in Members; only a converged member without an error
+// contributes to the current and the DOS — an unconverged member's
+// current is no realization's value.
+func reduce(dev *device.Device, members []Member) *report.Ensemble {
 	p := dev.P
 	e := &report.Ensemble{
 		Device:  report.NewDeviceInfo(dev),
@@ -62,19 +63,12 @@ func Reduce(dev *device.Device, members []Member) *report.Ensemble {
 	var cur welford
 	dos := make([]welford, p.NE)
 	for _, m := range members {
-		row := report.MemberRow{Index: m.Index, Seed: m.Seed, WallNs: m.WallNs}
+		e.MemberRows = append(e.MemberRows, m.Row())
 		res := m.Result
-		if m.Err != nil || res == nil {
-			e.MemberRows = append(e.MemberRows, row)
+		if m.Err != nil || res == nil || !res.Converged {
 			continue
 		}
-		row.Current = res.Current
-		row.Iterations = res.Iterations
-		row.Converged = res.Converged
-		e.MemberRows = append(e.MemberRows, row)
-		if res.Converged {
-			e.Converged++
-		}
+		e.Converged++
 		cur.add(res.Current)
 		if obs := res.Observables; obs != nil {
 			e.DOSMembers++

@@ -22,8 +22,9 @@ type Stat struct {
 }
 
 // MemberRow is one disorder realization of an ensemble study: its index
-// and derived seed, the headline observable, and (for service-side
-// studies) the registry lineage — which run answered it and how.
+// and derived seed, the headline observable, how its final run started,
+// and (for service-side studies) the registry lineage — which run
+// answered it and whether the result cache did.
 type MemberRow struct {
 	Index      int     `json:"index"`
 	Seed       uint64  `json:"seed"`
@@ -32,9 +33,18 @@ type MemberRow struct {
 	Iterations int     `json:"iterations"`
 	Converged  bool    `json:"converged"`
 	CacheHit   bool    `json:"cache_hit,omitempty"`
-	WarmStart  bool    `json:"warm_start,omitempty"`
+	Start      string  `json:"start,omitempty"`
 	WallNs     int64   `json:"wall_ns,omitempty"`
 }
+
+// The starts a member's final run can have (MemberRow.Start): cold,
+// warm from the study's member 0, or cold again after a warm start
+// that ended unconverged. A member that never ran has none.
+const (
+	StartCold      = "cold"
+	StartWarm      = "warm"
+	StartColdRetry = "cold_retry"
+)
 
 // DOSRow is the ensemble statistics of the density of states at one
 // energy grid point (the per-slab LDOS summed over the device).
@@ -86,12 +96,12 @@ func (e *Ensemble) Text(w io.Writer) error {
 	pf("members:\n")
 	pf("  %-6s %-8s %-14s %-6s %-10s %s\n", "idx", "seed", "current", "iters", "converged", "source")
 	for _, m := range e.MemberRows {
-		src := "solved"
+		src := m.Start
 		switch {
 		case m.CacheHit:
 			src = "cache"
-		case m.WarmStart:
-			src = "warm"
+		case src == "":
+			src = "solved"
 		}
 		if m.RunID != "" {
 			src += " (" + m.RunID + ")"
@@ -114,13 +124,13 @@ func (e *Ensemble) CSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	defer cw.Flush()
 	if err := cw.Write([]string{"index", "seed", "run_id", "current", "iterations",
-		"converged", "cache_hit", "warm_start", "wall_ns"}); err != nil {
+		"converged", "cache_hit", "start", "wall_ns"}); err != nil {
 		return err
 	}
 	for _, m := range e.MemberRows {
 		if err := cw.Write([]string{itoa(m.Index), fmt.Sprintf("%d", m.Seed), m.RunID,
 			ftoa(m.Current), itoa(m.Iterations), btoa(m.Converged), btoa(m.CacheHit),
-			btoa(m.WarmStart), itoa64(m.WallNs)}); err != nil {
+			m.Start, itoa64(m.WallNs)}); err != nil {
 			return err
 		}
 	}

@@ -75,10 +75,10 @@ func fixedEnsemble() *Ensemble {
 		},
 		DOSMembers: 3,
 		MemberRows: []MemberRow{
-			{Index: 0, Seed: 7, RunID: "run-000001", Current: 0.06830, Iterations: 9, Converged: true, WallNs: 120_000_000},
-			{Index: 1, Seed: 8, RunID: "run-000002", Current: 0.06855, Iterations: 5, Converged: true, WarmStart: true, WallNs: 80_000_000},
-			{Index: 2, Seed: 9, RunID: "run-000003", Current: 0.06840, Iterations: 6, Converged: true, WarmStart: true, WallNs: 92_000_000},
-			{Index: 3, Seed: 7, RunID: "run-000001", Current: 0.06830, Iterations: 9, Converged: true, CacheHit: true},
+			{Index: 0, Seed: 7, RunID: "run-000001", Current: 0.06830, Iterations: 9, Converged: true, Start: StartCold, WallNs: 120_000_000},
+			{Index: 1, Seed: 8, RunID: "run-000002", Current: 0.06855, Iterations: 5, Converged: true, Start: StartWarm, WallNs: 80_000_000},
+			{Index: 2, Seed: 9, RunID: "run-000003", Current: 0.06840, Iterations: 6, Converged: true, Start: StartColdRetry, WallNs: 92_000_000},
+			{Index: 3, Seed: 7, RunID: "run-000001", Current: 0.06830, Iterations: 9, Converged: true, CacheHit: true, Start: StartWarm},
 		},
 	}
 }

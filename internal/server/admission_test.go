@@ -29,7 +29,7 @@ func TestSubmitNeverLosesAdmission(t *testing.T) {
 		go func(tenant string) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
-				rec, j, err := s.submit(tenant, 0, busyConfig(0.2, 1), "")
+				rec, j, err := s.submit(tenant, 0, busyConfig(0.2, 1), origin{})
 				if err != nil {
 					t.Errorf("%s submission %d: %v", tenant, i, err)
 					return
@@ -62,7 +62,7 @@ func TestShedLeavesNoRecord(t *testing.T) {
 	var admitted []string
 	shed := 0
 	for i := 0; i < 8 && shed == 0; i++ {
-		rec, _, err := s.submit("acme", 0, busyConfig(0.2+0.01*float64(i), 40), "")
+		rec, _, err := s.submit("acme", 0, busyConfig(0.2+0.01*float64(i), 40), origin{})
 		switch {
 		case err == nil:
 			admitted = append(admitted, rec.ID)

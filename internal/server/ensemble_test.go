@@ -3,17 +3,23 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/device"
+	"repro/internal/ensemble"
 	"repro/internal/qt"
+	"repro/internal/report"
 )
 
 // disorderedConfig is the fast profiled configuration the study tests
@@ -171,18 +177,18 @@ func TestStudyEndToEnd(t *testing.T) {
 func TestCachedSubmitCarriesItsResult(t *testing.T) {
 	s, _ := newService(t, Config{Slots: 1, QueueCap: 4, CacheCap: 1})
 	rc := disorderedConfig(0.1)
-	_, lead, err := s.submit("lab", 0, rc, "")
+	_, lead, err := s.submit("lab", 0, rc, origin{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-lead.done
-	rec, j, err := s.submit("lab", 0, rc, "")
+	rec, j, err := s.submit("lab", 0, rc, origin{})
 	if err != nil || !rec.CacheHit {
 		t.Fatalf("resubmission: cache hit %v, err %v", rec.CacheHit, err)
 	}
 	other := disorderedConfig(0.1)
 	other.Spec.DisorderSeed++
-	_, evict, err := s.submit("lab", 0, other, "")
+	_, evict, err := s.submit("lab", 0, other, origin{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,13 +206,12 @@ func TestCachedSubmitCarriesItsResult(t *testing.T) {
 	}
 }
 
-// TestStudyWarmStartLineage runs members serially on one slot so every
-// member after the first finds a converged sibling Σ≷ state in the
-// cache (same WarmKey family — the disorder seed is excluded from the
-// family hash).
+// TestStudyWarmStartLineage: member 0 of a study runs cold and every
+// other member warm-starts from member 0's final state, named as its
+// source run, whatever the daemon's slot count.
 func TestStudyWarmStartLineage(t *testing.T) {
 	const n = 4
-	s, _ := newService(t, Config{Slots: 1, QueueCap: 32})
+	s, _ := newService(t, Config{QueueCap: 32})
 
 	rec, _, err := s.submitStudy(studyRequest{
 		Tenant: "lab", Members: n, BaseSeed: 7, Config: disorderedConfig(0.2),
@@ -216,16 +221,88 @@ func TestStudyWarmStartLineage(t *testing.T) {
 	}
 	final := waitForStudy(t, s, rec.ID, StatusDone)
 	if final.WarmStarts != n-1 {
-		t.Fatalf("WarmStarts = %d, want %d (members 2..%d seed from sibling states)",
-			final.WarmStarts, n-1, n)
+		t.Fatalf("WarmStarts = %d, want %d (members 1..%d seed from member 0)",
+			final.WarmStarts, n-1, n-1)
 	}
+	donor := final.MemberRuns[0]
 	for i, id := range final.MemberRuns {
 		mr, _ := s.reg.runs.get(id)
 		if i == 0 && mr.WarmStart {
-			t.Error("first member warm-started with an empty cache")
+			t.Error("member 0 warm-started")
 		}
-		if i > 0 && !mr.WarmStart {
-			t.Errorf("member %d (%s) did not warm-start", i, id)
+		if i > 0 && (!mr.WarmStart || mr.SourceRun != donor) {
+			t.Errorf("member %d (%s): warm start %v from %q, want from member 0's run %s",
+				i, id, mr.WarmStart, mr.SourceRun, donor)
+		}
+	}
+}
+
+// TestStudyBitsFollowRequest: one study request gives the bitwise-same
+// members and moments on a fresh one-slot daemon, on three fresh two-slot
+// daemons, on a daemon that has already solved runs of the study's warm
+// family (other seeds, another bias — none of the study's own results),
+// and in-process through ensemble.Study. A study member's seed is member
+// 0's state, never whatever the daemon's warm cache holds when a slot
+// pops it.
+func TestStudyBitsFollowRequest(t *testing.T) {
+	const n = 4
+	req := studyRequest{Tenant: "lab", Members: n, BaseSeed: 7, Config: disorderedConfig(0.2)}
+	onDaemon := func(slots int, neighbours []qt.RunConfig) *report.Ensemble {
+		s, _ := newService(t, Config{Slots: slots, QueueCap: 32})
+		for _, rc := range neighbours {
+			_, j, err := s.submit("other", 0, rc, origin{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-j.done
+		}
+		rec, _, err := s.submitStudy(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		final := waitForStudy(t, s, rec.ID, StatusDone)
+		if final.CacheHits != 0 {
+			t.Fatalf("%d members answered from the cache: the neighbours share an identity with the study", final.CacheHits)
+		}
+		return final.Report
+	}
+	var neighbours []qt.RunConfig
+	for _, seed := range []uint64{100, 101} {
+		rc := disorderedConfig(0.2)
+		rc.Spec.DisorderSeed = seed
+		neighbours = append(neighbours, rc)
+	}
+	for _, seed := range []uint64{7, 8} {
+		rc := disorderedConfig(0.25)
+		rc.Spec.DisorderSeed = seed
+		neighbours = append(neighbours, rc)
+	}
+
+	local, err := (&ensemble.Study{Config: req.Config, Members: n, BaseSeed: req.BaseSeed}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := local.Report
+	runs := map[string]*report.Ensemble{
+		"1 slot":         onDaemon(1, nil),
+		"2 slots, run 1": onDaemon(2, nil),
+		"2 slots, run 2": onDaemon(2, nil),
+		"2 slots, run 3": onDaemon(2, nil),
+		"busy daemon":    onDaemon(2, neighbours),
+	}
+	for name, got := range runs {
+		if got.Current != want.Current || got.Converged != want.Converged ||
+			got.DOSMembers != want.DOSMembers || !reflect.DeepEqual(got.DOS, want.DOS) {
+			t.Errorf("%s: moments %+v (%d converged), in-process %+v (%d converged)",
+				name, got.Current, got.Converged, want.Current, want.Converged)
+		}
+		for i, row := range got.MemberRows {
+			w := want.MemberRows[i]
+			if math.Float64bits(row.Current) != math.Float64bits(w.Current) ||
+				row.Iterations != w.Iterations || row.Start != w.Start {
+				t.Errorf("%s: member %d current %v in %d iterations (%s), in-process %v in %d (%s)",
+					name, i, row.Current, row.Iterations, row.Start, w.Current, w.Iterations, w.Start)
+			}
 		}
 	}
 }
@@ -384,6 +461,49 @@ func TestStudyPersistence(t *testing.T) {
 	if len(s2.reg.List(Query{Study: final.ID, Limit: 10})) != 3 {
 		t.Error("member lineage lost across restart")
 	}
+}
+
+// TestParentFormatStudyReopens: testdata/study-parent-format.json is a
+// study record written before member rows said how each member started —
+// its warm-started rows carry "warm_start": true. A data directory
+// holding it must reopen, serve it as stored, render its report and mint
+// the next study id after it.
+func TestParentFormatStudyReopens(t *testing.T) {
+	stored, err := os.ReadFile("testdata/study-parent-format.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(stored, []byte(`"warm_start": true`)) {
+		t.Fatal("the fixture lost the field it exists to carry")
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "study-000001.json"), stored, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newService(t, Config{Slots: 1, QueueCap: 8, DataDir: dir})
+	old, ok := s.reg.studies.get("study-000001")
+	if !ok || old.Status != StatusDone || old.Report == nil || len(old.Report.MemberRows) != 3 || old.Report.Current.N != 3 {
+		t.Fatalf("reopened study: found %v, %+v", ok, old)
+	}
+	for _, format := range []string{"text", "json", "csv"} {
+		resp, err := http.Get(ts.URL + "/v1/ensembles/study-000001/report?format=" + format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !bytes.Contains(b, []byte("run-000003")) {
+			t.Errorf("report format=%s: status %d: %s", format, resp.StatusCode, b)
+		}
+	}
+	rec, _, err := s.submitStudy(studyRequest{Tenant: "lab", Members: 1, Config: disorderedConfig(0.1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.ID != "study-000002" {
+		t.Errorf("new study got id %s, want the id after the stored one's", rec.ID)
+	}
+	waitForStudy(t, s, rec.ID, StatusDone)
 }
 
 func relErr(got, want float64) float64 {

@@ -49,7 +49,7 @@ func waitForFollowers(t *testing.T, s *Server, key string, n int) *job {
 // everything submitted after it waits in the queue until it is cancelled.
 func occupySlot(t *testing.T, s *Server) string {
 	t.Helper()
-	rec, _, err := s.submit("blocker", 0, busyConfig(0.10, 500), "")
+	rec, _, err := s.submit("blocker", 0, busyConfig(0.10, 500), origin{})
 	if err != nil {
 		t.Fatal(err)
 	}

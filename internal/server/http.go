@@ -134,7 +134,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	stream := r.URL.Query().Get("stream") == "sse"
 
-	rec, j, err := s.submit(req.Tenant, req.Priority, req.Config, "")
+	rec, j, err := s.submit(req.Tenant, req.Priority, req.Config, origin{})
 	switch {
 	case errors.Is(err, errQueueFull):
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.retryAfter().Seconds())))

@@ -70,7 +70,8 @@ type Record struct {
 	WallNs     int64   `json:"wall_ns"`
 
 	// Lineage: CacheHit means the response was served straight from the
-	// cache; WarmStart means the run was seeded with a cached Σ≷ state.
+	// cache; WarmStart means the run was seeded with a converged Σ≷ state
+	// — a cached one for a plain run, member 0's for a study member.
 	// SourceRun names the producing run in both cases. Study names the
 	// ensemble study this run is a member of, if any.
 	CacheHit  bool   `json:"cache_hit,omitempty"`
@@ -112,7 +113,8 @@ type studyRecord struct {
 	WarmStarts  int `json:"warm_starts"`
 
 	// MemberRuns lists the member run IDs in member-index order (the
-	// reverse direction of Record.Study). Filled as members are admitted.
+	// reverse direction of Record.Study): the run that answered each
+	// member, filled as members finish.
 	MemberRuns []string `json:"member_runs,omitempty"`
 
 	WallNs int64 `json:"wall_ns,omitempty"`

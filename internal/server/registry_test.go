@@ -102,23 +102,29 @@ func TestRegistryMemoryOnly(t *testing.T) {
 // its record's MemberRuns while handlers encode what the registry returns,
 // so every record it stores must own its slice (the shared backing array
 // was an intermittent -race failure of the study stream and cancel
-// tests). With the one slot held, a study's members are admitted and
-// none finishes, so the stored record is still the one the runner saved
-// as it started: admitting members must not write into it.
+// tests). With the one slot held, member 0 is admitted and does not
+// finish, so the stored record is still the one the runner saved as it
+// started; the members finishing afterwards must not write into it.
 func TestPutStudyOwnsMemberRuns(t *testing.T) {
 	s, _ := newService(t, Config{Slots: 1, QueueCap: 8})
-	occupySlot(t, s)
+	blocker := occupySlot(t, s)
 	rec, _, err := s.submitStudy(studyRequest{Tenant: "lab", Members: 2, Config: disorderedConfig(0.15)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(30 * time.Second); len(s.reg.List(Query{Study: rec.ID})) < 2; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(30 * time.Second); len(s.reg.List(Query{Study: rec.ID})) < 1; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("study members never admitted")
+			t.Fatal("member 0 never admitted")
 		}
 	}
-	if got, _ := s.reg.studies.get(rec.ID); got.Status != StatusRunning || !slices.Equal(got.MemberRuns, []string{"", ""}) {
+	got, _ := s.reg.studies.get(rec.ID)
+	s.cancelRun(blocker)
+	final := waitForStudy(t, s, rec.ID, StatusDone)
+	if got.Status != StatusRunning || !slices.Equal(got.MemberRuns, []string{"", ""}) {
 		t.Errorf("stored study record %s %v: it shares the runner's MemberRuns", got.Status, got.MemberRuns)
+	}
+	if slices.Contains(final.MemberRuns, "") {
+		t.Errorf("finished study lists member runs %v", final.MemberRuns)
 	}
 }
 

@@ -4,10 +4,12 @@
 // jobs to a bounded pool of solver slots, a content-addressed result
 // cache and a single-flight table keyed on the result identity
 // (qt.RunConfig.Identity: requests for one result are answered by one
-// execution, whatever plan each names; near-identical ones warm-start
-// from a cached converged Σ≷ state), and a persistent run registry with
-// artifact lineage — the paper's data-centric runs turned into
-// registered, addressable, reusable artifacts.
+// execution, whatever plan each names; near-identical plain runs
+// warm-start from a cached converged Σ≷ state), and a persistent run
+// registry with artifact lineage — the paper's data-centric runs turned
+// into registered, addressable, reusable artifacts. Ensemble studies run
+// on ensemble.Study.Run, the one study driver, with the submit path as
+// its executor: the driver, not the warm cache, seeds a study's members.
 package server
 
 import (
@@ -66,6 +68,7 @@ type job struct {
 	cfg      qt.RunConfig // resolved configuration, its plan recorded
 	key      string       // cfg.Identity().Key()
 	warmKey  string       // cfg.Identity().WarmKey()
+	from     origin       // a leader's study and seed, as submitted
 	// submitted stamps admission; the queue-wait histogram observes the
 	// distance to dispatch.
 	submitted time.Time
@@ -80,9 +83,9 @@ type job struct {
 	*feed[qt.IterStats]
 
 	// result is the full facade result, set before done is closed (the
-	// close is the happens-before edge readers synchronize on). The
-	// ensemble runner reads it for the DOS reduction — the registry
-	// record only carries scalars.
+	// close is the happens-before edge readers synchronize on). A study
+	// member's executor returns it — the DOS reduction and the seed of
+	// members 1..N−1 need more than the registry record's scalars.
 	result *qt.Result
 
 	// The single-flight state, guarded by Server.mu (see flight.go). A
@@ -248,6 +251,16 @@ func (s *Server) observeRunTime(d time.Duration) {
 	s.runNsEWMA.Store((3*prev + d.Nanoseconds()) / 4)
 }
 
+// origin is where a request comes from: the ensemble study it is a
+// member of, if any, and for a study member the state it starts from
+// (nil: cold) and the run that produced that state. A plain request has
+// the zero origin and takes its warm start from the cache at dispatch.
+type origin struct {
+	study  string
+	seed   *qt.SigmaState
+	source string
+}
+
 // submit validates and admits one request. It returns the registry
 // record of the outcome and the job to stream, cancel or wait on. The
 // request is resolved and addressed by its result identity: a cached
@@ -258,9 +271,10 @@ func (s *Server) observeRunTime(d time.Duration) {
 // written an auto_plan request's plan into its configuration. A traced
 // request asks for an execution's spans, so it neither reads the cache
 // nor joins, and its result then serves later requests like any other.
-// studyID, when non-empty, stamps the record with its ensemble-study
-// lineage. err is ErrQueueFull under backpressure, or a validation error.
-func (s *Server) submit(tenant string, priority int, rc qt.RunConfig, studyID string) (Record, *job, error) {
+// from stamps the record with its ensemble-study lineage and carries a
+// study member's seed to its execution. err is ErrQueueFull under
+// backpressure, or a validation error.
+func (s *Server) submit(tenant string, priority int, rc qt.RunConfig, from origin) (Record, *job, error) {
 	resolved, err := qt.Resolve(rc)
 	if err != nil {
 		return Record{}, nil, err
@@ -269,7 +283,7 @@ func (s *Server) submit(tenant string, priority int, rc qt.RunConfig, studyID st
 	rec := Record{
 		Tenant: tenant, Priority: priority,
 		Key: identity.Key(), WarmKey: identity.WarmKey(), Config: resolved,
-		Status: StatusQueued, Submitted: time.Now().UTC(), Study: studyID,
+		Status: StatusQueued, Submitted: time.Now().UTC(), Study: from.study,
 	}
 
 	s.mu.Lock()
@@ -296,7 +310,7 @@ func (s *Server) submit(tenant string, priority int, rc qt.RunConfig, studyID st
 	// before the device is built so a twin arriving meanwhile joins it.
 	j := &job{
 		id: s.reg.runs.newID(), tenant: tenant, priority: priority,
-		cfg: resolved, key: rec.Key, warmKey: rec.WarmKey,
+		cfg: resolved, key: rec.Key, warmKey: rec.WarmKey, from: from,
 		feed:     newFeed[qt.IterStats](resolved.MaxIterations),
 		attached: 1,
 	}
@@ -389,17 +403,22 @@ func (s *Server) execute(j *job) {
 		return
 	}
 
-	// Warm-start lineage: a converged Σ≷ state of the same bias-family
-	// seeds a run without ranks close to its fixed point.
-	var extra []qt.Option
-	if j.cfg.Ranks == 0 {
+	// Warm-start lineage: a study member starts from the state its study
+	// passed, or cold; a plain run without ranks from a converged Σ≷ state
+	// of the same bias family that the cache holds now.
+	seed, source := j.from.seed, j.from.source
+	if j.from.study == "" && j.cfg.Ranks == 0 {
 		if e, ok := s.cache.Warm(j.warmKey, j.key); ok {
-			extra = append(extra, qt.WithWarmStart(e.Result.FinalState))
-			rec.WarmStart = true
-			rec.SourceRun = e.RunID
-			s.met.warmStarts.Inc()
-			s.log.Info("warm start", "run", j.id, "tenant", j.tenant, "source", e.RunID)
+			seed, source = e.Result.FinalState, e.RunID
 		}
+	}
+	var extra []qt.Option
+	if seed != nil {
+		extra = append(extra, qt.WithWarmStart(seed))
+		rec.WarmStart = true
+		rec.SourceRun = source
+		s.met.warmStarts.Inc()
+		s.log.Info("warm start", "run", j.id, "tenant", j.tenant, "source", source)
 	}
 	sim, err := qt.NewFromConfig(j.cfg, extra...)
 	if err != nil {
