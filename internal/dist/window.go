@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -29,9 +30,10 @@ func flagFailure(f float64) bool { return f >= 1 }
 
 // pipeRun is one rank's control state across the whole run:
 // the speculation fence plus the convergence bookkeeping every rank
-// tracks symmetrically. All plain fields are written only by conv nodes
-// (which form a dependency chain) or between window drains, so the
-// executor's scheduling lock and the drain barrier order every access;
+// tracks symmetrically — the run's control container of the window
+// graph. All plain fields are written only by conv nodes (which the
+// container chains) or between window drains, so the graph and the
+// drain barrier order every access;
 // stopAt alone is read by speculative nodes racing the deciding conv
 // node and is therefore atomic.
 type pipeRun struct {
@@ -68,9 +70,9 @@ func (pr *pipeRun) fence(at int) {
 
 // slot is one iteration's storage in a run's ring: everything an
 // iteration of the window graph writes, allocated once per run and
-// re-armed (arm) for each iteration it carries. Fields are written by
-// exactly one node each (or guarded by mu), and the executor's
-// scheduling lock orders every write before the nodes that consume it.
+// re-armed (arm) for each iteration it carries. buildWindowGraph
+// declares the containers its fields belong to, so the graph orders every
+// write before the nodes that read it; err alone is guarded by mu.
 type slot struct {
 	iter int // the absolute iteration the slot carries in this window
 
@@ -156,14 +158,14 @@ func (st *slot) failed() bool {
 	return st.err != nil
 }
 
-// try runs the GF-phase step of point i unless a point of this rank's
+// try runs the GF-phase step of one point unless a point of this rank's
 // shard has already failed (the iteration is then discarded at its conv),
 // and records the step's own failure.
-func (st *slot) try(step func(i int) error, i int) {
+func (st *slot) try(step func() error) {
 	if st.failed() {
 		return
 	}
-	if err := step(i); err != nil {
+	if err := step(); err != nil {
 		st.fail(err)
 	}
 }
@@ -286,39 +288,35 @@ func mirror(opts Options, r int, tr *sdfg.Trace, names []nodeName, pr *pipeRun, 
 // are built once per run. Node kinds follow §4's SDFG: one solve per grid
 // point (its boundary lookup and RGF), collision partials, the four SSE
 // tile exchanges, the tile kernel, mixing, and the observable reduction.
-// Three things carry the window:
 //
-//   - mixing is split into per-point nodes, so iteration k+1's solve of a
-//     point depends only on the mixed Σ (or Π) of that same point — the
-//     finest-grained cross-iteration release the data allows (the
-//     one-rank Anderson accelerator mixes the whole state in one node);
-//   - every comm post of iteration k+1 additionally depends on the conv
-//     fence of iteration k, so the (symmetric) skip decision is settled
-//     before any rank commits to a collective — all ranks post or all
-//     skip, keeping the nonblocking exchanges matched;
-//   - a conv node per iteration consumes the ride-along reduction,
-//     records IterStats, runs the Progress hook on rank 0 and moves the
-//     speculation fence on convergence, failure, or a stop request.
+// Every node declares the containers it reads and writes, and the graph
+// orders them from that: the point solves of iteration k+1 follow the
+// mix of their own Σ or Π plane in iteration k — the finest-grained
+// cross-iteration release the data allows — and a container shared by
+// the slots (a point's planes, the received halo, the run's control
+// state) is never written while an earlier reader may still run. Three
+// rules carry what no container shows:
 //
-// Collective discipline: a failing node records its error and the graph
-// still drains, so every rank posts every collective of an iteration it
-// entered — failure is agreed in the reduction, never by abandoning a
-// peer. The wait nodes of each exchange stage additionally depend on both
-// of the stage's posts: a wait may only block a worker once this rank has
-// posted everything its peers need to reach the same stage, which makes
-// the schedule deadlock-free for any pool size, including Workers=1.
-// The observable reduction follows comm's progress rule: it is folded in
-// rank 0's wait/obs, so a peer's wait/obs returns only once rank 0's has
-// run. That cannot deadlock either, because on every rank every post of
-// iteration k depends, through conv k−1, on that rank's wait/obs of
-// iteration k−1: what rank 0's wait/obs of an iteration needs — its own
-// nodes of that iteration and every rank's posts of it — never waits
-// behind a peer's wait/obs of the same iteration.
+//   - stage rule: a wait follows both posts of its exchange stage, so it
+//     blocks a worker only once this rank has posted everything its
+//     peers need to reach the same stage — deadlock-free for any pool
+//     size, including Workers=1;
+//   - progress rule: every post of iteration k+1 follows conv k, so the
+//     skip decision, derived only from reduced data, is settled before
+//     any rank commits to a collective — all ranks post or all skip, and
+//     the nonblocking exchanges stay matched. The observable reduction
+//     is folded in rank 0's wait/obs, so a peer's wait/obs returns only
+//     once rank 0's has run; since what rank 0's wait/obs of an
+//     iteration needs never waits behind a peer's wait/obs of the same
+//     iteration, that cannot deadlock either;
+//   - conv fence: conv follows every node of its slot, so it folds the
+//     executor's whole record of its iteration (slot.clock) and moves
+//     the speculation fence only after its iteration's work is done.
 //
-// Decisions derive only from globally reduced values (the current and
-// the control word), so every rank moves the fence identically with no
-// agreement collective of its own; a rank-0 cancellation is folded into
-// the next reduction's control word instead of being acted on locally.
+// A failing node records its error and the graph still drains, so every
+// rank posts every collective of an iteration it entered — failure is
+// agreed in the reduction, never by abandoning a peer; a rank-0
+// cancellation likewise rides the next reduction's control word.
 //
 // It returns the graph and, when the run is traced, each node's trace
 // name.
@@ -330,19 +328,51 @@ func (rs *rankState) buildWindowGraph(opts Options, ex *sdfg.Executor, pr *pipeR
 	var names []nodeName
 	redShare := reduceShare(c, vecLen(p)+len(ring[0].part.probe))
 
-	var prevConv sdfg.NodeID = -1
-	var prevMixSig, prevMixPi []sdfg.NodeID
+	// The containers: fresh hands out n new ids. The rank's own, shared
+	// by every slot: the point solver's Σ≷ and G≷ plane of each owned
+	// pair, its Π≷ and D≷ plane of each owned point, the non-owned G≷
+	// and D≷ planes the unpacks write, and the run's control state.
+	var next sdfg.Container
+	fresh := func(n int) []sdfg.Container {
+		ids := make([]sdfg.Container, n)
+		for i := range ids {
+			ids[i] = next
+			next++
+		}
+		return ids
+	}
+	pairs, points := rs.sh.Pairs, rs.sh.Points
+	sigPlane, gPlane := fresh(len(pairs)), fresh(len(pairs))
+	piPlane, dPlane := fresh(len(points)), fresh(len(points))
+	halo := fresh(2) // [G, D]
+	run := fresh(1)
 
-	for k, st := range ring {
+	var after []sdfg.NodeID // the previous slot's conv, once there is one
+
+	for _, st := range ring {
 		// A slot idles once the fence has moved to or before its
 		// iteration, and in a window that runs past the last iteration.
 		skip := func() bool { return pr.stopAt.Load() <= int64(st.iter) || st.iter >= opts.MaxIter }
 		st.first = sdfg.NodeID(g.Len())
+
+		// The slot's containers: the point result slots; the partial's
+		// field groups, one per writer — accum/el, accum/ph,
+		// collision/el, collision/ph and the tile's stats with its error
+		// probe; the tile output's Σ≷ and Π≷; the four wire/request pairs
+		// (a post's share of the plan's atomic counters included); the
+		// obs buffer and request with the control words post/obs sets on
+		// the partial; and the reduced global.
+		elRes, phRes := fresh(len(pairs)), fresh(len(points))
+		part := fresh(5)
+		tileOut := fresh(2) // [Σ, Π]
+		wire := fresh(4)    // [G, D, Σ, Π]
+		obsReq, global := fresh(1), fresh(1)
+
 		// add appends a node of the slot in trace category cat: task,
 		// sse (the tile), or a collective — exchange, or reduce (the
 		// observables) — which is a comm node. No node returns an error:
 		// a failure is recorded and agreed in the reduction.
-		add := func(label, cat string, body func(), deps ...sdfg.NodeID) sdfg.NodeID {
+		add := func(label, cat string, reads, writes []sdfg.Container, body func(), deps ...sdfg.NodeID) sdfg.NodeID {
 			kind := sdfg.Compute
 			if cat == "exchange" || cat == "reduce" {
 				kind = sdfg.Comm
@@ -350,7 +380,7 @@ func (rs *rankState) buildWindowGraph(opts Options, ex *sdfg.Executor, pr *pipeR
 			if opts.Tracer != nil {
 				names = append(names, nodeName{label, cat})
 			}
-			return g.Add(sdfg.Spec{Label: label, Kind: kind, Run: func() error {
+			return g.Add(sdfg.Spec{Label: label, Kind: kind, Reads: reads, Writes: writes, Run: func() error {
 				body()
 				return nil
 			}}, deps...)
@@ -358,8 +388,8 @@ func (rs *rankState) buildWindowGraph(opts Options, ex *sdfg.Executor, pr *pipeR
 		// node adds a task that is a no-op once the fence has moved to or
 		// before this iteration — everything but the waits (which follow
 		// their post) and the conv fence itself.
-		node := func(label, cat string, body func(), deps ...sdfg.NodeID) sdfg.NodeID {
-			return add(label, cat, func() {
+		node := func(label, cat string, reads, writes []sdfg.Container, body func(), deps ...sdfg.NodeID) sdfg.NodeID {
+			return add(label, cat, reads, writes, func() {
 				if !skip() {
 					body()
 				}
@@ -369,144 +399,115 @@ func (rs *rankState) buildWindowGraph(opts Options, ex *sdfg.Executor, pr *pipeR
 		// ── GF solves: one node per owned point, a no-op once a point of
 		// this rank's shard has failed. The solve looks its boundaries up
 		// where it runs: iteration 0 decimates them, and every later
-		// iteration's solve of the point already waits (through the
-		// previous iteration's mix of its own Σ or Π plane) for the
-		// solve that cached them, so it hits.
-		pairs, points := rs.sh.Pairs, rs.sh.Points
-		gfNodes := func(species string, pts [][2]int, prevMix []sdfg.NodeID, solve func(i int) error) []sdfg.NodeID {
-			done := make([]sdfg.NodeID, len(pts))
-			for i, pt := range pts {
-				var deps []sdfg.NodeID
-				if k > 0 {
-					deps = append(deps, prevMix[i])
-				}
-				done[i] = node(fmt.Sprintf("rgf/%s/%d,%d", species, pt[0], pt[1]), "task",
-					func() { st.try(solve, i) }, deps...)
-			}
-			return done
+		// iteration's solve of the point follows the solve that cached
+		// them, through its own plane.
+		for i, pt := range pairs {
+			node(fmt.Sprintf("rgf/el/%d,%d", pt[0], pt[1]), "task", sigPlane[i:i+1], []sdfg.Container{gPlane[i], elRes[i]},
+				func() { st.try(func() error { return rs.ps.SolveElectron(rs.sh, i, st.points) }) })
 		}
-		elDone := gfNodes("el", pairs, prevMixSig,
-			func(i int) error { return rs.ps.SolveElectron(rs.sh, i, st.points) })
-		phDone := gfNodes("ph", points, prevMixPi,
-			func(j int) error { return rs.ps.SolvePhonon(rs.sh, j, st.points) })
+		for j, pt := range points {
+			node(fmt.Sprintf("rgf/ph/%d,%d", pt[0], pt[1]), "task", piPlane[j:j+1], []sdfg.Container{dPlane[j], phRes[j]},
+				func() { st.try(func() error { return rs.ps.SolvePhonon(rs.sh, j, st.points) }) })
+		}
 
 		// Deterministic accumulation: the point solves land in slots, and
 		// one node per species folds them in global point order through
 		// negf's own accumulator — the identical association the
 		// kit's fold uses, independent of scheduling. After a failure
 		// the slots may hold stale results; the iteration is discarded.
-		elAccum := node("accum/el", "task", func() {
+		node("accum/el", "task", elRes, part[0:1], func() {
 			if !st.failed() {
 				st.part.AddElectron(p, st.points.El...)
 			}
-		}, elDone...)
-		phAccum := node("accum/ph", "task", func() {
+		})
+		node("accum/ph", "task", phRes, part[1:2], func() {
 			if !st.failed() {
 				st.part.AddPhonon(p, st.points.Ph...)
 			}
-		}, phDone...)
+		})
 
-		// Collision partials: need the fresh G≷/D≷ and the pre-mix Σ≷/Π≷,
-		// so they must precede the mixing nodes — on the graph they overlap
-		// the exchange waits instead of padding the GF phase.
-		elLoss := node("collision/el", "task", func() {
+		// Collision partials: the fresh G≷/D≷ against the pre-mix Σ≷/Π≷;
+		// on the graph they overlap the exchange waits instead of padding
+		// the GF phase.
+		node("collision/el", "task", slices.Concat(sigPlane, gPlane), part[2:3], func() {
 			st.part.ElectronEnergyLoss = rs.ps.ElectronCollisionSum(pairs)
-		}, elDone...)
-		phGain := node("collision/ph", "task", func() {
+		})
+		node("collision/ph", "task", slices.Concat(piPlane, dPlane), part[3:4], func() {
 			st.part.PhononEnergyGain = rs.ps.PhononCollisionSum(points)
-		}, phDone...)
+		})
 
 		// ── SSE exchanges. Posts fire as soon as this rank's own inputs
 		// exist — G≷ can be in flight while phonon points still compute,
-		// the §7.1.3 overlap — and gate on the previous conv fence: the
-		// skip decision derives only from reduced data settled at that
-		// fence, so it is identical on every rank — all post or all skip,
-		// and the nonblocking collectives stay matched. Within one
-		// iteration the decision cannot change (only this iteration's own
-		// conv, which runs after all of these nodes, can move the fence
-		// into it), so a posted request is always waited.
-		commDeps := func(deps ...sdfg.NodeID) []sdfg.NodeID {
-			if prevConv >= 0 {
-				deps = append(deps, prevConv)
-			}
-			return deps
-		}
-		postG := node("post/G", "exchange", func() { st.reqG = st.plan.PostG(c) }, commDeps(elDone...)...)
-		postD := node("post/D", "exchange", func() { st.reqD = st.plan.PostD(c) }, commDeps(phDone...)...)
-		waitG := add("wait/G", "exchange", func() {
+		// the §7.1.3 overlap. Within one iteration the skip decision
+		// cannot change (only this iteration's own conv, which runs after
+		// all of these nodes, can move the fence into it), so a posted
+		// request is always waited.
+		postG := node("post/G", "exchange", gPlane, wire[0:1], func() { st.reqG = st.plan.PostG(c) }, after...)
+		postD := node("post/D", "exchange", dPlane, wire[1:2], func() { st.reqD = st.plan.PostD(c) }, after...)
+		add("wait/G", "exchange", wire[0:1], halo[0:1], func() {
 			if st.reqG != nil {
 				st.plan.UnpackG(st.reqG.Wait())
 			}
 		}, postG, postD)
-		waitD := add("wait/D", "exchange", func() {
+		add("wait/D", "exchange", wire[1:2], halo[1:2], func() {
 			if st.reqD != nil {
 				st.plan.UnpackD(st.reqD.Wait())
 			}
 		}, postD, postG)
-		tile := node("sse/tile", "sse", func() {
+		node("sse/tile", "sse", slices.Concat(gPlane, dPlane, halo), []sdfg.Container{tileOut[0], tileOut[1], part[4]}, func() {
 			st.plan.ComputeTile()
 			st.part.sse = st.plan.Output().Stats
-		}, waitG, waitD)
-		postSig := node("post/Sigma", "exchange", func() { st.reqSig = st.plan.PostSigma(c) }, tile)
-		postPi := node("post/Pi", "exchange", func() { st.reqPi = st.plan.PostPi(c) }, tile)
-		waitSig := add("wait/Sigma", "exchange", func() {
+		})
+		postSig := node("post/Sigma", "exchange", tileOut[0:1], wire[2:3], func() { st.reqSig = st.plan.PostSigma(c) }, after...)
+		postPi := node("post/Pi", "exchange", tileOut[1:2], wire[3:4], func() { st.reqPi = st.plan.PostPi(c) }, after...)
+		add("wait/Sigma", "exchange", wire[2:3], tileOut[0:1], func() {
 			if st.reqSig != nil {
 				st.plan.UnpackSigma(st.reqSig.Wait())
 			}
 		}, postSig, postPi)
-		waitPi := add("wait/Pi", "exchange", func() {
+		add("wait/Pi", "exchange", wire[3:4], tileOut[1:2], func() {
 			if st.reqPi != nil {
 				st.plan.UnpackPi(st.reqPi.Wait())
 			}
 		}, postPi, postSig)
 
-		// Per-point mixing: the cross-iteration release points. The next
-		// iteration's solve of point i starts the moment its own Σ plane
-		// is mixed — it does not wait for the whole mixing sweep. A
-		// skipped mix leaves the solver state at the last valid iteration,
-		// which is exactly the discard rule of the speculation fence.
-		// tensor.MixSlice is the blend the kit's SSEPhase applies
-		// tensor-wide. The Anderson accelerator extrapolates over the whole
-		// state at once, so under it one node mixes everything: it stands
-		// in for every point's mix, and every point of the next iteration
-		// (and the conv, once per point) waits for it.
-		mixSig := make([]sdfg.NodeID, len(pairs))
-		mixPi := make([]sdfg.NodeID, len(points))
+		// Mixing, per point: the cross-iteration release points. A
+		// skipped mix leaves the solver state at the last valid
+		// iteration, which is exactly the discard rule of the speculation
+		// fence. tensor.MixSlice is the blend the kit's SSEPhase applies
+		// tensor-wide. The Anderson accelerator extrapolates over the
+		// whole state at once, its history beside it, so under it one
+		// node mixes every plane.
 		if opts.Anderson {
-			all := node("mix/anderson", "task", func() {
+			planes := slices.Concat(sigPlane, piPlane)
+			node("mix/anderson", "task", slices.Concat(tileOut, planes), planes, func() {
 				rs.ps.MixAnderson(st.plan.Output(), opts.Mixing)
-			}, waitSig, waitPi, elLoss, phGain)
-			for i := range mixSig {
-				mixSig[i] = all
-			}
-			for j := range mixPi {
-				mixPi[j] = all
-			}
+			})
 		} else {
 			for i, pair := range pairs {
 				ik, ie := pair[0], pair[1]
-				mixSig[i] = node(fmt.Sprintf("mix/Sigma/%d,%d", ik, ie), "task", func() {
+				node(fmt.Sprintf("mix/Sigma/%d,%d", ik, ie), "task", []sdfg.Container{tileOut[0], sigPlane[i]}, sigPlane[i:i+1], func() {
 					out := st.plan.Output()
 					tensor.MixSlice(rs.ps.SigL.Plane(ik, ie), out.SigL.Plane(ik, ie), opts.Mixing)
 					tensor.MixSlice(rs.ps.SigG.Plane(ik, ie), out.SigG.Plane(ik, ie), opts.Mixing)
-				}, waitSig, elLoss)
+				})
 			}
 			for j, point := range points {
 				iq, m := point[0], point[1]
-				mixPi[j] = node(fmt.Sprintf("mix/Pi/%d,%d", iq, m), "task", func() {
+				node(fmt.Sprintf("mix/Pi/%d,%d", iq, m), "task", []sdfg.Container{tileOut[1], piPlane[j]}, piPlane[j:j+1], func() {
 					out := st.plan.Output()
 					tensor.MixSlice(rs.ps.PiL.Plane(iq, m-1), out.PiL.Plane(iq, m-1), opts.Mixing)
 					tensor.MixSlice(rs.ps.PiG.Plane(iq, m-1), out.PiG.Plane(iq, m-1), opts.Mixing)
-				}, waitPi, phGain)
+				})
 			}
 		}
 
 		// ── Ride-along reduction, overlapping the Σ/Π waits: observables
 		// plus the control word (failure count + fractional stop request)
-		// and this rank's probe words in one IAllreduce. The post depends
-		// on the Σ/Π posts only, so the plan's off-rank byte counter
-		// already covers all four exchanges of this iteration.
-		obsPost := node("post/obs", "reduce", func() {
+		// and this rank's probe words in one IAllreduce. It reads the
+		// four posts' wire containers, so the plan's off-rank byte
+		// counter already covers all four exchanges of this iteration.
+		node("post/obs", "reduce", slices.Concat(part, wire, run), obsReq, func() {
 			if st.failed() {
 				st.part.flag = 1
 			}
@@ -521,25 +522,23 @@ func (rs *rankState) buildWindowGraph(opts Options, ex *sdfg.Executor, pr *pipeR
 			st.part.fbk = float64(st.plan.FallbackBlocks())
 			st.obsBuf = st.part.pack(p, st.obsBuf)
 			st.reqObs = c.IAllreduce(decomp.SlotObs, st.obsBuf)
-		}, elAccum, phAccum, elLoss, phGain, tile, postSig, postPi)
-		waitObs := add("wait/obs", "reduce", func() {
+		}, after...)
+		add("wait/obs", "reduce", obsReq, global, func() {
 			if st.reqObs != nil {
 				st.global.unpack(st.reqObs.Wait(), p)
 			}
-		}, obsPost)
+		})
 
-		// ── Conv fence: the correctness gate of the speculation. It runs
-		// after every node of its iteration (transitively through its
-		// deps), computes the identical decision on every rank from the
-		// reduced data, and moves the fence — discarding the in-flight
-		// speculated iterations behind it. On rank 0 it folds the
-		// executor's record of its iteration into the row's timings.
-		convDeps := append([]sdfg.NodeID{waitObs}, mixSig...)
-		convDeps = append(convDeps, mixPi...)
-		if prevConv >= 0 {
-			convDeps = append(convDeps, prevConv)
+		// ── Conv fence: the correctness gate of the speculation. It
+		// computes the identical decision on every rank from the reduced
+		// data and moves the fence — discarding the in-flight speculated
+		// iterations behind it. On rank 0 it folds the executor's record
+		// of its iteration into the row's timings.
+		members := make([]sdfg.NodeID, 0, g.Len()-int(st.first))
+		for id := st.first; id < sdfg.NodeID(g.Len()); id++ {
+			members = append(members, id)
 		}
-		conv := node("conv", "task", func() {
+		st.conv = node("conv", "task", slices.Concat(part, obsReq, global), run, func() {
 			if st.reqObs == nil {
 				return
 			}
@@ -579,11 +578,8 @@ func (rs *rankState) buildWindowGraph(opts Options, ex *sdfg.Executor, pr *pipeR
 				pr.converged = true
 				pr.fence(a + 1)
 			}
-		}, convDeps...)
-
-		st.conv = conv
-		prevConv = conv
-		prevMixSig, prevMixPi = mixSig, mixPi
+		}, members...)
+		after = []sdfg.NodeID{st.conv}
 	}
 	return g, names
 }

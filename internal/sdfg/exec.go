@@ -14,9 +14,9 @@ import (
 // Cilk/TBB discipline, and the scheduling freedom the SDFG model exposes.
 //
 // An executor is armed for the graph it runs: the first Run of a graph
-// validates it and sizes the in-degree, deque and span arrays, and every
-// later Run of the same graph re-arms them in place, so running a graph
-// again allocates nothing. An executor runs one graph at a time.
+// sizes the in-degree, deque and span arrays, and every later Run of the
+// same graph re-arms them in place, so running a graph again allocates
+// nothing. An executor runs one graph at a time.
 type Executor struct {
 	workers int
 
@@ -93,9 +93,7 @@ type Trace struct {
 func (e *Executor) Run(g *Graph) (*Trace, error) {
 	tr := &e.trace
 	tr.Zero, tr.Wall, tr.Steals = time.Now(), 0, 0
-	if err := e.arm(g); err != nil {
-		return nil, err
-	}
+	e.arm(g)
 	if g.Len() == 0 {
 		return tr, nil
 	}
@@ -127,14 +125,11 @@ func (e *Executor) Run(g *Graph) (*Trace, error) {
 // directly or transitively, whose stamps the scheduling lock orders first.
 func (e *Executor) Span(id NodeID) Span { return e.trace.Spans[id] }
 
-// arm sizes the run state for g — validating it — unless g is the graph
-// the state was sized for, and resets it for a new Run.
-func (e *Executor) arm(g *Graph) error {
+// arm sizes the run state for g unless g is the graph the state was
+// sized for, and resets it for a new Run.
+func (e *Executor) arm(g *Graph) {
 	n := g.Len()
 	if g != e.g || n != len(e.indeg) {
-		if err := g.validate(); err != nil {
-			return err
-		}
 		e.g = g
 		e.indeg = make([]int32, n)
 		e.trace.Spans = make([]Span, n)
@@ -150,7 +145,6 @@ func (e *Executor) arm(g *Graph) error {
 		e.deques[w] = deque{q: e.deques[w].q[:0]}
 	}
 	e.done, e.err = 0, nil
-	return nil
 }
 
 // work is worker wid's loop: run ready nodes until the graph drains.

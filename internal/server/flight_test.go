@@ -47,9 +47,14 @@ func waitForFollowers(t *testing.T, s *Server, key string, n int) *job {
 
 // occupySlot starts a long run on a one-slot service and returns its id:
 // everything submitted after it waits in the queue until it is cancelled.
+// Its tolerance is one no run can meet, so it holds the slot for all of
+// its 500 iterations unless cancelled — busyConfig's 1e-12 converges in
+// a few dozen.
 func occupySlot(t *testing.T, s *Server) string {
 	t.Helper()
-	rec, _, err := s.submit("blocker", 0, busyConfig(0.10, 500), origin{})
+	rc := busyConfig(0.10, 500)
+	rc.Tolerance = 1e-300
+	rec, _, err := s.submit("blocker", 0, rc, origin{})
 	if err != nil {
 		t.Fatal(err)
 	}
