@@ -132,14 +132,14 @@ func BenchmarkNew(b *testing.B) {
 // BenchmarkDistributedLoop runs the full GF↔SSE self-consistent loop —
 // the end-to-end cost the paper's distributed solver pays per
 // convergence step — for a fixed number of iterations: on 4 simulated
-// ranks, on 2 (the bulk-synchronous phases, one worker each), and on the
+// ranks, on 2 (the bulk-synchronous phases, one worker each) and on the
 // one-rank world a qt run without ranks executes (the overlap order on a
-// pool of two workers) at two run lengths. CI's allocation guards read
-// the one-rank rows' difference — what one more iteration allocates,
-// set-up excluded — and the ranks=2 row's heap per run.
+// pool of two workers), the last two at two run lengths. CI's allocation
+// guards read each pair's difference — what four more iterations
+// allocate, set-up excluded — and the ranks=2/iters=6 row's heap per run.
 func BenchmarkDistributedLoop(b *testing.B) {
 	dev := benchDevice()
-	for _, c := range []struct{ ranks, iters int }{{4, 2}, {2, 6}, {1, 2}, {1, 6}} {
+	for _, c := range []struct{ ranks, iters int }{{4, 2}, {2, 2}, {2, 6}, {1, 2}, {1, 6}} {
 		b.Run(fmt.Sprintf("ranks=%d/iters=%d", c.ranks, c.iters), func(b *testing.B) {
 			b.ReportAllocs()
 			opts := dist.Options{Ranks: c.ranks}

@@ -14,6 +14,15 @@
 // Ranks are the only goroutines the runtime starts: a request completes on
 // its waiter, and a reduction's fold runs in rank 0's Wait, so a non-root
 // rank's Wait returns once rank 0 has waited (MPI's progress rule).
+//
+// Payload ownership: a send copies its data at post time, so the sender
+// owns its buffer again as soon as the call returns. The copy belongs to
+// the receiver, who gets it from Recv or Wait and may keep it for good —
+// or hand it back: MatRequest.Release returns an exchange's rows to the
+// receiving mailbox, whose free list for that (source, tag) pays for the
+// copy of a later send on the same pair, and a reduction's fold hands back
+// the parts it has added up. A released row must not be read again; a row
+// that is never released is never reused.
 package comm
 
 import (
@@ -41,11 +50,13 @@ type World struct {
 }
 
 // mailbox is an unbounded ordered queue of messages per destination,
-// keyed by (source, tag) on receive.
+// keyed by (source, tag) on receive, plus the payload buffers its owner
+// has released, kept per (source, tag) for the next sends on that pair.
 type mailbox struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	q    map[key][]message
+	free map[key][][]complex128
 }
 
 type key struct {
@@ -53,9 +64,31 @@ type key struct {
 }
 
 func newMailbox() *mailbox {
-	m := &mailbox{q: make(map[key][]message)}
+	m := &mailbox{q: make(map[key][]message), free: make(map[key][][]complex128)}
 	m.cond = sync.NewCond(&m.mu)
 	return m
+}
+
+// take removes and returns the buffer last released on k, or nil.
+func (m *mailbox) take(k key) []complex128 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	l := m.free[k]
+	if len(l) == 0 {
+		return nil
+	}
+	m.free[k] = l[:len(l)-1]
+	return l[len(l)-1]
+}
+
+// recycle hands a payload received on k back to the free list.
+func (m *mailbox) recycle(k key, buf []complex128) {
+	if cap(buf) == 0 {
+		return
+	}
+	m.mu.Lock()
+	m.free[k] = append(m.free[k], buf)
+	m.mu.Unlock()
 }
 
 // NewWorld creates a world with the given number of ranks.
@@ -150,7 +183,8 @@ func (c *Comm) Rank() int { return c.rank }
 func (c *Comm) Size() int { return c.world.size }
 
 // Send delivers data to rank `to` under `tag`. The payload is copied, so
-// the caller may reuse its buffer. Self-sends are legal (and free).
+// the caller may reuse its buffer; the copy Recv returns is the
+// receiver's to keep. Self-sends are legal (and free).
 func (c *Comm) Send(to, tag int, data []complex128) {
 	c.send(to, tag, data, "Send")
 }
@@ -163,13 +197,18 @@ func (c *Comm) send(to, tag int, data []complex128, op string) {
 	if to < 0 || to >= c.world.size {
 		panic(fmt.Sprintf("comm: %s to invalid rank %d", op, to))
 	}
-	cp := append([]complex128(nil), data...)
 	if to != c.rank {
 		c.world.countBytes(int64(len(data))*16, op, tag >= 0)
 	}
 	box := c.world.boxes[to]
-	box.mu.Lock()
 	k := key{c.rank, tag}
+	var cp []complex128 // an empty payload arrives as nil
+	if len(data) > 0 {
+		// Into a released buffer when one is large enough, else into a
+		// fresh one.
+		cp = append(box.take(k)[:0], data...)
+	}
+	box.mu.Lock()
 	box.q[k] = append(box.q[k], message{tag: tag, payload: cp})
 	box.cond.Broadcast()
 	box.mu.Unlock()
@@ -235,8 +274,10 @@ func (c *Comm) Reduce(root int, data []complex128) []complex128 {
 
 // fold adds every other rank's part, received on tag, into sum in
 // ascending rank order: the one association of every reduction, so a sum
-// is the same bits whichever collective computed it.
+// is the same bits whichever collective computed it. A part is read only
+// here, so each goes back to the free list once added.
 func (c *Comm) fold(sum []complex128, tag int, op string) {
+	box := c.world.boxes[c.rank]
 	for r := 0; r < c.world.size; r++ {
 		if r == c.rank {
 			continue
@@ -248,6 +289,7 @@ func (c *Comm) fold(sum []complex128, tag int, op string) {
 		for i, v := range part {
 			sum[i] += v
 		}
+		box.recycle(key{r, tag}, part)
 	}
 }
 

@@ -9,6 +9,16 @@
 // completed on all ranks (the per-(source, tag) FIFO mailboxes keep even
 // back-to-back reuse ordered).
 //
+// Who owns a posted payload: the copy made at post time is the
+// receiver's. The rows an exchange's Wait returns stay valid until the
+// waiter calls MatRequest.Release, which hands them back to its mailbox;
+// from then on a later post from the same source on the same slot may
+// copy into them, so no row may be read after its Release. A row is
+// reused only once released: two posts outstanding on one slot land in
+// two buffers, and a request never released keeps its rows for good
+// (the blocking Alltoallv's rows are never released). An all-reduction's
+// parts are released by rank 0's fold as soon as they are added up.
+//
 // A request completes on its waiter: everything a rank contributes is
 // sent (counted and copied) when the operation is posted, so what is left
 // is receiving, and Wait does that on the caller's goroutine — on every
@@ -64,18 +74,30 @@ func (r *VecRequest) Wait() []complex128 {
 
 // MatRequest is the handle of a per-rank-buffer collective (IAlltoallv).
 type MatRequest struct {
-	c   *Comm
-	tag int
+	c    *Comm
+	tag  int
+	recv [][]complex128 // what Wait returned, until Release
 }
 
 // Wait blocks until every row has arrived; row r is what rank r sent
-// here. Call exactly once.
+// here. The rows stay valid until Release. Call exactly once.
 func (r *MatRequest) Wait() [][]complex128 {
-	recv := make([][]complex128, r.c.world.size)
-	for src := range recv {
-		recv[src] = r.c.Recv(src, r.tag)
+	r.recv = make([][]complex128, r.c.world.size)
+	for src := range r.recv {
+		r.recv[src] = r.c.Recv(src, r.tag)
 	}
-	return recv
+	return r.recv
+}
+
+// Release hands the rows Wait returned back to this rank's mailbox, where
+// later sends on the same (source, slot) copy into them. The caller must
+// be done with every row; a second Release, or one before Wait, is a no-op.
+func (r *MatRequest) Release() {
+	box := r.c.world.boxes[r.c.rank]
+	for src, row := range r.recv {
+		box.recycle(key{src, r.tag}, row)
+	}
+	r.recv = nil
 }
 
 // IAlltoallv posts the nonblocking form of Alltoallv on the given slot.

@@ -310,3 +310,165 @@ func TestSizeOneWorldSpawnsNothing(t *testing.T) {
 		t.Fatalf("size-1 Run error = %v, want it wrapped with the rank", err)
 	}
 }
+
+// elem is element i of the row rank src sends rank dst in round k of the
+// recycling tests.
+func elem(k, src, dst, i int) complex128 {
+	return complex(float64(k*100+src*10+dst), float64(i))
+}
+
+// rowOf fills row with what src sends dst in round k and returns it.
+func rowOf(row []complex128, k, src, dst int) []complex128 {
+	for i := range row {
+		row[i] = elem(k, src, dst, i)
+	}
+	return row
+}
+
+// checkRow reports whether got is the n-element row src sent in round k.
+func checkRow(got []complex128, k, src, dst, n int) error {
+	if len(got) != n {
+		return fmt.Errorf("round %d row %d→%d: %d elements, want %d", k, src, dst, len(got), n)
+	}
+	for i, v := range got {
+		if want := elem(k, src, dst, i); v != want {
+			return fmt.Errorf("round %d row %d→%d, element %d: %v, want %v", k, src, dst, i, v, want)
+		}
+	}
+	return nil
+}
+
+// TestReleasedRowsAreRecycled is the steady state of the window graph's
+// exchanges at P=2: IAlltoallv → Wait → Release, round after round. From
+// the second round on every row lands in the buffer released the round
+// before, and no payload bytes are allocated — the heap grows by less
+// than one row over all later rounds. The barrier closing each round
+// makes every release precede the next round's posts, as the progress
+// rule does in the window graph.
+func TestReleasedRowsAreRecycled(t *testing.T) {
+	const n, rounds = 1 << 14, 8 // 256 KiB rows
+	w := NewWorld(2)
+	var first, last runtime.MemStats
+	err := w.Run(func(c *Comm) error {
+		me := c.Rank()
+		send := [][]complex128{make([]complex128, n), make([]complex128, n)}
+		prev := make([]*complex128, 2)
+		for k := 0; k < rounds; k++ {
+			for dst := range send {
+				rowOf(send[dst], k, me, dst)
+			}
+			req := c.IAlltoallv(0, send)
+			send[1-me][0] = -1 // post-time copy: not what arrives
+			recv := req.Wait()
+			for src, row := range recv {
+				if err := checkRow(row, k, src, me, n); err != nil {
+					return fmt.Errorf("rank %d: %w", me, err)
+				}
+				if k > 0 && &row[0] != prev[src] {
+					return fmt.Errorf("rank %d, round %d: row from %d not in the buffer released the round before", me, k, src)
+				}
+				prev[src] = &row[0]
+			}
+			req.Release()
+			c.Barrier()
+			if me == 0 && k == 0 {
+				runtime.ReadMemStats(&first)
+			}
+		}
+		if me == 0 {
+			runtime.ReadMemStats(&last)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grew := last.TotalAlloc - first.TotalAlloc
+	if grew >= n*16 {
+		t.Fatalf("%d more rounds allocated %d bytes, want less than one %d-byte row", rounds-1, grew, n*16)
+	}
+	t.Logf("%d more rounds allocated %d bytes", rounds-1, grew)
+}
+
+// TestUnreleasedRowsNeverOverwritten: a row is reused only once released.
+// Each rank posts twice on one slot before waiting (the FIFO case), so
+// two payloads per (source, slot) are outstanding at once; then it posts
+// again while both are still held. Every held row keeps its bits until
+// its own Release, whatever is posted meanwhile.
+func TestUnreleasedRowsNeverOverwritten(t *testing.T) {
+	const n = 64
+	w := NewWorld(2)
+	err := w.Run(func(c *Comm) error {
+		me := c.Rank()
+		post := func(k int) *MatRequest {
+			return c.IAlltoallv(3, [][]complex128{rowOf(make([]complex128, n), k, me, 0), rowOf(make([]complex128, n), k, me, 1)})
+		}
+		check := func(recv [][]complex128, k int) error {
+			for src, row := range recv {
+				if err := checkRow(row, k, src, me, n); err != nil {
+					return fmt.Errorf("rank %d: %w", me, err)
+				}
+			}
+			return nil
+		}
+		// Round 0 warms the free lists.
+		r0 := post(0)
+		if err := check(r0.Wait(), 0); err != nil {
+			return err
+		}
+		r0.Release()
+		r1, r2 := post(1), post(2)
+		got1, got2 := r1.Wait(), r2.Wait()
+		for src := range got1 {
+			if &got1[src][0] == &got2[src][0] {
+				return fmt.Errorf("rank %d: two outstanding rows from %d share a buffer", me, src)
+			}
+		}
+		r3 := post(3)
+		got3 := r3.Wait()
+		for k, got := range [][][]complex128{got1, got2, got3} {
+			if err := check(got, k+1); err != nil {
+				return err
+			}
+		}
+		r1.Release()
+		r1.Release() // a second Release is a no-op
+		r4 := post(4)
+		if err := check(r4.Wait(), 4); err != nil {
+			return err
+		}
+		if err := check(got2, 2); err != nil {
+			return err
+		}
+		return check(got3, 3)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFoldRecyclesParts: rank 0's fold hands every part back once added,
+// so repeated all-reductions on one slot keep one buffer per peer.
+func TestFoldRecyclesParts(t *testing.T) {
+	const n = 3
+	w := NewWorld(n)
+	err := w.Run(func(c *Comm) error {
+		for k := 0; k < 4; k++ {
+			got := c.IAllreduce(1, []complex128{complex(float64(c.Rank()), float64(k))}).Wait()
+			if want := complex(float64(n*(n-1)/2), float64(n*k)); got[0] != want {
+				return fmt.Errorf("rank %d, round %d: sum %v, want %v", c.Rank(), k, got[0], want)
+			}
+			c.Barrier()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := w.boxes[0]
+	for src := 1; src < n; src++ {
+		if l := len(root.free[key{src, nbTag(1, legReduce)}]); l != 1 {
+			t.Fatalf("rank 0 holds %d free parts from rank %d after four reductions, want 1", l, src)
+		}
+	}
+}

@@ -441,17 +441,20 @@ func (rs *rankState) buildWindowGraph(opts Options, ex *sdfg.Executor, pr *pipeR
 		// the §7.1.3 overlap. Within one iteration the skip decision
 		// cannot change (only this iteration's own conv, which runs after
 		// all of these nodes, can move the fence into it), so a posted
-		// request is always waited.
+		// request is always waited. A wait releases its rows once
+		// unpacked, so the next iteration's posts copy into them.
 		postG := node("post/G", "exchange", gPlane, wire[0:1], func() { st.reqG = st.plan.PostG(c) }, after...)
 		postD := node("post/D", "exchange", dPlane, wire[1:2], func() { st.reqD = st.plan.PostD(c) }, after...)
 		add("wait/G", "exchange", wire[0:1], halo[0:1], func() {
 			if st.reqG != nil {
 				st.plan.UnpackG(st.reqG.Wait())
+				st.reqG.Release()
 			}
 		}, postG, postD)
 		add("wait/D", "exchange", wire[1:2], halo[1:2], func() {
 			if st.reqD != nil {
 				st.plan.UnpackD(st.reqD.Wait())
+				st.reqD.Release()
 			}
 		}, postD, postG)
 		node("sse/tile", "sse", slices.Concat(gPlane, dPlane, halo), []sdfg.Container{tileOut[0], tileOut[1], part[4]}, func() {
@@ -463,11 +466,13 @@ func (rs *rankState) buildWindowGraph(opts Options, ex *sdfg.Executor, pr *pipeR
 		add("wait/Sigma", "exchange", wire[2:3], tileOut[0:1], func() {
 			if st.reqSig != nil {
 				st.plan.UnpackSigma(st.reqSig.Wait())
+				st.reqSig.Release()
 			}
 		}, postSig, postPi)
 		add("wait/Pi", "exchange", wire[3:4], tileOut[1:2], func() {
 			if st.reqPi != nil {
 				st.plan.UnpackPi(st.reqPi.Wait())
+				st.reqPi.Release()
 			}
 		}, postPi, postSig)
 
