@@ -15,14 +15,19 @@
 // its waiter, and a reduction's fold runs in rank 0's Wait, so a non-root
 // rank's Wait returns once rank 0 has waited (MPI's progress rule).
 //
-// Payload ownership: a send copies its data at post time, so the sender
-// owns its buffer again as soon as the call returns. The copy belongs to
-// the receiver, who gets it from Recv or Wait and may keep it for good —
-// or hand it back: MatRequest.Release returns an exchange's rows to the
-// receiving mailbox, whose free list for that (source, tag) pays for the
-// copy of a later send on the same pair, and a reduction's fold hands back
-// the parts it has added up. A released row must not be read again; a row
-// that is never released is never reused.
+// Payload ownership: every transfer is one write. The sender's fill
+// appends the payload into the row the receiving mailbox last released
+// for that (source, tag), or into a fresh row when none is free, and the
+// filled row is the receiver's from the moment it is posted: the sender
+// never touches it again. Send, Bcast, Reduce, the all-reduction and
+// Alltoallv fill with a copy of their data, so the caller owns its buffer
+// again as soon as the call returns; IAlltoallv takes the fill itself, so
+// a packer writes straight into the row it hands over. The receiver gets
+// the row from Recv or Wait and may keep it for good — or hand it back:
+// MatRequest.Release and VecRequest.Release return a collective's rows to
+// the receiving mailbox, and a reduction's fold hands back the parts it
+// has added up. A released row must not be read again; a row that is
+// never released is never reused.
 package comm
 
 import (
@@ -186,30 +191,33 @@ func (c *Comm) Size() int { return c.world.size }
 // the caller may reuse its buffer; the copy Recv returns is the
 // receiver's to keep. Self-sends are legal (and free).
 func (c *Comm) Send(to, tag int, data []complex128) {
-	c.send(to, tag, data, "Send")
+	c.send(to, tag, "Send", func(row []complex128) []complex128 { return append(row, data...) })
 }
 
-// send is the transfer primitive behind Send and every collective: op
-// names the operation for the per-collective byte accounting.
-// Collective-internal transfers (negative tags) count bytes but not the
-// point-to-point message counter.
-func (c *Comm) send(to, tag int, data []complex128, op string) {
+// send is the one transfer primitive behind Send and every collective:
+// fill appends the payload to the row the destination mailbox last
+// released on (this rank, tag) — nil when none is free — and the row it
+// returns is queued as the receiver's; an empty row arrives as nil. fill
+// runs on the sender's goroutine without the mailbox lock, into a row no
+// one else holds. op names the operation for the per-collective byte
+// accounting. Collective-internal transfers (negative tags) count bytes
+// but not the point-to-point message counter.
+func (c *Comm) send(to, tag int, op string, fill func(row []complex128) []complex128) {
 	if to < 0 || to >= c.world.size {
 		panic(fmt.Sprintf("comm: %s to invalid rank %d", op, to))
 	}
-	if to != c.rank {
-		c.world.countBytes(int64(len(data))*16, op, tag >= 0)
-	}
 	box := c.world.boxes[to]
 	k := key{c.rank, tag}
-	var cp []complex128 // an empty payload arrives as nil
-	if len(data) > 0 {
-		// Into a released buffer when one is large enough, else into a
-		// fresh one.
-		cp = append(box.take(k)[:0], data...)
+	row := fill(box.take(k)[:0])
+	if to != c.rank {
+		c.world.countBytes(int64(len(row))*16, op, tag >= 0)
+	}
+	if len(row) == 0 {
+		box.recycle(k, row)
+		row = nil
 	}
 	box.mu.Lock()
-	box.q[k] = append(box.q[k], message{tag: tag, payload: cp})
+	box.q[k] = append(box.q[k], message{tag: tag, payload: row})
 	box.cond.Broadcast()
 	box.mu.Unlock()
 }
@@ -251,7 +259,7 @@ func (c *Comm) Bcast(root int, data []complex128) []complex128 {
 		c.world.countCollective("Bcast")
 		for r := 0; r < c.world.size; r++ {
 			if r != root {
-				c.send(r, tagBcast, data, "Bcast")
+				c.send(r, tagBcast, "Bcast", func(row []complex128) []complex128 { return append(row, data...) })
 			}
 		}
 		return data
@@ -260,24 +268,25 @@ func (c *Comm) Bcast(root int, data []complex128) []complex128 {
 }
 
 // Reduce sums every rank's contribution elementwise at root. Non-root
-// ranks return nil.
+// ranks return nil. Root's own part travels to itself (free), so its sum
+// starts in the row its mailbox last released on the tag.
 func (c *Comm) Reduce(root int, data []complex128) []complex128 {
+	c.send(root, tagReduce, "Reduce", func(row []complex128) []complex128 { return append(row, data...) })
 	if c.rank != root {
-		c.send(root, tagReduce, data, "Reduce")
 		return nil
 	}
 	c.world.countCollective("Reduce")
-	sum := append([]complex128(nil), data...)
-	c.fold(sum, tagReduce, "Reduce")
-	return sum
+	return c.fold(tagReduce, "Reduce")
 }
 
-// fold adds every other rank's part, received on tag, into sum in
-// ascending rank order: the one association of every reduction, so a sum
-// is the same bits whichever collective computed it. A part is read only
-// here, so each goes back to the free list once added.
-func (c *Comm) fold(sum []complex128, tag int, op string) {
+// fold receives this rank's own part on tag as the sum and adds every
+// other rank's part into it in ascending rank order: the one association
+// of every reduction, so a sum is the same bits whichever collective
+// computed it. A part is read only here, so each goes back to the free
+// list once added.
+func (c *Comm) fold(tag int, op string) []complex128 {
 	box := c.world.boxes[c.rank]
+	sum := c.Recv(c.rank, tag)
 	for r := 0; r < c.world.size; r++ {
 		if r == c.rank {
 			continue
@@ -291,6 +300,7 @@ func (c *Comm) fold(sum []complex128, tag int, op string) {
 		}
 		box.recycle(key{r, tag}, part)
 	}
+	return sum
 }
 
 // Allreduce sums every rank's contribution elementwise and returns the
@@ -303,10 +313,16 @@ func (c *Comm) Allreduce(data []complex128) []complex128 {
 // Alltoallv exchanges per-destination buffers: send[r] goes to rank r, and
 // the returned recv[r] is what rank r sent here. This is the collective
 // the DaCe variant's four exchanges use (§6.1.2); the measured volume is
-// the sum of all off-diagonal buffer sizes. It is IAlltoallv posted on
-// the blocking form's reserved tag and waited at once.
+// the sum of all off-diagonal buffer sizes. It is IAlltoallv with a fill
+// that copies send[r], posted on the blocking form's reserved tag and
+// waited at once.
 func (c *Comm) Alltoallv(send [][]complex128) [][]complex128 {
-	return c.postAlltoallv(tagAlltoall, send).Wait()
+	if len(send) != c.world.size {
+		panic("comm: Alltoallv needs one buffer per rank")
+	}
+	return c.postAlltoallv(tagAlltoall, func(dst int, row []complex128) []complex128 {
+		return append(row, send[dst]...)
+	}).Wait()
 }
 
 // Barrier synchronizes all ranks (central-coordinator implementation).
@@ -317,10 +333,13 @@ func (c *Comm) Barrier() {
 			c.Recv(r, tagBarrier)
 		}
 		for r := 1; r < c.world.size; r++ {
-			c.send(r, tagBarrier, nil, "Barrier")
+			c.send(r, tagBarrier, "Barrier", empty)
 		}
 		return
 	}
-	c.send(0, tagBarrier, nil, "Barrier")
+	c.send(0, tagBarrier, "Barrier", empty)
 	c.Recv(0, tagBarrier)
 }
+
+// empty is the fill of a message that carries no payload.
+func empty(row []complex128) []complex128 { return row }

@@ -39,11 +39,11 @@ func TestIAlltoallvSlotsOutOfOrder(t *testing.T) {
 		before := runtime.NumGoroutine()
 		var reqA, reqB *MatRequest
 		if c.Rank()%2 == 0 {
-			reqA = c.IAlltoallv(0, mk(1))
-			reqB = c.IAlltoallv(1, mk(100))
+			reqA = c.IAlltoallv(0, rows(mk(1)))
+			reqB = c.IAlltoallv(1, rows(mk(100)))
 		} else {
-			reqB = c.IAlltoallv(1, mk(100))
-			reqA = c.IAlltoallv(0, mk(1))
+			reqB = c.IAlltoallv(1, rows(mk(100)))
+			reqA = c.IAlltoallv(0, rows(mk(1)))
 		}
 		grewExchange := runtime.NumGoroutine() - before
 		if c.Rank() != n-1 {
@@ -178,7 +178,7 @@ func TestNonblockingSizeOneWorld(t *testing.T) {
 			return fmt.Errorf("size-1 IAllreduce = %v", got)
 		}
 		before := runtime.NumGoroutine()
-		req := c.IAlltoallv(1, [][]complex128{{3, 4}})
+		req := c.IAlltoallv(1, rows([][]complex128{{3, 4}}))
 		if grew := runtime.NumGoroutine() - before; grew > 0 {
 			return fmt.Errorf("IAlltoallv started %d goroutines; the request completes on its waiter", grew)
 		}
@@ -203,7 +203,7 @@ func TestIAlltoallvZeroAndSelfRows(t *testing.T) {
 		// Every rank fills only its self row; all cross rows are empty.
 		send := make([][]complex128, n)
 		send[c.Rank()] = []complex128{complex(float64(c.Rank()), 0)}
-		recv := c.IAlltoallv(0, send).Wait()
+		recv := c.IAlltoallv(0, rows(send)).Wait()
 		for from := 0; from < n; from++ {
 			want := 0
 			if from == c.Rank() {
@@ -239,7 +239,7 @@ func TestCollectiveByteAttribution(t *testing.T) {
 		for dst := 0; dst < n; dst++ {
 			send[dst] = []complex128{5}
 		}
-		c.IAlltoallv(1, send).Wait()
+		c.IAlltoallv(1, rows(send)).Wait()
 		if c.Rank() == 0 {
 			c.Send(1, 1, []complex128{9})
 		} else if c.Rank() == 1 {
@@ -338,27 +338,39 @@ func checkRow(got []complex128, k, src, dst, n int) error {
 	return nil
 }
 
-// TestReleasedRowsAreRecycled is the steady state of the window graph's
-// exchanges at P=2: IAlltoallv → Wait → Release, round after round. From
-// the second round on every row lands in the buffer released the round
-// before, and no payload bytes are allocated — the heap grows by less
-// than one row over all later rounds. The barrier closing each round
-// makes every release precede the next round's posts, as the progress
-// rule does in the window graph.
-func TestReleasedRowsAreRecycled(t *testing.T) {
-	const n, rounds = 1 << 14, 8 // 256 KiB rows
+// rows is the fill that copies send[dst]: IAlltoallv's data-taking form.
+func rows(send [][]complex128) func(int, []complex128) []complex128 {
+	return func(dst int, row []complex128) []complex128 { return append(row, send[dst]...) }
+}
+
+// fillOf is the fill that writes round k's n-element row from src to dst
+// straight into the row it is handed, with no buffer of its own.
+func fillOf(k, src, n int) func(int, []complex128) []complex128 {
+	return func(dst int, row []complex128) []complex128 {
+		for i := 0; i < n; i++ {
+			row = append(row, elem(k, src, dst, i))
+		}
+		return row
+	}
+}
+
+// recycledRounds is the steady state of the window graph's exchanges at
+// P=2: post(c, k) → Wait → Release, round after round, with n-element
+// rows. From the second round on every row lands in the buffer released
+// the round before, and no payload bytes are allocated — the heap grows
+// by less than one row over all later rounds. The barrier closing each
+// round makes every release precede the next round's posts, as the
+// progress rule does in the window graph.
+func recycledRounds(t *testing.T, n int, post func(c *Comm, k int) *MatRequest) {
+	t.Helper()
+	const rounds = 8
 	w := NewWorld(2)
 	var first, last runtime.MemStats
 	err := w.Run(func(c *Comm) error {
 		me := c.Rank()
-		send := [][]complex128{make([]complex128, n), make([]complex128, n)}
 		prev := make([]*complex128, 2)
 		for k := 0; k < rounds; k++ {
-			for dst := range send {
-				rowOf(send[dst], k, me, dst)
-			}
-			req := c.IAlltoallv(0, send)
-			send[1-me][0] = -1 // post-time copy: not what arrives
+			req := post(c, k)
 			recv := req.Wait()
 			for src, row := range recv {
 				if err := checkRow(row, k, src, me, n); err != nil {
@@ -384,25 +396,52 @@ func TestReleasedRowsAreRecycled(t *testing.T) {
 		t.Fatal(err)
 	}
 	grew := last.TotalAlloc - first.TotalAlloc
-	if grew >= n*16 {
+	if grew >= uint64(n)*16 {
 		t.Fatalf("%d more rounds allocated %d bytes, want less than one %d-byte row", rounds-1, grew, n*16)
 	}
 	t.Logf("%d more rounds allocated %d bytes", rounds-1, grew)
 }
 
-// TestUnreleasedRowsNeverOverwritten: a row is reused only once released.
-// Each rank posts twice on one slot before waiting (the FIFO case), so
-// two payloads per (source, slot) are outstanding at once; then it posts
+// TestReleasedRowsAreRecycled: data-taking posts copy into the rows
+// released the round before.
+func TestReleasedRowsAreRecycled(t *testing.T) {
+	const n = 1 << 14 // 256 KiB rows
+	send := [2][][]complex128{}
+	recycledRounds(t, n, func(c *Comm, k int) *MatRequest {
+		me := c.Rank()
+		if send[me] == nil {
+			send[me] = [][]complex128{make([]complex128, n), make([]complex128, n)}
+		}
+		for dst := range send[me] {
+			rowOf(send[me][dst], k, me, dst)
+		}
+		req := c.IAlltoallv(0, rows(send[me]))
+		send[me][1-me][0] = -1 // post-time copy: not what arrives
+		return req
+	})
+}
+
+// TestFilledRowsAreRecycled: a fill writes straight into the row released
+// the round before, so the steady state allocates nothing for payloads.
+func TestFilledRowsAreRecycled(t *testing.T) {
+	const n = 1 << 14 // 256 KiB rows
+	recycledRounds(t, n, func(c *Comm, k int) *MatRequest {
+		return c.IAlltoallv(0, fillOf(k, c.Rank(), n))
+	})
+}
+
+// unreleasedNeverOverwritten: a row is reused only once released. Each
+// rank posts twice on one slot before waiting (the FIFO case), so two
+// payloads per (source, slot) are outstanding at once; then it posts
 // again while both are still held. Every held row keeps its bits until
-// its own Release, whatever is posted meanwhile.
-func TestUnreleasedRowsNeverOverwritten(t *testing.T) {
+// its own Release, whatever is posted meanwhile. post(c, k, n) posts
+// round k's n-element rows.
+func unreleasedNeverOverwritten(t *testing.T, post func(c *Comm, k, n int) *MatRequest) {
+	t.Helper()
 	const n = 64
 	w := NewWorld(2)
 	err := w.Run(func(c *Comm) error {
 		me := c.Rank()
-		post := func(k int) *MatRequest {
-			return c.IAlltoallv(3, [][]complex128{rowOf(make([]complex128, n), k, me, 0), rowOf(make([]complex128, n), k, me, 1)})
-		}
 		check := func(recv [][]complex128, k int) error {
 			for src, row := range recv {
 				if err := checkRow(row, k, src, me, n); err != nil {
@@ -412,19 +451,19 @@ func TestUnreleasedRowsNeverOverwritten(t *testing.T) {
 			return nil
 		}
 		// Round 0 warms the free lists.
-		r0 := post(0)
+		r0 := post(c, 0, n)
 		if err := check(r0.Wait(), 0); err != nil {
 			return err
 		}
 		r0.Release()
-		r1, r2 := post(1), post(2)
+		r1, r2 := post(c, 1, n), post(c, 2, n)
 		got1, got2 := r1.Wait(), r2.Wait()
 		for src := range got1 {
 			if &got1[src][0] == &got2[src][0] {
 				return fmt.Errorf("rank %d: two outstanding rows from %d share a buffer", me, src)
 			}
 		}
-		r3 := post(3)
+		r3 := post(c, 3, n)
 		got3 := r3.Wait()
 		for k, got := range [][][]complex128{got1, got2, got3} {
 			if err := check(got, k+1); err != nil {
@@ -433,7 +472,7 @@ func TestUnreleasedRowsNeverOverwritten(t *testing.T) {
 		}
 		r1.Release()
 		r1.Release() // a second Release is a no-op
-		r4 := post(4)
+		r4 := post(c, 4, n)
 		if err := check(r4.Wait(), 4); err != nil {
 			return err
 		}
@@ -444,6 +483,156 @@ func TestUnreleasedRowsNeverOverwritten(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUnreleasedRowsNeverOverwritten: data-taking posts never write into
+// a held row.
+func TestUnreleasedRowsNeverOverwritten(t *testing.T) {
+	unreleasedNeverOverwritten(t, func(c *Comm, k, n int) *MatRequest {
+		me := c.Rank()
+		return c.IAlltoallv(3, rows([][]complex128{rowOf(make([]complex128, n), k, me, 0), rowOf(make([]complex128, n), k, me, 1)}))
+	})
+}
+
+// TestAlltoallvFillSkipsUnreleasedRows: a fill is never handed a held row
+// either — the fill twin of TestUnreleasedRowsNeverOverwritten.
+func TestAlltoallvFillSkipsUnreleasedRows(t *testing.T) {
+	unreleasedNeverOverwritten(t, func(c *Comm, k, n int) *MatRequest {
+		return c.IAlltoallv(3, fillOf(k, c.Rank(), n))
+	})
+}
+
+// TestAlltoallvFillOwnAndEmptyRowsArriveNil: a fill that appends nothing —
+// the plan's own share, or a peer that needs no segment — delivers nil,
+// also when it was handed a recycled row with capacity, and moves no
+// bytes.
+func TestAlltoallvFillOwnAndEmptyRowsArriveNil(t *testing.T) {
+	const n = 3
+	w := NewWorld(n)
+	err := w.Run(func(c *Comm) error {
+		me, peer := c.Rank(), (c.Rank()+1)%n
+		for k := 0; k < 3; k++ {
+			req := c.IAlltoallv(2, func(dst int, row []complex128) []complex128 {
+				if k == 0 || dst == peer { // round 0 fills every row, so later rounds get capacity
+					return append(row, complex(float64(me), float64(k)))
+				}
+				return row
+			})
+			for src, row := range req.Wait() {
+				full := k == 0 || src == (me+n-1)%n
+				if full && (len(row) != 1 || row[0] != complex(float64(src), float64(k))) {
+					return fmt.Errorf("rank %d, round %d: row from %d = %v", me, k, src, row)
+				}
+				if !full && row != nil {
+					return fmt.Errorf("rank %d, round %d: empty fill from %d arrived as %v (cap %d), want nil", me, k, src, row, cap(row))
+				}
+			}
+			req.Release()
+			c.Barrier()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Round 0 moves n·(n−1) one-word rows, rounds 1–2 one per rank each.
+	if got, want := w.Stats().CollectiveBytes["Alltoallv"], int64(16*(n*(n-1)+2*n)); got != want {
+		t.Fatalf("Alltoallv bytes = %d, want %d", got, want)
+	}
+}
+
+// TestAlltoallvFillCountsFilledBytes: the byte count is 16 per element
+// the fill appended — the filled row's length, not the capacity of the
+// recycled row it was handed.
+func TestAlltoallvFillCountsFilledBytes(t *testing.T) {
+	w := NewWorld(2)
+	lens := []int{40, 3} // round 0 leaves 40-element rows to recycle
+	var want int64
+	for _, l := range lens {
+		want += 2 * int64(l) * 16
+	}
+	err := w.Run(func(c *Comm) error {
+		for k, l := range lens {
+			req := c.IAlltoallv(0, fillOf(k, c.Rank(), l))
+			for src, row := range req.Wait() {
+				if err := checkRow(row, k, src, c.Rank(), l); err != nil {
+					return err
+				}
+			}
+			req.Release()
+			c.Barrier()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Stats().CollectiveBytes["Alltoallv"]; got != want {
+		t.Fatalf("Alltoallv bytes = %d, want %d (16 per filled element, self rows free)", got, want)
+	}
+}
+
+// TestAlltoallvFillOutgrowsRecycledRow: a fill that appends more than the
+// recycled row holds grows it (append reallocates) and still delivers
+// every element intact; the larger row is what is recycled next.
+func TestAlltoallvFillOutgrowsRecycledRow(t *testing.T) {
+	w := NewWorld(2)
+	err := w.Run(func(c *Comm) error {
+		me := c.Rank()
+		for k, n := range []int{4, 1000, 1000} {
+			req := c.IAlltoallv(1, fillOf(k, me, n))
+			for src, row := range req.Wait() {
+				if err := checkRow(row, k, src, me, n); err != nil {
+					return fmt.Errorf("rank %d: %w", me, err)
+				}
+			}
+			req.Release()
+			c.Barrier()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAllreduceReleaseRecycles: VecRequest.Release hands back rank 0's
+// sum and every other rank's down-leg row, so from the second round on
+// each rank's result lands in the row it released the round before, and
+// every rank holds exactly one free row on its slot's tag.
+func TestAllreduceReleaseRecycles(t *testing.T) {
+	const n, rounds = 3, 4
+	w := NewWorld(n)
+	err := w.Run(func(c *Comm) error {
+		var prev *complex128
+		for k := 0; k < rounds; k++ {
+			req := c.IAllreduce(1, []complex128{complex(float64(c.Rank()), float64(k)), 1})
+			got := req.Wait()
+			if want := complex(float64(n*(n-1)/2), float64(n*k)); got[0] != want || got[1] != n {
+				return fmt.Errorf("rank %d, round %d: sum %v, want [%v %v]", c.Rank(), k, got, want, complex(n, 0))
+			}
+			if k > 0 && &got[0] != prev {
+				return fmt.Errorf("rank %d, round %d: result not in the row released the round before", c.Rank(), k)
+			}
+			prev = &got[0]
+			req.Release()
+			req.Release() // a second Release is a no-op
+			c.Barrier()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, box := range w.boxes {
+		tag := nbTag(1, legBcast)
+		if r == 0 {
+			tag = nbTag(1, legReduce)
+		}
+		if l := len(box.free[key{0, tag}]); l != 1 {
+			t.Fatalf("rank %d holds %d free result rows after %d released reductions, want 1", r, l, rounds)
+		}
 	}
 }
 

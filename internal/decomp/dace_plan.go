@@ -44,28 +44,31 @@ func ParsePrecision(s string) (Precision, error) {
 }
 
 // DaCePlan stages the communication-avoiding SSE phase of one rank into
-// its pack / unpack / compute pieces, so both execution styles share one
+// its post / unpack / compute pieces, so both execution styles share one
 // implementation:
 //
-//   - the blocking RunDaCe drives the stages back-to-back through
-//     Alltoallv, reproducing the bulk-synchronous phase exactly;
+//   - the blocking RunDaCe drives the stages back-to-back, each exchange
+//     posted, waited and released at once, reproducing the
+//     bulk-synchronous phase exactly;
 //   - the task-graph runtime (internal/dist, under every schedule) posts
-//     each pack through comm.IAlltoallv as soon as its inputs exist and,
-//     on a pool of more than one worker, overlaps the waits with
-//     unrelated compute.
+//     each exchange as soon as its inputs exist and, on a pool of more
+//     than one worker, overlaps the waits with unrelated compute.
 //
 // The stage pairs are (#1 G≷, #2 D≷, #3 Σ≷, #4 Π≷) of the Fig. 5 (right)
 // scheme. Each is one exchange descriptor — the tensor pair, the segment
 // length, copy-or-accumulate on arrival, and a single enumerator of the
-// segments rank s ships to rank d in wire order — from which the generic
-// pack and unpack derive both endpoints (the paper's memlet: a movement
-// described once). Both drivers go through them, so the overlapped
-// execution is bitwise equal to the bulk-synchronous one.
+// segments rank s ships to rank d in wire order — from which the one
+// segment writer (fill) and unpack derive both endpoints (the paper's
+// memlet: a movement described once). Both drivers go through them, so
+// the overlapped execution is bitwise equal to the bulk-synchronous one.
 //
 // A plan is built once and may run any number of iterations: it owns the
-// tile output, the compiled tile with its scratch, every exchange's
-// segment offsets (enumerated at construction) and its wire buffers, so a
-// reused plan allocates nothing of its own after its first iteration.
+// tile output, the compiled tile with its scratch, and every exchange's
+// segment offsets (enumerated at construction) and one-segment scratch.
+// It holds no message: Post* writes each off-rank payload once, straight
+// into the row comm hands over (the row the receiver released the
+// iteration before), and from the post on that row is the receiver's. So
+// a reused plan allocates nothing of its own after its first iteration.
 type DaCePlan struct {
 	l        *DaCeLayout
 	src      *OMENLayout
@@ -172,7 +175,7 @@ func (pl *DaCePlan) FallbackBlocks() int64 { return pl.fallbackBlocks.Load() }
 // Output returns the tile results (valid after UnpackSigma/UnpackPi).
 func (pl *DaCePlan) Output() *sse.Output { return pl.out }
 
-// exchange describes one of the four Fig. 5 data movements once; pack
+// exchange describes one of the four Fig. 5 data movements once; fill
 // derives the sender's side from it and unpack the receiver's, so the two
 // cannot disagree on which segments travel or in which order.
 type exchange struct {
@@ -190,12 +193,15 @@ type exchange struct {
 	// own share stays in place and has no list.
 	send, recv [][]int
 
-	// The exchange's buffers, reused every iteration (the comm layer
-	// copies a payload when it is posted): per destination the packed
-	// payload, its wire encoding under Mixed and the list handed to the
-	// post, and the decoding of one arrival.
-	packed, wire, post [][]complex128
-	decoded            []complex128
+	// scratch holds one 2·seg segment under Mixed: the block fill encodes
+	// and the block unpack decodes. A stage's post and wait are ordered,
+	// so they never use it at once.
+	scratch []complex128
+	// packed holds the rows Pack* returns, grown only by Pack*: the
+	// frozen bench exchange rung and the digest tests drive the blocking
+	// Alltoallv with them until ROADMAP item 3(a) retires Pack*. A product
+	// run posts through Post* and never grows it.
+	packed [][]complex128
 }
 
 // newExchange describes the movement of the ≷ pair whose segments(from,
@@ -203,9 +209,7 @@ type exchange struct {
 // rank's send and receive lists once.
 func (pl *DaCePlan) newExchange(lesser, greater []complex128, seg int, accumulate bool, segments func(from, to int) []int) exchange {
 	x := exchange{lesser: lesser, greater: greater, seg: seg, accumulate: accumulate,
-		send: make([][]int, pl.ranks), recv: make([][]int, pl.ranks),
-		packed: make([][]complex128, pl.ranks), wire: make([][]complex128, pl.ranks),
-		post: make([][]complex128, pl.ranks)}
+		send: make([][]int, pl.ranks), recv: make([][]int, pl.ranks)}
 	for peer := range x.send {
 		if peer != pl.rank {
 			x.send[peer] = segments(pl.rank, peer)
@@ -291,36 +295,57 @@ func (pl *DaCePlan) exchangePi() exchange {
 	})
 }
 
-// pack fills this rank's send buffers of x, one per destination, in the
-// exchange's own storage (valid until its next pack); the rank's own
-// share stays in place (nil buffer). Under Mixed each buffer ships in the
-// half-width wire format.
-func (pl *DaCePlan) pack(x *exchange) [][]complex128 {
-	for dst, offs := range x.send {
-		if dst == pl.rank {
-			continue
-		}
-		buf := slices.Grow(x.packed[dst][:0], 2*x.seg*len(offs))
+// fill is the one segment writer of x: it appends to row, in wire order,
+// every segment this rank ships to rank dst and returns the extended row.
+// Under FP64 a segment is its lesser and greater halves; under Mixed it is
+// the wire encoding of that 2·seg block, staged through the exchange's
+// scratch (the encoder works segment by segment, so the bits equal a
+// whole-row encode). The rank's own share stays in place and appends
+// nothing. What it appends is counted in OffRankBytes and FallbackBlocks.
+func (pl *DaCePlan) fill(x *exchange, dst int, row []complex128) []complex128 {
+	offs := x.send[dst]
+	n0 := len(row)
+	if pl.prec == Mixed {
+		row = slices.Grow(row, len(offs)*half.WireWords(2*x.seg)) // exact unless a segment falls back
 		for _, o := range offs {
-			buf = append(buf, x.lesser[o:o+x.seg]...)
-			buf = append(buf, x.greater[o:o+x.seg]...)
+			x.scratch = append(append(x.scratch[:0], x.lesser[o:o+x.seg]...), x.greater[o:o+x.seg]...)
+			row = half.AppendWireEncode(row, x.scratch, 2*x.seg)
 		}
-		x.packed[dst] = buf
-		if pl.prec == Mixed && len(buf) > 0 {
-			x.wire[dst] = half.AppendWireEncode(x.wire[dst][:0], buf, 2*x.seg)
-			buf = x.wire[dst]
-			if n := half.WireFallbacks(buf, 2*x.seg); n > 0 {
-				pl.fallbackBlocks.Add(int64(n))
-			}
+		if n := half.WireFallbacks(row[n0:], 2*x.seg); n > 0 {
+			pl.fallbackBlocks.Add(int64(n))
 		}
-		pl.offRankBytes.Add(int64(len(buf)) * 16)
-		x.post[dst] = buf
+	} else {
+		row = slices.Grow(row, 2*x.seg*len(offs))
+		for _, o := range offs {
+			row = append(row, x.lesser[o:o+x.seg]...)
+			row = append(row, x.greater[o:o+x.seg]...)
+		}
 	}
-	return x.post
+	pl.offRankBytes.Add(int64(len(row)-n0) * 16)
+	return row
 }
 
-// unpack lands the other ranks' buffers of x in this rank's tensors, in
-// ascending source order.
+// post hands fill to comm as exchange x's IAlltoallv on slot: every
+// off-rank payload is written once, into the row the receiver released.
+func (pl *DaCePlan) post(c *comm.Comm, slot int, x *exchange) *comm.MatRequest {
+	return c.IAlltoallv(slot, func(dst int, row []complex128) []complex128 { return pl.fill(x, dst, row) })
+}
+
+// pack is fill aimed at the plan's own rows, one per destination (valid
+// until the stage's next pack); the rank's own share is a nil row.
+func (pl *DaCePlan) pack(x *exchange) [][]complex128 {
+	if x.packed == nil {
+		x.packed = make([][]complex128, pl.ranks)
+	}
+	for dst := range x.packed {
+		x.packed[dst] = pl.fill(x, dst, x.packed[dst][:0])
+	}
+	return x.packed
+}
+
+// unpack lands the other ranks' rows of x in this rank's tensors, in
+// ascending source order, one segment at a time; under Mixed each segment
+// is decoded into the exchange's scratch first.
 func (pl *DaCePlan) unpack(x *exchange, recv [][]complex128) {
 	land := func(dst, src []complex128) { copy(dst, src) }
 	if x.accumulate {
@@ -331,21 +356,24 @@ func (pl *DaCePlan) unpack(x *exchange, recv [][]complex128) {
 			continue
 		}
 		buf := recv[from]
-		if pl.prec == Mixed && len(buf) > 0 {
-			x.decoded = half.AppendWireDecode(x.decoded[:0], buf, 2*x.seg)
-			buf = x.decoded
-		}
 		for _, o := range offs {
-			land(x.lesser[o:o+x.seg], buf[:x.seg])
-			land(x.greater[o:o+x.seg], buf[x.seg:2*x.seg])
-			buf = buf[2*x.seg:]
+			var s []complex128 // lesser then greater, seg values each
+			if pl.prec == Mixed {
+				x.scratch, buf = half.AppendWireSegment(x.scratch[:0], buf, 2*x.seg)
+				s = x.scratch
+			} else {
+				s, buf = buf[:2*x.seg], buf[2*x.seg:]
+			}
+			land(x.lesser[o:o+x.seg], s[:x.seg])
+			land(x.greater[o:o+x.seg], s[x.seg:])
 		}
 	}
 }
 
-// The exported stages: Pack* returns the send buffers of one exchange for
-// Alltoallv (the plan's storage, rewritten by the stage's next pack),
-// Unpack* takes its arrivals.
+// The exported stages. Pack* returns the send rows of one exchange for a
+// blocking Alltoallv (the plan's own storage, rewritten by the stage's
+// next pack); it serves the frozen bench exchange rung and the digest
+// tests until ROADMAP item 3(a). Unpack* takes an exchange's arrivals.
 func (pl *DaCePlan) PackG() [][]complex128     { return pl.pack(&pl.xs[0]) }
 func (pl *DaCePlan) PackD() [][]complex128     { return pl.pack(&pl.xs[1]) }
 func (pl *DaCePlan) PackSigma() [][]complex128 { return pl.pack(&pl.xs[2]) }
@@ -454,17 +482,15 @@ const (
 )
 
 // PostG posts exchange #1 as soon as the owned G≷ pairs exist.
-func (pl *DaCePlan) PostG(c *comm.Comm) *comm.MatRequest { return c.IAlltoallv(slotG, pl.PackG()) }
+func (pl *DaCePlan) PostG(c *comm.Comm) *comm.MatRequest { return pl.post(c, slotG, &pl.xs[0]) }
 
 // PostD posts exchange #2 as soon as the owned D≷ points exist.
-func (pl *DaCePlan) PostD(c *comm.Comm) *comm.MatRequest { return c.IAlltoallv(slotD, pl.PackD()) }
+func (pl *DaCePlan) PostD(c *comm.Comm) *comm.MatRequest { return pl.post(c, slotD, &pl.xs[1]) }
 
 // PostSigma posts exchange #3 after ComputeTile.
 func (pl *DaCePlan) PostSigma(c *comm.Comm) *comm.MatRequest {
-	return c.IAlltoallv(slotSigma, pl.PackSigma())
+	return pl.post(c, slotSigma, &pl.xs[2])
 }
 
 // PostPi posts exchange #4 after ComputeTile.
-func (pl *DaCePlan) PostPi(c *comm.Comm) *comm.MatRequest {
-	return c.IAlltoallv(slotPi, pl.PackPi())
-}
+func (pl *DaCePlan) PostPi(c *comm.Comm) *comm.MatRequest { return pl.post(c, slotPi, &pl.xs[3]) }

@@ -27,10 +27,10 @@ func (l *DaCeLayout) AtomSets() [][]int {
 //	#3  Σ≷  tiles         → pair owners
 //	#4  Π≷  tile partials → phonon point owners (summed on arrival)
 //
-// This is the bulk-synchronous driver of a DaCePlan: each stage packs,
-// exchanges, and unpacks back-to-back. The overlapped driver
-// (internal/dist's task-graph schedule) runs the same stages through the
-// nonblocking collectives instead. The union over ranks reproduces the
+// This is the bulk-synchronous driver of a DaCePlan: each stage posts,
+// waits, unpacks and releases its rows back-to-back. The overlapped
+// driver (internal/dist's task-graph schedule) runs the same stages with
+// other work between post and wait. The union over ranks reproduces the
 // sequential kernel exactly. The returned Output is the full result
 // gathered on rank 0 (for verification), and Stats are the communication
 // counters measured before the verification gather.
@@ -51,11 +51,16 @@ func RunDaCe(w *comm.World, in *sse.Input, ta, te int) (*sse.Output, comm.Stats,
 			func(iq, m int) bool { return src.phononOwner(iq, m) == r })
 
 		pl := NewDaCePlan(r, l, src, atomSets, local)
-		pl.UnpackG(c.Alltoallv(pl.PackG()))
-		pl.UnpackD(c.Alltoallv(pl.PackD()))
+		stage := func(post func(*comm.Comm) *comm.MatRequest, unpack func([][]complex128)) {
+			req := post(c)
+			unpack(req.Wait())
+			req.Release()
+		}
+		stage(pl.PostG, pl.UnpackG)
+		stage(pl.PostD, pl.UnpackD)
 		pl.ComputeTile()
-		pl.UnpackSigma(c.Alltoallv(pl.PackSigma()))
-		pl.UnpackPi(c.Alltoallv(pl.PackPi()))
+		stage(pl.PostSigma, pl.UnpackSigma)
+		stage(pl.PostPi, pl.UnpackPi)
 		out := pl.Output()
 
 		// Snapshot traffic before the verification gather.

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/half"
 	"repro/internal/sse"
 )
 
@@ -197,5 +198,142 @@ func TestReusedPlanLeavesNoStaleData(t *testing.T) {
 			t.Errorf("%s: the reused plan's second round differs from a fresh plan's:\n wire %s vs %s\nstate %s vs %s\nstats %+v vs %+v",
 				prec, rWire, wire, rState, state, rStats, stats)
 		}
+	}
+}
+
+// stageDigest runs the four-stage exchange of one (Ta, TE, precision)
+// configuration twice on one plan per rank — through Post* → Wait →
+// Release when post is set, so the second round writes into the rows the
+// first released, else through Pack* → Alltoallv — and returns the
+// digest of every rank's state after the second round (its G≷/D≷ inputs
+// after UnpackG/UnpackD and its Σ≷/Π≷ outputs after UnpackSigma/UnpackPi,
+// folded in rank order), each rank's OffRankBytes and FallbackBlocks of
+// that round, and the world's Alltoallv bytes over both rounds.
+func stageDigest(t *testing.T, in *sse.Input, ta, te int, prec Precision, post bool) (state string, counters [][2]int64, bytes int64) {
+	t.Helper()
+	l := NewDaCeLayout(in.Dev, ta, te)
+	src := NewOMENLayout(in.Dev.P, l.procs())
+	atomSets := l.AtomSets()
+	states := make([][]byte, l.procs())
+	counters = make([][2]int64, l.procs())
+	w := comm.NewWorld(l.procs())
+	err := w.Run(func(c *comm.Comm) error {
+		r := c.Rank()
+		local := localInput(in, func(ik, ie int) bool { return src.pairOwner(ik, ie) == r },
+			func(iq, m int) bool { return src.phononOwner(iq, m) == r })
+		pl := NewDaCePlan(r, l, src, atomSets, local).WithPrecision(prec)
+		stage := func(postF func(*comm.Comm) *comm.MatRequest, packF func() [][]complex128, unpackF func([][]complex128)) {
+			if !post {
+				unpackF(c.Alltoallv(packF()))
+				return
+			}
+			req := postF(c)
+			unpackF(req.Wait())
+			req.Release()
+		}
+		h := sha256.New()
+		for round := 0; round < 2; round++ {
+			pl.ResetCounters()
+			stage(pl.PostG, pl.PackG, pl.UnpackG)
+			stage(pl.PostD, pl.PackD, pl.UnpackD)
+			pl.ComputeTile()
+			stage(pl.PostSigma, pl.PackSigma, pl.UnpackSigma)
+			stage(pl.PostPi, pl.PackPi, pl.UnpackPi)
+		}
+		out := pl.Output()
+		for _, v := range [][]complex128{local.GL.Data, local.GG.Data, local.DL.Data, local.DG.Data,
+			out.SigL.Data, out.SigG.Data, out.PiL.Data, out.PiG.Data} {
+			hashVec(h, v)
+		}
+		states[r] = h.Sum(nil)
+		counters[r] = [2]int64{pl.OffRankBytes(), pl.FallbackBlocks()}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := sha256.New()
+	for _, s := range states {
+		all.Write(s)
+	}
+	return hex.EncodeToString(all.Sum(nil)), counters, w.Stats().CollectiveBytes["Alltoallv"]
+}
+
+// TestPostMatchesPackExchange: posting the segment writer straight into
+// comm's recycled rows and packing into the plan's own rows for the
+// blocking Alltoallv are one exchange — the same state bit for bit, the
+// same per-rank off-rank bytes and fallback blocks, and the same bytes on
+// the wire — at P ∈ {2, 4}, fp64 and mixed.
+func TestPostMatchesPackExchange(t *testing.T) {
+	in := sse.RandomInput(testInput(t).Dev, 7)
+	for _, tile := range [][2]int{{1, 2}, {2, 1}, {2, 2}} {
+		for _, prec := range []Precision{FP64, Mixed} {
+			name := fmt.Sprintf("%dx%d/%s", tile[0], tile[1], prec)
+			packState, packC, packB := stageDigest(t, in, tile[0], tile[1], prec, false)
+			postState, postC, postB := stageDigest(t, in, tile[0], tile[1], prec, true)
+			if postState != packState {
+				t.Errorf("%s: Post* state %s, Pack* state %s", name, postState, packState)
+			}
+			if !reflect.DeepEqual(postC, packC) || postB != packB {
+				t.Errorf("%s: Post* counters %v and %d bytes, Pack* %v and %d", name, postC, postB, packC, packB)
+			}
+		}
+	}
+}
+
+// TestMixedFallbackCountersMatchWholeRowEncode: with a NaN in one G≷
+// segment and an Inf in one D≷ segment, the segment-at-a-time writer
+// reports the OffRankBytes and FallbackBlocks that encoding each whole
+// fp64 row at once reports, and the receivers land the same values.
+func TestMixedFallbackCountersMatchWholeRowEncode(t *testing.T) {
+	in := sse.RandomInput(testInput(t).Dev, 7)
+	l := NewDaCeLayout(in.Dev, 2, 2)
+	src := NewOMENLayout(in.Dev.P, l.procs())
+	atomSets := l.AtomSets()
+	err := comm.NewWorld(l.procs()).Run(func(c *comm.Comm) error {
+		r := c.Rank()
+		local := localInput(in, func(ik, ie int) bool { return src.pairOwner(ik, ie) == r },
+			func(iq, m int) bool { return src.phononOwner(iq, m) == r })
+		pl := NewDaCePlan(r, l, src, atomSets, local).WithPrecision(Mixed)
+		peer := (r + 1) % l.procs()
+		if offs := pl.xs[0].send[peer]; len(offs) > 0 {
+			local.GL.Data[offs[0]] = complex(math.NaN(), 0)
+		}
+		if offs := pl.xs[1].send[peer]; len(offs) > 0 {
+			local.DG.Data[offs[len(offs)-1]+1] = complex(0, math.Inf(-1))
+		}
+		// What the whole-row encode of the same fp64 rows reports.
+		var wantBytes, wantFallbacks int64
+		for _, x := range pl.xs[:2] {
+			for dst, offs := range x.send {
+				var row []complex128
+				for _, o := range offs {
+					row = append(row, x.lesser[o:o+x.seg]...)
+					row = append(row, x.greater[o:o+x.seg]...)
+				}
+				if dst == r || len(row) == 0 {
+					continue
+				}
+				wire := half.WireEncode(row, 2*x.seg)
+				wantBytes += int64(len(wire)) * 16
+				wantFallbacks += int64(half.WireFallbacks(wire, 2*x.seg))
+			}
+		}
+		for _, post := range []func(*comm.Comm) *comm.MatRequest{pl.PostG, pl.PostD} {
+			req := post(c)
+			req.Wait()
+			req.Release()
+		}
+		if wantFallbacks < 2 {
+			return fmt.Errorf("rank %d: the whole-row encode found %d fallback segments, want at least the 2 planted", r, wantFallbacks)
+		}
+		if pl.OffRankBytes() != wantBytes || pl.FallbackBlocks() != wantFallbacks {
+			return fmt.Errorf("rank %d: OffRankBytes %d, FallbackBlocks %d; the whole-row encode reports %d, %d",
+				r, pl.OffRankBytes(), pl.FallbackBlocks(), wantBytes, wantFallbacks)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -81,10 +81,10 @@ type slot struct {
 	mu  sync.Mutex
 	err error // first failed point solve of this rank
 
-	// plan owns the tile output, the tile with its scratch and the wire
-	// buffers; points holds the point results; part, global and obsBuf
-	// are the iteration's partial, its reduction and the reduction's
-	// payload.
+	// plan owns the tile output and the tile with its scratch (an
+	// exchange's rows are comm's, written at post); points holds the
+	// point results; part, global and obsBuf are the iteration's partial,
+	// its reduction and the reduction's payload.
 	plan         *decomp.DaCePlan
 	points       *negf.PointResults
 	part, global partialObs
@@ -114,8 +114,8 @@ func (rs *rankState) newSlot(opts Options) *slot {
 
 // arm re-arms the slot for absolute iteration a, between windows: a fresh
 // accumulator and counters, no error and no request outstanding. The
-// point results, the tile output and the wire buffers are overwritten by
-// the nodes that produce them.
+// point results and the tile output are overwritten by the nodes that
+// produce them.
 func (st *slot) arm(a int, p device.Params) {
 	st.iter = a
 	st.err = nil
@@ -442,7 +442,7 @@ func (rs *rankState) buildWindowGraph(opts Options, ex *sdfg.Executor, pr *pipeR
 		// cannot change (only this iteration's own conv, which runs after
 		// all of these nodes, can move the fence into it), so a posted
 		// request is always waited. A wait releases its rows once
-		// unpacked, so the next iteration's posts copy into them.
+		// unpacked, so the next iteration's posts write into them.
 		postG := node("post/G", "exchange", gPlane, wire[0:1], func() { st.reqG = st.plan.PostG(c) }, after...)
 		postD := node("post/D", "exchange", dPlane, wire[1:2], func() { st.reqD = st.plan.PostD(c) }, after...)
 		add("wait/G", "exchange", wire[0:1], halo[0:1], func() {
@@ -531,6 +531,7 @@ func (rs *rankState) buildWindowGraph(opts Options, ex *sdfg.Executor, pr *pipeR
 		add("wait/obs", "reduce", obsReq, global, func() {
 			if st.reqObs != nil {
 				st.global.unpack(st.reqObs.Wait(), p)
+				st.reqObs.Release()
 			}
 		})
 

@@ -30,10 +30,11 @@ const (
 	wireQuad = 4 // complex values per packed wire word
 )
 
-// wireWords returns the wire words one half-format segment of n complex
+// WireWords returns the wire words one half-format segment of n complex
 // values occupies (header + packed quads) — the prediction the analytic
-// communication model scales its fp64 volumes by.
-func wireWords(n int) int { return 1 + (n+wireQuad-1)/wireQuad }
+// communication model scales its fp64 volumes by, and the size a packer
+// reserves per segment.
+func WireWords(n int) int { return 1 + (n+wireQuad-1)/wireQuad }
 
 // wireScale derives the segment normalization factor. ok = false demands
 // the fp64 fallback: the magnitudes are non-finite, or the power-of-two
@@ -69,7 +70,7 @@ func AppendWireEncode(dst, src []complex128, seg int) []complex128 {
 	if len(src)%seg != 0 {
 		panic("half: WireEncode payload not a multiple of the segment length")
 	}
-	dst = slices.Grow(dst, len(src)/seg*wireWords(seg)) // exact unless a segment falls back
+	dst = slices.Grow(dst, len(src)/seg*WireWords(seg)) // exact unless a segment falls back
 	for off := 0; off < len(src); off += seg {
 		dst = appendSegment(dst, src[off:off+seg])
 	}
@@ -79,37 +80,36 @@ func AppendWireEncode(dst, src []complex128, seg int) []complex128 {
 // WireDecode expands a WireEncode buffer back into full complex128
 // values, walking the per-segment headers. seg must match the encoder's.
 func WireDecode(wire []complex128, seg int) []complex128 {
-	return AppendWireDecode(nil, wire, seg)
-}
-
-// AppendWireDecode appends the decoded values of wire to dst and returns
-// the extended buffer.
-func AppendWireDecode(dst, wire []complex128, seg int) []complex128 {
 	if seg <= 0 {
 		panic("half: WireDecode segment length must be positive")
 	}
-	dst = slices.Grow(dst, len(wire)/wireWords(seg)*seg) // exact unless a segment fell back
-	pos := 0
-	for pos < len(wire) {
-		h := wire[pos]
-		pos++
-		if imag(h) != 0 { // fp64 passthrough
-			if pos+seg > len(wire) {
-				panic("half: WireDecode truncated fp64 segment")
-			}
-			dst = append(dst, wire[pos:pos+seg]...)
-			pos += seg
-			continue
-		}
-		words := (seg + wireQuad - 1) / wireQuad
-		if pos+words > len(wire) {
-			panic("half: WireDecode truncated half segment")
-		}
-		invScale := 1 / real(h)
-		dst = decodeQuads(dst, wire[pos:pos+words], seg, invScale)
-		pos += words
+	dst := make([]complex128, 0, len(wire)/WireWords(seg)*seg) // exact unless a segment fell back
+	for len(wire) > 0 {
+		dst, wire = AppendWireSegment(dst, wire, seg)
 	}
 	return dst
+}
+
+// AppendWireSegment decodes the first segment of wire — seg values, seg
+// as the encoder's — appends it to dst, and returns the extended buffer
+// and the wire that follows the segment: the unit a receiver that lands
+// one segment at a time decodes, into a scratch of seg values.
+func AppendWireSegment(dst, wire []complex128, seg int) (out, rest []complex128) {
+	if seg <= 0 {
+		panic("half: WireDecode segment length must be positive")
+	}
+	h := wire[0]
+	if imag(h) != 0 { // fp64 passthrough
+		if 1+seg > len(wire) {
+			panic("half: WireDecode truncated fp64 segment")
+		}
+		return append(dst, wire[1:1+seg]...), wire[1+seg:]
+	}
+	words := (seg + wireQuad - 1) / wireQuad
+	if 1+words > len(wire) {
+		panic("half: WireDecode truncated half segment")
+	}
+	return decodeQuads(dst, wire[1:1+words], seg, 1/real(h)), wire[1+words:]
 }
 
 // WireFallbacks walks an encoded wire buffer's segment headers and counts
