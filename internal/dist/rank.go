@@ -26,7 +26,7 @@ func newRankState(c *comm.Comm, dev *device.Device, opts Options) *rankState {
 	rs := &rankState{
 		c:     c,
 		dev:   dev,
-		ps:    opts.Loop.NewPointSolver(dev, r),
+		ps:    opts.Loop.NewPointSolver(dev, r, opts.Workers),
 		src:   decomp.NewOMENLayout(dev.P, opts.Ranks),
 		tiles: decomp.NewDaCeLayout(dev, opts.Ta, opts.TE),
 	}

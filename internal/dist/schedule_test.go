@@ -848,6 +848,56 @@ func TestTracedRowsAreTheSpanRecord(t *testing.T) {
 	}
 }
 
+// TestPointScratchIsTheNodesWorker: a rank's point solves run on the
+// scratch of the executor worker that runs their node, so a run at
+// Workers = W never holds more than W scratches. A solve's bc and rgf
+// spans carry the lane of its scratch (worker w's is w+1), and the rgf/*
+// task enclosing them carries the executor's worker (lane 100+w, or 0 on
+// a one-worker pool): the two must name the same worker.
+func TestPointScratchIsTheNodesWorker(t *testing.T) {
+	for _, s := range []sched{{Schedule: SchedulePhases}, {ScheduleOverlap, 2, 0}, {SchedulePipeline, 4, 2}} {
+		t.Run(s.String(), func(t *testing.T) {
+			opts := s.forced(2, 3)
+			trc := obs.NewTracer()
+			opts.Tracer = trc
+			mustRun(t, s.String(), opts)
+			workers, lane := max(1, s.workers), 100
+			if workers == 1 {
+				lane = 0
+			}
+			spans := trc.Trace().Spans
+			solves := 0
+			for _, sp := range spans {
+				if sp.Cat != "bc" && sp.Cat != "rgf" {
+					continue
+				}
+				solves++
+				w := sp.Track - 1
+				if w < 0 || w >= workers {
+					t.Fatalf("rank %d %s (%d, %d) on scratch lane %d: a %d-worker pool has lanes 1..%d",
+						sp.Rank, sp.Name, sp.I, sp.J, sp.Track, workers, workers)
+				}
+				species := sp.Name[strings.IndexByte(sp.Name, '/')+1:]
+				task := fmt.Sprintf("rgf/%s/%d,%d", species, sp.I, sp.J)
+				i := slices.IndexFunc(spans, func(n obs.Span) bool {
+					return n.Cat == "task" && n.Rank == sp.Rank && n.Name == task &&
+						n.Start <= sp.Start && sp.Start+sp.Dur <= n.Start+n.Dur
+				})
+				if i < 0 {
+					t.Fatalf("rank %d %s (%d, %d): no %s task encloses it", sp.Rank, sp.Name, sp.I, sp.J, task)
+				}
+				if got := spans[i].Track - lane; got != w {
+					t.Errorf("rank %d %s (%d, %d) solved on worker %d's scratch inside a task on worker %d",
+						sp.Rank, sp.Name, sp.I, sp.J, w, got)
+				}
+			}
+			if solves == 0 {
+				t.Fatal("traced run recorded no bc or rgf span")
+			}
+		})
+	}
+}
+
 func ExampleSchedule_String() {
 	fmt.Println(SchedulePhases, ScheduleOverlap, SchedulePipeline)
 	// Output: phases overlap pipeline

@@ -397,17 +397,20 @@ func (rs *rankState) buildWindowGraph(opts Options, ex *sdfg.Executor, pr *pipeR
 		}
 
 		// ── GF solves: one node per owned point, a no-op once a point of
-		// this rank's shard has failed. The solve looks its boundaries up
-		// where it runs: iteration 0 decimates them, and every later
-		// iteration's solve of the point follows the solve that cached
-		// them, through its own plane.
+		// this rank's shard has failed. A solve runs on the scratch of the
+		// worker the executor's record names for its node. The solve looks
+		// its boundaries up where it runs: iteration 0 decimates them, and
+		// every later iteration's solve of the point follows the solve
+		// that cached them, through its own plane.
 		for i, pt := range pairs {
-			node(fmt.Sprintf("rgf/el/%d,%d", pt[0], pt[1]), "task", sigPlane[i:i+1], []sdfg.Container{gPlane[i], elRes[i]},
-				func() { st.try(func() error { return rs.ps.SolveElectron(rs.sh, i, st.points) }) })
+			var id sdfg.NodeID
+			id = node(fmt.Sprintf("rgf/el/%d,%d", pt[0], pt[1]), "task", sigPlane[i:i+1], []sdfg.Container{gPlane[i], elRes[i]},
+				func() { st.try(func() error { return rs.ps.SolveElectron(ex.Span(id).Worker, rs.sh, i, st.points) }) })
 		}
 		for j, pt := range points {
-			node(fmt.Sprintf("rgf/ph/%d,%d", pt[0], pt[1]), "task", piPlane[j:j+1], []sdfg.Container{dPlane[j], phRes[j]},
-				func() { st.try(func() error { return rs.ps.SolvePhonon(rs.sh, j, st.points) }) })
+			var id sdfg.NodeID
+			id = node(fmt.Sprintf("rgf/ph/%d,%d", pt[0], pt[1]), "task", piPlane[j:j+1], []sdfg.Container{dPlane[j], phRes[j]},
+				func() { st.try(func() error { return rs.ps.SolvePhonon(ex.Span(id).Worker, rs.sh, j, st.points) }) })
 		}
 
 		// Deterministic accumulation: the point solves land in slots, and

@@ -32,26 +32,25 @@ func newElectronResult(p device.Params) *ElectronPointResult {
 
 // SolveElectronPoint builds and solves one (kz, E) RGF problem against the
 // current scattering self-energies, filling the G≷ blocks of that point and
-// returning its observable contributions.
+// returning its observable contributions. It runs on worker 0's scratch.
 func (s *PointSolver) SolveElectronPoint(h *blocktri.Matrix, ik, ie int) (*ElectronPointResult, error) {
 	res := newElectronResult(s.Dev.P)
-	if err := s.solveElectronInto(h, ik, ie, res); err != nil {
+	if err := s.solveElectronInto(0, h, ik, ie, res); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// solveElectronInto is SolveElectronPoint writing its observables into
-// res, whose storage it overwrites in full.
-func (s *PointSolver) solveElectronInto(h *blocktri.Matrix, ik, ie int, res *ElectronPointResult) error {
+// solveElectronInto is SolveElectronPoint on worker w's scratch, writing
+// its observables into res, whose storage it overwrites in full.
+func (s *PointSolver) solveElectronInto(w int, h *blocktri.Matrix, ik, ie int, res *ElectronPointResult) error {
 	p := s.Dev.P
 	e := p.Energy(ie)
 	z := complex(e, p.Eta)
 	nb := p.Bnum
 	bs := p.ElBlockSize()
 
-	sc := s.getScratch()
-	defer s.putScratch(sc)
+	sc := s.worker(w)
 
 	// A = (E+iη)·S − H − Σᴿ_B − Σᴿ_S. S = I in the orthonormal basis but
 	// the same assembly holds for general S. The scratch assembly is

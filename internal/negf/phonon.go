@@ -18,10 +18,11 @@ type PhononPointResult struct {
 
 // SolvePhononPoint builds and solves one (qz, ω) RGF problem:
 // ((ω+iη)²·I − Φ − Πᴿ)·Dᴿ = I, D≷ = Dᴿ·Π≷·Dᴬ. It fills the D≷ blocks of
-// that point and returns its observable contributions.
+// that point and returns its observable contributions. It runs on worker
+// 0's scratch.
 func (s *PointSolver) SolvePhononPoint(phi *blocktri.Matrix, iq, m int) (*PhononPointResult, error) {
 	res := newPhononResult(s.Dev.P)
-	if err := s.solvePhononInto(phi, iq, m, res); err != nil {
+	if err := s.solvePhononInto(0, phi, iq, m, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -36,9 +37,9 @@ func newPhononResult(p device.Params) *PhononPointResult {
 	}
 }
 
-// solvePhononInto is SolvePhononPoint writing its observables into res,
-// whose storage it overwrites in full.
-func (s *PointSolver) solvePhononInto(phi *blocktri.Matrix, iq, m int, res *PhononPointResult) error {
+// solvePhononInto is SolvePhononPoint on worker w's scratch, writing its
+// observables into res, whose storage it overwrites in full.
+func (s *PointSolver) solvePhononInto(w int, phi *blocktri.Matrix, iq, m int, res *PhononPointResult) error {
 	p := s.Dev.P
 	omega := p.Omega(m)
 	z := complex(omega, p.Eta)
@@ -46,8 +47,7 @@ func (s *PointSolver) solvePhononInto(phi *blocktri.Matrix, iq, m int, res *Phon
 	nb := p.Bnum
 	bs := p.PhBlockSize()
 
-	sc := s.getScratch()
-	defer s.putScratch(sc)
+	sc := s.worker(w)
 
 	a, sigL, sigG := sc.phonon(phi.Sizes)
 	for i := 0; i < nb; i++ {

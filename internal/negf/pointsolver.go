@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bc"
 	"repro/internal/blocktri"
@@ -32,12 +31,12 @@ type PointSolver struct {
 	digestMu    sync.Mutex
 	leadDigests map[[2]int]bc.LeadDigest
 
-	// Trace, when non-nil, records per-point BC and RGF spans; TraceRank
-	// labels them with the owning rank (0 for the kit). The
-	// nil default keeps the point solves allocation-free.
+	// Trace, when non-nil, records per-point BC and RGF spans on lane
+	// w+1 of the solving worker w; TraceRank labels them with the owning
+	// rank (0 for the kit). The nil default keeps the point solves
+	// allocation-free.
 	Trace     *obs.Tracer
 	TraceRank int
-	trackSeq  atomic.Int64
 
 	// Green's function tensors (outputs of the GF phase).
 	GL, GG *tensor.Electron
@@ -47,33 +46,29 @@ type PointSolver struct {
 	SigL, SigG *tensor.Electron
 	PiL, PiG   *tensor.Phonon
 
-	// scratch is the free list of solveScratch values, one per
-	// concurrently running point solve: the linalg workspace, the reusable
-	// RGF solution, and the assembly storage. Each checkout is owned by
-	// exactly one worker goroutine for the duration of one point solve
-	// (the per-worker ownership rule of linalg.Workspace), so the parallel
-	// GF phase and the dist rank workers never share scratch. The list
-	// keeps its entries for the solver's life — a sync.Pool would drop
-	// them at every GC, and the solves after it would allocate them anew.
-	scratchMu sync.Mutex
-	scratch   []*solveScratch
+	// scratch[w] is worker w's solveScratch — the linalg workspace, the
+	// reusable RGF solution and the assembly storage — sized to the pool
+	// that runs the solves and allocated by its worker on first use. Only
+	// worker w touches entry w (the per-worker ownership rule of
+	// linalg.Workspace), so the solves need no lock, and the entries live
+	// as long as the solver.
+	scratch []*solveScratch
 
 	// anderson is the depth-1 accelerator's history (MixAnderson); nil
 	// until the first accelerated mix.
 	anderson *andersonState
 }
 
-// solveScratch is the reusable per-worker state of one point solve. After
-// the first solve every field is warm: the workspace pool covers all RGF
+// solveScratch is one worker's reusable point-solve state. After its
+// first solve every field is warm: the workspace pool covers all RGF
 // temporaries, the assemblies are overwritten in place, and the Solution
 // slices are recycled — the steady-state point solve allocates nothing.
 type solveScratch struct {
 	ws   *linalg.Workspace
 	sol  *rgf.Solution
 	prob rgf.Problem
-	// track is the trace lane of the worker owning this scratch: one
-	// scratch is checked out per concurrently running point solve, so the
-	// id (assigned once, ≥ 1) separates concurrent solves in the trace.
+	// track is the trace lane of the owning worker w: w+1, so concurrent
+	// solves land on separate lanes.
 	track int
 
 	// Electron assembly: A = (E+iη)·S − H − Σᴿ and the Σ≷ injections.
@@ -84,23 +79,14 @@ type solveScratch struct {
 	phSigL, phSigG []*linalg.Matrix
 }
 
-// getScratch checks a solveScratch out of the free list (allocating the
-// first time a worker needs one); putScratch returns it.
-func (ps *PointSolver) getScratch() *solveScratch {
-	ps.scratchMu.Lock()
-	defer ps.scratchMu.Unlock()
-	if n := len(ps.scratch); n > 0 {
-		sc := ps.scratch[n-1]
-		ps.scratch = ps.scratch[:n-1]
-		return sc
+// worker returns worker w's scratch, allocating it on w's first solve.
+func (ps *PointSolver) worker(w int) *solveScratch {
+	sc := ps.scratch[w]
+	if sc == nil {
+		sc = &solveScratch{ws: linalg.NewWorkspace(), track: w + 1}
+		ps.scratch[w] = sc
 	}
-	return &solveScratch{ws: linalg.NewWorkspace(), track: int(ps.trackSeq.Add(1))}
-}
-
-func (ps *PointSolver) putScratch(sc *solveScratch) {
-	ps.scratchMu.Lock()
-	ps.scratch = append(ps.scratch, sc)
-	ps.scratchMu.Unlock()
+	return sc
 }
 
 // electron returns the reusable electron assembly for the given block
@@ -147,22 +133,25 @@ func (sc *solveScratch) solveRGF(a *blocktri.Matrix, sigL, sigG []*linalg.Matrix
 	return sol, nil
 }
 
-// NewPointSolver allocates full-shape zeroed tensors for dev and a fresh
-// boundary-condition cache in the given mode.
+// NewPointSolver allocates full-shape zeroed tensors for dev, a fresh
+// boundary-condition cache in the given mode and one worker's scratch,
+// which SolveElectronPoint and SolvePhononPoint run on: they must not be
+// called concurrently.
 func NewPointSolver(dev *device.Device, mode bc.Mode) *PointSolver {
 	p := dev.P
 	nbp1 := dev.MaxNb() + 1
 	return &PointSolver{
-		Dev:  dev,
-		BC:   bc.NewCache(mode),
-		GL:   tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb),
-		GG:   tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb),
-		DL:   tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D),
-		DG:   tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D),
-		SigL: tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb),
-		SigG: tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb),
-		PiL:  tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D),
-		PiG:  tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D),
+		Dev:     dev,
+		BC:      bc.NewCache(mode),
+		scratch: make([]*solveScratch, 1),
+		GL:      tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb),
+		GG:      tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb),
+		DL:      tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D),
+		DG:      tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D),
+		SigL:    tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb),
+		SigG:    tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb),
+		PiL:     tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D),
+		PiG:     tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D),
 	}
 }
 

@@ -2,7 +2,6 @@ package negf
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/blocktri"
 	"repro/internal/device"
@@ -83,31 +82,36 @@ func phononErr(pt [2]int, err error) error {
 	return err
 }
 
-// SolveElectron solves electron pair i of the shard into its slot.
-func (ps *PointSolver) SolveElectron(sh *Shard, i int, out *PointResults) error {
+// SolveElectron solves electron pair i of the shard into its slot, on
+// worker w's scratch.
+func (ps *PointSolver) SolveElectron(w int, sh *Shard, i int, out *PointResults) error {
 	pr := sh.Pairs[i]
-	return electronErr(pr, ps.solveElectronInto(sh.hams[pr[0]], pr[0], pr[1], out.El[i]))
+	return electronErr(pr, ps.solveElectronInto(w, sh.hams[pr[0]], pr[0], pr[1], out.El[i]))
 }
 
-// SolvePhonon solves phonon point j of the shard into its slot.
-func (ps *PointSolver) SolvePhonon(sh *Shard, j int, out *PointResults) error {
+// SolvePhonon solves phonon point j of the shard into its slot, on worker
+// w's scratch.
+func (ps *PointSolver) SolvePhonon(w int, sh *Shard, j int, out *PointResults) error {
 	pt := sh.Points[j]
-	return phononErr(pt, ps.solvePhononInto(sh.dyns[pt[0]], pt[0], pt[1], out.Ph[j]))
+	return phononErr(pt, ps.solvePhononInto(w, sh.dyns[pt[0]], pt[0], pt[1], out.Ph[j]))
 }
 
 // sweep runs the GF phase of the shard: every electron pair, then every
-// phonon point, each solved into its slot of out by up to GOMAXPROCS
-// goroutines, read at call time — the natural parallelism of the GF
-// phase. It returns the first failure; points not yet started when it
-// lands are skipped.
+// phonon point, each solved into its slot of out on a pool of one worker
+// per scratch — the natural parallelism of the GF phase. It returns the
+// first failure; points not yet started when it lands are skipped.
 func (ps *PointSolver) sweep(sh *Shard, out *PointResults) error {
-	workers := runtime.GOMAXPROCS(0)
-	electron := func(i int) error { return ps.SolveElectron(sh, i, out) }
-	phonon := func(j int) error { return ps.SolvePhonon(sh, j, out) }
-	if err := linalg.ParallelFor(len(sh.Pairs), workers, func() func(int) error { return electron }); err != nil {
+	var pool linalg.Pool
+	workers := len(ps.scratch)
+	err := pool.Run(len(sh.Pairs), workers, func(w int) func(int) error {
+		return func(i int) error { return ps.SolveElectron(w, sh, i, out) }
+	})
+	if err != nil {
 		return err
 	}
-	return linalg.ParallelFor(len(sh.Points), workers, func() func(int) error { return phonon })
+	return pool.Run(len(sh.Points), workers, func(w int) func(int) error {
+		return func(j int) error { return ps.SolvePhonon(w, sh, j, out) }
+	})
 }
 
 // fold accumulates a finished sweep into o, in global point order: the

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 
 	"repro/internal/bc"
 	"repro/internal/device"
@@ -90,9 +91,11 @@ func (l Loop) WithDefaults() Loop {
 
 // NewPointSolver is the point solver of one loop's GF phase over dev: a
 // boundary cache in CacheMode over Store, its spans traced into Tracer
-// under the given rank, and Σ≷/Π≷ seeded from Warm when it is set.
-func (l Loop) NewPointSolver(dev *device.Device, rank int) *PointSolver {
+// under the given rank, one scratch for each of the workers of the pool
+// that runs its solves, and Σ≷/Π≷ seeded from Warm when it is set.
+func (l Loop) NewPointSolver(dev *device.Device, rank, workers int) *PointSolver {
 	ps := NewPointSolver(dev, l.CacheMode)
+	ps.scratch = make([]*solveScratch, max(workers, 1))
 	ps.BC.Store = l.Store
 	ps.Trace = l.Tracer
 	ps.TraceRank = rank
@@ -242,16 +245,17 @@ func ConvergenceStep(it int, cur, prev, tol float64) (residual float64, converge
 	return residual, residual < tol, nil
 }
 
-// New allocates the kit for dev. A nil Kernel takes sse.DaCe{}, and the
-// loop knobs resolve through Loop.WithDefaults — the resolution
-// dist.Options.Validate applies, so the two agree on an unset knob.
+// New allocates the kit for dev, its GF phase sized to GOMAXPROCS
+// workers. A nil Kernel takes sse.DaCe{}, and the loop knobs resolve
+// through Loop.WithDefaults — the resolution dist.Options.Validate
+// applies, so the two agree on an unset knob.
 func New(dev *device.Device, opts Loop) *Solver {
 	if opts.Kernel == nil {
 		opts.Kernel = sse.DaCe{}
 	}
 	opts = opts.WithDefaults()
 	s := &Solver{
-		PointSolver: opts.NewPointSolver(dev, 0),
+		PointSolver: opts.NewPointSolver(dev, 0, runtime.GOMAXPROCS(0)),
 		Opts:        opts,
 	}
 	s.shard = NewShard(dev, AllPairs(dev.P), AllPhononPoints(dev.P))
@@ -263,8 +267,9 @@ func New(dev *device.Device, opts Loop) *Solver {
 var ErrNotConverged = errors.New("negf: self-consistent loop did not converge")
 
 // GFPhase computes all Green's functions for the current self-energies and
-// refreshes the observables: the sweep over the full shard on all cores,
-// the fold, and the temperature map fitted from the folded spectra.
+// refreshes the observables: the sweep over the full shard on the kit's
+// workers, the fold, and the temperature map fitted from the folded
+// spectra.
 func (s *Solver) GFPhase() error {
 	if err := s.sweep(s.shard, s.points); err != nil {
 		return err

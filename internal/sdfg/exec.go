@@ -65,23 +65,24 @@ func NewExecutor(workers int) *Executor {
 
 // Span records when one node ran, on which worker, and its kind.
 type Span struct {
-	Kind       Kind
+	Kind Kind
+	// Worker is the number, in [0, workers), of the pool worker that ran
+	// the node. It is stamped before the node runs, and no two nodes run
+	// on one worker at once, so a running node may index per-worker
+	// storage by its own span's Worker.
 	Worker     int
 	Start, End time.Duration // offsets from Trace.Zero
 }
 
 // Trace is the measured execution profile of one Run, and its one clock:
-// every node is stamped as it starts and as it ends (a running node may
-// read the record: Span), and the makespan ends the run.
+// every node is stamped with its worker and start as it starts and with
+// its end as it ends (a running node may read the record: Span), and the
+// makespan ends the run.
 type Trace struct {
 	Spans []Span // indexed by NodeID
 	// Zero is the instant Run began, before arming and seeding.
 	Zero time.Time
 	Wall time.Duration
-	// Steals counts ready nodes executed by a worker other than the one
-	// that unblocked them — a direct measure of how much the stealing
-	// discipline rebalanced the graph.
-	Steals int
 }
 
 // Run executes every node of g, honoring dependencies. Nodes that return
@@ -92,7 +93,7 @@ type Trace struct {
 // executor's own and is overwritten by its next Run.
 func (e *Executor) Run(g *Graph) (*Trace, error) {
 	tr := &e.trace
-	tr.Zero, tr.Wall, tr.Steals = time.Now(), 0, 0
+	tr.Zero, tr.Wall = time.Now(), 0
 	e.arm(g)
 	if g.Len() == 0 {
 		return tr, nil
@@ -183,7 +184,6 @@ func (e *Executor) next(wid int) (NodeID, bool) {
 			if v := &e.deques[(wid+k)%e.workers]; len(v.q) > v.head {
 				id := v.q[v.head]
 				v.head++
-				e.trace.Steals++
 				return id, true
 			}
 		}

@@ -69,8 +69,8 @@ func TestRunDrainsAfterError(t *testing.T) {
 }
 
 // TestWorkStealingBalances unblocks a wide fan from a single chain head:
-// every ready successor lands on one worker's deque, so the other
-// workers must steal to share the load.
+// every ready successor lands on the head's worker's deque, so a second
+// worker in the record can only have run a leaf it stole.
 func TestWorkStealingBalances(t *testing.T) {
 	const fan = 64
 	g := New()
@@ -84,9 +84,6 @@ func TestWorkStealingBalances(t *testing.T) {
 	tr, err := NewExecutor(4).Run(g)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if tr.Steals == 0 {
-		t.Fatal("a single-source fan must trigger stealing")
 	}
 	workers := map[int]bool{}
 	for _, s := range tr.Spans {
@@ -228,6 +225,45 @@ func TestRunningNodeReadsSpans(t *testing.T) {
 		for _, sp := range tr.Spans {
 			if sp.Start < 0 || sp.End > tr.Wall {
 				t.Fatalf("run %d: span %+v outside the run [0, %v]", k, sp, tr.Wall)
+			}
+		}
+	}
+}
+
+// TestConcurrentNodesReadOwnWorkerFromSpan: the worker a running node
+// reads from its own span is the one the trace records for it, and two
+// nodes running at once read distinct workers — what lets a node index
+// per-worker storage by it. Each node waits for the other to start, so
+// on two workers they must overlap.
+func TestConcurrentNodesReadOwnWorkerFromSpan(t *testing.T) {
+	ex := NewExecutor(2)
+	g := New()
+	var seen [2]int
+	started := [2]chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
+	var ids [2]NodeID
+	for k := range ids {
+		ids[k] = g.Add(Spec{Label: fmt.Sprint(k), Run: func() error {
+			seen[k] = ex.Span(ids[k]).Worker
+			started[k] <- struct{}{}
+			select {
+			case <-started[1-k]:
+				return nil
+			case <-time.After(10 * time.Second):
+				return fmt.Errorf("node %d: node %d never started beside it", k, 1-k)
+			}
+		}})
+	}
+	for run := 0; run < 20; run++ {
+		tr, err := ex.Run(g)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if seen[0] == seen[1] {
+			t.Fatalf("run %d: both running nodes read worker %d", run, seen[0])
+		}
+		for k, id := range ids {
+			if w := tr.Spans[id].Worker; seen[k] != w || w < 0 || w > 1 {
+				t.Fatalf("run %d: node %d read worker %d, the trace records %d", run, k, seen[k], w)
 			}
 		}
 	}

@@ -14,10 +14,10 @@
 //   - Executor: real execution on a work-stealing worker pool. One
 //     executor per simulated MPI rank; cross-rank edges are enforced by
 //     the nonblocking internal/comm primitives the comm nodes call.
-//   - Simulate: a deterministic virtual-time list scheduler (Node.Cost
-//     durations) — the repo's one cost model. Only plan.Predict, which
-//     the benchmark reads, and cmd/paperbench, which lowers its
-//     CUDA-stream model (Table 6) onto it, call it.
+//   - Simulate: a deterministic virtual-time list scheduler over one
+//     rank's engines (Spec.Cost durations) — the repo's one cost model.
+//     Only plan.Predict, which the benchmark reads, and cmd/paperbench,
+//     which lowers its CUDA-stream model (Table 6) onto it, call it.
 package sdfg
 
 import "fmt"
@@ -50,14 +50,13 @@ type NodeID int32
 // so ids are best dense from zero.
 type Container int32
 
-// Spec describes a node being added to a graph.
+// Spec describes a node being added to a graph. A graph is one rank's:
+// its nodes share that rank's workers and communication engine. Run
+// takes no arguments; a node that needs its worker reads it from the
+// executor's record (Executor.Span).
 type Spec struct {
 	Label string
 	Kind  Kind
-	// Rank is the simulated MPI rank owning the node. Per-rank graphs may
-	// leave it zero; global graphs built for Simulate set it so nodes
-	// compete only for their own rank's engines.
-	Rank int
 	// Cost is the virtual duration used by Simulate. The real executor
 	// ignores it.
 	Cost float64

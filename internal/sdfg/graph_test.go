@@ -117,16 +117,3 @@ func count(ids []NodeID, id NodeID) (n int) {
 	}
 	return n
 }
-
-// TestSimulateRanksOwnEngines: nodes compete only for their own rank's
-// engines, so two ranks' chains run side by side even with one worker.
-func TestSimulateRanksOwnEngines(t *testing.T) {
-	g := New()
-	gf0 := g.Add(Spec{Label: "gf0", Rank: 0, Cost: 10})
-	gf1 := g.Add(Spec{Label: "gf1", Rank: 1, Cost: 1})
-	g.Add(Spec{Label: "sse0", Rank: 0, Cost: 1}, gf0)
-	g.Add(Spec{Label: "sse1", Rank: 1, Cost: 10}, gf1)
-	if got := Simulate(g, 1); got != 11 {
-		t.Fatalf("two-rank makespan = %v, want 11", got)
-	}
-}

@@ -1,14 +1,14 @@
 package sdfg
 
-// Simulate computes the virtual-time makespan of g. Every rank owns
-// `workers` compute engines plus one communication engine; each node
-// occupies one engine of its Kind on its Rank for Cost units of virtual
-// time, starting no earlier than its dependencies finish. Scheduling is
-// greedy list scheduling — among all ready nodes, the one that can start
+// Simulate computes the virtual-time makespan of g on one rank's engines:
+// `workers` compute engines plus one communication engine. Each node
+// occupies one engine of its Kind for Cost units of virtual time,
+// starting no earlier than its dependencies finish. Scheduling is greedy
+// list scheduling — among all ready nodes, the one that can start
 // earliest runs next (ties broken by node id) — so the result is
 // deterministic and comparable across schedules of the same task set.
-// One rank with one worker is the two-engine GPU (compute engine + copy
-// engine) of cmd/paperbench's CUDA-stream model, which lowers onto it.
+// One worker is the two-engine GPU (compute engine + copy engine) of
+// cmd/paperbench's CUDA-stream model, which lowers onto it.
 func Simulate(g *Graph, workers int) float64 {
 	if workers < 1 {
 		workers = 1
@@ -17,18 +17,8 @@ func Simulate(g *Graph, workers int) float64 {
 	if n == 0 {
 		return 0
 	}
-	ranks := 1
-	for _, node := range g.nodes {
-		if node.Rank+1 > ranks {
-			ranks = node.Rank + 1
-		}
-	}
-	// Engine pools: per rank, `workers` compute engines and 1 comm engine.
-	compute := make([][]float64, ranks)
-	for r := range compute {
-		compute[r] = make([]float64, workers)
-	}
-	comm := make([]float64, ranks)
+	compute := make([]float64, workers) // when each engine is next free
+	var comm float64
 
 	finish := make([]float64, n)
 	indeg := make([]int, n)
@@ -48,9 +38,9 @@ func Simulate(g *Graph, workers int) float64 {
 			node := g.nodes[id]
 			engineFree, engine := 0.0, -1
 			if node.Kind == Comm {
-				engineFree = comm[node.Rank]
+				engineFree = comm
 			} else {
-				engineFree, engine = minEngine(compute[node.Rank])
+				engineFree, engine = minEngine(compute)
 			}
 			start := ready[id]
 			if engineFree > start {
@@ -63,9 +53,9 @@ func Simulate(g *Graph, workers int) float64 {
 		node := g.nodes[best]
 		end := bestStart + node.Cost
 		if node.Kind == Comm {
-			comm[node.Rank] = end
+			comm = end
 		} else {
-			compute[node.Rank][bestEngine] = end
+			compute[bestEngine] = end
 		}
 		finish[best] = end
 		scheduled[best] = true

@@ -40,7 +40,7 @@ func newQueue(capacity int) *queue {
 	return q
 }
 
-// Push admits a job or fails with ErrQueueFull. Within the tenant's
+// Push admits a job or fails with errQueueFull. Within the tenant's
 // FIFO the job is placed after the last job of equal or higher priority.
 func (q *queue) Push(j *job) error {
 	q.mu.Lock()

@@ -95,7 +95,7 @@ func TestQueueFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := q.Push(qjob("3", "C", 0)); !errors.Is(err, errQueueFull) {
-		t.Fatalf("Push beyond capacity: err = %v, want ErrQueueFull", err)
+		t.Fatalf("Push beyond capacity: err = %v, want errQueueFull", err)
 	}
 	queued, running := q.Stats()
 	if queued != 2 || running != 0 {

@@ -272,7 +272,7 @@ type origin struct {
 // request asks for an execution's spans, so it neither reads the cache
 // nor joins, and its result then serves later requests like any other.
 // from stamps the record with its ensemble-study lineage and carries a
-// study member's seed to its execution. err is ErrQueueFull under
+// study member's seed to its execution. err is errQueueFull under
 // backpressure, or a validation error.
 func (s *Server) submit(tenant string, priority int, rc qt.RunConfig, from origin) (Record, *job, error) {
 	resolved, err := qt.Resolve(rc)
