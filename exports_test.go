@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -11,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -55,30 +57,7 @@ var implicitMethods = map[string]bool{"String": true, "Error": true, "ServeHTTP"
 // an interface method that non-test code calls. The frozen bench/ module
 // counts as a reader.
 func TestInternalExportsHaveReaders(t *testing.T) {
-	l := &srcLoader{
-		fset: token.NewFileSet(),
-		pkgs: map[string]*loadedPkg{},
-		std:  importer.ForCompiler(token.NewFileSet(), "source", nil),
-	}
-	var dirs []string
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == filepath.Join("cmd", "paperbench")) {
-			return filepath.SkipDir
-		}
-		dirs = append(dirs, path)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dir := range dirs {
-		if _, err := l.load(importPathOf(dir)); err != nil {
-			t.Fatalf("%s: %v", dir, err)
-		}
-	}
+	l := loadModule(t)
 
 	// Exported identifiers of internal/, keyed by their object; methods and
 	// fields map to the type that owns them.
@@ -119,7 +98,10 @@ func TestInternalExportsHaveReaders(t *testing.T) {
 
 	read := map[types.Object]bool{}
 	calledIface := map[string][]*types.Interface{}
-	for _, p := range l.pkgs {
+	for path, p := range l.pkgs {
+		if path == paperbench {
+			continue
+		}
 		for _, obj := range p.info.Uses {
 			if obj.Pkg() == nil {
 				continue
@@ -275,9 +257,50 @@ func origin(obj types.Object) types.Object {
 	return obj
 }
 
+// paperbench is the paper-table driver: loaded for the design guards, but
+// no reader of an internal/ export.
+const paperbench = "repro/cmd/paperbench"
+
+// module is every package of this module and of bench/, type-checked once
+// for all the tests of this package that read the source.
+var module struct {
+	once sync.Once
+	l    *srcLoader
+	err  error
+}
+
+func loadModule(t *testing.T) *srcLoader {
+	t.Helper()
+	module.once.Do(func() {
+		l := &srcLoader{
+			fset: token.NewFileSet(),
+			pkgs: map[string]*loadedPkg{},
+			std:  importer.ForCompiler(token.NewFileSet(), "source", nil),
+		}
+		module.l, module.err = l, filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			if _, err := l.load(importPathOf(path)); err != nil {
+				return fmt.Errorf("%s: %w", path, err)
+			}
+			return nil
+		})
+	})
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	return module.l
+}
+
 type loadedPkg struct {
-	types *types.Package
-	info  *types.Info
+	types   *types.Package
+	info    *types.Info
+	files   []*ast.File // the type-checked files: non-test, for the host
+	imports []string    // what go/build lists for the host
 }
 
 // srcLoader type-checks this module's packages (and the bench/ module,
@@ -335,7 +358,7 @@ func (l *srcLoader) load(path string) (*loadedPkg, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &loadedPkg{types: tp, info: info}
+	p := &loadedPkg{types: tp, info: info, files: files, imports: bp.Imports}
 	l.pkgs[path] = p
 	return p, nil
 }
