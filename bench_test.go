@@ -132,19 +132,29 @@ func BenchmarkNew(b *testing.B) {
 // BenchmarkDistributedLoop runs the full GF↔SSE self-consistent loop —
 // the end-to-end cost the paper's distributed solver pays per
 // convergence step — for a fixed number of iterations: on 4 simulated
-// ranks, on 2 (the bulk-synchronous phases, one worker each) and on the
-// one-rank world a qt run without ranks executes (the overlap order on a
-// pool of two workers), the last two at two run lengths. CI's allocation
-// guards read each pair's difference — what four more iterations
-// allocate, set-up excluded — and the ranks=2/iters=6 row's heap per run.
+// ranks, on 2 (the bulk-synchronous phases, one worker each), on 2 with
+// a window of depth 2 (the pipeline on one worker each, so its order is
+// as fixed as the phases') and on the one-rank world a qt run without
+// ranks executes (the overlap order on a pool of two workers), the
+// phases and one-rank rows at two run lengths. CI's allocation guards
+// read each pair's difference — what four more iterations allocate,
+// set-up excluded — and the heap per run of the two ranks=2 rows of
+// 6 iterations.
 func BenchmarkDistributedLoop(b *testing.B) {
 	dev := benchDevice()
-	for _, c := range []struct{ ranks, iters int }{{4, 2}, {2, 2}, {2, 6}, {1, 2}, {1, 6}} {
-		b.Run(fmt.Sprintf("ranks=%d/iters=%d", c.ranks, c.iters), func(b *testing.B) {
+	for _, c := range []struct{ ranks, depth, iters int }{{4, 1, 2}, {2, 1, 2}, {2, 1, 6}, {2, 2, 6}, {1, 1, 2}, {1, 1, 6}} {
+		name := fmt.Sprintf("ranks=%d/iters=%d", c.ranks, c.iters)
+		if c.depth > 1 {
+			name = fmt.Sprintf("ranks=%d/depth=%d/iters=%d", c.ranks, c.depth, c.iters)
+		}
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			opts := dist.Options{Ranks: c.ranks}
-			if c.ranks == 1 {
+			switch {
+			case c.ranks == 1:
 				opts.Schedule, opts.Workers = dist.ScheduleOverlap, 2
+			case c.depth > 1:
+				opts.Schedule, opts.Workers, opts.PipelineDepth = dist.SchedulePipeline, 1, c.depth
 			}
 			opts.MaxIter = c.iters
 			opts.Tol = 1e-300

@@ -272,6 +272,12 @@ var module struct {
 func loadModule(t *testing.T) *srcLoader {
 	t.Helper()
 	module.once.Do(func() {
+		// The rules read Go source, and cgo would have the standard
+		// library's net and os/user type-check against a C toolchain for
+		// the target: without one (GOARCH=386 on an amd64 host) loading
+		// fails. Both the source importer and build.ImportDir read
+		// build.Default, so the load runs with cgo off.
+		build.Default.CgoEnabled = false
 		l := &srcLoader{
 			fset: token.NewFileSet(),
 			pkgs: map[string]*loadedPkg{},
@@ -304,8 +310,9 @@ type loadedPkg struct {
 }
 
 // srcLoader type-checks this module's packages (and the bench/ module,
-// which imports them) from their non-test sources for the host's
-// GOOS/GOARCH; standard-library imports come from source too.
+// which imports them) from their non-test sources for the target's
+// GOOS/GOARCH with cgo off; standard-library imports come from source
+// too.
 type srcLoader struct {
 	fset *token.FileSet
 	pkgs map[string]*loadedPkg

@@ -9,31 +9,33 @@ import (
 )
 
 // rankState is one rank's persistent shard state across the whole
-// self-consistent loop.
+// self-consistent loop: the point solver of its shard, and the one tile
+// plan every slot of the run's ring uses (tile output, compiled tile,
+// exchange state and counters).
 type rankState struct {
-	c        *comm.Comm
-	dev      *device.Device
-	ps       *negf.PointSolver
-	sh       *negf.Shard // owned (kz, E) pairs and (qz, ω) points
-	src      *decomp.OMENLayout
-	tiles    *decomp.DaCeLayout
-	atomSets [][]int
-	in       *sse.Input
+	c    *comm.Comm
+	dev  *device.Device
+	ps   *negf.PointSolver
+	sh   *negf.Shard // owned (kz, E) pairs and (qz, ω) points
+	src  *decomp.OMENLayout
+	plan *decomp.DaCePlan
 }
 
 func newRankState(c *comm.Comm, dev *device.Device, opts Options) *rankState {
 	r := c.Rank()
-	rs := &rankState{
-		c:     c,
-		dev:   dev,
-		ps:    opts.Loop.NewPointSolver(dev, r, opts.Workers),
-		src:   decomp.NewOMENLayout(dev.P, opts.Ranks),
-		tiles: decomp.NewDaCeLayout(dev, opts.Ta, opts.TE),
+	src := decomp.NewOMENLayout(dev.P, opts.Ranks)
+	sh := negf.NewShard(dev, src.OwnedPairs(r), src.OwnedPhonon(r))
+	ps := opts.Loop.NewPointSolver(dev, sh, r, opts.Workers)
+	tiles := decomp.NewDaCeLayout(dev, opts.Ta, opts.TE)
+	in := &sse.Input{Dev: dev, GL: ps.GL, GG: ps.GG, DL: ps.DL, DG: ps.DG}
+	pl := decomp.NewDaCePlan(r, tiles, src, tiles.AtomSets(), in).WithPrecision(opts.Precision)
+	if opts.ErrorProbe {
+		pl.WithErrorProbe()
 	}
-	rs.atomSets = rs.tiles.AtomSets()
-	rs.sh = negf.NewShard(dev, rs.src.OwnedPairs(r), rs.src.OwnedPhonon(r))
-	rs.in = &sse.Input{Dev: dev, GL: rs.ps.GL, GG: rs.ps.GG, DL: rs.ps.DL, DG: rs.ps.DG}
-	return rs
+	if opts.Kernel != nil {
+		pl.WithKernel(opts.Kernel)
+	}
+	return &rankState{c: c, dev: dev, ps: ps, sh: sh, src: src, plan: pl}
 }
 
 // epilogue reduces the last valid iteration's spectra — the phonon

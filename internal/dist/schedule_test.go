@@ -133,7 +133,7 @@ var phasesRuns = map[string]*Result{}
 func phasesRun(t *testing.T, opts Options) *Result {
 	t.Helper()
 	opts.Schedule, opts.Workers, opts.PipelineDepth = SchedulePhases, 0, 0
-	key := fmt.Sprintf("P%d %dx%d %v i%d tol%g", opts.Ranks, opts.Ta, opts.TE, opts.Precision, opts.MaxIter, opts.Tol)
+	key := fmt.Sprintf("P%d %dx%d %v probe=%v i%d tol%g", opts.Ranks, opts.Ta, opts.TE, opts.Precision, opts.ErrorProbe, opts.MaxIter, opts.Tol)
 	if res, ok := phasesRuns[key]; ok {
 		return res
 	}
@@ -217,14 +217,19 @@ func TestOverlapAtomTiling(t *testing.T) {
 
 // bitwiseMatchesPhases pins the strongest equivalence: every row executes
 // the identical per-iteration arithmetic in the identical association, so
-// traces, kernel counters, traffic and the final state equal the phases
-// row's bit for bit, for P ∈ {1, 2, 4, 8}.
+// traces, kernel counters, traffic, fallback counts and the final state
+// equal the phases row's bit for bit, for P ∈ {1, 2, 4, 8}. Under mixed
+// precision the error probe is on, so its deviation is compared too. The
+// counters belong to the rank's one tile plan, which every slot of a
+// deeper window shares, so a slot that counted another's exchanges shows
+// here.
 func bitwiseMatchesPhases(prec Precision) func(*testing.T, sched) {
 	return func(t *testing.T, s sched) {
 		const iters = 4
 		for _, ranks := range []int{1, 2, 4, 8} {
 			opts := s.forced(ranks, iters)
 			opts.Precision = prec
+			opts.ErrorProbe = prec == PrecisionMixed
 			tag := fmt.Sprintf("%v P=%d", prec, ranks)
 			res, pres := mustRun(t, tag, opts), phasesRun(t, opts)
 			for i := range res.IterTrace {
@@ -237,6 +242,12 @@ func bitwiseMatchesPhases(prec Precision) func(*testing.T, sched) {
 				}
 				if o.SSEBytes != p.SSEBytes || o.ReduceBytes != p.ReduceBytes {
 					t.Errorf("%s iter %d: SSE/reduce bytes %d/%d vs %d/%d", tag, i, o.SSEBytes, o.ReduceBytes, p.SSEBytes, p.ReduceBytes)
+				}
+				if o.FallbackBlocks != p.FallbackBlocks {
+					t.Errorf("%s iter %d: fallback blocks %d vs %d", tag, i, o.FallbackBlocks, p.FallbackBlocks)
+				}
+				if math.Float64bits(o.SigmaErr) != math.Float64bits(p.SigmaErr) || opts.ErrorProbe != (o.SigmaErr > 0) {
+					t.Errorf("%s iter %d: probe deviation %g vs %g (probe on: %v)", tag, i, o.SigmaErr, p.SigmaErr, opts.ErrorProbe)
 				}
 			}
 			if res.Obs.CurrentL != pres.Obs.CurrentL {

@@ -13,7 +13,6 @@ import (
 	"repro/internal/negf"
 	"repro/internal/obs"
 	"repro/internal/sdfg"
-	"repro/internal/tensor"
 )
 
 // stopRideFlag is the cancellation contribution rank 0 adds to the
@@ -69,10 +68,11 @@ func (pr *pipeRun) fence(at int) {
 }
 
 // slot is one iteration's storage in a run's ring: everything an
-// iteration of the window graph writes, allocated once per run and
-// re-armed (arm) for each iteration it carries. buildWindowGraph
-// declares the containers its fields belong to, so the graph orders every
-// write before the nodes that read it; err alone is guarded by mu.
+// iteration of the window graph writes but the rank's tile plan, which
+// every slot of the ring shares, allocated once per run and re-armed
+// (arm) for each iteration it carries. buildWindowGraph declares the
+// containers its fields belong to, so the graph orders every write
+// before the nodes that read it; err alone is guarded by mu.
 type slot struct {
 	iter int // the absolute iteration the slot carries in this window
 
@@ -81,11 +81,8 @@ type slot struct {
 	mu  sync.Mutex
 	err error // first failed point solve of this rank
 
-	// plan owns the tile output and the tile with its scratch (an
-	// exchange's rows are comm's, written at post); points holds the
-	// point results; part, global and obsBuf are the iteration's partial,
-	// its reduction and the reduction's payload.
-	plan         *decomp.DaCePlan
+	// points holds the point results; part, global and obsBuf are the
+	// iteration's partial, its reduction and the reduction's payload.
 	points       *negf.PointResults
 	part, global partialObs
 	obsBuf       []complex128
@@ -96,15 +93,7 @@ type slot struct {
 
 // newSlot allocates one slot of the rank's ring.
 func (rs *rankState) newSlot(opts Options) *slot {
-	pl := decomp.NewDaCePlan(rs.c.Rank(), rs.tiles, rs.src, rs.atomSets, rs.in).
-		WithPrecision(opts.Precision)
-	if opts.ErrorProbe {
-		pl.WithErrorProbe()
-	}
-	if opts.Kernel != nil {
-		pl.WithKernel(opts.Kernel)
-	}
-	st := &slot{plan: pl, points: rs.sh.NewResults()}
+	st := &slot{points: rs.sh.NewResults()}
 	if opts.ErrorProbe {
 		st.part.probe = make([]float64, 4*opts.Ranks)
 		st.global.probe = make([]float64, 4*opts.Ranks)
@@ -113,14 +102,12 @@ func (rs *rankState) newSlot(opts Options) *slot {
 }
 
 // arm re-arms the slot for absolute iteration a, between windows: a fresh
-// accumulator and counters, no error and no request outstanding. The
-// point results and the tile output are overwritten by the nodes that
-// produce them.
+// accumulator, no error and no request outstanding. The point results are
+// overwritten by the nodes that produce them.
 func (st *slot) arm(a int, p device.Params) {
 	st.iter = a
 	st.err = nil
 	st.part.empty(p)
-	st.plan.ResetCounters()
 	st.reqG, st.reqD, st.reqSig, st.reqPi, st.reqObs = nil, nil, nil, nil, nil
 }
 
@@ -331,7 +318,14 @@ func (rs *rankState) buildWindowGraph(opts Options, ex *sdfg.Executor, pr *pipeR
 	// The containers: fresh hands out n new ids. The rank's own, shared
 	// by every slot: the point solver's Σ≷ and G≷ plane of each owned
 	// pair, its Π≷ and D≷ plane of each owned point, the non-owned G≷
-	// and D≷ planes the unpacks write, and the run's control state.
+	// and D≷ planes the unpacks write, the run's control state, and the
+	// tile plan's state: its output's Σ≷ and Π≷; per exchange its wire
+	// state (segment scratch, the slot's request and the post's share of
+	// the traffic counters, whose atomic adds commute); and the counters
+	// post/obs reads and resets. Every node of a slot that touches the
+	// plan already runs after the previous slot's conv — the posts by the
+	// progress rule, the waits, tile and mixes through the posts — so the
+	// edges these add are implied.
 	var next sdfg.Container
 	fresh := func(n int) []sdfg.Container {
 		ids := make([]sdfg.Container, n)
@@ -346,6 +340,10 @@ func (rs *rankState) buildWindowGraph(opts Options, ex *sdfg.Executor, pr *pipeR
 	piPlane, dPlane := fresh(len(points)), fresh(len(points))
 	halo := fresh(2) // [G, D]
 	run := fresh(1)
+	tileOut := fresh(2) // [Σ, Π]
+	wire := fresh(4)    // [G, D, Σ, Π]
+	counters := fresh(1)
+	pl := rs.plan
 
 	var after []sdfg.NodeID // the previous slot's conv, once there is one
 
@@ -358,14 +356,10 @@ func (rs *rankState) buildWindowGraph(opts Options, ex *sdfg.Executor, pr *pipeR
 		// The slot's containers: the point result slots; the partial's
 		// field groups, one per writer — accum/el, accum/ph,
 		// collision/el, collision/ph and the tile's stats with its error
-		// probe; the tile output's Σ≷ and Π≷; the four wire/request pairs
-		// (a post's share of the plan's atomic counters included); the
-		// obs buffer and request with the control words post/obs sets on
-		// the partial; and the reduced global.
+		// probe; the obs buffer and request with the control words
+		// post/obs sets on the partial; and the reduced global.
 		elRes, phRes := fresh(len(pairs)), fresh(len(points))
 		part := fresh(5)
-		tileOut := fresh(2) // [Σ, Π]
-		wire := fresh(4)    // [G, D, Σ, Π]
 		obsReq, global := fresh(1), fresh(1)
 
 		// add appends a node of the slot in trace category cat: task,
@@ -405,12 +399,12 @@ func (rs *rankState) buildWindowGraph(opts Options, ex *sdfg.Executor, pr *pipeR
 		for i, pt := range pairs {
 			var id sdfg.NodeID
 			id = node(fmt.Sprintf("rgf/el/%d,%d", pt[0], pt[1]), "task", sigPlane[i:i+1], []sdfg.Container{gPlane[i], elRes[i]},
-				func() { st.try(func() error { return rs.ps.SolveElectron(ex.Span(id).Worker, rs.sh, i, st.points) }) })
+				func() { st.try(func() error { return rs.ps.SolveElectron(ex.Span(id).Worker, i, st.points) }) })
 		}
 		for j, pt := range points {
 			var id sdfg.NodeID
 			id = node(fmt.Sprintf("rgf/ph/%d,%d", pt[0], pt[1]), "task", piPlane[j:j+1], []sdfg.Container{dPlane[j], phRes[j]},
-				func() { st.try(func() error { return rs.ps.SolvePhonon(ex.Span(id).Worker, rs.sh, j, st.points) }) })
+				func() { st.try(func() error { return rs.ps.SolvePhonon(ex.Span(id).Worker, j, st.points) }) })
 		}
 
 		// Deterministic accumulation: the point solves land in slots, and
@@ -433,10 +427,10 @@ func (rs *rankState) buildWindowGraph(opts Options, ex *sdfg.Executor, pr *pipeR
 		// on the graph they overlap the exchange waits instead of padding
 		// the GF phase.
 		node("collision/el", "task", slices.Concat(sigPlane, gPlane), part[2:3], func() {
-			st.part.ElectronEnergyLoss = rs.ps.ElectronCollisionSum(pairs)
+			st.part.ElectronEnergyLoss = rs.ps.ElectronCollisionSum()
 		})
 		node("collision/ph", "task", slices.Concat(piPlane, dPlane), part[3:4], func() {
-			st.part.PhononEnergyGain = rs.ps.PhononCollisionSum(points)
+			st.part.PhononEnergyGain = rs.ps.PhononCollisionSum()
 		})
 
 		// ── SSE exchanges. Posts fire as soon as this rank's own inputs
@@ -446,35 +440,35 @@ func (rs *rankState) buildWindowGraph(opts Options, ex *sdfg.Executor, pr *pipeR
 		// all of these nodes, can move the fence into it), so a posted
 		// request is always waited. A wait releases its rows once
 		// unpacked, so the next iteration's posts write into them.
-		postG := node("post/G", "exchange", gPlane, wire[0:1], func() { st.reqG = st.plan.PostG(c) }, after...)
-		postD := node("post/D", "exchange", dPlane, wire[1:2], func() { st.reqD = st.plan.PostD(c) }, after...)
+		postG := node("post/G", "exchange", gPlane, wire[0:1], func() { st.reqG = pl.PostG(c) }, after...)
+		postD := node("post/D", "exchange", dPlane, wire[1:2], func() { st.reqD = pl.PostD(c) }, after...)
 		add("wait/G", "exchange", wire[0:1], halo[0:1], func() {
 			if st.reqG != nil {
-				st.plan.UnpackG(st.reqG.Wait())
+				pl.UnpackG(st.reqG.Wait())
 				st.reqG.Release()
 			}
 		}, postG, postD)
 		add("wait/D", "exchange", wire[1:2], halo[1:2], func() {
 			if st.reqD != nil {
-				st.plan.UnpackD(st.reqD.Wait())
+				pl.UnpackD(st.reqD.Wait())
 				st.reqD.Release()
 			}
 		}, postD, postG)
 		node("sse/tile", "sse", slices.Concat(gPlane, dPlane, halo), []sdfg.Container{tileOut[0], tileOut[1], part[4]}, func() {
-			st.plan.ComputeTile()
-			st.part.sse = st.plan.Output().Stats
+			pl.ComputeTile()
+			st.part.sse = pl.Output().Stats
 		})
-		postSig := node("post/Sigma", "exchange", tileOut[0:1], wire[2:3], func() { st.reqSig = st.plan.PostSigma(c) }, after...)
-		postPi := node("post/Pi", "exchange", tileOut[1:2], wire[3:4], func() { st.reqPi = st.plan.PostPi(c) }, after...)
+		postSig := node("post/Sigma", "exchange", tileOut[0:1], wire[2:3], func() { st.reqSig = pl.PostSigma(c) }, after...)
+		postPi := node("post/Pi", "exchange", tileOut[1:2], wire[3:4], func() { st.reqPi = pl.PostPi(c) }, after...)
 		add("wait/Sigma", "exchange", wire[2:3], tileOut[0:1], func() {
 			if st.reqSig != nil {
-				st.plan.UnpackSigma(st.reqSig.Wait())
+				pl.UnpackSigma(st.reqSig.Wait())
 				st.reqSig.Release()
 			}
 		}, postSig, postPi)
 		add("wait/Pi", "exchange", wire[3:4], tileOut[1:2], func() {
 			if st.reqPi != nil {
-				st.plan.UnpackPi(st.reqPi.Wait())
+				pl.UnpackPi(st.reqPi.Wait())
 				st.reqPi.Release()
 			}
 		}, postPi, postSig)
@@ -489,23 +483,17 @@ func (rs *rankState) buildWindowGraph(opts Options, ex *sdfg.Executor, pr *pipeR
 		if opts.Anderson {
 			planes := slices.Concat(sigPlane, piPlane)
 			node("mix/anderson", "task", slices.Concat(tileOut, planes), planes, func() {
-				rs.ps.MixAnderson(st.plan.Output(), opts.Mixing)
+				rs.ps.MixAnderson(pl.Output(), opts.Mixing)
 			})
 		} else {
 			for i, pair := range pairs {
-				ik, ie := pair[0], pair[1]
-				node(fmt.Sprintf("mix/Sigma/%d,%d", ik, ie), "task", []sdfg.Container{tileOut[0], sigPlane[i]}, sigPlane[i:i+1], func() {
-					out := st.plan.Output()
-					tensor.MixSlice(rs.ps.SigL.Plane(ik, ie), out.SigL.Plane(ik, ie), opts.Mixing)
-					tensor.MixSlice(rs.ps.SigG.Plane(ik, ie), out.SigG.Plane(ik, ie), opts.Mixing)
+				node(fmt.Sprintf("mix/Sigma/%d,%d", pair[0], pair[1]), "task", []sdfg.Container{tileOut[0], sigPlane[i]}, sigPlane[i:i+1], func() {
+					rs.ps.MixSigma(i, pl.Output(), opts.Mixing)
 				})
 			}
 			for j, point := range points {
-				iq, m := point[0], point[1]
-				node(fmt.Sprintf("mix/Pi/%d,%d", iq, m), "task", []sdfg.Container{tileOut[1], piPlane[j]}, piPlane[j:j+1], func() {
-					out := st.plan.Output()
-					tensor.MixSlice(rs.ps.PiL.Plane(iq, m-1), out.PiL.Plane(iq, m-1), opts.Mixing)
-					tensor.MixSlice(rs.ps.PiG.Plane(iq, m-1), out.PiG.Plane(iq, m-1), opts.Mixing)
+				node(fmt.Sprintf("mix/Pi/%d,%d", point[0], point[1]), "task", []sdfg.Container{tileOut[1], piPlane[j]}, piPlane[j:j+1], func() {
+					rs.ps.MixPi(j, pl.Output(), opts.Mixing)
 				})
 			}
 		}
@@ -513,9 +501,10 @@ func (rs *rankState) buildWindowGraph(opts Options, ex *sdfg.Executor, pr *pipeR
 		// ── Ride-along reduction, overlapping the Σ/Π waits: observables
 		// plus the control word (failure count + fractional stop request)
 		// and this rank's probe words in one IAllreduce. It reads the
-		// four posts' wire containers, so the plan's off-rank byte
-		// counter already covers all four exchanges of this iteration.
-		node("post/obs", "reduce", slices.Concat(part, wire, run), obsReq, func() {
+		// four posts' wire containers, so the plan's counters cover all
+		// four exchanges of this iteration, and it resets them: the next
+		// iteration's posts, which follow this conv, count afresh.
+		node("post/obs", "reduce", slices.Concat(part, wire, run), slices.Concat(obsReq, counters), func() {
 			if st.failed() {
 				st.part.flag = 1
 			}
@@ -523,11 +512,12 @@ func (rs *rankState) buildWindowGraph(opts Options, ex *sdfg.Executor, pr *pipeR
 				st.part.flag += stopRideFlag
 			}
 			if st.part.probe != nil {
-				st.part.setProbe(r, st.plan)
+				st.part.setProbe(r, pl)
 			}
-			st.part.sseB = float64(st.plan.OffRankBytes())
+			st.part.sseB = float64(pl.OffRankBytes())
 			st.part.redB = redShare
-			st.part.fbk = float64(st.plan.FallbackBlocks())
+			st.part.fbk = float64(pl.FallbackBlocks())
+			pl.ResetCounters()
 			st.obsBuf = st.part.pack(p, st.obsBuf)
 			st.reqObs = c.IAllreduce(decomp.SlotObs, st.obsBuf)
 		}, after...)

@@ -18,9 +18,37 @@ type Float16 uint16
 // maxValue is the largest finite binary16 value (65504).
 const maxValue = 65504.0
 
+// The float32 biased exponents at which a binary16 conversion changes
+// form: below underflowExp a value rounds to a signed zero, from
+// normalExp through maxExp it is a binary16 normal before rounding (or
+// rounds up to ±Inf at maxExp), and in between it is a subnormal.
+const (
+	underflowExp = 127 - 15 - 10 // 102
+	normalExp    = 127 - 15 + 1  // 113
+	maxExp       = 127 + 15      // 142
+)
+
 // fromFloat32 converts f to binary16 with round-to-nearest-even.
 // Overflows become ±Inf (use clamp before conversion to saturate instead).
+// Normal-range values and underflows take bit arithmetic: the rebias and
+// the round to nearest even on bit 13, whose carry rolls into the
+// exponent (and at maxExp into the Inf pattern); subnormals, Inf and NaN
+// take fromFloat32Slow.
 func fromFloat32(f float32) Float16 {
+	b := math.Float32bits(f)
+	sign := uint16(b>>16) & 0x8000
+	switch e := b >> 23 & 0xff; {
+	case e-normalExp <= maxExp-normalExp:
+		abs := b & 0x7fffffff
+		return Float16(sign | uint16((abs-(normalExp-1)<<23+0xfff+abs>>13&1)>>13))
+	case e < underflowExp:
+		return Float16(sign)
+	}
+	return fromFloat32Slow(f)
+}
+
+// fromFloat32Slow is fromFloat32 for every class of value, one case each.
+func fromFloat32Slow(f float32) Float16 {
 	b := math.Float32bits(f)
 	sign := uint16(b>>16) & 0x8000
 	exp := int32(b>>23&0xff) - 127 + 15
@@ -61,8 +89,23 @@ func fromFloat32(f float32) Float16 {
 	}
 }
 
-// toFloat32 converts h back to float32 exactly.
+// toFloat32 converts h back to float32 exactly: a normal by rebiasing its
+// exponent in place, a signed zero as its sign; subnormals, Inf and NaN
+// take toFloat32Slow.
 func (h Float16) toFloat32() float32 {
+	sign := uint32(h&0x8000) << 16
+	abs := uint32(h & 0x7fff)
+	switch {
+	case abs-0x400 < 0x7c00-0x400:
+		return math.Float32frombits(sign | (abs<<13 + (normalExp-1)<<23))
+	case abs == 0:
+		return math.Float32frombits(sign)
+	}
+	return h.toFloat32Slow()
+}
+
+// toFloat32Slow is toFloat32 for every class of value, one case each.
+func (h Float16) toFloat32Slow() float32 {
 	sign := uint32(h&0x8000) << 16
 	exp := uint32(h >> 10 & 0x1f)
 	mant := uint32(h & 0x3ff)
@@ -106,5 +149,19 @@ func clamp(f float64) float64 {
 }
 
 // Quantize rounds f through binary16 with saturation, returning the value
-// a Tensor-Core input register would hold.
-func Quantize(f float64) float64 { return fromFloat64(clamp(f)).Float64() }
+// a Tensor-Core input register would hold. A normal-range value is
+// rounded in place in float32 — the binary16 round trip keeps the
+// exponent and clears the 13 low mantissa bits, rounded to nearest even —
+// and an underflow is a signed zero; subnormals and NaN take the round
+// trip.
+func Quantize(f float64) float64 {
+	g := float32(clamp(f))
+	b := math.Float32bits(g)
+	switch e := b >> 23 & 0xff; {
+	case e-normalExp <= maxExp-normalExp:
+		return float64(math.Float32frombits((b + 0xfff + b>>13&1) &^ 0x1fff))
+	case e < underflowExp:
+		return float64(math.Float32frombits(b & 0x80000000))
+	}
+	return fromFloat32(g).Float64()
+}

@@ -31,19 +31,21 @@ func newElectronResult(p device.Params) *ElectronPointResult {
 }
 
 // SolveElectronPoint builds and solves one (kz, E) RGF problem against the
-// current scattering self-energies, filling the G≷ blocks of that point and
-// returning its observable contributions. It runs on worker 0's scratch.
+// current scattering self-energies of a solver that owns the whole grid,
+// filling the G≷ blocks of that point and returning its observable
+// contributions. It runs on worker 0's scratch.
 func (s *PointSolver) SolveElectronPoint(h *blocktri.Matrix, ik, ie int) (*ElectronPointResult, error) {
 	res := newElectronResult(s.Dev.P)
-	if err := s.solveElectronInto(0, h, ik, ie, res); err != nil {
+	if err := s.solveElectronInto(0, h, ik*s.Dev.P.NE+ie, ik, ie, res); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// solveElectronInto is SolveElectronPoint on worker w's scratch, writing
-// its observables into res, whose storage it overwrites in full.
-func (s *PointSolver) solveElectronInto(w int, h *blocktri.Matrix, ik, ie int, res *ElectronPointResult) error {
+// solveElectronInto is SolveElectronPoint on worker w's scratch against
+// Σ≷ plane k, writing its observables into res, whose storage it
+// overwrites in full.
+func (s *PointSolver) solveElectronInto(w int, h *blocktri.Matrix, k, ik, ie int, res *ElectronPointResult) error {
 	p := s.Dev.P
 	e := p.Energy(ie)
 	z := complex(e, p.Eta)
@@ -90,8 +92,7 @@ func (s *PointSolver) solveElectronInto(w int, h *blocktri.Matrix, ik, ie int, r
 	norb := p.Norb
 	for a2 := 0; a2 < p.Na; a2++ {
 		sl, off := s.Dev.Site(a2, norb)
-		sL := s.SigL.Block(ik, ie, a2)
-		sG := s.SigG.Block(ik, ie, a2)
+		sL, sG := s.sig.block(k, a2, 0)
 		for r := 0; r < norb; r++ {
 			for c := 0; c < norb; c++ {
 				v := sL[r*norb+c]
@@ -149,8 +150,7 @@ func (s *PointSolver) solveElectronInto(w int, h *blocktri.Matrix, ik, ie int, r
 	// slab, E·Tr[Σ<_S·G> − Σ>_S·G<] with scattering self-energies only.
 	for a2 := 0; a2 < p.Na; a2++ {
 		sl, off := s.Dev.Site(a2, norb)
-		sL := s.SigL.Block(ik, ie, a2)
-		sG := s.SigG.Block(ik, ie, a2)
+		sL, sG := s.sig.block(k, a2, 0)
 		var tr complex128
 		for r := 0; r < norb; r++ {
 			for c := 0; c < norb; c++ {

@@ -16,13 +16,13 @@ type PhononPointResult struct {
 	Occ []float64
 }
 
-// SolvePhononPoint builds and solves one (qz, ω) RGF problem:
-// ((ω+iη)²·I − Φ − Πᴿ)·Dᴿ = I, D≷ = Dᴿ·Π≷·Dᴬ. It fills the D≷ blocks of
-// that point and returns its observable contributions. It runs on worker
-// 0's scratch.
+// SolvePhononPoint builds and solves one (qz, ω) RGF problem of a solver
+// that owns the whole grid: ((ω+iη)²·I − Φ − Πᴿ)·Dᴿ = I, D≷ = Dᴿ·Π≷·Dᴬ.
+// It fills the D≷ blocks of that point and returns its observable
+// contributions. It runs on worker 0's scratch.
 func (s *PointSolver) SolvePhononPoint(phi *blocktri.Matrix, iq, m int) (*PhononPointResult, error) {
 	res := newPhononResult(s.Dev.P)
-	if err := s.solvePhononInto(0, phi, iq, m, res); err != nil {
+	if err := s.solvePhononInto(0, phi, iq*s.Dev.P.Nomega+m-1, iq, m, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -37,9 +37,10 @@ func newPhononResult(p device.Params) *PhononPointResult {
 	}
 }
 
-// solvePhononInto is SolvePhononPoint on worker w's scratch, writing its
-// observables into res, whose storage it overwrites in full.
-func (s *PointSolver) solvePhononInto(w int, phi *blocktri.Matrix, iq, m int, res *PhononPointResult) error {
+// solvePhononInto is SolvePhononPoint on worker w's scratch against Π≷
+// plane k, writing its observables into res, whose storage it overwrites
+// in full.
+func (s *PointSolver) solvePhononInto(w int, phi *blocktri.Matrix, k, iq, m int, res *PhononPointResult) error {
 	p := s.Dev.P
 	omega := p.Omega(m)
 	z := complex(omega, p.Eta)
@@ -79,7 +80,7 @@ func (s *PointSolver) solvePhononInto(w int, phi *blocktri.Matrix, iq, m int, re
 	linalg.AXPY(sigG[0], complex(0, -(n+1)), left.Gamma)
 	linalg.AXPY(sigL[nb-1], complex(0, -n), right.Gamma)
 	linalg.AXPY(sigG[nb-1], complex(0, -(n+1)), right.Gamma)
-	s.scatterPi(a, sigL, sigG, iq, m)
+	s.scatterPi(a, sigL, sigG, k)
 
 	tRGF := s.Trace.Begin()
 	sol, err := sc.solveRGF(a, sigL, sigG)
@@ -132,15 +133,15 @@ func (s *PointSolver) solvePhononInto(w int, phi *blocktri.Matrix, iq, m int, re
 // inside the slab diagonal, cross-slab neighbours in Upper/Lower) and
 // Π≷_S into the block-diagonal injections. The few cross-slab injection
 // blocks are dropped: rgf.Problem carries Σ≷ as one block per slab, so
-// the lesser recursion has no slot for an off-diagonal injection.
-func (s *PointSolver) scatterPi(a *blocktri.Matrix, sigL, sigG []*linalg.Matrix, iq, m int) {
+// the lesser recursion has no slot for an off-diagonal injection. k is
+// the Π≷ plane of the point.
+func (s *PointSolver) scatterPi(a *blocktri.Matrix, sigL, sigG []*linalg.Matrix, k int) {
 	const n3 = device.N3D
 	for at, nbrs := range s.Dev.Neigh {
 		sa := s.Dev.SlabOf[at]
 		for slot := 0; slot <= len(nbrs); slot++ {
 			b := s.slotAtom(at, slot)
-			pl := s.PiL.Block(iq, m-1, at, slot)
-			pg := s.PiG.Block(iq, m-1, at, slot)
+			pl, pg := s.pi.block(k, at, slot)
 			dst, r0, c0 := s.Dev.PairBlock(a.Diag, a.Upper, a.Lower, at, b, n3)
 			inject := s.Dev.SlabOf[b] == sa
 			for r := 0; r < n3; r++ {

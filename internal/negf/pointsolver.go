@@ -11,6 +11,7 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/rgf"
+	"repro/internal/sse"
 	"repro/internal/tensor"
 )
 
@@ -19,7 +20,8 @@ import (
 // output tensors, and a boundary-condition cache — decoupled from the
 // Solver kit. The Solver embeds one covering the full (kz, E) and
 // (qz, ω) grids; a rank of the window graph (internal/dist) owns its own
-// instance and calls the same per-point solves on its shard of the grids.
+// instance and calls the same per-point solves on its shard of the grids,
+// holding the scattering self-energies of that shard only.
 type PointSolver struct {
 	Dev *device.Device
 	// BC is the run's boundary cache. Attach a process-level store to it
@@ -38,11 +40,21 @@ type PointSolver struct {
 	Trace     *obs.Tracer
 	TraceRank int
 
-	// Green's function tensors (outputs of the GF phase).
+	// Green's function tensors (outputs of the GF phase), full-grid: the
+	// SSE tile reads the halo planes other ranks send into them.
 	GL, GG *tensor.Electron
 	DL, DG *tensor.Phonon
-	// Scattering self-energy tensors (outputs of the SSE phase, inputs to
-	// the next GF phase).
+
+	// shard lists the points the solver owns; nil for NewPointSolver's,
+	// which owns the whole grid in global order. sig and pi are the
+	// scattering self-energies (outputs of the SSE phase, inputs to the
+	// next GF phase) of exactly those points: plane i of sig is Σ≷ of
+	// pair i, plane j of pi is Π≷ of point j.
+	shard   *Shard
+	sig, pi planes
+	// SigL, SigG, PiL and PiG view sig and pi as full-grid tensors when
+	// the solver owns the whole grid in global order (the kit, a one-rank
+	// run); on a rank that owns a part of the grid they are nil.
 	SigL, SigG *tensor.Electron
 	PiL, PiG   *tensor.Phonon
 
@@ -133,26 +145,85 @@ func (sc *solveScratch) solveRGF(a *blocktri.Matrix, sigL, sigG []*linalg.Matrix
 	return sol, nil
 }
 
-// NewPointSolver allocates full-shape zeroed tensors for dev, a fresh
+// planes is the Σ≷ or Π≷ state of a shard: plane k of l and g belongs
+// to the shard's k-th point and holds the blocks of every atom, its slots
+// in order (an electron atom has one block, a phonon atom one per slot),
+// laid out as a full-grid tensor's plane.
+type planes struct {
+	l, g        []complex128
+	n, atom, bl int // values per plane, per atom and per block
+}
+
+func newPlanes(count, na, slots, bl int) planes {
+	n := na * slots * bl
+	return planes{l: make([]complex128, count*n), g: make([]complex128, count*n), n: n, atom: slots * bl, bl: bl}
+}
+
+// plane returns the lesser and greater plane k.
+func (s planes) plane(k int) (l, g []complex128) {
+	o := k * s.n
+	return s.l[o : o+s.n], s.g[o : o+s.n]
+}
+
+// block returns the lesser and greater block of atom a, slot slot, in
+// plane k.
+func (s planes) block(k, a, slot int) (l, g []complex128) {
+	o := k*s.n + a*s.atom + slot*s.bl
+	return s.l[o : o+s.bl], s.g[o : o+s.bl]
+}
+
+// NewPointSolver allocates zeroed tensors over the whole grid of dev, a fresh
 // boundary-condition cache in the given mode and one worker's scratch,
 // which SolveElectronPoint and SolvePhononPoint run on: they must not be
 // called concurrently.
 func NewPointSolver(dev *device.Device, mode bc.Mode) *PointSolver {
 	p := dev.P
+	return newPointSolver(dev, mode, p.Nkz*p.NE, p.Nqz()*p.Nomega, true)
+}
+
+// newPointSolver allocates the solver of pairs electron and points phonon
+// points, with full-grid tensor views of its state when whole says they
+// are the whole grid in global order.
+func newPointSolver(dev *device.Device, mode bc.Mode, pairs, points int, whole bool) *PointSolver {
+	p := dev.P
 	nbp1 := dev.MaxNb() + 1
-	return &PointSolver{
+	const n3 = device.N3D
+	ps := &PointSolver{
 		Dev:     dev,
 		BC:      bc.NewCache(mode),
 		scratch: make([]*solveScratch, 1),
 		GL:      tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb),
 		GG:      tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb),
-		DL:      tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D),
-		DG:      tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D),
-		SigL:    tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb),
-		SigG:    tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb),
-		PiL:     tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D),
-		PiG:     tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D),
+		DL:      tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, n3),
+		DG:      tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, n3),
+		sig:     newPlanes(pairs, p.Na, 1, p.Norb*p.Norb),
+		pi:      newPlanes(points, p.Na, nbp1, n3*n3),
 	}
+	if whole {
+		ps.SigL = &tensor.Electron{Nkz: p.Nkz, NE: p.NE, Na: p.Na, Norb: p.Norb, Data: ps.sig.l}
+		ps.SigG = &tensor.Electron{Nkz: p.Nkz, NE: p.NE, Na: p.Na, Norb: p.Norb, Data: ps.sig.g}
+		ps.PiL = &tensor.Phonon{Nqz: p.Nqz(), Nw: p.Nomega, Na: p.Na, NbP1: nbp1, N3D: n3, Data: ps.pi.l}
+		ps.PiG = &tensor.Phonon{Nqz: p.Nqz(), Nw: p.Nomega, Na: p.Na, NbP1: nbp1, N3D: n3, Data: ps.pi.g}
+	}
+	return ps
+}
+
+// MixSigma blends out's Σ≷ of the shard's pair i into the solver's state
+// through tensor.MixSlice — the blend the kit's SSEPhase applies
+// tensor-wide.
+func (ps *PointSolver) MixSigma(i int, out *sse.Output, mixing float64) {
+	ik, ie := ps.shard.Pairs[i][0], ps.shard.Pairs[i][1]
+	l, g := ps.sig.plane(i)
+	tensor.MixSlice(l, out.SigL.Plane(ik, ie), mixing)
+	tensor.MixSlice(g, out.SigG.Plane(ik, ie), mixing)
+}
+
+// MixPi is MixSigma for the Π≷ of the shard's phonon point j.
+func (ps *PointSolver) MixPi(j int, out *sse.Output, mixing float64) {
+	iq, m := ps.shard.Points[j][0], ps.shard.Points[j][1]
+	l, g := ps.pi.plane(j)
+	tensor.MixSlice(l, out.PiL.Plane(iq, m-1), mixing)
+	tensor.MixSlice(g, out.PiG.Plane(iq, m-1), mixing)
 }
 
 // AllPairs lists every electron (ik, ie) point in global order.
@@ -179,20 +250,19 @@ func AllPhononPoints(p device.Params) [][2]int {
 }
 
 // ElectronCollisionSum accumulates the electron collision integral
-// R_e = Σ w·E·Tr[Σ<·G> − Σ>·G<] over the listed (ik, ie) pairs. With all
-// pairs it is the ElectronEnergyLoss observable; a distributed rank passes
-// only its owned pairs and reduces the partials.
-func (ps *PointSolver) ElectronCollisionSum(pairs [][2]int) float64 {
+// R_e = Σ w·E·Tr[Σ<·G> − Σ>·G<] over the shard's (ik, ie) pairs. Over
+// all pairs it is the ElectronEnergyLoss observable; a distributed rank's
+// is its partial, which the ranks reduce.
+func (ps *PointSolver) ElectronCollisionSum() float64 {
 	p := ps.Dev.P
 	we := p.DE / (2 * math.Pi) / float64(p.Nkz)
 	var re float64
 	bl := p.Norb * p.Norb
-	for _, pr := range pairs {
+	for i, pr := range ps.shard.Pairs {
 		ik, ie := pr[0], pr[1]
 		e := p.Energy(ie)
 		for a := 0; a < p.Na; a++ {
-			sl := ps.SigL.Block(ik, ie, a)
-			sg := ps.SigG.Block(ik, ie, a)
+			sl, sg := ps.sig.block(i, a, 0)
 			gl := ps.GL.Block(ik, ie, a)
 			gg := ps.GG.Block(ik, ie, a)
 			var tr complex128
@@ -207,14 +277,14 @@ func (ps *PointSolver) ElectronCollisionSum(pairs [][2]int) float64 {
 }
 
 // PhononCollisionSum accumulates the phonon collision integral
-// R_ph = Σ w·ω·Tr[Π>·D< − Π<·D>] over the listed (iq, m) points. With all
-// points it is the PhononEnergyGain observable.
-func (ps *PointSolver) PhononCollisionSum(points [][2]int) float64 {
+// R_ph = Σ w·ω·Tr[Π>·D< − Π<·D>] over the shard's (iq, m) points. Over
+// all points it is the PhononEnergyGain observable.
+func (ps *PointSolver) PhononCollisionSum() float64 {
 	p := ps.Dev.P
 	wp := p.DE / (2 * math.Pi) / float64(p.Nqz())
 	var rp float64
 	const n3 = device.N3D
-	for _, pt := range points {
+	for j, pt := range ps.shard.Points {
 		iq, m := pt[0], pt[1]
 		om := p.Omega(m)
 		for a := 0; a < p.Na; a++ {
@@ -226,8 +296,7 @@ func (ps *PointSolver) PhononCollisionSum(points [][2]int) float64 {
 				back := 1 + ps.Dev.NeighbourSlot(b, a)
 				dG := ps.DG.Block(iq, m-1, b, back)
 				dL := ps.DL.Block(iq, m-1, b, back)
-				pl := ps.PiL.Block(iq, m-1, a, slot)
-				pg := ps.PiG.Block(iq, m-1, a, slot)
+				pl, pg := ps.pi.block(j, a, slot)
 				var tr complex128
 				for r := 0; r < n3; r++ {
 					for c := 0; c < n3; c++ {

@@ -82,47 +82,56 @@ func phononErr(pt [2]int, err error) error {
 	return err
 }
 
-// SolveElectron solves electron pair i of the shard into its slot, on
-// worker w's scratch.
-func (ps *PointSolver) SolveElectron(w int, sh *Shard, i int, out *PointResults) error {
-	pr := sh.Pairs[i]
-	return electronErr(pr, ps.solveElectronInto(w, sh.hams[pr[0]], pr[0], pr[1], out.El[i]))
+// whole reports whether the shard is the whole grid — the shard whose
+// state planes are a full-grid tensor's. Its points are listed in global
+// order, so a full count is every point in that order.
+func (sh *Shard) whole() bool {
+	p := sh.p
+	return len(sh.Pairs) == p.Nkz*p.NE && len(sh.Points) == p.Nqz()*p.Nomega
 }
 
-// SolvePhonon solves phonon point j of the shard into its slot, on worker
-// w's scratch.
-func (ps *PointSolver) SolvePhonon(w int, sh *Shard, j int, out *PointResults) error {
-	pt := sh.Points[j]
-	return phononErr(pt, ps.solvePhononInto(w, sh.dyns[pt[0]], pt[0], pt[1], out.Ph[j]))
+// SolveElectron solves electron pair i of the solver's shard into its
+// slot, on worker w's scratch.
+func (ps *PointSolver) SolveElectron(w, i int, out *PointResults) error {
+	pr := ps.shard.Pairs[i]
+	return electronErr(pr, ps.solveElectronInto(w, ps.shard.hams[pr[0]], i, pr[0], pr[1], out.El[i]))
 }
 
-// sweep runs the GF phase of the shard: every electron pair, then every
-// phonon point, each solved into its slot of out on a pool of one worker
-// per scratch — the natural parallelism of the GF phase. It returns the
-// first failure; points not yet started when it lands are skipped.
-func (ps *PointSolver) sweep(sh *Shard, out *PointResults) error {
+// SolvePhonon solves phonon point j of the solver's shard into its slot,
+// on worker w's scratch.
+func (ps *PointSolver) SolvePhonon(w, j int, out *PointResults) error {
+	pt := ps.shard.Points[j]
+	return phononErr(pt, ps.solvePhononInto(w, ps.shard.dyns[pt[0]], j, pt[0], pt[1], out.Ph[j]))
+}
+
+// sweep runs the GF phase of the solver's shard: every electron pair,
+// then every phonon point, each solved into its slot of out on a pool of
+// one worker per scratch — the natural parallelism of the GF phase. It
+// returns the first failure; points not yet started when it lands are
+// skipped.
+func (ps *PointSolver) sweep(out *PointResults) error {
 	var pool linalg.Pool
 	workers := len(ps.scratch)
-	err := pool.Run(len(sh.Pairs), workers, func(w int) func(int) error {
-		return func(i int) error { return ps.SolveElectron(w, sh, i, out) }
+	err := pool.Run(len(ps.shard.Pairs), workers, func(w int) func(int) error {
+		return func(i int) error { return ps.SolveElectron(w, i, out) }
 	})
 	if err != nil {
 		return err
 	}
-	return pool.Run(len(sh.Points), workers, func(w int) func(int) error {
-		return func(j int) error { return ps.SolvePhonon(w, sh, j, out) }
+	return pool.Run(len(ps.shard.Points), workers, func(w int) func(int) error {
+		return func(j int) error { return ps.SolvePhonon(w, j, out) }
 	})
 }
 
 // fold accumulates a finished sweep into o, in global point order: the
 // per-point observables from the slots and the two collision integrals
-// over the shard's lists. Over all points o then holds the observables of
-// the GF phase; over a rank's shard, its additive share of them.
-func (ps *PointSolver) fold(sh *Shard, res *PointResults, o *Observables) {
+// over the shard. Over all points o then holds the observables of the GF
+// phase; over a rank's shard, its additive share of them.
+func (ps *PointSolver) fold(res *PointResults, o *Observables) {
 	p := ps.Dev.P
 	o.Reset(p)
 	o.AddElectron(p, res.El...)
 	o.AddPhonon(p, res.Ph...)
-	o.ElectronEnergyLoss = ps.ElectronCollisionSum(sh.Pairs)
-	o.PhononEnergyGain = ps.PhononCollisionSum(sh.Points)
+	o.ElectronEnergyLoss = ps.ElectronCollisionSum()
+	o.PhononEnergyGain = ps.PhononCollisionSum()
 }

@@ -89,12 +89,15 @@ func (l Loop) WithDefaults() Loop {
 	return l
 }
 
-// NewPointSolver is the point solver of one loop's GF phase over dev: a
-// boundary cache in CacheMode over Store, its spans traced into Tracer
-// under the given rank, one scratch for each of the workers of the pool
-// that runs its solves, and Σ≷/Π≷ seeded from Warm when it is set.
-func (l Loop) NewPointSolver(dev *device.Device, rank, workers int) *PointSolver {
-	ps := NewPointSolver(dev, l.CacheMode)
+// NewPointSolver is the point solver of one loop's GF phase over the
+// shard sh of dev: Σ≷/Π≷ for the shard's points only, a boundary cache in
+// CacheMode over Store, its spans traced into Tracer under the given rank,
+// one scratch for each of the workers of the pool that runs its solves,
+// and Σ≷/Π≷ seeded from Warm when it is set, which needs a shard that is
+// the whole grid (dist refuses Warm above one rank).
+func (l Loop) NewPointSolver(dev *device.Device, sh *Shard, rank, workers int) *PointSolver {
+	ps := newPointSolver(dev, l.CacheMode, len(sh.Pairs), len(sh.Points), sh.whole())
+	ps.shard = sh
 	ps.scratch = make([]*solveScratch, max(workers, 1))
 	ps.BC.Store = l.Store
 	ps.Trace = l.Tracer
@@ -166,9 +169,8 @@ type Solver struct {
 	// start.
 	Opts Loop
 
-	// The solver owns the one shard covering both grids; points holds
-	// the result slots every GF phase solves into.
-	shard  *Shard
+	// points holds the result slots every GF phase solves into, one per
+	// point of the solver's shard, which covers both grids.
 	points *PointResults
 
 	Obs Observables
@@ -254,13 +256,12 @@ func New(dev *device.Device, opts Loop) *Solver {
 		opts.Kernel = sse.DaCe{}
 	}
 	opts = opts.WithDefaults()
-	s := &Solver{
-		PointSolver: opts.NewPointSolver(dev, 0, runtime.GOMAXPROCS(0)),
+	sh := NewShard(dev, AllPairs(dev.P), AllPhononPoints(dev.P))
+	return &Solver{
+		PointSolver: opts.NewPointSolver(dev, sh, 0, runtime.GOMAXPROCS(0)),
 		Opts:        opts,
+		points:      sh.NewResults(),
 	}
-	s.shard = NewShard(dev, AllPairs(dev.P), AllPhononPoints(dev.P))
-	s.points = s.shard.NewResults()
-	return s
 }
 
 // ErrNotConverged reports that MaxIter was reached before Tol.
@@ -271,10 +272,10 @@ var ErrNotConverged = errors.New("negf: self-consistent loop did not converge")
 // workers, the fold, and the temperature map fitted from the folded
 // spectra.
 func (s *Solver) GFPhase() error {
-	if err := s.sweep(s.shard, s.points); err != nil {
+	if err := s.sweep(s.points); err != nil {
 		return err
 	}
-	s.fold(s.shard, s.points, &s.Obs)
+	s.fold(s.points, &s.Obs)
 	s.Obs.AtomTemperature = FitTemperatures(s.Dev.P, s.Obs.PhononDOS, s.Obs.PhononOcc)
 	return nil
 }
