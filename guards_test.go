@@ -282,6 +282,27 @@ vet's framepointer check misses a write to it mid-function.`, []guard{
 		{name: "no kernel names BP", since: "218bb51", in: prod("internal/linalg").of(".s"),
 			text: `\bBP\b`},
 	}},
+	{"one binary16 rounding", `internal/half rounds to binary16 in one place, round: to nearest, ties
+to even, in the float32 domain, for normals, subnormals, underflow,
+overflow and NaN alike; Quantize, EncodeScaled and the wire codec round
+through it, and packing into and unpacking from a Float16 are exact. The
+one-case-per-class conversions kept beside the bit paths, and Quantize's
+private copy of the rounding, must not come back. One scale rule too: the
+wire codec's factor and fallback verdict are ScaleFor of MaxAbsComplex,
+the rule sse.Mixed normalizes by.`, []guard{
+		{name: "no slow conversion", in: src("internal/half"),
+			find: probes(id(`Slow$`))},
+		{name: "Quantize does no arithmetic of its own", in: prod("internal/half/half.go").body("", `^Quantize$`),
+			find: probes(code[*ast.BinaryExpr](``))},
+		{name: "no private scale rule", in: prod("internal/half", "internal/sse"),
+			find: probes(fn("", `^(wireScale|segmentScale|maxAbs2)$`))},
+	}},
+	{"one name per precision", `decomp.Precision, decomp.FP64 and decomp.Mixed are a precision's only
+names: dist and qt declare no alias of them. qt keeps its schedule names,
+which report reads without importing dist.`, []guard{
+		{name: "no precision alias", in: src("internal/dist", "internal/qt"),
+			find: probes(code[*ast.TypeSpec](`^type Precision `), code[*ast.ValueSpec](`^(PrecisionFP64|PrecisionMixed|FP64|Mixed)\b`))},
+	}},
 	{"guards are rows", `A design rule is a row of this table, which tier-1 runs, not a shell step
 of CI's: a "! cmd" line does not stop a bash -e script, and a grep of a
 renamed file passes silently.`, []guard{
@@ -700,7 +721,7 @@ func code[T ast.Node](re string) probe {
 // form is the source form of an expression as types.ExprString writes it (a
 // func literal reads "(func() literal)"); a go statement, a switch and a type
 // declaration read as their keyword followed by the form of their call, tag
-// or type.
+// or type, and a const or var spec as its names.
 func form(n ast.Node) string {
 	switch x := n.(type) {
 	case ast.Expr:
@@ -714,6 +735,12 @@ func form(n ast.Node) string {
 		return "switch " + types.ExprString(x.Tag)
 	case *ast.TypeSpec:
 		return "type " + x.Name.Name + " " + types.ExprString(x.Type)
+	case *ast.ValueSpec:
+		names := make([]string, len(x.Names))
+		for i, nm := range x.Names {
+			names[i] = nm.Name
+		}
+		return strings.Join(names, ", ")
 	}
 	panic(fmt.Sprintf("no source form for %T", n))
 }

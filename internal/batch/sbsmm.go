@@ -38,7 +38,7 @@ func EncodeHalf(a []complex128, n, count int) *HalfBatch {
 	if len(a) != n*n*count {
 		panic("batch: EncodeHalf length mismatch")
 	}
-	scale := half.ScaleFor(half.MaxAbsComplex(a))
+	scale, _ := half.ScaleFor(half.MaxAbsComplex(a)) // 1 where a cannot be normalized
 	buf := half.NewSplitComplex(len(a))
 	buf.EncodeScaled(a, scale)
 	return &HalfBatch{N: n, Count: count, buf: buf, scale: scale}

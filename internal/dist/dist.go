@@ -47,23 +47,8 @@ import (
 	"repro/internal/negf"
 )
 
-// Precision selects the numeric and wire format of the SSE phase; see
-// decomp.Precision. Under PrecisionMixed every rank's tile runs the
-// normalized binary16 SSE kernel (§5.4) and the four Alltoallv exchanges
-// ship half-width split-complex wire payloads, cutting the measured SSE
-// traffic ≳2.5× at the default Norb=2 (asymptotically 4×) while the GF
-// phase stays fp64.
-type Precision = decomp.Precision
-
-const (
-	// PrecisionFP64 is the full-width baseline (the default).
-	PrecisionFP64 = decomp.FP64
-	// PrecisionMixed is the §5.4 mixed-precision path.
-	PrecisionMixed = decomp.Mixed
-)
-
 // MixedCurrentTol is the documented mixed-precision acceptance tolerance:
-// the per-iteration left-contact current of a PrecisionMixed run must
+// the per-iteration left-contact current of a decomp.Mixed run must
 // match the one-rank fp64 run within this relative deviation for
 // any world size and every schedule. The binary16 mantissa carries 11
 // bits (ε₁₆ ≈ 4.9e-4 relative per rounding); the quantized Σ≷ feed back
@@ -141,11 +126,14 @@ type Options struct {
 	// depth 1 by definition — Validate resolves them to 1, and asking
 	// for anything else under them is a configuration error.
 	PipelineDepth int
-	// Precision selects fp64 (default) or the mixed binary16 SSE path:
-	// quantized tile kernel plus half-width wire payloads on all four
-	// Alltoallv exchanges.
-	Precision Precision
-	// ErrorProbe (PrecisionMixed only) additionally runs the fp64 tile
+	// Precision selects decomp.FP64 (default) or decomp.Mixed, the §5.4
+	// mixed binary16 SSE path: every rank's tile runs the normalized
+	// binary16 SSE kernel and the four Alltoallv exchanges ship
+	// half-width split-complex wire payloads, cutting the measured SSE
+	// traffic ≳2.5× at the default Norb=2 (asymptotically 4×) while the
+	// GF phase stays fp64.
+	Precision decomp.Precision
+	// ErrorProbe (decomp.Mixed only) additionally runs the fp64 tile
 	// kernel each iteration and reports the worst rank's normwise Σ≷/Π≷
 	// deviation in IterStats.SigmaErr — per-iteration quantization
 	// telemetry at the cost of doubling the tile compute. Each rank's
@@ -187,15 +175,15 @@ func (o Options) Validate() (Options, error) {
 	if o.Ranks > 1 && (o.Kernel != nil || o.Anderson || o.Warm != nil) {
 		return o, fmt.Errorf("dist: Kernel, Anderson and Warm need the whole state on one rank, got %d ranks", o.Ranks)
 	}
-	if o.Precision != PrecisionFP64 && o.Precision != PrecisionMixed {
+	if o.Precision != decomp.FP64 && o.Precision != decomp.Mixed {
 		return o, fmt.Errorf("dist: unknown precision %d", o.Precision)
 	}
 	// A kernel replaces the tile of the run's precision, so it would
 	// silently displace the mixed tile and leave the probe reading 0.
-	if o.Kernel != nil && (o.Precision == PrecisionMixed || o.ErrorProbe) {
-		return o, fmt.Errorf("dist: Kernel replaces the precision's tile; it cannot run with PrecisionMixed or ErrorProbe")
+	if o.Kernel != nil && (o.Precision == decomp.Mixed || o.ErrorProbe) {
+		return o, fmt.Errorf("dist: Kernel replaces the precision's tile; it cannot run with decomp.Mixed or ErrorProbe")
 	}
-	if o.Precision != PrecisionMixed {
+	if o.Precision != decomp.Mixed {
 		o.ErrorProbe = false
 	}
 	if o.Workers <= 0 {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/decomp"
 	"repro/internal/device"
 	"repro/internal/model"
 	"repro/internal/negf"
@@ -13,7 +14,7 @@ import (
 
 // mixedWithinTol is the golden regression of the mixed-precision
 // distributed path: every per-iteration left-contact current of a
-// PrecisionMixed run must match the one-rank FP64 run within the
+// decomp.Mixed run must match the one-rank FP64 run within the
 // documented MixedCurrentTol. This pins the combined quantization error
 // of the binary16 wire format and the mixed tile kernel through the
 // self-consistent feedback loop.
@@ -23,7 +24,7 @@ func mixedWithinTol(worlds ...int) func(*testing.T, sched) {
 		ref := oneRankTrace(t, iters)
 		for _, ranks := range worlds {
 			opts := s.forced(ranks, iters)
-			opts.Precision = PrecisionMixed
+			opts.Precision = decomp.Mixed
 			for i, st := range mustRun(t, fmt.Sprint("P=", ranks), opts).IterTrace {
 				if e := relErr(st.Current, ref[i].Current); e > MixedCurrentTol {
 					t.Errorf("P=%d iter %d: mixed current %.12g vs one-rank fp64 %.12g (rel %.3g > %g)",
@@ -46,7 +47,7 @@ func TestPipelineMixedPrecision(t *testing.T) { forEach(t, isPipeline, mixedWith
 // arithmetic in the identical association order — quantization does not
 // excuse schedule-dependent results.
 func TestMixedSchedulesAgree(t *testing.T) {
-	forEach(t, isOverlap, bitwiseMatchesPhases(PrecisionMixed))
+	forEach(t, isOverlap, bitwiseMatchesPhases(decomp.Mixed))
 }
 
 // TestMixedHalvesMeasuredVolume: at an identical decomposition the mixed
@@ -56,7 +57,7 @@ func TestMixedSchedulesAgree(t *testing.T) {
 // prediction the same way the fp64 path matches its own model.
 func TestMixedHalvesMeasuredVolume(t *testing.T) {
 	dev := testDevice(t)
-	run := func(prec Precision) *Result {
+	run := func(prec decomp.Precision) *Result {
 		opts := Options{Ranks: 4}
 		opts.MaxIter = 2
 		opts.Tol = 1e-300
@@ -67,7 +68,7 @@ func TestMixedHalvesMeasuredVolume(t *testing.T) {
 		}
 		return res
 	}
-	fp, mx := run(PrecisionFP64), run(PrecisionMixed)
+	fp, mx := run(decomp.FP64), run(decomp.Mixed)
 
 	fpB := fp.Comm.CollectiveBytes["Alltoallv"]
 	mxB := mx.Comm.CollectiveBytes["Alltoallv"]
@@ -161,14 +162,16 @@ func TestDaCeCommVolumeMixed(t *testing.T) {
 // small nonzero Σ deviation, bounded well under the current tolerance —
 // the same one on every row of the schedule table, deeper windows
 // included, bit for bit the values ScheduleOverlap reported at commit
-// 1f4b91f, when the probe was a blocking max-reduction of its own. The
+// 1f4b91f, when the probe was a blocking max-reduction of its own, but for
+// iteration 1's, re-taken when binary16 rounding began sending subnormal
+// ties to even. The
 // probe words now ride the observable reduction, so no row has a
 // collective more to deadlock on.
 func TestMixedErrorProbe(t *testing.T) {
-	recorded := []uint64{0x3f4449098578ea10, 0x3f3e61a63c4a347e}
+	recorded := []uint64{0x3f4449098578ea10, 0x3f3e61a63f21eb62}
 	forEach(t, anySchedule, func(t *testing.T, s sched) {
 		opts := s.forced(2, len(recorded))
-		opts.Precision = PrecisionMixed
+		opts.Precision = decomp.Mixed
 		opts.ErrorProbe = true
 		for i, it := range mustRun(t, "probe", opts).IterTrace {
 			if it.SigmaErr <= 0 || it.SigmaErr > 0.05 {
@@ -182,7 +185,7 @@ func TestMixedErrorProbe(t *testing.T) {
 	deep := Options{Ranks: 2}
 	deep.Schedule = SchedulePipeline
 	deep.PipelineDepth = 2
-	deep.Precision = PrecisionMixed
+	deep.Precision = decomp.Mixed
 	deep.ErrorProbe = true
 	deep.MaxIter, deep.Tol = 2, 1e-300
 	if _, err := Run(testDevice(t), deep); err != nil && !errors.Is(err, negf.ErrNotConverged) {

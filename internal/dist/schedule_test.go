@@ -223,13 +223,13 @@ func TestOverlapAtomTiling(t *testing.T) {
 // counters belong to the rank's one tile plan, which every slot of a
 // deeper window shares, so a slot that counted another's exchanges shows
 // here.
-func bitwiseMatchesPhases(prec Precision) func(*testing.T, sched) {
+func bitwiseMatchesPhases(prec decomp.Precision) func(*testing.T, sched) {
 	return func(t *testing.T, s sched) {
 		const iters = 4
 		for _, ranks := range []int{1, 2, 4, 8} {
 			opts := s.forced(ranks, iters)
 			opts.Precision = prec
-			opts.ErrorProbe = prec == PrecisionMixed
+			opts.ErrorProbe = prec == decomp.Mixed
 			tag := fmt.Sprintf("%v P=%d", prec, ranks)
 			res, pres := mustRun(t, tag, opts), phasesRun(t, opts)
 			for i := range res.IterTrace {
@@ -266,11 +266,11 @@ func bitwiseMatchesPhases(prec Precision) func(*testing.T, sched) {
 }
 
 func TestOverlapMatchesPhases(t *testing.T) {
-	forEach(t, isOverlap, bitwiseMatchesPhases(PrecisionFP64))
+	forEach(t, isOverlap, bitwiseMatchesPhases(decomp.FP64))
 }
 func TestPipelineBitwiseMatchesPhases(t *testing.T) {
-	forEach(t, isPipeline, bitwiseMatchesPhases(PrecisionFP64))
-	forEach(t, isPipeline, bitwiseMatchesPhases(PrecisionMixed))
+	forEach(t, isPipeline, bitwiseMatchesPhases(decomp.FP64))
+	forEach(t, isPipeline, bitwiseMatchesPhases(decomp.Mixed))
 }
 
 // commAccounting checks the wire contract of an iteration: exactly four
@@ -295,7 +295,7 @@ func commAccounting(t *testing.T, s sched) {
 		opts := s.forced(4, iters)
 		opts.Progress = c.hook
 		if c.probe {
-			opts.Precision, opts.ErrorProbe = PrecisionMixed, true
+			opts.Precision, opts.ErrorProbe = decomp.Mixed, true
 		}
 		tag := c.tag
 		res := mustRun(t, tag, opts)
@@ -635,8 +635,8 @@ func TestOptionValidation(t *testing.T) {
 		"Warm at P=2":     {Ranks: 2, Loop: negf.Loop{Warm: &negf.SigmaState{}}},
 		// A kernel replaces the precision's tile: it would displace the
 		// mixed tile and leave the probe at 0.
-		"Kernel with mixed":      {Ranks: 1, Precision: PrecisionMixed, Loop: negf.Loop{Kernel: sse.OMEN{}}},
-		"Kernel with ErrorProbe": {Ranks: 1, Precision: PrecisionMixed, ErrorProbe: true, Loop: negf.Loop{Kernel: sse.OMEN{}}},
+		"Kernel with mixed":      {Ranks: 1, Precision: decomp.Mixed, Loop: negf.Loop{Kernel: sse.OMEN{}}},
+		"Kernel with ErrorProbe": {Ranks: 1, Precision: decomp.Mixed, ErrorProbe: true, Loop: negf.Loop{Kernel: sse.OMEN{}}},
 	} {
 		if _, err := o.Validate(); err == nil {
 			t.Errorf("%s must be rejected", name)
@@ -756,11 +756,11 @@ func TestPipelineOptionValidation(t *testing.T) {
 		}
 	}
 	if _, err := (Options{Ranks: 2, Schedule: SchedulePipeline,
-		Precision: PrecisionMixed, ErrorProbe: true}).Validate(); err != nil {
+		Precision: decomp.Mixed, ErrorProbe: true}).Validate(); err != nil {
 		t.Errorf("ErrorProbe under SchedulePipeline at the default depth must be accepted: %v", err)
 	}
 	if _, err := (Options{Ranks: 2, Schedule: SchedulePipeline, PipelineDepth: 1,
-		Precision: PrecisionMixed, ErrorProbe: true}).Validate(); err != nil {
+		Precision: decomp.Mixed, ErrorProbe: true}).Validate(); err != nil {
 		t.Errorf("ErrorProbe in a depth-1 window must be accepted: %v", err)
 	}
 	// FP64 silently clears the probe, so the combination is not an error

@@ -14,6 +14,13 @@ const (
 	smallestNonzero = 5.9604644775390625e-08
 )
 
+// fromFloat32 converts f to binary16 with round-to-nearest-even; overflows
+// become ±Inf.
+func fromFloat32(f float32) Float16 { return pack(round(float64(f))) }
+
+// fromFloat64 converts f to binary16 through float32.
+func fromFloat64(f float64) Float16 { return pack(round(f)) }
+
 // isInf reports whether h is ±Inf.
 func isInf(h Float16) bool { return h&0x7fff == 0x7c00 }
 
@@ -122,6 +129,13 @@ func TestRoundingIsNearest(t *testing.T) {
 	// and 1+ulp (odd) → rounds down to 1.
 	if got := fromFloat64(1 + 0.5*ulp).Float64(); got != 1 {
 		t.Fatalf("tie 1+0.5ulp rounded to %g, want 1 (even)", got)
+	}
+	// Subnormal ties round to even too, in units of the subnormal ULP
+	// 2^-24: 0.5 to 0, 1.5 and 2.5 to 2, 3.5 to 4.
+	for _, c := range []struct{ ulps, want float64 }{{0.5, 0}, {1.5, 2}, {2.5, 2}, {3.5, 4}} {
+		if got := fromFloat64(c.ulps * smallestNonzero).Float64(); got != c.want*smallestNonzero {
+			t.Fatalf("subnormal tie %g ulp rounded to %g ulp, want %g", c.ulps, got/smallestNonzero, c.want)
+		}
 	}
 }
 
@@ -260,7 +274,10 @@ func TestSplitComplexRoundTrip(t *testing.T) {
 
 func TestScaleForPowerOfTwo(t *testing.T) {
 	for _, m := range []float64{1e-9, 1e-3, 1, 7, 1e4, 3e7} {
-		s := ScaleFor(m)
+		s, ok := ScaleFor(m)
+		if !ok {
+			t.Fatalf("ScaleFor(%g) refused a finite magnitude", m)
+		}
 		// Power of two: log2 must be integral.
 		l := math.Log2(s)
 		if l != math.Trunc(l) {
@@ -271,8 +288,18 @@ func TestScaleForPowerOfTwo(t *testing.T) {
 			t.Fatalf("ScaleFor(%g): scaled max %g outside [256, 65504]", m, scaled)
 		}
 	}
-	if ScaleFor(0) != 1 {
-		t.Fatal("ScaleFor(0) should be the neutral factor")
+	if s, ok := ScaleFor(0); s != 1 || !ok {
+		t.Fatalf("ScaleFor(0) = %g, %v: want the neutral factor", s, ok)
+	}
+	// The magnitudes the wire ships verbatim: non-finite ones, and one so
+	// small its factor (2^1070) overflows float64.
+	for _, m := range []float64{math.Inf(1), math.NaN(), math.Ldexp(1, -1060)} {
+		if s, ok := ScaleFor(m); s != 1 || ok {
+			t.Fatalf("ScaleFor(%g) = %g, %v: want 1, false", m, s, ok)
+		}
+	}
+	if s, ok := ScaleFor(math.Ldexp(1, -1013)); s != math.Ldexp(1, 1023) || !ok {
+		t.Fatalf("ScaleFor(2^-1013) = %g, %v: want 2^1023, the largest factor", s, ok)
 	}
 }
 
@@ -288,7 +315,7 @@ func TestNormalizationPreservesSmallValues(t *testing.T) {
 	if out[0] != 0 || out[1] != 0 {
 		t.Fatal("expected unnormalized 1e-9 values to flush to zero in fp16")
 	}
-	scale := ScaleFor(MaxAbsComplex(vals))
+	scale, _ := ScaleFor(MaxAbsComplex(vals))
 	norm := NewSplitComplex(len(vals))
 	norm.EncodeScaled(vals, scale)
 	decodeScaled(norm, out, 1/scale)
@@ -305,5 +332,8 @@ func TestMaxAbsComplex(t *testing.T) {
 	}
 	if got := MaxAbsComplex(nil); got != 0 {
 		t.Fatalf("MaxAbsComplex(nil) = %g", got)
+	}
+	if got := MaxAbsComplex([]complex128{complex(math.NaN(), 0), 5}); !math.IsNaN(got) {
+		t.Fatalf("MaxAbsComplex with a NaN component = %g, want NaN", got)
 	}
 }

@@ -27,35 +27,49 @@ func (s *SplitComplex) EncodeScaled(src []complex128, scale float64) {
 		panic("half: EncodeScaled length mismatch")
 	}
 	for i, v := range src {
-		s.Re[i] = fromFloat64(clamp(real(v) * scale))
-		s.Im[i] = fromFloat64(clamp(imag(v) * scale))
+		s.Re[i] = pack(round(clamp(real(v) * scale)))
+		s.Im[i] = pack(round(clamp(imag(v) * scale)))
 	}
 }
 
-// ScaleFor returns a power-of-two normalization factor that maps the
-// largest magnitude in vals near the top of the fp16 range while leaving
-// headroom for accumulation. Power-of-two scaling is exact in binary
-// floating point, so normalize/denormalize introduces no extra rounding.
-func ScaleFor(maxAbs float64) float64 {
-	if maxAbs == 0 || math.IsInf(maxAbs, 0) || math.IsNaN(maxAbs) {
-		return 1
+// ScaleFor returns a power-of-two normalization factor that maps maxAbs,
+// the largest magnitude of the values (MaxAbsComplex), near the top of the
+// fp16 range while leaving headroom for accumulation. Power-of-two scaling
+// is exact in binary floating point, so normalize/denormalize introduces
+// no extra rounding. All-zero values take factor 1. ok = false, with factor
+// 1, says the values cannot be normalized: maxAbs is Inf or NaN, or the
+// factor overflows float64.
+func ScaleFor(maxAbs float64) (scale float64, ok bool) {
+	if maxAbs == 0 {
+		return 1, true
+	}
+	if math.IsInf(maxAbs, 0) || math.IsNaN(maxAbs) {
+		return 1, false
 	}
 	// Target magnitude ~2^10 = 1024: far from overflow (65504) and far
 	// from the subnormal floor, preserving ~21 bits of headroom below.
 	exp := 10 - int(math.Ceil(math.Log2(maxAbs)))
-	return math.Ldexp(1, exp)
+	if exp > 1023 {
+		return 1, false
+	}
+	return math.Ldexp(1, exp), true
 }
 
 // MaxAbsComplex returns the largest |Re| or |Im| over vals, the magnitude
-// statistic the normalization factors are computed from.
+// statistic the normalization factors are computed from; a NaN component
+// makes it NaN.
 func MaxAbsComplex(vals []complex128) float64 {
 	var mx float64
 	for _, v := range vals {
-		if a := math.Abs(real(v)); a > mx {
-			mx = a
+		re, im := math.Abs(real(v)), math.Abs(imag(v))
+		if math.IsNaN(re) || math.IsNaN(im) {
+			return math.NaN()
 		}
-		if a := math.Abs(imag(v)); a > mx {
-			mx = a
+		if re > mx {
+			mx = re
+		}
+		if im > mx {
+			mx = im
 		}
 	}
 	return mx

@@ -15,13 +15,13 @@ import (
 // Payloads are segmented: a segment is the per-(point, atom) block unit
 // the exchange pack loops append (2·Norb² electron elements, 2·9·(Nb+1)
 // phonon elements), and each segment gets its own power-of-two
-// normalization factor from its magnitude. Segments whose factor cannot
-// be represented — the scale itself over- or underflows float64, or the
-// data carries Inf/NaN — fall back to verbatim fp64 passthrough, so a
-// single pathological point degrades only its own block, never the whole
-// message. For a segment of n elements the half format costs
-// 1 + ⌈n/4⌉ wire words against n words in fp64: a 8/3 ≈ 2.7× reduction
-// already at Norb = 2 and asymptotically 4×.
+// normalization factor from its magnitude (ScaleFor of MaxAbsComplex).
+// Segments whose factor cannot be represented — the scale overflows
+// float64, or the data carries Inf/NaN — fall back to verbatim fp64
+// passthrough, so a single pathological point degrades only its own
+// block, never the whole message. For a segment of n elements the half
+// format costs 1 + ⌈n/4⌉ wire words against n words in fp64: a 8/3 ≈ 2.7×
+// reduction already at Norb = 2 and asymptotically 4×.
 const (
 	// wireHalf marks a segment holding packed binary16 quads; the header
 	// word is complex(scale, 0) with scale > 0.
@@ -35,24 +35,6 @@ const (
 // communication model scales its fp64 volumes by, and the size a packer
 // reserves per segment.
 func WireWords(n int) int { return 1 + (n+wireQuad-1)/wireQuad }
-
-// wireScale derives the segment normalization factor. ok = false demands
-// the fp64 fallback: the magnitudes are non-finite, or the power-of-two
-// factor mapping them into binary16 range (or its algebraic inverse)
-// leaves the float64 exponent range.
-func wireScale(maxAbs float64) (scale float64, ok bool) {
-	if maxAbs == 0 {
-		return 1, true
-	}
-	if math.IsInf(maxAbs, 0) || math.IsNaN(maxAbs) {
-		return 1, false
-	}
-	s := ScaleFor(maxAbs)
-	if s == 0 || math.IsInf(s, 0) || 1/s == 0 || math.IsInf(1/s, 0) {
-		return 1, false
-	}
-	return s, true
-}
 
 // WireEncode packs src — whose length must be a multiple of seg — into a
 // fresh wire buffer; AppendWireEncode is the form that reuses one.
@@ -134,31 +116,10 @@ func WireFallbacks(wire []complex128, seg int) int {
 	return n
 }
 
-// segmentScale scans one segment and derives its normalization factor.
-// ok = false demands the fp64 fallback. Unlike MaxAbsComplex (which
-// skips NaN components), the scan detects NaN directly so a NaN-only
-// segment ships verbatim as documented.
-func segmentScale(src []complex128) (scale float64, ok bool) {
-	var mx float64
-	for _, v := range src {
-		re, im := math.Abs(real(v)), math.Abs(imag(v))
-		if math.IsNaN(re) || math.IsNaN(im) {
-			return 1, false
-		}
-		if re > mx {
-			mx = re
-		}
-		if im > mx {
-			mx = im
-		}
-	}
-	return wireScale(mx) // Inf lands here as mx = +Inf and is rejected
-}
-
 // appendSegment encodes one segment: magnitude scan, format decision,
 // header, payload.
 func appendSegment(out []complex128, src []complex128) []complex128 {
-	scale, ok := segmentScale(src)
+	scale, ok := ScaleFor(MaxAbsComplex(src))
 	if !ok {
 		out = append(out, complex(0, 1))
 		return append(out, src...)
@@ -178,18 +139,13 @@ func appendSegment(out []complex128, src []complex128) []complex128 {
 // round-to-nearest-even binary16) into one wire word: values 0–1 in the
 // real half's bits, values 2–3 in the imaginary half's.
 func packQuad(vs []complex128, scale float64) complex128 {
-	var lo, hi uint64
+	var w [2]uint64
 	for j, v := range vs {
-		re := uint64(fromFloat64(clamp(real(v) * scale)))
-		im := uint64(fromFloat64(clamp(imag(v) * scale)))
-		bits := re | im<<16
-		if j < 2 {
-			lo |= bits << (32 * uint(j))
-		} else {
-			hi |= bits << (32 * uint(j-2))
-		}
+		re := uint64(pack(round(clamp(real(v) * scale))))
+		im := uint64(pack(round(clamp(imag(v) * scale))))
+		w[j>>1] |= (re | im<<16) << (32 * uint(j&1))
 	}
-	return complex(math.Float64frombits(lo), math.Float64frombits(hi))
+	return complex(math.Float64frombits(w[0]), math.Float64frombits(w[1]))
 }
 
 // decodeQuads appends n decoded values from packed wire words,

@@ -180,7 +180,7 @@ func (s *Simulation) resolve() error {
 			return fail("pipeline_depth requires ranks")
 		case rc.AutoPlan:
 			return fail("auto_plan requires ranks: the planner chooses among distributed schedules")
-		case kern == Baseline && prec == Mixed:
+		case kern == Baseline && prec == decomp.Mixed:
 			return fail("kernel omen conflicts with precision mixed: the baseline loop nest has no binary16 form")
 		}
 	} else {
@@ -200,7 +200,7 @@ func (s *Simulation) resolve() error {
 			return fail("workers %d requires schedule overlap or pipeline: phases runs on one worker", rc.Workers)
 		}
 	}
-	if rc.ErrorProbe && prec != Mixed {
+	if rc.ErrorProbe && prec != decomp.Mixed {
 		return fail("error_probe requires precision mixed")
 	}
 	if rc.AutoPlan && !recorded {
@@ -216,7 +216,7 @@ func (s *Simulation) resolve() error {
 	if sch != Phases || recorded {
 		rc.Schedule = sch.String()
 	}
-	if prec != FP64 {
+	if prec != decomp.FP64 {
 		rc.Precision = prec.String()
 	}
 	if kern != DataCentric {

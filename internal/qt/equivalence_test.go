@@ -19,7 +19,7 @@ import (
 // lowers to the overlap order on a pool.
 func TestFacadeMatchesOneRankRun(t *testing.T) {
 	const iters = 4
-	for _, prec := range []decomp.Precision{FP64, Mixed} {
+	for _, prec := range []decomp.Precision{decomp.FP64, decomp.Mixed} {
 		_, res := solve(t, RunConfig{Spec: smallSpec(), Precision: prec.String(),
 			MaxIterations: iters, Tolerance: 1e-300})
 
@@ -52,7 +52,7 @@ func TestFacadeMatchesOneRankRun(t *testing.T) {
 // agreement collective) must not perturb the arithmetic.
 func TestFacadeMatchesDistributedSolver(t *testing.T) {
 	const iters, ranks = 3, 4
-	for _, prec := range []decomp.Precision{FP64, Mixed} {
+	for _, prec := range []decomp.Precision{decomp.FP64, decomp.Mixed} {
 		_, res := solve(t, RunConfig{Spec: smallSpec(), Ranks: ranks, Precision: prec.String(),
 			MaxIterations: iters, Tolerance: 1e-300})
 
@@ -63,8 +63,8 @@ func TestFacadeMatchesDistributedSolver(t *testing.T) {
 		opts := dist.Options{Ranks: ranks}
 		opts.MaxIter = iters
 		opts.Tol = 1e-300
-		if prec == Mixed {
-			opts.Precision = dist.PrecisionMixed
+		if prec == decomp.Mixed {
+			opts.Precision = decomp.Mixed
 		}
 		dres, err := dist.Run(dev, opts)
 		if !errors.Is(err, negf.ErrNotConverged) {
@@ -91,9 +91,9 @@ func TestFacadeMatchesDistributedSolver(t *testing.T) {
 func TestDistributedMatchesSequentialThroughFacade(t *testing.T) {
 	const iters = 3
 	_, seq := solve(t, RunConfig{Spec: smallSpec(), MaxIterations: iters, Tolerance: 1e-300})
-	for _, prec := range []decomp.Precision{FP64, Mixed} {
+	for _, prec := range []decomp.Precision{decomp.FP64, decomp.Mixed} {
 		tol := 1e-12
-		if prec == Mixed {
+		if prec == decomp.Mixed {
 			tol = dist.MixedCurrentTol
 		}
 		_, dres := solve(t, RunConfig{Spec: smallSpec(), Ranks: 2, Precision: prec.String(),

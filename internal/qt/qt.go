@@ -197,27 +197,17 @@ func parseSchedule(s string) (dist.Schedule, error) {
 	return Phases, fmt.Errorf("qt: unknown schedule %q (want phases, overlap or pipeline)", s)
 }
 
-// The SSE arithmetics (§5.4): decomp.Precision under the facade's names.
-const (
-	// FP64 runs the SSE phase entirely in complex128 (the default).
-	FP64 = decomp.FP64
-	// Mixed quantizes the SSE inputs to emulated binary16 with dynamic
-	// normalization (and, distributed, ships half-width wire payloads on
-	// all four Alltoallv exchanges) while accumulating in fp64.
-	Mixed = decomp.Mixed
-)
-
 // parsePrecision maps the precision field's spelling to a precision. The
 // accepted spellings are decomp.ParsePrecision's — one parser for the
 // whole stack — plus, as for the schedule and the kernel, the empty
 // string for the default.
 func parsePrecision(s string) (decomp.Precision, error) {
 	if s == "" {
-		return FP64, nil
+		return decomp.FP64, nil
 	}
 	p, err := decomp.ParsePrecision(s)
 	if err != nil {
-		return FP64, fmt.Errorf("qt: %w", err)
+		return decomp.FP64, fmt.Errorf("qt: %w", err)
 	}
 	return p, nil
 }

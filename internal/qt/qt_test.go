@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/decomp"
 )
 
 // smallSpec is the fast structure every facade test runs on.
@@ -172,10 +174,10 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestParsePrecision(t *testing.T) {
-	if p, err := parsePrecision("mixed"); err != nil || p != Mixed {
+	if p, err := parsePrecision("mixed"); err != nil || p != decomp.Mixed {
 		t.Errorf("parsePrecision(mixed) = %v, %v", p, err)
 	}
-	if p, err := parsePrecision("fp64"); err != nil || p != FP64 {
+	if p, err := parsePrecision("fp64"); err != nil || p != decomp.FP64 {
 		t.Errorf("parsePrecision(fp64) = %v, %v", p, err)
 	}
 	if _, err := parsePrecision("fp128"); err == nil {

@@ -65,7 +65,7 @@ func (m Mixed) NewTile(in *Input) *Tile {
 		grad: make(map[gradKey]*linalg.Matrix),
 	}
 	if m.Normalize {
-		mt.sH = half.ScaleFor(maxGradH(in.Dev))
+		mt.sH, _ = half.ScaleFor(maxGradH(in.Dev))
 	}
 	for a := 0; a < in.Dev.P.Na; a++ {
 		for _, b := range in.Dev.Neigh[a] {
@@ -100,8 +100,10 @@ type mixedTile struct {
 func (mt *mixedTile) quantize(in *Input) (denormSigma, denormPi complex128) {
 	sG, sD, sH := 1.0, 1.0, mt.sH
 	if mt.normalize {
-		sG = half.ScaleFor(maxAbs2(in.GL.Data, in.GG.Data))
-		sD = half.ScaleFor(maxAbs2(in.DL.Data, in.DG.Data))
+		// Values ScaleFor cannot normalize (non-finite, or so small the
+		// factor overflows) quantize unscaled, at its factor 1.
+		sG, _ = half.ScaleFor(max(half.MaxAbsComplex(in.GL.Data), half.MaxAbsComplex(in.GG.Data)))
+		sD, _ = half.ScaleFor(max(half.MaxAbsComplex(in.DL.Data), half.MaxAbsComplex(in.DG.Data)))
 	}
 	quantizeInto(mt.q.GL.Data, in.GL.Data, sG)
 	quantizeInto(mt.q.GG.Data, in.GG.Data, sG)
@@ -119,14 +121,6 @@ func quantizeInto(dst, src []complex128, scale float64) {
 	for i, v := range src {
 		dst[i] = quantizeC(v, scale)
 	}
-}
-
-func maxAbs2(a, b []complex128) float64 {
-	m := half.MaxAbsComplex(a)
-	if m2 := half.MaxAbsComplex(b); m2 > m {
-		m = m2
-	}
-	return m
 }
 
 func maxGradH(d *device.Device) float64 {
