@@ -11,12 +11,13 @@ import (
 	"repro/internal/decomp"
 )
 
-// runDigest folds everything a schedule may not change into one SHA-256:
-// per iteration the bit patterns of the current and the two collision
-// integrals, the tile kernel's counters and the SSE exchange bytes, then
-// the final interface-current and atom-temperature profiles.
-// ReduceBytes is deliberately left out — it is accounting of the
-// reduction protocol, not of the physics.
+// runDigest folds the physics a schedule may not change into one
+// SHA-256: per iteration the bit patterns of the current and the two
+// collision integrals and the tile kernel's arithmetic counters, then the
+// final interface-current and atom-temperature profiles. The traffic
+// counters — the kernel's BytesMoved, the exchange's SSEBytes and the
+// ReduceBytes of the reduction protocol — are accounting, not physics:
+// runTraffic lists the first two exactly.
 func runDigest(res *Result) string {
 	h := sha256.New()
 	var b [8]byte
@@ -33,7 +34,7 @@ func runDigest(res *Result) string {
 	u64(uint64(len(res.IterTrace)))
 	for _, st := range res.IterTrace {
 		f64(st.Current, st.ElEnergyLoss, st.PhEnergyGain)
-		for _, c := range []int64{st.SSE.MatMuls, st.SSE.Flops, st.SSE.ScalarOps, st.SSE.BytesMoved, st.SSEBytes} {
+		for _, c := range []int64{st.SSE.MatMuls, st.SSE.Flops, st.SSE.ScalarOps} {
 			u64(uint64(c))
 		}
 	}
@@ -42,45 +43,63 @@ func runDigest(res *Result) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// runTraffic lists the SSE traffic of each iteration: the tile kernel's
+// BytesMoved and the exchange's SSEBytes.
+func runTraffic(res *Result) [][2]int64 {
+	out := make([][2]int64, len(res.IterTrace))
+	for i, st := range res.IterTrace {
+		out[i] = [2]int64{st.SSE.BytesMoved, st.SSEBytes}
+	}
+	return out
+}
+
 // TestPhasesDigests keeps the deleted bulk-synchronous loop as an oracle
-// without keeping its code: the digests are those of SchedulePhases at
+// without keeping its code: the physics is that of SchedulePhases at
 // commit e86fe16, where it still ran dist.runRank — its own GF sweep,
 // blocking exchanges and mix sweep — and the one engine that replaced it
-// must reproduce them bit for bit. The mixed digests above one rank were
-// re-taken once since, when binary16 rounding began sending subnormal
-// ties to even (the mixed per-iteration currents moved by at most 7.0e-11
-// relative); the fp64 digests are e86fe16's. The traffic telemetry must
-// also keep adding up: every byte the comm layer counted is either in an
-// iteration's SSEBytes + ReduceBytes or in the epilogue's one rooted
-// Reduce of Na·Nω + Bnum·NE + P words (phonon spectra, LDOS and the one
-// decimation word of each rank).
+// must reproduce it bit for bit. The mixed rows above one rank moved once
+// since, when binary16 rounding began sending subnormal ties to even (the
+// mixed per-iteration currents moved by at most 7.0e-11 relative). The
+// digests were re-taken at commit 123552f, when the traffic counters left
+// runDigest for the exact per-iteration {BytesMoved, SSEBytes} pairs
+// beside them; every row then still matched its e86fe16 (or tie-fix)
+// digest. The traffic telemetry must also keep adding up: every byte the
+// comm layer counted is either in an iteration's SSEBytes + ReduceBytes
+// or in the epilogue's one rooted Reduce of Na·Nω + Bnum·NE + P words
+// (phonon spectra, LDOS and the one decimation word of each rank).
 func TestPhasesDigests(t *testing.T) {
 	const iters = 3
 	dev := testDevice(t)
 	for _, tc := range []struct {
-		ranks, ta, te int
-		fp64, mixed   string
+		ranks, ta, te       int
+		fp64, mixed         string
+		fp64Bytes, mixBytes [2]int64 // per iteration: {BytesMoved, SSEBytes}
 	}{
 		{1, 1, 1,
-			"d65910abd60ccf7896188cbda3033959a8c476cd2733b91654cac6cba2f1c144",
-			"2048042dc66e4ffa87515ddf7afc43a5677fffb3d9db7fb83342d9e7383fed0c"},
+			"ac603da8d0b8e2cb28ea00d5e2211a2542425cb52001fcb3f3d97301433f32d4",
+			"87a30845307b0eba774a7673ea40094ad6d77d3f51e4396137f56d34d8e1238a",
+			[2]int64{857088, 0}, [2]int64{535680, 0}},
 		{2, 1, 2,
-			"172cbf94f8792169f06a3bdd32b027b3dc81730fef7ed6a0e501530554dce48c",
-			"d5c9808ffc14c6a214f07b7400b569136bbbb41dcc618e3c424c99b2082a852e"},
+			"699664cb35e0500b50eec2581f6c1b1eeefdcd61b5ce0e108c47257d86e854cc",
+			"a1d2e9925f6320a9bfd396e96133e7ffb6cb8dca67cb55e776a425709549e7ea",
+			[2]int64{1714176, 801792}, [2]int64{1071360, 210816}},
 		{4, 1, 4,
-			"fa8d22c2d1a6f48b705d521f160fc2d24089c46b6482f8077b2fb5f559dea5b7",
-			"a109577ba818a5662144ed4b421a21b0a5bee6690f09c914b99be48bdc2de8b6"},
+			"a0d8d6fbdf03ed927ad803b27e1676cad29729f1ddac36ed4f2efd93236db72f",
+			"eaf9a5f69cb5c2522de83734aa0013d5ccff4831466edc3a613c87302f6ca60b",
+			[2]int64{3428352, 2377728}, [2]int64{2142720, 622080}},
 		{8, 1, 8,
-			"84e439bf9699da5c2ef75a54548c92a5341c6f587b154862b4753af1dc5dde50",
-			"d7f62ac82b91e18a99cc8cb431fca76059b828361bb94ac76432c9fb1f90f5d7"},
+			"4e9c85e1b9b99a32a5a03dd0c65f9bb1d53d3058ce6236615dceefc7b2c2df3a",
+			"2da201c397791f7626515c69214cb64939af47b243cc99cec342ff64d70ad89f",
+			[2]int64{6856704, 5472768}, [2]int64{4285440, 1423296}},
 		{4, 2, 2,
-			"6b6e3aa83ae7d5d93a64870f4c3e1e22ac564cd565e1d3c30843506cf6f3fffb",
-			"ec24948fc7240843f9e99acf406bfe51d45683a222d6630d2d14a7bf61817917"},
+			"89f654b006440ab9e0dba6467f0aac128f45e017d7c36c2998b15815b33a88d0",
+			"bb0160d98869853389f9823692afb74e2cdd667a8d23b44e63e990f70f231520",
+			[2]int64{3428352, 1840896}, [2]int64{2142720, 488160}},
 	} {
 		for _, prec := range []decomp.Precision{decomp.FP64, decomp.Mixed} {
-			want := tc.fp64
+			want, wantBytes := tc.fp64, tc.fp64Bytes
 			if prec == decomp.Mixed {
-				want = tc.mixed
+				want, wantBytes = tc.mixed, tc.mixBytes
 			}
 			tag := fmt.Sprintf("P=%d %d×%d %v", tc.ranks, tc.ta, tc.te, prec)
 			opts := sched{Schedule: SchedulePhases}.forced(tc.ranks, iters)
@@ -89,6 +108,11 @@ func TestPhasesDigests(t *testing.T) {
 			res := mustRun(t, tag, opts)
 			if got := runDigest(res); got != want {
 				t.Errorf("%s: digest %s, recorded %s", tag, got, want)
+			}
+			for i, got := range runTraffic(res) {
+				if got != wantBytes {
+					t.Errorf("%s iter %d: {BytesMoved, SSEBytes} = %v, recorded %v", tag, i, got, wantBytes)
+				}
 			}
 			var telemetry int64
 			for _, st := range res.IterTrace {
