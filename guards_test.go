@@ -303,6 +303,13 @@ which report reads without importing dist.`, []guard{
 		{name: "no precision alias", in: src("internal/dist", "internal/qt"),
 			find: probes(code[*ast.TypeSpec](`^type Precision `), code[*ast.ValueSpec](`^(PrecisionFP64|PrecisionMixed|FP64|Mixed)\b`))},
 	}},
+	{"ragged phonon tensors", `A phonon tensor stores each atom's 1+nb_a neighbour slots and nothing
+more: its layout is the device's SlotOff, shared by every D≷/Π≷ tensor,
+shard plane and exchange segment. The padded neighbour axis of MaxNb+1
+slots per atom must not come back.`, []guard{
+		{name: "no NbP1", in: src("internal"),
+			find: probes(id(`(?i)^nbp1$`))},
+	}},
 	{"guards are rows", `A design rule is a row of this table, which tier-1 runs, not a shell step
 of CI's: a "! cmd" line does not stop a bash -e script, and a grep of a
 renamed file passes silently.`, []guard{

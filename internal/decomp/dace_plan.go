@@ -55,16 +55,16 @@ func ParsePrecision(s string) (Precision, error) {
 //     than one worker, overlaps the waits with unrelated compute.
 //
 // The stage pairs are (#1 G≷, #2 D≷, #3 Σ≷, #4 Π≷) of the Fig. 5 (right)
-// scheme. Each is one exchange descriptor — the tensor pair, the segment
-// length, copy-or-accumulate on arrival, and a single enumerator of the
-// segments rank s ships to rank d in wire order — from which the one
-// segment writer (fill) and unpack derive both endpoints (the paper's
-// memlet: a movement described once). Both drivers go through them, so
+// scheme. Each is one exchange descriptor — the tensor pair,
+// copy-or-accumulate on arrival, and a single enumerator of the segments
+// (their storage spans) rank s ships to rank d in wire order — from which
+// the one segment writer (fill) and unpack derive both endpoints (the
+// paper's memlet: a movement described once). Both drivers go through them, so
 // the overlapped execution is bitwise equal to the bulk-synchronous one.
 //
 // A plan is built once and may run any number of iterations: it owns the
 // tile output, the compiled tile with its scratch, and every exchange's
-// segment offsets (enumerated at construction) and one-segment scratch.
+// segment spans (enumerated at construction) and one-segment scratch.
 // It holds no message: Post* writes each off-rank payload once, straight
 // into the row comm hands over (the row the receiver released the
 // iteration before), and from the post on that row is the receiver's. So
@@ -86,7 +86,6 @@ type DaCePlan struct {
 	rank       int
 	ranks      int
 	myTa, myTe int
-	bl, pbl    int
 
 	prec   Precision
 	probe  bool
@@ -109,8 +108,6 @@ func NewDaCePlan(rank int, l *DaCeLayout, src *OMENLayout, atomSets [][]int, loc
 	pl := &DaCePlan{
 		l: l, src: src, atomSets: atomSets, in: local, out: sse.NewOutput(local),
 		rank: rank, ranks: l.procs(), myTa: myTa, myTe: myTe,
-		bl:  local.GL.BlockLen(),
-		pbl: local.DL.BlockLen() * local.DL.NbP1,
 	}
 	pl.xs = [4]exchange{pl.exchangeG(), pl.exchangeD(), pl.exchangeSigma(), pl.exchangePi()}
 	return pl
@@ -180,20 +177,20 @@ func (pl *DaCePlan) Output() *sse.Output { return pl.out }
 // cannot disagree on which segments travel or in which order.
 type exchange struct {
 	// lesser and greater are the flat storage of the ≷ tensor pair that
-	// travels; one wire segment is seg values of each, lesser first.
+	// travels; one wire segment is a span's n values of each, lesser
+	// first.
 	lesser, greater []complex128
-	seg             int
 	// accumulate sums arrivals into the destination (the Π≷ tile
 	// partials) instead of overwriting it.
 	accumulate bool
-	// send[to] lists, in wire order, the storage offset of every segment
+	// send[to] lists, in wire order, the storage span of every segment
 	// this rank ships to rank to, and recv[from] those rank from ships
-	// here — the same offset on both ranks, since all hold full-shape
+	// here — the same span on both ranks, since all hold full-shape
 	// tensors. Both are enumerated once, when the plan is built; a rank's
 	// own share stays in place and has no list.
-	send, recv [][]int
+	send, recv [][]span
 
-	// scratch holds one 2·seg segment under Mixed: the block fill encodes
+	// scratch holds one 2·n segment under Mixed: the block fill encodes
 	// and the block unpack decodes. A stage's post and wait are ordered,
 	// so they never use it at once.
 	scratch []complex128
@@ -204,12 +201,17 @@ type exchange struct {
 	packed [][]complex128
 }
 
+// span is one segment's place in a tensor's storage: n values from off.
+// An electron segment is one Norb² block; a phonon segment is the
+// (1+nb_a)·N3D² slots of one atom, so its length varies with the atom.
+type span struct{ off, n int }
+
 // newExchange describes the movement of the ≷ pair whose segments(from,
-// to) lists the offsets rank from ships to rank to, enumerating this
+// to) lists the spans rank from ships to rank to, enumerating this
 // rank's send and receive lists once.
-func (pl *DaCePlan) newExchange(lesser, greater []complex128, seg int, accumulate bool, segments func(from, to int) []int) exchange {
-	x := exchange{lesser: lesser, greater: greater, seg: seg, accumulate: accumulate,
-		send: make([][]int, pl.ranks), recv: make([][]int, pl.ranks)}
+func (pl *DaCePlan) newExchange(lesser, greater []complex128, accumulate bool, segments func(from, to int) []span) exchange {
+	x := exchange{lesser: lesser, greater: greater, accumulate: accumulate,
+		send: make([][]span, pl.ranks), recv: make([][]span, pl.ranks)}
 	for peer := range x.send {
 		if peer != pl.rank {
 			x.send[peer] = segments(pl.rank, peer)
@@ -221,36 +223,38 @@ func (pl *DaCePlan) newExchange(lesser, greater []complex128, seg int, accumulat
 
 // electronSegments lists the blocks of (kz, E ∈ [elo, ehi), atom ∈ atoms)
 // whose (kz, E) pair rank owner owns.
-func (pl *DaCePlan) electronSegments(elo, ehi, owner int, atoms []int) []int {
-	var offs []int
-	for ik := 0; ik < pl.in.GL.Nkz; ik++ {
+func (pl *DaCePlan) electronSegments(elo, ehi, owner int, atoms []int) []span {
+	var spans []span
+	g := pl.in.GL
+	for ik := 0; ik < g.Nkz; ik++ {
 		for ie := elo; ie < ehi; ie++ {
 			if pl.src.pairOwner(ik, ie) != owner {
 				continue
 			}
 			for _, a := range atoms {
-				offs = append(offs, pl.in.GL.Index(ik, ie, a))
+				spans = append(spans, span{g.Index(ik, ie, a), g.BlockLen()})
 			}
 		}
 	}
-	return offs
+	return spans
 }
 
-// phononSegments lists the (atom ∈ atoms, all neighbour slots) rows of
-// every (qz, ω) point rank owner owns.
-func (pl *DaCePlan) phononSegments(owner int, atoms []int) []int {
-	var offs []int
-	for iq := 0; iq < pl.in.DL.Nqz; iq++ {
-		for m := 1; m <= pl.in.DL.Nw; m++ {
+// phononSegments lists the (atom ∈ atoms, all its neighbour slots) rows
+// of every (qz, ω) point rank owner owns.
+func (pl *DaCePlan) phononSegments(owner int, atoms []int) []span {
+	var spans []span
+	d := pl.in.DL
+	for iq := 0; iq < d.Nqz; iq++ {
+		for m := 1; m <= d.Nw; m++ {
 			if pl.src.phononOwner(iq, m) != owner {
 				continue
 			}
 			for _, a := range atoms {
-				offs = append(offs, pl.in.DL.Index(iq, m-1, a, 0))
+				spans = append(spans, span{d.Index(iq, m-1, a, 0), (d.Off[a+1] - d.Off[a]) * d.BlockLen()})
 			}
 		}
 	}
-	return offs
+	return spans
 }
 
 // The four exchanges of the Fig. 5 (right) scheme. Inputs travel from the
@@ -260,7 +264,7 @@ func (pl *DaCePlan) phononSegments(owner int, atoms []int) []int {
 // exchangeG is #1: owned G≷ pairs to each tile's (atom set + halo, energy
 // range + 2Nω halo).
 func (pl *DaCePlan) exchangeG() exchange {
-	return pl.newExchange(pl.in.GL.Data, pl.in.GG.Data, pl.bl, false, func(from, to int) []int {
+	return pl.newExchange(pl.in.GL.Data, pl.in.GG.Data, false, func(from, to int) []span {
 		ta, te := pl.l.tileOf(to)
 		elo, ehi := pl.l.EnergyHalo(te)
 		return pl.electronSegments(elo, ehi, from, pl.atomSets[ta])
@@ -269,7 +273,7 @@ func (pl *DaCePlan) exchangeG() exchange {
 
 // exchangeD is #2: owned D≷ points to each tile's atom set, all (qz, ω).
 func (pl *DaCePlan) exchangeD() exchange {
-	return pl.newExchange(pl.in.DL.Data, pl.in.DG.Data, pl.pbl, false, func(from, to int) []int {
+	return pl.newExchange(pl.in.DL.Data, pl.in.DG.Data, false, func(from, to int) []span {
 		ta, _ := pl.l.tileOf(to)
 		return pl.phononSegments(from, pl.atomSets[ta])
 	})
@@ -278,7 +282,7 @@ func (pl *DaCePlan) exchangeD() exchange {
 // exchangeSigma is #3: a tile's Σ≷ pieces (its owned atoms × energy
 // range) back to the pair owners. Packed after ComputeTile.
 func (pl *DaCePlan) exchangeSigma() exchange {
-	return pl.newExchange(pl.out.SigL.Data, pl.out.SigG.Data, pl.bl, false, func(from, to int) []int {
+	return pl.newExchange(pl.out.SigL.Data, pl.out.SigG.Data, false, func(from, to int) []span {
 		ta, te := pl.l.tileOf(from)
 		elo, ehi := pl.l.energyRange(te)
 		return pl.electronSegments(elo, ehi, to, pl.l.ownedAtoms(ta))
@@ -289,7 +293,7 @@ func (pl *DaCePlan) exchangeSigma() exchange {
 // summed on arrival in ascending tile order — the association order the
 // sequential kernel uses. Packed after ComputeTile.
 func (pl *DaCePlan) exchangePi() exchange {
-	return pl.newExchange(pl.out.PiL.Data, pl.out.PiG.Data, pl.pbl, true, func(from, to int) []int {
+	return pl.newExchange(pl.out.PiL.Data, pl.out.PiG.Data, true, func(from, to int) []span {
 		ta, _ := pl.l.tileOf(from)
 		return pl.phononSegments(to, pl.l.ownedAtoms(ta))
 	})
@@ -298,27 +302,33 @@ func (pl *DaCePlan) exchangePi() exchange {
 // fill is the one segment writer of x: it appends to row, in wire order,
 // every segment this rank ships to rank dst and returns the extended row.
 // Under FP64 a segment is its lesser and greater halves; under Mixed it is
-// the wire encoding of that 2·seg block, staged through the exchange's
-// scratch (the encoder works segment by segment, so the bits equal a
-// whole-row encode). The rank's own share stays in place and appends
-// nothing. What it appends is counted in OffRankBytes and FallbackBlocks.
+// the wire encoding of that 2·n block, staged through the exchange's
+// scratch, with a normalization factor of its own. The rank's own share
+// stays in place and appends nothing. What it appends is counted in
+// OffRankBytes and FallbackBlocks.
 func (pl *DaCePlan) fill(x *exchange, dst int, row []complex128) []complex128 {
-	offs := x.send[dst]
+	spans := x.send[dst]
 	n0 := len(row)
-	if pl.prec == Mixed {
-		row = slices.Grow(row, len(offs)*half.WireWords(2*x.seg)) // exact unless a segment falls back
-		for _, o := range offs {
-			x.scratch = append(append(x.scratch[:0], x.lesser[o:o+x.seg]...), x.greater[o:o+x.seg]...)
-			row = half.AppendWireEncode(row, x.scratch, 2*x.seg)
+	words := 0
+	for _, s := range spans {
+		if pl.prec == Mixed {
+			words += half.WireWords(2 * s.n) // exact unless a segment falls back
+		} else {
+			words += 2 * s.n
 		}
-		if n := half.WireFallbacks(row[n0:], 2*x.seg); n > 0 {
-			pl.fallbackBlocks.Add(int64(n))
+	}
+	row = slices.Grow(row, words)
+	for _, s := range spans {
+		lesser, greater := x.lesser[s.off:s.off+s.n], x.greater[s.off:s.off+s.n]
+		if pl.prec != Mixed {
+			row = append(append(row, lesser...), greater...)
+			continue
 		}
-	} else {
-		row = slices.Grow(row, 2*x.seg*len(offs))
-		for _, o := range offs {
-			row = append(row, x.lesser[o:o+x.seg]...)
-			row = append(row, x.greater[o:o+x.seg]...)
+		x.scratch = append(append(x.scratch[:0], lesser...), greater...)
+		h := len(row)
+		row = half.AppendWireEncode(row, x.scratch, 2*s.n)
+		if half.WireFallbacks(row[h:], 2*s.n) > 0 {
+			pl.fallbackBlocks.Add(1)
 		}
 	}
 	pl.offRankBytes.Add(int64(len(row)-n0) * 16)
@@ -351,21 +361,21 @@ func (pl *DaCePlan) unpack(x *exchange, recv [][]complex128) {
 	if x.accumulate {
 		land = addInto
 	}
-	for from, offs := range x.recv {
+	for from, spans := range x.recv {
 		if from == pl.rank {
 			continue
 		}
 		buf := recv[from]
-		for _, o := range offs {
-			var s []complex128 // lesser then greater, seg values each
+		for _, s := range spans {
+			var seg []complex128 // lesser then greater, s.n values each
 			if pl.prec == Mixed {
-				x.scratch, buf = half.AppendWireSegment(x.scratch[:0], buf, 2*x.seg)
-				s = x.scratch
+				x.scratch, buf = half.AppendWireSegment(x.scratch[:0], buf, 2*s.n)
+				seg = x.scratch
 			} else {
-				s, buf = buf[:2*x.seg], buf[2*x.seg:]
+				seg, buf = buf[:2*s.n], buf[2*s.n:]
 			}
-			land(x.lesser[o:o+x.seg], s[:x.seg])
-			land(x.greater[o:o+x.seg], s[x.seg:])
+			land(x.lesser[s.off:s.off+s.n], seg[:s.n])
+			land(x.greater[s.off:s.off+s.n], seg[s.n:])
 		}
 	}
 }

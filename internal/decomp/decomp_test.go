@@ -2,13 +2,11 @@ package decomp
 
 import (
 	"math/cmplx"
-	"math/rand"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/device"
 	"repro/internal/sse"
-	"repro/internal/tensor"
 )
 
 // testInput builds a small physical-shaped SSE input (same construction as
@@ -22,22 +20,7 @@ func testInput(t testing.TB) *sse.Input {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(99))
-	fill := func(data []complex128) {
-		for i := range data {
-			data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-	}
-	gl := tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb)
-	gg := tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb)
-	nbp1 := dev.MaxNb() + 1
-	dl := tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D)
-	dg := tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D)
-	fill(gl.Data)
-	fill(gg.Data)
-	fill(dl.Data)
-	fill(dg.Data)
-	return &sse.Input{Dev: dev, GL: gl, GG: gg, DL: dl, DG: dg}
+	return sse.RandomInput(dev, 99)
 }
 
 func relDiff(a, b []complex128) float64 {
@@ -212,18 +195,7 @@ func TestVolumeReductionGrowsWithAccuracy(t *testing.T) {
 		p.NE = 12
 		p.Nomega = nw
 		dev := device.MustBuild(p)
-		rng := rand.New(rand.NewSource(5))
-		gl := tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb)
-		gg := tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb)
-		nbp1 := dev.MaxNb() + 1
-		dl := tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D)
-		dg := tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D)
-		for _, buf := range [][]complex128{gl.Data, gg.Data, dl.Data, dg.Data} {
-			for i := range buf {
-				buf[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-			}
-		}
-		in := &sse.Input{Dev: dev, GL: gl, GG: gg, DL: dl, DG: dg}
+		in := sse.RandomInput(dev, 5)
 		_, so, err := RunOMEN(comm.NewWorld(6), in, 6)
 		if err != nil {
 			t.Fatal(err)

@@ -14,7 +14,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/half"
 	"repro/internal/sse"
-	"repro/internal/tensor"
 )
 
 // hashVec feeds the length and the raw IEEE-754 bits of v into h, so a
@@ -37,28 +36,13 @@ func hashSend(h hash.Hash, send [][]complex128) [][]complex128 {
 	return send
 }
 
-// existingBlocks concatenates the blocks of t that exist on dev — slot 0
-// and one slot per neighbour of each atom — in (point, atom, slot) order.
-func existingBlocks(dev *device.Device, t *tensor.Phonon) []complex128 {
-	var out []complex128
-	for iq := 0; iq < t.Nqz; iq++ {
-		for iw := 0; iw < t.Nw; iw++ {
-			for a, nb := range dev.Neigh {
-				for slot := 0; slot <= len(nb); slot++ {
-					out = append(out, t.Block(iq, iw, a, slot)...)
-				}
-			}
-		}
-	}
-	return out
-}
-
 // exchangeDigests runs the four-stage exchange of one (Ta, TE, precision)
 // configuration and returns two digests, each folded over the ranks in
 // rank order: wire — every rank's four packed send buffers, per
 // destination — and state — every rank's G≷/D≷ input tensors after
-// UnpackG/UnpackD and its Σ≷/Π≷ output tensors after UnpackSigma/UnpackPi,
-// the phonon ones as the blocks that exist (existingBlocks) — plus every rank's tile Stats. With warm set, each rank's plan first
+// UnpackG/UnpackD and its Σ≷/Π≷ output tensors after UnpackSigma/UnpackPi
+// (a phonon tensor's Data is the blocks that exist, in (point, atom,
+// slot) order) — plus every rank's tile Stats. With warm set, each rank's plan first
 // runs the whole exchange on warm, unhashed, and then on in.
 func exchangeDigests(t *testing.T, in, warm *sse.Input, ta, te int, prec Precision) (wire, state string, stats []sse.Stats) {
 	t.Helper()
@@ -98,7 +82,7 @@ func exchangeDigests(t *testing.T, in, warm *sse.Input, ta, te int, prec Precisi
 		}
 		pl.UnpackG(c.Alltoallv(hashSend(hw, pl.PackG())))
 		pl.UnpackD(c.Alltoallv(hashSend(hw, pl.PackD())))
-		for _, v := range [][]complex128{local.GL.Data, local.GG.Data, existingBlocks(in.Dev, local.DL), existingBlocks(in.Dev, local.DG)} {
+		for _, v := range [][]complex128{local.GL.Data, local.GG.Data, local.DL.Data, local.DG.Data} {
 			hashVec(hs, v)
 		}
 		if prec == FP64 {
@@ -110,7 +94,7 @@ func exchangeDigests(t *testing.T, in, warm *sse.Input, ta, te int, prec Precisi
 		pl.UnpackSigma(c.Alltoallv(hashSend(hw, pl.PackSigma())))
 		pl.UnpackPi(c.Alltoallv(hashSend(hw, pl.PackPi())))
 		out := pl.Output()
-		for _, v := range [][]complex128{out.SigL.Data, out.SigG.Data, existingBlocks(in.Dev, out.PiL), existingBlocks(in.Dev, out.PiG)} {
+		for _, v := range [][]complex128{out.SigL.Data, out.SigG.Data, out.PiL.Data, out.PiG.Data} {
 			hashVec(hs, v)
 		}
 		stats[r] = out.Stats
@@ -156,7 +140,7 @@ func checkTileWindow(t *testing.T, l *DaCeLayout, r int, atomSets [][]int, local
 		}
 		for iq := 0; iq < p.Nqz(); iq++ {
 			for m := 0; m < p.Nomega; m++ {
-				for s := 0; s < global.DL.NbP1; s++ {
+				for s := 0; s <= len(global.Dev.Neigh[a]); s++ {
 					if !same(local.DL.Block(iq, m, a, s), global.DL.Block(iq, m, a, s)) ||
 						!same(local.DG.Block(iq, m, a, s), global.DG.Block(iq, m, a, s)) {
 						t.Errorf("rank %d: D≷(qz=%d, ω=%d, atom %d) differs from the global input", r, iq, m+1, a)
@@ -175,20 +159,23 @@ func checkTileWindow(t *testing.T, l *DaCeLayout, r int, atomSets [][]int, local
 // wire and land them in the same planes, fp64 and mixed, on divisible
 // and non-divisible energy splits. The state digests were re-taken once,
 // at commit 123552f, when the state half moved from the padded D≷/Π≷
-// storage to the blocks that exist; the wire digests are bd65bb6's.
+// storage to the blocks that exist, and have held since. The wire digests
+// were bd65bb6's until the phonon tensors lost their padding: a D≷/Π≷
+// segment now carries an atom's 1+nb_a slots, not MaxNb+1, so they were
+// re-taken then, with every state digest unchanged.
 func TestExchangeDigests(t *testing.T) {
 	in := sse.RandomInput(testInput(t).Dev, 7)
 	want := map[string][2]string{
-		"1x2/fp64":  {"2ea922dfdde6a0d2990351fd71a7df0af5e9f1a9ff4fad58e0bf436827a07e48", "6294d1f62bb5d1cee746ac89fe31052bf2da1c83539ebd2808f33f3634be69f1"},
-		"1x2/mixed": {"182d33ad6e9355d3049b65dfb75bfacea2226c33f22348a59020a826d0b32aa1", "a0388e58c7358dced3d2224ec743c38699c56cfa6c658887a31526db1edab688"},
-		"2x1/fp64":  {"90b9eb57b50d6599377f4aa6937b3d3589d88c5e2e36de31fc8b7b868be1c49c", "83abaa6bdd2be752fc7f873e7a20f8bbfbcfcc80f3288732a69194fa9ec7e7f7"},
-		"2x1/mixed": {"61d6bfcc566179f253cf6d2d62f52fee06fa57daec23e292496bc3e22366fff7", "2d59f7aa9d4b604b3de57ea270cf1c8001a8a88ce7f9c1968f1f623e55d73776"},
-		"2x2/fp64":  {"d661ac33c1df339689074d6ddbf7ca8bbbac36e301124ca52fe27c63819a7c39", "7611580fa47260fb470e2b207be1d2dc953b608fd6f15475a9b1fd0076c94e0e"},
-		"2x2/mixed": {"6fca825241d20d9087d5cb596834db9bd7dd27af5c7810037678f345811eeb36", "1105552aac76f26b66988555a8d36e7c8d94db1fc2be60f470ec9924b02bdde7"},
-		"1x3/fp64":  {"7013252d371febc149e0b6aec7781a2bb67b079bcc4d794bd6edd8c5220b0a31", "8a29faf3eb88ae9e707c7e41af8b3947bef04c72e4c614a37219e612e97bbda3"},
-		"1x3/mixed": {"4039a76ab6281fa3c9982ac874dc0dd04f25fabce62d8a3d941fba5deec016de", "948528e94fa8d547940d20d72b4d1f38a33dd6e314aa221ee5c18659a85004a3"},
-		"3x2/fp64":  {"44821f6f5b2f4fa6f32d9047c4e4d963ead31baf0c83b0826a2864060e505daa", "ff4d97286e43a68b9d4302359c93fbe353cac3722aecaf4b7aa80bd8787d3520"},
-		"3x2/mixed": {"c9a0dffaa4770f98578cc47b984cdbb4f9aea630128d20305b5bb95c8e263559", "e413066c64bc99cb74e0926deae6a743130560884ea7739cc6b4c03de9d2a504"},
+		"1x2/fp64":  {"05ac8a3884b788dbd19e51c3bf5d58d59d81764db12796bebf50133a7cbfd65e", "6294d1f62bb5d1cee746ac89fe31052bf2da1c83539ebd2808f33f3634be69f1"},
+		"1x2/mixed": {"aafb3a2a9e8c73ca96b85421dc1c47e450e123c494026eef386eabf3fd1c8927", "a0388e58c7358dced3d2224ec743c38699c56cfa6c658887a31526db1edab688"},
+		"2x1/fp64":  {"26017e33c7e17b67e2012d454fa1577549a4a7b6d3fcb7f014494f1e511b752f", "83abaa6bdd2be752fc7f873e7a20f8bbfbcfcc80f3288732a69194fa9ec7e7f7"},
+		"2x1/mixed": {"93f71f49a6b6a76568bff6c3e13f84e40ce2da481625260581feaec5938f37a1", "2d59f7aa9d4b604b3de57ea270cf1c8001a8a88ce7f9c1968f1f623e55d73776"},
+		"2x2/fp64":  {"e4e44842cae404b787f3a1dac17323af87be2a366b5443eb1cedeee3a7fc408e", "7611580fa47260fb470e2b207be1d2dc953b608fd6f15475a9b1fd0076c94e0e"},
+		"2x2/mixed": {"058f935c1e8a429081262fa36acfd77c709a2d72d7f6969296ce9b56cbedc322", "1105552aac76f26b66988555a8d36e7c8d94db1fc2be60f470ec9924b02bdde7"},
+		"1x3/fp64":  {"84e32ad3468cc5b5042e796f62b9e964779c342c8aeb5757ca4843086cf81943", "8a29faf3eb88ae9e707c7e41af8b3947bef04c72e4c614a37219e612e97bbda3"},
+		"1x3/mixed": {"79d541fdb9ad4ee4753bbb98575475b1da6d2e06fe2f120b68eaefeee4d67212", "948528e94fa8d547940d20d72b4d1f38a33dd6e314aa221ee5c18659a85004a3"},
+		"3x2/fp64":  {"72a41516ce60d2aaf176a3b4ed9e82fe22f5b7c56e5fc564420cd0d8437e97cd", "ff4d97286e43a68b9d4302359c93fbe353cac3722aecaf4b7aa80bd8787d3520"},
+		"3x2/mixed": {"617d7f3728c47ff5ce7a2d3881e002b3775fd78d02f8b5a035f2efcd800b5b82", "e413066c64bc99cb74e0926deae6a743130560884ea7739cc6b4c03de9d2a504"},
 	}
 	for _, tile := range [][2]int{{1, 2}, {2, 1}, {2, 2}, {1, 3}, {3, 2}} {
 		for _, prec := range []Precision{FP64, Mixed} {
@@ -303,8 +290,10 @@ func TestPostMatchesPackExchange(t *testing.T) {
 
 // TestMixedFallbackCountersMatchWholeRowEncode: with a NaN in one G≷
 // segment and an Inf in one D≷ segment, the segment-at-a-time writer
-// reports the OffRankBytes and FallbackBlocks that encoding each whole
-// fp64 row at once reports, and the receivers land the same values.
+// reports the OffRankBytes and FallbackBlocks that encoding the same fp64
+// rows reports: the whole G≷ row at once, whose segments share one
+// length, and the D≷ row one atom's segment at a time, since an atom's
+// slot count sets its segment's length.
 func TestMixedFallbackCountersMatchWholeRowEncode(t *testing.T) {
 	in := sse.RandomInput(testInput(t).Dev, 7)
 	l := NewDaCeLayout(in.Dev, 2, 2)
@@ -316,27 +305,35 @@ func TestMixedFallbackCountersMatchWholeRowEncode(t *testing.T) {
 			func(iq, m int) bool { return src.phononOwner(iq, m) == r })
 		pl := NewDaCePlan(r, l, src, atomSets, local).WithPrecision(Mixed)
 		peer := (r + 1) % l.procs()
-		if offs := pl.xs[0].send[peer]; len(offs) > 0 {
-			local.GL.Data[offs[0]] = complex(math.NaN(), 0)
+		if spans := pl.xs[0].send[peer]; len(spans) > 0 {
+			local.GL.Data[spans[0].off] = complex(math.NaN(), 0)
 		}
-		if offs := pl.xs[1].send[peer]; len(offs) > 0 {
-			local.DG.Data[offs[len(offs)-1]+1] = complex(0, math.Inf(-1))
+		if spans := pl.xs[1].send[peer]; len(spans) > 0 {
+			local.DG.Data[spans[len(spans)-1].off+1] = complex(0, math.Inf(-1))
 		}
-		// What the whole-row encode of the same fp64 rows reports.
+		// What encoding the same fp64 rows reports.
 		var wantBytes, wantFallbacks int64
-		for _, x := range pl.xs[:2] {
-			for dst, offs := range x.send {
-				var row []complex128
-				for _, o := range offs {
-					row = append(row, x.lesser[o:o+x.seg]...)
-					row = append(row, x.greater[o:o+x.seg]...)
-				}
-				if dst == r || len(row) == 0 {
+		for i, x := range pl.xs[:2] {
+			for dst, spans := range x.send {
+				if dst == r || len(spans) == 0 {
 					continue
 				}
-				wire := half.WireEncode(row, 2*x.seg)
-				wantBytes += int64(len(wire)) * 16
-				wantFallbacks += int64(half.WireFallbacks(wire, 2*x.seg))
+				var row []complex128
+				for _, s := range spans {
+					seg := append(append([]complex128(nil), x.lesser[s.off:s.off+s.n]...), x.greater[s.off:s.off+s.n]...)
+					if i == 1 {
+						wire := half.WireEncode(seg, len(seg))
+						wantBytes += int64(len(wire)) * 16
+						wantFallbacks += int64(half.WireFallbacks(wire, len(seg)))
+					}
+					row = append(row, seg...)
+				}
+				if i == 0 {
+					n := 2 * in.GL.BlockLen()
+					wire := half.WireEncode(row, n)
+					wantBytes += int64(len(wire)) * 16
+					wantFallbacks += int64(half.WireFallbacks(wire, n))
+				}
 			}
 		}
 		for _, post := range []func(*comm.Comm) *comm.MatRequest{pl.PostG, pl.PostD} {
@@ -355,5 +352,63 @@ func TestMixedFallbackCountersMatchWholeRowEncode(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPhononExchangeBytesAreExact: under FP64 the D≷ and Π≷ exchanges
+// ship exactly the blocks that exist — OffRankBytes of each equals
+// 2·16·N3D²·Σ(1+nb_a) over the (point, atom) segments it sends (D≷: the
+// sender's points × the receiver's atom set; Π≷: the sender's owned atoms
+// × the receiver's points) — on every layout of TestExchangeDigests.
+func TestPhononExchangeBytesAreExact(t *testing.T) {
+	in := sse.RandomInput(testInput(t).Dev, 7)
+	dev := in.Dev
+	p := dev.P
+	slotsOf := func(atoms []int, points int) int64 {
+		var n int64
+		for _, a := range atoms {
+			n += int64(1+len(dev.Neigh[a])) * int64(points)
+		}
+		return n
+	}
+	for _, tile := range [][2]int{{1, 2}, {2, 1}, {2, 2}, {1, 3}, {3, 2}} {
+		l := NewDaCeLayout(dev, tile[0], tile[1])
+		src := NewOMENLayout(p, l.procs())
+		atomSets := l.AtomSets()
+		err := comm.NewWorld(l.procs()).Run(func(c *comm.Comm) error {
+			r := c.Rank()
+			local := localInput(in, func(ik, ie int) bool { return src.pairOwner(ik, ie) == r },
+				func(iq, m int) bool { return src.phononOwner(iq, m) == r })
+			pl := NewDaCePlan(r, l, src, atomSets, local)
+			var wantD, wantPi int64
+			myTa, _ := l.tileOf(r)
+			for d := 0; d < l.procs(); d++ {
+				if d == r {
+					continue
+				}
+				ta, _ := l.tileOf(d)
+				wantD += slotsOf(atomSets[ta], len(src.OwnedPhonon(r)))
+				wantPi += slotsOf(l.ownedAtoms(myTa), len(src.OwnedPhonon(d)))
+			}
+			bytes := int64(2 * 16 * device.N3D * device.N3D)
+			wantD, wantPi = wantD*bytes, wantPi*bytes
+
+			pl.UnpackG(c.Alltoallv(pl.PackG()))
+			pl.ResetCounters()
+			pl.UnpackD(c.Alltoallv(pl.PackD()))
+			gotD := pl.OffRankBytes()
+			pl.ComputeTile()
+			pl.UnpackSigma(c.Alltoallv(pl.PackSigma()))
+			pl.ResetCounters()
+			pl.UnpackPi(c.Alltoallv(pl.PackPi()))
+			if gotPi := pl.OffRankBytes(); gotD != wantD || gotPi != wantPi {
+				return fmt.Errorf("%dx%d rank %d: D≷ %d B, Π≷ %d B; the existing blocks are %d B and %d B",
+					tile[0], tile[1], r, gotD, gotPi, wantD, wantPi)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }

@@ -25,6 +25,11 @@ type Device struct {
 	Neigh [][]int
 	// NbSlot[a][b] gives the index of b in Neigh[a] (or -1).
 	nbSlot []map[int]int
+	// SlotOff is the phonon tensors' slot layout: the prefix sums of
+	// 1+len(Neigh[a]), so atom a owns slots [SlotOff[a], SlotOff[a+1]) of
+	// a (qz, ω) plane and SlotOff[Na] = Σ(1+nb_a). Every tensor.Phonon
+	// over the device shares it (its Off); read-only.
+	SlotOff []int
 
 	onsite []*linalg.Matrix        // per-atom Norb×Norb Hermitian onsite block
 	zshift []*linalg.Matrix        // per-atom Hermitian kz-modulation of onsite
@@ -154,6 +159,10 @@ func (d *Device) buildNeighbours() {
 		for i, b := range list {
 			d.nbSlot[a][b] = i
 		}
+	}
+	d.SlotOff = make([]int, p.Na+1)
+	for a, list := range d.Neigh {
+		d.SlotOff[a+1] = d.SlotOff[a] + 1 + len(list)
 	}
 }
 

@@ -13,9 +13,10 @@ import (
 // the dynamic normalization factor of §5.4.
 //
 // Payloads are segmented: a segment is the per-(point, atom) block unit
-// the exchange pack loops append (2·Norb² electron elements, 2·9·(Nb+1)
-// phonon elements), and each segment gets its own power-of-two
-// normalization factor from its magnitude (ScaleFor of MaxAbsComplex).
+// the exchange pack loops append (2·Norb² electron elements, 2·9·(1+nb_a)
+// phonon elements for an atom of nb_a neighbours), and each segment gets
+// its own power-of-two normalization factor from its magnitude (ScaleFor
+// of MaxAbsComplex).
 // Segments whose factor cannot be represented — the scale overflows
 // float64, or the data carries Inf/NaN — fall back to verbatim fp64
 // passthrough, so a single pathological point degrades only its own

@@ -147,16 +147,27 @@ func (sc *solveScratch) solveRGF(a *blocktri.Matrix, sigL, sigG []*linalg.Matrix
 
 // planes is the Σ≷ or Π≷ state of a shard: plane k of l and g belongs
 // to the shard's k-th point and holds the blocks of every atom, its slots
-// in order (an electron atom has one block, a phonon atom one per slot),
-// laid out as a full-grid tensor's plane.
+// in order (an electron atom has one block, phonon atom a its 1+nb_a
+// slots), laid out as a full-grid tensor's plane: atom a's first block is
+// block off[a] of the plane.
 type planes struct {
-	l, g        []complex128
-	n, atom, bl int // values per plane, per atom and per block
+	l, g  []complex128
+	off   []int
+	n, bl int // values per plane and per block
 }
 
-func newPlanes(count, na, slots, bl int) planes {
-	n := na * slots * bl
-	return planes{l: make([]complex128, count*n), g: make([]complex128, count*n), n: n, atom: slots * bl, bl: bl}
+func newPlanes(count int, off []int, bl int) planes {
+	n := off[len(off)-1] * bl
+	return planes{l: make([]complex128, count*n), g: make([]complex128, count*n), off: off, n: n, bl: bl}
+}
+
+// atomOffsets is the slot layout of a tensor with one block per atom.
+func atomOffsets(na int) []int {
+	off := make([]int, na+1)
+	for a := range off {
+		off[a] = a
+	}
+	return off
 }
 
 // plane returns the lesser and greater plane k.
@@ -168,7 +179,7 @@ func (s planes) plane(k int) (l, g []complex128) {
 // block returns the lesser and greater block of atom a, slot slot, in
 // plane k.
 func (s planes) block(k, a, slot int) (l, g []complex128) {
-	o := k*s.n + a*s.atom + slot*s.bl
+	o := k*s.n + (s.off[a]+slot)*s.bl
 	return s.l[o : o+s.bl], s.g[o : o+s.bl]
 }
 
@@ -186,7 +197,6 @@ func NewPointSolver(dev *device.Device, mode bc.Mode) *PointSolver {
 // are the whole grid in global order.
 func newPointSolver(dev *device.Device, mode bc.Mode, pairs, points int, whole bool) *PointSolver {
 	p := dev.P
-	nbp1 := dev.MaxNb() + 1
 	const n3 = device.N3D
 	ps := &PointSolver{
 		Dev:     dev,
@@ -194,16 +204,16 @@ func newPointSolver(dev *device.Device, mode bc.Mode, pairs, points int, whole b
 		scratch: make([]*solveScratch, 1),
 		GL:      tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb),
 		GG:      tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb),
-		DL:      tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, n3),
-		DG:      tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, n3),
-		sig:     newPlanes(pairs, p.Na, 1, p.Norb*p.Norb),
-		pi:      newPlanes(points, p.Na, nbp1, n3*n3),
+		DL:      tensor.NewPhonon(p.Nqz(), p.Nomega, dev.SlotOff, n3),
+		DG:      tensor.NewPhonon(p.Nqz(), p.Nomega, dev.SlotOff, n3),
+		sig:     newPlanes(pairs, atomOffsets(p.Na), p.Norb*p.Norb),
+		pi:      newPlanes(points, dev.SlotOff, n3*n3),
 	}
 	if whole {
 		ps.SigL = &tensor.Electron{Nkz: p.Nkz, NE: p.NE, Na: p.Na, Norb: p.Norb, Data: ps.sig.l}
 		ps.SigG = &tensor.Electron{Nkz: p.Nkz, NE: p.NE, Na: p.Na, Norb: p.Norb, Data: ps.sig.g}
-		ps.PiL = &tensor.Phonon{Nqz: p.Nqz(), Nw: p.Nomega, Na: p.Na, NbP1: nbp1, N3D: n3, Data: ps.pi.l}
-		ps.PiG = &tensor.Phonon{Nqz: p.Nqz(), Nw: p.Nomega, Na: p.Na, NbP1: nbp1, N3D: n3, Data: ps.pi.g}
+		ps.PiL = &tensor.Phonon{Nqz: p.Nqz(), Nw: p.Nomega, N3D: n3, Off: dev.SlotOff, Data: ps.pi.l}
+		ps.PiG = &tensor.Phonon{Nqz: p.Nqz(), Nw: p.Nomega, N3D: n3, Off: dev.SlotOff, Data: ps.pi.g}
 	}
 	return ps
 }

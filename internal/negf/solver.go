@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 
 	"repro/internal/bc"
 	"repro/internal/device"
@@ -121,7 +122,9 @@ type SigmaState struct {
 }
 
 // Fits reports whether the state's tensor shapes match dev — the
-// condition for seeding a loop over dev with it (Loop.Warm).
+// condition for seeding a loop over dev with it (Loop.Warm). A phonon
+// tensor fits when its grid and its slot layout (tensor.Phonon.Off, the
+// neighbour count of every atom) are the device's.
 func (st *SigmaState) Fits(dev *device.Device) error {
 	p := dev.P
 	e := st.SigL
@@ -132,10 +135,11 @@ func (st *SigmaState) Fits(dev *device.Device) error {
 		return fmt.Errorf("electron shape [%d %d %d %d] does not match device [%d %d %d %d]",
 			e.Nkz, e.NE, e.Na, e.Norb, p.Nkz, p.NE, p.Na, p.Norb)
 	}
-	ph := st.PiL
-	if ph.Nqz != p.Nqz() || ph.Nw != p.Nomega || ph.Na != p.Na || ph.NbP1 != dev.MaxNb()+1 {
-		return fmt.Errorf("phonon shape %s does not match device [%d %d %d %d]",
-			ph.ShapeString(), p.Nqz(), p.Nomega, p.Na, dev.MaxNb()+1)
+	for _, ph := range []*tensor.Phonon{st.PiL, st.PiG} {
+		if ph.Nqz != p.Nqz() || ph.Nw != p.Nomega || ph.N3D != device.N3D || !slices.Equal(ph.Off, dev.SlotOff) {
+			return fmt.Errorf("phonon shape %s does not match device [%d %d %d atoms/%d slots %d %d] or its neighbour counts",
+				ph.ShapeString(), p.Nqz(), p.Nomega, p.Na, dev.SlotOff[p.Na], device.N3D, device.N3D)
+		}
 	}
 	return nil
 }

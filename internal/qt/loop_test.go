@@ -10,6 +10,8 @@ import (
 	"math"
 	"runtime"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 // loopDigest hashes what a run without ranks hands back of its loop: the
@@ -29,11 +31,35 @@ func loopDigest(t *testing.T, res *Result) string {
 	for _, st := range res.Trace {
 		put(st.Current)
 	}
-	fs := res.FinalState
-	for _, d := range [][]complex128{fs.SigL.Data, fs.SigG.Data, fs.PiL.Data, fs.PiG.Data} {
+	putAll := func(d []complex128) {
 		for _, v := range d {
 			put(real(v))
 			put(imag(v))
+		}
+	}
+	fs := res.FinalState
+	putAll(fs.SigL.Data)
+	putAll(fs.SigG.Data)
+	// Π≷ is hashed as the padded tensors the pins were taken on stored it:
+	// every atom MaxNb+1 slots, the ones it does not have zero.
+	for _, ph := range []*tensor.Phonon{fs.PiL, fs.PiG} {
+		na, width := len(ph.Off)-1, 0
+		for a := range na {
+			width = max(width, ph.Off[a+1]-ph.Off[a])
+		}
+		zero := make([]complex128, ph.BlockLen())
+		for iq := range ph.Nqz {
+			for iw := range ph.Nw {
+				for a := range na {
+					for slot := range width {
+						if slot < ph.Off[a+1]-ph.Off[a] {
+							putAll(ph.Block(iq, iw, a, slot))
+						} else {
+							putAll(zero)
+						}
+					}
+				}
+			}
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))

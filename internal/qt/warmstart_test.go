@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -70,6 +71,33 @@ func TestWarmStartValidation(t *testing.T) {
 	}
 	if _, err := NewFromConfig(RunConfig{Spec: smallSpec()}, WithWarmStart(st)); err != nil {
 		t.Errorf("matching warm start rejected: %v", err)
+	}
+}
+
+// TestWarmStartRefusesOtherNeighbourLists: the default spec at structure
+// seeds 1 and 2 has the same grid and the same MaxNb, but other
+// neighbour lists, so a Π≷ state of one has another slot layout than the
+// other's and must be refused, not copied into the wrong blocks.
+func TestWarmStartRefusesOtherNeighbourLists(t *testing.T) {
+	state := func(seed uint64) (*negf.SigmaState, int) {
+		dev, err := Spec{Seed: seed}.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := negf.NewPointSolver(dev, 0)
+		return &negf.SigmaState{SigL: ps.SigL, SigG: ps.SigG, PiL: ps.PiL, PiG: ps.PiG}, dev.MaxNb()
+	}
+	one, nb1 := state(1)
+	two, nb2 := state(2)
+	if nb1 != nb2 || slices.Equal(one.PiL.Off, two.PiL.Off) {
+		t.Fatalf("seeds 1 and 2 no longer share MaxNb (%d, %d) with other slot layouts", nb1, nb2)
+	}
+	if _, err := NewFromConfig(RunConfig{Spec: Spec{Seed: 2}}, WithWarmStart(one)); err == nil ||
+		!strings.Contains(err.Error(), "does not match") {
+		t.Errorf("a seed-1 state seeded a seed-2 run: %v", err)
+	}
+	if _, err := NewFromConfig(RunConfig{Spec: Spec{Seed: 2}}, WithWarmStart(two)); err != nil {
+		t.Errorf("the seed-2 state was refused on its own device: %v", err)
 	}
 }
 

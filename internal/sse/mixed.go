@@ -59,8 +59,8 @@ func (m Mixed) NewTile(in *Input) *Tile {
 			Dev: in.Dev,
 			GL:  tensor.NewElectron(in.GL.Nkz, in.GL.NE, in.GL.Na, in.GL.Norb),
 			GG:  tensor.NewElectron(in.GG.Nkz, in.GG.NE, in.GG.Na, in.GG.Norb),
-			DL:  tensor.NewPhonon(in.DL.Nqz, in.DL.Nw, in.DL.Na, in.DL.NbP1, in.DL.N3D),
-			DG:  tensor.NewPhonon(in.DG.Nqz, in.DG.Nw, in.DG.Na, in.DG.NbP1, in.DG.N3D),
+			DL:  tensor.NewPhonon(in.DL.Nqz, in.DL.Nw, in.DL.Off, in.DL.N3D),
+			DG:  tensor.NewPhonon(in.DG.Nqz, in.DG.Nw, in.DG.Off, in.DG.N3D),
 		},
 		grad: make(map[gradKey]*linalg.Matrix),
 	}

@@ -44,18 +44,35 @@ import (
 // RandomInput synthesizes Gaussian Green's-function tensors shaped for
 // dev — the standard workload of the exchange-level experiments
 // (decomposition studies, wire-format benchmarks), which move data
-// without caring where it came from. Deterministic in seed.
+// without caring where it came from. Deterministic in seed. D≷ draws
+// MaxNb()+1 slots for every atom and keeps the 1+nb_a that exist, so the
+// values do not depend on the phonon tensors' ragged layout.
 func RandomInput(dev *device.Device, seed int64) *Input {
 	p := dev.P
 	rng := rand.New(rand.NewSource(seed))
+	draw := func() complex128 { return complex(rng.NormFloat64(), rng.NormFloat64()) }
 	gl := tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb)
 	gg := tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb)
-	nbp1 := dev.MaxNb() + 1
-	dl := tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D)
-	dg := tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D)
-	for _, buf := range [][]complex128{gl.Data, gg.Data, dl.Data, dg.Data} {
+	for _, buf := range [][]complex128{gl.Data, gg.Data} {
 		for i := range buf {
-			buf[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			buf[i] = draw()
+		}
+	}
+	dl := tensor.NewPhonon(p.Nqz(), p.Nomega, dev.SlotOff, device.N3D)
+	dg := tensor.NewPhonon(p.Nqz(), p.Nomega, dev.SlotOff, device.N3D)
+	drawn := (dev.MaxNb() + 1) * dl.BlockLen()
+	for _, d := range []*tensor.Phonon{dl, dg} {
+		k := 0
+		for range p.Nqz() * p.Nomega {
+			for _, nb := range dev.Neigh {
+				keep := (1 + len(nb)) * d.BlockLen()
+				for i := range drawn {
+					if v := draw(); i < keep {
+						d.Data[k] = v
+						k++
+					}
+				}
+			}
 		}
 	}
 	return &Input{Dev: dev, GL: gl, GG: gg, DL: dl, DG: dg}
@@ -65,7 +82,7 @@ func RandomInput(dev *device.Device, seed int64) *Input {
 type Input struct {
 	Dev    *device.Device
 	GL, GG *tensor.Electron // electron G≷ [Nkz, NE, Na, Norb, Norb]
-	DL, DG *tensor.Phonon   // phonon D≷ [Nqz, Nω, Na, Nb+1, 3, 3]
+	DL, DG *tensor.Phonon   // phonon D≷ [Nqz, Nω, Na, 1+nb_a, 3, 3], ragged (tensor.Phonon)
 }
 
 // Output holds the computed scattering self-energies plus kernel counters.
@@ -95,8 +112,8 @@ func NewOutput(in *Input) *Output {
 	return &Output{
 		SigL: tensor.NewElectron(in.GL.Nkz, in.GL.NE, in.GL.Na, in.GL.Norb),
 		SigG: tensor.NewElectron(in.GL.Nkz, in.GL.NE, in.GL.Na, in.GL.Norb),
-		PiL:  tensor.NewPhonon(in.DL.Nqz, in.DL.Nw, in.DL.Na, in.DL.NbP1, in.DL.N3D),
-		PiG:  tensor.NewPhonon(in.DL.Nqz, in.DL.Nw, in.DL.Na, in.DL.NbP1, in.DL.N3D),
+		PiL:  tensor.NewPhonon(in.DL.Nqz, in.DL.Nw, in.DL.Off, in.DL.N3D),
+		PiG:  tensor.NewPhonon(in.DL.Nqz, in.DL.Nw, in.DL.Off, in.DL.N3D),
 	}
 }
 

@@ -27,9 +27,8 @@ func synthInput(t testing.TB, scale float64) *Input {
 	gg := tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb)
 	fillAntiHermitian(rng, gl.Data, p.Norb, scale)
 	fillAntiHermitian(rng, gg.Data, p.Norb, scale)
-	nbp1 := dev.MaxNb() + 1
-	dl := tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D)
-	dg := tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D)
+	dl := tensor.NewPhonon(p.Nqz(), p.Nomega, dev.SlotOff, device.N3D)
+	dg := tensor.NewPhonon(p.Nqz(), p.Nomega, dev.SlotOff, device.N3D)
 	fillAntiHermitian(rng, dl.Data, device.N3D, scale)
 	fillAntiHermitian(rng, dg.Data, device.N3D, scale)
 	return &Input{Dev: dev, GL: gl, GG: gg, DL: dl, DG: dg}
@@ -282,9 +281,8 @@ func TestSavingsGrowWithAccuracy(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
 		gl := tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb)
 		gg := tensor.NewElectron(p.Nkz, p.NE, p.Na, p.Norb)
-		nbp1 := dev.MaxNb() + 1
-		dl := tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D)
-		dg := tensor.NewPhonon(p.Nqz(), p.Nomega, p.Na, nbp1, device.N3D)
+		dl := tensor.NewPhonon(p.Nqz(), p.Nomega, dev.SlotOff, device.N3D)
+		dg := tensor.NewPhonon(p.Nqz(), p.Nomega, dev.SlotOff, device.N3D)
 		fillAntiHermitian(rng, gl.Data, p.Norb, 1)
 		fillAntiHermitian(rng, gg.Data, p.Norb, 1)
 		fillAntiHermitian(rng, dl.Data, device.N3D, 1)

@@ -43,7 +43,7 @@ func TestTileReadsOnlyItsHaloWindow(t *testing.T) {
 					}
 				}
 			}
-			if outputDigest(in.Dev, dirty) != outputDigest(in.Dev, clean) {
+			if outputDigest(dirty) != outputDigest(clean) {
 				t.Fatalf("%s tile [%d,%d): output differs from the clean run", k.Name(), elo, ehi)
 			}
 		}
@@ -169,7 +169,7 @@ func TestTileReuseLeavesNoStaleData(t *testing.T) {
 		tile, out := c.k.NewTile(first), NewOutput(first)
 		tile.Compute(first, out)
 		tile.Compute(second, out)
-		if outputDigest(first.Dev, out) != outputDigest(first.Dev, want) || out.Stats != want.Stats {
+		if outputDigest(out) != outputDigest(want) || out.Stats != want.Stats {
 			t.Errorf("%s: the reused tile's second output differs from a fresh Compute (stats %+v, want %+v)", c.name, out.Stats, want.Stats)
 		}
 	}

@@ -2,8 +2,9 @@
 // self-energy containers exchanged between the GF and SSE phases:
 // the 5-D electron tensors of shape [Nkz, NE, Na, Norb, Norb] and the 6-D
 // phonon tensors of shape [Nqz, Nω, Na, Nb+1, N3D, N3D] described in §4 of
-// the paper. Storage is flat with the orbital block contiguous, so a block
-// is a zero-copy slice view — the layout the DaCe data-layout
+// the paper, whose neighbour axis is ragged: each atom stores only the
+// 1+nb_a slots it has. Storage is flat with the orbital block contiguous,
+// so a block is a zero-copy slice view — the layout the DaCe data-layout
 // transformations operate on.
 package tensor
 
@@ -84,28 +85,37 @@ func MixSlice(dst, src []complex128, mix float64) {
 // Bytes returns the tensor's payload size in bytes (complex128 = 16 B).
 func (t *Electron) Bytes() int64 { return int64(len(t.Data)) * 16 }
 
-// Phonon is a 6-D tensor [Nqz, Nω, Na, Nb+1, N3D, N3D] (D≷ or Π≷).
-// Slot 0 of the neighbour axis holds the diagonal atom block (a, a);
-// slot 1+s holds the coupling block (a, Neigh[a][s]).
+// Phonon is a 6-D tensor [Nqz, Nω, Na, 1+nb_a, N3D, N3D] (D≷ or Π≷),
+// ragged on the neighbour axis: atom a holds 1+nb_a slots, nb_a =
+// len(Neigh[a]), and no padding. Slot 0 holds the diagonal atom block
+// (a, a); slot 1+s holds the coupling block (a, Neigh[a][s]). Off[a] is
+// the first slot of atom a within a (qz, ω) plane and Off[Na] the plane's
+// slot count S = Σ(1+nb_a) — the device's prefix sums, shared read-only
+// by every phonon tensor over it — so block (iq, iw, a, slot) sits at
+// ((iq·Nω + iw)·S + Off[a] + slot)·N3D².
 type Phonon struct {
-	Nqz, Nw, Na, NbP1, N3D int
-	Data                   []complex128
+	Nqz, Nw, N3D int
+	Off          []int
+	Data         []complex128
 }
 
-// NewPhonon allocates a zeroed phonon tensor.
-func NewPhonon(nqz, nw, na, nbp1, n3d int) *Phonon {
+// NewPhonon allocates a zeroed phonon tensor over the slot offsets off.
+func NewPhonon(nqz, nw int, off []int, n3d int) *Phonon {
 	return &Phonon{
-		Nqz: nqz, Nw: nw, Na: na, NbP1: nbp1, N3D: n3d,
-		Data: make([]complex128, nqz*nw*na*nbp1*n3d*n3d),
+		Nqz: nqz, Nw: nw, N3D: n3d, Off: off,
+		Data: make([]complex128, nqz*nw*off[len(off)-1]*n3d*n3d),
 	}
 }
 
 // BlockLen returns N3D².
 func (t *Phonon) BlockLen() int { return t.N3D * t.N3D }
 
+// slots returns S, the slot count of one (qz, ω) plane.
+func (t *Phonon) slots() int { return t.Off[len(t.Off)-1] }
+
 // Index returns the flat offset of block (iq, iw, a, slot).
 func (t *Phonon) Index(iq, iw, a, slot int) int {
-	return (((iq*t.Nw+iw)*t.Na+a)*t.NbP1 + slot) * t.BlockLen()
+	return ((iq*t.Nw+iw)*t.slots() + t.Off[a] + slot) * t.BlockLen()
 }
 
 // Block returns the N3D² slice view of block (iq, iw, a, slot).
@@ -118,12 +128,12 @@ func (t *Phonon) Block(iq, iw, a, slot int) []complex128 {
 // (iw is the zero-based frequency index, m−1).
 func (t *Phonon) Plane(iq, iw int) []complex128 {
 	o := t.Index(iq, iw, 0, 0)
-	return t.Data[o : o+t.Na*t.NbP1*t.BlockLen()]
+	return t.Data[o : o+t.slots()*t.BlockLen()]
 }
 
-// Clone deep-copies the tensor.
+// Clone deep-copies the tensor; the copy shares the slot offsets.
 func (t *Phonon) Clone() *Phonon {
-	c := NewPhonon(t.Nqz, t.Nw, t.Na, t.NbP1, t.N3D)
+	c := NewPhonon(t.Nqz, t.Nw, t.Off, t.N3D)
 	copy(c.Data, t.Data)
 	return c
 }
@@ -139,7 +149,8 @@ func (t *Phonon) Mix(src *Phonon, mix float64) {
 // Bytes returns the payload size in bytes.
 func (t *Phonon) Bytes() int64 { return int64(len(t.Data)) * 16 }
 
-// ShapeString formats tensor dimensions for diagnostics.
+// ShapeString formats tensor dimensions for diagnostics: the ragged
+// neighbour axis shows as the atom count and the plane's slot count S.
 func (t *Phonon) ShapeString() string {
-	return fmt.Sprintf("[%d %d %d %d %d %d]", t.Nqz, t.Nw, t.Na, t.NbP1, t.N3D, t.N3D)
+	return fmt.Sprintf("[%d %d %d atoms/%d slots %d %d]", t.Nqz, t.Nw, len(t.Off)-1, t.slots(), t.N3D, t.N3D)
 }

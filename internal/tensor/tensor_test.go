@@ -74,25 +74,40 @@ func TestElectronMixFullReplacement(t *testing.T) {
 	}
 }
 
+// raggedOff is a slot layout of three atoms with 1, 2 and 0 neighbours.
+var raggedOff = []int{0, 2, 5, 6}
+
 func TestPhononIndexing(t *testing.T) {
-	p := NewPhonon(2, 3, 4, 5, 3)
-	if len(p.Data) != 2*3*4*5*9 {
-		t.Fatalf("data length %d", len(p.Data))
+	p := NewPhonon(2, 3, raggedOff, 3)
+	if len(p.Data) != 2*3*6*9 || p.slots() != 6 {
+		t.Fatalf("data length %d, %d slots", len(p.Data), p.slots())
 	}
-	// Slot blocks within one atom are consecutive.
-	if p.Index(0, 0, 0, 1)-p.Index(0, 0, 0, 0) != 9 {
+	// Slot blocks within one atom are consecutive, and the next atom
+	// starts right after the last slot it has: no padding.
+	if p.Index(0, 0, 1, 1)-p.Index(0, 0, 1, 0) != 9 {
 		t.Fatal("slots not consecutive")
 	}
+	if p.Index(0, 0, 1, 0) != p.Index(0, 0, 0, 1)+9 || p.Index(0, 0, 2, 0) != p.Index(0, 0, 1, 2)+9 {
+		t.Fatal("atoms padded")
+	}
+	// A plane is the S slots of one point, contiguous.
+	if p.Index(0, 1, 0, 0) != 6*9 || p.Index(1, 0, 0, 0) != 3*6*9 || len(p.Plane(1, 2)) != 6*9 {
+		t.Fatal("planes not S slots apart")
+	}
+	// Every block of the last plane ends inside the data.
+	if p.Index(1, 2, 2, 0)+9 != len(p.Data) {
+		t.Fatal("last block does not end the data")
+	}
 	// Block view aliases storage.
-	p.Block(1, 2, 3, 4)[8] = 2i
-	if p.Data[p.Index(1, 2, 3, 4)+8] != 2i {
+	p.Block(1, 2, 1, 2)[8] = 2i
+	if p.Data[p.Index(1, 2, 1, 2)+8] != 2i {
 		t.Fatal("phonon Block should alias")
 	}
 }
 
 func TestPhononZeroCloneMix(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	p := NewPhonon(1, 2, 2, 2, 3)
+	p := NewPhonon(1, 2, raggedOff, 3)
 	for i := range p.Data {
 		p.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
@@ -111,15 +126,15 @@ func TestBytesAccounting(t *testing.T) {
 	if e.Bytes() != int64(2*3*4*25)*16 {
 		t.Fatalf("electron Bytes = %d", e.Bytes())
 	}
-	p := NewPhonon(2, 3, 4, 5, 3)
-	if p.Bytes() != int64(2*3*4*5*9)*16 {
+	p := NewPhonon(2, 3, raggedOff, 3)
+	if p.Bytes() != int64(2*3*6*9)*16 {
 		t.Fatalf("phonon Bytes = %d", p.Bytes())
 	}
 }
 
 func TestShapeString(t *testing.T) {
-	p := NewPhonon(1, 2, 3, 4, 3)
-	if p.ShapeString() != "[1 2 3 4 3 3]" {
+	p := NewPhonon(1, 2, raggedOff, 3)
+	if p.ShapeString() != "[1 2 3 atoms/6 slots 3 3]" {
 		t.Fatalf("ShapeString = %q", p.ShapeString())
 	}
 }
