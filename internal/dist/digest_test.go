@@ -17,7 +17,7 @@ import (
 // final interface-current and atom-temperature profiles. The traffic
 // counters — the kernel's BytesMoved, the exchange's SSEBytes and the
 // ReduceBytes of the reduction protocol — are accounting, not physics:
-// runTraffic lists the first two exactly.
+// TestPhasesDigests lists the first two exactly.
 func runDigest(res *Result) string {
 	h := sha256.New()
 	var b [8]byte
@@ -41,16 +41,6 @@ func runDigest(res *Result) string {
 	f64(res.Obs.InterfaceCurrent...)
 	f64(res.Obs.AtomTemperature...)
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// runTraffic lists the SSE traffic of each iteration: the tile kernel's
-// BytesMoved and the exchange's SSEBytes.
-func runTraffic(res *Result) [][2]int64 {
-	out := make([][2]int64, len(res.IterTrace))
-	for i, st := range res.IterTrace {
-		out[i] = [2]int64{st.SSE.BytesMoved, st.SSEBytes}
-	}
-	return out
 }
 
 // TestPhasesDigests keeps the deleted bulk-synchronous loop as an oracle
@@ -112,8 +102,8 @@ func TestPhasesDigests(t *testing.T) {
 			if got := runDigest(res); got != want {
 				t.Errorf("%s: digest %s, recorded %s", tag, got, want)
 			}
-			for i, got := range runTraffic(res) {
-				if got != wantBytes {
+			for i, st := range res.IterTrace {
+				if got := [2]int64{st.SSE.BytesMoved, st.SSEBytes}; got != wantBytes {
 					t.Errorf("%s iter %d: {BytesMoved, SSEBytes} = %v, recorded %v", tag, i, got, wantBytes)
 				}
 			}
