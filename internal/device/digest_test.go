@@ -138,3 +138,64 @@ func TestPairBlock(t *testing.T) {
 		}
 	}
 }
+
+// couplingDigest is the SHA-256 over Neigh (each atom's count, then its
+// list), SlotOff and the bits of every ∇iH_ab, in (a, k, i) order for b
+// the k-th neighbour of a: the pair couplings the scattering
+// self-energies multiply by, which the operator digests do not see.
+func couplingDigest(d *Device) string {
+	h := sha256.New()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for _, list := range d.Neigh {
+		put(uint64(len(list)))
+		for _, n := range list {
+			put(uint64(n))
+		}
+	}
+	for _, o := range d.SlotOff {
+		put(uint64(o))
+	}
+	for a, list := range d.Neigh {
+		for _, n := range list {
+			for i := 0; i < N3D; i++ {
+				for _, v := range d.GradH(a, n, i).Data {
+					put(math.Float64bits(real(v)))
+					put(math.Float64bits(imag(v)))
+				}
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestCouplingDigests pins the neighbour lists, the slot layout and every
+// ∇H block of the zoo bit for bit, at the digests of commit 36814fb, with
+// one row per architecture as TestOperatorDigests.
+func TestCouplingDigests(t *testing.T) {
+	want := map[string]map[string]string{
+		"amd64": {
+			"24x6x2":         "5b314d540387a3fdb1ed666ca47ab7eb08478493a4b08f49f08dbee45a5ecb9d",
+			"18x3x3":         "9b294ca6ffc78151d2f6bf84fb6bc2f9760cfa7c3564957336d616cb404f5747",
+			"64x4x4":         "52e6349ed2c41ebfb0debd5f60eb6db0f7f8da93eb19a715f49d8ad165ec7516",
+			"24x6x2+profile": "0905d9e94a3f32e52629a7ac812902594a88116020c6d5af47e2921bb03e3e53",
+		},
+		"386": {
+			"24x6x2":         "3cf90e3b5524d2093cec35bbad875e030e312e2bb59490cbaf811148b047f251",
+			"18x3x3":         "161fa81a56753c2f2ff36359080cd1f0c6681cb680db9cf037e6687c92a0d315",
+			"64x4x4":         "9973dd0d6532f53b12682a763ece53b8024e09629cb5e8d02f61f49bacb9cc4c",
+			"24x6x2+profile": "7b38f6889cee6c04f04046fbf4f241450bace7fa5b5e91a42bb1bd9c51a6953b",
+		},
+	}[runtime.GOARCH]
+	if want == nil {
+		t.Skipf("no %s digests", runtime.GOARCH)
+	}
+	for name, d := range operatorZoo(t) {
+		if got := couplingDigest(d); got != want[name] {
+			t.Errorf("%s: digest %s, want %s", name, got, want[name])
+		}
+	}
+}
