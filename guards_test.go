@@ -310,6 +310,16 @@ slots per atom must not come back.`, []guard{
 		{name: "no NbP1", in: src("internal"),
 			find: probes(id(`(?i)^nbp1$`))},
 	}},
+	{"device pairs are slot-indexed", `Every per-pair quantity of device.Device (hopping, force constants, ∇H)
+sits in a flat table over SlotOff, the slot layout the phonon tensors
+share, and the reverse pair's slot is a lookup in one mirror table. The
+pair-keyed maps, their key types and the per-atom slot maps must not come
+back, in device or in the kernels that read it.`, []guard{
+		{name: "no pair key or slot map", in: src("internal"),
+			find: probes(id(`^(nbSlot|pairDir|orderedPair|gradKey)$`))},
+		{name: "no map-typed field on device.Device", in: prod("internal/device/structure.go"),
+			find: probes(code[*ast.TypeSpec](`^type Device struct\{.*\bmap\[`))},
+	}},
 	{"guards are rows", `A design rule is a row of this table, which tier-1 runs, not a shell step
 of CI's: a "! cmd" line does not stop a bash -e script, and a grep of a
 renamed file passes silently.`, []guard{

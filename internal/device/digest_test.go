@@ -160,9 +160,9 @@ func couplingDigest(d *Device) string {
 		put(uint64(o))
 	}
 	for a, list := range d.Neigh {
-		for _, n := range list {
+		for k := range list {
 			for i := 0; i < N3D; i++ {
-				for _, v := range d.GradH(a, n, i).Data {
+				for _, v := range d.GradH(a, 1+k, i) {
 					put(math.Float64bits(real(v)))
 					put(math.Float64bits(imag(v)))
 				}

@@ -3,8 +3,6 @@ package device
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/linalg"
 )
 
 // Profile is the declarative device-zoo layer: a recipe of physical
@@ -230,7 +228,7 @@ func (pr *Profile) applyPotential(d *Device) {
 	}
 	for a := 0; a < p.Na; a++ {
 		if dv := v[d.SlabOf[a]]; dv != 0 {
-			shiftOnsite(d.onsite[a], dv)
+			d.shiftOnsite(a, dv)
 		}
 	}
 }
@@ -243,7 +241,7 @@ func (pr *Profile) applyDoping(d *Device, seed uint64) {
 	}
 	for a := 0; a < d.P.Na; a++ {
 		if siteFloat(seed, chanDoping, uint64(a)) < dp.Fraction {
-			shiftOnsite(d.onsite[a], dp.Shift)
+			d.shiftOnsite(a, dp.Shift)
 		}
 	}
 }
@@ -256,18 +254,17 @@ func (pr *Profile) applyVacancies(d *Device, seed uint64) bool {
 		return false
 	}
 	p := d.P
+	bl := p.Norb * p.Norb
 	touched := false
 	for a := 0; a < p.Na; a++ {
 		if siteFloat(seed, chanVacancy, uint64(a)) >= vc.Fraction {
 			continue
 		}
 		touched = true
-		shiftOnsite(d.onsite[a], vc.shift())
+		d.shiftOnsite(a, vc.shift())
 		scale := complex(vc.bondScale(), 0)
-		for _, b := range d.Neigh[a] {
-			if h, ok := d.hop[orderedPair(a, b)]; ok {
-				scaleMatrix(h, scale)
-			}
+		for slot := 1; slot <= len(d.Neigh[a]); slot++ {
+			scaleBlock(block(d.hop, d.bond(a, slot), bl), scale)
 		}
 	}
 	return touched
@@ -281,37 +278,35 @@ func (pr *Profile) applyStrain(d *Device, seed uint64) bool {
 		return false
 	}
 	na := uint64(d.P.Na)
+	bl := d.P.Norb * d.P.Norb
 	for a := 0; a < d.P.Na; a++ {
-		for _, b := range d.Neigh[a] {
+		for k, b := range d.Neigh[a] {
 			if b < a {
 				continue // one draw per undirected bond
 			}
-			bond := uint64(a)*na + uint64(b)
-			if h, ok := d.hop[pair{a, b}]; ok {
-				u := 2*siteFloat(seed, chanStrainHop, bond) - 1
-				scaleMatrix(h, complex(1+st.Amplitude*u, 0))
-			}
-			if k, ok := d.spring[pair{a, b}]; ok {
-				u := 2*siteFloat(seed, chanStrainSpring, bond) - 1
-				scaleMatrix(k, complex(1+st.Amplitude*u, 0))
-			}
+			bond, s := uint64(a)*na+uint64(b), d.SlotOff[a]+1+k
+			u := 2*siteFloat(seed, chanStrainHop, bond) - 1
+			scaleBlock(block(d.hop, s, bl), complex(1+st.Amplitude*u, 0))
+			u = 2*siteFloat(seed, chanStrainSpring, bond) - 1
+			scaleBlock(block(d.spring, s, N3D*N3D), complex(1+st.Amplitude*u, 0))
 		}
 	}
 	return true
 }
 
-// shiftOnsite adds v·I to a Hermitian onsite block, preserving its
-// Hermiticity exactly.
-func shiftOnsite(m *linalg.Matrix, v float64) {
-	n := m.Rows
+// shiftOnsite adds v·I to atom a's Hermitian onsite block, preserving
+// its Hermiticity exactly.
+func (d *Device) shiftOnsite(a int, v float64) {
+	n := d.P.Norb
+	on := block(d.onsite, a, n*n)
 	for o := 0; o < n; o++ {
-		m.Data[o*n+o] += complex(v, 0)
+		on[o*n+o] += complex(v, 0)
 	}
 }
 
-// scaleMatrix multiplies every element of m by s, in place.
-func scaleMatrix(m *linalg.Matrix, s complex128) {
-	for i := range m.Data {
-		m.Data[i] *= s
+// scaleBlock multiplies every element of m by s, in place.
+func scaleBlock(m []complex128, s complex128) {
+	for i := range m {
+		m[i] *= s
 	}
 }

@@ -76,9 +76,9 @@ func TestProfileDeterministic(t *testing.T) {
 		}
 	}
 	for a := 0; a < p.Na; a++ {
-		for _, b := range d1.Neigh[a] {
+		for k, b := range d1.Neigh[a] {
 			for i := 0; i < N3D; i++ {
-				if !matricesEqual(d1.GradH(a, b, i), d2.GradH(a, b, i)) {
+				if !matricesEqual(linalg.FromSlice(p.Norb, p.Norb, d1.GradH(a, 1+k, i)), linalg.FromSlice(p.Norb, p.Norb, d2.GradH(a, 1+k, i))) {
 					t.Fatalf("gradH(%d,%d,%d) differs between identical realizations", a, b, i)
 				}
 			}
@@ -148,10 +148,12 @@ func TestProfilePreservesHermiticity(t *testing.T) {
 		}
 	}
 	for a := 0; a < p.Na; a++ {
-		for _, b := range d.Neigh[a] {
+		for k, b := range d.Neigh[a] {
 			for i := 0; i < N3D; i++ {
-				g, gt := d.GradH(a, b, i), d.GradH(b, a, i)
-				if g == nil || gt == nil {
+				n := p.Norb
+				g := linalg.FromSlice(n, n, d.GradH(a, 1+k, i))
+				gt := linalg.FromSlice(n, n, d.GradH(b, d.MirrorSlot(a, 1+k), i))
+				if g.MaxAbs() == 0 {
 					t.Fatalf("missing gradH for bond (%d,%d) after profile", a, b)
 				}
 				gh := g.H()

@@ -1,8 +1,10 @@
 package device
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"math/cmplx"
+	"slices"
 
 	"repro/internal/blocktri"
 	"repro/internal/linalg"
@@ -23,34 +25,28 @@ type Device struct {
 	// Neigh[a] lists the neighbours of atom a (each in the same or an
 	// adjacent slab, preserving block-tridiagonality), sorted ascending.
 	Neigh [][]int
-	// NbSlot[a][b] gives the index of b in Neigh[a] (or -1).
-	nbSlot []map[int]int
-	// SlotOff is the phonon tensors' slot layout: the prefix sums of
-	// 1+len(Neigh[a]), so atom a owns slots [SlotOff[a], SlotOff[a+1]) of
-	// a (qz, ω) plane and SlotOff[Na] = Σ(1+nb_a). Every tensor.Phonon
-	// over the device shares it (its Off); read-only.
+	// SlotOff is the device's slot layout: the prefix sums of
+	// 1+len(Neigh[a]), so atom a owns slots [SlotOff[a], SlotOff[a+1]) —
+	// slot 0 its own block, slot 1+k its pair with Neigh[a][k] — and
+	// SlotOff[Na] = Σ(1+nb_a). Every tensor.Phonon over the device shares
+	// it (its Off), and so do the pair tables below; read-only.
 	SlotOff []int
 
-	onsite []*linalg.Matrix        // per-atom Norb×Norb Hermitian onsite block
-	zshift []*linalg.Matrix        // per-atom Hermitian kz-modulation of onsite
-	hop    map[pair]*linalg.Matrix // directed (a<b) Norb×Norb hopping
-	spring map[pair]*linalg.Matrix // directed (a<b) 3×3 real force-constant block
-	zeta   float64                 // in-plane kz modulation amplitude
-	kappaZ float64                 // out-of-plane spring stiffness
+	// Pair tables: entry or block SlotOff[a]+slot of each; slot 0 has no pair.
+	mirror []int        // the slot a holds in the list of its slot's atom
+	hop    []complex128 // Norb×Norb hopping H_ab, at the slot of a < b
+	spring []complex128 // 3×3 real force constants K_ab, at the slot of a < b
+	gradH  []complex128 // ∇iH_ab for i = x, y, z, 3·Norb² per slot
 
-	gradH map[pairDir]*linalg.Matrix // ∇H for ordered pairs (a,b) and direction i
+	onsite []complex128 // Norb×Norb Hermitian onsite block per atom
+	zshift []complex128 // Norb×Norb Hermitian kz-modulation of onsite per atom
+	zeta   float64      // in-plane kz modulation amplitude
+	kappaZ float64      // out-of-plane spring stiffness
 }
 
-type pair struct{ a, b int }
-type pairDir struct {
-	a, b, dir int
-}
-
-func orderedPair(a, b int) pair {
-	if a > b {
-		a, b = b, a
-	}
-	return pair{a, b}
+// block returns block i of a flat table of n-element blocks.
+func block(table []complex128, i, n int) []complex128 {
+	return table[i*n : (i+1)*n : (i+1)*n]
 }
 
 // Build constructs the synthetic device for p. The same Params and Seed
@@ -59,18 +55,12 @@ func Build(p Params) (*Device, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	d := &Device{
-		P:      p,
-		hop:    make(map[pair]*linalg.Matrix),
-		spring: make(map[pair]*linalg.Matrix),
-		gradH:  make(map[pairDir]*linalg.Matrix),
-		zeta:   0.15,
-		kappaZ: 0.02,
-	}
+	d := &Device{P: p, zeta: 0.15, kappaZ: 0.02}
 	d.buildGeometry()
 	d.buildNeighbours()
 	d.buildElectronic()
 	d.buildPhononic()
+	d.gradH = make([]complex128, 3*p.Norb*p.Norb*d.SlotOff[p.Na])
 	d.buildGradH()
 	return d, nil
 }
@@ -90,6 +80,7 @@ func (d *Device) buildGeometry() {
 	d.Pos = make([][2]float64, p.Na)
 	d.SlabOf = make([]int, p.Na)
 	d.Slabs = make([][]int, p.Bnum)
+	atoms := make([]int, p.Na)
 	rng := newRNG(p.Seed)
 	const a0 = 1.0 // lattice constant (arbitrary units)
 	for s := 0; s < p.Bnum; s++ {
@@ -101,68 +92,67 @@ func (d *Device) buildGeometry() {
 			jy := 0.05 * (rng.float() - 0.5)
 			d.Pos[a] = [2]float64{float64(s)*a0 + jx, float64(r)*a0 + jy}
 			d.SlabOf[a] = s
-			d.Slabs[s] = append(d.Slabs[s], a)
+			atoms[a] = a
 		}
+		d.Slabs[s] = atoms[s*rows : (s+1)*rows : (s+1)*rows]
 	}
 }
 
 // buildNeighbours selects up to NbT nearest atoms per atom, restricted to
 // the same or adjacent slab so that all operators stay block-tridiagonal,
-// and symmetrizes the relation.
+// and symmetrizes the relation; then it lays out the slots and their
+// mirror table. Slabs are contiguous atom ranges, so an atom's candidates
+// are one range, ranked by distance, then index.
 func (d *Device) buildNeighbours() {
 	p := d.P
-	d.Neigh = make([][]int, p.Na)
-	d.nbSlot = make([]map[int]int, p.Na)
+	rows := p.AtomsPerSlab()
 	type cand struct {
 		b    int
 		dist float64
 	}
-	adjacency := make([]map[int]bool, p.Na)
+	var cands []cand
+	picks := make([][2]int, 0, p.Na*min(p.NbT, 3*rows))
+	deg := make([]int, p.Na)
 	for a := 0; a < p.Na; a++ {
-		adjacency[a] = make(map[int]bool)
-	}
-	for a := 0; a < p.Na; a++ {
-		var cands []cand
-		for b := 0; b < p.Na; b++ {
-			if b == a {
-				continue
+		s := d.SlabOf[a]
+		cands = cands[:0]
+		for b := max(s-1, 0) * rows; b < min(s+2, p.Bnum)*rows; b++ {
+			if b != a {
+				cands = append(cands, cand{b, d.dist(a, b)})
 			}
-			ds := d.SlabOf[b] - d.SlabOf[a]
-			if ds < -1 || ds > 1 {
-				continue
-			}
-			cands = append(cands, cand{b, d.dist(a, b)})
 		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].dist != cands[j].dist {
-				return cands[i].dist < cands[j].dist
-			}
-			return cands[i].b < cands[j].b
+		slices.SortFunc(cands, func(x, y cand) int {
+			return cmp.Or(cmp.Compare(x.dist, y.dist), cmp.Compare(x.b, y.b))
 		})
-		n := p.NbT
-		if n > len(cands) {
-			n = len(cands)
-		}
-		for _, c := range cands[:n] {
-			adjacency[a][c.b] = true
-			adjacency[c.b][a] = true // symmetrize
+		for _, c := range cands[:min(p.NbT, len(cands))] {
+			picks = append(picks, [2]int{a, c.b})
+			deg[a]++
+			deg[c.b]++
 		}
 	}
-	for a := 0; a < p.Na; a++ {
-		list := make([]int, 0, len(adjacency[a]))
-		for b := range adjacency[a] {
-			list = append(list, b)
-		}
-		sort.Ints(list)
-		d.Neigh[a] = list
-		d.nbSlot[a] = make(map[int]int, len(list))
-		for i, b := range list {
-			d.nbSlot[a][b] = i
-		}
+	// Each pick lists both atoms in each other's list; a pair picked from
+	// both ends is kept once.
+	all := make([]int, 2*len(picks))
+	d.Neigh = make([][]int, p.Na)
+	for a, off := 0, 0; a < p.Na; a, off = a+1, off+deg[a] {
+		d.Neigh[a] = all[off : off : off+deg[a]]
+	}
+	for _, pk := range picks {
+		d.Neigh[pk[0]] = append(d.Neigh[pk[0]], pk[1])
+		d.Neigh[pk[1]] = append(d.Neigh[pk[1]], pk[0])
 	}
 	d.SlotOff = make([]int, p.Na+1)
 	for a, list := range d.Neigh {
-		d.SlotOff[a+1] = d.SlotOff[a] + 1 + len(list)
+		slices.Sort(list)
+		d.Neigh[a] = slices.Compact(list)
+		d.SlotOff[a+1] = d.SlotOff[a] + 1 + len(d.Neigh[a])
+	}
+	d.mirror = make([]int, d.SlotOff[p.Na])
+	for a, list := range d.Neigh {
+		for k, b := range list {
+			j, _ := slices.BinarySearch(d.Neigh[b], a)
+			d.mirror[d.SlotOff[a]+1+k] = 1 + j
+		}
 	}
 }
 
@@ -172,21 +162,26 @@ func (d *Device) dist(a, b int) float64 {
 	return math.Hypot(dx, dy)
 }
 
-// NeighbourSlot returns the index of b in a's neighbour list, or -1.
-func (d *Device) NeighbourSlot(a, b int) int {
-	if s, ok := d.nbSlot[a][b]; ok {
-		return s
+// MirrorSlot returns the slot atom a holds in the list of the atom at its
+// slot: for slot 1+k, with b = Neigh[a][k], the slot 1+j of Neigh[b][j] =
+// a; slot 0, a's own block, is its own mirror.
+func (d *Device) MirrorSlot(a, slot int) int { return d.mirror[d.SlotOff[a]+slot] }
+
+// bond returns the flat slot holding the hopping and force constants of
+// atom a and the atom b at its slot: a's slot if a < b, else b's slot
+// of a.
+func (d *Device) bond(a, slot int) int {
+	if b := d.Neigh[a][slot-1]; b < a {
+		return d.SlotOff[b] + d.MirrorSlot(a, slot)
 	}
-	return -1
+	return d.SlotOff[a] + slot
 }
 
 // MaxNb returns the largest realized neighbour count.
 func (d *Device) MaxNb() int {
 	m := 0
 	for _, l := range d.Neigh {
-		if len(l) > m {
-			m = len(l)
-		}
+		m = max(m, len(l))
 	}
 	return m
 }
@@ -196,46 +191,41 @@ func (d *Device) MaxNb() int {
 // decay exponentially with distance, as localized DFT basis couplings do.
 func (d *Device) buildElectronic() {
 	p := d.P
+	n, bl := p.Norb, p.Norb*p.Norb
 	rng := newRNG(p.Seed ^ 0xe1ec)
-	d.onsite = make([]*linalg.Matrix, p.Na)
-	d.zshift = make([]*linalg.Matrix, p.Na)
+	d.onsite = make([]complex128, p.Na*bl)
+	d.zshift = make([]complex128, p.Na*bl)
 	for a := 0; a < p.Na; a++ {
-		on := linalg.New(p.Norb, p.Norb)
-		for o := 0; o < p.Norb; o++ {
+		on := block(d.onsite, a, bl)
+		for o := 0; o < n; o++ {
 			// Orbital ladder with deterministic disorder.
 			e := -0.4 + 0.25*float64(o) + 0.05*(rng.float()-0.5)
-			on.Set(o, o, complex(e, 0))
-			for o2 := o + 1; o2 < p.Norb; o2++ {
+			on[o*n+o] = complex(e, 0)
+			for o2 := o + 1; o2 < n; o2++ {
 				v := complex(0.04*(rng.float()-0.5), 0.04*(rng.float()-0.5))
-				on.Set(o, o2, v)
-				on.Set(o2, o, complex(real(v), -imag(v)))
+				on[o*n+o2] = v
+				on[o2*n+o] = complex(real(v), -imag(v))
 			}
 		}
-		d.onsite[a] = on
-		zs := linalg.New(p.Norb, p.Norb)
-		for o := 0; o < p.Norb; o++ {
-			zs.Set(o, o, complex(0.08+0.02*(rng.float()-0.5), 0))
+		zs := block(d.zshift, a, bl)
+		for o := 0; o < n; o++ {
+			zs[o*n+o] = complex(0.08+0.02*(rng.float()-0.5), 0)
 		}
-		d.zshift[a] = zs
 	}
+	d.hop = make([]complex128, d.SlotOff[p.Na]*bl)
 	for a := 0; a < p.Na; a++ {
-		for _, b := range d.Neigh[a] {
+		for k, b := range d.Neigh[a] {
 			if b < a {
 				continue
 			}
-			key := pair{a, b}
-			if _, ok := d.hop[key]; ok {
-				continue
-			}
 			t0 := 0.35 * math.Exp(-(d.dist(a, b) - 1))
-			h := linalg.New(p.Norb, p.Norb)
-			for o1 := 0; o1 < p.Norb; o1++ {
-				for o2 := 0; o2 < p.Norb; o2++ {
+			h := block(d.hop, d.SlotOff[a]+1+k, bl)
+			for o1 := 0; o1 < n; o1++ {
+				for o2 := 0; o2 < n; o2++ {
 					mag := t0 / (1 + math.Abs(float64(o1-o2)))
-					h.Set(o1, o2, complex(mag*(0.8+0.4*rng.float()), 0.1*mag*(rng.float()-0.5)))
+					h[o1*n+o2] = complex(mag*(0.8+0.4*rng.float()), 0.1*mag*(rng.float()-0.5))
 				}
 			}
-			d.hop[key] = h
 		}
 	}
 }
@@ -246,32 +236,28 @@ func (d *Device) buildElectronic() {
 func (d *Device) buildPhononic() {
 	p := d.P
 	rng := newRNG(p.Seed ^ 0x9407)
+	d.spring = make([]complex128, d.SlotOff[p.Na]*N3D*N3D)
 	for a := 0; a < p.Na; a++ {
-		for _, b := range d.Neigh[a] {
+		for k, b := range d.Neigh[a] {
 			if b < a {
 				continue
 			}
-			key := pair{a, b}
-			if _, ok := d.spring[key]; ok {
-				continue
-			}
-			k := (0.010 + 0.002*rng.float()) * math.Exp(-(d.dist(a, b) - 1))
+			kb := (0.010 + 0.002*rng.float()) * math.Exp(-(d.dist(a, b) - 1))
 			ux := d.Pos[b][0] - d.Pos[a][0]
 			uy := d.Pos[b][1] - d.Pos[a][1]
 			n := math.Hypot(ux, uy)
 			ux, uy = ux/n, uy/n
 			dir := [3]float64{ux, uy, 0}
-			m := linalg.New(N3D, N3D)
+			m := block(d.spring, d.SlotOff[a]+1+k, N3D*N3D)
 			for i := 0; i < N3D; i++ {
 				for j := 0; j < N3D; j++ {
-					v := 1.5 * k * dir[i] * dir[j]
+					v := 1.5 * kb * dir[i] * dir[j]
 					if i == j {
-						v += 0.5 * k
+						v += 0.5 * kb
 					}
-					m.Set(i, j, complex(v, 0))
+					m[i*N3D+j] = complex(v, 0)
 				}
 			}
-			d.spring[key] = m
 		}
 	}
 }
@@ -282,26 +268,49 @@ func (d *Device) buildPhononic() {
 // and the bond direction, times the global Coupling knob.
 func (d *Device) buildGradH() {
 	p := d.P
-	for key, h := range d.hop {
-		a, b := key.a, key.b
-		ux := d.Pos[b][0] - d.Pos[a][0]
-		uy := d.Pos[b][1] - d.Pos[a][1]
-		n := math.Hypot(ux, uy)
-		// z-component: the z-periodic images contribute a fixed fraction.
-		dir := [3]float64{ux / n, uy / n, 0.4}
-		for i := 0; i < N3D; i++ {
-			g := linalg.New(p.Norb, p.Norb)
-			linalg.Scale(g, complex(p.Coupling*dir[i], 0), h)
-			d.gradH[pairDir{a, b, i}] = g
-			d.gradH[pairDir{b, a, i}] = g.H()
+	n, bl := p.Norb, p.Norb*p.Norb
+	for a := 0; a < p.Na; a++ {
+		for k, b := range d.Neigh[a] {
+			if b < a {
+				continue
+			}
+			ux := d.Pos[b][0] - d.Pos[a][0]
+			uy := d.Pos[b][1] - d.Pos[a][1]
+			nrm := math.Hypot(ux, uy)
+			// z-component: the z-periodic images contribute a fixed fraction.
+			dir := [3]float64{ux / nrm, uy / nrm, 0.4}
+			h := block(d.hop, d.SlotOff[a]+1+k, bl)
+			for i := 0; i < N3D; i++ {
+				g := d.GradH(a, 1+k, i)
+				gt := d.GradH(b, d.MirrorSlot(a, 1+k), i)
+				s := complex(p.Coupling*dir[i], 0)
+				for r := 0; r < n; r++ {
+					for c := 0; c < n; c++ {
+						v := s * h[r*n+c]
+						g[r*n+c] = v
+						gt[c*n+r] = cmplx.Conj(v)
+					}
+				}
+			}
 		}
 	}
 }
 
-// GradH returns ∇iH_ab for neighbour pair (a, b) and direction i, or nil
-// if b is not a neighbour of a.
-func (d *Device) GradH(a, b, i int) *linalg.Matrix {
-	return d.gradH[pairDir{a, b, i}]
+// GradH returns ∇iH_ab, a Norb×Norb row-major block, for b the atom at
+// slot ≥ 1 of atom a (slot 0 holds zeros); read-only.
+func (d *Device) GradH(a, slot, i int) []complex128 {
+	return block(d.gradH, 3*(d.SlotOff[a]+slot)+i, d.P.Norb*d.P.Norb)
+}
+
+// WithGradH returns a device that shares everything with d but its ∇H
+// blocks, which are f(dst, src) of d's: dst and src are the two ∇H tables,
+// in one layout, so f maps them element for element (sse.Mixed rounds them
+// to binary16) and GradH reads the result.
+func (d *Device) WithGradH(f func(dst, src []complex128)) *Device {
+	c := *d
+	c.gradH = make([]complex128, len(d.gradH))
+	f(c.gradH, d.gradH)
+	return &c
 }
 
 // Site returns where atom a's block sits in a block-tridiagonal operator
@@ -339,28 +348,29 @@ func (d *Device) PairBlock(diag, upper, lower []*linalg.Matrix, a, b, n int) (bl
 // 2·cos(kz)·W z-image coupling. H(kz) is Hermitian for every kz.
 func (d *Device) Hamiltonian(ikz int) *blocktri.Matrix {
 	p := d.P
+	n, bl := p.Norb, p.Norb*p.Norb
 	ck := math.Cos(p.kz(ikz))
 	mod := complex(1+2*d.zeta*ck, 0)
 	m := blocktri.Uniform(p.Bnum, p.ElBlockSize())
 	for a := 0; a < p.Na; a++ {
 		// Onsite.
-		sa, ra := d.Site(a, p.Norb)
-		for o1 := 0; o1 < p.Norb; o1++ {
-			for o2 := 0; o2 < p.Norb; o2++ {
-				v := d.onsite[a].At(o1, o2) + complex(2*ck, 0)*d.zshift[a].At(o1, o2)
+		sa, ra := d.Site(a, n)
+		for o1 := 0; o1 < n; o1++ {
+			for o2 := 0; o2 < n; o2++ {
+				v := d.onsite[a*bl+o1*n+o2] + complex(2*ck, 0)*d.zshift[a*bl+o1*n+o2]
 				m.Diag[sa].Set(ra+o1, ra+o2, v)
 			}
 		}
-		for _, b := range d.Neigh[a] {
+		for k, b := range d.Neigh[a] {
 			if b < a {
 				continue
 			}
-			h := d.hop[pair{a, b}]
-			dst, r0, c0 := d.PairBlock(m.Diag, m.Upper, m.Lower, a, b, p.Norb)
-			mir, mr, mc := d.PairBlock(m.Diag, m.Upper, m.Lower, b, a, p.Norb)
-			for o1 := 0; o1 < p.Norb; o1++ {
-				for o2 := 0; o2 < p.Norb; o2++ {
-					v := mod * h.At(o1, o2)
+			h := block(d.hop, d.SlotOff[a]+1+k, bl)
+			dst, r0, c0 := d.PairBlock(m.Diag, m.Upper, m.Lower, a, b, n)
+			mir, mr, mc := d.PairBlock(m.Diag, m.Upper, m.Lower, b, a, n)
+			for o1 := 0; o1 < n; o1++ {
+				for o2 := 0; o2 < n; o2++ {
+					v := mod * h[o1*n+o2]
 					dst.Set(r0+o1, c0+o2, v)
 					mir.Set(mr+o2, mc+o1, complex(real(v), -imag(v))) // Hermitian mirror
 				}
@@ -386,12 +396,12 @@ func (d *Device) Dynamical(iqz int) *blocktri.Matrix {
 		for i := 0; i < N3D; i++ {
 			diag.Set(ra+i, ra+i, complex(zspring, 0))
 		}
-		for _, b := range d.Neigh[a] {
-			k := d.spring[orderedPair(a, b)]
+		for nb, b := range d.Neigh[a] {
+			k := block(d.spring, d.bond(a, 1+nb), N3D*N3D)
 			// Acoustic sum rule accumulation on the diagonal.
 			for i := 0; i < N3D; i++ {
 				for j := 0; j < N3D; j++ {
-					diag.Set(ra+i, ra+j, diag.At(ra+i, ra+j)+k.At(i, j))
+					diag.Set(ra+i, ra+j, diag.At(ra+i, ra+j)+k[i*N3D+j])
 				}
 			}
 			if b < a {
@@ -401,7 +411,7 @@ func (d *Device) Dynamical(iqz int) *blocktri.Matrix {
 			mir, mr, mc := d.PairBlock(m.Diag, m.Upper, m.Lower, b, a, N3D)
 			for i := 0; i < N3D; i++ {
 				for j := 0; j < N3D; j++ {
-					v := -k.At(i, j)
+					v := -k[i*N3D+j]
 					dst.Set(r0+i, c0+j, v)
 					mir.Set(mr+j, mc+i, v) // K is real symmetric
 				}

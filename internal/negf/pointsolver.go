@@ -300,10 +300,9 @@ func (ps *PointSolver) PhononCollisionSum() float64 {
 		for a := 0; a < p.Na; a++ {
 			for slot := 0; slot <= len(ps.Dev.Neigh[a]); slot++ {
 				// Pair Π_ab with D_ba: the transpose-partner block, which
-				// for b = a is slot 0 (a is not its own neighbour, so
-				// NeighbourSlot(a, a) is −1).
+				// for b = a is slot 0, its own mirror.
 				b := ps.slotAtom(a, slot)
-				back := 1 + ps.Dev.NeighbourSlot(b, a)
+				back := ps.Dev.MirrorSlot(a, slot)
 				dG := ps.DG.Block(iq, m-1, b, back)
 				dL := ps.DL.Block(iq, m-1, b, back)
 				pl, pg := ps.pi.block(j, a, slot)

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/batch"
-	"repro/internal/device"
 	"repro/internal/linalg"
 )
 
@@ -177,7 +176,6 @@ func transposeTable(n int) []int {
 // form over a fresh tile and output. A Tile runs one Compute at a time,
 // on inputs shaped like (and on the device of) the one it was built for.
 type Tile struct {
-	dev   *device.Device
 	restr *restriction
 	mixed *mixedTile // nil: the fp64 schedule
 
@@ -189,8 +187,8 @@ type Tile struct {
 	work      []func(ai int) error
 	newWorker func(w int) func(ai int) error
 	// The call in flight, read by the workers: the input the schedule
-	// reads (the quantized copies under Mixed), the output, and the
-	// prefactors with any denormalization folded in.
+	// reads (under Mixed the quantized copies, ∇H included), the output,
+	// and the prefactors with any denormalization folded in.
 	in           *Input
 	out          *Output
 	prefS, prefP complex128
@@ -199,7 +197,7 @@ type Tile struct {
 }
 
 func newTile(in *Input, restr *restriction, mixed *mixedTile) *Tile {
-	t := &Tile{dev: in.Dev, restr: restr, mixed: mixed}
+	t := &Tile{restr: restr, mixed: mixed}
 	t.newWorker = func(w int) func(int) error { return t.work[w] }
 	return t
 }
@@ -255,15 +253,6 @@ func (t *Tile) Compute(in *Input, out *Output) {
 	t.in, t.out = nil, nil
 }
 
-// grad is the coupling block ∇iH_ab the schedule multiplies by: the
-// device's, or its quantized copy under Mixed.
-func (t *Tile) grad(a, b, i int) *linalg.Matrix {
-	if t.mixed != nil {
-		return t.mixed.grad[gradKey{a, b, i}]
-	}
-	return t.dev.GradH(a, b, i)
-}
-
 // atom computes Σ≷_aa and the Π≷_a* blocks of atom a on scratch s.
 func (t *Tile) atom(s *tileScratch, a int) {
 	in, out := t.in, t.out
@@ -285,15 +274,15 @@ func (t *Tile) atom(s *tileScratch, a int) {
 	zero(s.sigL)
 	zero(s.sigG)
 
-	for slotAB, b := range in.Dev.Neigh[a] {
-		slotBA := in.Dev.NeighbourSlot(b, a)
+	for k, b := range in.Dev.Neigh[a] {
+		slotAB, slotBA := 1+k, in.Dev.MirrorSlot(a, 1+k)
 
 		// ── Stage ❶: map fission — materialize the ∇H·G transients
 		// on the halo window, one fixed-left-operand strided batch per
 		// (direction, momentum) row.
 		for i := 0; i < 3; i++ {
-			gab := t.grad(a, b, i).Data
-			gba := t.grad(b, a, i).Data
+			gab := in.Dev.GradH(a, slotAB, i)
+			gba := in.Dev.GradH(b, slotBA, i)
 			for ik := 0; ik < nkz; ik++ {
 				ob := in.GL.Index(ik, hlo, b)
 				oa := in.GL.Index(ik, hlo, a)
@@ -358,7 +347,7 @@ func (t *Tile) atom(s *tileScratch, a int) {
 		// ∇jH_ba over the contiguous energy batch, accumulated into
 		// this atom's Σ≷ rows (stage ❹ scatters them once per atom).
 		for j := 0; j < 3; j++ {
-			gjh := t.grad(b, a, j).Data
+			gjh := in.Dev.GradH(b, slotBA, j)
 			for ik := 0; ik < nkz; ik++ {
 				zero(s.cBuf)
 				batch.SBSMMFixedB(s.cBuf, s.vL.eRow(j, ik), gjh, norb, owned)
@@ -394,8 +383,8 @@ func (t *Tile) atom(s *tileScratch, a int) {
 				}
 				piLd := out.PiL.Block(iq, m-1, a, 0)
 				piGd := out.PiG.Block(iq, m-1, a, 0)
-				piLn := out.PiL.Block(iq, m-1, a, 1+slotAB)
-				piGn := out.PiG.Block(iq, m-1, a, 1+slotAB)
+				piLn := out.PiL.Block(iq, m-1, a, slotAB)
+				piGn := out.PiG.Block(iq, m-1, a, slotAB)
 				for i := 0; i < 3; i++ {
 					for j := 0; j < 3; j++ {
 						piLd[i*3+j] += prefP * sumL[i*4+j]

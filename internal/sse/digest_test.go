@@ -118,9 +118,9 @@ func zeroPairsFacing(b int) func(*Input) {
 			for iq := 0; iq < d.Nqz; iq++ {
 				for iw := 0; iw < d.Nw; iw++ {
 					clear(d.Block(iq, iw, b, 0))
-					for _, a := range dev.Neigh[b] {
-						clear(d.Block(iq, iw, b, 1+dev.NeighbourSlot(b, a)))
-						copy(d.Block(iq, iw, a, 1+dev.NeighbourSlot(a, b)), d.Block(iq, iw, a, 0))
+					for k, a := range dev.Neigh[b] {
+						clear(d.Block(iq, iw, b, 1+k))
+						copy(d.Block(iq, iw, a, dev.MirrorSlot(b, 1+k)), d.Block(iq, iw, a, 0))
 					}
 				}
 			}

@@ -52,45 +52,31 @@ func (m Mixed) Compute(in *Input) *Output {
 // normalization depends on the device alone — quantized once here.
 func (m Mixed) NewTile(in *Input) *Tile {
 	restr := (DaCe{Atoms: m.Atoms, ELo: m.ELo, EHi: m.EHi}).mustRestrict(in)
+	sH := 1.0
+	if m.Normalize {
+		sH, _ = half.ScaleFor(maxGradH(in.Dev))
+	}
 	mt := &mixedTile{
 		normalize: m.Normalize,
-		sH:        1,
+		sH:        sH,
 		q: &Input{
-			Dev: in.Dev,
+			Dev: in.Dev.WithGradH(func(dst, src []complex128) { quantizeInto(dst, src, sH) }),
 			GL:  tensor.NewElectron(in.GL.Nkz, in.GL.NE, in.GL.Na, in.GL.Norb),
 			GG:  tensor.NewElectron(in.GG.Nkz, in.GG.NE, in.GG.Na, in.GG.Norb),
 			DL:  tensor.NewPhonon(in.DL.Nqz, in.DL.Nw, in.DL.Off, in.DL.N3D),
 			DG:  tensor.NewPhonon(in.DG.Nqz, in.DG.Nw, in.DG.Off, in.DG.N3D),
 		},
-		grad: make(map[gradKey]*linalg.Matrix),
-	}
-	if m.Normalize {
-		mt.sH, _ = half.ScaleFor(maxGradH(in.Dev))
-	}
-	for a := 0; a < in.Dev.P.Na; a++ {
-		for _, b := range in.Dev.Neigh[a] {
-			for i := 0; i < 3; i++ {
-				g := in.Dev.GradH(a, b, i)
-				qg := linalg.New(g.Rows, g.Cols)
-				quantizeInto(qg.Data, g.Data, mt.sH)
-				mt.grad[gradKey{a, b, i}] = qg
-			}
-		}
 	}
 	return newTile(in, restr, mt)
 }
 
-// gradKey names the coupling block ∇iH_ab.
-type gradKey struct{ a, b, i int }
-
 // mixedTile is what a Mixed tile keeps besides the DaCe schedule: the
 // scaled fp16-valued copies of the Green's functions (rewritten by every
-// call) and of the coupling matrices (written once).
+// call) and, in q's device, of the coupling matrices (written once).
 type mixedTile struct {
 	normalize bool
 	sH        float64 // coupling normalization
 	q         *Input
-	grad      map[gradKey]*linalg.Matrix
 }
 
 // quantize rewrites the copies from in with per-tensor normalization
@@ -126,9 +112,9 @@ func quantizeInto(dst, src []complex128, scale float64) {
 func maxGradH(d *device.Device) float64 {
 	var m float64
 	for a := 0; a < d.P.Na; a++ {
-		for _, b := range d.Neigh[a] {
+		for slot := 1; slot <= len(d.Neigh[a]); slot++ {
 			for i := 0; i < 3; i++ {
-				if x := d.GradH(a, b, i).MaxAbs(); x > m {
+				if x := linalg.FromSlice(d.P.Norb, d.P.Norb, d.GradH(a, slot, i)).MaxAbs(); x > m {
 					m = x
 				}
 			}

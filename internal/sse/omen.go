@@ -42,8 +42,17 @@ func (o OMEN) Compute(in *Input) *Output {
 		gmix := linalg.New(norb, norb)
 		tmp := linalg.New(norb, norb)
 		var localMuls, localScalar int64
-		for slotAB, b := range in.Dev.Neigh[a] {
-			slotBA := in.Dev.NeighbourSlot(b, a)
+		// gAB[k][i] = ∇iH_ab and gBA[k][i] = ∇iH_ba for b = nbs[k].
+		nbs := in.Dev.Neigh[a]
+		gAB, gBA := make([][3]*linalg.Matrix, len(nbs)), make([][3]*linalg.Matrix, len(nbs))
+		for k, b := range nbs {
+			for i := 0; i < 3; i++ {
+				gAB[k][i] = linalg.FromSlice(norb, norb, in.Dev.GradH(a, 1+k, i))
+				gBA[k][i] = linalg.FromSlice(norb, norb, in.Dev.GradH(b, in.Dev.MirrorSlot(a, 1+k), i))
+			}
+		}
+		for k, b := range nbs {
+			slotAB, slotBA := 1+k, in.Dev.MirrorSlot(a, 1+k)
 			// Σ≷_aa: loop the full stencil naively.
 			for ik := 0; ik < nkz; ik++ {
 				for iq := 0; iq < nkz; iq++ {
@@ -55,9 +64,9 @@ func (o OMEN) Compute(in *Input) *Output {
 								continue
 							}
 							for i := 0; i < 3; i++ {
-								gih := in.Dev.GradH(a, b, i)
+								gih := gAB[k][i]
 								for j := 0; j < 3; j++ {
-									gjh := in.Dev.GradH(b, a, j)
+									gjh := gBA[k][j]
 									wle := wl[i*3+j]
 									wge := wg[i*3+j]
 									// Lesser: G<(E−ω)·D̃< + G<(E+ω)·D̃>.
@@ -108,16 +117,15 @@ func (o OMEN) Compute(in *Input) *Output {
 		y2 := linalg.New(norb, norb)
 		for iq := 0; iq < nkz; iq++ {
 			for m := 1; m <= nw; m++ {
-				for slot := 0; slot <= len(in.Dev.Neigh[a]); slot++ {
-					var ls []int // the l atoms traced for this Π_ab block
-					if slot == 0 {
-						ls = in.Dev.Neigh[a]
-					} else {
-						ls = in.Dev.Neigh[a][slot-1 : slot]
+				for slot := 0; slot <= len(nbs); slot++ {
+					lo, hi := 0, len(nbs) // the l = nbs[k] this Π_ab block traces: all, or b
+					if slot > 0 {
+						lo, hi = slot-1, slot
 					}
 					piL := out.PiL.Block(iq, m-1, a, slot)
 					piG := out.PiG.Block(iq, m-1, a, slot)
-					for _, l := range ls {
+					for k := lo; k < hi; k++ {
+						l := nbs[k]
 						for ik := 0; ik < nkz; ik++ {
 							ikpq := (ik + iq) % nkz
 							for ie := 0; ie+m < ne; ie++ {
@@ -130,9 +138,9 @@ func (o OMEN) Compute(in *Input) *Output {
 									continue
 								}
 								for i := 0; i < 3; i++ {
-									gil := in.Dev.GradH(l, a, i)
+									gil := gBA[k][i]
 									for j := 0; j < 3; j++ {
-										gjl := in.Dev.GradH(a, l, j)
+										gjl := gAB[k][j]
 										// tr[∇iH_la·G≷_aa(E+ω)·∇jH_al·G≶_ll(E)]
 										linalg.GEMM(1, gil, linalg.NoTrans, in.GL.Mat(ikpq, ie+m, a), linalg.NoTrans, 0, x)
 										linalg.GEMM(1, gjl, linalg.NoTrans, in.GG.Mat(ik, ie, l), linalg.NoTrans, 0, y)

@@ -137,19 +137,19 @@ func prefPi(p device.Params) complex128 {
 
 // dTilde computes the 3×3 scalar weight matrices D̃≷_ij(qz, ω) for an
 // ordered pair (a, b): D̃_ij = D_ba,ij − D_bb,ij − D_aa,ij + D_ab,ij.
-// slotAB is the neighbour slot of b in a's list, slotBA of a in b's list.
+// slotAB is b's slot of a, slotBA a's slot of b.
 func dTilde(dl, dg *tensor.Phonon, iq, iw, a, b, slotAB, slotBA int, wl, wg *[9]complex128) {
-	dba := dl.Block(iq, iw, b, 1+slotBA)
+	dba := dl.Block(iq, iw, b, slotBA)
 	dbb := dl.Block(iq, iw, b, 0)
 	daa := dl.Block(iq, iw, a, 0)
-	dab := dl.Block(iq, iw, a, 1+slotAB)
+	dab := dl.Block(iq, iw, a, slotAB)
 	for e := 0; e < 9; e++ {
 		wl[e] = dba[e] - dbb[e] - daa[e] + dab[e]
 	}
-	gba := dg.Block(iq, iw, b, 1+slotBA)
+	gba := dg.Block(iq, iw, b, slotBA)
 	gbb := dg.Block(iq, iw, b, 0)
 	gaa := dg.Block(iq, iw, a, 0)
-	gab := dg.Block(iq, iw, a, 1+slotAB)
+	gab := dg.Block(iq, iw, a, slotAB)
 	for e := 0; e < 9; e++ {
 		wg[e] = gba[e] - gbb[e] - gaa[e] + gab[e]
 	}
